@@ -27,22 +27,25 @@ Every value is a one-byte tag followed by tag-specific content:
 0x10  registered struct — varint type id + varint field count + fields
 ====  ==========================================================
 
-Structs are registered with :func:`register` under a stable numeric id
-(the ids below are part of the wire format; never reuse one).  The field
-count doubles as the struct's format version: the envelope accepts the
-five-field pre-session encoding (decoding it as session 0) so mixed-era
-peers interoperate; all other structs require an exact count.  A
-registered dataclass is encoded as its fields in declaration order, so
-``decode(encode(x)) == x`` for every registered type whose fields are
-themselves encodable.  Sets and dicts are serialized in sorted-encoding
-order, making ``encode`` deterministic: equal values produce equal bytes.
+Every length, count, id and (zigzagged) integer is a little-endian
+base-128 varint in its one shortest spelling.  Structs are registered
+with :func:`register` under a stable numeric id (the ids below are part
+of the wire format; never reuse one).  The field count doubles as the
+struct's format version: the envelope accepts the five-field pre-session
+encoding (decoding it as session 0) so mixed-era peers interoperate; all
+other structs require an exact count.  A registered dataclass is encoded
+as its fields in declaration order, so ``decode(encode(x)) == x`` for
+every registered type whose fields are themselves encodable.  Sets and
+dicts are serialized in sorted-encoding order, making ``encode``
+deterministic: equal values produce equal bytes.
 
 ``decode`` is strict: unknown tags, unknown type ids, truncated buffers,
-trailing bytes, invalid UTF-8 and field-count mismatches all raise
-:class:`CodecError`.  This is the hardening ``broadcast/wire.py`` claims:
-a Byzantine dealer's malformed bytes surface as a clean error (mapped to
-"dealer faulty" upstream), never as attacker-controlled object
-construction the way ``pickle.loads`` would allow.
+trailing bytes, invalid UTF-8, field-count mismatches and overlong
+(non-canonical) varints all raise :class:`CodecError`.  This is the
+hardening ``broadcast/wire.py`` claims: a Byzantine dealer's malformed
+bytes surface as a clean error (mapped to "dealer faulty" upstream),
+never as attacker-controlled object construction the way
+``pickle.loads`` would allow.
 
 Batch frames
 ------------
@@ -75,7 +78,8 @@ from __future__ import annotations
 import dataclasses
 import struct as _struct
 from collections import Counter
-from typing import Any, Optional
+from operator import attrgetter
+from typing import Any, Callable, Optional
 
 from repro.crypto.verify_cache import IdentityMemo
 
@@ -128,11 +132,15 @@ encode_stats: Counter = Counter()
 _payload_memo = IdentityMemo()
 _memoized_types: set[type] = set()
 
-# Envelope instance-path encodings, keyed by the path value itself (paths
-# are small hashable tuples and repeat for every message of an instance).
-# Value-keyed is sound: the encoding is a pure function of the value.
+# Envelope instance paths, interned both ways in one table under one
+# bound: ``path tuple -> its encoding`` for the encoder and ``encoding ->
+# validated path tuple`` for the batch decoder (a tuple never equals a
+# bytes key, so the directions cannot collide).  Paths are small hashable
+# tuples and repeat for every message of an instance — a party sees each
+# instance path >= 2n times.  Value-keyed is sound in both directions:
+# encoding and decoding are pure functions of the value resp. the bytes.
 _envelope_type: Optional[type] = None
-_path_memo: dict[tuple, bytes] = {}
+_path_memo: dict[Any, Any] = {}
 _PATH_MEMO_LIMIT = 8192
 
 
@@ -154,6 +162,9 @@ _TAG_DICT = 0x0A
 _TAG_FLOAT = 0x0B
 _TAG_STRUCT = 0x10
 
+#: How a batch envelope header opens: tuple tag, five elements.
+_BATCH_HEADER_OPEN = bytes((_TAG_TUPLE, 5))
+
 # Registered struct ids, stable across versions (wire compatibility):
 #   1-19    substrate (Envelope)
 #   20-39   crypto value types
@@ -161,9 +172,19 @@ _TAG_STRUCT = 0x10
 #   >= 9000 reserved for tests / external extensions
 _ENVELOPE_ID = 1
 
-_by_type: dict[type, tuple[int, tuple[str, ...]]] = {}
+#: Registered struct -> (wire id, field names, pre-built struct header
+#: ``0x10 . id . field-count``, ``value -> field values`` getter).  The
+#: last two are the struct's compiled *encode plan*, built by
+#: :func:`register`.
+_by_type: dict[type, tuple[int, tuple[str, ...], bytes, Callable[[Any], tuple]]] = {}
 _by_id: dict[int, tuple[type, tuple[str, ...], tuple[Any, ...]]] = {}
 _by_name: dict[str, type] = {}
+#: Wire id -> (class, field names, ((field index, concrete class), ...)):
+#: the struct's compiled *decode plan*, its annotation checkers resolved
+#: to the classes they name.  Compiled on the first decode of an id (a
+#: checker may name a class registered later) and dropped wholesale by
+#: every :func:`register`, which can bind or rebind any name.
+_decode_plans: dict[int, tuple[type, tuple[str, ...], tuple[tuple[int, type], ...]]] = {}
 _builtin_registered = False
 _registering = False
 
@@ -186,10 +207,11 @@ def _annotation_checker(annotation: Any) -> Any:
     """Best-effort type check derived from a dataclass field annotation.
 
     Returns a type to isinstance-check, a class-name string resolved
-    against the registry at decode time, or ``None`` for annotations we
-    cannot (or should not) enforce — ``Any``, ``Optional``, unions.
-    Honest encoders always satisfy their own annotations, so this rejects
-    only attacker-crafted frames whose field values have the wrong shape.
+    against the registry when the decode plan is compiled, or ``None``
+    for annotations we cannot (or should not) enforce — ``Any``,
+    ``Optional``, unions.  Honest encoders always satisfy their own
+    annotations, so this rejects only attacker-crafted frames whose field
+    values have the wrong shape.
     """
     if not isinstance(annotation, str):
         annotation = getattr(annotation, "__name__", "")
@@ -200,7 +222,18 @@ def _annotation_checker(annotation: Any) -> Any:
         return _SIMPLE_ANNOTATIONS[base]
     if not base or base in ("Any", "Optional", "Union", "object", "None"):
         return None
-    return base  # resolved against _by_name lazily
+    return base  # resolved against _by_name by _compile_decode_plan
+
+
+def _field_getter(fields: tuple[str, ...]) -> Callable[[Any], tuple]:
+    """``value -> tuple of its field values`` (``attrgetter`` alone returns
+    a bare value, not a 1-tuple, for a single name)."""
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if not fields:
+        return lambda value: ()
+    single = attrgetter(fields[0])
+    return lambda value: (single(value),)
 
 
 def register(cls: type, type_id: int, fields: Optional[tuple[str, ...]] = None) -> type:
@@ -222,9 +255,13 @@ def register(cls: type, type_id: int, fields: Optional[tuple[str, ...]] = None) 
             f"codec id {type_id} already taken by {existing[0].__name__}"
         )
     checkers = tuple(_annotation_checker(declared.get(name)) for name in fields)
-    _by_type[cls] = (type_id, fields)
+    header = bytearray((_TAG_STRUCT,))
+    _write_uvarint(header, type_id)
+    _write_uvarint(header, len(fields))
+    _by_type[cls] = (type_id, fields, bytes(header), _field_getter(fields))
     _by_id[type_id] = (cls, fields, checkers)
     _by_name[cls.__name__] = cls
+    _decode_plans.clear()
     from repro.net.payload import Payload  # deferred: payload.py is below codec
 
     if issubclass(cls, Payload):
@@ -238,134 +275,172 @@ def register(cls: type, type_id: int, fields: Optional[tuple[str, ...]] = None) 
 def registered_types() -> dict[type, int]:
     """Every registered type and its wire id (triggers full registration)."""
     _ensure_registered()
-    return {cls: type_id for cls, (type_id, _fields) in _by_type.items()}
+    return {cls: entry[0] for cls, entry in _by_type.items()}
 
 
 # -- varints ---------------------------------------------------------------------------
-
-
-def _write_uvarint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
 
 #: Integers (after zigzag) are bounded to this many bits on the wire —
 #: far above the 256-bit STANDARD group parameters, and enforced
 #: symmetrically: `encode` refuses above it, `decode` rejects above it.
 _MAX_INT_BITS = 4096
+#: Longest varint the reader follows: bounds attacker-supplied "infinite"
+#: varints a few bits above :data:`_MAX_INT_BITS`.
+_MAX_VARINT_BYTES = _MAX_INT_BITS // 7 + 1
+
+
+def _write_uvarint(out: bytearray, value: int) -> None:
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
 
 
 def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise CodecError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
+    """Read one unsigned varint at ``pos``; returns ``(value, next_pos)``.
+
+    The one reader behind every length, count, id and integer of the
+    codec, the batch tables and the storage frames.  Strict: a varint
+    that runs off the buffer, exceeds :data:`_MAX_VARINT_BYTES`, or is
+    *overlong* (a multi-byte varint whose final group is zero — a second
+    spelling of a shorter value) raises :class:`CodecError`, so every
+    accepted byte string is the unique encoding of its value.
+    """
+    value = shift = 0
+    for byte in data[pos : pos + _MAX_VARINT_BYTES]:
+        if byte < 0x80:
+            if shift and not byte:
+                raise CodecError("non-canonical varint")
+            return value | byte << shift, pos + shift // 7 + 1
+        value |= (byte & 0x7F) << shift
         shift += 7
-        if shift > _MAX_INT_BITS:  # bounds attacker-supplied "infinite" varints
-            raise CodecError("varint too long")
-
-
-# Arbitrary-precision zigzag: non-negative n -> 2n, negative n -> -2n - 1.
-def _zigzag_encode(value: int) -> int:
-    return value << 1 if value >= 0 else ((-value) << 1) - 1
-
-
-def _zigzag_decode(value: int) -> int:
-    return value >> 1 if not value & 1 else -((value + 1) >> 1)
+    if len(data) - pos < _MAX_VARINT_BYTES:
+        raise CodecError("truncated varint")
+    raise CodecError("varint too long")
 
 
 # -- encoding --------------------------------------------------------------------------
 
+#: ``tag + one-byte varint`` for every int whose zigzag form fits one byte.
+_SMALL_INT = tuple(bytes((_TAG_INT, zigzagged)) for zigzagged in range(0x80))
+
+
+def _encode_items(out: bytearray, items: Any) -> None:
+    """Append the encoding of every value of ``items`` — the one encode loop.
+
+    A container or struct costs one call for all its children, not one
+    per child; the types that make up nearly every wire value (int,
+    bytes, str, tuple, plain registered struct) are handled in place.
+    """
+    for value in items:
+        kind = type(value)
+        if kind is int:
+            # Arbitrary-precision zigzag: n >= 0 -> 2n, n < 0 -> -2n - 1.
+            zigzagged = value << 1 if value >= 0 else ((-value) << 1) - 1
+            if zigzagged < 0x80:
+                out += _SMALL_INT[zigzagged]
+                continue
+            if zigzagged.bit_length() > _MAX_INT_BITS:
+                # Same bound the decoder enforces: fail loudly at the sender
+                # instead of encoding bytes the receiver will reject.
+                raise CodecError(f"integer exceeds the codec bound ({_MAX_INT_BITS} bits)")
+            out.append(_TAG_INT)
+            while zigzagged >= 0x80:  # _write_uvarint, in place
+                out.append(zigzagged & 0x7F | 0x80)
+                zigzagged >>= 7
+            out.append(zigzagged)
+        elif kind is bytes or kind is str:
+            if kind is bytes:
+                out.append(_TAG_BYTES)
+            else:
+                out.append(_TAG_STR)
+                value = value.encode("utf-8")
+            if len(value) < 0x80:
+                out.append(len(value))
+            else:
+                _write_uvarint(out, len(value))
+            out += value
+        elif kind is tuple:
+            out.append(_TAG_TUPLE)
+            if len(value) < 0x80:
+                out.append(len(value))
+            else:
+                _write_uvarint(out, len(value))
+            _encode_items(out, value)
+        else:
+            entry = _by_type.get(kind)
+            if entry is None:
+                encoder = _BUILTIN_ENCODERS.get(kind)
+                if encoder is None:
+                    raise CodecError(f"no codec registration for type {kind.__name__!r}")
+                encoder(out, value)
+            elif kind in _memoized_types:
+                out += _payload_struct_bytes(value)
+            elif kind is _envelope_type:
+                path, *routing = entry[3](value)
+                out += entry[2]
+                _encode_path(out, path)
+                _encode_items(out, routing)
+            else:
+                out += entry[2]
+                _encode_items(out, entry[3](value))
+
+
+def _encode_path(out: bytearray, path: Any) -> None:
+    """Append an envelope path: its interned bytes, or — for an unhashable
+    or non-tuple path (forged envelope; the decoder rejects it anyway) —
+    a direct encoding."""
+    cached = _path_struct_bytes(path) if type(path) is tuple else None
+    if cached is None:
+        _encode_items(out, (path,))
+    else:
+        out += cached
+
 
 def _encode_into(out: bytearray, value: Any) -> None:
-    if value is None:
-        out.append(_TAG_NONE)
-    elif value is True:
-        out.append(_TAG_TRUE)
-    elif value is False:
-        out.append(_TAG_FALSE)
-    elif type(value) is int:
-        zigzagged = _zigzag_encode(value)
-        if zigzagged.bit_length() > _MAX_INT_BITS:
-            # Same bound the decoder enforces: fail loudly at the sender
-            # instead of encoding bytes the receiver will reject.
-            raise CodecError(f"integer exceeds the codec bound ({_MAX_INT_BITS} bits)")
-        out.append(_TAG_INT)
-        _write_uvarint(out, zigzagged)
-    elif type(value) is bytes:
-        out.append(_TAG_BYTES)
-        _write_uvarint(out, len(value))
-        out.extend(value)
-    elif type(value) is str:
-        raw = value.encode("utf-8")
-        out.append(_TAG_STR)
-        _write_uvarint(out, len(raw))
-        out.extend(raw)
-    elif type(value) is tuple:
-        out.append(_TAG_TUPLE)
-        _write_uvarint(out, len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif type(value) is list:
-        out.append(_TAG_LIST)
-        _write_uvarint(out, len(value))
-        for item in value:
-            _encode_into(out, item)
-    elif type(value) in (frozenset, set):
-        out.append(_TAG_FROZENSET if type(value) is frozenset else _TAG_SET)
-        parts = sorted(encode(item) for item in value)
-        _write_uvarint(out, len(parts))
-        for part in parts:
-            out.extend(part)
-    elif type(value) is dict:
-        out.append(_TAG_DICT)
-        pairs = sorted((encode(k), encode(v)) for k, v in value.items())
-        _write_uvarint(out, len(pairs))
-        for key_bytes, value_bytes in pairs:
-            out.extend(key_bytes)
-            out.extend(value_bytes)
-    elif type(value) is float:
-        out.append(_TAG_FLOAT)
-        out.extend(_struct.pack(">d", value))
-    else:
-        entry = _by_type.get(type(value))
-        if entry is None:
-            raise CodecError(
-                f"no codec registration for type {type(value).__name__!r}"
-            )
-        type_id, fields = entry
-        if type(value) in _memoized_types:
-            out.extend(_payload_struct_bytes(value))
-            return
-        out.append(_TAG_STRUCT)
-        _write_uvarint(out, type_id)
-        _write_uvarint(out, len(fields))
-        if type(value) is _envelope_type:
-            for name in fields:
-                field_value = getattr(value, name)
-                if name == "path" and type(field_value) is tuple:
-                    cached = _path_struct_bytes(field_value)
-                    if cached is not None:
-                        out.extend(cached)
-                        continue
-                    # Unhashable path (forged envelope): encode it
-                    # directly; decode_envelope rejects it anyway.
-                _encode_into(out, field_value)
-            return
-        for name in fields:
-            _encode_into(out, getattr(value, name))
+    """Append one value's encoding (hand-built frames in the tests)."""
+    _encode_items(out, (value,))
+
+
+def _encoded(value: Any) -> bytes:
+    out = bytearray()
+    _encode_items(out, (value,))
+    return bytes(out)
+
+
+def _encode_list(out: bytearray, value: list) -> None:
+    out.append(_TAG_LIST)
+    _write_uvarint(out, len(value))
+    _encode_items(out, value)
+
+
+def _encode_set(out: bytearray, value: Any) -> None:
+    out.append(_TAG_FROZENSET if type(value) is frozenset else _TAG_SET)
+    _write_uvarint(out, len(value))
+    out += b"".join(sorted(_encoded(item) for item in value))
+
+
+def _encode_dict(out: bytearray, value: dict) -> None:
+    out.append(_TAG_DICT)
+    _write_uvarint(out, len(value))
+    for pair in sorted((_encoded(k), _encoded(v)) for k, v in value.items()):
+        out += b"".join(pair)
+
+
+def _encode_float(out: bytearray, value: float) -> None:
+    out.append(_TAG_FLOAT)
+    out += _struct.pack(">d", value)
+
+
+_BUILTIN_ENCODERS: dict[type, Callable[[bytearray, Any], None]] = {
+    type(None): lambda out, value: out.append(_TAG_NONE),
+    bool: lambda out, value: out.append(_TAG_TRUE if value else _TAG_FALSE),
+    list: _encode_list,
+    frozenset: _encode_set,
+    set: _encode_set,
+    dict: _encode_dict,
+    float: _encode_float,
+}
 
 
 def _payload_struct_bytes(value: Any, count: bool = True) -> bytes:
@@ -386,16 +461,19 @@ def _payload_struct_bytes(value: Any, count: bool = True) -> bytes:
         return cached
     if count:
         encode_stats["payload.misses"] += 1
-    type_id, fields = _by_type[type(value)]
-    chunk = bytearray()
-    chunk.append(_TAG_STRUCT)
-    _write_uvarint(chunk, type_id)
-    _write_uvarint(chunk, len(fields))
-    for name in fields:
-        _encode_into(chunk, getattr(value, name))
+    _type_id, _fields, header, getter = _by_type[type(value)]
+    chunk = bytearray(header)
+    _encode_items(chunk, getter(value))
     buffer = bytes(chunk)
     _payload_memo.put(value, buffer)
     return buffer
+
+
+def _intern_path(key: Any, value: Any) -> None:
+    """One insert into the two-way path table, under its single bound."""
+    if len(_path_memo) >= _PATH_MEMO_LIMIT:
+        _path_memo.clear()
+    _path_memo[key] = value
 
 
 def _path_struct_bytes(path: tuple) -> Optional[bytes]:
@@ -406,12 +484,8 @@ def _path_struct_bytes(path: tuple) -> Optional[bytes]:
     except TypeError:
         return None
     if cached is None:
-        chunk = bytearray()
-        _encode_into(chunk, path)
-        cached = bytes(chunk)
-        if len(_path_memo) >= _PATH_MEMO_LIMIT:
-            _path_memo.clear()
-        _path_memo[path] = cached
+        cached = _encoded(path)
+        _intern_path(path, cached)
     return cached
 
 
@@ -421,135 +495,172 @@ def encode(value: Any) -> bytes:
     Raises :class:`CodecError` for unregistered/unsupported types.
     """
     _ensure_registered()
-    out = bytearray()
-    _encode_into(out, value)
-    return bytes(out)
+    return _encoded(value)
 
 
 # -- decoding --------------------------------------------------------------------------
 
 
-def _decode_from(data: bytes, pos: int, depth: int = 0) -> tuple[Any, int]:
-    if depth > 64:
+def _compile_decode_plan(type_id: int) -> tuple:
+    entry = _by_id.get(type_id)
+    if entry is None:
+        raise CodecError(f"unknown codec type id {type_id}")
+    cls, fields, checkers = entry
+    checks = []
+    for index, checker in enumerate(checkers):
+        if isinstance(checker, str):
+            # An annotation naming a type the registry doesn't know stays
+            # unchecked (``Any`` fields too — handlers isinstance-check those).
+            checker = _by_name.get(checker)
+        if checker is not None:
+            checks.append((index, checker))
+    plan = _decode_plans[type_id] = (cls, fields, tuple(checks))
+    return plan
+
+
+def _decode_seq(
+    data: bytes, size: int, pos: int, count: int, depth: int
+) -> tuple[list, int]:
+    """Decode ``count`` consecutive values at ``pos`` — the one decode loop.
+
+    Returns ``(values, next_pos)``.  ``size`` is ``len(data)``, taken once
+    by the caller; ``depth`` is the nesting depth of these values.  Like
+    the encode loop, a container or struct costs one call for all its
+    children; tags are tested most-frequent first and the one-byte varint
+    (every tag-sized count, id and length, and most ints) is read in
+    place.  Every strictness check of the format is made per value.
+    """
+    if count and depth > 64:
         raise CodecError("value nesting too deep")
-    if pos >= len(data):
-        raise CodecError("truncated value")
-    tag = data[pos]
-    pos += 1
+    values: list = []
+    append = values.append
+    for _ in range(count):
+        if pos >= size:
+            raise CodecError("truncated value")
+        tag = data[pos]
+        pos += 1
+        if tag == _TAG_INT:
+            if pos < size and data[pos] < 0x80:
+                raw = data[pos]
+                pos += 1
+            else:
+                raw, pos = _read_uvarint(data, pos)
+                if raw.bit_length() > _MAX_INT_BITS:
+                    # Exactly the bound encode enforces: without this, a crafted
+                    # frame could inject an int honest parties cannot re-encode.
+                    raise CodecError(
+                        f"integer exceeds the codec bound ({_MAX_INT_BITS} bits)"
+                    )
+            append(-((raw + 1) >> 1) if raw & 1 else raw >> 1)  # zigzag
+        elif tag == _TAG_STRUCT:
+            if pos < size and data[pos] < 0x80:
+                type_id = data[pos]
+                pos += 1
+            else:
+                type_id, pos = _read_uvarint(data, pos)
+            cls, fields, checks = _decode_plans.get(type_id) or _compile_decode_plan(type_id)
+            if pos < size and data[pos] < 0x80:
+                arity = data[pos]
+                pos += 1
+            else:
+                arity, pos = _read_uvarint(data, pos)
+            if arity != len(fields):
+                # Wire-format versioning for the envelope: the pre-session
+                # format carried five fields (no ``session``); such frames
+                # decode with the trailing session defaulted to 0, so old
+                # single-session traffic keeps routing.  Every other struct
+                # stays strict.
+                if not (cls is _envelope_type and arity == len(fields) - 1):
+                    raise CodecError(
+                        f"field count mismatch for {cls.__name__}: "
+                        f"expected {len(fields)}, got {arity}"
+                    )
+                checks = tuple(check for check in checks if check[0] < arity)
+            members, pos = _decode_seq(data, size, pos, arity, depth + 1)
+            for index, expected in checks:
+                if not isinstance(members[index], expected):
+                    # Attacker-crafted field value whose type contradicts
+                    # the field's concrete annotation: fail closed.
+                    raise CodecError(
+                        f"field {cls.__name__}.{fields[index]} expects "
+                        f"{expected.__name__}, got {type(members[index]).__name__}"
+                    )
+            try:
+                append(cls(*members))
+            except CodecError:
+                raise
+            except Exception as exc:
+                raise CodecError(f"cannot construct {cls.__name__}: {exc}") from exc
+        elif tag == _TAG_BYTES or tag == _TAG_STR:
+            if pos < size and data[pos] < 0x80:
+                end = pos + 1 + data[pos]
+                pos += 1
+            else:
+                length, pos = _read_uvarint(data, pos)
+                end = pos + length
+            if end > size:
+                raise CodecError("truncated bytes" if tag == _TAG_BYTES else "truncated string")
+            if tag == _TAG_BYTES:
+                append(data[pos:end])
+            else:
+                try:
+                    append(data[pos:end].decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise CodecError("invalid UTF-8 in string") from exc
+            pos = end
+        elif tag == _TAG_TUPLE:
+            if pos < size and data[pos] < 0x80:
+                length = data[pos]
+                pos += 1
+            else:
+                length, pos = _read_uvarint(data, pos)
+            if length > size:  # cheap bound: every item costs >= 1 byte
+                raise CodecError("container length exceeds buffer")
+            members, pos = _decode_seq(data, size, pos, length, depth + 1)
+            append(tuple(members))
+        else:
+            value, pos = _decode_rare(data, size, pos, tag, depth)
+            append(value)
+    return values, pos
+
+
+def _decode_rare(data: bytes, size: int, pos: int, tag: int, depth: int) -> tuple[Any, int]:
+    """The value whose ``tag`` was just read at ``pos - 1``, for the tags
+    :func:`_decode_seq` does not handle in place."""
     if tag == _TAG_NONE:
         return None, pos
     if tag == _TAG_TRUE:
         return True, pos
     if tag == _TAG_FALSE:
         return False, pos
-    if tag == _TAG_INT:
-        raw, pos = _read_uvarint(data, pos)
-        if raw.bit_length() > _MAX_INT_BITS:
-            # Exactly the bound encode enforces: without this, a crafted
-            # frame could inject an int honest parties cannot re-encode.
-            raise CodecError(f"integer exceeds the codec bound ({_MAX_INT_BITS} bits)")
-        return _zigzag_decode(raw), pos
-    if tag == _TAG_BYTES:
-        length, pos = _read_uvarint(data, pos)
-        if pos + length > len(data):
-            raise CodecError("truncated bytes")
-        return data[pos : pos + length], pos + length
-    if tag == _TAG_STR:
-        length, pos = _read_uvarint(data, pos)
-        if pos + length > len(data):
-            raise CodecError("truncated string")
-        try:
-            return data[pos : pos + length].decode("utf-8"), pos + length
-        except UnicodeDecodeError as exc:
-            raise CodecError("invalid UTF-8 in string") from exc
-    if tag in (_TAG_TUPLE, _TAG_LIST, _TAG_FROZENSET, _TAG_SET):
-        count, pos = _read_uvarint(data, pos)
-        if count > len(data):  # cheap bound: every item costs >= 1 byte
-            raise CodecError("container length exceeds buffer")
-        items = []
-        for _ in range(count):
-            item, pos = _decode_from(data, pos, depth + 1)
-            items.append(item)
-        if tag == _TAG_TUPLE:
-            return tuple(items), pos
-        if tag == _TAG_LIST:
-            return items, pos
-        try:
-            collected = frozenset(items) if tag == _TAG_FROZENSET else set(items)
-        except TypeError as exc:
-            raise CodecError("unhashable set member") from exc
-        if len(collected) != count:
-            raise CodecError("duplicate set member")
-        return collected, pos
+    if tag == _TAG_FLOAT:
+        if pos + 8 > size:
+            raise CodecError("truncated float")
+        return _struct.unpack_from(">d", data, pos)[0], pos + 8
+    if tag not in (_TAG_LIST, _TAG_FROZENSET, _TAG_SET, _TAG_DICT):
+        raise CodecError(f"unknown tag byte {tag:#04x}")
+    length, pos = _read_uvarint(data, pos)
+    if length > size:
+        raise CodecError("container length exceeds buffer")
     if tag == _TAG_DICT:
-        count, pos = _read_uvarint(data, pos)
-        if count > len(data):
-            raise CodecError("container length exceeds buffer")
-        result: dict = {}
-        for _ in range(count):
-            key, pos = _decode_from(data, pos, depth + 1)
-            value, pos = _decode_from(data, pos, depth + 1)
-            try:
-                result[key] = value
-            except TypeError as exc:
-                raise CodecError("unhashable dict key") from exc
-        if len(result) != count:
+        members, pos = _decode_seq(data, size, pos, 2 * length, depth + 1)
+        try:
+            result = dict(zip(members[::2], members[1::2]))
+        except TypeError as exc:
+            raise CodecError("unhashable dict key") from exc
+        if len(result) != length:
             raise CodecError("duplicate dict key")
         return result, pos
-    if tag == _TAG_FLOAT:
-        if pos + 8 > len(data):
-            raise CodecError("truncated float")
-        return _struct.unpack(">d", data[pos : pos + 8])[0], pos + 8
-    if tag == _TAG_STRUCT:
-        type_id, pos = _read_uvarint(data, pos)
-        entry = _by_id.get(type_id)
-        if entry is None:
-            raise CodecError(f"unknown codec type id {type_id}")
-        cls, fields, checkers = entry
-        count, pos = _read_uvarint(data, pos)
-        if count != len(fields):
-            # Wire-format versioning for the envelope: the pre-session
-            # format carried five fields (no ``session``); such frames
-            # decode with the trailing session defaulted to 0, so old
-            # single-session traffic keeps routing.  Every other struct
-            # stays strict.
-            if not (cls is _envelope_type and count == len(fields) - 1):
-                raise CodecError(
-                    f"field count mismatch for {cls.__name__}: "
-                    f"expected {len(fields)}, got {count}"
-                )
-            fields = fields[:count]
-            checkers = checkers[:count]
-        values = []
-        for name, checker in zip(fields, checkers):
-            value, pos = _decode_from(data, pos, depth + 1)
-            _check_field(cls, name, checker, value)
-            values.append(value)
-        try:
-            return cls(*values), pos
-        except CodecError:
-            raise
-        except Exception as exc:
-            raise CodecError(f"cannot construct {cls.__name__}: {exc}") from exc
-    raise CodecError(f"unknown tag byte {tag:#04x}")
-
-
-def _check_field(cls: type, name: str, checker: Any, value: Any) -> None:
-    """Reject attacker-crafted field values whose type contradicts the
-    field's concrete annotation (crash-vector hardening; ``Any`` fields
-    stay unchecked — protocol handlers isinstance-check those)."""
-    if checker is None:
-        return
-    if isinstance(checker, str):
-        resolved = _by_name.get(checker)
-        if resolved is None:
-            return  # annotation names a type the registry doesn't know
-        checker = resolved
-    if not isinstance(value, checker):
-        raise CodecError(
-            f"field {cls.__name__}.{name} expects {checker.__name__}, "
-            f"got {type(value).__name__}"
-        )
+    members, pos = _decode_seq(data, size, pos, length, depth + 1)
+    if tag == _TAG_LIST:
+        return members, pos
+    try:
+        collected = frozenset(members) if tag == _TAG_FROZENSET else set(members)
+    except TypeError as exc:
+        raise CodecError("unhashable set member") from exc
+    if len(collected) != length:
+        raise CodecError("duplicate set member")
+    return collected, pos
 
 
 def decode(data: bytes) -> Any:
@@ -561,10 +672,11 @@ def decode(data: bytes) -> Any:
     _ensure_registered()
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise CodecError(f"expected bytes, got {type(data).__name__}")
-    value, pos = _decode_from(bytes(data), 0)
+    data = bytes(data)
+    values, pos = _decode_seq(data, len(data), 0, 1, 0)
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after value")
-    return value
+    return values[0]
 
 
 # -- envelopes -------------------------------------------------------------------------
@@ -579,34 +691,49 @@ def encode_envelope(envelope: Any) -> bytes:
     return encode(envelope)
 
 
+def _validate_path(path: Any) -> None:
+    if not isinstance(path, tuple):
+        raise CodecError("envelope path must be a tuple")
+    try:
+        hash(path)
+    except TypeError as exc:
+        # An unhashable path element (e.g. a list) would blow up the
+        # recipient's instance-table lookup — fail closed here instead.
+        raise CodecError("envelope path is not hashable") from exc
+
+
+def _validate_routing(sender: Any, recipient: Any, depth: Any, session: Any) -> None:
+    if not (type(sender) is type(recipient) is type(depth) is type(session) is int):
+        for field_name, value in (
+            ("sender", sender),
+            ("recipient", recipient),
+            ("depth", depth),
+            ("session", session),
+        ):
+            if not isinstance(value, int):
+                raise CodecError(f"envelope {field_name} must be an int")
+    if session < 0:
+        raise CodecError("envelope session must be non-negative")
+
+
 def _validate_envelope(value: Any) -> Any:
     """Shared post-decode envelope validation (single and batch frames).
 
     The value must be an envelope with an int sender/recipient/depth/
     session, a hashable tuple path, and a
     :class:`~repro.net.payload.Payload` payload — anything else raises
-    :class:`CodecError`.
+    :class:`CodecError`.  (The batch decoder applies the same three
+    checks to the parts before it assembles the envelope.)
     """
     from repro.net.envelope import Envelope
     from repro.net.payload import Payload
 
     if not isinstance(value, Envelope):
         raise CodecError("decoded value is not an Envelope")
-    if not isinstance(value.path, tuple):
-        raise CodecError("envelope path must be a tuple")
-    try:
-        hash(value.path)
-    except TypeError as exc:
-        # An unhashable path element (e.g. a list) would blow up the
-        # recipient's instance-table lookup — fail closed here instead.
-        raise CodecError("envelope path is not hashable") from exc
+    _validate_path(value.path)
     if not isinstance(value.payload, Payload):
         raise CodecError("envelope payload is not a registered Payload")
-    for field_name in ("sender", "recipient", "depth", "session"):
-        if not isinstance(getattr(value, field_name), int):
-            raise CodecError(f"envelope {field_name} must be an int")
-    if value.session < 0:
-        raise CodecError("envelope session must be non-negative")
+    _validate_routing(value.sender, value.recipient, value.depth, value.session)
     return value
 
 
@@ -679,11 +806,8 @@ def encoded_envelope_size(envelope: Any) -> int:
     # Counting mirrors the unbatched metering encode: one payload.calls
     # (and hit/miss) per metered send.
     payload_bytes = _payload_struct_bytes(payload)
-    type_id, fields = _by_type[_envelope_type]
     return (
-        1
-        + _uvarint_size(type_id)
-        + _uvarint_size(len(fields))
+        len(_by_type[_envelope_type][2])  # struct tag + id + field count
         + len(path_bytes)
         + _int_field_size(envelope.sender)
         + _int_field_size(envelope.recipient)
@@ -695,7 +819,6 @@ def encoded_envelope_size(envelope: Any) -> int:
 
 def _batch_payload_bytes(payload: Any) -> bytes:
     """One payload's encoding for batch assembly (never counts stats)."""
-    _ensure_registered()
     if type(payload) in _memoized_types:
         return _payload_struct_bytes(payload, count=False)
     return encode(payload)
@@ -703,18 +826,11 @@ def _batch_payload_bytes(payload: Any) -> bytes:
 
 def _batch_header_into(out: bytearray, envelope: Any) -> None:
     """Append one envelope's routing header (everything but the payload)."""
-    out.append(_TAG_TUPLE)
-    _write_uvarint(out, 5)
-    path = envelope.path
-    cached = _path_struct_bytes(path) if type(path) is tuple else None
-    if cached is not None:
-        out.extend(cached)
-    else:
-        _encode_into(out, path)
-    _encode_into(out, envelope.sender)
-    _encode_into(out, envelope.recipient)
-    _encode_into(out, envelope.depth)
-    _encode_into(out, envelope.session)
+    out += _BATCH_HEADER_OPEN
+    _encode_path(out, envelope.path)
+    _encode_items(
+        out, (envelope.sender, envelope.recipient, envelope.depth, envelope.session)
+    )
 
 
 def encode_batch(envelopes: Any) -> bytes:
@@ -732,15 +848,14 @@ def encode_batch(envelopes: Any) -> bytes:
         raise CodecError("cannot encode an empty batch")
     if len(envelopes) == 1:
         return encode_envelope(envelopes[0])
+    blobs: list[bytes] = []
+    index_by_bytes: dict[bytes, int] = {}
+    records: list[tuple[int, Any]] = []
     for envelope in envelopes:
         if type(envelope) is not _envelope_type:
             raise CodecError(
                 f"expected Envelope, got {type(envelope).__name__}"
             )
-    blobs: list[bytes] = []
-    index_by_bytes: dict[bytes, int] = {}
-    records: list[tuple[int, Any]] = []
-    for envelope in envelopes:
         blob = _batch_payload_bytes(envelope.payload)
         index = index_by_bytes.get(blob)
         if index is None:
@@ -857,46 +972,101 @@ def decode_batch(data: bytes) -> list:
         raise CodecError(f"unsupported batch frame version {data[1]}")
     from repro.net.payload import Payload
 
-    pos = 2
-    blob_count, pos = _read_uvarint(data, pos)
-    if blob_count == 0 or blob_count > len(data):
+    size = len(data)
+    blob_count, pos = _read_uvarint(data, 2)
+    if blob_count == 0 or blob_count > size:
         raise CodecError("batch payload table count out of range")
     payloads = []
     for _ in range(blob_count):
         length, pos = _read_uvarint(data, pos)
-        if pos + length > len(data):
+        end = pos + length
+        if end > size:
             raise CodecError("truncated batch payload blob")
-        value, end = _decode_from(data, pos)
-        if end != pos + length:
+        (value,), pos = _decode_seq(data, size, pos, 1, 0)
+        if pos != end:
             raise CodecError("batch payload blob length mismatch")
         if not isinstance(value, Payload):
             raise CodecError("batch payload is not a registered Payload")
         payloads.append(value)
-        pos = end
     envelope_count, pos = _read_uvarint(data, pos)
-    if envelope_count == 0 or envelope_count > len(data):
+    if envelope_count == 0 or envelope_count > size:
         raise CodecError("batch envelope count out of range")
     envelopes = []
     for _ in range(envelope_count):
-        index, pos = _read_uvarint(data, pos)
+        if pos < size and data[pos] < 0x80:
+            index = data[pos]
+            pos += 1
+        else:
+            index, pos = _read_uvarint(data, pos)
         if index >= blob_count:
             raise CodecError("batch payload index out of range")
-        header, pos = _decode_from(data, pos)
-        if not isinstance(header, tuple) or len(header) != 5:
+        # Varints are canonical, so a five-element tuple opens one way only.
+        if data[pos : pos + 2] != _BATCH_HEADER_OPEN:
             raise CodecError("malformed batch envelope header")
-        path, sender, recipient, depth, session = header
-        envelope = _envelope_type(
-            path=path,
-            sender=sender,
-            recipient=recipient,
-            payload=payloads[index],
-            depth=depth,
-            session=session,
+        path, pos = _decode_path(data, size, pos + 2)
+        (sender, recipient, depth, session), pos = _decode_seq(data, size, pos, 4, 1)
+        _validate_routing(sender, recipient, depth, session)
+        envelopes.append(
+            _envelope_type(path, sender, recipient, payloads[index], depth, session)
         )
-        envelopes.append(_validate_envelope(envelope))
-    if pos != len(data):
-        raise CodecError(f"{len(data) - pos} trailing bytes after batch")
+    if pos != size:
+        raise CodecError(f"{size - pos} trailing bytes after batch")
     return envelopes
+
+
+def _decode_path(data: bytes, size: int, pos: int) -> tuple[tuple, int]:
+    """Decode and validate the envelope path at ``pos`` of a batch header.
+
+    A path repeats for every message of its instance, so its wire span is
+    found without building anything and looked up in the path table; only
+    a span never seen before (or one the scan declines) is decoded, and it
+    is interned only once it decoded *and* validated — a rejected path
+    never enters the table.
+    """
+    end = _plain_path_end(data, size, pos)
+    if end:
+        path = _path_memo.get(data[pos:end])
+        if path is not None:
+            return path, end
+    (path,), stop = _decode_seq(data, size, pos, 1, 1)
+    _validate_path(path)
+    if stop == end:
+        _intern_path(data[pos:end], path)
+    return path, stop
+
+
+def _plain_path_end(data: bytes, size: int, pos: int) -> int:
+    """Where the value at ``pos`` ends, if it is made only of ints, strs,
+    bytes and tuples of fewer than 128 elements with one-byte lengths —
+    what honest instance paths are made of; ``0`` for anything else (the
+    caller then takes the normal decoder).  Checks nothing but bounds:
+    the span is only ever a lookup key for bytes that already decoded.
+    """
+    pending = 1
+    while pending:
+        if pos + 1 >= size:  # each of these values is a tag and >= 1 more byte
+            return 0
+        tag = data[pos]
+        byte = data[pos + 1]
+        pos += 2
+        pending -= 1
+        if tag == _TAG_INT:
+            while byte >= 0x80:
+                if pos >= size:
+                    return 0
+                byte = data[pos]
+                pos += 1
+        elif tag == _TAG_STR or tag == _TAG_BYTES:
+            if byte >= 0x80:
+                return 0
+            pos += byte
+        elif tag == _TAG_TUPLE:
+            if byte >= 0x80:
+                return 0
+            pending += byte
+        else:
+            return 0
+    return pos if pos <= size else 0
 
 
 def encode_heartbeat() -> bytes:

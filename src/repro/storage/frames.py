@@ -25,8 +25,9 @@ Both magics sit outside the codec tag space and outside the batch-frame
 magic (``0xB5``), so all four frame families — legacy single-envelope,
 batch, WAL, snapshot — are distinguishable from their first byte;
 :func:`decode_frame` is the dispatcher.  Decoding is as strict as the
-codec's: bad magic, unsupported version, truncated length/body, bodies
-that do not decode to the promised shape, and trailing bytes all raise
+codec's: bad magic, unsupported version, truncated or overlong
+(non-canonical) length/sequence varints, truncated bodies, bodies that
+do not decode to the promised shape, and trailing bytes all raise
 :class:`StorageError` (a :class:`~repro.net.codec.CodecError`).
 """
 
@@ -85,7 +86,7 @@ def _open_frame(magic: int, data: bytes, pos: int, kind: str) -> tuple[bytes, in
     try:
         length, pos = _read_uvarint(data, pos + 2)
     except CodecError as exc:
-        raise StorageError(f"truncated {kind} record length") from exc
+        raise StorageError(f"bad {kind} record length: {exc}") from exc
     if pos + length > len(data):
         raise StorageError(f"truncated {kind} record body")
     return data[pos : pos + length], pos + length
@@ -112,7 +113,7 @@ def decode_wal_record(data: bytes, pos: int = 0) -> tuple[int, Envelope, int]:
     try:
         seq, offset = _read_uvarint(body, 0)
     except CodecError as exc:
-        raise StorageError("truncated WAL record sequence") from exc
+        raise StorageError(f"bad WAL record sequence: {exc}") from exc
     return seq, codec.decode_envelope(body[offset:]), pos
 
 
@@ -157,7 +158,7 @@ def decode_snapshot_record(data: bytes, pos: int = 0) -> tuple[bytes, int, int]:
     try:
         wal_seq, offset = _read_uvarint(body, 0)
     except CodecError as exc:
-        raise StorageError("truncated snapshot absorbed-sequence") from exc
+        raise StorageError(f"bad snapshot absorbed-sequence: {exc}") from exc
     return body[offset:], wal_seq, pos
 
 

@@ -1,8 +1,12 @@
-"""The registry byte codec: round-trips, determinism, malformed rejection."""
+"""The registry byte codec: round-trips, determinism, malformed rejection,
+golden wire vectors and the decode-boundary mutation corpus."""
 
+import json
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.broadcast.bracha import BrachaEcho, BrachaReady, BrachaVal
 from repro.broadcast.ct_rbc import CTEcho, CTReady, CTVal
@@ -34,6 +38,14 @@ from repro.net.envelope import Envelope
 from repro.net.payload import Payload
 
 
+def _make_transcript(setup):
+    contributions = [
+        pvss.deal(setup.directory, setup.secret(i), random.Random(f"codec-{i}"))
+        for i in range(3)
+    ]
+    return pvss.aggregate(setup.directory, contributions)
+
+
 @pytest.fixture(scope="module")
 def setup():
     return TrustedSetup.generate(4, seed=11)
@@ -41,11 +53,7 @@ def setup():
 
 @pytest.fixture(scope="module")
 def transcript(setup):
-    contributions = [
-        pvss.deal(setup.directory, setup.secret(i), random.Random(f"codec-{i}"))
-        for i in range(3)
-    ]
-    return pvss.aggregate(setup.directory, contributions)
+    return _make_transcript(setup)
 
 
 def roundtrip(value):
@@ -407,3 +415,255 @@ def test_register_rejects_id_collisions():
 
     with pytest.raises(ValueError):
         codec.register(Decided, codec.registered_types()[A])
+
+
+def test_overlong_varints_rejected():
+    """One value, one spelling: a multi-byte varint may not end in a zero group."""
+    assert codec.decode(b"\x03\x00") == 0
+    for overlong in (
+        b"\x03\x80\x00",  # int 0 in two bytes
+        b"\x03\x82\x80\x00",  # int 1 in three
+        b"\x04\x81\x00x",  # bytes length 1 in two
+        b"\x06\x80\x00",  # empty tuple, count in two
+        b"\x10\xd3\x80\x00\x01\x03\x02",  # Decided (id 83), id in three
+    ):
+        with pytest.raises(codec.CodecError, match="non-canonical"):
+            codec.decode(overlong)
+    assert codec.decode(b"\x10\x53\x01\x03\x02") == Decided(bit=1)
+
+
+# -- golden wire vectors ---------------------------------------------------------------
+
+#: ``name -> hex`` of what the encoder emitted at the commit *before* the
+#: codec was compiled into per-type plans (PR 14).  Regenerate only for a
+#: deliberate wire-format change, from a checkout of the format's reference
+#: commit: ``PYTHONPATH=<reference>/src:. python -c "from tests.net.test_codec
+#: import write_golden; write_golden()"``.
+GOLDEN_PATH = pathlib.Path(__file__).with_name("codec_golden.json")
+
+
+def _encode_pre_session(envelope):
+    """The five-field envelope encoding that predates sessions."""
+    body = bytearray((0x10, 1, 5))
+    for value in (
+        envelope.path,
+        envelope.sender,
+        envelope.recipient,
+        envelope.payload,
+        envelope.depth,
+    ):
+        codec._encode_into(body, value)
+    return bytes(body)
+
+
+def _golden_cases(setup, transcript):
+    """``name -> (value, encoder, decoder)``: one instance of every repo
+    type plus the three envelope/frame formats."""
+    samples = _sample_values(setup, transcript)
+    ids = codec.registered_types()
+    cases = {
+        f"{ids[cls]:02d}-{cls.__name__}": (value, codec.encode, codec.decode)
+        for cls, value in samples.items()
+    }
+    cases["builtins"] = (
+        (
+            None, True, False, 0, -1, 63, 64, -64, -65, 8191, 8192, (1 << 255) + 12345,
+            -(1 << 300), (1 << 4095) - 1, b"", b"x" * 127, b"y" * 128, b"z" * 300,
+            "", "unicode \u2603", [1, [2, 3]], frozenset({1, 2, 300}), {"b", "a"},
+            {"k": (1, 2), 3: b"v", (1, "t"): None}, 1.5, -0.0, (), tuple(range(130)),
+        ),
+        codec.encode,
+        codec.decode,
+    )  # fmt: skip
+    shared = samples[CTEcho]  # one multicast payload, two recipients
+    batch = [
+        Envelope(("adkg", ("rbc", 2)), 0, 1, shared, 7, 3),
+        Envelope(("adkg", ("rbc", 2)), 0, 2, shared, 7, 3),
+        Envelope(("adkg", "nwh", 1), 3, 0, samples[Suggest], 200, 0),
+    ]
+    cases["batch-frame"] = (batch, codec.encode_batch, codec.decode_batch)
+    cases["legacy-single-frame"] = (batch[2:], codec.encode_batch, codec.decode_batch)
+    cases["pre-session-envelope"] = (
+        Envelope(("later",), 1, 0, samples[Decided], 2),
+        _encode_pre_session,
+        codec.decode_envelope,
+    )
+    return cases
+
+
+def write_golden():
+    setup = TrustedSetup.generate(4, seed=11)
+    cases = _golden_cases(setup, _make_transcript(setup))
+    vectors = {name: encoder(value).hex() for name, (value, encoder, _) in cases.items()}
+    GOLDEN_PATH.write_text(json.dumps(vectors, indent=0, sort_keys=True) + "\n")
+
+
+def test_golden_wire_vectors(setup, transcript):
+    """The encoder's output is byte-identical to the reference commit's for
+    every registered type and every frame format, and decodes back."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    cases = _golden_cases(setup, transcript)
+    assert set(cases) == set(golden)
+    covered = {int(name[:2]) for name in golden if name[:2].isdigit()}
+    assert covered == {1, *range(20, 43), *range(64, 85)}
+    assert golden["batch-frame"].startswith("b501")
+    assert golden["legacy-single-frame"].startswith("1001")
+    for name, (value, encoder, decoder) in cases.items():
+        wire = bytes.fromhex(golden[name])
+        assert encoder(value) == wire, name
+        assert decoder(wire) == value, name
+
+
+# -- properties ------------------------------------------------------------------------
+
+# Up to 4088 bits either side of zero (from bytes: a literal bound that size
+# would make every strategy repr enormous).
+_ints = st.integers(-200, 200) | st.binary(max_size=511).map(
+    lambda raw: int.from_bytes(raw, "big", signed=True)
+)
+_leaves = (
+    st.none()
+    | st.booleans()
+    | _ints
+    | st.floats(allow_nan=False)
+    | st.binary(max_size=200)
+    | st.text(max_size=20)
+)
+
+
+def _structs(children):
+    return (
+        st.builds(GroupElement, kind=st.text(max_size=2), log=_ints)
+        | st.builds(shamir.ShamirShare, x=_ints, y=_ints)
+        | st.builds(Decided, bit=_ints)
+        | st.builds(CTReady, root=children)
+    )
+
+
+_hashables = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=4).map(tuple)
+    | st.frozensets(children, max_size=4)
+    | _structs(children),
+    max_leaves=10,
+)
+_values = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.sets(_hashables, max_size=3)
+    | st.frozensets(_hashables, max_size=3)
+    | st.dictionaries(_hashables, children, max_size=3)
+    | _structs(children),
+    max_leaves=20,
+)
+
+
+@given(_values)
+def test_decode_inverts_encode(value):
+    wire = codec.encode(value)
+    decoded = codec.decode(wire)
+    assert decoded == value and type(decoded) is type(value)
+    assert codec.encode(decoded) == wire
+
+
+def _has_one_spelling(value) -> bool:
+    """False for values the format admits more than one encoding of: the
+    decoder does not pin set/dict member order, and a five-field envelope
+    re-encodes with six."""
+    if isinstance(value, (set, frozenset, dict, Envelope)):
+        return False
+    if isinstance(value, (tuple, list)):
+        return all(_has_one_spelling(item) for item in value)
+    fields = getattr(value, "__dataclass_fields__", ())
+    return all(_has_one_spelling(getattr(value, name)) for name in fields)
+
+
+@given(_values, st.data())
+def test_accepted_bytes_reencode_to_themselves(value, data):
+    """``encode(decode(b)) == b`` for every ``b`` the decoder accepts (what
+    canonical varints buy): mutate an honest encoding, keep what decodes."""
+    wire = bytearray(codec.encode(value))
+    for _ in range(data.draw(st.integers(0, 3))):
+        position = data.draw(st.integers(0, len(wire) - 1))
+        if data.draw(st.booleans()):
+            wire[position] = data.draw(st.integers(0, 255))
+        else:  # respell a one-byte varint, where this is one, in two bytes
+            wire[position] |= 0x80
+            wire.insert(position + 1, 0)
+    wire = bytes(wire)
+    try:
+        decoded = codec.decode(wire)
+    except codec.CodecError:
+        return
+    assert codec.decode(codec.encode(decoded)) == decoded
+    if _has_one_spelling(decoded):
+        assert codec.encode(decoded) == wire
+
+
+#: The longest varint the reader follows (a few bits above the int bound).
+MAX_VARINT_BYTES = 4096 // 7 + 1
+
+
+@given(st.integers(0, 1 << 70) | st.binary(max_size=512).map(lambda raw: int.from_bytes(raw, "big")))
+def test_uvarint_reader_inverts_writer(value):
+    out = bytearray(b"\xff")
+    codec._write_uvarint(out, value)
+    assert len(out) - 1 == max(1, (value.bit_length() + 6) // 7)
+    assert codec._read_uvarint(bytes(out) + b"\xff", 1) == (value, len(out))
+
+
+def test_uvarint_reader_is_bounded():
+    endless = b"\x80" * (MAX_VARINT_BYTES + 10)
+    with pytest.raises(codec.CodecError, match="too long"):
+        codec._read_uvarint(endless + b"\x01", 0)
+    with pytest.raises(codec.CodecError, match="truncated"):
+        codec._read_uvarint(endless[:20], 0)
+    with pytest.raises(codec.CodecError, match="truncated"):
+        codec._read_uvarint(b"\x01", 1)
+    longest = b"\x80" * (MAX_VARINT_BYTES - 1) + b"\x01"
+    assert codec._read_uvarint(longest, 0) == (1 << 7 * (MAX_VARINT_BYTES - 1), len(longest))
+
+
+# Honest instance paths: nested tuples of names and indices.
+_path_parts = st.recursive(
+    st.integers(-3, 300) | st.text(max_size=6) | st.binary(max_size=3),
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=6,
+)
+_payload_pool = st.lists(
+    st.builds(Decided, bit=_ints) | st.builds(CTReady, root=_hashables),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def _envelope_lists(draw):
+    pool = draw(_payload_pool)  # envelopes share payload objects, like a multicast
+    routing = st.integers(-2, 70) | _ints
+    return [
+        Envelope(
+            path=tuple(draw(st.lists(_path_parts, max_size=4))),
+            sender=draw(routing),
+            recipient=draw(routing),
+            payload=pool[draw(st.integers(0, len(pool) - 1))],
+            depth=draw(routing),
+            session=draw(routing),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+
+@given(_envelope_lists())
+def test_size_accounting_matches_the_encoder(envelopes):
+    sizes = [codec.encoded_envelope_size(envelope) for envelope in envelopes]
+    assert sizes == [len(codec.encode_envelope(envelope)) for envelope in envelopes]
+    wire = codec.encode_batch(envelopes)
+    assert codec.encoded_batch_size(envelopes) == len(wire)
+    assert codec.encoded_batch_size(envelopes, sizes) == len(wire)
+    if all(envelope.session >= 0 for envelope in envelopes):
+        assert codec.decode_batch(wire) == envelopes
+    else:
+        with pytest.raises(codec.CodecError):
+            codec.decode_batch(wire)
