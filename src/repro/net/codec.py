@@ -902,19 +902,28 @@ def encoded_batch_size(
     blob_count = 0
     index_by_bytes: dict[bytes, int] = {}
     total = 0
+    # A multicast's envelopes are adjacent and share one payload object:
+    # its blob length and table index carry over from the previous one.
+    previous: Any = index_by_bytes  # no envelope's payload is this dict
+    blob_size = index_size = 0
     for position, envelope in enumerate(envelopes):
         if type(envelope) is not _envelope_type:
             raise CodecError(f"expected Envelope, got {type(envelope).__name__}")
-        blob = _batch_payload_bytes(envelope.payload)
-        index = index_by_bytes.get(blob)
-        if index is None:
-            index = blob_count
-            index_by_bytes[blob] = index
-            blob_count += 1
-            size = len(blob)
-            blob_total += _uvarint_size(size) + size
+        payload = envelope.payload
+        if payload is not previous:
+            blob = _batch_payload_bytes(payload)
+            index = index_by_bytes.get(blob)
+            if index is None:
+                index = blob_count
+                index_by_bytes[blob] = index
+                blob_count += 1
+                size = len(blob)
+                blob_total += _uvarint_size(size) + size
+            previous = payload
+            blob_size = len(blob)
+            index_size = _uvarint_size(index)
         if body_sizes is not None:
-            header = body_sizes[position] - len(blob) - 1
+            header = body_sizes[position] - blob_size - 1
         else:
             path = envelope.path
             path_bytes = (
@@ -939,7 +948,7 @@ def encoded_batch_size(
                 chunk = bytearray()
                 _batch_header_into(chunk, envelope)
                 header = len(chunk)
-        total += _uvarint_size(index) + header
+        total += index_size + header
     return (
         total
         + 2  # magic + version

@@ -106,25 +106,31 @@ class Metrics:
         default_factory=dict, repr=False, compare=False
     )
 
-    def record_send(self, envelope: Envelope, nbytes: int | None = None) -> None:
-        """Record one network send.
+    def record_send(
+        self, envelope: Envelope, nbytes: int | None = None, count: int = 1
+    ) -> None:
+        """Record ``count`` network sends that meter like ``envelope``.
 
-        ``nbytes`` is the envelope's wire size under the byte codec
+        ``nbytes`` is one envelope's wire size under the byte codec
         (transport framing included); transports that do not encode to
         bytes pass ``None`` and only the paper's word metric is kept.
+        ``count > 1`` is a fan-out metered once: exactly ``count`` calls
+        for envelopes of the same word size, payload type, path and
+        ``nbytes`` (the transport's run metering guarantees those).
         """
-        words = envelope.word_size()
+        words = envelope.word_size() * count
         self.words_total += words
-        self.messages_total += 1
+        self.messages_total += count
         type_name = envelope.payload.type_name()
         self.words_by_type[type_name] += words
-        self.messages_by_type[type_name] += 1
+        self.messages_by_type[type_name] += count
         if nbytes is not None:
+            nbytes *= count
             self.bytes_total += nbytes
             self.bytes_by_type[type_name] += nbytes
         for layer in _path_layers(envelope.path):
             self.words_by_layer[layer] += words
-            self.messages_by_layer[layer] += 1
+            self.messages_by_layer[layer] += count
 
     def record_delivery(self, envelope: Envelope) -> None:
         self.deliveries += 1

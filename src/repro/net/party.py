@@ -207,6 +207,11 @@ class Party:
         self._outbox: list[tuple[int, Path, int, Payload]] = []
         self.current_depth = 0
         self.halted = False
+        #: A root result may exist that the transport's done-detection has
+        #: not seen.  True from construction (so a thawed replacement's
+        #: pre-crash results are picked up) and after every root output;
+        #: the delivery seam clears it when it notes progress.
+        self.result_unnoted = True
 
     # -- crypto access ---------------------------------------------------------------
 
@@ -316,6 +321,7 @@ class Party:
         protocol._parent = parent
         protocol._name = name
         protocol._session = state.sid
+        self._bind_constants(protocol)
         if path == ():
             self.sessions.mark_started(state)
         state.instances[path] = protocol
@@ -325,6 +331,14 @@ class Party:
         for sender, payload in replay:
             protocol.on_message(sender, payload)
         return protocol
+
+    def _bind_constants(self, protocol: Protocol) -> None:
+        """The party-wide constants every handler and predicate reads,
+        bound once as plain attributes instead of looked up per access."""
+        protocol.me = self.index
+        protocol.n = self.n
+        protocol.f = self.f
+        protocol.quorum = self.n - self.f
 
     def instance(self, path: Path, session: int = 0) -> Optional[Protocol]:
         state = self.sessions.peek(session)
@@ -412,6 +426,7 @@ class Party:
             state = self.sessions.ensure(protocol._session)
             state.result = value
             state.result_depth = self.current_depth
+            self.result_unnoted = True
 
     # -- sending -----------------------------------------------------------------------
 
@@ -425,6 +440,11 @@ class Party:
         if not isinstance(payload, Payload):
             raise TypeError(f"payload must be a Payload, got {type(payload)!r}")
         self._outbox.append((session, path, recipient, payload))
+
+    @property
+    def has_queued_sends(self) -> bool:
+        """Would :meth:`collect_outbox` return anything right now?"""
+        return bool(self._outbox)
 
     def collect_outbox(self) -> list[Envelope]:
         """Drain queued sends into envelopes stamped with the causal depth.
@@ -564,6 +584,7 @@ class Party:
             state.rng.setstate(rng_state)
             if has_result:
                 state.result = result
+                self.result_unnoted = True
             state.result_depth = result_depth
             state.pending = dict(pending)
             state.pending_count = sum(len(bucket) for bucket in pending.values())
@@ -634,6 +655,7 @@ class Party:
         protocol._parent = parent
         protocol._name = name
         protocol._session = state.sid
+        self._bind_constants(protocol)
         if path == ():
             self.sessions.mark_started(state)
         state.instances[path] = protocol

@@ -66,6 +66,14 @@ class Protocol:
     #: values; ``snapshot()``/``restore()`` round-trip exactly these.
     STATE_FIELDS: tuple[str, ...] = ()
 
+    #: This party's index, the committee size, the fault bound and the
+    #: paper's ubiquitous waiting threshold ``n - f``: plain attributes the
+    #: party binds when it installs the instance (they exist only then).
+    me: int
+    n: int
+    f: int
+    quorum: int
+
     def __init__(self) -> None:
         self._party: Optional["Party"] = None
         self._path: tuple = ()
@@ -116,23 +124,6 @@ class Protocol:
     def session(self) -> int:
         """The session id this instance (and its whole tree) belongs to."""
         return self._session
-
-    @property
-    def me(self) -> int:
-        return self.party.index
-
-    @property
-    def n(self) -> int:
-        return self.party.n
-
-    @property
-    def f(self) -> int:
-        return self.party.f
-
-    @property
-    def quorum(self) -> int:
-        """``n - f``, the paper's ubiquitous waiting threshold."""
-        return self.party.n - self.party.f
 
     @property
     def rng(self) -> random.Random:

@@ -123,39 +123,43 @@ class Simulation(Transport):
 
     def step(self) -> bool:
         """Deliver one envelope; returns False when the queue is empty."""
+        ready = self._ready
         while True:
-            envelope = self._pop_next()
-            if envelope is None:
-                return False
+            if ready:
+                envelope = ready.popleft()
+            else:
+                envelope = self._pop_next()
+                if envelope is None:
+                    return False
             self.steps += 1
             if self._deliver_buffered(envelope):
                 return True
 
     def _pop_next(self) -> Optional[Envelope]:
-        """The next envelope to deliver, advancing time as needed.
+        """The next heap entry's first envelope, advancing time; the rest
+        of a same-instant batch goes to ``_ready``, which must be empty.
 
         Coalesced sends are flushed (scheduled) before the queue is
         consulted — they are in-flight traffic, so quiescence is only
         declared once both the buffer and the queue are empty.
         """
+        if self._outgoing:
+            self._flush_coalesced()
+        if not self._queue:
+            return None
+        when, _seq, entry = heapq.heappop(self._queue)
+        # Heap pops are nondecreasing in time (delays are strictly
+        # positive), so no max() re-comparison per delivery.
+        self.time = when
+        if type(entry) is not list:
+            return entry
+        # A coalesced batch arrives at its recipients as one event:
+        # pre-verify the whole batch before the first state machine
+        # activates so workers overlap the deliveries (DESIGN §10).
+        if self.pool is not None:
+            self._preverify_batch(entry)
         ready = self._ready
-        if not ready:
-            if self._outgoing:
-                self._flush_coalesced()
-            if not self._queue:
-                return None
-            when, _seq, entry = heapq.heappop(self._queue)
-            # Heap pops are nondecreasing in time (delays are strictly
-            # positive), so no max() re-comparison per delivery.
-            self.time = when
-            if type(entry) is not list:
-                return entry
-            ready.extend(entry)
-            # A coalesced batch arrives at its recipients as one event:
-            # pre-verify the whole batch before the first state machine
-            # activates so workers overlap the deliveries (DESIGN §10).
-            if self.pool is not None:
-                self._preverify_batch(entry)
+        ready.extend(entry)
         return ready.popleft()
 
     def run(
@@ -175,6 +179,12 @@ class Simulation(Transport):
                     return
                 if not step():
                     return
+        # The budget is spent; a run that finished *on* its last delivery
+        # is still a finished run.
+        if stop is not None and stop(self):
+            return
+        if not (self._ready or self._outgoing or self._queue):
+            return
         raise RuntimeError(f"simulation exceeded {max_steps} deliveries")
 
     def run_until_all_honest_output(self, max_steps: int = 5_000_000) -> None:
@@ -254,19 +264,26 @@ class Simulation(Transport):
             else None
         )
         buckets: dict[float, tuple[list[Envelope], list]] = {}
-        for envelope, nbytes, delay in batch:
-            if delay is None:
-                delay = fixed
+        if fixed is not None:
+            envelopes, sizes, delays = zip(*batch)
+            if delays.count(None) == len(delays):
+                # Every delay is the fixed constant: one delivery instant,
+                # one bucket, no per-envelope probe.
+                buckets[time + fixed] = (list(envelopes), list(sizes))
+        if not buckets:
+            for envelope, nbytes, delay in batch:
                 if delay is None:
-                    # The model/scheduler changed between buffer and
-                    # flush (tests swapping mid-run): draw now.
-                    delay = self._buffered_delay(envelope)
-            when = time + delay
-            bucket = buckets.get(when)
-            if bucket is None:
-                buckets[when] = bucket = ([], [])
-            bucket[0].append(envelope)
-            bucket[1].append(nbytes)
+                    delay = fixed
+                    if delay is None:
+                        # The model/scheduler changed between buffer and
+                        # flush (tests swapping mid-run): draw now.
+                        delay = self._buffered_delay(envelope)
+                when = time + delay
+                bucket = buckets.get(when)
+                if bucket is None:
+                    buckets[when] = bucket = ([], [])
+                bucket[0].append(envelope)
+                bucket[1].append(nbytes)
         record_frame = self.metrics.record_frame
         for when, (envelopes, sizes) in buckets.items():
             heapq.heappush(self._queue, (when, next(self._seq), envelopes))

@@ -11,7 +11,9 @@ one pipeline every runtime shares:
   :class:`~repro.net.adversary.Behavior` transform, are metered (words
   always, codec bytes when ``measure_bytes`` is on) and handed to the
   subclass's :meth:`Transport._transmit` — or, on the batched plane
-  (``batching=True``, the default), appended to the coalescing buffer;
+  (``batching=True``, the default), appended to the coalescing buffer,
+  an honest sender's fan-out metered once per run of identical
+  envelopes rather than once per recipient;
 * **coalescing** (:meth:`Transport._flush_coalesced`) — buffered sends
   are handed to the subclass's :meth:`Transport._transmit_coalesced` as
   one creation-ordered batch at the end of each protocol activation /
@@ -22,9 +24,10 @@ one pipeline every runtime shares:
   what coalescing changes is tracked separately as frame counts,
   occupancy and actual wire bytes (``Metrics.record_frame``);
 * **delivery** (:meth:`Transport._deliver_envelope`) — the recipient's
-  behavior may swallow the message, otherwise the delivery is recorded,
-  routed into the party's protocol stack, the resulting outbox flushed,
-  and :meth:`Transport._note_progress` (done-detection hook) runs.
+  behavior may swallow the message, otherwise the delivery is recorded
+  and routed into the party's protocol stack; the outbox is flushed if
+  the activation queued sends, and :meth:`Transport._note_progress`
+  (done-detection hook) runs if it produced a root result.
 
 Subclasses provide only *when and how* a transmitted envelope reaches
 :meth:`_deliver_envelope`:
@@ -171,10 +174,6 @@ class Transport:
         #: Byzantine behavior transforms exactly as on the unbatched
         #: plane (``None`` on transports without one).
         self._outgoing: list[tuple[Envelope, Optional[int], Any]] = []
-        #: Last metered envelope's size components, keyed by *object
-        #: identity* of every field but the recipient — a multicast burst
-        #: reuses one size computation for its n-1 siblings.
-        self._size_cache: Optional[tuple] = None
         #: Per-delivery observers (tracing); each is called with every
         #: network envelope that was actually delivered.
         self._delivery_observers: list[Callable[[Envelope], None]] = []
@@ -525,7 +524,7 @@ class Transport:
             party.sweep_conditions()
         for party in parties:
             self._flush_party(party)
-            self._note_progress(party)
+            self._note_results(party)
         self._flush_coalesced()
 
     def start_session(self, session: int, root_factory: RootFactory) -> None:
@@ -605,86 +604,163 @@ class Transport:
         the buffer is handed to the subclass at the next
         :meth:`_flush_coalesced` (end of activation / timestep, or here
         when the size cap trips mid-activation).
+
+        An honest sender's fan-out is metered once: consecutive network
+        envelopes that are the *same objects* in every field but the
+        recipient, with recipient varints of one width, have one frame
+        size, so the run's head is sized and the run recorded with one
+        ``record_send(head, nbytes, count=k)`` when it ends.  (Identity
+        comparison makes this sound for any value: identical objects
+        encode identically; a merely-equal forgery starts a new run.)
+        A sender with a :class:`Behavior` is metered per transformed
+        envelope, as on the unbatched plane.
         """
         pending = party.collect_outbox()
         behaviors = self.behaviors
         batching = self.batching
         shard_metrics = self.shard_metrics
-        while pending:
-            envelope = pending.pop(0)
-            if envelope.recipient == envelope.sender:
-                # Local delivery: immediate, free, not subject to the
-                # outgoing Byzantine filter (it never hits the network).
-                self.metrics.record_delivery(envelope)
-                if shard_metrics is not None:
-                    shard_metrics[
-                        envelope.session // SESSION_STRIDE
-                    ].record_delivery(envelope)
-                party.deliver(envelope)
-                pending.extend(party.collect_outbox())
-                continue
-            behavior = behaviors.get(envelope.sender) if behaviors else None
-            outgoing = (
-                behavior.transform_outgoing(envelope, self._adv_rng)
-                if behavior is not None
-                else (envelope,)
-            )
-            for env in outgoing:
-                if batching:
-                    if not self._can_transmit(env):
+        can_transmit = self._can_transmit
+        buffered_delay = self._buffered_delay
+        cap = self.batch_cap_envelopes
+        # The run being built: its head envelope, the head's metered size,
+        # the byte width of the recipient fields and the envelopes so far.
+        head: Optional[Envelope] = None
+        run_nbytes: Optional[int] = None
+        run_width = 0
+        run = 0
+        position = 0
+        try:
+            while position < len(pending):
+                envelope = pending[position]
+                position += 1
+                recipient = envelope.recipient
+                if recipient == envelope.sender:
+                    # Local delivery: immediate, free, not subject to the
+                    # outgoing Byzantine filter (it never hits the network).
+                    self.metrics.record_delivery(envelope)
+                    if shard_metrics is not None:
+                        shard_metrics[
+                            envelope.session // SESSION_STRIDE
+                        ].record_delivery(envelope)
+                    party.deliver(envelope)
+                    pending.extend(party.collect_outbox())
+                    continue
+                behavior = behaviors.get(envelope.sender) if behaviors else None
+                if batching and behavior is None:
+                    if not can_transmit(envelope):
                         self.dropped_sends += 1
                         continue
-                    try:
-                        nbytes = self._envelope_nbytes(env)
-                    except codec.CodecError:
-                        if behavior is None and (
-                            self.frames_on_wire or self.measure_bytes
-                        ):
-                            # An honest party produced an unencodable
-                            # payload: a programming error, fail loudly.
-                            raise
-                        if self.frames_on_wire:
-                            # A Byzantine transform forged garbage the
-                            # codec cannot carry — the wire drops it
-                            # before transmission; honest parties live on.
+                    # Recipients wider than two varint bytes (or forged)
+                    # get width 0 and are metered singly.
+                    if type(recipient) is int and recipient >= 0:
+                        width = 2 if recipient < 64 else 3 if recipient < 8192 else 0
+                    else:
+                        width = 0
+                    if (
+                        run
+                        and width
+                        and width == run_width
+                        and envelope.payload is head.payload
+                        and envelope.path is head.path
+                        and envelope.sender is head.sender
+                        and envelope.depth is head.depth
+                        and envelope.session is head.session
+                    ):
+                        run += 1
+                    else:
+                        if run:
+                            self._meter_run(head, run_nbytes, run)
+                            run = 0
+                        # An honest party's unencodable payload is a
+                        # programming error: the CodecError propagates,
+                        # every earlier send already metered.
+                        run_nbytes = self._envelope_nbytes(envelope)
+                        head = envelope
+                        run_width = width
+                        run = 1
+                    buffer = self._outgoing
+                    buffer.append((envelope, run_nbytes, buffered_delay(envelope)))
+                    if len(buffer) >= cap:
+                        self._meter_run(head, run_nbytes, run)
+                        run = 0
+                        self._flush_coalesced()
+                    continue
+                if batching:
+                    for env in behavior.transform_outgoing(envelope, self._adv_rng):
+                        self._buffer_transformed(env)
+                    continue
+                # Unbatched plane: the per-envelope reference pipeline.
+                outgoing = (
+                    behavior.transform_outgoing(envelope, self._adv_rng)
+                    if behavior is not None
+                    else (envelope,)
+                )
+                for env in outgoing:
+                    frame = None
+                    if self.frames_on_wire:
+                        try:
+                            frame = self._frame(env)
+                        except codec.CodecError:
+                            if behavior is None:
+                                raise
                             self.dropped_sends += 1
                             continue
-                        # In-process transport: carryability is a property
-                        # of the wire, never of the metering flag — the
-                        # forged payload travels, its bytes unmetered.
-                        nbytes = None
+                    if not self._transmit(env, frame):
+                        self.dropped_sends += 1
+                        continue
+                    nbytes = (
+                        len(frame)
+                        if frame is not None
+                        else self._measured_bytes(env, forged=behavior is not None)
+                    )
                     self.metrics.record_send(env, nbytes=nbytes)
                     if shard_metrics is not None:
                         shard_metrics[
                             env.session // SESSION_STRIDE
                         ].record_send(env, nbytes=nbytes)
-                    self._outgoing.append((env, nbytes, self._buffered_delay(env)))
-                    if len(self._outgoing) >= self.batch_cap_envelopes:
-                        self._flush_coalesced()
-                    continue
-                # Unbatched plane: the per-envelope reference pipeline.
-                frame = None
-                if self.frames_on_wire:
-                    try:
-                        frame = self._frame(env)
-                    except codec.CodecError:
-                        if behavior is None:
-                            raise
-                        self.dropped_sends += 1
-                        continue
-                if not self._transmit(env, frame):
-                    self.dropped_sends += 1
-                    continue
-                nbytes = (
-                    len(frame)
-                    if frame is not None
-                    else self._measured_bytes(env, forged=behavior is not None)
-                )
-                self.metrics.record_send(env, nbytes=nbytes)
-                if shard_metrics is not None:
-                    shard_metrics[
-                        env.session // SESSION_STRIDE
-                    ].record_send(env, nbytes=nbytes)
+        finally:
+            if run:
+                self._meter_run(head, run_nbytes, run)
+
+    def _meter_run(self, head: Envelope, nbytes: Optional[int], count: int) -> None:
+        """Meter ``count`` buffered sends that differ from ``head`` only in
+        a same-width recipient: words, messages, bytes, by-type and
+        by-layer all times ``count``, in one call."""
+        self.metrics.record_send(head, nbytes, count)
+        if self.shard_metrics is not None:
+            self.shard_metrics[head.session // SESSION_STRIDE].record_send(
+                head, nbytes, count
+            )
+        if count > 1 and nbytes is not None:
+            # Sizing the head was one payload-encode request; each sibling
+            # is such a request served from the memo, so the encode-once
+            # counters match the unbatched plane's to the digit.
+            stats = codec.encode_stats
+            stats["payload.calls"] += count - 1
+            stats["payload.hits"] += count - 1
+
+    def _buffer_transformed(self, envelope: Envelope) -> None:
+        """Meter and buffer one envelope a :class:`Behavior` transform emitted."""
+        if not self._can_transmit(envelope):
+            self.dropped_sends += 1
+            return
+        try:
+            nbytes = self._envelope_nbytes(envelope)
+        except codec.CodecError:
+            if self.frames_on_wire:
+                # A Byzantine transform forged garbage the codec cannot
+                # carry — the wire drops it before transmission; honest
+                # parties live on.
+                self.dropped_sends += 1
+                return
+            # In-process transport: carryability is a property of the
+            # wire, never of the metering flag — the forged payload
+            # travels, its bytes unmetered.
+            nbytes = None
+        self._meter_run(envelope, nbytes, 1)
+        self._outgoing.append((envelope, nbytes, self._buffered_delay(envelope)))
+        if len(self._outgoing) >= self.batch_cap_envelopes:
+            self._flush_coalesced()
 
     def _envelope_nbytes(self, envelope: Envelope) -> Optional[int]:
         """The envelope's metered byte size on the batched plane.
@@ -692,63 +768,18 @@ class Transport:
         Identical by construction to what the unbatched plane meters —
         the length of the envelope's own length-prefixed frame — but
         composed from the codec's payload/path memo entries instead of a
-        full re-encode per recipient, and short-circuited entirely for
-        the siblings of a multicast burst: envelopes whose payload, path,
-        sender, depth and session are the *same objects* as the last
-        metered envelope's differ only in the recipient varint, so the
-        cached base size is adjusted by that one field.  (Identity
-        comparison makes this sound for any value: identical objects
-        encode identically; a merely-equal forgery recomputes.)  ``None``
-        when bytes are not metered on this transport.  Raises
-        :class:`~repro.net.codec.CodecError` for unencodable payloads
-        (the caller maps that to loud-failure or forged-drop exactly
-        like the unbatched plane).
+        full re-encode.  ``None`` when bytes are not metered on this
+        transport.  Raises :class:`~repro.net.codec.CodecError` for
+        unencodable payloads (the caller maps that to loud-failure or
+        forged-drop exactly like the unbatched plane).
         """
         if not (self.frames_on_wire or self.measure_bytes):
             return None
-        recipient = envelope.recipient
-        if type(recipient) is int and recipient >= 0:
-            recipient_size = 2 if recipient < 64 else 3 if recipient < 8192 else None
-        else:
-            recipient_size = None
-        cached = self._size_cache
-        if (
-            recipient_size is not None
-            and cached is not None
-            and cached[0] is envelope.payload
-            and cached[1] is envelope.path
-            and cached[2] is envelope.sender
-            and cached[3] is envelope.depth
-            and cached[4] is envelope.session
-        ):
-            # The codec counts one payload-encode request per metered
-            # send; a size served from this cache is such a request
-            # served from memo, so the fan-out accounting matches the
-            # unbatched plane's.
-            size = cached[5] + recipient_size
-            if size > MAX_FRAME_BYTES:
-                raise codec.CodecError(
-                    f"envelope frame of {size} bytes exceeds the "
-                    f"{MAX_FRAME_BYTES}-byte wire bound"
-                )
-            stats = codec.encode_stats
-            stats["payload.calls"] += 1
-            stats["payload.hits"] += 1
-            return FRAME_HEADER_BYTES + size
         size = codec.encoded_envelope_size(envelope)
         if size > MAX_FRAME_BYTES:
             raise codec.CodecError(
                 f"envelope frame of {size} bytes exceeds the "
                 f"{MAX_FRAME_BYTES}-byte wire bound"
-            )
-        if recipient_size is not None:
-            self._size_cache = (
-                envelope.payload,
-                envelope.path,
-                envelope.sender,
-                envelope.depth,
-                envelope.session,
-                size - recipient_size,
             )
         return FRAME_HEADER_BYTES + size
 
@@ -798,15 +829,22 @@ class Transport:
             envelope, self._adv_rng
         ):
             return False
-        self.metrics.record_delivery(envelope)
+        metrics = self.metrics
+        metrics.deliveries += 1
+        if envelope.depth > metrics.max_depth:
+            metrics.max_depth = envelope.depth
         if self.shard_metrics is not None:
             self.shard_metrics[
                 envelope.session // SESSION_STRIDE
             ].record_delivery(envelope)
         recipient = self.parties[slot]
         recipient.deliver(envelope)
-        self._flush_party(recipient)
-        self._note_progress(recipient)
+        # A delivery pays only for what happened: most queue no sends and
+        # produce no root result (one per party and session).
+        if recipient.has_queued_sends:
+            self._flush_party(recipient)
+        if recipient.result_unnoted:
+            self._note_results(recipient)
         if self._delivery_observers:
             for observer in self._delivery_observers:
                 observer(envelope)
@@ -881,7 +919,7 @@ class Transport:
         self._flush_coalesced()
         # A thawed party may already hold session results produced before
         # the crash; fold them into done-detection immediately.
-        self._note_progress(self.parties[index])
+        self._note_results(self.parties[index])
         return delivered
 
     # -- chaos hooks -------------------------------------------------------------------
@@ -913,6 +951,16 @@ class Transport:
         return None
 
     # -- done-detection ----------------------------------------------------------------
+
+    def _note_results(self, party: Party) -> None:
+        """Fold the party's root results into done-detection.
+
+        Runs when a party may hold a result the waiting sets have not
+        seen (:attr:`Party.result_unnoted`): after a delivery that
+        produced a root output, at session start, on reattach.
+        """
+        party.result_unnoted = False
+        self._note_progress(party)
 
     def _note_progress_sessions(self, party: Party) -> list[int]:
         """Advance done-detection for one party; return sessions that

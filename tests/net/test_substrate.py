@@ -128,6 +128,32 @@ def test_run_step_limit():
         sim.run(max_steps=50)
 
 
+def test_step_limit_admits_a_run_that_finishes_on_its_last_delivery():
+    """``max_steps`` bounds deliveries; spending the budget exactly is not
+    exceeding it — with and without a stop predicate."""
+
+    def fresh():
+        sim = _sim()
+        sim.start(lambda party: EchoAll())
+        return sim
+
+    def first_output(sim):
+        return sim.parties[0].has_result
+
+    for stop in (None, first_output):
+        reference = fresh()
+        reference.run(stop=stop)
+        deliveries = reference.steps
+        assert deliveries > 1
+        exact = fresh()
+        exact.run(max_steps=deliveries, stop=stop)
+        assert exact.steps == deliveries
+        with pytest.raises(RuntimeError, match="exceeded"):
+            fresh().run(max_steps=deliveries - 1, stop=stop)
+    # The predicate case stopped early: traffic was still in flight.
+    assert exact._queue or exact._ready
+
+
 def test_words_of_accounting_rules():
     assert words_of(5) == 1
     assert words_of("tag") == 1

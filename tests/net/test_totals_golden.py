@@ -1,0 +1,80 @@
+"""The refactoring contract as a golden: protocol totals pinned to the digit.
+
+ROADMAP aim 2 makes "byte-identical protocol totals before and after" the
+contract every delivery-pipeline change signs.  This file pins it for three
+runs that between them cross every metering path: the benign bulk path with
+bytes metered, the hostile recipe of ``perf/workloads.py`` (per-envelope heap
+entries, Byzantine senders, chaos) at its quick size, and the ``batching=
+False`` reference plane.
+
+``totals_golden.json`` holds what the commit *before* run metering (PR 16)
+counted.  Regenerate only for a deliberate protocol or wire-format change,
+from a checkout of the reference commit::
+
+    cd <reference> && PYTHONPATH=src:<this checkout> python -c \
+        "from tests.net.test_totals_golden import write_golden; write_golden()"
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from perf.workloads import WORKLOADS, created_instances
+
+from repro import run_adkg
+from repro.net.metrics import Metrics
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("totals_golden.json")
+
+_HOSTILE = WORKLOADS["adkg_sim_n13_hostile"]
+
+CASES = {
+    "benign-n7-bytes": lambda: run_adkg(n=7, seed=3, measure_bytes=True),
+    "hostile-n7": lambda: _HOSTILE.run(3, **_HOSTILE.sizes["quick"])[1],
+    "unbatched-n4-bytes": lambda: run_adkg(
+        n=4, seed=9, measure_bytes=True, batching=False
+    ),
+}
+
+
+def _totals(case) -> dict:
+    with created_instances(Metrics) as created:
+        result = case()
+    (metrics,) = created
+    counters = result.metrics_summary["counters"]
+    return {
+        "words": metrics.words_total,
+        "messages": metrics.messages_total,
+        "bytes": metrics.bytes_total,
+        "frames": metrics.frames_total,
+        "wire_bytes": metrics.wire_bytes_total,
+        "rounds": result.rounds,
+        "deliveries": metrics.deliveries,
+        "words_by_layer": dict(sorted(metrics.words_by_layer.items())),
+        "messages_by_type": dict(sorted(metrics.messages_by_type.items())),
+        "verify_misses": {
+            key: value
+            for key, value in sorted(counters["verify"].items())
+            if key.endswith(".misses")
+        },
+        "encode": {
+            key: counters["encode"].get(key, 0)
+            for key in ("payload.calls", "payload.misses")
+        },
+    }
+
+
+def write_golden():
+    import repro
+
+    print("reference:", repro.__file__)
+    golden = {name: _totals(case) for name, case in CASES.items()}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_totals_match_reference_commit(name):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert set(golden) == set(CASES)
+    assert _totals(CASES[name]) == golden[name]
