@@ -45,24 +45,15 @@ _COMMITTED_BASELINE = (
     json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() else None
 )
 
-#: Keyed by ``n`` (inline plane) or ``(n, workers)`` (pool plane).
-_ROWS: dict = {}
-
-#: The pool leg's grid point: large enough that the pool genuinely runs
-#: (speculation + demand dispatch), small enough for the CI smoke job.
-WORKERS = 2
-WORKERS_N_FULL = 10
-WORKERS_N_FAST = 4
+_ROWS: dict[int, dict] = {}
 
 
-def _run_row(n: int, workers: int = 0) -> dict:
+def _run_row(n: int) -> dict:
     started = time.perf_counter()
-    result = run_adkg(
-        n=n, seed=SEED, transport="sim", measure_bytes=True, workers=workers
-    )
+    result = run_adkg(n=n, seed=SEED, transport="sim", measure_bytes=True)
     elapsed = time.perf_counter() - started
     counters = result.metrics_summary["counters"]
-    row = {
+    return {
         "n": n,
         "agreed": result.agreed,
         "wall_clock_s": elapsed,
@@ -73,21 +64,12 @@ def _run_row(n: int, workers: int = 0) -> dict:
         "encode": counters["encode"],
         "pairing": counters["pairing"],
     }
-    if workers:
-        row["workers"] = workers
-        row["pool"] = counters.get("pool", {})
-    return row
 
 
-def _row(n: int, workers: int = 0) -> dict:
-    key = (n, workers) if workers else n
-    if key not in _ROWS:
-        _ROWS[key] = _run_row(n, workers=workers)
-    return _ROWS[key]
-
-
-def _misses(row: dict) -> dict:
-    return {k: v for k, v in row["verify"].items() if k.endswith(".misses")}
+def _row(n: int) -> dict:
+    if n not in _ROWS:
+        _ROWS[n] = _run_row(n)
+    return _ROWS[n]
 
 
 def _transport_baseline_walls() -> dict[int, float]:
@@ -154,8 +136,6 @@ def test_e12_emit_json(benchmark, fast_mode):
         for n, row in ((r["n"], r) for r in rows)
         if n in walls and row["wall_clock_s"] > 0
     }
-    pooled = _row(WORKERS_N_FULL, workers=WORKERS)
-    inline = _row(WORKERS_N_FULL)
     payload = {
         "benchmark": "E12-hotpath",
         "seed": SEED,
@@ -163,13 +143,6 @@ def test_e12_emit_json(benchmark, fast_mode):
         "rows": rows,
         "pre_pr_sim_wall_clock_s": {str(n): walls[n] for n in sorted(walls)},
         "speedup_vs_pre_pr": speedups,
-        "workers_leg": {
-            "n": WORKERS_N_FULL,
-            "workers": WORKERS,
-            "wall_clock_s": pooled["wall_clock_s"],
-            "pool": pooled["pool"],
-            "pool_vs_inline_ratio": inline["wall_clock_s"] / pooled["wall_clock_s"],
-        },
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     record(benchmark, path=str(JSON_PATH), speedups=speedups)
@@ -178,56 +151,6 @@ def test_e12_emit_json(benchmark, fast_mode):
     if "10" in speedups:
         assert speedups["10"] >= 3.0, speedups
     assert any(row["n"] == 25 and row["agreed"] for row in rows)
-
-
-@pytest.mark.benchmark(group="E12-hotpath")
-def test_workers_plane_equivalence(benchmark, fast_mode):
-    """CI gate for the parallel crypto plane (DESIGN §10).
-
-    Structural, like every gate in this file: the pool may move *where*
-    verification compute runs, never *what* it computes.  Asserted:
-
-    * words / bytes / messages / agreement byte-identical to inline;
-    * every ``<domain>.misses`` counter identical to inline (misses are
-      counted before a speculative verdict is consumed, so "distinct
-      values verified" cannot depend on how speculation raced);
-    * the pool genuinely ran (tasks dispatched, speculation consumed);
-    * wall clock with workers still beats the committed pre-hot-path
-      baseline (speedup ≥ 1 against BENCH_transport.json) — the honest
-      wall gate.  The pool-vs-inline ratio is *recorded*, not gated: with
-      the simulated pairing a verification costs about as much as its
-      codec round-trip, so process offload cannot beat inline here (it
-      exists for real pairing backends, where verify ≫ decode); see
-      DESIGN §10 for the measured analysis.
-    """
-    n = WORKERS_N_FAST if fast_mode else WORKERS_N_FULL
-
-    def build():
-        return _row(n), _row(n, workers=WORKERS)
-
-    inline, pooled = once(benchmark, build)
-    ratio = inline["wall_clock_s"] / max(pooled["wall_clock_s"], 1e-9)
-    record(
-        benchmark,
-        n=n,
-        workers=WORKERS,
-        pool=pooled["pool"],
-        pool_vs_inline_ratio=ratio,
-    )
-    assert pooled["agreed"] and inline["agreed"]
-    assert pooled["words_total"] == inline["words_total"]
-    assert pooled["bytes_total"] == inline["bytes_total"]
-    assert pooled["messages_total"] == inline["messages_total"]
-    assert _misses(pooled) == _misses(inline)
-    assert pooled["pool"].get("tasks", 0) > 0
-    assert pooled["pool"].get("broken", 0) == 0
-    verify = pooled["verify"]
-    assert any(k.endswith(".speculative_hits") and v > 0 for k, v in verify.items())
-    walls = _transport_baseline_walls()
-    if n in walls:
-        assert walls[n] / pooled["wall_clock_s"] >= 1.0, (
-            f"workers={WORKERS} at n={n} lost to the pre-hot-path baseline"
-        )
 
 
 @pytest.mark.benchmark(group="E12-hotpath")

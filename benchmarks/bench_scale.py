@@ -3,10 +3,9 @@
 The batching PR's proof harness.  Sweeps the full ADKG on the simulator
 at ``n ∈ {10, 25, 50, 100}`` with the coalesced message plane and at
 ``n ∈ {10, 25}`` with the per-envelope reference plane
-(``batching=False``), plus ``n ∈ {10, 25, 50}`` over real TCP sockets
-and the parallel crypto plane (``workers=4``, DESIGN §10) at
-``n ∈ {10, 25, 50, 100}``, and emits ``BENCH_scale.json`` with wall
-clock, message/frame counts, batch occupancy and wire bytes.
+(``batching=False``), plus ``n ∈ {10, 25, 50}`` over real TCP sockets,
+and emits ``BENCH_scale.json`` with wall clock, message/frame counts,
+batch occupancy and wire bytes.
 
 What is asserted is structural, in line with the repo's benchmark
 policy (shapes, not absolute timings):
@@ -51,11 +50,6 @@ NS_SIM_BATCHED_FAST = (10, 50)
 NS_SIM_UNBATCHED_FULL = (10, 25)
 NS_SIM_UNBATCHED_FAST = (10,)
 NS_TCP_FULL = (10, 25, 50)
-#: Parallel-crypto-plane legs (DESIGN §10): the ISSUE's target grid
-#: point is n = 100 with ≥ 4 workers.
-WORKERS = 4
-NS_SIM_WORKERS_FULL = (10, 25, 50, 100)
-NS_SIM_WORKERS_FAST = (10,)
 JSON_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_scale.json"
 HOTPATH_JSON = pathlib.Path(__file__).resolve().parent / "BENCH_hotpath.json"
 
@@ -72,7 +66,7 @@ def _fresh_process_state() -> None:
     metrics._path_layers_memo.clear()
 
 
-def _run_row(n: int, transport: str, batching: bool, workers: int = 0) -> dict:
+def _run_row(n: int, transport: str, batching: bool) -> dict:
     _fresh_process_state()
     # n=100 sends ~9M messages — past the simulator's default
     # 5M-delivery guard; the raised budget is reported with the row.
@@ -86,7 +80,6 @@ def _run_row(n: int, transport: str, batching: bool, workers: int = 0) -> dict:
         batching=batching,
         timeout=600.0,
         max_steps=max_steps,
-        workers=workers,
     )
     elapsed = time.perf_counter() - started
     summary = result.metrics_summary
@@ -94,8 +87,6 @@ def _run_row(n: int, transport: str, batching: bool, workers: int = 0) -> dict:
         "n": n,
         "transport": transport,
         "batching": batching,
-        "workers": workers,
-        "pool": summary["counters"].get("pool", {}),
         "agreed": result.agreed,
         "wall_clock_s": elapsed,
         "words_total": result.words_total,
@@ -111,12 +102,10 @@ def _run_row(n: int, transport: str, batching: bool, workers: int = 0) -> dict:
     }
 
 
-def _row(
-    n: int, transport: str = "sim", batching: bool = True, workers: int = 0
-) -> dict:
-    key = (n, transport, batching, workers)
+def _row(n: int, transport: str = "sim", batching: bool = True) -> dict:
+    key = (n, transport, batching)
     if key not in _ROWS:
-        _ROWS[key] = _run_row(n, transport, batching, workers)
+        _ROWS[key] = _run_row(n, transport, batching)
     return _ROWS[key]
 
 
@@ -165,34 +154,6 @@ def test_e14_protocol_totals_batching_invariant(benchmark, fast_mode):
 
 
 @pytest.mark.benchmark(group="E14-scale")
-def test_e14_workers_plane(benchmark, fast_mode):
-    """Parallel crypto plane at scale: byte-identical protocol totals.
-
-    The gated quantities are structural (the repo's benchmark policy):
-    every workers row must agree, match the inline row's words / bytes /
-    messages exactly, and show the pool genuinely dispatching.  Wall
-    clock is recorded, not gated — with the simulated pairing, one
-    verification costs about as much as its codec round-trip, so the
-    measured pool-vs-inline ratio sits *below* 1 at every n (see the
-    emitted ``speedup_pool_vs_inline`` and DESIGN §10); the plane's win
-    condition is real pairing backends where verify ≫ decode.
-    """
-    ns = NS_SIM_WORKERS_FAST if fast_mode else NS_SIM_WORKERS_FULL
-
-    def pairs():
-        return [(_row(n), _row(n, workers=WORKERS)) for n in ns]
-
-    for inline, pooled in once(benchmark, pairs):
-        assert pooled["agreed"], pooled["n"]
-        assert pooled["words_total"] == inline["words_total"]
-        assert pooled["bytes_total"] == inline["bytes_total"]
-        assert pooled["messages_total"] == inline["messages_total"]
-        assert pooled["rounds"] == inline["rounds"]
-        assert pooled["pool"].get("tasks", 0) > 0, pooled["n"]
-        assert pooled["pool"].get("broken", 0) == 0, pooled["n"]
-
-
-@pytest.mark.benchmark(group="E14-scale")
 def test_e14_tcp_scale(benchmark, fast_mode):
     """Batched TCP at n ∈ {10, 25}: real coalesced frames, real savings."""
     if fast_mode:
@@ -217,17 +178,11 @@ def test_e14_emit_json(benchmark, fast_mode):
         sim_batched = [_row(n) for n in NS_SIM_BATCHED_FULL]
         sim_unbatched = [_row(n, batching=False) for n in NS_SIM_UNBATCHED_FULL]
         tcp = [_row(n, transport="tcp") for n in NS_TCP_FULL]
-        sim_workers = [_row(n, workers=WORKERS) for n in NS_SIM_WORKERS_FULL]
-        return sim_batched, sim_unbatched, tcp, sim_workers
+        return sim_batched, sim_unbatched, tcp
 
-    sim_batched, sim_unbatched, tcp, sim_workers = once(benchmark, build)
+    sim_batched, sim_unbatched, tcp = once(benchmark, build)
     committed = _committed_hotpath_walls()
     batched_by_n = {row["n"]: row for row in sim_batched}
-    speedup_pool_vs_inline = {
-        str(row["n"]): batched_by_n[row["n"]]["wall_clock_s"] / row["wall_clock_s"]
-        for row in sim_workers
-        if batched_by_n.get(row["n"], {}).get("wall_clock_s") and row["wall_clock_s"] > 0
-    }
     speedup_vs_unbatched = {
         str(row["n"]): row["wall_clock_s"] / batched_by_n[row["n"]]["wall_clock_s"]
         for row in sim_unbatched
@@ -241,10 +196,9 @@ def test_e14_emit_json(benchmark, fast_mode):
     payload = {
         "benchmark": "E14-scale",
         "seed": SEED,
-        "rows": sim_batched + sim_unbatched + tcp + sim_workers,
+        "rows": sim_batched + sim_unbatched + tcp,
         "speedup_vs_unbatched": speedup_vs_unbatched,
         "speedup_vs_committed_hotpath": speedup_vs_committed,
-        "speedup_pool_vs_inline": speedup_pool_vs_inline,
         "notes": (
             "speedup_vs_unbatched is a same-process head-to-head against "
             "batching=False at HEAD; speedup_vs_committed_hotpath compares "
@@ -252,13 +206,7 @@ def test_e14_emit_json(benchmark, fast_mode):
             "pre-batching plane, possibly different hardware).  Protocol "
             "word/byte totals are byte-identical across planes; the "
             "structural wins (frames_saved, occupancy, wire_bytes_saved, "
-            "n=100 completing) are the gated quantities.  "
-            "speedup_pool_vs_inline is the workers=4 plane against the "
-            "inline plane at HEAD: below 1 at every n on this simulated-"
-            "pairing build, where one verification costs about as much as "
-            "its codec round-trip (DESIGN §10 has the measured analysis); "
-            "the workers rows are gated on byte-identical protocol totals "
-            "and genuine pool dispatch, not on wall clock."
+            "n=100 completing) are the gated quantities."
         ),
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -267,7 +215,6 @@ def test_e14_emit_json(benchmark, fast_mode):
         path=str(JSON_PATH),
         speedup_vs_unbatched=speedup_vs_unbatched,
         speedup_vs_committed=speedup_vs_committed,
-        speedup_pool_vs_inline=speedup_pool_vs_inline,
     )
     # The scale targets: n=100 completes with agreement, and the batched
     # plane strictly beats the per-envelope plane at n=25.

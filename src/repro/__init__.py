@@ -24,7 +24,6 @@ paper-vs-measured results.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -123,12 +122,8 @@ def run_adkg(
     ``words_total`` counts every message the protocol ever sends (what
     Theorems 6-10 bound).
 
-    ``workers`` selects the parallel crypto plane (DESIGN §10): ``> 0``
-    verifies over that many pool processes with speculative batch
-    pre-verification; ``0`` is the inline reference plane.  ``None``
-    reads the ``REPRO_WORKERS`` environment variable (default 0).
-    Verdicts, word/byte/message totals and agreement results are
-    byte-identical across worker counts — only wall clock changes.
+    ``workers`` is a tombstone: verification always runs in-process
+    (DESIGN §10), and only ``None`` or ``0`` is accepted.
 
     ``chaos`` attaches the link-fault plane (DESIGN §11): a
     :class:`~repro.net.chaos.ChaosSpec`, a prebuilt
@@ -139,6 +134,10 @@ def run_adkg(
     ["chaos"]``.  Works on every transport (times are rounds on the
     simulator, seconds on realtime transports).
     """
+    if workers:
+        # Tombstone: ``perf/workloads.py`` (frozen) passes ``workers=0``; the
+        # keyword goes when the next benchmark PR drops that (ROADMAP).
+        raise ValueError("the process-pool verifier was removed; workers must be 0")
     if transport != "sim" and (
         to_quiescence
         or delay_model is not None
@@ -164,10 +163,6 @@ def run_adkg(
         transport_kwargs["measure_bytes"] = measure_bytes
     if batching is not None:
         transport_kwargs["batching"] = batching
-    if workers is None:
-        workers = int(os.environ.get("REPRO_WORKERS", "0") or "0")
-    if workers:
-        transport_kwargs["workers"] = workers
     if chaos is not None:
         transport_kwargs["chaos"] = chaos
     runtime = make_transport(
@@ -177,26 +172,20 @@ def run_adkg(
         seed=seed,
         **transport_kwargs,
     )
-    try:
-        step_kwargs = {"max_steps": max_steps} if max_steps is not None else {}
-        if to_quiescence:
-            # Simulator only (validated above): keep running after agreement
-            # so words_total counts every message ever sent.
-            runtime.start(root_factory)
-            runtime.run(**step_kwargs)
-        elif step_kwargs:
-            # A raised delivery budget (n=100 sends ~9M messages — past the
-            # default 5M-delivery guard) only makes sense on the simulator.
-            runtime.start(root_factory)
-            runtime.run_until_all_honest_output(**step_kwargs)
-        else:
-            runtime.run_sync(root_factory, timeout=timeout)
-        return _collect_result(runtime, transport)
-    finally:
-        # Detach the verification pool from the (possibly caller-owned)
-        # setup's cache; the worker processes themselves stay warm for
-        # the next run.
-        runtime.shutdown_workers()
+    step_kwargs = {"max_steps": max_steps} if max_steps is not None else {}
+    if to_quiescence:
+        # Simulator only (validated above): keep running after agreement
+        # so words_total counts every message ever sent.
+        runtime.start(root_factory)
+        runtime.run(**step_kwargs)
+    elif step_kwargs:
+        # A raised delivery budget (n=100 sends ~9M messages — past the
+        # default 5M-delivery guard) only makes sense on the simulator.
+        runtime.start(root_factory)
+        runtime.run_until_all_honest_output(**step_kwargs)
+    else:
+        runtime.run_sync(root_factory, timeout=timeout)
+    return _collect_result(runtime, transport)
 
 
 __all__ = [

@@ -7,11 +7,11 @@ into EXPERIMENTS.md.  All randomness is derived from explicit seeds.
 The index is contiguous: E1-E10 regenerate the paper's claims and
 ablations, E11 (transports) and E12 (hot-path counters) are covered by
 their benchmarks, E13 runs epoch pipelining, E14 is the crash–recovery
-fault matrix over the durable storage layer, E15 (rendered inline by the
-script) gates the parallel crypto plane, E16 is the chaos matrix over
-the link-level fault plane (DESIGN §11), E17 (sharded scale-out) is
-covered by its benchmark, and E18 is the membership-churn matrix over
-proactive resharing (DESIGN §13).
+fault matrix over the durable storage layer, E15 is retired (a static
+entry quoting the deleted process-pool verifier's last measured ratios),
+E16 is the chaos matrix over the link-level fault plane (DESIGN §11),
+E17 (sharded scale-out) is covered by its benchmark, and E18 is the
+membership-churn matrix over proactive resharing (DESIGN §13).
 """
 
 from __future__ import annotations

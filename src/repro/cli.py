@@ -276,15 +276,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             or args.profile
             or args.chaos
             or args.crash
-            or args.workers
             or args.no_batching
             or args.reshare is not None
         )
         if incompatible:
             print(
                 "error: --groups is incompatible with --full/--profile/"
-                "--chaos/--crash/--workers/--no-batching/--reshare (groups "
-                "parallelize per shard, not per verify; churn a sharded "
+                "--chaos/--crash/--no-batching/--reshare (churn a sharded "
                 "service with `repro beacon --churn --groups`)",
                 file=sys.stderr,
             )
@@ -315,10 +313,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.reshare < 1:
             print("error: --reshare expects >= 1 epochs", file=sys.stderr)
             return 2
-        if args.full or args.profile or args.crash or args.workers or args.no_batching:
+        if args.full or args.profile or args.crash or args.no_batching:
             print(
                 "error: --reshare is incompatible with --full/--profile/"
-                "--crash/--workers/--no-batching",
+                "--crash/--no-batching",
                 file=sys.stderr,
             )
             return 2
@@ -350,7 +348,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             measure_bytes=True,
             batching=not args.no_batching,
             timeout=args.timeout,
-            workers=args.workers,
             chaos=chaos,
         )
     except TimeoutError:
@@ -374,15 +371,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         stats.print_stats(20)
         print(buffer.getvalue())
     summary = result.metrics_summary
-    pool = summary.get("counters", {}).get("pool", {})
-    plane = (
-        f"pool ({pool.get('tasks', 0):,} tasks / {pool.get('batches', 0):,} batches)"
-        if pool
-        else "inline"
-    )
     print(f"n={result.n} f={result.f} seed={args.seed} transport={result.transport}")
     print(f"agreed:        {result.agreed}")
-    print(f"crypto plane:  {plane}")
     print(f"contributors:  {sorted(result.transcript.contributors)}")
     print(f"words sent:    {result.words_total:,}")
     print(f"messages sent: {result.messages_total:,}")
@@ -598,14 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-batching",
         action="store_true",
         help="disable the coalesced message plane (per-envelope reference plane)",
-    )
-    run_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="verify over N pool processes with speculative pre-verification "
-        "(0 = inline; default: the REPRO_WORKERS environment variable)",
     )
     run_p.add_argument(
         "--chaos",

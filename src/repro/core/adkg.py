@@ -33,11 +33,6 @@ class ADKGShare(Payload):
     def word_size(self) -> int:
         return max(1, words_of(self.contribution))
 
-    def verify_tasks(self, directory: Any) -> tuple:
-        if isinstance(self.contribution, pvss.PVSSContribution):
-            return (("pvss-contrib", (self.contribution,)),)
-        return ()
-
 
 class ADKG(Protocol):
     """One A-DKG instance; outputs the agreed, verifying DKG transcript."""

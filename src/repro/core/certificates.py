@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.crypto import pool, schnorr
+from repro.crypto import schnorr
 from repro.crypto.encoding import encode
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import PartySecret, PublicDirectory
@@ -218,46 +218,3 @@ def key_tuple_correct(
         directory, validate, candidate.view, candidate.value, candidate.proof
     )
 
-
-# -- process-pool worker verifiers (see repro.crypto.pool) ---------------------------
-#
-# Byte-level equivalents of vote_valid / certificate_valid: the memoized
-# parts carry the value only through its canonical digest, which is
-# exactly what the signatures cover, so a worker verifies from the parts
-# alone.  Neither registers ``demand=True``: the inline "cert" check
-# walks vote_valid (populating the shared cert-vote counters), so
-# offloading it would change the structural stats the benchmarks pin.
-
-
-def _pool_vote_valid(directory: PublicDirectory, parts: tuple) -> bool:
-    vote, kind, digest, view = parts
-    if not isinstance(vote, SignedVote):
-        return False
-    if not 0 <= vote.signer < directory.n:
-        return False
-    return schnorr.verify(
-        directory.sign_group,
-        directory.sign_pks[vote.signer],
-        vote.signature,
-        "nwh-vote",
-        directory.session,
-        kind,
-        digest,
-        view,
-    )
-
-
-def _pool_certificate_valid(directory: PublicDirectory, parts: tuple) -> bool:
-    proof, kind, digest, view = parts
-    if not isinstance(proof, tuple):
-        return False
-    signers = set()
-    for vote in proof:
-        if not _pool_vote_valid(directory, (vote, kind, digest, view)):
-            return False
-        signers.add(vote.signer)
-    return len(signers) >= directory.quorum
-
-
-pool.register_worker("cert-vote", _pool_vote_valid)
-pool.register_worker("cert", _pool_certificate_valid)

@@ -41,29 +41,8 @@ from repro.core import certificates as certs
 from repro.core.certificates import KeyTuple, SignedVote
 from repro.core.proposal_election import ProposalElection
 from repro.core.validity import Validator, always_valid
-from repro.crypto import pvss
 from repro.net.payload import Payload, words_of
 from repro.net.protocol import Protocol
-
-
-def _transcript_tasks(directory: Any, *values: Any) -> tuple:
-    """Speculation tasks for every PVSS transcript a message carries.
-
-    NWH's external-validity check on agreement values is ``DKGVerify`` —
-    ``verify_transcript(·, 2f+1)`` — so that is the check worth warming.
-    ``KeyTuple`` wrappers are unwrapped; anything else (including forged
-    non-transcript values) yields no task, which is merely unhelpful,
-    never unsound.
-    """
-    tasks = []
-    seen: set[int] = set()
-    for value in values:
-        if isinstance(value, KeyTuple):
-            value = value.value
-        if isinstance(value, pvss.PVSSTranscript) and id(value) not in seen:
-            seen.add(id(value))
-            tasks.append(("pvss-transcript", (value, 2 * directory.f + 1)))
-    return tuple(tasks)
 
 
 @dataclass(frozen=True)
@@ -73,9 +52,6 @@ class Suggest(Payload):
 
     def word_size(self) -> int:
         return 1 + words_of(self.key)
-
-    def verify_tasks(self, directory: Any) -> tuple:
-        return _transcript_tasks(directory, self.key)
 
 
 @dataclass(frozen=True)
@@ -88,9 +64,6 @@ class EchoMsg(Payload):
     def word_size(self) -> int:
         return 2 + words_of(self.key) + words_of(self.election_proof)
 
-    def verify_tasks(self, directory: Any) -> tuple:
-        return _transcript_tasks(directory, self.key)
-
 
 @dataclass(frozen=True)
 class KeyVoteMsg(Payload):
@@ -101,9 +74,6 @@ class KeyVoteMsg(Payload):
 
     def word_size(self) -> int:
         return 2 + max(1, words_of(self.value)) + words_of(self.proof)
-
-    def verify_tasks(self, directory: Any) -> tuple:
-        return _transcript_tasks(directory, self.value)
 
 
 @dataclass(frozen=True)
@@ -116,9 +86,6 @@ class LockVoteMsg(Payload):
     def word_size(self) -> int:
         return 2 + max(1, words_of(self.value)) + words_of(self.proof)
 
-    def verify_tasks(self, directory: Any) -> tuple:
-        return _transcript_tasks(directory, self.value)
-
 
 @dataclass(frozen=True)
 class CommitMsg(Payload):
@@ -128,9 +95,6 @@ class CommitMsg(Payload):
 
     def word_size(self) -> int:
         return 1 + max(1, words_of(self.value)) + words_of(self.proof)
-
-    def verify_tasks(self, directory: Any) -> tuple:
-        return _transcript_tasks(directory, self.value)
 
 
 @dataclass(frozen=True)
@@ -147,9 +111,6 @@ class BlameMsg(Payload):
             max(1, words_of(self.lock_value)) + words_of(self.lock_proof)
         )
 
-    def verify_tasks(self, directory: Any) -> tuple:
-        return _transcript_tasks(directory, self.key, self.lock_value)
-
 
 @dataclass(frozen=True)
 class EquivocateMsg(Payload):
@@ -164,9 +125,6 @@ class EquivocateMsg(Payload):
             words_of(part)
             for part in (self.key_a, self.proof_a, self.key_b, self.proof_b)
         )
-
-    def verify_tasks(self, directory: Any) -> tuple:
-        return _transcript_tasks(directory, self.key_a, self.key_b)
 
 
 class NWH(Protocol):

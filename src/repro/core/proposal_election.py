@@ -49,11 +49,6 @@ class PEDkgShare(Payload):
     def word_size(self) -> int:
         return max(1, words_of(self.contribution))
 
-    def verify_tasks(self, directory: Any) -> tuple:
-        if isinstance(self.contribution, pvss.PVSSContribution):
-            return (("pvss-contrib", (self.contribution,)),)
-        return ()
-
 
 @dataclass(frozen=True)
 class PEEvalShare(Payload):
@@ -126,27 +121,6 @@ class ProposalElection(Protocol):
             self._on_dkg_share(sender, payload.contribution)
         elif isinstance(payload, PEEvalShare):
             self._on_eval_share(sender, payload.k, payload.share)
-
-    def preverify(self, sender: int, payload: Payload) -> tuple:
-        """Add eval-share pairing checks once their tuple is committed.
-
-        Only this instance knows which transcript an eval share for ``k``
-        will be verified against (``start_eval``); shares for a ``k``
-        still racing the gather verification are skipped — they park in
-        ``_pending_shares`` and are verified later, without speculation.
-        Read-only on protocol state, as the contract requires.
-        """
-        if isinstance(payload, PEEvalShare) and payload.k in self.start_eval:
-            _prop_k, vrf_dkg_k = self.start_eval[payload.k]
-            share = payload.share
-            if isinstance(share, tvrf.EvalShare) and share.party == sender:
-                return (
-                    (
-                        "tvrf-evalsh",
-                        (share, self._eval_message(payload.k), vrf_dkg_k),
-                    ),
-                )
-        return super().preverify(sender, payload)
 
     def _on_dkg_share(self, sender: int, contribution: Any) -> None:
         if self.vrf_dkg is not None:

@@ -66,70 +66,6 @@ class PublicDirectory:
         return party + 1
 
 
-#: Leading tag + version of a :func:`directory_spec` tuple.  Checked
-#: strictly on rebuild so a future format bump can never be misread.
-DIRECTORY_SPEC_TAG = "repro-dirspec"
-DIRECTORY_SPEC_VERSION = 1
-
-
-def directory_spec(directory: PublicDirectory) -> tuple:
-    """A codec-encodable description of a directory's *public* contents.
-
-    This is the byte-level fingerprint the process-pool verification
-    plane ships to workers (:mod:`repro.crypto.pool`): everything a
-    verdict depends on — group parameters, public keys, the session
-    label — and nothing else (no caches, no live group objects).  A
-    worker rebuilds an equivalent directory via :func:`rebuild_directory`
-    and the rebuilt object verifies byte-identically because every
-    group construction here is deterministic in the spec fields.
-    """
-    params = directory.params
-    return (
-        DIRECTORY_SPEC_TAG,
-        DIRECTORY_SPEC_VERSION,
-        directory.n,
-        directory.f,
-        params.name,
-        params.p,
-        params.q,
-        params.g,
-        params.security_bits,
-        directory.sign_pks,
-        directory.enc_pks,
-        directory.session,
-    )
-
-
-def rebuild_directory(spec: tuple) -> PublicDirectory:
-    """Rebuild a :class:`PublicDirectory` from a :func:`directory_spec`.
-
-    Uses exactly the group-construction recipe of
-    :meth:`TrustedSetup.generate`, so a verification run against the
-    rebuilt directory is equation-for-equation the one the originating
-    process would run.  The rebuilt directory owns a *fresh*
-    :class:`~repro.crypto.verify_cache.VerifyCache` — worker-side
-    verdicts are never shared back by reference, only returned as bools.
-    """
-    if not isinstance(spec, tuple) or len(spec) != 12 or spec[0] != DIRECTORY_SPEC_TAG:
-        raise ValueError("not a directory spec")
-    if spec[1] != DIRECTORY_SPEC_VERSION:
-        raise ValueError(f"unsupported directory spec version {spec[1]!r}")
-    (_tag, _ver, n, f, name, p, q, g, bits, sign_pks, enc_pks, session) = spec
-    params = GroupParams(name=name, p=p, q=q, g=g, security_bits=bits)
-    sign_group = SchnorrGroup(params)
-    pair_group = BilinearGroup(params.q, name=f"{params.name}-pair")
-    return PublicDirectory(
-        n=n,
-        f=f,
-        params=params,
-        sign_group=sign_group,
-        pair_group=pair_group,
-        sign_pks=tuple(sign_pks),
-        enc_pks=tuple(enc_pks),
-        session=session,
-    )
-
-
 class TrustedSetup:
     """Deterministic PKI generation for an ``n``-party system."""
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.crypto import pool
 from repro.crypto.hashing import hash_to_int
 from repro.crypto.pairing import BilinearGroup, GroupElement
 from repro.crypto.polynomial import (
@@ -134,19 +133,6 @@ class KZGSetup:
             "kzg-open", (commitment, index, value, opening), check
         )
 
-    def attach_pool(self, pool_verifier) -> None:
-        """Route this setup's openings through a process pool.
-
-        A worker cannot derive ``g^τ`` from the public directory, so it
-        rides along as a fixed extra task part (see
-        :meth:`~repro.crypto.verify_cache.VerifyCache.attach_pool`).
-        Only valid when this setup's group is the directory's pairing
-        group — the registered worker verifies in that group.
-        """
-        self.verify_cache.attach_pool(
-            pool_verifier, contexts={"kzg-open": (self.tau_point,)}
-        )
-
     # -- internals -------------------------------------------------------------------
 
     def _interpolate(self, values: Sequence[int]) -> Polynomial:
@@ -165,41 +151,3 @@ class KZGSetup:
         memo[key] = poly
         return poly
 
-
-# -- process-pool worker verifier (see repro.crypto.pool) ----------------------------
-#
-# Byte-level equivalent of KZGSetup.verify's memoized check: the task
-# carries ``g^τ`` as its last part (the one setup ingredient a worker
-# cannot rebuild from the directory), and the pairing equation
-# ``e(C·g^{-v}, g) == e(w, g^{τ-i})`` is phrased as the GT claim
-# ``1 == e(C·g^{-v}, g) · e(w^{-1}, g^{τ-i})`` for the aggregate path.
-
-
-def _kzg_claim(directory, parts: tuple):
-    commitment, index, value, opening, tau_point = parts
-    group = directory.pair_group
-    if not isinstance(opening, KZGOpening):
-        return None
-    if not isinstance(index, int) or not isinstance(value, int):
-        return None
-    if not group.is_element(commitment) or not group.is_element(opening.witness):
-        return None
-    if not group.is_element(tau_point):
-        return None
-    lhs_point = group.mul(commitment, group.inv(group.exp(group.g, value)))
-    shift = group.mul(tau_point, group.inv(group.exp(group.g, index)))
-    return (
-        group.identity("GT"),
-        ((lhs_point, group.g), (group.inv(opening.witness), shift)),
-    )
-
-
-def _pool_kzg_verify(directory, parts: tuple) -> bool:
-    claim = _kzg_claim(directory, parts)
-    if claim is None:
-        return False
-    lhs, pairs = claim
-    return lhs == directory.pair_group.multi(pairs)
-
-
-pool.register_worker("kzg-open", _pool_kzg_verify, aggregate=_kzg_claim)

@@ -125,8 +125,10 @@ class BilinearGroup:
         return GroupElement(KIND_GT, acc)
 
     def multi(self, pairs: Any) -> GroupElement:
-        """Alias for :meth:`multi_pair` — the batched-verifier entry point
-        the process-pool aggregation path (:mod:`repro.crypto.pool`) uses."""
+        """Alias for :meth:`multi_pair`."""
+        # Tombstone: nothing in the repo calls this; ``perf/trace.py`` (frozen)
+        # lists it in TARGETS and the perf tests fail on an unpatched target.
+        # Goes when the next benchmark PR drops it from TARGETS (ROADMAP).
         return self.multi_pair(pairs)
 
     def prod(self, elements: Any) -> GroupElement:

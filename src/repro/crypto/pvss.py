@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.crypto import nizk, pool, schnorr
+from repro.crypto import nizk, schnorr
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import PartySecret, PublicDirectory
 from repro.crypto.pairing import GroupElement
@@ -339,31 +339,3 @@ def _verify_sharing(
     )
     return lhs == rhs
 
-
-# -- process-pool worker verifiers (see repro.crypto.pool) ---------------------------
-#
-# The byte-level equivalents of verify_contribution / verify_transcript:
-# same pre-checks, same cache-free verification functions, applied to the
-# codec-decoded parts a worker receives.  ``demand=True``: these are the
-# heavyweight checks (SCRAPE + n-wide RLC pairing) worth a blocking
-# process round-trip on a cache miss.
-
-
-def _pool_verify_contribution(directory, parts: tuple) -> bool:
-    (contribution,) = parts
-    if not isinstance(contribution, PVSSContribution):
-        return False
-    return _verify_contribution(directory, contribution)
-
-
-def _pool_verify_transcript(directory, parts: tuple) -> bool:
-    transcript, min_contributors = parts
-    if not isinstance(transcript, PVSSTranscript):
-        return False
-    if not isinstance(min_contributors, int):
-        return False
-    return _verify_transcript(directory, transcript, min_contributors)
-
-
-pool.register_worker("pvss-contrib", _pool_verify_contribution, demand=True)
-pool.register_worker("pvss-transcript", _pool_verify_transcript, demand=True)

@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.crypto import pool
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import PartySecret, PublicDirectory
 from repro.crypto.pairing import GroupElement
@@ -193,94 +192,3 @@ def verify(
         "tsig-verify", (signature, message, transcript), check
     )
 
-
-# -- process-pool worker verifiers (see repro.crypto.pool) ---------------------------
-#
-# Byte-level equivalents of the memoized checks above, plus aggregate
-# builders: a share/signature check is one GT equation ``lhs == e(a, b)``,
-# so a worker can settle a whole batch with one RLC multi-pairing.
-
-
-def _share_claim(directory, parts: tuple):
-    share, message, transcript = parts
-    group = directory.pair_group
-    if not isinstance(share, SignatureShare):
-        return None
-    if not 0 <= share.party < directory.n:
-        return None
-    if not group.is_element(share.value, kind="GT"):
-        return None
-    if not isinstance(transcript, PVSSTranscript):
-        return None
-    point = _message_point(directory, message)
-    return share.value, ((point, transcript.share_commitment(share.party)),)
-
-
-def _pool_share_valid(directory, parts: tuple) -> bool:
-    claim = _share_claim(directory, parts)
-    if claim is None:
-        return False
-    lhs, ((point, commitment),) = claim
-    return lhs == directory.pair_group.pair(point, commitment)
-
-
-def _pool_batch_share_valid(directory, parts: tuple) -> bool:
-    shares, message, transcript = parts
-    if not isinstance(shares, tuple) or not isinstance(transcript, PVSSTranscript):
-        return False
-    group = directory.pair_group
-    items = list(shares)
-    if not items:
-        return True
-    for share in items:
-        if not isinstance(share, SignatureShare):
-            return False
-        if not 0 <= share.party < directory.n:
-            return False
-        if not group.is_element(share.value, kind="GT"):
-            return False
-    point = _message_point(directory, message)
-    seed = hash_bytes(
-        "tsig-batch",
-        directory.session,
-        tuple((s.party, group.encode_element(s.value)) for s in items),
-    )
-    rlc = random.Random(seed)
-    weights = [rlc.randrange(1, 1 << 128) for _ in items]
-    combined = group.prod(
-        group.exp(share.value, weight) for share, weight in zip(items, weights)
-    )
-    expected = group.pair(
-        point,
-        group.prod(
-            group.exp(transcript.share_commitment(share.party), weight)
-            for share, weight in zip(items, weights)
-        ),
-    )
-    return combined == expected
-
-
-def _signature_claim(directory, parts: tuple):
-    signature, message, transcript = parts
-    group = directory.pair_group
-    if not isinstance(signature, ThresholdSignature):
-        return None
-    if not group.is_element(signature.value, kind="GT"):
-        return None
-    if not isinstance(transcript, PVSSTranscript):
-        return None
-    point = _message_point(directory, message)
-    return signature.value, ((point, transcript.public_key),)
-
-
-def _pool_verify(directory, parts: tuple) -> bool:
-    claim = _signature_claim(directory, parts)
-    if claim is None:
-        return False
-    lhs, ((point, public_key),) = claim
-    return lhs == directory.pair_group.pair(point, public_key)
-
-
-pool.register_worker("tsig-share", _pool_share_valid, aggregate=_share_claim)
-pool.register_worker("tsig-batch", _pool_batch_share_valid)
-pool.register_worker("tsig-verify", _pool_verify, aggregate=_signature_claim)

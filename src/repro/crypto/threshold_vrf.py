@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.crypto import pool, pvss
+from repro.crypto import pvss
 from repro.crypto.hashing import hash_to_int
 from repro.crypto.keys import PartySecret, PublicDirectory
 from repro.crypto.pairing import GroupElement
@@ -194,36 +194,3 @@ def vrf_output(directory: PublicDirectory, evaluation: GroupElement) -> int:
     encoded = directory.pair_group.encode_element(evaluation)
     return hash_to_int("tvrf-out", 1 << VRF_OUTPUT_BITS, encoded)
 
-
-# -- process-pool worker verifier (see repro.crypto.pool) ----------------------------
-#
-# Byte-level equivalent of EvalShVerify's memoized check.  The ``party``
-# argument is recovered from ``share.party``: every EvalShVerify call
-# that reaches the cache has already enforced ``share.party == party``,
-# so the two formulations verify the same equation.
-
-
-def _evalsh_claim(directory: PublicDirectory, parts: tuple):
-    share, message, transcript = parts
-    group = directory.pair_group
-    if not isinstance(share, EvalShare):
-        return None
-    if not 0 <= share.party < directory.n:
-        return None
-    if not group.is_element(share.value, kind="GT"):
-        return None
-    if not isinstance(transcript, pvss.PVSSTranscript):
-        return None
-    point = _message_point(directory, message)
-    return share.value, ((point, transcript.share_commitment(share.party)),)
-
-
-def _pool_evalsh_verify(directory: PublicDirectory, parts: tuple) -> bool:
-    claim = _evalsh_claim(directory, parts)
-    if claim is None:
-        return False
-    lhs, ((point, commitment),) = claim
-    return lhs == directory.pair_group.pair(point, commitment)
-
-
-pool.register_worker("tvrf-evalsh", _pool_evalsh_verify, aggregate=_evalsh_claim)

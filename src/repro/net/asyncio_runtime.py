@@ -48,7 +48,6 @@ class AsyncioRuntime(RealtimeTransport):
         seed: int = 0,
         measure_bytes: bool = False,
         batching: bool = True,
-        workers: int = 0,
         chaos=None,
         shards=None,
     ) -> None:
@@ -59,7 +58,6 @@ class AsyncioRuntime(RealtimeTransport):
             rng_namespace="asyncio-runtime",
             measure_bytes=measure_bytes,
             batching=batching,
-            workers=workers,
             chaos=chaos,
             shards=shards,
         )
@@ -74,8 +72,6 @@ class AsyncioRuntime(RealtimeTransport):
 
     async def _deliver_later(self, envelope: Envelope) -> None:
         await asyncio.sleep(self._delay_rng.uniform(0.0, self.max_delay))
-        if self.pool is not None:
-            self._preverify_batch((envelope,))
         self._deliver_envelope(envelope)
 
     def _transmit_coalesced(self, batch: list) -> None:
@@ -103,8 +99,6 @@ class AsyncioRuntime(RealtimeTransport):
 
     async def _deliver_batch_later(self, envelopes: list[Envelope]) -> None:
         await asyncio.sleep(self._delay_rng.uniform(0.0, self.max_delay))
-        if self.pool is not None:
-            self._preverify_batch(envelopes)
         for envelope in envelopes:
             self._deliver_buffered(envelope)
         self._flush_coalesced()

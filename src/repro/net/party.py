@@ -389,31 +389,6 @@ class Party:
             instance.on_message(envelope.sender, envelope.payload)
         state.conditions.run_to_fixpoint()
 
-    def preverify(self, envelope: Envelope) -> tuple:
-        """``(domain, parts)`` speculation tasks for an about-to-arrive envelope.
-
-        Called by the transports on each envelope of a just-received
-        frame, before :meth:`deliver` runs.  Routing mirrors
-        :meth:`deliver` — halted party, collected session, and unroutable
-        paths yield nothing — and a spawned instance is consulted for its
-        own :meth:`~repro.net.protocol.Protocol.preverify` (it may hold
-        context the payload lacks).  Strictly advisory: any error makes
-        the envelope non-speculable, never undeliverable.
-        """
-        if self.halted or self._directory is None:
-            return ()
-        state = self.sessions.peek(envelope.session)
-        try:
-            if state is not None:
-                if state.collected:
-                    return ()
-                instance = state.instances.get(envelope.path)
-                if instance is not None:
-                    return tuple(instance.preverify(envelope.sender, envelope.payload))
-            return tuple(envelope.payload.verify_tasks(self._directory))
-        except Exception:
-            return ()
-
     def sweep_conditions(self) -> None:
         for state in self.sessions:
             if not state.collected:

@@ -30,20 +30,6 @@ class Payload:
     def type_name(self) -> str:
         return type(self).__name__
 
-    def verify_tasks(self, directory: Any) -> tuple:
-        """``(domain, parts)`` verification tasks this payload will trigger.
-
-        The speculative pre-verification plane (DESIGN §10) asks every
-        payload of a just-arrived frame for the checks the protocol is
-        about to run on it, and submits them to the process pool before
-        the state machine activates.  The default is "nothing to
-        pre-verify"; payload types carrying heavyweight proofs override
-        it.  Purely advisory: a wrong or missing answer costs speculation
-        efficiency, never correctness — the protocol's own check remains
-        the authority.
-        """
-        return ()
-
 
 def words_of(value: Any) -> int:
     """Word size of a nested protocol value.

@@ -94,20 +94,6 @@ class Protocol:
     def on_sub_output(self, name: Any, value: Any) -> None:
         """Called when child instance ``name`` outputs ``value``."""
 
-    def preverify(self, sender: int, payload: Payload) -> tuple:
-        """``(domain, parts)`` tasks to speculatively pre-verify for ``payload``.
-
-        Consulted by :meth:`repro.net.party.Party.preverify` when a frame
-        arrives for this instance, *before* :meth:`on_message` runs.
-        Defaults to the payload's own :meth:`~repro.net.payload.Payload.
-        verify_tasks`; override when the instance holds context the
-        payload alone lacks (e.g. which transcript an evaluation share
-        will be checked against).  Must be side-effect free on protocol
-        state and consume no protocol randomness.
-        """
-        del sender
-        return payload.verify_tasks(self.directory)
-
     # -- identity ------------------------------------------------------------------
 
     @property

@@ -72,7 +72,6 @@ class Simulation(Transport):
         seed: int = 0,
         measure_bytes: bool = False,
         batching: bool = True,
-        workers: int = 0,
         chaos: Any = None,
         shards: Any = None,
     ) -> None:
@@ -83,7 +82,6 @@ class Simulation(Transport):
             rng_namespace="simulation",
             measure_bytes=measure_bytes,
             batching=batching,
-            workers=workers,
             chaos=chaos,
             shards=shards,
         )
@@ -153,11 +151,7 @@ class Simulation(Transport):
         self.time = when
         if type(entry) is not list:
             return entry
-        # A coalesced batch arrives at its recipients as one event:
-        # pre-verify the whole batch before the first state machine
-        # activates so workers overlap the deliveries (DESIGN §10).
-        if self.pool is not None:
-            self._preverify_batch(entry)
+        # A coalesced batch arrives at its recipients as one event.
         ready = self._ready
         ready.extend(entry)
         return ready.popleft()

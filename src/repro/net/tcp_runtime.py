@@ -129,7 +129,6 @@ class TCPRuntime(RealtimeTransport):
         measure_bytes: bool = True,
         batching: bool = True,
         send_queue_cap: int = 1024,
-        workers: int = 0,
         chaos: Any = None,
         heartbeat_interval: float = 1.0,
         reconnect_base: float = 0.05,
@@ -160,7 +159,6 @@ class TCPRuntime(RealtimeTransport):
             rng_namespace="tcp-runtime",
             measure_bytes=True,
             batching=batching,
-            workers=workers,
             chaos=chaos,
             shards=shards,
         )
@@ -508,7 +506,6 @@ class TCPRuntime(RealtimeTransport):
                 except codec.CodecError:
                     self.rejected_frames += 1
                     continue
-                valid: list[Envelope] = []
                 for envelope in envelopes:
                     if (
                         not self._wire_accepts(envelope, party)
@@ -516,12 +513,6 @@ class TCPRuntime(RealtimeTransport):
                     ):
                         self.rejected_frames += 1
                         continue
-                    valid.append(envelope)
-                # Pre-verify the whole frame before any state machine
-                # activates, so deliveries overlap the pool workers.
-                if self.pool is not None and valid:
-                    self._preverify_batch(valid)
-                for envelope in valid:
                     self._deliver_buffered(envelope)
                 # One flush for the whole frame: the activations it
                 # triggered coalesce into shared outgoing frames.

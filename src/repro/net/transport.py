@@ -100,7 +100,6 @@ class Transport:
         rng_namespace: str = "transport",
         measure_bytes: bool = False,
         batching: bool = True,
-        workers: int = 0,
         chaos: Any = None,
         shards: Any = None,
     ) -> None:
@@ -125,11 +124,6 @@ class Transport:
             if chaos is not None:
                 raise ValueError(
                     "the chaos plane is not supported in sharded mode"
-                )
-            if workers:
-                raise ValueError(
-                    "the verify pool binds one directory; sharded runs "
-                    "parallelize per group (ShardExecutor), not per verify"
                 )
             for expected, group in enumerate(self.shards):
                 if group.gid != expected:
@@ -182,18 +176,6 @@ class Transport:
             self._bind_work_counters_sharded()
         else:
             self._bind_work_counters(directory)
-        #: Process-pool verification plane (DESIGN §10).  ``workers=0``
-        #: is the inline reference plane — verdicts, word/byte totals and
-        #: agreement results are byte-identical with any worker count;
-        #: the pool only moves *where* verification compute runs.
-        self.workers = int(workers or 0)
-        self.pool = None
-        if self.workers > 0:
-            from repro.crypto.pool import PoolVerifier
-
-            self.pool = PoolVerifier(self.workers, directory)
-            directory.verify_cache.attach_pool(self.pool)
-            self.metrics.attach_counters("pool", self.pool.counters)
         self.dropped_sends = 0
         self.seed = seed
         self._adv_rng = random.Random(f"{rng_namespace}-adv-{seed}")
@@ -282,9 +264,6 @@ class Transport:
         """
         from repro.net.metrics import counter_delta
 
-        # Snapshots, not the live stats mapping: pool completion
-        # callbacks mutate the cache's counters from executor threads,
-        # and ``snapshot()`` copies them under the cache lock.
         verify_cache = directory.verify_cache
         verify_base = _Counter(verify_cache.snapshot())
         encode_base = _Counter(codec.encode_stats)
@@ -365,40 +344,6 @@ class Transport:
         if buffered:
             counters["buffered"] = buffered
         return counters
-
-    # -- parallel crypto plane ---------------------------------------------------------
-
-    def shutdown_workers(self) -> None:
-        """Detach the verification pool (idempotent; shared executor stays warm)."""
-        if self.pool is not None:
-            self.setup.directory.verify_cache.detach_pool()
-            self.pool.close()
-            self.pool = None
-
-    def _preverify_batch(self, envelopes: Any) -> int:
-        """Speculatively submit a delivery batch's verification tasks.
-
-        Asks each recipient party which ``(domain, parts)`` checks the
-        buffered envelopes will trigger (:meth:`Party.preverify`) and
-        hands them to the pool via ``VerifyCache.speculate`` *before* the
-        protocol state machines activate, so ``deliver()`` usually finds
-        the verdict settled.  A no-op on the inline plane and after a
-        pool break; purely advisory either way — verdicts, counters and
-        agreement results are unchanged, only wall-clock moves.
-        """
-        pool = self.pool
-        if pool is None or pool.broken:
-            return 0
-        tasks: list = []
-        parties = self.parties
-        n = self.n
-        for envelope in envelopes:
-            recipient = envelope.recipient
-            if 0 <= recipient < n:
-                tasks.extend(parties[recipient].preverify(envelope))
-        if not tasks:
-            return 0
-        return self.setup.directory.verify_cache.speculate(tasks)
 
     # -- sharded routing ---------------------------------------------------------------
     #
@@ -1114,7 +1059,6 @@ class RealtimeTransport(Transport):
         rng_namespace: str = "realtime",
         measure_bytes: bool = False,
         batching: bool = True,
-        workers: int = 0,
         chaos: Any = None,
         shards: Any = None,
     ) -> None:
@@ -1125,7 +1069,6 @@ class RealtimeTransport(Transport):
             rng_namespace=rng_namespace,
             measure_bytes=measure_bytes,
             batching=batching,
-            workers=workers,
             chaos=chaos,
             shards=shards,
         )

@@ -15,10 +15,10 @@ Three execution modes, one invariant.  The same groups can run
 * ``sequential`` — each group solo on its own transport, one after the
   other (the single-core reference);
 * ``process`` — each group solo inside a worker process
-  (:class:`ShardExecutor`, fork-context pool with the byte-only boundary
-  discipline of :mod:`repro.crypto.pool`: codec-encoded group configs
-  in, codec-encoded results/metrics out, inline fallback on a broken
-  pool), so k groups use k cores.
+  (:class:`ShardExecutor`, a fork-context pool with a byte-only
+  boundary: codec-encoded group configs in, codec-encoded
+  results/metrics out, inline fallback on a broken pool), so k groups
+  use k cores.
 
 and the per-group protocol word/byte totals, verify-counter deltas,
 group keys and beacon values are **byte-identical** across all three —
@@ -516,9 +516,8 @@ def _warm() -> bool:
 def _get_executor(workers: int) -> ProcessPoolExecutor:
     """The module-wide shard executor, grown (never shrunk) to ``workers``.
 
-    Mirrors :mod:`repro.crypto.pool`'s discipline: fork context where
-    available, shared across :class:`ShardExecutor` instances so repeated
-    runs pay the fork cost once, warmed at creation.
+    Fork context where available, shared across :class:`ShardExecutor`
+    instances so repeated runs pay the fork cost once, warmed at creation.
     """
     global _EXECUTOR, _EXECUTOR_SIZE
     with _EXECUTOR_LOCK:
@@ -553,9 +552,9 @@ def shutdown_shard_executor() -> None:
 def _shard_worker(blob: bytes) -> bytes:
     """Worker entry: codec-encoded config in, codec-encoded result out.
 
-    Bytes are the only thing crossing the boundary in either direction —
-    the same discipline as the verification pool: no live objects, no key
-    material (the worker re-derives the group from the seed).
+    Bytes are the only thing crossing the boundary in either direction:
+    no live objects, no key material (the worker re-derives the group
+    from the seed).
     """
     from repro.net import codec
 

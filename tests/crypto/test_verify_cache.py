@@ -7,11 +7,13 @@ with even one mutated byte can never inherit the unmutated original's
 (lack of) merits.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.crypto import pvss, threshold_vrf as tvrf
+from repro.core import certificates as certs
+from repro.crypto import kzg, pvss, threshold_sig as tsig, threshold_vrf as tvrf
 from repro.crypto.keys import TrustedSetup
 from repro.crypto.verify_cache import IdentityMemo, VerifyCache, content_digest
 from repro.net import codec
@@ -162,3 +164,109 @@ def test_verdicts_do_not_leak_across_directories():
     # b has different keys: the same transcript must fail there, even
     # though a's cache holds a True verdict for these bytes.
     assert not tvrf.DKGVerify(b.directory, transcript)
+
+
+# -- the Byzantine case matrix, against the public (memoized) verifiers -----------------
+
+
+def _first_share_moved(directory, cipher_shares):
+    """The shares with the first one moved off the committed polynomial."""
+    group = directory.pair_group
+    return (group.mul(cipher_shares[0], group.g), *cipher_shares[1:])
+
+
+def _byzantine_matrix(setup):
+    """``(label, verdict, check, *args)`` rows: every memoized domain on a
+    valid input and on the mutations a Byzantine sender can make to it."""
+    directory = setup.directory
+    n = directory.n
+    transcript = _transcript(setup)
+    floor = 2 * directory.f + 1
+
+    contribution = pvss.deal(directory, setup.secret(0), random.Random(7))
+    bad_contribution = dataclasses.replace(
+        contribution,
+        cipher_shares=_first_share_moved(directory, contribution.cipher_shares),
+    )
+    bad_transcript = dataclasses.replace(
+        transcript,
+        cipher_shares=_first_share_moved(directory, transcript.cipher_shares),
+    )
+
+    message, other_message = ("beacon", 3), ("beacon", 4)
+    shares = tuple(
+        tsig.sign_share(directory, setup.secret(i), transcript, message)
+        for i in range(n)
+    )
+    share = shares[1]
+    misattributed = dataclasses.replace(share, party=2)
+    signature = tsig.combine(directory, transcript, message, shares)
+
+    evalsh = tvrf.EvalSh(directory, setup.secret(2), transcript, message)
+    relabelled = dataclasses.replace(evalsh, party=0)
+
+    echo, key = certs.KIND_ECHO, certs.KIND_KEY
+    vote = certs.make_vote(directory, setup.secret(0), echo, "v", 1)
+    quorum_votes = tuple(
+        certs.make_vote(directory, setup.secret(i), echo, "v", 1)
+        for i in range(directory.quorum)
+    )
+
+    kset = kzg.KZGSetup.from_seed(directory.pair_group, 4, "byzantine-matrix")
+    values = [5, 9, 2, 7]
+    commitment = kset.commit(values)
+    opening = kset.open_at(values, 1)
+
+    d = directory
+    return [
+        ("contribution", True, pvss.verify_contribution, d, contribution),
+        ("contribution: cipher share off the polynomial", False,
+            pvss.verify_contribution, d, bad_contribution),
+        ("transcript", True, pvss.verify_transcript, d, transcript, floor),
+        ("transcript: cipher share off the polynomial", False,
+            pvss.verify_transcript, d, bad_transcript, floor),
+        ("transcript: inflated contributor floor", False,
+            pvss.verify_transcript, d, transcript, n + 1),
+        ("sig share", True, tsig.share_valid, d, transcript, message, share),
+        ("sig share: wrong signer index", False,
+            tsig.share_valid, d, transcript, message, misattributed),
+        ("sig share: replayed under another message", False,
+            tsig.share_valid, d, transcript, other_message, share),
+        ("sig batch", True, tsig.batch_share_valid, d, transcript, message, shares),
+        ("sig batch: one wrong signer index", False, tsig.batch_share_valid,
+            d, transcript, message, (misattributed, *shares[2:])),
+        ("signature", True, tsig.verify, d, transcript, message, signature),
+        ("signature: replayed under another message", False,
+            tsig.verify, d, transcript, other_message, signature),
+        ("eval share", True, tvrf.EvalShVerify, d, transcript, 2, message, evalsh),
+        ("eval share: wrong signer index", False,
+            tvrf.EvalShVerify, d, transcript, 0, message, relabelled),
+        ("vote", True, certs.vote_valid, d, vote, echo, "v", 1),
+        ("vote: replayed under another view", False,
+            certs.vote_valid, d, vote, echo, "v", 2),
+        ("vote: replayed under another kind", False,
+            certs.vote_valid, d, vote, key, "v", 1),
+        ("vote: replayed under another value", False,
+            certs.vote_valid, d, vote, echo, "other-value", 1),
+        ("certificate", True, certs.certificate_valid, d, quorum_votes, echo, "v", 1),
+        ("certificate: short quorum", False,
+            certs.certificate_valid, d, quorum_votes[:-1], echo, "v", 1),
+        ("certificate: replayed under another view", False,
+            certs.certificate_valid, d, quorum_votes, echo, "v", 2),
+        ("kzg opening", True, kset.verify, commitment, 1, values[1], opening),
+        ("kzg opening: replayed at another index", False,
+            kset.verify, commitment, 2, values[1], opening),
+        ("kzg opening: replayed at another value", False,
+            kset.verify, commitment, 1, values[1] + 1, opening),
+    ]
+
+
+def test_public_verifiers_on_the_byzantine_case_matrix(setup):
+    """Each verdict is right on first sight and again once cached, and a
+    mutated input's ``False`` never displaces its valid neighbour's ``True``
+    (the rows share one directory, hence one cache)."""
+    rows = _byzantine_matrix(setup)
+    assert len(rows) == 24
+    for _round in range(2):
+        for label, verdict, check, *args in rows:
+            assert check(*args) is verdict, label

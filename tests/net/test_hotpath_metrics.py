@@ -8,7 +8,10 @@ counters — is identical whether envelopes moved by reference through the
 simulator or as codec frames over real TCP sockets.
 """
 
+import pytest
+
 from repro import run_adkg
+from repro.crypto.keys import TrustedSetup
 
 
 def _verify_counters(result) -> dict:
@@ -67,3 +70,24 @@ def test_pairing_ops_scale_with_distinct_values_not_echoes():
     requests = sum(v for k, v in verify.items() if k.endswith(".calls"))
     assert pairing["pair_calls"] <= 4 * distinct
     assert pairing["pair_calls"] < requests
+
+
+# -- one crypto plane: verification runs in-process, nothing selects otherwise --------
+
+
+def test_run_adkg_workers_keyword_accepts_only_zero():
+    with pytest.raises(ValueError, match="workers"):
+        run_adkg(n=4, seed=1, workers=2)
+    for workers in (0, None):
+        result = run_adkg(n=4, seed=1, workers=workers)
+        assert result.agreed
+        assert "pool" not in result.metrics_summary["counters"]
+
+
+def test_verify_cache_emits_only_the_four_inline_counters():
+    setup = TrustedSetup.generate(4, seed=1)
+    assert run_adkg(n=4, seed=1, setup=setup).agreed
+    snapshot = setup.directory.verify_cache.snapshot()
+    assert snapshot
+    suffixes = {key.rsplit(".", 1)[1] for key in snapshot}
+    assert suffixes <= {"calls", "hits", "misses", "uncacheable"}

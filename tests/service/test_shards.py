@@ -275,8 +275,6 @@ def test_sharded_transport_rejects_unsupported_features():
         Simulation(None, behaviors={0: object()}, seed=0, shards=groups)
     with pytest.raises(ValueError, match="chaos"):
         Simulation(None, seed=0, shards=groups, chaos=object())
-    with pytest.raises(ValueError, match="verify pool"):
-        Simulation(None, seed=0, shards=groups, workers=2)
     with pytest.raises(ValueError, match="contiguous"):
         Simulation(None, seed=0, shards=groups[::-1])
 
