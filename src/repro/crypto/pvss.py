@@ -300,11 +300,9 @@ def _verify_sharing(
         if not sig_ok:
             return False
     # SCRAPE low-degree test in the exponent (Fiat-Shamir derandomized).
-    seed = hash_bytes(
-        "pvss-scrape",
-        directory.session,
-        tuple(group.encode_element(a) for a in commitments),
-    )
+    # Both Fiat-Shamir seeds below bind the commitments: encode them once.
+    encoded_commitments = tuple(group.encode_element(a) for a in commitments)
+    seed = hash_bytes("pvss-scrape", directory.session, encoded_commitments)
     duals = scrape_coefficients(
         field, list(range(n + 1)), directory.f, random.Random(seed)
     )
@@ -323,7 +321,7 @@ def _verify_sharing(
         "pvss-rlc",
         directory.session,
         tuple(group.encode_element(s) for s in cipher_shares),
-        tuple(group.encode_element(a) for a in commitments),
+        encoded_commitments,
     )
     rlc = random.Random(rlc_seed)
     weights = [rlc.randrange(1, 1 << 128) for _ in range(n)]

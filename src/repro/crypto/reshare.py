@@ -310,11 +310,9 @@ def _verify_resharing(
     group = directory.pair_group
     field = group.scalar_field
     n = directory.n
-    seed = hash_bytes(
-        "reshare-scrape",
-        directory.session,
-        tuple(group.encode_element(b) for b in commitments),
-    )
+    # Both Fiat-Shamir seeds below bind the commitments: encode them once.
+    encoded_commitments = tuple(group.encode_element(b) for b in commitments)
+    seed = hash_bytes("reshare-scrape", directory.session, encoded_commitments)
     duals = scrape_coefficients(
         field, list(range(n + 1)), directory.f, random.Random(seed)
     )
@@ -328,7 +326,7 @@ def _verify_resharing(
         "reshare-rlc",
         directory.session,
         tuple(group.encode_element(d) for d in cipher_deltas),
-        tuple(group.encode_element(b) for b in commitments),
+        encoded_commitments,
     )
     rlc = random.Random(rlc_seed)
     weights = [rlc.randrange(1, 1 << 128) for _ in range(n)]

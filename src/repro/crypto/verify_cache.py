@@ -25,8 +25,12 @@ directory and therefore the cache; the ``*.misses`` counter is exactly
 ``perf.run`` reports as ``crypto.verify_cache.misses``.
 
 Identity memoization (:class:`IdentityMemo`) is a second, cheaper layer:
-it maps a *specific object* to a derived value (its canonical digest, its
-encoded bytes).  It assumes the object is immutable — true for the frozen
+it maps a *specific object* to a derived value — a verdict under a
+context (:meth:`VerifyCache.identity_memoize`), or the object's encoded
+bytes (the codec's one struct-bytes memo, which serves payloads and the
+crypto aggregates inside them, so a cache key for an already-encoded
+transcript is one SHA-256 over cached bytes and needs no digest memo of
+its own).  It assumes the object is immutable — true for the frozen
 dataclasses that cross the wire — and is keyed by ``id`` with a weakref
 guard, so a different (e.g. attacker-rebuilt) object never inherits the
 original's entry.
@@ -61,6 +65,10 @@ class IdentityMemo:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def clear(self) -> None:
+        """Forget everything (a cold start; entries rebuild on demand)."""
+        self._entries.clear()
+
     def get(self, obj: Any) -> Optional[Any]:
         entry = self._entries.get(id(obj))
         if entry is not None and entry[0]() is obj:
@@ -74,11 +82,6 @@ class IdentityMemo:
         except TypeError:
             return  # ints, tuples, ... — not weakref-able, not worth memoizing
         self._entries[oid] = (ref, value)
-
-
-#: Process-wide digest memo: object identity -> canonical content digest.
-#: Safe to share across runs because a digest depends only on the value.
-_digest_memo = IdentityMemo()
 
 
 def content_encoding(value: Any) -> Optional[bytes]:
@@ -96,20 +99,17 @@ def content_encoding(value: Any) -> Optional[bytes]:
 
 
 def content_digest(value: Any) -> Optional[bytes]:
-    """SHA-256 of ``value``'s canonical codec bytes (identity-memoized).
+    """SHA-256 of ``value``'s canonical codec bytes.
 
     Returns ``None`` when the codec cannot encode the value; callers must
-    then treat the value as uncacheable.
+    then treat the value as uncacheable.  Not memoized here: the codec
+    already keeps the bytes of every payload and crypto aggregate by
+    identity, so a repeat costs one hash over cached bytes.
     """
-    cached = _digest_memo.get(value)
-    if cached is not None:
-        return cached
     encoded = content_encoding(value)
     if encoded is None:
         return None
-    digest = hashlib.sha256(encoded).digest()
-    _digest_memo.put(value, digest)
-    return digest
+    return hashlib.sha256(encoded).digest()
 
 
 def _part_key(part: Any) -> Optional[Any]:

@@ -118,19 +118,43 @@ HEARTBEAT_MAGIC = 0xE7
 #: Heartbeat frame format version (second body byte).
 HEARTBEAT_VERSION = 0x01
 
-#: Encode-once fan-out accounting: ``payload.calls`` counts every payload
-#: struct encoding request, ``payload.hits`` the ones served from the
-#: identity memo (a broadcast encodes its payload once, then reuses the
-#: buffer for all n recipients), ``payload.misses`` the real encodings.
+#: Encode-once accounting: ``payload.calls`` counts every payload struct
+#: encoding request, ``payload.hits`` the ones served from the identity
+#: memo (a broadcast encodes its payload once, then reuses the buffer for
+#: all n recipients), ``payload.misses`` the real encodings.  These three
+#: count *payloads only*; the crypto aggregates nested inside them (and
+#: inside snapshots, RBC values and verify-cache keys) count under
+#: ``aggregate.calls/hits/misses`` — a miss is one field-by-field walk of
+#: an aggregate, a hit is one walk saved.
 encode_stats: Counter = Counter()
+_PAYLOAD_STATS = ("payload.calls", "payload.hits", "payload.misses")
+_AGGREGATE_STATS = ("aggregate.calls", "aggregate.hits", "aggregate.misses")
 
-# Payload bytes keyed by object identity (weakref-guarded).  Sound
-# because payloads are frozen value dataclasses: a distinct (e.g.
-# Byzantine-transformed) payload is a distinct object and never aliases a
-# memoized buffer.  Process-wide is safe for the same reason — bytes are
-# a pure function of the value.
+# Struct bytes keyed by object identity (weakref-guarded): the one memo
+# behind "encode a frozen value once".  Sound because every type it
+# serves is a frozen value dataclass: a distinct (e.g. Byzantine-
+# transformed) value is a distinct object and never aliases a memoized
+# buffer.  Process-wide is safe for the same reason — bytes are a pure
+# function of the value.  An entry dies with its object.
 _payload_memo = IdentityMemo()
+# Served type set 1 — every registered ``Payload`` subclass (added by
+# :func:`register`): the multicast fan-out unit, one frozen object
+# addressed to all n recipients.
 _memoized_types: set[type] = set()
+# Served type set 2 — the frozen crypto *aggregates* payloads carry by
+# reference (filled by :func:`_register_builtins`).  Inclusion rule: a
+# registered frozen non-payload struct with a variable-length
+# tuple-of-registered-struct field (so O(n) to walk) that protocol state
+# holds many references to — the same transcript object sits in Gather
+# sets, PE proposals, NWH key/lock/suggest records and RBC values, and
+# ``Party.freeze`` meets every one of those references on every
+# checkpoint.  Fixed-width leaves (``GroupElement``, ``Signature``,
+# ``DlogProof``, ``ContributorTag``, ``KeyTuple``, ``SignedVote``,
+# ``EvalShare``) stay out: they cost about as much to walk as to look
+# up, and memoizing them measured no gain for thousands of extra
+# entries (DESIGN §4).  An aggregate enters the memo only if its
+# sequence fields are real tuples — see :func:`_payload_struct_bytes`.
+_aggregate_memoized_types: set[type] = set()
 
 # Envelope instance paths, interned both ways in one table under one
 # bound: ``path tuple -> its encoding`` for the encoder and ``encoding ->
@@ -376,6 +400,8 @@ def _encode_items(out: bytearray, items: Any) -> None:
                 encoder(out, value)
             elif kind in _memoized_types:
                 out += _payload_struct_bytes(value)
+            elif kind in _aggregate_memoized_types:
+                out += _payload_struct_bytes(value, _AGGREGATE_STATS)
             elif kind is _envelope_type:
                 path, *routing = entry[3](value)
                 out += entry[2]
@@ -443,29 +469,39 @@ _BUILTIN_ENCODERS: dict[type, Callable[[bytearray, Any], None]] = {
 }
 
 
-def _payload_struct_bytes(value: Any, count: bool = True) -> bytes:
-    """The identity-memoized struct encoding of a fan-out payload.
+def _payload_struct_bytes(
+    value: Any, stats: Optional[tuple[str, str, str]] = _PAYLOAD_STATS
+) -> bytes:
+    """The identity-memoized struct encoding of a payload or an aggregate.
 
-    The caller must have checked ``type(value) in _memoized_types``.
-    ``count=False`` fetches without touching :data:`encode_stats` —
-    wire-layer *reuse* of already-produced bytes (batch assembly, size
-    accounting of built frames) must not distort the encode-once
-    counters the perf harness asserts on.
+    The caller must have checked that ``type(value)`` is in one of the
+    two served type sets.  ``stats`` names the calls/hits/misses keys of
+    :data:`encode_stats` to count under; ``None`` fetches without
+    counting — wire-layer *reuse* of already-produced bytes (batch
+    assembly, size accounting of built frames) must not distort the
+    encode-once counters the perf harness asserts on.
+
+    A value whose tuple-annotated fields are not all real tuples (a
+    list smuggled in by an in-process adversary, who could mutate it
+    after this first encoding) is encoded but never enters the memo.
     """
-    if count:
-        encode_stats["payload.calls"] += 1
+    if stats:
+        encode_stats[stats[0]] += 1
     cached = _payload_memo.get(value)
     if cached is not None:
-        if count:
-            encode_stats["payload.hits"] += 1
+        if stats:
+            encode_stats[stats[1]] += 1
         return cached
-    if count:
-        encode_stats["payload.misses"] += 1
-    _type_id, _fields, header, getter = _by_type[type(value)]
+    if stats:
+        encode_stats[stats[2]] += 1
+    type_id, _fields, header, getter = _by_type[type(value)]
+    members = getter(value)
     chunk = bytearray(header)
-    _encode_items(chunk, getter(value))
+    _encode_items(chunk, members)
     buffer = bytes(chunk)
-    _payload_memo.put(value, buffer)
+    checkers = _by_id[type_id][2]
+    if all(type(m) is tuple for m, c in zip(members, checkers) if c is tuple):
+        _payload_memo.put(value, buffer)
     return buffer
 
 
@@ -820,7 +856,7 @@ def encoded_envelope_size(envelope: Any) -> int:
 def _batch_payload_bytes(payload: Any) -> bytes:
     """One payload's encoding for batch assembly (never counts stats)."""
     if type(payload) in _memoized_types:
-        return _payload_struct_bytes(payload, count=False)
+        return _payload_struct_bytes(payload, None)
     return encode(payload)
 
 
@@ -1209,3 +1245,16 @@ def _register_builtins() -> None:
     register(CoinShareMsg, 82)
     register(Decided, 83)
     register(ReshareDealingMsg, 84)
+    # The aggregates of the inclusion rule above.  ``ScalarDealing`` has
+    # the shape too but only the baseline scalar PVSS builds it: no
+    # payload or protocol state carries one, so there is nothing to reuse.
+    _aggregate_memoized_types.update(
+        (
+            PVSSContribution,
+            PVSSTranscript,
+            HandoffSpec,
+            ReshareDealing,
+            ReshareBundle,
+            ReshareTranscript,
+        )
+    )

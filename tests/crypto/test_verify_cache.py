@@ -156,6 +156,36 @@ def test_mutated_contribution_rejected_under_memoization(setup):
     assert pvss.verify_contribution(directory, contribution)
 
 
+def test_field_mutated_copy_of_an_encoded_verified_transcript_starts_from_nothing(setup):
+    """The codec keeps an aggregate's bytes by identity.  A copy with one
+    share moved is another object: it inherits neither the bytes nor the
+    verdict of the original it was made from, and disturbs neither."""
+    directory = setup.directory
+    transcript = _transcript(setup)
+    floor = 2 * directory.f + 1
+    encoded = codec.encode(transcript)  # bytes memoized ...
+    assert pvss.verify_transcript(directory, transcript, floor)  # ... and verdict
+    stats = directory.verify_cache.stats
+    misses = stats["pvss-transcript.misses"]
+
+    moved = dataclasses.replace(
+        transcript,
+        cipher_shares=_first_share_moved(directory, transcript.cipher_shares),
+    )
+    assert codec.encode(moved) != encoded
+    assert content_digest(moved) != content_digest(transcript)
+    assert not pvss.verify_transcript(directory, moved, floor)
+    assert stats["pvss-transcript.misses"] == misses + 1
+
+    # A field-equal fresh copy is the other direction: different object,
+    # same bytes, so it finds the original's verdict by content.
+    equal = dataclasses.replace(transcript)
+    assert equal is not transcript and codec.encode(equal) == encoded
+    assert pvss.verify_transcript(directory, equal, floor)
+    assert stats["pvss-transcript.misses"] == misses + 1
+    assert codec.encode(transcript) == encoded
+
+
 def test_verdicts_do_not_leak_across_directories():
     a = TrustedSetup.generate(4, seed=1)
     b = TrustedSetup.generate(4, seed=2)

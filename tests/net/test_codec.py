@@ -514,6 +514,70 @@ def test_golden_wire_vectors(setup, transcript):
         assert decoder(wire) == value, name
 
 
+# -- encode-once aggregates ------------------------------------------------------------
+
+AGGREGATES = (
+    pvss.PVSSContribution,
+    pvss.PVSSTranscript,
+    reshare.HandoffSpec,
+    reshare.ReshareDealing,
+    reshare.ReshareBundle,
+    reshare.ReshareTranscript,
+)
+
+
+def test_aggregate_bytes_are_the_same_cold_and_warm(setup, transcript):
+    """A memo miss and a memo hit produce the golden bytes, alone and
+    nested in a container; only the miss walks the aggregate."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    samples = _sample_values(setup, transcript)
+    ids = codec.registered_types()
+    assert set(AGGREGATES) == codec._aggregate_memoized_types
+    stats = codec.encode_stats
+    for cls in AGGREGATES:
+        value = samples[cls]
+        wire = bytes.fromhex(golden[f"{ids[cls]:02d}-{cls.__name__}"])
+        codec._payload_memo.clear()
+        assert codec.encode(value) == wire, cls  # cold: walked
+        calls, misses = stats["aggregate.calls"], stats["aggregate.misses"]
+        assert codec.encode(value) == wire, cls  # warm: cached bytes
+        assert codec.encode((value, [value]))[2 : 2 + len(wire)] == wire
+        assert stats["aggregate.calls"] == calls + 3
+        assert stats["aggregate.misses"] == misses
+        # Leaves are not memoized: they cost a lookup to walk.
+        assert codec._payload_memo.get(samples[pvss.ContributorTag]) is None
+
+
+def test_a_field_equal_fresh_copy_encodes_to_identical_bytes(transcript):
+    """Memo miss ≡ memo hit: identity decides who walks, never the bytes."""
+    warm = codec.encode(transcript)
+    for copy in (
+        pvss.PVSSTranscript(
+            transcript.commitments, transcript.cipher_shares, transcript.tags
+        ),
+        codec.decode(warm),
+    ):
+        assert copy is not transcript and codec._payload_memo.get(copy) is None
+        assert codec.encode(copy) == warm
+
+
+def test_an_aggregate_with_a_list_field_is_never_memoized(transcript):
+    """A list in a sequence field could be mutated after the first encode
+    (an in-process adversary): such a value is encoded, never cached."""
+    listy = pvss.PVSSTranscript(
+        transcript.commitments, list(transcript.cipher_shares), transcript.tags
+    )
+    first = codec.encode(listy)
+    assert first != codec.encode(transcript)  # a list is tagged as a list
+    assert codec._payload_memo.get(listy) is None
+    assert codec._payload_memo.get(transcript) is not None
+    listy.cipher_shares.reverse()
+    second = codec.encode(listy)
+    assert second != first and len(second) == len(first)
+    with pytest.raises(codec.CodecError, match="expects tuple"):
+        codec.decode(second)  # and no honest receiver accepts such a value
+
+
 # -- properties ------------------------------------------------------------------------
 
 # Up to 4088 bits either side of zero (from bytes: a literal bound that size

@@ -58,6 +58,28 @@ def test_encode_once_fan_out_counters():
     )
 
 
+def test_an_aggregate_is_walked_at_most_once_per_object(monkeypatch):
+    """The contributions and transcripts riding inside payloads, RBC values
+    and cache keys are encoded once per *object*, however often they recur."""
+    from repro.crypto import pvss
+
+    created = []
+    for cls in (pvss.PVSSContribution, pvss.PVSSTranscript):
+
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            created.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    result = run_adkg(n=7, seed=3, transport="sim", measure_bytes=True)
+    encode = result.metrics_summary["counters"]["encode"]
+    assert 0 < encode["aggregate.misses"] <= len(created)
+    assert encode["aggregate.calls"] > encode["aggregate.misses"]
+    assert encode["aggregate.calls"] == (
+        encode["aggregate.hits"] + encode["aggregate.misses"]
+    )
+
+
 def test_pairing_ops_scale_with_distinct_values_not_echoes():
     result = run_adkg(n=7, seed=3, transport="sim")
     verify = _verify_counters(result)

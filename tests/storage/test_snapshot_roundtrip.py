@@ -111,6 +111,34 @@ def test_repeated_freeze_points_adkg():
         assert sim.metrics.words_total == reference.metrics.words_total
 
 
+def test_a_second_freeze_walks_no_aggregate_and_cold_equals_warm():
+    """A checkpoint re-meets the transcripts the previous one encoded: an
+    unchanged party freezes to equal bytes with zero aggregate walks, and
+    the blob is the same whether the codec's memo is warm or empty."""
+    from repro.net import codec
+
+    def build() -> Simulation:
+        setup = TrustedSetup.generate(7, seed=SEED)
+        sim = Simulation(setup, seed=SEED, delay_model=FixedDelay(1.0))
+        sim.start(CASES["adkg"])
+        return sim
+
+    reference, sim = build(), build()
+    reference.run_until_all_honest_output()
+    for _ in range(reference.steps // 2):  # mid-run: proposals and keys in flight
+        sim.step()
+    party = sim.parties[0]
+    stats = codec.encode_stats
+    first = party.freeze()
+    calls, misses = stats["aggregate.calls"], stats["aggregate.misses"]
+    assert party.freeze() == first
+    assert stats["aggregate.calls"] > calls  # the state does hold aggregates
+    assert stats["aggregate.misses"] == misses  # ... and none was walked again
+    codec._payload_memo.clear()
+    assert party.freeze() == first
+    assert stats["aggregate.misses"] > misses
+
+
 def test_thaw_requires_matching_party():
     factory = CASES["gather"]
     sim = _build(factory, True)
