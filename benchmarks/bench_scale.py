@@ -58,10 +58,8 @@ _ROWS: dict[tuple, dict] = {}
 
 def _fresh_process_state() -> None:
     """Clear process-wide content memos so rows are order-independent."""
-    from repro.broadcast import wire
     from repro.net import codec, metrics
 
-    wire._decode_memo.clear()
     codec._path_memo.clear()
     metrics._path_layers_memo.clear()
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.crypto.hashing import hash_bytes
+from repro.crypto.verify_cache import content_encoding
 from repro.net.payload import Payload, words_of
 from repro.net.protocol import Protocol
 
@@ -99,10 +100,10 @@ class BrachaBroadcast(Protocol):
         self.multicast(BrachaEcho(value))
 
     def _on_vote(self, sender: int, value: Any, box: dict[bytes, set[int]]) -> None:
-        try:
-            digest = self._digest(value)
-        except TypeError:
+        encoded = content_encoding(value)
+        if encoded is None:
             return  # unencodable garbage from a Byzantine sender
+        digest = hash_bytes("bracha-value", encoded)
         box.setdefault(digest, set()).add(sender)
         self._values.setdefault(digest, value)
         self._progress(digest)
@@ -121,11 +122,6 @@ class BrachaBroadcast(Protocol):
             self.output(value)
 
     # -- helpers --------------------------------------------------------------------
-
-    def _digest(self, value: Any) -> bytes:
-        from repro.crypto.encoding import encode
-
-        return hash_bytes("bracha-value", encode(value))
 
     def _try_validate(self, value: Any) -> bool:
         try:

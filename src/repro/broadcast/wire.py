@@ -20,14 +20,6 @@ from typing import Any, Optional
 
 from repro.net import codec
 
-#: Content-addressed decode memo: every party decodes the same broadcast
-#: codeword, so the bytes→value mapping (pure, deterministic) is computed
-#: once per distinct byte string.  Decoded values are frozen dataclasses
-#: shared by reference, exactly as the in-process simulator already shares
-#: the sender's objects.  Bounded: cleared wholesale when full.
-_decode_memo: dict[bytes, Any] = {}
-_DECODE_MEMO_LIMIT = 4096
-
 
 def serialize(value: Any) -> bytes:
     """Encode a protocol value to deterministic codec bytes."""
@@ -36,16 +28,8 @@ def serialize(value: Any) -> bytes:
 
 def deserialize(data: bytes) -> Optional[Any]:
     """Decode bytes back into a value; ``None`` if the bytes are malformed."""
-    data = bytes(data)
     codec.encode_stats["wire.decode.calls"] += 1
-    if data in _decode_memo:
-        codec.encode_stats["wire.decode.hits"] += 1
-        return _decode_memo[data]
     try:
-        value = codec.decode(data)
+        return codec.decode(data)
     except codec.CodecError:
-        value = None
-    if len(_decode_memo) >= _DECODE_MEMO_LIMIT:
-        _decode_memo.clear()
-    _decode_memo[data] = value
-    return value
+        return None

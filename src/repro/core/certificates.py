@@ -2,8 +2,10 @@
 
 A certificate is ``n - f`` signed votes on ``(kind, H(value), view)``.
 Values can be large (an aggregated PVSS transcript is O(n) words), so
-votes sign the canonical digest of the value; the certificate travels
-with the value itself, and the checker re-derives the digest.
+votes sign the canonical digest of the value — SHA-256 over its wire
+encoding, see :func:`value_digest` — and the certificate travels with
+the value itself; the checker re-derives the digest.  The digest's
+preimage is the wire format, so a committee runs one codec version.
 
 Per the paper, keys and locks from before the first view (``view == 0``)
 are vacuously correct, and ``keyCorrect`` additionally demands external
@@ -16,10 +18,9 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.crypto import schnorr
-from repro.crypto.encoding import encode
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import PartySecret, PublicDirectory
-from repro.crypto.verify_cache import IdentityMemo
+from repro.crypto.verify_cache import content_encoding
 from repro.core.validity import Validator, safe_validate
 
 KIND_ECHO = "echo"
@@ -43,23 +44,20 @@ class SignedVote:
 Certificate = tuple  # tuple[SignedVote, ...]
 
 
-#: Identity memo for :func:`value_digest`: agreement values (aggregated
-#: PVSS transcripts) are O(n) words and every vote check re-derives their
-#: digest, so the same immutable object is hashed once, not once per vote.
-_digest_memo = IdentityMemo()
-
-
 def value_digest(value: Any) -> bytes:
-    """Canonical digest of an agreement value (possibly large)."""
-    cached = _digest_memo.get(value)
-    if cached is not None:
-        return cached
-    try:
-        digest = hash_bytes("nwh-value", encode(value))
-    except TypeError:
-        digest = hash_bytes("nwh-value-opaque", repr(value))
-    _digest_memo.put(value, digest)
-    return digest
+    """Canonical digest of an agreement value (possibly large).
+
+    ``H(codec bytes)``: the value's one canonical :mod:`repro.net.codec`
+    encoding, which an aggregate keeps from its first walk or from the
+    frame it was decoded out of — so the vote a sender signs over its own
+    object checks at a receiver that only ever held the decoded copy, for
+    one hash and no walk.  A value the codec cannot encode never crosses a
+    wire; it is named by its ``repr`` under a separate domain.
+    """
+    encoded = content_encoding(value)
+    if encoded is None:
+        return hash_bytes("nwh-value-opaque", repr(value))
+    return hash_bytes("nwh-value", encoded)
 
 
 def make_vote(

@@ -1,19 +1,21 @@
 """Canonical byte encoding of nested Python values.
 
 Signatures, Fiat-Shamir challenges and Merkle leaves all need a stable,
-injective byte representation of protocol values.  ``encode`` maps a
-restricted set of Python values (ints, bytes, strings, bools, ``None``,
-tuples/lists, frozensets, dataclasses and objects exposing a
-``canonical()`` method) to bytes such that distinct values never collide.
+injective byte representation of what they bind.  ``encode`` maps atoms
+(ints, bytes, strings, bools, ``None``) and sequences and sets of them to
+bytes such that distinct values never collide.
 
-The format is a simple tag-length-value scheme.  It is not meant to be a
-wire format (the simulator passes objects by reference); it only feeds
-hash functions.
+The format is a simple tag-length-value scheme.  It is not a wire format
+and knows no protocol types: it only feeds hash functions their domain
+parts — labels, indices, element encodings, digests.  A structured value
+(a transcript, an agreement value) has one canonical byte string, its
+:mod:`repro.net.codec` encoding; whoever must bind one hashes those
+bytes (:func:`repro.crypto.verify_cache.content_digest`) and passes the
+digest here.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any
 
 _TAG_NONE = b"N"
@@ -24,8 +26,6 @@ _TAG_BYTES = b"B"
 _TAG_STR = b"S"
 _TAG_SEQ = b"L"
 _TAG_SET = b"E"
-_TAG_DATACLASS = b"D"
-_TAG_CUSTOM = b"C"
 
 
 def _encode_length(value: int) -> bytes:
@@ -69,20 +69,4 @@ def encode(value: Any) -> bytes:
         parts = sorted(encode(item) for item in value)
         body = b"".join(parts)
         return _TAG_SET + _encode_length(len(parts)) + body
-    canonical = getattr(value, "canonical", None)
-    if callable(canonical):
-        name = type(value).__name__.encode("utf-8")
-        body = canonical()
-        if not isinstance(body, bytes):
-            raise TypeError(f"canonical() of {type(value)!r} must return bytes")
-        return _TAG_CUSTOM + _encode_length(len(name)) + name + body
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        name = type(value).__name__.encode("utf-8")
-        fields = [
-            getattr(value, field.name)
-            for field in dataclasses.fields(value)
-            if field.metadata.get("no_encode") is not True
-        ]
-        body = encode(tuple(fields))
-        return _TAG_DATACLASS + _encode_length(len(name)) + name + body
     raise TypeError(f"cannot canonically encode value of type {type(value)!r}")

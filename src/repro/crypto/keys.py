@@ -33,9 +33,9 @@ class PublicDirectory:
 
     n: int
     f: int
-    params: GroupParams = dc_field(metadata={"no_encode": True})
-    sign_group: SchnorrGroup = dc_field(metadata={"no_encode": True})
-    pair_group: BilinearGroup = dc_field(metadata={"no_encode": True})
+    params: GroupParams
+    sign_group: SchnorrGroup
+    pair_group: BilinearGroup
     sign_pks: tuple[int, ...]
     enc_pks: tuple[GroupElement, ...]
     session: str
@@ -45,7 +45,6 @@ class PublicDirectory:
         default_factory=VerifyCache,
         compare=False,
         repr=False,
-        metadata={"no_encode": True},
     )
 
     def __post_init__(self) -> None:

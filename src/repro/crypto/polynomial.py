@@ -7,7 +7,7 @@ Lagrange-in-the-exponent combination step.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -18,7 +18,7 @@ from repro.crypto.field import PrimeField
 class Polynomial:
     """A polynomial ``coeffs[0] + coeffs[1] x + ...`` over ``field``."""
 
-    field: PrimeField = dc_field(metadata={"no_encode": True})
+    field: PrimeField
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:

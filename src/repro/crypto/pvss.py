@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.crypto import nizk, schnorr
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import PartySecret, PublicDirectory
 from repro.crypto.pairing import GroupElement
 from repro.crypto.polynomial import random_polynomial, scrape_coefficients
+from repro.crypto.verify_cache import content_digest
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,7 @@ def _verify_contribution(
         return False
     return _verify_sharing(
         directory,
+        contribution,
         contribution.commitments,
         contribution.cipher_shares,
         (tag,),
@@ -253,6 +255,7 @@ def _verify_transcript(
         return False
     return _verify_sharing(
         directory,
+        transcript,
         transcript.commitments,
         transcript.cipher_shares,
         transcript.tags,
@@ -261,6 +264,7 @@ def _verify_transcript(
 
 def _verify_sharing(
     directory: PublicDirectory,
+    statement: Any,
     commitments: Sequence[GroupElement],
     cipher_shares: Sequence[GroupElement],
     tags: Iterable[ContributorTag],
@@ -299,10 +303,17 @@ def _verify_sharing(
         )
         if not sig_ok:
             return False
+    # Both Fiat-Shamir seeds below bind the whole ``statement`` (the
+    # contribution or transcript the sequences were taken from) through
+    # the hash of its wire bytes, which the codec already holds: dealer
+    # and tags as well as every commitment and cipher share, for one
+    # hash instead of one per element.  No bytes, no challenge: a
+    # statement the codec cannot encode is rejected.
+    statement_digest = content_digest(statement)
+    if statement_digest is None:
+        return False
     # SCRAPE low-degree test in the exponent (Fiat-Shamir derandomized).
-    # Both Fiat-Shamir seeds below bind the commitments: encode them once.
-    encoded_commitments = tuple(group.encode_element(a) for a in commitments)
-    seed = hash_bytes("pvss-scrape", directory.session, encoded_commitments)
+    seed = hash_bytes("pvss-scrape", directory.session, statement_digest)
     duals = scrape_coefficients(
         field, list(range(n + 1)), directory.f, random.Random(seed)
     )
@@ -317,12 +328,7 @@ def _verify_sharing(
     # r_j has probability ≤ 2^-128, exactly the standard BLS12-381 batch
     # argument (and exact in the generic-group simulation).  The r_j are
     # Fiat-Shamir-derived so verification stays deterministic per value.
-    rlc_seed = hash_bytes(
-        "pvss-rlc",
-        directory.session,
-        tuple(group.encode_element(s) for s in cipher_shares),
-        encoded_commitments,
-    )
+    rlc_seed = hash_bytes("pvss-rlc", directory.session, statement_digest)
     rlc = random.Random(rlc_seed)
     weights = [rlc.randrange(1, 1 << 128) for _ in range(n)]
     lhs = group.pair(

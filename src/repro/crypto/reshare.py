@@ -64,6 +64,7 @@ from repro.crypto.polynomial import (
     random_polynomial,
     scrape_coefficients,
 )
+from repro.crypto.verify_cache import content_digest
 
 __all__ = [
     "HandoffSpec",
@@ -290,12 +291,13 @@ def _verify_dealing(
     if not sig_ok:
         return False
     return _verify_resharing(
-        directory, dealing.commitments, dealing.cipher_deltas
+        directory, dealing, dealing.commitments, dealing.cipher_deltas
     )
 
 
 def _verify_resharing(
     directory: PublicDirectory,
+    statement: Any,
     commitments: Sequence[GroupElement],
     cipher_deltas: Sequence[GroupElement],
 ) -> bool:
@@ -305,14 +307,17 @@ def _verify_resharing(
     where ``q`` is the degree ≤ f' polynomial committed by
     ``commitments``: ``e(g, D_j) == e(epk'_j, B_{j+1} · B_0^{-1})``,
     batched with Fiat-Shamir 128-bit weights exactly as in
-    :func:`repro.crypto.pvss._verify_sharing`.
+    :func:`repro.crypto.pvss._verify_sharing` — seeded, as there, by the
+    hash of the wire bytes of the whole ``statement`` (the dealing or
+    transcript under check); one the codec cannot encode is rejected.
     """
     group = directory.pair_group
     field = group.scalar_field
     n = directory.n
-    # Both Fiat-Shamir seeds below bind the commitments: encode them once.
-    encoded_commitments = tuple(group.encode_element(b) for b in commitments)
-    seed = hash_bytes("reshare-scrape", directory.session, encoded_commitments)
+    statement_digest = content_digest(statement)
+    if statement_digest is None:
+        return False
+    seed = hash_bytes("reshare-scrape", directory.session, statement_digest)
     duals = scrape_coefficients(
         field, list(range(n + 1)), directory.f, random.Random(seed)
     )
@@ -322,12 +327,7 @@ def _verify_resharing(
     )
     if check != group.identity(commitments[0].kind):
         return False
-    rlc_seed = hash_bytes(
-        "reshare-rlc",
-        directory.session,
-        tuple(group.encode_element(d) for d in cipher_deltas),
-        encoded_commitments,
-    )
+    rlc_seed = hash_bytes("reshare-rlc", directory.session, statement_digest)
     rlc = random.Random(rlc_seed)
     weights = [rlc.randrange(1, 1 << 128) for _ in range(n)]
     anchor_inv = group.inv(commitments[0])
@@ -472,5 +472,5 @@ def _verify_reshared(
     if transcript.commitments[0] != spec.group_key:
         return False
     return _verify_resharing(
-        directory, transcript.commitments, transcript.cipher_deltas
+        directory, transcript, transcript.commitments, transcript.cipher_deltas
     )

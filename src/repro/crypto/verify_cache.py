@@ -28,12 +28,20 @@ Identity memoization (:class:`IdentityMemo`) is a second, cheaper layer:
 it maps a *specific object* to a derived value — a verdict under a
 context (:meth:`VerifyCache.identity_memoize`), or the object's encoded
 bytes (the codec's one struct-bytes memo, which serves payloads and the
-crypto aggregates inside them, so a cache key for an already-encoded
-transcript is one SHA-256 over cached bytes and needs no digest memo of
-its own).  It assumes the object is immutable — true for the frozen
-dataclasses that cross the wire — and is keyed by ``id`` with a weakref
-guard, so a different (e.g. attacker-rebuilt) object never inherits the
-original's entry.
+crypto aggregates inside them).  It assumes the object is immutable —
+true for the frozen dataclasses that cross the wire — and is keyed by
+``id`` with a weakref guard, so a different (e.g. attacker-rebuilt)
+object never inherits the original's entry.
+
+One byte string per value: an aggregate's codec bytes exist once per
+object — written by the encoder that first walked it or by the decoder
+that just read it off a frame — and :func:`content_encoding` /
+:func:`content_digest` are how everything that needs *the* canonical
+bytes of a value gets them: cache keys here, the NWH vote digest
+(:func:`repro.core.certificates.value_digest`), Bracha's tally keys and
+the PVSS / reshare Fiat-Shamir seeds.  For a transcript that arrived
+over a wire each is one SHA-256 over bytes the frame already held; no
+consumer walks the value, and none keeps a digest memo of its own.
 """
 
 from __future__ import annotations
@@ -85,11 +93,11 @@ class IdentityMemo:
 
 
 def content_encoding(value: Any) -> Optional[bytes]:
-    """Canonical codec bytes of ``value``, or ``None`` if not encodable."""
-    # Tombstone: :func:`content_digest` is the only caller and this could be
-    # inlined there, but ``perf/trace.py`` (frozen) lists the name in TARGETS
-    # and the perf tests fail on an unpatched target.  Goes when the next
-    # benchmark PR drops it from TARGETS (ROADMAP "Housekeeping owed").
+    """Canonical codec bytes of ``value``, or ``None`` if not encodable.
+
+    The one way to ask for a value's canonical bytes outside the wire
+    path (``perf/trace.py`` TARGETS pins the name).
+    """
     from repro.net import codec  # local import: codec registers lazily
 
     try:
@@ -102,9 +110,10 @@ def content_digest(value: Any) -> Optional[bytes]:
     """SHA-256 of ``value``'s canonical codec bytes.
 
     Returns ``None`` when the codec cannot encode the value; callers must
-    then treat the value as uncacheable.  Not memoized here: the codec
-    already keeps the bytes of every payload and crypto aggregate by
-    identity, so a repeat costs one hash over cached bytes.
+    then treat the value as uncacheable (a Fiat-Shamir seed: as
+    rejected).  Not memoized here: the codec already keeps the bytes of
+    every payload and crypto aggregate by identity, so a repeat costs one
+    hash over cached bytes.
     """
     encoded = content_encoding(value)
     if encoded is None:

@@ -20,9 +20,9 @@ Every value is a one-byte tag followed by tag-specific content:
 0x05  str — varint length + UTF-8 bytes
 0x06  tuple — varint count + items
 0x07  list — varint count + items
-0x08  frozenset — varint count + items, sorted by encoded bytes
+0x08  frozenset — varint count + items, strictly ascending by encoded bytes
 0x09  set — like frozenset
-0x0A  dict — varint count + key/value pairs, sorted by encoded key
+0x0A  dict — varint count + key/value pairs, strictly ascending by encoded key
 0x0B  float — 8 bytes IEEE-754 big-endian
 0x10  registered struct — varint type id + varint field count + fields
 ====  ==========================================================
@@ -31,17 +31,22 @@ Every length, count, id and (zigzagged) integer is a little-endian
 base-128 varint in its one shortest spelling.  Structs are registered
 with :func:`register` under a stable numeric id (the ids below are part
 of the wire format; never reuse one).  The field count doubles as the
-struct's format version: the envelope accepts the five-field pre-session
-encoding (decoding it as session 0) so mixed-era peers interoperate; all
-other structs require an exact count.  A registered dataclass is encoded
+struct's format version: an envelope at the top level of a frame accepts
+the five-field pre-session encoding (decoding it as session 0) so
+mixed-era peers interoperate; all other structs, and a nested envelope,
+require an exact count.  A registered dataclass is encoded
 as its fields in declaration order, so ``decode(encode(x)) == x`` for
 every registered type whose fields are themselves encodable.  Sets and
 dicts are serialized in sorted-encoding order, making ``encode``
 deterministic: equal values produce equal bytes.
 
 ``decode`` is strict: unknown tags, unknown type ids, truncated buffers,
-trailing bytes, invalid UTF-8, field-count mismatches and overlong
-(non-canonical) varints all raise :class:`CodecError`.  This is the
+trailing bytes, invalid UTF-8, field-count mismatches, overlong
+(non-canonical) varints and set members or dict keys out of sorted order
+all raise :class:`CodecError`.  So ``encode(decode(b)) == b`` for every
+accepted ``b`` — the five-field envelope, accepted at the top level of a
+frame only, is the one exception — and the decoder can hand an
+aggregate the bytes it was read from (``_payload_memo``).  This is the
 hardening ``broadcast/wire.py`` claims: a Byzantine dealer's malformed
 bytes surface as a clean error (mapped to "dealer faulty" upstream),
 never as attacker-controlled object construction the way
@@ -135,7 +140,10 @@ _AGGREGATE_STATS = ("aggregate.calls", "aggregate.hits", "aggregate.misses")
 # serves is a frozen value dataclass: a distinct (e.g. Byzantine-
 # transformed) value is a distinct object and never aliases a memoized
 # buffer.  Process-wide is safe for the same reason — bytes are a pure
-# function of the value.  An entry dies with its object.
+# function of the value.  An entry dies with its object.  It has two
+# producers that write the same bytes: the encoder that first walks an
+# object (:func:`_payload_struct_bytes`) and, for aggregates, the decoder
+# that just built it from them (:func:`_decode_seq`).
 _payload_memo = IdentityMemo()
 # Served type set 1 — every registered ``Payload`` subclass (added by
 # :func:`register`): the multicast fan-out unit, one frozen object
@@ -153,7 +161,8 @@ _memoized_types: set[type] = set()
 # ``EvalShare``) stay out: they cost about as much to walk as to look
 # up, and memoizing them measured no gain for thousands of extra
 # entries (DESIGN §4).  An aggregate enters the memo only if its
-# sequence fields are real tuples — see :func:`_payload_struct_bytes`.
+# sequence fields are real tuples — :func:`_payload_struct_bytes` checks
+# it on a walk, the decode plan on a read.
 _aggregate_memoized_types: set[type] = set()
 
 # Envelope instance paths, interned both ways in one table under one
@@ -589,6 +598,7 @@ def _decode_seq(
                     )
             append(-((raw + 1) >> 1) if raw & 1 else raw >> 1)  # zigzag
         elif tag == _TAG_STRUCT:
+            start = pos - 1
             if pos < size and data[pos] < 0x80:
                 type_id = data[pos]
                 pos += 1
@@ -605,8 +615,11 @@ def _decode_seq(
                 # format carried five fields (no ``session``); such frames
                 # decode with the trailing session defaulted to 0, so old
                 # single-session traffic keeps routing.  Every other struct
-                # stays strict.
-                if not (cls is _envelope_type and arity == len(fields) - 1):
+                # stays strict, and so does an envelope nested in another
+                # value (frames carry envelopes at the top level only): the
+                # one byte string that does not re-encode to itself can
+                # never sit inside an aggregate's retained bytes.
+                if not (cls is _envelope_type and arity == len(fields) - 1 and not depth):
                     raise CodecError(
                         f"field count mismatch for {cls.__name__}: "
                         f"expected {len(fields)}, got {arity}"
@@ -622,11 +635,18 @@ def _decode_seq(
                         f"{expected.__name__}, got {type(members[index]).__name__}"
                     )
             try:
-                append(cls(*members))
+                value = cls(*members)
             except CodecError:
                 raise
             except Exception as exc:
                 raise CodecError(f"cannot construct {cls.__name__}: {exc}") from exc
+            if cls in _aggregate_memoized_types:
+                # The decoder is the other producer of an aggregate's bytes:
+                # accepted bytes are the unique encoding of their value, so
+                # the span just read *is* what a walk would emit.  A slice of
+                # ``bytes`` is an independent copy, never a view on the frame.
+                _payload_memo.put(value, data[start:pos])
+            append(value)
         elif tag == _TAG_BYTES or tag == _TAG_STR:
             if pos < size and data[pos] < 0x80:
                 end = pos + 1 + data[pos]
@@ -678,25 +698,33 @@ def _decode_rare(data: bytes, size: int, pos: int, tag: int, depth: int) -> tupl
     length, pos = _read_uvarint(data, pos)
     if length > size:
         raise CodecError("container length exceeds buffer")
-    if tag == _TAG_DICT:
-        members, pos = _decode_seq(data, size, pos, 2 * length, depth + 1)
-        try:
-            result = dict(zip(members[::2], members[1::2]))
-        except TypeError as exc:
-            raise CodecError("unhashable dict key") from exc
-        if len(result) != length:
-            raise CodecError("duplicate dict key")
-        return result, pos
-    members, pos = _decode_seq(data, size, pos, length, depth + 1)
     if tag == _TAG_LIST:
-        return members, pos
+        return _decode_seq(data, size, pos, length, depth + 1)
+    # Sets and dicts are written in sorted-encoding order, and only that
+    # order is read back: each member (dict: key) span must sort strictly
+    # after the one before it, so a set or dict too has one spelling.
+    pairs = tag == _TAG_DICT
+    members: list = []
+    previous = b""
+    for _ in range(length):
+        (member,), end = _decode_seq(data, size, pos, 1, depth + 1)
+        span = data[pos:end]
+        if span <= previous:
+            raise CodecError("set members or dict keys out of order")
+        previous = span
+        pos = end
+        if pairs:
+            (mapped,), pos = _decode_seq(data, size, pos, 1, depth + 1)
+            member = (member, mapped)
+        members.append(member)
     try:
-        collected = frozenset(members) if tag == _TAG_FROZENSET else set(members)
+        result = (dict if pairs else frozenset if tag == _TAG_FROZENSET else set)(members)
     except TypeError as exc:
-        raise CodecError("unhashable set member") from exc
-    if len(collected) != length:
-        raise CodecError("duplicate set member")
-    return collected, pos
+        raise CodecError("unhashable set member or dict key") from exc
+    if len(result) != length:
+        # Distinct spellings of equal values (1 and True, 0.0 and -0.0).
+        raise CodecError("duplicate set member or dict key")
+    return result, pos
 
 
 def decode(data: bytes) -> Any:

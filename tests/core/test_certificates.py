@@ -1,9 +1,14 @@
 """Key/lock/commit certificates (Algorithms 11-13)."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.core import certificates as certs
+from repro.crypto import pvss
 from repro.crypto.keys import TrustedSetup
+from repro.net import codec
 
 N, F = 4, 1
 VALUE = ("agreed", "value")
@@ -33,6 +38,35 @@ def test_vote_binds_kind_value_view(setup):
     assert not certs.vote_valid(setup.directory, vote, certs.KIND_ECHO, ("x",), 3)
     assert not certs.vote_valid(setup.directory, vote, certs.KIND_ECHO, VALUE, 4)
     assert not certs.vote_valid(setup.directory, "junk", certs.KIND_ECHO, VALUE, 3)
+
+
+def test_vote_over_the_senders_object_verifies_on_a_decoded_copy(setup):
+    """A vote signs ``H(codec bytes)``.  The sender hashes the bytes its
+    encoder walked, the receiver the bytes its decoder read: one string, so
+    one digest — and one moved share is another string."""
+    directory = setup.directory
+    transcript = pvss.aggregate(
+        directory,
+        [pvss.deal(directory, setup.secret(i), random.Random(i)) for i in range(3)],
+    )
+    vote = certs.make_vote(directory, setup.secret(1), certs.KIND_KEY, transcript, 2)
+    wire = codec.encode((transcript, vote))
+    receiver = TrustedSetup.generate(N, F, seed=17).directory  # a cold cache
+    received, received_vote = codec.decode(wire)
+    assert received is not transcript
+    assert certs.value_digest(received) == certs.value_digest(transcript)
+    assert certs.vote_valid(receiver, received_vote, certs.KIND_KEY, received, 2)
+
+    group = directory.pair_group
+    moved = dataclasses.replace(
+        received,
+        cipher_shares=(group.mul(received.cipher_shares[0], group.g),)
+        + received.cipher_shares[1:],
+    )
+    assert not certs.vote_valid(receiver, received_vote, certs.KIND_KEY, moved, 2)
+    assert not certs.vote_valid(
+        receiver, received_vote, certs.KIND_KEY, codec.decode(codec.encode(moved)), 2
+    )
 
 
 def test_certificate_needs_quorum_of_distinct_signers(setup):

@@ -70,6 +70,25 @@ def test_tampered_cipher_share_rejected(setup, contributions):
     assert not pvss.verify_contribution(setup.directory, tampered)
 
 
+def test_sharing_the_codec_cannot_encode_is_rejected(setup, contributions):
+    """The Fiat-Shamir challenges are drawn from the statement's wire bytes.
+    A statement that has none gets no challenge, so no verdict but False —
+    even one whose every group element is honest."""
+
+    class Shares(tuple):  # indexes and iterates like a tuple; no codec tag
+        pass
+
+    c = contributions[0]
+    unencodable = dataclasses.replace(c, cipher_shares=Shares(c.cipher_shares))
+    assert unencodable == c
+    assert not pvss.verify_contribution(setup.directory, unencodable)
+    assert pvss.verify_contribution(setup.directory, c)
+    transcript = pvss.aggregate(setup.directory, contributions[: 2 * F + 1])
+    unencodable = dataclasses.replace(transcript, commitments=Shares(transcript.commitments))
+    assert not pvss.verify_transcript(setup.directory, unencodable, 2 * F + 1)
+    assert pvss.verify_transcript(setup.directory, transcript, 2 * F + 1)
+
+
 def test_stolen_dealer_identity_rejected(setup, contributions):
     """Re-labelling another dealer's contribution fails the signature check."""
     c = contributions[0]

@@ -108,6 +108,20 @@ def test_tampered_dealing_rejected(new, spec, dealings):
     )
 
 
+def test_dealing_the_codec_cannot_encode_is_rejected(new, spec, dealings):
+    """As in PVSS: the challenges come from the dealing's wire bytes, and a
+    dealing without any — anchored, signed and honest though it is — fails."""
+
+    class Deltas(tuple):
+        pass
+
+    d = dealings[0]
+    unencodable = dataclasses.replace(d, cipher_deltas=Deltas(d.cipher_deltas))
+    assert unencodable == d
+    assert not reshare.verify_dealing(new.directory, spec, unencodable)
+    assert reshare.verify_dealing(new.directory, spec, d)
+
+
 def test_bundle_needs_threshold_distinct_dealers(new, spec, dealings):
     short = reshare.ReshareBundle(spec=spec, dealings=dealings[: spec.threshold - 1])
     assert not reshare.verify_bundle(new.directory, short)

@@ -105,12 +105,12 @@ def test_content_digest_is_content_addressed(setup):
 
 
 def _flip_one_byte(data: bytes):
-    """Yield decodable values obtained by flipping a single byte."""
+    """Yield ``(bytes, value)`` for every single-byte flip that decodes."""
     for position in range(len(data) - 1, -1, -1):
         mutated = bytearray(data)
         mutated[position] ^= 0x01
         try:
-            yield codec.decode(bytes(mutated))
+            yield bytes(mutated), codec.decode(bytes(mutated))
         except codec.CodecError:
             continue
 
@@ -126,10 +126,14 @@ def test_mutated_transcript_never_inherits_cached_verdict(setup):
 
     encoded = codec.encode(transcript)
     mutants = 0
-    for mutant in _flip_one_byte(encoded):
+    for wire, mutant in _flip_one_byte(encoded):
         if not isinstance(mutant, pvss.PVSSTranscript) or mutant == transcript:
             continue
         mutants += 1
+        # The decoded object keeps the bytes it was read from — the mutated
+        # ones — so its cache key is its own, not the original's.
+        assert codec._payload_memo.get(mutant) == wire != encoded
+        assert content_digest(mutant) != content_digest(transcript)
         assert not tvrf.DKGVerify(directory, mutant), "mutated transcript accepted"
         if mutants >= 5:
             break
@@ -300,3 +304,16 @@ def test_public_verifiers_on_the_byzantine_case_matrix(setup):
     for _round in range(2):
         for label, verdict, check, *args in rows:
             assert check(*args) is verdict, label
+    # And as a receiver meets them: every argument a fresh decoded copy,
+    # against a directory whose cache has seen none of the above.
+    receiver = TrustedSetup.generate(4, seed=11).directory
+    for label, verdict, check, *args in rows:
+        args = [receiver if arg is setup.directory else _received(arg) for arg in args]
+        assert check(*args) is verdict, label
+
+
+def _received(value):
+    try:
+        return codec.decode(codec.encode(value))
+    except codec.CodecError:
+        return value

@@ -1,5 +1,6 @@
 """Tiny protocols used by the substrate tests."""
 
+import dataclasses
 from dataclasses import dataclass
 
 from repro.net import codec
@@ -75,3 +76,42 @@ class ParentChild(Protocol):
 
     def on_sub_output(self, name, value):
         self.output(("from", name, value))
+
+
+def print_golden_changes(old: dict, new: dict, prefix: str = "") -> None:
+    """Print ``key: old → new`` for every entry a golden regeneration
+    changes (nested dicts by dotted key), so the delta is stated by the
+    tool that wrote it."""
+    for key in sorted(set(old) | set(new), key=str):
+        before, after = old.get(key), new.get(key)
+        if isinstance(before, dict) and isinstance(after, dict):
+            print_golden_changes(before, after, f"{prefix}{key}.")
+        elif before != after:
+            print(f"{prefix}{key}: {before} → {after}")
+
+
+def aggregates_in(value):
+    """Every codec-memoized aggregate reachable from ``value``, outermost first."""
+    if type(value) in codec._aggregate_memoized_types:
+        yield value
+    if isinstance(value, dict):
+        children = [*value, *value.values()]
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        children = value
+    elif dataclasses.is_dataclass(value):
+        children = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    else:
+        return
+    for child in children:
+        yield from aggregates_in(child)
+
+
+def assert_retained_bytes_are_a_cold_walk(decoded) -> None:
+    """Every aggregate inside a value the decoder just built holds bytes,
+    and they are exactly what a field-by-field walk of it emits."""
+    aggregates = list(aggregates_in(decoded))
+    retained = [codec._payload_memo.get(aggregate) for aggregate in aggregates]
+    assert None not in retained
+    codec._payload_memo.clear()
+    for aggregate, kept in zip(aggregates, retained):
+        assert codec.encode(aggregate) == kept

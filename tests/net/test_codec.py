@@ -1,6 +1,7 @@
 """The registry byte codec: round-trips, determinism, malformed rejection,
 golden wire vectors and the decode-boundary mutation corpus."""
 
+import hashlib
 import json
 import pathlib
 import random
@@ -36,6 +37,8 @@ from repro.crypto.pairing import GroupElement
 from repro.net import codec
 from repro.net.envelope import Envelope
 from repro.net.payload import Payload
+from repro.crypto.verify_cache import content_digest
+from tests.net.helpers import assert_retained_bytes_are_a_cold_walk, print_golden_changes
 
 
 def _make_transcript(setup):
@@ -364,6 +367,44 @@ def test_duplicate_set_members_rejected():
         codec.decode(data)
 
 
+def test_out_of_order_set_members_and_dict_keys_rejected():
+    """One value, one spelling, for sets and dicts too: members (dict: keys)
+    are accepted in sorted-encoding order only — at any depth."""
+    one, two = codec.encode(1), codec.encode(2)
+    assert one < two
+    for tag in (0x08, 0x09):
+        assert codec.decode(bytes([tag, 2]) + one + two) == {1, 2}
+        with pytest.raises(codec.CodecError, match="out of order"):
+            codec.decode(bytes([tag, 2]) + two + one)
+    value = codec.encode("v")
+    assert codec.decode(bytes([0x0A, 2]) + one + value + two + value) == {1: "v", 2: "v"}
+    with pytest.raises(codec.CodecError, match="out of order"):
+        codec.decode(bytes([0x0A, 2]) + two + value + one + value)
+    with pytest.raises(codec.CodecError, match="out of order"):  # a repeated key
+        codec.decode(bytes([0x0A, 2]) + one + value + one + codec.encode("w"))
+    nested = codec.encode(CTReady(root=(frozenset({1, 2}),)))
+    swapped = nested.replace(one + two, two + one)
+    assert swapped != nested
+    with pytest.raises(codec.CodecError, match="out of order"):
+        codec.decode(swapped)
+    # Equal values under two spellings are still one member too many.
+    with pytest.raises(codec.CodecError, match="duplicate"):
+        codec.decode(bytes([0x08, 2]) + codec.encode(True) + one)
+
+
+def test_a_five_field_envelope_is_read_at_the_top_level_only(setup, transcript):
+    """The pre-session envelope is the one accepted byte string that does
+    not re-encode to itself; nested in another value it is refused, so it
+    can never sit inside an aggregate's retained bytes."""
+    envelope = Envelope(("later",), 1, 0, Decided(bit=1), 2)
+    wire = _encode_pre_session(envelope)
+    assert codec.decode(wire) == envelope and codec.encode(envelope) != wire
+    for outer in (b"\x06\x01", b"\x07\x01", codec.encode(CTReady(root=None))[:-1]):
+        with pytest.raises(codec.CodecError, match="field count mismatch"):
+            codec.decode(outer + wire)
+        assert codec.decode(outer + codec.encode(envelope))  # six fields nest fine
+
+
 def test_wrong_typed_struct_fields_rejected():
     """Attacker-crafted field values of the wrong type must fail closed."""
     for forged in (
@@ -435,10 +476,13 @@ def test_overlong_varints_rejected():
 # -- golden wire vectors ---------------------------------------------------------------
 
 #: ``name -> hex`` of what the encoder emitted at the commit *before* the
-#: codec was compiled into per-type plans (PR 14).  Regenerate only for a
-#: deliberate wire-format change, from a checkout of the format's reference
-#: commit: ``PYTHONPATH=<reference>/src:. python -c "from tests.net.test_codec
-#: import write_golden; write_golden()"``.
+#: codec was compiled into per-type plans (PR 14) — but for the vectors that
+#: carry an NWH vote, which are PR 19's: a vote signs ``H(codec bytes)``
+#: since then, so its signature scalars differ; the format does not.
+#: Regenerate only for a deliberate wire-format change, from a checkout of
+#: the format's reference commit: ``PYTHONPATH=<reference>/src:. python -c
+#: "from tests.net.test_codec import write_golden; write_golden()"``; it
+#: prints ``name: old → new`` (size and hash) for every vector it changes.
 GOLDEN_PATH = pathlib.Path(__file__).with_name("codec_golden.json")
 
 
@@ -495,6 +539,14 @@ def write_golden():
     setup = TrustedSetup.generate(4, seed=11)
     cases = _golden_cases(setup, _make_transcript(setup))
     vectors = {name: encoder(value).hex() for name, (value, encoder, _) in cases.items()}
+
+    def summary(golden):
+        return {
+            name: f"{len(wire) // 2} B sha256 {hashlib.sha256(bytes.fromhex(wire)).hexdigest()[:8]}"
+            for name, wire in golden.items()
+        }
+
+    print_golden_changes(summary(json.loads(GOLDEN_PATH.read_text())), summary(vectors))
     GOLDEN_PATH.write_text(json.dumps(vectors, indent=0, sort_keys=True) + "\n")
 
 
@@ -549,16 +601,40 @@ def test_aggregate_bytes_are_the_same_cold_and_warm(setup, transcript):
 
 
 def test_a_field_equal_fresh_copy_encodes_to_identical_bytes(transcript):
-    """Memo miss ≡ memo hit: identity decides who walks, never the bytes."""
+    """Memo miss ≡ memo hit: identity decides who walks, never the bytes.
+    A constructed copy has no bytes until it is walked; a decoded copy
+    holds the bytes it was read from — its own entry, equal to the walk."""
     warm = codec.encode(transcript)
-    for copy in (
-        pvss.PVSSTranscript(
-            transcript.commitments, transcript.cipher_shares, transcript.tags
-        ),
-        codec.decode(warm),
-    ):
-        assert copy is not transcript and codec._payload_memo.get(copy) is None
-        assert codec.encode(copy) == warm
+    built = pvss.PVSSTranscript(
+        transcript.commitments, transcript.cipher_shares, transcript.tags
+    )
+    assert built is not transcript and codec._payload_memo.get(built) is None
+    assert codec.encode(built) == warm
+    decoded = codec.decode(warm)
+    assert decoded is not transcript and decoded == transcript
+    assert codec._payload_memo.get(decoded) == warm
+    codec._payload_memo.clear()
+    assert codec.encode(decoded) == warm  # the cold walk agrees
+
+
+def test_a_received_transcript_is_never_walked(transcript):
+    """decode → cache key → re-send / checkpoint of a transcript that came
+    off the wire: every request for its bytes is a hit, none a walk — alone
+    or nested in a payload."""
+    frame = codec.encode([transcript, transcript])
+    stats = codec.encode_stats
+    calls, misses = stats["aggregate.calls"], stats["aggregate.misses"]
+    first, second = codec.decode(frame)
+    assert first is not second  # one object, one entry, per occurrence
+    assert stats["aggregate.calls"] == calls  # seeding is not a request
+    assert content_digest(first) == content_digest(transcript)
+    assert codec.encode([first, second]) == frame
+    suggest = Suggest(key=KeyTuple(0, second, None), view=1)
+    assert codec.encode(suggest) == codec.encode(
+        Suggest(key=KeyTuple(0, transcript, None), view=1)
+    )
+    assert stats["aggregate.calls"] == calls + 6
+    assert stats["aggregate.misses"] == misses
 
 
 def test_an_aggregate_with_a_list_field_is_never_memoized(transcript):
@@ -601,7 +677,25 @@ def _structs(children):
         | st.builds(shamir.ShamirShare, x=_ints, y=_ints)
         | st.builds(Decided, bit=_ints)
         | st.builds(CTReady, root=children)
+        | _aggregates(st.lists(children, max_size=3).map(tuple))
     )
+
+
+def _aggregates(tuples):
+    """Aggregates, one nested in another: the decoder checks a
+    tuple-annotated field for being a tuple, not for what the tuple holds."""
+    spec = st.builds(
+        reshare.HandoffSpec,
+        epoch=_ints,
+        old_session=st.text(max_size=3),
+        old_n=_ints,
+        old_f=_ints,
+        old_sign_pks=st.just((1, 2)),
+        old_commitments=st.just(()),
+    )
+    return st.builds(
+        pvss.PVSSTranscript, commitments=tuples, cipher_shares=st.just(()), tags=st.just(())
+    ) | st.builds(reshare.ReshareBundle, spec=spec, dealings=st.just(()))
 
 
 _hashables = st.recursive(
@@ -631,22 +725,12 @@ def test_decode_inverts_encode(value):
     assert codec.encode(decoded) == wire
 
 
-def _has_one_spelling(value) -> bool:
-    """False for values the format admits more than one encoding of: the
-    decoder does not pin set/dict member order, and a five-field envelope
-    re-encodes with six."""
-    if isinstance(value, (set, frozenset, dict, Envelope)):
-        return False
-    if isinstance(value, (tuple, list)):
-        return all(_has_one_spelling(item) for item in value)
-    fields = getattr(value, "__dataclass_fields__", ())
-    return all(_has_one_spelling(getattr(value, name)) for name in fields)
-
-
 @given(_values, st.data())
 def test_accepted_bytes_reencode_to_themselves(value, data):
     """``encode(decode(b)) == b`` for every ``b`` the decoder accepts (what
-    canonical varints buy): mutate an honest encoding, keep what decodes."""
+    canonical varints and member order buy), and every aggregate inside
+    holds the bytes a cold walk emits: mutate an honest encoding, keep what
+    decodes."""
     wire = bytearray(codec.encode(value))
     for _ in range(data.draw(st.integers(0, 3))):
         position = data.draw(st.integers(0, len(wire) - 1))
@@ -660,9 +744,26 @@ def test_accepted_bytes_reencode_to_themselves(value, data):
         decoded = codec.decode(wire)
     except codec.CodecError:
         return
-    assert codec.decode(codec.encode(decoded)) == decoded
-    if _has_one_spelling(decoded):
-        assert codec.encode(decoded) == wire
+    assert codec.encode(decoded) == wire
+    assert_retained_bytes_are_a_cold_walk(decoded)
+    assert codec.encode(decoded) == wire  # and cold, too
+
+
+def test_golden_vectors_reencode_to_themselves(setup, transcript):
+    """The same property on the golden vectors.  The five-field envelope is
+    the documented exception: accepted, re-encoded with six fields, and —
+    not an aggregate — never given bytes to keep."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    for name, (_value, encoder, decoder) in _golden_cases(setup, transcript).items():
+        wire = bytes.fromhex(golden[name])
+        decoded = decoder(wire)
+        if name == "pre-session-envelope":
+            assert codec.encode(decoded) != wire
+            assert codec._payload_memo.get(decoded) is None
+            continue
+        assert encoder(decoded) == wire, name
+        assert_retained_bytes_are_a_cold_walk(decoded)
+        assert encoder(decoded) == wire, name
 
 
 #: The longest varint the reader follows (a few bits above the int bound).

@@ -5,9 +5,10 @@ from an n=4 ADKG through ``Transport.add_delivery_observer``, WAL records
 of the same envelopes, a snapshot frame of a mid-run ``Party.freeze`` —
 is truncated at every length and flipped at every byte.  Each mutant
 either raises :class:`CodecError` (the storage layer's ``StorageError`` is
-one) or decodes to something that passes the codec's own validation;
-nothing else — no ``IndexError``, ``TypeError`` or ``RecursionError`` —
-may escape.  The forged-header and table-bound tests pin the batch
+one) or decodes to something that passes the codec's own validation, that
+re-encodes to the mutant byte for byte, and whose aggregates hold exactly
+the bytes a cold walk of them emits; nothing else — no ``IndexError``,
+``TypeError`` or ``RecursionError`` — may escape.  The forged-header and table-bound tests pin the batch
 decoder's path interning: what the span scan declines, that a rejected
 path is never interned, and that the table stays bounded.
 """
@@ -30,7 +31,11 @@ from repro.storage.frames import (
     encode_wal_record,
     iter_wal_records,
 )
-from tests.net.helpers import EchoAll
+from tests.net.helpers import (
+    EchoAll,
+    aggregates_in,
+    assert_retained_bytes_are_a_cold_walk,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -83,7 +88,7 @@ def _accepted(decoder, data: bytes):
 
 
 def test_batch_frames_fail_closed(captured):
-    survivors = 0
+    survivors = retained = 0
     for kind, envelopes in captured.items():
         frame = codec.encode_batch(envelopes)
         assert codec.decode_batch(frame) == envelopes
@@ -91,8 +96,13 @@ def test_batch_frames_fail_closed(captured):
             decoded = _accepted(codec.decode_batch, mutant)
             for envelope in decoded or ():
                 codec._validate_envelope(envelope)
+            # A frame has more than one spelling (payload-table order); a
+            # value has one, and the decoder kept it.
+            retained += len(list(aggregates_in(decoded)))
+            assert_retained_bytes_are_a_cold_walk(decoded)
             survivors += decoded is not None
     assert survivors  # flips inside opaque bytes do decode: the branch is live
+    assert retained  # ... some of them inside a transcript
 
 
 def test_wal_records_fail_closed(captured):
@@ -104,6 +114,9 @@ def test_wal_records_fail_closed(captured):
             for decoded_seq, envelope in records or ():
                 assert decoded_seq >= 0
                 codec._validate_envelope(envelope)
+                # An accepted record is the one spelling of what it holds.
+                assert encode_wal_record(envelope, decoded_seq) == mutant
+                assert_retained_bytes_are_a_cold_walk(envelope)
 
 
 def test_snapshot_frames_fail_closed():
@@ -119,7 +132,9 @@ def test_snapshot_frames_fail_closed():
     def restore(data):
         kind, (inner, wal_seq) = decode_frame(data)
         assert kind == "snapshot" and wal_seq >= 0
-        return codec.decode(inner)  # what Party.thaw does first
+        state = codec.decode(inner)  # what Party.thaw does first
+        assert codec.encode(state) == inner  # accepted bytes: the one spelling
+        return state
 
     state = restore(record)
     for mutant in _mutants(record, "snapshot"):

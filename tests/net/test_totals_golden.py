@@ -8,8 +8,13 @@ entries, Byzantine senders, chaos) at its quick size, and the ``batching=
 False`` reference plane.
 
 ``totals_golden.json`` holds what the commit *before* run metering (PR 16)
-counted.  Regenerate only for a deliberate protocol or wire-format change,
-from a checkout of the reference commit::
+counted, but for ``bytes`` / ``wire_bytes`` of the two byte-metered runs:
+those are PR 19's, where NWH votes began to sign ``H(codec bytes)`` —
+another preimage, so other signature scalars, and a scalar is a varint
+(−60 of 701 897 and +24 of 114 438 ``bytes``, −15 of 225 412
+``wire_bytes``; chance, not format).  Regenerate only for a deliberate
+protocol or wire-format change, from a checkout of the reference commit;
+it prints ``key: old → new`` for every entry it changes::
 
     cd <reference> && PYTHONPATH=src:<this checkout> python -c \
         "from tests.net.test_totals_golden import write_golden; write_golden()"
@@ -24,6 +29,7 @@ from perf.workloads import WORKLOADS, created_instances
 
 from repro import run_adkg
 from repro.net.metrics import Metrics
+from tests.net.helpers import print_golden_changes
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("totals_golden.json")
 
@@ -70,6 +76,7 @@ def write_golden():
 
     print("reference:", repro.__file__)
     golden = {name: _totals(case) for name, case in CASES.items()}
+    print_golden_changes(json.loads(GOLDEN_PATH.read_text()), golden)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
 
 
