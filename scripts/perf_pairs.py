@@ -2,7 +2,7 @@
 """Pair a parent checkout against a change on one benchmark workload.
 
     python scripts/perf_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        [--pairs 10] [--seed0 S] [--seconds 10]
+        [--pairs 10] [--seed0 S] [--seconds 10] [--layers]
 
 The procedure of the choosing-metrics guide (section 8), as one command: for
 seeds ``S, S+1, ...`` run ``python -m perf.run --workload W --seed s --seconds
@@ -13,6 +13,13 @@ whether the medians differ by more than the distance between the parent's own
 quartiles.  A gain may be claimed when the change wins at least nine tenths of
 the pairs *and* the medians differ by more than that distance; a regression is
 a change median worse than the parent's by more than the metric's bound.
+
+``--layers`` adds one *traced* run per side on the first seed (``--trace
+1``, after the pairs, so it perturbs none of them) and prints, parent →
+change, every per-layer metric of ``BENCHMARK.json`` that moved: a timing,
+rate or ratio by more than 5 %, a count by anything at all.  Where the
+saving sits then comes from the same command as the claim.  One run per
+side: it locates a difference, it does not establish one.
 
 Every run made is printed, one line per pair.  Exits nonzero if any run
 reported incorrect outputs or failed ops.
@@ -29,11 +36,14 @@ from pathlib import Path
 from typing import Optional
 
 
-def measure(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced ``perf.run`` in ``checkout``; its result line as a dict."""
+def measure(
+    checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> dict:
+    """One ``perf.run`` in ``checkout`` (untraced unless ``trace``); its
+    result line as a dict."""
     command = [
         sys.executable, "-m", "perf.run", "--workload", workload,
-        "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
     ]  # fmt: skip
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.splitlines()
@@ -79,6 +89,26 @@ def compare(
     }
 
 
+#: Units whose metrics repeat exactly for one seed: any difference is one.
+EXACT_UNITS = ("count", "bytes", "words", "rounds")
+
+
+def moved_layers(declared: list[dict], parent: dict, change: dict) -> list[tuple]:
+    """``(name, unit, parent value, change value)`` of every per-layer
+    metric that moved between two traced results."""
+    rows = []
+    for metric in declared:
+        name, unit = metric["name"], metric["unit"]
+        before, after = parent[name]["value"], change[name]["value"]
+        if unit in EXACT_UNITS:
+            moved = before != after
+        else:
+            moved = abs(after - before) > 0.05 * abs(before)
+        if moved:
+            rows.append((name, unit, before, after))
+    return rows
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter
@@ -89,6 +119,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument(
+        "--layers", action="store_true",
+        help="also one traced run per side: the per-layer metrics that moved",
+    )  # fmt: skip
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -145,6 +179,25 @@ def main(argv: Optional[list[str]] = None) -> int:
     print("(change column: relative difference of medians, positive = better)")
     if args.pairs < 10:
         print("(fewer than ten pairs: the verdicts are indicative, not a claim)")
+    if args.layers:
+        traced = {
+            side: measure(checkout, args.workload, seeds[0], args.seconds, trace=1)
+            for side, checkout in sides.items()
+        }
+        failures += sum(
+            1 for result in traced.values() if not result["correct"] or result["failed"]
+        )
+        rows = moved_layers(
+            contract["per_layer"], traced["parent"]["metrics"], traced["change"]["metrics"]
+        )
+        print(
+            f"per layer, one traced run per side on seed {seeds[0]}: "
+            f"{len(rows)} of {len(contract['per_layer'])} metrics moved "
+            "(timings by more than 5 %, counts at all)"
+        )
+        for name, unit, before, after in rows:
+            relative = f"{(after - before) / abs(before):+.1%}" if before else "new"
+            print(f"  {name:<32} {unit:<6} {before:>14.6g} -> {after:<14.6g} {relative}")
     if failures:
         print(f"FAILED: {failures} runs reported incorrect outputs or failed ops")
     return 1 if failures else 0

@@ -83,7 +83,8 @@ def _cmd_run_with_recovery(args: argparse.Namespace, chaos=None) -> int:
           f"(snapshot cadence {report['cadence']})")
     for index, stats in report["replay"].items():
         print(
-            f"  party {index}: replayed {stats['wal_records']} WAL records "
+            f"  party {index}: thawed in {stats['thaw_seconds'] * 1000:.1f}ms, "
+            f"replayed {stats['wal_records']} WAL records "
             f"in {stats['replay_seconds'] * 1000:.1f}ms "
             f"({stats['suppressed_sends']} duplicate sends suppressed), "
             f"{report['parked_delivered'][index]} parked deliveries drained"

@@ -24,6 +24,8 @@ Every value is a one-byte tag followed by tag-specific content:
 0x09  set — like frozenset
 0x0A  dict — varint count + key/value pairs, strictly ascending by encoded key
 0x0B  float — 8 bytes IEEE-754 big-endian
+0x0C  aggregate reference — 32-byte SHA-256 of the aggregate's struct
+      bytes; legal in a shared-aggregate encoding only (below)
 0x10  registered struct — varint type id + varint field count + fields
 ====  ==========================================================
 
@@ -74,8 +76,37 @@ bad magic/version, truncated tables, out-of-range payload indices,
 blob-length mismatches, non-``Payload`` table entries, malformed headers
 and trailing bytes all raise :class:`CodecError`.
 
+Shared-aggregate encoding
+-------------------------
+A party snapshot reaches the same immutable transcript from many places
+(each RBC's decoded value and output, Gather sets, PE, NWH, the payloads
+NWH journals), so :func:`encode_shared` — used by ``Party.freeze`` and
+nothing else — stores each distinct aggregate once and names it wherever
+it occurs::
+
+    0x0C  uvarint k   k x (ordinary struct encoding of one aggregate,
+                           strictly ascending by SHA-256 of those bytes)
+    one value, in which every aggregate is written as
+    0x0C + that SHA-256  instead of its struct bytes
+
+A table entry is an ordinary encoding all the way down (an aggregate
+nested in an aggregate stays inline), and the bytes ``_payload_memo``
+holds are always ordinary ones: a payload met in the body is walked
+field by field past the memo, never read from it or written to it.
+:func:`decode_shared` is as strict as :func:`decode` and resolves every
+reference to a digest to *one* object, so the sharing a party had
+before it was frozen is what it has after the thaw.  One spelling here
+too (``encode_shared(decode_shared(b)) == b``): a table out of order or
+with a duplicate, an entry that is not an aggregate or that nothing
+references, a reference to nothing, an aggregate spelled inline in the
+body and a reference inside a table entry are all rejected.  ``decode``,
+``decode_envelope``, ``decode_batch`` and the WAL reader refuse 0x0C
+like any unknown tag: bytes from a peer can never make a receiver
+resolve a reference.
+
 See DESIGN.md sections 3 and 8 for how the codec slots into the
-transport architecture and the batched message plane.
+transport architecture and the batched message plane, and section 9 for
+the snapshot format.
 """
 
 from __future__ import annotations
@@ -83,8 +114,9 @@ from __future__ import annotations
 import dataclasses
 import struct as _struct
 from collections import Counter
+from hashlib import sha256
 from operator import attrgetter
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.crypto.verify_cache import IdentityMemo
 
@@ -94,6 +126,10 @@ __all__ = [
     "registered_types",
     "encode",
     "decode",
+    "SharedRecord",
+    "shared_record",
+    "encode_shared",
+    "decode_shared",
     "encode_envelope",
     "decode_envelope",
     "encode_batch",
@@ -193,7 +229,14 @@ _TAG_FROZENSET = 0x08
 _TAG_SET = 0x09
 _TAG_DICT = 0x0A
 _TAG_FLOAT = 0x0B
+_TAG_REF = 0x0C
 _TAG_STRUCT = 0x10
+
+#: How a shared-aggregate encoding opens (a plain one never does: 0x0C is
+#: not a value tag outside it).
+SHARED_OPEN = bytes((_TAG_REF,))
+#: Bytes of the SHA-256 that follows a reference tag.
+_REF_DIGEST_BYTES = 32
 
 #: How a batch envelope header opens: tuple tag, five elements.
 _BATCH_HEADER_OPEN = bytes((_TAG_TUPLE, 5))
@@ -358,12 +401,19 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 _SMALL_INT = tuple(bytes((_TAG_INT, zigzagged)) for zigzagged in range(0x80))
 
 
-def _encode_items(out: bytearray, items: Any) -> None:
+def _encode_items(out: bytearray, items: Any, table: Optional[dict] = None) -> None:
     """Append the encoding of every value of ``items`` — the one encode loop.
 
     A container or struct costs one call for all its children, not one
     per child; the types that make up nearly every wire value (int,
     bytes, str, tuple, plain registered struct) are handled in place.
+
+    ``table`` selects the shared-aggregate encoding: an aggregate met
+    here is written as a reference and its struct bytes are entered in
+    ``table`` under their digest, and a payload is walked like any other
+    struct, past the memo.  The mode is an argument, and the one producer
+    of memoized bytes, :func:`_payload_struct_bytes`, never takes it: what
+    enters ``_payload_memo`` (and the table) is plain by construction.
     """
     for value in items:
         kind = type(value)
@@ -399,26 +449,33 @@ def _encode_items(out: bytearray, items: Any) -> None:
                 out.append(len(value))
             else:
                 _write_uvarint(out, len(value))
-            _encode_items(out, value)
+            _encode_items(out, value, table)
         else:
             entry = _by_type.get(kind)
             if entry is None:
                 encoder = _BUILTIN_ENCODERS.get(kind)
                 if encoder is None:
                     raise CodecError(f"no codec registration for type {kind.__name__!r}")
-                encoder(out, value)
-            elif kind in _memoized_types:
+                encoder(out, value, table)
+            elif kind in _memoized_types and table is None:
                 out += _payload_struct_bytes(value)
             elif kind in _aggregate_memoized_types:
-                out += _payload_struct_bytes(value, _AGGREGATE_STATS)
+                buffer = _payload_struct_bytes(value, _AGGREGATE_STATS)
+                if table is None:
+                    out += buffer
+                else:
+                    digest = sha256(buffer).digest()
+                    table[digest] = buffer
+                    out.append(_TAG_REF)
+                    out += digest
             elif kind is _envelope_type:
                 path, *routing = entry[3](value)
                 out += entry[2]
                 _encode_path(out, path)
-                _encode_items(out, routing)
+                _encode_items(out, routing, table)
             else:
                 out += entry[2]
-                _encode_items(out, entry[3](value))
+                _encode_items(out, entry[3](value), table)
 
 
 def _encode_path(out: bytearray, path: Any) -> None:
@@ -437,44 +494,68 @@ def _encode_into(out: bytearray, value: Any) -> None:
     _encode_items(out, (value,))
 
 
-def _encoded(value: Any) -> bytes:
+def _encoded(value: Any, table: Optional[dict] = None) -> bytes:
     out = bytearray()
-    _encode_items(out, (value,))
+    _encode_items(out, (value,), table)
     return bytes(out)
 
 
-def _encode_list(out: bytearray, value: list) -> None:
+def _encode_list(out: bytearray, value: list, table: Optional[dict]) -> None:
     out.append(_TAG_LIST)
     _write_uvarint(out, len(value))
-    _encode_items(out, value)
+    _encode_items(out, value, table)
 
 
-def _encode_set(out: bytearray, value: Any) -> None:
+def _encode_set(out: bytearray, value: Any, table: Optional[dict]) -> None:
     out.append(_TAG_FROZENSET if type(value) is frozenset else _TAG_SET)
     _write_uvarint(out, len(value))
-    out += b"".join(sorted(_encoded(item) for item in value))
+    out += b"".join(sorted(_encoded(item, table) for item in value))
 
 
-def _encode_dict(out: bytearray, value: dict) -> None:
+def _encode_dict(out: bytearray, value: dict, table: Optional[dict]) -> None:
     out.append(_TAG_DICT)
     _write_uvarint(out, len(value))
-    for pair in sorted((_encoded(k), _encoded(v)) for k, v in value.items()):
+    pairs = ((_encoded(k, table), _encoded(v, table)) for k, v in value.items())
+    for pair in sorted(pairs):
         out += b"".join(pair)
 
 
-def _encode_float(out: bytearray, value: float) -> None:
+def _encode_float(out: bytearray, value: float, table: Optional[dict]) -> None:
     out.append(_TAG_FLOAT)
     out += _struct.pack(">d", value)
 
 
-_BUILTIN_ENCODERS: dict[type, Callable[[bytearray, Any], None]] = {
-    type(None): lambda out, value: out.append(_TAG_NONE),
-    bool: lambda out, value: out.append(_TAG_TRUE if value else _TAG_FALSE),
+class SharedRecord(NamedTuple):
+    """A value already encoded for a shared-aggregate body: its bytes and
+    the table entries (digest -> struct bytes) its references name.
+
+    References name aggregates by digest, not by table position, so the
+    bytes are the same wherever the value sits and in whichever encoding
+    it is spliced into: :func:`encode_shared` appends ``data`` verbatim
+    where it meets the record.  ``Party.freeze`` keeps one per unchanged
+    instance.
+    """
+
+    data: bytes
+    entries: dict
+
+
+def _encode_record(out: bytearray, value: SharedRecord, table: Optional[dict]) -> None:
+    if table is None:
+        raise CodecError("a SharedRecord is legal inside encode_shared only")
+    out += value.data
+    table.update(value.entries)
+
+
+_BUILTIN_ENCODERS: dict[type, Callable[[bytearray, Any, Optional[dict]], None]] = {
+    type(None): lambda out, value, table: out.append(_TAG_NONE),
+    bool: lambda out, value, table: out.append(_TAG_TRUE if value else _TAG_FALSE),
     list: _encode_list,
     frozenset: _encode_set,
     set: _encode_set,
     dict: _encode_dict,
     float: _encode_float,
+    SharedRecord: _encode_record,
 }
 
 
@@ -543,6 +624,29 @@ def encode(value: Any) -> bytes:
     return _encoded(value)
 
 
+def shared_record(value: Any) -> SharedRecord:
+    """Encode ``value`` as it would sit in an :func:`encode_shared` body."""
+    _ensure_registered()
+    entries: dict[bytes, bytes] = {}
+    return SharedRecord(_encoded(value, entries), entries)
+
+
+def encode_shared(value: Any) -> bytes:
+    """Encode ``value`` with every aggregate stored once (see the module
+    docstring); ``value`` may hold :class:`SharedRecord` parts.
+
+    For snapshots only: :func:`decode_shared` reads the result, and no
+    reader of bytes that arrive from a peer does.
+    """
+    record = shared_record(value)
+    out = bytearray(SHARED_OPEN)
+    _write_uvarint(out, len(record.entries))
+    for digest in sorted(record.entries):
+        out += record.entries[digest]
+    out += record.data
+    return bytes(out)
+
+
 # -- decoding --------------------------------------------------------------------------
 
 
@@ -564,7 +668,12 @@ def _compile_decode_plan(type_id: int) -> tuple:
 
 
 def _decode_seq(
-    data: bytes, size: int, pos: int, count: int, depth: int
+    data: bytes,
+    size: int,
+    pos: int,
+    count: int,
+    depth: int,
+    refs: Optional[tuple[dict, set]] = None,
 ) -> tuple[list, int]:
     """Decode ``count`` consecutive values at ``pos`` — the one decode loop.
 
@@ -574,6 +683,11 @@ def _decode_seq(
     children; tags are tested most-frequent first and the one-byte varint
     (every tag-sized count, id and length, and most ints) is read in
     place.  Every strictness check of the format is made per value.
+
+    ``refs`` is ``None`` except in the body of a shared-aggregate
+    encoding (:func:`decode_shared`): there it is the decoded table and
+    the set of digests referenced so far, a reference tag resolves
+    against it and an aggregate spelled inline is rejected.
     """
     if count and depth > 64:
         raise CodecError("value nesting too deep")
@@ -625,7 +739,7 @@ def _decode_seq(
                         f"expected {len(fields)}, got {arity}"
                     )
                 checks = tuple(check for check in checks if check[0] < arity)
-            members, pos = _decode_seq(data, size, pos, arity, depth + 1)
+            members, pos = _decode_seq(data, size, pos, arity, depth + 1, refs)
             for index, expected in checks:
                 if not isinstance(members[index], expected):
                     # Attacker-crafted field value whose type contradicts
@@ -641,6 +755,10 @@ def _decode_seq(
             except Exception as exc:
                 raise CodecError(f"cannot construct {cls.__name__}: {exc}") from exc
             if cls in _aggregate_memoized_types:
+                if refs is not None:
+                    raise CodecError(
+                        f"{cls.__name__} spelled inline where a reference belongs"
+                    )
                 # The decoder is the other producer of an aggregate's bytes:
                 # accepted bytes are the unique encoding of their value, so
                 # the span just read *is* what a walk would emit.  A slice of
@@ -672,15 +790,17 @@ def _decode_seq(
                 length, pos = _read_uvarint(data, pos)
             if length > size:  # cheap bound: every item costs >= 1 byte
                 raise CodecError("container length exceeds buffer")
-            members, pos = _decode_seq(data, size, pos, length, depth + 1)
+            members, pos = _decode_seq(data, size, pos, length, depth + 1, refs)
             append(tuple(members))
         else:
-            value, pos = _decode_rare(data, size, pos, tag, depth)
+            value, pos = _decode_rare(data, size, pos, tag, depth, refs)
             append(value)
     return values, pos
 
 
-def _decode_rare(data: bytes, size: int, pos: int, tag: int, depth: int) -> tuple[Any, int]:
+def _decode_rare(
+    data: bytes, size: int, pos: int, tag: int, depth: int, refs: Optional[tuple[dict, set]]
+) -> tuple[Any, int]:
     """The value whose ``tag`` was just read at ``pos - 1``, for the tags
     :func:`_decode_seq` does not handle in place."""
     if tag == _TAG_NONE:
@@ -693,13 +813,21 @@ def _decode_rare(data: bytes, size: int, pos: int, tag: int, depth: int) -> tupl
         if pos + 8 > size:
             raise CodecError("truncated float")
         return _struct.unpack_from(">d", data, pos)[0], pos + 8
+    if tag == _TAG_REF and refs is not None:
+        table, referenced = refs
+        digest = data[pos : pos + _REF_DIGEST_BYTES]
+        value = table.get(digest)  # a truncated digest is no key either
+        if value is None:
+            raise CodecError("reference to no shared table entry")
+        referenced.add(digest)
+        return value, pos + _REF_DIGEST_BYTES
     if tag not in (_TAG_LIST, _TAG_FROZENSET, _TAG_SET, _TAG_DICT):
         raise CodecError(f"unknown tag byte {tag:#04x}")
     length, pos = _read_uvarint(data, pos)
     if length > size:
         raise CodecError("container length exceeds buffer")
     if tag == _TAG_LIST:
-        return _decode_seq(data, size, pos, length, depth + 1)
+        return _decode_seq(data, size, pos, length, depth + 1, refs)
     # Sets and dicts are written in sorted-encoding order, and only that
     # order is read back: each member (dict: key) span must sort strictly
     # after the one before it, so a set or dict too has one spelling.
@@ -707,14 +835,14 @@ def _decode_rare(data: bytes, size: int, pos: int, tag: int, depth: int) -> tupl
     members: list = []
     previous = b""
     for _ in range(length):
-        (member,), end = _decode_seq(data, size, pos, 1, depth + 1)
+        (member,), end = _decode_seq(data, size, pos, 1, depth + 1, refs)
         span = data[pos:end]
         if span <= previous:
             raise CodecError("set members or dict keys out of order")
         previous = span
         pos = end
         if pairs:
-            (mapped,), pos = _decode_seq(data, size, pos, 1, depth + 1)
+            (mapped,), pos = _decode_seq(data, size, pos, 1, depth + 1, refs)
             member = (member, mapped)
         members.append(member)
     try:
@@ -741,6 +869,46 @@ def decode(data: bytes) -> Any:
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after value")
     return values[0]
+
+
+def decode_shared(data: bytes) -> Any:
+    """Decode one :func:`encode_shared` buffer, strictly.
+
+    Every reference to one digest resolves to the *same* object, and each
+    table entry enters ``_payload_memo`` with the bytes it was read from,
+    as any decoded aggregate does.
+    """
+    _ensure_registered()
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise CodecError(f"expected bytes, got {type(data).__name__}")
+    data = bytes(data)
+    size = len(data)
+    if data[:1] != SHARED_OPEN:
+        raise CodecError("not a shared-aggregate encoding")
+    count, pos = _read_uvarint(data, 1)
+    if count > size:
+        raise CodecError("shared table count exceeds buffer")
+    table: dict[bytes, Any] = {}
+    previous = b""
+    for _ in range(count):
+        start = pos
+        # Depth 1 here and below: the five-field envelope, the one value
+        # with two spellings, is a top-of-frame affair and never state.
+        (entry,), pos = _decode_seq(data, size, pos, 1, 1)
+        if type(entry) not in _aggregate_memoized_types:
+            raise CodecError("shared table entry is not an aggregate")
+        digest = sha256(data[start:pos]).digest()
+        if digest <= previous:
+            raise CodecError("shared table out of digest order")
+        previous = digest
+        table[digest] = entry
+    referenced: set[bytes] = set()
+    (value,), pos = _decode_seq(data, size, pos, 1, 1, (table, referenced))
+    if pos != size:
+        raise CodecError(f"{size - pos} trailing bytes after value")
+    if len(referenced) != len(table):
+        raise CodecError("shared table entry is never referenced")
+    return value
 
 
 # -- envelopes -------------------------------------------------------------------------

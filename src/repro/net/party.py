@@ -33,6 +33,22 @@ the application's root factory, and :meth:`Party.replay` pushes a
 write-ahead log of post-snapshot envelopes back through the normal
 :meth:`deliver` path with network re-sends suppressed (they already left
 in the party's previous life).  See DESIGN.md section 9.
+
+A checkpoint costs what is new in it.  The blob is a shared-aggregate
+encoding (:func:`repro.net.codec.encode_shared`): a transcript that
+state reaches from many places is stored once, and ``thaw`` gives every
+such place the same object back.  And ``freeze`` keeps the encoded record
+of a *leaf* instance — one that never spawned a child and never
+registered a condition — for as long as the party hands it no event.
+The rule that makes this exact: **only the party calls a leaf's
+handlers** (:meth:`Party.deliver`, and :meth:`Party._install` before any
+record exists), so a leaf the party did not call since its record was
+taken has the state the record holds.  An instance with children or
+conditions can change behind the party's back (``on_sub_output``, an
+``upon`` action fired by another instance's delivery) and is encoded
+afresh every time.  The blob is byte-identical to one frozen with no
+record kept; the test suite checks that on every freeze it makes
+(``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -51,9 +67,10 @@ if TYPE_CHECKING:
 
 #: Leading tag + version of a :meth:`Party.freeze` blob.  The version is
 #: part of the encoded value, checked strictly on thaw: a future format
-#: bump can never be misread as the current one.
+#: bump can never be misread as the current one.  Version 1 was a plain
+#: codec value; 2 is a shared-aggregate encoding of the same tuple.
 SNAPSHOT_TAG = "repro-party-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SessionState:
@@ -70,6 +87,7 @@ class SessionState:
         "result_depth",
         "collected",
         "backlog_counted",
+        "rng_record",
     )
 
     def __init__(self, sid: int, rng: random.Random) -> None:
@@ -86,6 +104,10 @@ class SessionState:
         #: ``session_backlog_cap`` (set only for states allocated by
         #: *incoming traffic* — local accessors are trusted callers).
         self.backlog_counted = False
+        #: ``(rng.getstate(), its encoded record)`` as of the last freeze:
+        #: the stream moves only when the party deals, so most checkpoints
+        #: find the 625 ints where the previous one left them.
+        self.rng_record: Optional[tuple[tuple, Any]] = None
 
     @property
     def has_result(self) -> bool:
@@ -312,19 +334,7 @@ class Party:
         name: Any,
         protocol: Protocol,
     ) -> Protocol:
-        if path in state.instances:
-            raise RuntimeError(
-                f"instance already exists at {path!r} in session {state.sid}"
-            )
-        protocol._party = self
-        protocol._path = path
-        protocol._parent = parent
-        protocol._name = name
-        protocol._session = state.sid
-        self._bind_constants(protocol)
-        if path == ():
-            self.sessions.mark_started(state)
-        state.instances[path] = protocol
+        self._bind(state, path, parent, name, protocol)
         protocol.on_start()
         replay = state.pending.pop(path, [])
         state.pending_count -= len(replay)
@@ -386,6 +396,7 @@ class Party:
                 bucket.append((envelope.sender, envelope.payload))
                 state.pending_count += 1
         else:
+            instance._record = None  # whatever freeze kept for it is stale now
             instance.on_message(envelope.sender, envelope.payload)
         state.conditions.run_to_fixpoint()
 
@@ -465,6 +476,11 @@ class Party:
         order.  Constructor-time configuration (directory, secret, caps)
         is *not* serialized — a thawing party is rebuilt from the same
         trusted setup and the application's root factory.
+
+        Only what changed is encoded anew: a leaf instance the party
+        delivered nothing to since the last freeze contributes the
+        record kept then, and so does an RNG stream that did not move
+        (module docstring).  The bytes do not depend on what was kept.
         """
         from repro.net import codec
 
@@ -475,10 +491,17 @@ class Party:
             )
         sessions = []
         for state in self.sessions:
-            instances = [
-                (path, instance.snapshot())
-                for path, instance in state.instances.items()
-            ]
+            instances = []
+            for path, instance in state.instances.items():
+                record = instance._record if instance._leaf else None
+                if record is None:
+                    record = codec.shared_record((path, instance.snapshot()))
+                    if instance._leaf:
+                        instance._record = record
+                instances.append(record)
+            rng_state = state.rng.getstate()
+            if state.rng_record is None or state.rng_record[0] != rng_state:
+                state.rng_record = (rng_state, codec.shared_record(rng_state))
             sessions.append(
                 (
                     state.sid,
@@ -487,7 +510,7 @@ class Party:
                     state.has_result,
                     state.result if state.has_result else None,
                     state.result_depth,
-                    state.rng.getstate(),
+                    state.rng_record[1],
                     state.pending,
                     instances,
                 )
@@ -502,7 +525,7 @@ class Party:
             dict(self.drop_stats),
             sessions,
         )
-        return codec.encode(value)
+        return codec.encode_shared(value)
 
     def thaw(
         self,
@@ -520,12 +543,21 @@ class Party:
         :meth:`~repro.net.protocol.Protocol.build_child`, ``on_start`` is
         never re-run, and every instance's pending ``upon`` conditions
         are re-derived via :meth:`~repro.net.protocol.Protocol.rearm`.
+        An aggregate the frozen party reached from many places is one
+        object in the thawed party too.
         """
         from repro.net import codec
 
         if len(self.sessions) or self._outbox:
             raise RuntimeError("thaw() requires a pristine party")
-        value = codec.decode(blob)
+        if blob[:1] != codec.SHARED_OPEN:
+            # Version 1 blobs were plain codec values.  No reader is kept
+            # for them: they are refused here, unread.
+            raise ValueError(
+                "unsupported party snapshot version: not a shared-aggregate "
+                "blob (version 1 predates them)"
+            )
+        value = codec.decode_shared(blob)
         if (
             not isinstance(value, tuple)
             or len(value) != 8
@@ -582,7 +614,7 @@ class Party:
                             f"session {sid} has a root but no root factory "
                             "was provided"
                         )
-                    instance = self._restore_install(state, (), None, None, factory(self))
+                    instance = self._bind(state, (), None, None, factory(self))
                 else:
                     parent = state.instances.get(path[:-1])
                     if parent is None:
@@ -590,7 +622,7 @@ class Party:
                             f"snapshot instance {path!r} precedes its parent"
                         )
                     name = path[-1]
-                    instance = self._restore_install(
+                    instance = self._bind(
                         state, path, parent, name, parent.build_child(name)
                     )
                 instance.restore(snap)
@@ -612,7 +644,7 @@ class Party:
                 f"{sends!r} — a protocol's rearm() is not idempotent"
             )
 
-    def _restore_install(
+    def _bind(
         self,
         state: SessionState,
         path: Path,
@@ -620,7 +652,8 @@ class Party:
         name: Any,
         protocol: Protocol,
     ) -> Protocol:
-        """Install a rebuilt instance without ``on_start`` or pending replay."""
+        """Put an instance at its path: all of installing a rebuilt one,
+        which gets no ``on_start`` and no pending replay."""
         if path in state.instances:
             raise RuntimeError(
                 f"instance already exists at {path!r} in session {state.sid}"
@@ -631,7 +664,9 @@ class Party:
         protocol._name = name
         protocol._session = state.sid
         self._bind_constants(protocol)
-        if path == ():
+        if parent is not None:
+            parent._leaf = False  # its children call its on_sub_output
+        else:
             self.sessions.mark_started(state)
         state.instances[path] = protocol
         return protocol

@@ -42,6 +42,17 @@ Four hooks implement the contract:
 
 ``on_start`` is *not* called on restore — its sends already happened in
 the pre-snapshot life of the instance.
+
+Who may call a handler: **only the party calls a leaf's handlers.**  An
+instance that never spawned a child and never registered a condition (a
+reliable broadcast, typically) changes state only inside ``on_start`` /
+``on_message``, and those run only from :meth:`Party._install
+<repro.net.party.Party._install>` and :meth:`Party.deliver
+<repro.net.party.Party.deliver>`; ``Party.freeze`` relies on it to reuse
+such an instance's encoded record until the party next delivers to it.
+A parent that wants to feed a child does so through a method that ends
+in ``spawn`` or ``upon`` (as ``BinaryAgreement.provide_input`` does) or
+through a message — never by writing the child's fields.
 """
 
 from __future__ import annotations
@@ -82,6 +93,12 @@ class Protocol:
         self._session: int = 0
         self._output_done = False
         self.output_value: Any = None
+        #: Owned by ``Party.freeze``: False once this instance has a child
+        #: or a condition (its state can then change without a delivery),
+        #: and the encoded ``(path, snapshot())`` kept at the last freeze,
+        #: which ``Party.deliver`` drops.
+        self._leaf = True
+        self._record: Any = None
 
     # -- event hooks (override in subclasses) ------------------------------------
 
@@ -167,6 +184,7 @@ class Protocol:
         The clause lives in this *session's* registry: it is swept after
         events of this session and freed with the session on GC.
         """
+        self._leaf = False  # the action may run after any delivery of the session
         return self.party.conditions_for(self._session).add(
             predicate, action, once=once, label=label
         )

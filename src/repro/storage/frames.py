@@ -64,11 +64,15 @@ class StorageError(CodecError):
     """Raised when durable bytes cannot be decoded."""
 
 
-def _frame(magic: int, body: bytes) -> bytes:
-    out = bytearray((magic, FRAME_VERSION))
-    _write_uvarint(out, len(body))
-    out.extend(body)
-    return bytes(out)
+def _frame(magic: int, sequence: int, payload: bytes) -> bytes:
+    """``magic``-framed ``uvarint sequence + payload``, built in one buffer:
+    the payload (a whole snapshot blob) is copied once, by the join."""
+    number = bytearray()
+    _write_uvarint(number, sequence)
+    head = bytearray((magic, FRAME_VERSION))
+    _write_uvarint(head, len(number) + len(payload))
+    head += number
+    return b"".join((head, payload))
 
 
 def _open_frame(magic: int, data: bytes, pos: int, kind: str) -> tuple[bytes, int]:
@@ -96,10 +100,7 @@ def encode_wal_record(envelope: Envelope, seq: int) -> bytes:
     """One WAL record: ``uvarint seq`` + envelope encoding, 0xDA-framed."""
     if seq < 0:
         raise StorageError("WAL sequence must be non-negative")
-    body = bytearray()
-    _write_uvarint(body, seq)
-    body.extend(codec.encode_envelope(envelope))
-    return _frame(WAL_MAGIC, bytes(body))
+    return _frame(WAL_MAGIC, seq, codec.encode_envelope(envelope))
 
 
 def decode_wal_record(data: bytes, pos: int = 0) -> tuple[int, Envelope, int]:
@@ -143,10 +144,7 @@ def encode_snapshot_record(blob: bytes, wal_seq: int = 0) -> bytes:
         )
     if wal_seq < 0:
         raise StorageError("absorbed WAL sequence must be non-negative")
-    body = bytearray()
-    _write_uvarint(body, wal_seq)
-    body.extend(blob)
-    return _frame(SNAPSHOT_MAGIC, bytes(body))
+    return _frame(SNAPSHOT_MAGIC, wal_seq, blob)
 
 
 def decode_snapshot_record(data: bytes, pos: int = 0) -> tuple[bytes, int, int]:

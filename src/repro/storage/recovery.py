@@ -111,9 +111,12 @@ def recover_party(
 ) -> tuple[Party, dict[str, Any]]:
     """Rehydrate a crashed party from its snapshot + WAL.
 
-    Returns the thawed party (not yet reattached) and replay statistics:
-    ``wal_records``, ``suppressed_sends`` (duplicate sends the replay
-    swallowed), ``replay_seconds`` and ``replay_per_second``.
+    Returns the thawed party (not yet reattached) and recovery
+    statistics: ``wal_records``, ``suppressed_sends`` (duplicate sends
+    the replay swallowed), ``thaw_seconds`` (rebuilding the party from
+    the snapshot blob), ``replay_seconds`` (reading the WAL back and
+    pushing it through the party) and ``replay_per_second`` — records
+    over the replay interval alone, the thaw excluded.
     """
     loaded = store.load_snapshot(index)
     if loaded is None:
@@ -122,6 +125,7 @@ def recover_party(
     party = transport.build_party(index)
     started = time.perf_counter()
     party.thaw(blob, root_factory=root_factory)
+    thawed = time.perf_counter()
     # Skip the absorbed prefix: records at or below the snapshot's
     # sequence survive only when a crash landed between snapshot rename
     # and WAL truncation, and replaying them would double-apply.
@@ -131,12 +135,16 @@ def recover_party(
         if seq > absorbed_seq
     ]
     replayed = party.replay(records)
-    elapsed = time.perf_counter() - started
+    finished = time.perf_counter()
+    replay_seconds = finished - thawed
     return party, {
         "wal_records": len(records),
         "suppressed_sends": replayed["suppressed"],
-        "replay_seconds": elapsed,
-        "replay_per_second": (len(records) / elapsed) if elapsed > 0 else 0.0,
+        "thaw_seconds": thawed - started,
+        "replay_seconds": replay_seconds,
+        "replay_per_second": (
+            len(records) / replay_seconds if replay_seconds > 0 else 0.0
+        ),
     }
 
 

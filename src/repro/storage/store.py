@@ -46,7 +46,11 @@ class SnapshotStore:
     def wal(self, index: int) -> WriteAheadLog:
         log = self._wals.get(index)
         if log is None:
-            log = WriteAheadLog(self.party_dir(index) / "wal.bin", fsync=self.fsync)
+            # The party's directory is made here, once: every write to it
+            # (WAL append, snapshot) goes through its log first.
+            directory = self.party_dir(index)
+            directory.mkdir(parents=True, exist_ok=True)
+            log = WriteAheadLog(directory / "wal.bin", fsync=self.fsync)
             self._wals[index] = log
         return log
 
@@ -59,8 +63,8 @@ class SnapshotStore:
         shrink — and a crash between the two leaves records replay will
         skip by sequence.
         """
+        log = self.wal(index)
         path = self._snapshot_path(index)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
         data = encode_snapshot_record(blob, wal_seq)
         with open(tmp, "wb") as handle:
@@ -69,7 +73,7 @@ class SnapshotStore:
             if self.fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp, path)
-        self.wal(index).reset()
+        log.reset()
 
     def has_snapshot(self, index: int) -> bool:
         return self._snapshot_path(index).exists()

@@ -95,11 +95,10 @@ class WriteAheadLog:
         must sort after the snapshot's absorbed sequence.
         """
         self.last_seq  # materialize before the records disappear
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        if self.path.exists():
-            self.path.write_bytes(b"")
+        # Through the open handle: it is in append mode, so the next
+        # write lands at the new end whatever its position says, and a
+        # checkpoint costs no close, reopen or second path lookup.
+        self._file().truncate(0)
         self.appended = 0
 
     def close(self) -> None:

@@ -115,3 +115,17 @@ def assert_retained_bytes_are_a_cold_walk(decoded) -> None:
     codec._payload_memo.clear()
     for aggregate, kept in zip(aggregates, retained):
         assert codec.encode(aggregate) == kept
+
+
+def assert_memo_holds_only_plain_walks() -> int:
+    """Every live ``_payload_memo`` entry — payloads and aggregates — is
+    what a cold plain walk of its object emits: no reference tag ever got
+    in.  Returns the number of entries checked (the memo is left cold)."""
+    entries = [
+        (ref(), kept) for ref, kept in list(codec._payload_memo._entries.values())
+    ]
+    codec._payload_memo.clear()
+    for value, kept in entries:
+        if value is not None:
+            assert codec.encode(value) == kept, type(value).__name__
+    return len(entries)

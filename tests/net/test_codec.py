@@ -5,6 +5,7 @@ import hashlib
 import json
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -764,6 +765,163 @@ def test_golden_vectors_reencode_to_themselves(setup, transcript):
         assert encoder(decoded) == wire, name
         assert_retained_bytes_are_a_cold_walk(decoded)
         assert encoder(decoded) == wire, name
+
+
+# -- shared-aggregate encoding (snapshots only) ----------------------------------------
+
+
+def _name(aggregate) -> bytes:
+    """How a shared body spells ``aggregate``: tag + SHA-256 of its bytes."""
+    return codec.SHARED_OPEN + hashlib.sha256(codec.encode(aggregate)).digest()
+
+
+def _shared(entries, body: bytes) -> bytes:
+    """A shared encoding assembled by hand: ``entries`` as given, unsorted."""
+    return codec.SHARED_OPEN + bytes((len(entries),)) + b"".join(entries) + body
+
+
+def _shared_mutant_ok(wire: bytes) -> bool:
+    """``wire`` is refused, or is the one spelling of what it decodes to and
+    left nothing but plain walks behind."""
+    try:
+        decoded = codec.decode_shared(wire)
+    except codec.CodecError:
+        return False
+    assert codec.encode_shared(decoded) == wire
+    assert_retained_bytes_are_a_cold_walk(decoded)
+    assert codec.encode_shared(decoded) == wire  # and cold, too
+    return True
+
+
+@given(_values, st.data())
+def test_shared_encoding_inverts_and_has_one_spelling(value, data):
+    wire = codec.encode_shared(value)
+    decoded = codec.decode_shared(wire)
+    assert decoded == value and type(decoded) is type(value)
+    assert _shared_mutant_ok(wire)
+    for refused in (codec.decode, codec.decode_batch, codec.decode_envelope):
+        with pytest.raises(codec.CodecError):
+            refused(wire)
+    mutant = bytearray(wire)
+    for _ in range(data.draw(st.integers(1, 3))):
+        position = data.draw(st.integers(0, len(mutant) - 1))
+        if data.draw(st.booleans()):
+            mutant[position] = data.draw(st.integers(0, 255))
+        else:
+            mutant[position] |= 0x80
+            mutant.insert(position + 1, 0)
+    _shared_mutant_ok(bytes(mutant))
+
+
+def test_shared_encoding_stores_an_aggregate_once_and_thaws_it_to_one_object(
+    setup, transcript
+):
+    """Every place that held the transcript — a container, a plain struct,
+    a payload kept in state — names it; the table holds its bytes once; the
+    decoder hands every place the same object, already holding its bytes."""
+    other = pvss.deal(setup.directory, setup.secret(3), random.Random("shared"))
+    suggest = Suggest(key=KeyTuple(0, transcript, None), view=1)
+    value = [transcript, (other, suggest), {1: transcript}, KeyTuple(2, transcript, None)]
+    plain = codec.encode(transcript)
+    stats = Counter(codec.encode_stats)
+    wire = codec.encode_shared(value)
+    # One walk: the fresh dealing's, for its table entry.
+    assert codec.encode_stats["aggregate.misses"] == stats["aggregate.misses"] + 1
+    # A payload in state is walked past the memo: not a payload encoding.
+    assert codec.encode_stats["payload.calls"] == stats["payload.calls"]
+    assert wire.count(plain) == 1 and wire.count(_name(transcript)) == 4
+    assert len(wire) < len(codec.encode(value)) - 2 * len(plain)
+    first, (dealt, journaled), mapped, key = codec.decode_shared(wire)
+    assert first is journaled.key.value is mapped[1] is key.value
+    assert first == transcript and dealt == other and journaled == suggest
+    assert codec._payload_memo.get(first) == plain
+    assert codec._payload_memo.get(journaled) is None  # payloads are not seeded
+    assert codec.encode(journaled) == codec.encode(suggest)
+    # A kept record splices in verbatim, wherever it sits.
+    record = codec.shared_record((other, suggest))
+    assert codec.encode_shared([transcript, record, {1: transcript}, value[3]]) == wire
+    with pytest.raises(codec.CodecError, match="inside encode_shared only"):
+        codec.encode([record])
+
+
+def test_shared_decoder_rejects_every_second_spelling(setup, transcript):
+    other = pvss.deal(setup.directory, setup.secret(3), random.Random("shared"))
+    low, high = sorted((transcript, other), key=_name)
+    entries = [codec.encode(low), codec.encode(high)]
+    body = codec.encode_shared((low, high))[2 + sum(map(len, entries)) :]
+    assert body == b"\x06\x02" + _name(low) + _name(high)
+    assert codec.decode_shared(_shared(entries, body)) == (low, high)
+
+    def refused(wire: bytes, match: str) -> None:
+        with pytest.raises(codec.CodecError, match=match):
+            codec.decode_shared(wire)
+
+    refused(_shared(entries[::-1], body), "out of digest order")
+    refused(_shared([entries[0]] * 2, b"\x06\x02" + _name(low) * 2), "out of digest order")
+    for intruder in (codec.encode(7), codec.encode(transcript.commitments[0])):
+        refused(_shared([intruder], b"\x00"), "not an aggregate")
+    refused(_shared(entries, b"\x06\x01" + _name(low)), "never referenced")
+    refused(_shared([entries[0]], body), "reference to no shared table entry")
+    refused(_shared(entries, body[:-1]), "reference to no shared table entry")
+    refused(_shared([], codec.encode(low)), "inline where a reference belongs")
+    in_payload = codec.encode(Suggest(key=KeyTuple(0, low, None), view=1))
+    refused(_shared([], in_payload), "inline where a reference belongs")
+    # A table entry is plain all the way down: no reference inside one.
+    outer = pvss.PVSSTranscript(commitments=(low,), cipher_shares=(), tags=())
+    forged = codec.encode(outer).replace(codec.encode(low), _name(low))
+    assert forged.count(_name(low)) == 1
+    nested = sorted((codec.encode(low), forged), key=lambda e: hashlib.sha256(e).digest())
+    refused(
+        _shared(nested, b"\x06\x02" + _name(low) + codec.SHARED_OPEN + hashlib.sha256(forged).digest()),
+        "unknown tag byte 0x0c",
+    )
+    refused(_shared(entries, body + b"\x00"), "trailing bytes")
+    refused(codec.encode((low, high)), "not a shared-aggregate encoding")
+    refused(b"", "not a shared-aggregate encoding")
+    refused(codec.SHARED_OPEN + b"\x7f" + entries[0][:64], "exceeds buffer")
+    refused(codec.SHARED_OPEN + b"\x82\x00" + b"".join(entries) + body, "non-canonical")
+
+
+def test_the_reference_tag_is_refused_by_every_reader_of_peer_bytes(transcript):
+    """0x0C never crosses a wire or enters a WAL: each reader of bytes that
+    a peer wrote treats it as the unknown tag it is there, so no frame can
+    make a receiver resolve a reference."""
+    from repro.storage import frames
+
+    payload = Suggest(key=KeyTuple(0, transcript, None), view=1)
+    envelopes = [Envelope(("nwh",), 1, recipient, payload, 2, 0) for recipient in (0, 2)]
+
+    def frames_around(payload_wire: bytes) -> dict:
+        """One frame per reader, every length prefix honest."""
+        envelope_wire = codec.encode_envelope(envelopes[0]).replace(
+            codec.encode(payload), payload_wire
+        )
+        batch = bytearray((codec.BATCH_MAGIC, codec.BATCH_VERSION, 1))
+        codec._write_uvarint(batch, len(payload_wire))
+        batch += payload_wire
+        batch.append(len(envelopes))
+        for envelope in envelopes:
+            batch.append(0)
+            codec._batch_header_into(batch, envelope)
+        return {
+            codec.decode: payload_wire,
+            codec.decode_envelope: envelope_wire,
+            codec.decode_batch: bytes(batch),
+            frames.decode_wal_record: frames._frame(frames.WAL_MAGIC, 9, envelope_wire),
+        }
+
+    honest = frames_around(codec.encode(payload))
+    assert honest[codec.decode_batch] == codec.encode_batch(envelopes)
+    assert honest[frames.decode_wal_record] == frames.encode_wal_record(envelopes[0], 9)
+    for reader, wire in honest.items():
+        reader(wire)
+    forged = codec.encode(payload).replace(codec.encode(transcript), _name(transcript))
+    assert forged.count(_name(transcript)) == 1
+    for reader, wire in frames_around(forged).items():
+        with pytest.raises(codec.CodecError, match="unknown tag byte 0x0c"):
+            reader(wire)
+        with pytest.raises(codec.CodecError):
+            reader(codec.encode_shared(payload))
 
 
 #: The longest varint the reader follows (a few bits above the int bound).

@@ -2,7 +2,8 @@
 
 A corpus of real wire and disk bytes — batch frames of envelopes captured
 from an n=4 ADKG through ``Transport.add_delivery_observer``, WAL records
-of the same envelopes, a snapshot frame of a mid-run ``Party.freeze`` —
+of the same envelopes, a snapshot frame of a mid-run ADKG ``Party.freeze``
+(a shared-aggregate encoding: ``decode_shared`` / ``encode_shared``) —
 is truncated at every length and flipped at every byte.  Each mutant
 either raises :class:`CodecError` (the storage layer's ``StorageError`` is
 one) or decodes to something that passes the codec's own validation, that
@@ -63,14 +64,17 @@ def captured():
     return by_type
 
 
-def _mutants(data: bytes, seed: str, thorough: bool = False):
+def _mutants(data: bytes, seed: str, thorough: bool = False, thin: range = range(0)):
     """Every strict prefix, then every byte replaced by a seeded random
     one; ``thorough`` also flips each byte's continuation bit (what varints
-    and tags hinge on) and its low bit."""
+    and tags hinge on) and its low bit.  Inside ``thin`` (a long run of one
+    kind of value) only every sixteenth position is cut at and flipped."""
     rng = random.Random(seed)
-    for cut in range(len(data)):
+    kept = [p for p in range(len(data)) if p not in thin or p % 16 == 0]
+    for cut in kept:
         yield data[:cut]
-    for position, byte in enumerate(data):
+    for position in kept:
+        byte = data[position]
         flips = {rng.randrange(256)}
         if thorough:
             flips |= {byte ^ 0x80, byte ^ 0x01}
@@ -120,27 +124,41 @@ def test_wal_records_fail_closed(captured):
 
 
 def test_snapshot_frames_fail_closed():
+    """A mid-run ADKG party: a table of contributions, references from
+    RBC, Gather and PE state, the session's 625-int RNG record."""
     setup = TrustedSetup.generate(4, seed=3)
     sim = Simulation(setup, seed=3, delay_model=FixedDelay(1.0))
-    sim.start(lambda party: EchoAll())
-    for _ in range(6):
+    sim.start(lambda party: ADKG())
+    for _ in range(5):
         sim.step()
-    blob = sim.parties[0].freeze()
+    blob = sim.parties[2].freeze()
+    assert blob[:2] == codec.SHARED_OPEN + b"\x04"  # four distinct aggregates so far
     record = encode_snapshot_record(blob, 300)
     assert decode_frame(record) == ("snapshot", (blob, 300))
 
     def restore(data):
         kind, (inner, wal_seq) = decode_frame(data)
         assert kind == "snapshot" and wal_seq >= 0
-        state = codec.decode(inner)  # what Party.thaw does first
-        assert codec.encode(state) == inner  # accepted bytes: the one spelling
+        state = codec.decode_shared(inner)  # what Party.thaw does first
+        assert codec.encode_shared(state) == inner  # accepted bytes: the one spelling
+        assert_retained_bytes_are_a_cold_walk(state)
         return state
 
     state = restore(record)
-    for mutant in _mutants(record, "snapshot"):
+    assert len(list(aggregates_in(state))) == 8  # each entry is named twice
+    # Two thirds of this small blob are the RNG stream's 625 ints.
+    stream = codec.encode(sim.parties[2].session_rng(0).getstate()[1])
+    ints = range(record.index(stream) + 16, record.index(stream) + len(stream) - 16)
+    survivors = 0
+    for mutant in _mutants(record, "snapshot", thin=ints):
         if mutant[:1] == record[:1]:  # still addressed to the snapshot reader
-            _accepted(restore, mutant)
+            survivors += _accepted(restore, mutant) is not None
+    assert survivors  # flips inside opaque bytes and ints do decode
     assert restore(record) == state
+    # The plain readers refuse the blob at its first byte.
+    for reader in (codec.decode, codec.decode_envelope, codec.decode_batch):
+        with pytest.raises(codec.CodecError, match="0x0c"):
+            reader(blob)
 
 
 # -- overlong varints at all three boundaries ------------------------------------------

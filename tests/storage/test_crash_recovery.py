@@ -31,13 +31,35 @@ def test_sim_crash_recovery_reaches_agreement():
     assert report["parked_delivered"][0] > 0
 
 
+def test_report_times_the_thaw_and_the_replay_apart():
+    """What a recovery waits for is mostly the thaw; the replay rate is
+    records over the replay interval alone."""
+    report = run_crash_recovery(
+        transport="sim",
+        n=7,
+        seed=2,
+        crash_indices=[0, 3],
+        crash_after=150,
+        recovery_delay=3.0,
+        cadence=64,
+    )
+    assert report["agreement"] and report["valid"]
+    assert set(report["replay"]) == {0, 3}
+    for stats in report["replay"].values():
+        assert stats["wal_records"] > 0
+        assert stats["thaw_seconds"] > 0 and stats["replay_seconds"] > 0
+        assert stats["replay_per_second"] == pytest.approx(
+            stats["wal_records"] / stats["replay_seconds"]
+        )
+
+
 def test_checkpoints_encode_each_aggregate_once_not_once_per_reference():
     """The structural gate behind the recovery benchmark: a party's state is
     mostly repeated references to a few transcripts and contributions, and
     every checkpoint (and WAL record, RBC value, cache key) meets them all
-    again.  Exact counts, no stopwatch: this scenario reads 472 aggregate
-    encodings of which 78 walked the value (6.05 per walk; at n=10 a single
-    snapshot holds 116 transcript references to 31 objects); the floor is 5.
+    again.  Exact counts, no stopwatch: this scenario reads 534 aggregate
+    encodings of which 34 walked the value (15.7 per walk; at n=10 a single
+    snapshot holds 173 references to 34 objects); the floor is 5.
     The scenario's protocol facts are the ones it read before the memo."""
     from collections import Counter
 

@@ -37,6 +37,43 @@ def test_wal_replay_mid_handoff(transport, tmp_path):
     assert (tmp_path / transport / "party-1" / "snapshot.bin").exists()
 
 
+def test_freezing_mid_handoff_leaves_the_memo_plain(monkeypatch, tmp_path):
+    """Reshare state nests aggregates (a bundle holds dealings): each
+    checkpoint of the handoff epoch names the outer one and must leave
+    every memo entry — outer, nested, payload — a plain walk."""
+    from repro.net import codec
+    from repro.net.party import Party
+    from tests.net.helpers import aggregates_in, assert_memo_holds_only_plain_walks
+
+    freeze = Party.freeze
+    nested = []
+
+    def freeze_then_check(party):
+        blob = freeze(party)
+        assert assert_memo_holds_only_plain_walks() > 0
+        nested.extend(
+            type(inner).__name__
+            for outer in aggregates_in(codec.decode_shared(blob))
+            if isinstance(outer, reshare.ReshareBundle)
+            for inner in outer.dealings
+        )
+        return blob
+
+    monkeypatch.setattr(Party, "freeze", freeze_then_check)
+    report = run_churn(
+        7,
+        epochs=2,
+        churn="join:6@1",
+        transport="sim",
+        seed=6,
+        base_f=1,
+        crash={1: {"indices": (1,), "after": 10, "delay": 2.0}},
+        storage_dir=str(tmp_path),
+    )
+    assert report.membership.key_invariant and report.all_verified
+    assert "ReshareDealing" in nested
+
+
 def test_crash_recovery_composes_with_chaos_mid_handoff(tmp_path):
     """A party thaws into a still-degraded network and still converges."""
     report = run_churn(

@@ -160,16 +160,119 @@ def test_thaw_requires_pristine_party():
         sim.parties[0].thaw(blob, root_factory=factory)
 
 
+def _claiming(version: int):
+    """``(sim, factory, snapshot value)`` of a mid-run party, the value
+    naming ``version``."""
+    from repro.net import codec
+
+    factory = CASES["gather"]
+    sim = _build(factory, True)
+    for _ in range(10):
+        sim.step()
+    value = list(codec.decode_shared(sim.parties[0].freeze()))
+    value[1] = version
+    return sim, factory, tuple(value)
+
+
 def test_snapshot_rejects_future_version():
     from repro.net import codec
     from repro.net import party as party_mod
 
-    factory = CASES["gather"]
-    sim = _build(factory, True)
+    assert party_mod.SNAPSHOT_VERSION == 2
+    sim, factory, value = _claiming(party_mod.SNAPSHOT_VERSION + 1)
+    with pytest.raises(ValueError, match="version 3"):
+        sim.build_party(0).thaw(codec.encode_shared(value), root_factory=factory)
+
+
+def test_version_1_is_refused_with_the_version_error():
+    """Version 1 blobs were plain codec values of the same tuple.  No
+    reader is kept for them: ``thaw`` refuses one unread, by the version
+    error, whatever it claims — as it refuses a blob in today's format
+    that names version 1."""
+    from repro.net import codec
+
+    sim, factory, value = _claiming(1)
+    for blob in (codec.encode(value), codec.encode((*value[:1], 2, *value[2:]))):
+        assert blob[:1] != codec.SHARED_OPEN
+        with pytest.raises(ValueError, match="version"):
+            sim.build_party(0).thaw(blob, root_factory=factory)
+    with pytest.raises(ValueError, match="version 1"):
+        sim.build_party(0).thaw(codec.encode_shared(value), root_factory=factory)
+
+
+def test_thaw_restores_the_sharing_the_party_had():
+    """One transcript, one object: the aggregate in what an RBC decoded,
+    in what it output and in what Gather collected from it is the same
+    object after a thaw, as it was before the freeze."""
+    import hashlib
+
+    from repro.net import codec
+    from tests.net.helpers import aggregates_in
+
+    setup = TrustedSetup.generate(N, seed=SEED)
+    sim = Simulation(setup, seed=SEED, delay_model=FixedDelay(1.0))
+    sim.start(CASES["adkg"])
+    sim.run_until_all_honest_output()
     blob = sim.parties[0].freeze()
-    value = list(codec.decode(blob))
-    value[1] = party_mod.SNAPSHOT_VERSION + 1
-    forged = codec.encode(tuple(value))
     clone = sim.build_party(0)
-    with pytest.raises(ValueError, match="version"):
-        clone.thaw(forged, root_factory=factory)
+    clone.thaw(blob, root_factory=CASES["adkg"])
+    for party in (sim.parties[0], clone):
+        shared = 0
+        for path, rbc in party.sessions.peek(0).instances.items():
+            if path[-2:-1] != ("gather",) or path[-1][0] != "vrb":
+                continue
+            gather = party.instance(path[:-1])
+            [decoded] = rbc._decoded.values()
+            output = list(aggregates_in(rbc.output_value))
+            assert output  # a dealer's value carries its PVSS contribution
+            for mine, theirs, collected in zip(
+                output,
+                aggregates_in(decoded),
+                aggregates_in(gather.values[path[-1][1]]),
+                strict=True,
+            ):
+                assert mine is theirs is collected
+                # ... and each of the three places names it by reference.
+                name = codec.SHARED_OPEN + hashlib.sha256(codec.encode(mine)).digest()
+                assert blob.count(name) >= 3
+                shared += 1
+        assert shared >= N - 1
+
+
+def test_freezing_a_parked_payload_leaves_the_memo_plain():
+    """A payload waits in a pending buffer, carrying a transcript nothing
+    has encoded yet.  ``freeze`` names the transcript in the payload and
+    walks it once, plainly, for the table; neither the payload nor the
+    transcript may come out of it holding reference-bearing bytes."""
+    import random
+
+    from repro.core.certificates import KeyTuple
+    from repro.core.nwh import Suggest
+    from repro.crypto import pvss
+    from repro.net import codec
+    from repro.net.envelope import Envelope
+    from tests.net.helpers import assert_memo_holds_only_plain_walks
+
+    sim = _build(CASES["gather"], True)
+    setup = TrustedSetup.generate(N, seed=SEED)
+    dealt = [
+        pvss.deal(setup.directory, setup.secret(i), random.Random(f"parked-{i}"))
+        for i in range(2)
+    ]
+    transcript = pvss.aggregate(setup.directory, dealt)
+    parked = Suggest(key=KeyTuple(0, transcript, None), view=1)
+    party = sim.build_party(0)
+    party.deliver(Envelope(("not", "spawned"), 1, 0, parked, 1, 0))
+    assert party.pending_messages() == 1
+    codec._payload_memo.clear()
+    blob = party.freeze()
+    assert blob[:2] == codec.SHARED_OPEN + b"\x01"
+    assert codec._payload_memo.get(parked) is None  # walked past the memo
+    assert codec._payload_memo.get(transcript) is not None
+    assert assert_memo_holds_only_plain_walks() >= 1
+    clone = sim.build_party(0)
+    clone.thaw(blob)
+    [(sender, thawed)] = clone.sessions.peek(0).pending[("not", "spawned")]
+    assert (sender, thawed) == (1, parked)
+    assert codec.encode(thawed) == codec.encode(parked)
+    assert clone.freeze() == blob

@@ -39,3 +39,23 @@ def test_direction_ties_and_regression():
     # Ties count for neither side.
     row = perf_pairs.compare([5.0, 5.0], [5.0, 5.0], "lower", 0.02)
     assert (row["wins"], row["relative"], row["verdict"]) == (0, 0.0, "within bound")
+
+
+def test_moved_layers_reads_counts_exactly_and_timings_beyond_five_percent():
+    declared = [
+        {"name": "storage.snapshots", "unit": "count"},
+        {"name": "net.codec.payload_calls", "unit": "count"},
+        {"name": "net.codec.encode_s", "unit": "s"},
+        {"name": "storage.wal_append_s", "unit": "s"},
+        {"name": "net.chaos.self_s", "unit": "s"},
+    ]
+    values = lambda *numbers: {  # noqa: E731
+        metric["name"]: {"value": number} for metric, number in zip(declared, numbers)
+    }
+    rows = perf_pairs.moved_layers(
+        declared, values(45, 2763, 0.137, 0.0160, 0.0), values(45, 2691, 0.054, 0.0155, 0.0)
+    )
+    assert rows == [
+        ("net.codec.payload_calls", "count", 2763, 2691),
+        ("net.codec.encode_s", "s", 0.137, 0.054),
+    ]
