@@ -10,14 +10,14 @@ content of Theorems 1, 3, 4 and 5.
 Run:  python examples/byzantine_drill.py
 """
 
-from repro.analysis.experiments import run_fault_matrix
+from repro.analysis.experiments import e8_fault_matrix
 from repro.analysis.tables import render_table
 
 
 def main() -> None:
     print("A-DKG fault drill, n = 4, f = 1 (every case corrupts one party")
     print("or hands the scheduler to the adversary):\n")
-    rows = run_fault_matrix(n=4, seed=3)
+    rows = e8_fault_matrix(((4, 3),)).rows
     print(
         render_table(
             rows,

@@ -1,9 +1,9 @@
-"""Experiment runners, complexity fits and table rendering.
+"""The experiment harness, complexity fits and table rendering.
 
-``repro.analysis.experiments`` exposes one runner per experiment of the
-index in DESIGN.md (E1-E9); ``repro.analysis.complexity`` estimates
-scaling exponents from measurements; ``repro.analysis.tables`` renders
-the EXPERIMENTS.md-style tables.
+``repro.analysis.experiments`` holds one function per experiment of the
+index in DESIGN.md (E1-E18) and renders EXPERIMENTS.md from them;
+``repro.analysis.complexity`` estimates scaling exponents from
+measurements; ``repro.analysis.tables`` renders the tables.
 """
 
 from repro.analysis.complexity import fit_power_law, log_log_slope

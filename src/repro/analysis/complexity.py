@@ -3,7 +3,7 @@
 The reproduction brief asks for *shapes*, not absolute numbers: does the
 measured word count grow like ``n³`` (Theorems 7-10) or ``n⁴`` (the
 baseline)?  ``fit_power_law`` estimates the exponent by least squares in
-log-log space and reports an R² so benchmarks can assert a fit quality.
+log-log space and reports an R² so an experiment can check fit quality.
 """
 
 from __future__ import annotations

@@ -1,34 +1,108 @@
-"""Runners for the experiment index E1-E18 (DESIGN.md section 6).
+"""The experiment index E1-E18: one function per experiment, one harness.
 
-Each runner executes seeded simulations and returns plain row dicts that
-the benchmarks assert on and ``scripts/generate_experiments.py`` renders
-into EXPERIMENTS.md.  All randomness is derived from explicit seeds.
+Each ``eN_*`` function takes its grid as plain arguments, runs seeded
+simulations and returns a :class:`Section`: the paper's claim, the
+deterministic rows that bear on it, and named boolean *checks* (fitted
+exponent bounds, ratios, agreement, key invariance) stated beside the
+rows that show them.  :func:`run_experiments` calls all eighteen at
+EXPERIMENTS.md size; ``tests/analysis/test_experiments.py`` calls the
+same functions at CI size inside the tier-1 suite and asserts every
+check; ``python -m repro.analysis.experiments`` renders
+:func:`run_experiments` to EXPERIMENTS.md and exits non-zero on a failed
+check.  ``repro sweep`` / ``drill`` / ``compare`` are E6 / E8 / E7 on the
+user's grid.
 
-The index is contiguous: E1-E10 regenerate the paper's claims and
-ablations, E11 (transports) and E12 (hot-path counters) are covered by
-their benchmarks, E13 runs epoch pipelining, E14 is the crash–recovery
-fault matrix over the durable storage layer, E15 is retired (a static
-entry quoting the deleted process-pool verifier's last measured ratios),
-E16 is the chaos matrix over the link-level fault plane (DESIGN §11),
-E17 (sharded scale-out) is covered by its benchmark, and E18 is the
-membership-churn matrix over proactive resharing (DESIGN §13).
+Every column is a deterministic function of the code, so CI regenerates
+the file and diffs it.  Wall clock is not one: it has one owner,
+``python3 -m perf.run`` (``BENCHMARK.json``, ``perf/README.md``).  A row
+from a realtime transport (asyncio, TCP) carries only what does not
+depend on socket timing.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
-from typing import Any, Callable, Iterable, Optional, Sequence
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Callable, Optional, Sequence
 
+from repro import run_adkg
+from repro.analysis.complexity import PowerLawFit, fit_power_law
+from repro.analysis.tables import render_table
 from repro.baselines.kms_adkg import ACSBasedADKG
 from repro.broadcast.validated import make_broadcast
+from repro.core.adkg import ADKG, ADKGShare
 from repro.core.gather import Gather
 from repro.core.nwh import NWH
 from repro.core.proposal_election import ProposalElection
+from repro.crypto import threshold_vrf as tvrf
 from repro.crypto.keys import TrustedSetup
-from repro.net.adversary import Scheduler
-from repro.net.delays import DelayModel, FixedDelay
+from repro.net.adversary import (
+    CrashBehavior,
+    CrashRecoverBehavior,
+    DropBehavior,
+    FaultSchedule,
+    MutateBehavior,
+    RandomLagScheduler,
+    Scheduler,
+    SessionLagScheduler,
+    SilentBehavior,
+    TargetedLagScheduler,
+)
+from repro.net.chaos import ChaosSpec
+from repro.net.delays import FixedDelay
 from repro.net.protocol import Protocol
 from repro.net.runtime import Simulation
+from repro.service import run_beacon, run_churn, run_sharded
+from repro.service.shards import SHARD_MODES, shutdown_shard_executor
+from repro.storage.recovery import run_crash_recovery
+
+#: Theorems 7-10 say Õ(n³): a fitted exponent around 3, the log factor
+#: pushing it above, clearly under the baseline's 4.
+CUBIC = (2.5, 3.9)
+
+
+@dataclass(frozen=True)
+class Section:
+    """One experiment's outcome: what the paper says, what was measured."""
+
+    id: str
+    title: str
+    claim: str
+    columns: tuple[str, ...]
+    rows: list[dict]
+    #: Derived numbers (fits, ratios) in prose, printed under the table.
+    findings: tuple[str, ...]
+    #: ``statement -> held``; a false one fails the test and the entry point.
+    checks: dict[str, bool]
+
+    def render(self) -> str:
+        parts = [f"## {self.id} — {self.title}", self.claim]
+        if self.rows:
+            parts.append(render_table(self.rows, columns=self.columns))
+        parts.extend(self.findings)
+        if self.checks:
+            parts.append(
+                "\n".join(
+                    f"- [{'x' if held else ' '}] {statement}"
+                    for statement, held in self.checks.items()
+                )
+            )
+        return "\n\n".join(parts)
+
+
+def failed_checks(sections: Sequence[Section]) -> list[str]:
+    return [
+        f"{section.id}: {statement}"
+        for section in sections
+        for statement, held in section.checks.items()
+        if not held
+    ]
+
+
+# -- shared measurement helpers --------------------------------------------------------
 
 
 class _BroadcastRoot(Protocol):
@@ -54,17 +128,14 @@ def _simulate(
     seed: int,
     behaviors=None,
     scheduler: Optional[Scheduler] = None,
-    delay_model: Optional[DelayModel] = None,
     to_quiescence: bool = True,
-    setup: Optional[TrustedSetup] = None,
 ) -> Simulation:
-    setup = setup or TrustedSetup.generate(n, seed=seed)
     sim = Simulation(
-        setup,
+        TrustedSetup.generate(n, seed=seed),
         seed=seed,
         behaviors=behaviors,
         scheduler=scheduler,
-        delay_model=delay_model or FixedDelay(1.0),
+        delay_model=FixedDelay(1.0),
     )
     sim.start(factory)
     if to_quiescence:
@@ -74,444 +145,664 @@ def _simulate(
     return sim
 
 
-def _row(sim: Simulation, **extra) -> dict:
+def _totals(sim: Simulation, **labels) -> dict:
     return {
+        **labels,
         "words": sim.metrics.words_total,
         "messages": sim.metrics.messages_total,
         "rounds": sim.honest_completion_time(),
-        **extra,
     }
 
 
-# -- E1: reliable broadcast (Theorem 6) ----------------------------------------------
+def _broadcast_row(kind: str, n: int, m: int, **labels) -> dict:
+    sim = _simulate(n, lambda p: _BroadcastRoot(kind, 0, (1,) * m), seed=1)
+    return _totals(sim, **labels, kind=kind, n=n, m=m)
 
 
-def run_broadcast_experiment(
-    ns: Sequence[int],
-    message_words: Sequence[int],
-    kinds: Sequence[str] = ("ct", "bracha"),
-    seed: int = 1,
-) -> list[dict]:
-    rows = []
-    for n in ns:
-        for m in message_words:
-            value = (1,) * m
-            for kind in kinds:
-                sim = _simulate(
-                    n, lambda p: _BroadcastRoot(kind, 0, value), seed=seed
-                )
-                rows.append(
-                    _row(sim, experiment="E1", kind=kind, n=n, m=m)
-                )
-    return rows
+def _fit(rows: Sequence[dict], x: str, y: str) -> PowerLawFit:
+    return fit_power_law([row[x] for row in rows], [row[y] for row in rows])
 
 
-# -- E2: Verifiable Gather (Theorem 7) ------------------------------------------------
+def _within(value: float, bounds: tuple[float, float]) -> bool:
+    return bounds[0] < value < bounds[1]
 
 
-def run_gather_experiment(
-    ns: Sequence[int],
-    message_words: Sequence[int] = (1,),
-    kind: str = "ct",
-    seed: int = 1,
-) -> list[dict]:
-    rows = []
-    for n in ns:
-        for m in message_words:
-            sim = _simulate(
-                n,
-                lambda p: Gather(my_value=(1,) * m + (p.index,), broadcast_kind=kind),
-                seed=seed,
-            )
-            core = None
-            outputs = [set(sim.parties[i].result) for i in sim.honest]
-            core = set.intersection(*outputs) if outputs else set()
-            rows.append(
-                _row(
-                    sim,
-                    experiment="E2",
-                    kind=kind,
-                    n=n,
-                    m=m,
-                    core_size=len(core),
-                )
-            )
-    return rows
+def _spread(values: Sequence[float]) -> float:
+    return max(values) / min(values)
 
 
-# -- E3: Proposal Election words (Theorem 8) --------------------------------------------
+def _increasing(values: Sequence[float]) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
 
 
-def run_pe_experiment(
-    ns: Sequence[int], message_words: int = 1, seed: int = 1
-) -> list[dict]:
-    rows = []
-    for n in ns:
-        sim = _simulate(
-            n,
-            lambda p: ProposalElection(
-                proposal=(1,) * message_words + (p.index,)
-            ),
-            seed=seed,
-        )
-        layers = sim.metrics.words_by_layer
-        rows.append(
-            _row(
-                sim,
-                experiment="E3",
-                n=n,
-                m=message_words,
-                gather_words=layers.get("gather", 0),
-                idx_words=layers.get("idx", 0),
-                eval_words=sim.metrics.words_by_type.get("PEEvalShare", 0),
-                dkg_words=sim.metrics.words_by_type.get("PEDkgShare", 0),
-            )
-        )
-    return rows
+def _agreed_and_valid(setup: TrustedSetup, outputs: list) -> tuple[bool, bool]:
+    agreed = bool(outputs) and all(o == outputs[0] for o in outputs)
+    return agreed, agreed and tvrf.DKGVerify(setup.directory, outputs[0])
 
 
-# -- E4: PE quality / α-binding (Theorem 3) ------------------------------------------------
-
-
-def run_pe_quality_experiment(
-    n: int,
-    seeds: Iterable[int],
-    behaviors_factory: Optional[Callable[[int], dict]] = None,
-    scheduler_factory: Optional[Callable[[int], Scheduler]] = None,
-) -> dict:
-    """Fraction of runs where all honest parties output one common value
-    that was the input of an honest party (the α-binding success event)."""
-    total = 0
-    common_honest = 0
-    terminated = 0
-    for seed in seeds:
-        behaviors = behaviors_factory(seed) if behaviors_factory else None
-        scheduler = scheduler_factory(seed) if scheduler_factory else None
-        sim = _simulate(
-            n,
-            lambda p: ProposalElection(proposal=("prop", p.index)),
-            seed=seed,
-            behaviors=behaviors,
-            scheduler=scheduler,
-        )
-        total += 1
-        outputs = [
-            sim.parties[i].result[0]
-            for i in sim.honest
-            if sim.parties[i].has_result
-        ]
-        if len(outputs) == len(sim.honest):
-            terminated += 1
-        honest_inputs = {("prop", i) for i in sim.honest}
-        if (
-            outputs
-            and len(set(outputs)) == 1
-            and outputs[0] in honest_inputs
-        ):
-            common_honest += 1
-    return {
-        "experiment": "E4",
-        "n": n,
-        "runs": total,
-        "termination_rate": terminated / total,
-        "binding_rate": common_honest / total,
-    }
-
-
-# -- E5: NWH views and per-view words (Theorem 9) ---------------------------------------------
-
-
-def run_nwh_experiment(
-    ns: Sequence[int], seeds: Iterable[int] = (1,), message_words: int = 1
-) -> list[dict]:
-    rows = []
-    for n in ns:
-        view_counts = []
-        words = []
-        rounds = []
-        for seed in seeds:
-            sim = _simulate(
-                n,
-                lambda p: NWH(my_value=(1,) * message_words + (p.index,)),
-                seed=seed,
-            )
-            views = max(
-                sim.parties[i].instance(()).views_entered for i in sim.honest
-            )
-            view_counts.append(views)
-            words.append(sim.metrics.words_total)
-            rounds.append(sim.honest_completion_time())
-        rows.append(
-            {
-                "experiment": "E5",
-                "n": n,
-                "m": message_words,
-                "runs": len(view_counts),
-                "mean_views": statistics.mean(view_counts),
-                "max_views": max(view_counts),
-                "mean_words": statistics.mean(words),
-                "words_per_view": statistics.mean(
-                    w / v for w, v in zip(words, view_counts)
-                ),
-                "mean_rounds": statistics.mean(rounds),
-            }
-        )
-    return rows
-
-
-# -- E6: full A-DKG (Theorem 10) -----------------------------------------------------------------
-
-
-def run_adkg_experiment(
-    ns: Sequence[int], seeds: Iterable[int] = (1,), broadcast_kind: str = "ct"
-) -> list[dict]:
-    from repro.core.adkg import ADKG
-
+def _adkg_rows(ns: Sequence[int], seeds: Sequence[int], kind: str) -> list[dict]:
+    """Full A-DKG to quiescence, per n averaged over ``seeds`` (E6, E9)."""
     rows = []
     for n in ns:
         words, rounds, views, agreements = [], [], [], 0
-        runs = 0
         for seed in seeds:
-            sim = _simulate(
-                n, lambda p: ADKG(broadcast_kind=broadcast_kind), seed=seed
-            )
-            runs += 1
+            sim = _simulate(n, lambda p: ADKG(broadcast_kind=kind), seed=seed)
             words.append(sim.metrics.words_total)
             rounds.append(sim.honest_completion_time())
             views.append(
-                max(
-                    sim.parties[i].instance(("nwh",)).views_entered
-                    for i in sim.honest
-                )
+                max(sim.parties[i].instance(("nwh",)).views_entered for i in sim.honest)
             )
-            outputs = list(sim.honest_results().values())
-            if outputs and all(o == outputs[0] for o in outputs):
-                agreements += 1
+            agreements += _agreed_and_valid(sim.setup, list(sim.honest_results().values()))[0]
         rows.append(
             {
-                "experiment": "E6",
+                "kind": kind,
                 "n": n,
-                "kind": broadcast_kind,
-                "runs": runs,
+                "runs": len(words),
                 "mean_words": statistics.mean(words),
                 "mean_rounds": statistics.mean(rounds),
                 "mean_views": statistics.mean(views),
-                "agreement_rate": agreements / runs,
+                "agreement_rate": agreements / len(words),
             }
         )
     return rows
 
 
-# -- E7: baseline comparison ------------------------------------------------------------------------
+# -- E1-E6: the paper's theorems -------------------------------------------------------
 
 
-def run_baseline_comparison(ns: Sequence[int], seed: int = 1) -> list[dict]:
+def e1_broadcast(
+    n_fixed: int, ms: Sequence[int], ns: Sequence[int], m_small: int, m_big: int
+) -> Section:
+    by_m = [
+        _broadcast_row(kind, n_fixed, m, series="words vs m")
+        for m in ms
+        for kind in ("ct", "bracha")
+    ]
+    by_n = [_broadcast_row("ct", n, m_small, series="words vs n") for n in ns]
+    big = [
+        _broadcast_row(kind, n, m_big, series="large message")
+        for n in ns
+        for kind in ("ct", "bracha")
+    ]
+    slopes_m = {
+        kind: _fit([r for r in by_m if r["kind"] == kind], "m", "words").exponent
+        for kind in ("ct", "bracha")
+    }
+    fit_n = _fit(by_n, "n", "words")
+    ratios = [b["words"] / c["words"] for c, b in zip(big[::2], big[1::2])]
+    ct_top, bracha_top = by_m[-2:]
+    rounds = [row["rounds"] for row in by_n]
+    return Section(
+        "E1",
+        "Reliable broadcast (Theorem 6)",
+        "**Paper**: CT broadcast of an m-word message costs `O(n²·(c+p) + m·n)`\n"
+        "words (`c` = 1-word commitment, `p` = log n-word Merkle proof); plain\n"
+        "Bracha costs `O(n²·m)`.",
+        ("series", "kind", "n", "m", "words", "messages", "rounds"),
+        by_m + by_n + big,
+        (
+            f"Words vs m at n = {n_fixed}: exponent {slopes_m['ct']:.2f} (CT), "
+            f"{slopes_m['bracha']:.2f} (Bracha).  Words vs n at m = {m_small} (CT): "
+            f"**{fit_n.exponent:.2f}** (paper: ≈ 2 + log slack; R² = {fit_n.r_squared:.3f}).",
+            f"Bracha/CT word ratio at m = {m_big}: "
+            + ", ".join(f"n={n}: {ratio:.2f}×" for n, ratio in zip(ns, ratios))
+            + ".",
+        ),
+        {
+            "both broadcasts are linear in m (exponent in 0.5–1.3)": all(
+                _within(slope, (0.5, 1.3)) for slope in slopes_m.values()
+            ),
+            f"Bracha costs more than 2× CT at m = {ms[-1]}": (
+                2 * ct_top["words"] < bracha_top["words"]
+            ),
+            "CT words-vs-n exponent in 1.7–2.8 (n² log n)": _within(
+                fit_n.exponent, (1.7, 2.8)
+            ),
+            "the CT advantage grows with n": ratios[-1] > ratios[0],
+            "three message hops at every n": max(rounds) <= 4 and max(rounds) - min(rounds) <= 1,
+        },
+    )
+
+
+def e2_gather(ns: Sequence[int], n_fixed: int, ms: Sequence[int]) -> Section:
+    def row(n: int, m: int, series: str) -> dict:
+        sim = _simulate(n, lambda p: Gather(my_value=(1,) * m + (p.index,)), seed=1)
+        outputs = [set(sim.parties[i].result) for i in sim.honest]
+        return _totals(
+            sim, series=series, n=n, m=m, core_size=len(set.intersection(*outputs))
+        )
+
+    by_n = [row(n, 1, "words vs n") for n in ns]
+    by_m = [row(n_fixed, m, "words vs m") for m in ms]
+    fit = _fit(by_n, "n", "words")
+    per_word = (by_m[-1]["words"] - by_m[0]["words"]) / (ms[-1] - ms[0])
+    rounds = [r["rounds"] for r in by_n]
+    return Section(
+        "E2",
+        "Verifiable Gather (Theorem 7)",
+        "**Paper**: Gather costs `O(n·b(m))` = `Õ(n³ + m·n²)` words, in a constant\n"
+        "number of rounds, with a common core of ≥ n-f parties.",
+        ("series", "n", "m", "words", "messages", "rounds", "core_size"),
+        by_n + by_m,
+        (
+            f"Fitted words-vs-n exponent: **{fit.exponent:.2f}** (paper: 3 + log slack; "
+            f"R² = {fit.r_squared:.3f}).  Each extra input word costs {per_word:.0f} words "
+            f"at n = {n_fixed} (n² = {n_fixed**2}).",
+        ),
+        {
+            "words-vs-n exponent in 2.5–3.9": _within(fit.exponent, CUBIC),
+            "R² > 0.98": fit.r_squared > 0.98,
+            "linear in m, under 3n² words per input word": per_word < 3 * n_fixed**2,
+            "rounds flat in n": max(rounds) - min(rounds) <= 2,
+            "common core ≥ n-f everywhere": all(
+                r["core_size"] >= r["n"] - (r["n"] - 1) // 3 for r in by_n + by_m
+            ),
+        },
+    )
+
+
+def e3_proposal_election(ns: Sequence[int]) -> Section:
     rows = []
     for n in ns:
-        from repro.core.adkg import ADKG
-
-        ours = _simulate(n, lambda p: ADKG(), seed=seed, to_quiescence=False)
-        base = _simulate(
-            n, lambda p: ACSBasedADKG(), seed=seed, to_quiescence=False
+        sim = _simulate(n, lambda p: ProposalElection(proposal=(1, p.index)), seed=1)
+        metrics = sim.metrics
+        rows.append(
+            _totals(
+                sim,
+                n=n,
+                gather_words=metrics.words_by_layer.get("gather", 0),
+                dkg_words=metrics.words_by_type.get("PEDkgShare", 0),
+                eval_words=metrics.words_by_type.get("PEEvalShare", 0),
+                idx_words=metrics.words_by_layer.get("idx", 0),
+            )
         )
+    parts = ("gather_words", "dkg_words", "eval_words", "idx_words")
+    fit = _fit(rows, "n", "words")
+    dkg_fit = _fit(rows, "n", "dkg_words")
+    rounds = [r["rounds"] for r in rows]
+    return Section(
+        "E3",
+        "Proposal Election words (Theorem 8)",
+        "**Paper**: PE costs `O(n³·es + n²·ds + g(m+d) + b(n))` = `Õ(n³)` words.",
+        ("n", "words", *parts, "rounds"),
+        rows,
+        (
+            f"Fitted total-words exponent: **{fit.exponent:.2f}**; the n² DKG share "
+            f"transfers of O(n) words each fit {dkg_fit.exponent:.2f}.  The breakdown "
+            "matches the theorem's terms: Gather dominates (`g(m+d)`), then the index "
+            "broadcasts (`b(n)`), the n³ evaluation shares and the DKG shares.",
+        ),
+        {
+            "total-words exponent in 2.5–3.9": _within(fit.exponent, CUBIC),
+            "DKG-share exponent in 2.4–3.4": _within(dkg_fit.exponent, (2.4, 3.4)),
+            "every term is present and the four cover 70–101 % of the total": all(
+                min(r[p] for p in parts) > 0
+                and 0.7 * r["words"] <= sum(r[p] for p in parts) <= 1.01 * r["words"]
+                for r in rows
+            ),
+            "rounds flat in n": max(rounds) - min(rounds) <= 2,
+        },
+    )
+
+
+def e4_pe_binding(
+    benign_runs: int, silent_runs: int, lag_runs: int, n7_runs: int
+) -> Section:
+    def lag(seed: int) -> Scheduler:
+        if seed % 2 == 0:
+            return RandomLagScheduler(factor=25.0, rate=0.4)
+        return TargetedLagScheduler(targets={seed % 4}, factor=15.0, horizon=60.0)
+
+    settings = (
+        ("benign", 4, benign_runs, (), False),
+        ("f silent", 4, silent_runs, (3,), False),
+        ("adversarial lag", 4, lag_runs, (), True),
+        ("2 silent", 7, n7_runs, (5, 6), False),
+    )
+    rows = []
+    for setting, n, runs, silent, lagged in settings:
+        terminated = bound = 0
+        for seed in range(runs):
+            sim = _simulate(
+                n,
+                lambda p: ProposalElection(proposal=("prop", p.index)),
+                seed=seed,
+                behaviors={i: SilentBehavior() for i in silent},
+                scheduler=lag(seed) if lagged else None,
+            )
+            outputs = [
+                sim.parties[i].result[0] for i in sim.honest if sim.parties[i].has_result
+            ]
+            terminated += len(outputs) == len(sim.honest)
+            # The α-binding success event: one common value, an honest input.
+            bound += (
+                bool(outputs)
+                and len(set(outputs)) == 1
+                and outputs[0] in {("prop", i) for i in sim.honest}
+            )
         rows.append(
             {
-                "experiment": "E7",
+                "setting": setting,
+                "n": n,
+                "runs": runs,
+                "termination_rate": terminated / runs,
+                "binding_rate": bound / runs,
+            }
+        )
+    return Section(
+        "E4",
+        "PE α-binding quality (Theorem 3)",
+        "**Paper**: with probability α ≥ 1/3 the election binds to a common\n"
+        "honest input (and then nothing else verifies).  The paper's bound is\n"
+        "against a worst-case adversary; measured rates sit far above it.",
+        ("setting", "n", "runs", "termination_rate", "binding_rate"),
+        rows,
+        (),
+        {
+            "every run terminates (Termination of Output)": all(
+                r["termination_rate"] == 1.0 for r in rows
+            ),
+            "binding rate ≥ 1/3 in every setting": all(
+                r["binding_rate"] >= 1 / 3 for r in rows
+            ),
+        },
+    )
+
+
+def e5_nwh(view_runs: int, ns: Sequence[int], seeds: Sequence[int]) -> Section:
+    def row(n: int, run_seeds: Sequence[int]) -> dict:
+        views, words, rounds = [], [], []
+        for seed in run_seeds:
+            sim = _simulate(n, lambda p: NWH(my_value=(1, p.index)), seed=seed)
+            views.append(max(sim.parties[i].instance(()).views_entered for i in sim.honest))
+            words.append(sim.metrics.words_total)
+            rounds.append(sim.honest_completion_time())
+        return {
+            "n": n,
+            "runs": len(views),
+            "mean_views": statistics.mean(views),
+            "max_views": max(views),
+            "words_per_view": statistics.mean(w / v for w, v in zip(words, views)),
+            "mean_rounds": statistics.mean(rounds),
+        }
+
+    many = row(ns[0], range(view_runs))
+    scale = [row(n, seeds) for n in ns]
+    fit = _fit(scale, "n", "words_per_view")
+    return Section(
+        "E5",
+        "NWH views and per-view cost (Theorem 9)",
+        "**Paper**: number of views is geometric with success ≥ α (expected ≤ 3),\n"
+        "each view costs `O(s·n³ + m·n² + p(m))` words and O(1) rounds.",
+        ("n", "runs", "mean_views", "max_views", "words_per_view", "mean_rounds"),
+        [many, *scale],
+        (
+            f"Words-per-view exponent: **{fit.exponent:.2f}** (paper: ≈ 3); benign "
+            "elections almost always bind in view 1.",
+        ),
+        {
+            "mean views ≤ 3 at every n, never more than 8": all(
+                r["mean_views"] <= 3.0 and r["max_views"] <= 8 for r in [many, *scale]
+            ),
+            "words-per-view exponent in 2.5–3.9": _within(fit.exponent, CUBIC),
+            "rounds flat in n (max/min ≤ 1.5)": _spread([r["mean_rounds"] for r in scale]) <= 1.5,
+        },
+    )
+
+
+def e6_adkg(ns: Sequence[int], seeds: Sequence[int]) -> Section:
+    rows = _adkg_rows(ns, seeds, "ct")
+    findings: tuple[str, ...] = ()
+    checks = {
+        "rounds constant in n (max/min ≤ 1.5)": _spread([r["mean_rounds"] for r in rows]) <= 1.5,
+        "every run agrees": all(r["agreement_rate"] == 1.0 for r in rows),
+        "mean views ≤ 2": all(r["mean_views"] <= 2.0 for r in rows),
+    }
+    if len(rows) >= 3:
+        fit = _fit(rows, "n", "mean_words")
+        findings = (
+            f"Fitted words exponent: **{fit.exponent:.2f}** (R² = {fit.r_squared:.3f}).",
+        )
+        checks = {
+            "words exponent in 2.5–3.9": _within(fit.exponent, CUBIC),
+            "R² > 0.98": fit.r_squared > 0.98,
+            **checks,
+        }
+    return Section(
+        "E6",
+        "Full A-DKG (Theorem 10)",
+        "**Paper**: expected `O(λ n³ log n)` words, O(1) expected rounds.",
+        ("n", "runs", "mean_words", "mean_rounds", "mean_views", "agreement_rate"),
+        rows,
+        findings,
+        checks,
+    )
+
+
+# -- E7-E10: comparison, faults, ablations ---------------------------------------------
+
+
+def e7_baseline(ns: Sequence[int], seed: int) -> Section:
+    rows = []
+    for n in ns:
+        ours = _simulate(n, lambda p: ADKG(), seed=seed, to_quiescence=False)
+        base = _simulate(n, lambda p: ACSBasedADKG(), seed=seed, to_quiescence=False)
+        rows.append(
+            {
                 "n": n,
                 "ours_words": ours.metrics.words_total,
                 "baseline_words": base.metrics.words_total,
-                "word_ratio": base.metrics.words_total
-                / ours.metrics.words_total,
+                "word_ratio": base.metrics.words_total / ours.metrics.words_total,
                 "ours_rounds": ours.honest_completion_time(),
                 "baseline_rounds": base.honest_completion_time(),
             }
         )
-    return rows
-
-
-# -- E8: fault matrix ----------------------------------------------------------------------------------
-
-
-def run_fault_matrix(n: int = 4, seed: int = 1) -> list[dict]:
-    """Agreement/validity/termination of the full ADKG under each fault type."""
-    import dataclasses
-
-    from repro.core.adkg import ADKG, ADKGShare
-    from repro.net.adversary import (
-        CrashBehavior,
-        DropBehavior,
-        MutateBehavior,
-        RandomLagScheduler,
-        SilentBehavior,
-        TargetedLagScheduler,
+    ratios = [r["word_ratio"] for r in rows]
+    findings: tuple[str, ...] = ()
+    checks = {
+        "the baseline/ours word ratio grows with n": _increasing(ratios),
+        "our rounds constant in n (max/min ≤ 1.5)": _spread([r["ours_rounds"] for r in rows]) <= 1.5,
+    }
+    if len(rows) >= 3:
+        ours_fit = _fit(rows, "n", "ours_words")
+        base_fit = _fit(rows, "n", "baseline_words")
+        findings = (
+            f"Scaling exponents: ours **{ours_fit.exponent:.2f}** vs baseline "
+            f"**{base_fit.exponent:.2f}**.  The paper's protocol pays bigger constants "
+            "(n² PVSS deals per election) and wins beyond small committees; the "
+            "crossover near n ≈ 14 is our measured addition.",
+        )
+        checks["baseline exponent above 3.5, ours below, gap > 0.3"] = (
+            base_fit.exponent > 3.5 > ours_fit.exponent
+            and base_fit.exponent > ours_fit.exponent + 0.3
+        )
+    if ns[-1] >= 16:
+        checks[f"the baseline costs more in absolute words by n = {ns[-1]}"] = ratios[-1] > 1.0
+    return Section(
+        "E7",
+        "Comparison with the Ω(n⁴) baseline (Section 1)",
+        "**Paper**: prior leaderless A-DKG (Kokoris-Kogias et al.) needs `Ω(n⁴)`\n"
+        "expected words and `Ω(n)` rounds; this work needs `Õ(n³)` and O(1).\n"
+        "Baseline here: the structurally analogous ACS construction (un-aggregated\n"
+        "Bracha broadcasts + n binary ABAs) — see DESIGN.md §2.",
+        ("n", "ours_words", "baseline_words", "word_ratio", "ours_rounds", "baseline_rounds"),
+        rows,
+        findings,
+        checks,
     )
 
-    def bad_share_mutator(payload, recipient, rng):
-        if isinstance(payload, ADKGShare):
-            contribution = payload.contribution
-            bad = dataclasses.replace(
-                contribution,
-                commitments=(contribution.commitments[0],)
-                * len(contribution.commitments),
-            )
-            return ADKGShare(contribution=bad)
+
+def _bad_share_mutator(payload, recipient, rng):
+    if not isinstance(payload, ADKGShare):
         return payload
-
-    cases = {
-        "none": (None, None),
-        "silent": ({n - 1: SilentBehavior()}, None),
-        "crash": ({n - 1: CrashBehavior(after_sends=30)}, None),
-        "drop-half": ({n - 1: DropBehavior(rate=0.5)}, None),
-        "bad-shares": ({n - 1: MutateBehavior(bad_share_mutator)}, None),
-        "lag-target": (None, TargetedLagScheduler(targets={0}, factor=12.0)),
-        "lag-random": (None, RandomLagScheduler(factor=20.0, rate=0.3)),
-    }
-    rows = []
-    for name, (behaviors, scheduler) in cases.items():
-        sim = _simulate(
-            n,
-            lambda p: ADKG(),
-            seed=seed,
-            behaviors=behaviors,
-            scheduler=scheduler,
-            to_quiescence=False,
-        )
-        outputs = list(sim.honest_results().values())
-        from repro.crypto import threshold_vrf as tvrf
-
-        agreed = bool(outputs) and all(o == outputs[0] for o in outputs)
-        valid = bool(outputs) and tvrf.DKGVerify(sim.setup.directory, outputs[0])
-        rows.append(
-            {
-                "experiment": "E8",
-                "fault": name,
-                "n": n,
-                "honest_outputs": len(outputs),
-                "agreement": agreed,
-                "valid": valid,
-                "rounds": sim.honest_completion_time(),
-            }
-        )
-    rows.append(run_crash_recovery_case(n=n, seed=seed))
-    return rows
+    contribution = payload.contribution
+    commitments = (contribution.commitments[0],) * len(contribution.commitments)
+    return ADKGShare(dataclasses.replace(contribution, commitments=commitments))
 
 
-def run_crash_recovery_case(n: int = 4, seed: int = 1) -> dict:
-    """Crash-then-new-session recovery over the session-multiplexed engine.
+def _crash_then_new_session(n: int, seed: int) -> dict:
+    """Abandon a stalled session for a fresh one on the same live network.
 
-    Session 0 (an ADKG epoch) is crippled twice over: party ``n-1``
-    crashes after a handful of sends, and the adversarial scheduler lags
-    every session-0 message by a huge (but finite) factor, so the epoch
-    crawls.  A *fresh* session is then injected into the same live
-    network; the row reports on that new session, which must reach
-    agreement long before the stalled one — and the stalled session must
-    still complete afterwards (eventual delivery keeps almost-sure
-    termination intact, merely late).
-
-    Contrast with E14 (:func:`run_crash_recovery_matrix`): here the
-    stalled *session* is abandoned for a fresh one; there the crashed
-    *party* rejoins the same session from durable storage.
+    Session 0 is crippled twice over: party ``n-1`` crashes after a
+    handful of sends, and the scheduler lags every session-0 message by a
+    huge (finite) factor.  A fresh session is injected; the row reports
+    on it, and on the stalled one still completing afterwards (eventual
+    delivery keeps termination intact, merely late).  E14 is the
+    complement: there the crashed *party* rejoins the same session.
     """
-    from repro.core.adkg import ADKG
-    from repro.crypto import threshold_vrf as tvrf
-    from repro.net.adversary import CrashBehavior, FaultSchedule, SessionLagScheduler
-
     setup = TrustedSetup.generate(n, seed=seed)
-    # The shared fault-schedule helper (the same bookkeeping class
-    # behind CrashBehavior and CrashRecoverBehavior): owning it here
-    # lets the row report the crash state without reaching into the
-    # behavior's internals.
-    crash_schedule = FaultSchedule(crash_after_sends=5)
+    crash = FaultSchedule(crash_after_sends=5)
     sim = Simulation(
         setup,
         seed=seed,
-        behaviors={n - 1: CrashBehavior(schedule=crash_schedule)},
+        behaviors={n - 1: CrashBehavior(schedule=crash)},
         scheduler=SessionLagScheduler(session=0, factor=10_000.0),
         delay_model=FixedDelay(1.0),
     )
     sim.start_session(0, lambda p: ADKG())
-    if sim.session_complete(0):
-        # The premise of the scenario — a stalled first session — failed;
-        # report that loudly rather than measuring a vacuous recovery.
-        raise RuntimeError("session 0 completed before it could stall")
-    # The network is live and stalled; inject the recovery session.
     sim.start_session(1, lambda p: ADKG())
     sim.run_until_session_done(1)
-    fresh_done_at = sim.honest_completion_time(session=1)
-    stalled_before_fresh = sim.session_complete(0)
+    stalled_still_running = crash.crashed and not sim.session_complete(0)
     outputs = list(sim.honest_results(session=1).values())
-    agreed = bool(outputs) and all(o == outputs[0] for o in outputs)
-    valid = bool(outputs) and tvrf.DKGVerify(setup.directory, outputs[0])
-    # Eventual delivery: the stalled epoch still terminates, just late.
+    agreed, valid = _agreed_and_valid(setup, outputs)
+    fresh_rounds = sim.honest_completion_time(session=1)
     sim.run_until_session_done(0)
-    stalled_rounds = sim.honest_completion_time(session=0)
     return {
-        "experiment": "E8",
-        "fault": "crash-then-new-session",
         "n": n,
+        "fault": "crash-then-new-session",
         "honest_outputs": len(outputs),
         "agreement": agreed,
         "valid": valid,
-        "rounds": fresh_done_at,
-        "stalled_session_done_first": stalled_before_fresh,
-        "stalled_session_rounds": stalled_rounds,
-        # Read from the shared schedule: the crash premise actually held.
-        "crashed_after_sends": crash_schedule.sent if crash_schedule.crashed else None,
-        "crash_dropped_deliveries": crash_schedule.dropped,
+        "rounds": fresh_rounds,
+        "fresh_lands_first": stalled_still_running
+        and fresh_rounds < sim.honest_completion_time(session=0),
     }
 
 
-# -- E9: erasure-coded RB ablation -----------------------------------------------------------------------
-
-
-def run_rbc_ablation(
-    ns: Sequence[int], seeds: Iterable[int] = (1,)
-) -> list[dict]:
-    """Full ADKG cost with the paper's CT broadcast vs plain Bracha inside."""
+def e8_fault_matrix(cases: Sequence[tuple[int, int]]) -> Section:
     rows = []
-    for kind in ("ct", "bracha"):
-        rows.extend(
-            {**row, "experiment": "E9"}
-            for row in run_adkg_experiment(ns, seeds=seeds, broadcast_kind=kind)
+    for n, seed in cases:
+        last = n - 1
+        faults = {
+            "none": (None, None),
+            "silent": ({last: SilentBehavior()}, None),
+            "crash": ({last: CrashBehavior(after_sends=30)}, None),
+            "drop-half": ({last: DropBehavior(rate=0.5)}, None),
+            "bad-shares": ({last: MutateBehavior(_bad_share_mutator)}, None),
+            "lag-target": (None, TargetedLagScheduler(targets={0}, factor=12.0)),
+            "lag-random": (None, RandomLagScheduler(factor=20.0, rate=0.3)),
+        }
+        for fault, (behaviors, scheduler) in faults.items():
+            sim = _simulate(
+                n,
+                lambda p: ADKG(),
+                seed=seed,
+                behaviors=behaviors,
+                scheduler=scheduler,
+                to_quiescence=False,
+            )
+            outputs = list(sim.honest_results().values())
+            agreed, valid = _agreed_and_valid(sim.setup, outputs)
+            rows.append(
+                {
+                    "n": n,
+                    "fault": fault,
+                    "honest_outputs": len(outputs),
+                    "agreement": agreed,
+                    "valid": valid,
+                    "rounds": sim.honest_completion_time(),
+                }
+            )
+        rows.append(_crash_then_new_session(n, seed))
+    return Section(
+        "E8",
+        "Fault matrix (Theorems 1, 3, 4, 5)",
+        "**Paper**: agreement, external validity and almost-sure termination for\n"
+        "any f < n/3 Byzantine parties under any asynchronous schedule.",
+        ("n", "fault", "honest_outputs", "agreement", "valid", "rounds"),
+        rows,
+        (
+            "Adversarial scheduling stretches rounds (no timeouts are ever relied on) "
+            "but never safety.",
+        ),
+        {
+            "every case agrees on one verifying transcript": all(
+                r["agreement"] and r["valid"] for r in rows
+            ),
+            "every honest party outputs (all n under lag, n-1 beside a faulty one)": all(
+                r["honest_outputs"]
+                == r["n"] - (r["fault"] != "none" and not r["fault"].startswith("lag"))
+                for r in rows
+            ),
+            "a fresh session lands while the stalled one is still in flight": all(
+                r["fresh_lands_first"] for r in rows if "fresh_lands_first" in r
+            ),
+        },
+    )
+
+
+def e9_rbc_ablation(ns: Sequence[int], seeds: Sequence[int]) -> Section:
+    ct = _adkg_rows(ns, seeds, "ct")
+    bracha = _adkg_rows(ns, seeds, "bracha")
+    ratios = [b["mean_words"] / c["mean_words"] for c, b in zip(ct, bracha)]
+    findings = (
+        "Bracha/CT word ratio: "
+        + ", ".join(f"n={n}: {ratio:.2f}×" for n, ratio in zip(ns, ratios))
+        + ".",
+    )
+    checks = {
+        "the ablated (Bracha) stack gets relatively worse as n grows": ratios[-1] > ratios[0],
+        "every run agrees": all(r["agreement_rate"] == 1.0 for r in ct + bracha),
+    }
+    if len(ns) >= 3:
+        ct_fit, bracha_fit = _fit(ct, "n", "mean_words"), _fit(bracha, "n", "mean_words")
+        findings += (
+            f"Fitted exponents: CT stack **{ct_fit.exponent:.2f}**, Bracha stack "
+            f"**{bracha_fit.exponent:.2f}** — the ablated stack loses most of the "
+            "paper's asymptotic improvement.",
         )
-    return rows
+        checks["the Bracha stack's exponent is the larger"] = (
+            bracha_fit.exponent > ct_fit.exponent
+        )
+    return Section(
+        "E9",
+        "Ablation: the erasure-coded broadcast (Section 7.1)",
+        "**Paper (design choice)**: instantiating every broadcast with the CT\n"
+        "erasure-coded protocol is what keeps the stack at `Õ(n³)`; with plain\n"
+        "Bracha underneath, the O(n)-word payloads push it toward `Ω(n⁴)`.",
+        ("kind", "n", "mean_words", "mean_rounds", "agreement_rate"),
+        ct + bracha,
+        findings,
+        checks,
+    )
 
 
-# -- E13: epoch pipelining (session-multiplexed engine) ------------------------------------
+def e10_vc_ablation(ns: Sequence[int], m: int) -> Section:
+    merkle = [_broadcast_row("ct", n, m) for n in ns]
+    kzg = [_broadcast_row("ct-kzg", n, m) for n in ns]
+    savings = [(a["words"] - b["words"]) / a["words"] for a, b in zip(merkle, kzg)]
+    return Section(
+        "E10",
+        "Extension: constant-size openings (Section 7.1 remark)",
+        "**Paper**: Merkle openings cost `O(log n)` words; SNARK-style\n"
+        'commitments would cut that to `O(1)` "at the cost of a trusted setup\n'
+        'and concretely high proving time".  Implemented here as a KZG vector\n'
+        'commitment over the simulated pairing (`vc_kind="kzg"`).',
+        ("kind", "n", "m", "words", "messages", "rounds"),
+        merkle + kzg,
+        (
+            "Word savings from constant openings: "
+            + ", ".join(f"n={n}: {100 * s:.0f}%" for n, s in zip(ns, savings))
+            + ".",
+        ),
+        {
+            "constant openings save words at every n": all(s > 0 for s in savings),
+            "the saving grows with n (log n vs 1 in the n² term)": _increasing(savings),
+            "rounds unchanged (three hops)": {r["rounds"] for r in merkle + kzg} == {3.0},
+        },
+    )
 
 
-def run_pipelining_experiment(
-    n: int = 7,
-    epochs: int = 4,
-    depths: Sequence[int] = (1, 2, 3),
-    seed: int = 1,
-    rounds_per_epoch: int = 1,
-) -> list[dict]:
-    """Latency/throughput of repeated ADKG epochs vs. pipeline depth.
+# -- E11-E18: the systems around the protocol ------------------------------------------
 
-    Each run drives the full beacon service on the simulator; the
-    end-to-end measure is simulated time (the asynchronous round measure
-    under ``FixedDelay``), so pipelining gains are schedule-level facts,
-    not wall-clock noise.  Depth 1 is the strictly-sequential baseline.
-    """
-    from repro.service import run_beacon
 
+def e11_transports(ns: Sequence[int], seed: int) -> Section:
+    rows = []
+    for n in ns:
+        for transport in ("sim", "asyncio", "tcp"):
+            result = run_adkg(n=n, seed=seed, transport=transport, measure_bytes=True)
+            row = {
+                "transport": transport,
+                "n": n,
+                "agreed": result.agreed,
+                "words": result.words_total,
+                "messages": result.messages_total,
+            }
+            if transport == "sim":
+                # Realtime depth stamps follow the socket schedule and a
+                # depth is a varint, so only the simulator's bytes repeat.
+                row["bytes"] = result.bytes_total
+                row["bytes_per_word"] = result.bytes_total / result.words_total
+            rows.append(row)
+    per_word = [r["bytes_per_word"] for r in rows if r["transport"] == "sim"]
+    return Section(
+        "E11",
+        "Extension: one protocol, three transports",
+        "The same sans-io protocol objects run unchanged over the deterministic\n"
+        "simulator, realtime asyncio, and real TCP loopback sockets with the\n"
+        "byte codec (DESIGN.md section 3); every byte on the TCP wire is a codec\n"
+        "frame, no pickle anywhere.  Bytes are shown where they repeat run to\n"
+        "run (the simulator).",
+        ("transport", "n", "agreed", "words", "messages", "bytes", "bytes_per_word"),
+        rows,
+        (),
+        {
+            "every transport reaches agreement": all(r["agreed"] for r in rows),
+            "words and messages are identical across transports": all(
+                len({(r["words"], r["messages"]) for r in rows if r["n"] == n}) == 1
+                for n in ns
+            ),
+            "bytes per word stay bounded as n grows (max/min < 2)": _spread(per_word) < 2.0,
+        },
+    )
+
+
+def e12_hotpath(ns: Sequence[int], seed: int) -> Section:
+    rows = []
+    for n in ns:
+        result = run_adkg(n=n, seed=seed, measure_bytes=True)
+        counters = result.metrics_summary["counters"]
+        verify, encode = counters["verify"], counters["encode"]
+        rows.append(
+            {
+                "n": n,
+                "agreed": result.agreed,
+                "transcript_checks": verify["pvss-transcript.calls"],
+                "transcripts_verified": verify["pvss-transcript.misses"],
+                "verify_calls": sum(v for k, v in verify.items() if k.endswith(".calls")),
+                "verified": sum(v for k, v in verify.items() if k.endswith(".misses")),
+                "payload_sends": encode["payload.calls"],
+                "payloads_encoded": encode["payload.misses"],
+                "pairings": counters["pairing"]["pair_calls"],
+            }
+        )
+    return Section(
+        "E12",
+        "Extension: hot-path amortization counters",
+        "Content-addressed verification memoization and encode-once fan-out\n"
+        "(DESIGN.md section 4): a transcript arriving on every RBC echo path is\n"
+        "verified once per *distinct* aggregate, a multicast payload is encoded\n"
+        "once and the buffer reused for the other recipients.  `tests/net/\n"
+        "totals_golden.json` pins the per-domain verify counts to the digit.",
+        tuple(rows[0]),
+        rows,
+        (),
+        {
+            "every run agrees": all(r["agreed"] for r in rows),
+            "transcripts verified ≤ 2n (own aggregate + one per elected view)": all(
+                0 < r["transcripts_verified"] <= 2 * r["n"] for r in rows
+            ),
+            "more transcript checks are served from cache than verified": all(
+                r["transcript_checks"] > 2 * r["transcripts_verified"] for r in rows
+            ),
+            "more payload sends reuse an encoding than make one": all(
+                r["payload_sends"] > 2 * r["payloads_encoded"] for r in rows
+            ),
+        },
+    )
+
+
+def e13_pipelining(n: int, epochs: int, depths: Sequence[int]) -> Section:
     rows = []
     for depth in depths:
         report = run_beacon(
-            n=n,
-            epochs=epochs,
-            pipeline_depth=depth,
-            rounds_per_epoch=rounds_per_epoch,
-            transport="sim",
-            seed=seed,
+            n=n, epochs=epochs, pipeline_depth=depth, rounds_per_epoch=1, seed=1
         )
         rows.append(
             {
-                "experiment": "E13",
                 "n": n,
-                "epochs": epochs,
                 "depth": depth,
+                "epochs": epochs,
                 "end_to_end_rounds": report.end_to_end,
                 "mean_epoch_latency": report.mean_epoch_latency,
                 "epochs_per_100_rounds": 100.0 * epochs / report.end_to_end,
@@ -519,280 +810,342 @@ def run_pipelining_experiment(
                 "verified": report.all_verified,
             }
         )
-    return rows
+    sequential, pipelined = rows[0], rows[1]
+    return Section(
+        "E13",
+        "Extension: session multiplexing & epoch pipelining",
+        "The session-multiplexed engine runs repeated ADKG epochs as\n"
+        "concurrent sessions over one network (DESIGN.md section 7); with\n"
+        "pipeline depth `D`, epoch `e+D`'s dealing overlaps epoch `e`'s\n"
+        "agreement tail.  End-to-end time is *simulated rounds* — the\n"
+        "schedule-level latency pipelining shrinks — not wall clock.",
+        tuple(rows[0]),
+        rows,
+        (
+            f"Depth {pipelined['depth']} finishes "
+            f"{sequential['end_to_end_rounds'] / pipelined['end_to_end_rounds']:.1f}× sooner "
+            "in rounds than sequential at identical word cost.",
+        ),
+        {
+            "every epoch's beacon stream verifies against its rotated key": all(
+                r["verified"] for r in rows
+            ),
+            f"depth {pipelined['depth']} ends in fewer rounds than depth "
+            f"{sequential['depth']}": (
+                pipelined["end_to_end_rounds"] < sequential["end_to_end_rounds"]
+            ),
+            "scheduling overlap, not extra traffic: words identical at every depth": (
+                len({r["words"] for r in rows}) == 1
+            ),
+        },
+    )
 
 
-# -- E14: crash–recovery fault matrix (durable state machines) ------------------------------
-
-
-def run_crash_recovery_matrix(
-    n: int = 4,
-    seed: int = 1,
-    cadence: int = 16,
-    recovery_delays: Sequence[float] = (3.0, 12.0),
-    crash_after: int = 30,
-    transport: str = "sim",
-) -> list[dict]:
-    """E14: crash each role mid-ADKG, recover from disk, reach agreement.
-
-    Three roles crash (dealer — party 0, whose PVSS contribution seeds
-    the aggregates; a leader candidate — a mid-index party whose proposal
-    may win the election; and ``f`` parties simultaneously), each at an
-    adversarially chosen per-party delivery count and each recovered at
-    varying delays from :class:`~repro.storage.store.SnapshotStore` +
-    WAL replay.  A fourth case reruns the dealer crash under Byzantine
-    scheduling (random message lag).  Every row must reach agreement on
-    one verifying transcript — the paper's safety properties survive
-    in-session churn, which the terminal ``CrashBehavior`` model could
-    never exercise.
-    """
-    from repro.net.adversary import RandomLagScheduler
-    from repro.storage.recovery import run_crash_recovery
-
-    f = (n - 1) // 3
-    cases: list[tuple[str, list[int], Any]] = [
+def e14_crash_recovery(
+    n: int, seed: int, cadences: Sequence[int], delays: Sequence[float]
+) -> Section:
+    f = max(1, (n - 1) // 3)
+    roles = (
         ("dealer", [0], None),
         ("leader-candidate", [n // 2], None),
-        ("f-parties", list(range(n - max(1, f), n)), None),
+        ("f-parties", list(range(n - f, n)), None),
         ("dealer+byz-schedule", [0], RandomLagScheduler(factor=15.0, rate=0.3)),
-    ]
+    )
     rows = []
-    for fault, indices, scheduler in cases:
-        for delay in recovery_delays:
-            report = run_crash_recovery(
-                transport=transport,
-                n=n,
-                seed=seed,
-                crash_indices=indices,
-                crash_after=crash_after,
-                recovery_delay=delay,
-                cadence=cadence,
-                scheduler=scheduler,
-            )
-            replay = report["replay"]
-            rows.append(
-                {
-                    "experiment": "E14",
-                    "fault": fault,
-                    "n": n,
-                    "crashed": len(indices),
-                    "recovery_delay": delay,
-                    "cadence": cadence,
-                    "honest_outputs": report["honest_outputs"],
-                    "agreement": report["agreement"],
-                    "valid": report["valid"],
-                    "rounds": report["rounds"],
-                    "recovery_latency": report["recovery_latency"],
-                    "wal_records": sum(s["wal_records"] for s in replay.values()),
-                    "suppressed_sends": sum(
-                        s["suppressed_sends"] for s in replay.values()
-                    ),
-                }
-            )
-    return rows
+    for fault, indices, scheduler in roles:
+        for cadence in cadences:
+            for delay in delays:
+                report = run_crash_recovery(
+                    n=n,
+                    seed=seed,
+                    crash_indices=indices,
+                    crash_after=30,
+                    recovery_delay=delay,
+                    cadence=cadence,
+                    scheduler=scheduler,
+                )
+                replay = report["replay"].values()
+                rows.append(
+                    {
+                        "fault": fault,
+                        "crashed": len(indices),
+                        "cadence": cadence,
+                        "recovery_delay": delay,
+                        "honest_outputs": report["honest_outputs"],
+                        "agreement": report["agreement"],
+                        "valid": report["valid"],
+                        "recovery_latency": report["recovery_latency"],
+                        "wal_records": sum(s["wal_records"] for s in replay),
+                        "suppressed_sends": sum(s["suppressed_sends"] for s in replay),
+                    }
+                )
+
+    def replayed(cadence: int) -> list[int]:
+        return [r["wal_records"] for r in rows if r["cadence"] == cadence]
+
+    return Section(
+        "E14",
+        "Extension: in-session crash–recovery (durable state machines)",
+        "Every protocol is a serializable state machine; a party crashed\n"
+        "mid-ADKG (losing its memory) rehydrates from its `SnapshotStore`\n"
+        "snapshot plus write-ahead-log replay through the normal `deliver()`\n"
+        "path, rejoins the *same* session, and the run reaches agreement on one\n"
+        "verifying transcript (DESIGN.md section 9).  The snapshot cadence\n"
+        "trades checkpoint work against WAL length.",
+        tuple(rows[0]),
+        rows,
+        (
+            "The suppressed duplicate sends are the WAL replay regenerating exactly "
+            "the traffic the pre-crash process already emitted.",
+        ),
+        {
+            "every cell recovers to agreement on a verifying transcript, all n output": all(
+                r["agreement"] and r["valid"] and r["honest_outputs"] == n for r in rows
+            ),
+            "a sparser snapshot cadence leaves at least as many WAL records to replay": all(
+                sparse >= dense
+                for dense, sparse in zip(replayed(min(cadences)), replayed(max(cadences)))
+            ),
+        },
+    )
 
 
-# -- E16: chaos matrix (link-level fault plane + self-healing TCP) ------------------------
+def e15_retired_pool() -> Section:
+    return Section(
+        "E15",
+        "Retired: process-pool verification",
+        "A second verification plane (worker processes behind the verify cache)\n"
+        "was measured and deleted: it never beat in-process verification.  The\n"
+        "last committed ratios of in-process wall clock over pool wall clock\n"
+        "were 0.49 / 0.53 / 0.67 / 0.82 at n = 10 / 25 / 50 / 100 with four\n"
+        "worker processes and 0.62 at n = 10 with two; protocol totals were\n"
+        "identical in both planes.  Shipping a check costs about what doing it\n"
+        "costs — DESIGN.md section 10 keeps that accounting and names the\n"
+        "condition for revisiting.",
+        (),
+        [],
+        (),
+        {},
+    )
 
 
-def run_chaos_matrix(
-    n: int = 4,
-    seed: int = 1,
-    include_tcp: bool = True,
-) -> list[dict]:
-    """E16: agreement under partitions, lossy links and crash overlays.
+def e16_chaos(n: int, seed: int, realtime: Sequence[str]) -> Section:
+    f = max(1, (n - 1) // 3)
 
-    Every chaos schedule preserves eventual delivery by construction
-    (DESIGN §11), so each cell is a *legal* asynchronous adversary and
-    the paper's safety/liveness claims must survive it.  The matrix
-    crosses partition-then-heal cuts (two-sided, regional and one-way)
-    with probabilistic link faults (loss, duplication, reordering,
-    byte corruption) and with E14's in-session crash/recover overlay,
-    on the simulator plus one real-socket TCP row (whose partition heals
-    in wall-clock seconds, exercising the reconnect machinery).
+    def side(indices) -> str:
+        return ",".join(str(i) for i in indices)
 
-    Two differential gates ride along: the ``clean`` row is re-run with
-    an attached-but-idle plane and must report byte-identical protocol
-    totals (chaos off ⇒ no trace), and the ``partition-heal`` row is
-    re-run with the same seed and spec and must reproduce its word and
-    byte totals and group key exactly (the plane consumes one seeded
-    stream in delivery order).  A gate failure raises rather than
-    returning a quietly wrong table.
-    """
-    from repro import run_adkg
-    from repro.net.adversary import CrashRecoverBehavior
-    from repro.net.chaos import ChaosSpec
-
-    f = (n - 1) // 3
-    others = ",".join(str(i) for i in range(1, n))
-    lower = ",".join(str(i) for i in range(n // 2))
-    upper = ",".join(str(i) for i in range(n // 2, n))
+    alone = f"0|{side(range(1, n))}"
+    halves = f"{side(range(n // 2))}|{side(range(n // 2, n))}"
     crashers = lambda: {  # noqa: E731 — fresh stateful behaviors per run
         n - 1: CrashRecoverBehavior(after_sends=10, recover_after_drops=5)
     }
-    cases: list[tuple[str, Any, Any]] = [
-        ("clean", None, None),
-        ("partition-heal", f"partition:0|{others}@2-20", None),
-        ("regional-split", f"partition:{lower}|{upper}@2-15", None),
-        ("oneway-cut", f"partition-oneway:0|{others}@1-15", None),
-        ("lossy-link", "drop:0.08;reorder:0.1", None),
-        ("dup+corrupt", "dup:0.05;corrupt:0.03", None),
-        ("partition+lossy", f"partition:0|{others}@2-12;drop:0.05", None),
-        ("lossy+crash-recover", "drop:0.05;reorder:0.05", crashers),
-    ]
-    rows = []
-    for name, spec, behaviors in cases:
-        result = run_adkg(
+    cases = {
+        "clean": (None, None),
+        "partition-heal": (f"partition:{alone}@2-20", None),
+        "regional-split": (f"partition:{halves}@2-15", None),
+        "oneway-cut": (f"partition-oneway:{alone}@1-15", None),
+        "lossy-link": ("drop:0.08;reorder:0.1", None),
+        "dup+corrupt": ("dup:0.05;corrupt:0.03", None),
+        "partition+lossy": (f"partition:{alone}@2-12;drop:0.05", None),
+        "lossy+crash-recover": ("drop:0.05;reorder:0.05", crashers),
+    }
+
+    def run(spec, behaviors=None):
+        return run_adkg(
             n=n,
             seed=seed,
             measure_bytes=True,
             chaos=spec,
             behaviors=behaviors() if behaviors else None,
         )
+
+    def totals(result) -> tuple:
+        return result.words_total, result.bytes_total, result.public_key
+
+    def injected(result) -> int:
         counts = result.metrics_summary["counters"].get("chaos", {})
-        rows.append(
-            {
-                "experiment": "E16",
-                "case": name,
-                "transport": "sim",
-                "n": n,
-                "agreement": result.agreed,
-                "words": result.words_total,
-                "bytes": result.bytes_total,
-                "faults_injected": sum(
-                    count
-                    for key, count in counts.items()
-                    if not key.startswith("corrupt_")  # verdicts, not faults
-                ),
-                "rounds": result.rounds,
-            }
-        )
-        if name == "clean":
-            idle = run_adkg(
-                n=n, seed=seed, measure_bytes=True, chaos=ChaosSpec()
-            )
-            if (idle.words_total, idle.bytes_total, idle.public_key) != (
-                result.words_total,
-                result.bytes_total,
-                result.public_key,
-            ):
-                raise RuntimeError(
-                    "E16 gate: an idle chaos plane changed protocol totals"
-                )
-        if name == "partition-heal":
-            again = run_adkg(n=n, seed=seed, measure_bytes=True, chaos=spec)
-            if (again.words_total, again.bytes_total, again.public_key) != (
-                result.words_total,
-                result.bytes_total,
-                result.public_key,
-            ):
-                raise RuntimeError(
-                    "E16 gate: same seed + same chaos spec did not reproduce"
-                )
-    if include_tcp:
-        tcp = run_adkg(
+        # corrupt_* keys are verdicts on a corrupted frame, not faults.
+        return sum(v for k, v in counts.items() if not k.startswith("corrupt_"))
+
+    results = {name: run(spec, behaviors) for name, (spec, behaviors) in cases.items()}
+    rows = [
+        {
+            "case": name,
+            "transport": "sim",
+            "agreement": result.agreed,
+            "words": result.words_total,
+            "bytes": result.bytes_total,
+            "faults_injected": injected(result),
+            "rounds": result.rounds,
+        }
+        for name, result in results.items()
+    ]
+    checks = {
+        "an attached-but-idle plane leaves words, bytes and group key untouched": (
+            totals(run(ChaosSpec())) == totals(results["clean"])
+        ),
+        "same seed + same spec reproduces words, bytes and group key": (
+            totals(run(cases["partition-heal"][0])) == totals(results["partition-heal"])
+        ),
+        "every faulty case injected faults": all(
+            r["faults_injected"] > 0 for r in rows if r["case"] != "clean"
+        ),
+    }
+    for transport in realtime:
+        # f parties cut off over a live transport, healed after 0.8 s of
+        # wall clock: what is injected and sent depends on socket timing,
+        # the outcome does not.
+        healed = run_adkg(
             n=n,
             seed=seed,
-            transport="tcp",
-            chaos=f"partition:{','.join(str(i) for i in range(max(1, f)))}"
-            f"|{','.join(str(i) for i in range(max(1, f), n))}@0-0.8",
+            transport=transport,
+            chaos=f"partition:{side(range(f))}|{side(range(f, n))}@0-0.8",
             timeout=60.0,
         )
-        counts = tcp.metrics_summary["counters"].get("chaos", {})
         rows.append(
-            {
-                "experiment": "E16",
-                "case": "partition-heal-f",
-                "transport": "tcp",
-                "n": n,
-                "agreement": tcp.agreed,
-                "words": tcp.words_total,
-                "bytes": tcp.bytes_total,
-                "faults_injected": sum(
-                    count
-                    for key, count in counts.items()
-                    if not key.startswith("corrupt_")
-                ),
-                "rounds": round(tcp.rounds, 2),
-            }
+            {"case": "partition-heal-f", "transport": transport, "agreement": healed.agreed}
         )
-    return rows
+    checks["every case reaches agreement"] = all(r["agreement"] for r in rows)
+    return Section(
+        "E16",
+        "Extension: chaos matrix (link faults + self-healing TCP)",
+        "The chaos plane (DESIGN.md section 11) injects partitions that heal,\n"
+        "lossy/duplicating/reordering links, byte corruption and extra delay\n"
+        "into the shared delivery pipeline from one seeded stream; every\n"
+        "schedule preserves eventual delivery by construction, so each row is\n"
+        "a legal asynchronous adversary and must reach agreement.  The TCP row\n"
+        "partitions f parties over real sockets and heals mid-run, exercising\n"
+        "connection supervision + reconnect-with-backoff.",
+        ("case", "transport", "agreement", "words", "bytes", "faults_injected", "rounds"),
+        rows,
+        (),
+        checks,
+    )
 
 
-# -- E18: membership churn (proactive resharing across committees) ------------------------
+#: The process-versus-sequential trial ROADMAP item 1(c) asked for.  Wall
+#: clock, so read by hand and quoted — never a regenerated column.
+_SHARD_TRIAL = """\
+Process-per-shard mode earns its keep on wall clock, which is not a column
+here and was read by hand: `run_sharded(universe=40, groups=4)` on the
+2-core reference host, one warm-up of each mode then ten alternating pairs
+(seeds 100–109, order swapped each pair), medians sequential 0.773 s
+against process 0.415 s — **1.86×, process won 9/10** (the one loss by
+2 ms, on the first pair), no executor fallback, merged word totals equal.
+A repeat read 0.930 s against 0.511 s, 1.82×, 10/10."""
 
 
-def run_churn_matrix(
-    seed: int = 2,
-    include_realtime: bool = True,
-) -> list[dict]:
-    """E18: the group key survives committee churn, byte-identically.
+def e17_shards(ks: Sequence[int], group_n: int) -> Section:
+    rows = []
+    #: ``(k, mode) -> ((words, messages) of group 0, of group 1, ...)``
+    per_group: dict[tuple[int, str], tuple] = {}
+    ok = True
+    for k in ks:
+        for mode in SHARD_MODES:
+            report = run_sharded(
+                universe=k * group_n, groups=k, epochs=1, rounds_per_epoch=2, mode=mode, seed=1
+            )
+            ok = ok and report.agreed and report.all_verified and not report.executor_fallback
+            per_group[k, mode] = groups = tuple(
+                (g.metrics.words_total, g.metrics.messages_total)
+                for g in report.group_results
+            )
+            rows.append(
+                {
+                    "k": k,
+                    "group_n": group_n,
+                    "mode": mode,
+                    "words": report.merged.words_total,
+                    "messages": report.merged.messages_total,
+                    "group0_words": groups[0][0],
+                    "beacon_rounds": len(report.combined),
+                }
+            )
+    shutdown_shard_executor()
+    return Section(
+        "E17",
+        "Extension: sharded multi-group scale-out",
+        f"k independent DKG groups of n = {group_n} (DESIGN.md section 12), run\n"
+        "multiplexed on one transport, sequentially, or process-per-shard.  Total\n"
+        "words grow as k·O(n³) — the k² word advantage over one O((kn)³) group is\n"
+        "the point of sharding.  Per-group beacon streams are hash-combined\n"
+        "into one output per round and verified per group plus recomputation.\n\n"
+        + _SHARD_TRIAL,
+        ("k", "group_n", "mode", "words", "messages", "group0_words", "beacon_rounds"),
+        rows,
+        (),
+        {
+            "every group agrees, every stream verifies, the pool never falls back": ok,
+            "per-group words and messages are identical across the three modes": all(
+                len({per_group[k, mode] for mode in SHARD_MODES}) == 1 for k in ks
+            ),
+            "group 0's totals never move as k grows (a pure function of seed and gid)": (
+                len({groups[0] for groups in per_group.values()}) == 1
+            ),
+            "merged totals are exactly the per-group sum": all(
+                r["words"] == sum(words for words, _ in per_group[r["k"], r["mode"]])
+                for r in rows
+            ),
+        },
+    )
 
-    Each row runs a membership schedule (joins, leaves, a threshold
-    change) through :func:`repro.service.membership.run_churn`: epoch 0
-    is a fresh ADKG, every later epoch a certificate-gated resharing
-    handoff.  The matrix covers a no-churn proactive refresh, the full
-    churn schedule, a crash-recover handoff (a party WAL-replays into
-    the reshare epoch), a healing-partition handoff, and the realtime
-    transports.  The acceptance invariant is uniform and gated here —
-    every epoch's group key encodes to the same bytes as epoch 0's and
-    the cross-handoff beacon chain verifies; a violation raises rather
-    than returning a quietly wrong table.
-    """
-    from repro.service import run_churn
 
-    matrix = "join:8@1;join:9@2;leave:0@2;leave:1@3;threshold:1@3"
-    cases: list[tuple[str, str, dict]] = [
+def e18_churn(seed: int, rotation_epochs: int, realtime: Sequence[str]) -> Section:
+    handoff = dict(universe_n=8, epochs=4, churn="join:7@1;leave:0@3", base_f=1)
+    # One member swapped per epoch; a departed party rejoins three epochs on.
+    rotation = ";".join(
+        f"join:{(6 + e) % 10}@{e};leave:{(e - 1) % 10}@{e}" for e in range(1, rotation_epochs)
+    )
+    cases = [
         ("proactive-refresh", "sim", dict(universe_n=7, epochs=3)),
-        ("churn-matrix", "sim", dict(universe_n=10, epochs=5, churn=matrix)),
+        (
+            "churn-matrix",
+            "sim",
+            dict(
+                universe_n=10,
+                epochs=5,
+                churn="join:8@1;join:9@2;leave:0@2;leave:1@3;threshold:1@3",
+            ),
+        ),
         (
             "crash-handoff",
             "sim",
-            dict(
-                universe_n=8,
-                epochs=4,
-                churn="join:7@1;leave:0@3",
-                base_f=1,
-                crash={1: {"indices": (2,), "after": 12, "delay": 4.0}},
-            ),
+            dict(handoff, crash={1: {"indices": (2,), "after": 12, "delay": 4.0}}),
         ),
         (
             "partition-handoff",
             "sim",
+            dict(handoff, chaos={2: "partition:0,1|2,3,4,5,6,7@3-9"}),
+        ),
+        (
+            "sustained-rotation",
+            "sim",
             dict(
-                universe_n=8,
-                epochs=4,
-                churn="join:7@1;leave:0@3",
+                universe_n=10,
+                epochs=rotation_epochs,
+                churn=rotation,
+                base_members=range(7),
                 base_f=1,
-                chaos={2: "partition:0,1|2,3,4,5,6,7@3-9"},
             ),
         ),
     ]
-    if include_realtime:
-        for transport in ("asyncio", "tcp"):
-            cases.append(
-                (
-                    f"churn-{transport}",
-                    transport,
-                    dict(
-                        universe_n=7,
-                        epochs=3,
-                        churn="join:6@1;leave:0@2",
-                        base_f=1,
-                    ),
-                )
-            )
+    cases += [
+        (
+            f"churn-{transport}",
+            transport,
+            dict(universe_n=7, epochs=3, churn="join:6@1;leave:0@2", base_f=1),
+        )
+        for transport in realtime
+    ]
     rows = []
     for name, transport, kwargs in cases:
-        report = run_churn(
-            kwargs.pop("universe_n"), transport=transport, seed=seed, **kwargs
-        )
+        report = run_churn(transport=transport, seed=seed, **kwargs)
         membership = report.membership
         sizes = [len(result.committee) for result in membership.results]
         events = kwargs.get("churn", "")
         rows.append(
             {
-                "experiment": "E18",
                 "case": name,
                 "transport": transport,
                 "epochs": len(membership.results),
@@ -802,29 +1155,95 @@ def run_churn_matrix(
                 "committee_n": f"{min(sizes)}..{max(sizes)}",
                 "key_invariant": membership.key_invariant,
                 "chain_verified": report.all_verified,
-                "wall_s": round(membership.wall_clock_s, 2),
             }
         )
-        if not (membership.key_invariant and report.all_verified):
-            raise RuntimeError(
-                f"E18 gate: case {name!r} broke the key-invariance invariant"
-            )
-    return rows
+    return Section(
+        "E18",
+        "Extension: dynamic membership (proactive resharing)",
+        "One group key outlives every committee (DESIGN.md section 13): epoch 0\n"
+        "establishes the key with a fresh ADKG; each later epoch hands it to a\n"
+        "possibly different committee by proactive resharing — every old holder\n"
+        "re-deals its exponent share under a zero-anchored delta polynomial, the\n"
+        "new committee agrees (NWH, certificate-gated) on a bundle of f_old + 1\n"
+        "verified dealings and interpolates deterministically.  The rows include\n"
+        "a crash-recover handoff (WAL replay into the reshare epoch), a\n"
+        "healing-partition handoff and a one-swap-per-epoch rotation.",
+        tuple(rows[0]),
+        rows,
+        (),
+        {
+            "every epoch's group key encodes to the bytes of epoch 0's": all(
+                r["key_invariant"] for r in rows
+            ),
+            "the genesis-rooted beacon chain verifies across every handoff": all(
+                r["chain_verified"] for r in rows
+            ),
+            "every scheduled handoff happened": all(
+                r["handoffs"] == r["epochs"] - 1 for r in rows
+            ),
+        },
+    )
 
 
-# -- E10: vector-commitment ablation (Section 7.1's SNARK/KZG remark) ---------------------
+# -- the harness -----------------------------------------------------------------------
 
 
-def run_vc_ablation(
-    ns: Sequence[int], message_words: int = 8, seed: int = 1
-) -> list[dict]:
-    """Broadcast words with Merkle (log n openings) vs KZG (1-word openings)."""
-    value = (1,) * message_words
-    rows = []
-    for kind in ("ct", "ct-kzg"):
-        for n in ns:
-            sim = _simulate(n, lambda p: _BroadcastRoot(kind, 0, value), seed=seed)
-            rows.append(
-                _row(sim, experiment="E10", kind=kind, n=n, m=message_words)
-            )
-    return rows
+def run_experiments() -> list[Section]:
+    """All eighteen at EXPERIMENTS.md size (``test_run_experiments`` runs
+    the same functions at CI size)."""
+    return [
+        e1_broadcast(n_fixed=7, ms=(16, 64, 256, 1024), ns=(4, 7, 13, 25), m_small=4, m_big=512),
+        e2_gather(ns=(4, 7, 10, 13), n_fixed=7, ms=(1, 64, 512)),
+        e3_proposal_election(ns=(4, 7, 10, 13)),
+        e4_pe_binding(benign_runs=40, silent_runs=25, lag_runs=25, n7_runs=15),
+        e5_nwh(view_runs=20, ns=(4, 7, 10, 13), seeds=(1, 2)),
+        e6_adkg(ns=(4, 7, 10, 13), seeds=(1, 2, 3)),
+        e7_baseline(ns=(4, 7, 10, 13, 16), seed=1),
+        e8_fault_matrix(cases=((4, 1), (7, 2))),
+        e9_rbc_ablation(ns=(4, 7, 10, 13), seeds=(1,)),
+        e10_vc_ablation(ns=(4, 7, 13, 25), m=8),
+        e11_transports(ns=(4, 7, 10), seed=1),
+        e12_hotpath(ns=(4, 10, 16, 25), seed=1),
+        e13_pipelining(n=7, epochs=4, depths=(1, 2, 3)),
+        e14_crash_recovery(n=4, seed=1, cadences=(8, 64), delays=(3.0, 12.0)),
+        e15_retired_pool(),
+        e16_chaos(n=4, seed=1, realtime=("tcp",)),
+        e17_shards(ks=(1, 2, 4, 8), group_n=10),
+        e18_churn(seed=2, rotation_epochs=8, realtime=("asyncio", "tcp")),
+    ]
+
+
+HEADER = """\
+# EXPERIMENTS — paper vs measured
+
+Regenerated by `python -m repro.analysis.experiments`
+(`run_experiments()`); the tier-1 suite runs the same eighteen functions at
+CI size (`tests/analysis/test_experiments.py`) and CI diffs this file
+against a fresh run.  All runs are seeded and every column is a
+deterministic function of the code; wall clock lives in `python3 -m
+perf.run` (`BENCHMARK.json`), not here.  A *word* is the paper's unit (a
+constant number of values/signatures); *rounds* are causal message-chain
+length (time under unit delays); fits are least squares in log-log space.
+Expectations are shape-level (exponents, ratios, crossovers), not
+absolute numbers — the substrate is a simulator, not the authors'
+testbed.  Each section ends with its checks; a failed one fails the suite
+and this generator."""
+
+
+def render(sections: Sequence[Section]) -> str:
+    return "\n\n".join([HEADER, *(section.render() for section in sections)]) + "\n"
+
+
+def main() -> int:
+    sections = run_experiments()
+    output = Path(__file__).resolve().parents[3] / "EXPERIMENTS.md"
+    output.write_text(render(sections), encoding="utf-8")
+    failed = failed_checks(sections)
+    for line in failed:
+        print(f"FAILED {line}", file=sys.stderr)
+    print(f"wrote {output}: {len(sections)} sections, {len(failed)} failed checks", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -478,11 +478,11 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.complexity import fit_power_law
-    from repro.analysis.experiments import run_adkg_experiment
+    from repro.analysis.experiments import e6_adkg
     from repro.analysis.tables import render_table
 
     ns = list(range(args.min_n, args.max_n + 1, 3))
-    rows = run_adkg_experiment(ns, seeds=(args.seed,))
+    rows = e6_adkg(ns, seeds=(args.seed,)).rows
     print(render_table(rows, columns=["n", "mean_words", "mean_rounds", "mean_views"]))
     fit = fit_power_law([r["n"] for r in rows], [r["mean_words"] for r in rows])
     print(f"\nfitted words ~ n^{fit.exponent:.2f}  (paper: Õ(n³))")
@@ -490,10 +490,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_drill(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import run_fault_matrix
+    from repro.analysis.experiments import e8_fault_matrix
     from repro.analysis.tables import render_table
 
-    rows = run_fault_matrix(n=args.n, seed=args.seed)
+    rows = e8_fault_matrix(((args.n, args.seed),)).rows
     print(
         render_table(
             rows, columns=["fault", "honest_outputs", "agreement", "valid", "rounds"]
@@ -505,24 +505,11 @@ def _cmd_drill(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import run_baseline_comparison
+    from repro.analysis.experiments import e7_baseline
     from repro.analysis.tables import render_table
 
-    ns = list(range(args.min_n, args.max_n + 1, 3))
-    rows = run_baseline_comparison(ns, seed=args.seed)
-    print(
-        render_table(
-            rows,
-            columns=[
-                "n",
-                "ours_words",
-                "baseline_words",
-                "word_ratio",
-                "ours_rounds",
-                "baseline_rounds",
-            ],
-        )
-    )
+    section = e7_baseline(list(range(args.min_n, args.max_n + 1, 3)), seed=args.seed)
+    print(render_table(section.rows, columns=section.columns))
     return 0
 
 

@@ -11,8 +11,9 @@ and the safe-prime relation at import-scale sizes.
 
 Presets
 -------
-``TESTING``  64-bit — fastest; for unit tests and large simulation sweeps.
-``FAST``     128-bit — default for benchmarks.
+``TESTING``  64-bit — fastest; the default of every driver, the tests, the
+             experiments and the benchmark.
+``FAST``     128-bit — a middle size, selected by name.
 ``STANDARD`` 256-bit — what a deployment of this simulation layer would
              use; still far below the 2048-bit+ moduli of a production
              Schnorr group, which matters for security, not for the word

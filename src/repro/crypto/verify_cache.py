@@ -208,5 +208,5 @@ class VerifyCache:
         return result
 
     def snapshot(self) -> dict[str, int]:
-        """A plain-dict copy of the counters (for metrics/benchmarks)."""
+        """A plain-dict copy of the counters (for :class:`~repro.net.metrics.Metrics`)."""
         return dict(self.stats)

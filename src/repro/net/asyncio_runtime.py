@@ -1,7 +1,7 @@
 """Realtime asyncio transport for the same sans-io protocol objects.
 
 The deterministic simulator (:mod:`repro.net.runtime`) is what the
-benchmarks use; this runtime exists to demonstrate that the protocol
+experiments and most benchmark workloads use; this runtime exists to demonstrate that the protocol
 implementations are genuinely transport-agnostic — they run unchanged
 over asyncio with real concurrent delivery, which is how a deployment
 would host them.

@@ -33,31 +33,28 @@ Every length, count, id and (zigzagged) integer is a little-endian
 base-128 varint in its one shortest spelling.  Structs are registered
 with :func:`register` under a stable numeric id (the ids below are part
 of the wire format; never reuse one).  The field count doubles as the
-struct's format version: an envelope at the top level of a frame accepts
-the five-field pre-session encoding (decoding it as session 0) so
-mixed-era peers interoperate; all other structs, and a nested envelope,
-require an exact count.  A registered dataclass is encoded
-as its fields in declaration order, so ``decode(encode(x)) == x`` for
-every registered type whose fields are themselves encodable.  Sets and
-dicts are serialized in sorted-encoding order, making ``encode``
-deterministic: equal values produce equal bytes.
+struct's format version and every struct requires an exact count.  A
+registered dataclass is encoded as its fields in declaration order, so
+``decode(encode(x)) == x`` for every registered type whose fields are
+themselves encodable.  Sets and dicts are serialized in sorted-encoding
+order, making ``encode`` deterministic: equal values produce equal bytes.
 
 ``decode`` is strict: unknown tags, unknown type ids, truncated buffers,
 trailing bytes, invalid UTF-8, field-count mismatches, overlong
 (non-canonical) varints and set members or dict keys out of sorted order
 all raise :class:`CodecError`.  So ``encode(decode(b)) == b`` for every
-accepted ``b`` — the five-field envelope, accepted at the top level of a
-frame only, is the one exception — and the decoder can hand an
-aggregate the bytes it was read from (``_payload_memo``).  This is the
-hardening ``broadcast/wire.py`` claims: a Byzantine dealer's malformed
-bytes surface as a clean error (mapped to "dealer faulty" upstream),
+accepted ``b``, and the decoder can hand an aggregate the bytes it was
+read from (``_payload_memo``).  This is the hardening
+``broadcast/wire.py`` claims: a Byzantine dealer's malformed bytes
+surface as a clean error (mapped to "dealer faulty" upstream),
 never as attacker-controlled object construction the way
 ``pickle.loads`` would allow.
 
 Batch frames
 ------------
-The batched message plane coalesces several envelopes into one wire
-frame.  A batch frame body is versioned and self-describing::
+Every wire frame that carries envelopes is a batch frame — one envelope
+or many, there is one spelling.  Its body is versioned and
+self-describing::
 
     0xB5 (magic)  0x01 (version)
     uvarint k     k x (uvarint length + payload encoding)
@@ -66,15 +63,16 @@ frame.  A batch frame body is versioned and self-describing::
 
 The payload table deduplicates *within* the frame: a multicast payload
 carried by several envelopes of one frame is serialized once and
-referenced by index.  ``0xB5`` can never open a single-envelope frame
-(those always start with the struct tag ``0x10``), so
-:func:`decode_batch` transparently accepts legacy single-envelope frames
-and returns them as one-element batches — mixed-era peers interoperate.
-:func:`encode_batch` of a single envelope likewise emits the legacy
-single-envelope encoding.  Decoding is as strict as everywhere else:
-bad magic/version, truncated tables, out-of-range payload indices,
-blob-length mismatches, non-``Payload`` table entries, malformed headers
-and trailing bytes all raise :class:`CodecError`.
+referenced by index.  ``0xB5`` sits outside the codec tag space, so a
+bare envelope encoding (:func:`encode_envelope`, what a WAL record and
+the byte metric use — it starts with the struct tag ``0x10``) is never
+mistaken for a frame: :func:`decode_batch` refuses it.  A batch of one
+costs 4 bytes plus the payload's length varint more than the bare
+envelope (+5 B under 128 B of payload, +6 B under 16 KiB).  Decoding is
+as strict as everywhere else: bad magic/version, truncated tables,
+out-of-range payload indices, blob-length mismatches, non-``Payload``
+table entries, malformed headers and trailing bytes all raise
+:class:`CodecError`.
 
 Shared-aggregate encoding
 -------------------------
@@ -142,19 +140,18 @@ __all__ = [
     "encode_stats",
 ]
 
-#: First body byte of a multi-envelope batch frame.  Deliberately outside
-#: the codec tag space: a legacy single-envelope frame always starts with
-#: ``_TAG_STRUCT`` (0x10), so the two formats are distinguishable from
-#: their first byte.
+#: First body byte of a batch frame.  Deliberately outside the codec tag
+#: space: no value encoding (a bare envelope starts with ``_TAG_STRUCT``,
+#: 0x10) can pass for a frame.
 BATCH_MAGIC = 0xB5
 #: Batch frame format version (second body byte).
 BATCH_VERSION = 0x01
 
 #: First body byte of a connection-liveness heartbeat frame (the TCP
 #: runtime's idle keepalive).  Like :data:`BATCH_MAGIC` it sits outside
-#: the codec tag space *and* differs from the batch magic, so the three
-#: frame formats — heartbeat, batch, legacy single envelope — are
-#: distinguishable from their first byte.
+#: the codec tag space *and* differs from the batch magic, so the two
+#: wire frame formats — heartbeat, batch — are distinguishable from their
+#: first byte.
 HEARTBEAT_MAGIC = 0xE7
 #: Heartbeat frame format version (second body byte).
 HEARTBEAT_VERSION = 0x01
@@ -725,20 +722,10 @@ def _decode_seq(
             else:
                 arity, pos = _read_uvarint(data, pos)
             if arity != len(fields):
-                # Wire-format versioning for the envelope: the pre-session
-                # format carried five fields (no ``session``); such frames
-                # decode with the trailing session defaulted to 0, so old
-                # single-session traffic keeps routing.  Every other struct
-                # stays strict, and so does an envelope nested in another
-                # value (frames carry envelopes at the top level only): the
-                # one byte string that does not re-encode to itself can
-                # never sit inside an aggregate's retained bytes.
-                if not (cls is _envelope_type and arity == len(fields) - 1 and not depth):
-                    raise CodecError(
-                        f"field count mismatch for {cls.__name__}: "
-                        f"expected {len(fields)}, got {arity}"
-                    )
-                checks = tuple(check for check in checks if check[0] < arity)
+                raise CodecError(
+                    f"field count mismatch for {cls.__name__}: "
+                    f"expected {len(fields)}, got {arity}"
+                )
             members, pos = _decode_seq(data, size, pos, arity, depth + 1, refs)
             for index, expected in checks:
                 if not isinstance(members[index], expected):
@@ -1069,17 +1056,13 @@ def encode_batch(envelopes: Any) -> bytes:
     """Encode several envelopes into one coalesced wire frame body.
 
     Payloads are deduplicated within the frame (a multicast payload
-    shared by k envelopes of the frame is serialized once); a batch of
-    one envelope is emitted in the legacy single-envelope format, so
-    every output of this function is decodable by :func:`decode_batch`
-    and single-envelope outputs also by :func:`decode_envelope`.
+    shared by k envelopes of the frame is serialized once).  One
+    envelope is a batch of one: every frame has the same format.
     """
     _ensure_registered()
     envelopes = list(envelopes)
     if not envelopes:
         raise CodecError("cannot encode an empty batch")
-    if len(envelopes) == 1:
-        return encode_envelope(envelopes[0])
     blobs: list[bytes] = []
     index_by_bytes: dict[bytes, int] = {}
     records: list[tuple[int, Any]] = []
@@ -1116,7 +1099,7 @@ def encoded_batch_size(
     coalesced frame *would* occupy — and therefore the bytes batching
     saves — from the same memo entries the metering uses, at O(1) cost
     per envelope.  ``body_sizes`` optionally supplies each envelope's
-    already-known single-frame body size (``encoded_envelope_size``); an
+    already-known bare encoding size (``encoded_envelope_size``); an
     envelope's batch header is then derived algebraically — every
     envelope encoding is ``3 + path + ints + payload`` bytes and its
     batch header is ``2 + path + ints``, so ``header = body - payload - 1``
@@ -1126,10 +1109,6 @@ def encoded_batch_size(
     envelopes = list(envelopes)
     if not envelopes:
         raise CodecError("cannot encode an empty batch")
-    if len(envelopes) == 1:
-        if body_sizes is not None:
-            return body_sizes[0]
-        return encoded_envelope_size(envelopes[0])
     blob_total = 0
     blob_count = 0
     index_by_bytes: dict[bytes, int] = {}
@@ -1193,10 +1172,9 @@ def encoded_batch_size(
 def decode_batch(data: bytes) -> list:
     """Decode one wire frame body into its list of envelopes.
 
-    Accepts both formats: a body opening with :data:`BATCH_MAGIC` is
-    parsed as a multi-envelope batch frame; anything else is decoded as
-    one legacy single-envelope frame.  Every envelope passes the same
-    validation :func:`decode_envelope` applies; any malformation raises
+    The body must open with :data:`BATCH_MAGIC`; a bare envelope
+    encoding is not a frame.  Every envelope passes the same validation
+    :func:`decode_envelope` applies; any malformation raises
     :class:`CodecError`.
     """
     _ensure_registered()
@@ -1206,7 +1184,7 @@ def decode_batch(data: bytes) -> list:
     if not data:
         raise CodecError("empty frame")
     if data[0] != BATCH_MAGIC:
-        return [decode_envelope(data)]
+        raise CodecError(f"not a batch frame (first byte {data[0]:#04x})")
     if len(data) < 2:
         raise CodecError("truncated batch frame")
     if data[1] != BATCH_VERSION:

@@ -8,9 +8,8 @@ several concurrent root instances, e.g. pipelined ADKG epochs) and the
 ``("nwh", "view", 3, "pe", "gather", "vrb", 2)``), plus the sender's
 causal depth, used for round accounting.
 
-On the wire the session id is the sixth envelope field; frames from the
-pre-session wire format carry five fields and decode as session 0 (see
-:mod:`repro.net.codec`), so old single-session traffic routes unchanged.
+On the wire the session id is the sixth envelope field (see
+:mod:`repro.net.codec`).
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ verification calls/hits/misses from
 :mod:`repro.crypto.verify_cache`, payload encode calls from
 :mod:`repro.net.codec`, pairing operations).  The transport binds them as
 deltas against its construction-time baseline, so ``counters("verify")``
-is "work done by this run" — the structural quantity the perf harness
-(``benchmarks/bench_hotpath.py``) asserts speedups on, independent of
-wall-clock noise.
+is "work done by this run" — the structural quantity
+``tests/net/totals_golden.json`` pins and experiment E12 tabulates,
+independent of wall-clock noise.
 
 The batched message plane adds *frame* accounting on top: every send is
 still metered individually (``bytes_total`` is the batching-invariant

@@ -9,14 +9,12 @@ recipient's protocol stack — so a full run proves the protocols execute
 unchanged over an actual socket boundary, with nothing shared in memory
 between sender and recipient but bytes.
 
-Framing: a 4-byte big-endian length followed by one frame body.  On the
-batched plane (default) a body is a multi-envelope batch frame
-(:func:`repro.net.codec.encode_batch`) coalescing every envelope one
-activation queued for the same connection, with intra-frame payload
-deduplication; single envelopes — and the whole unbatched plane
-(``batching=False``) — use the legacy single-envelope body, and the
-reader (:func:`repro.net.codec.decode_batch`) accepts both, so
-mixed-plane peers interoperate.  Malformed frames (codec errors,
+Framing: a 4-byte big-endian length followed by one frame body, always
+a batch frame (:func:`repro.net.codec.encode_batch`).  On the batched
+plane (default) it coalesces every envelope one activation queued for
+the same connection, with intra-frame payload deduplication; the
+unbatched plane (``batching=False``) sends batches of one.  Malformed
+frames (codec errors,
 oversized lengths) are dropped and counted in ``rejected_frames``, as is
 every decoded envelope addressed to a different party or carrying an
 out-of-range sender — the Byzantine-input posture of the codec applies
@@ -27,8 +25,8 @@ bind sender identity to the connection via TLS or a signed handshake;
 the protocols themselves sign everything that matters).
 
 Byte metering is always on: ``metrics.bytes_total`` is the *protocol*
-byte metric — the sum of per-envelope frame sizes, byte-identical with
-batching on or off — while ``metrics.wire_bytes_total`` counts the bytes
+byte metric — the sum of per-envelope sizes (length prefix + bare
+envelope encoding), byte-identical with batching on or off — while ``metrics.wire_bytes_total`` counts the bytes
 actually written to sockets, so their difference is what coalescing
 saved.
 

@@ -40,7 +40,7 @@ Subclasses provide only *when and how* a transmitted envelope reaches
   real TCP stream connections.
 
 :func:`make_transport` is the single name-based injection point the CLI,
-the examples and the benchmarks use.
+the examples, the experiments and the benchmark (``perf/``) use.
 """
 
 from __future__ import annotations
@@ -644,7 +644,7 @@ class Transport:
                     frame = None
                     if self.frames_on_wire:
                         try:
-                            frame = self._frame(env)
+                            frame = self._batch_frame([env])
                         except codec.CodecError:
                             if behavior is None:
                                 raise
@@ -653,8 +653,10 @@ class Transport:
                     if not self._transmit(env, frame):
                         self.dropped_sends += 1
                         continue
+                    # The byte metric is the bare envelope's size on both
+                    # planes, whatever frame carried it.
                     nbytes = (
-                        len(frame)
+                        self._envelope_nbytes(env)
                         if frame is not None
                         else self._measured_bytes(env, forged=behavior is not None)
                     )
@@ -708,12 +710,12 @@ class Transport:
             self._flush_coalesced()
 
     def _envelope_nbytes(self, envelope: Envelope) -> Optional[int]:
-        """The envelope's metered byte size on the batched plane.
+        """The envelope's metered byte size, on either plane.
 
-        Identical by construction to what the unbatched plane meters —
-        the length of the envelope's own length-prefixed frame — but
-        composed from the codec's payload/path memo entries instead of a
-        full re-encode.  ``None`` when bytes are not metered on this
+        The length prefix plus the bare envelope encoding — what the
+        envelope costs as a value, independent of the frame that carries
+        it — composed from the codec's payload/path memo entries instead
+        of a full re-encode.  ``None`` when bytes are not metered on this
         transport.  Raises :class:`~repro.net.codec.CodecError` for
         unencodable payloads (the caller maps that to loud-failure or
         forged-drop exactly like the unbatched plane).
@@ -955,16 +957,6 @@ class Transport:
         self._outgoing = []
         self._transmit_coalesced(batch)
 
-    def _frame(self, envelope: Envelope) -> bytes:
-        """The envelope's wire frame: length prefix + codec bytes."""
-        body = codec.encode_envelope(envelope)
-        if len(body) > MAX_FRAME_BYTES:
-            raise codec.CodecError(
-                f"envelope frame of {len(body)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte wire bound"
-            )
-        return len(body).to_bytes(FRAME_HEADER_BYTES, "big") + body
-
     def _measured_bytes(self, envelope: Envelope, forged: bool) -> Optional[int]:
         """Observational byte metric for in-process transports.
 
@@ -1015,12 +1007,12 @@ class Transport:
         subclass only ever implements ``_transmit``.
         """
         for envelope, nbytes, _delay in batch:
-            frame = self._frame(envelope) if self.frames_on_wire else None
+            frame = self._batch_frame([envelope]) if self.frames_on_wire else None
             if self._transmit(envelope, frame):
-                self.metrics.record_frame(1, nbytes)
+                self.metrics.record_frame(1, len(frame) if frame else nbytes)
 
     def _batch_frame(self, envelopes: list[Envelope]) -> bytes:
-        """One coalesced wire frame: length prefix + batch frame body."""
+        """One wire frame: length prefix + batch frame body."""
         body = codec.encode_batch(envelopes)
         if len(body) > MAX_FRAME_BYTES:
             raise codec.CodecError(

@@ -22,8 +22,8 @@ leaves a pair that recovery still reads correctly — replay simply skips
 the absorbed prefix instead of double-applying it.
 
 Both magics sit outside the codec tag space and outside the batch-frame
-magic (``0xB5``), so all four frame families — legacy single-envelope,
-batch, WAL, snapshot — are distinguishable from their first byte;
+magic (``0xB5``), so the three frame families — batch, WAL, snapshot —
+are distinguishable from their first byte;
 :func:`decode_frame` is the dispatcher.  Decoding is as strict as the
 codec's: bad magic, unsupported version, truncated or overlong
 (non-canonical) length/sequence varints, truncated bodies, bodies that
@@ -164,9 +164,9 @@ def decode_frame(body: bytes) -> tuple[str, Any]:
     """Dispatch one complete frame body by its first byte.
 
     Returns ``("wal", (seq, envelope))``, ``("snapshot", (blob, wal_seq))``
-    or ``("envelopes", [envelope, ...])`` — the last covering both batch
-    frames and legacy single-envelope frames via
-    :func:`~repro.net.codec.decode_batch`.  Trailing bytes after the
+    or ``("envelopes", [envelope, ...])`` for a batch frame
+    (:func:`~repro.net.codec.decode_batch`); any other first byte is
+    rejected.  Trailing bytes after the
     record are rejected, mirroring the codec's whole-buffer strictness.
     """
     body = bytes(body)

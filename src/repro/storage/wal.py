@@ -6,7 +6,7 @@ record) *after* it was delivered, so the log plus the last snapshot is
 always a complete replayable history at delivery granularity.  Appends
 are buffered through one file handle; ``fsync`` is optional — on by
 default the log is only flushed to the OS, which is the right trade for
-the simulator and for benchmarks measuring replay cost (a deployment
+the simulator and for the recovery benchmark workload (a deployment
 that must survive power loss turns ``fsync=True`` on and pays the
 per-record sync).
 

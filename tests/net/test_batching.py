@@ -53,14 +53,22 @@ def test_batch_round_trip_and_payload_dedup():
     assert codec.decode_batch(codec.encode_batch(mixed)) == mixed
 
 
-def test_batch_of_one_uses_legacy_format():
-    env = _env()
-    assert codec.encode_batch([env]) == codec.encode_envelope(env)
+def test_batch_of_one_is_a_batch_frame_at_the_stated_byte_delta():
+    """One frame spelling: a lone envelope travels as a 0xB5 batch of one,
+    4 bytes plus the payload's length varint over its bare encoding."""
+    for payload, delta in ((Ping(7), 5), (Blob(data=(9,) * 100), 6)):
+        env = _env(payload=payload)
+        body = codec.encode_batch([env])
+        assert body[0] == codec.BATCH_MAGIC and codec.decode_batch(body) == [env]
+        assert (len(codec.encode(payload)) < 128) == (delta == 5)
+        assert len(body) - len(codec.encode_envelope(env)) == delta
+        assert codec.encoded_batch_size([env]) == len(body)
+        assert codec.encoded_batch_size([env], [len(body) - delta]) == len(body)
 
 
-def test_legacy_single_envelope_frame_decodes_as_batch_of_one():
-    env = _env()
-    assert codec.decode_batch(codec.encode_envelope(env)) == [env]
+def test_bare_envelope_encoding_is_not_a_frame():
+    with pytest.raises(codec.CodecError, match="not a batch frame"):
+        codec.decode_batch(codec.encode_envelope(_env()))
 
 
 def test_malformed_batch_frames_rejected():
@@ -215,6 +223,21 @@ def test_batched_plane_equivalent_under_random_delays_and_scheduler():
     assert outcomes[0] == outcomes[1]
 
 
+def test_lone_envelopes_on_the_wire_cost_five_or_six_bytes_each():
+    """End to end: under per-envelope random delays every sim frame is a
+    batch of one, so the wire total exceeds the protocol byte total by
+    exactly the stated per-frame delta (+5 B, +6 B from 128 B of payload)."""
+    result = run_adkg(
+        n=4, seed=5, delay_model=UniformDelay(0.3, 2.1), measure_bytes=True,
+        to_quiescence=True,
+    )
+    summary = result.metrics_summary
+    frames = summary["frames_total"]
+    assert frames == result.messages_total and summary["batch_occupancy_max"] == 1
+    extra = summary["wire_bytes_total"] - result.bytes_total
+    assert 5 * frames < extra < 6 * frames
+
+
 def test_batched_plane_equivalent_with_behavior_plus_scheduler():
     """RNG interleaving: behavior transforms and scheduler draws share
     ``_adv_rng``, so delays must be drawn at buffer time (the unbatched
@@ -269,7 +292,7 @@ def test_batched_tcp_matches_sim_transcript_and_words():
     # bursts are small and payloads within one connection's frame are
     # distinct, so framing overhead can cancel the saved length
     # prefixes — wire bytes may only be bounded, not strictly smaller
-    # (larger n tips the balance; bench_scale asserts the strict win).
+    # (larger n tips the balance).
     assert runtime.metrics.frames_total > 0
     assert runtime.metrics.frames_saved > 0
     assert runtime.metrics.wire_bytes_total <= runtime.metrics.bytes_total

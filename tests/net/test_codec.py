@@ -393,17 +393,20 @@ def test_out_of_order_set_members_and_dict_keys_rejected():
         codec.decode(bytes([0x08, 2]) + codec.encode(True) + one)
 
 
-def test_a_five_field_envelope_is_read_at_the_top_level_only(setup, transcript):
-    """The pre-session envelope is the one accepted byte string that does
-    not re-encode to itself; nested in another value it is refused, so it
-    can never sit inside an aggregate's retained bytes."""
+def test_a_five_field_envelope_is_refused_at_every_level():
+    """The pre-session envelope was the one accepted byte string that did
+    not re-encode to itself; it is refused now, top level and nested."""
     envelope = Envelope(("later",), 1, 0, Decided(bit=1), 2)
-    wire = _encode_pre_session(envelope)
-    assert codec.decode(wire) == envelope and codec.encode(envelope) != wire
-    for outer in (b"\x06\x01", b"\x07\x01", codec.encode(CTReady(root=None))[:-1]):
+    body = bytearray((0x10, 1, 5))  # struct tag, envelope id, the old field count
+    for value in (("later",), 1, 0, envelope.payload, 2):  # path..depth, no session
+        codec._encode_into(body, value)
+    wire = bytes(body)
+    for outer in (b"", b"\x06\x01", b"\x07\x01", codec.encode(CTReady(root=None))[:-1]):
         with pytest.raises(codec.CodecError, match="field count mismatch"):
             codec.decode(outer + wire)
-        assert codec.decode(outer + codec.encode(envelope))  # six fields nest fine
+        assert codec.decode(outer + codec.encode(envelope))  # six fields decode fine
+    with pytest.raises(codec.CodecError, match="field count mismatch"):
+        codec.decode_envelope(wire)
 
 
 def test_wrong_typed_struct_fields_rejected():
@@ -487,23 +490,9 @@ def test_overlong_varints_rejected():
 GOLDEN_PATH = pathlib.Path(__file__).with_name("codec_golden.json")
 
 
-def _encode_pre_session(envelope):
-    """The five-field envelope encoding that predates sessions."""
-    body = bytearray((0x10, 1, 5))
-    for value in (
-        envelope.path,
-        envelope.sender,
-        envelope.recipient,
-        envelope.payload,
-        envelope.depth,
-    ):
-        codec._encode_into(body, value)
-    return bytes(body)
-
-
 def _golden_cases(setup, transcript):
     """``name -> (value, encoder, decoder)``: one instance of every repo
-    type plus the three envelope/frame formats."""
+    type plus the batch frame, of several envelopes and of one."""
     samples = _sample_values(setup, transcript)
     ids = codec.registered_types()
     cases = {
@@ -527,12 +516,7 @@ def _golden_cases(setup, transcript):
         Envelope(("adkg", "nwh", 1), 3, 0, samples[Suggest], 200, 0),
     ]
     cases["batch-frame"] = (batch, codec.encode_batch, codec.decode_batch)
-    cases["legacy-single-frame"] = (batch[2:], codec.encode_batch, codec.decode_batch)
-    cases["pre-session-envelope"] = (
-        Envelope(("later",), 1, 0, samples[Decided], 2),
-        _encode_pre_session,
-        codec.decode_envelope,
-    )
+    cases["batch-of-one"] = (batch[2:], codec.encode_batch, codec.decode_batch)
     return cases
 
 
@@ -560,7 +544,7 @@ def test_golden_wire_vectors(setup, transcript):
     covered = {int(name[:2]) for name in golden if name[:2].isdigit()}
     assert covered == {1, *range(20, 43), *range(64, 85)}
     assert golden["batch-frame"].startswith("b501")
-    assert golden["legacy-single-frame"].startswith("1001")
+    assert golden["batch-of-one"].startswith("b501")
     for name, (value, encoder, decoder) in cases.items():
         wire = bytes.fromhex(golden[name])
         assert encoder(value) == wire, name
@@ -751,17 +735,11 @@ def test_accepted_bytes_reencode_to_themselves(value, data):
 
 
 def test_golden_vectors_reencode_to_themselves(setup, transcript):
-    """The same property on the golden vectors.  The five-field envelope is
-    the documented exception: accepted, re-encoded with six fields, and —
-    not an aggregate — never given bytes to keep."""
+    """The same property on the golden vectors, with no exception."""
     golden = json.loads(GOLDEN_PATH.read_text())
     for name, (_value, encoder, decoder) in _golden_cases(setup, transcript).items():
         wire = bytes.fromhex(golden[name])
         decoded = decoder(wire)
-        if name == "pre-session-envelope":
-            assert codec.encode(decoded) != wire
-            assert codec._payload_memo.get(decoded) is None
-            continue
         assert encoder(decoded) == wire, name
         assert_retained_bytes_are_a_cold_walk(decoded)
         assert encoder(decoded) == wire, name

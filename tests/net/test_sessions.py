@@ -255,23 +255,20 @@ def test_envelope_session_round_trips_through_codec():
     assert decoded.session == 7
 
 
-def test_legacy_five_field_envelope_decodes_as_session_zero():
-    """Pre-session wire frames (5 fields, no sid) must still route."""
+def test_five_field_envelope_without_a_session_is_rejected():
+    """An envelope is six fields; the pre-session spelling fails closed."""
     legacy = bytearray()
     legacy.append(0x10)  # struct tag
     legacy.append(1)  # envelope type id (single-byte varint)
     legacy.append(5)  # the old field count
     for value in (("later",), 1, 0, Ping(3), 2):  # path..depth, no session
         codec._encode_into(legacy, value)
-    decoded = codec.decode_envelope(bytes(legacy))
-    assert decoded == Envelope(
-        path=("later",), sender=1, recipient=0, payload=Ping(3), depth=2
-    )
-    assert decoded.session == 0
+    with pytest.raises(codec.CodecError, match="field count mismatch"):
+        codec.decode_envelope(bytes(legacy))
 
 
 def test_truncated_field_counts_still_rejected_for_other_structs():
-    """The 5-field allowance is envelope-only; other structs stay strict."""
+    """Every struct requires its exact field count."""
     encoded = bytearray(codec.encode(Ping(3)))
     # Ping has one field; rewrite its field count to zero and drop the field.
     assert encoded[0] == 0x10

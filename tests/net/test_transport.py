@@ -285,12 +285,12 @@ def test_oversized_frame_refused_at_sender(monkeypatch):
     setup = TrustedSetup.generate(4, seed=1)
     runtime = TCPRuntime(setup, seed=1)
     small = Envelope(path=(), sender=0, recipient=1, payload=Ping(1), depth=1)
-    assert runtime._frame(small)
+    assert runtime._batch_frame([small])
     big = Envelope(
         path=(), sender=0, recipient=1, payload=Blob(data=tuple(range(64))), depth=1
     )
     with pytest.raises(codec.CodecError):
-        runtime._frame(big)
+        runtime._batch_frame([big])
 
 
 def test_partial_open_failure_cleans_up_tasks_and_servers():

@@ -77,6 +77,16 @@ def test_churn_matrix_key_is_invariant(churn_matrix_report):
         assert group.encode_element(result.public_key) == membership.key_encoded
 
 
+def test_handoff_finishes_within_twice_the_fresh_adkg_rounds(churn_matrix_report):
+    """A reshare handoff rides the agreement machinery of the ADKG it
+    follows (dealing fan-out, then NWH on a bundle): same critical path,
+    so at most 2x its simulated rounds, whatever the committee change."""
+    adkg, *handoffs = churn_matrix_report.membership.results
+    assert len(handoffs) == 4 and adkg.latency > 0
+    for handoff in handoffs:
+        assert 0 < handoff.latency <= 2.0 * adkg.latency, handoff.epoch
+
+
 def test_churn_matrix_chain_verifies(churn_matrix_report):
     assert churn_matrix_report.all_verified
     assert ChurnBeacon.verify_chain(

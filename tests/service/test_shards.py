@@ -116,6 +116,23 @@ def test_per_group_protocol_metrics_identical_across_modes(mode_reports):
         )
 
 
+def test_group_totals_are_invariant_in_k(mode_reports):
+    """Group 0's run is a pure function of (universe seed, gid, group
+    size): alone (k = 1) it spends the words and messages it spends
+    beside a second group (k = 2), and the merge is the per-group sum."""
+    alone = run_sharded(universe=4, groups=1, epochs=2, mode="sequential", seed=0)
+    paired = mode_reports["sequential"]
+    (solo,), first = alone.group_results, paired.group_results[0]
+    assert len(solo.members) == len(first.members) == 4
+    assert solo.metrics.words_total == first.metrics.words_total > 0
+    assert solo.metrics.messages_total == first.metrics.messages_total > 0
+    assert solo.metrics.words_by_layer == first.metrics.words_by_layer
+    for total in ("words_total", "messages_total"):
+        assert getattr(paired.merged, total) == sum(
+            getattr(group.metrics, total) for group in paired.group_results
+        )
+
+
 def test_transcripts_and_beacon_streams_identical_across_modes(mode_reports):
     reference = mode_reports["multiplexed"]
     for mode in ("sequential", "process"):

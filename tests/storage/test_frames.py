@@ -118,7 +118,8 @@ def test_snapshot_record_bad_version_rejected():
 # -- mixed-frame streams (codec version negotiation) -------------------------------------
 
 
-def _legacy_frame(envelope: Envelope) -> bytes:
+def _bare_envelope(envelope: Envelope) -> bytes:
+    """An envelope's own encoding: a WAL record's body, never a frame."""
     return codec.encode_envelope(envelope)
 
 
@@ -128,26 +129,25 @@ def _batch_frame(envelopes: list[Envelope]) -> bytes:
 
 @pytest.mark.parametrize("seed", range(8))
 def test_interleaved_frame_kinds_roundtrip(seed):
-    """Property-style: any interleaving of all four frame families decodes.
+    """Property-style: any interleaving of the three frame families decodes.
 
-    A stream mixes legacy single-envelope frames, multi-envelope batch
-    frames, WAL records and snapshot records (the way a length-prefixed
-    wire or log can); every body dispatches by its first byte and
-    round-trips exactly.
+    A stream mixes batch frames (of one envelope or several), WAL records
+    and snapshot records (the way a length-prefixed wire or log can);
+    every body dispatches by its first byte and round-trips exactly, and
+    a bare envelope encoding among them is refused, not read as a frame.
     """
     rng = random.Random(seed)
     frames = []
     expected = []
     for i in range(rng.randint(5, 25)):
-        kind = rng.choice(("legacy", "batch", "wal", "snapshot"))
-        if kind == "legacy":
-            envelope = _envelope(rng.randrange(100))
-            frames.append(_legacy_frame(envelope))
-            expected.append(("envelopes", [envelope]))
+        kind = rng.choice(("bare", "batch", "wal", "snapshot"))
+        if kind == "bare":
+            frames.append(_bare_envelope(_envelope(rng.randrange(100))))
+            expected.append(None)
         elif kind == "batch":
             envelopes = [
                 _envelope(rng.randrange(100))
-                for _ in range(rng.randint(2, 6))
+                for _ in range(rng.randint(1, 6))
             ]
             frames.append(_batch_frame(envelopes))
             expected.append(("envelopes", envelopes))
@@ -161,10 +161,12 @@ def test_interleaved_frame_kinds_roundtrip(seed):
             wal_seq = rng.randrange(1 << 16)
             frames.append(encode_snapshot_record(blob, wal_seq))
             expected.append(("snapshot", (blob, wal_seq)))
-    for frame, (kind, value) in zip(frames, expected):
-        got_kind, got_value = decode_frame(frame)
-        assert got_kind == kind
-        assert got_value == value
+    for frame, want in zip(frames, expected):
+        if want is None:
+            with pytest.raises(codec.CodecError, match="not a batch frame"):
+                decode_frame(frame)
+        else:
+            assert decode_frame(frame) == want
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -172,7 +174,7 @@ def test_interleaved_frames_truncation_rejected(seed):
     """Truncating any frame of a mixed stream is rejected, never misread."""
     rng = random.Random(1000 + seed)
     builders = [
-        lambda: _legacy_frame(_envelope(rng.randrange(100))),
+        lambda: _bare_envelope(_envelope(rng.randrange(100))),
         lambda: _batch_frame([_envelope(rng.randrange(100)) for _ in range(3)]),
         lambda: encode_wal_record(_envelope(rng.randrange(100)), 1),
         lambda: encode_snapshot_record(codec.encode(rng.randrange(1 << 20))),
@@ -185,7 +187,8 @@ def test_interleaved_frames_truncation_rejected(seed):
 
 
 def test_frame_magics_are_disjoint():
-    """The four families are distinguishable from their first byte."""
+    """The three families, and a bare envelope's struct tag, differ in their
+    first byte."""
     assert len({WAL_MAGIC, SNAPSHOT_MAGIC, codec.BATCH_MAGIC, 0x10}) == 4
 
 
