@@ -2,13 +2,17 @@
 """Run the identical protocol objects over every transport.
 
 The protocol implementations are sans-io: the deterministic simulator
-used by the benchmarks, the realtime asyncio runtime and the TCP socket
+used by the benchmark, the realtime asyncio runtime and the TCP socket
 runtime all host the *same* ADKG class through one root factory.  Here
 seven parties agree on one DKG transcript three times:
 
 * ``sim``     — discrete-event simulation (deterministic, no wall clock);
 * ``asyncio`` — realtime tasks with randomized delays;
 * ``tcp``     — every message crosses a loopback socket as codec bytes.
+
+``transport.run_sync(root_factory)`` is the one blocking entry on all
+three: one body on ``Transport`` (open, start, await session 0, close)
+that the simulator answers without an event loop.
 
 Run:  python examples/asyncio_deployment.py
 """

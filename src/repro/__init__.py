@@ -29,9 +29,9 @@ from typing import Any, Optional
 
 from repro.core.adkg import ADKG
 from repro.crypto.keys import TrustedSetup
-from repro.net.delays import DelayModel, FixedDelay
+from repro.net.delays import DelayModel
 from repro.net.runtime import Simulation
-from repro.net.transport import Transport, make_transport
+from repro.net.transport import Transport, make_run_transport, make_transport
 
 __version__ = "1.3.0"
 
@@ -138,53 +138,30 @@ def run_adkg(
         # Tombstone: ``perf/workloads.py`` (frozen) passes ``workers=0``; the
         # keyword goes when the next benchmark PR drops that (ROADMAP).
         raise ValueError("the process-pool verifier was removed; workers must be 0")
-    if transport != "sim" and (
-        to_quiescence
-        or delay_model is not None
-        or scheduler is not None
-        or max_steps is not None
-    ):
-        # Refuse rather than silently return numbers measured under
-        # different semantics than the caller asked for.
-        raise ValueError(
-            "to_quiescence, delay_model, scheduler and max_steps apply to "
-            f"the sim transport only, not {transport!r}"
-        )
     setup = setup or TrustedSetup.generate(n, f, params=params, seed=seed)
-    root_factory = lambda party: ADKG(broadcast_kind=broadcast_kind)  # noqa: E731
-    transport_kwargs: dict[str, Any] = (
-        {"delay_model": delay_model or FixedDelay(1.0), "scheduler": scheduler}
-        if transport == "sim"
-        else {}
-    )
-    if measure_bytes is not None:
-        # None means "the transport's default": off for sim/asyncio, and
-        # always-on for TCP (which refuses measure_bytes=False).
-        transport_kwargs["measure_bytes"] = measure_bytes
-    if batching is not None:
-        transport_kwargs["batching"] = batching
-    if chaos is not None:
-        transport_kwargs["chaos"] = chaos
-    runtime = make_transport(
+    # ``None`` for measure_bytes / batching / chaos means the transport's
+    # default: bytes off for sim/asyncio and always on for TCP (which
+    # refuses measure_bytes=False), batching on, no chaos plane.
+    runtime = make_run_transport(
         transport,
         setup,
         behaviors=behaviors,
         seed=seed,
-        **transport_kwargs,
+        delay_model=delay_model,
+        scheduler=scheduler,
+        max_steps=max_steps,
+        to_quiescence=to_quiescence,
+        measure_bytes=measure_bytes,
+        batching=batching,
+        chaos=chaos,
     )
-    step_kwargs = {"max_steps": max_steps} if max_steps is not None else {}
+    runtime.run_sync(
+        lambda party: ADKG(broadcast_kind=broadcast_kind), timeout=timeout
+    )
     if to_quiescence:
-        # Simulator only (validated above): keep running after agreement
-        # so words_total counts every message ever sent.
-        runtime.start(root_factory)
-        runtime.run(**step_kwargs)
-    elif step_kwargs:
-        # A raised delivery budget (n=100 sends ~9M messages — past the
-        # default 5M-delivery guard) only makes sense on the simulator.
-        runtime.start(root_factory)
-        runtime.run_until_all_honest_output(**step_kwargs)
-    else:
-        runtime.run_sync(root_factory, timeout=timeout)
+        # Keep delivering after agreement so words_total counts every
+        # message ever sent (the simulator's close() holds nothing back).
+        runtime.block_on(runtime.drain())
     return _collect_result(runtime, transport)
 
 

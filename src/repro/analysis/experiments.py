@@ -150,7 +150,7 @@ def _totals(sim: Simulation, **labels) -> dict:
         **labels,
         "words": sim.metrics.words_total,
         "messages": sim.metrics.messages_total,
-        "rounds": sim.honest_completion_time(),
+        "rounds": sim.completion_time(),
     }
 
 
@@ -188,7 +188,7 @@ def _adkg_rows(ns: Sequence[int], seeds: Sequence[int], kind: str) -> list[dict]
         for seed in seeds:
             sim = _simulate(n, lambda p: ADKG(broadcast_kind=kind), seed=seed)
             words.append(sim.metrics.words_total)
-            rounds.append(sim.honest_completion_time())
+            rounds.append(sim.completion_time())
             views.append(
                 max(sim.parties[i].instance(("nwh",)).views_entered for i in sim.honest)
             )
@@ -416,7 +416,7 @@ def e5_nwh(view_runs: int, ns: Sequence[int], seeds: Sequence[int]) -> Section:
             sim = _simulate(n, lambda p: NWH(my_value=(1, p.index)), seed=seed)
             views.append(max(sim.parties[i].instance(()).views_entered for i in sim.honest))
             words.append(sim.metrics.words_total)
-            rounds.append(sim.honest_completion_time())
+            rounds.append(sim.completion_time())
         return {
             "n": n,
             "runs": len(views),
@@ -493,8 +493,8 @@ def e7_baseline(ns: Sequence[int], seed: int) -> Section:
                 "ours_words": ours.metrics.words_total,
                 "baseline_words": base.metrics.words_total,
                 "word_ratio": base.metrics.words_total / ours.metrics.words_total,
-                "ours_rounds": ours.honest_completion_time(),
-                "baseline_rounds": base.honest_completion_time(),
+                "ours_rounds": ours.completion_time(),
+                "baseline_rounds": base.completion_time(),
             }
         )
     ratios = [r["word_ratio"] for r in rows]
@@ -565,7 +565,7 @@ def _crash_then_new_session(n: int, seed: int) -> dict:
     stalled_still_running = crash.crashed and not sim.session_complete(0)
     outputs = list(sim.honest_results(session=1).values())
     agreed, valid = _agreed_and_valid(setup, outputs)
-    fresh_rounds = sim.honest_completion_time(session=1)
+    fresh_rounds = sim.completion_time(session=1)
     sim.run_until_session_done(0)
     return {
         "n": n,
@@ -575,7 +575,7 @@ def _crash_then_new_session(n: int, seed: int) -> dict:
         "valid": valid,
         "rounds": fresh_rounds,
         "fresh_lands_first": stalled_still_running
-        and fresh_rounds < sim.honest_completion_time(session=0),
+        and fresh_rounds < sim.completion_time(session=0),
     }
 
 
@@ -610,7 +610,7 @@ def e8_fault_matrix(cases: Sequence[tuple[int, int]]) -> Section:
                     "honest_outputs": len(outputs),
                     "agreement": agreed,
                     "valid": valid,
-                    "rounds": sim.honest_completion_time(),
+                    "rounds": sim.completion_time(),
                 }
             )
         rows.append(_crash_then_new_session(n, seed))

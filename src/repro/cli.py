@@ -15,6 +15,33 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+from typing import Any, Callable
+
+
+def _guarded(
+    args: argparse.Namespace, run: Callable[..., Any], *positional: Any, **keywords: Any
+) -> tuple[Any, float]:
+    """One library run for a ``run``/``beacon`` body: ``(report, seconds)``.
+
+    Every failure the library reports — a missed deadline, a dead socket,
+    a stalled or refused run, a bad parameter (``StorageError`` is a
+    ``ValueError``) — becomes one ``error:`` line and ``(None, 0.0)``;
+    the caller returns exit status 1.
+    """
+    started = time.perf_counter()
+    try:
+        report = run(*positional, **keywords)
+    except (OSError, RuntimeError, ValueError) as exc:
+        message = str(exc)
+        if isinstance(exc, TimeoutError):  # an OSError; asyncio's carries no text
+            message = (
+                f"no agreement within {args.timeout}s on the "
+                f"{args.transport} transport (raise --timeout?)"
+            )
+        print(f"error: {message}", file=sys.stderr)
+        return None, 0.0
+    return report, time.perf_counter() - started
 
 
 def _parse_at(spec: str, flag: str) -> tuple[int, float]:
@@ -32,8 +59,6 @@ def _parse_at(spec: str, flag: str) -> tuple[int, float]:
 
 def _cmd_run_with_recovery(args: argparse.Namespace, chaos=None) -> int:
     """``repro run --crash i@t [--recover i@t]``: the durable-recovery path."""
-    import time
-
     from repro.storage import run_crash_recovery
 
     crashes = [_parse_at(spec, "--crash") for spec in args.crash]
@@ -51,27 +76,23 @@ def _cmd_run_with_recovery(args: argparse.Namespace, chaos=None) -> int:
     crash_after = int(min(t for _i, t in crashes))
     default_delay = 5.0
     recovery_delay = max(recovers.values(), default=default_delay)
-    started = time.perf_counter()
-    try:
-        report = run_crash_recovery(
-            transport=args.transport,
-            n=args.n,
-            seed=args.seed,
-            crash_indices=crash_indices,
-            crash_after=crash_after,
-            recovery_delay=recovery_delay,
-            cadence=args.cadence,
-            storage_dir=args.storage_dir,
-            batching=not args.no_batching,
-            timeout=args.timeout,
-            chaos=chaos,
-        )
-    except (TimeoutError, OSError, RuntimeError, ValueError) as exc:
-        # ValueError also covers the storage layer's StorageError
-        # (missing/corrupt snapshot) and bad-parameter rejections.
-        print(f"error: {exc}", file=sys.stderr)
+    report, elapsed = _guarded(
+        args,
+        run_crash_recovery,
+        transport=args.transport,
+        n=args.n,
+        seed=args.seed,
+        crash_indices=crash_indices,
+        crash_after=crash_after,
+        recovery_delay=recovery_delay,
+        cadence=args.cadence,
+        storage_dir=args.storage_dir,
+        batching=not args.no_batching,
+        timeout=args.timeout,
+        chaos=chaos,
+    )
+    if report is None:
         return 1
-    elapsed = time.perf_counter() - started
     unit = "rounds" if args.transport == "sim" else "s"
     print(
         f"n={report['n']} f={report['f']} seed={args.seed} "
@@ -117,8 +138,6 @@ def _render_churn_epochs(membership, unit: str) -> None:
 
 def _cmd_churn(args: argparse.Namespace, *, epochs: int, rounds: int, chaos) -> int:
     """``repro run --reshare`` / ``repro beacon --churn``: handoff epochs."""
-    import time
-
     from repro.service import run_churn
 
     # One CLI chaos spec applies to every handoff epoch (the interesting
@@ -126,22 +145,20 @@ def _cmd_churn(args: argparse.Namespace, *, epochs: int, rounds: int, chaos) -> 
     chaos_map = (
         {epoch: chaos for epoch in range(1, epochs)} if chaos is not None else None
     )
-    started = time.perf_counter()
-    try:
-        report = run_churn(
-            args.n,
-            epochs=epochs,
-            churn=args.churn,
-            rounds_per_epoch=rounds,
-            transport=args.transport,
-            seed=args.seed,
-            timeout=args.timeout,
-            chaos=chaos_map,
-        )
-    except (TimeoutError, OSError, RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report, elapsed = _guarded(
+        args,
+        run_churn,
+        args.n,
+        epochs=epochs,
+        churn=args.churn,
+        rounds_per_epoch=rounds,
+        transport=args.transport,
+        seed=args.seed,
+        timeout=args.timeout,
+        chaos=chaos_map,
+    )
+    if report is None:
         return 1
-    elapsed = time.perf_counter() - started
     membership = report.membership
     unit = "rounds" if args.transport == "sim" else "s"
     print(
@@ -161,30 +178,22 @@ def _cmd_churn(args: argparse.Namespace, *, epochs: int, rounds: int, chaos) -> 
 
 def _cmd_sharded_churn(args: argparse.Namespace, *, epochs: int, rounds: int) -> int:
     """``repro beacon --churn --groups k``: per-group handoffs, one beacon."""
-    import time
-
     from repro.service import run_sharded_churn
 
-    if args.group_size is not None:
-        universe = args.groups * args.group_size
-    else:
-        universe = args.n
-    started = time.perf_counter()
-    try:
-        report = run_sharded_churn(
-            universe,
-            args.groups,
-            epochs=epochs,
-            churn=args.churn,
-            rounds_per_epoch=rounds,
-            transport=args.transport,
-            seed=args.seed,
-            timeout=args.timeout,
-        )
-    except (TimeoutError, OSError, RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report, elapsed = _guarded(
+        args,
+        run_sharded_churn,
+        _universe(args),
+        args.groups,
+        epochs=epochs,
+        churn=args.churn,
+        rounds_per_epoch=rounds,
+        transport=args.transport,
+        seed=args.seed,
+        timeout=args.timeout,
+    )
+    if report is None:
         return 1
-    elapsed = time.perf_counter() - started
     print(
         f"universe={report.universe} groups={report.groups} "
         f"transport={report.transport} seed={report.seed} "
@@ -206,30 +215,22 @@ def _cmd_sharded_churn(args: argparse.Namespace, *, epochs: int, rounds: int) ->
 
 def _cmd_sharded(args: argparse.Namespace, *, epochs: int, rounds: int) -> int:
     """Shared ``--groups`` path of ``repro run`` and ``repro beacon``."""
-    import time
-
     from repro.service import run_sharded
 
-    if args.group_size is not None:
-        universe = args.groups * args.group_size
-    else:
-        universe = args.n
-    started = time.perf_counter()
-    try:
-        report = run_sharded(
-            universe=universe,
-            groups=args.groups,
-            epochs=epochs,
-            rounds_per_epoch=rounds,
-            transport=args.transport,
-            mode=args.shard_mode,
-            seed=args.seed,
-            timeout=args.timeout,
-        )
-    except (TimeoutError, OSError, RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report, elapsed = _guarded(
+        args,
+        run_sharded,
+        universe=_universe(args),
+        groups=args.groups,
+        epochs=epochs,
+        rounds_per_epoch=rounds,
+        transport=args.transport,
+        mode=args.shard_mode,
+        seed=args.seed,
+        timeout=args.timeout,
+    )
+    if report is None:
         return 1
-    elapsed = time.perf_counter() - started
     print(
         f"universe={report.universe} groups={report.groups} "
         f"sizes={list(report.group_sizes)} mode={report.mode} "
@@ -255,6 +256,13 @@ def _cmd_sharded(args: argparse.Namespace, *, epochs: int, rounds: int) -> int:
     return 0 if report.all_verified else 1
 
 
+def _universe(args: argparse.Namespace) -> int:
+    """``--group-size`` parties in each of ``--groups``, else ``-n`` split."""
+    if args.group_size is not None:
+        return args.groups * args.group_size
+    return args.n
+
+
 def _check_shard_flags(args: argparse.Namespace) -> int:
     """Usage validation for the ``--groups`` path; 0 when fine."""
     if args.groups < 1:
@@ -267,8 +275,6 @@ def _check_shard_flags(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    import time
-
     from repro import run_adkg
 
     if args.groups is not None:
@@ -339,29 +345,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-    started = time.perf_counter()
-    try:
-        result = run_adkg(
-            n=args.n,
-            seed=args.seed,
-            to_quiescence=args.full,
-            transport=args.transport,
-            measure_bytes=True,
-            batching=not args.no_batching,
-            timeout=args.timeout,
-            chaos=chaos,
-        )
-    except TimeoutError:
-        print(
-            f"error: no agreement within {args.timeout}s on the "
-            f"{args.transport} transport (raise --timeout?)",
-            file=sys.stderr,
-        )
+    result, elapsed = _guarded(
+        args,
+        run_adkg,
+        n=args.n,
+        seed=args.seed,
+        to_quiescence=args.full,
+        transport=args.transport,
+        measure_bytes=True,
+        batching=not args.no_batching,
+        timeout=args.timeout,
+        chaos=chaos,
+    )
+    if result is None:
         return 1
-    except OSError as exc:
-        print(f"error: transport failure: {exc}", file=sys.stderr)
-        return 1
-    elapsed = time.perf_counter() - started
     if profiler is not None:
         import io
         import pstats
@@ -430,25 +427,18 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
         return _cmd_sharded(args, epochs=args.epochs, rounds=args.rounds)
     if args.churn is not None:
         return _cmd_churn(args, epochs=args.epochs, rounds=args.rounds, chaos=None)
-    try:
-        report = run_beacon(
-            n=args.n,
-            epochs=args.epochs,
-            pipeline_depth=args.pipeline_depth,
-            rounds_per_epoch=args.rounds,
-            transport=args.transport,
-            seed=args.seed,
-            timeout=args.timeout,
-        )
-    except TimeoutError:
-        print(
-            f"error: an epoch missed the {args.timeout}s deadline on the "
-            f"{args.transport} transport (raise --timeout?)",
-            file=sys.stderr,
-        )
-        return 1
-    except OSError as exc:
-        print(f"error: transport failure: {exc}", file=sys.stderr)
+    report, _elapsed = _guarded(
+        args,
+        run_beacon,
+        n=args.n,
+        epochs=args.epochs,
+        pipeline_depth=args.pipeline_depth,
+        rounds_per_epoch=args.rounds,
+        transport=args.transport,
+        seed=args.seed,
+        timeout=args.timeout,
+    )
+    if report is None:
         return 1
     unit = "rounds" if args.transport == "sim" else "s"
     print(

@@ -48,8 +48,10 @@ class PublicDirectory:
     )
 
     def __post_init__(self) -> None:
-        if self.n < 3 * self.f + 1:
-            raise ValueError(f"need n >= 3f + 1, got n={self.n}, f={self.f}")
+        if self.n < 1 or self.f < 0 or self.n < 3 * self.f + 1:
+            raise ValueError(
+                f"need n >= 1, f >= 0 and n >= 3f + 1, got n={self.n}, f={self.f}"
+            )
         if len(self.sign_pks) != self.n or len(self.enc_pks) != self.n:
             raise ValueError("one public key per party required")
 

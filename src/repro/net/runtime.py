@@ -63,6 +63,10 @@ __all__ = ["Simulation", "RootFactory"]
 class Simulation(Transport):
     """An n-party protocol execution under simulated asynchrony."""
 
+    #: Default delivery budget of :meth:`run` and so of every awaitable
+    #: (what ``timeout`` is to a realtime runtime).
+    max_steps = 5_000_000
+
     def __init__(
         self,
         setup: Optional[TrustedSetup],
@@ -104,18 +108,8 @@ class Simulation(Transport):
 
     # -- timing ------------------------------------------------------------------------
 
-    @property
-    def output_times(self) -> dict[int, float]:
-        """Session 0's output times (single-session compatibility view)."""
-        return self.session_output_times.setdefault(0, {})
-
-    def honest_completion_time(self, session: int = 0) -> float:
-        """Time by which the last honest party produced the session's output."""
-        times_for = self.session_output_times.get(session, {})
-        times = [times_for[i] for i in self.honest if i in times_for]
-        if not times:
-            return float("nan")
-        return max(times)
+    def now(self) -> float:
+        return self.time
 
     # -- event loop --------------------------------------------------------------------
 
@@ -158,10 +152,13 @@ class Simulation(Transport):
 
     def run(
         self,
-        max_steps: int = 5_000_000,
+        max_steps: Optional[int] = None,
         stop: Optional[Callable[["Simulation"], bool]] = None,
     ) -> None:
-        """Run until quiescence, ``stop`` holds, or ``max_steps`` deliveries."""
+        """Run until quiescence, ``stop`` holds, or ``max_steps`` deliveries
+        (default: the :attr:`max_steps` budget)."""
+        if max_steps is None:
+            max_steps = self.max_steps
         step = self.step
         if stop is None:
             for _ in range(max_steps):
@@ -181,28 +178,57 @@ class Simulation(Transport):
             return
         raise RuntimeError(f"simulation exceeded {max_steps} deliveries")
 
-    def run_until_all_honest_output(self, max_steps: int = 5_000_000) -> None:
-        # The unbound method *is* the stop predicate — no per-run lambda
-        # allocation, no extra call frame per delivery.
-        self.run(max_steps=max_steps, stop=Transport.all_honest_output)
-
     def run_until_session_done(
-        self, session: int, max_steps: int = 5_000_000
+        self, session: int, max_steps: Optional[int] = None
     ) -> None:
         """Deliver until every honest party produced the session's result."""
-        self.run(
-            max_steps=max_steps,
-            stop=operator.methodcaller("session_complete", session),
-        )
+        # One C-level predicate call per delivery: no per-run lambda
+        # allocation, no extra call frame.
+        self.run(max_steps, operator.methodcaller("all_honest_output", session))
 
-    def run_sync(
-        self, root_factory: RootFactory, timeout: float = 60.0
-    ) -> dict[int, Any]:
-        """Uniform blocking entry point (simulated time ignores ``timeout``)."""
-        del timeout  # bounded by the step limit, not wall-clock
-        self.start(root_factory)
-        self.run_until_all_honest_output()
-        return self.honest_results()
+    def run_until_all_honest_output(self, max_steps: Optional[int] = None) -> None:
+        self.run_until_session_done(0, max_steps)
+
+    # -- the driving surface -----------------------------------------------------------
+    #
+    # Each awaitable steps the queue inline and returns without ever
+    # suspending; ``timeout`` is accepted and ignored — simulated runs
+    # are bounded by ``max_steps``, not wall clock.
+
+    async def wait_any(self, sessions: Any, timeout: Any = None) -> list[int]:
+        """Deliver until one of ``sessions`` completes; returns the
+        completed ones.  A queue that drains first is a stalled protocol:
+        ``RuntimeError`` naming the sessions."""
+        sessions = tuple(sessions)
+        if len(sessions) == 1:
+            self.run_until_session_done(sessions[0])
+        else:
+            self.run(stop=lambda sim: any(map(sim.all_honest_output, sessions)))
+        done = [s for s in sessions if self.all_honest_output(s)]
+        if not done:
+            raise RuntimeError(
+                f"simulation quiesced with sessions {sorted(sessions)} incomplete"
+            )
+        return done
+
+    async def wait_until(
+        self, predicate: Callable[["Simulation"], bool], timeout: Any = None
+    ) -> None:
+        """Deliver until ``predicate(self)`` holds."""
+        self.run(stop=predicate)
+        if not predicate(self):
+            raise RuntimeError(
+                "simulation quiesced before the awaited condition held"
+            )
+
+    async def sleep(self, delay: float) -> None:
+        """Deliver until simulated time has advanced by ``delay`` (or the
+        queue is empty: time only moves with deliveries)."""
+        deadline = self.time + delay
+        self.run(stop=lambda sim: sim.time >= deadline)
+
+    async def drain(self) -> None:
+        self.run()
 
     def round_measure(self) -> float:
         """Simulated time — the causal-chain length under ``FixedDelay``."""
@@ -295,13 +321,7 @@ class Simulation(Transport):
                     nbytes = None  # forged unencodable payload in bucket
             record_frame(len(envelopes), nbytes)
 
-    def _note_progress(self, party: Party) -> None:
-        self._note_progress_sessions(party)
-
     # -- chaos hooks -------------------------------------------------------------------
-
-    def _chaos_now(self) -> float:
-        return self.time
 
     def _chaos_requeue(self, envelope: Envelope, delay: float) -> None:
         """Re-inject a chaos-held envelope at ``time + delay``.

@@ -20,7 +20,7 @@ transport, sequentially on solo transports, or in worker processes):
 * **sessions** — group ``g`` owns the session-id block
   ``[g·SESSION_STRIDE, (g+1)·SESSION_STRIDE)``; epoch ``e`` runs as
   session ``g·SESSION_STRIDE + e``.  A solo run of the group uses the
-  *same* session ids (``EpochDriver.session_base``), so the per-session
+  *same* session ids (the ``EpochDriver`` lane's base), so the per-session
   RNG streams (``{rng_label}-session-{sid}``) — and therefore every PVSS
   dealing — are byte-identical across modes;
 * **seeds** — ``group_seed`` is a pure function of the universe seed and

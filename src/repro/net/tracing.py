@@ -1,7 +1,8 @@
 """Structured execution traces for protocol debugging and analysis.
 
-A :class:`Tracer` hooks a :class:`~repro.net.runtime.Simulation` and
-records every network delivery as a structured event (time, sender,
+A :class:`Tracer` hooks any :class:`~repro.net.transport.Transport` —
+simulated or realtime — and records every network delivery as a
+structured event (the transport's ``now()``, its delivery count, sender,
 recipient, instance path, payload type, depth, words).  Traces answer the
 questions protocol debugging actually asks — "when did party 2's PE start
 emitting eval shares?", "which message triggered the view change?" —
@@ -14,7 +15,7 @@ fire once per successfully delivered network envelope.  This observes
 the bulk-delivery engine directly — no queue snapshots, no per-step
 diffing — so tracing costs O(1) per delivery regardless of how many
 envelopes share a heap entry on the batched plane, and several tracers
-can watch one simulation concurrently.
+can watch one transport concurrently.
 
 Filters keep traces small; ``timeline`` and ``summary`` render them.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.net.envelope import Envelope
-from repro.net.runtime import Simulation
+from repro.net.transport import Transport
 
 
 @dataclass(frozen=True)
@@ -48,27 +49,27 @@ class TraceEvent:
 
 
 class Tracer:
-    """Record simulation deliveries as structured events."""
+    """Record a transport's deliveries as structured events."""
 
     def __init__(
         self,
-        simulation: Simulation,
+        transport: Transport,
         predicate: Optional[Callable[[Envelope], bool]] = None,
         capacity: int = 1_000_000,
     ) -> None:
-        self.simulation = simulation
+        self.transport = transport
         self.predicate = predicate or (lambda envelope: True)
         self.capacity = capacity
         self.events: list[TraceEvent] = []
-        simulation.add_delivery_observer(self._on_delivery)
+        transport.add_delivery_observer(self._on_delivery)
 
     def _on_delivery(self, envelope: Envelope) -> None:
         if len(self.events) >= self.capacity or not self.predicate(envelope):
             return
         self.events.append(
             TraceEvent(
-                time=self.simulation.time,
-                step=self.simulation.steps,
+                time=self.transport.now(),
+                step=self.transport.metrics.deliveries,
                 sender=envelope.sender,
                 recipient=envelope.recipient,
                 path=envelope.path,
@@ -80,7 +81,7 @@ class Tracer:
 
     def detach(self) -> None:
         """Stop observing (the trace keeps its recorded events)."""
-        self.simulation.remove_delivery_observer(self._on_delivery)
+        self.transport.remove_delivery_observer(self._on_delivery)
 
     # -- queries ---------------------------------------------------------------------
 

@@ -39,8 +39,15 @@ Subclasses provide only *when and how* a transmitted envelope reaches
 * :class:`~repro.net.tcp_runtime.TCPRuntime` — codec-encoded frames over
   real TCP stream connections.
 
-:func:`make_transport` is the single name-based injection point the CLI,
-the examples, the experiments and the benchmark (``perf/``) use.
+Every runtime also answers one **driving surface** (DESIGN §7) — ``open``
+/ ``close``, ``start_session``, ``now``, ``completion_time`` and the
+awaitables ``wait_any`` / ``wait_session``, ``wait_until``, ``sleep``,
+``drain`` — so a scenario is one coroutine that runs on all three.  The
+simulator's awaitables step its event queue inline and never suspend,
+which lets :meth:`Transport.block_on` drive it with no event loop.
+
+:func:`make_transport` is the single name-based injection point;
+:func:`make_run_transport` adds what every ``run_*`` entry point shares.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from repro.net import codec
 from repro.net.adversary import Behavior
 from repro.net.chaos import DELIVER as _CHAOS_DELIVER, HOLD as _CHAOS_HOLD
 from repro.net.chaos import coerce_chaos
+from repro.net.delays import FixedDelay
 from repro.net.envelope import Envelope
 from repro.net.metrics import Metrics
 from repro.net.party import Party
@@ -200,6 +208,8 @@ class Transport:
         #: O(incomplete sessions) dict lookups instead of an O(n) scan
         #: over all honest parties.
         self._session_waiting: dict[int, set[int]] = {}
+        #: :meth:`now` at which each session reached all-honest completion.
+        self.session_completion_times: dict[int, float] = {}
         #: Detached (crashed) party indices mapped to the envelopes parked
         #: for them while down; re-injected on :meth:`reattach_party`.
         self._detached: dict[int, list[Envelope]] = {}
@@ -476,25 +486,87 @@ class Transport:
         """Alias of :meth:`start` with the session id leading (service layer)."""
         self.start(root_factory, session=session)
 
-    @property
-    def sessions_started(self) -> frozenset[int]:
-        return frozenset(self._sessions_started)
-
     def collect_session(self, session: int) -> None:
         """Garbage-collect a completed session's state at every party."""
         for party in self.parties:
             party.collect_session(session)
 
+    # -- the driving surface ------------------------------------------------------------
+    #
+    # What a scenario coroutine may ask of any runtime.  ``wait_any``,
+    # ``wait_until`` and ``sleep`` are each runtime's own: the simulator
+    # steps its queue inline, a realtime runtime suspends on its loop.
+
+    async def open(self) -> None:
+        """Bring up transport resources; idempotent."""
+
+    async def close(self) -> None:
+        """Cancel in-flight work and tear down transport resources."""
+
+    def now(self) -> float:
+        """The run's clock (and the chaos plane's): simulated time, or
+        seconds since :meth:`open`."""
+        return 0.0
+
+    def completion_time(self, session: int = 0) -> float:
+        """:meth:`now` at the delivery that completed ``session`` (NaN
+        before) — for a pipelined session awaited out of order, earlier
+        than the moment a waiter observed it."""
+        return self.session_completion_times.get(session, float("nan"))
+
+    async def wait_session(
+        self, session: int, timeout: float = 60.0
+    ) -> dict[int, Any]:
+        """Await one session's completion; returns its honest results."""
+        await self.wait_any((session,), timeout=timeout)
+        return self.honest_results(session)
+
+    async def drain(self) -> None:
+        """Deliver what is still in flight: the simulator runs to
+        quiescence; realtime :meth:`close` cancels stragglers instead."""
+
+    def block_on(self, coroutine: Any) -> Any:
+        """Drive a coroutine written against the surface to its result.
+
+        The base form serves awaitables that never suspend (the
+        simulator's): one ``send(None)`` reaches the ``return`` with no
+        event loop, from sync code or from inside a running loop alike.
+        """
+        try:
+            coroutine.send(None)
+        except StopIteration as finished:
+            return finished.value
+        coroutine.close()
+        raise RuntimeError(
+            f"a coroutine driven on {type(self).__name__} suspended; "
+            "await only the transport's own surface"
+        )
+
+    async def run_root(
+        self, root_factory: RootFactory, timeout: float = 60.0
+    ) -> dict[int, Any]:
+        """Open, run session 0 to all-honest output, close; honest results.
+
+        ``open()`` and ``start()`` sit inside the one cleanup scope: a
+        partial open (one of n*(n-1) connections refused) or a
+        loudly-failing start (honest unencodable payload) must still
+        cancel every spawned task and close sockets.  ``timeout`` bounds
+        the wait for agreement on a realtime runtime (the simulator has
+        its delivery budget); a background task's exception is re-raised
+        by the wait, one recorded during post-success teardown is not.
+        """
+        try:
+            await self.open()
+            self.start(root_factory)
+            return await self.wait_session(0, timeout=timeout)
+        finally:
+            await self.close()
+
     def run_sync(
         self, root_factory: RootFactory, timeout: float = 60.0
     ) -> dict[int, Any]:
-        """Run the protocol to all-honest-output and return honest results.
-
-        The uniform blocking entry point: callers of :func:`make_transport`
-        can drive any transport without knowing whether it is simulated or
-        realtime.
-        """
-        raise NotImplementedError
+        """The one blocking entry point: :meth:`run_root` on any runtime."""
+        return self.block_on(self.run_root(root_factory, timeout=timeout))
 
     def round_measure(self) -> float:
         """The transport's asynchronous-round measure for a finished run.
@@ -747,7 +819,7 @@ class Transport:
         """
         chaos = self.chaos
         if chaos is not None and chaos.active:
-            action, delay = chaos.decide(envelope, self._chaos_now())
+            action, delay = chaos.decide(envelope, self.now())
             if action is not _CHAOS_DELIVER:
                 if action is _CHAOS_HOLD:
                     # Held by a partition / retransmitted after loss /
@@ -871,10 +943,6 @@ class Transport:
 
     # -- chaos hooks -------------------------------------------------------------------
 
-    def _chaos_now(self) -> float:
-        """The chaos plane's clock: simulated time or seconds since open."""
-        return 0.0
-
     def _chaos_requeue(self, envelope: Envelope, delay: float) -> None:
         """Re-inject a chaos-held envelope after ``delay`` time units.
 
@@ -937,8 +1005,10 @@ class Transport:
                     done.append(session)
         if done:
             incomplete.difference_update(done)
+            now = self.now()
             for session in done:
                 del self._session_waiting[session]
+                self.session_completion_times.setdefault(session, now)
         return done
 
     def _on_session_result(self, session: int, party: Party) -> None:
@@ -1023,6 +1093,7 @@ class Transport:
 
     def _note_progress(self, party: Party) -> None:
         """Called after a party processed events (done-detection hook)."""
+        self._note_progress_sessions(party)
 
 
 class RealtimeTransport(Transport):
@@ -1030,16 +1101,15 @@ class RealtimeTransport(Transport):
 
     Subclasses implement :meth:`Transport._transmit`; delivery must call
     :meth:`Transport._deliver_envelope` from the event loop.  Two usage
-    shapes:
+    shapes, both spelled with the driving surface:
 
-    * one-shot — :meth:`run` starts session 0 at every party, waits until
-      all honest parties produced output (or raises
-      :class:`asyncio.TimeoutError`) and returns the honest results;
-    * long-lived — :meth:`open` the network once, inject sessions with
-      :meth:`Transport.start` / :meth:`Transport.start_session` while
-      traffic is flowing, await each session's own completion future via
-      :meth:`wait_session`, and :meth:`close` at the end.  This is what
-      the epoch-pipelining service layer drives.
+    * one-shot — :meth:`run` (``run_root`` under the name realtime
+      callers know) returns session 0's honest results or raises
+      :class:`asyncio.TimeoutError`;
+    * long-lived — :meth:`open` once, inject sessions with
+      :meth:`Transport.start_session` while traffic is flowing, await
+      :meth:`wait_any` / :meth:`Transport.wait_session`, :meth:`close`
+      at the end: what the epoch-pipelining service layer drives.
     """
 
     def __init__(
@@ -1068,61 +1138,25 @@ class RealtimeTransport(Transport):
         #: drain (see :meth:`_flush_coalesced`), or ``None``.
         self._flush_handle: Optional[asyncio.Handle] = None
         self._tasks: set[asyncio.Task] = set()
-        self._session_events: dict[int, asyncio.Event] = {}
-        #: Event-loop time at which each session reached all-honest
-        #: completion — the *actual* completion instant, which for
-        #: pipelined sessions awaited out of order can be earlier than
-        #: the moment a waiter observes it.
-        self.session_completion_times: dict[int, float] = {}
+        #: Set whenever a session completes or a background task fails:
+        #: what every :meth:`wait_any` sleeps on between its checks.
+        self._progress = asyncio.Event()
         self._failure: Optional[BaseException] = None
         self._opened = False
-        #: Event-loop time of the first chaos-clock reading; chaos
-        #: windows on realtime transports are seconds since then.
-        self._chaos_epoch: Optional[float] = None
+        #: Event-loop time of :meth:`open` (or of the first clock reading
+        #: before it); :meth:`now` counts seconds since then.
+        self._clock_origin: Optional[float] = None
 
-    # -- per-session completion --------------------------------------------------------
-
-    def _session_event(self, session: int) -> asyncio.Event:
-        """The session's completion future (created on demand).
-
-        The event also fires on a background-task failure so waiters wake
-        up to re-raise instead of idling into their timeout.
-        """
-        event = self._session_events.get(session)
-        if event is None:
-            event = asyncio.Event()
-            self._session_events[session] = event
-            if self._failure is not None or self.all_honest_output(session):
-                event.set()
-        return event
-
-    async def wait_session(
-        self, session: int, timeout: float = 60.0
-    ) -> dict[int, Any]:
-        """Await one session's completion; returns its honest results.
-
-        Raises :class:`asyncio.TimeoutError` if the session does not
-        complete in time, or the underlying failure if a background task
-        died before the session could complete.
-        """
-        event = self._session_event(session)
-        await asyncio.wait_for(event.wait(), timeout=timeout)
-        if self._failure is not None and not self.all_honest_output(session):
-            raise self._failure
-        return self.honest_results(session)
-
-    # -- lifecycle ---------------------------------------------------------------------
+    # -- the driving surface -----------------------------------------------------------
 
     async def open(self) -> None:
-        """Bring up transport resources; idempotent."""
         if not self._opened:
+            self._progress = asyncio.Event()  # bound to this run's loop
             await self._open()
             self._opened = True
-            if self._chaos_epoch is None:
-                self._chaos_epoch = asyncio.get_running_loop().time()
+            self.now()  # the first reading starts the clock
 
     async def close(self) -> None:
-        """Cancel in-flight work and tear down transport resources."""
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
@@ -1133,45 +1167,65 @@ class RealtimeTransport(Transport):
         await self._close()
         self._opened = False
 
-    async def run(
-        self, root_factory: RootFactory, timeout: float = 60.0
-    ) -> dict[int, Any]:
-        """Start every party (session 0); return honest outputs.
+    def now(self) -> float:
+        try:
+            now = asyncio.get_running_loop().time()
+        except RuntimeError:  # outside the loop: treat as the run's start
+            return 0.0
+        if self._clock_origin is None:
+            self._clock_origin = now
+        return now - self._clock_origin
 
-        ``timeout`` budgets transport setup (``_open``) *and* the wait
-        for agreement together; only the synchronous per-party dealing in
-        ``start()`` is outside it (CPU-bound crypto is not preemptible).
-        An exception escaping any background task (a protocol handler
-        bug, a codec error on the send path, ...) aborts the run and is
-        re-raised here instead of surfacing as an opaque timeout.
+    async def wait_any(self, sessions: Any, timeout: float = 60.0) -> list[int]:
+        """Await the first completions among ``sessions``; returns the
+        completed ones (at least one).
+
+        Raises :class:`asyncio.TimeoutError` if none completes in time,
+        or the underlying failure if a background task died first.
         """
+        sessions = tuple(sessions)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        try:
-            # open() and start() sit inside the one cleanup scope: a
-            # partial open (one of n*(n-1) connections refused) or a
-            # loudly-failing start (honest unencodable payload) must
-            # still cancel every already-spawned task and close sockets.
-            await asyncio.wait_for(self.open(), timeout=timeout)
-            self.start(root_factory)
-            event = self._session_event(0)
-            if not event.is_set():
-                remaining = max(0.001, deadline - loop.time())
-                await asyncio.wait_for(event.wait(), timeout=remaining)
-        finally:
-            await self.close()
-        # A failure recorded during post-success teardown (e.g. a pump hit
-        # a reset from a peer already shutting down) does not invalidate a
-        # run whose honest parties all produced output.
-        if self._failure is not None and not self.all_honest_output():
-            raise self._failure
-        return self.honest_results()
+        while True:
+            done = [s for s in sessions if self.all_honest_output(s)]
+            if done:
+                return done
+            if self._failure is not None:
+                raise self._failure
+            self._progress.clear()
+            try:
+                await asyncio.wait_for(
+                    self._progress.wait(), timeout=deadline - loop.time()
+                )
+            except asyncio.TimeoutError:
+                raise asyncio.TimeoutError(
+                    f"sessions {sorted(sessions)} incomplete after {timeout}s"
+                ) from None
 
-    def run_sync(
-        self, root_factory: RootFactory, timeout: float = 60.0
-    ) -> dict[int, Any]:
-        """Blocking wrapper over :meth:`run` (needs no running event loop)."""
-        return asyncio.run(self.run(root_factory, timeout=timeout))
+    async def wait_until(
+        self, predicate: Callable[[Transport], bool], timeout: float = 60.0
+    ) -> None:
+        """Poll ``predicate(self)`` until it holds (2 ms cadence)."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while not predicate(self):
+            if self._failure is not None:
+                raise self._failure
+            if loop.time() > deadline:
+                raise asyncio.TimeoutError(
+                    f"awaited condition not reached within {timeout}s"
+                )
+            await asyncio.sleep(0.002)
+
+    async def sleep(self, delay: float) -> None:
+        await asyncio.sleep(delay)
+
+    def block_on(self, coroutine: Any) -> Any:
+        """``asyncio.run``: realtime awaitables need a loop to suspend on."""
+        return asyncio.run(coroutine)
+
+    #: :meth:`Transport.run_root`, for callers already inside the loop.
+    run = Transport.run_root
 
     def _spawn(self, coro) -> asyncio.Task:
         """Track a background task for cancellation and error propagation."""
@@ -1187,8 +1241,7 @@ class RealtimeTransport(Transport):
         exc = task.exception()
         if exc is not None and self._failure is None:
             self._failure = exc
-            for event in self._session_events.values():
-                event.set()  # wake every waiter so it can re-raise
+            self._progress.set()  # wake every waiter so it can re-raise
 
     def _flush_coalesced(self) -> None:
         """Drain the coalescing buffer at the end of the loop iteration.
@@ -1226,31 +1279,10 @@ class RealtimeTransport(Transport):
         super()._flush_coalesced()
 
     def _note_progress(self, party: Party) -> None:
-        for session in self._note_progress_sessions(party):
-            self._stamp_completion(session)
-            event = self._session_events.get(session)
-            if event is not None:
-                # Absent events are fine: _session_event() re-checks
-                # completion when a waiter first creates one.
-                event.set()
-
-    def _stamp_completion(self, session: int) -> None:
-        try:
-            now = asyncio.get_running_loop().time()
-        except RuntimeError:  # outside the loop (e.g. a test calling start())
-            return
-        self.session_completion_times.setdefault(session, now)
+        if self._note_progress_sessions(party):
+            self._progress.set()
 
     # -- chaos hooks -------------------------------------------------------------------
-
-    def _chaos_now(self) -> float:
-        try:
-            now = asyncio.get_running_loop().time()
-        except RuntimeError:  # outside the loop: treat as the run's start
-            return 0.0
-        if self._chaos_epoch is None:
-            self._chaos_epoch = now
-        return now - self._chaos_epoch
 
     def _chaos_requeue(self, envelope: Envelope, delay: float) -> None:
         self._spawn(self._chaos_redeliver(envelope, delay))
@@ -1299,3 +1331,48 @@ def make_transport(
     raise ValueError(
         f"unknown transport kind {kind!r}; choose from {TRANSPORT_KINDS}"
     )
+
+
+def make_run_transport(
+    kind: str,
+    setup: Optional[TrustedSetup],
+    *,
+    delay_model: Any = None,
+    scheduler: Any = None,
+    max_steps: Optional[int] = None,
+    to_quiescence: bool = False,
+    **kwargs: Any,
+) -> Transport:
+    """:func:`make_transport` with what every ``run_*`` entry point shares.
+
+    On ``sim`` the delay model defaults to ``FixedDelay(1.0)`` (simulated
+    time is then the asynchronous round measure) and ``max_steps``
+    becomes the awaitables' delivery budget.  A realtime runtime refuses
+    the four simulator-only arguments rather than silently returning
+    numbers measured under other semantics than the caller asked for.
+    Any other keyword left ``None`` means the runtime's own default.
+    """
+    kwargs = {name: value for name, value in kwargs.items() if value is not None}
+    if kind == "sim":
+        runtime = make_transport(
+            kind,
+            setup,
+            delay_model=delay_model or FixedDelay(1.0),
+            scheduler=scheduler,
+            **kwargs,
+        )
+        if max_steps is not None:
+            runtime.max_steps = max_steps
+        return runtime
+    sim_only = {
+        "to_quiescence": to_quiescence or None,
+        "delay_model": delay_model,
+        "scheduler": scheduler,
+        "max_steps": max_steps,
+    }
+    given = [name for name, value in sim_only.items() if value is not None]
+    if given:
+        raise ValueError(
+            f"{', '.join(given)}: sim transport only, not {kind!r}"
+        )
+    return make_transport(kind, setup, **kwargs)

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.crypto import threshold_vrf as tvrf
-from repro.crypto.keys import TrustedSetup
-from repro.net.delays import FixedDelay
-from repro.net.transport import make_transport
+from repro.crypto.keys import PublicDirectory, TrustedSetup
+from repro.net.transport import make_run_transport
 from repro.service.epochs import EpochDriver, EpochResult
 
 __all__ = ["BeaconOutput", "BeaconReport", "RandomnessBeacon", "run_beacon"]
@@ -54,6 +53,60 @@ class BeaconOutput:
         return ("beacon", self.epoch, self.round, self.prev)
 
 
+def emit_rounds(
+    setup: TrustedSetup,
+    transcript: Any,
+    signers: Optional[Sequence[int]],
+    epoch: int,
+    rounds: int,
+    prev: int,
+) -> list[BeaconOutput]:
+    """One epoch's chained rounds under ``setup``: the loop both beacons run.
+
+    Per round: ``EvalSh`` at each signer, ``EvalShVerify``, ``Eval``,
+    ``EvalVerify``, ``vrf_output`` — and the value becomes the next
+    round's ``prev``, the handoff link into the next round/epoch.  Any
+    f+1 distinct signers produce the same unique value (Definition 2);
+    ``None`` means the lowest-indexed f+1 parties.
+    """
+    directory = setup.directory
+    signers = tuple(range(directory.f + 1) if signers is None else signers)
+    emitted: list[BeaconOutput] = []
+    for round_index in range(rounds):
+        message = ("beacon", epoch, round_index, prev)
+        shares = []
+        for signer in signers:
+            share = tvrf.EvalSh(directory, setup.secret(signer), transcript, message)
+            if tvrf.EvalShVerify(directory, transcript, signer, message, share):
+                shares.append(share)
+        evaluation, proof = tvrf.Eval(directory, transcript, message, shares)
+        if not tvrf.EvalVerify(directory, transcript, message, evaluation, proof):
+            raise RuntimeError(f"beacon evaluation failed to verify: {message}")
+        value = tvrf.vrf_output(directory, evaluation)
+        emitted.append(
+            BeaconOutput(
+                epoch=epoch,
+                round=round_index,
+                prev=prev,
+                value=value,
+                evaluation=evaluation,
+            )
+        )
+        prev = value
+    return emitted
+
+
+def verify_output(
+    directory: PublicDirectory, output: BeaconOutput, transcript: Any
+) -> bool:
+    """Publicly verify one beacon value against its epoch's group key."""
+    if not tvrf.EvalVerify(
+        directory, transcript, output.message(), output.evaluation
+    ):
+        return False
+    return tvrf.vrf_output(directory, output.evaluation) == output.value
+
+
 class RandomnessBeacon:
     """Emit and verify the chained beacon stream over epoch transcripts."""
 
@@ -69,59 +122,25 @@ class RandomnessBeacon:
         self.setup = setup
         self.directory = setup.directory
         self.rounds_per_epoch = rounds_per_epoch
-        # Any f+1 distinct signers produce the same unique value
-        # (Definition 2); default to the lowest-indexed f+1 parties.
-        self.signers = (
-            tuple(signers)
-            if signers is not None
-            else tuple(range(self.directory.f + 1))
-        )
+        self.signers = signers
         self.outputs: list[BeaconOutput] = []
         self._prev = GENESIS
 
     def emit_epoch(self, epoch: int, transcript: Any) -> list[BeaconOutput]:
         """Emit this epoch's beacon rounds from its agreed DKG transcript."""
-        directory = self.directory
-        if not tvrf.DKGVerify(directory, transcript):
+        if not tvrf.DKGVerify(self.directory, transcript):
             raise ValueError(f"epoch {epoch} transcript does not verify")
-        emitted = []
-        for round_index in range(self.rounds_per_epoch):
-            message = ("beacon", epoch, round_index, self._prev)
-            shares = []
-            for signer in self.signers:
-                share = tvrf.EvalSh(
-                    directory, self.setup.secret(signer), transcript, message
-                )
-                if tvrf.EvalShVerify(
-                    directory, transcript, signer, message, share
-                ):
-                    shares.append(share)
-            evaluation, proof = tvrf.Eval(directory, transcript, message, shares)
-            if not tvrf.EvalVerify(
-                directory, transcript, message, evaluation, proof
-            ):
-                raise RuntimeError(f"beacon evaluation failed to verify: {message}")
-            value = tvrf.vrf_output(directory, evaluation)
-            output = BeaconOutput(
-                epoch=epoch,
-                round=round_index,
-                prev=self._prev,
-                value=value,
-                evaluation=evaluation,
-            )
-            emitted.append(output)
-            self.outputs.append(output)
-            self._prev = value  # the handoff link into the next round/epoch
+        emitted = emit_rounds(
+            self.setup, transcript, self.signers, epoch,
+            self.rounds_per_epoch, self._prev,
+        )
+        self.outputs.extend(emitted)
+        self._prev = emitted[-1].value
         return emitted
 
     def verify(self, output: BeaconOutput, transcript: Any) -> bool:
         """Publicly verify one beacon value against its epoch's group key."""
-        directory = self.directory
-        if not tvrf.EvalVerify(
-            directory, transcript, output.message(), output.evaluation
-        ):
-            return False
-        return tvrf.vrf_output(directory, output.evaluation) == output.value
+        return verify_output(self.directory, output, transcript)
 
     def verify_chain(
         self, outputs: Sequence[BeaconOutput], transcripts: dict[int, Any]
@@ -188,8 +207,7 @@ def run_beacon(
 ) -> BeaconReport:
     """Run the full service: pipelined ADKG epochs + verified beacon stream."""
     setup = setup or TrustedSetup.generate(n, params=params, seed=seed)
-    transport_kwargs = {"delay_model": FixedDelay(1.0)} if transport == "sim" else {}
-    runtime = make_transport(transport, setup, seed=seed, **transport_kwargs)
+    runtime = make_run_transport(transport, setup, seed=seed)
     driver = EpochDriver(
         runtime,
         epochs=epochs,

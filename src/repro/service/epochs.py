@@ -1,34 +1,32 @@
 """Epoch pipelining: repeated root-protocol runs over one live network.
 
 An *epoch* is one complete run of a root protocol (by default the ADKG)
-in its own session.  The :class:`EpochDriver` keeps up to
-``pipeline_depth`` epochs in flight at once: epoch ``e + depth`` is
+in its own session.  The :class:`EpochDriver` drives *lanes*: a lane is a
+session family — ``(session_base, committee, threshold)`` — that keeps up
+to ``pipeline_depth`` epochs in flight at once, epoch ``e + depth``
 injected the moment epoch ``e`` completes, so the expensive early phase
 of a fresh epoch (PVSS dealing and share verification) overlaps the
-agreement tail of the epochs ahead of it.  With ``pipeline_depth=1``
-epochs run strictly back-to-back — the baseline the session benchmark
-compares against.
+agreement tail of the epochs ahead of it.  One lane × depth d is the
+pipelined beacon (depth 1: strictly back-to-back, E13's baseline);
+k lanes × depth 1 is the multiplexed shard run (DESIGN §12).
 
-The driver is transport-generic: on the deterministic simulator it
-advances simulated time session-by-session; on the realtime runtimes
-(asyncio, TCP) it opens the network once, injects sessions while traffic
-is flowing and awaits each session's completion future.  Either way a
-completed epoch's protocol state (instance tree, pending buffers,
-condition registry at every party) is garbage-collected before the next
-epoch is admitted, so a service running thousands of epochs holds state
-only for the sliding window.
+The driver has one loop on the transport's driving surface (DESIGN §7):
+open the network once, inject sessions while traffic is flowing, await
+``wait_any`` over every lane's oldest session — the simulator steps its
+event queue inline, asyncio/TCP suspend.  A completed epoch's protocol
+state (instance tree, pending buffers, condition registry at every
+party) is garbage-collected before the next epoch is admitted, so a
+service running thousands of epochs holds state only for the window.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.net.party import Party
 from repro.net.protocol import Protocol
-from repro.net.runtime import Simulation
-from repro.net.transport import RealtimeTransport, Transport
+from repro.net.transport import Transport
 
 __all__ = ["EpochDriver", "EpochResult"]
 
@@ -77,7 +75,14 @@ class EpochResult:
 
 
 class EpochDriver:
-    """Run ``epochs`` root-protocol sessions, ``pipeline_depth`` at a time."""
+    """Run ``epochs`` sessions per lane, ``pipeline_depth`` at a time.
+
+    ``lanes`` is a sequence of ``(session_base, committee, threshold)``
+    triples: a lane's epoch ``e`` runs in session ``session_base + e``
+    and its results record ``committee`` / ``threshold`` (``None``: the
+    transport's full party range and its ``f``).  The default is the one
+    lane of a fixed committee starting at session 0.
+    """
 
     def __init__(
         self,
@@ -86,115 +91,96 @@ class EpochDriver:
         epochs: int,
         pipeline_depth: int = 1,
         root_factory: Optional[Callable[[Party], Protocol]] = None,
-        session_base: int = 0,
+        lanes: Sequence[tuple] = ((0, None, None),),
         gc_completed: bool = True,
         timeout: float = 120.0,
-        max_steps_per_epoch: int = 5_000_000,
-        committee: Optional[tuple] = None,
-        threshold: Optional[int] = None,
     ) -> None:
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         if pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
+        if not isinstance(transport, Transport):
+            raise TypeError(f"unsupported transport {type(transport).__name__!r}")
         self.transport = transport
         self.epochs = epochs
         self.pipeline_depth = pipeline_depth
         self.root_factory = root_factory or _default_root_factory
-        self.session_base = session_base
+        self.lanes = tuple(lanes)
         self.gc_completed = gc_completed
         self.timeout = timeout
-        self.max_steps_per_epoch = max_steps_per_epoch
-        self.committee = tuple(committee) if committee is not None else None
-        self.threshold = threshold
-        self.results: list[EpochResult] = []
+        #: Per lane, its completed epochs in epoch order.
+        self.lane_results: list[list[EpochResult]] = [[] for _ in self.lanes]
         self._started_at: dict[int, float] = {}
 
-    def session_of(self, epoch: int) -> int:
-        return self.session_base + epoch
+    @property
+    def results(self) -> list[EpochResult]:
+        """Every completed epoch, lane by lane, each lane in epoch order."""
+        return [result for lane in self.lane_results for result in lane]
 
     # -- driving -----------------------------------------------------------------------
 
     def run(self) -> list[EpochResult]:
-        """Run all epochs to completion; returns them in epoch order."""
-        if isinstance(self.transport, Simulation):
-            return self._run_sim()
-        if isinstance(self.transport, RealtimeTransport):
-            return asyncio.run(self.run_async())
-        raise TypeError(
-            f"unsupported transport {type(self.transport).__name__!r}"
-        )
-
-    def _run_sim(self) -> list[EpochResult]:
-        sim = self.transport
-        for epoch in range(min(self.pipeline_depth, self.epochs)):
-            self._start_epoch(epoch, now=sim.time)
-        for epoch in range(self.epochs):
-            sid = self.session_of(epoch)
-            sim.run_until_session_done(sid, max_steps=self.max_steps_per_epoch)
-            self._finish_epoch(epoch, now=sim.honest_completion_time(sid))
-            nxt = epoch + self.pipeline_depth
-            if nxt < self.epochs:
-                self._start_epoch(nxt, now=sim.time)
-        return self.results
+        """Run every lane's epochs to completion (blocking); :attr:`results`."""
+        return self.transport.block_on(self.run_async())
 
     async def run_async(self) -> list[EpochResult]:
-        """Drive a realtime transport (must run inside its event loop)."""
+        """The one driving loop, on any transport's driving surface."""
         transport = self.transport
-        if not isinstance(transport, RealtimeTransport):
-            raise TypeError("run_async requires a realtime transport")
-        loop = asyncio.get_running_loop()
-        origin = loop.time()
-        await asyncio.wait_for(transport.open(), timeout=self.timeout)
+        depth, epochs = self.pipeline_depth, self.epochs
+        await transport.open()
         try:
-            for epoch in range(min(self.pipeline_depth, self.epochs)):
-                self._start_epoch(epoch, now=loop.time() - origin)
-            for epoch in range(self.epochs):
-                sid = self.session_of(epoch)
-                await transport.wait_session(sid, timeout=self.timeout)
-                # Use the transport's completion stamp: a pipelined epoch
-                # awaited out of order completed before we observed it.
-                completed = transport.session_completion_times.get(sid)
-                now = (completed if completed is not None else loop.time()) - origin
-                self._finish_epoch(epoch, now=now)
-                nxt = epoch + self.pipeline_depth
-                if nxt < self.epochs:
-                    self._start_epoch(nxt, now=loop.time() - origin)
+            #: Session of each lane's oldest epoch in flight -> (lane, epoch).
+            oldest: dict[int, tuple[int, int]] = {}
+            for lane, (base, _committee, _threshold) in enumerate(self.lanes):
+                for epoch in range(min(depth, epochs)):
+                    self._start_epoch(lane, epoch)
+                oldest[base] = (lane, 0)
+            while oldest:
+                done = await transport.wait_any(oldest, timeout=self.timeout)
+                for sid in sorted(done):
+                    lane, epoch = oldest.pop(sid)
+                    self._finish_epoch(lane, epoch)
+                    if epoch + depth < epochs:
+                        self._start_epoch(lane, epoch + depth)
+                    if epoch + 1 < epochs:
+                        oldest[sid + 1] = (lane, epoch + 1)
         finally:
             await transport.close()
         return self.results
 
     # -- bookkeeping -------------------------------------------------------------------
 
-    def _start_epoch(self, epoch: int, now: float) -> None:
-        sid = self.session_of(epoch)
-        self._started_at[epoch] = now
+    def _start_epoch(self, lane: int, epoch: int) -> None:
+        sid = self.lanes[lane][0] + epoch
+        self._started_at[sid] = self.transport.now()
         self.transport.start_session(sid, self.root_factory)
 
-    def _finish_epoch(self, epoch: int, now: float) -> None:
-        sid = self.session_of(epoch)
+    def _finish_epoch(self, lane: int, epoch: int) -> None:
+        base, committee, threshold = self.lanes[lane]
+        sid = base + epoch
         outputs = self.transport.honest_results(sid)
         values = list(outputs.values())
         if not values or any(v != values[0] for v in values):
             # Agreement is Theorem 5; a split here is an engine bug, not
             # a condition to paper over.
             raise RuntimeError(f"honest parties disagree in session {sid}")
-        committee = self.committee
         if committee is None:
-            committee = tuple(range(getattr(self.transport, "n", len(outputs))))
-        threshold = self.threshold
+            committee = range(self.transport.n)
         if threshold is None:
-            threshold = getattr(self.transport, "f", -1)
-        result = EpochResult(
-            epoch=epoch,
-            session=sid,
-            transcript=values[0],
-            outputs=outputs,
-            started_at=self._started_at[epoch],
-            completed_at=now,
-            committee=committee,
-            threshold=threshold,
+            threshold = self.transport.f
+        self.lane_results[lane].append(
+            EpochResult(
+                epoch=epoch,
+                session=sid,
+                transcript=values[0],
+                outputs=outputs,
+                started_at=self._started_at.pop(sid),
+                # The transport's stamp, not now(): a pipelined epoch
+                # awaited out of order completed before we observed it.
+                completed_at=self.transport.completion_time(sid),
+                committee=tuple(committee),
+                threshold=threshold,
+            )
         )
-        self.results.append(result)
         if self.gc_completed:
             self.transport.collect_session(sid)

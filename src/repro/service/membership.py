@@ -28,18 +28,17 @@ from __future__ import annotations
 import random
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
 from repro.core.adkg import ADKG
 from repro.core.reshare import ReshareAgreement
 from repro.crypto import reshare, threshold_vrf as tvrf
 from repro.crypto.keys import PartySecret, PublicDirectory, TrustedSetup
-from repro.net.delays import FixedDelay
 from repro.net.party import Party
 from repro.net.protocol import Protocol
-from repro.net.transport import make_transport
-from repro.service.beacon import GENESIS, BeaconOutput
+from repro.net.transport import make_run_transport
+from repro.service.beacon import GENESIS, BeaconOutput, emit_rounds, verify_output
 from repro.service.epochs import EpochDriver, EpochResult
 
 __all__ = [
@@ -288,7 +287,7 @@ class MembershipDriver:
         seed: int = 0,
         session_base: Optional[str] = None,
         timeout: float = 120.0,
-        max_steps: int = 5_000_000,
+        max_steps: Optional[int] = None,
         chaos: Optional[dict] = None,
         crash: Optional[dict] = None,
         cadence: int = 16,
@@ -422,35 +421,22 @@ class MembershipDriver:
     def _run_epoch(
         self, spec: EpochSpec, setup: TrustedSetup, root_factory: Any
     ) -> EpochResult:
-        kwargs: dict[str, Any] = {}
-        if self.transport == "sim":
-            kwargs["delay_model"] = FixedDelay(1.0)
-        chaos = self.chaos.get(spec.epoch)
-        if chaos is not None:
-            kwargs["chaos"] = chaos
-        runtime = make_transport(
-            self.transport, setup, seed=self.epoch_seed(spec.epoch), **kwargs
+        runtime = make_run_transport(
+            self.transport,
+            setup,
+            seed=self.epoch_seed(spec.epoch),
+            max_steps=self.max_steps,
+            chaos=self.chaos.get(spec.epoch),
         )
         driver = EpochDriver(
             runtime,
             epochs=1,
             root_factory=root_factory,
             timeout=self.timeout,
-            max_steps_per_epoch=self.max_steps,
-            committee=spec.members,
-            threshold=spec.f,
+            lanes=[(0, spec.members, spec.f)],
         )
-        result = driver.run()[0]
-        return EpochResult(
-            epoch=spec.epoch,
-            session=result.session,
-            transcript=result.transcript,
-            outputs=result.outputs,
-            started_at=result.started_at,
-            completed_at=result.completed_at,
-            committee=spec.members,
-            threshold=spec.f,
-        )
+        # The fresh transport's one lane calls this epoch 0; relabel.
+        return replace(driver.run()[0], epoch=spec.epoch)
 
     def _run_crash_epoch(
         self,
@@ -534,56 +520,12 @@ class ChurnBeacon:
         directory = setup.directory
         if not self._transcript_valid(directory, transcript):
             raise ValueError(f"epoch {epoch} transcript does not verify")
-        chosen = (
-            tuple(signers)
-            if signers is not None
-            else tuple(range(directory.f + 1))
+        emitted = emit_rounds(
+            setup, transcript, signers, epoch, self.rounds_per_epoch, self._prev
         )
-        emitted = []
-        for round_index in range(self.rounds_per_epoch):
-            message = ("beacon", epoch, round_index, self._prev)
-            shares = []
-            for signer in chosen:
-                share = tvrf.EvalSh(
-                    directory, setup.secret(signer), transcript, message
-                )
-                if tvrf.EvalShVerify(
-                    directory, transcript, signer, message, share
-                ):
-                    shares.append(share)
-            evaluation, proof = tvrf.Eval(directory, transcript, message, shares)
-            if not tvrf.EvalVerify(
-                directory, transcript, message, evaluation, proof
-            ):
-                raise RuntimeError(
-                    f"churn beacon evaluation failed to verify: {message}"
-                )
-            value = tvrf.vrf_output(directory, evaluation)
-            output = BeaconOutput(
-                epoch=epoch,
-                round=round_index,
-                prev=self._prev,
-                value=value,
-                evaluation=evaluation,
-            )
-            emitted.append(output)
-            self.outputs.append(output)
-            self._prev = value
+        self.outputs.extend(emitted)
+        self._prev = emitted[-1].value
         return emitted
-
-    @classmethod
-    def verify(
-        cls,
-        output: BeaconOutput,
-        directory: PublicDirectory,
-        transcript: Any,
-    ) -> bool:
-        """Verify one output against its *own epoch's* directory and key."""
-        if not tvrf.EvalVerify(
-            directory, transcript, output.message(), output.evaluation
-        ):
-            return False
-        return tvrf.vrf_output(directory, output.evaluation) == output.value
 
     @classmethod
     def verify_chain(
@@ -614,7 +556,7 @@ class ChurnBeacon:
                 return False
             if group.encode_element(transcript.public_key) != anchor_key:
                 return False
-            if not cls.verify(output, directory, transcript):
+            if not verify_output(directory, output, transcript):
                 return False
             prev = output.value
         return True
@@ -655,7 +597,7 @@ def run_churn(
     params: str = "TESTING",
     session: str = "adkg-repro",
     timeout: float = 120.0,
-    max_steps: int = 5_000_000,
+    max_steps: Optional[int] = None,
     chaos: Optional[dict] = None,
     crash: Optional[dict] = None,
     storage_dir: Optional[str] = None,

@@ -37,7 +37,6 @@ order-independent) produces the service totals.
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 import threading
 import time
@@ -47,13 +46,11 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.crypto.hashing import hash_to_int
-from repro.net.delays import FixedDelay
 from repro.net.metrics import Metrics
-from repro.net.runtime import Simulation
 from repro.net.sharding import ShardGroup, make_shard_group, partition_universe
-from repro.net.transport import RealtimeTransport, Transport, make_transport
+from repro.net.transport import Transport, make_run_transport
 from repro.service.beacon import BeaconOutput, RandomnessBeacon
-from repro.service.epochs import EpochDriver, EpochResult, _default_root_factory
+from repro.service.epochs import EpochDriver, EpochResult
 
 __all__ = [
     "CombinedOutput",
@@ -119,7 +116,7 @@ class GroupCoordinator:
 
     def transport(self, kind: str, **kwargs: Any) -> Transport:
         """One shared transport multiplexing every group (``setup=None``)."""
-        return make_transport(
+        return make_run_transport(
             kind, None, seed=self.seed, shards=self.groups, **kwargs
         )
 
@@ -404,32 +401,30 @@ def _run_group_config(config: tuple) -> tuple:
         timeout,
     ) = config
     group = make_shard_group(gid, n, f, seed, members=members, params=params)
-    kwargs = {"delay_model": FixedDelay(1.0)} if transport == "sim" else {}
-    runtime = make_transport(transport, group.setup, seed=group.seed, **kwargs)
+    runtime = make_run_transport(transport, group.setup, seed=group.seed)
     started = time.perf_counter()
-    driver = EpochDriver(
-        runtime,
-        epochs=epochs,
-        session_base=group.session_base,
-        timeout=timeout,
-        committee=members,
-        threshold=group.setup.directory.f,
-    )
-    epoch_results = driver.run()
-    if isinstance(runtime, Simulation):
-        # Drain stragglers still in flight when the last session
-        # completed: delivery counts are then a function of the traffic,
-        # not of where the stop predicate happened to halt the run —
-        # which is what makes them comparable across execution modes.
-        runtime.run()
+    (epoch_results,) = _run_lanes(runtime, [group], epochs=epochs, timeout=timeout)
     wall = time.perf_counter() - started
+    return _raw_result(group, epoch_results, runtime.metrics, rounds_per_epoch, wall)
+
+
+def _raw_result(
+    group: ShardGroup,
+    epoch_results: Sequence[EpochResult],
+    metrics: Metrics,
+    rounds_per_epoch: int,
+    wall: float,
+) -> tuple:
+    """One group's run — epochs, its beacon stream, metrics view — as the
+    plain values that cross the process boundary (and that every mode's
+    :class:`GroupResult` is rebuilt from, so modes compare exactly)."""
     beacon = RandomnessBeacon(group.setup, rounds_per_epoch=rounds_per_epoch)
     for result in epoch_results:
         beacon.emit_epoch(result.epoch, result.transcript)
     return (
         _RESULT_TAG,
         _WIRE_VERSION,
-        gid,
+        group.gid,
         tuple(
             (
                 result.epoch,
@@ -447,7 +442,7 @@ def _run_group_config(config: tuple) -> tuple:
             (output.epoch, output.round, output.prev, output.value, output.evaluation)
             for output in beacon.outputs
         ),
-        _metrics_view(runtime.metrics),
+        _metrics_view(metrics),
         wall,
     )
 
@@ -594,121 +589,37 @@ class ShardExecutor:
         return [_run_group_config(codec.decode(blob)) for blob in blobs]
 
 
-# -- multiplexed drivers -------------------------------------------------------------
+# -- driving: one lane per group ------------------------------------------------------
 
 
-def _run_multiplexed_sim(
-    sim: Simulation,
-    groups: Sequence[ShardGroup],
-    *,
-    epochs: int,
-    max_steps_per_epoch: int = 5_000_000,
-) -> dict[int, list[EpochResult]]:
-    """Drive every group's epoch pipeline on one deterministic simulator.
-
-    All groups' current epochs are in flight at once; whenever any
-    session completes, that group's next epoch starts — so the simulated
-    network always carries k concurrent session families (the scale-out
-    analogue of ``EpochDriver``'s pipelining).
-    """
-    results: dict[int, list[EpochResult]] = {group.gid: [] for group in groups}
-    pending: dict[int, tuple[int, int, float]] = {}
-    for group in groups:
-        sid = group.session_of(0)
-        pending[sid] = (group.gid, 0, sim.time)
-        sim.start_session(sid, _default_root_factory)
-    budget = max_steps_per_epoch * epochs * max(1, len(groups))
-    while pending:
-        sim.run(
-            max_steps=budget,
-            stop=lambda s: any(s.session_complete(sid) for sid in pending),
-        )
-        done = [sid for sid in pending if sim.session_complete(sid)]
-        if not done:
-            raise RuntimeError(
-                f"simulation quiesced with incomplete shard sessions "
-                f"{sorted(pending)}"
-            )
-        for sid in sorted(done):
-            gid, epoch, started = pending.pop(sid)
-            outputs = sim.honest_results(sid)
-            values = list(outputs.values())
-            if not values or any(v != values[0] for v in values):
-                raise RuntimeError(
-                    f"honest parties disagree in shard session {sid}"
-                )
-            results[gid].append(
-                EpochResult(
-                    epoch=epoch,
-                    session=sid,
-                    transcript=values[0],
-                    outputs=outputs,
-                    started_at=started,
-                    completed_at=sim.honest_completion_time(sid),
-                    committee=groups[gid].members,
-                    threshold=groups[gid].setup.directory.f,
-                )
-            )
-            sim.collect_session(sid)
-            nxt = epoch + 1
-            if nxt < epochs:
-                group = groups[gid]
-                next_sid = group.session_of(nxt)
-                pending[next_sid] = (gid, nxt, sim.time)
-                sim.start_session(next_sid, _default_root_factory)
-    # Drain to quiescence so straggler deliveries (in flight when their
-    # session completed) are metered in every mode alike.
-    sim.run(max_steps=budget)
-    return results
-
-
-async def _run_multiplexed_realtime(
-    transport: RealtimeTransport,
+def _run_lanes(
+    runtime: Transport,
     groups: Sequence[ShardGroup],
     *,
     epochs: int,
     timeout: float,
-) -> dict[int, list[EpochResult]]:
-    """Drive every group concurrently on one live realtime transport."""
-    root_factory = _default_root_factory
-    loop = asyncio.get_running_loop()
-    origin = loop.time()
+) -> list[list[EpochResult]]:
+    """Drive each group's epochs as one :class:`EpochDriver` lane.
 
-    async def drive(group: ShardGroup) -> list[EpochResult]:
-        collected: list[EpochResult] = []
-        for epoch in range(epochs):
-            sid = group.session_of(epoch)
-            started = loop.time() - origin
-            transport.start_session(sid, root_factory)
-            outputs = await transport.wait_session(sid, timeout=timeout)
-            values = list(outputs.values())
-            if not values or any(v != values[0] for v in values):
-                raise RuntimeError(
-                    f"honest parties disagree in shard session {sid}"
-                )
-            completed = transport.session_completion_times.get(sid)
-            now = (completed if completed is not None else loop.time()) - origin
-            collected.append(
-                EpochResult(
-                    epoch=epoch,
-                    session=sid,
-                    transcript=values[0],
-                    outputs=outputs,
-                    started_at=started,
-                    completed_at=now,
-                    committee=group.members,
-                    threshold=group.setup.directory.f,
-                )
-            )
-            transport.collect_session(sid)
-        return collected
-
-    await asyncio.wait_for(transport.open(), timeout=timeout)
-    try:
-        per_group = await asyncio.gather(*(drive(group) for group in groups))
-    finally:
-        await transport.close()
-    return {group.gid: results for group, results in zip(groups, per_group)}
+    One group on its own transport is a solo run; every group on a shared
+    sharded transport is the multiplexed run — k concurrent session
+    families.  The stragglers in flight when the last session completed
+    are then drained (the simulator; realtime close() cancels them):
+    delivery counts become a function of the traffic, not of where the
+    wait halted, which makes them comparable across execution modes.
+    """
+    driver = EpochDriver(
+        runtime,
+        epochs=epochs,
+        timeout=timeout,
+        lanes=[
+            (group.session_base, group.members, group.setup.directory.f)
+            for group in groups
+        ],
+    )
+    driver.run()
+    runtime.block_on(runtime.drain())
+    return driver.lane_results
 
 
 def _run_multiplexed(
@@ -719,38 +630,24 @@ def _run_multiplexed(
     rounds_per_epoch: int,
     timeout: float,
 ) -> list[GroupResult]:
-    kwargs = {"delay_model": FixedDelay(1.0)} if transport == "sim" else {}
-    runtime = coordinator.transport(transport, **kwargs)
-    if isinstance(runtime, Simulation):
-        epoch_map = _run_multiplexed_sim(
-            runtime, coordinator.groups, epochs=epochs
+    runtime = coordinator.transport(transport)
+    lane_results = _run_lanes(
+        runtime, coordinator.groups, epochs=epochs, timeout=timeout
+    )
+    # Groups share one event loop here, so per-group wall clock is 0.0.
+    return [
+        _group_result_from_raw(
+            group,
+            _raw_result(
+                group,
+                lane_results[group.gid],
+                runtime.shard_metrics[group.gid],
+                rounds_per_epoch,
+                0.0,
+            ),
         )
-    elif isinstance(runtime, RealtimeTransport):
-        epoch_map = asyncio.run(
-            _run_multiplexed_realtime(
-                runtime, coordinator.groups, epochs=epochs, timeout=timeout
-            )
-        )
-    else:  # pragma: no cover - make_transport only builds the above
-        raise TypeError(f"unsupported transport {type(runtime).__name__!r}")
-    group_results = []
-    for group in coordinator.groups:
-        beacon = RandomnessBeacon(group.setup, rounds_per_epoch=rounds_per_epoch)
-        epoch_results = epoch_map[group.gid]
-        for result in epoch_results:
-            beacon.emit_epoch(result.epoch, result.transcript)
-        group_results.append(
-            GroupResult(
-                gid=group.gid,
-                members=group.members,
-                epoch_results=epoch_results,
-                outputs=list(beacon.outputs),
-                metrics=_metrics_from_view(
-                    _metrics_view(runtime.shard_metrics[group.gid])
-                ),
-            )
-        )
-    return group_results
+        for group in coordinator.groups
+    ]
 
 
 # -- the one-call service entry point ------------------------------------------------

@@ -19,29 +19,26 @@ The pieces, bottom-up:
 * :func:`run_crash_recovery` — one crash–recovery scenario end to end on
   any transport: run, crash (detach + state loss) at an adversarially
   chosen per-party delivery count, recover after a delay, reattach, and
-  run to agreement.  The simulator variant measures recovery latency in
-  simulated rounds; the realtime variants (asyncio, TCP) in seconds.
+  run to agreement — one :func:`_drive` coroutine on the transport's
+  driving surface (DESIGN §7), so recovery latency reads in simulated
+  rounds on the simulator and in seconds on asyncio/TCP.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.crypto.keys import TrustedSetup
-from repro.net.delays import DelayModel, FixedDelay
+from repro.net.delays import DelayModel
 from repro.net.party import Party
-from repro.net.protocol import Protocol
-from repro.net.transport import Transport, make_transport
+from repro.net.transport import RootFactory, Transport, make_run_transport
 from repro.storage.frames import StorageError
 from repro.storage.store import SnapshotStore
 
 __all__ = ["DurabilityRecorder", "recover_party", "run_crash_recovery"]
-
-RootFactory = Callable[[Party], Protocol]
 
 
 class DurabilityRecorder:
@@ -166,7 +163,7 @@ def run_crash_recovery(
     batching: bool = True,
     fsync: bool = False,
     timeout: float = 120.0,
-    max_steps: int = 5_000_000,
+    max_steps: Optional[int] = None,
     chaos: Any = None,
 ) -> dict[str, Any]:
     """One full crash–recovery scenario on the chosen transport.
@@ -199,19 +196,19 @@ def run_crash_recovery(
             f"crash indices {out_of_range} out of range for n={n}"
         )
     setup = setup or TrustedSetup.generate(n, seed=seed)
-    kwargs: dict[str, Any] = {"batching": batching}
-    if chaos is not None:
-        # Chaos overlays compose with crash-recovery on every runtime:
-        # the fault plane sits at the shared delivery seam, the recorder
-        # behind it, so WAL contents reflect what was actually delivered.
-        kwargs["chaos"] = chaos
-    if transport == "sim":
-        kwargs["delay_model"] = delay_model or FixedDelay(1.0)
-        kwargs["scheduler"] = scheduler
-    elif scheduler is not None or delay_model is not None:
-        raise ValueError("scheduler/delay_model apply to the sim transport only")
-    runtime = make_transport(
-        transport, setup, behaviors=behaviors, seed=seed, **kwargs
+    # Chaos overlays compose with crash-recovery on every runtime: the
+    # fault plane sits at the shared delivery seam, the recorder behind
+    # it, so WAL contents reflect what was actually delivered.
+    runtime = make_run_transport(
+        transport,
+        setup,
+        behaviors=behaviors,
+        seed=seed,
+        delay_model=delay_model,
+        scheduler=scheduler,
+        max_steps=max_steps,
+        batching=batching,
+        chaos=chaos,
     )
     overlap = set(crash_indices) & set(runtime.corrupt)
     if overlap:
@@ -233,18 +230,12 @@ def run_crash_recovery(
         for index in crash_indices
     }
     try:
-        if transport == "sim":
-            report = _drive_sim(
+        report = runtime.block_on(
+            _drive(
                 runtime, recorders, store, root_factory, crash_after,
-                recovery_delay, max_steps,
+                recovery_delay, timeout,
             )
-        else:
-            report = asyncio.run(
-                _drive_realtime(
-                    runtime, recorders, store, root_factory, crash_after,
-                    recovery_delay, timeout,
-                )
-            )
+        )
     finally:
         store.close()
         if cleanup is not None:
@@ -288,69 +279,8 @@ def run_crash_recovery(
     return report
 
 
-def _crash_point_reached(recorders: dict, crash_after: int) -> bool:
-    return any(r.deliveries >= crash_after for r in recorders.values())
-
-
-def _recover_all(
+async def _drive(
     runtime: Transport,
-    recorders: dict,
-    store: SnapshotStore,
-    root_factory: RootFactory,
-) -> tuple[dict, dict]:
-    replay_stats = {}
-    parked = {}
-    for index in recorders:
-        party, stats = recover_party(runtime, index, store, root_factory)
-        parked[index] = runtime.reattach_party(index, party)
-        replay_stats[index] = stats
-    return replay_stats, parked
-
-
-def _drive_sim(
-    runtime,
-    recorders: dict,
-    store: SnapshotStore,
-    root_factory: RootFactory,
-    crash_after: int,
-    recovery_delay: float,
-    max_steps: int,
-) -> dict[str, Any]:
-    runtime.start(root_factory)
-    for recorder in recorders.values():
-        # Genesis checkpoint the instant the roots stand: a crash before
-        # the party's first delivery still finds a snapshot on disk.
-        recorder.checkpoint()
-    runtime.run(
-        max_steps=max_steps,
-        stop=lambda sim: _crash_point_reached(recorders, crash_after),
-    )
-    if runtime.all_honest_output():
-        raise RuntimeError(
-            "the run completed before the crash point; pick a smaller "
-            "crash_after for a meaningful recovery scenario"
-        )
-    crash_at = runtime.time
-    for index in recorders:
-        runtime.detach_party(index)
-    deadline = crash_at + recovery_delay
-    runtime.run(max_steps=max_steps, stop=lambda sim: sim.time >= deadline)
-    reattach_at = runtime.time
-    replay_stats, parked = _recover_all(runtime, recorders, store, root_factory)
-    runtime.run_until_all_honest_output(max_steps=max_steps)
-    completed_at = runtime.honest_completion_time()
-    return {
-        "crash_at": crash_at,
-        "reattach_at": reattach_at,
-        "rounds": completed_at,
-        "recovery_latency": completed_at - reattach_at,
-        "replay": replay_stats,
-        "parked_delivered": parked,
-    }
-
-
-async def _drive_realtime(
-    runtime,
     recorders: dict,
     store: SnapshotStore,
     root_factory: RootFactory,
@@ -358,38 +288,39 @@ async def _drive_realtime(
     recovery_delay: float,
     timeout: float,
 ) -> dict[str, Any]:
-    loop = asyncio.get_running_loop()
-    started = loop.time()
-    deadline = started + timeout
+    """The scenario, once, on the driving surface; times are ``now()``."""
     try:
-        await asyncio.wait_for(runtime.open(), timeout=timeout)
+        await runtime.open()
         runtime.start(root_factory)
         for recorder in recorders.values():
+            # Genesis checkpoint the instant the roots stand: a crash before
+            # the party's first delivery still finds a snapshot on disk.
             recorder.checkpoint()
-        while not _crash_point_reached(recorders, crash_after):
-            if runtime.all_honest_output():
-                raise RuntimeError(
-                    "the run completed before the crash point; pick a "
-                    "smaller crash_after for a meaningful recovery scenario"
-                )
-            if loop.time() > deadline:
-                raise asyncio.TimeoutError(
-                    f"crash point not reached within {timeout}s"
-                )
-            await asyncio.sleep(0.002)
-        crash_at = loop.time() - started
+        await runtime.wait_until(
+            lambda transport: transport.all_honest_output()
+            or any(r.deliveries >= crash_after for r in recorders.values()),
+            timeout=timeout,
+        )
+        if runtime.all_honest_output():
+            raise RuntimeError(
+                "the run completed before the crash point; pick a smaller "
+                "crash_after for a meaningful recovery scenario"
+            )
+        crash_at = runtime.now()
         for index in recorders:
             runtime.detach_party(index)
-        await asyncio.sleep(recovery_delay)
-        reattach_at = loop.time() - started
-        replay_stats, parked = _recover_all(
-            runtime, recorders, store, root_factory
-        )
-        remaining = max(0.001, deadline - loop.time())
-        await runtime.wait_session(0, timeout=remaining)
-        completed_at = loop.time() - started
+        await runtime.sleep(recovery_delay)
+        reattach_at = runtime.now()
+        replay_stats, parked = {}, {}
+        for index in recorders:
+            party, replay_stats[index] = recover_party(
+                runtime, index, store, root_factory
+            )
+            parked[index] = runtime.reattach_party(index, party)
+        await runtime.wait_session(0, timeout=timeout)
     finally:
         await runtime.close()
+    completed_at = runtime.completion_time()
     return {
         "crash_at": crash_at,
         "reattach_at": reattach_at,

@@ -30,6 +30,10 @@ def test_default_f_is_optimal():
 def test_resilience_bound_enforced():
     with pytest.raises(ValueError):
         TrustedSetup.generate(6, f=2)
+    # A committee of nobody: 0 >= 3*(-1) + 1 holds, so it needs its own check.
+    for n, f in ((0, None), (-4, None), (4, -1)):
+        with pytest.raises(ValueError, match="n >= 1, f >= 0"):
+            TrustedSetup.generate(n, f=f)
 
 
 def test_keys_match_directory():

@@ -80,3 +80,21 @@ def test_multiple_tracers_coexist_and_detach_independently():
     assert len(tracer2.events) == 3
     tracer2.detach()  # leaves tracer1 observing
     assert sim._delivery_observers == [tracer1._on_delivery]
+
+
+def test_tracer_works_on_a_realtime_transport():
+    """``now()`` and the delivery count exist on every runtime."""
+    from repro.net.asyncio_runtime import AsyncioRuntime
+
+    runtime = AsyncioRuntime(TrustedSetup.generate(4, seed=1), seed=1)
+    tracer = Tracer(runtime)
+    runtime.run_sync(lambda party: EchoAll(), timeout=10)
+    assert len(tracer.events) == 12
+    times = [event.time for event in tracer.events]
+    assert times == sorted(times) and times[-1] > 0
+    assert [event.step for event in tracer.events] == sorted(e.step for e in tracer.events)
+    idle = AsyncioRuntime(TrustedSetup.generate(4, seed=1), seed=1)
+    detached = Tracer(idle)
+    detached.detach()
+    idle.run_sync(lambda party: EchoAll(), timeout=10)
+    assert idle.metrics.deliveries > 0 and not detached.events

@@ -351,3 +351,55 @@ def test_run_adkg_transport_parameter():
     # Simulator-only knobs are rejected, not silently ignored.
     with pytest.raises(ValueError):
         run_adkg(n=4, seed=1, transport="tcp", to_quiescence=True)
+
+
+# -- the driving surface ---------------------------------------------------------------
+
+
+async def _two_sessions(transport):
+    """One scenario, written once: every runtime must run it unchanged."""
+    clock = [transport.now()]
+    await transport.open()
+    try:
+        for session in (0, 1):
+            transport.start_session(session, lambda party: EchoAll())
+        waiting = {0, 1}
+        while waiting:
+            waiting -= set(await transport.wait_any(waiting, timeout=30))
+            clock.append(transport.now())
+        for session in (0, 1):
+            assert transport.completion_time(session) <= transport.now()
+        await transport.sleep(0.01)
+        clock.append(transport.now())
+    finally:
+        await transport.close()
+    assert clock == sorted(clock)
+    return [transport.honest_results(session) for session in (0, 1)]
+
+
+def test_one_coroutine_drives_every_runtime():
+    seen = {}
+    for kind in ("sim", "asyncio", "tcp"):
+        transport = make_transport(kind, TrustedSetup.generate(4, seed=8), seed=8)
+        outputs = transport.block_on(_two_sessions(transport))
+        seen[kind] = (outputs, transport.metrics.words_total)
+    assert seen["sim"] == seen["asyncio"] == seen["tcp"]
+    assert seen["sim"][0] == [{i: frozenset(range(4)) for i in range(4)}] * 2
+    # The simulator's awaitables never suspend: a bare send(None) runs the
+    # whole scenario to its return, no event loop anywhere.
+    sim = make_transport("sim", TrustedSetup.generate(4, seed=8), seed=8)
+    with pytest.raises(StopIteration) as finished:
+        _two_sessions(sim).send(None)
+    assert finished.value.value == seen["sim"][0]
+
+
+def test_a_stalled_session_fails_by_name_not_silently():
+    from repro.net.protocol import Protocol
+
+    sim = make_transport("sim", TrustedSetup.generate(4, seed=8), seed=8)
+    sim.start(lambda party: Protocol(), session=3)
+    with pytest.raises(RuntimeError, match=r"quiesced with sessions \[3\]"):
+        sim.block_on(sim.wait_session(3))
+    runtime = make_transport("asyncio", TrustedSetup.generate(4, seed=8), seed=8)
+    with pytest.raises(asyncio.TimeoutError, match=r"\[0\] incomplete after 0.2s"):
+        runtime.run_sync(lambda party: Protocol(), timeout=0.2)

@@ -10,6 +10,12 @@ from repro.net.runtime import Simulation
 from repro.storage import DurabilityRecorder, SnapshotStore, run_crash_recovery
 
 
+_DRIVE_KEYS = {
+    "crash_at", "reattach_at", "rounds", "recovery_latency", "replay",
+    "parked_delivered",
+}  # fmt: skip
+
+
 def test_sim_crash_recovery_reaches_agreement():
     report = run_crash_recovery(
         transport="sim",
@@ -140,7 +146,14 @@ def test_sim_tcp_crash_recovery_same_public_key(batching):
             batching=batching,
         )
         assert reports[kind]["agreement"] and reports[kind]["valid"], kind
+        # One _drive for both: the report has one shape, in now() units.
+        report = reports[kind]
+        assert _DRIVE_KEYS <= set(report), kind
+        assert report["crash_at"] <= report["reattach_at"] <= report["rounds"], kind
+        assert report["recovery_latency"] == report["rounds"] - report["reattach_at"]
+        assert set(report["replay"]) == set(report["parked_delivered"]) == {1}
     assert reports["sim"]["public_key"] == reports["tcp"]["public_key"]
+    assert reports["tcp"]["reattach_at"] >= reports["tcp"]["crash_at"] + 0.05
 
 
 def test_asyncio_crash_recovery_reaches_agreement():

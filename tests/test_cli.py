@@ -79,6 +79,15 @@ def test_run_timeout_reports_cleanly(capsys):
     assert "no agreement within" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", (["run", "-n", "0"], ["run", "-n", "-4"], ["beacon", "-n", "0"])
+)
+def test_committee_of_nobody_fails_closed(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need n >= 1") and "Traceback" not in err
+
+
 def test_beacon_command(capsys):
     code = main(
         ["beacon", "-n", "4", "--seed", "1", "--epochs", "3", "--pipeline-depth", "2"]
