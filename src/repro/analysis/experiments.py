@@ -56,7 +56,7 @@ from repro.net.delays import FixedDelay
 from repro.net.protocol import Protocol
 from repro.net.runtime import Simulation
 from repro.service import run_beacon, run_churn, run_sharded
-from repro.service.shards import SHARD_MODES, shutdown_shard_executor
+from repro.service.shards import shutdown_shard_executor
 from repro.storage.recovery import run_crash_recovery
 
 #: Theorems 7-10 say Õ(n³): a fitted exponent around 3, the log factor
@@ -1024,16 +1024,34 @@ def e16_chaos(n: int, seed: int, realtime: Sequence[str]) -> Section:
     )
 
 
-#: The process-versus-sequential trial ROADMAP item 1(c) asked for.  Wall
-#: clock, so read by hand and quoted — never a regenerated column.
+#: The trials ROADMAP item 1(c) asked for.  Wall clock, so read by hand
+#: and quoted — never a regenerated column.
 _SHARD_TRIAL = """\
-Process-per-shard mode earns its keep on wall clock, which is not a column
+Process-per-shard execution earns its keep on wall clock, which is not a column
 here and was read by hand: `run_sharded(universe=40, groups=4)` on the
 2-core reference host, one warm-up of each mode then ten alternating pairs
 (seeds 100–109, order swapped each pair), medians sequential 0.773 s
 against process 0.415 s — **1.86×, process won 9/10** (the one loss by
 2 ms, on the first pair), no executor fallback, merged word totals equal.
-A repeat read 0.930 s against 0.511 s, 1.82×, 10/10."""
+A repeat read 0.930 s against 0.511 s, 1.82×, 10/10.
+
+A third mode — every group a session family on one shared transport,
+the default until PR 23 — lost the same trial and was deleted.  Same host,
+alternating order, every run verified, merged words equal; `run_sharded`
+wall clock q1 / median / q3 in seconds:
+
+| transport, universe, k, epochs | shared transport | sequential | process | sequential < shared |
+|---|---|---|---|---|
+| sim, 40, 4, 1 | 0.880 / 0.918 / 1.148 | 0.826 / 0.842 / 0.999 | 0.448 / 0.498 / 0.598 | 7/10 |
+| sim, 20, 2, 2 | 0.878 / 0.897 / 0.922 | 0.811 / 0.825 / 0.930 | 0.419 / 0.436 / 0.446 | 5/6 |
+| sim, 56, 8, 1 | 0.849 / 0.941 / 1.053 | 0.747 / 0.837 / 0.893 | 0.451 / 0.516 / 0.565 | 5/6 |
+| asyncio, 40, 4, 1 | 1.389 / 1.485 / 1.575 | 1.198 / 1.245 / 1.428 | 0.621 / 0.677 / 0.784 | 6/6 |
+| tcp, 40, 4, 1 | 2.673 / 2.774 / 2.940 | 2.398 / 2.530 / 2.618 | 1.338 / 1.360 / 1.425 | 5/6 |
+| tcp, 16, 2, 2 | 1.317 / 1.508 / 1.557 | 1.357 / 1.373 / 1.552 | 0.698 / 0.796 / 0.849 | 3/6 |
+
+The shared transport was never faster than one group after another and
+1.7–2.0× slower than the pool, so which path runs is now worked out from
+the host (`min(groups, usable cores)` workers; one worker runs inline)."""
 
 
 def e17_shards(ks: Sequence[int], group_n: int) -> Section:
@@ -1042,10 +1060,11 @@ def e17_shards(ks: Sequence[int], group_n: int) -> Section:
     per_group: dict[tuple[int, str], tuple] = {}
     ok = True
     for k in ks:
-        for mode in SHARD_MODES:
+        for workers in (1, 2):  # inline, then the pool
             report = run_sharded(
-                universe=k * group_n, groups=k, epochs=1, rounds_per_epoch=2, mode=mode, seed=1
+                universe=k * group_n, groups=k, epochs=1, rounds_per_epoch=2, workers=workers, seed=1
             )
+            mode = report.mode
             ok = ok and report.agreed and report.all_verified and not report.executor_fallback
             per_group[k, mode] = groups = tuple(
                 (g.metrics.words_total, g.metrics.messages_total)
@@ -1066,8 +1085,8 @@ def e17_shards(ks: Sequence[int], group_n: int) -> Section:
     return Section(
         "E17",
         "Extension: sharded multi-group scale-out",
-        f"k independent DKG groups of n = {group_n} (DESIGN.md section 12), run\n"
-        "multiplexed on one transport, sequentially, or process-per-shard.  Total\n"
+        f"k independent DKG groups of n = {group_n} (DESIGN.md section 12), each on\n"
+        "a transport of its own, run one after the other or in a worker pool.  Total\n"
         "words grow as k·O(n³) — the k² word advantage over one O((kn)³) group is\n"
         "the point of sharding.  Per-group beacon streams are hash-combined\n"
         "into one output per round and verified per group plus recomputation.\n\n"
@@ -1077,8 +1096,8 @@ def e17_shards(ks: Sequence[int], group_n: int) -> Section:
         (),
         {
             "every group agrees, every stream verifies, the pool never falls back": ok,
-            "per-group words and messages are identical across the three modes": all(
-                len({per_group[k, mode] for mode in SHARD_MODES}) == 1 for k in ks
+            "per-group words and messages are identical across the two paths": all(
+                per_group[k, "sequential"] == per_group[k, "process"] for k in ks
             ),
             "group 0's totals never move as k grows (a pure function of seed and gid)": (
                 len({groups[0] for groups in per_group.values()}) == 1

@@ -225,7 +225,6 @@ def _cmd_sharded(args: argparse.Namespace, *, epochs: int, rounds: int) -> int:
         epochs=epochs,
         rounds_per_epoch=rounds,
         transport=args.transport,
-        mode=args.shard_mode,
         seed=args.seed,
         timeout=args.timeout,
     )
@@ -233,7 +232,7 @@ def _cmd_sharded(args: argparse.Namespace, *, epochs: int, rounds: int) -> int:
         return 1
     print(
         f"universe={report.universe} groups={report.groups} "
-        f"sizes={list(report.group_sizes)} mode={report.mode} "
+        f"sizes={list(report.group_sizes)} workers={report.workers} "
         f"transport={report.transport} seed={report.seed} epochs={report.epochs}"
     )
     for result in report.group_results:
@@ -251,7 +250,9 @@ def _cmd_sharded(args: argparse.Namespace, *, epochs: int, rounds: int) -> int:
     print(f"combined outputs verified:  {report.all_verified}")
     print(f"words sent (all groups):    {report.merged.words_total:,}")
     print(f"messages sent (all groups): {report.merged.messages_total:,}")
-    print(f"bytes on wire (all groups): {report.merged.bytes_total:,}")
+    if report.merged.bytes_total:
+        # Metered on tcp only; an unmetered 0 would read as a measurement.
+        print(f"bytes on wire (all groups): {report.merged.bytes_total:,}")
     print(f"wall clock:                 {elapsed:.2f}s")
     return 0 if report.all_verified else 1
 
@@ -264,7 +265,12 @@ def _universe(args: argparse.Namespace) -> int:
 
 
 def _check_shard_flags(args: argparse.Namespace) -> int:
-    """Usage validation for the ``--groups`` path; 0 when fine."""
+    """Usage validation for ``--groups`` / ``--group-size``; 0 when fine."""
+    if args.groups is None:
+        if args.group_size is not None:
+            print("error: --group-size needs --groups", file=sys.stderr)
+            return 2
+        return 0
     if args.groups < 1:
         print("error: --groups must be >= 1", file=sys.stderr)
         return 2
@@ -277,6 +283,9 @@ def _check_shard_flags(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro import run_adkg
 
+    status = _check_shard_flags(args)
+    if status:
+        return status
     if args.groups is not None:
         incompatible = (
             args.full
@@ -294,9 +303,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        status = _check_shard_flags(args)
-        if status:
-            return status
         return _cmd_sharded(args, epochs=1, rounds=1)
     if args.full and args.transport != "sim":
         print("error: --full applies to the sim transport only", file=sys.stderr)
@@ -418,10 +424,10 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    status = _check_shard_flags(args)
+    if status:
+        return status
     if args.groups is not None:
-        status = _check_shard_flags(args)
-        if status:
-            return status
         if args.churn is not None:
             return _cmd_sharded_churn(args, epochs=args.epochs, rounds=args.rounds)
         return _cmd_sharded(args, epochs=args.epochs, rounds=args.rounds)
@@ -520,13 +526,6 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="parties per group (universe = K*N); default: split -n across "
         "the K groups",
-    )
-    parser.add_argument(
-        "--shard-mode",
-        choices=("multiplexed", "sequential", "process"),
-        default="multiplexed",
-        help="where groups execute: one shared transport, solo transports "
-        "one-by-one, or one worker process per group",
     )
 
 

@@ -136,8 +136,8 @@ class VerifyCache:
     served from / added to the store) and ``<domain>.uncacheable``
     (values the codec could not encode — always recomputed).
 
-    Single-threaded: every runtime delivers on one thread, and
-    process-per-shard mode gives each group its own process and cache.
+    Single-threaded: every runtime delivers on one thread, and a shard
+    worker process rebuilds its group, so it has a cache of its own.
     """
 
     __slots__ = ("_results", "stats", "_identity")

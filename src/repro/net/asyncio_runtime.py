@@ -42,14 +42,13 @@ class AsyncioRuntime(RealtimeTransport):
 
     def __init__(
         self,
-        setup: Optional[TrustedSetup],
+        setup: TrustedSetup,
         max_delay: float = 0.005,
         behaviors: Optional[dict[int, Behavior]] = None,
         seed: int = 0,
         measure_bytes: bool = False,
         batching: bool = True,
         chaos=None,
-        shards=None,
     ) -> None:
         super().__init__(
             setup,
@@ -59,7 +58,6 @@ class AsyncioRuntime(RealtimeTransport):
             measure_bytes=measure_bytes,
             batching=batching,
             chaos=chaos,
-            shards=shards,
         )
         self.max_delay = max_delay
         self._delay_rng = random.Random(f"asyncio-runtime-net-{seed}")
@@ -78,9 +76,7 @@ class AsyncioRuntime(RealtimeTransport):
         """One sleeping task per (sender, recipient) link per flush."""
         groups: dict[tuple[int, int], list[Envelope]] = {}
         for envelope, _nbytes, _delay in batch:
-            # Slot pairs, not raw indices: in sharded mode two groups'
-            # local (s, r) pairs are distinct links.
-            pair = self._pair_slots(envelope)
+            pair = (envelope.sender, envelope.recipient)
             group = groups.get(pair)
             if group is None:
                 groups[pair] = group = []

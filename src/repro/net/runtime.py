@@ -69,7 +69,7 @@ class Simulation(Transport):
 
     def __init__(
         self,
-        setup: Optional[TrustedSetup],
+        setup: TrustedSetup,
         delay_model: Optional[DelayModel] = None,
         scheduler: Optional[Scheduler] = None,
         behaviors: Optional[dict[int, Behavior]] = None,
@@ -77,7 +77,6 @@ class Simulation(Transport):
         measure_bytes: bool = False,
         batching: bool = True,
         chaos: Any = None,
-        shards: Any = None,
     ) -> None:
         super().__init__(
             setup,
@@ -87,7 +86,6 @@ class Simulation(Transport):
             measure_bytes=measure_bytes,
             batching=batching,
             chaos=chaos,
-            shards=shards,
         )
         self.delay_model = delay_model or UniformDelay()
         self.scheduler = scheduler or Scheduler()

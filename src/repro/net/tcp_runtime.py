@@ -61,6 +61,7 @@ plane's ``duplicate`` link fault, which the protocols tolerate.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import random
 from typing import Any, Optional
 
@@ -120,7 +121,7 @@ class TCPRuntime(RealtimeTransport):
 
     def __init__(
         self,
-        setup: Optional[TrustedSetup],
+        setup: TrustedSetup,
         behaviors: Optional[dict[int, Behavior]] = None,
         seed: int = 0,
         host: str = "127.0.0.1",
@@ -131,7 +132,6 @@ class TCPRuntime(RealtimeTransport):
         heartbeat_interval: float = 1.0,
         reconnect_base: float = 0.05,
         reconnect_cap: float = 2.0,
-        shards: Any = None,
     ) -> None:
         # ``measure_bytes`` exists for call-site uniformity with the other
         # transports, but TCP always meters (the byte counts are the bytes
@@ -158,7 +158,6 @@ class TCPRuntime(RealtimeTransport):
             measure_bytes=True,
             batching=batching,
             chaos=chaos,
-            shards=shards,
         )
         self.host = host
         self.ports: dict[int, int] = {}
@@ -221,9 +220,7 @@ class TCPRuntime(RealtimeTransport):
             )
             self._servers.append(server)
             self.ports[i] = server.sockets[0].getsockname()[1]
-        # All ordered pairs on a single group; intra-group pairs only in
-        # sharded mode (groups never message each other).
-        for pair in self._link_pairs():
+        for pair in itertools.permutations(range(self.n), 2):
             sender, recipient = pair
             # Bounded: _pump applies socket backpressure via drain();
             # the cap sheds load if a peer stalls past it (counted in
@@ -341,10 +338,10 @@ class TCPRuntime(RealtimeTransport):
     # -- sending -----------------------------------------------------------------------
 
     def _can_transmit(self, envelope: Envelope) -> bool:
-        return self._pair_slots(envelope) in self._links
+        return (envelope.sender, envelope.recipient) in self._links
 
     def _transmit(self, envelope: Envelope, frame: bytes | None) -> bool:
-        link = self._links.get(self._pair_slots(envelope))
+        link = self._links.get((envelope.sender, envelope.recipient))
         if link is None:
             # A behavior forged an unroutable sender/recipient pair: the
             # pipeline counts it as a dropped send, not a sent message.
@@ -366,7 +363,7 @@ class TCPRuntime(RealtimeTransport):
         """
         groups: dict[tuple[int, int], list] = {}
         for envelope, nbytes, _delay in batch:
-            pair = self._pair_slots(envelope)
+            pair = (envelope.sender, envelope.recipient)
             group = groups.get(pair)
             if group is None:
                 groups[pair] = group = []
@@ -506,7 +503,8 @@ class TCPRuntime(RealtimeTransport):
                     continue
                 for envelope in envelopes:
                     if (
-                        not self._wire_accepts(envelope, party)
+                        envelope.recipient != party
+                        or not 0 <= envelope.sender < self.n
                         or envelope.depth < 0
                     ):
                         self.rejected_frames += 1

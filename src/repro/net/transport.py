@@ -68,7 +68,6 @@ from repro.net.envelope import Envelope
 from repro.net.metrics import Metrics
 from repro.net.party import Party
 from repro.net.protocol import Protocol
-from repro.net.sharding import SESSION_STRIDE
 
 RootFactory = Callable[[Party], Protocol]
 
@@ -101,7 +100,7 @@ class Transport:
 
     def __init__(
         self,
-        setup: Optional[TrustedSetup],
+        setup: TrustedSetup,
         behaviors: Optional[dict[int, Behavior]] = None,
         seed: int = 0,
         *,
@@ -109,57 +108,11 @@ class Transport:
         measure_bytes: bool = False,
         batching: bool = True,
         chaos: Any = None,
-        shards: Any = None,
     ) -> None:
-        #: Sharded mode (DESIGN §12): the roster is the concatenation of
-        #: k independent groups' parties in contiguous universe slots.
-        #: Envelopes keep group-local sender/recipient indices; the
-        #: session id (blocked per group, see repro.net.sharding)
-        #: resolves the delivery slot.  ``None`` = the classic
-        #: single-group transport, with zero behavior change.
-        self.shards = tuple(shards) if shards else None
-        if self.shards is not None:
-            if setup is not None:
-                raise ValueError(
-                    "a sharded transport derives its roster from the shard "
-                    "groups; pass setup=None"
-                )
-            if behaviors:
-                raise ValueError(
-                    "Byzantine behaviors are keyed by single-group party "
-                    "index and are not supported in sharded mode"
-                )
-            if chaos is not None:
-                raise ValueError(
-                    "the chaos plane is not supported in sharded mode"
-                )
-            for expected, group in enumerate(self.shards):
-                if group.gid != expected:
-                    raise ValueError(
-                        "shard groups must be contiguous gids 0..k-1 "
-                        f"(got gid {group.gid} at position {expected})"
-                    )
-            self.setup = None
-            self.n = sum(group.n for group in self.shards)
-            self.f = sum(group.f for group in self.shards)
-            self._group_bases: Optional[list[int]] = []
-            base = 0
-            for group in self.shards:
-                self._group_bases.append(base)
-                base += group.n
-            #: One namespaced Metrics per group, metered by the owning
-            #: session's group — the fix for counter collisions under
-            #: concurrent session families (merge them for totals).
-            self.shard_metrics: Optional[list[Metrics]] = [
-                Metrics() for _ in self.shards
-            ]
-        else:
-            directory = setup.directory
-            self.setup = setup
-            self.n = directory.n
-            self.f = directory.f
-            self._group_bases = None
-            self.shard_metrics = None
+        directory = setup.directory
+        self.setup = setup
+        self.n = directory.n
+        self.f = directory.f
         self.behaviors = dict(behaviors or {})
         if len(self.behaviors) > self.f:
             raise ValueError(
@@ -180,10 +133,7 @@ class Transport:
         #: network envelope that was actually delivered.
         self._delivery_observers: list[Callable[[Envelope], None]] = []
         self.metrics = Metrics()
-        if self.shards is not None:
-            self._bind_work_counters_sharded()
-        else:
-            self._bind_work_counters(directory)
+        self._bind_work_counters(directory)
         self.dropped_sends = 0
         self.seed = seed
         self._adv_rng = random.Random(f"{rng_namespace}-adv-{seed}")
@@ -218,31 +168,7 @@ class Transport:
         # transport — the cross-transport equivalence tests rely on it.
         # The same string doubles as the per-session RNG derivation label,
         # making session ``s`` transport- and interleaving-independent too.
-        if self.shards is not None:
-            # Per-group parties in contiguous slots, configured exactly
-            # as a solo transport of that group (seed=group.seed) would
-            # configure them — same RNG labels, same directory, same
-            # secret — so a group's sessions deal byte-identically in
-            # shared, sequential and worker-process execution.
-            self.parties = []
-            for group in self.shards:
-                group_setup = group.setup
-                group_directory = group_setup.directory
-                for i in range(group.n):
-                    label = f"party-{group.seed}-{i}"
-                    self.parties.append(
-                        Party(
-                            index=i,
-                            n=group.n,
-                            f=group.f,
-                            rng=random.Random(label),
-                            directory=group_directory,
-                            secret=group_setup.secret(i),
-                            rng_label=label,
-                        )
-                    )
-        else:
-            self.parties = [self.build_party(i) for i in range(self.n)]
+        self.parties = [self.build_party(i) for i in range(self.n)]
 
     def build_party(self, index: int) -> Party:
         """A pristine party with this transport's canonical constructor args.
@@ -290,54 +216,6 @@ class Transport:
         )
         self.metrics.attach_counters("pending", self._pending_counters)
 
-    def _bind_work_counters_sharded(self) -> None:
-        """Work counters for k groups: per-group views plus summed totals.
-
-        Each group's directory has its own verification cache and pairing
-        group, so its deltas bind into that group's namespaced
-        :class:`Metrics`; the transport-level ``metrics.counters(...)``
-        sums the per-group views (plus the process-global codec memo,
-        which all groups share).
-        """
-        from repro.net.metrics import counter_delta
-
-        assert self.shards is not None and self.shard_metrics is not None
-        encode_base = _Counter(codec.encode_stats)
-        for group, group_metrics in zip(self.shards, self.shard_metrics):
-            verify_cache = group.setup.directory.verify_cache
-            verify_base = _Counter(verify_cache.snapshot())
-            pair_group = group.setup.directory.pair_group
-            pair_base = pair_group.pair_calls
-            group_metrics.attach_counters(
-                "verify",
-                lambda cache=verify_cache, base=verify_base: counter_delta(
-                    cache.snapshot(), base
-                ),
-            )
-            group_metrics.attach_counters(
-                "pairing",
-                lambda group=pair_group, base=pair_base: {
-                    "pair_calls": group.pair_calls - base
-                },
-            )
-        shard_metrics = self.shard_metrics
-
-        def summed(name: str) -> Callable[[], dict]:
-            def provider() -> dict:
-                totals = _Counter()
-                for group_metrics in shard_metrics:
-                    totals.update(group_metrics.counters(name))
-                return {key: value for key, value in totals.items() if value}
-
-            return provider
-
-        self.metrics.attach_counters("verify", summed("verify"))
-        self.metrics.attach_counters("pairing", summed("pairing"))
-        self.metrics.attach_counters(
-            "encode", lambda: counter_delta(codec.encode_stats, encode_base)
-        )
-        self.metrics.attach_counters("pending", self._pending_counters)
-
     def _pending_counters(self) -> dict:
         """Session-buffer accounting aggregated over all parties.
 
@@ -354,83 +232,6 @@ class Transport:
         if buffered:
             counters["buffered"] = buffered
         return counters
-
-    # -- sharded routing ---------------------------------------------------------------
-    #
-    # In sharded mode envelopes carry group-local indices; the session id
-    # names the owning group and these helpers translate local indices to
-    # universe slots at the routing seams (delivery, link keys, wire
-    # validation).  In single-group mode they are all identity.
-
-    def _slot(self, envelope: Envelope) -> int:
-        """The universe slot an envelope's recipient lives in."""
-        bases = self._group_bases
-        if bases is None:
-            return envelope.recipient
-        return bases[envelope.session // SESSION_STRIDE] + envelope.recipient
-
-    def _pair_slots(self, envelope: Envelope) -> tuple[int, int]:
-        """The (sender, recipient) universe-slot pair (link keys)."""
-        bases = self._group_bases
-        if bases is None:
-            return (envelope.sender, envelope.recipient)
-        base = bases[envelope.session // SESSION_STRIDE]
-        return (base + envelope.sender, base + envelope.recipient)
-
-    def _wire_accepts(self, envelope: Envelope, slot: int) -> bool:
-        """Is a wire-decoded envelope validly addressed to server ``slot``?
-
-        The Byzantine-input posture at the transport edge: a forged
-        session id that names no group, or a sender/recipient outside the
-        group's roster, is rejected before it can index anything.
-        """
-        bases = self._group_bases
-        if bases is None:
-            return envelope.recipient == slot and 0 <= envelope.sender < self.n
-        session = envelope.session
-        if type(session) is not int or session < 0:
-            return False
-        gid = session // SESSION_STRIDE
-        if gid >= len(bases):
-            return False
-        group_n = self.shards[gid].n
-        return (
-            0 <= envelope.sender < group_n
-            and 0 <= envelope.recipient < group_n
-            and bases[gid] + envelope.recipient == slot
-        )
-
-    def _session_group(self, session: int) -> int:
-        """The gid owning a locally-originated session id (sharded mode)."""
-        gid = session // SESSION_STRIDE
-        if not 0 <= gid < len(self.shards):
-            raise ValueError(f"session {session} maps to no shard group")
-        return gid
-
-    def _group_parties(self, gid: int) -> list[Party]:
-        base = self._group_bases[gid]
-        return self.parties[base : base + self.shards[gid].n]
-
-    def _link_pairs(self) -> list[tuple[int, int]]:
-        """Ordered slot pairs a wire transport needs connections for.
-
-        All distinct pairs on a single group; intra-group pairs only in
-        sharded mode — groups are independent protocols and never message
-        each other, so cross-group sockets would be dead weight.
-        """
-        if self._group_bases is None:
-            return [
-                (s, r) for s in range(self.n) for r in range(self.n) if s != r
-            ]
-        pairs = []
-        for base, group in zip(self._group_bases, self.shards):
-            pairs.extend(
-                (base + i, base + j)
-                for i in range(group.n)
-                for j in range(group.n)
-                if i != j
-            )
-        return pairs
 
     # -- membership --------------------------------------------------------------------
 
@@ -462,22 +263,11 @@ class Transport:
             raise RuntimeError(f"session {session} already started")
         self._sessions_started.add(session)
         self._sessions_incomplete.add(session)
-        if self.shards is not None:
-            # A session lives entirely inside its owning group: the root
-            # is installed at that group's parties only, and the waiting
-            # set holds group-local indices (sound because session-id
-            # blocks are disjoint — no other group's party ever reports a
-            # result for this session).
-            gid = self._session_group(session)
-            parties = self._group_parties(gid)
-            self._session_waiting[session] = set(range(self.shards[gid].n))
-        else:
-            parties = self.parties
-            self._session_waiting[session] = set(self.honest)
-        for party in parties:
+        self._session_waiting[session] = set(self.honest)
+        for party in self.parties:
             party.run_root(root_factory(party), session=session)
             party.sweep_conditions()
-        for party in parties:
+        for party in self.parties:
             self._flush_party(party)
             self._note_results(party)
         self._flush_coalesced()
@@ -580,16 +370,6 @@ class Transport:
     # -- results -----------------------------------------------------------------------
 
     def honest_results(self, session: int = 0) -> dict[int, Any]:
-        if self.shards is not None:
-            # Keyed by group-local index, exactly as a solo run of the
-            # owning group would key them (sharded mode has no corrupt
-            # parties, so every member is honest).
-            parties = self._group_parties(self._session_group(session))
-            return {
-                party.index: party.session_result(session)
-                for party in parties
-                if party.session_has_result(session)
-            }
         return {
             i: self.parties[i].session_result(session)
             for i in sorted(self.honest)
@@ -635,7 +415,6 @@ class Transport:
         pending = party.collect_outbox()
         behaviors = self.behaviors
         batching = self.batching
-        shard_metrics = self.shard_metrics
         can_transmit = self._can_transmit
         buffered_delay = self._buffered_delay
         cap = self.batch_cap_envelopes
@@ -655,10 +434,6 @@ class Transport:
                     # Local delivery: immediate, free, not subject to the
                     # outgoing Byzantine filter (it never hits the network).
                     self.metrics.record_delivery(envelope)
-                    if shard_metrics is not None:
-                        shard_metrics[
-                            envelope.session // SESSION_STRIDE
-                        ].record_delivery(envelope)
                     party.deliver(envelope)
                     pending.extend(party.collect_outbox())
                     continue
@@ -733,10 +508,6 @@ class Transport:
                         else self._measured_bytes(env, forged=behavior is not None)
                     )
                     self.metrics.record_send(env, nbytes=nbytes)
-                    if shard_metrics is not None:
-                        shard_metrics[
-                            env.session // SESSION_STRIDE
-                        ].record_send(env, nbytes=nbytes)
         finally:
             if run:
                 self._meter_run(head, run_nbytes, run)
@@ -746,10 +517,6 @@ class Transport:
         a same-width recipient: words, messages, bytes, by-type and
         by-layer all times ``count``, in one call."""
         self.metrics.record_send(head, nbytes, count)
-        if self.shard_metrics is not None:
-            self.shard_metrics[head.session // SESSION_STRIDE].record_send(
-                head, nbytes, count
-            )
         if count > 1 and nbytes is not None:
             # Sizing the head was one payload-encode request; each sibling
             # is such a request served from the memo, so the encode-once
@@ -835,15 +602,15 @@ class Transport:
                 copy = dataclasses.replace(envelope)
                 chaos.release(copy)
                 self._chaos_requeue(copy, delay)
-        slot = self._slot(envelope)
-        parked = self._detached.get(slot)
+        index = envelope.recipient
+        parked = self._detached.get(index)
         if parked is not None:
             # The recipient's process is down: park the delivery the way
             # a reconnecting link's send queue would, to be re-injected
             # on reattach.  Parked traffic is not metered as delivered.
             parked.append(envelope)
             return False
-        behavior = self.behaviors.get(slot)
+        behavior = self.behaviors.get(index)
         if behavior is not None and not behavior.allow_delivery(
             envelope, self._adv_rng
         ):
@@ -852,11 +619,7 @@ class Transport:
         metrics.deliveries += 1
         if envelope.depth > metrics.max_depth:
             metrics.max_depth = envelope.depth
-        if self.shard_metrics is not None:
-            self.shard_metrics[
-                envelope.session // SESSION_STRIDE
-            ].record_delivery(envelope)
-        recipient = self.parties[slot]
+        recipient = self.parties[index]
         recipient.deliver(envelope)
         # A delivery pays only for what happened: most queue no sends and
         # produce no root result (one per party and session).
@@ -1114,7 +877,7 @@ class RealtimeTransport(Transport):
 
     def __init__(
         self,
-        setup: Optional[TrustedSetup],
+        setup: TrustedSetup,
         behaviors: Optional[dict[int, Behavior]] = None,
         seed: int = 0,
         *,
@@ -1122,7 +885,6 @@ class RealtimeTransport(Transport):
         measure_bytes: bool = False,
         batching: bool = True,
         chaos: Any = None,
-        shards: Any = None,
     ) -> None:
         super().__init__(
             setup,
@@ -1132,7 +894,6 @@ class RealtimeTransport(Transport):
             measure_bytes=measure_bytes,
             batching=batching,
             chaos=chaos,
-            shards=shards,
         )
         #: Pending ``call_soon`` handle for the deferred coalescing-buffer
         #: drain (see :meth:`_flush_coalesced`), or ``None``.
@@ -1302,7 +1063,7 @@ class RealtimeTransport(Transport):
 
 def make_transport(
     kind: str,
-    setup: Optional[TrustedSetup],
+    setup: TrustedSetup,
     *,
     behaviors: Optional[dict[int, Behavior]] = None,
     seed: int = 0,
@@ -1312,9 +1073,7 @@ def make_transport(
 
     Extra keyword arguments are forwarded to the selected runtime
     (e.g. ``delay_model=``/``scheduler=`` for ``sim``, ``max_delay=`` for
-    ``asyncio``, ``host=`` for ``tcp``).  Sharded deployments pass
-    ``setup=None`` with ``shards=[ShardGroup, ...]`` (see
-    :mod:`repro.service.shards`).
+    ``asyncio``, ``host=`` for ``tcp``).
     """
     if kind == "sim":
         from repro.net.runtime import Simulation
@@ -1335,7 +1094,7 @@ def make_transport(
 
 def make_run_transport(
     kind: str,
-    setup: Optional[TrustedSetup],
+    setup: TrustedSetup,
     *,
     delay_model: Any = None,
     scheduler: Any = None,

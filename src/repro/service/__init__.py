@@ -17,9 +17,10 @@ proactive key refresh.  This package hosts the first of them:
 * :class:`~repro.service.shards.GroupCoordinator` /
   :class:`~repro.service.shards.ShardedBeacon` — horizontal scale-out
   (DESIGN §12): k independent DKG groups partitioned from one party
-  universe, run multiplexed over a shared transport, sequentially, or in
-  worker processes (:class:`~repro.service.shards.ShardExecutor`), with
-  per-group beacon streams hash-combined into one randomness service.
+  universe, each on a transport of its own — one after the other, or in
+  worker processes (:class:`~repro.service.shards.ShardExecutor`) when
+  the host has the cores — with per-group beacon streams hash-combined
+  into one randomness service.
 
 :func:`~repro.service.beacon.run_beacon` is the one-call entry point the
 CLI (``repro beacon``), the pipelining experiment and the session

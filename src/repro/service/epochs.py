@@ -1,28 +1,26 @@
 """Epoch pipelining: repeated root-protocol runs over one live network.
 
 An *epoch* is one complete run of a root protocol (by default the ADKG)
-in its own session.  The :class:`EpochDriver` drives *lanes*: a lane is a
-session family — ``(session_base, committee, threshold)`` — that keeps up
-to ``pipeline_depth`` epochs in flight at once, epoch ``e + depth``
-injected the moment epoch ``e`` completes, so the expensive early phase
-of a fresh epoch (PVSS dealing and share verification) overlaps the
-agreement tail of the epochs ahead of it.  One lane × depth d is the
-pipelined beacon (depth 1: strictly back-to-back, E13's baseline);
-k lanes × depth 1 is the multiplexed shard run (DESIGN §12).
+in its own session.  The :class:`EpochDriver` keeps up to
+``pipeline_depth`` epochs in flight at once, epoch ``e + depth`` injected
+the moment epoch ``e`` completes, so the expensive early phase of a fresh
+epoch (PVSS dealing and share verification) overlaps the agreement tail
+of the epochs ahead of it (depth 1: strictly back-to-back, E13's
+baseline).
 
 The driver has one loop on the transport's driving surface (DESIGN §7):
 open the network once, inject sessions while traffic is flowing, await
-``wait_any`` over every lane's oldest session — the simulator steps its
-event queue inline, asyncio/TCP suspend.  A completed epoch's protocol
-state (instance tree, pending buffers, condition registry at every
-party) is garbage-collected before the next epoch is admitted, so a
-service running thousands of epochs holds state only for the window.
+each epoch in order — the simulator steps its event queue inline,
+asyncio/TCP suspend.  A completed epoch's protocol state (instance tree,
+pending buffers, condition registry at every party) is garbage-collected
+before the next epoch is admitted, so a service running thousands of
+epochs holds state only for the window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.net.party import Party
 from repro.net.protocol import Protocol
@@ -75,13 +73,11 @@ class EpochResult:
 
 
 class EpochDriver:
-    """Run ``epochs`` sessions per lane, ``pipeline_depth`` at a time.
+    """Run ``epochs`` sessions, ``pipeline_depth`` at a time.
 
-    ``lanes`` is a sequence of ``(session_base, committee, threshold)``
-    triples: a lane's epoch ``e`` runs in session ``session_base + e``
-    and its results record ``committee`` / ``threshold`` (``None``: the
-    transport's full party range and its ``f``).  The default is the one
-    lane of a fixed committee starting at session 0.
+    Epoch ``e`` runs in session ``session_base + e``; results record the
+    transport's full party range as the committee and its ``f`` as the
+    threshold (a caller that knows better restamps them).
     """
 
     def __init__(
@@ -91,7 +87,7 @@ class EpochDriver:
         epochs: int,
         pipeline_depth: int = 1,
         root_factory: Optional[Callable[[Party], Protocol]] = None,
-        lanes: Sequence[tuple] = ((0, None, None),),
+        session_base: int = 0,
         gc_completed: bool = True,
         timeout: float = 120.0,
     ) -> None:
@@ -105,22 +101,17 @@ class EpochDriver:
         self.epochs = epochs
         self.pipeline_depth = pipeline_depth
         self.root_factory = root_factory or _default_root_factory
-        self.lanes = tuple(lanes)
+        self.session_base = session_base
         self.gc_completed = gc_completed
         self.timeout = timeout
-        #: Per lane, its completed epochs in epoch order.
-        self.lane_results: list[list[EpochResult]] = [[] for _ in self.lanes]
+        #: Completed epochs, in epoch order.
+        self.results: list[EpochResult] = []
         self._started_at: dict[int, float] = {}
-
-    @property
-    def results(self) -> list[EpochResult]:
-        """Every completed epoch, lane by lane, each lane in epoch order."""
-        return [result for lane in self.lane_results for result in lane]
 
     # -- driving -----------------------------------------------------------------------
 
     def run(self) -> list[EpochResult]:
-        """Run every lane's epochs to completion (blocking); :attr:`results`."""
+        """Run every epoch to completion (blocking); :attr:`results`."""
         return self.transport.block_on(self.run_async())
 
     async def run_async(self) -> list[EpochResult]:
@@ -129,46 +120,34 @@ class EpochDriver:
         depth, epochs = self.pipeline_depth, self.epochs
         await transport.open()
         try:
-            #: Session of each lane's oldest epoch in flight -> (lane, epoch).
-            oldest: dict[int, tuple[int, int]] = {}
-            for lane, (base, _committee, _threshold) in enumerate(self.lanes):
-                for epoch in range(min(depth, epochs)):
-                    self._start_epoch(lane, epoch)
-                oldest[base] = (lane, 0)
-            while oldest:
-                done = await transport.wait_any(oldest, timeout=self.timeout)
-                for sid in sorted(done):
-                    lane, epoch = oldest.pop(sid)
-                    self._finish_epoch(lane, epoch)
-                    if epoch + depth < epochs:
-                        self._start_epoch(lane, epoch + depth)
-                    if epoch + 1 < epochs:
-                        oldest[sid + 1] = (lane, epoch + 1)
+            for epoch in range(min(depth, epochs)):
+                self._start_epoch(epoch)
+            for epoch in range(epochs):
+                outputs = await transport.wait_session(
+                    self.session_base + epoch, timeout=self.timeout
+                )
+                self._finish_epoch(epoch, outputs)
+                if epoch + depth < epochs:
+                    self._start_epoch(epoch + depth)
         finally:
             await transport.close()
         return self.results
 
     # -- bookkeeping -------------------------------------------------------------------
 
-    def _start_epoch(self, lane: int, epoch: int) -> None:
-        sid = self.lanes[lane][0] + epoch
+    def _start_epoch(self, epoch: int) -> None:
+        sid = self.session_base + epoch
         self._started_at[sid] = self.transport.now()
         self.transport.start_session(sid, self.root_factory)
 
-    def _finish_epoch(self, lane: int, epoch: int) -> None:
-        base, committee, threshold = self.lanes[lane]
-        sid = base + epoch
-        outputs = self.transport.honest_results(sid)
+    def _finish_epoch(self, epoch: int, outputs: dict[int, Any]) -> None:
+        sid = self.session_base + epoch
         values = list(outputs.values())
         if not values or any(v != values[0] for v in values):
             # Agreement is Theorem 5; a split here is an engine bug, not
             # a condition to paper over.
             raise RuntimeError(f"honest parties disagree in session {sid}")
-        if committee is None:
-            committee = range(self.transport.n)
-        if threshold is None:
-            threshold = self.transport.f
-        self.lane_results[lane].append(
+        self.results.append(
             EpochResult(
                 epoch=epoch,
                 session=sid,
@@ -178,8 +157,8 @@ class EpochDriver:
                 # The transport's stamp, not now(): a pipelined epoch
                 # awaited out of order completed before we observed it.
                 completed_at=self.transport.completion_time(sid),
-                committee=tuple(committee),
-                threshold=threshold,
+                committee=tuple(range(self.transport.n)),
+                threshold=self.transport.f,
             )
         )
         if self.gc_completed:

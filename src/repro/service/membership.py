@@ -429,14 +429,16 @@ class MembershipDriver:
             chaos=self.chaos.get(spec.epoch),
         )
         driver = EpochDriver(
-            runtime,
-            epochs=1,
-            root_factory=root_factory,
-            timeout=self.timeout,
-            lanes=[(0, spec.members, spec.f)],
+            runtime, epochs=1, root_factory=root_factory, timeout=self.timeout
         )
-        # The fresh transport's one lane calls this epoch 0; relabel.
-        return replace(driver.run()[0], epoch=spec.epoch)
+        # The fresh transport calls this epoch 0 and knows only local
+        # indices; relabel with the schedule's epoch and committee.
+        return replace(
+            driver.run()[0],
+            epoch=spec.epoch,
+            committee=spec.members,
+            threshold=spec.f,
+        )
 
     def _run_crash_epoch(
         self,

@@ -3,41 +3,42 @@
 Word complexity is O(n³) per group (Theorems 6-10), so this module scales
 *out* instead of up: a :class:`GroupCoordinator` partitions a universe of
 parties into k independent DKG groups (deterministic seeded assignment,
-per-group n/f — see :mod:`repro.net.sharding`), runs every group's epoch
-sessions, and a :class:`ShardedBeacon` aggregates the per-group
-threshold-VRF streams into one combined randomness output per round.
+per-group n/f), every group runs its epoch sessions on a transport of its
+own, and a :class:`ShardedBeacon` aggregates the per-group threshold-VRF
+streams into one combined randomness output per round.
 
-Three execution modes, one invariant.  The same groups can run
+A :class:`ShardGroup` is one such group: its own
+:class:`~repro.crypto.keys.TrustedSetup` (independent key material), the
+universe party ids assigned to it, and the seed its parties derive every
+RNG stream from.  Groups never exchange a message, so k groups are k
+transports, and a group's run is a pure function of its plain-value
+config tuple (:meth:`GroupCoordinator.group_config`):
 
-* ``multiplexed`` — every group as its own session family on ONE shared
-  transport (sim, asyncio or tcp; the batched message plane lets
-  cross-group envelopes share wire frames);
-* ``sequential`` — each group solo on its own transport, one after the
-  other (the single-core reference);
-* ``process`` — each group solo inside a worker process
-  (:class:`ShardExecutor`, a fork-context pool with a byte-only
-  boundary: codec-encoded group configs in, codec-encoded
-  results/metrics out, inline fallback on a broken pool), so k groups
-  use k cores.
+* **seeds** — :func:`group_seed` is a pure function of the universe seed
+  and the gid, so :func:`make_shard_group` rebuilds the exact group
+  (setup, party RNG labels) from ``(gid, n, f, universe_seed)`` alone —
+  config in as plain values, no key material crossing a process boundary;
+* **sessions** — group ``g`` owns the session-id block
+  ``[g·SESSION_STRIDE, (g+1)·SESSION_STRIDE)``; epoch ``e`` runs as
+  session ``g·SESSION_STRIDE + e``, which feeds every party's
+  ``{rng_label}-session-{sid}`` stream and so every PVSS dealing.
 
-and the per-group protocol word/byte totals, verify-counter deltas,
-group keys and beacon values are **byte-identical** across all three —
-the differential gate ``tests/service/test_shards.py`` pins.  The
-mechanism: a group's parties derive every RNG stream from
-``party-{group.seed}-{i}`` and its epochs run in the group's own
-session-id block (``repro.net.sharding.SESSION_STRIDE``), identical to a
-solo transport of that group, so execution mode can only move *where*
-the work runs, never what any party computes.
-
-Per-group :class:`~repro.net.metrics.Metrics` namespacing fixes the
-counter-collision problem of concurrent session families: each family
-meters into its own instance and :meth:`Metrics.merged` (associative,
-order-independent) produces the service totals.
+Where the configs run is worked out, not chosen: :func:`run_sharded`
+runs them inline, one after the other, when one worker is all the host
+offers (or all there are groups), else in a :class:`ShardExecutor` — a
+fork-context pool with a byte-only boundary: codec-encoded group configs
+in, codec-encoded results/metrics out, inline fallback on a broken pool.
+Both paths execute :func:`_run_group_config` on the same values, so the
+per-group protocol word/byte totals, verify-counter deltas, group keys
+and beacon values are **byte-identical** — the differential gate
+``tests/service/test_shards.py`` pins against recorded literals.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import random
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,27 +46,33 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from repro.crypto.hashing import hash_to_int
+from repro.crypto.hashing import hash_bytes, hash_to_int
+from repro.crypto.keys import TrustedSetup
+from repro.crypto.pairing import GroupElement
+from repro.crypto.params import PRESETS
+from repro.crypto.pvss import PVSSTranscript
 from repro.net.metrics import Metrics
-from repro.net.sharding import ShardGroup, make_shard_group, partition_universe
-from repro.net.transport import Transport, make_run_transport
+from repro.net.transport import TRANSPORT_KINDS, make_run_transport
 from repro.service.beacon import BeaconOutput, RandomnessBeacon
 from repro.service.epochs import EpochDriver, EpochResult
 
 __all__ = [
+    "SESSION_STRIDE",
     "CombinedOutput",
     "GroupCoordinator",
     "GroupResult",
     "ShardChurnReport",
     "ShardExecutor",
+    "ShardGroup",
     "ShardReport",
     "ShardedBeacon",
+    "group_seed",
+    "make_shard_group",
+    "partition_universe",
     "run_sharded",
     "run_sharded_churn",
     "shutdown_shard_executor",
 ]
-
-SHARD_MODES = ("multiplexed", "sequential", "process")
 
 #: Wire tag + version of the worker config/result tuples.  The process
 #: boundary carries only plain codec values, so shape changes must bump
@@ -75,18 +82,116 @@ _RESULT_TAG = "shard-result"
 #: v2: epoch rows carry the committee member tuple + threshold.
 _WIRE_VERSION = 2
 
+#: Session ids per group: group ``g``'s epoch ``e`` is session
+#: ``g * SESSION_STRIDE + e``.  The ids seed the parties' per-session RNG
+#: streams, so the keys and beacon values move if this does: treat like a
+#: wire constant.
+SESSION_STRIDE = 1 << 16
+
+
+# -- groups --------------------------------------------------------------------------
+
+
+def group_seed(seed: int, gid: int) -> int:
+    """The group's deterministic seed, derived from the universe seed.
+
+    A pure function of ``(seed, gid)`` so the coordinator — and a worker
+    process rebuilding the group from its config tuple — land on
+    identical key material and party RNG labels.
+    """
+    return int.from_bytes(hash_bytes("shard-seed", seed, gid)[:6], "big")
+
+
+@dataclass(frozen=True)
+class ShardGroup:
+    """One DKG group of a sharded deployment."""
+
+    gid: int
+    setup: TrustedSetup = field(repr=False)
+    seed: int
+    #: Universe party ids assigned to this group; local index ``i`` is
+    #: universe member ``members[i]`` (provenance/report data only — the
+    #: protocols run on local indices).
+    members: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return self.setup.directory.n
+
+    @property
+    def f(self) -> int:
+        return self.setup.directory.f
+
+    @property
+    def session_base(self) -> int:
+        return self.gid * SESSION_STRIDE
+
+    def session_of(self, epoch: int) -> int:
+        if not 0 <= epoch < SESSION_STRIDE:
+            raise ValueError(f"epoch {epoch} outside the group's session block")
+        return self.session_base + epoch
+
+
+def make_shard_group(
+    gid: int,
+    n: int,
+    f: Optional[int],
+    seed: int,
+    members: tuple[int, ...] = (),
+    params: str = "TESTING",
+) -> ShardGroup:
+    """Materialize one group from its plain-value description.
+
+    The single constructor: the coordinator and the group runner (inline
+    or in a shard-executor worker) both call this, so "same config tuple"
+    implies "same keys, same RNG labels" — the root of the byte-identity
+    invariant.
+    """
+    gseed = group_seed(seed, gid)
+    setup = TrustedSetup.generate(
+        n, f=f, params=params, seed=gseed, session=f"adkg-shard-{gid}"
+    )
+    return ShardGroup(gid=gid, setup=setup, seed=gseed, members=tuple(members))
+
+
+def partition_universe(
+    universe: int, groups: int, seed: int
+) -> tuple[tuple[int, ...], ...]:
+    """Deterministic seeded assignment of universe ids to ``groups`` groups.
+
+    A seeded shuffle sliced into contiguous chunks: every party lands in
+    exactly one group, group sizes differ by at most one, and the same
+    ``(universe, groups, seed)`` always yields the same assignment — the
+    coordinator's membership decision is reproducible from the seed
+    alone.
+    """
+    if groups < 1:
+        raise ValueError("need at least one group")
+    if universe < groups:
+        raise ValueError(f"cannot split {universe} parties into {groups} groups")
+    ids = list(range(universe))
+    random.Random(f"shard-assign-{seed}").shuffle(ids)
+    base, extra = divmod(universe, groups)
+    assignment = []
+    cursor = 0
+    for gid in range(groups):
+        size = base + (1 if gid < extra else 0)
+        assignment.append(tuple(ids[cursor : cursor + size]))
+        cursor += size
+    return tuple(assignment)
+
 
 # -- coordinator ---------------------------------------------------------------------
 
 
 class GroupCoordinator:
-    """Partition a party universe into k groups and build their transports.
+    """Partition a party universe into k groups and describe their runs.
 
     The membership decision is a pure function of ``(universe, groups,
     seed)`` (seeded shuffle, contiguous chunks, sizes within one of each
     other) and each group's key material a pure function of its gid and
-    the universe seed — so every execution mode, and a worker process
-    holding nothing but a config tuple, reconstructs identical groups.
+    the universe seed — so a worker process holding nothing but a config
+    tuple reconstructs the identical group.
     """
 
     def __init__(
@@ -114,12 +219,6 @@ class GroupCoordinator:
     def group_sizes(self) -> tuple[int, ...]:
         return tuple(group.n for group in self.groups)
 
-    def transport(self, kind: str, **kwargs: Any) -> Transport:
-        """One shared transport multiplexing every group (``setup=None``)."""
-        return make_run_transport(
-            kind, None, seed=self.seed, shards=self.groups, **kwargs
-        )
-
     def group_config(
         self,
         group: ShardGroup,
@@ -133,8 +232,8 @@ class GroupCoordinator:
 
         Deliberately contains no key material: the worker re-derives the
         setup from ``(gid, n, f, universe seed)`` via
-        :func:`~repro.net.sharding.make_shard_group`, which is exactly
-        how this coordinator built it.
+        :func:`make_shard_group`, which is exactly how this coordinator
+        built it.
         """
         return (
             _CONFIG_TAG,
@@ -164,8 +263,7 @@ class GroupResult:
     epoch_results: list[EpochResult]
     outputs: list[BeaconOutput]
     metrics: Metrics
-    #: Per-group wall clock where separable (sequential/process modes);
-    #: 0.0 in multiplexed mode, where groups share one event loop.
+    #: The group's own run, timed where it ran (inline or in a worker).
     wall_clock_s: float = 0.0
 
     @property
@@ -216,21 +314,17 @@ class ShardedBeacon:
             cls.DOMAIN, cls.MODULUS, epoch, round_index, tuple(values)
         )
 
+    @classmethod
     def combine(
-        self, group_results: Sequence[GroupResult]
+        cls, streams: Sequence[Sequence[BeaconOutput]]
     ) -> list[CombinedOutput]:
-        """Aggregate aligned per-group streams round by round."""
-        if len(group_results) != len(self.groups):
-            raise ValueError(
-                f"expected {len(self.groups)} group results, "
-                f"got {len(group_results)}"
-            )
-        lengths = {len(result.outputs) for result in group_results}
+        """Aggregate aligned per-group streams (gid order) round by round."""
+        lengths = {len(outputs) for outputs in streams}
         if len(lengths) != 1:
             raise ValueError(f"misaligned beacon streams: lengths {lengths}")
         combined = []
         for index in range(lengths.pop()):
-            rows = [result.outputs[index] for result in group_results]
+            rows = [outputs[index] for outputs in streams]
             epoch, round_index = rows[0].epoch, rows[0].round
             if any(
                 row.epoch != epoch or row.round != round_index for row in rows
@@ -244,7 +338,7 @@ class ShardedBeacon:
                     epoch=epoch,
                     round=round_index,
                     values=values,
-                    value=self.combine_value(epoch, round_index, values),
+                    value=cls.combine_value(epoch, round_index, values),
                 )
             )
         return combined
@@ -262,7 +356,7 @@ class ShardedBeacon:
             if not beacon.verify_chain(result.outputs, result.transcripts):
                 return False
         try:
-            expected = self.combine(group_results)
+            expected = self.combine([result.outputs for result in group_results])
         except ValueError:
             return False
         return list(combined) == expected
@@ -286,40 +380,22 @@ class ShardedBeacon:
         """
         from repro.service.membership import ChurnBeacon
 
-        if not group_runs:
-            return False
         for outputs, contexts in group_runs:
             if not ChurnBeacon.verify_chain(outputs, contexts):
                 return False
-        lengths = {len(outputs) for outputs, _ in group_runs}
-        if len(lengths) != 1:
+        try:
+            expected = cls.combine([outputs for outputs, _ in group_runs])
+        except ValueError:
             return False
-        expected = []
-        for index in range(lengths.pop()):
-            rows = [outputs[index] for outputs, _ in group_runs]
-            epoch, round_index = rows[0].epoch, rows[0].round
-            if any(
-                row.epoch != epoch or row.round != round_index for row in rows
-            ):
-                return False
-            values = tuple(row.value for row in rows)
-            expected.append(
-                CombinedOutput(
-                    epoch=epoch,
-                    round=round_index,
-                    values=values,
-                    value=cls.combine_value(epoch, round_index, values),
-                )
-            )
         return list(combined) == expected
 
 
 # -- the metrics boundary ------------------------------------------------------------
 
-#: Protocol-plane Metrics fields that are execution-mode-invariant (and
-#: therefore the cross-mode differential gate).  Frame/wire accounting is
-#: deliberately absent: coalescing legitimately differs between a shared
-#: transport (cross-group envelopes share frames) and solo runs.
+#: Protocol-plane Metrics fields that are a function of the config alone
+#: (and therefore the inline-vs-pool differential gate).  Frame/wire
+#: accounting is deliberately absent: on a realtime transport coalescing
+#: follows delivery timing, not the config.
 _VIEW_SCALARS = (
     "words_total",
     "messages_total",
@@ -336,13 +412,13 @@ _VIEW_COUNTERS = (
 )
 #: Work-counter views that are per-group (each group has its own
 #: directory, hence its own verify cache and pairing group).  The
-#: process-global ``encode`` memo is excluded: it is shared across
-#: groups on a multiplexed transport and so not mode-comparable.
+#: process-global ``encode`` memo is excluded: what it already holds
+#: differs between an inline run and a fresh worker.
 _VIEW_WORK = ("verify", "pairing")
 
 
 def _metrics_view(metrics: Metrics) -> dict:
-    """A Metrics' mode-invariant protocol plane as plain codec values."""
+    """A Metrics' config-determined protocol plane as plain codec values."""
     view: dict[str, Any] = {name: getattr(metrics, name) for name in _VIEW_SCALARS}
     for name in _VIEW_COUNTERS:
         view[name] = dict(getattr(metrics, name))
@@ -351,12 +427,12 @@ def _metrics_view(metrics: Metrics) -> dict:
 
 
 def _metrics_from_view(view: dict) -> Metrics:
-    """Rebuild a namespaced Metrics from its plain-value view.
+    """Rebuild a group's Metrics from its plain-value view.
 
-    All three execution modes pass through this (the worker's result
-    crosses the process boundary as a view; multiplexed/sequential runs
-    are normalized through the same function), so ``GroupResult.metrics``
-    compares exactly across modes.
+    Inline and pooled runs both pass through this (the worker's result
+    crosses the process boundary as a view; an inline run is normalized
+    through the same function), so ``GroupResult.metrics`` compares
+    exactly across the two.
     """
     metrics = Metrics()
     for name in _VIEW_SCALARS:
@@ -368,16 +444,25 @@ def _metrics_from_view(view: dict) -> Metrics:
     return metrics
 
 
-# -- solo group execution (sequential mode + the worker body) ------------------------
+# -- one group's run (inline, or the worker body) ------------------------------------
+
+
+def _int_from(value: Any, low: int) -> bool:
+    """A genuine int (``True`` is not one) no smaller than ``low``."""
+    return type(value) is int and value >= low
+
+
+def _real(value: Any) -> bool:
+    return type(value) in (int, float)
 
 
 def _run_group_config(config: tuple) -> tuple:
-    """Run one group solo from its plain-value config; plain-value result.
+    """Run one group from its plain-value config; plain-value result.
 
-    This is the entire worker body — and sequential mode calls it
-    in-process on the *decoded* config, so both sides of the process
-    boundary execute literally the same function on literally the same
-    values.
+    This is the entire worker body — and the inline path calls it on the
+    same tuples, so both sides of the process boundary execute literally
+    the same function on literally the same values.  The tuple arrives
+    from outside the process: every field is type-checked before use.
     """
     if (
         not isinstance(config, tuple)
@@ -400,10 +485,36 @@ def _run_group_config(config: tuple) -> tuple:
         transport,
         timeout,
     ) = config
+    if not (
+        _int_from(gid, 0)
+        and _int_from(n, 1)
+        and _int_from(f, 0)
+        and 3 * f < n
+        and type(seed) is int
+        and isinstance(members, tuple)
+        and len(members) == n
+        and all(_int_from(member, 0) for member in members)
+        and _int_from(epochs, 1)
+        and epochs <= SESSION_STRIDE
+        and _int_from(rounds_per_epoch, 1)
+        and isinstance(params, str)
+        and params.upper() in PRESETS
+        and transport in TRANSPORT_KINDS
+        and _real(timeout)
+        and timeout > 0
+    ):
+        raise ValueError(f"malformed shard config: {config!r}")
     group = make_shard_group(gid, n, f, seed, members=members, params=params)
     runtime = make_run_transport(transport, group.setup, seed=group.seed)
+    driver = EpochDriver(
+        runtime, epochs=epochs, timeout=timeout, session_base=group.session_base
+    )
     started = time.perf_counter()
-    (epoch_results,) = _run_lanes(runtime, [group], epochs=epochs, timeout=timeout)
+    epoch_results = driver.run()
+    # Drain the stragglers in flight when the last session completed (the
+    # simulator; realtime close() cancelled them): delivery counts become
+    # a function of the traffic, not of where the wait halted.
+    runtime.block_on(runtime.drain())
     wall = time.perf_counter() - started
     return _raw_result(group, epoch_results, runtime.metrics, rounds_per_epoch, wall)
 
@@ -416,8 +527,10 @@ def _raw_result(
     wall: float,
 ) -> tuple:
     """One group's run — epochs, its beacon stream, metrics view — as the
-    plain values that cross the process boundary (and that every mode's
-    :class:`GroupResult` is rebuilt from, so modes compare exactly)."""
+    plain values that cross the process boundary (and that every
+    :class:`GroupResult` is rebuilt from, so inline and pooled runs
+    compare exactly).  The transport knows local indices only; the rows
+    record the group's universe members and threshold."""
     beacon = RandomnessBeacon(group.setup, rounds_per_epoch=rounds_per_epoch)
     for result in epoch_results:
         beacon.emit_epoch(result.epoch, result.transcript)
@@ -433,8 +546,8 @@ def _raw_result(
                 result.outputs,
                 result.started_at,
                 result.completed_at,
-                result.committee,
-                result.threshold,
+                group.members,
+                group.f,
             )
             for result in epoch_results
         ),
@@ -447,8 +560,62 @@ def _raw_result(
     )
 
 
+def _counts(value: Any) -> bool:
+    return isinstance(value, dict) and all(
+        type(key) is str and type(count) is int for key, count in value.items()
+    )
+
+
+def _epoch_row_ok(row: Any) -> bool:
+    if not isinstance(row, tuple) or len(row) != 8:
+        return False
+    epoch, session, transcript, outputs, started, completed, committee, f = row
+    return (
+        _int_from(epoch, 0)
+        and _int_from(session, 0)
+        and isinstance(transcript, PVSSTranscript)
+        and isinstance(outputs, dict)
+        and all(_int_from(party, 0) for party in outputs)
+        and _real(started)
+        and _real(completed)
+        and isinstance(committee, tuple)
+        and all(_int_from(member, 0) for member in committee)
+        and _int_from(f, 0)
+    )
+
+
+def _output_row_ok(row: Any) -> bool:
+    if not isinstance(row, tuple) or len(row) != 5:
+        return False
+    epoch, rnd, prev, value, evaluation = row
+    return (
+        _int_from(epoch, 0)
+        and _int_from(rnd, 0)
+        and _int_from(prev, 0)
+        and _int_from(value, 0)
+        and isinstance(evaluation, GroupElement)
+    )
+
+
+def _view_ok(view: Any) -> bool:
+    return (
+        isinstance(view, dict)
+        and all(_int_from(view.get(name), 0) for name in _VIEW_SCALARS)
+        and all(_counts(view.get(name)) for name in _VIEW_COUNTERS)
+        and isinstance(view.get("work"), dict)
+        and all(
+            type(name) is str and _counts(counters)
+            for name, counters in view["work"].items()
+        )
+    )
+
+
 def _group_result_from_raw(group: ShardGroup, raw: tuple) -> GroupResult:
-    """Rehydrate a solo run's plain-value result into a GroupResult."""
+    """Rehydrate a group run's plain-value result into a GroupResult.
+
+    The tuple may have crossed the process boundary: every field is
+    type-checked before use.
+    """
     if (
         not isinstance(raw, tuple)
         or len(raw) != 7
@@ -458,15 +625,24 @@ def _group_result_from_raw(group: ShardGroup, raw: tuple) -> GroupResult:
     ):
         raise ValueError(f"malformed shard result for group {group.gid}")
     _tag, _version, _gid, epoch_rows, output_rows, view, wall = raw
+    if not (
+        isinstance(epoch_rows, tuple)
+        and all(_epoch_row_ok(row) for row in epoch_rows)
+        and isinstance(output_rows, tuple)
+        and all(_output_row_ok(row) for row in output_rows)
+        and _view_ok(view)
+        and _real(wall)
+    ):
+        raise ValueError(f"malformed shard result for group {group.gid}")
     epoch_results = [
         EpochResult(
             epoch=epoch,
             session=session,
             transcript=transcript,
-            outputs=dict(outputs),
+            outputs=outputs,
             started_at=started_at,
             completed_at=completed_at,
-            committee=tuple(committee),
+            committee=committee,
             threshold=threshold,
         )
         for (
@@ -561,8 +737,8 @@ class ShardExecutor:
 
     A broken pool (worker killed mid-run, fork failure) marks the
     instance ``broken``, discards the shared executor and completes the
-    batch inline — degraded to sequential wall-clock, byte-identical
-    results (the inline path decodes the very blobs the workers would
+    batch inline — degraded to one-after-the-other wall clock,
+    byte-identical results (the inline path decodes the very blobs the workers would
     have received, so even the codec round-trip is shared).
     """
 
@@ -589,67 +765,6 @@ class ShardExecutor:
         return [_run_group_config(codec.decode(blob)) for blob in blobs]
 
 
-# -- driving: one lane per group ------------------------------------------------------
-
-
-def _run_lanes(
-    runtime: Transport,
-    groups: Sequence[ShardGroup],
-    *,
-    epochs: int,
-    timeout: float,
-) -> list[list[EpochResult]]:
-    """Drive each group's epochs as one :class:`EpochDriver` lane.
-
-    One group on its own transport is a solo run; every group on a shared
-    sharded transport is the multiplexed run — k concurrent session
-    families.  The stragglers in flight when the last session completed
-    are then drained (the simulator; realtime close() cancels them):
-    delivery counts become a function of the traffic, not of where the
-    wait halted, which makes them comparable across execution modes.
-    """
-    driver = EpochDriver(
-        runtime,
-        epochs=epochs,
-        timeout=timeout,
-        lanes=[
-            (group.session_base, group.members, group.setup.directory.f)
-            for group in groups
-        ],
-    )
-    driver.run()
-    runtime.block_on(runtime.drain())
-    return driver.lane_results
-
-
-def _run_multiplexed(
-    coordinator: GroupCoordinator,
-    *,
-    transport: str,
-    epochs: int,
-    rounds_per_epoch: int,
-    timeout: float,
-) -> list[GroupResult]:
-    runtime = coordinator.transport(transport)
-    lane_results = _run_lanes(
-        runtime, coordinator.groups, epochs=epochs, timeout=timeout
-    )
-    # Groups share one event loop here, so per-group wall clock is 0.0.
-    return [
-        _group_result_from_raw(
-            group,
-            _raw_result(
-                group,
-                lane_results[group.gid],
-                runtime.shard_metrics[group.gid],
-                rounds_per_epoch,
-                0.0,
-            ),
-        )
-        for group in coordinator.groups
-    ]
-
-
 # -- the one-call service entry point ------------------------------------------------
 
 
@@ -660,7 +775,9 @@ class ShardReport:
     universe: int
     groups: int
     group_sizes: tuple[int, ...]
-    mode: str
+    #: Group runs in flight at once, as resolved: 1 ran them inline, more
+    #: ran them in a :class:`ShardExecutor` pool of that size.
+    workers: int
     transport: str
     epochs: int
     rounds_per_epoch: int
@@ -671,8 +788,13 @@ class ShardReport:
     #: Order-independent merge of the per-group namespaced metrics.
     merged: Metrics = field(default_factory=Metrics)
     wall_clock_s: float = 0.0
-    #: True when process mode degraded to inline on a broken pool.
+    #: True when the pool broke and the batch completed inline.
     executor_fallback: bool = False
+
+    @property
+    def mode(self) -> str:
+        """Where the groups ran: ``"sequential"`` inline, ``"process"`` pooled."""
+        return "sequential" if self.workers == 1 else "process"
 
     @property
     def agreed(self) -> bool:
@@ -702,6 +824,14 @@ class ShardReport:
         }
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_sharded(
     universe: int = 8,
     groups: int = 2,
@@ -710,7 +840,6 @@ def run_sharded(
     epochs: int = 1,
     rounds_per_epoch: int = 2,
     transport: str = "sim",
-    mode: str = "multiplexed",
     seed: int = 0,
     params: str = "TESTING",
     timeout: float = 120.0,
@@ -718,53 +847,43 @@ def run_sharded(
 ) -> ShardReport:
     """Run k DKG groups to one combined randomness service.
 
-    ``mode`` selects where the groups execute (``multiplexed`` on one
-    shared transport, ``sequential`` solo one-by-one, ``process`` in a
-    worker pool of ``workers`` — default one per group); per-group
-    results are byte-identical across modes.  ``transport`` applies to
-    the shared transport in multiplexed mode and to each solo transport
-    otherwise.
+    Every group runs on a ``transport`` of its own.  ``workers`` is how
+    many run at once: ``None`` resolves to ``min(groups, usable cores)``;
+    1 runs them inline one after the other, more in a
+    :class:`ShardExecutor` pool — per-group results are byte-identical
+    either way.
     """
-    if mode not in SHARD_MODES:
-        raise ValueError(f"unknown shard mode {mode!r}; choose from {SHARD_MODES}")
     coordinator = GroupCoordinator(
         universe, groups, group_f=group_f, seed=seed, params=params
     )
-    executor_fallback = False
-    started = time.perf_counter()
-    if mode == "multiplexed":
-        group_results = _run_multiplexed(
-            coordinator,
-            transport=transport,
+    if workers is None:
+        workers = min(len(coordinator.groups), _usable_cores())
+    configs = [
+        coordinator.group_config(
+            group,
             epochs=epochs,
             rounds_per_epoch=rounds_per_epoch,
+            transport=transport,
             timeout=timeout,
         )
+        for group in coordinator.groups
+    ]
+    executor_fallback = False
+    started = time.perf_counter()
+    if workers == 1:
+        raws = [_run_group_config(config) for config in configs]
     else:
-        configs = [
-            coordinator.group_config(
-                group,
-                epochs=epochs,
-                rounds_per_epoch=rounds_per_epoch,
-                transport=transport,
-                timeout=timeout,
-            )
-            for group in coordinator.groups
-        ]
-        if mode == "process":
-            executor = ShardExecutor(workers or len(coordinator.groups))
-            raws = executor.run(configs)
-            executor_fallback = executor.broken
-        else:
-            raws = [_run_group_config(config) for config in configs]
-        group_results = [
-            _group_result_from_raw(group, raw)
-            for group, raw in zip(coordinator.groups, raws)
-        ]
+        executor = ShardExecutor(workers)
+        raws = executor.run(configs)
+        executor_fallback = executor.broken
+    group_results = [
+        _group_result_from_raw(group, raw)
+        for group, raw in zip(coordinator.groups, raws)
+    ]
     wall_clock_s = time.perf_counter() - started
 
     sharded = ShardedBeacon(coordinator.groups)
-    combined = sharded.combine(group_results)
+    combined = sharded.combine([result.outputs for result in group_results])
     all_verified = all(
         result.agreed for result in group_results
     ) and sharded.verify(group_results, combined)
@@ -773,7 +892,7 @@ def run_sharded(
         universe=universe,
         groups=groups,
         group_sizes=coordinator.group_sizes,
-        mode=mode,
+        workers=workers,
         transport=transport,
         epochs=epochs,
         rounds_per_epoch=rounds_per_epoch,
@@ -850,7 +969,6 @@ def run_sharded_churn(
     — per-group key invariance across handoffs plus combination
     recomputation.
     """
-    from repro.net.sharding import group_seed
     from repro.service.membership import parse_churn, run_churn
 
     resolved_events = tuple(events)
@@ -877,20 +995,7 @@ def run_sharded_churn(
             )
         )
     wall_clock_s = time.perf_counter() - started
-    combined = []
-    rounds = len(group_reports[0].outputs)
-    for index in range(rounds):
-        rows = [report.outputs[index] for report in group_reports]
-        epoch, round_index = rows[0].epoch, rows[0].round
-        values = tuple(row.value for row in rows)
-        combined.append(
-            CombinedOutput(
-                epoch=epoch,
-                round=round_index,
-                values=values,
-                value=ShardedBeacon.combine_value(epoch, round_index, values),
-            )
-        )
+    combined = ShardedBeacon.combine([report.outputs for report in group_reports])
     group_runs = [
         (report.outputs, report.membership.contexts) for report in group_reports
     ]

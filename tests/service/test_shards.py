@@ -3,18 +3,10 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.net.delays import FixedDelay
-from repro.net.runtime import Simulation
-from repro.net.sharding import (
-    SESSION_STRIDE,
-    group_of_session,
-    group_seed,
-    make_shard_group,
-    partition_universe,
-)
 from repro.service import (
     GroupCoordinator,
     ShardedBeacon,
@@ -23,9 +15,12 @@ from repro.service import (
 )
 from repro.service import shards as shards_mod
 from repro.service.shards import (
-    SHARD_MODES,
+    SESSION_STRIDE,
     _group_result_from_raw,
     _run_group_config,
+    group_seed,
+    make_shard_group,
+    partition_universe,
     shutdown_shard_executor,
 )
 
@@ -54,8 +49,8 @@ def test_partition_validates_arguments():
 def test_session_blocks_are_disjoint_per_group():
     group = make_shard_group(3, 4, None, seed=0)
     assert group.session_base == 3 * SESSION_STRIDE
-    assert group_of_session(group.session_of(0)) == 3
-    assert group_of_session(group.session_of(SESSION_STRIDE - 1)) == 3
+    assert group.session_of(0) // SESSION_STRIDE == 3
+    assert group.session_of(SESSION_STRIDE - 1) // SESSION_STRIDE == 3
     with pytest.raises(ValueError):
         group.session_of(SESSION_STRIDE)
     # Group seeds are pure functions of (universe seed, gid).
@@ -77,18 +72,42 @@ def test_coordinator_is_reproducible_from_its_seed():
     assert [g.seed for g in other.groups] != [g.seed for g in one.groups]
 
 
-# -- cross-mode byte-identity (the tentpole's differential gate) -----------------------
+# -- cross-path byte-identity (the differential gate) ----------------------------------
+
+#: What ``run_sharded(universe=8, groups=2, epochs=2, seed=0)`` produced on
+#: the shared ("multiplexed") transport PR 23 deleted, recorded at its
+#: parent commit: the reference both surviving paths must reproduce.
+#: Per group: (words_total, messages_total, deliveries), then each
+#: epoch's encoded public key.
+ANCHOR_TOTALS = [(9432, 1128, 1504), (9432, 1128, 1504)]
+ANCHOR_KEYS = [
+    [
+        "17c6bd34972ee01b1aedead8dc575a3127ce82077a9e8ba5d8eb458a21762813",
+        "c9ad18f06d01d507b9cdbe892fbd21c795e861b082c6b0d3d1173d527f80f432",
+    ],
+    [
+        "a2341d307ec334f68e686eafd3f1db140b4b08b15939dfc039a6bdf758bec7b5",
+        "932d585bb759396f812970c89824505fd05100b8ea133e27d3bab3085b76d5b3",
+    ],
+]
+ANCHOR_COMBINED = [
+    150501124580592238222953386424375635861,
+    103370856027451117410311639853798671755,
+    268166292520183565693636457937867912565,
+    249533004042305776588206776738775941820,
+]
 
 
 @pytest.fixture(scope="module")
 def mode_reports():
-    reports = {
-        mode: run_sharded(
-            universe=8, groups=2, epochs=2, mode=mode, seed=0, timeout=120.0
+    reports = {}
+    for workers in (1, 2):  # inline, then the pool
+        report = run_sharded(
+            universe=8, groups=2, epochs=2, workers=workers, seed=0, timeout=120.0
         )
-        for mode in SHARD_MODES
-    }
+        reports[report.mode] = report
     shutdown_shard_executor()
+    assert sorted(reports) == ["process", "sequential"]
     return reports
 
 
@@ -100,9 +119,13 @@ def test_all_modes_agree_and_verify(mode_reports):
 
 
 def test_per_group_protocol_metrics_identical_across_modes(mode_reports):
-    reference = mode_reports["multiplexed"]
+    reference = mode_reports["sequential"]
     for mode in ("sequential", "process"):
         report = mode_reports[mode]
+        assert [
+            (m.words_total, m.messages_total, m.deliveries)
+            for m in (result.metrics for result in report.group_results)
+        ] == ANCHOR_TOTALS, mode
         for expected, actual in zip(
             reference.group_results, report.group_results
         ):
@@ -120,7 +143,7 @@ def test_group_totals_are_invariant_in_k(mode_reports):
     """Group 0's run is a pure function of (universe seed, gid, group
     size): alone (k = 1) it spends the words and messages it spends
     beside a second group (k = 2), and the merge is the per-group sum."""
-    alone = run_sharded(universe=4, groups=1, epochs=2, mode="sequential", seed=0)
+    alone = run_sharded(universe=4, groups=1, epochs=2, workers=1, seed=0)
     paired = mode_reports["sequential"]
     (solo,), first = alone.group_results, paired.group_results[0]
     assert len(solo.members) == len(first.members) == 4
@@ -134,12 +157,18 @@ def test_group_totals_are_invariant_in_k(mode_reports):
 
 
 def test_transcripts_and_beacon_streams_identical_across_modes(mode_reports):
-    reference = mode_reports["multiplexed"]
+    reference = mode_reports["sequential"]
+    groups = GroupCoordinator(8, 2, seed=0).groups
     for mode in ("sequential", "process"):
         report = mode_reports[mode]
-        for expected, actual in zip(
-            reference.group_results, report.group_results
+        assert [output.value for output in report.combined] == ANCHOR_COMBINED, mode
+        for group, expected, actual in zip(
+            groups, reference.group_results, report.group_results
         ):
+            encode = group.setup.directory.pair_group.encode_element
+            assert [
+                encode(r.public_key).hex() for r in actual.epoch_results
+            ] == ANCHOR_KEYS[group.gid], mode
             assert actual.members == expected.members
             assert [r.transcript for r in actual.epoch_results] == [
                 r.transcript for r in expected.epoch_results
@@ -153,7 +182,7 @@ def test_process_mode_did_not_fall_back(mode_reports):
 
 
 def test_k8_multiplexed_run_completes_with_all_groups_agreeing():
-    report = run_sharded(universe=24, groups=8, epochs=1, mode="multiplexed")
+    report = run_sharded(universe=24, groups=8, epochs=1, workers=1)
     assert len(report.group_results) == 8
     assert report.agreed
     assert report.all_verified
@@ -165,9 +194,46 @@ def test_k8_multiplexed_run_completes_with_all_groups_agreeing():
     assert len(keys) == 8
 
 
-def test_run_sharded_validates_mode():
-    with pytest.raises(ValueError):
-        run_sharded(universe=4, groups=2, mode="threads")
+def test_two_groups_over_tcp_match_the_simulator():
+    """k=2 at f=0 over real sockets: schedule-independent transcripts.
+
+    Word totals are NOT asserted on tcp (delivery timing is real, so
+    per-run framing differs); at f=0 every party folds all n seeded
+    contributions, making the agreed transcripts schedule-independent.
+    """
+    config = dict(universe=8, groups=2, group_f=0, seed=4, workers=1)
+    sim = run_sharded(transport="sim", **config)
+    tcp = run_sharded(transport="tcp", timeout=60.0, **config)
+    assert tcp.all_verified
+    for expected, actual in zip(sim.group_results, tcp.group_results):
+        assert actual.epoch_results[0].outputs == expected.epoch_results[0].outputs
+    assert tcp.combined == sim.combined
+
+
+@pytest.mark.parametrize("cores, expected", [(1, 1), (64, 3)])
+def test_workers_default_is_derived_from_the_host(monkeypatch, cores, expected):
+    """``workers=None`` is ``min(groups, usable cores)``; 1 runs inline
+    and never builds the pool."""
+    made = []
+
+    class _Inline:
+        broken = False
+
+        def __init__(self, workers):
+            made.append(workers)
+
+        def run(self, configs):
+            return [_run_group_config(config) for config in configs]
+
+    monkeypatch.setattr(shards_mod, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(shards_mod, "ShardExecutor", _Inline)
+    report = run_sharded(universe=9, groups=3)
+    assert report.workers == expected and report.all_verified
+    assert made == ([] if expected == 1 else [3])
+    assert report.mode == ("sequential" if expected == 1 else "process")
+    made.clear()
+    run_sharded(universe=9, groups=3, workers=1)
+    assert made == []
 
 
 # -- the aggregated beacon -------------------------------------------------------------
@@ -175,7 +241,7 @@ def test_run_sharded_validates_mode():
 
 @pytest.fixture(scope="module")
 def sequential_report():
-    return run_sharded(universe=6, groups=2, epochs=1, mode="sequential", seed=2)
+    return run_sharded(universe=6, groups=2, epochs=1, workers=1, seed=2)
 
 
 def test_combined_value_hashes_every_groups_contribution(sequential_report):
@@ -219,9 +285,10 @@ def test_misaligned_streams_are_rejected(sequential_report):
         report.group_results[0], outputs=report.group_results[0].outputs[:-1]
     )
     with pytest.raises(ValueError):
-        beacon.combine([truncated, report.group_results[1]])
+        beacon.combine([truncated.outputs, report.group_results[1].outputs])
     with pytest.raises(ValueError):
-        beacon.combine(report.group_results[:1])
+        beacon.combine([])
+    assert not beacon.verify(report.group_results[:1], report.combined)
 
 
 # -- the process executor --------------------------------------------------------------
@@ -272,6 +339,16 @@ def test_broken_pool_falls_back_inline_with_identical_results(monkeypatch):
     assert executor.run(configs[:1])[0][:6] == raws[0][:6]
 
 
+#: Replacements for one field of a tuple crossing the process boundary:
+#: wrong types, out-of-range values, and small valid ones (a mutant that
+#: is still well formed runs for real, so nothing here is large).
+_FIELD_MUTANTS = st.one_of(
+    st.sampled_from([None, True, 1.5, -1.0, "x", "sim", b"", (), (None,), {}, {"x": None}]),
+    st.integers(-2, 5),
+    st.tuples(st.integers(-1, 9), st.integers(-1, 9), st.integers(0, 9), st.integers(0, 9)),
+)
+
+
 def test_malformed_configs_and_results_are_rejected():
     with pytest.raises(ValueError):
         _run_group_config(("not-a-shard-config",))
@@ -279,32 +356,51 @@ def test_malformed_configs_and_results_are_rejected():
     with pytest.raises(ValueError):
         _group_result_from_raw(group, ("shard-result", 1, 99))
 
-
-# -- sharded transport restrictions ----------------------------------------------------
-
-
-def test_sharded_transport_rejects_unsupported_features():
-    coordinator = GroupCoordinator(8, 2, seed=0)
-    groups = coordinator.groups
-    with pytest.raises(ValueError, match="setup=None"):
-        Simulation(groups[0].setup, seed=0, shards=groups)
-    with pytest.raises(ValueError, match="behaviors"):
-        Simulation(None, behaviors={0: object()}, seed=0, shards=groups)
-    with pytest.raises(ValueError, match="chaos"):
-        Simulation(None, seed=0, shards=groups, chaos=object())
-    with pytest.raises(ValueError, match="contiguous"):
-        Simulation(None, seed=0, shards=groups[::-1])
-
-
-def test_sharded_transport_routes_by_session_block():
-    coordinator = GroupCoordinator(8, 2, seed=0, group_f=0)
-    sim = Simulation(
-        None, seed=0, shards=coordinator.groups, delay_model=FixedDelay(1.0)
+    coordinator = GroupCoordinator(4, 1, seed=0)
+    config = coordinator.group_config(
+        coordinator.groups[0], epochs=1, rounds_per_epoch=1, transport="sim", timeout=60.0
     )
-    assert sim.n == 8
-    assert len(sim.parties) == 8
-    # Group 1's parties sit in the upper slot block but keep local indices.
-    base = coordinator.groups[0].n
-    for i, party in enumerate(sim.parties[base:]):
-        assert party.index == i
-        assert party.n == coordinator.groups[1].n
+    raw = _run_group_config(config)
+    assert _group_result_from_raw(group, raw).agreed
+
+    def mutated(valid, path, value):
+        """``valid`` with the field at ``path`` (tuple indices, then a
+        dict key for the metrics view) replaced."""
+        head, rest = path[0], path[1:]
+        inner = mutated(valid[head], rest, value) if rest else value
+        if isinstance(valid, dict):
+            return {**valid, head: inner}
+        return valid[:head] + (inner,) + valid[head + 1 :]
+
+    # Every field of the config, then of the result: its top level, one
+    # epoch row, one beacon row, and the metrics view's entries.
+    config_paths = [(i,) for i in range(len(config))]
+    result_paths = (
+        [(i,) for i in range(len(raw))]
+        + [(3, 0, i) for i in range(len(raw[3][0]))]
+        + [(4, 0, i) for i in range(len(raw[4][0]))]
+        + [(5, key) for key in raw[5]]
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(config_paths), _FIELD_MUTANTS)
+    def config_fails_closed(path, value):
+        try:
+            result = _run_group_config(mutated(config, path, value))
+        except ValueError as error:
+            assert "malformed shard config" in str(error)
+        else:
+            assert result[0] == "shard-result"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(result_paths), _FIELD_MUTANTS)
+    def result_fails_closed(path, value):
+        try:
+            result = _group_result_from_raw(group, mutated(raw, path, value))
+        except ValueError as error:
+            assert "malformed shard result" in str(error)
+        else:
+            assert result.gid == group.gid
+
+    config_fails_closed()
+    result_fails_closed()

@@ -262,3 +262,22 @@ def test_beacon_churn_sharded(capsys):
     assert code == 0
     assert "group 0: key_invariant=True" in out
     assert "combined chain verified:   True" in out
+
+
+def test_group_size_without_groups_is_a_usage_error(capsys):
+    for command in ("run", "beacon"):
+        assert main([command, "-n", "4", "--group-size", "3"]) == 2
+        assert "--group-size needs --groups" in capsys.readouterr().err
+
+
+def test_sharded_run_prints_workers_and_only_metered_bytes(capsys, monkeypatch):
+    from repro.service import shards
+
+    monkeypatch.setattr(shards, "_usable_cores", lambda: 1)  # inline: no pool
+    assert main(["run", "--groups", "2", "-n", "8", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "sizes=[4, 4] workers=1 transport=sim" in out
+    assert "combined outputs verified:  True" in out
+    assert "bytes on wire" not in out  # unmetered on sim: no printed 0
+    assert main(["run", "--groups", "2", "-n", "8", "--transport", "tcp"]) == 0
+    assert "bytes on wire (all groups): " in capsys.readouterr().out
