@@ -14,9 +14,10 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 
 def _guarded(
@@ -27,11 +28,20 @@ def _guarded(
     Every failure the library reports — a missed deadline, a dead socket,
     a stalled or refused run, a bad parameter (``StorageError`` is a
     ``ValueError``) — becomes one ``error:`` line and ``(None, 0.0)``;
-    the caller returns exit status 1.
+    the caller returns exit status 1.  ``--profile`` wraps whichever run it is.
     """
+    profiler = None
+    if getattr(args, "profile", False):
+        import cProfile  # with pstats, 20 ms no other run should pay
+        import pstats
+
+        profiler = cProfile.Profile()
     started = time.perf_counter()
     try:
-        report = run(*positional, **keywords)
+        if profiler is None:
+            report = run(*positional, **keywords)
+        else:
+            report = profiler.runcall(run, *positional, **keywords)
     except (OSError, RuntimeError, ValueError) as exc:
         message = str(exc)
         if isinstance(exc, TimeoutError):  # an OSError; asyncio's carries no text
@@ -41,14 +51,22 @@ def _guarded(
             )
         print(f"error: {message}", file=sys.stderr)
         return None, 0.0
-    return report, time.perf_counter() - started
+    elapsed = time.perf_counter() - started
+    if profiler is not None:
+        stats = pstats.Stats(profiler, stream=sys.stdout)
+        stats.sort_stats("cumulative").print_stats(20)
+    return report, elapsed
 
 
-def _parse_at(spec: str, flag: str) -> tuple[int, float]:
-    """Parse one ``i@t`` CLI value into ``(party_index, t)``."""
+def _parse_at(spec: str, flag: str, whole: bool = False) -> tuple[int, float]:
+    """Parse one ``i@t`` CLI value into ``(party_index, t)``: ``t`` finite
+    and not negative, and a ``whole`` number where it counts deliveries."""
     try:
         index_text, _, when_text = spec.partition("@")
-        return int(index_text), float(when_text)
+        index, when = int(index_text), float(when_text)
+        if not 0 <= when < math.inf or (whole and when != int(when)):
+            raise ValueError(spec)
+        return index, when
     except ValueError:
         print(
             f"error: {flag} expects i@t (party index @ time), got {spec!r}",
@@ -57,34 +75,43 @@ def _parse_at(spec: str, flag: str) -> tuple[int, float]:
         raise SystemExit(2)  # usage error, matching the sibling validations
 
 
-def _cmd_run_with_recovery(args: argparse.Namespace, chaos=None) -> int:
-    """``repro run --crash i@t [--recover i@t]``: the durable-recovery path."""
-    from repro.storage import run_crash_recovery
+def _parse_crash(args: argparse.Namespace) -> Optional[dict]:
+    """``--crash`` / ``--recover`` as one plan: ``indices, after, delay``.
 
-    crashes = [_parse_at(spec, "--crash") for spec in args.crash]
+    All named parties crash together at the earliest threshold and
+    recover together after the longest requested delay (default 5).
+    ``None`` (after the ``error:`` line) when they name different parties.
+    """
+    crashes = [_parse_at(spec, "--crash", whole=True) for spec in args.crash]
     recovers = dict(_parse_at(spec, "--recover") for spec in (args.recover or []))
-    crash_indices = [index for index, _t in crashes]
-    unknown = set(recovers) - set(crash_indices)
+    indices = tuple(index for index, _t in crashes)
+    unknown = set(recovers) - set(indices)
     if unknown:
         print(
             f"error: --recover names parties that never crash: {sorted(unknown)}",
             file=sys.stderr,
         )
-        return 2
-    # All named parties crash together at the earliest threshold and
-    # recover together after the longest requested delay.
-    crash_after = int(min(t for _i, t in crashes))
-    default_delay = 5.0
-    recovery_delay = max(recovers.values(), default=default_delay)
+        return None
+    return {
+        "indices": indices,
+        "after": int(min(t for _i, t in crashes)),
+        "delay": max(recovers.values(), default=5.0),
+    }
+
+
+def _cmd_run_with_recovery(args: argparse.Namespace, chaos, crash: dict) -> int:
+    """``repro run --crash i@t [--recover i@t]``: the durable-recovery path."""
+    from repro.storage import run_crash_recovery
+
     report, elapsed = _guarded(
         args,
         run_crash_recovery,
         transport=args.transport,
         n=args.n,
         seed=args.seed,
-        crash_indices=crash_indices,
-        crash_after=crash_after,
-        recovery_delay=recovery_delay,
+        crash_indices=crash["indices"],
+        crash_after=crash["after"],
+        recovery_delay=crash["delay"],
         cadence=args.cadence,
         storage_dir=args.storage_dir,
         batching=not args.no_batching,
@@ -119,8 +146,35 @@ def _cmd_run_with_recovery(args: argparse.Namespace, chaos=None) -> int:
     return 0 if report["agreement"] and report["valid"] else 1
 
 
-def _render_churn_epochs(membership, unit: str) -> None:
-    """Per-epoch committee lines shared by ``run --reshare`` and ``beacon``."""
+def _cmd_churn(
+    args: argparse.Namespace, *, epochs: int, rounds: int, chaos=None, crash=None
+) -> int:
+    """``repro run --reshare`` / ``repro beacon --churn``: handoff epochs."""
+    from repro.service import run_churn
+    from repro.service.membership import handoff_overlays
+
+    report, elapsed = _guarded(
+        args,
+        run_churn,
+        args.n,
+        epochs=epochs,
+        churn=args.churn,
+        rounds_per_epoch=rounds,
+        transport=args.transport,
+        seed=args.seed,
+        timeout=args.timeout,
+        storage_dir=getattr(args, "storage_dir", None),
+        **handoff_overlays(epochs, chaos, crash),
+    )
+    if report is None:
+        return 1
+    membership = report.membership
+    unit = "rounds" if args.transport == "sim" else "s"
+    print(
+        f"universe={membership.universe_n} transport={membership.transport} "
+        f"seed={membership.seed} epochs={len(membership.results)} "
+        f"handoffs={membership.handoffs}"
+    )
     for result in membership.results:
         mode = "adkg" if result.epoch == 0 else "reshare"
         overlays = ""
@@ -134,39 +188,6 @@ def _render_churn_epochs(membership, unit: str) -> None:
             f"[{result.started_at:.1f}, {result.completed_at:.1f}] {unit}"
             f"{overlays}"
         )
-
-
-def _cmd_churn(args: argparse.Namespace, *, epochs: int, rounds: int, chaos) -> int:
-    """``repro run --reshare`` / ``repro beacon --churn``: handoff epochs."""
-    from repro.service import run_churn
-
-    # One CLI chaos spec applies to every handoff epoch (the interesting
-    # window — epoch 0 is the plain ADKG the existing --chaos flag covers).
-    chaos_map = (
-        {epoch: chaos for epoch in range(1, epochs)} if chaos is not None else None
-    )
-    report, elapsed = _guarded(
-        args,
-        run_churn,
-        args.n,
-        epochs=epochs,
-        churn=args.churn,
-        rounds_per_epoch=rounds,
-        transport=args.transport,
-        seed=args.seed,
-        timeout=args.timeout,
-        chaos=chaos_map,
-    )
-    if report is None:
-        return 1
-    membership = report.membership
-    unit = "rounds" if args.transport == "sim" else "s"
-    print(
-        f"universe={membership.universe_n} transport={membership.transport} "
-        f"seed={membership.seed} epochs={len(membership.results)} "
-        f"handoffs={membership.handoffs}"
-    )
-    _render_churn_epochs(membership, unit)
     for output in report.outputs:
         print(f"  beacon {output.epoch}.{output.round}: {output.value:032x}")
     print(f"group key:          {membership.key_encoded.hex()[:40]}")
@@ -176,44 +197,15 @@ def _cmd_churn(args: argparse.Namespace, *, epochs: int, rounds: int, chaos) -> 
     return 0 if report.all_verified else 1
 
 
-def _cmd_sharded_churn(args: argparse.Namespace, *, epochs: int, rounds: int) -> int:
-    """``repro beacon --churn --groups k``: per-group handoffs, one beacon."""
-    from repro.service import run_sharded_churn
-
-    report, elapsed = _guarded(
-        args,
-        run_sharded_churn,
-        _universe(args),
-        args.groups,
-        epochs=epochs,
-        churn=args.churn,
-        rounds_per_epoch=rounds,
-        transport=args.transport,
-        seed=args.seed,
-        timeout=args.timeout,
-    )
-    if report is None:
-        return 1
-    print(
-        f"universe={report.universe} groups={report.groups} "
-        f"transport={report.transport} seed={report.seed} "
-        f"epochs={report.epochs}"
-    )
-    for gid, group_report in enumerate(report.group_reports):
-        committees = report.committees(gid)
-        print(
-            f"group {gid}: key_invariant={group_report.key_invariant} "
-            f"committees={[list(c) for c in committees]}"
-        )
-    for output in report.combined:
-        print(f"  beacon {output.epoch}.{output.round}: {output.value:032x}")
-    print(f"per-group keys invariant:  {report.key_invariant}")
-    print(f"combined chain verified:   {report.all_verified}")
-    print(f"wall clock:                {elapsed:.2f}s")
-    return 0 if report.all_verified else 1
-
-
-def _cmd_sharded(args: argparse.Namespace, *, epochs: int, rounds: int) -> int:
+def _cmd_sharded(
+    args: argparse.Namespace,
+    *,
+    epochs: int,
+    rounds: int,
+    churn: Optional[str] = None,
+    chaos: Optional[str] = None,
+    crash: Optional[dict] = None,
+) -> int:
     """Shared ``--groups`` path of ``repro run`` and ``repro beacon``."""
     from repro.service import run_sharded
 
@@ -227,6 +219,9 @@ def _cmd_sharded(args: argparse.Namespace, *, epochs: int, rounds: int) -> int:
         transport=args.transport,
         seed=args.seed,
         timeout=args.timeout,
+        churn=churn,
+        chaos=chaos,
+        crash=crash,
     )
     if report is None:
         return 1
@@ -243,6 +238,9 @@ def _cmd_sharded(args: argparse.Namespace, *, epochs: int, rounds: int) -> int:
             f"words={result.metrics.words_total:,} "
             f"messages={result.metrics.messages_total:,}  pk={last}"
         )
+        if churn is not None:
+            committees = [list(r.committee) for r in result.epoch_results]
+            print(f"  one key, handed across committees {committees}")
     for output in report.combined:
         print(f"  beacon {output.epoch}.{output.round}: {output.value:032x}")
     if report.executor_fallback:
@@ -286,29 +284,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     status = _check_shard_flags(args)
     if status:
         return status
-    if args.groups is not None:
-        incompatible = (
-            args.full
-            or args.profile
-            or args.chaos
-            or args.crash
-            or args.no_batching
-            or args.reshare is not None
-        )
-        if incompatible:
-            print(
-                "error: --groups is incompatible with --full/--profile/"
-                "--chaos/--crash/--no-batching/--reshare (churn a sharded "
-                "service with `repro beacon --churn --groups`)",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_sharded(args, epochs=1, rounds=1)
     if args.full and args.transport != "sim":
         print("error: --full applies to the sim transport only", file=sys.stderr)
         return 2
     if args.recover and not args.crash:
         print("error: --recover requires --crash", file=sys.stderr)
+        return 2
+    if args.churn and args.reshare is None:
+        print("error: --churn requires --reshare EPOCHS", file=sys.stderr)
+        return 2
+    if args.reshare is not None and args.reshare < 1:
+        print("error: --reshare expects >= 1 epochs", file=sys.stderr)
+        return 2
+    # --chaos, --crash, --reshare and --groups compose freely; the two
+    # diagnostics of one plain ADKG are all that is refused.
+    composed = args.reshare is not None or args.groups is not None
+    if (args.full and (composed or args.crash)) or (args.no_batching and composed):
+        print(
+            "error: --full is incompatible with --crash/--reshare/--groups, "
+            "--no-batching with --reshare/--groups (both describe one "
+            "committee's single ADKG)",
+            file=sys.stderr,
+        )
         return 2
     chaos = None
     if args.chaos:
@@ -319,38 +316,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: --chaos: {exc}", file=sys.stderr)
             return 2
-    if args.churn and args.reshare is None:
-        print("error: --churn requires --reshare EPOCHS", file=sys.stderr)
-        return 2
-    if args.reshare is not None:
-        if args.reshare < 1:
-            print("error: --reshare expects >= 1 epochs", file=sys.stderr)
-            return 2
-        if args.full or args.profile or args.crash or args.no_batching:
-            print(
-                "error: --reshare is incompatible with --full/--profile/"
-                "--crash/--no-batching",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_churn(args, epochs=args.reshare, rounds=1, chaos=chaos)
+    crash = None
     if args.crash:
-        # Chaos composes with crash-recovery: the link-fault plane wraps
-        # the same delivery seam the freeze/thaw hooks use, so a party
-        # can replay its WAL into a still-degraded network.
-        if args.full or args.profile:
-            print(
-                "error: --crash is incompatible with --full/--profile",
-                file=sys.stderr,
-            )
+        crash = _parse_crash(args)
+        if crash is None:
             return 2
-        return _cmd_run_with_recovery(args, chaos=chaos)
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
+    if args.groups is not None:
+        # Plain values cross the process boundary: chaos travels as its string.
+        return _cmd_sharded(
+            args,
+            epochs=args.reshare or 1,
+            rounds=1,
+            churn=None if args.reshare is None else args.churn or "",
+            chaos=args.chaos,
+            crash=crash,
+        )
+    if args.reshare is not None:
+        return _cmd_churn(
+            args, epochs=args.reshare, rounds=1, chaos=chaos, crash=crash
+        )
+    if crash is not None:
+        return _cmd_run_with_recovery(args, chaos, crash)
     result, elapsed = _guarded(
         args,
         run_adkg,
@@ -365,15 +351,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if result is None:
         return 1
-    if profiler is not None:
-        import io
-        import pstats
-
-        profiler.disable()
-        buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer).sort_stats("cumulative")
-        stats.print_stats(20)
-        print(buffer.getvalue())
     summary = result.metrics_summary
     print(f"n={result.n} f={result.f} seed={args.seed} transport={result.transport}")
     print(f"agreed:        {result.agreed}")
@@ -428,11 +405,11 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
     if status:
         return status
     if args.groups is not None:
-        if args.churn is not None:
-            return _cmd_sharded_churn(args, epochs=args.epochs, rounds=args.rounds)
-        return _cmd_sharded(args, epochs=args.epochs, rounds=args.rounds)
+        return _cmd_sharded(
+            args, epochs=args.epochs, rounds=args.rounds, churn=args.churn
+        )
     if args.churn is not None:
-        return _cmd_churn(args, epochs=args.epochs, rounds=args.rounds, chaos=None)
+        return _cmd_churn(args, epochs=args.epochs, rounds=args.rounds)
     report, _elapsed = _guarded(
         args,
         run_beacon,
@@ -559,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--profile",
         action="store_true",
-        help="wrap the run in cProfile and print the top-20 cumulative entries",
+        help="wrap the run (whichever the other flags select) in cProfile and "
+        "print the top-20 cumulative entries",
     )
     run_p.add_argument(
         "--no-batching",
@@ -571,7 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="link-fault plane spec, e.g. 'partition:0|1,2,3@2-20;drop:0.05' "
         "(clauses: partition, partition-oneway, drop, dup, reorder, corrupt, "
-        "delay; times are rounds on sim, seconds on realtime transports)",
+        "delay; times are rounds on sim, seconds on realtime transports); "
+        "composes with --crash, --reshare (the handoff epochs) and --groups "
+        "(every group)",
     )
     run_p.add_argument(
         "--crash",
@@ -579,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I@T",
         help="crash party I (losing its memory) after it processed T network "
         "deliveries; repeatable — all named parties crash together at the "
-        "earliest T, each recovering from its snapshot + WAL",
+        "earliest T, each recovering from its snapshot + WAL; with --reshare "
+        "in every handoff epoch, with --groups local party I of every group",
     )
     run_p.add_argument(
         "--recover",
@@ -596,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EPOCHS",
         help="run EPOCHS membership epochs: a fresh ADKG, then proactive "
         "resharing handoffs that keep the group key byte-identical "
-        "(DESIGN section 13); --chaos applies to the handoff epochs",
+        "(DESIGN section 13); --chaos and --crash apply to the handoff "
+        "epochs, --groups runs the schedule in every group",
     )
     run_p.add_argument(
         "--churn",
@@ -609,12 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--cadence",
         type=int,
         default=16,
-        help="snapshot every this many deliveries at crash-recovering parties",
+        help="snapshot every this many deliveries at crash-recovering parties "
+        "(one committee's --crash; handoffs and groups use the default)",
     )
     run_p.add_argument(
         "--storage-dir",
         default=None,
-        help="directory for snapshots + WALs (default: a temp dir)",
+        help="directory for snapshots + WALs (default: a temp dir; groups "
+        "always use temp dirs of their own)",
     )
     _add_shard_arguments(run_p)
     run_p.set_defaults(func=_cmd_run)

@@ -198,8 +198,9 @@ class DelayWindow:
     pairs: Optional[frozenset[tuple[int, int]]] = None
 
     def __post_init__(self) -> None:
-        if self.extra <= 0:
-            raise ValueError("extra delay must be positive")
+        # Finite: every verdict eventually delivers (DESIGN §11).
+        if not 0 < self.extra < math.inf:
+            raise ValueError("extra delay must be positive and finite")
         _check_window(self.start, self.end, "delay")
         if self.pairs is not None:
             object.__setattr__(self, "pairs", frozenset(self.pairs))

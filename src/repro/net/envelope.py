@@ -16,16 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.verify_cache import IdentityMemo
 from repro.net.payload import Payload
 
 Path = tuple
-
-#: Payload word sizes are pure functions of frozen values, but computing
-#: one walks the whole object (an NWH suggest carries an O(n)-word
-#: transcript) — and a multicast meters it once per recipient.  Memoized
-#: by payload identity, mirroring the codec's encode-once fan-out.
-_word_size_memo = IdentityMemo()
 
 
 @dataclass(frozen=True, slots=True, weakref_slot=True)
@@ -48,12 +41,7 @@ class Envelope:
 
     def word_size(self) -> int:
         """Words on the wire: the payload plus one routing word."""
-        payload = self.payload
-        words = _word_size_memo.get(payload)
-        if words is None:
-            words = payload.word_size()
-            _word_size_memo.put(payload, words)
-        return words + 1
+        return self.payload.word_size() + 1
 
     def describe(self) -> str:
         prefix = f"s{self.session}:" if self.session else ""

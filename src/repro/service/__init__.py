@@ -49,12 +49,10 @@ from repro.service.shards import (
     CombinedOutput,
     GroupCoordinator,
     GroupResult,
-    ShardChurnReport,
     ShardedBeacon,
     ShardExecutor,
     ShardReport,
     run_sharded,
-    run_sharded_churn,
 )
 
 __all__ = [
@@ -71,7 +69,6 @@ __all__ = [
     "MembershipDriver",
     "MembershipSchedule",
     "RandomnessBeacon",
-    "ShardChurnReport",
     "ShardExecutor",
     "ShardReport",
     "ShardedBeacon",
@@ -80,5 +77,4 @@ __all__ = [
     "run_beacon",
     "run_churn",
     "run_sharded",
-    "run_sharded_churn",
 ]

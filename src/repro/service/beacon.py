@@ -145,13 +145,19 @@ class RandomnessBeacon:
     def verify_chain(
         self, outputs: Sequence[BeaconOutput], transcripts: dict[int, Any]
     ) -> bool:
-        """Verify values *and* the genesis-rooted linkage across epochs."""
+        """Verify values *and* the genesis-rooted linkage across epochs,
+        against transcripts that pass ``DKGVerify`` themselves (a value can
+        check out under the public key of one whose shares do not)."""
         prev = GENESIS
         for output in outputs:
             if output.prev != prev:
                 return False
             transcript = transcripts.get(output.epoch)
-            if transcript is None or not self.verify(output, transcript):
+            if (
+                transcript is None
+                or not tvrf.DKGVerify(self.directory, transcript)
+                or not self.verify(output, transcript)
+            ):
                 return False
             prev = output.value
         return True

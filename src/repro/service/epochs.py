@@ -15,21 +15,30 @@ asyncio/TCP suspend.  A completed epoch's protocol state (instance tree,
 pending buffers, condition registry at every party) is garbage-collected
 before the next epoch is admitted, so a service running thousands of
 epochs holds state only for the window.
+
+A fault overlay is a per-epoch value on that loop: ``interludes`` maps an
+epoch to a coroutine function awaited right after the epoch's session
+starts (a :class:`~repro.storage.recovery.CrashPlan` crashes and
+rehydrates parties there) while traffic keeps being delivered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Awaitable, Callable, Mapping, Optional
 
 from repro.net.party import Party
 from repro.net.protocol import Protocol
 from repro.net.transport import Transport
 
-__all__ = ["EpochDriver", "EpochResult"]
+__all__ = ["EpochDriver", "EpochResult", "Interlude", "adkg_root"]
+
+#: What the loop awaits right after starting an epoch: ``(session id)``.
+Interlude = Callable[[int], Awaitable[None]]
 
 
-def _default_root_factory(party: Party) -> Protocol:
+def adkg_root(party: Party) -> Protocol:
+    """The default root factory: a fresh ADKG at every party."""
     from repro.core.adkg import ADKG
 
     return ADKG()
@@ -77,7 +86,9 @@ class EpochDriver:
 
     Epoch ``e`` runs in session ``session_base + e``; results record the
     transport's full party range as the committee and its ``f`` as the
-    threshold (a caller that knows better restamps them).
+    threshold (a caller that knows better restamps them).  ``interludes``
+    maps an epoch to the :data:`Interlude` (or ``None``) awaited right
+    after that epoch's session starts, on the transport's driving surface.
     """
 
     def __init__(
@@ -90,6 +101,7 @@ class EpochDriver:
         session_base: int = 0,
         gc_completed: bool = True,
         timeout: float = 120.0,
+        interludes: Optional[Mapping[int, Optional[Interlude]]] = None,
     ) -> None:
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -100,10 +112,11 @@ class EpochDriver:
         self.transport = transport
         self.epochs = epochs
         self.pipeline_depth = pipeline_depth
-        self.root_factory = root_factory or _default_root_factory
+        self.root_factory = root_factory or adkg_root
         self.session_base = session_base
         self.gc_completed = gc_completed
         self.timeout = timeout
+        self.interludes = dict(interludes or {})
         #: Completed epochs, in epoch order.
         self.results: list[EpochResult] = []
         self._started_at: dict[int, float] = {}
@@ -121,24 +134,27 @@ class EpochDriver:
         await transport.open()
         try:
             for epoch in range(min(depth, epochs)):
-                self._start_epoch(epoch)
+                await self._start_epoch(epoch)
             for epoch in range(epochs):
                 outputs = await transport.wait_session(
                     self.session_base + epoch, timeout=self.timeout
                 )
                 self._finish_epoch(epoch, outputs)
                 if epoch + depth < epochs:
-                    self._start_epoch(epoch + depth)
+                    await self._start_epoch(epoch + depth)
         finally:
             await transport.close()
         return self.results
 
     # -- bookkeeping -------------------------------------------------------------------
 
-    def _start_epoch(self, epoch: int) -> None:
+    async def _start_epoch(self, epoch: int) -> None:
         sid = self.session_base + epoch
         self._started_at[sid] = self.transport.now()
         self.transport.start_session(sid, self.root_factory)
+        interlude = self.interludes.get(epoch)
+        if interlude is not None:
+            await interlude(sid)
 
     def _finish_epoch(self, epoch: int, outputs: dict[int, Any]) -> None:
         sid = self.session_base + epoch

@@ -9,12 +9,12 @@ as a fresh ADKG and every later epoch as a
 *new* committee's own transport — the old committee's dealings
 (:func:`repro.crypto.reshare.deal_reshare`) are published before the
 handoff and injected as initial inputs, so departing parties need not
-stick around.  Per-epoch faults compose: a crash-recover overlay runs
-the handoff through :func:`repro.storage.recovery.run_crash_recovery`
-(PR 5's WAL machinery rehydrates a party mid-handoff) and a chaos spec
-(PR 7) attaches to that epoch's transport; either way the acceptance
-invariant is the same — **the group public key is byte-identical before
-and after every handoff**.
+stick around.  Per-epoch faults compose on the one epoch loop: a chaos
+spec attaches to that epoch's transport, a crash overlay is a
+:class:`~repro.storage.recovery.CrashPlan` interlude (the WAL machinery
+rehydrates a party mid-handoff); either way the acceptance invariant is
+the same — **the group public key is byte-identical before and after
+every handoff**.
 
 :class:`ChurnBeacon` extends the randomness beacon across committee
 changes: each epoch's rounds are evaluated under that epoch's directory
@@ -28,18 +28,20 @@ from __future__ import annotations
 import random
 import re
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
-from repro.core.adkg import ADKG
 from repro.core.reshare import ReshareAgreement
 from repro.crypto import reshare, threshold_vrf as tvrf
 from repro.crypto.keys import PartySecret, PublicDirectory, TrustedSetup
+from repro.net.metrics import Metrics
 from repro.net.party import Party
 from repro.net.protocol import Protocol
 from repro.net.transport import make_run_transport
 from repro.service.beacon import GENESIS, BeaconOutput, emit_rounds, verify_output
-from repro.service.epochs import EpochDriver, EpochResult
+from repro.service.epochs import EpochDriver, EpochResult, adkg_root
+from repro.storage.recovery import CrashPlan
 
 __all__ = [
     "ChurnBeacon",
@@ -49,8 +51,11 @@ __all__ = [
     "MembershipDriver",
     "MembershipSchedule",
     "committee_setup",
+    "epoch_setup",
+    "handoff_overlays",
     "parse_churn",
     "run_churn",
+    "transcript_valid",
 ]
 
 
@@ -224,6 +229,32 @@ def committee_setup(
     return TrustedSetup(directory, secrets)
 
 
+def transcript_valid(directory: PublicDirectory, transcript: Any) -> bool:
+    """``DKGVerify`` or ``verify_reshared``, by the transcript's kind."""
+    if isinstance(transcript, reshare.ReshareTranscript):
+        return reshare.verify_reshared(directory, transcript)
+    return tvrf.DKGVerify(directory, transcript)
+
+
+def epoch_setup(universe: TrustedSetup, seed: int, spec: EpochSpec) -> TrustedSetup:
+    """The setup epoch ``spec`` of a seed-``seed`` membership run uses: its
+    committee's slice of the universe under that epoch's session label —
+    a pure function, so a verifier rebuilds the directory from the row."""
+    label = f"{universe.directory.session}-churn-{seed}-epoch-{spec.epoch}"
+    return committee_setup(universe, spec.members, spec.f, label)
+
+
+def handoff_overlays(epochs: int, chaos: Any = None, crash: Any = None) -> dict:
+    """One chaos spec and one crash plan (``{"indices", "after", "delay"}``)
+    as the ``chaos=`` / ``crash=`` keywords that put them on every handoff
+    epoch (epoch 0 is the plain ADKG the overlays cover without a schedule)."""
+    return {
+        name: {epoch: overlay for epoch in range(1, epochs)}
+        for name, overlay in (("chaos", chaos), ("crash", crash))
+        if overlay is not None
+    }
+
+
 # -- the driver ----------------------------------------------------------------------
 
 
@@ -245,6 +276,8 @@ class MembershipReport:
     crash_epochs: tuple[int, ...] = ()
     chaos_epochs: tuple[int, ...] = ()
     replay: dict = field(default_factory=dict)
+    #: Every epoch's transport metrics (the live objects), in epoch order.
+    metrics: list[Metrics] = field(default_factory=list)
     wall_clock_s: float = 0.0
 
     @property
@@ -273,9 +306,9 @@ class MembershipDriver:
     ``chaos`` and ``crash`` are per-epoch overlays: ``chaos`` maps epoch
     → a chaos spec (anything :func:`repro.net.chaos.coerce_chaos`
     accepts) attached to that epoch's transport; ``crash`` maps epoch →
-    ``{"indices": (i, ...), "after": deliveries, "delay": t}`` and runs
-    that epoch through the PR 5 crash-recovery machinery, WAL-ing the
-    handoff state of the crashed parties.
+    ``{"indices": (i, ...), "after": deliveries, "delay": t}``, the
+    :class:`~repro.storage.recovery.CrashPlan` that epoch runs under,
+    WAL-ing the handoff state of the crashed parties.
     """
 
     def __init__(
@@ -285,7 +318,6 @@ class MembershipDriver:
         *,
         transport: str = "sim",
         seed: int = 0,
-        session_base: Optional[str] = None,
         timeout: float = 120.0,
         max_steps: Optional[int] = None,
         chaos: Optional[dict] = None,
@@ -297,11 +329,6 @@ class MembershipDriver:
         self.schedule = schedule
         self.transport = transport
         self.seed = seed
-        self.session_base = (
-            session_base
-            if session_base is not None
-            else f"{universe.directory.session}-churn-{seed}"
-        )
         self.timeout = timeout
         self.max_steps = max_steps
         self.chaos = dict(chaos or {})
@@ -310,9 +337,6 @@ class MembershipDriver:
         self.storage_dir = storage_dir
 
     # -- deterministic derivations ---------------------------------------------------
-
-    def epoch_session(self, epoch: int) -> str:
-        return f"{self.session_base}-epoch-{epoch}"
 
     def epoch_seed(self, epoch: int) -> int:
         # Distinct per epoch so per-party RNG streams never repeat
@@ -384,11 +408,9 @@ class MembershipDriver:
         prev_setup: Optional[TrustedSetup] = None
         prev_transcript: Any = None
         for spec in self.schedule:
-            setup = committee_setup(
-                self.universe, spec.members, spec.f, self.epoch_session(spec.epoch)
-            )
+            setup = epoch_setup(self.universe, self.seed, spec)
             if spec.epoch == 0:
-                root_factory: Any = lambda party: ADKG()
+                root_factory: Any = adkg_root
             else:
                 hspec = self.handoff_spec(spec.epoch, prev_setup, prev_transcript)
                 holdings = self.initial_holdings(
@@ -402,10 +424,7 @@ class MembershipDriver:
                         spec=_spec, initial=_holdings[party.index]
                     )
 
-            if spec.epoch in self.crash:
-                result = self._run_crash_epoch(spec, setup, root_factory, report)
-            else:
-                result = self._run_epoch(spec, setup, root_factory)
+            result = self._run_epoch(spec, setup, root_factory, report)
             report.results.append(result)
             report.setups[spec.epoch] = setup
             prev_setup, prev_transcript = setup, result.transcript
@@ -419,7 +438,11 @@ class MembershipDriver:
         return report
 
     def _run_epoch(
-        self, spec: EpochSpec, setup: TrustedSetup, root_factory: Any
+        self,
+        spec: EpochSpec,
+        setup: TrustedSetup,
+        root_factory: Any,
+        report: MembershipReport,
     ) -> EpochResult:
         runtime = make_run_transport(
             self.transport,
@@ -428,57 +451,32 @@ class MembershipDriver:
             max_steps=self.max_steps,
             chaos=self.chaos.get(spec.epoch),
         )
-        driver = EpochDriver(
-            runtime, epochs=1, root_factory=root_factory, timeout=self.timeout
-        )
+        crash = self.crash.get(spec.epoch)
+        plan: Any = nullcontext()
+        if crash is not None:
+            plan = CrashPlan(
+                runtime,
+                root_factory,
+                cadence=self.cadence,
+                storage_dir=self.storage_dir,
+                timeout=self.timeout,
+                **crash,
+            )
+        with plan as interlude:
+            [result] = EpochDriver(
+                runtime,
+                epochs=1,
+                root_factory=root_factory,
+                timeout=self.timeout,
+                interludes={0: interlude},
+            ).run()
+        if interlude:
+            report.replay[spec.epoch] = interlude.replay
+        report.metrics.append(runtime.metrics)
         # The fresh transport calls this epoch 0 and knows only local
         # indices; relabel with the schedule's epoch and committee.
         return replace(
-            driver.run()[0],
-            epoch=spec.epoch,
-            committee=spec.members,
-            threshold=spec.f,
-        )
-
-    def _run_crash_epoch(
-        self,
-        spec: EpochSpec,
-        setup: TrustedSetup,
-        root_factory: Any,
-        report: MembershipReport,
-    ) -> EpochResult:
-        from repro.storage.recovery import run_crash_recovery
-
-        config = dict(self.crash[spec.epoch])
-        crash_report = run_crash_recovery(
-            transport=self.transport,
-            n=spec.n,
-            seed=self.epoch_seed(spec.epoch),
-            crash_indices=tuple(config.get("indices", (0,))),
-            crash_after=int(config.get("after", 20)),
-            recovery_delay=float(config.get("delay", 3.0)),
-            cadence=self.cadence,
-            root_factory=root_factory,
-            setup=setup,
-            storage_dir=self.storage_dir,
-            timeout=self.timeout,
-            max_steps=self.max_steps,
-            chaos=self.chaos.get(spec.epoch),
-        )
-        if not crash_report["agreement"]:
-            raise RuntimeError(
-                f"crash-recovery epoch {spec.epoch} ended without agreement"
-            )
-        report.replay[spec.epoch] = crash_report["replay"]
-        return EpochResult(
-            epoch=spec.epoch,
-            session=0,
-            transcript=crash_report["transcript"],
-            outputs=dict(crash_report["outputs"]),
-            started_at=0.0,
-            completed_at=crash_report["rounds"],
-            committee=spec.members,
-            threshold=spec.f,
+            result, epoch=spec.epoch, committee=spec.members, threshold=spec.f
         )
 
 
@@ -505,12 +503,6 @@ class ChurnBeacon:
         self.outputs: list[BeaconOutput] = []
         self._prev = GENESIS
 
-    @staticmethod
-    def _transcript_valid(directory: PublicDirectory, transcript: Any) -> bool:
-        if isinstance(transcript, reshare.ReshareTranscript):
-            return reshare.verify_reshared(directory, transcript)
-        return tvrf.DKGVerify(directory, transcript)
-
     def emit_epoch(
         self,
         epoch: int,
@@ -520,7 +512,7 @@ class ChurnBeacon:
         signers: Optional[Sequence[int]] = None,
     ) -> list[BeaconOutput]:
         directory = setup.directory
-        if not self._transcript_valid(directory, transcript):
+        if not transcript_valid(directory, transcript):
             raise ValueError(f"epoch {epoch} transcript does not verify")
         emitted = emit_rounds(
             setup, transcript, signers, epoch, self.rounds_per_epoch, self._prev
@@ -554,7 +546,7 @@ class ChurnBeacon:
             if context is None:
                 return False
             directory, transcript = context
-            if not cls._transcript_valid(directory, transcript):
+            if not transcript_valid(directory, transcript):
                 return False
             if group.encode_element(transcript.public_key) != anchor_key:
                 return False

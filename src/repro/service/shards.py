@@ -11,8 +11,11 @@ A :class:`ShardGroup` is one such group: its own
 :class:`~repro.crypto.keys.TrustedSetup` (independent key material), the
 universe party ids assigned to it, and the seed its parties derive every
 RNG stream from.  Groups never exchange a message, so k groups are k
-transports, and a group's run is a pure function of its plain-value
-config tuple (:meth:`GroupCoordinator.group_config`):
+transports, and a group runs what one committee runs — fresh-key epochs
+on one transport, or (``churn``) a membership schedule of reshare
+handoffs, either under the ``chaos`` and ``crash`` overlays — as a pure
+function of its plain-value config tuple
+(:meth:`GroupCoordinator.group_config`):
 
 * **seeds** — :func:`group_seed` is a pure function of the universe seed
   and the gid, so :func:`make_shard_group` rebuilds the exact group
@@ -24,14 +27,11 @@ config tuple (:meth:`GroupCoordinator.group_config`):
   ``{rng_label}-session-{sid}`` stream and so every PVSS dealing.
 
 Where the configs run is worked out, not chosen: :func:`run_sharded`
-runs them inline, one after the other, when one worker is all the host
-offers (or all there are groups), else in a :class:`ShardExecutor` — a
-fork-context pool with a byte-only boundary: codec-encoded group configs
-in, codec-encoded results/metrics out, inline fallback on a broken pool.
-Both paths execute :func:`_run_group_config` on the same values, so the
-per-group protocol word/byte totals, verify-counter deltas, group keys
-and beacon values are **byte-identical** — the differential gate
-``tests/service/test_shards.py`` pins against recorded literals.
+runs them inline when one worker is all the host offers (or all there
+are groups), else in a :class:`ShardExecutor` — a fork-context pool with
+a byte-only boundary.  Both paths execute :func:`_run_group_config` on
+the same values, so per-group totals, group keys and beacon values are
+**byte-identical** (``tests/service/test_shards.py``).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -51,17 +52,28 @@ from repro.crypto.keys import TrustedSetup
 from repro.crypto.pairing import GroupElement
 from repro.crypto.params import PRESETS
 from repro.crypto.pvss import PVSSTranscript
+from repro.crypto.reshare import ReshareTranscript
+from repro.net.chaos import ChaosSpec
 from repro.net.metrics import Metrics
 from repro.net.transport import TRANSPORT_KINDS, make_run_transport
 from repro.service.beacon import BeaconOutput, RandomnessBeacon
-from repro.service.epochs import EpochDriver, EpochResult
+from repro.service.epochs import EpochDriver, EpochResult, adkg_root
+from repro.service.membership import (
+    ChurnBeacon,
+    EpochSpec,
+    MembershipDriver,
+    MembershipSchedule,
+    epoch_setup,
+    handoff_overlays,
+    parse_churn,
+)
+from repro.storage.recovery import CrashPlan
 
 __all__ = [
     "SESSION_STRIDE",
     "CombinedOutput",
     "GroupCoordinator",
     "GroupResult",
-    "ShardChurnReport",
     "ShardExecutor",
     "ShardGroup",
     "ShardReport",
@@ -70,7 +82,6 @@ __all__ = [
     "make_shard_group",
     "partition_universe",
     "run_sharded",
-    "run_sharded_churn",
     "shutdown_shard_executor",
 ]
 
@@ -79,8 +90,8 @@ __all__ = [
 #: the version (a worker from a stale fork would otherwise misparse).
 _CONFIG_TAG = "shard-run"
 _RESULT_TAG = "shard-result"
-#: v2: epoch rows carry the committee member tuple + threshold.
-_WIRE_VERSION = 2
+#: v3: configs carry the churn / chaos / crash overlays.
+_WIRE_VERSION = 3
 
 #: Session ids per group: group ``g``'s epoch ``e`` is session
 #: ``g * SESSION_STRIDE + e``.  The ids seed the parties' per-session RNG
@@ -227,20 +238,24 @@ class GroupCoordinator:
         rounds_per_epoch: int,
         transport: str,
         timeout: float,
+        churn: Optional[str] = None,
+        chaos: Optional[str] = None,
+        crash: Optional[dict] = None,
     ) -> tuple:
         """The plain-value description a worker rebuilds the group from.
 
         Deliberately contains no key material: the worker re-derives the
         setup from ``(gid, n, f, universe seed)`` via
         :func:`make_shard_group`, which is exactly how this coordinator
-        built it.
+        built it (``f`` as asked for: ``None``, each committee's optimum).
+        The overlays are :func:`run_sharded`'s, as plain values.
         """
         return (
             _CONFIG_TAG,
             _WIRE_VERSION,
             group.gid,
             group.n,
-            group.f,
+            self.group_f,
             self.seed,
             group.members,
             epochs,
@@ -248,6 +263,9 @@ class GroupCoordinator:
             self.params,
             transport,
             timeout,
+            churn,
+            chaos,
+            crash,
         )
 
 
@@ -265,10 +283,6 @@ class GroupResult:
     metrics: Metrics
     #: The group's own run, timed where it ran (inline or in a worker).
     wall_clock_s: float = 0.0
-
-    @property
-    def transcripts(self) -> dict[int, Any]:
-        return {result.epoch: result.transcript for result in self.epoch_results}
 
     @property
     def agreed(self) -> bool:
@@ -297,14 +311,17 @@ class ShardedBeacon:
     unpredictable as long as *any* group's value is (an adversary
     controlling f of every group still biases nothing — per-group VRF
     uniqueness pins each contribution).  Verification recomputes each
-    group's chain against its own transcripts plus the combination.
+    group's chain against its own transcripts plus the combination;
+    ``churn``: the chain is one key handed across the committees the
+    epoch rows name, not a fresh key per epoch.
     """
 
     DOMAIN = "sharded-beacon"
     MODULUS = 1 << 128
 
-    def __init__(self, groups: Sequence[ShardGroup]) -> None:
+    def __init__(self, groups: Sequence[ShardGroup], churn: bool = False) -> None:
         self.groups = tuple(groups)
+        self.churn = churn
 
     @classmethod
     def combine_value(
@@ -343,6 +360,34 @@ class ShardedBeacon:
             )
         return combined
 
+    def _chain_verifies(self, group: ShardGroup, result: GroupResult) -> bool:
+        if not self.churn:
+            return RandomnessBeacon(group.setup).verify_chain(
+                result.outputs, {r.epoch: r.transcript for r in result.epoch_results}
+            )
+        # Directories rebuilt from what the rows claim: a committee the
+        # epoch did not run with yields one its transcript fails under.
+        local = {member: index for index, member in enumerate(group.members)}
+        try:
+            contexts = {
+                row.epoch: (
+                    epoch_setup(
+                        group.setup,
+                        group.seed,
+                        EpochSpec(
+                            row.epoch,
+                            tuple(local[member] for member in row.committee),
+                            row.threshold,
+                        ),
+                    ).directory,
+                    row.transcript,
+                )
+                for row in result.epoch_results
+            }
+        except (KeyError, ValueError):
+            return False
+        return ChurnBeacon.verify_chain(result.outputs, contexts)
+
     def verify(
         self,
         group_results: Sequence[GroupResult],
@@ -351,40 +396,10 @@ class ShardedBeacon:
         """Per-group chain verification plus combination recomputation."""
         if len(group_results) != len(self.groups):
             return False
-        for group, result in zip(self.groups, group_results):
-            beacon = RandomnessBeacon(group.setup)
-            if not beacon.verify_chain(result.outputs, result.transcripts):
-                return False
+        if not all(map(self._chain_verifies, self.groups, group_results)):
+            return False
         try:
             expected = self.combine([result.outputs for result in group_results])
-        except ValueError:
-            return False
-        return list(combined) == expected
-
-    @classmethod
-    def verify_chain(
-        cls,
-        group_runs: Sequence[tuple],
-        combined: Sequence[CombinedOutput],
-    ) -> bool:
-        """Verify combined randomness across per-group *committee churn*.
-
-        ``group_runs`` is one ``(outputs, contexts)`` pair per group in
-        gid order — a group's chained beacon stream plus its per-epoch
-        ``{epoch: (directory, transcript)}`` contexts, exactly what a
-        :class:`~repro.service.membership.MembershipReport` exposes.
-        Each group's chain is verified across its own handoffs (key
-        invariance included) by
-        :meth:`~repro.service.membership.ChurnBeacon.verify_chain`, then
-        the combination is recomputed round by round.
-        """
-        from repro.service.membership import ChurnBeacon
-
-        for outputs, contexts in group_runs:
-            if not ChurnBeacon.verify_chain(outputs, contexts):
-                return False
-        try:
-            expected = cls.combine([outputs for outputs, _ in group_runs])
         except ValueError:
             return False
         return list(combined) == expected
@@ -456,6 +471,22 @@ def _real(value: Any) -> bool:
     return type(value) in (int, float)
 
 
+def _crash_ok(crash: Any, n: int) -> bool:
+    """A :class:`CrashPlan`'s ``indices`` / ``after`` / ``delay`` keywords
+    (a finite delay: a crashed party comes back)."""
+    if not isinstance(crash, dict) or set(crash) != {"indices", "after", "delay"}:
+        return False
+    indices, delay = crash["indices"], crash["delay"]
+    return (
+        isinstance(indices, tuple)
+        and bool(indices)
+        and all(_int_from(index, 0) and index < n for index in indices)
+        and _int_from(crash["after"], 0)
+        and _real(delay)
+        and 0 <= delay < float("inf")
+    )
+
+
 def _run_group_config(config: tuple) -> tuple:
     """Run one group from its plain-value config; plain-value result.
 
@@ -466,7 +497,7 @@ def _run_group_config(config: tuple) -> tuple:
     """
     if (
         not isinstance(config, tuple)
-        or len(config) != 12
+        or len(config) != 15
         or config[0] != _CONFIG_TAG
         or config[1] != _WIRE_VERSION
     ):
@@ -484,12 +515,14 @@ def _run_group_config(config: tuple) -> tuple:
         params,
         transport,
         timeout,
+        churn,
+        chaos,
+        crash,
     ) = config
     if not (
         _int_from(gid, 0)
         and _int_from(n, 1)
-        and _int_from(f, 0)
-        and 3 * f < n
+        and (f is None or (_int_from(f, 0) and 3 * f < n))
         and type(seed) is int
         and isinstance(members, tuple)
         and len(members) == n
@@ -502,38 +535,115 @@ def _run_group_config(config: tuple) -> tuple:
         and transport in TRANSPORT_KINDS
         and _real(timeout)
         and timeout > 0
+        and (churn is None or isinstance(churn, str))
+        and (chaos is None or isinstance(chaos, str))
+        and (crash is None or _crash_ok(crash, n))
     ):
         raise ValueError(f"malformed shard config: {config!r}")
+    try:
+        if chaos is not None:
+            chaos = ChaosSpec.parse(chaos)
+        schedule = None
+        if churn is not None:
+            schedule = MembershipSchedule.build(
+                n, epochs, parse_churn(churn) if churn else (), base_f=f
+            )
+    except ValueError as error:
+        raise ValueError(f"malformed shard config: {error}") from None
     group = make_shard_group(gid, n, f, seed, members=members, params=params)
-    runtime = make_run_transport(transport, group.setup, seed=group.seed)
-    driver = EpochDriver(
-        runtime, epochs=epochs, timeout=timeout, session_base=group.session_base
-    )
     started = time.perf_counter()
-    epoch_results = driver.run()
-    # Drain the stragglers in flight when the last session completed (the
-    # simulator; realtime close() cancelled them): delivery counts become
-    # a function of the traffic, not of where the wait halted.
-    runtime.block_on(runtime.drain())
-    wall = time.perf_counter() - started
-    return _raw_result(group, epoch_results, runtime.metrics, rounds_per_epoch, wall)
+    if schedule is None:
+        ran = _run_fresh_keys(
+            group, epochs, rounds_per_epoch, transport, timeout, chaos, crash
+        )
+    else:
+        ran = _run_handoffs(
+            group, schedule, rounds_per_epoch, transport, timeout, chaos, crash
+        )
+    return _raw_result(group, *ran, time.perf_counter() - started)
+
+
+def _run_fresh_keys(
+    group: ShardGroup,
+    epochs: int,
+    rounds_per_epoch: int,
+    transport: str,
+    timeout: float,
+    chaos: Optional[ChaosSpec],
+    crash: Optional[dict],
+) -> tuple:
+    """A fresh key every epoch, all on one transport (``chaos`` on it for
+    the whole run, ``crash`` in the first epoch): epochs, beacon, metrics."""
+    runtime = make_run_transport(transport, group.setup, seed=group.seed, chaos=chaos)
+    plan: Any = nullcontext()
+    if crash is not None:
+        plan = CrashPlan(runtime, adkg_root, timeout=timeout, **crash)
+    with plan as interlude:
+        epoch_results = EpochDriver(
+            runtime,
+            epochs=epochs,
+            timeout=timeout,
+            session_base=group.session_base,
+            interludes={0: interlude},
+        ).run()
+        # Drain the stragglers in flight when the last session completed
+        # (the simulator; realtime close() cancelled them): delivery counts
+        # become a function of the traffic, not of where the wait halted.
+        runtime.block_on(runtime.drain())
+    beacon = RandomnessBeacon(group.setup, rounds_per_epoch=rounds_per_epoch)
+    for result in epoch_results:
+        beacon.emit_epoch(result.epoch, result.transcript)
+    return epoch_results, beacon.outputs, runtime.metrics
+
+
+def _run_handoffs(
+    group: ShardGroup,
+    schedule: MembershipSchedule,
+    rounds_per_epoch: int,
+    transport: str,
+    timeout: float,
+    chaos: Optional[ChaosSpec],
+    crash: Optional[dict],
+) -> tuple:
+    """One key handed from committee to committee of the group's parties;
+    the overlays apply to the handoff epochs, as ``repro run --reshare
+    --chaos`` always had it."""
+    # One pairing group serves every committee's directory: its calls are
+    # read once over the whole run, not summed per epoch transport.
+    pair_group = group.setup.directory.pair_group
+    pair_base = pair_group.pair_calls
+    membership = MembershipDriver(
+        group.setup,
+        schedule,
+        transport=transport,
+        seed=group.seed,
+        timeout=timeout,
+        **handoff_overlays(len(schedule), chaos, crash),
+    ).run()
+    beacon = ChurnBeacon(rounds_per_epoch=rounds_per_epoch)
+    for result in membership.results:
+        beacon.emit_epoch(
+            result.epoch, membership.setups[result.epoch], result.transcript
+        )
+    metrics = Metrics.merged(membership.metrics)
+    metrics.attach_counters(
+        "pairing", lambda: {"pair_calls": pair_group.pair_calls - pair_base}
+    )
+    return membership.results, beacon.outputs, metrics
 
 
 def _raw_result(
     group: ShardGroup,
     epoch_results: Sequence[EpochResult],
+    outputs: Sequence[BeaconOutput],
     metrics: Metrics,
-    rounds_per_epoch: int,
     wall: float,
 ) -> tuple:
     """One group's run — epochs, its beacon stream, metrics view — as the
     plain values that cross the process boundary (and that every
     :class:`GroupResult` is rebuilt from, so inline and pooled runs
-    compare exactly).  The transport knows local indices only; the rows
-    record the group's universe members and threshold."""
-    beacon = RandomnessBeacon(group.setup, rounds_per_epoch=rounds_per_epoch)
-    for result in epoch_results:
-        beacon.emit_epoch(result.epoch, result.transcript)
+    compare exactly).  A transport knows local indices only; the rows
+    record each epoch's committee as universe members."""
     return (
         _RESULT_TAG,
         _WIRE_VERSION,
@@ -546,14 +656,14 @@ def _raw_result(
                 result.outputs,
                 result.started_at,
                 result.completed_at,
-                group.members,
-                group.f,
+                tuple(group.members[local] for local in result.committee),
+                result.threshold,
             )
             for result in epoch_results
         ),
         tuple(
             (output.epoch, output.round, output.prev, output.value, output.evaluation)
-            for output in beacon.outputs
+            for output in outputs
         ),
         _metrics_view(metrics),
         wall,
@@ -573,7 +683,7 @@ def _epoch_row_ok(row: Any) -> bool:
     return (
         _int_from(epoch, 0)
         and _int_from(session, 0)
-        and isinstance(transcript, PVSSTranscript)
+        and isinstance(transcript, (PVSSTranscript, ReshareTranscript))
         and isinstance(outputs, dict)
         and all(_int_from(party, 0) for party in outputs)
         and _real(started)
@@ -802,27 +912,6 @@ class ShardReport:
             result.agreed for result in self.group_results
         )
 
-    def summary(self) -> dict:
-        return {
-            "universe": self.universe,
-            "groups": self.groups,
-            "group_sizes": list(self.group_sizes),
-            "mode": self.mode,
-            "transport": self.transport,
-            "epochs": self.epochs,
-            "rounds": len(self.combined),
-            "all_verified": self.all_verified,
-            "wall_clock_s": round(self.wall_clock_s, 3),
-            "words_total": self.merged.words_total,
-            "messages_total": self.merged.messages_total,
-            "bytes_total": self.merged.bytes_total,
-            "per_group_words": [
-                result.metrics.words_total for result in self.group_results
-            ],
-            "combined_values": [output.value for output in self.combined],
-            "executor_fallback": self.executor_fallback,
-        }
-
 
 def _usable_cores() -> int:
     """Cores this process may run on (its affinity mask where the OS has one)."""
@@ -844,6 +933,9 @@ def run_sharded(
     params: str = "TESTING",
     timeout: float = 120.0,
     workers: Optional[int] = None,
+    churn: Optional[str] = None,
+    chaos: Optional[str] = None,
+    crash: Optional[dict] = None,
 ) -> ShardReport:
     """Run k DKG groups to one combined randomness service.
 
@@ -852,6 +944,14 @@ def run_sharded(
     1 runs them inline one after the other, more in a
     :class:`ShardExecutor` pool — per-group results are byte-identical
     either way.
+
+    ``churn`` is a :func:`~repro.service.membership.parse_churn` schedule
+    every group follows on its local indices (``""``: a proactive refresh;
+    ``None``: a fresh key per epoch instead), ``chaos`` a
+    :meth:`~repro.net.chaos.ChaosSpec.parse` string, ``crash`` a
+    :class:`~repro.storage.recovery.CrashPlan`'s ``indices`` / ``after`` /
+    ``delay``.  The overlays cover the whole run (the crash: its first
+    epoch) without churn, every handoff epoch with it (DESIGN §12).
     """
     coordinator = GroupCoordinator(
         universe, groups, group_f=group_f, seed=seed, params=params
@@ -865,6 +965,9 @@ def run_sharded(
             rounds_per_epoch=rounds_per_epoch,
             transport=transport,
             timeout=timeout,
+            churn=churn,
+            chaos=chaos,
+            crash=crash,
         )
         for group in coordinator.groups
     ]
@@ -882,7 +985,7 @@ def run_sharded(
     ]
     wall_clock_s = time.perf_counter() - started
 
-    sharded = ShardedBeacon(coordinator.groups)
+    sharded = ShardedBeacon(coordinator.groups, churn=churn is not None)
     combined = sharded.combine([result.outputs for result in group_results])
     all_verified = all(
         result.agreed for result in group_results
@@ -903,115 +1006,4 @@ def run_sharded(
         merged=Metrics.merged(result.metrics for result in group_results),
         wall_clock_s=wall_clock_s,
         executor_fallback=executor_fallback,
-    )
-
-
-# -- sharded churn: per-group handoffs, one combined chain ---------------------------
-
-
-@dataclass
-class ShardChurnReport:
-    """k groups, each surviving committee churn, one combined beacon."""
-
-    universe: int
-    groups: int
-    transport: str
-    epochs: int
-    rounds_per_epoch: int
-    seed: int
-    #: Universe party ids per group (gid order).
-    group_members: tuple[tuple[int, ...], ...] = ()
-    #: Per-group churn runs (``repro.service.membership.ChurnReport``).
-    group_reports: list = field(default_factory=list)
-    combined: list[CombinedOutput] = field(default_factory=list)
-    all_verified: bool = False
-    wall_clock_s: float = 0.0
-
-    @property
-    def key_invariant(self) -> bool:
-        return bool(self.group_reports) and all(
-            report.key_invariant for report in self.group_reports
-        )
-
-    def committees(self, gid: int) -> list[tuple[int, ...]]:
-        """Per-epoch committees of group ``gid`` as *universe* party ids."""
-        members = self.group_members[gid]
-        return [
-            tuple(members[local] for local in result.committee)
-            for result in self.group_reports[gid].membership.results
-        ]
-
-
-def run_sharded_churn(
-    universe: int = 10,
-    groups: int = 2,
-    *,
-    epochs: int = 3,
-    churn: Optional[str] = None,
-    events: Sequence = (),
-    base_f: Optional[int] = None,
-    rounds_per_epoch: int = 2,
-    transport: str = "sim",
-    seed: int = 0,
-    params: str = "TESTING",
-    timeout: float = 120.0,
-    crash: Optional[dict] = None,
-    chaos: Optional[dict] = None,
-) -> ShardChurnReport:
-    """Drive per-group key handoffs: every shard's key survives its churn.
-
-    The universe is partitioned exactly as :func:`run_sharded` partitions
-    it; each group then runs the *same* churn schedule on its own local
-    indices (``join:2@1`` means "local party 2 of each group joins") so
-    group sizes stay aligned and the per-round beacon streams combine.
-    ``crash``/``chaos`` overlays apply to every group's matching epoch.
-    The combined chain is verified with :meth:`ShardedBeacon.verify_chain`
-    — per-group key invariance across handoffs plus combination
-    recomputation.
-    """
-    from repro.service.membership import parse_churn, run_churn
-
-    resolved_events = tuple(events)
-    if churn is not None:
-        resolved_events += parse_churn(churn)
-    assignment = partition_universe(universe, groups, seed)
-    started = time.perf_counter()
-    group_reports = []
-    for gid, members in enumerate(assignment):
-        group_reports.append(
-            run_churn(
-                len(members),
-                epochs=epochs,
-                events=resolved_events,
-                base_f=base_f,
-                rounds_per_epoch=rounds_per_epoch,
-                transport=transport,
-                seed=group_seed(seed, gid),
-                params=params,
-                session=f"sharded-churn-{gid}",
-                timeout=timeout,
-                crash=crash,
-                chaos=chaos,
-            )
-        )
-    wall_clock_s = time.perf_counter() - started
-    combined = ShardedBeacon.combine([report.outputs for report in group_reports])
-    group_runs = [
-        (report.outputs, report.membership.contexts) for report in group_reports
-    ]
-    all_verified = all(
-        report.all_verified for report in group_reports
-    ) and ShardedBeacon.verify_chain(group_runs, combined)
-    return ShardChurnReport(
-        universe=universe,
-        groups=groups,
-        transport=transport,
-        epochs=epochs,
-        rounds_per_epoch=rounds_per_epoch,
-        seed=seed,
-        group_members=tuple(tuple(members) for members in assignment),
-        group_reports=group_reports,
-        combined=combined,
-        all_verified=all_verified,
-        wall_clock_s=wall_clock_s,
     )

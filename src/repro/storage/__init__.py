@@ -4,8 +4,8 @@ A party can crash mid-session, restart from disk, and converge to the
 same output: :class:`~repro.storage.store.SnapshotStore` holds each
 party's last :meth:`~repro.net.party.Party.freeze` blob,
 :class:`~repro.storage.wal.WriteAheadLog` the envelopes delivered since,
-and :mod:`repro.storage.recovery` the recorder + rehydration drivers
-that tie them to a live transport.  All bytes are versioned
+and :mod:`repro.storage.recovery` the recorder, the rehydration and the
+crash plan that tie them to a live transport.  All bytes are versioned
 :mod:`repro.storage.frames` records over the :mod:`repro.net.codec`
 registry — no pickle anywhere.  See DESIGN.md section 9.
 """
@@ -21,6 +21,7 @@ from repro.storage.frames import (
     encode_wal_record,
 )
 from repro.storage.recovery import (
+    CrashPlan,
     DurabilityRecorder,
     recover_party,
     run_crash_recovery,
@@ -39,6 +40,7 @@ __all__ = [
     "decode_frame",
     "WriteAheadLog",
     "SnapshotStore",
+    "CrashPlan",
     "DurabilityRecorder",
     "recover_party",
     "run_crash_recovery",

@@ -1,4 +1,4 @@
-"""In-session crash–recovery: durable recording, rehydration, drivers.
+"""In-session crash–recovery: durable recording, rehydration, the crash plan.
 
 The pieces, bottom-up:
 
@@ -16,12 +16,13 @@ The pieces, bottom-up:
   directory's verify cache is already warm, so replay re-verifies
   nothing it saw before — the warm-start the durability design counts
   on (DESIGN.md section 9).
-* :func:`run_crash_recovery` — one crash–recovery scenario end to end on
-  any transport: run, crash (detach + state loss) at an adversarially
-  chosen per-party delivery count, recover after a delay, reattach, and
-  run to agreement — one :func:`_drive` coroutine on the transport's
-  driving surface (DESIGN §7), so recovery latency reads in simulated
-  rounds on the simulator and in seconds on asyncio/TCP.
+* :class:`CrashPlan` — one crash–recovery as a value the epoch loop
+  awaits (DESIGN §7): crash (detach + state loss) at an adversarially
+  chosen per-party delivery count, recover after a delay, reattach — on
+  the driving surface, so the delay reads in simulated rounds on the
+  simulator and in seconds on asyncio/TCP.
+* :func:`run_crash_recovery` — the plan on one epoch of one committee,
+  with the report the CLI and the benchmark read.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.net.transport import RootFactory, Transport, make_run_transport
 from repro.storage.frames import StorageError
 from repro.storage.store import SnapshotStore
 
-__all__ = ["DurabilityRecorder", "recover_party", "run_crash_recovery"]
+__all__ = ["CrashPlan", "DurabilityRecorder", "recover_party", "run_crash_recovery"]
 
 
 class DurabilityRecorder:
@@ -49,7 +50,7 @@ class DurabilityRecorder:
     happens *after* the delivery was fully processed (outbox drained,
     conditions at fixpoint) — exactly the boundary ``freeze()`` requires.
     Call :meth:`checkpoint` once the party's roots are installed (the
-    run drivers do, right after ``transport.start``) so a crash before
+    crash plan does, right after the session starts) so a crash before
     the first delivery still finds a snapshot; failing that, the first
     observed delivery forces a genesis checkpoint.
     """
@@ -145,6 +146,110 @@ def recover_party(
     }
 
 
+class CrashPlan:
+    """Crash ``indices`` mid-epoch and rehydrate them from disk.
+
+    An epoch-loop interlude: awaited right after the epoch's session
+    starts, it attaches a :class:`DurabilityRecorder` (snapshot every
+    ``cadence`` deliveries) to every party in ``indices``; when the first
+    has processed ``after`` network deliveries all crash *together* — the
+    transport detaches them (in-flight traffic parks, as a reconnecting
+    link's send queue would), their memory is abandoned — and ``delay``
+    later (rounds on ``sim``, seconds on realtime) each is rehydrated via
+    :func:`recover_party` and reattached.  The recorders stay attached, so
+    the store outlives the epoch: use the plan as a context manager.
+    """
+
+    def __init__(
+        self,
+        transport: Transport,
+        root_factory: RootFactory,
+        *,
+        indices: Sequence[int] = (0,),
+        after: int = 20,
+        delay: float = 3.0,
+        cadence: int = 16,
+        storage_dir: Optional[Path | str] = None,
+        fsync: bool = False,
+        timeout: float = 120.0,
+    ) -> None:
+        indices = tuple(dict.fromkeys(indices))
+        if not indices:
+            raise ValueError("crash indices must name at least one party")
+        out_of_range = [index for index in indices if not 0 <= index < transport.n]
+        if out_of_range:
+            raise ValueError(
+                f"crash indices {out_of_range} out of range for n={transport.n}"
+            )
+        overlap = set(indices) & set(transport.corrupt)
+        if overlap:
+            raise ValueError(
+                f"crash–recovering parties must be honest; {sorted(overlap)} carry "
+                "Byzantine behaviors"
+            )
+        self.transport = transport
+        self.root_factory = root_factory
+        self.indices = indices
+        self.after = after
+        self.delay = delay
+        self.cadence = cadence
+        self.timeout = timeout
+        self._tmp = None
+        if storage_dir is None:
+            self._tmp = TemporaryDirectory(prefix="repro-recovery-")
+            storage_dir = self._tmp.name
+        self.store = SnapshotStore(storage_dir, fsync=fsync)
+        for index in indices:
+            # This is a fresh run: stale artifacts in a reused storage
+            # directory would rehydrate state from the wrong execution.
+            self.store.clear(index)
+        #: What happened, in the transport's ``now()`` units.
+        self.crash_at = self.reattach_at = float("nan")
+        #: Per crashed party: :func:`recover_party`'s statistics, and the
+        #: parked deliveries its reattachment drained.
+        self.replay: dict[int, dict[str, Any]] = {}
+        self.parked: dict[int, int] = {}
+
+    def __enter__(self) -> "CrashPlan":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.store.close()
+        if self._tmp is not None:
+            self._tmp.cleanup()
+
+    async def __call__(self, session: int) -> None:
+        transport = self.transport
+        recorders = [
+            DurabilityRecorder(transport, index, self.store, cadence=self.cadence)
+            for index in self.indices
+        ]
+        for recorder in recorders:
+            # Genesis checkpoint the instant the roots stand: a crash before
+            # the party's first delivery still finds a snapshot on disk.
+            recorder.checkpoint()
+        await transport.wait_until(
+            lambda transport: transport.all_honest_output(session)
+            or any(recorder.deliveries >= self.after for recorder in recorders),
+            timeout=self.timeout,
+        )
+        if transport.all_honest_output(session):
+            raise RuntimeError(
+                "the run completed before the crash point; pick a smaller "
+                "crash_after for a meaningful recovery scenario"
+            )
+        self.crash_at = transport.now()
+        for index in self.indices:
+            transport.detach_party(index)
+        await transport.sleep(self.delay)
+        self.reattach_at = transport.now()
+        for index in self.indices:
+            party, self.replay[index] = recover_party(
+                transport, index, self.store, self.root_factory
+            )
+            self.parked[index] = transport.reattach_party(index, party)
+
+
 def run_crash_recovery(
     *,
     transport: str = "sim",
@@ -168,33 +273,19 @@ def run_crash_recovery(
 ) -> dict[str, Any]:
     """One full crash–recovery scenario on the chosen transport.
 
-    Every party in ``crash_indices`` runs with a
-    :class:`DurabilityRecorder` (snapshot every ``cadence`` deliveries).
-    When the first of them has processed ``crash_after`` network
-    deliveries, all of them crash *simultaneously*: the transport
-    detaches them (in-flight traffic parks, as a reconnecting link's
-    send queue would) and their in-memory state is abandoned.  After
-    ``recovery_delay`` — simulated rounds on ``sim``, seconds on the
-    realtime transports — each is rehydrated from disk via
-    :func:`recover_party`, reattached, and the run is driven to
-    all-honest agreement.
+    One epoch of one committee under a :class:`CrashPlan`: the parties in
+    ``crash_indices`` crash together once the first of them has processed
+    ``crash_after`` deliveries, recover from disk ``recovery_delay``
+    later, and the run is driven to all-honest agreement.
 
     Returns a report dict with agreement/validity, the group public key,
     per-party replay statistics and the recovery latency (time from
     reattach to all-honest completion, in the transport's time unit).
     """
-    if root_factory is None:
-        from repro.core.adkg import ADKG
+    from repro.service.epochs import EpochDriver, adkg_root
+    from repro.service.membership import transcript_valid
 
-        root_factory = lambda party: ADKG()  # noqa: E731
-    crash_indices = list(dict.fromkeys(crash_indices))
-    if not crash_indices:
-        raise ValueError("crash_indices must name at least one party")
-    out_of_range = [index for index in crash_indices if not 0 <= index < n]
-    if out_of_range:
-        raise ValueError(
-            f"crash indices {out_of_range} out of range for n={n}"
-        )
+    root_factory = root_factory or adkg_root
     setup = setup or TrustedSetup.generate(n, seed=seed)
     # Chaos overlays compose with crash-recovery on every runtime: the
     # fault plane sits at the shared delivery seam, the recorder behind
@@ -210,122 +301,52 @@ def run_crash_recovery(
         batching=batching,
         chaos=chaos,
     )
-    overlap = set(crash_indices) & set(runtime.corrupt)
-    if overlap:
-        raise ValueError(
-            f"crash–recovering parties must be honest; {sorted(overlap)} carry "
-            "Byzantine behaviors"
-        )
-    cleanup: Optional[TemporaryDirectory] = None
-    if storage_dir is None:
-        cleanup = TemporaryDirectory(prefix="repro-recovery-")
-        storage_dir = cleanup.name
-    store = SnapshotStore(storage_dir, fsync=fsync)
-    for index in crash_indices:
-        # This is a fresh run: stale artifacts in a reused storage
-        # directory would rehydrate state from the wrong execution.
-        store.clear(index)
-    recorders = {
-        index: DurabilityRecorder(runtime, index, store, cadence=cadence)
-        for index in crash_indices
-    }
-    try:
-        report = runtime.block_on(
-            _drive(
-                runtime, recorders, store, root_factory, crash_after,
-                recovery_delay, timeout,
-            )
-        )
-    finally:
-        store.close()
-        if cleanup is not None:
-            cleanup.cleanup()
-    outputs = runtime.honest_results()
-    values = list(outputs.values())
-    agreement = bool(values) and all(value == values[0] for value in values)
-    transcript = values[0] if values else None
+    with CrashPlan(
+        runtime,
+        root_factory,
+        indices=crash_indices,
+        after=crash_after,
+        delay=recovery_delay,
+        cadence=cadence,
+        storage_dir=storage_dir,
+        fsync=fsync,
+        timeout=timeout,
+    ) as plan:
+        [result] = EpochDriver(
+            runtime,
+            epochs=1,
+            root_factory=root_factory,
+            timeout=timeout,
+            interludes={0: plan},
+        ).run()
+    transcript = result.transcript
     valid = None
-    if transcript is not None and hasattr(transcript, "public_key"):
-        from repro.crypto import reshare
-        from repro.crypto import threshold_vrf as tvrf
-
+    if hasattr(transcript, "public_key"):
         try:
-            if isinstance(transcript, reshare.ReshareTranscript):
-                valid = reshare.verify_reshared(setup.directory, transcript)
-            else:
-                valid = tvrf.DKGVerify(setup.directory, transcript)
+            valid = transcript_valid(setup.directory, transcript)
         except Exception:
             valid = False
-    report.update(
-        {
-            "transport": transport,
-            "n": runtime.n,
-            "f": runtime.f,
-            "seed": seed,
-            "crash_indices": crash_indices,
-            "crash_after": crash_after,
-            "recovery_delay": recovery_delay,
-            "cadence": cadence,
-            "honest_outputs": len(outputs),
-            "agreement": agreement,
-            "valid": valid,
-            "transcript": transcript,
-            "outputs": outputs,
-            "public_key": getattr(transcript, "public_key", None),
-            "words_total": runtime.metrics.words_total,
-            "messages_total": runtime.metrics.messages_total,
-        }
-    )
-    return report
-
-
-async def _drive(
-    runtime: Transport,
-    recorders: dict,
-    store: SnapshotStore,
-    root_factory: RootFactory,
-    crash_after: int,
-    recovery_delay: float,
-    timeout: float,
-) -> dict[str, Any]:
-    """The scenario, once, on the driving surface; times are ``now()``."""
-    try:
-        await runtime.open()
-        runtime.start(root_factory)
-        for recorder in recorders.values():
-            # Genesis checkpoint the instant the roots stand: a crash before
-            # the party's first delivery still finds a snapshot on disk.
-            recorder.checkpoint()
-        await runtime.wait_until(
-            lambda transport: transport.all_honest_output()
-            or any(r.deliveries >= crash_after for r in recorders.values()),
-            timeout=timeout,
-        )
-        if runtime.all_honest_output():
-            raise RuntimeError(
-                "the run completed before the crash point; pick a smaller "
-                "crash_after for a meaningful recovery scenario"
-            )
-        crash_at = runtime.now()
-        for index in recorders:
-            runtime.detach_party(index)
-        await runtime.sleep(recovery_delay)
-        reattach_at = runtime.now()
-        replay_stats, parked = {}, {}
-        for index in recorders:
-            party, replay_stats[index] = recover_party(
-                runtime, index, store, root_factory
-            )
-            parked[index] = runtime.reattach_party(index, party)
-        await runtime.wait_session(0, timeout=timeout)
-    finally:
-        await runtime.close()
-    completed_at = runtime.completion_time()
     return {
-        "crash_at": crash_at,
-        "reattach_at": reattach_at,
-        "rounds": completed_at,
-        "recovery_latency": completed_at - reattach_at,
-        "replay": replay_stats,
-        "parked_delivered": parked,
+        "crash_at": plan.crash_at,
+        "reattach_at": plan.reattach_at,
+        "rounds": result.completed_at,
+        "recovery_latency": result.completed_at - plan.reattach_at,
+        "replay": plan.replay,
+        "parked_delivered": plan.parked,
+        "transport": transport,
+        "n": runtime.n,
+        "f": runtime.f,
+        "seed": seed,
+        "crash_indices": list(plan.indices),
+        "crash_after": crash_after,
+        "recovery_delay": recovery_delay,
+        "cadence": cadence,
+        "honest_outputs": len(result.outputs),
+        "agreement": result.agreed,
+        "valid": valid,
+        "transcript": transcript,
+        "outputs": result.outputs,
+        "public_key": result.public_key,
+        "words_total": runtime.metrics.words_total,
+        "messages_total": runtime.metrics.messages_total,
     }

@@ -67,6 +67,14 @@ def test_link_fault_validates():
         DelayWindow(extra=0.0)
 
 
+@pytest.mark.parametrize("clause", ["delay:inf@1-9", "delay:nan@1-2", "delay:-inf"])
+def test_a_delay_that_never_ends_is_refused(clause):
+    """Every verdict eventually delivers: an envelope held for ``inf`` is a
+    drop, and ``nan <= 0`` is false, so neither may reach the plane."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        ChaosSpec.parse(clause)
+
+
 def test_partition_severs_semantics():
     cut = Partition(groups=((0, 1), (2, 3)), start=5.0, heal=10.0)
     assert cut.severs(0, 2, 5.0)

@@ -53,6 +53,37 @@ def test_driver_validates_parameters():
         EpochDriver(object(), epochs=1).run()
 
 
+def test_a_crash_interlude_rides_the_pipelined_loop():
+    """A crash plan is a per-epoch value on the one loop: epoch 1 of a
+    depth-2 run crashes a party (epoch 0 still in flight beside it) and
+    rehydrates it; every epoch agrees and the beacon chain verifies."""
+    from repro.core.adkg import ADKG
+    from repro.storage import CrashPlan
+
+    setup = TrustedSetup.generate(4, seed=1)
+    sim = Simulation(setup, seed=1, delay_model=FixedDelay(1.0))
+    root_factory = lambda party: ADKG()  # noqa: E731
+    with CrashPlan(sim, root_factory, indices=(2,), after=12, delay=4.0) as plan:
+        results = EpochDriver(
+            sim,
+            epochs=3,
+            pipeline_depth=2,
+            root_factory=root_factory,
+            interludes={1: plan},
+        ).run()
+    assert [r.epoch for r in results] == [0, 1, 2] and all(r.agreed for r in results)
+    assert plan.reattach_at == plan.crash_at + 4.0
+    assert plan.replay[2]["wal_records"] > 0
+    # Epoch 0 was in flight when party 2 went down: it finishes only after
+    # the party is back, and the recovered party output every epoch.
+    assert results[0].completed_at > plan.reattach_at > results[1].started_at
+    assert all(2 in r.outputs for r in results)
+    beacon = RandomnessBeacon(setup)
+    for result in results:
+        beacon.emit_epoch(result.epoch, result.transcript)
+    assert beacon.verify_chain(beacon.outputs, {r.epoch: r.transcript for r in results})
+
+
 # -- the beacon ------------------------------------------------------------------------
 
 
@@ -90,6 +121,16 @@ def test_beacon_chain_is_genesis_rooted_and_tamper_evident():
     assert not beacon.verify_chain(tampered, transcripts)
     # Reordering breaks linkage even though each value verifies alone.
     assert not beacon.verify_chain(outputs[::-1], transcripts)
+    # Same public key, shares out of order: every value still checks out
+    # against the key, so the transcript itself has to be verified.
+    agreed = transcripts[0]
+    reversed_shares = dataclasses.replace(
+        agreed, cipher_shares=agreed.cipher_shares[::-1]
+    )
+    assert reversed_shares.public_key == agreed.public_key
+    assert not tvrf.DKGVerify(setup.directory, reversed_shares)
+    assert all(beacon.verify(o, reversed_shares) for o in outputs if o.epoch == 0)
+    assert not beacon.verify_chain(outputs, {**transcripts, 0: reversed_shares})
 
 
 def test_beacon_value_is_unique_across_signer_subsets():

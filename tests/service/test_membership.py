@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.service import run_churn, run_sharded_churn
+from repro.service import GroupCoordinator, run_churn, run_sharded
 from repro.service.membership import (
     ChurnBeacon,
     ChurnEvent,
@@ -155,39 +155,58 @@ def test_crash_and_partition_handoffs_keep_the_key():
 # -- sharded churn -------------------------------------------------------------------
 
 
+_SHARDED_CHURN = dict(universe=10, groups=2, group_f=1, seed=1)
+
+
 @pytest.fixture(scope="module")
 def sharded_churn_report():
-    return run_sharded_churn(
-        10, 2, epochs=3, churn="join:4@1;leave:0@2", base_f=1, seed=1
+    return run_sharded(
+        epochs=3, churn="join:4@1;leave:0@2", workers=1, **_SHARDED_CHURN
     )
+
+
+def _sharded_churn_verifier():
+    return ShardedBeacon(GroupCoordinator(**_SHARDED_CHURN).groups, churn=True)
 
 
 def test_sharded_churn_verifies(sharded_churn_report):
     report = sharded_churn_report
-    assert report.key_invariant
     assert report.all_verified
-    group_runs = [
-        (g.outputs, g.membership.contexts) for g in report.group_reports
-    ]
-    assert ShardedBeacon.verify_chain(group_runs, report.combined)
+    for group in report.group_results:
+        # One key per group across both handoffs.
+        assert len({str(result.public_key) for result in group.epoch_results}) == 1
+    verifier = _sharded_churn_verifier()
+    assert verifier.verify(report.group_results, report.combined)
+    # The handed-off chains are not fresh-key chains: the verifier has to
+    # be told which service it is looking at.
+    fresh = ShardedBeacon(verifier.groups)
+    assert not fresh.verify(report.group_results, report.combined)
 
 
 def test_sharded_churn_translates_committees(sharded_churn_report):
-    report = sharded_churn_report
-    for gid, members in enumerate(report.group_members):
-        for committee in report.committees(gid):
-            assert set(committee) <= set(members)
+    for group in sharded_churn_report.group_results:
+        committees = [result.committee for result in group.epoch_results]
+        for committee in committees:
+            assert set(committee) <= set(group.members)
         # The churn schedule actually changed this group's committee.
-        assert len(set(report.committees(gid))) > 1
+        assert len(set(committees)) > 1
 
 
 def test_sharded_churn_tamper_rejected(sharded_churn_report):
     report = sharded_churn_report
-    group_runs = [
-        (g.outputs, g.membership.contexts) for g in report.group_reports
-    ]
+    verifier = _sharded_churn_verifier()
     bad_combined = list(report.combined)
     bad_combined[0] = dataclasses.replace(
         bad_combined[0], value=bad_combined[0].value ^ 1
     )
-    assert not ShardedBeacon.verify_chain(group_runs, bad_combined)
+    assert not verifier.verify(report.group_results, bad_combined)
+    # An epoch row that claims a committee the handoff did not run with
+    # rebuilds a directory its transcript fails under.
+    victim = report.group_results[1]
+    rows = list(victim.epoch_results)
+    rows[1] = dataclasses.replace(rows[1], committee=rows[0].committee)
+    forged = dataclasses.replace(victim, epoch_results=rows)
+    assert not verifier.verify([report.group_results[0], forged], report.combined)
+    rows[1] = dataclasses.replace(rows[1], committee=(99,) + rows[1].committee[1:])
+    stranger = dataclasses.replace(victim, epoch_results=rows)
+    assert not verifier.verify([report.group_results[0], stranger], report.combined)

@@ -1,4 +1,4 @@
-"""Sharded scale-out: coordinator, cross-mode identity, aggregated beacon."""
+"""Sharded scale-out: coordinator, inline ≡ pooled identity, aggregated beacon."""
 
 import dataclasses
 
@@ -99,7 +99,9 @@ ANCHOR_COMBINED = [
 
 
 @pytest.fixture(scope="module")
-def mode_reports():
+def path_reports():
+    """The same run on both paths, by ``ShardReport.mode``: inline
+    (``"sequential"``) and pooled (``"process"``)."""
     reports = {}
     for workers in (1, 2):  # inline, then the pool
         report = run_sharded(
@@ -111,17 +113,17 @@ def mode_reports():
     return reports
 
 
-def test_all_modes_agree_and_verify(mode_reports):
-    for mode, report in mode_reports.items():
+def test_all_modes_agree_and_verify(path_reports):
+    for mode, report in path_reports.items():
         assert report.agreed, mode
         assert report.all_verified, mode
         assert len(report.group_results) == 2
 
 
-def test_per_group_protocol_metrics_identical_across_modes(mode_reports):
-    reference = mode_reports["sequential"]
+def test_per_group_protocol_metrics_identical_inline_and_pooled(path_reports):
+    reference = path_reports["sequential"]
     for mode in ("sequential", "process"):
-        report = mode_reports[mode]
+        report = path_reports[mode]
         assert [
             (m.words_total, m.messages_total, m.deliveries)
             for m in (result.metrics for result in report.group_results)
@@ -139,12 +141,12 @@ def test_per_group_protocol_metrics_identical_across_modes(mode_reports):
         )
 
 
-def test_group_totals_are_invariant_in_k(mode_reports):
+def test_group_totals_are_invariant_in_k(path_reports):
     """Group 0's run is a pure function of (universe seed, gid, group
     size): alone (k = 1) it spends the words and messages it spends
     beside a second group (k = 2), and the merge is the per-group sum."""
     alone = run_sharded(universe=4, groups=1, epochs=2, workers=1, seed=0)
-    paired = mode_reports["sequential"]
+    paired = path_reports["sequential"]
     (solo,), first = alone.group_results, paired.group_results[0]
     assert len(solo.members) == len(first.members) == 4
     assert solo.metrics.words_total == first.metrics.words_total > 0
@@ -156,11 +158,11 @@ def test_group_totals_are_invariant_in_k(mode_reports):
         )
 
 
-def test_transcripts_and_beacon_streams_identical_across_modes(mode_reports):
-    reference = mode_reports["sequential"]
+def test_transcripts_and_beacon_streams_identical_inline_and_pooled(path_reports):
+    reference = path_reports["sequential"]
     groups = GroupCoordinator(8, 2, seed=0).groups
     for mode in ("sequential", "process"):
-        report = mode_reports[mode]
+        report = path_reports[mode]
         assert [output.value for output in report.combined] == ANCHOR_COMBINED, mode
         for group, expected, actual in zip(
             groups, reference.group_results, report.group_results
@@ -177,11 +179,11 @@ def test_transcripts_and_beacon_streams_identical_across_modes(mode_reports):
         assert report.combined == reference.combined, mode
 
 
-def test_process_mode_did_not_fall_back(mode_reports):
-    assert mode_reports["process"].executor_fallback is False
+def test_process_mode_did_not_fall_back(path_reports):
+    assert path_reports["process"].executor_fallback is False
 
 
-def test_k8_multiplexed_run_completes_with_all_groups_agreeing():
+def test_k8_inline_run_completes_with_all_groups_agreeing():
     report = run_sharded(universe=24, groups=8, epochs=1, workers=1)
     assert len(report.group_results) == 8
     assert report.agreed
@@ -192,6 +194,64 @@ def test_k8_multiplexed_run_completes_with_all_groups_agreeing():
         for result in report.group_results
     }
     assert len(keys) == 8
+
+
+def test_groups_under_churn_are_identical_inline_and_pooled():
+    """k groups run what one committee runs: the membership schedule —
+    under chaos, with a mid-handoff crash — goes through the same config
+    tuple and the same pool as the fresh-key epochs."""
+    config = dict(
+        universe=10, groups=2, epochs=3, churn="join:4@1;leave:0@2", group_f=1,
+        chaos="drop:0.05", crash={"indices": (2,), "after": 12, "delay": 4.0},
+        seed=1,
+    )  # fmt: skip
+    inline = run_sharded(workers=1, **config)
+    pooled = run_sharded(workers=2, **config)
+    shutdown_shard_executor()
+    assert inline.all_verified and pooled.all_verified
+    assert not pooled.executor_fallback
+    assert pooled.combined == inline.combined
+    for group, expected, actual in zip(
+        GroupCoordinator(10, 2, group_f=1, seed=1).groups,
+        inline.group_results,
+        pooled.group_results,
+    ):
+        encode = group.setup.directory.pair_group.encode_element
+        keys = {encode(r.public_key) for r in actual.epoch_results}
+        assert len(keys) == 1  # one key per group, handed off twice
+        assert keys == {encode(r.public_key) for r in expected.epoch_results}
+        assert actual.outputs == expected.outputs
+        assert actual.metrics.summary() == expected.metrics.summary()
+        # Committees are universe ids, and the schedule really moved them.
+        committees = [r.committee for r in actual.epoch_results]
+        assert committees == [r.committee for r in expected.epoch_results]
+        assert all(set(committee) <= set(group.members) for committee in committees)
+        assert len(set(committees)) == 3
+
+
+def test_a_crash_overlay_reaches_every_group(monkeypatch):
+    """The crash is in the run, not just in the config: one plan per group
+    in the first fresh-key epoch, one per group per handoff under churn,
+    each having crashed and rehydrated its party."""
+    from repro.service import membership as membership_mod
+    from repro.storage import CrashPlan
+
+    fired = []
+
+    class Recorded(CrashPlan):
+        async def __call__(self, session):
+            await super().__call__(session)
+            fired.append((session, self.reattach_at - self.crash_at, set(self.replay)))
+
+    monkeypatch.setattr(shards_mod, "CrashPlan", Recorded)
+    monkeypatch.setattr(membership_mod, "CrashPlan", Recorded)
+    crash = {"indices": (1,), "after": 12, "delay": 7.0}
+    config = dict(universe=8, groups=2, workers=1, seed=0, crash=crash)
+    assert run_sharded(epochs=2, **config).all_verified
+    assert fired == [(0, 7.0, {1}), (SESSION_STRIDE, 7.0, {1})]
+    fired.clear()
+    assert run_sharded(epochs=3, churn="", **config).all_verified
+    assert fired == [(0, 7.0, {1})] * 4  # 2 groups x 2 handoffs, a transport each
 
 
 def test_two_groups_over_tcp_match_the_simulator():
@@ -276,6 +336,18 @@ def test_tampered_group_stream_fails_verification(sequential_report):
     )
     results = [report.group_results[0], tampered]
     assert not beacon.verify(results, report.combined)
+    # A transcript that crossed the worker boundary is checked, not just
+    # its public key: reversed shares keep the key and every value valid.
+    [epoch] = victim.epoch_results
+    reversed_shares = dataclasses.replace(
+        epoch.transcript, cipher_shares=epoch.transcript.cipher_shares[::-1]
+    )
+    assert reversed_shares.public_key == epoch.transcript.public_key
+    smuggled = dataclasses.replace(
+        victim,
+        epoch_results=[dataclasses.replace(epoch, transcript=reversed_shares)],
+    )
+    assert not beacon.verify([report.group_results[0], smuggled], report.combined)
 
 
 def test_misaligned_streams_are_rejected(sequential_report):

@@ -10,7 +10,7 @@ from repro.net.runtime import Simulation
 from repro.storage import DurabilityRecorder, SnapshotStore, run_crash_recovery
 
 
-_DRIVE_KEYS = {
+_PLAN_KEYS = {
     "crash_at", "reattach_at", "rounds", "recovery_latency", "replay",
     "parked_delivered",
 }  # fmt: skip
@@ -146,9 +146,9 @@ def test_sim_tcp_crash_recovery_same_public_key(batching):
             batching=batching,
         )
         assert reports[kind]["agreement"] and reports[kind]["valid"], kind
-        # One _drive for both: the report has one shape, in now() units.
+        # One crash plan for both: the report has one shape, in now() units.
         report = reports[kind]
-        assert _DRIVE_KEYS <= set(report), kind
+        assert _PLAN_KEYS <= set(report), kind
         assert report["crash_at"] <= report["reattach_at"] <= report["rounds"], kind
         assert report["recovery_latency"] == report["rounds"] - report["reattach_at"]
         assert set(report["replay"]) == set(report["parked_delivered"]) == {1}

@@ -160,6 +160,32 @@ def test_run_crash_flag_validation(capsys):
         main(["run", "-n", "4", "--crash", "zero@30"])
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--crash", "0@nan"],
+        ["--crash", "0@inf"],
+        ["--crash", "0@-3"],
+        ["--crash", "0@1.9"],  # a delivery count: not silently 1
+        ["--crash", "0@12", "--recover", "0@nan"],
+        ["--crash", "0@12", "--recover", "0@inf"],
+        ["--crash", "0@12", "--recover", "0@-2"],
+    ],
+    ids=" ".join,
+)
+def test_crash_and_recover_values_fail_closed(flags, capsys):
+    with pytest.raises(SystemExit) as usage:
+        main(["run", "-n", "4", *flags])
+    assert usage.value.code == 2
+    err = capsys.readouterr().err
+    assert "expects i@t" in err and "Traceback" not in err
+
+
+def test_chaos_delay_must_be_finite(capsys):
+    assert main(["run", "-n", "4", "--chaos", "delay:inf@1-9"]) == 2
+    assert "error: --chaos: extra delay must be" in capsys.readouterr().err
+
+
 def test_run_crash_composes_with_chaos(capsys, tmp_path):
     """The old --crash/--chaos exclusion is lifted: both planes at once."""
     code = main(
@@ -181,6 +207,69 @@ def test_run_crash_composes_with_chaos(capsys, tmp_path):
     assert code == 0
     assert "agreed:            True" in out
     assert "transcript valid:  True" in out
+
+
+_OVERLAYS = {
+    "chaos": ["--chaos", "drop:0.05"],
+    "crash": ["--crash", "0@12"],
+    "reshare": ["--reshare", "2"],
+    "groups": ["--groups", "2"],
+}
+
+
+def _overlay_run(capsys, chosen, *extra):
+    """``repro run -n 8`` under the ``chosen`` overlays: ``(code, stdout)``."""
+    argv = ["run", "-n", "8", "--seed", "1", *extra]
+    for name in chosen:
+        argv += _OVERLAYS[name]
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "chosen",
+    [
+        tuple(name for bit, name in enumerate(_OVERLAYS) if mask >> bit & 1)
+        for mask in range(16)
+    ],
+    ids=lambda chosen: "+".join(chosen) or "plain",
+)
+def test_every_overlay_subset_runs_and_verifies(chosen, capsys, monkeypatch):
+    """--chaos, --crash, --reshare and --groups compose: all 16 subsets
+    agree and verify; --profile (tried on each overlay alone, so through
+    each of the four command bodies) wraps whichever run it is."""
+    from repro.service import shards
+
+    monkeypatch.setattr(shards, "_usable_cores", lambda: 1)  # inline: no pool
+    profiled = len(chosen) == 1
+    code, out = _overlay_run(capsys, chosen, *(["--profile"] if profiled else []))
+    assert code == 0, out
+    assert ("cumulative" in out) == profiled
+    if "groups" in chosen:
+        assert "group 1: n=4 agreed=True" in out
+        assert "combined outputs verified:  True" in out
+        assert ("handed across committees" in out) == ("reshare" in chosen)
+    elif "reshare" in chosen:
+        assert "key invariant:      True" in out
+        assert "chain verified:     True" in out
+        overlays = "".join(f" +{name}" for name in ("chaos", "crash") if name in chosen)
+        assert f"rounds{overlays}\n" in out.split("epoch 1 (reshare)")[1]
+    elif "crash" in chosen:
+        assert "agreed:            True" in out
+        assert "transcript valid:  True" in out
+    else:
+        assert "agreed:        True" in out
+        assert ("chaos faults:" in out) == ("chaos" in chosen)
+
+
+def test_every_overlay_at_once_over_tcp(capsys):
+    code, out = _overlay_run(
+        capsys, tuple(_OVERLAYS), "--transport", "tcp", "--recover", "0@0.2"
+    )
+    assert code == 0, out
+    assert "transport=tcp" in out
+    assert out.count("handed across committees") == 2
+    assert "combined outputs verified:  True" in out
 
 
 def test_run_reshare_with_churn(capsys):
@@ -210,10 +299,11 @@ def test_run_reshare_flag_validation(capsys):
     assert "requires --reshare" in capsys.readouterr().err
     assert main(["run", "-n", "7", "--reshare", "0"]) == 2
     assert ">= 1" in capsys.readouterr().err
-    assert main(["run", "-n", "7", "--reshare", "2", "--full"]) == 2
-    assert "incompatible" in capsys.readouterr().err
-    assert main(["run", "-n", "8", "--reshare", "2", "--groups", "2"]) == 2
-    assert "incompatible" in capsys.readouterr().err
+    # The plain-run diagnostics are the one refusal left among the overlays.
+    for flags in (["--reshare", "2"], ["--groups", "2"]):
+        for diagnostic in ("--full", "--no-batching"):
+            assert main(["run", "-n", "8", *flags, diagnostic]) == 2
+            assert "incompatible" in capsys.readouterr().err
     # A bad churn spec is a clean error, not a traceback.
     assert main(["run", "-n", "7", "--reshare", "2", "--churn", "grow:1@1"]) == 1
     assert "bad churn clause" in capsys.readouterr().err
@@ -260,8 +350,9 @@ def test_beacon_churn_sharded(capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "group 0: key_invariant=True" in out
-    assert "combined chain verified:   True" in out
+    assert "group 0: n=4 agreed=True" in out
+    assert out.count("one key, handed across committees") == 2
+    assert "combined outputs verified:  True" in out
 
 
 def test_group_size_without_groups_is_a_usage_error(capsys):
