@@ -78,10 +78,7 @@ class KZGSetup:
     def _commit_poly(self, poly: Polynomial) -> GroupElement:
         if poly.degree > self.capacity:
             raise ValueError("polynomial exceeds setup capacity")
-        return self.group.prod(
-            self.group.exp(self._powers[k], coeff)
-            for k, coeff in enumerate(poly.coeffs)
-        )
+        return self.group.multi_exp(self._powers[: len(poly.coeffs)], poly.coeffs)
 
     def commit(self, values: Sequence[int]) -> GroupElement:
         """Commit to ``values`` as evaluations at points ``0..len-1``."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.crypto.field import PrimeField
 from repro.crypto.hashing import hash_bytes, hash_to_int
@@ -132,13 +132,34 @@ class BilinearGroup:
         return self.multi_pair(pairs)
 
     def prod(self, elements: Any) -> GroupElement:
-        """Product of a non-empty iterable of same-kind elements."""
-        result = None
-        for element in elements:
-            result = element if result is None else self.mul(result, element)
-        if result is None:
+        """Product of a non-empty iterable of same-kind elements, one pass."""
+        elements = list(elements)
+        return self.multi_exp(elements, [1] * len(elements))
+
+    def multi_exp(
+        self, bases: Sequence[GroupElement], exponents: Sequence[int]
+    ) -> GroupElement:
+        """``Π bases[i]^exponents[i]`` in one pass, one element allocated.
+
+        The kernel every fold in the exponent goes through — SCRAPE and
+        random-linear-combination checks, Lagrange combination, KZG
+        commitments.  On a real curve it is a multi-scalar multiplication
+        (Pippenger); here it is one modular sum, equal to the fold
+        ``prod(exp(b, e) ...)`` with the same checks on every base.
+        """
+        if len(bases) != len(exponents):
+            raise ValueError("multi_exp needs one exponent per base")
+        kind, acc = None, 0
+        for base, exponent in zip(bases, exponents):
+            self._check(base)
+            if kind is None:
+                kind = base.kind
+            elif base.kind != kind:
+                raise ValueError("cannot multiply elements of different groups")
+            acc += base.log * exponent
+        if kind is None:
             raise ValueError("empty product")
-        return result
+        return GroupElement(kind, acc % self.q)
 
     # -- sampling and hashing ------------------------------------------------------
 

@@ -71,36 +71,37 @@ def random_polynomial(
 
 
 @lru_cache(maxsize=4096)
-def _pairwise_denominators(q: int, points: tuple[int, ...]) -> tuple[int, ...]:
-    """``d_i = Π_{j≠i} (x_i - x_j) mod q`` for a fixed evaluation domain.
+def _inverse_denominators(q: int, points: tuple[int, ...]) -> tuple[int, ...]:
+    """``1 / Π_{j≠i} (x_i - x_j) mod q`` for a fixed evaluation domain.
 
     The O(k²) inner product every Lagrange-style computation needs
-    (coefficients, SCRAPE dual codewords, coefficient interpolation) over
-    the handful of domains ADKG actually uses — ``1..f+1`` subsets for
-    share combination, ``0..n`` for the SCRAPE test — so it is cached
-    process-wide, keyed by the domain itself.
+    (coefficients, SCRAPE dual codewords, coefficient interpolation),
+    inverted, over the handful of domains ADKG actually uses — ``1..f+1``
+    subsets for share combination, ``0..n`` for the SCRAPE test — so it
+    is cached process-wide, keyed by the domain itself, and no consumer
+    pays a modular inversion per call.
     """
-    denominators = []
+    inverses = []
     for i, x_i in enumerate(points):
         d = 1
         for j, x_j in enumerate(points):
             if i != j:
                 d = d * (x_i - x_j) % q
-        denominators.append(d)
-    return tuple(denominators)
+        inverses.append(pow(d, -1, q))
+    return tuple(inverses)
 
 
 @lru_cache(maxsize=4096)
 def _lagrange_cached(q: int, points: tuple[int, ...], at: int) -> tuple[int, ...]:
-    denominators = _pairwise_denominators(q, points)
+    inverses = _inverse_denominators(q, points)
     # Π (at - x_j) over the whole domain; λ_i divides the i-th factor out.
     coefficients = []
-    for x_i, d_i in zip(points, denominators):
+    for x_i, inv_i in zip(points, inverses):
         numerator = 1
         for x_j in points:
             if x_j != x_i:
                 numerator = numerator * (at - x_j) % q
-        coefficients.append(numerator * pow(d_i, -1, q) % q)
+        coefficients.append(numerator * inv_i % q)
     return tuple(coefficients)
 
 
@@ -160,7 +161,7 @@ def interpolate_polynomial(
 
     Degree 0/1 inputs short-circuit; the general case expands the
     Lagrange basis from the domain's cached master polynomial and
-    pairwise denominators (:func:`_pairwise_denominators`), so repeated
+    inverted denominators (:func:`_inverse_denominators`), so repeated
     interpolation over a fixed domain — KZG commits/opens always use
     ``0..d`` — only pays O(k²) once per domain.
     """
@@ -178,14 +179,14 @@ def interpolate_polynomial(
     else:
         domain = tuple(xs)
         master = _master_polynomial(q, domain)
-        denominators = _pairwise_denominators(q, domain)
+        inverses = _inverse_denominators(q, domain)
         count = len(points)
         coeffs = [0] * count
-        for x_i, y_i, d_i in zip(xs, ys, denominators):
+        for x_i, y_i, inv_i in zip(xs, ys, inverses):
             if y_i == 0:
                 continue
             basis = _divide_by_root(q, master, x_i)
-            scale = y_i * pow(d_i, -1, q) % q
+            scale = y_i * inv_i % q
             for t in range(count):
                 if basis[t]:
                     coeffs[t] = (coeffs[t] + scale * basis[t]) % q
@@ -218,8 +219,7 @@ def scrape_coefficients(
         raise ValueError("evaluation points must be distinct")
     mask = random_polynomial(field, count - degree - 2, rng)
     q = field.q
-    denominators = _pairwise_denominators(q, points)
+    inverses = _inverse_denominators(q, points)
     return tuple(
-        mask.evaluate(x_i) * pow(d_i, -1, q) % q
-        for x_i, d_i in zip(points, denominators)
+        mask.evaluate(x_i) * inv_i % q for x_i, inv_i in zip(points, inverses)
     )

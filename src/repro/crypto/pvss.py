@@ -317,9 +317,7 @@ def _verify_sharing(
     duals = scrape_coefficients(
         field, list(range(n + 1)), directory.f, random.Random(seed)
     )
-    check = group.prod(
-        group.exp(commitment, dual) for commitment, dual in zip(commitments, duals)
-    )
+    check = group.multi_exp(commitments, duals)
     if check != group.identity(commitments[0].kind):
         return False
     # Pairing consistency of every encrypted share with its commitment:
@@ -331,12 +329,7 @@ def _verify_sharing(
     rlc_seed = hash_bytes("pvss-rlc", directory.session, statement_digest)
     rlc = random.Random(rlc_seed)
     weights = [rlc.randrange(1, 1 << 128) for _ in range(n)]
-    lhs = group.pair(
-        group.g,
-        group.prod(
-            group.exp(cipher_shares[j], weights[j]) for j in range(n)
-        ),
-    )
+    lhs = group.pair(group.g, group.multi_exp(cipher_shares, weights))
     rhs = group.multi_pair(
         (group.exp(directory.enc_pks[j], weights[j]), commitments[j + 1])
         for j in range(n)

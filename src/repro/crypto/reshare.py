@@ -321,22 +321,14 @@ def _verify_resharing(
     duals = scrape_coefficients(
         field, list(range(n + 1)), directory.f, random.Random(seed)
     )
-    check = group.prod(
-        group.exp(commitment, dual)
-        for commitment, dual in zip(commitments, duals)
-    )
+    check = group.multi_exp(commitments, duals)
     if check != group.identity(commitments[0].kind):
         return False
     rlc_seed = hash_bytes("reshare-rlc", directory.session, statement_digest)
     rlc = random.Random(rlc_seed)
     weights = [rlc.randrange(1, 1 << 128) for _ in range(n)]
     anchor_inv = group.inv(commitments[0])
-    lhs = group.pair(
-        group.g,
-        group.prod(
-            group.exp(cipher_deltas[j], weights[j]) for j in range(n)
-        ),
-    )
+    lhs = group.pair(group.g, group.multi_exp(cipher_deltas, weights))
     rhs = group.multi_pair(
         (
             group.exp(directory.enc_pks[j], weights[j]),
@@ -401,17 +393,11 @@ def finalize(directory: PublicDirectory, bundle: ReshareBundle) -> ReshareTransc
     lambdas = lagrange_coefficients(field, xs, at=0)
     width = directory.n + 1
     commitments = tuple(
-        group.prod(
-            group.exp(dealing.commitments[x], lam)
-            for dealing, lam in zip(dealings, lambdas)
-        )
+        group.multi_exp([dealing.commitments[x] for dealing in dealings], lambdas)
         for x in range(width)
     )
     cipher_deltas = tuple(
-        group.prod(
-            group.exp(dealing.cipher_deltas[j], lam)
-            for dealing, lam in zip(dealings, lambdas)
-        )
+        group.multi_exp([dealing.cipher_deltas[j] for dealing in dealings], lambdas)
         for j in range(directory.n)
     )
     return ReshareTranscript(

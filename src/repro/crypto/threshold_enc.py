@@ -126,8 +126,6 @@ def combine(
     chosen = sorted(distinct.values(), key=lambda share: share.party)[: directory.f + 1]
     xs = [directory.share_index(share.party) for share in chosen]
     lambdas = lagrange_coefficients(field, xs, at=0)
-    mask = group.prod(
-        group.exp(share.value, lam) for share, lam in zip(chosen, lambdas)
-    )
+    mask = group.multi_exp([share.value for share in chosen], lambdas)
     stream = _keystream(directory, mask, len(ciphertext.body))
     return bytes(c ^ s for c, s in zip(ciphertext.body, stream))

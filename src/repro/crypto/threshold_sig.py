@@ -130,15 +130,12 @@ def batch_share_valid(
         )
         rlc = random.Random(seed)
         weights = [rlc.randrange(1, 1 << 128) for _ in shares]
-        combined = group.prod(
-            group.exp(share.value, weight)
-            for share, weight in zip(shares, weights)
-        )
+        combined = group.multi_exp([share.value for share in shares], weights)
         expected = group.pair(
             point,
-            group.prod(
-                group.exp(transcript.share_commitment(share.party), weight)
-                for share, weight in zip(shares, weights)
+            group.multi_exp(
+                [transcript.share_commitment(share.party) for share in shares],
+                weights,
             ),
         )
         return combined == expected
@@ -165,9 +162,7 @@ def combine(
     chosen = sorted(distinct.values(), key=lambda share: share.party)[: directory.f + 1]
     xs = [directory.share_index(share.party) for share in chosen]
     lambdas = lagrange_coefficients(field, xs, at=0)
-    value = group.prod(
-        group.exp(share.value, lam) for share, lam in zip(chosen, lambdas)
-    )
+    value = group.multi_exp([share.value for share in chosen], lambdas)
     return ThresholdSignature(value=value)
 
 

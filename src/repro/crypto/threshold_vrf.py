@@ -141,8 +141,15 @@ def EvalShVerify(
         expected = group.pair(point, transcript.share_commitment(party))
         return share.value == expected
 
-    return directory.verify_cache.memoize(
-        "tvrf-evalsh", (share, message, transcript), check
+    # Identity-first, like the PVSS checks: one multicast share object is
+    # verified by n-1 recipients in-process under the same message and
+    # transcript, so only the first pays for the content key.
+    return directory.verify_cache.identity_memoize(
+        "tvrf-evalsh",
+        share,
+        (message, transcript),
+        (share, message, transcript),
+        check,
     )
 
 
@@ -167,9 +174,7 @@ def Eval(
     chosen = sorted(distinct.values(), key=lambda share: share.party)[: directory.f + 1]
     xs = [directory.share_index(share.party) for share in chosen]
     lambdas = lagrange_coefficients(field, xs, at=0)
-    evaluation = group.prod(
-        group.exp(share.value, lam) for share, lam in zip(chosen, lambdas)
-    )
+    evaluation = group.multi_exp([share.value for share in chosen], lambdas)
     return evaluation, EMPTY_PROOF
 
 

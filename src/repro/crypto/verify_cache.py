@@ -13,8 +13,8 @@ the sender: a result is stored under the SHA-256 of the value's canonical
 A transcript with even one mutated byte encodes to different bytes, hashes
 to a different key, and misses the cache — there is no way to inherit a
 ``True`` verdict from the unmutated original.  Values the codec cannot
-encode are never cached (the check simply runs), so the cache can only
-deduplicate work, never change a verdict.
+encode never enter the content-addressed store (the check simply runs),
+so it can only deduplicate work, never change a verdict.
 
 Scoping: each :class:`~repro.crypto.keys.PublicDirectory` owns one cache
 (created in its ``__post_init__`` default), so results never leak between
@@ -28,10 +28,11 @@ Identity memoization (:class:`IdentityMemo`) is a second, cheaper layer:
 it maps a *specific object* to a derived value — a verdict under a
 context (:meth:`VerifyCache.identity_memoize`), or the object's encoded
 bytes (the codec's one struct-bytes memo, which serves payloads and the
-crypto aggregates inside them).  It assumes the object is immutable —
-true for the frozen dataclasses that cross the wire — and is keyed by
-``id`` with a weakref guard, so a different (e.g. attacker-rebuilt)
-object never inherits the original's entry.
+crypto aggregates inside them).  It is keyed by ``id`` with a weakref
+guard, so a different (e.g. attacker-rebuilt) object never inherits the
+original's entry, and it stores only what :func:`frozen` calls
+immutable — a value with a list in a tuple field could change after
+its first check, so its verdict is looked up by content every time.
 
 One byte string per value: an aggregate's codec bytes exist once per
 object — written by the encoder that first walked it or by the decoder
@@ -55,14 +56,43 @@ T = TypeVar("T")
 
 _ATOMS = (int, str, bytes, bool, type(None))
 
+#: Registered struct -> the names of its tuple-annotated fields, declared
+#: by :func:`repro.net.codec.register`; what :func:`frozen` trusts.
+TUPLE_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def frozen(value: Any) -> bool:
+    """Whether ``value`` cannot change under anyone holding a reference.
+
+    True for an atom, a tuple of such values, and a codec-registered
+    (frozen) struct whose tuple-annotated fields all hold real tuples.
+    A list smuggled into a tuple field by an in-process adversary can be
+    mutated after a first look; an unregistered type is not trusted.
+    """
+    kind = type(value)
+    if kind in _ATOMS:
+        return True
+    if kind is tuple:
+        for item in value:
+            if type(item) not in _ATOMS and not frozen(item):
+                return False
+        return True
+    names = TUPLE_FIELDS.get(kind)
+    if names is None:
+        return False
+    for name in names:
+        if type(getattr(value, name)) is not tuple:
+            return False
+    return True
+
 
 class IdentityMemo:
     """An ``id``-keyed memo with weakref invalidation.
 
     ``get`` returns a previously stored value only if the stored weakref
     still points at the *same object* — a recycled ``id`` after garbage
-    collection can never alias a stale entry.  Objects that do not
-    support weak references are simply not memoized.
+    collection can never alias a stale entry.  ``put`` ignores an object
+    or value that is not :func:`frozen` or not weakref-able.
     """
 
     __slots__ = ("_entries",)
@@ -84,6 +114,8 @@ class IdentityMemo:
         return None
 
     def put(self, obj: Any, value: Any) -> None:
+        if not (frozen(obj) and frozen(value)):
+            return
         oid = id(obj)
         try:
             ref = weakref.ref(obj, lambda _ref, _e=self._entries, _k=oid: _e.pop(_k, None))
@@ -140,12 +172,13 @@ class VerifyCache:
     worker process rebuilds its group, so it has a cache of its own.
     """
 
-    __slots__ = ("_results", "stats", "_identity")
+    __slots__ = ("_results", "stats", "_domains")
 
     def __init__(self) -> None:
         self._results: dict[tuple, Any] = {}
         self.stats: Counter = Counter()
-        self._identity: dict[str, IdentityMemo] = {}
+        #: domain -> (identity memo, calls / hits / misses / uncacheable keys).
+        self._domains: dict[str, tuple[IdentityMemo, str, str, str, str]] = {}
 
     def __len__(self) -> int:
         return len(self._results)
@@ -168,15 +201,14 @@ class VerifyCache:
         through to the content-addressed layer, which re-keys on the
         canonical bytes of ``parts``; a different object with equal bytes
         still hits there.  Counted as a hit: the request was served from
-        cache.
+        cache.  Only an ``obj`` and ``context`` that are :func:`frozen`
+        are remembered by identity.
         """
-        memo = self._identity.get(domain)
-        if memo is None:
-            memo = self._identity[domain] = IdentityMemo()
+        memo, calls, hits, _misses, _uncacheable = self._domain(domain)
         entry = memo.get(obj)
         if entry is not None and entry[0] == context:
-            self.stats[f"{domain}.calls"] += 1
-            self.stats[f"{domain}.hits"] += 1
+            self.stats[calls] += 1
+            self.stats[hits] += 1
             return entry[1]
         result = self.memoize(domain, parts, compute)
         memo.put(obj, (context, result))
@@ -191,21 +223,30 @@ class VerifyCache:
         digest, so two contexts share a verdict iff they are byte-equal.
         """
         stats = self.stats
-        stats[f"{domain}.calls"] += 1
+        _memo, calls, hits, misses, uncacheable = self._domain(domain)
+        stats[calls] += 1
         key_parts = []
         for part in parts:
             part_key = _part_key(part)
             if part_key is None:
-                stats[f"{domain}.uncacheable"] += 1
+                stats[uncacheable] += 1
                 return compute()
             key_parts.append(part_key)
         key = (domain, *key_parts)
         if key in self._results:
-            stats[f"{domain}.hits"] += 1
+            stats[hits] += 1
             return self._results[key]
-        stats[f"{domain}.misses"] += 1
+        stats[misses] += 1
         result = self._results[key] = compute()
         return result
+
+    def _domain(self, domain: str) -> tuple[IdentityMemo, str, str, str, str]:
+        record = self._domains.get(domain)
+        if record is None:
+            stats = ("calls", "hits", "misses", "uncacheable")
+            record = (IdentityMemo(), *(f"{domain}.{stat}" for stat in stats))
+            self._domains[domain] = record
+        return record
 
     def snapshot(self) -> dict[str, int]:
         """A plain-dict copy of the counters (for :class:`~repro.net.metrics.Metrics`)."""

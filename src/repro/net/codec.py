@@ -116,7 +116,7 @@ from hashlib import sha256
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional
 
-from repro.crypto.verify_cache import IdentityMemo
+from repro.crypto.verify_cache import TUPLE_FIELDS, IdentityMemo
 
 __all__ = [
     "CodecError",
@@ -194,8 +194,7 @@ _memoized_types: set[type] = set()
 # ``EvalShare``) stay out: they cost about as much to walk as to look
 # up, and memoizing them measured no gain for thousands of extra
 # entries (DESIGN §4).  An aggregate enters the memo only if its
-# sequence fields are real tuples — :func:`_payload_struct_bytes` checks
-# it on a walk, the decode plan on a read.
+# sequence fields are real tuples — ``IdentityMemo.put`` checks it.
 _aggregate_memoized_types: set[type] = set()
 
 # Envelope instance paths, interned both ways in one table under one
@@ -333,6 +332,7 @@ def register(cls: type, type_id: int, fields: Optional[tuple[str, ...]] = None) 
     _write_uvarint(header, len(fields))
     _by_type[cls] = (type_id, fields, bytes(header), _field_getter(fields))
     _by_id[type_id] = (cls, fields, checkers)
+    TUPLE_FIELDS[cls] = tuple(n for n, c in zip(fields, checkers) if c is tuple)
     _by_name[cls.__name__] = cls
     _decode_plans.clear()
     from repro.net.payload import Payload  # deferred: payload.py is below codec
@@ -570,7 +570,7 @@ def _payload_struct_bytes(
 
     A value whose tuple-annotated fields are not all real tuples (a
     list smuggled in by an in-process adversary, who could mutate it
-    after this first encoding) is encoded but never enters the memo.
+    after this first encoding) is encoded, and ``IdentityMemo.put`` refuses it.
     """
     if stats:
         encode_stats[stats[0]] += 1
@@ -581,14 +581,11 @@ def _payload_struct_bytes(
         return cached
     if stats:
         encode_stats[stats[2]] += 1
-    type_id, _fields, header, getter = _by_type[type(value)]
-    members = getter(value)
+    _type_id, _fields, header, getter = _by_type[type(value)]
     chunk = bytearray(header)
-    _encode_items(chunk, members)
+    _encode_items(chunk, getter(value))
     buffer = bytes(chunk)
-    checkers = _by_id[type_id][2]
-    if all(type(m) is tuple for m, c in zip(members, checkers) if c is tuple):
-        _payload_memo.put(value, buffer)
+    _payload_memo.put(value, buffer)
     return buffer
 
 

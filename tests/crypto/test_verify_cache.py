@@ -81,10 +81,10 @@ def test_domains_are_separated():
 def test_identity_memo_never_aliases_a_different_object(setup):
     memo = IdentityMemo()
     transcript = _transcript(setup)
+    clone = codec.decode(codec.encode(transcript))
     memo.put(transcript, "original")
     assert memo.get(transcript) == "original"
     # A content-equal but distinct object (fresh decode) gets no entry.
-    clone = codec.decode(codec.encode(transcript))
     assert clone == transcript
     assert memo.get(clone) is None
 
@@ -188,6 +188,30 @@ def test_field_mutated_copy_of_an_encoded_verified_transcript_starts_from_nothin
     assert pvss.verify_transcript(directory, equal, floor)
     assert stats["pvss-transcript.misses"] == misses + 1
     assert codec.encode(transcript) == encoded
+
+
+def test_identity_layer_never_remembers_a_value_that_can_change(setup):
+    """A list smuggled into a tuple field can be mutated after the first
+    check; a verdict remembered by identity would then be stale.  Such a
+    value — as the checked object or inside the context — is looked up by
+    content every time, like the codec refuses to keep its bytes."""
+    directory = setup.directory
+    contribution = pvss.deal(directory, setup.secret(0), random.Random(7))
+    forged = dataclasses.replace(
+        contribution, cipher_shares=list(contribution.cipher_shares)
+    )
+    assert pvss.verify_contribution(directory, forged)
+    forged.cipher_shares[1:] = _first_share_moved(directory, forged.cipher_shares[1:])
+    assert not pvss._verify_contribution(directory, forged)
+    assert not pvss.verify_contribution(directory, forged)
+
+    transcript = _transcript(setup)
+    message = ("beacon", 3)
+    share = tvrf.EvalSh(directory, setup.secret(2), transcript, message)
+    listed = dataclasses.replace(transcript, commitments=list(transcript.commitments))
+    assert tvrf.EvalShVerify(directory, listed, 2, message, share)
+    listed.commitments[3] = directory.pair_group.g  # party 2's share commitment
+    assert not tvrf.EvalShVerify(directory, listed, 2, message, share)
 
 
 def test_verdicts_do_not_leak_across_directories():

@@ -12,11 +12,20 @@ counted, but for ``bytes`` / ``wire_bytes`` of the two byte-metered runs:
 those are PR 19's, where NWH votes began to sign ``H(codec bytes)`` —
 another preimage, so other signature scalars, and a scalar is a varint
 (−60 of 701 897 and +24 of 114 438 ``bytes``, −15 of 225 412
-``wire_bytes``; chance, not format).  Regenerate only for a deliberate
-protocol or wire-format change, from a checkout of the reference commit;
-it prints ``key: old → new`` for every entry it changes::
+``wire_bytes``; chance, not format).
 
-    cd <reference> && PYTHONPATH=src:<this checkout> python -c \
+Totals alone let an arithmetic slip through as long as it still verifies,
+so ``"values"`` pins what two runs computed: the agreed transcript (its
+content digest) and group public key of the benign run, and the beacon
+values of a two-epoch beacon — written by the commit before the group
+operations became batch kernels (``multi_exp``).  Regenerate only for a
+deliberate protocol or wire-format change, with ``repro`` imported from a
+checkout of the reference commit and this file from this one; it prints
+``key: old → new`` for every entry it changes.  Run it from a directory
+inside neither checkout (``python -c`` puts the working directory first
+on the path, so a reference checkout's own ``tests`` would win)::
+
+    PYTHONPATH=<reference>/src:<this checkout> python -c \
         "from tests.net.test_totals_golden import write_golden; write_golden()"
 """
 
@@ -28,7 +37,9 @@ import pytest
 from perf.workloads import WORKLOADS, created_instances
 
 from repro import run_adkg
+from repro.crypto.verify_cache import content_digest, content_encoding
 from repro.net.metrics import Metrics
+from repro.service.beacon import run_beacon
 from tests.net.helpers import print_golden_changes
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("totals_golden.json")
@@ -71,11 +82,22 @@ def _totals(case) -> dict:
     }
 
 
+def _values() -> dict:
+    adkg = run_adkg(n=7, seed=3, measure_bytes=True)
+    beacon = run_beacon(4, epochs=2, seed=1)
+    return {
+        "benign-n7-transcript-digest": content_digest(adkg.transcript).hex(),
+        "benign-n7-public-key": content_encoding(adkg.public_key).hex(),
+        "beacon-n4-epochs2-seed1": [output.value for output in beacon.outputs],
+    }
+
+
 def write_golden():
     import repro
 
     print("reference:", repro.__file__)
     golden = {name: _totals(case) for name, case in CASES.items()}
+    golden["values"] = _values()
     print_golden_changes(json.loads(GOLDEN_PATH.read_text()), golden)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
 
@@ -83,5 +105,9 @@ def write_golden():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_totals_match_reference_commit(name):
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert set(golden) == set(CASES)
+    assert set(golden) == {*CASES, "values"}
     assert _totals(CASES[name]) == golden[name]
+
+
+def test_values_match_reference_commit():
+    assert _values() == json.loads(GOLDEN_PATH.read_text())["values"]
