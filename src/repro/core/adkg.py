@@ -2,10 +2,13 @@
 
 The final construction is short because the machinery lives below it:
 every party deals one PVSS contribution to every other party, aggregates
-the first ``n-f`` verifying contributions it receives into a proposed DKG
+the first ``n-f`` well-formed contributions it receives into a proposed DKG
 transcript, and runs NWH with ``DKGVerify`` as the external-validity
-predicate.  NWH's agreement + validity give one verifying transcript that
-every party outputs; its termination is almost-sure.
+predicate.  The aggregate is checked as one transcript (the ``DKGVerify``
+every peer runs on it); parts are verified only when it fails, and the
+dealers of the parts that fail are never taken again.  NWH's agreement +
+validity give one verifying transcript that every party outputs; its
+termination is almost-sure.
 
 The agreed transcript defines the group public key
 (``transcript.public_key = g^{F(0)}``) and commits each party's threshold
@@ -39,13 +42,16 @@ class ADKG(Protocol):
 
     #: Declared mutable state (the ``nwh`` instance reference is rebuilt
     #: by :meth:`build_child`, not serialized).
-    STATE_FIELDS = ("received", "proposal")
+    STATE_FIELDS = ("received", "proposal", "_rejected")
 
     def __init__(self, broadcast_kind: str = "ct") -> None:
         super().__init__()
         self.broadcast_kind = broadcast_kind
         self.received: list = []
         self.proposal: Any = None
+        #: Dealers whose contribution failed verification after a failed
+        #: aggregate; a re-sent forgery cannot force another one.
+        self._rejected: set[int] = set()
         self.nwh: Optional[NWH] = None
 
     def on_start(self) -> None:
@@ -58,20 +64,24 @@ class ADKG(Protocol):
             return
         if self.nwh is not None:
             return  # already aggregated and agreeing
-        contribution = payload.contribution
-        if not isinstance(contribution, pvss.PVSSContribution):
-            return
-        if contribution.dealer != sender:
+        if sender in self._rejected:
             return
         if any(existing.dealer == sender for existing in self.received):
             return
-        if not tvrf.DKGShVerify(self.directory, contribution):
+        if not pvss.well_formed(self.directory, payload.contribution, sender):
             return
-        self.received.append(contribution)
-        if len(self.received) >= self.quorum:
-            self.proposal = tvrf.DKGAggregate(self.directory, self.received)
-            self.nwh = self._make_nwh()
-            self.spawn("nwh", self.nwh)
+        pool = self.received
+        pool.append(payload.contribution)
+        if len(pool) < self.quorum:
+            return
+        proposal, kept = pvss.aggregate_checked(self.directory, pool)
+        if proposal is None:
+            self._rejected |= {c.dealer for c in pool} - {c.dealer for c in kept}
+            self.received = kept
+            return
+        self.proposal = proposal
+        self.nwh = self._make_nwh()
+        self.spawn("nwh", self.nwh)
 
     def _make_nwh(self) -> NWH:
         directory = self.directory

@@ -1,9 +1,11 @@
 """Proposal Election (Section 4, Algorithms 3-5, Theorem 3).
 
 Round 1   every party deals an independent PVSS contribution to every
-          other party; party ``i`` aggregates the first ``n-f`` verifying
-          contributions addressed to it into its *personal* VRF-DKG
-          transcript ``vrf_dkg_i``.
+          other party; party ``i`` aggregates the first ``n-f``
+          well-formed contributions addressed to it into its *personal*
+          VRF-DKG transcript ``vrf_dkg_i``, checked as one transcript
+          (parts are verified only when it fails; the dealers of failing
+          parts are never taken again).
 Round 2   party ``i`` inputs ``(prop_i, vrf_dkg_i)`` into Verifiable
           Gather — committing to the pair before the election outcome is
           knowable.
@@ -72,6 +74,7 @@ class ProposalElection(Protocol):
     STATE_FIELDS = (
         "proposal",
         "dkg_contributions",
+        "_rejected",
         "vrf_dkg",
         "gather_output",
         "start_eval",
@@ -92,6 +95,9 @@ class ProposalElection(Protocol):
         self.validate = validate or always_valid
         self.broadcast_kind = broadcast_kind
         self.dkg_contributions: list = []
+        #: Dealers whose contribution failed verification after a failed
+        #: aggregate; a re-sent forgery cannot force another one.
+        self._rejected: set[int] = set()
         self.vrf_dkg: Any = None
         self.gather: Optional[Gather] = None
         self.gather_output: Optional[dict] = None
@@ -125,18 +131,23 @@ class ProposalElection(Protocol):
     def _on_dkg_share(self, sender: int, contribution: Any) -> None:
         if self.vrf_dkg is not None:
             return  # already aggregated
+        if sender in self._rejected:
+            return
         if any(c.dealer == sender for c in self.dkg_contributions):
             return  # one contribution per dealer
-        if not isinstance(contribution, pvss.PVSSContribution):
+        if not pvss.well_formed(self.directory, contribution, sender):
             return
-        if contribution.dealer != sender:
+        pool = self.dkg_contributions
+        pool.append(contribution)
+        if len(pool) < self.quorum:
             return
-        if not tvrf.DKGShVerify(self.directory, contribution):
+        vrf_dkg, kept = pvss.aggregate_checked(self.directory, pool)
+        if vrf_dkg is None:
+            self._rejected |= {c.dealer for c in pool} - {c.dealer for c in kept}
+            self.dkg_contributions = kept
             return
-        self.dkg_contributions.append(contribution)
-        if len(self.dkg_contributions) >= self.quorum:
-            self.vrf_dkg = tvrf.DKGAggregate(self.directory, self.dkg_contributions)
-            self._start_gather()
+        self.vrf_dkg = vrf_dkg
+        self._start_gather()
 
     # -- round 2: gather over (proposal, vrf_dkg) ----------------------------------------
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.crypto import nizk, schnorr
 from repro.crypto.hashing import hash_bytes
@@ -181,6 +181,50 @@ def _verify_contribution(
     )
 
 
+def well_formed(directory: PublicDirectory, contribution: Any, dealer: int) -> bool:
+    """Crypto-free shape check of a contribution ``dealer`` sent.
+
+    Type, dealer index, widths, real tuples and the tag's dealer: exactly
+    what :func:`aggregate` needs to fold the contribution.  Its algebra is
+    left to :func:`aggregate_checked`.
+    """
+    n = directory.n
+    return (
+        isinstance(contribution, PVSSContribution)
+        and contribution.dealer == dealer
+        and 0 <= dealer < n
+        and type(contribution.commitments) is tuple
+        and type(contribution.cipher_shares) is tuple
+        and len(contribution.commitments) == n + 1
+        and len(contribution.cipher_shares) == n
+        and isinstance(contribution.tag, ContributorTag)
+        and contribution.tag.dealer == dealer
+    )
+
+
+def aggregate_checked(
+    directory: PublicDirectory, contributions: Sequence[PVSSContribution]
+) -> tuple[Optional[PVSSTranscript], list[PVSSContribution]]:
+    """Aggregate, verifying the aggregate rather than its parts.
+
+    ``contributions`` are :func:`well_formed` and from distinct dealers.
+    Returns ``(transcript, contributions)`` when the aggregate passes the
+    ``DKGVerify`` check (``2f + 1`` contributors) every peer runs on it —
+    the memoized verdict then serves those peers.  Otherwise returns
+    ``(None, parts)`` with only the parts that verify individually, so the
+    caller can evict the rest and wait for more.
+    """
+    try:
+        transcript: Optional[PVSSTranscript] = aggregate(directory, contributions)
+    except (TypeError, ValueError):  # an element outside G cannot be folded
+        transcript = None
+    if transcript is not None and verify_transcript(
+        directory, transcript, 2 * directory.f + 1
+    ):
+        return transcript, list(contributions)
+    return None, [c for c in contributions if verify_contribution(directory, c)]
+
+
 def aggregate(
     directory: PublicDirectory, contributions: Sequence[PVSSContribution]
 ) -> PVSSTranscript:
@@ -250,6 +294,8 @@ def _verify_transcript(
     if any(not 0 <= dealer < directory.n for dealer in dealers):
         return False
     group = directory.pair_group
+    if not all(group.is_element(tag.secret_commitment) for tag in transcript.tags):
+        return False
     combined_secret = group.prod(tag.secret_commitment for tag in transcript.tags)
     if combined_secret != transcript.commitments[0]:
         return False
@@ -278,10 +324,9 @@ def _verify_sharing(
         return False
     if not all(group.is_element(s) for s in cipher_shares):
         return False
-    # Contributor tags: PoK + dealer signature over the secret commitment.
+    # Contributor tags: PoK + dealer signature over the secret commitment
+    # (each caller has checked that commitment is an element of G).
     for tag in tags:
-        if not group.is_element(tag.secret_commitment):
-            return False
         pok_ok = nizk.verify_dlog(
             group,
             group.g,

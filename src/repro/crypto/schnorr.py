@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 from repro.crypto.group import SchnorrGroup
@@ -47,17 +48,27 @@ def sign(group: SchnorrGroup, key: SigningKey, *message: Any) -> Signature:
     return Signature(c=challenge, s=response)
 
 
+@lru_cache(maxsize=1024)
+def _is_member(group: SchnorrGroup, pk: int) -> bool:
+    """Subgroup membership of a key, remembered by value (keys recur)."""
+    return group.is_element(pk)
+
+
 def verify(group: SchnorrGroup, pk: int, signature: Signature, *message: Any) -> bool:
-    """Check a signature on the canonical encoding of ``message``."""
+    """Check a signature on the canonical encoding of ``message``.
+
+    Two modular exponentiations: for ``pk`` in the order-``q`` subgroup
+    ``pk^(q-c)`` is ``pk^(-c)``, so ``g^s · pk^(q-c)`` is the commitment
+    ``g^s · (pk^c)^(-1)`` without an inversion.
+    """
     if not isinstance(signature, Signature):
         return False
-    if not group.is_element(pk):
+    if not (isinstance(pk, int) and _is_member(group, pk)):
         return False
     if not (0 <= signature.c < group.q and 0 <= signature.s < group.q):
         return False
     commitment = group.mul(
-        group.exp(group.g, signature.s),
-        group.inv(group.exp(pk, signature.c)),
+        group.exp(group.g, signature.s), group.exp(pk, group.q - signature.c)
     )
     expected = hash_to_int("schnorr-chal", group.q, commitment, pk, *message)
     return expected == signature.c

@@ -6,6 +6,9 @@ Implements the paper's eight algorithms on top of the aggregatable PVSS:
 ``DKGSh``          deal one PVSS contribution (a "DKG share")
 ``DKGShVerify``    publicly verify a contribution
 ``DKGAggregate``   fold ≥ 2f+1 contributions into a DKG transcript
+                   (ADKG and PE: aggregate checked as one transcript;
+                   parts verified only on failure —
+                   ``pvss.aggregate_checked``)
 ``DKGVerify``      verify a transcript carries ≥ 2f+1 valid contributions
 ``EvalSh``         party ``i``'s VRF evaluation share on a message
 ``EvalShVerify``   verify an evaluation share against the transcript

@@ -12,7 +12,11 @@ counted, but for ``bytes`` / ``wire_bytes`` of the two byte-metered runs:
 those are PR 19's, where NWH votes began to sign ``H(codec bytes)`` —
 another preimage, so other signature scalars, and a scalar is a varint
 (−60 of 701 897 and +24 of 114 438 ``bytes``, −15 of 225 412
-``wire_bytes``; chance, not format).
+``wire_bytes``; chance, not format).  ``verify_misses`` are counted by the
+commit where ADKG and PE began checking dealt contributions as one
+aggregate: no ``pvss-contrib`` misses, and two more ``pvss-transcript``
+misses in the hostile run — the personal PE transcripts of its silent and
+its dropping party, which no peer checks, now checked by their aggregator.
 
 Totals alone let an arithmetic slip through as long as it still verifies,
 so ``"values"`` pins what two runs computed: the agreed transcript (its
