@@ -46,7 +46,8 @@ def run_on(kind: str) -> None:
         f"[{kind:7s}] {N} parties agreed in {elapsed:5.2f}s wall clock | "
         f"contributors {sorted(transcripts[0].contributors)} | "
         f"{transport.metrics.words_total:,} words / "
-        f"{transport.metrics.bytes_total:,} bytes on the wire"
+        f"{transport.metrics.bytes_total:,} protocol bytes / "
+        f"{transport.metrics.wire_bytes_total:,} wire bytes"
     )
 
 

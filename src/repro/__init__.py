@@ -96,7 +96,6 @@ def run_adkg(
     setup: Optional[TrustedSetup] = None,
     transport: str = "sim",
     measure_bytes: Optional[bool] = None,
-    batching: Optional[bool] = None,
     timeout: float = 120.0,
     max_steps: Optional[int] = None,
     workers: Optional[int] = None,
@@ -109,11 +108,7 @@ def run_adkg(
     with random sleeps) or ``"tcp"`` (real loopback stream sockets with
     the byte codec; always byte-metered).  ``delay_model``, ``scheduler``
     and ``to_quiescence`` apply to the simulator only; combining them
-    with a realtime transport raises ``ValueError``.  ``batching``
-    toggles the coalesced message plane (``None`` = the transport's
-    default, which is on); protocol word/byte totals are identical
-    either way — batching changes frames and wall clock, not the
-    protocol's accounting.
+    with a realtime transport raises ``ValueError``.
 
     With the default ``delay_model=FixedDelay(1.0)`` the simulator's
     reported ``rounds`` equals the length of the longest causal message
@@ -139,9 +134,9 @@ def run_adkg(
         # keyword goes when the next benchmark PR drops that (ROADMAP).
         raise ValueError("the process-pool verifier was removed; workers must be 0")
     setup = setup or TrustedSetup.generate(n, f, params=params, seed=seed)
-    # ``None`` for measure_bytes / batching / chaos means the transport's
-    # default: bytes off for sim/asyncio and always on for TCP (which
-    # refuses measure_bytes=False), batching on, no chaos plane.
+    # ``None`` for measure_bytes / chaos means the transport's default:
+    # bytes off for sim/asyncio and always on for TCP (which refuses
+    # measure_bytes=False), no chaos plane.
     runtime = make_run_transport(
         transport,
         setup,
@@ -152,7 +147,6 @@ def run_adkg(
         max_steps=max_steps,
         to_quiescence=to_quiescence,
         measure_bytes=measure_bytes,
-        batching=batching,
         chaos=chaos,
     )
     runtime.run_sync(

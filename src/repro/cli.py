@@ -114,7 +114,6 @@ def _cmd_run_with_recovery(args: argparse.Namespace, chaos, crash: dict) -> int:
         recovery_delay=crash["delay"],
         cadence=args.cadence,
         storage_dir=args.storage_dir,
-        batching=not args.no_batching,
         timeout=args.timeout,
         chaos=chaos,
     )
@@ -250,7 +249,7 @@ def _cmd_sharded(
     print(f"messages sent (all groups): {report.merged.messages_total:,}")
     if report.merged.bytes_total:
         # Metered on tcp only; an unmetered 0 would read as a measurement.
-        print(f"bytes on wire (all groups): {report.merged.bytes_total:,}")
+        print(f"protocol bytes (all groups): {report.merged.bytes_total:,}")
     print(f"wall clock:                 {elapsed:.2f}s")
     return 0 if report.all_verified else 1
 
@@ -296,14 +295,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.reshare is not None and args.reshare < 1:
         print("error: --reshare expects >= 1 epochs", file=sys.stderr)
         return 2
-    # --chaos, --crash, --reshare and --groups compose freely; the two
-    # diagnostics of one plain ADKG are all that is refused.
+    # --chaos, --crash, --reshare and --groups compose freely; --full, a
+    # diagnostic of one plain ADKG, is all that is refused beside them.
     composed = args.reshare is not None or args.groups is not None
-    if (args.full and (composed or args.crash)) or (args.no_batching and composed):
+    if args.full and (composed or args.crash):
         print(
-            "error: --full is incompatible with --crash/--reshare/--groups, "
-            "--no-batching with --reshare/--groups (both describe one "
-            "committee's single ADKG)",
+            "error: --full is incompatible with --crash/--reshare/--groups "
+            "(it describes one committee's single ADKG)",
             file=sys.stderr,
         )
         return 2
@@ -345,7 +343,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         to_quiescence=args.full,
         transport=args.transport,
         measure_bytes=True,
-        batching=not args.no_batching,
         timeout=args.timeout,
         chaos=chaos,
     )
@@ -357,22 +354,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"contributors:  {sorted(result.transcript.contributors)}")
     print(f"words sent:    {result.words_total:,}")
     print(f"messages sent: {result.messages_total:,}")
-    print(f"bytes on wire: {result.bytes_total:,}")
-    frames = summary.get("frames_total", 0)
-    if frames:
+    if result.bytes_total:
+        print(f"protocol bytes: {result.bytes_total:,}")
+    if summary["frames_total"]:
         print(
-            f"wire frames:   {frames:,} "
+            f"wire frames:   {summary['frames_total']:,} "
             f"(saved {summary['frames_saved']:,}, "
             f"{summary['batch_occupancy_mean']:.1f} envelopes/frame, "
             f"max {summary['batch_occupancy_max']})"
         )
-        if summary.get("wire_bytes_total"):
-            print(
-                f"coalesced to:  {summary['wire_bytes_total']:,} bytes "
-                f"(saved {summary['wire_bytes_saved']:,} vs unbatched)"
-            )
-    else:
-        print("wire frames:   unbatched (one per message)")
+    if summary["wire_bytes_total"]:
+        print(
+            f"wire bytes:    {summary['wire_bytes_total']:,} "
+            f"(saved {summary['wire_bytes_saved']:,})"
+        )
     counters = summary.get("counters", {})
     chaos_counts = counters.get("chaos", {})
     if chaos_counts:
@@ -445,7 +440,8 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
     print(f"mean epoch latency:       {report.mean_epoch_latency:.2f} {unit}")
     print(f"epochs/sec (wall clock):  {report.epochs_per_sec:.2f}")
     print(f"words sent:               {report.words_total:,}")
-    print(f"bytes on wire:            {report.bytes_total:,}")
+    if report.bytes_total:
+        print(f"protocol bytes:           {report.bytes_total:,}")
     return 0 if report.all_verified else 1
 
 
@@ -538,11 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="wrap the run (whichever the other flags select) in cProfile and "
         "print the top-20 cumulative entries",
-    )
-    run_p.add_argument(
-        "--no-batching",
-        action="store_true",
-        help="disable the coalesced message plane (per-envelope reference plane)",
     )
     run_p.add_argument(
         "--chaos",

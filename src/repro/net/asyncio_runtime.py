@@ -6,12 +6,11 @@ implementations are genuinely transport-agnostic — they run unchanged
 over asyncio with real concurrent delivery, which is how a deployment
 would host them.
 
-On the unbatched plane each network envelope becomes an ``asyncio`` task
-that sleeps for a random delay and then delivers; self-addressed
-envelopes are delivered inline.  On the batched plane (default) one
-activation's sends are grouped per (sender, recipient) link and each
-group becomes *one* task with one sleep, delivered as a unit — the
-task-per-envelope overhead amortizes just like the TCP runtime's frames.
+Each flush of the coalescing buffer is grouped per (sender, recipient)
+link and each group becomes *one* ``asyncio`` task that sleeps for a
+random delay and then delivers the group as a unit — the task overhead
+amortizes just like the TCP runtime's frames; self-addressed envelopes
+are delivered inline.
 Words/messages are metered exactly like the simulator (pass
 ``measure_bytes=True`` to also meter codec bytes).  The outbox/behavior/
 metrics pipeline is the shared :class:`~repro.net.transport.Transport`
@@ -47,7 +46,6 @@ class AsyncioRuntime(RealtimeTransport):
         behaviors: Optional[dict[int, Behavior]] = None,
         seed: int = 0,
         measure_bytes: bool = False,
-        batching: bool = True,
         chaos=None,
     ) -> None:
         super().__init__(
@@ -56,21 +54,12 @@ class AsyncioRuntime(RealtimeTransport):
             seed,
             rng_namespace="asyncio-runtime",
             measure_bytes=measure_bytes,
-            batching=batching,
             chaos=chaos,
         )
         self.max_delay = max_delay
         self._delay_rng = random.Random(f"asyncio-runtime-net-{seed}")
 
     # -- transport hooks ---------------------------------------------------------------
-
-    def _transmit(self, envelope: Envelope, frame: bytes | None) -> bool:
-        self._spawn(self._deliver_later(envelope))
-        return True
-
-    async def _deliver_later(self, envelope: Envelope) -> None:
-        await asyncio.sleep(self._delay_rng.uniform(0.0, self.max_delay))
-        self._deliver_envelope(envelope)
 
     def _transmit_coalesced(self, batch: list) -> None:
         """One sleeping task per (sender, recipient) link per flush."""

@@ -994,8 +994,8 @@ def _int_field_size(value: int) -> int:
 def encoded_envelope_size(envelope: Any) -> int:
     """``len(encode_envelope(envelope))`` without materializing the bytes.
 
-    The batched plane meters every send with its *unbatched* frame size
-    (protocol byte accounting is batching-invariant); this composes that
+    The transport meters every send with its bare envelope size (the
+    protocol byte metric, whatever frame carries it); this composes that
     size from the payload/path memo entries instead of re-encoding the
     whole envelope per recipient.  Falls back to a full encode for any
     envelope shape outside the honest fast path, so the result is exactly
@@ -1019,8 +1019,8 @@ def encoded_envelope_size(envelope: Any) -> int:
     path_bytes = _path_struct_bytes(path)
     if path_bytes is None:
         return len(encode(envelope))
-    # Counting mirrors the unbatched metering encode: one payload.calls
-    # (and hit/miss) per metered send.
+    # Counting mirrors a full metering encode: one payload.calls (and
+    # hit/miss) per metered send.
     payload_bytes = _payload_struct_bytes(payload)
     return (
         len(_by_type[_envelope_type][2])  # struct tag + id + field count

@@ -18,12 +18,13 @@ is "work done by this run" — the structural quantity
 independent of wall-clock noise.
 
 The batched message plane adds *frame* accounting on top: every send is
-still metered individually (``bytes_total`` is the batching-invariant
-protocol byte metric — the sum of unbatched per-envelope frame sizes),
-while :meth:`Metrics.record_frame` counts the coalesced frames actually
-produced, their occupancy, and the bytes they occupy on the wire
-(``wire_bytes_total``); ``frames_saved`` / ``wire_bytes_saved`` are the
-amortization the plane delivers.  See DESIGN.md section 8.
+still metered individually (``bytes_total`` is the protocol byte metric,
+``FRAME_HEADER_BYTES + len(encode_envelope(e))`` summed over sends,
+whatever frames carried them), while :meth:`Metrics.record_frame` counts
+the coalesced frames actually produced, their occupancy, and the bytes
+they occupy on the wire (``wire_bytes_total``); ``frames_saved`` /
+``wire_bytes_saved`` are the amortization the plane delivers.  See
+DESIGN.md section 8.
 """
 
 from __future__ import annotations
@@ -91,16 +92,14 @@ class Metrics:
     max_depth: int = 0
     deliveries: int = 0
     #: Coalesced wire frames the batched message plane actually produced
-    #: (zero on the unbatched plane, where every envelope is its own
-    #: frame and no batch accounting runs).
+    #: (one per message at a coalescing cap of one).
     frames_total: int = 0
     #: Largest number of envelopes observed in one frame.
     batch_occupancy_max: int = 0
     #: Actual bytes the coalesced frames occupy on the wire (transport
     #: framing included), where measurable.  ``bytes_total`` stays the
-    #: *protocol* byte metric — the sum of unbatched per-envelope frame
-    #: sizes, byte-identical with batching on or off — so the difference
-    #: is exactly what coalescing saved.
+    #: *protocol* byte metric — per-envelope sizes, whatever the frames —
+    #: so the difference is exactly what coalescing saved.
     wire_bytes_total: int = 0
     counter_providers: dict[str, Callable[[], dict]] = field(
         default_factory=dict, repr=False, compare=False
@@ -155,8 +154,8 @@ class Metrics:
         """Per-envelope frames the coalescing plane avoided.
 
         Envelopes still sitting in an unflushed coalescing buffer when a
-        run stops are metered as sends but not yet framed, so this is a
-        (tight) lower bound of zero on the unbatched plane.
+        run stops are metered as sends but not yet framed, so this is
+        clamped at zero.
         """
         if not self.frames_total:
             return 0
@@ -164,7 +163,7 @@ class Metrics:
 
     @property
     def batch_occupancy_mean(self) -> float:
-        """Mean envelopes per coalesced frame (0.0 when not batching)."""
+        """Mean envelopes per coalesced frame (0.0 before the first frame)."""
         if not self.frames_total:
             return 0.0
         return self.messages_total / self.frames_total

@@ -16,20 +16,18 @@ The outbox-draining, Byzantine-behavior and metrics logic lives in the
 shared :class:`~repro.net.transport.Transport` base; this class adds only
 simulated time.
 
-Bulk delivery (the batched plane, on by default): every envelope still
-gets its *own* delay draw from the model and its own pass through the
-adversarial scheduler — in exactly the creation order the unbatched
-plane would use, so the RNG streams are untouched — but envelopes that
-land on the same delivery instant share one heap entry.  Under
-``FixedDelay`` a whole timestep's sends collapse into a handful of heap
-entries, and the engine pops them back as one batch.  Delivery order is
-provably identical to the unbatched plane: within a shared entry the
-creation order is preserved, across entries the heap orders by
-(time, push sequence), and two envelopes with the same delivery time are
-either in the same entry (same flush) or in entries pushed in creation
-order (different flushes) — the exact tie-break the per-envelope plane
-applies.  ``batching=False`` selects that per-envelope reference plane,
-byte-for-byte the pre-batching engine.
+Bulk delivery: every envelope gets its *own* delay draw from the model
+and its own pass through the adversarial scheduler, in creation order
+at buffer time, but envelopes that land on the same delivery instant
+share one heap entry.  Under ``FixedDelay`` a whole timestep's sends
+collapse into a handful of heap entries, and the engine pops them back
+as one batch.  Delivery order does not depend on the coalescing cap:
+within a shared entry the creation order is preserved, across entries
+the heap orders by (time, push sequence), and two envelopes with the
+same delivery time are either in the same entry (same flush) or in
+entries pushed in creation order (different flushes).  At
+``batch_cap_envelopes = 1`` every send is its own entry — the
+per-envelope reference schedule the equivalence tests compare against.
 
 Determinism: all randomness flows from one master seed; ties in the queue
 break by insertion sequence.  The asynchronous model's eventual-delivery
@@ -75,7 +73,6 @@ class Simulation(Transport):
         behaviors: Optional[dict[int, Behavior]] = None,
         seed: int = 0,
         measure_bytes: bool = False,
-        batching: bool = True,
         chaos: Any = None,
     ) -> None:
         super().__init__(
@@ -84,7 +81,6 @@ class Simulation(Transport):
             seed,
             rng_namespace="simulation",
             measure_bytes=measure_bytes,
-            batching=batching,
             chaos=chaos,
         )
         self.delay_model = delay_model or UniformDelay()
@@ -96,10 +92,9 @@ class Simulation(Transport):
         #: session's result.
         self.session_output_times: dict[int, dict[int, float]] = {}
         self._seq = itertools.count()
-        #: Heap of (time, seq, entry); an entry is a single
-        #: :class:`Envelope` (unbatched plane) or a list of envelopes
-        #: sharing one delivery instant (batched plane).
-        self._queue: list[tuple[float, int, Any]] = []
+        #: Heap of (time, seq, envelopes): the envelopes of one flush
+        #: sharing one delivery instant, or one chaos-held envelope.
+        self._queue: list[tuple[float, int, list[Envelope]]] = []
         #: Same-instant envelopes already popped and awaiting delivery.
         self._ready: deque[Envelope] = deque()
         self._net_rng = random.Random(f"simulation-net-{seed}")
@@ -141,8 +136,6 @@ class Simulation(Transport):
         # Heap pops are nondecreasing in time (delays are strictly
         # positive), so no max() re-comparison per delivery.
         self.time = when
-        if type(entry) is not list:
-            return entry
         # A coalesced batch arrives at its recipients as one event.
         ready = self._ready
         ready.extend(entry)
@@ -234,26 +227,14 @@ class Simulation(Transport):
 
     # -- transport hooks ---------------------------------------------------------------
 
-    def _transmit(self, envelope: Envelope, frame: bytes | None) -> bool:
-        """Schedule a network envelope at a model/scheduler-chosen time."""
-        base = self.delay_model.delay(
-            self._net_rng, envelope.sender, envelope.recipient, self.time
-        )
-        delay = self.scheduler.schedule(self._adv_rng, envelope, base, self.time)
-        if delay <= 0:
-            raise RuntimeError("scheduler produced a non-positive delay")
-        heapq.heappush(self._queue, (self.time + delay, next(self._seq), envelope))
-        return True
-
     def _buffered_delay(self, envelope: Envelope) -> Optional[float]:
         """Draw the envelope's delivery delay the moment it is buffered.
 
-        This is the point the unbatched plane would call ``_transmit``,
-        so the delay-model and adversary RNG streams are consumed in
-        exactly the same order — interleaved with Byzantine behavior
-        transforms — on both planes.  Returns ``None`` on the fast path
-        (fixed delay + identity scheduler: nothing consumes randomness,
-        the delay is a constant resolved at flush).
+        Drawing here consumes the delay-model and adversary RNG streams
+        in creation order — interleaved with Byzantine behavior
+        transforms — whatever the coalescing cap.  Returns ``None`` on
+        the fast path (fixed delay + identity scheduler: nothing
+        consumes randomness, the delay is a constant resolved at flush).
         """
         if (
             type(self.delay_model) is FixedDelay
@@ -329,7 +310,7 @@ class Simulation(Transport):
         so determinism is untouched.
         """
         heapq.heappush(
-            self._queue, (self.time + delay, next(self._seq), envelope)
+            self._queue, (self.time + delay, next(self._seq), [envelope])
         )
 
     def _on_session_result(self, session: int, party: Party) -> None:

@@ -10,11 +10,10 @@ unchanged over an actual socket boundary, with nothing shared in memory
 between sender and recipient but bytes.
 
 Framing: a 4-byte big-endian length followed by one frame body, always
-a batch frame (:func:`repro.net.codec.encode_batch`).  On the batched
-plane (default) it coalesces every envelope one activation queued for
-the same connection, with intra-frame payload deduplication; the
-unbatched plane (``batching=False``) sends batches of one.  Malformed
-frames (codec errors,
+a batch frame (:func:`repro.net.codec.encode_batch`).  It coalesces
+every envelope one flush queued for the same connection, up to
+``batch_cap_envelopes`` (a cap of one sends batches of one), with
+intra-frame payload deduplication.  Malformed frames (codec errors,
 oversized lengths) are dropped and counted in ``rejected_frames``, as is
 every decoded envelope addressed to a different party or carrying an
 out-of-range sender — the Byzantine-input posture of the codec applies
@@ -26,9 +25,9 @@ the protocols themselves sign everything that matters).
 
 Byte metering is always on: ``metrics.bytes_total`` is the *protocol*
 byte metric — the sum of per-envelope sizes (length prefix + bare
-envelope encoding), byte-identical with batching on or off — while ``metrics.wire_bytes_total`` counts the bytes
-actually written to sockets, so their difference is what coalescing
-saved.
+envelope encoding), whatever the frames — while
+``metrics.wire_bytes_total`` counts the bytes of the frames queued for
+the sockets, so their difference is what coalescing saved.
 
 Backpressure: each ordered pair's send queue is a *bounded*
 ``asyncio.Queue`` (``send_queue_cap`` frames).  ``drain()`` applies
@@ -126,7 +125,6 @@ class TCPRuntime(RealtimeTransport):
         seed: int = 0,
         host: str = "127.0.0.1",
         measure_bytes: bool = True,
-        batching: bool = True,
         send_queue_cap: int = 1024,
         chaos: Any = None,
         heartbeat_interval: float = 1.0,
@@ -156,7 +154,6 @@ class TCPRuntime(RealtimeTransport):
             seed,
             rng_namespace="tcp-runtime",
             measure_bytes=True,
-            batching=batching,
             chaos=chaos,
         )
         self.host = host
@@ -339,19 +336,6 @@ class TCPRuntime(RealtimeTransport):
 
     def _can_transmit(self, envelope: Envelope) -> bool:
         return (envelope.sender, envelope.recipient) in self._links
-
-    def _transmit(self, envelope: Envelope, frame: bytes | None) -> bool:
-        link = self._links.get((envelope.sender, envelope.recipient))
-        if link is None:
-            # A behavior forged an unroutable sender/recipient pair: the
-            # pipeline counts it as a dropped send, not a sent message.
-            return False
-        try:
-            link.queue.put_nowait(frame)
-        except asyncio.QueueFull:
-            self.backpressure_drops += 1
-            return False
-        return True
 
     def _transmit_coalesced(self, batch: list) -> None:
         """Group the batch per connection and frame each group.

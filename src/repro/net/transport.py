@@ -9,33 +9,35 @@ one pipeline every runtime shares:
   envelopes are delivered inline (local computation: no words, no bytes,
   no delay), network envelopes pass through the sender's Byzantine
   :class:`~repro.net.adversary.Behavior` transform, are metered (words
-  always, codec bytes when ``measure_bytes`` is on) and handed to the
-  subclass's :meth:`Transport._transmit` — or, on the batched plane
-  (``batching=True``, the default), appended to the coalescing buffer,
-  an honest sender's fan-out metered once per run of identical
-  envelopes rather than once per recipient;
+  always, codec bytes when ``measure_bytes`` is on) and appended to the
+  coalescing buffer, an honest sender's fan-out metered once per run of
+  identical envelopes rather than once per recipient;
 * **coalescing** (:meth:`Transport._flush_coalesced`) — buffered sends
   are handed to the subclass's :meth:`Transport._transmit_coalesced` as
   one creation-ordered batch at the end of each protocol activation /
-  simulated timestep (and mid-activation when the buffer hits the size
-  cap), so a multicast burst travels as few frames instead of n.
-  *Protocol* word/byte accounting is batching-invariant: every send is
-  metered with its unbatched per-envelope frame size at buffer time;
-  what coalescing changes is tracked separately as frame counts,
-  occupancy and actual wire bytes (``Metrics.record_frame``);
+  simulated timestep (and mid-activation when the buffer reaches
+  ``batch_cap_envelopes``), so a multicast burst travels as few frames
+  instead of n.  At a cap of one every send is flushed on its own: the
+  per-envelope reference the equivalence tests compare against.
+  *Protocol* word/byte accounting does not depend on the frames: every
+  send is metered at buffer time with ``FRAME_HEADER_BYTES +
+  len(encode_envelope(e))``; what coalescing changes is tracked
+  separately as frame counts, occupancy and actual wire bytes
+  (``Metrics.record_frame``);
 * **delivery** (:meth:`Transport._deliver_envelope`) — the recipient's
   behavior may swallow the message, otherwise the delivery is recorded
   and routed into the party's protocol stack; the outbox is flushed if
   the activation queued sends, and :meth:`Transport._note_progress`
   (done-detection hook) runs if it produced a root result.
 
-Subclasses provide only *when and how* a transmitted envelope reaches
-:meth:`_deliver_envelope`:
+Subclasses provide only *when and how* a transmitted batch reaches
+:meth:`_deliver_envelope`, through their one send hook
+:meth:`Transport._transmit_coalesced`:
 
 * :class:`~repro.net.runtime.Simulation` — a priority queue of simulated
   delivery times (discrete-event, deterministic);
 * :class:`~repro.net.asyncio_runtime.AsyncioRuntime` — an asyncio task
-  per envelope with a real randomized sleep;
+  per (sender, recipient) link and flush, with a real randomized sleep;
 * :class:`~repro.net.tcp_runtime.TCPRuntime` — codec-encoded frames over
   real TCP stream connections.
 
@@ -88,8 +90,8 @@ class Transport:
     """Base class: parties, adversary, metrics and the delivery pipeline."""
 
     #: Subclasses that put codec frames on a real wire set this True; the
-    #: pipeline then builds each frame exactly once, up front, and passes
-    #: it to :meth:`_transmit`.
+    #: pipeline then always meters bytes, and drops a forged envelope the
+    #: codec cannot carry before it is buffered.
     frames_on_wire = False
 
     #: Coalescing-buffer flush policy: a buffer reaching this many
@@ -106,7 +108,6 @@ class Transport:
         *,
         rng_namespace: str = "transport",
         measure_bytes: bool = False,
-        batching: bool = True,
         chaos: Any = None,
     ) -> None:
         directory = setup.directory
@@ -119,15 +120,14 @@ class Transport:
                 f"cannot corrupt {len(self.behaviors)} parties with f={self.f}"
             )
         self.measure_bytes = measure_bytes
-        self.batching = batching
         #: Creation-ordered coalescing buffer of (envelope, metered
         #: nbytes, buffered-delay) records awaiting
         #: :meth:`_flush_coalesced`.  Plain tuples on purpose: they are
         #: the hot scheduler records and tuples are the slot-free
         #: optimum.  The delay slot is drawn at *append* time via
         #: :meth:`_buffered_delay` so RNG consumption interleaves with
-        #: Byzantine behavior transforms exactly as on the unbatched
-        #: plane (``None`` on transports without one).
+        #: Byzantine behavior transforms in creation order, whatever the
+        #: cap (``None`` on transports without one).
         self._outgoing: list[tuple[Envelope, Optional[int], Any]] = []
         #: Per-delivery observers (tracing); each is called with every
         #: network envelope that was actually delivered.
@@ -394,13 +394,13 @@ class Transport:
     # -- the shared pipeline -----------------------------------------------------------
 
     def _flush_party(self, party: Party) -> None:
-        """Drain a party's outbox, applying behaviours, metering, transmitting.
+        """Drain a party's outbox, applying behaviours, metering, buffering.
 
-        On the batched plane each network envelope is metered with its
-        *unbatched* frame size and appended to the coalescing buffer;
-        the buffer is handed to the subclass at the next
-        :meth:`_flush_coalesced` (end of activation / timestep, or here
-        when the size cap trips mid-activation).
+        Each network envelope is metered with its own bare-envelope size
+        and appended to the coalescing buffer; the buffer is handed to
+        the subclass at the next :meth:`_flush_coalesced` (end of
+        activation / timestep, or here when the size cap trips
+        mid-activation).
 
         An honest sender's fan-out is metered once: consecutive network
         envelopes that are the *same objects* in every field but the
@@ -410,11 +410,10 @@ class Transport:
         comparison makes this sound for any value: identical objects
         encode identically; a merely-equal forgery starts a new run.)
         A sender with a :class:`Behavior` is metered per transformed
-        envelope, as on the unbatched plane.
+        envelope (:meth:`_buffer_transformed`).
         """
         pending = party.collect_outbox()
         behaviors = self.behaviors
-        batching = self.batching
         can_transmit = self._can_transmit
         buffered_delay = self._buffered_delay
         cap = self.batch_cap_envelopes
@@ -438,76 +437,47 @@ class Transport:
                     pending.extend(party.collect_outbox())
                     continue
                 behavior = behaviors.get(envelope.sender) if behaviors else None
-                if batching and behavior is None:
-                    if not can_transmit(envelope):
-                        self.dropped_sends += 1
-                        continue
-                    # Recipients wider than two varint bytes (or forged)
-                    # get width 0 and are metered singly.
-                    if type(recipient) is int and recipient >= 0:
-                        width = 2 if recipient < 64 else 3 if recipient < 8192 else 0
-                    else:
-                        width = 0
-                    if (
-                        run
-                        and width
-                        and width == run_width
-                        and envelope.payload is head.payload
-                        and envelope.path is head.path
-                        and envelope.sender is head.sender
-                        and envelope.depth is head.depth
-                        and envelope.session is head.session
-                    ):
-                        run += 1
-                    else:
-                        if run:
-                            self._meter_run(head, run_nbytes, run)
-                            run = 0
-                        # An honest party's unencodable payload is a
-                        # programming error: the CodecError propagates,
-                        # every earlier send already metered.
-                        run_nbytes = self._envelope_nbytes(envelope)
-                        head = envelope
-                        run_width = width
-                        run = 1
-                    buffer = self._outgoing
-                    buffer.append((envelope, run_nbytes, buffered_delay(envelope)))
-                    if len(buffer) >= cap:
-                        self._meter_run(head, run_nbytes, run)
-                        run = 0
-                        self._flush_coalesced()
-                    continue
-                if batching:
+                if behavior is not None:
                     for env in behavior.transform_outgoing(envelope, self._adv_rng):
                         self._buffer_transformed(env)
                     continue
-                # Unbatched plane: the per-envelope reference pipeline.
-                outgoing = (
-                    behavior.transform_outgoing(envelope, self._adv_rng)
-                    if behavior is not None
-                    else (envelope,)
-                )
-                for env in outgoing:
-                    frame = None
-                    if self.frames_on_wire:
-                        try:
-                            frame = self._batch_frame([env])
-                        except codec.CodecError:
-                            if behavior is None:
-                                raise
-                            self.dropped_sends += 1
-                            continue
-                    if not self._transmit(env, frame):
-                        self.dropped_sends += 1
-                        continue
-                    # The byte metric is the bare envelope's size on both
-                    # planes, whatever frame carried it.
-                    nbytes = (
-                        self._envelope_nbytes(env)
-                        if frame is not None
-                        else self._measured_bytes(env, forged=behavior is not None)
-                    )
-                    self.metrics.record_send(env, nbytes=nbytes)
+                if not can_transmit(envelope):
+                    self.dropped_sends += 1
+                    continue
+                # Recipients wider than two varint bytes (or forged) get
+                # width 0 and are metered singly.
+                if type(recipient) is int and recipient >= 0:
+                    width = 2 if recipient < 64 else 3 if recipient < 8192 else 0
+                else:
+                    width = 0
+                if (
+                    run
+                    and width
+                    and width == run_width
+                    and envelope.payload is head.payload
+                    and envelope.path is head.path
+                    and envelope.sender is head.sender
+                    and envelope.depth is head.depth
+                    and envelope.session is head.session
+                ):
+                    run += 1
+                else:
+                    if run:
+                        self._meter_run(head, run_nbytes, run)
+                        run = 0
+                    # An honest party's unencodable payload is a
+                    # programming error: the CodecError propagates, every
+                    # earlier send already metered.
+                    run_nbytes = self._envelope_nbytes(envelope)
+                    head = envelope
+                    run_width = width
+                    run = 1
+                buffer = self._outgoing
+                buffer.append((envelope, run_nbytes, buffered_delay(envelope)))
+                if len(buffer) >= cap:
+                    self._meter_run(head, run_nbytes, run)
+                    run = 0
+                    self._flush_coalesced()
         finally:
             if run:
                 self._meter_run(head, run_nbytes, run)
@@ -520,7 +490,7 @@ class Transport:
         if count > 1 and nbytes is not None:
             # Sizing the head was one payload-encode request; each sibling
             # is such a request served from the memo, so the encode-once
-            # counters match the unbatched plane's to the digit.
+            # counters match sizing every send on its own to the digit.
             stats = codec.encode_stats
             stats["payload.calls"] += count - 1
             stats["payload.hits"] += count - 1
@@ -549,15 +519,15 @@ class Transport:
             self._flush_coalesced()
 
     def _envelope_nbytes(self, envelope: Envelope) -> Optional[int]:
-        """The envelope's metered byte size, on either plane.
+        """The envelope's protocol byte metric.
 
-        The length prefix plus the bare envelope encoding — what the
+        ``FRAME_HEADER_BYTES + len(encode_envelope(envelope))`` — what the
         envelope costs as a value, independent of the frame that carries
         it — composed from the codec's payload/path memo entries instead
         of a full re-encode.  ``None`` when bytes are not metered on this
         transport.  Raises :class:`~repro.net.codec.CodecError` for
-        unencodable payloads (the caller maps that to loud-failure or
-        forged-drop exactly like the unbatched plane).
+        unencodable payloads (the caller maps that to a loud failure for
+        an honest sender, a dropped or unmetered send for a forged one).
         """
         if not (self.frames_on_wire or self.measure_bytes):
             return None
@@ -680,7 +650,7 @@ class Transport:
         to reattach the original in-memory object (an omission-style
         fault with no state loss).  Parked envelopes are re-injected
         through the normal delivery pipeline — and therefore through the
-        batching plane — in arrival order.  Returns the number of parked
+        coalescing buffer — in arrival order.  Returns the number of parked
         envelopes actually delivered.
         """
         if index not in self._detached:
@@ -723,8 +693,8 @@ class Transport:
         The simulator overrides this to draw the envelope's delivery
         delay (delay model + adversarial scheduler) the moment the
         envelope is buffered, so the adversary RNG is consumed in
-        exactly the unbatched plane's order — interleaved with the
-        Byzantine behavior transforms — rather than at flush time.
+        creation order — interleaved with the Byzantine behavior
+        transforms — rather than at flush time, whatever the cap.
         """
         return None
 
@@ -790,59 +760,22 @@ class Transport:
         self._outgoing = []
         self._transmit_coalesced(batch)
 
-    def _measured_bytes(self, envelope: Envelope, forged: bool) -> Optional[int]:
-        """Observational byte metric for in-process transports.
-
-        Returns ``None`` when metering is off — or for a Byzantine-forged
-        payload the codec cannot size (words are still metered; execution
-        is identical either way).  Honest unencodable payloads still fail
-        loudly so a missing codec registration is caught before the code
-        ever meets a real wire.
-        """
-        if not self.measure_bytes:
-            return None
-        try:
-            return FRAME_HEADER_BYTES + codec.encoded_size(envelope)
-        except codec.CodecError:
-            if not forged:
-                raise
-            return None
-
     # -- subclass hooks ----------------------------------------------------------------
 
-    def _transmit(self, envelope: Envelope, frame: Optional[bytes]) -> bool:
-        """Put one network envelope in flight (subclass-specific).
-
-        ``frame`` is the pre-built wire frame when ``frames_on_wire`` or
-        byte metering require one, else ``None``.  Returns False when the
-        transport could not carry the envelope (counted as a dropped
-        send, not metered).
-        """
-        raise NotImplementedError
-
     def _can_transmit(self, envelope: Envelope) -> bool:
-        """Batched-plane routability check, applied *before* metering.
-
-        Mirrors the unbatched plane's "``_transmit`` returned False"
-        semantics (dropped send, never metered) for envelopes that the
+        """Routability check, applied *before* metering: an envelope the
         transport could not possibly carry — e.g. a forged sender/
-        recipient pair with no TCP connection.
-        """
+        recipient pair with no TCP connection — is a dropped send, never
+        metered."""
         return True
 
     def _transmit_coalesced(
         self, batch: list[tuple[Envelope, Optional[int], Any]]
     ) -> None:
-        """Put one creation-ordered batch of metered envelopes in flight.
-
-        The default falls back to per-envelope :meth:`_transmit` (frame
-        accounting then records occupancy-1 frames), so a minimal
-        subclass only ever implements ``_transmit``.
-        """
-        for envelope, nbytes, _delay in batch:
-            frame = self._batch_frame([envelope]) if self.frames_on_wire else None
-            if self._transmit(envelope, frame):
-                self.metrics.record_frame(1, len(frame) if frame else nbytes)
+        """Put one creation-ordered batch of metered ``(envelope, nbytes,
+        delay)`` records in flight and record its frames — the one send
+        hook a runtime implements."""
+        raise NotImplementedError
 
     def _batch_frame(self, envelopes: list[Envelope]) -> bytes:
         """One wire frame: length prefix + batch frame body."""
@@ -862,8 +795,10 @@ class Transport:
 class RealtimeTransport(Transport):
     """Shared machinery for runtimes hosted on a live asyncio event loop.
 
-    Subclasses implement :meth:`Transport._transmit`; delivery must call
-    :meth:`Transport._deliver_envelope` from the event loop.  Two usage
+    Subclasses implement :meth:`Transport._transmit_coalesced`; delivery
+    must call :meth:`Transport._deliver_envelope` (or
+    :meth:`Transport._deliver_buffered` then a flush) from the event
+    loop.  Two usage
     shapes, both spelled with the driving surface:
 
     * one-shot — :meth:`run` (``run_root`` under the name realtime
@@ -883,7 +818,6 @@ class RealtimeTransport(Transport):
         *,
         rng_namespace: str = "realtime",
         measure_bytes: bool = False,
-        batching: bool = True,
         chaos: Any = None,
     ) -> None:
         super().__init__(
@@ -892,7 +826,6 @@ class RealtimeTransport(Transport):
             seed,
             rng_namespace=rng_namespace,
             measure_bytes=measure_bytes,
-            batching=batching,
             chaos=chaos,
         )
         #: Pending ``call_soon`` handle for the deferred coalescing-buffer

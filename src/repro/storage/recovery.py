@@ -265,7 +265,6 @@ def run_crash_recovery(
     delay_model: Optional[DelayModel] = None,
     setup: Optional[TrustedSetup] = None,
     storage_dir: Optional[Path | str] = None,
-    batching: bool = True,
     fsync: bool = False,
     timeout: float = 120.0,
     max_steps: Optional[int] = None,
@@ -298,7 +297,6 @@ def run_crash_recovery(
         delay_model=delay_model,
         scheduler=scheduler,
         max_steps=max_steps,
-        batching=batching,
         chaos=chaos,
     )
     with CrashPlan(

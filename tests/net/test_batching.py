@@ -1,10 +1,11 @@
 """The batched message plane: batch frames, coalescing, equivalence.
 
-The invariant under test everywhere: batching is a *transport*
+The invariant under test everywhere: coalescing is a *transport*
 optimization.  Protocol execution — transcripts, word totals, byte
-totals, rounds — is byte-identical with batching on or off, on every
-transport; what changes is the frame count, the batch occupancy and the
-actual bytes on the wire.
+totals, rounds — is byte-identical at the default cap and at a cap of
+one (``Transport.batch_cap_envelopes = 1``, every send flushed on its
+own: the per-envelope reference); what changes is the frame count, the
+batch occupancy and the actual bytes on the wire.
 """
 
 import asyncio
@@ -20,6 +21,7 @@ from repro.net.envelope import Envelope
 from repro.net.metrics import Metrics
 from repro.net.runtime import Simulation
 from repro.net.tcp_runtime import TCPRuntime
+from repro.net.transport import Transport
 
 from tests.net.helpers import Blob, EchoAll, Ping
 
@@ -177,10 +179,23 @@ def test_frame_metrics_accounting():
 # -- plane equivalence -----------------------------------------------------------------
 
 
-def test_batched_plane_equivalent_to_unbatched_on_sim():
-    """Same seed, batching on/off: byte-identical protocol execution."""
-    batched = run_adkg(n=4, seed=11, transport="sim", measure_bytes=True, batching=True)
-    unbatched = run_adkg(n=4, seed=11, transport="sim", measure_bytes=True, batching=False)
+def _assert_one_frame_per_message(result):
+    """A run at a coalescing cap of one frames every message alone: a
+    batch of one, 5 or 6 B dearer than its protocol bytes."""
+    summary = result.metrics_summary
+    frames = summary["frames_total"]
+    assert frames == result.messages_total and summary["frames_saved"] == 0
+    assert summary["batch_occupancy_max"] == 1
+    extra = summary["wire_bytes_total"] - result.bytes_total
+    assert 5 * frames <= extra <= 6 * frames
+
+
+def test_batched_plane_equivalent_to_unbatched_on_sim(monkeypatch):
+    """Same seed, default cap vs a cap of one: byte-identical protocol
+    execution."""
+    batched = run_adkg(n=4, seed=11, transport="sim", measure_bytes=True)
+    monkeypatch.setattr(Transport, "batch_cap_envelopes", 1)
+    unbatched = run_adkg(n=4, seed=11, transport="sim", measure_bytes=True)
     assert batched.agreed and unbatched.agreed
     assert batched.transcript == unbatched.transcript
     assert batched.words_total == unbatched.words_total
@@ -195,18 +210,18 @@ def test_batched_plane_equivalent_to_unbatched_on_sim():
     assert bs["frames_total"] > 0 and bs["frames_saved"] > 0
     assert bs["batch_occupancy_mean"] > 1.0
     assert bs["wire_bytes_saved"] > 0
-    assert us["frames_total"] == 0 and us["frames_saved"] == 0
+    _assert_one_frame_per_message(unbatched)
 
 
-def test_batched_plane_equivalent_under_random_delays_and_scheduler():
-    """Bucketed heap scheduling preserves the exact unbatched schedule.
+def test_batched_plane_equivalent_under_random_delays_and_scheduler(monkeypatch):
+    """Bucketed heap scheduling preserves the exact per-envelope schedule.
 
     Per-envelope delay draws and scheduler decisions happen in creation
-    order on both planes, so even under a randomized delay model plus an
+    order at any cap, so even under a randomized delay model plus an
     adversarial scheduler the executions are identical.
     """
-    outcomes = []
-    for batching in (True, False):
+
+    def outcome():
         result = run_adkg(
             n=4,
             seed=5,
@@ -214,13 +229,17 @@ def test_batched_plane_equivalent_under_random_delays_and_scheduler():
             delay_model=UniformDelay(0.3, 2.1),
             scheduler=RandomLagScheduler(factor=5.0, rate=0.3),
             measure_bytes=True,
-            batching=batching,
         )
-        outcomes.append(
-            (result.transcript, result.words_total, result.bytes_total,
-             result.rounds, result.messages_total)
-        )
-    assert outcomes[0] == outcomes[1]
+        return result, (
+            result.transcript, result.words_total, result.bytes_total,
+            result.rounds, result.messages_total,
+        )  # fmt: skip
+
+    batched = outcome()[1]
+    monkeypatch.setattr(Transport, "batch_cap_envelopes", 1)
+    per_envelope, unbatched = outcome()
+    assert batched == unbatched
+    _assert_one_frame_per_message(per_envelope)
 
 
 def test_lone_envelopes_on_the_wire_cost_five_or_six_bytes_each():
@@ -238,16 +257,15 @@ def test_lone_envelopes_on_the_wire_cost_five_or_six_bytes_each():
     assert 5 * frames < extra < 6 * frames
 
 
-def test_batched_plane_equivalent_with_behavior_plus_scheduler():
+def test_batched_plane_equivalent_with_behavior_plus_scheduler(monkeypatch):
     """RNG interleaving: behavior transforms and scheduler draws share
-    ``_adv_rng``, so delays must be drawn at buffer time (the unbatched
-    plane's order), not at flush — this is the regression the combined
-    case catches.
+    ``_adv_rng``, so delays must be drawn at buffer time (creation
+    order), not at flush — this is the regression the combined case
+    catches.
     """
     from repro.net.adversary import DropBehavior
 
-    outcomes = []
-    for batching in (True, False):
+    def outcome():
         result = run_adkg(
             n=4,
             seed=7,
@@ -256,30 +274,38 @@ def test_batched_plane_equivalent_with_behavior_plus_scheduler():
             scheduler=RandomLagScheduler(factor=5.0, rate=0.3),
             behaviors={3: DropBehavior(rate=0.5)},
             measure_bytes=True,
-            batching=batching,
         )
-        outcomes.append(
-            (result.words_total, result.bytes_total, result.messages_total,
-             result.rounds, sorted(result.outputs))
-        )
-    assert outcomes[0] == outcomes[1]
+        return result, (
+            result.words_total, result.bytes_total, result.messages_total,
+            result.rounds, sorted(result.outputs),
+        )  # fmt: skip
+
+    batched = outcome()[1]
+    monkeypatch.setattr(Transport, "batch_cap_envelopes", 1)
+    per_envelope, unbatched = outcome()
+    assert batched == unbatched
+    _assert_one_frame_per_message(per_envelope)
 
 
-def test_batched_tcp_matches_sim_transcript_and_words():
-    """Batched sim ≡ unbatched sim ≡ batched TCP at f=0.
+def test_batched_tcp_matches_sim_transcript_and_words(monkeypatch):
+    """Batched sim ≡ per-envelope sim ≡ batched TCP at f=0.
 
     Words are schedule-independent at f=0; byte totals are asserted
     within the sim pair only (realtime depth stamps differ by schedule,
     which shifts the varint-encoded depth field).
     """
     n, seed = 4, 7
-    sim_batched = run_adkg(n=n, f=0, seed=seed, batching=True)
-    sim_unbatched = run_adkg(n=n, f=0, seed=seed, batching=False)
+    sim_batched = run_adkg(n=n, f=0, seed=seed, measure_bytes=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(Transport, "batch_cap_envelopes", 1)
+        sim_unbatched = run_adkg(n=n, f=0, seed=seed, measure_bytes=True)
     assert sim_batched.transcript == sim_unbatched.transcript
     assert sim_batched.words_total == sim_unbatched.words_total
+    assert sim_batched.bytes_total == sim_unbatched.bytes_total
+    _assert_one_frame_per_message(sim_unbatched)
 
     setup = TrustedSetup.generate(n, f=0, seed=seed)
-    runtime = TCPRuntime(setup, seed=seed, batching=True)
+    runtime = TCPRuntime(setup, seed=seed)
     from repro.core.adkg import ADKG
 
     results = asyncio.run(runtime.run(lambda party: ADKG(), timeout=60))
@@ -301,7 +327,7 @@ def test_batched_tcp_matches_sim_transcript_and_words():
 def test_batched_tcp_wire_carries_multi_envelope_frames():
     """EchoAll over batched TCP: outputs right, frames coalesced."""
     setup = TrustedSetup.generate(4, seed=2)
-    runtime = TCPRuntime(setup, seed=2, batching=True)
+    runtime = TCPRuntime(setup, seed=2)
     results = asyncio.run(runtime.run(lambda party: EchoAll(), timeout=30))
     assert all(value == frozenset(range(4)) for value in results.values())
     assert runtime.metrics.bytes_total > 0
@@ -313,7 +339,7 @@ def test_batched_tcp_wire_carries_multi_envelope_frames():
 
 def test_size_cap_splits_coalescing_buffer():
     setup = TrustedSetup.generate(4, seed=3)
-    sim = Simulation(setup, seed=3, batching=True)
+    sim = Simulation(setup, seed=3)
     sim.batch_cap_envelopes = 2
     sim.run_sync(lambda party: EchoAll())
     assert sim.metrics.batch_occupancy_max <= 2
@@ -323,7 +349,7 @@ def test_size_cap_splits_coalescing_buffer():
 def test_quiescence_flushes_coalesced_sends():
     """run() to quiescence must deliver buffered coalesced sends too."""
     setup = TrustedSetup.generate(4, seed=4)
-    sim = Simulation(setup, seed=4, batching=True)
+    sim = Simulation(setup, seed=4)
     sim.start(lambda party: EchoAll())
     sim.run()  # no stop predicate: drains to true quiescence
     assert not sim._outgoing
@@ -344,7 +370,7 @@ def test_tcp_send_queue_cap_validated():
 def test_tcp_backpressure_sheds_and_counts():
     """With a tiny queue cap the overflow is shed and counted, not grown."""
     setup = TrustedSetup.generate(4, seed=6)
-    runtime = TCPRuntime(setup, seed=6, batching=True, send_queue_cap=1)
+    runtime = TCPRuntime(setup, seed=6, send_queue_cap=1)
     runtime.batch_cap_envelopes = 1  # every envelope its own frame
 
     class Burst(EchoAll):

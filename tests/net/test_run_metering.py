@@ -3,9 +3,10 @@
 The batched plane groups an honest sender's consecutive envelopes that are
 the same objects in every field but a same-width recipient and records the
 run with one ``record_send(head, nbytes, count=k)``.  The reference is the
-``batching=False`` plane, which meters every envelope on its own: protocol
-totals, by-type/by-layer tables and the codec's encode-once counters must
-agree to the digit for any envelope sequence an outbox can hold.
+same pipeline at a coalescing cap of one, where the cap flush ends every run
+after one envelope, so each is metered on its own: protocol totals,
+by-type/by-layer tables and the codec's encode-once counters must agree to
+the digit for any envelope sequence an outbox can hold.
 """
 
 from dataclasses import dataclass
@@ -122,13 +123,9 @@ def _envelopes(sends):
     return envelopes
 
 
-def _flush(sends, *, batching, measure_bytes, behavior, cap):
+def _flush(sends, *, measure_bytes, behavior, cap):
     sim = Simulation(
-        SETUP,
-        behaviors=BEHAVIORS[behavior](),
-        seed=7,
-        batching=batching,
-        measure_bytes=measure_bytes,
+        SETUP, behaviors=BEHAVIORS[behavior](), seed=7, measure_bytes=measure_bytes
     )
     sim.batch_cap_envelopes = cap
     handed_off = 0
@@ -159,9 +156,7 @@ def _flush(sends, *, batching, measure_bytes, behavior, cap):
         "max_depth": metrics.max_depth,
         "encode": metrics.counters("encode"),
         "dropped_sends": sim.dropped_sends,
-        "in_flight": sum(
-            len(entry) if type(entry) is list else 1 for _, _, entry in sim._queue
-        ),
+        "in_flight": sum(len(entry) for _, _, entry in sim._queue),
     }
 
 
@@ -173,12 +168,8 @@ def _flush(sends, *, batching, measure_bytes, behavior, cap):
     cap=st.sampled_from((2, 3, 256)),
 )
 def test_batched_metering_equals_the_unbatched_plane(sends, measure_bytes, behavior, cap):
-    batched = _flush(
-        sends, batching=True, measure_bytes=measure_bytes, behavior=behavior, cap=cap
-    )
-    reference = _flush(
-        sends, batching=False, measure_bytes=measure_bytes, behavior=behavior, cap=cap
-    )
+    batched = _flush(sends, measure_bytes=measure_bytes, behavior=behavior, cap=cap)
+    reference = _flush(sends, measure_bytes=measure_bytes, behavior=behavior, cap=1)
     assert batched == reference
 
 

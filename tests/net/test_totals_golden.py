@@ -4,8 +4,8 @@ ROADMAP aim 2 makes "byte-identical protocol totals before and after" the
 contract every delivery-pipeline change signs.  This file pins it for three
 runs that between them cross every metering path: the benign bulk path with
 bytes metered, the hostile recipe of ``perf/workloads.py`` (per-envelope heap
-entries, Byzantine senders, chaos) at its quick size, and the ``batching=
-False`` reference plane.
+entries, Byzantine senders, chaos) at its quick size, and the per-envelope
+reference: a coalescing cap of one (``Transport.batch_cap_envelopes``).
 
 ``totals_golden.json`` holds what the commit *before* run metering (PR 16)
 counted, but for ``bytes`` / ``wire_bytes`` of the two byte-metered runs:
@@ -17,6 +17,10 @@ commit where ADKG and PE began checking dealt contributions as one
 aggregate: no ``pvss-contrib`` misses, and two more ``pvss-transcript``
 misses in the hostile run — the personal PE transcripts of its silent and
 its dropping party, which no peer checks, now checked by their aggregator.
+``cap1-n4-bytes`` replaced a run on a second, per-envelope send plane that
+recorded no frames: its ``frames`` and ``wire_bytes`` are counted by the
+commit before that plane was deleted, every other entry is the deleted
+run's to the digit.
 
 Totals alone let an arithmetic slip through as long as it still verifies,
 so ``"values"`` pins what two runs computed: the agreed transcript (its
@@ -27,14 +31,17 @@ deliberate protocol or wire-format change, with ``repro`` imported from a
 checkout of the reference commit and this file from this one; it prints
 ``key: old → new`` for every entry it changes.  Run it from a directory
 inside neither checkout (``python -c`` puts the working directory first
-on the path, so a reference checkout's own ``tests`` would win)::
+on the path, so a reference checkout's own ``tests`` would win), and
+import ``repro`` before this module (``perf/__init__.py`` puts this
+checkout's ``src`` first on the path)::
 
-    PYTHONPATH=<reference>/src:<this checkout> python -c \
-        "from tests.net.test_totals_golden import write_golden; write_golden()"
+    PYTHONPATH=<reference>/src:<this checkout> python -c "import repro; \
+        from tests.net.test_totals_golden import write_golden; write_golden()"
 """
 
 import json
 import pathlib
+from unittest import mock
 
 import pytest
 
@@ -43,6 +50,7 @@ from perf.workloads import WORKLOADS, created_instances
 from repro import run_adkg
 from repro.crypto.verify_cache import content_digest, content_encoding
 from repro.net.metrics import Metrics
+from repro.net.transport import Transport
 from repro.service.beacon import run_beacon
 from tests.net.helpers import print_golden_changes
 
@@ -50,12 +58,15 @@ GOLDEN_PATH = pathlib.Path(__file__).with_name("totals_golden.json")
 
 _HOSTILE = WORKLOADS["adkg_sim_n13_hostile"]
 
+def _cap1_n4_bytes():
+    with mock.patch.object(Transport, "batch_cap_envelopes", 1):
+        return run_adkg(n=4, seed=9, measure_bytes=True)
+
+
 CASES = {
     "benign-n7-bytes": lambda: run_adkg(n=7, seed=3, measure_bytes=True),
     "hostile-n7": lambda: _HOSTILE.run(3, **_HOSTILE.sizes["quick"])[1],
-    "unbatched-n4-bytes": lambda: run_adkg(
-        n=4, seed=9, measure_bytes=True, batching=False
-    ),
+    "cap1-n4-bytes": _cap1_n4_bytes,
 }
 
 

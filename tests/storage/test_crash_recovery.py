@@ -7,6 +7,7 @@ from repro.crypto.keys import TrustedSetup
 from repro.net.adversary import CrashRecoverBehavior, RandomLagScheduler
 from repro.net.delays import FixedDelay
 from repro.net.runtime import Simulation
+from repro.net.transport import Transport
 from repro.storage import DurabilityRecorder, SnapshotStore, run_crash_recovery
 
 
@@ -128,10 +129,12 @@ def test_sim_crash_recovery_same_key_as_uninterrupted_run():
     assert report["public_key"] == baseline.public_key
 
 
-@pytest.mark.parametrize("batching", (True, False), ids=("batched", "unbatched"))
-def test_sim_tcp_crash_recovery_same_public_key(batching):
+@pytest.mark.parametrize("cap", (256, 1), ids=("batched", "unbatched"))
+def test_sim_tcp_crash_recovery_same_public_key(cap, monkeypatch):
     """The acceptance gate: sim ≡ tcp group public key at f=0, with a
-    mid-session crash–recovery in both runs."""
+    mid-session crash–recovery in both runs, at the default coalescing
+    cap and at a cap of one."""
+    monkeypatch.setattr(Transport, "batch_cap_envelopes", cap)
     n, seed = 3, 7
     reports = {}
     for kind, delay in (("sim", 4.0), ("tcp", 0.05)):
@@ -143,7 +146,6 @@ def test_sim_tcp_crash_recovery_same_public_key(batching):
             crash_after=15,
             recovery_delay=delay,
             cadence=8,
-            batching=batching,
         )
         assert reports[kind]["agreement"] and reports[kind]["valid"], kind
         # One crash plan for both: the report has one shape, in now() units.

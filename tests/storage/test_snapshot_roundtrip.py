@@ -2,7 +2,8 @@
 
 The acceptance property: freeze/thaw every party mid-run and the run
 completes with *identical* word/message totals and results to an
-uninterrupted reference — on the batched and the unbatched plane.  The
+uninterrupted reference — at the default coalescing cap and at a cap of
+one, where every send is flushed on its own.  The
 thaw goes through the full codec blob (no in-memory aliasing), so this
 also proves every protocol's declared state is genuinely serializable.
 """
@@ -57,11 +58,10 @@ N = 4
 SEED = 3
 
 
-def _build(factory, batching: bool) -> Simulation:
+def _build(factory, cap: int = Simulation.batch_cap_envelopes) -> Simulation:
     setup = TrustedSetup.generate(N, seed=SEED)
-    sim = Simulation(
-        setup, seed=SEED, delay_model=FixedDelay(1.0), batching=batching
-    )
+    sim = Simulation(setup, seed=SEED, delay_model=FixedDelay(1.0))
+    sim.batch_cap_envelopes = cap
     sim.start(factory)
     return sim
 
@@ -75,14 +75,14 @@ def _freeze_thaw_all(sim: Simulation, factory) -> None:
         sim.parties[i] = clone
 
 
-@pytest.mark.parametrize("batching", (True, False), ids=("batched", "unbatched"))
+@pytest.mark.parametrize("cap", (256, 1), ids=("batched", "unbatched"))
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_roundtrip_is_exact(name, batching):
+def test_roundtrip_is_exact(name, cap):
     factory = CASES[name]
-    reference = _build(factory, batching)
+    reference = _build(factory, cap)
     reference.run()  # to quiescence: every word the protocol ever sends
 
-    sim = _build(factory, batching)
+    sim = _build(factory, cap)
     # Freeze/thaw every party a third of the way through the reference
     # delivery count — mid-protocol, after real state accumulated.
     for _ in range(max(1, reference.steps // 3)):
@@ -99,10 +99,10 @@ def test_roundtrip_is_exact(name, batching):
 def test_repeated_freeze_points_adkg():
     """The full stack round-trips at several crash depths, not just one."""
     factory = CASES["adkg"]
-    reference = _build(factory, True)
+    reference = _build(factory)
     reference.run_until_all_honest_output()
     for k in (1, reference.steps // 2, reference.steps - 1):
-        sim = _build(factory, True)
+        sim = _build(factory)
         for _ in range(k):
             sim.step()
         _freeze_thaw_all(sim, factory)
@@ -141,7 +141,7 @@ def test_a_second_freeze_walks_no_aggregate_and_cold_equals_warm():
 
 def test_thaw_requires_matching_party():
     factory = CASES["gather"]
-    sim = _build(factory, True)
+    sim = _build(factory)
     for _ in range(10):
         sim.step()
     blob = sim.parties[0].freeze()
@@ -152,7 +152,7 @@ def test_thaw_requires_matching_party():
 
 def test_thaw_requires_pristine_party():
     factory = CASES["gather"]
-    sim = _build(factory, True)
+    sim = _build(factory)
     for _ in range(10):
         sim.step()
     blob = sim.parties[0].freeze()
@@ -166,7 +166,7 @@ def _claiming(version: int):
     from repro.net import codec
 
     factory = CASES["gather"]
-    sim = _build(factory, True)
+    sim = _build(factory)
     for _ in range(10):
         sim.step()
     value = list(codec.decode_shared(sim.parties[0].freeze()))
@@ -253,7 +253,7 @@ def test_freezing_a_parked_payload_leaves_the_memo_plain():
     from repro.net.envelope import Envelope
     from tests.net.helpers import assert_memo_holds_only_plain_walks
 
-    sim = _build(CASES["gather"], True)
+    sim = _build(CASES["gather"])
     setup = TrustedSetup.generate(N, seed=SEED)
     dealt = [
         pvss.deal(setup.directory, setup.secret(i), random.Random(f"parked-{i}"))
