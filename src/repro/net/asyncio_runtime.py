@@ -11,10 +11,13 @@ link and each group becomes *one* ``asyncio`` task that sleeps for a
 random delay and then delivers the group as a unit — the task overhead
 amortizes just like the TCP runtime's frames; self-addressed envelopes
 are delivered inline.
-Words/messages are metered exactly like the simulator (pass
-``measure_bytes=True`` to also meter codec bytes).  The outbox/behavior/
-metrics pipeline is the shared :class:`~repro.net.transport.Transport`
-one; only the in-flight mechanism lives here.
+Words/messages are metered exactly like the simulator.  With
+``measure_bytes=True`` each send is metered with its encoding's length
+and each group is recorded as one frame, sized from those lengths the way
+the simulator sizes a bucket (:meth:`Transport._frame_nbytes`); no frame
+is built.  The outbox/behavior/metrics pipeline is the shared
+:class:`~repro.net.transport.Transport` one; only the in-flight mechanism
+lives here.
 """
 
 from __future__ import annotations
@@ -24,14 +27,9 @@ import random
 from typing import Optional
 
 from repro.crypto.keys import TrustedSetup
-from repro.net import codec
 from repro.net.adversary import Behavior
 from repro.net.envelope import Envelope
-from repro.net.transport import (
-    FRAME_HEADER_BYTES,
-    RealtimeTransport,
-    RootFactory,
-)
+from repro.net.transport import RealtimeTransport, RootFactory
 
 __all__ = ["AsyncioRuntime", "RootFactory"]
 
@@ -63,23 +61,18 @@ class AsyncioRuntime(RealtimeTransport):
 
     def _transmit_coalesced(self, batch: list) -> None:
         """One sleeping task per (sender, recipient) link per flush."""
-        groups: dict[tuple[int, int], list[Envelope]] = {}
-        for envelope, _nbytes, _delay in batch:
+        groups: dict[tuple[int, int], tuple[list[Envelope], list]] = {}
+        for envelope, nbytes, _delay in batch:
             pair = (envelope.sender, envelope.recipient)
             group = groups.get(pair)
             if group is None:
-                groups[pair] = group = []
-            group.append(envelope)
-        for envelopes in groups.values():
-            nbytes = None
-            if self.measure_bytes:
-                try:
-                    nbytes = FRAME_HEADER_BYTES + codec.encoded_batch_size(
-                        envelopes
-                    )
-                except codec.CodecError:
-                    nbytes = None  # forged unencodable payload in group
-            self.metrics.record_frame(len(envelopes), nbytes)
+                groups[pair] = group = ([], [])
+            group[0].append(envelope)
+            group[1].append(nbytes)
+        for envelopes, sizes in groups.values():
+            self.metrics.record_frame(
+                len(envelopes), self._frame_nbytes(envelopes, sizes)
+            )
             self._spawn(self._deliver_batch_later(envelopes))
 
     async def _deliver_batch_later(self, envelopes: list[Envelope]) -> None:

@@ -900,11 +900,10 @@ def decode_shared(data: bytes) -> Any:
 
 def encode_envelope(envelope: Any) -> bytes:
     """Encode a routed :class:`~repro.net.envelope.Envelope` to wire bytes."""
-    from repro.net.envelope import Envelope
-
-    if not isinstance(envelope, Envelope):
+    _ensure_registered()
+    if type(envelope) is not _envelope_type:
         raise CodecError(f"expected Envelope, got {type(envelope).__name__}")
-    return encode(envelope)
+    return _encoded(envelope)
 
 
 def _validate_path(path: Any) -> None:
@@ -968,6 +967,11 @@ def encoded_size(value: Any) -> int:
     return len(encode(value))
 
 
+def encoded_envelope_size(envelope: Any) -> int:
+    """Bytes of ``envelope``'s bare encoding: the protocol byte metric."""
+    return len(encode_envelope(envelope))
+
+
 # -- batch frames ----------------------------------------------------------------------
 
 
@@ -976,61 +980,6 @@ def _uvarint_size(value: int) -> int:
     if value < 128:  # the overwhelmingly common case on the size path
         return 1
     return (value.bit_length() + 6) // 7
-
-
-def _int_field_size(value: int) -> int:
-    """Encoded size of an exact-``int`` value (tag byte + zigzag varint)."""
-    zigzagged = value << 1 if value >= 0 else ((-value) << 1) - 1
-    # Small-int fast paths: indices, depths and sessions live here.
-    if zigzagged < 128:
-        return 2
-    if zigzagged < 16384:
-        return 3
-    if zigzagged.bit_length() > _MAX_INT_BITS:
-        raise CodecError(f"integer exceeds the codec bound ({_MAX_INT_BITS} bits)")
-    return 1 + (zigzagged.bit_length() + 6) // 7
-
-
-def encoded_envelope_size(envelope: Any) -> int:
-    """``len(encode_envelope(envelope))`` without materializing the bytes.
-
-    The transport meters every send with its bare envelope size (the
-    protocol byte metric, whatever frame carries it); this composes that
-    size from the payload/path memo entries instead of re-encoding the
-    whole envelope per recipient.  Falls back to a full encode for any
-    envelope shape outside the honest fast path, so the result is exactly
-    ``len(encode(envelope))`` in every case (or :class:`CodecError` where
-    that would raise).
-    """
-    _ensure_registered()
-    if type(envelope) is not _envelope_type:
-        return len(encode(envelope))
-    path = envelope.path
-    payload = envelope.payload
-    if (
-        type(path) is not tuple
-        or type(payload) not in _memoized_types
-        or type(envelope.sender) is not int
-        or type(envelope.recipient) is not int
-        or type(envelope.depth) is not int
-        or type(envelope.session) is not int
-    ):
-        return len(encode(envelope))
-    path_bytes = _path_struct_bytes(path)
-    if path_bytes is None:
-        return len(encode(envelope))
-    # Counting mirrors a full metering encode: one payload.calls (and
-    # hit/miss) per metered send.
-    payload_bytes = _payload_struct_bytes(payload)
-    return (
-        len(_by_type[_envelope_type][2])  # struct tag + id + field count
-        + len(path_bytes)
-        + _int_field_size(envelope.sender)
-        + _int_field_size(envelope.recipient)
-        + len(payload_bytes)
-        + _int_field_size(envelope.depth)
-        + _int_field_size(envelope.session)
-    )
 
 
 def _batch_payload_bytes(payload: Any) -> bytes:
@@ -1087,34 +1036,27 @@ def encode_batch(envelopes: Any) -> bytes:
     return bytes(out)
 
 
-def encoded_batch_size(
-    envelopes: Any, body_sizes: Optional[list[int]] = None
-) -> int:
-    """``len(encode_batch(envelopes))`` without materializing the bytes.
+def encoded_batch_size(envelopes: list, body_sizes: list[int]) -> int:
+    """``len(encode_batch(envelopes))`` without building the frame.
 
-    Lets in-process transports (the simulator) account the wire bytes a
-    coalesced frame *would* occupy — and therefore the bytes batching
-    saves — from the same memo entries the metering uses, at O(1) cost
-    per envelope.  ``body_sizes`` optionally supplies each envelope's
-    already-known bare encoding size (``encoded_envelope_size``); an
-    envelope's batch header is then derived algebraically — every
-    envelope encoding is ``3 + path + ints + payload`` bytes and its
-    batch header is ``2 + path + ints``, so ``header = body - payload - 1``
-    — instead of re-sizing the fields.
+    ``body_sizes[i]`` is ``len(encode_envelope(envelopes[i]))``, the size
+    the transport already metered the send with.  A bare envelope is
+    ``3 + path + ints + payload`` bytes and its batch header ``2 + path +
+    ints``, so ``header = body - payload - 1``: the one composition of
+    sizes outside :func:`encode_batch`, kept because building the frames
+    costs several times more, nearly all of it in re-encoding headers
+    (DESIGN §8).
     """
     _ensure_registered()
-    envelopes = list(envelopes)
     if not envelopes:
         raise CodecError("cannot encode an empty batch")
-    blob_total = 0
-    blob_count = 0
+    blob_total = blob_count = total = 0
     index_by_bytes: dict[bytes, int] = {}
-    total = 0
     # A multicast's envelopes are adjacent and share one payload object:
     # its blob length and table index carry over from the previous one.
     previous: Any = index_by_bytes  # no envelope's payload is this dict
     blob_size = index_size = 0
-    for position, envelope in enumerate(envelopes):
+    for envelope, body_size in zip(envelopes, body_sizes, strict=True):
         if type(envelope) is not _envelope_type:
             raise CodecError(f"expected Envelope, got {type(envelope).__name__}")
         payload = envelope.payload
@@ -1130,33 +1072,7 @@ def encoded_batch_size(
             previous = payload
             blob_size = len(blob)
             index_size = _uvarint_size(index)
-        if body_sizes is not None:
-            header = body_sizes[position] - blob_size - 1
-        else:
-            path = envelope.path
-            path_bytes = (
-                _path_struct_bytes(path) if type(path) is tuple else None
-            )
-            if (
-                path_bytes is not None
-                and type(envelope.sender) is int
-                and type(envelope.recipient) is int
-                and type(envelope.depth) is int
-                and type(envelope.session) is int
-            ):
-                header = (
-                    2  # tuple tag + count (5 < 128)
-                    + len(path_bytes)
-                    + _int_field_size(envelope.sender)
-                    + _int_field_size(envelope.recipient)
-                    + _int_field_size(envelope.depth)
-                    + _int_field_size(envelope.session)
-                )
-            else:
-                chunk = bytearray()
-                _batch_header_into(chunk, envelope)
-                header = len(chunk)
-        total += index_size + header
+        total += index_size + body_size - blob_size - 1
     return (
         total
         + 2  # magic + version

@@ -44,16 +44,11 @@ from typing import Any, Callable, Optional
 import random
 
 from repro.crypto.keys import TrustedSetup
-from repro.net import codec
 from repro.net.adversary import Behavior, Scheduler
 from repro.net.delays import DelayModel, FixedDelay, UniformDelay
 from repro.net.envelope import Envelope
 from repro.net.party import Party
-from repro.net.transport import (
-    FRAME_HEADER_BYTES,
-    RootFactory,
-    Transport,
-)
+from repro.net.transport import RootFactory, Transport
 
 __all__ = ["Simulation", "RootFactory"]
 
@@ -286,19 +281,8 @@ class Simulation(Transport):
         record_frame = self.metrics.record_frame
         for when, (envelopes, sizes) in buckets.items():
             heapq.heappush(self._queue, (when, next(self._seq), envelopes))
-            nbytes = None
-            if self.measure_bytes and None not in sizes:
-                # What this bucket would cost as one coalesced wire
-                # frame — composed from the already-metered per-envelope
-                # sizes and the codec memos, not encoded.
-                try:
-                    nbytes = FRAME_HEADER_BYTES + codec.encoded_batch_size(
-                        envelopes,
-                        [size - FRAME_HEADER_BYTES for size in sizes],
-                    )
-                except codec.CodecError:
-                    nbytes = None  # forged unencodable payload in bucket
-            record_frame(len(envelopes), nbytes)
+            # What this bucket would cost as one coalesced wire frame.
+            record_frame(len(envelopes), self._frame_nbytes(envelopes, sizes))
 
     # -- chaos hooks -------------------------------------------------------------------
 

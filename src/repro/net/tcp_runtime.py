@@ -363,7 +363,7 @@ class TCPRuntime(RealtimeTransport):
             current: list[Envelope] = []
             current_bytes = 0
             for envelope, nbytes in items:
-                body = (nbytes or FRAME_HEADER_BYTES) - FRAME_HEADER_BYTES
+                body = nbytes - FRAME_HEADER_BYTES
                 if current and (
                     len(current) >= cap or current_bytes + body > byte_cap
                 ):

@@ -523,9 +523,9 @@ class Transport:
 
         ``FRAME_HEADER_BYTES + len(encode_envelope(envelope))`` — what the
         envelope costs as a value, independent of the frame that carries
-        it — composed from the codec's payload/path memo entries instead
-        of a full re-encode.  ``None`` when bytes are not metered on this
-        transport.  Raises :class:`~repro.net.codec.CodecError` for
+        it; the payload's bytes come from the codec's encode-once memo.
+        ``None`` when bytes are not metered on this transport.  Raises
+        :class:`~repro.net.codec.CodecError` for
         unencodable payloads (the caller maps that to a loud failure for
         an honest sender, a dropped or unmetered send for a forged one).
         """
@@ -786,6 +786,22 @@ class Transport:
                 f"{MAX_FRAME_BYTES}-byte wire bound"
             )
         return len(body).to_bytes(FRAME_HEADER_BYTES, "big") + body
+
+    def _frame_nbytes(
+        self, envelopes: list[Envelope], sizes: list[Optional[int]]
+    ) -> Optional[int]:
+        """This group's frame bytes, or ``None`` if any send in it was
+        unmetered — sized from the metered ``sizes``, not built (in-process
+        transports never encode their frames)."""
+        if None in sizes:
+            return None
+        try:
+            return FRAME_HEADER_BYTES + codec.encoded_batch_size(
+                envelopes, [size - FRAME_HEADER_BYTES for size in sizes]
+            )
+        except codec.CodecError:
+            # A forged list-holding payload changed after it was metered.
+            return None
 
     def _note_progress(self, party: Party) -> None:
         """Called after a party processed events (done-detection hook)."""

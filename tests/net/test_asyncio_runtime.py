@@ -7,6 +7,7 @@ import pytest
 from repro.crypto.keys import TrustedSetup
 from repro.net.adversary import SilentBehavior
 from repro.net.asyncio_runtime import AsyncioRuntime
+from repro.net.transport import Transport
 
 from tests.net.helpers import EchoAll, PingPong
 
@@ -46,3 +47,19 @@ def test_metrics_metered_like_simulator():
     _run(runtime.run(lambda party: EchoAll(), timeout=10))
     assert runtime.metrics.messages_total == 4 * 3
     assert runtime.metrics.words_total == 4 * 3 * 2
+
+
+def test_frame_bytes_at_a_cap_of_one(monkeypatch):
+    """With bytes metered, every asyncio frame is sized from its sends:
+    at a cap of one each message is a batch of one, 5 or 6 B dearer than
+    its protocol bytes."""
+    monkeypatch.setattr(Transport, "batch_cap_envelopes", 1)
+    setup = TrustedSetup.generate(4, seed=5)
+    runtime = AsyncioRuntime(setup, max_delay=0.0005, seed=5, measure_bytes=True)
+    _run(runtime.run(lambda party: EchoAll(), timeout=10))
+    metrics = runtime.metrics
+    frames = metrics.frames_total
+    assert frames == metrics.messages_total == 4 * 3
+    assert metrics.batch_occupancy_max == 1
+    extra = metrics.wire_bytes_total - metrics.bytes_total
+    assert 5 * frames <= extra <= 6 * frames

@@ -64,7 +64,6 @@ def test_batch_of_one_is_a_batch_frame_at_the_stated_byte_delta():
         assert body[0] == codec.BATCH_MAGIC and codec.decode_batch(body) == [env]
         assert (len(codec.encode(payload)) < 128) == (delta == 5)
         assert len(body) - len(codec.encode_envelope(env)) == delta
-        assert codec.encoded_batch_size([env]) == len(body)
         assert codec.encoded_batch_size([env], [len(body) - delta]) == len(body)
 
 
@@ -122,35 +121,6 @@ def test_batch_header_validation_matches_decode_envelope():
     )
     with pytest.raises(codec.CodecError):
         codec.decode_batch(codec.encode_batch([forged, good]))
-
-
-def test_encoded_envelope_size_matches_full_encode():
-    cases = [
-        _env(),
-        _env(path=()),
-        _env(path=("nwh", ("pe", 3), "gather", 12), depth=900, session=41),
-        _env(payload=Blob(data=tuple(range(40)))),
-        _env(recipient=99, sender=77),
-    ]
-    for envelope in cases:
-        assert codec.encoded_envelope_size(envelope) == len(
-            codec.encode(envelope)
-        ), envelope
-
-
-def test_encoded_batch_size_matches_encode_batch():
-    shared = Ping(5)
-    envelopes = [
-        _env(recipient=1, payload=shared),
-        _env(recipient=2, payload=shared),
-        _env(recipient=3, payload=Blob(data=(1, 2, 3))),
-    ]
-    expected = len(codec.encode_batch(envelopes))
-    assert codec.encoded_batch_size(envelopes) == expected
-    body_sizes = [codec.encoded_envelope_size(e) for e in envelopes]
-    assert codec.encoded_batch_size(envelopes, body_sizes) == expected
-    single = [_env()]
-    assert codec.encoded_batch_size(single) == len(codec.encode_batch(single))
 
 
 # -- metrics ---------------------------------------------------------------------------

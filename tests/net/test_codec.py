@@ -933,7 +933,10 @@ _path_parts = st.recursive(
     max_leaves=6,
 )
 _payload_pool = st.lists(
-    st.builds(Decided, bit=_ints) | st.builds(CTReady, root=_hashables),
+    st.builds(Decided, bit=_ints)
+    | st.builds(CTReady, root=_hashables)
+    # Blob lengths whose varints take two and three bytes.
+    | st.sampled_from((200, 17_000)).map(lambda size: CTReady(root=bytes(size))),
     min_size=1,
     max_size=3,
 )
@@ -943,7 +946,7 @@ _payload_pool = st.lists(
 def _envelope_lists(draw):
     pool = draw(_payload_pool)  # envelopes share payload objects, like a multicast
     routing = st.integers(-2, 70) | _ints
-    return [
+    envelopes = [
         Envelope(
             path=tuple(draw(st.lists(_path_parts, max_size=4))),
             sender=draw(routing),
@@ -954,15 +957,25 @@ def _envelope_lists(draw):
         )
         for _ in range(draw(st.integers(1, 5)))
     ]
+    if draw(st.booleans()):
+        # Past 128 distinct payloads a frame's table index takes two bytes.
+        last = envelopes[-1]
+        envelopes += [
+            Envelope(last.path, last.sender, last.recipient, Decided(bit), last.depth, last.session)
+            for bit in range(1000, 1130)
+        ]
+    return envelopes
 
 
 @given(_envelope_lists())
 def test_size_accounting_matches_the_encoder(envelopes):
-    sizes = [codec.encoded_envelope_size(envelope) for envelope in envelopes]
-    assert sizes == [len(codec.encode_envelope(envelope)) for envelope in envelopes]
+    """``encoded_batch_size``'s header rule, from the metered bare sizes,
+    is the frame ``encode_batch`` builds."""
+    sizes = [len(codec.encode_envelope(envelope)) for envelope in envelopes]
     wire = codec.encode_batch(envelopes)
-    assert codec.encoded_batch_size(envelopes) == len(wire)
     assert codec.encoded_batch_size(envelopes, sizes) == len(wire)
+    with pytest.raises(ValueError):
+        codec.encoded_batch_size(envelopes, sizes[:-1])
     if all(envelope.session >= 0 for envelope in envelopes):
         assert codec.decode_batch(wire) == envelopes
     else:
