@@ -103,6 +103,7 @@ class CTBroadcast(Protocol):
         self.validate = validate or (lambda _value: True)
         self.vc_kind = vc_kind
         self._vc = None
+        self._cache = None
         self._echoed = False
         self._ready_sent = False
         self._fragments: dict[bytes, dict[int, bytes]] = {}
@@ -119,8 +120,17 @@ class CTBroadcast(Protocol):
     def vc(self):
         """The vector-commitment backend (Merkle by default; E10 swaps KZG in)."""
         if self._vc is None:
-            self._vc = make_scheme(self.vc_kind, self.directory)
+            self._bind_backend()
         return self._vc
+
+    def _bind_backend(self) -> None:
+        """Bind the commitment backend and the directory's verify cache as
+        plain attributes, once per instance (on the first use after install
+        or restore): the echo and ready handlers run n times per broadcast
+        at every party and read both on each call."""
+        directory = self.directory
+        self._vc = make_scheme(self.vc_kind, directory)
+        self._cache = directory.verify_cache
 
     def on_start(self) -> None:
         if self.me == self.dealer:
@@ -143,23 +153,25 @@ class CTBroadcast(Protocol):
                 )
 
     def on_message(self, sender: int, payload: Payload) -> None:
-        if isinstance(payload, CTVal):
-            self._on_val(sender, payload)
-        elif isinstance(payload, CTEcho):
+        if self._vc is None:
+            self._bind_backend()
+        # Echoes and readies are 2n of the 2n + 1 messages an instance gets.
+        if isinstance(payload, CTEcho):
             self._on_echo(sender, payload)
         elif isinstance(payload, CTReady):
             self._on_ready(sender, payload)
+        elif isinstance(payload, CTVal):
+            self._on_val(sender, payload)
 
     # -- handlers ----------------------------------------------------------------------
 
     def _on_val(self, sender: int, payload: CTVal) -> None:
         if sender != self.dealer or self._echoed:
             return
-        if payload.k != self.k or not self.vc.is_commitment(payload.root):
+        vc = self._vc
+        if payload.k != self.f + 1 or not vc.is_commitment(payload.root):
             return
-        ok = self.vc.verify(
-            payload.root, payload.fragment, self.me, payload.proof, self.n
-        )
+        ok = vc.verify(payload.root, payload.fragment, self.me, payload.proof, self.n)
         if not ok:
             return
         self._echoed = True
@@ -174,7 +186,7 @@ class CTBroadcast(Protocol):
         )
 
     def _on_echo(self, sender: int, payload: CTEcho) -> None:
-        if payload.k != self.k or not self.vc.is_commitment(payload.root):
+        if payload.k != self.f + 1 or not self._vc.is_commitment(payload.root):
             return
         if not self._fragment_valid(sender, payload):
             return
@@ -196,19 +208,20 @@ class CTBroadcast(Protocol):
         mutated fragment or a replayed proof under a different index
         misses the cache and is verified for real.
         """
-        return self.directory.verify_cache.identity_memoize(
+        n, vc_kind = self.n, self.vc_kind
+        return self._cache.identity_memoize(
             "ctrbc-frag",
             payload,
-            (sender, self.n, self.vc_kind),
-            (payload.root, payload.fragment, sender, payload.proof,
-             self.n, self.vc_kind),
-            lambda: self.vc.verify(
-                payload.root, payload.fragment, sender, payload.proof, self.n
+            (sender, n, vc_kind),
+            lambda: (payload.root, payload.fragment, sender, payload.proof,
+                     n, vc_kind),
+            lambda: self._vc.verify(
+                payload.root, payload.fragment, sender, payload.proof, n
             ),
         )
 
     def _on_ready(self, sender: int, payload: CTReady) -> None:
-        if not self.vc.is_commitment(payload.root):
+        if not self._vc.is_commitment(payload.root):
             return
         self._readies.setdefault(payload.root, set()).add(sender)
         self._progress(payload.root)
@@ -220,13 +233,14 @@ class CTBroadcast(Protocol):
             return
         fragments = self._fragments.get(root, {})
         readies = self._readies.get(root, ())
+        k = self.f + 1
         decodable = len(fragments) >= self.quorum or (
-            len(readies) >= self.f + 1 and len(fragments) >= self.k
+            len(readies) >= k and len(fragments) >= k
         )
         if root not in self._decoded and decodable:
             self._try_decode(root)
         value_ready = root in self._decoded
-        if not self._ready_sent and (value_ready or len(readies) >= self.f + 1):
+        if not self._ready_sent and (value_ready or len(readies) >= k):
             # Ready on own decode-and-validate, or amplify f+1 readies
             # (at least one honest party already vouched for the root).
             self._ready_sent = True
@@ -247,7 +261,7 @@ class CTBroadcast(Protocol):
         # one per party.  ``None`` (root commits no codeword / garbage
         # bytes) is cached too.  External validity stays per instance —
         # two broadcasts may validate the same value differently.
-        value = self.directory.verify_cache.memoize(
+        value = self._cache.memoize(
             "ctrbc-decode",
             (root, self.k, self.n, self.vc_kind),
             lambda: self._decode_codeword(root),
@@ -272,7 +286,7 @@ class CTBroadcast(Protocol):
         # Re-encode and re-commit: the root must commit exactly this
         # codeword (kept as its own memoized domain so the E10 ablation
         # counters stay comparable).
-        if not self.directory.verify_cache.memoize(
+        if not self._cache.memoize(
             "ctrbc-root",
             (data, root, self.k, self.n, self.vc_kind),
             lambda: self._recommit_matches(data, root),

@@ -69,8 +69,7 @@ class ReshareAgreement(Protocol):
 
     def on_start(self) -> None:
         for dealing in self.initial:
-            for j in range(self.n):
-                self.send(j, ReshareDealingMsg(dealing=dealing))
+            self.multicast(ReshareDealingMsg(dealing=dealing))
 
     def on_message(self, sender: int, payload: Payload) -> None:
         if not isinstance(payload, ReshareDealingMsg):

@@ -58,7 +58,7 @@ from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, TYPE_CHECKING
 
 from repro.net.conditions import ConditionRegistry
-from repro.net.envelope import Envelope, Path
+from repro.net.envelope import Envelope, Path, new_envelope
 from repro.net.payload import Payload
 from repro.net.protocol import Protocol
 
@@ -226,7 +226,9 @@ class Party:
         #: through ``Metrics.counters("pending")`` by the transport.
         self.drop_stats: Counter = Counter()
         self.sessions = SessionTable(self)
-        self._outbox: list[tuple[int, Path, int, Payload]] = []
+        #: Queued sends, ``(session, path, recipient, payload)`` each; a
+        #: multicast is one record with recipient ``None``.
+        self._outbox: list[tuple[int, Path, Optional[int], Payload]] = []
         self.current_depth = 0
         self.halted = False
         #: A root result may exist that the transport's done-detection has
@@ -398,7 +400,9 @@ class Party:
         else:
             instance._record = None  # whatever freeze kept for it is stale now
             instance.on_message(envelope.sender, envelope.payload)
-        state.conditions.run_to_fixpoint()
+        conditions = state.conditions
+        if conditions.conditions:  # empty through most of a run's deliveries
+            conditions.run_to_fixpoint()
 
     def sweep_conditions(self) -> None:
         for state in self.sessions:
@@ -427,6 +431,15 @@ class Party:
             raise TypeError(f"payload must be a Payload, got {type(payload)!r}")
         self._outbox.append((session, path, recipient, payload))
 
+    def queue_multicast(self, path: Path, payload: Payload, session: int = 0) -> None:
+        """Queue ``payload`` to every party, self included, as one record
+        (recipient ``None``) that :meth:`collect_outbox` expands."""
+        if self.halted:
+            return
+        if not isinstance(payload, Payload):
+            raise TypeError(f"payload must be a Payload, got {type(payload)!r}")
+        self._outbox.append((session, path, None, payload))
+
     @property
     def has_queued_sends(self) -> bool:
         """Would :meth:`collect_outbox` return anything right now?"""
@@ -435,27 +448,28 @@ class Party:
     def collect_outbox(self) -> list[Envelope]:
         """Drain queued sends into envelopes stamped with the causal depth.
 
-        Only network envelopes advance the causal depth: a self-addressed
-        envelope is free local computation, so it carries the current
-        depth unchanged — otherwise chains of self-deliveries would
-        inflate the asynchronous round measure (``metrics.max_depth``)
-        past the paper's network-hop count.
+        Each outbox record is ``(session, path, recipient, payload)``; a
+        multicast's record has recipient ``None`` and becomes n envelopes,
+        recipients in order, where it stood in the queue.  Only network
+        envelopes advance the causal depth: a self-addressed envelope is
+        free local computation, so it carries the current depth unchanged
+        — otherwise chains of self-deliveries would inflate the
+        asynchronous round measure (``metrics.max_depth``) past the
+        paper's network-hop count.
         """
-        if not self._outbox:
+        outbox = self._outbox
+        if not outbox:
             return []  # the common case: most deliveries queue no sends
-        depth = self.current_depth + 1
-        envelopes = [
-            Envelope(
-                path=path,
-                sender=self.index,
-                recipient=recipient,
-                payload=payload,
-                depth=depth if recipient != self.index else self.current_depth,
-                session=session,
-            )
-            for session, path, recipient, payload in self._outbox
-        ]
-        self._outbox.clear()
+        me = self.index
+        here = self.current_depth
+        depth = here + 1
+        envelopes: list[Envelope] = []
+        for session, path, recipient, payload in outbox:
+            envelopes += [
+                new_envelope(path, me, r, payload, depth if r != me else here, session)
+                for r in (range(self.n) if recipient is None else (recipient,))
+            ]
+        outbox.clear()
         return envelopes
 
     def halt(self) -> None:

@@ -152,9 +152,14 @@ class Protocol:
         self.party.queue_send(self._path, recipient, payload, session=self._session)
 
     def multicast(self, payload: Payload) -> None:
-        """Send to every party, self included (the paper's "send to all")."""
-        for recipient in range(self.n):
-            self.send(recipient, payload)
+        """Send to every party, self included (the paper's "send to all").
+
+        Queues one outbox record, which the party expands into n
+        envelopes in recipient order: the same envelopes n ``send`` calls
+        would queue, at one validation.  It does not call :meth:`send`,
+        so a subclass that overrides ``send`` does not see multicasts.
+        """
+        self.party.queue_multicast(self._path, payload, session=self._session)
 
     def spawn(self, name: Any, child: "Protocol") -> "Protocol":
         """Create child instance ``name``; its path is ``self.path + (name,)``."""

@@ -1,8 +1,15 @@
 """Condition registry and Completion semantics."""
 
+import random
+
 import pytest
 
 from repro.net.conditions import Completion, ConditionRegistry
+from repro.net.envelope import Envelope
+from repro.net.party import Party
+from repro.net.protocol import Protocol
+
+from tests.net.helpers import Ping
 
 
 def test_condition_fires_once_when_satisfied():
@@ -99,3 +106,79 @@ def test_pending_count():
     registry.add(lambda: False, lambda: None)
     registry.add(lambda: False, lambda: None)
     assert registry.pending_count() == 2
+
+
+# -- the party's sweep: only while a condition is pending --------------------------
+
+
+class _Reacting(Protocol):
+    """Registers one ``upon`` per message it gets; ``rearm`` registers one
+    that is satisfied at once (what a restored, already-done clause is)."""
+
+    STATE_FIELDS = ("fired",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fired: list = []
+
+    def on_message(self, sender, payload):
+        self.upon(lambda: True, lambda: self.fired.append(payload.counter))
+
+    def rearm(self):
+        self.upon(lambda: True, lambda: self.fired.append("rearmed"))
+
+
+def _party_with(protocol, index=0):
+    party = Party(index, 4, 1, random.Random(index))
+    party.run_root(protocol)
+    return party
+
+
+def _to(party, counter):
+    return Envelope((), 1, party.index, Ping(counter), 1, 0)
+
+
+def _counting_sweeps(party):
+    registry = party.sessions.peek(0).conditions
+    sweeps = []
+    run_to_fixpoint = registry.run_to_fixpoint
+    registry.run_to_fixpoint = lambda: (sweeps.append(1), run_to_fixpoint())
+    return sweeps
+
+
+def test_a_condition_the_delivering_handler_registers_fires_in_that_delivery():
+    protocol = _Reacting()
+    party = _party_with(protocol)
+    assert not party.conditions.conditions  # the registry starts empty
+    party.deliver(_to(party, 1))
+    assert protocol.fired == [1]
+
+
+def test_a_registry_emptied_by_once_conditions_is_not_swept():
+    protocol = _Reacting()
+    party = _party_with(protocol)
+    sweeps = _counting_sweeps(party)
+    party.deliver(_to(party, 1))
+    assert (sweeps, protocol.fired) == ([1], [1])
+    assert party.conditions.conditions == []
+    # A message for a path not spawned yet is buffered: nothing to sweep.
+    party.deliver(Envelope(("elsewhere",), 1, 0, Ping(2), 1, 0))
+    assert sweeps == [1]
+
+
+def test_sweep_conditions_and_the_thaw_sweep_still_sweep():
+    """Outside a delivery the party sweeps as before: ``sweep_conditions``
+    runs every live registry, and ``thaw`` fires what ``rearm`` registered."""
+    flag = []
+    protocol = _Reacting()
+    party = _party_with(protocol)
+    protocol.upon(lambda: bool(flag), lambda: protocol.fired.append("flag"))
+    party.sweep_conditions()
+    assert protocol.fired == []
+    flag.append(1)
+    party.sweep_conditions()
+    assert protocol.fired == ["flag"]
+
+    thawed = _Reacting()
+    Party(0, 4, 1, random.Random(0)).thaw(party.freeze(), root_factory=lambda _: thawed)
+    assert thawed.fired == ["flag", "rearmed"]
