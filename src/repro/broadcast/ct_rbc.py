@@ -111,23 +111,12 @@ class CTBroadcast(Protocol):
         self._decoded: dict[bytes, Any] = {}
         self._bad_roots: set[bytes] = set()
 
-    @property
-    def k(self) -> int:
-        """Reconstruction threshold: ``f + 1`` honest fragments suffice."""
-        return self.f + 1
-
-    @property
-    def vc(self):
-        """The vector-commitment backend (Merkle by default; E10 swaps KZG in)."""
-        if self._vc is None:
-            self._bind_backend()
-        return self._vc
-
     def _bind_backend(self) -> None:
-        """Bind the commitment backend and the directory's verify cache as
-        plain attributes, once per instance (on the first use after install
-        or restore): the echo and ready handlers run n times per broadcast
-        at every party and read both on each call."""
+        """Bind the vector-commitment backend (Merkle by default; E10 swaps
+        KZG in) and the directory's verify cache as plain attributes, once
+        per instance: in the dealer's ``on_start``, else on the first
+        message after install or restore.  The echo and ready handlers run
+        n times per broadcast at every party and read both on each call."""
         directory = self.directory
         self._vc = make_scheme(self.vc_kind, directory)
         self._cache = directory.verify_cache
@@ -136,9 +125,10 @@ class CTBroadcast(Protocol):
         if self.me == self.dealer:
             if self.value is None:
                 raise ValueError("dealer must provide a value")
+            self._bind_backend()
             data = wire.serialize(self.value)
-            fragments = erasure.rs_encode(data, self.k, self.n)
-            commitment, proofs = self.vc.commit(fragments)
+            fragments = erasure.rs_encode(data, self.f + 1, self.n)
+            commitment, proofs = self._vc.commit(fragments)
             claim = max(1, words_of(self.value))
             for j in range(self.n):
                 self.send(
@@ -148,7 +138,7 @@ class CTBroadcast(Protocol):
                         fragment=fragments[j],
                         proof=proofs[j],
                         claim_words=claim,
-                        k=self.k,
+                        k=self.f + 1,
                     ),
                 )
 
@@ -208,15 +198,14 @@ class CTBroadcast(Protocol):
         mutated fragment or a replayed proof under a different index
         misses the cache and is verified for real.
         """
-        n, vc_kind = self.n, self.vc_kind
         return self._cache.identity_memoize(
             "ctrbc-frag",
             payload,
-            (sender, n, vc_kind),
-            lambda: (payload.root, payload.fragment, sender, payload.proof,
-                     n, vc_kind),
+            (sender, self.n, self.vc_kind),
+            (payload.root, payload.fragment, sender, payload.proof,
+             self.n, self.vc_kind),
             lambda: self._vc.verify(
-                payload.root, payload.fragment, sender, payload.proof, n
+                payload.root, payload.fragment, sender, payload.proof, self.n
             ),
         )
 
@@ -263,7 +252,7 @@ class CTBroadcast(Protocol):
         # two broadcasts may validate the same value differently.
         value = self._cache.memoize(
             "ctrbc-decode",
-            (root, self.k, self.n, self.vc_kind),
+            (root, self.f + 1, self.n, self.vc_kind),
             lambda: self._decode_codeword(root),
         )
         if value is None or not self._try_validate(value):
@@ -280,7 +269,7 @@ class CTBroadcast(Protocol):
         """
         fragments = self._fragments.get(root, {})
         try:
-            data = erasure.rs_decode(fragments, self.k)
+            data = erasure.rs_decode(fragments, self.f + 1)
         except ValueError:
             return None
         # Re-encode and re-commit: the root must commit exactly this
@@ -288,15 +277,15 @@ class CTBroadcast(Protocol):
         # counters stay comparable).
         if not self._cache.memoize(
             "ctrbc-root",
-            (data, root, self.k, self.n, self.vc_kind),
+            (data, root, self.f + 1, self.n, self.vc_kind),
             lambda: self._recommit_matches(data, root),
         ):
             return None
         return wire.deserialize(data)
 
     def _recommit_matches(self, data: bytes, root: Any) -> bool:
-        check_fragments = erasure.rs_encode(data, self.k, self.n)
-        return self.vc.commitment_only(check_fragments) == root
+        check_fragments = erasure.rs_encode(data, self.f + 1, self.n)
+        return self._vc.commitment_only(check_fragments) == root
 
     def _try_validate(self, value: Any) -> bool:
         try:

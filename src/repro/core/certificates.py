@@ -112,11 +112,7 @@ def vote_valid(
         )
 
     return directory.verify_cache.identity_memoize(
-        "cert-vote",
-        vote,
-        (kind, digest, view),
-        lambda: (vote, kind, digest, view),
-        check,
+        "cert-vote", vote, (kind, digest, view), (vote, kind, digest, view), check
     )
 
 

@@ -157,7 +157,7 @@ def verify_contribution(
         "pvss-contrib",
         contribution,
         (),
-        lambda: (contribution,),
+        (contribution,),
         lambda: _verify_contribution(directory, contribution),
     )
 
@@ -276,7 +276,7 @@ def verify_transcript(
         "pvss-transcript",
         transcript,
         (min_contributors,),
-        lambda: (transcript, min_contributors),
+        (transcript, min_contributors),
         lambda: _verify_transcript(directory, transcript, min_contributors),
     )
 

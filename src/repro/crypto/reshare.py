@@ -257,7 +257,7 @@ def verify_dealing(
         "reshare-dealing",
         dealing,
         (spec,),
-        lambda: (dealing, spec),
+        (dealing, spec),
         lambda: _verify_dealing(directory, spec, dealing),
     )
 
@@ -359,7 +359,7 @@ def verify_bundle(
         "reshare-bundle",
         bundle,
         (),
-        lambda: (bundle,),
+        (bundle,),
         lambda: _verify_bundle(directory, bundle),
     )
 
@@ -428,7 +428,7 @@ def verify_reshared(
         "reshare-transcript",
         transcript,
         (),
-        lambda: (transcript,),
+        (transcript,),
         lambda: _verify_reshared(directory, transcript),
     )
 

@@ -151,7 +151,7 @@ def EvalShVerify(
         "tvrf-evalsh",
         share,
         (message, transcript),
-        lambda: (share, message, transcript),
+        (share, message, transcript),
         check,
     )
 

@@ -188,7 +188,7 @@ class VerifyCache:
         domain: str,
         obj: Any,
         context: tuple,
-        parts: Callable[[], tuple],
+        parts: tuple,
         compute: Callable[[], T],
     ) -> T:
         """:meth:`memoize` with an object-identity fast layer in front.
@@ -199,9 +199,8 @@ class VerifyCache:
         ``id``-keyed memo without hashing anything.  Any context mismatch
         — e.g. a replayed object under a different claimed sender — falls
         through to the content-addressed layer, which re-keys on the
-        canonical bytes of ``parts()``; a different object with equal
-        bytes still hits there.  ``parts`` is a thunk so that a hit here
-        builds nothing.  Counted as a hit: the request was served from
+        canonical bytes of ``parts``; a different object with equal bytes
+        still hits there.  Counted as a hit: the request was served from
         cache.  Only an ``obj`` and ``context`` that are :func:`frozen`
         are remembered by identity.
         """
@@ -211,7 +210,7 @@ class VerifyCache:
             self.stats[calls] += 1
             self.stats[hits] += 1
             return entry[1]
-        result = self.memoize(domain, parts(), compute)
+        result = self.memoize(domain, parts, compute)
         memo.put(obj, (context, result))
         return result
 

@@ -117,7 +117,6 @@ from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional
 
 from repro.crypto.verify_cache import TUPLE_FIELDS, IdentityMemo
-from repro.net.envelope import new_envelope
 
 __all__ = [
     "CodecError",
@@ -1140,7 +1139,7 @@ def decode_batch(data: bytes) -> list:
         (sender, recipient, depth, session), pos = _decode_seq(data, size, pos, 4, 1)
         _validate_routing(sender, recipient, depth, session)
         envelopes.append(
-            new_envelope(path, sender, recipient, payloads[index], depth, session)
+            _envelope_type(path, sender, recipient, payloads[index], depth, session)
         )
     if pos != size:
         raise CodecError(f"{size - pos} trailing bytes after batch")

@@ -4,9 +4,7 @@ Asynchronous protocol pseudocode is full of guards that must fire as soon
 as the local state starts satisfying them — possibly long after the
 triggering message arrived (e.g. Gather's "upon S_j ⊆ S_i").  A
 :class:`ConditionRegistry` holds pending ``(predicate, action)`` pairs and
-re-evaluates them to fixpoint after every delivered event of its session;
-a registry is swept only while a condition is pending (an empty one is
-skipped by :meth:`repro.net.party.Party.deliver`).
+re-evaluates them to fixpoint after every delivered event.
 
 :class:`Completion` is the future-like handle returned by verification
 protocols (``GatherVerify``, ``PEVerify``): it resolves at most once and
@@ -80,8 +78,7 @@ class ConditionRegistry:
     """All pending conditions of one party, re-checked to fixpoint."""
 
     def __init__(self) -> None:
-        #: Registered and not yet swept out; empty means nothing to sweep.
-        self.conditions: list[Condition] = []
+        self._conditions: list[Condition] = []
 
     def add(
         self,
@@ -91,11 +88,11 @@ class ConditionRegistry:
         label: str = "",
     ) -> Condition:
         condition = Condition(predicate, action, once, label)
-        self.conditions.append(condition)
+        self._conditions.append(condition)
         return condition
 
     def pending_count(self) -> int:
-        return sum(1 for condition in self.conditions if condition.active)
+        return sum(1 for condition in self._conditions if condition.active)
 
     def run_to_fixpoint(self, max_rounds: int = 10_000) -> None:
         """Fire every satisfied condition until nothing changes.
@@ -111,7 +108,7 @@ class ConditionRegistry:
         pass, same as the historical snapshot semantics), and the list is
         rebuilt only when something actually deactivated.
         """
-        conditions = self.conditions
+        conditions = self._conditions
         if not conditions:
             return
         for _ in range(max_rounds):
@@ -136,7 +133,7 @@ class ConditionRegistry:
                 condition.action()
                 fired = True
             if deactivated:
-                self.conditions = conditions = [
+                self._conditions = conditions = [
                     c for c in conditions if c.active
                 ]
             if not fired:

@@ -9,8 +9,7 @@ several concurrent root instances, e.g. pipelined ADKG epochs) and the
 causal depth, used for round accounting.
 
 On the wire the session id is the sixth envelope field (see
-:mod:`repro.net.codec`).  Code that builds envelopes by the thousand
-goes through :func:`new_envelope`.
+:mod:`repro.net.codec`).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from repro.net.payload import Payload
 Path = tuple
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True, init=False)
 class Envelope:
     """One routed message.
 
@@ -40,6 +39,25 @@ class Envelope:
     depth: int
     session: int = 0
 
+    def __init__(
+        self,
+        path: Path,
+        sender: int,
+        recipient: int,
+        payload: Payload,
+        depth: int,
+        session: int = 0,
+    ) -> None:
+        # Frozen, so the generated __init__ would store each field through
+        # object.__setattr__; storing through the slot descriptors costs
+        # half as much, and an op builds ~40 000 envelopes.
+        _set_path(self, path)
+        _set_sender(self, sender)
+        _set_recipient(self, recipient)
+        _set_payload(self, payload)
+        _set_depth(self, depth)
+        _set_session(self, session)
+
     def word_size(self) -> int:
         """Words on the wire: the payload plus one routing word."""
         return self.payload.word_size() + 1
@@ -53,27 +71,7 @@ class Envelope:
         )
 
 
-_new = object.__new__
 _set_path, _set_sender, _set_recipient, _set_payload, _set_depth, _set_session = (
     Envelope.__dict__[name].__set__
     for name in ("path", "sender", "recipient", "payload", "depth", "session")
 )
-
-
-def new_envelope(
-    path: Path, sender: int, recipient: int, payload: Payload, depth: int, session: int
-) -> Envelope:
-    """``Envelope(path, sender, recipient, payload, depth, session)``, built
-    at slot speed: the hot paths (the party's outbox, the batch decoder)
-    construct one envelope per recipient per send, and the frozen
-    ``__init__``'s ``object.__setattr__`` per field costs twice what
-    storing through the six slot descriptors does.  The result is an
-    ordinary, equally frozen envelope."""
-    envelope = _new(Envelope)
-    _set_path(envelope, path)
-    _set_sender(envelope, sender)
-    _set_recipient(envelope, recipient)
-    _set_payload(envelope, payload)
-    _set_depth(envelope, depth)
-    _set_session(envelope, session)
-    return envelope

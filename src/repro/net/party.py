@@ -58,7 +58,7 @@ from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, TYPE_CHECKING
 
 from repro.net.conditions import ConditionRegistry
-from repro.net.envelope import Envelope, Path, new_envelope
+from repro.net.envelope import Envelope, Path
 from repro.net.payload import Payload
 from repro.net.protocol import Protocol
 
@@ -400,9 +400,7 @@ class Party:
         else:
             instance._record = None  # whatever freeze kept for it is stale now
             instance.on_message(envelope.sender, envelope.payload)
-        conditions = state.conditions
-        if conditions.conditions:  # empty through most of a run's deliveries
-            conditions.run_to_fixpoint()
+        state.conditions.run_to_fixpoint()
 
     def sweep_conditions(self) -> None:
         for state in self.sessions:
@@ -466,7 +464,7 @@ class Party:
         envelopes: list[Envelope] = []
         for session, path, recipient, payload in outbox:
             envelopes += [
-                new_envelope(path, me, r, payload, depth if r != me else here, session)
+                Envelope(path, me, r, payload, depth if r != me else here, session)
                 for r in (range(self.n) if recipient is None else (recipient,))
             ]
         outbox.clear()

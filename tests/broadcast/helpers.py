@@ -56,7 +56,7 @@ class NonCodewordCTDealer(CTBroadcast):
 
     def on_start(self):
         data = wire.serialize(self.value)
-        fragments = erasure.rs_encode(data, self.k, self.n)
+        fragments = erasure.rs_encode(data, self.f + 1, self.n)
         fragments[0] = bytes([fragments[0][0] ^ 0xFF]) + fragments[0][1:]
         tree = MerkleTree(fragments)
         for j in range(self.n):
@@ -67,7 +67,7 @@ class NonCodewordCTDealer(CTBroadcast):
                     fragment=fragments[j],
                     proof=tree.prove(j),
                     claim_words=8,
-                    k=self.k,
+                    k=self.f + 1,
                 ),
             )
 
@@ -82,7 +82,7 @@ class TwoFaceCTDealer(CTBroadcast):
     def on_start(self):
         for which, value in ((0, self.value), (1, self.other_value)):
             data = wire.serialize(value)
-            fragments = erasure.rs_encode(data, self.k, self.n)
+            fragments = erasure.rs_encode(data, self.f + 1, self.n)
             tree = MerkleTree(fragments)
             for j in range(self.n):
                 if j % 2 == which:
@@ -93,7 +93,7 @@ class TwoFaceCTDealer(CTBroadcast):
                             fragment=fragments[j],
                             proof=tree.prove(j),
                             claim_words=8,
-                            k=self.k,
+                            k=self.f + 1,
                         ),
                     )
 

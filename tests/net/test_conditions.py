@@ -108,21 +108,27 @@ def test_pending_count():
     assert registry.pending_count() == 2
 
 
-# -- the party's sweep: only while a condition is pending --------------------------
+# -- the party's sweep after each delivery ---------------------------------------------
 
 
 class _Reacting(Protocol):
-    """Registers one ``upon`` per message it gets; ``rearm`` registers one
-    that is satisfied at once (what a restored, already-done clause is)."""
+    """Registers one ``upon`` per message it gets, counting its predicate's
+    evaluations; ``rearm`` registers one that is satisfied at once (what a
+    restored, already-done clause is)."""
 
     STATE_FIELDS = ("fired",)
 
     def __init__(self) -> None:
         super().__init__()
         self.fired: list = []
+        self.tested = 0
 
     def on_message(self, sender, payload):
-        self.upon(lambda: True, lambda: self.fired.append(payload.counter))
+        self.upon(self._test, lambda: self.fired.append(payload.counter))
+
+    def _test(self):
+        self.tested += 1
+        return True
 
     def rearm(self):
         self.upon(lambda: True, lambda: self.fired.append("rearmed"))
@@ -134,40 +140,32 @@ def _party_with(protocol, index=0):
     return party
 
 
-def _to(party, counter):
-    return Envelope((), 1, party.index, Ping(counter), 1, 0)
-
-
-def _counting_sweeps(party):
-    registry = party.sessions.peek(0).conditions
-    sweeps = []
-    run_to_fixpoint = registry.run_to_fixpoint
-    registry.run_to_fixpoint = lambda: (sweeps.append(1), run_to_fixpoint())
-    return sweeps
+def _to(party, counter, path=()):
+    return Envelope(path, 1, party.index, Ping(counter), 1, 0)
 
 
 def test_a_condition_the_delivering_handler_registers_fires_in_that_delivery():
     protocol = _Reacting()
     party = _party_with(protocol)
-    assert not party.conditions.conditions  # the registry starts empty
+    assert party.conditions.pending_count() == 0
     party.deliver(_to(party, 1))
     assert protocol.fired == [1]
 
 
-def test_a_registry_emptied_by_once_conditions_is_not_swept():
+def test_a_fired_once_condition_is_not_tested_again():
     protocol = _Reacting()
     party = _party_with(protocol)
-    sweeps = _counting_sweeps(party)
     party.deliver(_to(party, 1))
-    assert (sweeps, protocol.fired) == ([1], [1])
-    assert party.conditions.conditions == []
-    # A message for a path not spawned yet is buffered: nothing to sweep.
-    party.deliver(Envelope(("elsewhere",), 1, 0, Ping(2), 1, 0))
-    assert sweeps == [1]
+    assert (protocol.tested, protocol.fired) == (1, [1])
+    # A message for a path not spawned yet is buffered; its sweep finds
+    # the registry empty.
+    party.deliver(_to(party, 2, path=("elsewhere",)))
+    assert (protocol.tested, protocol.fired) == (1, [1])
+    assert party.conditions.pending_count() == 0
 
 
 def test_sweep_conditions_and_the_thaw_sweep_still_sweep():
-    """Outside a delivery the party sweeps as before: ``sweep_conditions``
+    """Outside a delivery the party sweeps as well: ``sweep_conditions``
     runs every live registry, and ``thaw`` fires what ``rearm`` registered."""
     flag = []
     protocol = _Reacting()
