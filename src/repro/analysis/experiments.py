@@ -138,10 +138,7 @@ def _simulate(
         delay_model=FixedDelay(1.0),
     )
     sim.start(factory)
-    if to_quiescence:
-        sim.run()
-    else:
-        sim.run_until_all_honest_output()
+    sim.run(stop=None if to_quiescence else Simulation.all_honest_output)
     return sim
 
 
@@ -559,14 +556,14 @@ def _crash_then_new_session(n: int, seed: int) -> dict:
         scheduler=SessionLagScheduler(session=0, factor=10_000.0),
         delay_model=FixedDelay(1.0),
     )
-    sim.start_session(0, lambda p: ADKG())
-    sim.start_session(1, lambda p: ADKG())
-    sim.run_until_session_done(1)
-    stalled_still_running = crash.crashed and not sim.session_complete(0)
+    sim.start(lambda p: ADKG(), session=0)
+    sim.start(lambda p: ADKG(), session=1)
+    sim.block_on(sim.wait_session(1))
+    stalled_still_running = crash.crashed and not sim.all_honest_output(0)
     outputs = list(sim.honest_results(session=1).values())
     agreed, valid = _agreed_and_valid(setup, outputs)
     fresh_rounds = sim.completion_time(session=1)
-    sim.run_until_session_done(0)
+    sim.block_on(sim.wait_session(0))
     return {
         "n": n,
         "fault": "crash-then-new-session",

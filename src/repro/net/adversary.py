@@ -49,10 +49,10 @@ class FaultSchedule:
     """Shared crash/recovery bookkeeping for one party's fault window.
 
     The single source of truth for "is this process down right now":
-    :class:`CrashBehavior`, :class:`CrashRecoverBehavior` and the
-    crash–recovery experiment drivers (``repro.storage.recovery``,
-    ``run_crash_recovery_case``) all consume it instead of keeping their
-    own ``crashed`` flags.  The schedule counts two event streams —
+    :class:`CrashBehavior` and :class:`CrashRecoverBehavior` consume it
+    instead of keeping their own ``crashed`` flags, and a driver that
+    hands one to a :class:`CrashBehavior` reads the same state (E8's
+    crash-then-new-session).  The schedule counts two event streams —
     outgoing sends (:meth:`note_send`) and deliveries attempted while
     down (:meth:`note_delivery`) — and flips through at most three
     phases: up → down (after ``crash_after_sends`` sends) → up again

@@ -24,8 +24,8 @@ collapse into a handful of heap entries, and the engine pops them back
 as one batch.  Delivery order does not depend on the coalescing cap:
 within a shared entry the creation order is preserved, across entries
 the heap orders by (time, push sequence), and two envelopes with the
-same delivery time are either in the same entry (same flush) or in
-entries pushed in creation order (different flushes).  At
+same delivery time are either in the same entry (same slice of a
+flush) or in entries pushed in creation order (different slices).  At
 ``batch_cap_envelopes = 1`` every send is its own entry — the
 per-envelope reference schedule the equivalence tests compare against.
 
@@ -47,7 +47,6 @@ from repro.crypto.keys import TrustedSetup
 from repro.net.adversary import Behavior, Scheduler
 from repro.net.delays import DelayModel, FixedDelay, UniformDelay
 from repro.net.envelope import Envelope
-from repro.net.party import Party
 from repro.net.transport import RootFactory, Transport
 
 __all__ = ["Simulation", "RootFactory"]
@@ -82,10 +81,6 @@ class Simulation(Transport):
         self.scheduler = scheduler or Scheduler()
         self.time = 0.0
         self.steps = 0
-        #: Per-session output times: ``session_output_times[sid][party]``
-        #: is the simulated time at which that party produced the
-        #: session's result.
-        self.session_output_times: dict[int, dict[int, float]] = {}
         self._seq = itertools.count()
         #: Heap of (time, seq, envelopes): the envelopes of one flush
         #: sharing one delivery instant, or one chaos-held envelope.
@@ -164,17 +159,6 @@ class Simulation(Transport):
             return
         raise RuntimeError(f"simulation exceeded {max_steps} deliveries")
 
-    def run_until_session_done(
-        self, session: int, max_steps: Optional[int] = None
-    ) -> None:
-        """Deliver until every honest party produced the session's result."""
-        # One C-level predicate call per delivery: no per-run lambda
-        # allocation, no extra call frame.
-        self.run(max_steps, operator.methodcaller("all_honest_output", session))
-
-    def run_until_all_honest_output(self, max_steps: Optional[int] = None) -> None:
-        self.run_until_session_done(0, max_steps)
-
     # -- the driving surface -----------------------------------------------------------
     #
     # Each awaitable steps the queue inline and returns without ever
@@ -187,7 +171,8 @@ class Simulation(Transport):
         ``RuntimeError`` naming the sessions."""
         sessions = tuple(sessions)
         if len(sessions) == 1:
-            self.run_until_session_done(sessions[0])
+            # One C-level predicate call per delivery: no extra frame.
+            self.run(stop=operator.methodcaller("all_honest_output", sessions[0]))
         else:
             self.run(stop=lambda sim: any(map(sim.all_honest_output, sessions)))
         done = [s for s in sessions if self.all_honest_output(s)]
@@ -296,14 +281,3 @@ class Simulation(Transport):
         heapq.heappush(
             self._queue, (self.time + delay, next(self._seq), [envelope])
         )
-
-    def _on_session_result(self, session: int, party: Party) -> None:
-        """Stamp the simulated time of the party's first session output.
-
-        Unlike the waiting sets (honest parties only), output times are
-        recorded for every party — behavior-wrapped parties still run an
-        honest stack and their completion instants are data.
-        """
-        times = self.session_output_times.setdefault(session, {})
-        if party.index not in times:
-            times[party.index] = self.time

@@ -11,9 +11,9 @@ between sender and recipient but bytes.
 
 Framing: a 4-byte big-endian length followed by one frame body, always
 a batch frame (:func:`repro.net.codec.encode_batch`).  It coalesces
-every envelope one flush queued for the same connection, up to
-``batch_cap_envelopes`` (a cap of one sends batches of one), with
-intra-frame payload deduplication.  Malformed frames (codec errors,
+every envelope one flush slice queued for the same connection (a slice
+holds at most ``batch_cap_envelopes``, so a cap of one sends batches of
+one), with intra-frame payload deduplication.  Malformed frames (codec errors,
 oversized lengths) are dropped and counted in ``rejected_frames``, as is
 every decoded envelope addressed to a different party or carrying an
 out-of-range sender — the Byzantine-input posture of the codec applies
@@ -342,8 +342,7 @@ class TCPRuntime(RealtimeTransport):
 
         Order per connection is the creation order (FIFO queue, in-frame
         order preserved by the codec); groups are split so no frame
-        exceeds ``batch_cap_envelopes`` envelopes or ``batch_cap_bytes``
-        of payload body.
+        exceeds ``batch_cap_bytes`` of payload body.
         """
         groups: dict[tuple[int, int], list] = {}
         for envelope, nbytes, _delay in batch:
@@ -352,7 +351,6 @@ class TCPRuntime(RealtimeTransport):
             if group is None:
                 groups[pair] = group = []
             group.append((envelope, nbytes))
-        cap = self.batch_cap_envelopes
         byte_cap = min(self.batch_cap_bytes, MAX_FRAME_BYTES // 2)
         for pair, items in groups.items():
             link = self._links.get(pair)
@@ -364,9 +362,7 @@ class TCPRuntime(RealtimeTransport):
             current_bytes = 0
             for envelope, nbytes in items:
                 body = nbytes - FRAME_HEADER_BYTES
-                if current and (
-                    len(current) >= cap or current_bytes + body > byte_cap
-                ):
+                if current and current_bytes + body > byte_cap:
                     self._put_frame(link, current)
                     current = []
                     current_bytes = 0

@@ -12,26 +12,29 @@ one pipeline every runtime shares:
   always, codec bytes when ``measure_bytes`` is on) and appended to the
   coalescing buffer, an honest sender's fan-out metered once per run of
   identical envelopes rather than once per recipient;
-* **coalescing** (:meth:`Transport._flush_coalesced`) — buffered sends
-  are handed to the subclass's :meth:`Transport._transmit_coalesced` as
-  one creation-ordered batch at the end of each protocol activation /
-  simulated timestep (and mid-activation when the buffer reaches
-  ``batch_cap_envelopes``), so a multicast burst travels as few frames
-  instead of n.  At a cap of one every send is flushed on its own: the
+* **delivery** (:meth:`Transport._deliver_buffered`) — the recipient's
+  behavior may swallow the message, otherwise the delivery is recorded
+  and routed into the party's protocol stack; the outbox is drained into
+  the coalescing buffer if the activation queued sends,
+  :meth:`Transport._note_results` (done-detection) runs if it produced a
+  root result, and the delivery observers see the envelope.  Nothing is
+  transmitted while a delivery is on the stack, so an observer (the WAL
+  recorder) always runs before any of that delivery's reactions leave;
+* **coalescing** (:meth:`Transport._flush_coalesced`) — the one point
+  sends leave: the buffer is handed to the subclass's
+  :meth:`Transport._transmit_coalesced` in creation order, in slices of
+  at most ``batch_cap_envelopes``, after each activation burst /
+  simulated timestep, so a multicast burst travels as few frames instead
+  of n.  At a cap of one every send is a slice of its own: the
   per-envelope reference the equivalence tests compare against.
   *Protocol* word/byte accounting does not depend on the frames: every
   send is metered at buffer time with ``FRAME_HEADER_BYTES +
   len(encode_envelope(e))``; what coalescing changes is tracked
   separately as frame counts, occupancy and actual wire bytes
-  (``Metrics.record_frame``);
-* **delivery** (:meth:`Transport._deliver_envelope`) — the recipient's
-  behavior may swallow the message, otherwise the delivery is recorded
-  and routed into the party's protocol stack; the outbox is flushed if
-  the activation queued sends, and :meth:`Transport._note_progress`
-  (done-detection hook) runs if it produced a root result.
+  (``Metrics.record_frame``).
 
-Subclasses provide only *when and how* a transmitted batch reaches
-:meth:`_deliver_envelope`, through their one send hook
+Subclasses provide only *when and how* a transmitted batch comes back
+to :meth:`_deliver_buffered`, through their one send hook
 :meth:`Transport._transmit_coalesced`:
 
 * :class:`~repro.net.runtime.Simulation` — a priority queue of simulated
@@ -42,7 +45,7 @@ Subclasses provide only *when and how* a transmitted batch reaches
   real TCP stream connections.
 
 Every runtime also answers one **driving surface** (DESIGN §7) — ``open``
-/ ``close``, ``start_session``, ``now``, ``completion_time`` and the
+/ ``close``, ``start``, ``now``, ``completion_time`` and the
 awaitables ``wait_any`` / ``wait_session``, ``wait_until``, ``sleep``,
 ``drain`` — so a scenario is one coroutine that runs on all three.  The
 simulator's awaitables step its event queue inline and never suspend,
@@ -94,9 +97,9 @@ class Transport:
     #: codec cannot carry before it is buffered.
     frames_on_wire = False
 
-    #: Coalescing-buffer flush policy: a buffer reaching this many
-    #: envelopes is flushed mid-activation; a wire frame is additionally
-    #: split so its body stays under ``batch_cap_bytes``.
+    #: Coalescing-buffer flush policy: the buffer is transmitted in
+    #: slices of at most this many envelopes; a wire frame is
+    #: additionally split so its body stays under ``batch_cap_bytes``.
     batch_cap_envelopes = 256
     batch_cap_bytes = 1 << 20
 
@@ -119,6 +122,9 @@ class Transport:
             raise ValueError(
                 f"cannot corrupt {len(self.behaviors)} parties with f={self.f}"
             )
+        #: Fixed at construction: done-detection waits on ``honest``.
+        self.corrupt = frozenset(self.behaviors)
+        self.honest = frozenset(range(self.n)) - self.corrupt
         self.measure_bytes = measure_bytes
         #: Creation-ordered coalescing buffer of (envelope, metered
         #: nbytes, buffered-delay) records awaiting
@@ -146,17 +152,10 @@ class Transport:
         self.chaos = coerce_chaos(chaos, seed)
         if self.chaos is not None:
             self.metrics.attach_counters("chaos", self.chaos.counters)
-        #: Session ids whose roots have been installed on this network,
-        #: and the subset still awaiting all-honest completion (progress
-        #: notes scan only the latter, so a service running thousands of
-        #: epochs pays O(window), not O(history), per delivery).
-        self._sessions_started: set[int] = set()
-        self._sessions_incomplete: set[int] = set()
+        #: A session is started exactly when it is in one of these two.
         #: Per incomplete session: honest parties whose result has not
-        #: been observed yet.  Done-detection discards one index per
-        #: first-result event, so the per-delivery progress note costs
-        #: O(incomplete sessions) dict lookups instead of an O(n) scan
-        #: over all honest parties.
+        #: been noted yet (a service running thousands of epochs pays
+        #: O(window), not O(history), per note).
         self._session_waiting: dict[int, set[int]] = {}
         #: :meth:`now` at which each session reached all-honest completion.
         self.session_completion_times: dict[int, float] = {}
@@ -233,22 +232,6 @@ class Transport:
             counters["buffered"] = buffered
         return counters
 
-    # -- membership --------------------------------------------------------------------
-
-    @property
-    def corrupt(self) -> frozenset[int]:
-        return frozenset(self.behaviors)
-
-    @property
-    def honest(self) -> frozenset[int]:
-        # Memoized: the corruption set is fixed at construction and this
-        # is consulted on every delivery (done-detection).
-        cached = getattr(self, "_honest_cache", None)
-        if cached is None:
-            cached = frozenset(range(self.n)) - self.corrupt
-            self._honest_cache = cached
-        return cached
-
     # -- lifecycle ---------------------------------------------------------------------
 
     def start(self, root_factory: RootFactory, session: int = 0) -> None:
@@ -259,10 +242,11 @@ class Transport:
         deployments can inject new root protocol runs (e.g. the next DKG
         epoch) without tearing the transport down.
         """
-        if session in self._sessions_started:
+        if (
+            session in self._session_waiting
+            or session in self.session_completion_times
+        ):
             raise RuntimeError(f"session {session} already started")
-        self._sessions_started.add(session)
-        self._sessions_incomplete.add(session)
         self._session_waiting[session] = set(self.honest)
         for party in self.parties:
             party.run_root(root_factory(party), session=session)
@@ -271,10 +255,6 @@ class Transport:
             self._flush_party(party)
             self._note_results(party)
         self._flush_coalesced()
-
-    def start_session(self, session: int, root_factory: RootFactory) -> None:
-        """Alias of :meth:`start` with the session id leading (service layer)."""
-        self.start(root_factory, session=session)
 
     def collect_session(self, session: int) -> None:
         """Garbage-collect a completed session's state at every party."""
@@ -377,19 +357,9 @@ class Transport:
         }
 
     def all_honest_output(self, session: int = 0) -> bool:
-        # Started sessions are answered from the done-detection
-        # bookkeeping in O(1) — this is the per-delivery stop predicate
-        # of every run_until_* loop.  Sessions this transport never
-        # started (probes in tests) fall back to the direct scan.
-        if session in self._sessions_started:
-            return session not in self._sessions_incomplete
-        return all(
-            self.parties[i].session_has_result(session) for i in self.honest
-        )
-
-    def session_complete(self, session: int) -> bool:
-        """True once every honest party produced the session's result."""
-        return self.all_honest_output(session)
+        """True once every honest party produced the session's result
+        (False for a session never started) — an O(1) stop predicate."""
+        return session in self.session_completion_times
 
     # -- the shared pipeline -----------------------------------------------------------
 
@@ -397,10 +367,9 @@ class Transport:
         """Drain a party's outbox, applying behaviours, metering, buffering.
 
         Each network envelope is metered with its own bare-envelope size
-        and appended to the coalescing buffer; the buffer is handed to
-        the subclass at the next :meth:`_flush_coalesced` (end of
-        activation / timestep, or here when the size cap trips
-        mid-activation).
+        and appended to the coalescing buffer; nothing is transmitted
+        here — the buffer is handed to the subclass at the next
+        :meth:`_flush_coalesced`.
 
         An honest sender's fan-out is metered once: consecutive network
         envelopes that are the *same objects* in every field but the
@@ -416,7 +385,7 @@ class Transport:
         behaviors = self.behaviors
         can_transmit = self._can_transmit
         buffered_delay = self._buffered_delay
-        cap = self.batch_cap_envelopes
+        buffer = self._outgoing
         # The run being built: its head envelope, the head's metered size,
         # the byte width of the recipient fields and the envelopes so far.
         head: Optional[Envelope] = None
@@ -472,12 +441,7 @@ class Transport:
                     head = envelope
                     run_width = width
                     run = 1
-                buffer = self._outgoing
                 buffer.append((envelope, run_nbytes, buffered_delay(envelope)))
-                if len(buffer) >= cap:
-                    self._meter_run(head, run_nbytes, run)
-                    run = 0
-                    self._flush_coalesced()
         finally:
             if run:
                 self._meter_run(head, run_nbytes, run)
@@ -515,8 +479,6 @@ class Transport:
             nbytes = None
         self._meter_run(envelope, nbytes, 1)
         self._outgoing.append((envelope, nbytes, self._buffered_delay(envelope)))
-        if len(self._outgoing) >= self.batch_cap_envelopes:
-            self._flush_coalesced()
 
     def _envelope_nbytes(self, envelope: Envelope) -> Optional[int]:
         """The envelope's protocol byte metric.
@@ -539,20 +501,14 @@ class Transport:
             )
         return FRAME_HEADER_BYTES + size
 
-    def _deliver_envelope(self, envelope: Envelope) -> bool:
-        """Deliver one in-flight envelope and flush its coalesced sends."""
-        result = self._deliver_buffered(envelope)
-        if self._outgoing:
-            self._flush_coalesced()
-        return result
-
     def _deliver_buffered(self, envelope: Envelope) -> bool:
         """Deliver one envelope, leaving its sends in the coalescing buffer.
 
-        False if the adversary ate it.  Bulk delivery paths (the sim's
-        same-timestamp batches, a TCP reader working through one frame)
-        call this per envelope and :meth:`_flush_coalesced` once at the
-        end, so one burst of activations coalesces into shared frames.
+        False if the adversary ate it.  Every delivery path calls this per
+        envelope and :meth:`_flush_coalesced` once after its burst (the
+        sim before its next queue pop, a TCP reader after one frame), so
+        the burst's activations coalesce into shared frames and nothing
+        leaves before the delivery observers have run.
         """
         chaos = self.chaos
         if chaos is not None and chaos.active:
@@ -700,65 +656,41 @@ class Transport:
 
     # -- done-detection ----------------------------------------------------------------
 
-    def _note_results(self, party: Party) -> None:
-        """Fold the party's root results into done-detection.
+    def _note_results(self, party: Party) -> list[int]:
+        """Fold the party's root results into done-detection; return the
+        sessions that just reached all-honest completion.
 
-        Runs when a party may hold a result the waiting sets have not
-        seen (:attr:`Party.result_unnoted`): after a delivery that
-        produced a root output, at session start, on reattach.
+        The one done-detection step.  Runs when a party may hold a
+        result the waiting sets have not seen
+        (:attr:`Party.result_unnoted`): after a delivery that produced a
+        root output, at session start, on reattach.  A completed
+        session's waiting set becomes its :meth:`now` stamp.
         """
         party.result_unnoted = False
-        self._note_progress(party)
-
-    def _note_progress_sessions(self, party: Party) -> list[int]:
-        """Advance done-detection for one party; return sessions that
-        just reached all-honest completion.
-
-        The single implementation of the waiting-set algorithm both
-        runtimes' ``_note_progress`` hooks build on:
-        :meth:`_on_session_result` fires for every (incomplete session,
-        party-with-result) pair — the subclass's per-result side effect,
-        e.g. the simulator's output-time stamping — then the party is
-        discarded from the session's waiting set, and a session whose
-        waiting set empties is moved out of ``_sessions_incomplete``.
-        """
-        incomplete = self._sessions_incomplete
-        if not incomplete:
-            return []
-        done: list[int] = []
         index = party.index
-        for session in incomplete:
-            if not party.session_has_result(session):
-                continue
-            self._on_session_result(session, party)
-            waiting = self._session_waiting[session]
-            if index in waiting:
+        done = []
+        for session, waiting in self._session_waiting.items():
+            if index in waiting and party.session_has_result(session):
                 waiting.discard(index)
                 if not waiting:
                     done.append(session)
         if done:
-            incomplete.difference_update(done)
             now = self.now()
             for session in done:
                 del self._session_waiting[session]
-                self.session_completion_times.setdefault(session, now)
+                self.session_completion_times[session] = now
         return done
 
-    def _on_session_result(self, session: int, party: Party) -> None:
-        """Per-(session, party-with-result) side-effect hook.
-
-        Called on every progress note while the session is incomplete —
-        implementations must dedupe themselves (the simulator keys on
-        ``party.index`` already being stamped).
-        """
-
     def _flush_coalesced(self) -> None:
-        """Hand the coalescing buffer to the transport as one batch."""
-        if not self._outgoing:
-            return
+        """The one point sends leave: hand the coalescing buffer to the
+        transport in creation order, ``batch_cap_envelopes`` at a time."""
         batch = self._outgoing
+        if not batch:
+            return
         self._outgoing = []
-        self._transmit_coalesced(batch)
+        cap = self.batch_cap_envelopes
+        for offset in range(0, len(batch), cap):
+            self._transmit_coalesced(batch[offset : offset + cap])
 
     # -- subclass hooks ----------------------------------------------------------------
 
@@ -803,25 +735,19 @@ class Transport:
             # A forged list-holding payload changed after it was metered.
             return None
 
-    def _note_progress(self, party: Party) -> None:
-        """Called after a party processed events (done-detection hook)."""
-        self._note_progress_sessions(party)
-
 
 class RealtimeTransport(Transport):
     """Shared machinery for runtimes hosted on a live asyncio event loop.
 
     Subclasses implement :meth:`Transport._transmit_coalesced`; delivery
-    must call :meth:`Transport._deliver_envelope` (or
-    :meth:`Transport._deliver_buffered` then a flush) from the event
-    loop.  Two usage
-    shapes, both spelled with the driving surface:
+    calls :meth:`Transport._deliver_buffered` per envelope, then one
+    :meth:`_flush_coalesced`, from the event loop.  Two usage shapes,
+    both spelled with the driving surface:
 
-    * one-shot — :meth:`run` (``run_root`` under the name realtime
-      callers know) returns session 0's honest results or raises
-      :class:`asyncio.TimeoutError`;
+    * one-shot — :meth:`Transport.run_root` returns session 0's honest
+      results or raises :class:`asyncio.TimeoutError`;
     * long-lived — :meth:`open` once, inject sessions with
-      :meth:`Transport.start_session` while traffic is flowing, await
+      :meth:`Transport.start` while traffic is flowing, await
       :meth:`wait_any` / :meth:`Transport.wait_session`, :meth:`close`
       at the end: what the epoch-pipelining service layer drives.
     """
@@ -934,9 +860,6 @@ class RealtimeTransport(Transport):
         """``asyncio.run``: realtime awaitables need a loop to suspend on."""
         return asyncio.run(coroutine)
 
-    #: :meth:`Transport.run_root`, for callers already inside the loop.
-    run = Transport.run_root
-
     def _spawn(self, coro) -> asyncio.Task:
         """Track a background task for cancellation and error propagation."""
         task = asyncio.ensure_future(coro)
@@ -962,18 +885,11 @@ class RealtimeTransport(Transport):
         on the simulator).  Deferring the drain one ``call_soon`` hop
         gives every activation scheduled in the same loop iteration a
         chance to park its sends first, and one drain then coalesces the
-        lot: flush on writer-drain, not per-activation.  A buffer at the
-        envelope cap is still flushed immediately, and callers outside a
+        lot: flush on writer-drain, not per-activation.  Callers outside a
         running loop (e.g. ``start()`` in a synchronous test) fall back
         to the immediate drain.
         """
         if not self._outgoing:
-            return
-        if len(self._outgoing) >= self.batch_cap_envelopes:
-            if self._flush_handle is not None:
-                self._flush_handle.cancel()
-                self._flush_handle = None
-            super()._flush_coalesced()
             return
         if self._flush_handle is not None:
             return  # drain already scheduled for this iteration
@@ -988,9 +904,11 @@ class RealtimeTransport(Transport):
         self._flush_handle = None
         super()._flush_coalesced()
 
-    def _note_progress(self, party: Party) -> None:
-        if self._note_progress_sessions(party):
+    def _note_results(self, party: Party) -> list[int]:
+        done = super()._note_results(party)
+        if done:
             self._progress.set()
+        return done
 
     # -- chaos hooks -------------------------------------------------------------------
 
@@ -999,7 +917,8 @@ class RealtimeTransport(Transport):
 
     async def _chaos_redeliver(self, envelope: Envelope, delay: float) -> None:
         await asyncio.sleep(delay)
-        self._deliver_envelope(envelope)
+        self._deliver_buffered(envelope)
+        self._flush_coalesced()
 
     # -- subclass hooks ----------------------------------------------------------------
 

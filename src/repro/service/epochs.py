@@ -151,7 +151,7 @@ class EpochDriver:
     async def _start_epoch(self, epoch: int) -> None:
         sid = self.session_base + epoch
         self._started_at[sid] = self.transport.now()
-        self.transport.start_session(sid, self.root_factory)
+        self.transport.start(self.root_factory, session=sid)
         interlude = self.interludes.get(epoch)
         if interlude is not None:
             await interlude(sid)

@@ -46,9 +46,12 @@ class DurabilityRecorder:
     """Keep one party's snapshot + WAL current on a live transport.
 
     The recorder observes the shared delivery pipeline, so it works
-    unchanged on the simulator, the asyncio runtime and TCP.  Recording
-    happens *after* the delivery was fully processed (outbox drained,
-    conditions at fixpoint) — exactly the boundary ``freeze()`` requires.
+    unchanged on the simulator, the asyncio runtime and TCP.  A
+    delivery's WAL record is appended before any of its reactions is
+    transmitted: the transport sends nothing while a delivery is on the
+    stack.  The snapshot is taken at the delivery boundary (reaction
+    processed, outbox drained, conditions at fixpoint) — exactly the
+    boundary ``freeze()`` requires.
     Call :meth:`checkpoint` once the party's roots are installed (the
     crash plan does, right after the session starts) so a crash before
     the first delivery still finds a snapshot; failing that, the first

@@ -2,8 +2,9 @@
 
 One log file per party per run: every network envelope the party
 processes is appended (as a versioned :mod:`repro.storage.frames`
-record) *after* it was delivered, so the log plus the last snapshot is
-always a complete replayable history at delivery granularity.  Appends
+record) after it was delivered and before any of its reactions is
+transmitted, so the log plus the last snapshot is always a complete
+replayable history at delivery granularity.  Appends
 are buffered through one file handle; ``fsync`` is optional — on by
 default the log is only flushed to the OS, which is the right trade for
 the simulator and for the recovery benchmark workload (a deployment

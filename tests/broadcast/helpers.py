@@ -123,8 +123,5 @@ def run_broadcast(
         )
 
     sim.start(factory)
-    if run_to_quiescence:
-        sim.run()
-    else:
-        sim.run_until_all_honest_output()
+    sim.run(stop=None if run_to_quiescence else Simulation.all_honest_output)
     return sim

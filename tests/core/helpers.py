@@ -29,10 +29,8 @@ def run_protocol(
         delay_model=delay_model,
     )
     sim.start(factory)
-    if to_quiescence:
-        sim.run(max_steps=max_steps)
-    else:
-        sim.run_until_all_honest_output(max_steps=max_steps)
+    stop = None if to_quiescence else Simulation.all_honest_output
+    sim.run(max_steps=max_steps, stop=stop)
     return sim
 
 

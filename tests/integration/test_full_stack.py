@@ -57,7 +57,7 @@ def test_adkg_under_every_delay_regime(delay_model):
 def test_adkg_over_asyncio_runtime():
     setup = TrustedSetup.generate(4, seed=7)
     runtime = AsyncioRuntime(setup, max_delay=0.002, seed=7)
-    results = asyncio.run(runtime.run(lambda party: ADKG(), timeout=90))
+    results = asyncio.run(runtime.run_root(lambda party: ADKG(), timeout=90))
     transcripts = list(results.values())
     assert len(transcripts) == 4
     assert all(t == transcripts[0] for t in transcripts)

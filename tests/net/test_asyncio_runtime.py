@@ -19,7 +19,7 @@ def _run(coro):
 def test_ping_pong_over_asyncio():
     setup = TrustedSetup.generate(4, seed=1)
     runtime = AsyncioRuntime(setup, max_delay=0.001, seed=1)
-    results = _run(runtime.run(lambda party: PingPong(rounds=3), timeout=10))
+    results = _run(runtime.run_root(lambda party: PingPong(rounds=3), timeout=10))
     assert results[0] == 3
     assert results[1] == 3
 
@@ -27,7 +27,7 @@ def test_ping_pong_over_asyncio():
 def test_echo_all_over_asyncio():
     setup = TrustedSetup.generate(4, seed=2)
     runtime = AsyncioRuntime(setup, max_delay=0.001, seed=2)
-    results = _run(runtime.run(lambda party: EchoAll(), timeout=10))
+    results = _run(runtime.run_root(lambda party: EchoAll(), timeout=10))
     assert all(value == frozenset(range(4)) for value in results.values())
 
 
@@ -38,13 +38,13 @@ def test_timeout_raises():
         setup, max_delay=0.001, behaviors={3: SilentBehavior()}, seed=3
     )
     with pytest.raises(asyncio.TimeoutError):
-        _run(runtime.run(lambda party: EchoAll(), timeout=0.2))
+        _run(runtime.run_root(lambda party: EchoAll(), timeout=0.2))
 
 
 def test_metrics_metered_like_simulator():
     setup = TrustedSetup.generate(4, seed=4)
     runtime = AsyncioRuntime(setup, max_delay=0.0005, seed=4)
-    _run(runtime.run(lambda party: EchoAll(), timeout=10))
+    _run(runtime.run_root(lambda party: EchoAll(), timeout=10))
     assert runtime.metrics.messages_total == 4 * 3
     assert runtime.metrics.words_total == 4 * 3 * 2
 
@@ -56,7 +56,7 @@ def test_frame_bytes_at_a_cap_of_one(monkeypatch):
     monkeypatch.setattr(Transport, "batch_cap_envelopes", 1)
     setup = TrustedSetup.generate(4, seed=5)
     runtime = AsyncioRuntime(setup, max_delay=0.0005, seed=5, measure_bytes=True)
-    _run(runtime.run(lambda party: EchoAll(), timeout=10))
+    _run(runtime.run_root(lambda party: EchoAll(), timeout=10))
     metrics = runtime.metrics
     frames = metrics.frames_total
     assert frames == metrics.messages_total == 4 * 3

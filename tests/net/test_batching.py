@@ -150,12 +150,22 @@ def test_frame_metrics_accounting():
 
 
 def _assert_one_frame_per_message(result):
-    """A run at a coalescing cap of one frames every message alone: a
-    batch of one, 5 or 6 B dearer than its protocol bytes."""
+    """A run at a coalescing cap of one frames every message alone.  (It
+    stops with the completing activation's sends still buffered, so the
+    frame count is pinned on a run to quiescence, below.)"""
+    assert result.metrics_summary["batch_occupancy_max"] == 1
+
+
+def test_cap1_run_to_quiescence_frames_each_message_once(monkeypatch):
+    """Every message of a cap-1 run is transmitted as a batch of one, 5 or
+    6 B dearer than its protocol bytes: frames equal messages."""
+    monkeypatch.setattr(Transport, "batch_cap_envelopes", 1)
+    result = run_adkg(n=4, seed=9, measure_bytes=True, to_quiescence=True)
     summary = result.metrics_summary
     frames = summary["frames_total"]
-    assert frames == result.messages_total and summary["frames_saved"] == 0
-    assert summary["batch_occupancy_max"] == 1
+    assert frames == result.messages_total == 564
+    assert summary["frames_saved"] == 0 and summary["batch_occupancy_max"] == 1
+    assert summary["wire_bytes_total"] == 117_426
     extra = summary["wire_bytes_total"] - result.bytes_total
     assert 5 * frames <= extra <= 6 * frames
 
@@ -278,7 +288,7 @@ def test_batched_tcp_matches_sim_transcript_and_words(monkeypatch):
     runtime = TCPRuntime(setup, seed=seed)
     from repro.core.adkg import ADKG
 
-    results = asyncio.run(runtime.run(lambda party: ADKG(), timeout=60))
+    results = asyncio.run(runtime.run_root(lambda party: ADKG(), timeout=60))
     transcripts = list(results.values())
     assert all(t == transcripts[0] for t in transcripts)
     assert transcripts[0] == sim_batched.transcript
@@ -298,7 +308,7 @@ def test_batched_tcp_wire_carries_multi_envelope_frames():
     """EchoAll over batched TCP: outputs right, frames coalesced."""
     setup = TrustedSetup.generate(4, seed=2)
     runtime = TCPRuntime(setup, seed=2)
-    results = asyncio.run(runtime.run(lambda party: EchoAll(), timeout=30))
+    results = asyncio.run(runtime.run_root(lambda party: EchoAll(), timeout=30))
     assert all(value == frozenset(range(4)) for value in results.values())
     assert runtime.metrics.bytes_total > 0
     assert runtime.metrics.frames_total > 0
@@ -353,7 +363,7 @@ def test_tcp_backpressure_sheds_and_counts():
         # May still reach agreement (EchoAll needs only one ping per
         # peer to survive the shedding) or starve — either way the
         # overflow must have been dropped and counted, not queued.
-        asyncio.run(runtime.run(lambda party: Burst(), timeout=2))
+        asyncio.run(runtime.run_root(lambda party: Burst(), timeout=2))
     except asyncio.TimeoutError:
         pass
     assert runtime.backpressure_drops > 0

@@ -84,10 +84,10 @@ def test_sessions_injected_into_live_asyncio_network():
         runtime = AsyncioRuntime(setup, seed=2)
         await runtime.open()
         try:
-            runtime.start_session(0, lambda party: EchoAll())
+            runtime.start(lambda party: EchoAll(), session=0)
             first = await runtime.wait_session(0, timeout=30)
             # Session 0 is done; the network is live — inject another.
-            runtime.start_session(1, lambda party: EchoAll())
+            runtime.start(lambda party: EchoAll(), session=1)
             second = await runtime.wait_session(1, timeout=30)
         finally:
             await runtime.close()

@@ -97,7 +97,7 @@ def test_adkg_survives_hard_killed_connections():
                     runtime.kill_connection(*pair)
 
         runtime.add_delivery_observer(killer)
-        results = await runtime.run(
+        results = await runtime.run_root(
             lambda party: ADKG(broadcast_kind="ct"), timeout=60
         )
         return runtime, results
@@ -162,7 +162,7 @@ def test_healed_connections_do_not_inflate_protocol_totals():
                         runtime.kill_connection(0, recipient)
 
             runtime.add_delivery_observer(killer)
-        results = await runtime.run(lambda party: EchoAll(), timeout=30)
+        results = await runtime.run_root(lambda party: EchoAll(), timeout=30)
         return runtime, results
 
     clean_rt, clean = asyncio.run(scenario(kill=False))

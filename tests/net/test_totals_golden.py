@@ -20,7 +20,10 @@ its dropping party, which no peer checks, now checked by their aggregator.
 ``cap1-n4-bytes`` replaced a run on a second, per-envelope send plane that
 recorded no frames: its ``frames`` and ``wire_bytes`` are counted by the
 commit before that plane was deleted, every other entry is the deleted
-run's to the digit.
+run's to the digit.  Since sends leave only at the flush, never inside the
+delivery that caused them, the 3 sends of the activation that completed
+that run are still buffered when it stops: its ``frames`` (564 → 561) and
+``wire_bytes`` (117 426 → 115 983) count the frames actually transmitted.
 
 Totals alone let an arithmetic slip through as long as it still verifies,
 so ``"values"`` pins what two runs computed: the agreed transcript (its

@@ -14,7 +14,7 @@ from repro.net.asyncio_runtime import AsyncioRuntime
 from repro.net.envelope import Envelope
 from repro.net.runtime import Simulation
 from repro.net.tcp_runtime import TCPRuntime
-from repro.net.transport import Transport, make_transport
+from repro.net.transport import Transport, make_run_transport, make_transport
 
 from tests.net.helpers import EchoAll, Ping, PingPong
 
@@ -31,9 +31,49 @@ def test_runtimes_share_one_pipeline():
     for runtime in (Simulation, AsyncioRuntime, TCPRuntime):
         assert issubclass(runtime, Transport)
         assert "_flush_party" not in runtime.__dict__
-        assert "_deliver_envelope" not in runtime.__dict__
+        assert "_deliver_buffered" not in runtime.__dict__
         assert runtime._flush_party is Transport._flush_party
-        assert runtime._deliver_envelope is Transport._deliver_envelope
+        assert runtime._deliver_buffered is Transport._deliver_buffered
+
+
+@pytest.mark.parametrize(
+    "kind, n, root, cap",
+    [
+        ("sim", 4, ADKG, 1),
+        ("sim", 16, ADKG, None),
+        ("tcp", 4, PingPong, 1),
+    ],
+)
+def test_no_send_leaves_inside_the_delivery_that_caused_it(
+    monkeypatch, kind, n, root, cap
+):
+    """Sends leave only at the flush: no batch is transmitted while a
+    delivery is on the stack, so delivery observers (the WAL recorder)
+    always run before any of that delivery's reactions reach the wire.
+    (Over TCP, PingPong's replies are sends made inside a delivery.)"""
+    if cap is not None:
+        monkeypatch.setattr(Transport, "batch_cap_envelopes", cap)
+    transport = make_run_transport(kind, TrustedSetup.generate(n, seed=9), seed=9)
+    deliver, transmit = transport._deliver_buffered, transport._transmit_coalesced
+    depth, transmitted, inside = [0], [0], [0]
+
+    def delivering(envelope):
+        depth[0] += 1
+        try:
+            return deliver(envelope)
+        finally:
+            depth[0] -= 1
+
+    def transmitting(batch):
+        transmitted[0] += 1
+        inside[0] += depth[0] > 0
+        transmit(batch)
+
+    transport._deliver_buffered = delivering
+    transport._transmit_coalesced = transmitting
+    transport.run_sync(lambda party: root(), timeout=30)
+    assert transmitted[0] > 0
+    assert inside[0] == 0
 
 
 def test_make_transport_factory():
@@ -59,7 +99,7 @@ def test_word_and_byte_metrics_agree_across_transports():
             transport.start(lambda party: EchoAll())
             transport.run()
         else:
-            _run(transport.run(lambda party: EchoAll(), timeout=10))
+            _run(transport.run_root(lambda party: EchoAll(), timeout=10))
         totals[kind] = (
             transport.metrics.messages_total,
             transport.metrics.words_total,
@@ -89,7 +129,7 @@ def test_too_many_corruptions_rejected_everywhere():
 def test_ping_pong_over_tcp():
     setup = TrustedSetup.generate(4, seed=1)
     runtime = TCPRuntime(setup, seed=1)
-    results = _run(runtime.run(lambda party: PingPong(rounds=3), timeout=30))
+    results = _run(runtime.run_root(lambda party: PingPong(rounds=3), timeout=30))
     assert results[0] == 3
     assert results[1] == 3
     assert runtime.rejected_frames == 0
@@ -98,7 +138,7 @@ def test_ping_pong_over_tcp():
 def test_echo_all_over_tcp():
     setup = TrustedSetup.generate(4, seed=2)
     runtime = TCPRuntime(setup, seed=2)
-    results = _run(runtime.run(lambda party: EchoAll(), timeout=30))
+    results = _run(runtime.run_root(lambda party: EchoAll(), timeout=30))
     assert all(value == frozenset(range(4)) for value in results.values())
     assert runtime.metrics.bytes_total > 0
 
@@ -107,7 +147,7 @@ def test_silent_behavior_starves_tcp_echo_all():
     setup = TrustedSetup.generate(4, seed=3)
     runtime = TCPRuntime(setup, behaviors={3: SilentBehavior()}, seed=3)
     with pytest.raises(asyncio.TimeoutError):
-        _run(runtime.run(lambda party: EchoAll(), timeout=0.5))
+        _run(runtime.run_root(lambda party: EchoAll(), timeout=0.5))
 
 
 def test_malformed_frames_are_dropped_not_delivered():
@@ -171,7 +211,7 @@ def test_adkg_over_tcp_matches_simulator_transcript():
     sim_result = run_adkg(n=n, f=0, seed=seed)
     setup = TrustedSetup.generate(n, f=0, seed=seed)
     runtime = TCPRuntime(setup, seed=seed)
-    results = _run(runtime.run(lambda party: ADKG(), timeout=60))
+    results = _run(runtime.run_root(lambda party: ADKG(), timeout=60))
     transcripts = list(results.values())
     assert all(t == transcripts[0] for t in transcripts)
     assert transcripts[0] == sim_result.transcript
@@ -183,7 +223,7 @@ def test_adkg_over_tcp_with_faults_agrees_and_verifies():
     n, seed = 4, 1
     setup = TrustedSetup.generate(n, seed=seed)
     runtime = TCPRuntime(setup, seed=seed)
-    results = _run(runtime.run(lambda party: ADKG(), timeout=60))
+    results = _run(runtime.run_root(lambda party: ADKG(), timeout=60))
     transcripts = list(results.values())
     assert len(transcripts) == n
     assert all(t == transcripts[0] for t in transcripts)
@@ -205,7 +245,7 @@ def test_background_task_errors_propagate_not_timeout():
         setup = TrustedSetup.generate(4, seed=4)
         runtime = make_transport(kind, setup, seed=4)
         with pytest.raises(RuntimeError, match="handler bug"):
-            _run(runtime.run(lambda party: Exploder(), timeout=5))
+            _run(runtime.run_root(lambda party: Exploder(), timeout=5))
 
 
 def test_forged_unencodable_payload_is_dropped_not_fatal():
@@ -229,7 +269,7 @@ def test_forged_unencodable_payload_is_dropped_not_fatal():
     # effectively silent: EchoAll (which waits for all n) starves and the
     # run times out — it must NOT die with a CodecError.
     with pytest.raises(asyncio.TimeoutError):
-        _run(runtime.run(lambda party: EchoAll(), timeout=0.5))
+        _run(runtime.run_root(lambda party: EchoAll(), timeout=0.5))
     assert runtime.dropped_sends == 3
 
 
@@ -305,7 +345,7 @@ def test_partial_open_failure_cleans_up_tasks_and_servers():
 
     runtime._open = failing_open
     with pytest.raises(ConnectionRefusedError):
-        _run(runtime.run(lambda party: EchoAll(), timeout=5))
+        _run(runtime.run_root(lambda party: EchoAll(), timeout=5))
     assert not runtime._tasks
     assert not runtime._servers
 
@@ -328,7 +368,7 @@ def test_honest_unencodable_payload_fails_loudly_without_leaking_tasks():
     setup = TrustedSetup.generate(4, seed=6)
     runtime = TCPRuntime(setup, seed=6)
     with pytest.raises(codec.CodecError):
-        _run(runtime.run(lambda party: BadRoot(), timeout=5))
+        _run(runtime.run_root(lambda party: BadRoot(), timeout=5))
     assert not runtime._tasks  # pumps/readers were cancelled, not leaked
 
 
@@ -362,7 +402,7 @@ async def _two_sessions(transport):
     await transport.open()
     try:
         for session in (0, 1):
-            transport.start_session(session, lambda party: EchoAll())
+            transport.start(lambda party: EchoAll(), session=session)
         waiting = {0, 1}
         while waiting:
             waiting -= set(await transport.wait_any(waiting, timeout=30))

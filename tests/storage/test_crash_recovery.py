@@ -218,7 +218,7 @@ def test_crash_recover_behavior_omission_window():
         setup, seed=4, delay_model=FixedDelay(1.0), behaviors={3: behavior}
     )
     sim.start(lambda p: ADKG())
-    sim.run_until_all_honest_output()
+    sim.block_on(sim.wait_session(0))
     assert behavior.schedule.crashed and behavior.recovered
     outputs = list(sim.honest_results().values())
     assert outputs and all(o == outputs[0] for o in outputs)
@@ -315,6 +315,6 @@ def test_detach_reattach_without_state_loss():
     sim.run(stop=lambda s: s.time >= deadline)
     delivered = sim.reattach_party(2)  # same object, memory intact
     assert delivered > 0
-    sim.run_until_all_honest_output()
+    sim.block_on(sim.wait_session(0))
     outputs = list(sim.honest_results().values())
     assert len(outputs) == 4 and all(o == outputs[0] for o in outputs)

@@ -100,13 +100,13 @@ def test_repeated_freeze_points_adkg():
     """The full stack round-trips at several crash depths, not just one."""
     factory = CASES["adkg"]
     reference = _build(factory)
-    reference.run_until_all_honest_output()
+    reference.block_on(reference.wait_session(0))
     for k in (1, reference.steps // 2, reference.steps - 1):
         sim = _build(factory)
         for _ in range(k):
             sim.step()
         _freeze_thaw_all(sim, factory)
-        sim.run_until_all_honest_output()
+        sim.block_on(sim.wait_session(0))
         assert sim.honest_results() == reference.honest_results()
         assert sim.metrics.words_total == reference.metrics.words_total
 
@@ -124,7 +124,7 @@ def test_a_second_freeze_walks_no_aggregate_and_cold_equals_warm():
         return sim
 
     reference, sim = build(), build()
-    reference.run_until_all_honest_output()
+    reference.block_on(reference.wait_session(0))
     for _ in range(reference.steps // 2):  # mid-run: proposals and keys in flight
         sim.step()
     party = sim.parties[0]
@@ -212,7 +212,7 @@ def test_thaw_restores_the_sharing_the_party_had():
     setup = TrustedSetup.generate(N, seed=SEED)
     sim = Simulation(setup, seed=SEED, delay_model=FixedDelay(1.0))
     sim.start(CASES["adkg"])
-    sim.run_until_all_honest_output()
+    sim.block_on(sim.wait_session(0))
     blob = sim.parties[0].freeze()
     clone = sim.build_party(0)
     clone.thaw(blob, root_factory=CASES["adkg"])
