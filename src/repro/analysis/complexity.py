@@ -56,8 +56,3 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
         exponent=slope, coefficient=math.exp(intercept), r_squared=r_squared
     )
 
-
-def geometric_mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("empty sequence")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

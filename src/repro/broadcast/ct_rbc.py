@@ -14,8 +14,10 @@ readies amplify; ``2f+1`` readies plus a successful decode deliver.
 Word complexity per Theorem 6: ``O(n²·(c + p) + m·n)`` with ``c`` the
 commitment size (1 word) and ``p`` the opening proof size (``log n``
 words).  Fragment word sizes are accounted logically (``ceil(m/(f+1))``
-words) while the payload carries the real fragment bytes — see
-:mod:`repro.broadcast.wire`.
+words) while the payload carries the real fragment bytes.  The value is
+serialized with the registry byte codec (:mod:`repro.net.codec`), whose
+strict decoder never constructs attacker-chosen objects: bytes a faulty
+dealer disperses that do not decode mean "dealer faulty".
 
 With a ``validate`` predicate this is the paper's Validated Reliable
 Broadcast: ``ready`` votes and delivery are gated on external validity of
@@ -27,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.broadcast import erasure, wire
+from repro.broadcast import erasure
 from repro.crypto.vector_commitment import make_scheme
+from repro.net import codec
 from repro.net.payload import Payload, words_of
 from repro.net.protocol import Protocol
 
@@ -126,7 +129,7 @@ class CTBroadcast(Protocol):
             if self.value is None:
                 raise ValueError("dealer must provide a value")
             self._bind_backend()
-            data = wire.serialize(self.value)
+            data = codec.encode(self.value)
             fragments = erasure.rs_encode(data, self.f + 1, self.n)
             commitment, proofs = self._vc.commit(fragments)
             claim = max(1, words_of(self.value))
@@ -281,7 +284,11 @@ class CTBroadcast(Protocol):
             lambda: self._recommit_matches(data, root),
         ):
             return None
-        return wire.deserialize(data)
+        codec.encode_stats["wire.decode.calls"] += 1
+        try:
+            return codec.decode(data)
+        except codec.CodecError:
+            return None
 
     def _recommit_matches(self, data: bytes, root: Any) -> bool:
         check_fragments = erasure.rs_encode(data, self.f + 1, self.n)

@@ -46,14 +46,6 @@ def gf_inv(a: int) -> int:
     return _EXP[255 - _LOG[a]]
 
 
-def _poly_eval(coeffs: Sequence[int], x: int) -> int:
-    """Horner evaluation of ``coeffs[0] + coeffs[1]·x + ...`` at ``x``."""
-    acc = 0
-    for coeff in reversed(coeffs):
-        acc = gf_mul(acc, x) ^ coeff
-    return acc
-
-
 @lru_cache(maxsize=256)
 def _mul_table(constant: int) -> bytes:
     """A 256-byte ``bytes.translate`` table for multiplication by ``constant``.

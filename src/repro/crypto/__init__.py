@@ -4,8 +4,8 @@ Everything in this package is implemented from scratch on top of the
 Python standard library:
 
 * real (non-simulated) primitives: prime fields, Schnorr groups over safe
-  primes, Schnorr signatures, Chaum-Pedersen DLEQ proofs, Merkle-tree
-  vector commitments, Shamir secret sharing, SCRAPE low-degree tests;
+  primes, Schnorr signatures, Schnorr proofs of knowledge, Merkle-tree
+  vector commitments, SCRAPE low-degree tests;
 * one explicitly simulated primitive: :mod:`repro.crypto.pairing`, a
   generic-group bilinear map used by the aggregatable PVSS and threshold
   VRF (see DESIGN.md section 2 for why the substitution is behaviour

@@ -1,7 +1,7 @@
 """A real Schnorr group: the order-``q`` subgroup of ``Z_p^*`` for ``p = 2q+1``.
 
 This group backs the *real* cryptography in the reproduction — Schnorr
-signatures and DLEQ proofs.  Elements are plain ints (quadratic residues
+signatures.  Elements are plain ints (quadratic residues
 mod ``p``); all operations go through the :class:`SchnorrGroup` object.
 
 The pairing-based PVSS lives in :mod:`repro.crypto.pairing` instead.

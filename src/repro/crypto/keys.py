@@ -118,6 +118,3 @@ class TrustedSetup:
     def secret(self, party: int) -> PartySecret:
         return self._secrets[party]
 
-    @property
-    def all_secrets(self) -> tuple[PartySecret, ...]:
-        return self._secrets

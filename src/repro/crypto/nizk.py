@@ -1,14 +1,9 @@
 """Non-interactive zero-knowledge proofs (Fiat-Shamir).
 
-Two proofs are provided, both generic over any object implementing the
-group API (``generator``, ``order``, ``exp``, ``mul``, ``inv``):
-
-* :func:`prove_dlog` / :func:`verify_dlog` — Schnorr proof of knowledge of
-  a discrete log (used as the PVSS contribution's proof of knowledge of
-  the dealt secret).
-* :func:`prove_dleq` / :func:`verify_dleq` — Chaum-Pedersen proof that two
-  pairs share the same discrete log (used by the scalar PVSS baseline and
-  the common-coin baseline).
+:func:`prove_dlog` / :func:`verify_dlog` — Schnorr proof of knowledge of
+a discrete log, generic over any object implementing the group API
+(``generator``, ``order``, ``exp``, ``mul``, ``inv``).  It is the PVSS
+contribution's proof of knowledge of the dealt secret.
 """
 
 from __future__ import annotations
@@ -23,17 +18,6 @@ from repro.crypto.hashing import hash_to_int
 @dataclass(frozen=True)
 class DlogProof:
     """Proof of knowledge of ``x`` with ``h = base^x``."""
-
-    challenge: int
-    response: int
-
-    def word_size(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class DleqProof:
-    """Proof that ``log_base1(h1) == log_base2(h2)``."""
 
     challenge: int
     response: int
@@ -62,71 +46,6 @@ def verify_dlog(group: Any, base: Any, h: Any, proof: DlogProof, *context: Any) 
         group.inv(group.exp(h, proof.challenge)),
     )
     expected = hash_to_int("nizk-dlog", q, _enc(group, base), _enc(group, h), _enc(group, commitment), *context)
-    return expected == proof.challenge
-
-
-def prove_dleq(
-    group: Any,
-    base1: Any,
-    h1: Any,
-    base2: Any,
-    h2: Any,
-    x: int,
-    rng: random.Random,
-    *context: Any,
-) -> DleqProof:
-    q = group.order
-    w = rng.randrange(1, q)
-    commit1 = group.exp(base1, w)
-    commit2 = group.exp(base2, w)
-    challenge = hash_to_int(
-        "nizk-dleq",
-        q,
-        _enc(group, base1),
-        _enc(group, h1),
-        _enc(group, base2),
-        _enc(group, h2),
-        _enc(group, commit1),
-        _enc(group, commit2),
-        *context,
-    )
-    response = (w + challenge * x) % q
-    return DleqProof(challenge=challenge, response=response)
-
-
-def verify_dleq(
-    group: Any,
-    base1: Any,
-    h1: Any,
-    base2: Any,
-    h2: Any,
-    proof: DleqProof,
-    *context: Any,
-) -> bool:
-    if not isinstance(proof, DleqProof):
-        return False
-    q = group.order
-    if not (0 <= proof.challenge < q and 0 <= proof.response < q):
-        return False
-    commit1 = group.mul(
-        group.exp(base1, proof.response),
-        group.inv(group.exp(h1, proof.challenge)),
-    )
-    commit2 = group.mul(
-        group.exp(base2, proof.response),
-        group.inv(group.exp(h2, proof.challenge)),
-    )
-    expected = hash_to_int(
-        "nizk-dleq",
-        q,
-        _enc(group, base1),
-        _enc(group, h1),
-        _enc(group, base2),
-        _enc(group, h2),
-        _enc(group, commit1),
-        _enc(group, commit2),
-        *context,
-    )
     return expected == proof.challenge
 
 

@@ -1,6 +1,6 @@
 """Polynomials over a prime field: evaluation, interpolation, SCRAPE test.
 
-Used by Shamir sharing, the PVSS low-degree check and the threshold VRF's
+Used by the PVSS low-degree check and the threshold VRF's
 Lagrange-in-the-exponent combination step.
 """
 
@@ -118,17 +118,6 @@ def lagrange_coefficients(
     if len(set(points)) != len(points):
         raise ValueError("interpolation points must be distinct")
     return _lagrange_cached(field.q, points, field.element(at))
-
-
-def interpolate_at(
-    field: PrimeField,
-    points: Sequence[tuple[int, int]],
-    at: int = 0,
-) -> int:
-    """Evaluate the unique interpolating polynomial of ``points`` at ``at``."""
-    xs = [x for x, _ in points]
-    lambdas = lagrange_coefficients(field, xs, at)
-    return field.sum(field.mul(lam, y) for lam, (_, y) in zip(lambdas, points))
 
 
 @lru_cache(maxsize=1024)

@@ -44,11 +44,10 @@ trailing bytes, invalid UTF-8, field-count mismatches, overlong
 (non-canonical) varints and set members or dict keys out of sorted order
 all raise :class:`CodecError`.  So ``encode(decode(b)) == b`` for every
 accepted ``b``, and the decoder can hand an aggregate the bytes it was
-read from (``_payload_memo``).  This is the hardening
-``broadcast/wire.py`` claims: a Byzantine dealer's malformed bytes
-surface as a clean error (mapped to "dealer faulty" upstream),
-never as attacker-controlled object construction the way
-``pickle.loads`` would allow.
+read from (``_payload_memo``).  A Byzantine dealer's malformed bytes
+surface as a clean error (CT-RBC maps it to "dealer faulty"), never as
+attacker-controlled object construction the way ``pickle.loads`` would
+allow.
 
 Batch frames
 ------------
@@ -121,7 +120,6 @@ from repro.crypto.verify_cache import TUPLE_FIELDS, IdentityMemo
 __all__ = [
     "CodecError",
     "register",
-    "registered_types",
     "encode",
     "decode",
     "SharedRecord",
@@ -239,7 +237,8 @@ _BATCH_HEADER_OPEN = bytes((_TAG_TUPLE, 5))
 
 # Registered struct ids, stable across versions (wire compatibility):
 #   1-19    substrate (Envelope)
-#   20-39   crypto value types
+#   20-63   crypto value types; 23 (DLEQ proof), 36-37 (scalar PVSS) and
+#           38 (Shamir share) are retired, never to be reused
 #   64-99   protocol payloads
 #   >= 9000 reserved for tests / external extensions
 _ENVELOPE_ID = 1
@@ -343,12 +342,6 @@ def register(cls: type, type_id: int, fields: Optional[tuple[str, ...]] = None) 
         # encoding is memoized by identity (see encode_stats above).
         _memoized_types.add(cls)
     return cls
-
-
-def registered_types() -> dict[type, int]:
-    """Every registered type and its wire id (triggers full registration)."""
-    _ensure_registered()
-    return {cls: entry[0] for cls, entry in _by_type.items()}
 
 
 # -- varints ---------------------------------------------------------------------------
@@ -1260,8 +1253,6 @@ def _register_builtins() -> None:
         ReshareDealing,
         ReshareTranscript,
     )
-    from repro.crypto.scalar_pvss import DecryptedShare, ScalarDealing
-    from repro.crypto.shamir import ShamirShare
     from repro.crypto.threshold_enc import Ciphertext, DecryptionShare
     from repro.crypto.threshold_sig import SignatureShare, ThresholdSignature
     from repro.crypto.threshold_vrf import EvalShare
@@ -1290,7 +1281,6 @@ def _register_builtins() -> None:
     register(GroupElement, 20)
     register(schnorr.Signature, 21)
     register(nizk.DlogProof, 22)
-    register(nizk.DleqProof, 23)
     register(MerkleProof, 24)
     register(KZGOpening, 25)
     register(ContributorTag, 26)
@@ -1303,9 +1293,6 @@ def _register_builtins() -> None:
     register(ThresholdSignature, 33)
     register(Ciphertext, 34)
     register(DecryptionShare, 35)
-    register(ScalarDealing, 36)
-    register(DecryptedShare, 37)
-    register(ShamirShare, 38)
     register(HandoffSpec, 39)
     register(ReshareDealing, 40)
     register(ReshareBundle, 41)
@@ -1332,9 +1319,7 @@ def _register_builtins() -> None:
     register(CoinShareMsg, 82)
     register(Decided, 83)
     register(ReshareDealingMsg, 84)
-    # The aggregates of the inclusion rule above.  ``ScalarDealing`` has
-    # the shape too but only the baseline scalar PVSS builds it: no
-    # payload or protocol state carries one, so there is nothing to reuse.
+    # The aggregates of the inclusion rule above.
     _aggregate_memoized_types.update(
         (
             PVSSContribution,

@@ -60,7 +60,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
-from repro.net.conditions import Completion, Condition
+from repro.net.conditions import Condition
 from repro.net.payload import Payload
 
 if TYPE_CHECKING:
@@ -193,17 +193,6 @@ class Protocol:
         return self.party.conditions_for(self._session).add(
             predicate, action, once=once, label=label
         )
-
-    def completion_when(
-        self,
-        predicate: Callable[[], bool],
-        value_fn: Callable[[], Any] = lambda: None,
-        label: str = "",
-    ) -> Completion:
-        """A :class:`Completion` that resolves when ``predicate`` first holds."""
-        completion = Completion()
-        self.upon(predicate, lambda: completion.resolve(value_fn()), label=label)
-        return completion
 
     # -- durability (snapshot / restore) ------------------------------------------------
 

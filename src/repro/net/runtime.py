@@ -55,10 +55,6 @@ __all__ = ["Simulation", "RootFactory"]
 class Simulation(Transport):
     """An n-party protocol execution under simulated asynchrony."""
 
-    #: Default delivery budget of :meth:`run` and so of every awaitable
-    #: (what ``timeout`` is to a realtime runtime).
-    max_steps = 5_000_000
-
     def __init__(
         self,
         setup: TrustedSetup,
@@ -81,6 +77,10 @@ class Simulation(Transport):
         self.scheduler = scheduler or Scheduler()
         self.time = 0.0
         self.steps = 0
+        #: Default delivery budget of :meth:`run` and so of every awaitable
+        #: (what ``timeout`` is to a realtime runtime).  A benign ADKG makes
+        #: about 10 n³ deliveries, so the floor holds up to n = 46.
+        self.max_steps = max(5_000_000, 50 * self.n**3)
         self._seq = itertools.count()
         #: Heap of (time, seq, envelopes): the envelopes of one flush
         #: sharing one delivery instant, or one chaos-held envelope.
@@ -157,7 +157,10 @@ class Simulation(Transport):
             return
         if not (self._ready or self._outgoing or self._queue):
             return
-        raise RuntimeError(f"simulation exceeded {max_steps} deliveries")
+        raise RuntimeError(
+            f"simulation exceeded its budget of {max_steps} deliveries; "
+            "pass a larger max_steps= to allow more"
+        )
 
     # -- the driving surface -----------------------------------------------------------
     #

@@ -135,8 +135,8 @@ class Transport:
         #: Byzantine behavior transforms in creation order, whatever the
         #: cap (``None`` on transports without one).
         self._outgoing: list[tuple[Envelope, Optional[int], Any]] = []
-        #: Per-delivery observers (tracing); each is called with every
-        #: network envelope that was actually delivered.
+        #: Per-delivery observers (the WAL recorder); each is called with
+        #: every network envelope that was actually delivered.
         self._delivery_observers: list[Callable[[Envelope], None]] = []
         self.metrics = Metrics()
         self._bind_work_counters(directory)
@@ -561,7 +561,7 @@ class Transport:
     def add_delivery_observer(
         self, observer: Callable[[Envelope], None]
     ) -> None:
-        """Register a per-network-delivery callback (tracing).
+        """Register a per-network-delivery callback.
 
         Multiple observers coexist; each sees every delivered envelope.
         """

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.complexity import fit_power_law, geometric_mean, log_log_slope
+from repro.analysis.complexity import fit_power_law, log_log_slope
 
 
 def test_exact_power_law_recovered():
@@ -68,8 +68,3 @@ def test_roundtrip_property(exponent, coefficient):
     fit = fit_power_law(xs, ys)
     assert abs(fit.exponent - exponent) < 1e-6
 
-
-def test_geometric_mean():
-    assert abs(geometric_mean([1, 100]) - 10.0) < 1e-9
-    with pytest.raises(ValueError):
-        geometric_mean([])

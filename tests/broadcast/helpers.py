@@ -2,10 +2,11 @@
 
 from typing import Any, Callable, Optional
 
-from repro.broadcast import erasure, wire
+from repro.broadcast import erasure
 from repro.broadcast.ct_rbc import CTBroadcast, CTVal
 from repro.broadcast.validated import make_broadcast
 from repro.crypto.merkle import MerkleTree
+from repro.net import codec
 from repro.net.party import Party
 from repro.net.protocol import Protocol
 from repro.net.runtime import Simulation
@@ -55,9 +56,33 @@ class NonCodewordCTDealer(CTBroadcast):
     """
 
     def on_start(self):
-        data = wire.serialize(self.value)
+        data = codec.encode(self.value)
         fragments = erasure.rs_encode(data, self.f + 1, self.n)
         fragments[0] = bytes([fragments[0][0] ^ 0xFF]) + fragments[0][1:]
+        tree = MerkleTree(fragments)
+        for j in range(self.n):
+            self.send(
+                j,
+                CTVal(
+                    root=tree.root,
+                    fragment=fragments[j],
+                    proof=tree.prove(j),
+                    claim_words=8,
+                    k=self.f + 1,
+                ),
+            )
+
+
+class UndecodableCTDealer(CTBroadcast):
+    """Disperses a valid Reed-Solomon codeword of ``value``, a byte string
+    the codec rejects.
+
+    Every opening proof and the re-encode root check pass; only the decode
+    of the reconstructed bytes fails, so nobody ever delivers.
+    """
+
+    def on_start(self):
+        fragments = erasure.rs_encode(self.value, self.f + 1, self.n)
         tree = MerkleTree(fragments)
         for j in range(self.n):
             self.send(
@@ -81,7 +106,7 @@ class TwoFaceCTDealer(CTBroadcast):
 
     def on_start(self):
         for which, value in ((0, self.value), (1, self.other_value)):
-            data = wire.serialize(value)
+            data = codec.encode(value)
             fragments = erasure.rs_encode(data, self.f + 1, self.n)
             tree = MerkleTree(fragments)
             for j in range(self.n):

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.broadcast import erasure
+from repro.crypto.merkle import MerkleTree
+from repro.net import codec
 from repro.net.adversary import SilentBehavior
 
 from tests.broadcast.helpers import (
     NonCodewordCTDealer,
     TwoFaceCTDealer,
+    UndecodableCTDealer,
     run_broadcast,
 )
 
@@ -39,6 +43,24 @@ def test_non_codeword_commitment_never_delivers():
     """A dealer committing to a non-codeword is caught by re-encode check."""
     sim = run_broadcast(4, "ct", ("msg",), dealer_cls=NonCodewordCTDealer)
     assert sim.honest_results() == {}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\x00\x01garbage", codec.encode(("msg", 1))[:-2]],
+    ids=["trailing", "truncated"],
+)
+def test_codeword_of_undecodable_bytes_marks_the_dealer_faulty(data):
+    """The codec's strict decode fails closed: a root that commits a valid
+    codeword of bytes that are no value is a bad root, never a delivery."""
+    n, f = 4, 1
+    root = MerkleTree(erasure.rs_encode(data, f + 1, n)).root
+    calls = codec.encode_stats["wire.decode.calls"]
+    sim = run_broadcast(n, "ct", data, dealer_cls=UndecodableCTDealer)
+    assert sim.honest_results() == {}
+    for i in sim.honest:
+        assert root in sim.parties[i].instance(("rbc",))._bad_roots
+    assert codec.encode_stats["wire.decode.calls"] > calls
 
 
 def test_two_face_dealer_cannot_split_agreement():

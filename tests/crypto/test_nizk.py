@@ -1,4 +1,4 @@
-"""DLOG and DLEQ proofs over both the real group and the pairing group."""
+"""DLOG proofs over both the real group and the pairing group."""
 
 import random
 
@@ -46,34 +46,6 @@ def test_dlog_rejects_wrong_secret(group):
         group, group.generator, h, (x + 1) % group.order, rng, "ctx"
     )
     assert not nizk.verify_dlog(group, group.generator, h, forged, "ctx")
-
-
-def test_dleq_roundtrip(group):
-    rng = random.Random(4)
-    x = rng.randrange(1, group.order)
-    base2 = group.exp(group.generator, rng.randrange(1, group.order))
-    h1 = group.exp(group.generator, x)
-    h2 = group.exp(base2, x)
-    proof = nizk.prove_dleq(group, group.generator, h1, base2, h2, x, rng, "tag")
-    assert nizk.verify_dleq(group, group.generator, h1, base2, h2, proof, "tag")
-
-
-def test_dleq_rejects_mismatched_logs(group):
-    rng = random.Random(5)
-    x = rng.randrange(1, group.order)
-    y = (x + 1) % group.order
-    base2 = group.exp(group.generator, 7)
-    h1 = group.exp(group.generator, x)
-    h2 = group.exp(base2, y)  # different exponent
-    proof = nizk.prove_dleq(group, group.generator, h1, base2, h2, x, rng, "tag")
-    assert not nizk.verify_dleq(group, group.generator, h1, base2, h2, proof, "tag")
-
-
-def test_dleq_rejects_out_of_range(group):
-    bad = nizk.DleqProof(challenge=group.order, response=0)
-    g = group.generator
-    assert not nizk.verify_dleq(group, g, g, g, g, bad)
-    assert not nizk.verify_dleq(group, g, g, g, g, object())
 
 
 def test_proof_word_sizes(group):

@@ -9,7 +9,6 @@ from repro.crypto.field import PrimeField
 from repro.crypto.params import get_params
 from repro.crypto.polynomial import (
     Polynomial,
-    interpolate_at,
     interpolate_polynomial,
     lagrange_coefficients,
     random_polynomial,
@@ -50,7 +49,6 @@ def test_random_polynomial_interpolates_back(degree, seed):
     rng = random.Random(seed)
     poly = random_polynomial(FIELD, degree, rng)
     points = [(x, poly.evaluate(x)) for x in range(1, degree + 2)]
-    assert interpolate_at(FIELD, points, at=0) == poly.coeffs[0]
     recovered = interpolate_polynomial(FIELD, points)
     for x in (0, 5, 1000):
         assert recovered.evaluate(x) == poly.evaluate(x)
@@ -123,7 +121,7 @@ def test_interpolate_polynomial_degree_zero_and_one_early_exits():
 
 
 @pytest.mark.parametrize("count", [3, 5, 8])
-def test_interpolate_polynomial_matches_interpolate_at(count):
+def test_interpolate_polynomial_matches_lagrange_at_a_point(count):
     rng = random.Random(count)
     points = [(x, FIELD.rand(rng)) for x in range(count)]
     poly = interpolate_polynomial(FIELD, points)
@@ -131,7 +129,10 @@ def test_interpolate_polynomial_matches_interpolate_at(count):
     for x, y in points:
         assert poly.evaluate(x) == y
     probe = 1234
-    assert poly.evaluate(probe) == interpolate_at(FIELD, points, at=probe)
+    lambdas = lagrange_coefficients(FIELD, [x for x, _ in points], probe)
+    assert poly.evaluate(probe) == FIELD.sum(
+        FIELD.mul(lam, y) for lam, (_, y) in zip(lambdas, points)
+    )
 
 
 def test_interpolation_domain_cache_is_value_safe():

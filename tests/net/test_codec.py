@@ -27,7 +27,7 @@ from repro.core.nwh import (
 )
 from repro.core.proposal_election import PEDkgShare, PEEvalShare
 from repro.core.reshare import ReshareDealingMsg
-from repro.crypto import nizk, pvss, reshare, scalar_pvss, schnorr, shamir
+from repro.crypto import nizk, pvss, reshare, schnorr
 from repro.crypto import threshold_enc as tenc
 from repro.crypto import threshold_sig as tsig
 from repro.crypto import threshold_vrf as tvrf
@@ -40,6 +40,12 @@ from repro.net.envelope import Envelope
 from repro.net.payload import Payload
 from repro.crypto.verify_cache import content_digest
 from tests.net.helpers import assert_retained_bytes_are_a_cold_walk, print_golden_changes
+
+
+def registered_ids():
+    """Every registered type and its wire id."""
+    codec._ensure_registered()
+    return {cls: entry[0] for cls, entry in codec._by_type.items()}
 
 
 def _make_transcript(setup):
@@ -146,9 +152,12 @@ def _sample_values(setup, transcript):
     key_tuple = KeyTuple(1, "value", (vote,))
     tree = MerkleTree([b"a", b"b", b"c"])
     kzg = KZGSetup.from_seed(group, 4, "codec-test")
-    dealing = scalar_pvss.deal(
-        directory.sign_group, 0, directory.sign_pks, directory.f, rng
-    )
+    # The retired scalar-PVSS sample (ids 36-37) drew these from ``rng``
+    # here; drawing them still keeps the later samples' golden bytes.
+    for _ in range(directory.f + 1):
+        rng.randrange(directory.sign_group.q)
+    for _ in range(directory.n):
+        rng.randrange(1, directory.sign_group.q)
     ciphertext = tenc.encrypt(directory, transcript, b"msg", rng)
     handoff_spec = reshare.HandoffSpec(
         epoch=1,
@@ -182,15 +191,6 @@ def _sample_values(setup, transcript):
         nizk.DlogProof: nizk.prove_dlog(
             group, group.g, group.exp(group.g, 5), 5, rng
         ),
-        nizk.DleqProof: nizk.prove_dleq(
-            group,
-            group.g,
-            group.exp(group.g, 5),
-            group.exp(group.g, 7),
-            group.exp(group.g, 35),
-            5,
-            rng,
-        ),
         MerkleProof: tree.prove(1),
         KZGOpening: kzg.open_at([1, 2, 3], 0),
         pvss.ContributorTag: contribution.tag,
@@ -207,11 +207,6 @@ def _sample_values(setup, transcript):
         tenc.DecryptionShare: tenc.decryption_share(
             directory, secret, transcript, ciphertext
         ),
-        scalar_pvss.ScalarDealing: dealing,
-        scalar_pvss.DecryptedShare: scalar_pvss.decrypt_share(
-            directory.sign_group, dealing, 0, secret.sign.sk, rng
-        ),
-        shamir.ShamirShare: shamir.ShamirShare(x=1, y=42),
         BrachaVal: BrachaVal(value=("x", 1)),
         BrachaEcho: BrachaEcho(value=frozenset({0, 1, 2})),
         BrachaReady: BrachaReady(value=key_tuple),
@@ -259,7 +254,7 @@ def _sample_values(setup, transcript):
 def test_every_registered_repo_type_roundtrips(setup, transcript):
     samples = _sample_values(setup, transcript)
     repo_types = {
-        cls for cls, type_id in codec.registered_types().items() if type_id < 9000
+        cls for cls, type_id in registered_ids().items() if type_id < 9000
     }
     missing = repo_types - set(samples)
     assert not missing, f"no codec sample for registered types: {missing}"
@@ -270,7 +265,7 @@ def test_every_registered_repo_type_roundtrips(setup, transcript):
 
 def test_registered_payloads_cover_all_protocol_payloads(setup, transcript):
     """Every concrete Payload subclass in the repo must be registered."""
-    registered = set(codec.registered_types())
+    registered = set(registered_ids())
 
     def walk(cls):
         for sub in cls.__subclasses__():
@@ -459,7 +454,7 @@ def test_register_rejects_id_collisions():
     from repro.core.adkg import ADKGShare as A
 
     with pytest.raises(ValueError):
-        codec.register(Decided, codec.registered_types()[A])
+        codec.register(Decided, registered_ids()[A])
 
 
 def test_overlong_varints_rejected():
@@ -488,13 +483,17 @@ def test_overlong_varints_rejected():
 #: "from tests.net.test_codec import write_golden; write_golden()"``; it
 #: prints ``name: old → new`` (size and hash) for every vector it changes.
 GOLDEN_PATH = pathlib.Path(__file__).with_name("codec_golden.json")
+#: Struct ids whose types were deleted.  An id is part of the wire format,
+#: so each stays unregistered, and its last vector (under ``"retired"``)
+#: must fail to decode.
+RETIRED_IDS = {23, 36, 37, 38}
 
 
 def _golden_cases(setup, transcript):
     """``name -> (value, encoder, decoder)``: one instance of every repo
     type plus the batch frame, of several envelopes and of one."""
     samples = _sample_values(setup, transcript)
-    ids = codec.registered_types()
+    ids = registered_ids()
     cases = {
         f"{ids[cls]:02d}-{cls.__name__}": (value, codec.encode, codec.decode)
         for cls, value in samples.items()
@@ -524,14 +523,17 @@ def write_golden():
     setup = TrustedSetup.generate(4, seed=11)
     cases = _golden_cases(setup, _make_transcript(setup))
     vectors = {name: encoder(value).hex() for name, (value, encoder, _) in cases.items()}
+    old = json.loads(GOLDEN_PATH.read_text())
+    vectors["retired"] = old["retired"]
 
     def summary(golden):
         return {
             name: f"{len(wire) // 2} B sha256 {hashlib.sha256(bytes.fromhex(wire)).hexdigest()[:8]}"
             for name, wire in golden.items()
+            if name != "retired"
         }
 
-    print_golden_changes(summary(json.loads(GOLDEN_PATH.read_text())), summary(vectors))
+    print_golden_changes(summary(old), summary(vectors))
     GOLDEN_PATH.write_text(json.dumps(vectors, indent=0, sort_keys=True) + "\n")
 
 
@@ -539,16 +541,26 @@ def test_golden_wire_vectors(setup, transcript):
     """The encoder's output is byte-identical to the reference commit's for
     every registered type and every frame format, and decodes back."""
     golden = json.loads(GOLDEN_PATH.read_text())
+    retired = golden.pop("retired")
     cases = _golden_cases(setup, transcript)
     assert set(cases) == set(golden)
     covered = {int(name[:2]) for name in golden if name[:2].isdigit()}
-    assert covered == {1, *range(20, 43), *range(64, 85)}
+    assert covered == {1, *range(20, 43), *range(64, 85)} - RETIRED_IDS
+    assert {int(name[:2]) for name in retired} == RETIRED_IDS
     assert golden["batch-frame"].startswith("b501")
     assert golden["batch-of-one"].startswith("b501")
     for name, (value, encoder, decoder) in cases.items():
         wire = bytes.fromhex(golden[name])
         assert encoder(value) == wire, name
         assert decoder(wire) == value, name
+
+
+def test_retired_ids_stay_retired():
+    retired = json.loads(GOLDEN_PATH.read_text())["retired"]
+    assert not RETIRED_IDS & set(registered_ids().values())
+    for name, wire in retired.items():
+        with pytest.raises(codec.CodecError, match=f"unknown codec type id {name[:2]}"):
+            codec.decode(bytes.fromhex(wire))
 
 
 # -- encode-once aggregates ------------------------------------------------------------
@@ -568,7 +580,7 @@ def test_aggregate_bytes_are_the_same_cold_and_warm(setup, transcript):
     nested in a container; only the miss walks the aggregate."""
     golden = json.loads(GOLDEN_PATH.read_text())
     samples = _sample_values(setup, transcript)
-    ids = codec.registered_types()
+    ids = registered_ids()
     assert set(AGGREGATES) == codec._aggregate_memoized_types
     stats = codec.encode_stats
     for cls in AGGREGATES:
@@ -659,7 +671,7 @@ _leaves = (
 def _structs(children):
     return (
         st.builds(GroupElement, kind=st.text(max_size=2), log=_ints)
-        | st.builds(shamir.ShamirShare, x=_ints, y=_ints)
+        | st.builds(nizk.DlogProof, challenge=_ints, response=_ints)
         | st.builds(Decided, bit=_ints)
         | st.builds(CTReady, root=children)
         | _aggregates(st.lists(children, max_size=3).map(tuple))

@@ -128,6 +128,19 @@ def test_run_step_limit():
         sim.run(max_steps=50)
 
 
+def test_default_step_budget_scales_with_n():
+    """A benign ADKG makes about 10 n³ deliveries; the default budget is
+    50 n³ with a 5 M floor, and running out says how to raise it."""
+    assert _sim().max_steps == 5_000_000
+    assert _sim(n=100).max_steps == 50_000_000
+    sim = _sim()
+    sim.start(lambda party: EchoAll())
+    with pytest.raises(
+        RuntimeError, match=r"exceeded its budget of 3 deliveries; pass a larger max_steps="
+    ):
+        sim.run(max_steps=3)
+
+
 def test_step_limit_admits_a_run_that_finishes_on_its_last_delivery():
     """``max_steps`` bounds deliveries; spending the budget exactly is not
     exceeding it — with and without a stop predicate."""

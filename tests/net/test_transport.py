@@ -393,6 +393,38 @@ def test_run_adkg_transport_parameter():
         run_adkg(n=4, seed=1, transport="tcp", to_quiescence=True)
 
 
+# -- the delivery-observer seam --------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["sim", "asyncio"])
+def test_delivery_observers_see_each_network_delivery_once(kind):
+    """Every observer is called once per delivered network envelope, in
+    nondecreasing ``now()``; observers coexist, and removing one detaches
+    only that one (removing it again is a no-op)."""
+    transport = make_transport(kind, TrustedSetup.generate(4, seed=1), seed=1)
+    seen, times, to_zero, removed = [], [], [], []
+
+    def observe(envelope):
+        seen.append(envelope)
+        times.append(transport.now())
+
+    transport.add_delivery_observer(observe)
+    transport.add_delivery_observer(
+        lambda envelope: envelope.recipient == 0 and to_zero.append(envelope)
+    )
+    transport.add_delivery_observer(removed.append)
+    transport.remove_delivery_observer(removed.append)
+    transport.remove_delivery_observer(removed.append)
+    transport.run_sync(lambda party: EchoAll(), timeout=10)
+    # 4 parties x 3 remote recipients = 12 network deliveries.
+    assert sorted((e.sender, e.recipient) for e in seen) == [
+        (i, j) for i in range(4) for j in range(4) if i != j
+    ]
+    assert all(isinstance(envelope.payload, Ping) for envelope in seen)
+    assert times == sorted(times)
+    assert len(to_zero) == 3 and not removed
+
+
 # -- the driving surface ---------------------------------------------------------------
 
 
