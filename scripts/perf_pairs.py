@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Pair a parent checkout against a change on one benchmark workload.
+"""Pair a parent checkout against a change on benchmark workloads.
 
     python scripts/perf_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        [--pairs 10] [--seed0 S] [--seconds 10] [--layers]
+        [--workload W2 ...] [--pairs 10] [--seed0 S] [--seconds 10] [--layers]
 
 The procedure of the choosing-metrics guide (section 8), as one command: for
-seeds ``S, S+1, ...`` run ``python -m perf.run --workload W --seed s --seconds
-N --trace 0`` in both checkouts, alternating which side goes first, and print
-for every end-to-end metric of ``BENCHMARK.json`` each side's median and
-quartiles, how many pairs the change won (ties count for neither side), and
-whether the medians differ by more than the distance between the parent's own
-quartiles.  A gain may be claimed when the change wins at least nine tenths of
-the pairs *and* the medians differ by more than that distance; a regression is
-a change median worse than the parent's by more than the metric's bound.
+each workload in turn and seeds ``S, S+1, ...``, run ``python -m perf.run
+--workload W --seed s --seconds N --trace 0`` in both checkouts, alternating
+which side goes first, and print one table per workload: for every end-to-end
+metric of ``BENCHMARK.json`` each side's median and quartiles, how many pairs
+the change won (ties count for neither side), and whether the medians differ
+by more than the distance between the parent's own quartiles.  Repeating
+``--workload`` pairs a whole must-not-move set with one command.  A gain
+may be claimed when the change wins at least nine tenths of the pairs *and*
+the medians differ by more than that distance; a regression is a change
+median worse than the parent's by more than the metric's bound.
 
 ``--layers`` adds one *traced* run per side on the first seed (``--trace
 1``, after the pairs, so it perturbs none of them) and prints, parent →
@@ -109,13 +111,16 @@ def moved_layers(declared: list[dict], parent: dict, change: dict) -> list[tuple
     return rows
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter
     )
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", action="append", required=True, dest="workloads",
+        help="a workload to pair; repeat for several, each gets its own table",
+    )  # fmt: skip
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=10.0)
@@ -126,8 +131,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    repeated = sorted({w for w in args.workloads if args.workloads.count(w) > 1})
+    if repeated:
+        parser.error(f"--workload given twice: {', '.join(repeated)}")
+    return args
 
-    contract = json.loads((args.parent / "BENCHMARK.json").read_text())
+
+def pair_workload(args: argparse.Namespace, workload: str, contract: dict) -> int:
+    """Pair ``workload`` and print its table; returns the failed runs."""
     declared = contract["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     values: dict[str, dict[str, list[float]]] = {
@@ -136,13 +147,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     failures = 0
     seeds = range(args.seed0, args.seed0 + args.pairs)
     print(
-        f"{args.workload}: {args.pairs} pairs, seeds {seeds[0]}..{seeds[-1]}, "
+        f"{workload}: {args.pairs} pairs, seeds {seeds[0]}..{seeds[-1]}, "
         f"{args.seconds:g} s runs, parent={args.parent} change={args.change}"
     )
     for pair, seed in enumerate(seeds):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         results = {
-            side: measure(sides[side], args.workload, seed, args.seconds)
+            side: measure(sides[side], workload, seed, args.seconds)
             for side in order
         }
         cells = []
@@ -181,7 +192,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("(fewer than ten pairs: the verdicts are indicative, not a claim)")
     if args.layers:
         traced = {
-            side: measure(checkout, args.workload, seeds[0], args.seconds, trace=1)
+            side: measure(checkout, workload, seeds[0], args.seconds, trace=1)
             for side, checkout in sides.items()
         }
         failures += sum(
@@ -198,6 +209,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         for name, unit, before, after in rows:
             relative = f"{(after - before) / abs(before):+.1%}" if before else "new"
             print(f"  {name:<32} {unit:<6} {before:>14.6g} -> {after:<14.6g} {relative}")
+    return failures
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = parse_args(argv)
+    contract = json.loads((args.parent / "BENCHMARK.json").read_text())
+    failures = 0
+    for number, workload in enumerate(args.workloads):
+        if number:
+            print()
+        failures += pair_workload(args, workload, contract)
     if failures:
         print(f"FAILED: {failures} runs reported incorrect outputs or failed ops")
     return 1 if failures else 0

@@ -757,6 +757,7 @@ def e12_hotpath(ns: Sequence[int], seed: int) -> Section:
                 "transcript_checks": verify["pvss-transcript.calls"],
                 "transcripts_verified": verify["pvss-transcript.misses"],
                 "verify_calls": sum(v for k, v in verify.items() if k.endswith(".calls")),
+                "retired": counters["pending"].get("retired", 0),
                 "verified": sum(v for k, v in verify.items() if k.endswith(".misses")),
                 "payload_sends": encode["payload.calls"],
                 "payloads_encoded": encode["payload.misses"],
@@ -769,7 +770,9 @@ def e12_hotpath(ns: Sequence[int], seed: int) -> Section:
         "Content-addressed verification memoization and encode-once fan-out\n"
         "(DESIGN.md section 4): a transcript arriving on every RBC echo path is\n"
         "verified once per *distinct* aggregate, a multicast payload is encoded\n"
-        "once and the buffer reused for the other recipients.  `tests/net/\n"
+        "once and the buffer reused for the other recipients.  `retired` counts\n"
+        "deliveries dropped unhandled because their CT-RBC instance had output,\n"
+        "echoed and sent READY (DESIGN.md section 8).  `tests/net/\n"
         "totals_golden.json` pins the per-domain verify counts to the digit.",
         tuple(rows[0]),
         rows,

@@ -22,6 +22,14 @@ dealer disperses that do not decode mean "dealer faulty".
 With a ``validate`` predicate this is the paper's Validated Reliable
 Broadcast: ``ready`` votes and delivery are gated on external validity of
 the decoded value.
+
+Instances keep processing after output, with two exceptions that change
+nothing any party sends or outputs.  An ECHO for a root already decoded
+or marked bad is dropped before its fragment is checked: decoding, the
+READY and output hang on the root's readies, never on more fragments.
+And an instance that has output, echoed and sent READY retires
+(``Protocol._retired``), so the party drops its later deliveries
+unhandled: with all three done it can neither send nor output again.
 """
 
 from __future__ import annotations
@@ -177,10 +185,13 @@ class CTBroadcast(Protocol):
                 k=payload.k,
             )
         )
+        self._retired = self._output_done  # it output before this VAL arrived
 
     def _on_echo(self, sender: int, payload: CTEcho) -> None:
         if payload.k != self.f + 1 or not self._vc.is_commitment(payload.root):
             return
+        if payload.root in self._decoded or payload.root in self._bad_roots:
+            return  # nothing left for a fragment of this root to do
         if not self._fragment_valid(sender, payload):
             return
         slot = self._fragments.setdefault(payload.root, {})
@@ -239,6 +250,13 @@ class CTBroadcast(Protocol):
             self.multicast(CTReady(root))
         if value_ready and len(readies) >= 2 * self.f + 1:
             self.output(self._decoded[root])
+            # Output implies READY sent; without the echo the VAL still
+            # has work to do when it arrives.
+            self._retired = self._echoed
+
+    def rearm(self) -> None:
+        """No conditions; re-derive retirement from the restored state."""
+        self._retired = self._output_done and self._echoed and self._ready_sent
 
     def _try_decode(self, root: bytes) -> None:
         # The decoded value is a function of the root alone: every

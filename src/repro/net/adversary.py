@@ -27,8 +27,10 @@ class Behavior:
     """Byzantine behaviour hook for one corrupted party.
 
     ``transform_outgoing`` may return any list of envelopes (empty to
-    drop); ``allow_delivery`` may swallow incoming messages.  The default
-    is honest behaviour.
+    drop), but the party speaks only as itself: the transport drops an
+    envelope naming another sender (``adversary.forged_sender``).
+    ``allow_delivery`` may swallow incoming messages.  The default is
+    honest behaviour.
     """
 
     def transform_outgoing(self, envelope: Envelope, rng: random.Random) -> list[Envelope]:

@@ -59,21 +59,23 @@ class AsyncioRuntime(RealtimeTransport):
 
     # -- transport hooks ---------------------------------------------------------------
 
-    def _transmit_coalesced(self, batch: list) -> None:
+    def _transmit_coalesced(
+        self, envelopes: list[Envelope], sizes: list, delays: list
+    ) -> None:
         """One sleeping task per (sender, recipient) link per flush."""
         groups: dict[tuple[int, int], tuple[list[Envelope], list]] = {}
-        for envelope, nbytes, _delay in batch:
+        for envelope, nbytes in zip(envelopes, sizes):
             pair = (envelope.sender, envelope.recipient)
             group = groups.get(pair)
             if group is None:
                 groups[pair] = group = ([], [])
             group[0].append(envelope)
             group[1].append(nbytes)
-        for envelopes, sizes in groups.values():
+        for group_envelopes, group_sizes in groups.values():
             self.metrics.record_frame(
-                len(envelopes), self._frame_nbytes(envelopes, sizes)
+                len(group_envelopes), self._frame_nbytes(group_envelopes, group_sizes)
             )
-            self._spawn(self._deliver_batch_later(envelopes))
+            self._spawn(self._deliver_batch_later(group_envelopes))
 
     async def _deliver_batch_later(self, envelopes: list[Envelope]) -> None:
         await asyncio.sleep(self._delay_rng.uniform(0.0, self.max_delay))

@@ -222,7 +222,8 @@ class Party:
         #: traffic; honest peers only race ahead by the service's window.
         self.session_backlog_cap = session_backlog_cap
         #: Buffer accounting: ``pending.dropped`` (per-path cap hit),
-        #: ``pending.stale`` (traffic for a collected session).  Exposed
+        #: ``pending.stale`` (traffic for a collected session), and
+        #: ``retired`` (deliveries to a retired instance).  Exposed
         #: through ``Metrics.counters("pending")`` by the transport.
         self.drop_stats: Counter = Counter()
         self.sessions = SessionTable(self)
@@ -397,6 +398,11 @@ class Party:
             else:
                 bucket.append((envelope.sender, envelope.payload))
                 state.pending_count += 1
+        elif instance._retired:
+            # Nothing the instance could still do depends on this message:
+            # no handler, no state change, so no sweep and a kept record.
+            self.drop_stats["retired"] += 1
+            return
         else:
             instance._record = None  # whatever freeze kept for it is stale now
             instance.on_message(envelope.sender, envelope.payload)
@@ -431,7 +437,7 @@ class Party:
 
     def queue_multicast(self, path: Path, payload: Payload, session: int = 0) -> None:
         """Queue ``payload`` to every party, self included, as one record
-        (recipient ``None``) that :meth:`collect_outbox` expands."""
+        (recipient ``None``) that the transport's flush expands."""
         if self.halted:
             return
         if not isinstance(payload, Payload):
@@ -443,32 +449,22 @@ class Party:
         """Would :meth:`collect_outbox` return anything right now?"""
         return bool(self._outbox)
 
-    def collect_outbox(self) -> list[Envelope]:
-        """Drain queued sends into envelopes stamped with the causal depth.
+    def collect_outbox(self) -> list[tuple[int, Path, Optional[int], Payload]]:
+        """Drain the queued ``(session, path, recipient, payload)`` records.
 
-        Each outbox record is ``(session, path, recipient, payload)``; a
-        multicast's record has recipient ``None`` and becomes n envelopes,
-        recipients in order, where it stood in the queue.  Only network
-        envelopes advance the causal depth: a self-addressed envelope is
-        free local computation, so it carries the current depth unchanged
-        — otherwise chains of self-deliveries would inflate the
+        A multicast's record has recipient ``None``: the transport's flush
+        (:meth:`Transport._flush_party <repro.net.transport.Transport._flush_party>`)
+        and :meth:`replay` expand it into the n envelopes that n ``send``
+        calls would queue, recipients in order.  Only network envelopes
+        advance the causal depth (``current_depth + 1``): a self-addressed
+        envelope is free local computation and carries the current depth
+        unchanged — otherwise chains of self-deliveries would inflate the
         asynchronous round measure (``metrics.max_depth``) past the
         paper's network-hop count.
         """
-        outbox = self._outbox
-        if not outbox:
-            return []  # the common case: most deliveries queue no sends
-        me = self.index
-        here = self.current_depth
-        depth = here + 1
-        envelopes: list[Envelope] = []
-        for session, path, recipient, payload in outbox:
-            envelopes += [
-                Envelope(path, me, r, payload, depth if r != me else here, session)
-                for r in (range(self.n) if recipient is None else (recipient,))
-            ]
-        outbox.clear()
-        return envelopes
+        records = self._outbox
+        self._outbox = []
+        return records
 
     def halt(self) -> None:
         """Stop processing and sending (used by crash behaviours)."""
@@ -695,19 +691,26 @@ class Party:
         the replay (same RNG stream, same delivery order, same condition
         sweeps) makes the rebuilt state exact.
         """
+        me = self.index
         delivered = 0
         suppressed = 0
         for envelope in envelopes:
             self.deliver(envelope)
             delivered += 1
             pending = self.collect_outbox()
-            while pending:
-                queued = pending.pop(0)
-                if queued.recipient == self.index:
-                    self.deliver(queued)
-                    pending.extend(self.collect_outbox())
-                else:
+            position = 0
+            while position < len(pending):
+                session, path, recipient, payload = pending[position]
+                position += 1
+                if recipient is None:
+                    suppressed += self.n - 1  # a multicast's network copies
+                elif recipient != me:
                     suppressed += 1
+                    continue
+                self.deliver(
+                    Envelope(path, me, me, payload, self.current_depth, session)
+                )
+                pending += self.collect_outbox()
         if suppressed:
             self.drop_stats["replay.suppressed"] += suppressed
         return {"delivered": delivered, "suppressed": suppressed}

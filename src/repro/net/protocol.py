@@ -99,6 +99,10 @@ class Protocol:
         #: which ``Party.deliver`` drops.
         self._leaf = True
         self._record: Any = None
+        #: Set by an instance that no later message can make send or
+        #: output: ``Party.deliver`` then drops its deliveries unhandled.
+        #: Derived from state, never serialized; ``rearm`` re-derives it.
+        self._retired = False
 
     # -- event hooks (override in subclasses) ------------------------------------
 
@@ -154,9 +158,9 @@ class Protocol:
     def multicast(self, payload: Payload) -> None:
         """Send to every party, self included (the paper's "send to all").
 
-        Queues one outbox record, which the party expands into n
-        envelopes in recipient order: the same envelopes n ``send`` calls
-        would queue, at one validation.  It does not call :meth:`send`,
+        Queues one outbox record, which the transport's flush expands
+        into n envelopes in recipient order: the same envelopes n ``send``
+        calls would queue, at one validation.  It does not call :meth:`send`,
         so a subclass that overrides ``send`` does not see multicasts.
         """
         self.party.queue_multicast(self._path, payload, session=self._session)
@@ -169,7 +173,10 @@ class Protocol:
         """Deliver this instance's output (once) to the parent / party.
 
         Per the paper, instances keep processing messages after
-        outputting; ``output`` does not stop the instance.
+        outputting; ``output`` does not stop the instance.  The one
+        exception is an instance that sets ``_retired`` because no message
+        can make it act again: a CT-RBC that has output, echoed and sent
+        READY (:class:`~repro.broadcast.ct_rbc.CTBroadcast`).
         """
         if self._output_done:
             return

@@ -210,8 +210,8 @@ class Simulation(Transport):
 
     # -- transport hooks ---------------------------------------------------------------
 
-    def _buffered_delay(self, envelope: Envelope) -> Optional[float]:
-        """Draw the envelope's delivery delay the moment it is buffered.
+    def _buffered_delays(self, envelopes: list[Envelope]) -> Optional[list[float]]:
+        """Draw each envelope's delivery delay the moment it is buffered.
 
         Drawing here consumes the delay-model and adversary RNG streams
         in creation order — interleaved with Byzantine behavior
@@ -224,6 +224,9 @@ class Simulation(Transport):
             and type(self.scheduler) is Scheduler
         ):
             return None
+        return [self._draw_delay(envelope) for envelope in envelopes]
+
+    def _draw_delay(self, envelope: Envelope) -> float:
         base = self.delay_model.delay(
             self._net_rng, envelope.sender, envelope.recipient, self.time
         )
@@ -232,11 +235,13 @@ class Simulation(Transport):
             raise RuntimeError("scheduler produced a non-positive delay")
         return delay
 
-    def _transmit_coalesced(self, batch: list) -> None:
+    def _transmit_coalesced(
+        self, envelopes: list[Envelope], sizes: list, delays: list
+    ) -> None:
         """Schedule one batch, sharing heap entries per delivery instant.
 
         Delays were drawn per-envelope at buffer time
-        (:meth:`_buffered_delay`); only the heap representation is
+        (:meth:`_buffered_delays`); only the heap representation is
         coalesced here.
         """
         time = self.time
@@ -246,20 +251,18 @@ class Simulation(Transport):
             else None
         )
         buckets: dict[float, tuple[list[Envelope], list]] = {}
-        if fixed is not None:
-            envelopes, sizes, delays = zip(*batch)
-            if delays.count(None) == len(delays):
-                # Every delay is the fixed constant: one delivery instant,
-                # one bucket, no per-envelope probe.
-                buckets[time + fixed] = (list(envelopes), list(sizes))
-        if not buckets:
-            for envelope, nbytes, delay in batch:
+        if fixed is not None and delays.count(None) == len(delays):
+            # Every delay is the fixed constant: one delivery instant,
+            # one bucket, no per-envelope probe.
+            buckets[time + fixed] = (envelopes, sizes)
+        else:
+            for envelope, nbytes, delay in zip(envelopes, sizes, delays):
                 if delay is None:
                     delay = fixed
                     if delay is None:
                         # The model/scheduler changed between buffer and
                         # flush (tests swapping mid-run): draw now.
-                        delay = self._buffered_delay(envelope)
+                        delay = self._draw_delay(envelope)
                 when = time + delay
                 bucket = buckets.get(when)
                 if bucket is None:
@@ -267,10 +270,10 @@ class Simulation(Transport):
                 bucket[0].append(envelope)
                 bucket[1].append(nbytes)
         record_frame = self.metrics.record_frame
-        for when, (envelopes, sizes) in buckets.items():
-            heapq.heappush(self._queue, (when, next(self._seq), envelopes))
+        for when, (entry, entry_sizes) in buckets.items():
+            heapq.heappush(self._queue, (when, next(self._seq), entry))
             # What this bucket would cost as one coalesced wire frame.
-            record_frame(len(envelopes), self._frame_nbytes(envelopes, sizes))
+            record_frame(len(entry), self._frame_nbytes(entry, entry_sizes))
 
     # -- chaos hooks -------------------------------------------------------------------
 

@@ -17,11 +17,12 @@ one), with intra-frame payload deduplication.  Malformed frames (codec errors,
 oversized lengths) are dropped and counted in ``rejected_frames``, as is
 every decoded envelope addressed to a different party or carrying an
 out-of-range sender — the Byzantine-input posture of the codec applies
-at the transport edge too.  Peer *authentication* is out of scope: an
-in-range sender index is taken at face value, exactly the power the
-paper's Byzantine model grants corrupted parties (a deployment would
-bind sender identity to the connection via TLS or a signed handshake;
-the protocols themselves sign everything that matters).
+at the transport edge too.  A corrupted party speaks only as itself:
+the shared flush drops, and counts as ``adversary.forged_sender``, any
+envelope a :class:`~repro.net.adversary.Behavior` emits under another
+party's index, so no behaviour can impersonate.  A raw TCP peer still
+can: the receiver takes an in-range sender index at face value, since
+no connection is bound to one peer yet (by a signed hello, say).
 
 Byte metering is always on: ``metrics.bytes_total`` is the *protocol*
 byte metric — the sum of per-envelope sizes (length prefix + bare
@@ -334,10 +335,13 @@ class TCPRuntime(RealtimeTransport):
 
     # -- sending -----------------------------------------------------------------------
 
-    def _can_transmit(self, envelope: Envelope) -> bool:
-        return (envelope.sender, envelope.recipient) in self._links
+    def _transmittable(self, envelopes: list[Envelope]) -> list[Envelope]:
+        links = self._links
+        return [e for e in envelopes if (e.sender, e.recipient) in links]
 
-    def _transmit_coalesced(self, batch: list) -> None:
+    def _transmit_coalesced(
+        self, envelopes: list[Envelope], sizes: list, delays: list
+    ) -> None:
         """Group the batch per connection and frame each group.
 
         Order per connection is the creation order (FIFO queue, in-frame
@@ -345,7 +349,7 @@ class TCPRuntime(RealtimeTransport):
         exceeds ``batch_cap_bytes`` of payload body.
         """
         groups: dict[tuple[int, int], list] = {}
-        for envelope, nbytes, _delay in batch:
+        for envelope, nbytes in zip(envelopes, sizes):
             pair = (envelope.sender, envelope.recipient)
             group = groups.get(pair)
             if group is None:

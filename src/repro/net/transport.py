@@ -5,13 +5,14 @@ carried their own copy of the delivery pipeline; this module extracts it.
 A :class:`Transport` owns the parties and the metrics and implements the
 one pipeline every runtime shares:
 
-* **outbox draining** (:meth:`Transport._flush_party`) — self-addressed
-  envelopes are delivered inline (local computation: no words, no bytes,
-  no delay), network envelopes pass through the sender's Byzantine
-  :class:`~repro.net.adversary.Behavior` transform, are metered (words
-  always, codec bytes when ``measure_bytes`` is on) and appended to the
-  coalescing buffer, an honest sender's fan-out metered once per run of
-  identical envelopes rather than once per recipient;
+* **outbox draining** (:meth:`Transport._flush_party`) — one step per
+  outbox record: self copies are delivered inline (local computation:
+  no words, no bytes, no delay); a record's network envelopes are built
+  in one comprehension, metered once per record (words always, codec
+  bytes when ``measure_bytes`` is on) and appended to the coalescing
+  buffer, except that a sender with a Byzantine
+  :class:`~repro.net.adversary.Behavior` is transformed and metered per
+  envelope, and may speak only as itself;
 * **delivery** (:meth:`Transport._deliver_buffered`) — the recipient's
   behavior may swallow the message, otherwise the delivery is recorded
   and routed into the party's protocol stack; the outbox is drained into
@@ -58,7 +59,9 @@ which lets :meth:`Transport.block_on` drive it with no event loop.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import dataclasses
+import operator
 import random
 from collections import Counter as _Counter
 from typing import Any, Callable, Optional
@@ -87,6 +90,17 @@ FRAME_HEADER_BYTES = 4
 #: to build a larger frame (honest: loud CodecError; forged: dropped),
 #: and the TCP receiver treats a larger length prefix as an attack.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+_RECIPIENT = operator.attrgetter("recipient")
+
+
+def _wider_recipients(recipient: int) -> int:
+    """The least recipient index whose zigzag varint is a byte wider than
+    ``recipient``'s: 64, 8192, 1 << 20, ..."""
+    if recipient < 64:
+        return 64
+    width = ((recipient << 1).bit_length() + 6) // 7
+    return 1 << (7 * width - 1)
 
 
 class Transport:
@@ -126,21 +140,32 @@ class Transport:
         self.corrupt = frozenset(self.behaviors)
         self.honest = frozenset(range(self.n)) - self.corrupt
         self.measure_bytes = measure_bytes
-        #: Creation-ordered coalescing buffer of (envelope, metered
-        #: nbytes, buffered-delay) records awaiting
-        #: :meth:`_flush_coalesced`.  Plain tuples on purpose: they are
-        #: the hot scheduler records and tuples are the slot-free
-        #: optimum.  The delay slot is drawn at *append* time via
-        #: :meth:`_buffered_delay` so RNG consumption interleaves with
+        #: The coalescing buffer awaiting :meth:`_flush_coalesced`, as
+        #: three parallel creation-ordered lists: the network envelopes,
+        #: each one's metered nbytes, and each one's buffered delay.
+        #: Parallel lists, not a tuple per envelope: a multicast extends
+        #: each list once.  The delay is drawn at *append* time via
+        #: :meth:`_buffered_delays` so RNG consumption interleaves with
         #: Byzantine behavior transforms in creation order, whatever the
-        #: cap (``None`` on transports without one).
-        self._outgoing: list[tuple[Envelope, Optional[int], Any]] = []
+        #: cap (``None`` where the transport draws none).
+        self._outgoing: list[Envelope] = []
+        self._outgoing_sizes: list[Optional[int]] = []
+        self._outgoing_delays: list[Any] = []
         #: Per-delivery observers (the WAL recorder); each is called with
         #: every network envelope that was actually delivered.
         self._delivery_observers: list[Callable[[Envelope], None]] = []
         self.metrics = Metrics()
         self._bind_work_counters(directory)
         self.dropped_sends = 0
+        #: Envelopes a :class:`Behavior` emitted under another party's
+        #: index, dropped unmetered (``Metrics.counters("adversary")``).
+        self.forged_senders = 0
+        self.metrics.attach_counters(
+            "adversary",
+            lambda: (
+                {"forged_sender": self.forged_senders} if self.forged_senders else {}
+            ),
+        )
         self.seed = seed
         self._adv_rng = random.Random(f"{rng_namespace}-adv-{seed}")
         #: Link-level fault injection (DESIGN §11).  ``chaos`` accepts a
@@ -162,6 +187,11 @@ class Transport:
         #: Detached (crashed) party indices mapped to the envelopes parked
         #: for them while down; re-injected on :meth:`reattach_party`.
         self._detached: dict[int, list[Envelope]] = {}
+        #: Per party index, every other index ascending: the recipients of
+        #: a multicast's network envelopes.
+        self._peers = [
+            tuple(r for r in range(self.n) if r != index) for index in range(self.n)
+        ]
         # Party RNG streams are namespace-independent so that the same
         # (seed, index) deals identical PVSS contributions on every
         # transport — the cross-transport equivalence tests rely on it.
@@ -219,8 +249,9 @@ class Transport:
         """Session-buffer accounting aggregated over all parties.
 
         ``dropped``/``stale`` come from the parties' bounded pending
-        buffers (see :class:`~repro.net.party.Party`); ``buffered`` is a
-        live gauge of payloads currently parked for unspawned paths.
+        buffers (see :class:`~repro.net.party.Party`), ``retired`` counts
+        deliveries to retired instances; ``buffered`` is a live gauge of
+        payloads currently parked for unspawned paths.
         """
         totals = _Counter()
         buffered = 0
@@ -364,87 +395,82 @@ class Transport:
     # -- the shared pipeline -----------------------------------------------------------
 
     def _flush_party(self, party: Party) -> None:
-        """Drain a party's outbox, applying behaviours, metering, buffering.
+        """Drain a party's outbox records: deliver self copies, meter and
+        buffer network envelopes.
 
-        Each network envelope is metered with its own bare-envelope size
-        and appended to the coalescing buffer; nothing is transmitted
-        here — the buffer is handed to the subclass at the next
-        :meth:`_flush_coalesced`.
-
-        An honest sender's fan-out is metered once: consecutive network
-        envelopes that are the *same objects* in every field but the
-        recipient, with recipient varints of one width, have one frame
-        size, so the run's head is sized and the run recorded with one
-        ``record_send(head, nbytes, count=k)`` when it ends.  (Identity
-        comparison makes this sound for any value: identical objects
-        encode identically; a merely-equal forgery starts a new run.)
-        A sender with a :class:`Behavior` is metered per transformed
-        envelope (:meth:`_buffer_transformed`).
+        Nothing is transmitted here — the buffer is handed to the
+        subclass at the next :meth:`_flush_coalesced`.  One record is one
+        step: a multicast becomes its n − 1 network envelopes in one
+        comprehension, passes :meth:`_transmittable`, draws its delays
+        (:meth:`_buffered_delays`) and is metered with one
+        ``record_send(head, nbytes, count=k)`` per recipient varint width
+        (:meth:`_meter_record`); its self copy is then delivered inline
+        (local computation: free, never transformed) and whatever that
+        queued joins the records still to flush.  A sender with a
+        :class:`Behavior` passes each network envelope through its
+        transform and is metered per transformed envelope
+        (:meth:`_buffer_transformed`).
         """
-        pending = party.collect_outbox()
-        behaviors = self.behaviors
-        can_transmit = self._can_transmit
-        buffered_delay = self._buffered_delay
-        buffer = self._outgoing
-        # The run being built: its head envelope, the head's metered size,
-        # the byte width of the recipient fields and the envelopes so far.
-        head: Optional[Envelope] = None
-        run_nbytes: Optional[int] = None
-        run_width = 0
-        run = 0
+        records = party.collect_outbox()
+        me = party.index
+        behavior = self.behaviors.get(me) if self.behaviors else None
+        peers = self._peers[me]
+        here = party.current_depth
+        depth = here + 1
         position = 0
-        try:
-            while position < len(pending):
-                envelope = pending[position]
-                position += 1
-                recipient = envelope.recipient
-                if recipient == envelope.sender:
-                    # Local delivery: immediate, free, not subject to the
-                    # outgoing Byzantine filter (it never hits the network).
-                    self.metrics.record_delivery(envelope)
-                    party.deliver(envelope)
-                    pending.extend(party.collect_outbox())
-                    continue
-                behavior = behaviors.get(envelope.sender) if behaviors else None
-                if behavior is not None:
-                    for env in behavior.transform_outgoing(envelope, self._adv_rng):
-                        self._buffer_transformed(env)
-                    continue
-                if not can_transmit(envelope):
-                    self.dropped_sends += 1
-                    continue
-                # Recipients wider than two varint bytes (or forged) get
-                # width 0 and are metered singly.
-                if type(recipient) is int and recipient >= 0:
-                    width = 2 if recipient < 64 else 3 if recipient < 8192 else 0
+        while position < len(records):
+            session, path, recipient, payload = records[position]
+            position += 1
+            if recipient != me:
+                envelopes = [
+                    Envelope(path, me, r, payload, depth, session)
+                    for r in (peers if recipient is None else (recipient,))
+                ]
+                if behavior is None:
+                    self._meter_record(envelopes)
                 else:
-                    width = 0
-                if (
-                    run
-                    and width
-                    and width == run_width
-                    and envelope.payload is head.payload
-                    and envelope.path is head.path
-                    and envelope.sender is head.sender
-                    and envelope.depth is head.depth
-                    and envelope.session is head.session
-                ):
-                    run += 1
-                else:
-                    if run:
-                        self._meter_run(head, run_nbytes, run)
-                        run = 0
-                    # An honest party's unencodable payload is a
-                    # programming error: the CodecError propagates, every
-                    # earlier send already metered.
-                    run_nbytes = self._envelope_nbytes(envelope)
-                    head = envelope
-                    run_width = width
-                    run = 1
-                buffer.append((envelope, run_nbytes, buffered_delay(envelope)))
-        finally:
-            if run:
-                self._meter_run(head, run_nbytes, run)
+                    for envelope in envelopes:
+                        for env in behavior.transform_outgoing(envelope, self._adv_rng):
+                            self._buffer_transformed(env, me)
+                if recipient is not None:
+                    continue
+            # The self copy: local computation, free, never transformed.
+            envelope = Envelope(path, me, me, payload, here, session)
+            self.metrics.record_delivery(envelope)
+            party.deliver(envelope)
+            records += party.collect_outbox()
+
+    def _meter_record(self, envelopes: list[Envelope]) -> None:
+        """Meter and buffer one honest record's network envelopes.
+
+        They share every field but the recipient, ascending, so all with
+        one recipient varint width have one size: the group's head is
+        sized and the group recorded with one ``record_send``.  An honest
+        party's unencodable payload is a programming error: the
+        :class:`~repro.net.codec.CodecError` propagates, every earlier
+        record already metered and buffered.
+        """
+        sendable = self._transmittable(envelopes)
+        if len(sendable) < len(envelopes):
+            self.dropped_sends += len(envelopes) - len(sendable)
+        delays = self._buffered_delays(sendable)
+        start, total = 0, len(sendable)
+        while start < total:
+            head = sendable[start]
+            limit = _wider_recipients(head.recipient)
+            end = (
+                total
+                if sendable[-1].recipient < limit
+                else bisect.bisect_left(sendable, limit, start, key=_RECIPIENT)
+            )
+            nbytes = self._envelope_nbytes(head)
+            self._meter_run(head, nbytes, end - start)
+            self._outgoing += sendable[start:end]
+            self._outgoing_sizes += [nbytes] * (end - start)
+            self._outgoing_delays += (
+                [None] * (end - start) if delays is None else delays[start:end]
+            )
+            start = end
 
     def _meter_run(self, head: Envelope, nbytes: Optional[int], count: int) -> None:
         """Meter ``count`` buffered sends that differ from ``head`` only in
@@ -459,9 +485,15 @@ class Transport:
             stats["payload.calls"] += count - 1
             stats["payload.hits"] += count - 1
 
-    def _buffer_transformed(self, envelope: Envelope) -> None:
-        """Meter and buffer one envelope a :class:`Behavior` transform emitted."""
-        if not self._can_transmit(envelope):
+    def _buffer_transformed(self, envelope: Envelope, sender: int) -> None:
+        """Meter and buffer one envelope ``sender``'s :class:`Behavior`
+        emitted.  A corrupted party speaks only as itself: an envelope
+        naming another sender is dropped unmetered and counted
+        (``adversary.forged_sender``)."""
+        if envelope.sender != sender:
+            self.forged_senders += 1
+            return
+        if not self._transmittable([envelope]):
             self.dropped_sends += 1
             return
         try:
@@ -478,7 +510,10 @@ class Transport:
             # travels, its bytes unmetered.
             nbytes = None
         self._meter_run(envelope, nbytes, 1)
-        self._outgoing.append((envelope, nbytes, self._buffered_delay(envelope)))
+        delays = self._buffered_delays([envelope])
+        self._outgoing.append(envelope)
+        self._outgoing_sizes.append(nbytes)
+        self._outgoing_delays.append(None if delays is None else delays[0])
 
     def _envelope_nbytes(self, envelope: Envelope) -> Optional[int]:
         """The envelope's protocol byte metric.
@@ -643,14 +678,15 @@ class Transport:
             "this transport cannot re-inject chaos-held envelopes"
         )
 
-    def _buffered_delay(self, envelope: Envelope) -> Any:
-        """Transport-specific in-flight parameter drawn at buffer time.
+    def _buffered_delays(self, envelopes: list[Envelope]) -> Optional[list]:
+        """Transport-specific in-flight parameters drawn at buffer time,
+        one per envelope, or ``None`` when the transport draws none.
 
-        The simulator overrides this to draw the envelope's delivery
-        delay (delay model + adversarial scheduler) the moment the
-        envelope is buffered, so the adversary RNG is consumed in
-        creation order — interleaved with the Byzantine behavior
-        transforms — rather than at flush time, whatever the cap.
+        The simulator overrides this to draw each envelope's delivery
+        delay (delay model + adversarial scheduler) the moment it is
+        buffered, so the adversary RNG is consumed in creation order —
+        interleaved with the Byzantine behavior transforms — rather than
+        at flush time, whatever the cap.
         """
         return None
 
@@ -684,29 +720,33 @@ class Transport:
     def _flush_coalesced(self) -> None:
         """The one point sends leave: hand the coalescing buffer to the
         transport in creation order, ``batch_cap_envelopes`` at a time."""
-        batch = self._outgoing
-        if not batch:
+        envelopes = self._outgoing
+        if not envelopes:
             return
-        self._outgoing = []
+        sizes, delays = self._outgoing_sizes, self._outgoing_delays
+        self._outgoing, self._outgoing_sizes, self._outgoing_delays = [], [], []
         cap = self.batch_cap_envelopes
-        for offset in range(0, len(batch), cap):
-            self._transmit_coalesced(batch[offset : offset + cap])
+        for offset in range(0, len(envelopes), cap):
+            end = offset + cap
+            self._transmit_coalesced(
+                envelopes[offset:end], sizes[offset:end], delays[offset:end]
+            )
 
     # -- subclass hooks ----------------------------------------------------------------
 
-    def _can_transmit(self, envelope: Envelope) -> bool:
-        """Routability check, applied *before* metering: an envelope the
-        transport could not possibly carry — e.g. a forged sender/
-        recipient pair with no TCP connection — is a dropped send, never
-        metered."""
-        return True
+    def _transmittable(self, envelopes: list[Envelope]) -> list[Envelope]:
+        """Routability filter, applied *before* metering: an envelope the
+        transport could not possibly carry — e.g. one to a party with no
+        TCP connection — is a dropped send, never metered.  Returns the
+        carriable envelopes in order."""
+        return envelopes
 
     def _transmit_coalesced(
-        self, batch: list[tuple[Envelope, Optional[int], Any]]
+        self, envelopes: list[Envelope], sizes: list[Optional[int]], delays: list
     ) -> None:
-        """Put one creation-ordered batch of metered ``(envelope, nbytes,
-        delay)`` records in flight and record its frames — the one send
-        hook a runtime implements."""
+        """Put one creation-ordered batch of metered envelopes in flight
+        (with each one's nbytes and buffered delay) and record its frames
+        — the one send hook a runtime implements."""
         raise NotImplementedError
 
     def _batch_frame(self, envelopes: list[Envelope]) -> bytes:

@@ -1,8 +1,11 @@
 """Byzantine behaviours and adversarial schedulers (unit level)."""
 
+import dataclasses
 import random
 
 import pytest
+
+from repro.crypto.keys import TrustedSetup
 
 from repro.net.adversary import (
     Behavior,
@@ -16,6 +19,8 @@ from repro.net.adversary import (
     TargetedLagScheduler,
 )
 from repro.net.envelope import Envelope
+from repro.net.protocol import Protocol
+from repro.net.transport import make_transport
 
 from tests.net.helpers import Ping
 
@@ -200,3 +205,55 @@ def test_random_lag_scheduler_bounds():
 
 def test_base_scheduler_is_identity():
     assert Scheduler().schedule(RNG, _env(), 2.5, 0.0) == 2.5
+
+
+# -- a corrupted party speaks only as itself ------------------------------------------
+
+
+class _Impersonator(Behavior):
+    """Emits each envelope and a copy relabelled as another party's."""
+
+    def __init__(self, victim):
+        self.victim = victim
+
+    def transform_outgoing(self, envelope, rng):
+        return [envelope, dataclasses.replace(envelope, sender=self.victim)]
+
+
+class _Listener(Protocol):
+    """Multicasts ``Ping(me)``; outputs once every party's ping arrived."""
+
+    def __init__(self):
+        super().__init__()
+        self.heard = []
+
+    def on_start(self):
+        self.multicast(Ping(self.me))
+
+    def on_message(self, sender, payload):
+        self.heard.append((sender, payload))
+        if {(s, Ping(s)) for s in range(self.n)} <= set(self.heard):
+            self.output(True)
+
+
+@pytest.mark.parametrize("kind", ("sim", "asyncio"))
+def test_a_behaviour_cannot_send_as_another_party(kind):
+    setup = TrustedSetup.generate(4, seed=1)
+    runtime = make_transport(kind, setup, behaviors={3: _Impersonator(victim=2)}, seed=1)
+
+    async def scenario():
+        await runtime.open()
+        try:
+            runtime.start(lambda party: _Listener())
+            await runtime.wait_session(0, timeout=10.0)
+            await runtime.sleep(0.05)  # let any straggler arrive
+            await runtime.drain()
+        finally:
+            await runtime.close()
+
+    runtime.block_on(scenario())
+    for index in runtime.honest:
+        assert (2, Ping(3)) not in runtime.parties[index].instance(()).heard
+    # Party 3's one multicast left as three network envelopes, each copied.
+    assert runtime.metrics.counters("adversary") == {"forged_sender": 3}
+    assert runtime.metrics.messages_by_type["Ping"] == 3 * 3 + 3

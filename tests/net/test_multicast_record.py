@@ -1,10 +1,12 @@
-"""A multicast is one outbox record, expanded at collection time.
+"""A multicast is one outbox record, expanded by the transport's flush.
 
 ``Protocol.multicast`` queues ``(session, path, None, payload)`` once; the
-party's ``collect_outbox`` expands it into n envelopes in recipient order.
-The reference is the loop it replaced, n ``send`` calls with one payload
-object: the envelopes, their order and depths, and everything the transport
-meters from them must agree to the digit.  ``Envelope``'s own ``__init__``
+party's ``collect_outbox`` hands the records over and ``_flush_party``
+expands a multicast into n − 1 network envelopes in recipient order plus
+the self copy it delivers inline.  The reference is the loop it replaced,
+n ``send`` calls with one payload object: the envelopes, their order and
+depths, and everything the transport meters from them must agree to the
+digit.  ``Envelope``'s own ``__init__``
 stores through the slot descriptors; it must still build a frozen
 dataclass.
 """
@@ -91,16 +93,16 @@ def _run(actions, *, as_record, behavior, cap, depth):
         else:
             for j in range(N):
                 sender.send(j, payload)
-    collected = []
-    collect_outbox = party.collect_outbox
+    delivered = []
+    deliver = party.deliver
 
-    def recording():
-        envelopes = collect_outbox()
-        collected.extend(envelopes)
-        return envelopes
+    def recording(envelope):
+        delivered.append(envelope)
+        deliver(envelope)
 
-    party.collect_outbox = recording
+    party.deliver = recording
     sim._flush_party(party)
+    collected = sim._outgoing + delivered
     sim._flush_coalesced()
     first_seen = {}
     metrics = sim.metrics
@@ -142,18 +144,23 @@ def test_a_multicast_record_equals_n_sends(actions, behavior, cap, depth):
 
 
 def test_a_multicast_is_one_record_in_recipient_order():
-    party = Party(2, N, 1, random.Random(0))
+    sim = Simulation(SETUP, seed=7)
+    party = sim.parties[2]
     root = party.run_root(_Quiet())
     party.current_depth = 4
     payload = Ping(9)
     root.send(0, Ping(1))
     root.multicast(payload)
     assert party._outbox[1:] == [(0, (), None, payload)]
-    envelopes = party.collect_outbox()
+    delivered = []
+    party.deliver = delivered.append
+    sim._flush_party(party)
+    envelopes = sim._outgoing
     assert [(e.recipient, e.depth) for e in envelopes] == [
-        (0, 5), (0, 5), (1, 5), (2, 4), (3, 5),
+        (0, 5), (0, 5), (1, 5), (3, 5),
     ]  # fmt: skip
     assert all(e.payload is payload for e in envelopes[1:])
+    assert [(e.recipient, e.depth, e.payload) for e in delivered] == [(2, 4, payload)]
 
 
 def test_a_halted_party_queues_no_multicast():
@@ -199,10 +206,11 @@ def test_reshare_fans_each_dealing_out_as_one_record():
     dealings = ("dealing-a", "dealing-b")
     party = Party(0, N, 1, random.Random(0))
     party.run_root(ReshareAgreement(spec=None, initial=dealings))
-    assert [(r[2], r[3].dealing) for r in party._outbox] == [
+    records = party.collect_outbox()
+    assert [(r[2], r[3].dealing) for r in records] == [
         (None, "dealing-a"), (None, "dealing-b"),
     ]  # fmt: skip
-    assert len(party.collect_outbox()) == N * len(dealings)
+    assert not party.has_queued_sends
 
 
 # -- the envelope constructor ------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Run metering: a fan-out metered once is exactly k single sends.
+"""Record metering: an outbox record flushed whole is exactly its sends.
 
-The batched plane groups an honest sender's consecutive envelopes that are
-the same objects in every field but a same-width recipient and records the
-run with one ``record_send(head, nbytes, count=k)``.  The reference is the
-same pipeline at a coalescing cap of one, where the cap flush ends every run
-after one envelope, so each is metered on its own: protocol totals,
-by-type/by-layer tables and the codec's encode-once counters must agree to
-the digit for any envelope sequence an outbox can hold.
+``Transport._flush_party`` takes a party's ``(session, path, recipient,
+payload)`` outbox records and turns each into its network envelopes in one
+step, metering all envelopes of one recipient varint width with one
+``record_send(head, nbytes, count=k)``.  The reference is the per-envelope
+path every sender with a ``Behavior`` takes: a pass-through behaviour makes
+it meter each envelope on its own.  Words, messages, bytes, the by-type and
+by-layer tables, the frames and the codec's encode-once counters must agree
+to the digit for any records an outbox can hold.  A dropping or crashing
+behaviour must meter exactly the envelopes it lets through.
 """
 
 from dataclasses import dataclass
@@ -16,71 +18,86 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.keys import TrustedSetup
 from repro.net import codec
-from repro.net.adversary import CrashBehavior, DropBehavior
+from repro.net.adversary import Behavior, CrashBehavior, DropBehavior
+from repro.net.delays import FixedDelay
 from repro.net.envelope import Envelope
 from repro.net.metrics import Metrics
 from repro.net.payload import Payload
 from repro.net.runtime import Simulation
+from repro.net.transport import FRAME_HEADER_BYTES
 
 from tests.net.helpers import Blob, Ping
 
 SETUP = TrustedSetup.generate(4, seed=1)
 SENDER = 0
 
+#: The recipients of the fake party's multicast: both sides of the one-/two-,
+#: two-/three- and three-/four-byte zigzag varint boundaries, ascending.
+PEERS = (1, 2, 63, 64, 65, 8191, 8192, (1 << 20) - 1, 1 << 20)
+
+#: Recipients of a lone send: the sender itself (a self copy interleaved
+#: with the network sends) and the boundary recipients.
+RECIPIENTS = (SENDER,) + PEERS
+
+DEPTHS = (0, 1000)
+SESSIONS = (0, 70000)
+
 
 class _Outbox:
-    """Stands in for a party whose activation queued exactly ``envelopes``."""
+    """Stands in for a party whose activation queued exactly ``records``.
+
+    A delivered self copy of a ``Ping`` queues one more lone send, as a
+    protocol reacting to its own message would: the flush must take it
+    after the records already queued.
+    """
 
     index = SENDER
 
-    def __init__(self, envelopes):
-        self._queued = list(envelopes)
+    def __init__(self, records, depth=0):
+        self._queued = list(records)
+        self.current_depth = depth
+        self.delivered = []
 
     def collect_outbox(self):
         queued, self._queued = self._queued, []
         return queued
 
     def deliver(self, envelope):
-        """A self-addressed envelope: local computation, nothing queued."""
+        self.delivered.append(envelope)
+        if type(envelope.payload) is Ping and envelope.payload.counter < 2:
+            self._queued.append(
+                (envelope.session, envelope.path, 1, Ping(envelope.payload.counter + 2))
+            )
 
 
-#: Recipients straddling the one-/two-byte and two-/three-byte zigzag varint
-#: boundaries, the sender itself (a self-addressed envelope interleaved in
-#: the fan-out), and one too wide to ever join a run.
-RECIPIENTS = (SENDER, 1, 2, 3, 62, 63, 64, 65, 8190, 8191, 8192, 8193, 1 << 20)
+class _Logged(Behavior):
+    """Lets ``inner`` decide and keeps every envelope it let through."""
 
-#: How a fan-out member departs from the fan-out's shared objects: not at
-#: all ("none" three times: most members are true siblings, as in a
-#: multicast), by a fresh merely-equal payload or path object, or by
-#: another path, depth or session altogether.
-DEPARTURES = (
-    "none", "none", "none",
-    "equal payload", "equal path", "other path", "other depth", "other session",
-)  # fmt: skip
-DEPTHS = (1, 1000)
-SESSIONS = (0, 70000)
+    def __init__(self, inner):
+        self.inner = inner
+        self.passed = []
 
-#: A sequence of fan-outs: ``(payload key, path key, depth index, session
-#: index, [(recipient, departure), ...])``.
-SENDS = st.lists(
+    def transform_outgoing(self, envelope, rng):
+        emitted = self.inner.transform_outgoing(envelope, rng)
+        self.passed += emitted
+        return emitted
+
+
+#: ``(multicast?, payload key, path key, session index, lone recipient)``.
+RECORDS = st.lists(
     st.tuples(
+        st.booleans(),
         st.integers(0, 3),
         st.integers(0, 3),
         st.integers(0, 1),
-        st.integers(0, 1),
-        st.lists(
-            st.tuples(st.sampled_from(RECIPIENTS), st.sampled_from(DEPARTURES)),
-            min_size=1,
-            max_size=12,
-        ),
+        st.sampled_from(RECIPIENTS),
     ),
-    max_size=6,
+    max_size=8,
 )
 
 BEHAVIORS = {
-    "honest": lambda: None,
-    "drop": lambda: {SENDER: DropBehavior(0.5)},
-    "crash": lambda: {SENDER: CrashBehavior(after_sends=5)},
+    "drop": lambda: DropBehavior(0.5),
+    "crash": lambda: CrashBehavior(after_sends=5),
 }
 
 
@@ -97,53 +114,48 @@ def _path(key):
     return tuple(iter((("layer",), ("layer", ("rbc", 2)), ())[key]))
 
 
-def _envelopes(sends):
+def _records(spec):
     """Fresh objects on every call: the codec memoizes payloads by identity."""
-    envelopes = []
-    for payload_key, path_key, depth, session, members in sends:
-        # int(str(...)) builds a new int object: 1000 and 70000 are not
-        # interned, so two fan-outs never share a depth or session object.
-        shared = {
-            "payload": _payload(payload_key),
-            "path": _path(path_key),
-            "depth": int(str(DEPTHS[depth])),
-            "session": int(str(SESSIONS[session])),
-        }
-        departures = {
-            "equal payload": lambda: {"payload": _payload(payload_key)},
-            "equal path": lambda: {"path": _path(path_key)},
-            "other path": lambda: {"path": _path((path_key + 1) % 4)},
-            "other depth": lambda: {"depth": DEPTHS[1 - depth]},
-            "other session": lambda: {"session": SESSIONS[1 - session]},
-            "none": dict,
-        }
-        for recipient, departure in members:
-            fields = {**shared, **departures[departure]()}
-            envelopes.append(Envelope(sender=SENDER, recipient=recipient, **fields))
-    return envelopes
+    return [
+        (SESSIONS[session], _path(path), None if multicast else recipient,
+         _payload(payload))
+        for multicast, payload, path, session, recipient in spec
+    ]  # fmt: skip
 
 
-def _flush(sends, *, measure_bytes, behavior, cap):
+def _flush(records, *, behavior=None, measure_bytes, cap, fixed, depth=0):
     sim = Simulation(
-        SETUP, behaviors=BEHAVIORS[behavior](), seed=7, measure_bytes=measure_bytes
+        SETUP,
+        delay_model=FixedDelay(1.0) if fixed else None,
+        behaviors={SENDER: behavior} if behavior is not None else None,
+        seed=7,
+        measure_bytes=measure_bytes,
     )
     sim.batch_cap_envelopes = cap
+    sim._peers[SENDER] = PEERS  # what the fake party's multicast reaches
     handed_off = 0
     transmit_coalesced = sim._transmit_coalesced
 
-    def checking_transmit(batch):
-        # A send is metered before its envelope leaves the coalescing buffer,
-        # also when the size cap flushes in the middle of a run.
+    def checking_transmit(envelopes, sizes, delays):
+        # A send is metered before its envelope leaves the coalescing buffer.
         nonlocal handed_off
-        handed_off += len(batch)
+        handed_off += len(envelopes)
         assert sim.metrics.messages_total >= handed_off
-        transmit_coalesced(batch)
+        transmit_coalesced(envelopes, sizes, delays)
 
     sim._transmit_coalesced = checking_transmit
-    sim._flush_party(_Outbox(_envelopes(sends)))
+    party = _Outbox(records, depth)
+    sim._flush_party(party)
+    buffer = zip(sim._outgoing, sim._outgoing_sizes, sim._outgoing_delays)
+    buffered = [
+        (e.path, e.sender, e.recipient, e.payload, e.depth, e.session, nbytes, delay)
+        for e, nbytes, delay in buffer
+    ]
     sim._flush_coalesced()
     metrics = sim.metrics
     return {
+        "buffered": buffered,
+        "self copies": [(e.recipient, e.payload, e.depth) for e in party.delivered],
         "words": metrics.words_total,
         "messages": metrics.messages_total,
         "bytes": metrics.bytes_total,
@@ -152,6 +164,9 @@ def _flush(sends, *, measure_bytes, behavior, cap):
         "words_by_type": dict(metrics.words_by_type),
         "messages_by_type": dict(metrics.messages_by_type),
         "bytes_by_type": dict(metrics.bytes_by_type),
+        "frames": metrics.frames_total,
+        "wire_bytes": metrics.wire_bytes_total,
+        "occupancy_max": metrics.batch_occupancy_max,
         "deliveries": metrics.deliveries,
         "max_depth": metrics.max_depth,
         "encode": metrics.counters("encode"),
@@ -162,29 +177,69 @@ def _flush(sends, *, measure_bytes, behavior, cap):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    sends=SENDS,
+    spec=RECORDS,
     measure_bytes=st.booleans(),
-    behavior=st.sampled_from(sorted(BEHAVIORS)),
-    cap=st.sampled_from((2, 3, 256)),
+    cap=st.sampled_from((1, Simulation.batch_cap_envelopes)),
+    fixed=st.booleans(),
+    depth=st.sampled_from(DEPTHS),
 )
-def test_batched_metering_equals_the_unbatched_plane(sends, measure_bytes, behavior, cap):
-    batched = _flush(sends, measure_bytes=measure_bytes, behavior=behavior, cap=cap)
-    reference = _flush(sends, measure_bytes=measure_bytes, behavior=behavior, cap=1)
-    assert batched == reference
+def test_batched_metering_equals_the_unbatched_plane(spec, measure_bytes, cap, fixed, depth):
+    """The record flush equals the per-envelope path of a pass-through
+    behaviour: same envelopes, sizes, delays, self copies and totals."""
+    plane = dict(measure_bytes=measure_bytes, cap=cap, fixed=fixed, depth=depth)
+    records = _flush(_records(spec), **plane)
+    per_envelope = _flush(_records(spec), behavior=Behavior(), **plane)
+    assert records == per_envelope
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=RECORDS,
+    behavior=st.sampled_from(sorted(BEHAVIORS)),
+    measure_bytes=st.booleans(),
+    cap=st.sampled_from((1, Simulation.batch_cap_envelopes)),
+)
+def test_a_behaviour_meters_exactly_what_it_lets_through(spec, behavior, measure_bytes, cap):
+    """Drop and crash: what is metered and buffered is exactly what the
+    behaviour emitted, each envelope metered on its own."""
+    logged = _Logged(BEHAVIORS[behavior]())
+    flushed = _flush(
+        _records(spec), behavior=logged, measure_bytes=measure_bytes, cap=cap, fixed=True
+    )
+    expected = Metrics()
+    for envelope in logged.passed:
+        nbytes = None
+        if measure_bytes:
+            nbytes = FRAME_HEADER_BYTES + codec.encoded_envelope_size(envelope)
+        expected.record_send(envelope, nbytes)
+    assert [entry[:6] for entry in flushed["buffered"]] == [
+        (e.path, e.sender, e.recipient, e.payload, e.depth, e.session)
+        for e in logged.passed
+    ]
+    assert (
+        flushed["words"], flushed["messages"], flushed["bytes"],
+        flushed["words_by_layer"], flushed["messages_by_layer"],
+        flushed["words_by_type"], flushed["messages_by_type"], flushed["bytes_by_type"],
+    ) == (
+        expected.words_total, expected.messages_total, expected.bytes_total,
+        dict(expected.words_by_layer), dict(expected.messages_by_layer),
+        dict(expected.words_by_type), dict(expected.messages_by_type),
+        dict(expected.bytes_by_type),
+    )  # fmt: skip
+    assert flushed["frames"] == -(-len(logged.passed) // cap)
 
 
 def test_a_multicast_is_one_run_and_one_metering_call():
     """The property above cannot tell one call from k: count them."""
-    payload, path = Ping(1), ("layer",)
-    fan_out = [Envelope(path, SENDER, r, payload, 1, 0) for r in range(1, 40)]
     sim = Simulation(SETUP, seed=7, measure_bytes=True)
+    sim._peers[SENDER] = tuple(range(1, 40))
     calls = []
     record_send = sim.metrics.record_send
     sim.metrics.record_send = lambda envelope, nbytes=None, count=1: (
         calls.append(count),
         record_send(envelope, nbytes, count),
     )
-    sim._flush_party(_Outbox(fan_out))
+    sim._flush_party(_Outbox([(0, ("layer",), None, Blob(data=(1,)))]))
     assert calls == [39]
     assert sim.metrics.messages_total == 39
     assert sim.metrics.counters("encode") == {
@@ -214,18 +269,19 @@ class _Unregistered(Payload):
 
 def test_unencodable_payload_after_a_half_built_run_fails_loudly():
     """An honest unencodable payload is a programming error and raises — but
-    the sends queued before it are already metered and buffered."""
-    shared, path = Ping(1), ("layer",)
-    sends = [
-        Envelope(path, SENDER, 1, shared, 1, 0),
-        Envelope(path, SENDER, 2, shared, 1, 0),
-        Envelope(path, SENDER, 3, _Unregistered(1), 1, 0),
-        Envelope(path, SENDER, 1, Ping(2), 1, 0),
+    the records queued before it are already metered and buffered."""
+    shared = Blob(data=(1,))
+    records = [
+        (0, ("layer",), None, shared),
+        (0, ("layer",), 3, _Unregistered(1)),
+        (0, ("layer",), 1, Blob(data=(2,))),
     ]
     sim = Simulation(SETUP, seed=7, measure_bytes=True)
     with pytest.raises(codec.CodecError):
-        sim._flush_party(_Outbox(sends))
-    assert sim.metrics.messages_total == 2
-    assert sim.metrics.words_total == 2 * sends[0].word_size()
-    assert sim.metrics.counters("encode")["payload.calls"] == 2
-    assert [record[0] for record in sim._outgoing] == sends[:2]
+        sim._flush_party(_Outbox(records))
+    assert sim.metrics.messages_total == 3
+    assert sim.metrics.words_total == 3 * (shared.word_size() + 1)
+    assert sim.metrics.counters("encode")["payload.calls"] == 3
+    assert [(e.recipient, e.payload) for e in sim._outgoing] == [
+        (1, shared), (2, shared), (3, shared),
+    ]  # fmt: skip

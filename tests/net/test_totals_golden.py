@@ -17,6 +17,12 @@ commit where ADKG and PE began checking dealt contributions as one
 aggregate: no ``pvss-contrib`` misses, and two more ``pvss-transcript``
 misses in the hostile run — the personal PE transcripts of its silent and
 its dropping party, which no peer checks, now checked by their aggregator.
+The hostile run's ``ctrbc-frag.misses`` (47 → 44) are counted by the commit
+where a CT-RBC instance stopped checking ECHO fragments it can no longer
+use: one for a root it already decoded or marked bad, or one reaching an
+instance that has output, echoed and sent READY.  Three echoed fragments
+reached, under that run's delays, only such instances, so nobody verifies
+them; every send, delivery and round is unchanged.
 ``cap1-n4-bytes`` replaced a run on a second, per-envelope send plane that
 recorded no frames: its ``frames`` and ``wire_bytes`` are counted by the
 commit before that plane was deleted, every other entry is the deleted

@@ -64,10 +64,10 @@ def test_no_send_leaves_inside_the_delivery_that_caused_it(
         finally:
             depth[0] -= 1
 
-    def transmitting(batch):
+    def transmitting(*batch):
         transmitted[0] += 1
         inside[0] += depth[0] > 0
-        transmit(batch)
+        transmit(*batch)
 
     transport._deliver_buffered = delivering
     transport._transmit_coalesced = transmitting

@@ -4,6 +4,8 @@ smoke-tested in CI, where a pair of real ``perf.run`` invocations fits)."""
 import importlib.util
 import pathlib
 
+import pytest
+
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "perf_pairs.py"
 spec = importlib.util.spec_from_file_location("perf_pairs", SCRIPT)
 perf_pairs = importlib.util.module_from_spec(spec)
@@ -59,3 +61,27 @@ def test_moved_layers_reads_counts_exactly_and_timings_beyond_five_percent():
         ("net.codec.payload_calls", "count", 2763, 2691),
         ("net.codec.encode_s", "s", 0.137, 0.054),
     ]
+
+
+def test_workload_repeats_into_one_table_each_in_order():
+    args = perf_pairs.parse_args(
+        ["p", "c", "--workload", "beacon_sim_n10", "--workload", "adkg_tcp_n10"]
+    )
+    assert args.workloads == ["beacon_sim_n10", "adkg_tcp_n10"]
+    assert (str(args.parent), str(args.change), args.pairs) == ("p", "c", 10)
+    assert perf_pairs.parse_args(["p", "c", "--workload", "w"]).workloads == ["w"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (["p", "c"], "--workload"),
+        (["p", "c", "--workload", "w", "--workload", "w"], "--workload given twice: w"),
+        (["p", "c", "--workload", "w", "--pairs", "0"], "--pairs must be at least 1"),
+    ),
+)
+def test_workload_is_required_once_each(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit:
+        perf_pairs.parse_args(argv)
+    assert exit.value.code == 2
+    assert message in capsys.readouterr().err
