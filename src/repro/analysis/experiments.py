@@ -1027,13 +1027,17 @@ def e16_chaos(n: int, seed: int, realtime: Sequence[str]) -> Section:
 #: The trials ROADMAP item 1(c) asked for.  Wall clock, so read by hand
 #: and quoted — never a regenerated column.
 _SHARD_TRIAL = """\
-Process-per-shard execution earns its keep on wall clock, which is not a column
-here and was read by hand: `run_sharded(universe=40, groups=4)` on the
-2-core reference host, one warm-up of each mode then ten alternating pairs
-(seeds 100–109, order swapped each pair), medians sequential 0.773 s
-against process 0.415 s — **1.86×, process won 9/10** (the one loss by
-2 ms, on the first pair), no executor fallback, merged word totals equal.
-A repeat read 0.930 s against 0.511 s, 1.82×, 10/10.
+The pool earns its keep on wall clock, which is not a column here and was
+read by hand: `run_sharded(universe=40, groups=4)` on the 2-core reference
+host, ten alternating pairs (seeds 100–109, order swapped each pair, one
+warm-up run per process), inline pinned to one core by `taskset -c 0`.
+Four reads since each group returns its `GroupResult` through the pool's
+own pickling, medians inline against pooled: 0.768 against 0.479 s
+(1.60×), 0.935 against 0.506 s (1.85×), 0.819 against 0.509 s (1.61×),
+0.770 against 0.445 s (1.73×) — **the pool won 10/10 every time**, no
+fallback, merged word totals equal.  The same procedure on the commit
+before read 1.48× (9/10); earlier reads were 1.86× and 1.82×.  The
+host's two cores are shared, so the ratio moves by read, not by commit.
 
 A third mode — every group a session family on one shared transport,
 the default until PR 23 — lost the same trial and was deleted.  Same host,
@@ -1056,31 +1060,28 @@ the host (`min(groups, usable cores)` workers; one worker runs inline)."""
 
 def e17_shards(ks: Sequence[int], group_n: int) -> Section:
     rows = []
-    #: ``(k, mode) -> ((words, messages) of group 0, of group 1, ...)``
-    per_group: dict[tuple[int, str], tuple] = {}
+    #: ``k -> ((words, messages) of group 0, of group 1, ...)``
+    per_group: dict[int, tuple] = {}
     ok = True
     for k in ks:
-        for workers in (1, 2):  # inline, then the pool
-            report = run_sharded(
-                universe=k * group_n, groups=k, epochs=1, rounds_per_epoch=2, workers=workers, seed=1
-            )
-            mode = report.mode
-            ok = ok and report.agreed and report.all_verified and not report.executor_fallback
-            per_group[k, mode] = groups = tuple(
-                (g.metrics.words_total, g.metrics.messages_total)
-                for g in report.group_results
-            )
-            rows.append(
-                {
-                    "k": k,
-                    "group_n": group_n,
-                    "mode": mode,
-                    "words": report.merged.words_total,
-                    "messages": report.merged.messages_total,
-                    "group0_words": groups[0][0],
-                    "beacon_rounds": len(report.combined),
-                }
-            )
+        report = run_sharded(
+            universe=k * group_n, groups=k, epochs=1, rounds_per_epoch=2, seed=1
+        )
+        ok = ok and report.agreed and report.all_verified and not report.executor_fallback
+        per_group[k] = groups = tuple(
+            (g.metrics.words_total, g.metrics.messages_total)
+            for g in report.group_results
+        )
+        rows.append(
+            {
+                "k": k,
+                "group_n": group_n,
+                "words": report.merged.words_total,
+                "messages": report.merged.messages_total,
+                "group0_words": groups[0][0],
+                "beacon_rounds": len(report.combined),
+            }
+        )
     shutdown_shard_executor()
     return Section(
         "E17",
@@ -1091,20 +1092,16 @@ def e17_shards(ks: Sequence[int], group_n: int) -> Section:
         "the point of sharding.  Per-group beacon streams are hash-combined\n"
         "into one output per round and verified per group plus recomputation.\n\n"
         + _SHARD_TRIAL,
-        ("k", "group_n", "mode", "words", "messages", "group0_words", "beacon_rounds"),
+        ("k", "group_n", "words", "messages", "group0_words", "beacon_rounds"),
         rows,
         (),
         {
             "every group agrees, every stream verifies, the pool never falls back": ok,
-            "per-group words and messages are identical across the two paths": all(
-                per_group[k, "sequential"] == per_group[k, "process"] for k in ks
-            ),
             "group 0's totals never move as k grows (a pure function of seed and gid)": (
                 len({groups[0] for groups in per_group.values()}) == 1
             ),
             "merged totals are exactly the per-group sum": all(
-                r["words"] == sum(words for words, _ in per_group[r["k"], r["mode"]])
-                for r in rows
+                r["words"] == sum(words for words, _ in per_group[r["k"]]) for r in rows
             ),
         },
     )

@@ -390,7 +390,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_beacon(args: argparse.Namespace) -> int:
     from repro.service import run_beacon
 
-    if args.pipeline_depth < 1 or args.epochs < 1 or args.rounds < 1:
+    depth = 2 if args.pipeline_depth is None else args.pipeline_depth
+    if depth < 1 or args.epochs < 1 or args.rounds < 1:
         print(
             "error: --epochs, --pipeline-depth and --rounds must be >= 1",
             file=sys.stderr,
@@ -399,6 +400,16 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
     status = _check_shard_flags(args)
     if status:
         return status
+    if args.pipeline_depth is not None and (
+        args.groups is not None or args.churn is not None
+    ):
+        # Sharded and churned epochs run one at a time on each transport.
+        print(
+            "error: --pipeline-depth applies to the plain beacon only, "
+            "not beside --groups or --churn",
+            file=sys.stderr,
+        )
+        return 2
     if args.groups is not None:
         return _cmd_sharded(
             args, epochs=args.epochs, rounds=args.rounds, churn=args.churn
@@ -410,7 +421,7 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
         run_beacon,
         n=args.n,
         epochs=args.epochs,
-        pipeline_depth=args.pipeline_depth,
+        pipeline_depth=depth,
         rounds_per_epoch=args.rounds,
         transport=args.transport,
         seed=args.seed,
@@ -606,8 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
     beacon_p.add_argument(
         "--pipeline-depth",
         type=int,
-        default=2,
-        help="epochs in flight at once (1 = strictly sequential)",
+        default=None,
+        help="epochs in flight at once (default 2; 1 = strictly sequential); "
+        "the plain beacon only, not with --groups or --churn",
     )
     beacon_p.add_argument(
         "--rounds", type=int, default=2, help="beacon rounds emitted per epoch"

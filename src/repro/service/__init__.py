@@ -18,9 +18,9 @@ proactive key refresh.  This package hosts the first of them:
   :class:`~repro.service.shards.ShardedBeacon` — horizontal scale-out
   (DESIGN §12): k independent DKG groups partitioned from one party
   universe, each on a transport of its own — one after the other, or in
-  worker processes (:class:`~repro.service.shards.ShardExecutor`) when
-  the host has the cores — with per-group beacon streams hash-combined
-  into one randomness service.
+  a shared fork pool when the host has the cores, every group returning
+  its :class:`~repro.service.shards.GroupResult` either way — with
+  per-group beacon streams hash-combined into one randomness service.
 
 :func:`~repro.service.beacon.run_beacon` is the one-call entry point the
 CLI (``repro beacon``), the pipelining experiment and the session
@@ -50,7 +50,6 @@ from repro.service.shards import (
     GroupCoordinator,
     GroupResult,
     ShardedBeacon,
-    ShardExecutor,
     ShardReport,
     run_sharded,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "MembershipDriver",
     "MembershipSchedule",
     "RandomnessBeacon",
-    "ShardExecutor",
     "ShardReport",
     "ShardedBeacon",
     "committee_setup",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.crypto import threshold_vrf as tvrf
 from repro.crypto.keys import PublicDirectory, TrustedSetup
@@ -96,6 +96,28 @@ def emit_rounds(
     return emitted
 
 
+def in_chain_order(outputs: Sequence[BeaconOutput], epochs: Iterable[int]) -> bool:
+    """The position rule both chain verifiers apply.
+
+    Every epoch in ``epochs`` appears, in ascending order, and each
+    epoch's rounds run 0, 1, 2, … with no gap and no repeat — so an empty
+    chain, a repeated round or an epoch out of place fails even when every
+    ``prev`` link holds.
+    """
+    walked: list[int] = []
+    last: Optional[BeaconOutput] = None
+    for output in outputs:
+        if last is not None and output.epoch == last.epoch:
+            if output.round != last.round + 1:
+                return False
+        elif output.round != 0:
+            return False
+        else:
+            walked.append(output.epoch)
+        last = output
+    return bool(walked) and walked == sorted(epochs)
+
+
 def verify_output(
     directory: PublicDirectory, output: BeaconOutput, transcript: Any
 ) -> bool:
@@ -147,7 +169,10 @@ class RandomnessBeacon:
     ) -> bool:
         """Verify values *and* the genesis-rooted linkage across epochs,
         against transcripts that pass ``DKGVerify`` themselves (a value can
-        check out under the public key of one whose shares do not)."""
+        check out under the public key of one whose shares do not), in
+        :func:`in_chain_order`."""
+        if not in_chain_order(outputs, transcripts):
+            return False
         prev = GENESIS
         for output in outputs:
             if output.prev != prev:
@@ -206,20 +231,13 @@ def run_beacon(
     rounds_per_epoch: int = 2,
     transport: str = "sim",
     seed: int = 0,
-    params: str = "TESTING",
     timeout: float = 120.0,
-    setup: Optional[TrustedSetup] = None,
-    gc_completed: bool = True,
 ) -> BeaconReport:
     """Run the full service: pipelined ADKG epochs + verified beacon stream."""
-    setup = setup or TrustedSetup.generate(n, params=params, seed=seed)
+    setup = TrustedSetup.generate(n, seed=seed)
     runtime = make_run_transport(transport, setup, seed=seed)
     driver = EpochDriver(
-        runtime,
-        epochs=epochs,
-        pipeline_depth=pipeline_depth,
-        timeout=timeout,
-        gc_completed=gc_completed,
+        runtime, epochs=epochs, pipeline_depth=pipeline_depth, timeout=timeout
     )
     started = time.perf_counter()
     epoch_results = driver.run()

@@ -99,7 +99,6 @@ class EpochDriver:
         pipeline_depth: int = 1,
         root_factory: Optional[Callable[[Party], Protocol]] = None,
         session_base: int = 0,
-        gc_completed: bool = True,
         timeout: float = 120.0,
         interludes: Optional[Mapping[int, Optional[Interlude]]] = None,
     ) -> None:
@@ -114,7 +113,6 @@ class EpochDriver:
         self.pipeline_depth = pipeline_depth
         self.root_factory = root_factory or adkg_root
         self.session_base = session_base
-        self.gc_completed = gc_completed
         self.timeout = timeout
         self.interludes = dict(interludes or {})
         #: Completed epochs, in epoch order.
@@ -177,5 +175,4 @@ class EpochDriver:
                 threshold=self.transport.f,
             )
         )
-        if self.gc_completed:
-            self.transport.collect_session(sid)
+        self.transport.collect_session(sid)

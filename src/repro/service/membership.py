@@ -39,7 +39,13 @@ from repro.net.metrics import Metrics
 from repro.net.party import Party
 from repro.net.protocol import Protocol
 from repro.net.transport import make_run_transport
-from repro.service.beacon import GENESIS, BeaconOutput, emit_rounds, verify_output
+from repro.service.beacon import (
+    GENESIS,
+    BeaconOutput,
+    emit_rounds,
+    in_chain_order,
+    verify_output,
+)
 from repro.service.epochs import EpochDriver, EpochResult, adkg_root
 from repro.storage.recovery import CrashPlan
 
@@ -319,7 +325,6 @@ class MembershipDriver:
         transport: str = "sim",
         seed: int = 0,
         timeout: float = 120.0,
-        max_steps: Optional[int] = None,
         chaos: Optional[dict] = None,
         crash: Optional[dict] = None,
         cadence: int = 16,
@@ -330,7 +335,6 @@ class MembershipDriver:
         self.transport = transport
         self.seed = seed
         self.timeout = timeout
-        self.max_steps = max_steps
         self.chaos = dict(chaos or {})
         self.crash = dict(crash or {})
         self.cadence = cadence
@@ -448,7 +452,6 @@ class MembershipDriver:
             self.transport,
             setup,
             seed=self.epoch_seed(spec.epoch),
-            max_steps=self.max_steps,
             chaos=self.chaos.get(spec.epoch),
         )
         crash = self.crash.get(spec.epoch)
@@ -529,11 +532,12 @@ class ChurnBeacon:
     ) -> bool:
         """Genesis-rooted verification across every committee change.
 
-        ``contexts`` maps epoch → ``(directory, transcript)``; the walk
-        additionally pins key invariance — every epoch's transcript must
-        carry the same group key bytes as epoch 0's.
+        ``contexts`` maps epoch → ``(directory, transcript)``; the walk, in
+        :func:`~repro.service.beacon.in_chain_order`, additionally pins key
+        invariance — every epoch's transcript must carry the same group key
+        bytes as epoch 0's.
         """
-        if not contexts:
+        if not in_chain_order(outputs, contexts):
             return False
         anchor_directory, anchor_transcript = contexts[min(contexts)]
         group = anchor_directory.pair_group
@@ -581,31 +585,27 @@ def run_churn(
     universe_n: int = 7,
     *,
     epochs: int = 4,
-    events: Sequence[ChurnEvent] = (),
     churn: Optional[str] = None,
     base_members: Optional[Sequence[int]] = None,
     base_f: Optional[int] = None,
     rounds_per_epoch: int = 2,
     transport: str = "sim",
     seed: int = 0,
-    params: str = "TESTING",
-    session: str = "adkg-repro",
     timeout: float = 120.0,
-    max_steps: Optional[int] = None,
     chaos: Optional[dict] = None,
     crash: Optional[dict] = None,
     storage_dir: Optional[str] = None,
 ) -> ChurnReport:
-    """Run a full churn scenario: schedule → handoffs → verified beacon."""
-    if churn is not None:
-        events = tuple(events) + parse_churn(churn)
-    universe = TrustedSetup.generate(
-        universe_n, params=params, seed=seed, session=session
-    )
+    """Run a full churn scenario: schedule → handoffs → verified beacon.
+
+    ``churn`` is a :func:`parse_churn` string; ``None`` keeps the
+    committee and refreshes the key every epoch.
+    """
+    universe = TrustedSetup.generate(universe_n, seed=seed)
     schedule = MembershipSchedule.build(
         universe_n,
         epochs,
-        events,
+        () if churn is None else parse_churn(churn),
         base_members=base_members,
         base_f=base_f,
     )
@@ -615,7 +615,6 @@ def run_churn(
         transport=transport,
         seed=seed,
         timeout=timeout,
-        max_steps=max_steps,
         chaos=chaos,
         crash=crash,
         storage_dir=storage_dir,

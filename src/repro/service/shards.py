@@ -13,25 +13,23 @@ universe party ids assigned to it, and the seed its parties derive every
 RNG stream from.  Groups never exchange a message, so k groups are k
 transports, and a group runs what one committee runs — fresh-key epochs
 on one transport, or (``churn``) a membership schedule of reshare
-handoffs, either under the ``chaos`` and ``crash`` overlays — as a pure
-function of its plain-value config tuple
-(:meth:`GroupCoordinator.group_config`):
+handoffs, either under the ``chaos`` and ``crash`` overlays:
 
 * **seeds** — :func:`group_seed` is a pure function of the universe seed
   and the gid, so :func:`make_shard_group` rebuilds the exact group
   (setup, party RNG labels) from ``(gid, n, f, universe_seed)`` alone —
-  config in as plain values, no key material crossing a process boundary;
+  no key material goes to a worker;
 * **sessions** — group ``g`` owns the session-id block
   ``[g·SESSION_STRIDE, (g+1)·SESSION_STRIDE)``; epoch ``e`` runs as
   session ``g·SESSION_STRIDE + e``, which feeds every party's
   ``{rng_label}-session-{sid}`` stream and so every PVSS dealing.
 
-Where the configs run is worked out, not chosen: :func:`run_sharded`
-runs them inline when one worker is all the host offers (or all there
-are groups), else in a :class:`ShardExecutor` — a fork-context pool with
-a byte-only boundary.  Both paths execute :func:`_run_group_config` on
-the same values, so per-group totals, group keys and beacon values are
-**byte-identical** (``tests/service/test_shards.py``).
+Where the groups run is worked out, not chosen: :func:`run_sharded`
+runs them inline when the host offers one core (or there is one group),
+else in a shared fork pool.  Both paths run the same
+:func:`_run_group` task and get its :class:`GroupResult` back, so
+per-group totals, group keys and beacon values are **byte-identical**
+(``tests/service/test_shards.py``).
 """
 
 from __future__ import annotations
@@ -44,15 +42,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 from repro.crypto.hashing import hash_bytes, hash_to_int
 from repro.crypto.keys import TrustedSetup
-from repro.crypto.pairing import GroupElement
-from repro.crypto.params import PRESETS
-from repro.crypto.pvss import PVSSTranscript
-from repro.crypto.reshare import ReshareTranscript
 from repro.net.chaos import ChaosSpec
 from repro.net.metrics import Metrics
 from repro.net.transport import TRANSPORT_KINDS, make_run_transport
@@ -74,7 +69,6 @@ __all__ = [
     "CombinedOutput",
     "GroupCoordinator",
     "GroupResult",
-    "ShardExecutor",
     "ShardGroup",
     "ShardReport",
     "ShardedBeacon",
@@ -84,14 +78,6 @@ __all__ = [
     "run_sharded",
     "shutdown_shard_executor",
 ]
-
-#: Wire tag + version of the worker config/result tuples.  The process
-#: boundary carries only plain codec values, so shape changes must bump
-#: the version (a worker from a stale fork would otherwise misparse).
-_CONFIG_TAG = "shard-run"
-_RESULT_TAG = "shard-result"
-#: v3: configs carry the churn / chaos / crash overlays.
-_WIRE_VERSION = 3
 
 #: Session ids per group: group ``g``'s epoch ``e`` is session
 #: ``g * SESSION_STRIDE + e``.  The ids seed the parties' per-session RNG
@@ -106,9 +92,9 @@ SESSION_STRIDE = 1 << 16
 def group_seed(seed: int, gid: int) -> int:
     """The group's deterministic seed, derived from the universe seed.
 
-    A pure function of ``(seed, gid)`` so the coordinator — and a worker
-    process rebuilding the group from its config tuple — land on
-    identical key material and party RNG labels.
+    A pure function of ``(seed, gid)`` so the coordinator and the group's
+    run, inline or in a worker, land on identical key material and party
+    RNG labels.
     """
     return int.from_bytes(hash_bytes("shard-seed", seed, gid)[:6], "big")
 
@@ -153,9 +139,9 @@ def make_shard_group(
 ) -> ShardGroup:
     """Materialize one group from its plain-value description.
 
-    The single constructor: the coordinator and the group runner (inline
-    or in a shard-executor worker) both call this, so "same config tuple"
-    implies "same keys, same RNG labels" — the root of the byte-identity
+    The single constructor: the coordinator and the group's run (inline or
+    in a pool worker) both call this, so the same arguments mean the same
+    keys and the same RNG labels — the root of the byte-identity
     invariant.
     """
     gseed = group_seed(seed, gid)
@@ -196,13 +182,13 @@ def partition_universe(
 
 
 class GroupCoordinator:
-    """Partition a party universe into k groups and describe their runs.
+    """Partition a party universe into k groups with keys of their own.
 
     The membership decision is a pure function of ``(universe, groups,
     seed)`` (seeded shuffle, contiguous chunks, sizes within one of each
     other) and each group's key material a pure function of its gid and
-    the universe seed — so a worker process holding nothing but a config
-    tuple reconstructs the identical group.
+    the universe seed — so a worker sent nothing but the gid, the members
+    and the seed reconstructs the identical group.
     """
 
     def __init__(
@@ -214,10 +200,6 @@ class GroupCoordinator:
         seed: int = 0,
         params: str = "TESTING",
     ) -> None:
-        self.universe = universe
-        self.seed = seed
-        self.params = params
-        self.group_f = group_f
         assignment = partition_universe(universe, groups, seed)
         self.groups: tuple[ShardGroup, ...] = tuple(
             make_shard_group(
@@ -229,44 +211,6 @@ class GroupCoordinator:
     @property
     def group_sizes(self) -> tuple[int, ...]:
         return tuple(group.n for group in self.groups)
-
-    def group_config(
-        self,
-        group: ShardGroup,
-        *,
-        epochs: int,
-        rounds_per_epoch: int,
-        transport: str,
-        timeout: float,
-        churn: Optional[str] = None,
-        chaos: Optional[str] = None,
-        crash: Optional[dict] = None,
-    ) -> tuple:
-        """The plain-value description a worker rebuilds the group from.
-
-        Deliberately contains no key material: the worker re-derives the
-        setup from ``(gid, n, f, universe seed)`` via
-        :func:`make_shard_group`, which is exactly how this coordinator
-        built it (``f`` as asked for: ``None``, each committee's optimum).
-        The overlays are :func:`run_sharded`'s, as plain values.
-        """
-        return (
-            _CONFIG_TAG,
-            _WIRE_VERSION,
-            group.gid,
-            group.n,
-            self.group_f,
-            self.seed,
-            group.members,
-            epochs,
-            rounds_per_epoch,
-            self.params,
-            transport,
-            timeout,
-            churn,
-            chaos,
-            crash,
-        )
 
 
 # -- results -------------------------------------------------------------------------
@@ -405,162 +349,81 @@ class ShardedBeacon:
         return list(combined) == expected
 
 
-# -- the metrics boundary ------------------------------------------------------------
+# -- one group's run (inline, or a pool worker's task) -------------------------------
 
-#: Protocol-plane Metrics fields that are a function of the config alone
-#: (and therefore the inline-vs-pool differential gate).  Frame/wire
-#: accounting is deliberately absent: on a realtime transport coalescing
-#: follows delivery timing, not the config.
-_VIEW_SCALARS = (
+#: The Metrics fields a group's config determines, and so the inline-vs-pool
+#: differential gate.  Frame and wire accounting are absent: on a realtime
+#: transport coalescing follows delivery timing, not the config.
+_PROTOCOL_PLANE = (
     "words_total",
     "messages_total",
     "bytes_total",
     "deliveries",
     "max_depth",
-)
-_VIEW_COUNTERS = (
     "words_by_layer",
     "messages_by_layer",
     "words_by_type",
     "messages_by_type",
     "bytes_by_type",
 )
-#: Work-counter views that are per-group (each group has its own
-#: directory, hence its own verify cache and pairing group).  The
-#: process-global ``encode`` memo is excluded: what it already holds
-#: differs between an inline run and a fresh worker.
-_VIEW_WORK = ("verify", "pairing")
+#: Work counters that are per group (each group has its own directory,
+#: hence its own verify cache and pairing group).  The process-global
+#: ``encode`` memo is absent: what it already holds differs between an
+#: inline run and a fresh worker.
+_GROUP_WORK = ("verify", "pairing")
 
 
-def _metrics_view(metrics: Metrics) -> dict:
-    """A Metrics' config-determined protocol plane as plain codec values."""
-    view: dict[str, Any] = {name: getattr(metrics, name) for name in _VIEW_SCALARS}
-    for name in _VIEW_COUNTERS:
-        view[name] = dict(getattr(metrics, name))
-    view["work"] = {name: metrics.counters(name) for name in _VIEW_WORK}
-    return view
+def _run_group(
+    gid: int,
+    members: tuple[int, ...],
+    *,
+    f: Optional[int],
+    seed: int,
+    params: str,
+    epochs: int,
+    rounds_per_epoch: int,
+    transport: str,
+    timeout: float,
+    schedule: Optional[MembershipSchedule],
+    chaos: Optional[ChaosSpec],
+    crash: Optional[dict],
+) -> GroupResult:
+    """Run one group and return its result as a plain value.
 
-
-def _metrics_from_view(view: dict) -> Metrics:
-    """Rebuild a group's Metrics from its plain-value view.
-
-    Inline and pooled runs both pass through this (the worker's result
-    crosses the process boundary as a view; an inline run is normalized
-    through the same function), so ``GroupResult.metrics`` compares
-    exactly across the two.
+    The inline path calls this; the pool is sent it as a
+    :func:`functools.partial` and pickles the :class:`GroupResult` back.
+    The group is rebuilt from the seed (no key material is sent), and its
+    metrics are the protocol plane plus snapshots of the per-group work
+    counters, so inline and pooled results compare exactly.
     """
-    metrics = Metrics()
-    for name in _VIEW_SCALARS:
-        setattr(metrics, name, view[name])
-    for name in _VIEW_COUNTERS:
-        getattr(metrics, name).update(view[name])
-    for name, counters in view["work"].items():
-        metrics.attach_counters(name, lambda snap=dict(counters): dict(snap))
-    return metrics
-
-
-# -- one group's run (inline, or the worker body) ------------------------------------
-
-
-def _int_from(value: Any, low: int) -> bool:
-    """A genuine int (``True`` is not one) no smaller than ``low``."""
-    return type(value) is int and value >= low
-
-
-def _real(value: Any) -> bool:
-    return type(value) in (int, float)
-
-
-def _crash_ok(crash: Any, n: int) -> bool:
-    """A :class:`CrashPlan`'s ``indices`` / ``after`` / ``delay`` keywords
-    (a finite delay: a crashed party comes back)."""
-    if not isinstance(crash, dict) or set(crash) != {"indices", "after", "delay"}:
-        return False
-    indices, delay = crash["indices"], crash["delay"]
-    return (
-        isinstance(indices, tuple)
-        and bool(indices)
-        and all(_int_from(index, 0) and index < n for index in indices)
-        and _int_from(crash["after"], 0)
-        and _real(delay)
-        and 0 <= delay < float("inf")
-    )
-
-
-def _run_group_config(config: tuple) -> tuple:
-    """Run one group from its plain-value config; plain-value result.
-
-    This is the entire worker body — and the inline path calls it on the
-    same tuples, so both sides of the process boundary execute literally
-    the same function on literally the same values.  The tuple arrives
-    from outside the process: every field is type-checked before use.
-    """
-    if (
-        not isinstance(config, tuple)
-        or len(config) != 15
-        or config[0] != _CONFIG_TAG
-        or config[1] != _WIRE_VERSION
-    ):
-        raise ValueError(f"malformed shard config: {config!r}")
-    (
-        _tag,
-        _version,
-        gid,
-        n,
-        f,
-        seed,
-        members,
-        epochs,
-        rounds_per_epoch,
-        params,
-        transport,
-        timeout,
-        churn,
-        chaos,
-        crash,
-    ) = config
-    if not (
-        _int_from(gid, 0)
-        and _int_from(n, 1)
-        and (f is None or (_int_from(f, 0) and 3 * f < n))
-        and type(seed) is int
-        and isinstance(members, tuple)
-        and len(members) == n
-        and all(_int_from(member, 0) for member in members)
-        and _int_from(epochs, 1)
-        and epochs <= SESSION_STRIDE
-        and _int_from(rounds_per_epoch, 1)
-        and isinstance(params, str)
-        and params.upper() in PRESETS
-        and transport in TRANSPORT_KINDS
-        and _real(timeout)
-        and timeout > 0
-        and (churn is None or isinstance(churn, str))
-        and (chaos is None or isinstance(chaos, str))
-        and (crash is None or _crash_ok(crash, n))
-    ):
-        raise ValueError(f"malformed shard config: {config!r}")
-    try:
-        if chaos is not None:
-            chaos = ChaosSpec.parse(chaos)
-        schedule = None
-        if churn is not None:
-            schedule = MembershipSchedule.build(
-                n, epochs, parse_churn(churn) if churn else (), base_f=f
-            )
-    except ValueError as error:
-        raise ValueError(f"malformed shard config: {error}") from None
-    group = make_shard_group(gid, n, f, seed, members=members, params=params)
+    group = make_shard_group(gid, len(members), f, seed, members=members, params=params)
     started = time.perf_counter()
     if schedule is None:
-        ran = _run_fresh_keys(
+        epoch_results, outputs, metrics = _run_fresh_keys(
             group, epochs, rounds_per_epoch, transport, timeout, chaos, crash
         )
     else:
-        ran = _run_handoffs(
+        epoch_results, outputs, metrics = _run_handoffs(
             group, schedule, rounds_per_epoch, transport, timeout, chaos, crash
         )
-    return _raw_result(group, *ran, time.perf_counter() - started)
+    return GroupResult(
+        gid=gid,
+        members=group.members,
+        # A transport knows local indices only; the rows record each
+        # epoch's committee as universe members.
+        epoch_results=[
+            replace(row, committee=tuple(members[local] for local in row.committee))
+            for row in epoch_results
+        ],
+        outputs=list(outputs),
+        metrics=Metrics(
+            **{name: getattr(metrics, name) for name in _PROTOCOL_PLANE},
+            counter_providers={
+                name: partial(dict, metrics.counters(name)) for name in _GROUP_WORK
+            },
+        ),
+        wall_clock_s=time.perf_counter() - started,
+    )
 
 
 def _run_fresh_keys(
@@ -632,157 +495,7 @@ def _run_handoffs(
     return membership.results, beacon.outputs, metrics
 
 
-def _raw_result(
-    group: ShardGroup,
-    epoch_results: Sequence[EpochResult],
-    outputs: Sequence[BeaconOutput],
-    metrics: Metrics,
-    wall: float,
-) -> tuple:
-    """One group's run — epochs, its beacon stream, metrics view — as the
-    plain values that cross the process boundary (and that every
-    :class:`GroupResult` is rebuilt from, so inline and pooled runs
-    compare exactly).  A transport knows local indices only; the rows
-    record each epoch's committee as universe members."""
-    return (
-        _RESULT_TAG,
-        _WIRE_VERSION,
-        group.gid,
-        tuple(
-            (
-                result.epoch,
-                result.session,
-                result.transcript,
-                result.outputs,
-                result.started_at,
-                result.completed_at,
-                tuple(group.members[local] for local in result.committee),
-                result.threshold,
-            )
-            for result in epoch_results
-        ),
-        tuple(
-            (output.epoch, output.round, output.prev, output.value, output.evaluation)
-            for output in outputs
-        ),
-        _metrics_view(metrics),
-        wall,
-    )
-
-
-def _counts(value: Any) -> bool:
-    return isinstance(value, dict) and all(
-        type(key) is str and type(count) is int for key, count in value.items()
-    )
-
-
-def _epoch_row_ok(row: Any) -> bool:
-    if not isinstance(row, tuple) or len(row) != 8:
-        return False
-    epoch, session, transcript, outputs, started, completed, committee, f = row
-    return (
-        _int_from(epoch, 0)
-        and _int_from(session, 0)
-        and isinstance(transcript, (PVSSTranscript, ReshareTranscript))
-        and isinstance(outputs, dict)
-        and all(_int_from(party, 0) for party in outputs)
-        and _real(started)
-        and _real(completed)
-        and isinstance(committee, tuple)
-        and all(_int_from(member, 0) for member in committee)
-        and _int_from(f, 0)
-    )
-
-
-def _output_row_ok(row: Any) -> bool:
-    if not isinstance(row, tuple) or len(row) != 5:
-        return False
-    epoch, rnd, prev, value, evaluation = row
-    return (
-        _int_from(epoch, 0)
-        and _int_from(rnd, 0)
-        and _int_from(prev, 0)
-        and _int_from(value, 0)
-        and isinstance(evaluation, GroupElement)
-    )
-
-
-def _view_ok(view: Any) -> bool:
-    return (
-        isinstance(view, dict)
-        and all(_int_from(view.get(name), 0) for name in _VIEW_SCALARS)
-        and all(_counts(view.get(name)) for name in _VIEW_COUNTERS)
-        and isinstance(view.get("work"), dict)
-        and all(
-            type(name) is str and _counts(counters)
-            for name, counters in view["work"].items()
-        )
-    )
-
-
-def _group_result_from_raw(group: ShardGroup, raw: tuple) -> GroupResult:
-    """Rehydrate a group run's plain-value result into a GroupResult.
-
-    The tuple may have crossed the process boundary: every field is
-    type-checked before use.
-    """
-    if (
-        not isinstance(raw, tuple)
-        or len(raw) != 7
-        or raw[0] != _RESULT_TAG
-        or raw[1] != _WIRE_VERSION
-        or raw[2] != group.gid
-    ):
-        raise ValueError(f"malformed shard result for group {group.gid}")
-    _tag, _version, _gid, epoch_rows, output_rows, view, wall = raw
-    if not (
-        isinstance(epoch_rows, tuple)
-        and all(_epoch_row_ok(row) for row in epoch_rows)
-        and isinstance(output_rows, tuple)
-        and all(_output_row_ok(row) for row in output_rows)
-        and _view_ok(view)
-        and _real(wall)
-    ):
-        raise ValueError(f"malformed shard result for group {group.gid}")
-    epoch_results = [
-        EpochResult(
-            epoch=epoch,
-            session=session,
-            transcript=transcript,
-            outputs=outputs,
-            started_at=started_at,
-            completed_at=completed_at,
-            committee=committee,
-            threshold=threshold,
-        )
-        for (
-            epoch,
-            session,
-            transcript,
-            outputs,
-            started_at,
-            completed_at,
-            committee,
-            threshold,
-        ) in epoch_rows
-    ]
-    outputs = [
-        BeaconOutput(
-            epoch=epoch, round=rnd, prev=prev, value=value, evaluation=evaluation
-        )
-        for epoch, rnd, prev, value, evaluation in output_rows
-    ]
-    return GroupResult(
-        gid=group.gid,
-        members=group.members,
-        epoch_results=epoch_results,
-        outputs=outputs,
-        metrics=_metrics_from_view(view),
-        wall_clock_s=wall,
-    )
-
-
-# -- the process-per-shard executor --------------------------------------------------
+# -- the pool ------------------------------------------------------------------------
 
 _EXECUTOR: Optional[ProcessPoolExecutor] = None
 _EXECUTOR_SIZE = 0
@@ -795,10 +508,10 @@ def _warm() -> bool:
 
 
 def _get_executor(workers: int) -> ProcessPoolExecutor:
-    """The module-wide shard executor, grown (never shrunk) to ``workers``.
+    """The module-wide pool, grown (never shrunk) to ``workers``.
 
-    Fork context where available, shared across :class:`ShardExecutor`
-    instances so repeated runs pay the fork cost once, warmed at creation.
+    Fork context where available, shared across runs so repeated runs pay
+    the fork cost once, warmed at creation.
     """
     global _EXECUTOR, _EXECUTOR_SIZE
     with _EXECUTOR_LOCK:
@@ -826,53 +539,29 @@ def _discard_executor() -> None:
 
 
 def shutdown_shard_executor() -> None:
-    """Tear down the shared shard executor (test isolation)."""
+    """Tear down the shared pool (test isolation)."""
     _discard_executor()
 
 
-def _shard_worker(blob: bytes) -> bytes:
-    """Worker entry: codec-encoded config in, codec-encoded result out.
+def _run_groups(
+    tasks: Sequence[Callable[[], GroupResult]], workers: int
+) -> tuple[list[GroupResult], bool]:
+    """Every group task's result, in task order, and whether the pool broke.
 
-    Bytes are the only thing crossing the boundary in either direction:
-    no live objects, no key material (the worker re-derives the group
-    from the seed).
+    One worker runs the tasks inline; more submit them to the pool.  A
+    broken pool (worker killed mid-run, fork failure) is discarded and the
+    batch completes inline: one-after-the-other wall clock, the same
+    results, because the inline path runs the very tasks the workers were
+    sent.
     """
-    from repro.net import codec
-
-    return codec.encode(_run_group_config(codec.decode(blob)))
-
-
-class ShardExecutor:
-    """Run group configs in worker processes, one group per task.
-
-    A broken pool (worker killed mid-run, fork failure) marks the
-    instance ``broken``, discards the shared executor and completes the
-    batch inline — degraded to one-after-the-other wall clock,
-    byte-identical results (the inline path decodes the very blobs the workers would
-    have received, so even the codec round-trip is shared).
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("ShardExecutor needs at least one worker")
-        self.workers = workers
-        self.broken = False
-        _get_executor(workers)  # pre-fork before any event loop exists
-
-    def run(self, configs: Sequence[tuple]) -> list[tuple]:
-        """Execute every config; results in config order."""
-        from repro.net import codec
-
-        blobs = [codec.encode(config) for config in configs]
-        if not self.broken:
-            try:
-                executor = _get_executor(self.workers)
-                futures = [executor.submit(_shard_worker, blob) for blob in blobs]
-                return [codec.decode(future.result()) for future in futures]
-            except BrokenProcessPool:
-                self.broken = True
-                _discard_executor()
-        return [_run_group_config(codec.decode(blob)) for blob in blobs]
+    if workers > 1:
+        try:
+            executor = _get_executor(workers)
+            futures = [executor.submit(task) for task in tasks]
+            return [future.result() for future in futures], False
+        except BrokenProcessPool:
+            _discard_executor()
+    return [task() for task in tasks], workers > 1
 
 
 # -- the one-call service entry point ------------------------------------------------
@@ -885,9 +574,8 @@ class ShardReport:
     universe: int
     groups: int
     group_sizes: tuple[int, ...]
-    #: Group runs in flight at once, as resolved: 1 ran them inline, more
-    #: ran them in a :class:`ShardExecutor` pool of that size.
-    workers: int
+    #: Cores the host offered this process when the groups started.
+    cores: int
     transport: str
     epochs: int
     rounds_per_epoch: int
@@ -902,9 +590,10 @@ class ShardReport:
     executor_fallback: bool = False
 
     @property
-    def mode(self) -> str:
-        """Where the groups ran: ``"sequential"`` inline, ``"process"`` pooled."""
-        return "sequential" if self.workers == 1 else "process"
+    def workers(self) -> int:
+        """Group runs in flight at once: 1 ran them inline, more ran them
+        in the shared pool."""
+        return min(self.groups, self.cores)
 
     @property
     def agreed(self) -> bool:
@@ -932,18 +621,16 @@ def run_sharded(
     seed: int = 0,
     params: str = "TESTING",
     timeout: float = 120.0,
-    workers: Optional[int] = None,
     churn: Optional[str] = None,
     chaos: Optional[str] = None,
     crash: Optional[dict] = None,
 ) -> ShardReport:
     """Run k DKG groups to one combined randomness service.
 
-    Every group runs on a ``transport`` of its own.  ``workers`` is how
-    many run at once: ``None`` resolves to ``min(groups, usable cores)``;
-    1 runs them inline one after the other, more in a
-    :class:`ShardExecutor` pool — per-group results are byte-identical
-    either way.
+    Every group runs on a ``transport`` of its own, ``min(groups, usable
+    cores)`` at once: one runs them inline one after the other, more in
+    the shared fork pool — per-group results are byte-identical either
+    way.
 
     ``churn`` is a :func:`~repro.service.membership.parse_churn` schedule
     every group follows on its local indices (``""``: a proactive refresh;
@@ -952,37 +639,49 @@ def run_sharded(
     :class:`~repro.storage.recovery.CrashPlan`'s ``indices`` / ``after`` /
     ``delay``.  The overlays cover the whole run (the crash: its first
     epoch) without churn, every handoff epoch with it (DESIGN §12).
+    Malformed arguments raise ``ValueError`` before any group starts, the
+    crash's ranges when its plan is built.
     """
+    if transport not in TRANSPORT_KINDS:
+        raise ValueError(f"unknown transport {transport!r}; choose from {TRANSPORT_KINDS}")
+    if rounds_per_epoch < 1:
+        raise ValueError("rounds_per_epoch must be >= 1")
+    if not 1 <= epochs <= SESSION_STRIDE:
+        raise ValueError(f"epochs must be in [1, {SESSION_STRIDE}], got {epochs}")
+    if not timeout > 0:
+        raise ValueError(f"timeout must be > 0, got {timeout}")
+    chaos_spec = None if chaos is None else ChaosSpec.parse(chaos)
+    events = parse_churn(churn) if churn else ()
     coordinator = GroupCoordinator(
         universe, groups, group_f=group_f, seed=seed, params=params
     )
-    if workers is None:
-        workers = min(len(coordinator.groups), _usable_cores())
-    configs = [
-        coordinator.group_config(
-            group,
+    # One schedule per group size, every group on its local indices.
+    schedules = {
+        n: MembershipSchedule.build(n, epochs, events, base_f=group_f)
+        for n in set(coordinator.group_sizes)
+        if churn is not None
+    }
+    tasks = [
+        partial(
+            _run_group,
+            group.gid,
+            group.members,
+            f=group_f,
+            seed=seed,
+            params=params,
             epochs=epochs,
             rounds_per_epoch=rounds_per_epoch,
             transport=transport,
             timeout=timeout,
-            churn=churn,
-            chaos=chaos,
+            schedule=schedules.get(group.n),
+            chaos=chaos_spec,
             crash=crash,
         )
         for group in coordinator.groups
     ]
-    executor_fallback = False
+    cores = _usable_cores()
     started = time.perf_counter()
-    if workers == 1:
-        raws = [_run_group_config(config) for config in configs]
-    else:
-        executor = ShardExecutor(workers)
-        raws = executor.run(configs)
-        executor_fallback = executor.broken
-    group_results = [
-        _group_result_from_raw(group, raw)
-        for group, raw in zip(coordinator.groups, raws)
-    ]
+    group_results, executor_fallback = _run_groups(tasks, min(groups, cores))
     wall_clock_s = time.perf_counter() - started
 
     sharded = ShardedBeacon(coordinator.groups, churn=churn is not None)
@@ -995,7 +694,7 @@ def run_sharded(
         universe=universe,
         groups=groups,
         group_sizes=coordinator.group_sizes,
-        workers=workers,
+        cores=cores,
         transport=transport,
         epochs=epochs,
         rounds_per_epoch=rounds_per_epoch,

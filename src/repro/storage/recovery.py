@@ -27,6 +27,7 @@ The pieces, bottom-up:
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -161,6 +162,8 @@ class CrashPlan:
     later (rounds on ``sim``, seconds on realtime) each is rehydrated via
     :func:`recover_party` and reattached.  The recorders stay attached, so
     the store outlives the epoch: use the plan as a context manager.
+    ``after`` is an ``int`` >= 0 and ``delay`` finite and >= 0 (a crashed
+    party comes back), else ``ValueError``.
     """
 
     def __init__(
@@ -176,6 +179,10 @@ class CrashPlan:
         fsync: bool = False,
         timeout: float = 120.0,
     ) -> None:
+        if type(after) is not int or after < 0:
+            raise ValueError(f"crash after must be an int >= 0, got {after!r}")
+        if not (math.isfinite(delay) and delay >= 0):
+            raise ValueError(f"recovery delay must be finite and >= 0, got {delay!r}")
         indices = tuple(dict.fromkeys(indices))
         if not indices:
             raise ValueError("crash indices must name at least one party")

@@ -133,6 +133,38 @@ def test_beacon_chain_is_genesis_rooted_and_tamper_evident():
     assert not beacon.verify_chain(outputs, {**transcripts, 0: reversed_shares})
 
 
+def test_chains_out_of_position_fail_both_verifiers():
+    """Valid values with valid ``prev`` links still fail when their
+    positions do not walk the epochs in order: a repeated round 0 of
+    epoch 0, epoch 1 before epoch 0, and the empty chain."""
+    from repro.service import run_churn
+    from repro.service.beacon import emit_rounds
+    from repro.service.membership import ChurnBeacon
+
+    def bad_chains(setup_of, transcript_of):
+        first = emit_rounds(setup_of(0), transcript_of(0), None, 0, 1, GENESIS)
+        repeat = emit_rounds(setup_of(0), transcript_of(0), None, 0, 1, first[0].value)
+        late = emit_rounds(setup_of(1), transcript_of(1), None, 1, 2, GENESIS)
+        early = emit_rounds(setup_of(0), transcript_of(0), None, 0, 2, late[-1].value)
+        return {"repeated round": first + repeat, "epoch 1 first": late + early, "empty": []}
+
+    setup, driver = _driver(epochs=2)
+    transcripts = {r.epoch: r.transcript for r in driver.run()}
+    beacon = RandomnessBeacon(setup, rounds_per_epoch=1)
+    for epoch in (0, 1):
+        beacon.emit_epoch(epoch, transcripts[epoch])
+    assert beacon.verify_chain(beacon.outputs, transcripts)
+    for case, chain in bad_chains(lambda e: setup, transcripts.get).items():
+        assert not beacon.verify_chain(chain, transcripts), case
+
+    churn = run_churn(4, epochs=2, seed=1)
+    membership, contexts = churn.membership, churn.membership.contexts
+    assert ChurnBeacon.verify_chain(churn.outputs, contexts)
+    chains = bad_chains(membership.setups.get, lambda e: contexts[e][1])
+    for case, chain in chains.items():
+        assert not ChurnBeacon.verify_chain(chain, contexts), case
+
+
 def test_beacon_value_is_unique_across_signer_subsets():
     """Definition 2: any f+1 shares combine to the same beacon value."""
     setup, driver = _driver(n=4, epochs=1)

@@ -11,6 +11,7 @@ from repro.service.membership import (
     MembershipSchedule,
     parse_churn,
 )
+from repro.service import shards
 from repro.service.shards import ShardedBeacon
 
 # The acceptance schedule: >=2 joins, >=2 leaves, one threshold change,
@@ -160,9 +161,9 @@ _SHARDED_CHURN = dict(universe=10, groups=2, group_f=1, seed=1)
 
 @pytest.fixture(scope="module")
 def sharded_churn_report():
-    return run_sharded(
-        epochs=3, churn="join:4@1;leave:0@2", workers=1, **_SHARDED_CHURN
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shards, "_usable_cores", lambda: 1)  # inline
+        return run_sharded(epochs=3, churn="join:4@1;leave:0@2", **_SHARDED_CHURN)
 
 
 def _sharded_churn_verifier():

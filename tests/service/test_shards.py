@@ -1,6 +1,9 @@
 """Sharded scale-out: coordinator, inline ≡ pooled identity, aggregated beacon."""
 
+import contextlib
 import dataclasses
+import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,19 +13,26 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.service import (
     GroupCoordinator,
     ShardedBeacon,
-    ShardExecutor,
     run_sharded,
 )
 from repro.service import shards as shards_mod
 from repro.service.shards import (
     SESSION_STRIDE,
-    _group_result_from_raw,
-    _run_group_config,
+    _run_groups,
     group_seed,
     make_shard_group,
     partition_universe,
     shutdown_shard_executor,
 )
+
+
+@contextlib.contextmanager
+def cores(count):
+    """Run the block as if the host offered ``count`` usable cores: 1 runs
+    the groups inline, more in the pool."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shards_mod, "_usable_cores", lambda: count)
+        yield
 
 
 # -- partitioning and the coordinator --------------------------------------------------
@@ -100,41 +110,39 @@ ANCHOR_COMBINED = [
 
 @pytest.fixture(scope="module")
 def path_reports():
-    """The same run on both paths, by ``ShardReport.mode``: inline
-    (``"sequential"``) and pooled (``"process"``)."""
+    """The same run on both paths: ``"inline"`` and ``"pooled"``."""
     reports = {}
-    for workers in (1, 2):  # inline, then the pool
-        report = run_sharded(
-            universe=8, groups=2, epochs=2, workers=workers, seed=0, timeout=120.0
-        )
-        reports[report.mode] = report
+    for path, count in (("inline", 1), ("pooled", 2)):
+        with cores(count):
+            reports[path] = run_sharded(
+                universe=8, groups=2, epochs=2, seed=0, timeout=120.0
+            )
     shutdown_shard_executor()
-    assert sorted(reports) == ["process", "sequential"]
+    assert [report.workers for report in reports.values()] == [1, 2]
     return reports
 
 
 def test_all_modes_agree_and_verify(path_reports):
-    for mode, report in path_reports.items():
-        assert report.agreed, mode
-        assert report.all_verified, mode
+    for path, report in path_reports.items():
+        assert report.agreed, path
+        assert report.all_verified, path
         assert len(report.group_results) == 2
 
 
 def test_per_group_protocol_metrics_identical_inline_and_pooled(path_reports):
-    reference = path_reports["sequential"]
-    for mode in ("sequential", "process"):
-        report = path_reports[mode]
+    reference = path_reports["inline"]
+    for path, report in path_reports.items():
         assert [
             (m.words_total, m.messages_total, m.deliveries)
             for m in (result.metrics for result in report.group_results)
-        ] == ANCHOR_TOTALS, mode
+        ] == ANCHOR_TOTALS, path
         for expected, actual in zip(
             reference.group_results, report.group_results
         ):
             # summary() covers words/messages/bytes/deliveries/max_depth,
             # the per-layer/per-type breakdowns and the verify/pairing
             # work counters — all byte-identical by construction.
-            assert actual.metrics.summary() == expected.metrics.summary(), mode
+            assert actual.metrics.summary() == expected.metrics.summary(), path
         assert (
             report.merged.summary()["words_total"]
             == reference.merged.summary()["words_total"]
@@ -145,8 +153,9 @@ def test_group_totals_are_invariant_in_k(path_reports):
     """Group 0's run is a pure function of (universe seed, gid, group
     size): alone (k = 1) it spends the words and messages it spends
     beside a second group (k = 2), and the merge is the per-group sum."""
-    alone = run_sharded(universe=4, groups=1, epochs=2, workers=1, seed=0)
-    paired = path_reports["sequential"]
+    alone = run_sharded(universe=4, groups=1, epochs=2, seed=0)
+    assert alone.workers == 1  # one group never builds the pool
+    paired = path_reports["inline"]
     (solo,), first = alone.group_results, paired.group_results[0]
     assert len(solo.members) == len(first.members) == 4
     assert solo.metrics.words_total == first.metrics.words_total > 0
@@ -159,32 +168,32 @@ def test_group_totals_are_invariant_in_k(path_reports):
 
 
 def test_transcripts_and_beacon_streams_identical_inline_and_pooled(path_reports):
-    reference = path_reports["sequential"]
+    reference = path_reports["inline"]
     groups = GroupCoordinator(8, 2, seed=0).groups
-    for mode in ("sequential", "process"):
-        report = path_reports[mode]
-        assert [output.value for output in report.combined] == ANCHOR_COMBINED, mode
+    for path, report in path_reports.items():
+        assert [output.value for output in report.combined] == ANCHOR_COMBINED, path
         for group, expected, actual in zip(
             groups, reference.group_results, report.group_results
         ):
             encode = group.setup.directory.pair_group.encode_element
             assert [
                 encode(r.public_key).hex() for r in actual.epoch_results
-            ] == ANCHOR_KEYS[group.gid], mode
+            ] == ANCHOR_KEYS[group.gid], path
             assert actual.members == expected.members
             assert [r.transcript for r in actual.epoch_results] == [
                 r.transcript for r in expected.epoch_results
-            ], mode
-            assert actual.outputs == expected.outputs, mode
-        assert report.combined == reference.combined, mode
+            ], path
+            assert actual.outputs == expected.outputs, path
+        assert report.combined == reference.combined, path
 
 
 def test_process_mode_did_not_fall_back(path_reports):
-    assert path_reports["process"].executor_fallback is False
+    assert path_reports["pooled"].executor_fallback is False
 
 
 def test_k8_inline_run_completes_with_all_groups_agreeing():
-    report = run_sharded(universe=24, groups=8, epochs=1, workers=1)
+    with cores(1):
+        report = run_sharded(universe=24, groups=8, epochs=1)
     assert len(report.group_results) == 8
     assert report.agreed
     assert report.all_verified
@@ -198,15 +207,17 @@ def test_k8_inline_run_completes_with_all_groups_agreeing():
 
 def test_groups_under_churn_are_identical_inline_and_pooled():
     """k groups run what one committee runs: the membership schedule —
-    under chaos, with a mid-handoff crash — goes through the same config
-    tuple and the same pool as the fresh-key epochs."""
+    under chaos, with a mid-handoff crash — goes through the same group
+    task and the same pool as the fresh-key epochs."""
     config = dict(
         universe=10, groups=2, epochs=3, churn="join:4@1;leave:0@2", group_f=1,
         chaos="drop:0.05", crash={"indices": (2,), "after": 12, "delay": 4.0},
         seed=1,
     )  # fmt: skip
-    inline = run_sharded(workers=1, **config)
-    pooled = run_sharded(workers=2, **config)
+    with cores(1):
+        inline = run_sharded(**config)
+    with cores(2):
+        pooled = run_sharded(**config)
     shutdown_shard_executor()
     assert inline.all_verified and pooled.all_verified
     assert not pooled.executor_fallback
@@ -230,9 +241,9 @@ def test_groups_under_churn_are_identical_inline_and_pooled():
 
 
 def test_a_crash_overlay_reaches_every_group(monkeypatch):
-    """The crash is in the run, not just in the config: one plan per group
-    in the first fresh-key epoch, one per group per handoff under churn,
-    each having crashed and rehydrated its party."""
+    """The crash is in the run, not just in the arguments: one plan per
+    group in the first fresh-key epoch, one per group per handoff under
+    churn, each having crashed and rehydrated its party."""
     from repro.service import membership as membership_mod
     from repro.storage import CrashPlan
 
@@ -245,8 +256,9 @@ def test_a_crash_overlay_reaches_every_group(monkeypatch):
 
     monkeypatch.setattr(shards_mod, "CrashPlan", Recorded)
     monkeypatch.setattr(membership_mod, "CrashPlan", Recorded)
+    monkeypatch.setattr(shards_mod, "_usable_cores", lambda: 1)
     crash = {"indices": (1,), "after": 12, "delay": 7.0}
-    config = dict(universe=8, groups=2, workers=1, seed=0, crash=crash)
+    config = dict(universe=8, groups=2, seed=0, crash=crash)
     assert run_sharded(epochs=2, **config).all_verified
     assert fired == [(0, 7.0, {1}), (SESSION_STRIDE, 7.0, {1})]
     fired.clear()
@@ -261,39 +273,44 @@ def test_two_groups_over_tcp_match_the_simulator():
     per-run framing differs); at f=0 every party folds all n seeded
     contributions, making the agreed transcripts schedule-independent.
     """
-    config = dict(universe=8, groups=2, group_f=0, seed=4, workers=1)
-    sim = run_sharded(transport="sim", **config)
-    tcp = run_sharded(transport="tcp", timeout=60.0, **config)
+    config = dict(universe=8, groups=2, group_f=0, seed=4)
+    with cores(1):
+        sim = run_sharded(transport="sim", **config)
+        tcp = run_sharded(transport="tcp", timeout=60.0, **config)
     assert tcp.all_verified
     for expected, actual in zip(sim.group_results, tcp.group_results):
         assert actual.epoch_results[0].outputs == expected.epoch_results[0].outputs
     assert tcp.combined == sim.combined
 
 
-@pytest.mark.parametrize("cores, expected", [(1, 1), (64, 3)])
-def test_workers_default_is_derived_from_the_host(monkeypatch, cores, expected):
-    """``workers=None`` is ``min(groups, usable cores)``; 1 runs inline
+class _InlineFuture:
+    def __init__(self, task):
+        self._task = task
+
+    def result(self):
+        return self._task()
+
+
+@pytest.mark.parametrize("usable, expected", [(1, 1), (64, 3)])
+def test_workers_default_is_derived_from_the_host(monkeypatch, usable, expected):
+    """The worker count is ``min(groups, usable cores)``; 1 runs inline
     and never builds the pool."""
     made = []
 
-    class _Inline:
-        broken = False
+    class _Pool:
+        def submit(self, task):
+            return _InlineFuture(task)
 
-        def __init__(self, workers):
-            made.append(workers)
+    def get_executor(workers):
+        made.append(workers)
+        return _Pool()
 
-        def run(self, configs):
-            return [_run_group_config(config) for config in configs]
-
-    monkeypatch.setattr(shards_mod, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(shards_mod, "ShardExecutor", _Inline)
+    monkeypatch.setattr(shards_mod, "_usable_cores", lambda: usable)
+    monkeypatch.setattr(shards_mod, "_get_executor", get_executor)
     report = run_sharded(universe=9, groups=3)
     assert report.workers == expected and report.all_verified
     assert made == ([] if expected == 1 else [3])
-    assert report.mode == ("sequential" if expected == 1 else "process")
-    made.clear()
-    run_sharded(universe=9, groups=3, workers=1)
-    assert made == []
+    assert report.executor_fallback is False
 
 
 # -- the aggregated beacon -------------------------------------------------------------
@@ -301,7 +318,8 @@ def test_workers_default_is_derived_from_the_host(monkeypatch, cores, expected):
 
 @pytest.fixture(scope="module")
 def sequential_report():
-    return run_sharded(universe=6, groups=2, epochs=1, workers=1, seed=2)
+    with cores(1):
+        return run_sharded(universe=6, groups=2, epochs=1, seed=2)
 
 
 def test_combined_value_hashes_every_groups_contribution(sequential_report):
@@ -363,12 +381,7 @@ def test_misaligned_streams_are_rejected(sequential_report):
     assert not beacon.verify(report.group_results[:1], report.combined)
 
 
-# -- the process executor --------------------------------------------------------------
-
-
-def test_executor_requires_a_worker():
-    with pytest.raises(ValueError):
-        ShardExecutor(0)
+# -- the pool and the arguments -------------------------------------------------------
 
 
 def test_broken_pool_falls_back_inline_with_identical_results(monkeypatch):
@@ -377,7 +390,7 @@ def test_broken_pool_falls_back_inline_with_identical_results(monkeypatch):
             raise BrokenProcessPool("worker died")
 
     class _BrokenExecutor:
-        def submit(self, fn, *args):
+        def submit(self, task):
             return _BrokenFuture()
 
     monkeypatch.setattr(
@@ -387,92 +400,92 @@ def test_broken_pool_falls_back_inline_with_identical_results(monkeypatch):
     monkeypatch.setattr(
         shards_mod, "_discard_executor", lambda: discarded.append(True)
     )
-    coordinator = GroupCoordinator(6, 2, seed=2)
-    configs = [
-        coordinator.group_config(
-            group, epochs=1, rounds_per_epoch=2, transport="sim", timeout=60.0
-        )
-        for group in coordinator.groups
+    shared = dict(
+        f=None, seed=2, params="TESTING", epochs=1, rounds_per_epoch=2,
+        transport="sim", timeout=60.0, schedule=None, chaos=None, crash=None,
+    )  # fmt: skip
+    tasks = [
+        partial(shards_mod._run_group, group.gid, group.members, **shared)
+        for group in GroupCoordinator(6, 2, seed=2).groups
     ]
-    executor = ShardExecutor(2)
-    raws = executor.run(configs)
-    assert executor.broken is True
+    results, fallback = _run_groups(tasks, 2)
+    assert fallback is True
     assert discarded == [True]
-    # Degraded, not different: the inline path produced the exact
-    # results the workers would have (all but the wall-clock field).
-    direct = [_run_group_config(config) for config in configs]
-    assert [raw[:6] for raw in raws] == [raw[:6] for raw in direct]
-    results = [
-        _group_result_from_raw(group, raw)
-        for group, raw in zip(coordinator.groups, raws)
-    ]
+    # Degraded, not different: the inline path ran the very tasks the
+    # workers were sent, and produced what a direct run produces.
+    direct, direct_fallback = _run_groups(tasks, 1)
+    assert direct_fallback is False and discarded == [True]
     assert all(result.agreed for result in results)
-    # Once broken, later batches go straight to the inline path.
-    assert executor.run(configs[:1])[0][:6] == raws[0][:6]
+    for expected, actual in zip(direct, results):
+        assert actual.gid == expected.gid and actual.members == expected.members
+        assert actual.epoch_results == expected.epoch_results
+        assert actual.outputs == expected.outputs
+        assert actual.metrics.summary() == expected.metrics.summary()
 
 
-#: Replacements for one field of a tuple crossing the process boundary:
-#: wrong types, out-of-range values, and small valid ones (a mutant that
-#: is still well formed runs for real, so nothing here is large).
-_FIELD_MUTANTS = st.one_of(
-    st.sampled_from([None, True, 1.5, -1.0, "x", "sim", b"", (), (None,), {}, {"x": None}]),
-    st.integers(-2, 5),
-    st.tuples(st.integers(-1, 9), st.integers(-1, 9), st.integers(0, 9), st.integers(0, 9)),
+#: One malformed value for each argument ``run_sharded`` checks before a
+#: group starts (at ``universe=8, groups=2, epochs=2``: two groups of 4).
+_UPFRONT = st.one_of(
+    st.tuples(st.just("universe"), st.integers(-3, 1)),
+    st.tuples(st.just("groups"), st.integers(-3, 0) | st.integers(9, 12)),
+    st.tuples(st.just("group_f"), st.integers(2, 6)),
+    st.tuples(
+        st.just("epochs"),
+        st.integers(-3, 0) | st.integers(SESSION_STRIDE + 1, 2 * SESSION_STRIDE),
+    ),
+    st.tuples(st.just("rounds_per_epoch"), st.integers(-3, 0)),
+    st.tuples(
+        st.just("transport"),
+        st.text(max_size=6).filter(lambda kind: kind not in ("sim", "asyncio", "tcp")),
+    ),
+    st.tuples(st.just("timeout"), st.sampled_from([0.0, -1.0, -math.inf, math.nan])),
+    st.tuples(
+        st.just("chaos"),
+        st.sampled_from(["drop", "drop:2", "delay:inf@1-9", "partition:0|1", "x:1"]),
+    ),
+    st.tuples(
+        st.just("churn"),
+        st.sampled_from(["grow:1@1", "join:4@1", "leave:0@1", "threshold:2@1", "join:2@2"]),
+    ),
+)
+#: A crash whose ranges :class:`CrashPlan` refuses when a group builds it.
+_BAD_CRASH = st.builds(
+    lambda after, delay: {"indices": (1,), "after": after, "delay": delay},
+    st.sampled_from([-5, -1, True, 1.5]) | st.just(12),
+    st.sampled_from([-1.0, math.inf, math.nan]),
+) | st.builds(
+    lambda after: {"indices": (1,), "after": after, "delay": 4.0},
+    st.sampled_from([-5, -1, True, 1.5]),
 )
 
 
-def test_malformed_configs_and_results_are_rejected():
-    with pytest.raises(ValueError):
-        _run_group_config(("not-a-shard-config",))
-    group = make_shard_group(0, 4, None, seed=0)
-    with pytest.raises(ValueError):
-        _group_result_from_raw(group, ("shard-result", 1, 99))
+def test_malformed_arguments_raise_before_any_group_starts(monkeypatch):
+    started = []
+    real = shards_mod._run_group
 
-    coordinator = GroupCoordinator(4, 1, seed=0)
-    config = coordinator.group_config(
-        coordinator.groups[0], epochs=1, rounds_per_epoch=1, transport="sim", timeout=60.0
-    )
-    raw = _run_group_config(config)
-    assert _group_result_from_raw(group, raw).agreed
+    def recorded(gid, members, **shared):
+        started.append(gid)
+        return real(gid, members, **shared)
 
-    def mutated(valid, path, value):
-        """``valid`` with the field at ``path`` (tuple indices, then a
-        dict key for the metrics view) replaced."""
-        head, rest = path[0], path[1:]
-        inner = mutated(valid[head], rest, value) if rest else value
-        if isinstance(valid, dict):
-            return {**valid, head: inner}
-        return valid[:head] + (inner,) + valid[head + 1 :]
+    monkeypatch.setattr(shards_mod, "_run_group", recorded)
+    monkeypatch.setattr(shards_mod, "_usable_cores", lambda: 1)
+    valid = dict(universe=8, groups=2, epochs=2, seed=0)
 
-    # Every field of the config, then of the result: its top level, one
-    # epoch row, one beacon row, and the metrics view's entries.
-    config_paths = [(i,) for i in range(len(config))]
-    result_paths = (
-        [(i,) for i in range(len(raw))]
-        + [(3, 0, i) for i in range(len(raw[3][0]))]
-        + [(4, 0, i) for i in range(len(raw[4][0]))]
-        + [(5, key) for key in raw[5]]
-    )
+    @settings(max_examples=120, deadline=None)
+    @given(_UPFRONT)
+    def upfront_fails_before_a_group_starts(malformed):
+        name, value = malformed
+        with pytest.raises(ValueError):
+            run_sharded(**{**valid, name: value})
+        assert started == []
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(config_paths), _FIELD_MUTANTS)
-    def config_fails_closed(path, value):
-        try:
-            result = _run_group_config(mutated(config, path, value))
-        except ValueError as error:
-            assert "malformed shard config" in str(error)
-        else:
-            assert result[0] == "shard-result"
+    @settings(max_examples=20, deadline=None)
+    @given(_BAD_CRASH)
+    def crash_fails_when_its_plan_is_built(crash):
+        with pytest.raises(ValueError, match="crash after|recovery delay"):
+            run_sharded(**valid, crash=crash)
+        assert started == [0]  # the first group built the plan and stopped
+        started.clear()
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(result_paths), _FIELD_MUTANTS)
-    def result_fails_closed(path, value):
-        try:
-            result = _group_result_from_raw(group, mutated(raw, path, value))
-        except ValueError as error:
-            assert "malformed shard result" in str(error)
-        else:
-            assert result.gid == group.gid
-
-    config_fails_closed()
-    result_fails_closed()
+    upfront_fails_before_a_group_starts()
+    crash_fails_when_its_plan_is_built()

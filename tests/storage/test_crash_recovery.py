@@ -248,6 +248,34 @@ def test_recovery_rejects_out_of_range_indices():
         run_crash_recovery(transport="sim", n=4, crash_indices=[9])
 
 
+@pytest.mark.parametrize(
+    "plan",
+    [
+        {"recovery_delay": -1.0},  # reattached at the crash instant
+        {"crash_after": -5},  # crashed at t = 0
+        {"crash_after": True},
+        {"crash_after": 12.5},
+        {"recovery_delay": float("inf")},  # reattached only at quiescence
+        {"recovery_delay": float("nan")},
+    ],
+)
+def test_crash_plan_refuses_out_of_range_after_and_delay(plan):
+    """``CrashPlan`` checks its own ranges, so every driver that builds
+    one (a single committee, a churn handoff, a shard group) refuses a
+    crash that would not crash and come back."""
+    from repro.service import run_churn
+
+    with pytest.raises(ValueError, match="crash after|recovery delay"):
+        run_crash_recovery(transport="sim", n=4, seed=1, **plan)
+    crash = {
+        "indices": (1,),
+        "after": plan.get("crash_after", 12),
+        "delay": plan.get("recovery_delay", 4.0),
+    }
+    with pytest.raises(ValueError, match="crash after|recovery delay"):
+        run_churn(4, epochs=2, crash={1: crash})
+
+
 def test_nwh_fault_journals_are_bounded():
     """Duplicate Byzantine fault messages must not grow the journals
     (and therefore the freeze() blobs) without bound."""

@@ -121,6 +121,15 @@ def test_beacon_rejects_bad_depth(capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_beacon_refuses_pipeline_depth_beside_groups_or_churn(capsys):
+    """Sharded and churned epochs run one at a time: an explicit
+    ``--pipeline-depth`` there would be ignored, so it is refused."""
+    for extra in (["--groups", "2", "--group-size", "4"], ["--churn", "join:4@1"]):
+        assert main(["beacon", "--pipeline-depth", "3", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--pipeline-depth" in err
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
