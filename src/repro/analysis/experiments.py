@@ -1,10 +1,12 @@
 """The experiment index E1-E18: one function per experiment, one harness.
 
+E15 is retired and its number stays unused.
+
 Each ``eN_*`` function takes its grid as plain arguments, runs seeded
 simulations and returns a :class:`Section`: the paper's claim, the
 deterministic rows that bear on it, and named boolean *checks* (fitted
 exponent bounds, ratios, agreement, key invariance) stated beside the
-rows that show them.  :func:`run_experiments` calls all eighteen at
+rows that show them.  :func:`run_experiments` calls all seventeen at
 EXPERIMENTS.md size; ``tests/analysis/test_experiments.py`` calls the
 same functions at CI size inside the tier-1 suite and asserts every
 check; ``python -m repro.analysis.experiments`` renders
@@ -910,25 +912,6 @@ def e14_crash_recovery(
     )
 
 
-def e15_retired_pool() -> Section:
-    return Section(
-        "E15",
-        "Retired: process-pool verification",
-        "A second verification plane (worker processes behind the verify cache)\n"
-        "was measured and deleted: it never beat in-process verification.  The\n"
-        "last committed ratios of in-process wall clock over pool wall clock\n"
-        "were 0.49 / 0.53 / 0.67 / 0.82 at n = 10 / 25 / 50 / 100 with four\n"
-        "worker processes and 0.62 at n = 10 with two; protocol totals were\n"
-        "identical in both planes.  Shipping a check costs about what doing it\n"
-        "costs — DESIGN.md section 10 keeps that accounting and names the\n"
-        "condition for revisiting.",
-        (),
-        [],
-        (),
-        {},
-    )
-
-
 def e16_chaos(n: int, seed: int, realtime: Sequence[str]) -> Section:
     f = max(1, (n - 1) // 3)
 
@@ -1205,7 +1188,7 @@ def e18_churn(seed: int, rotation_epochs: int, realtime: Sequence[str]) -> Secti
 
 
 def run_experiments() -> list[Section]:
-    """All eighteen at EXPERIMENTS.md size (``test_run_experiments`` runs
+    """All seventeen at EXPERIMENTS.md size (``test_run_experiments`` runs
     the same functions at CI size)."""
     return [
         e1_broadcast(n_fixed=7, ms=(16, 64, 256, 1024), ns=(4, 7, 13, 25), m_small=4, m_big=512),
@@ -1222,7 +1205,6 @@ def run_experiments() -> list[Section]:
         e12_hotpath(ns=(4, 10, 16, 25), seed=1),
         e13_pipelining(n=7, epochs=4, depths=(1, 2, 3)),
         e14_crash_recovery(n=4, seed=1, cadences=(8, 64), delays=(3.0, 12.0)),
-        e15_retired_pool(),
         e16_chaos(n=4, seed=1, realtime=("tcp",)),
         e17_shards(ks=(1, 2, 4, 8), group_n=10),
         e18_churn(seed=2, rotation_epochs=8, realtime=("asyncio", "tcp")),
@@ -1233,7 +1215,7 @@ HEADER = """\
 # EXPERIMENTS — paper vs measured
 
 Regenerated by `python -m repro.analysis.experiments`
-(`run_experiments()`); the tier-1 suite runs the same eighteen functions at
+(`run_experiments()`); the tier-1 suite runs the same seventeen functions at
 CI size (`tests/analysis/test_experiments.py`) and CI diffs this file
 against a fresh run.  All runs are seeded and every column is a
 deterministic function of the code; wall clock lives in `python3 -m

@@ -16,6 +16,7 @@ Two orthogonal powers, matching the threat model of Section 2.1:
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from typing import Callable, Iterable, Optional
 
@@ -26,11 +27,12 @@ from repro.net.payload import Payload
 class Behavior:
     """Byzantine behaviour hook for one corrupted party.
 
-    ``transform_outgoing`` may return any list of envelopes (empty to
-    drop), but the party speaks only as itself: the transport drops an
-    envelope naming another sender (``adversary.forged_sender``).
+    The party runs the honest stack, and ``transform_outgoing`` sees each
+    network envelope it produces: it may return any list of envelopes
+    (empty to drop), but the party speaks only as itself: the transport
+    drops an envelope naming another sender (``adversary.forged_sender``).
     ``allow_delivery`` may swallow incoming messages.  The default is
-    honest behaviour.
+    honest behaviour; a :class:`SilentBehavior` party runs no stack.
     """
 
     def transform_outgoing(self, envelope: Envelope, rng: random.Random) -> list[Envelope]:
@@ -41,7 +43,13 @@ class Behavior:
 
 
 class SilentBehavior(Behavior):
-    """Sends nothing, ever — the strongest omission fault."""
+    """Sends nothing, ever — the strongest omission fault.
+
+    Honest parties see such a party only through its silence, so it runs
+    no protocol stack: ``Transport.build_party`` returns it halted, and a
+    reattach without a replacement leaves it so.  Deliveries addressed to
+    it are still scheduled, passed through ``allow_delivery`` and counted.
+    """
 
     def transform_outgoing(self, envelope: Envelope, rng: random.Random) -> list[Envelope]:
         return []
@@ -278,8 +286,10 @@ class TargetedLagScheduler(Scheduler):
         factor: float = 10.0,
         horizon: float = 50.0,
     ) -> None:
-        if factor < 1:
-            raise ValueError("factor must be >= 1 to keep delays finite")
+        if not 1 <= factor < math.inf:
+            raise ValueError(f"factor must be finite and >= 1, got {factor!r}")
+        if math.isnan(horizon):
+            raise ValueError("horizon must not be NaN")
         self.targets = frozenset(targets)
         self.factor = factor
         self.horizon = horizon
@@ -310,8 +320,8 @@ class SessionLagScheduler(Scheduler):
     """
 
     def __init__(self, session: int, factor: float = 1000.0) -> None:
-        if factor < 1:
-            raise ValueError("factor must be >= 1 to keep delays finite")
+        if not 1 <= factor < math.inf:
+            raise ValueError(f"factor must be finite and >= 1, got {factor!r}")
         self.session = session
         self.factor = factor
 
@@ -335,8 +345,11 @@ class RandomLagScheduler(Scheduler):
     """
 
     def __init__(self, factor: float = 20.0, rate: float = 0.2) -> None:
-        if factor < 1 or not 0 <= rate <= 1:
-            raise ValueError("factor must be >= 1 and rate in [0, 1]")
+        if not (1 <= factor < math.inf and 0 <= rate <= 1):
+            raise ValueError(
+                "factor must be finite and >= 1 and rate in [0, 1], "
+                f"got {factor!r}, {rate!r}"
+            )
         self.factor = factor
         self.rate = rate
 

@@ -23,6 +23,7 @@ lives here.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 from typing import Optional
 
@@ -46,6 +47,8 @@ class AsyncioRuntime(RealtimeTransport):
         measure_bytes: bool = False,
         chaos=None,
     ) -> None:
+        if not 0 <= max_delay < math.inf:
+            raise ValueError(f"max_delay must be finite and >= 0, got {max_delay!r}")
         super().__init__(
             setup,
             behaviors,

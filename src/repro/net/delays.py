@@ -8,6 +8,7 @@ RNG so runs are reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 
 
@@ -22,8 +23,8 @@ class FixedDelay(DelayModel):
     """Every message takes exactly ``value`` time units."""
 
     def __init__(self, value: float = 1.0) -> None:
-        if value <= 0:
-            raise ValueError("delay must be positive")
+        if not 0 < value < math.inf:
+            raise ValueError(f"delay must be finite and positive, got {value!r}")
         self.value = value
 
     def delay(self, rng: random.Random, sender: int, recipient: int, time: float) -> float:
@@ -34,8 +35,8 @@ class UniformDelay(DelayModel):
     """Uniform in ``[low, high]``."""
 
     def __init__(self, low: float = 0.5, high: float = 1.5) -> None:
-        if not 0 < low <= high:
-            raise ValueError("need 0 < low <= high")
+        if not 0 < low <= high < math.inf:
+            raise ValueError(f"need 0 < low <= high < inf, got {low!r}, {high!r}")
         self.low = low
         self.high = high
 
@@ -47,8 +48,11 @@ class ExponentialDelay(DelayModel):
     """Exponential with the given mean (memoryless network)."""
 
     def __init__(self, mean: float = 1.0, floor: float = 0.01) -> None:
-        if mean <= 0 or floor < 0:
-            raise ValueError("mean must be positive")
+        if not (0 < mean < math.inf and 0 <= floor < math.inf):
+            raise ValueError(
+                "need a finite positive mean and a finite floor >= 0, "
+                f"got {mean!r}, {floor!r}"
+            )
         self.mean = mean
         self.floor = floor
 
@@ -64,8 +68,11 @@ class HeavyTailDelay(DelayModel):
     """
 
     def __init__(self, median: float = 1.0, sigma: float = 1.0) -> None:
-        if median <= 0 or sigma <= 0:
-            raise ValueError("median and sigma must be positive")
+        if not (0 < median < math.inf and 0 < sigma < math.inf):
+            raise ValueError(
+                "median and sigma must be finite and positive, "
+                f"got {median!r}, {sigma!r}"
+            )
         self.median = median
         self.sigma = sigma
 

@@ -316,7 +316,13 @@ class Party:
     # -- stack management --------------------------------------------------------------
 
     def run_root(self, protocol: Protocol, session: int = 0) -> Protocol:
-        """Install and start a session's root protocol (path ``()``)."""
+        """Install and start a session's root protocol (path ``()``).
+
+        A halted party installs nothing and returns ``protocol`` unbound:
+        it holds no session for it.
+        """
+        if self.halted:
+            return protocol
         state = self.sessions.ensure(session)
         if state.collected:
             raise RuntimeError(
@@ -467,7 +473,8 @@ class Party:
         return records
 
     def halt(self) -> None:
-        """Stop processing and sending (used by crash behaviours)."""
+        """Stop processing and sending: what a detached party's lost
+        process and a silent party (``Transport.build_party``) do."""
         self.halted = True
         self._outbox.clear()
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 from collections import deque
 from typing import Any, Callable, Optional
@@ -231,8 +232,10 @@ class Simulation(Transport):
             self._net_rng, envelope.sender, envelope.recipient, self.time
         )
         delay = self.scheduler.schedule(self._adv_rng, envelope, base, self.time)
-        if delay <= 0:
-            raise RuntimeError("scheduler produced a non-positive delay")
+        if not 0 < delay < math.inf:
+            raise RuntimeError(
+                f"drew a delay of {delay!r}; a delay must be finite and positive"
+            )
         return delay
 
     def _transmit_coalesced(

@@ -68,7 +68,7 @@ from typing import Any, Callable, Optional
 
 from repro.crypto.keys import TrustedSetup
 from repro.net import codec
-from repro.net.adversary import Behavior
+from repro.net.adversary import Behavior, SilentBehavior
 from repro.net.chaos import DELIVER as _CHAOS_DELIVER, HOLD as _CHAOS_HOLD
 from repro.net.chaos import coerce_chaos
 from repro.net.delays import FixedDelay
@@ -132,6 +132,15 @@ class Transport:
         self.n = directory.n
         self.f = directory.f
         self.behaviors = dict(behaviors or {})
+        for index, behavior in self.behaviors.items():
+            if type(index) is not int or not 0 <= index < self.n:
+                raise ValueError(
+                    f"behavior key {index!r} names no party of n={self.n}"
+                )
+            if not isinstance(behavior, Behavior):
+                raise TypeError(
+                    f"behavior of party {index} is not a Behavior: {behavior!r}"
+                )
         if len(self.behaviors) > self.f:
             raise ValueError(
                 f"cannot corrupt {len(self.behaviors)} parties with f={self.f}"
@@ -205,9 +214,12 @@ class Transport:
         Used at construction and by crash recovery: a rehydrated
         replacement must be built with byte-identical configuration
         (RNG label, directory, secret) for
-        :meth:`~repro.net.party.Party.thaw` to be exact.
+        :meth:`~repro.net.party.Party.thaw` to be exact.  A party whose
+        behaviour is a :class:`SilentBehavior` is returned halted: it runs
+        no protocol stack, and what is addressed to it is still scheduled,
+        judged and counted, then dropped at :meth:`Party.deliver`.
         """
-        return Party(
+        party = Party(
             index=index,
             n=self.n,
             f=self.f,
@@ -216,6 +228,9 @@ class Transport:
             secret=self.setup.secret(index),
             rng_label=f"party-{self.seed}-{index}",
         )
+        if isinstance(self.behaviors.get(index), SilentBehavior):
+            party.halt()
+        return party
 
     def _bind_work_counters(self, directory: Any) -> None:
         """Expose hot-path work counters as deltas over this run.
@@ -639,10 +654,10 @@ class Transport:
         ``party`` is the rehydrated replacement (built via
         :meth:`build_party` and ``thaw``-ed from durable storage); omit it
         to reattach the original in-memory object (an omission-style
-        fault with no state loss).  Parked envelopes are re-injected
-        through the normal delivery pipeline — and therefore through the
-        coalescing buffer — in arrival order.  Returns the number of parked
-        envelopes actually delivered.
+        fault with no state loss), which a silent party leaves halted.
+        Parked envelopes are re-injected through the normal delivery
+        pipeline — and therefore through the coalescing buffer — in arrival
+        order.  Returns the number of parked envelopes actually delivered.
         """
         if index not in self._detached:
             raise RuntimeError(f"party {index} is not detached")
@@ -654,7 +669,9 @@ class Transport:
                 )
             self.parties[index] = party
         else:
-            self.parties[index].halted = False
+            self.parties[index].halted = isinstance(
+                self.behaviors.get(index), SilentBehavior
+            )
         delivered = 0
         for envelope in parked:
             if self._deliver_buffered(envelope):

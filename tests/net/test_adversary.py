@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro import run_adkg
 from repro.crypto.keys import TrustedSetup
 
 from repro.net.adversary import (
@@ -15,9 +16,12 @@ from repro.net.adversary import (
     MutateBehavior,
     RandomLagScheduler,
     Scheduler,
+    SessionLagScheduler,
     SilentBehavior,
     TargetedLagScheduler,
 )
+from repro.net.asyncio_runtime import AsyncioRuntime
+from repro.net.delays import ExponentialDelay, FixedDelay, HeavyTailDelay, UniformDelay
 from repro.net.envelope import Envelope
 from repro.net.protocol import Protocol
 from repro.net.transport import make_transport
@@ -205,6 +209,71 @@ def test_random_lag_scheduler_bounds():
 
 def test_base_scheduler_is_identity():
     assert Scheduler().schedule(RNG, _env(), 2.5, 0.0) == 2.5
+
+
+# -- every delay is finite -------------------------------------------------------------
+
+INF, NAN = float("inf"), float("nan")
+
+
+class _Constant(Scheduler):
+    """Replaces every delay with ``value``: a draw no constructor vetted."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def schedule(self, rng, envelope, base_delay, time):
+        return self.value
+
+
+_SETUP = TrustedSetup.generate(4, seed=1)
+
+
+def _sim_draw(value):
+    run_adkg(n=4, seed=1, setup=_SETUP, scheduler=_Constant(value))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: TargetedLagScheduler({0}, factor=INF), ValueError),
+        (lambda: TargetedLagScheduler({0}, horizon=NAN), ValueError),
+        (lambda: SessionLagScheduler(0, factor=INF), ValueError),
+        (lambda: RandomLagScheduler(factor=NAN), ValueError),
+        (lambda: FixedDelay(INF), ValueError),
+        (lambda: FixedDelay(NAN), ValueError),
+        (lambda: UniformDelay(high=INF), ValueError),
+        (lambda: ExponentialDelay(mean=INF), ValueError),
+        (lambda: HeavyTailDelay(median=INF), ValueError),
+        (lambda: AsyncioRuntime(_SETUP, max_delay=INF), ValueError),
+        (lambda: AsyncioRuntime(_SETUP, max_delay=-1.0), ValueError),
+        (lambda: _sim_draw(INF), RuntimeError),
+        (lambda: _sim_draw(NAN), RuntimeError),
+    ],
+    ids=[
+        "targeted-factor-inf",
+        "targeted-horizon-nan",
+        "session-factor-inf",
+        "random-factor-nan",
+        "fixed-inf",
+        "fixed-nan",
+        "uniform-high-inf",
+        "exponential-mean-inf",
+        "heavytail-median-inf",
+        "asyncio-max-delay-inf",
+        "asyncio-max-delay-negative",
+        "sim-draw-inf",
+        "sim-draw-nan",
+    ],
+)
+def test_an_asynchronous_delay_is_finite(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_a_lag_horizon_may_be_infinite():
+    scheduler = TargetedLagScheduler({1}, factor=3.0, horizon=INF)
+    assert scheduler.schedule(RNG, _env(sender=1), 1.0, 1e9) == 3.0
 
 
 # -- a corrupted party speaks only as itself ------------------------------------------

@@ -23,6 +23,13 @@ use: one for a root it already decoded or marked bad, or one reaching an
 instance that has output, echoed and sent READY.  Three echoed fragments
 reached, under that run's delays, only such instances, so nobody verifies
 them; every send, delivery and round is unchanged.
+The hostile run's ``deliveries`` (2 399 → 2 337) and five ``verify_misses``
+(``cert-vote`` 21 → 18, ``cert`` 11 → 9, ``ctrbc-frag`` 44 → 37,
+``pvss-transcript`` 14 → 12, ``tvrf-evalsh`` 35 → 30) are counted by the
+commit where a silent party stopped running a protocol stack: its own
+self-deliveries and the checks it alone made are gone.  Every send, word,
+message, round and chaos count is unchanged, and so is every network
+delivery, a silent recipient's included.
 ``cap1-n4-bytes`` replaced a run on a second, per-envelope send plane that
 recorded no frames: its ``frames`` and ``wire_bytes`` are counted by the
 commit before that plane was deleted, every other entry is the deleted

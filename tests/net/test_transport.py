@@ -123,6 +123,23 @@ def test_too_many_corruptions_rejected_everywhere():
             )
 
 
+@pytest.mark.parametrize(
+    "behaviors, error",
+    [
+        ({99: SilentBehavior()}, ValueError),
+        ({-1: SilentBehavior()}, ValueError),
+        ({"a": SilentBehavior()}, ValueError),
+        ({1: "x"}, TypeError),
+    ],
+)
+def test_a_behavior_map_names_real_parties(behaviors, error):
+    """Each map fits the f = 1 budget but corrupts no party of n = 4."""
+    setup = TrustedSetup.generate(4, seed=1)
+    for kind in ("sim", "asyncio", "tcp"):
+        with pytest.raises(error):
+            make_transport(kind, setup, behaviors=behaviors)
+
+
 # -- the TCP runtime -------------------------------------------------------------------
 
 
