@@ -16,7 +16,7 @@ digest here.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"
@@ -35,11 +35,56 @@ def _encode_length(value: int) -> bytes:
     return value.to_bytes(4, "big")
 
 
+_TAG_INT_NEGATIVE = _TAG_INT + b"-"
+_TAG_INT_NON_NEGATIVE = _TAG_INT + b"+"
+
+# The three atom encoders below write their length in place: they run
+# ~27 000 times an n = 16 op, and a length of 2**32 or more raises
+# OverflowError from ``to_bytes`` instead of a ValueError.
+
+
 def _encode_int(value: int) -> bytes:
-    sign = b"-" if value < 0 else b"+"
-    magnitude = abs(value)
-    raw = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1, "big")
-    return _TAG_INT + sign + _encode_length(len(raw)) + raw
+    if value < 0:
+        sign, value = _TAG_INT_NEGATIVE, -value
+    else:
+        sign = _TAG_INT_NON_NEGATIVE
+    raw = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
+    return sign + len(raw).to_bytes(4, "big") + raw
+
+
+def _encode_bytes(value: bytes) -> bytes:
+    return _TAG_BYTES + len(value).to_bytes(4, "big") + value
+
+
+def _encode_str(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    return _TAG_STR + len(raw).to_bytes(4, "big") + raw
+
+
+def _encode_seq(value: Any) -> bytes:
+    parts = [encode(item) for item in value]
+    return _TAG_SEQ + _encode_length(len(parts)) + b"".join(parts)
+
+
+def _encode_set(value: Any) -> bytes:
+    parts = sorted(encode(item) for item in value)
+    return _TAG_SET + _encode_length(len(parts)) + b"".join(parts)
+
+
+#: Exact type -> encoder: one dict lookup per value.  A subclass of a
+#: supported type (a ``NamedTuple``, an ``IntEnum``) is encoded as its
+#: nearest supported base, as an ``isinstance`` chain would.
+_ENCODERS: dict[type, Callable[[Any], bytes]] = {
+    type(None): lambda value: _TAG_NONE,
+    bool: lambda value: _TAG_TRUE if value else _TAG_FALSE,
+    int: _encode_int,
+    bytes: _encode_bytes,
+    str: _encode_str,
+    tuple: _encode_seq,
+    list: _encode_seq,
+    set: _encode_set,
+    frozenset: _encode_set,
+}
 
 
 def encode(value: Any) -> bytes:
@@ -48,25 +93,12 @@ def encode(value: Any) -> bytes:
     Raises ``TypeError`` for unsupported types so silent ambiguity is
     impossible.
     """
-    if value is None:
-        return _TAG_NONE
-    if value is True:
-        return _TAG_TRUE
-    if value is False:
-        return _TAG_FALSE
-    if isinstance(value, int):
-        return _encode_int(value)
-    if isinstance(value, bytes):
-        return _TAG_BYTES + _encode_length(len(value)) + value
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        return _TAG_STR + _encode_length(len(raw)) + raw
-    if isinstance(value, (tuple, list)):
-        parts = [encode(item) for item in value]
-        body = b"".join(parts)
-        return _TAG_SEQ + _encode_length(len(parts)) + body
-    if isinstance(value, (set, frozenset)):
-        parts = sorted(encode(item) for item in value)
-        body = b"".join(parts)
-        return _TAG_SET + _encode_length(len(parts)) + body
-    raise TypeError(f"cannot canonically encode value of type {type(value)!r}")
+    encoder = _ENCODERS.get(type(value))
+    if encoder is None:
+        encoder = next(
+            (_ENCODERS[base] for base in type(value).__mro__ if base in _ENCODERS),
+            None,
+        )
+        if encoder is None:
+            raise TypeError(f"cannot canonically encode value of type {type(value)!r}")
+    return encoder(value)

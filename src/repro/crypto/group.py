@@ -10,6 +10,7 @@ The pairing-based PVSS lives in :mod:`repro.crypto.pairing` instead.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Any
 
 from repro.crypto.field import PrimeField
@@ -20,7 +21,7 @@ from repro.crypto.params import GroupParams
 class SchnorrGroup:
     """Multiplicative group of order ``q`` inside ``Z_p^*``."""
 
-    __slots__ = ("params", "p", "q", "g", "scalar_field")
+    __slots__ = ("params", "p", "q", "g", "scalar_field", "_windows")
 
     def __init__(self, params: GroupParams) -> None:
         self.params = params
@@ -28,6 +29,8 @@ class SchnorrGroup:
         self.q = params.q
         self.g = params.g
         self.scalar_field = PrimeField(params.q)
+        #: 8-bit windows of a reduced exponent (:func:`_generator_table`).
+        self._windows = (params.q.bit_length() + 7) // 8
 
     def __repr__(self) -> str:
         return f"SchnorrGroup({self.params.name})"
@@ -47,6 +50,14 @@ class SchnorrGroup:
     # -- operations ------------------------------------------------------------
 
     def exp(self, base: int, exponent: int) -> int:
+        if base == self.g and type(base) is int:
+            # Fixed base: one table product per 8-bit window of the exponent.
+            p, acc = self.p, 1
+            rows = _generator_table(p, base, self._windows)
+            digits = int.to_bytes(exponent % self.q, self._windows, "little")
+            for row, digit in zip(rows, digits):
+                acc = acc * row[digit] % p
+            return acc
         return pow(base, exponent % self.q, self.p)
 
     def mul(self, a: int, b: int) -> int:
@@ -57,7 +68,7 @@ class SchnorrGroup:
 
     def is_element(self, value: Any) -> bool:
         """Membership test: a quadratic residue mod p (and not 0)."""
-        if not isinstance(value, int) or not 1 <= value < self.p:
+        if type(value) is not int or not 1 <= value < self.p:
             return False
         return pow(value, self.q, self.p) == 1
 
@@ -82,3 +93,22 @@ class SchnorrGroup:
 
     def encode_element(self, value: int) -> bytes:
         return hash_bytes("group-elem", self.params.name, value)
+
+
+@lru_cache(maxsize=8)
+def _generator_table(p: int, g: int, windows: int) -> tuple[tuple[int, ...], ...]:
+    """``rows[i][d] = g^(d · 256^i) mod p`` for ``i < windows``, ``d < 256``.
+
+    The fixed-base table behind ``exp(g, e)``: a product of one entry per
+    byte of ``e`` instead of a square-and-multiply pass.  One table per
+    parameter set, process-wide — not kept on the group object, which
+    ``schnorr._is_member``'s cache keeps alive.
+    """
+    rows = []
+    for _ in range(windows):
+        row = [1]
+        for _ in range(255):
+            row.append(row[-1] * g % p)
+        rows.append(tuple(row))
+        g = row[-1] * g % p
+    return tuple(rows)

@@ -6,7 +6,7 @@ module, so the domain separation discipline lives in one place.
 
 from __future__ import annotations
 
-import hashlib
+from hashlib import sha256
 from typing import Any
 
 from repro.crypto.encoding import encode
@@ -16,12 +16,7 @@ DIGEST_BYTES = 32
 
 def hash_bytes(domain: str, *parts: Any) -> bytes:
     """SHA-256 of the domain tag plus the canonical encoding of ``parts``."""
-    hasher = hashlib.sha256()
-    hasher.update(domain.encode("utf-8"))
-    hasher.update(b"\x00")
-    for part in parts:
-        hasher.update(encode(part))
-    return hasher.digest()
+    return sha256(b"".join([domain.encode("utf-8"), b"\x00", *map(encode, parts)])).digest()
 
 
 def hash_to_int(domain: str, modulus: int, *parts: Any) -> int:
@@ -42,12 +37,8 @@ def expand(domain: str, length: int, *parts: Any) -> bytes:
     if length < 0:
         raise ValueError("length must be non-negative")
     seed = hash_bytes(domain, *parts)
-    blocks = []
-    counter = 0
-    while sum(len(block) for block in blocks) < length:
-        hasher = hashlib.sha256()
-        hasher.update(seed)
-        hasher.update(counter.to_bytes(4, "big"))
-        blocks.append(hasher.digest())
-        counter += 1
+    blocks = [
+        sha256(seed + counter.to_bytes(4, "big")).digest()
+        for counter in range(-(-length // DIGEST_BYTES))
+    ]
     return b"".join(blocks)[:length]

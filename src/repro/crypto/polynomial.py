@@ -41,7 +41,17 @@ class Polynomial:
         return acc
 
     def evaluate_many(self, xs: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.evaluate(x) for x in xs)
+        """``evaluate`` at each point, Horner over the integers with one
+        reduction per point (a dealing's points are ``0..n``: small)."""
+        q = self.field.q
+        coeffs = self.coeffs[::-1]
+        values = []
+        for x in xs:
+            acc = 0
+            for coeff in coeffs:
+                acc = acc * x + coeff
+            values.append(acc % q)
+        return tuple(values)
 
     def add(self, other: "Polynomial") -> "Polynomial":
         if other.field != self.field:

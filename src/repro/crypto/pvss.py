@@ -104,12 +104,9 @@ def deal(
     group = directory.pair_group
     field = group.scalar_field
     poly = random_polynomial(field, directory.f, rng)
-    xs = range(directory.n + 1)
-    evaluations = poly.evaluate_many(list(xs))
-    commitments = tuple(group.exp(group.g, y) for y in evaluations)
-    cipher_shares = tuple(
-        group.exp(directory.enc_pks[j], evaluations[j + 1]) for j in range(directory.n)
-    )
+    evaluations = poly.evaluate_many(range(directory.n + 1))
+    commitments = group.exp_many((group.g,) * len(evaluations), evaluations)
+    cipher_shares = group.exp_many(directory.enc_pks, evaluations[1:])
     pok = nizk.prove_dlog(
         group,
         group.g,
@@ -376,8 +373,7 @@ def _verify_sharing(
     weights = [rlc.randrange(1, 1 << 128) for _ in range(n)]
     lhs = group.pair(group.g, group.multi_exp(cipher_shares, weights))
     rhs = group.multi_pair(
-        (group.exp(directory.enc_pks[j], weights[j]), commitments[j + 1])
-        for j in range(n)
+        zip(group.exp_many(directory.enc_pks, weights), commitments[1:])
     )
     return lhs == rhs
 

@@ -58,7 +58,7 @@ from typing import Any, Optional, Sequence
 from repro.crypto import schnorr
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import PartySecret, PublicDirectory
-from repro.crypto.pairing import GroupElement
+from repro.crypto.pairing import BilinearGroup, GroupElement
 from repro.crypto.polynomial import (
     lagrange_coefficients,
     random_polynomial,
@@ -192,12 +192,17 @@ def _dealing_context(
     ) + dealing_body
 
 
-def _dealing_body(directory: PublicDirectory, dealing: ReshareDealing) -> tuple:
-    group = directory.pair_group
+def _dealing_body(
+    group: BilinearGroup,
+    dealer: int,
+    commitments: Sequence[GroupElement],
+    cipher_deltas: Sequence[GroupElement],
+) -> tuple:
+    """What a dealer signs of its dealing, and every verifier rebuilds."""
     return (
-        dealing.dealer,
-        tuple(group.encode_element(b) for b in dealing.commitments),
-        tuple(group.encode_element(d) for d in dealing.cipher_deltas),
+        dealer,
+        tuple(group.encode_element(b) for b in commitments),
+        tuple(group.encode_element(d) for d in cipher_deltas),
     )
 
 
@@ -220,20 +225,13 @@ def deal_reshare(
     # δ(0) = 0: the dealing shifts the share polynomial without moving
     # the dealer's anchored value q(0) = F(x_i).
     delta = random_polynomial(field, directory.f, rng, secret=0)
-    xs = list(range(directory.n + 1))
-    evaluations = delta.evaluate_many(xs)
+    evaluations = delta.evaluate_many(range(directory.n + 1))
     commitments = tuple(
-        group.mul(anchor, group.exp(group.g, evaluations[x])) for x in xs
+        group.mul(anchor, power)
+        for power in group.exp_many((group.g,) * len(evaluations), evaluations)
     )
-    cipher_deltas = tuple(
-        group.exp(directory.enc_pks[j], evaluations[j + 1])
-        for j in range(directory.n)
-    )
-    body = (
-        dealer.index,
-        tuple(group.encode_element(b) for b in commitments),
-        tuple(group.encode_element(d) for d in cipher_deltas),
-    )
+    cipher_deltas = group.exp_many(directory.enc_pks, evaluations[1:])
+    body = _dealing_body(group, dealer.index, commitments, cipher_deltas)
     signature = schnorr.sign(
         directory.sign_group,
         dealer.sign,
@@ -286,7 +284,13 @@ def _verify_dealing(
         directory.sign_group,
         spec.old_sign_pks[dealing.dealer],
         dealing.signature,
-        *_dealing_context(directory, spec, _dealing_body(directory, dealing)),
+        *_dealing_context(
+            directory,
+            spec,
+            _dealing_body(
+                group, dealing.dealer, dealing.commitments, dealing.cipher_deltas
+            ),
+        ),
     )
     if not sig_ok:
         return False
@@ -330,11 +334,10 @@ def _verify_resharing(
     anchor_inv = group.inv(commitments[0])
     lhs = group.pair(group.g, group.multi_exp(cipher_deltas, weights))
     rhs = group.multi_pair(
-        (
-            group.exp(directory.enc_pks[j], weights[j]),
-            group.mul(commitments[j + 1], anchor_inv),
+        zip(
+            group.exp_many(directory.enc_pks, weights),
+            (group.mul(commitment, anchor_inv) for commitment in commitments[1:]),
         )
-        for j in range(n)
     )
     return lhs == rhs
 

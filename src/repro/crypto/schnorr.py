@@ -48,7 +48,7 @@ def sign(group: SchnorrGroup, key: SigningKey, *message: Any) -> Signature:
     return Signature(c=challenge, s=response)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def _is_member(group: SchnorrGroup, pk: int) -> bool:
     """Subgroup membership of a key, remembered by value (keys recur)."""
     return group.is_element(pk)

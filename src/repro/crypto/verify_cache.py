@@ -124,17 +124,26 @@ class IdentityMemo:
         self._entries[oid] = (ref, value)
 
 
+#: :mod:`repro.net.codec`, bound by the first :func:`content_encoding`
+#: (the codec imports this module, so this one cannot import it on load).
+_codec: Any = None
+
+
 def content_encoding(value: Any) -> Optional[bytes]:
     """Canonical codec bytes of ``value``, or ``None`` if not encodable.
 
     The one way to ask for a value's canonical bytes outside the wire
-    path (``perf/trace.py`` TARGETS pins the name).
+    path (``perf/trace.py`` TARGETS pins the name).  For a payload or an
+    aggregate these are the codec's memoized bytes themselves.
     """
-    from repro.net import codec  # local import: codec registers lazily
+    global _codec
+    if _codec is None:
+        from repro.net import codec
 
+        _codec = codec
     try:
-        return codec.encode(value)
-    except codec.CodecError:
+        return _codec.encode(value)
+    except _codec.CodecError:
         return None
 
 

@@ -115,6 +115,7 @@ from hashlib import sha256
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional
 
+from repro.crypto.pairing import KIND_G, KIND_GT
 from repro.crypto.verify_cache import TUPLE_FIELDS, IdentityMemo
 
 __all__ = [
@@ -194,6 +195,10 @@ _memoized_types: set[type] = set()
 # entries (DESIGN §4).  An aggregate enters the memo only if its
 # sequence fields are real tuples — ``IdentityMemo.put`` checks it.
 _aggregate_memoized_types: set[type] = set()
+# Every other registered struct — no memo role, not the envelope — ->
+# (struct header, field getter): what the encode loop finds with one
+# lookup (``GroupElement``, ``Signature``, ``ContributorTag``, ...).
+_plain_structs: dict[type, tuple[bytes, Callable[[Any], tuple]]] = {}
 
 # Envelope instance paths, interned both ways in one table under one
 # bound: ``path tuple -> its encoding`` for the encoder and ``encoding ->
@@ -203,6 +208,7 @@ _aggregate_memoized_types: set[type] = set()
 # instance path >= 2n times.  Value-keyed is sound in both directions:
 # encoding and decoding are pure functions of the value resp. the bytes.
 _envelope_type: Optional[type] = None
+_payload_type: Optional[type] = None
 _path_memo: dict[Any, Any] = {}
 _PATH_MEMO_LIMIT = 8192
 
@@ -329,7 +335,8 @@ def register(cls: type, type_id: int, fields: Optional[tuple[str, ...]] = None) 
     header = bytearray((_TAG_STRUCT,))
     _write_uvarint(header, type_id)
     _write_uvarint(header, len(fields))
-    _by_type[cls] = (type_id, fields, bytes(header), _field_getter(fields))
+    getter = _field_getter(fields)
+    _by_type[cls] = (type_id, fields, bytes(header), getter)
     _by_id[type_id] = (cls, fields, checkers)
     TUPLE_FIELDS[cls] = tuple(n for n, c in zip(fields, checkers) if c is tuple)
     _by_name[cls.__name__] = cls
@@ -341,6 +348,8 @@ def register(cls: type, type_id: int, fields: Optional[tuple[str, ...]] = None) 
         # frozen object is addressed to all n recipients, so its struct
         # encoding is memoized by identity (see encode_stats above).
         _memoized_types.add(cls)
+    elif cls not in _aggregate_memoized_types and cls is not _envelope_type:
+        _plain_structs[cls] = (bytes(header), getter)
     return cls
 
 
@@ -389,6 +398,9 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 
 #: ``tag + one-byte varint`` for every int whose zigzag form fits one byte.
 _SMALL_INT = tuple(bytes((_TAG_INT, zigzagged)) for zigzagged in range(0x80))
+#: ``tag + length + UTF-8`` of each element kind: ~95 % of the strs an
+#: op encodes, one ``GroupElement`` field each.
+_KIND_STRS = {kind: bytes((_TAG_STR, len(kind))) + kind.encode() for kind in (KIND_G, KIND_GT)}
 
 
 def _encode_items(out: bytearray, items: Any, table: Optional[dict] = None) -> None:
@@ -422,6 +434,8 @@ def _encode_items(out: bytearray, items: Any, table: Optional[dict] = None) -> N
                 out.append(zigzagged & 0x7F | 0x80)
                 zigzagged >>= 7
             out.append(zigzagged)
+        elif kind is str and value in _KIND_STRS:
+            out += _KIND_STRS[value]
         elif kind is bytes or kind is str:
             if kind is bytes:
                 out.append(_TAG_BYTES)
@@ -440,6 +454,9 @@ def _encode_items(out: bytearray, items: Any, table: Optional[dict] = None) -> N
             else:
                 _write_uvarint(out, len(value))
             _encode_items(out, value, table)
+        elif (plain := _plain_structs.get(kind)) is not None:
+            out += plain[0]
+            _encode_items(out, plain[1](value), table)
         else:
             entry = _by_type.get(kind)
             if entry is None:
@@ -605,9 +622,15 @@ def _path_struct_bytes(path: tuple) -> Optional[bytes]:
 def encode(value: Any) -> bytes:
     """Deterministically encode ``value`` to bytes.
 
-    Raises :class:`CodecError` for unregistered/unsupported types.
+    Raises :class:`CodecError` for unregistered/unsupported types.  A
+    payload or an aggregate is its memoized struct bytes, as anywhere.
     """
     _ensure_registered()
+    kind = type(value)
+    if kind in _aggregate_memoized_types:
+        return _payload_struct_bytes(value, _AGGREGATE_STATS)
+    if kind in _memoized_types:
+        return _payload_struct_bytes(value)
     return _encoded(value)
 
 
@@ -718,12 +741,17 @@ def _decode_seq(
                 )
             members, pos = _decode_seq(data, size, pos, arity, depth + 1, refs)
             for index, expected in checks:
-                if not isinstance(members[index], expected):
+                member = members[index]
+                # An ``int`` field holds an int, never a bool: True would
+                # equal 1 and be a second spelling of it.
+                if type(member) is not expected and (
+                    expected is int or not isinstance(member, expected)
+                ):
                     # Attacker-crafted field value whose type contradicts
                     # the field's concrete annotation: fail closed.
                     raise CodecError(
                         f"field {cls.__name__}.{fields[index]} expects "
-                        f"{expected.__name__}, got {type(members[index]).__name__}"
+                        f"{expected.__name__}, got {type(member).__name__}"
                     )
             try:
                 value = cls(*members)
@@ -918,7 +946,7 @@ def _validate_routing(sender: Any, recipient: Any, depth: Any, session: Any) -> 
             ("depth", depth),
             ("session", session),
         ):
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise CodecError(f"envelope {field_name} must be an int")
     if session < 0:
         raise CodecError("envelope session must be non-negative")
@@ -933,13 +961,10 @@ def _validate_envelope(value: Any) -> Any:
     :class:`CodecError`.  (The batch decoder applies the same three
     checks to the parts before it assembles the envelope.)
     """
-    from repro.net.envelope import Envelope
-    from repro.net.payload import Payload
-
-    if not isinstance(value, Envelope):
+    if not isinstance(value, _envelope_type):
         raise CodecError("decoded value is not an Envelope")
     _validate_path(value.path)
-    if not isinstance(value.payload, Payload):
+    if not isinstance(value.payload, _payload_type):
         raise CodecError("envelope payload is not a registered Payload")
     _validate_routing(value.sender, value.recipient, value.depth, value.session)
     return value
@@ -1095,8 +1120,6 @@ def decode_batch(data: bytes) -> list:
         raise CodecError("truncated batch frame")
     if data[1] != BATCH_VERSION:
         raise CodecError(f"unsupported batch frame version {data[1]}")
-    from repro.net.payload import Payload
-
     size = len(data)
     blob_count, pos = _read_uvarint(data, 2)
     if blob_count == 0 or blob_count > size:
@@ -1110,7 +1133,7 @@ def decode_batch(data: bytes) -> list:
         (value,), pos = _decode_seq(data, size, pos, 1, 0)
         if pos != end:
             raise CodecError("batch payload blob length mismatch")
-        if not isinstance(value, Payload):
+        if not isinstance(value, _payload_type):
             raise CodecError("batch payload is not a registered Payload")
         payloads.append(value)
     envelope_count, pos = _read_uvarint(data, pos)
@@ -1242,6 +1265,7 @@ def _ensure_registered() -> None:
 
 def _register_builtins() -> None:
     from repro.net.envelope import Envelope
+    from repro.net.payload import Payload
     from repro.crypto.pairing import GroupElement
     from repro.crypto import nizk, schnorr
     from repro.crypto.kzg import KZGOpening
@@ -1273,10 +1297,21 @@ def _register_builtins() -> None:
     from repro.broadcast.ct_rbc import CTEcho, CTReady, CTVal
     from repro.baselines.aba import Aux, BVal, CoinShareMsg, Decided
 
-    # Substrate.
+    # Substrate, and the aggregates of the inclusion rule above, named
+    # before they register (``register`` gives neither a plain-struct entry).
+    global _envelope_type, _payload_type
+    _envelope_type, _payload_type = Envelope, Payload
+    _aggregate_memoized_types.update(
+        (
+            PVSSContribution,
+            PVSSTranscript,
+            HandoffSpec,
+            ReshareDealing,
+            ReshareBundle,
+            ReshareTranscript,
+        )
+    )
     register(Envelope, _ENVELOPE_ID)
-    global _envelope_type
-    _envelope_type = Envelope
     # Crypto value types.
     register(GroupElement, 20)
     register(schnorr.Signature, 21)
@@ -1319,14 +1354,3 @@ def _register_builtins() -> None:
     register(CoinShareMsg, 82)
     register(Decided, 83)
     register(ReshareDealingMsg, 84)
-    # The aggregates of the inclusion rule above.
-    _aggregate_memoized_types.update(
-        (
-            PVSSContribution,
-            PVSSTranscript,
-            HandoffSpec,
-            ReshareDealing,
-            ReshareBundle,
-            ReshareTranscript,
-        )
-    )
