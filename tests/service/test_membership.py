@@ -132,9 +132,9 @@ def test_churn_survives_on_realtime_transports(transport):
     assert report.all_verified
 
 
-def test_crash_and_partition_handoffs_keep_the_key():
-    """One crash-recover handoff and one healing-partition handoff."""
-    report = run_churn(
+@pytest.fixture(scope="module")
+def crash_partition_report():
+    return run_churn(
         8,
         epochs=4,
         churn="join:7@1;leave:0@3",
@@ -144,6 +144,11 @@ def test_crash_and_partition_handoffs_keep_the_key():
         crash={1: {"indices": (2,), "after": 12, "delay": 4.0}},
         chaos={2: "partition:0,1|2,3,4,5,6,7@3-9"},
     )
+
+
+def test_crash_and_partition_handoffs_keep_the_key(crash_partition_report):
+    """One crash-recover handoff and one healing-partition handoff."""
+    report = crash_partition_report
     membership = report.membership
     assert membership.crash_epochs == (1,)
     assert membership.chaos_epochs == (2,)
@@ -211,3 +216,105 @@ def test_sharded_churn_tamper_rejected(sharded_churn_report):
     rows[1] = dataclasses.replace(rows[1], committee=(99,) + rows[1].committee[1:])
     stranger = dataclasses.replace(victim, epoch_results=rows)
     assert not verifier.verify([report.group_results[0], stranger], report.combined)
+
+
+# -- pinned churn runs ---------------------------------------------------------------
+
+#: What the churn paths produced before they were folded into the one epoch
+#: loop, recorded at that loop's parent commit.  Per epoch: words, messages,
+#: protocol bytes (the simulator meters none) and verify-cache misses; then
+#: the encoded group key, committees, thresholds and beacon values.
+#: ``deliveries`` and ``max_depth`` are left out: draining each transport's
+#: stragglers before it closes moves them without moving the protocol.
+PINNED_CHURN = {
+    "totals": [(20460, 1950, 0, 154), (37236, 3102, 0, 188), (22665, 1955, 0, 154)],
+    "key": "77bf2fb4762d4491109b0593ed89e1a88501532f635f606aa8252f61ecf7284a",
+    "committees": [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6)],
+    "thresholds": [1, 1, 1],
+    "beacon": [
+        11356929993793021729146219443183693930,
+        14279265648074584562462946712786396735,
+        8990753196949296250399552592369064725,
+        238120561633319362783570991225629088095,
+        290819557314029749611071686164712056456,
+        172230649450679595800430515644205433123,
+    ],
+}
+PINNED_CRASH_PARTITION = {
+    "totals": [
+        (34944, 3108, 0, 192),
+        (59395, 4641, 0, 240),
+        (60312, 4648, 0, 242),
+        (38196, 3114, 0, 192),
+    ],
+    "key": "9e6c0d8122ee8e1ca2a8f8299718a740ecd0ec955ecbea4fc87bc5d6945e7874",
+    "committees": [
+        (0, 1, 2, 3, 4, 5, 6),
+        (0, 1, 2, 3, 4, 5, 6, 7),
+        (0, 1, 2, 3, 4, 5, 6, 7),
+        (1, 2, 3, 4, 5, 6, 7),
+    ],
+    "thresholds": [1, 1, 1, 1],
+    "beacon": [
+        226394332782351699793770176931200237719,
+        10214685331427645337506500995257204783,
+        96366244865693360427565753968250986603,
+        300281119984145528567902805265239314838,
+        317110680748892342706099587734563997370,
+        69347980054938256939941687098115367840,
+        55688715795629364238929354576156053719,
+        85649603858532966243289210865178004776,
+    ],
+}
+#: The sharded churn fixture: per group (words, messages, bytes), then the
+#: combined beacon values.
+PINNED_SHARDED_TOTALS = [(21949, 2247, 0), (21949, 2247, 0)]
+PINNED_SHARDED_COMBINED = [
+    24534108237495594769823220193299405291,
+    123849733756028325614786077359687869219,
+    271207419309230439834037047843351518709,
+    68717639633054598161820615819393234057,
+    325467937809103962330571871979556620320,
+    50276170841968258185118090005495032991,
+]
+
+
+def _pinned_facts(report):
+    membership = report.membership
+    return {
+        "totals": [
+            (
+                metrics.words_total,
+                metrics.messages_total,
+                metrics.bytes_total,
+                sum(
+                    count
+                    for name, count in metrics.counters("verify").items()
+                    if name.endswith(".misses")
+                ),
+            )
+            for metrics in membership.metrics
+        ],
+        "key": membership.key_encoded.hex(),
+        "committees": [result.committee for result in membership.results],
+        "thresholds": [result.threshold for result in membership.results],
+        "beacon": [output.value for output in report.outputs],
+    }
+
+
+def test_churn_run_is_pinned():
+    report = run_churn(7, epochs=3, churn="join:6@1;leave:0@2", base_f=1, seed=3)
+    assert report.all_verified
+    assert _pinned_facts(report) == PINNED_CHURN
+
+
+def test_crash_partition_churn_run_is_pinned(crash_partition_report):
+    assert _pinned_facts(crash_partition_report) == PINNED_CRASH_PARTITION
+
+
+def test_sharded_churn_run_is_pinned(sharded_churn_report):
+    assert [
+        (m.words_total, m.messages_total, m.bytes_total)
+        for m in (group.metrics for group in sharded_churn_report.group_results)
+    ] == PINNED_SHARDED_TOTALS
+    assert [o.value for o in sharded_churn_report.combined] == PINNED_SHARDED_COMBINED
