@@ -6,14 +6,17 @@ the paper, citing RandHound/drand-style systems [32]).  Earlier versions
 of this example hand-rolled a single ADKG run and looped VRF shares by
 hand; it now drives the real service layer:
 
-1. the :class:`~repro.service.epochs.EpochDriver` runs several ADKG
-   *epochs* as concurrent sessions over one network — epoch ``e+1``'s
-   PVSS dealing overlaps epoch ``e``'s agreement phase (pipelining), and
-   each completed epoch's protocol state is garbage-collected;
+1. the :class:`~repro.service.membership.MembershipDriver` runs the
+   committee's timeline — here one stretch of ADKG *epochs* as
+   concurrent sessions over one network, through the one
+   :class:`~repro.service.epochs.EpochDriver` loop: epoch ``e+1``'s PVSS
+   dealing overlaps epoch ``e``'s agreement phase (pipelining), and each
+   completed epoch's protocol state is garbage-collected;
 2. every epoch establishes a *fresh* group key (proactive rotation);
-3. the :class:`~repro.service.beacon.RandomnessBeacon` emits chained,
-   publicly verifiable VRF outputs under each epoch's key, with the
-   chain linking across key handoffs back to genesis.
+3. the :class:`~repro.service.beacon.RandomnessBeacon` — the same class
+   a churning committee's key handoffs use — emits chained, publicly
+   verifiable VRF outputs under each epoch's key, with the chain linking
+   across key changes back to genesis.
 
 Run:  python examples/randomness_beacon.py
 """
@@ -58,9 +61,8 @@ def main() -> None:
     # Anyone can re-verify the whole stream from public data: each value
     # against its epoch's group key, and the chain linkage to genesis.
     setup = TrustedSetup.generate(N, seed=SEED)
-    verifier = RandomnessBeacon(setup, rounds_per_epoch=ROUNDS)
-    transcripts = {r.epoch: r.transcript for r in report.epoch_results}
-    assert verifier.verify_chain(report.outputs, transcripts)
+    contexts = {r.epoch: (setup.directory, r.transcript) for r in report.epoch_results}
+    assert RandomnessBeacon.verify_chain(report.outputs, contexts)
     for result in report.epoch_results:
         assert tvrf.DKGVerify(setup.directory, result.transcript)
     print("\nindependent verifier: every output + chain linkage check out — OK")
@@ -68,11 +70,9 @@ def main() -> None:
     # Uniqueness (Definition 2): a different f+1 signer subset would have
     # produced the very same stream — no subset can bias the beacon.
     f = setup.directory.f
-    other = RandomnessBeacon(
-        setup, rounds_per_epoch=ROUNDS, signers=range(1, f + 2)
-    )
+    other = RandomnessBeacon(rounds_per_epoch=ROUNDS, signers=range(1, f + 2))
     for result in report.epoch_results:
-        other.emit_epoch(result.epoch, result.transcript)
+        other.emit_epoch(result.epoch, setup, result.transcript)
     assert [o.value for o in other.outputs] == values
     print("uniqueness: a disjoint-ish signer subset emits the same stream — OK")
 

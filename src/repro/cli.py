@@ -146,11 +146,10 @@ def _cmd_run_with_recovery(args: argparse.Namespace, chaos, crash: dict) -> int:
 
 
 def _cmd_churn(
-    args: argparse.Namespace, *, epochs: int, rounds: int, chaos=None, crash=None
+    args: argparse.Namespace, *, epochs: int, rounds: int, overlays: dict
 ) -> int:
     """``repro run --reshare`` / ``repro beacon --churn``: handoff epochs."""
     from repro.service import run_churn
-    from repro.service.membership import handoff_overlays
 
     report, elapsed = _guarded(
         args,
@@ -163,15 +162,15 @@ def _cmd_churn(
         seed=args.seed,
         timeout=args.timeout,
         storage_dir=getattr(args, "storage_dir", None),
-        **handoff_overlays(epochs, chaos, crash),
+        **overlays,
     )
     if report is None:
         return 1
     membership = report.membership
     unit = "rounds" if args.transport == "sim" else "s"
     print(
-        f"universe={membership.universe_n} transport={membership.transport} "
-        f"seed={membership.seed} epochs={len(membership.results)} "
+        f"universe={args.n} transport={args.transport} "
+        f"seed={args.seed} epochs={len(membership.results)} "
         f"handoffs={membership.handoffs}"
     )
     for result in membership.results:
@@ -319,6 +318,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         crash = _parse_crash(args)
         if crash is None:
             return 2
+    if args.reshare is not None:
+        from repro.service.membership import handoff_overlays
+
+        try:
+            overlays = handoff_overlays(args.reshare, chaos, crash)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.groups is not None:
         # Plain values cross the process boundary: chaos travels as its string.
         return _cmd_sharded(
@@ -330,9 +337,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             crash=crash,
         )
     if args.reshare is not None:
-        return _cmd_churn(
-            args, epochs=args.reshare, rounds=1, chaos=chaos, crash=crash
-        )
+        return _cmd_churn(args, epochs=args.reshare, rounds=1, overlays=overlays)
     if crash is not None:
         return _cmd_run_with_recovery(args, chaos, crash)
     result, elapsed = _guarded(
@@ -415,7 +420,7 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
             args, epochs=args.epochs, rounds=args.rounds, churn=args.churn
         )
     if args.churn is not None:
-        return _cmd_churn(args, epochs=args.epochs, rounds=args.rounds)
+        return _cmd_churn(args, epochs=args.epochs, rounds=args.rounds, overlays={})
     report, _elapsed = _guarded(
         args,
         run_beacon,

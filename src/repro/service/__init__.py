@@ -1,31 +1,27 @@
 """Long-lived threshold services built on the session-multiplexed engine.
 
 The paper's ADKG is the *setup* step for services that live much longer
-than one protocol run: repeated common coins, randomness beacons,
-proactive key refresh.  This package hosts the first of them:
+than one protocol run: randomness beacons, proactive key refresh.  Every
+service here runs a committee *timeline* — epochs that are each a fresh
+ADKG or a reshare handoff of the previous key — as stretches, the
+consecutive epochs one committee runs on one transport:
 
-* :class:`~repro.service.epochs.EpochDriver` — runs a sequence of ADKG
-  *epochs* as concurrent sessions over one live transport, pipelined so
-  epoch ``e+1``'s dealing/sharing phase overlaps epoch ``e``'s agreement
-  phase (``pipeline_depth`` epochs in flight at once), garbage-collecting
-  each completed epoch's protocol state;
-* :class:`~repro.service.beacon.RandomnessBeacon` — a drand-style
-  verifiable randomness stream: each epoch's agreed group key drives
-  threshold-VRF evaluations, chained across epochs so the stream stays
-  linked over key handoffs.
-
+* :class:`~repro.service.membership.MembershipDriver` — the one loop:
+  each stretch through the :class:`~repro.service.epochs.EpochDriver`
+  (fresh epochs pipelined, each completed epoch's state collected) under
+  its crash plan and chaos spec, then its beacon rounds;
+* :class:`~repro.service.beacon.RandomnessBeacon` — the one beacon: each
+  epoch's key drives threshold-VRF rounds chained from genesis, verified
+  with ``handoffs=True`` where one key is handed across committees;
 * :class:`~repro.service.shards.GroupCoordinator` /
-  :class:`~repro.service.shards.ShardedBeacon` — horizontal scale-out
-  (DESIGN §12): k independent DKG groups partitioned from one party
-  universe, each on a transport of its own — one after the other, or in
-  a shared fork pool when the host has the cores, every group returning
-  its :class:`~repro.service.shards.GroupResult` either way — with
-  per-group beacon streams hash-combined into one randomness service.
+  :class:`~repro.service.shards.ShardedBeacon` — scale-out (DESIGN §12):
+  k independent groups, each running its own timeline, inline or in a
+  fork pool, their beacon streams hash-combined into one service.
 
-:func:`~repro.service.beacon.run_beacon` is the one-call entry point the
-CLI (``repro beacon``), the pipelining experiment and the session
-benchmark share; :func:`~repro.service.shards.run_sharded` is its
-multi-group analogue (``repro run --groups k``).
+:func:`~repro.service.beacon.run_beacon` (``repro beacon``),
+:func:`~repro.service.membership.run_churn` (``repro run --reshare``)
+and :func:`~repro.service.shards.run_sharded` (``repro run --groups``)
+only build their stretches and run them.
 """
 
 from repro.service.beacon import (

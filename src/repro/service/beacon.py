@@ -1,19 +1,23 @@
-"""A verifiable randomness beacon over pipelined ADKG epochs.
+"""A verifiable randomness beacon over a committee's epochs.
 
 Threshold VRFs "can be used to implement random beacons" (Section 1 of
 the paper, citing RandHound/drand-style systems).  This module turns
 that remark into a service:
 
-* each *epoch* establishes a fresh group key via one ADKG session (run
-  by the :class:`~repro.service.epochs.EpochDriver`, pipelined);
-* within an epoch, ``rounds_per_epoch`` beacon rounds are emitted: any
-  ``f+1`` parties publish threshold-VRF shares of the round message and
-  anyone combines them into the unique, pairing-verifiable evaluation;
+* each *epoch* holds one group key: a fresh ADKG session on a static
+  committee (pipelined by :func:`run_beacon`), or a reshare handoff of
+  the previous epoch's key to a new committee
+  (:mod:`repro.service.membership`) — either way one
+  :class:`~repro.service.membership.MembershipDriver` loop runs it;
+* within an epoch, ``rounds_per_epoch`` beacon rounds are emitted under
+  that epoch's directory: any ``f+1`` parties publish threshold-VRF
+  shares of the round message and anyone combines them into the unique,
+  pairing-verifiable evaluation;
 * **key handoff**: the round message includes the previous beacon value
   (across epoch boundaries too), so the stream stays one linked chain
-  even though the group key underneath it rotates every epoch — an
-  observer can verify both each value (against that epoch's public key)
-  and the chain linkage from genesis.
+  whether the key underneath it rotates every epoch or is handed across
+  committees — an observer verifies each value against its epoch's
+  directory and transcript, and the chain linkage from genesis.
 
 Unbiasability comes from VRF uniqueness (Definition 2): once an epoch's
 transcript is agreed, every beacon value of that epoch is a deterministic
@@ -23,14 +27,13 @@ function of the transcript and the chain prefix — no party, and no
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from repro.crypto import threshold_vrf as tvrf
+from repro.crypto import reshare, threshold_vrf as tvrf
 from repro.crypto.keys import PublicDirectory, TrustedSetup
-from repro.net.transport import make_run_transport
-from repro.service.epochs import EpochDriver, EpochResult
+from repro.service.epochs import EpochResult
 
 __all__ = ["BeaconOutput", "BeaconReport", "RandomnessBeacon", "run_beacon"]
 
@@ -61,13 +64,14 @@ def emit_rounds(
     rounds: int,
     prev: int,
 ) -> list[BeaconOutput]:
-    """One epoch's chained rounds under ``setup``: the loop both beacons run.
+    """One epoch's chained rounds under ``setup``.
 
     Per round: ``EvalSh`` at each signer, ``EvalShVerify``, ``Eval``,
     ``EvalVerify``, ``vrf_output`` — and the value becomes the next
     round's ``prev``, the handoff link into the next round/epoch.  Any
     f+1 distinct signers produce the same unique value (Definition 2);
-    ``None`` means the lowest-indexed f+1 parties.
+    ``None`` means the lowest-indexed f+1 parties.  A fresh or a reshared
+    transcript alike: both expose ``public_key`` / ``share_commitment``.
     """
     directory = setup.directory
     signers = tuple(range(directory.f + 1) if signers is None else signers)
@@ -83,106 +87,100 @@ def emit_rounds(
         if not tvrf.EvalVerify(directory, transcript, message, evaluation, proof):
             raise RuntimeError(f"beacon evaluation failed to verify: {message}")
         value = tvrf.vrf_output(directory, evaluation)
-        emitted.append(
-            BeaconOutput(
-                epoch=epoch,
-                round=round_index,
-                prev=prev,
-                value=value,
-                evaluation=evaluation,
-            )
-        )
+        emitted.append(BeaconOutput(epoch, round_index, prev, value, evaluation))
         prev = value
     return emitted
-
-
-def in_chain_order(outputs: Sequence[BeaconOutput], epochs: Iterable[int]) -> bool:
-    """The position rule both chain verifiers apply.
-
-    Every epoch in ``epochs`` appears, in ascending order, and each
-    epoch's rounds run 0, 1, 2, … with no gap and no repeat — so an empty
-    chain, a repeated round or an epoch out of place fails even when every
-    ``prev`` link holds.
-    """
-    walked: list[int] = []
-    last: Optional[BeaconOutput] = None
-    for output in outputs:
-        if last is not None and output.epoch == last.epoch:
-            if output.round != last.round + 1:
-                return False
-        elif output.round != 0:
-            return False
-        else:
-            walked.append(output.epoch)
-        last = output
-    return bool(walked) and walked == sorted(epochs)
 
 
 def verify_output(
     directory: PublicDirectory, output: BeaconOutput, transcript: Any
 ) -> bool:
     """Publicly verify one beacon value against its epoch's group key."""
-    if not tvrf.EvalVerify(
+    return tvrf.EvalVerify(
         directory, transcript, output.message(), output.evaluation
-    ):
-        return False
-    return tvrf.vrf_output(directory, output.evaluation) == output.value
+    ) and tvrf.vrf_output(directory, output.evaluation) == output.value
+
+
+def transcript_valid(directory: PublicDirectory, transcript: Any) -> bool:
+    """``DKGVerify`` or ``verify_reshared``, by the transcript's kind."""
+    if isinstance(transcript, reshare.ReshareTranscript):
+        return reshare.verify_reshared(directory, transcript)
+    return tvrf.DKGVerify(directory, transcript)
 
 
 class RandomnessBeacon:
-    """Emit and verify the chained beacon stream over epoch transcripts."""
+    """Emit and verify the chained beacon stream over any epoch timeline.
+
+    Each epoch's rounds are evaluated under that epoch's own setup — one
+    setup for every epoch of a static committee, a per-epoch committee
+    slice across handoffs (whose session label domain-separates the VRF
+    inputs) — and chained through ``prev`` links from genesis.
+    """
 
     def __init__(
         self,
-        setup: TrustedSetup,
         *,
         rounds_per_epoch: int = 2,
         signers: Optional[Sequence[int]] = None,
     ) -> None:
         if rounds_per_epoch < 1:
             raise ValueError("rounds_per_epoch must be >= 1")
-        self.setup = setup
-        self.directory = setup.directory
         self.rounds_per_epoch = rounds_per_epoch
         self.signers = signers
         self.outputs: list[BeaconOutput] = []
         self._prev = GENESIS
 
-    def emit_epoch(self, epoch: int, transcript: Any) -> list[BeaconOutput]:
-        """Emit this epoch's beacon rounds from its agreed DKG transcript."""
-        if not tvrf.DKGVerify(self.directory, transcript):
+    def emit_epoch(
+        self, epoch: int, setup: TrustedSetup, transcript: Any
+    ) -> list[BeaconOutput]:
+        """Emit this epoch's beacon rounds from its agreed transcript."""
+        if not transcript_valid(setup.directory, transcript):
             raise ValueError(f"epoch {epoch} transcript does not verify")
         emitted = emit_rounds(
-            self.setup, transcript, self.signers, epoch,
-            self.rounds_per_epoch, self._prev,
+            setup, transcript, self.signers, epoch, self.rounds_per_epoch, self._prev
         )
         self.outputs.extend(emitted)
         self._prev = emitted[-1].value
         return emitted
 
-    def verify(self, output: BeaconOutput, transcript: Any) -> bool:
-        """Publicly verify one beacon value against its epoch's group key."""
-        return verify_output(self.directory, output, transcript)
-
+    @staticmethod
     def verify_chain(
-        self, outputs: Sequence[BeaconOutput], transcripts: dict[int, Any]
+        outputs: Sequence[BeaconOutput],
+        contexts: dict[int, tuple[PublicDirectory, Any]],
+        handoffs: bool = False,
     ) -> bool:
-        """Verify values *and* the genesis-rooted linkage across epochs,
-        against transcripts that pass ``DKGVerify`` themselves (a value can
-        check out under the public key of one whose shares do not), in
-        :func:`in_chain_order`."""
-        if not in_chain_order(outputs, transcripts):
+        """Verify values *and* the genesis-rooted linkage across epochs.
+
+        ``contexts`` maps epoch → ``(directory, transcript)``.  Every epoch
+        appears, in ascending order, its rounds numbered 0, 1, 2, … with no
+        gap and no repeat — so an empty chain, a repeated round or an epoch
+        out of place fails even when every ``prev`` link holds.  The
+        verifier, not the transcript's type, says what each epoch is: the
+        first must pass ``DKGVerify`` (a value can check out under the
+        public key of a transcript whose shares do not), and so must every
+        later one — unless ``handoffs``, when every later epoch must pass
+        ``verify_reshared`` and carry the first epoch's group key bytes.
+        """
+        rounds = Counter(output.epoch for output in outputs)
+        walk = [(output.epoch, output.round) for output in outputs]
+        in_order = [(e, r) for e in sorted(contexts) for r in range(rounds[e])]
+        if not outputs or set(rounds) != set(contexts) or walk != in_order:
             return False
+        first = min(contexts)
+        group = contexts[first][0].pair_group
+        key = group.encode_element(contexts[first][1].public_key)
+        for epoch, (directory, transcript) in contexts.items():
+            reshared = handoffs and epoch != first
+            if (
+                isinstance(transcript, reshare.ReshareTranscript) != reshared
+                or not transcript_valid(directory, transcript)
+                or (reshared and group.encode_element(transcript.public_key) != key)
+            ):
+                return False
         prev = GENESIS
         for output in outputs:
-            if output.prev != prev:
-                return False
-            transcript = transcripts.get(output.epoch)
-            if (
-                transcript is None
-                or not tvrf.DKGVerify(self.directory, transcript)
-                or not self.verify(output, transcript)
-            ):
+            directory, transcript = contexts[output.epoch]
+            if output.prev != prev or not verify_output(directory, output, transcript):
                 return False
             prev = output.value
         return True
@@ -208,9 +206,7 @@ class BeaconReport:
     end_to_end: float = 0.0
     wall_clock_s: float = 0.0
     words_total: int = 0
-    messages_total: int = 0
     bytes_total: int = 0
-    counters: dict = field(default_factory=dict)
 
     @property
     def epochs_per_sec(self) -> float:
@@ -233,42 +229,36 @@ def run_beacon(
     seed: int = 0,
     timeout: float = 120.0,
 ) -> BeaconReport:
-    """Run the full service: pipelined ADKG epochs + verified beacon stream."""
+    """Run the full service: pipelined ADKG epochs + verified beacon stream.
+
+    A one-stretch timeline: every epoch a fresh key on the one committee,
+    on one transport seeded with ``seed``, epoch ``e`` as session ``e``.
+    """
+    from repro.service.membership import MembershipDriver, Stretch
+
     setup = TrustedSetup.generate(n, seed=seed)
-    runtime = make_run_transport(transport, setup, seed=seed)
-    driver = EpochDriver(
-        runtime, epochs=epochs, pipeline_depth=pipeline_depth, timeout=timeout
-    )
-    started = time.perf_counter()
-    epoch_results = driver.run()
-    wall_clock_s = time.perf_counter() - started
-
-    beacon = RandomnessBeacon(setup, rounds_per_epoch=rounds_per_epoch)
-    for result in epoch_results:
-        beacon.emit_epoch(result.epoch, result.transcript)
-    transcripts = {result.epoch: result.transcript for result in epoch_results}
-    all_verified = all(r.agreed for r in epoch_results) and beacon.verify_chain(
-        beacon.outputs, transcripts
-    )
-
+    membership = MembershipDriver(
+        [Stretch(setup, range(epochs), seed=seed)],
+        transport=transport,
+        pipeline_depth=pipeline_depth,
+        rounds_per_epoch=rounds_per_epoch,
+        timeout=timeout,
+    ).run()
+    [metrics] = membership.metrics
     return BeaconReport(
-        n=runtime.n,
-        f=runtime.f,
+        n=setup.directory.n,
+        f=setup.directory.f,
         epochs=epochs,
         pipeline_depth=pipeline_depth,
         rounds_per_epoch=rounds_per_epoch,
         transport=transport,
         seed=seed,
-        epoch_results=epoch_results,
-        outputs=list(beacon.outputs),
-        all_verified=all_verified,
-        end_to_end=max(r.completed_at for r in epoch_results),
-        wall_clock_s=wall_clock_s,
-        words_total=runtime.metrics.words_total,
-        messages_total=runtime.metrics.messages_total,
-        bytes_total=runtime.metrics.bytes_total,
-        counters={
-            name: runtime.metrics.counters(name)
-            for name in ("verify", "pending")
-        },
+        epoch_results=membership.results,
+        outputs=membership.outputs,
+        all_verified=membership.agreed
+        and RandomnessBeacon.verify_chain(membership.outputs, membership.contexts),
+        end_to_end=max(r.completed_at for r in membership.results),
+        wall_clock_s=membership.wall_clock_s,
+        words_total=metrics.words_total,
+        bytes_total=metrics.bytes_total,
     )

@@ -3,24 +3,28 @@
 The production story the ROADMAP asks for: one group key that *outlives*
 any particular committee.  A :class:`MembershipSchedule` describes how a
 universe of keyed parties rotates through per-epoch committees (joins,
-leaves, threshold changes); the :class:`MembershipDriver` runs epoch 0
-as a fresh ADKG and every later epoch as a
-:class:`~repro.core.reshare.ReshareAgreement` handoff session on the
-*new* committee's own transport — the old committee's dealings
-(:func:`repro.crypto.reshare.deal_reshare`) are published before the
-handoff and injected as initial inputs, so departing parties need not
-stick around.  Per-epoch faults compose on the one epoch loop: a chaos
-spec attaches to that epoch's transport, a crash overlay is a
-:class:`~repro.storage.recovery.CrashPlan` interlude (the WAL machinery
-rehydrates a party mid-handoff); either way the acceptance invariant is
-the same — **the group public key is byte-identical before and after
-every handoff**.
+leaves, threshold changes).  A committee's life is a *timeline* of
+epochs, each either a fresh ADKG or a
+:class:`~repro.core.reshare.ReshareAgreement` handoff, cut into
+stretches (:class:`Stretch`): the consecutive epochs one committee runs
+on one transport.  The :class:`MembershipDriver` runs every stretch through the
+one :class:`~repro.service.epochs.EpochDriver` loop and emits the
+:class:`~repro.service.beacon.RandomnessBeacon` rounds: the static
+beacon (:func:`~repro.service.beacon.run_beacon`) is one fresh stretch,
+a churn run (:func:`run_churn`) a fresh epoch 0 and then one handoff
+stretch per epoch on the *new* committee's own transport, and every
+shard group one of the two.
 
-:class:`ChurnBeacon` extends the randomness beacon across committee
-changes: each epoch's rounds are evaluated under that epoch's directory
-(the per-epoch session label domain-separates VRF inputs) and chained
-through ``prev`` links from genesis, so one verification walk spans
-every handoff.
+In a handoff the old committee's dealings
+(:func:`repro.crypto.reshare.deal_reshare`) are published before it and
+injected as initial inputs, so departing parties need not stick around.
+Faults compose per stretch: a chaos spec attaches to its transport, a
+crash overlay is a :class:`~repro.storage.recovery.CrashPlan` interlude
+in its first epoch (the WAL machinery rehydrates a party mid-handoff);
+either way the acceptance invariant is the same — **the group public
+key is byte-identical before and after every handoff**, which
+``RandomnessBeacon.verify_chain(..., handoffs=True)`` checks from public
+data alone.
 """
 
 from __future__ import annotations
@@ -33,19 +37,11 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
 from repro.core.reshare import ReshareAgreement
-from repro.crypto import reshare, threshold_vrf as tvrf
+from repro.crypto import reshare
 from repro.crypto.keys import PartySecret, PublicDirectory, TrustedSetup
 from repro.net.metrics import Metrics
-from repro.net.party import Party
-from repro.net.protocol import Protocol
-from repro.net.transport import make_run_transport
-from repro.service.beacon import (
-    GENESIS,
-    BeaconOutput,
-    emit_rounds,
-    in_chain_order,
-    verify_output,
-)
+from repro.net.transport import RootFactory, make_run_transport
+from repro.service.beacon import BeaconOutput, RandomnessBeacon
 from repro.service.epochs import EpochDriver, EpochResult, adkg_root
 from repro.storage.recovery import CrashPlan
 
@@ -55,13 +51,15 @@ __all__ = [
     "ChurnReport",
     "EpochSpec",
     "MembershipDriver",
+    "MembershipReport",
     "MembershipSchedule",
+    "Stretch",
+    "churn_timeline",
     "committee_setup",
     "epoch_setup",
     "handoff_overlays",
     "parse_churn",
     "run_churn",
-    "transcript_valid",
 ]
 
 
@@ -79,6 +77,8 @@ class ChurnEvent:
     def __post_init__(self) -> None:
         if self.kind not in ("join", "leave", "threshold"):
             raise ValueError(f"unknown churn event kind {self.kind!r}")
+        if type(self.value) is not int or type(self.epoch) is not int:
+            raise ValueError(f"churn event {self} needs int value and epoch")
         if self.epoch < 1:
             raise ValueError(
                 "churn events apply from epoch 1 on (epoch 0 is the fresh ADKG)"
@@ -147,12 +147,14 @@ class MembershipSchedule:
         ``base_members`` defaults to the whole universe *minus* parties
         that join later — so a plain ``join:…`` spec works without
         hand-picking the starting committee.  Every epoch must satisfy
-        ``n >= 3f + 1``; a leave-heavy schedule needs a ``threshold``
-        event (or a smaller ``base_f``) to stay valid, and the error
-        says so rather than silently adjusting.
+        ``n >= 1``, ``f >= 0`` and ``n >= 3f + 1``; a leave-heavy schedule
+        needs a ``threshold`` event (or a smaller ``base_f``) to stay
+        valid, and the error says so rather than silently adjusting.
         """
         if epochs < 1:
             raise ValueError("need at least one epoch")
+        if base_f is not None and type(base_f) is not int:
+            raise ValueError(f"base_f must be an int, got {base_f!r}")
         for event in events:
             if event.epoch >= epochs:
                 raise ValueError(
@@ -184,6 +186,11 @@ class MembershipSchedule:
                     members.remove(event.value)
                 else:
                     f = event.value
+            if not members or f < 0:
+                raise ValueError(
+                    f"epoch {epoch}: n={len(members)}, f={f}; a committee "
+                    "needs n >= 1 and f >= 0"
+                )
             if len(members) < 3 * f + 1:
                 raise ValueError(
                     f"epoch {epoch}: n={len(members)} < 3f+1 with f={f}; "
@@ -235,13 +242,6 @@ def committee_setup(
     return TrustedSetup(directory, secrets)
 
 
-def transcript_valid(directory: PublicDirectory, transcript: Any) -> bool:
-    """``DKGVerify`` or ``verify_reshared``, by the transcript's kind."""
-    if isinstance(transcript, reshare.ReshareTranscript):
-        return reshare.verify_reshared(directory, transcript)
-    return tvrf.DKGVerify(directory, transcript)
-
-
 def epoch_setup(universe: TrustedSetup, seed: int, spec: EpochSpec) -> TrustedSetup:
     """The setup epoch ``spec`` of a seed-``seed`` membership run uses: its
     committee's slice of the universe under that epoch's session label —
@@ -253,12 +253,74 @@ def epoch_setup(universe: TrustedSetup, seed: int, spec: EpochSpec) -> TrustedSe
 def handoff_overlays(epochs: int, chaos: Any = None, crash: Any = None) -> dict:
     """One chaos spec and one crash plan (``{"indices", "after", "delay"}``)
     as the ``chaos=`` / ``crash=`` keywords that put them on every handoff
-    epoch (epoch 0 is the plain ADKG the overlays cover without a schedule)."""
-    return {
-        name: {epoch: overlay for epoch in range(1, epochs)}
-        for name, overlay in (("chaos", chaos), ("crash", crash))
-        if overlay is not None
-    }
+    epoch (epoch 0 is the plain ADKG the overlays cover without a schedule);
+    a one-epoch run has none to carry them, so ``ValueError``."""
+    given = {"chaos": chaos, "crash": crash}
+    given = {name: overlay for name, overlay in given.items() if overlay is not None}
+    if given and epochs < 2:
+        raise ValueError(f"{' and '.join(given)}: a {epochs}-epoch run has no handoff")
+    return {name: dict.fromkeys(range(1, epochs), o) for name, o in given.items()}
+
+
+# -- the timeline --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Stretch:
+    """Consecutive timeline epochs one committee runs on one transport.
+
+    A fresh stretch runs one ADKG per epoch, its ``i``-th as session
+    ``session_base + i``; a ``handoff`` stretch runs one epoch that
+    reshares the key the previous stretch ended with.  ``seed`` seeds the
+    transport, ``members`` names the committee as the caller numbers
+    parties (empty: the setup's own indices).  ``chaos`` covers the
+    stretch's transport, ``crash`` (a
+    :class:`~repro.storage.recovery.CrashPlan`'s ``indices`` / ``after``
+    / ``delay``) its first epoch.
+    """
+
+    setup: TrustedSetup
+    epochs: range
+    seed: int
+    members: tuple[int, ...] = ()
+    handoff: bool = False
+    session_base: int = 0
+    chaos: Any = None
+    crash: Optional[dict] = None
+
+
+def churn_timeline(
+    universe: TrustedSetup,
+    seed: int,
+    schedule: MembershipSchedule,
+    chaos: Optional[dict] = None,
+    crash: Optional[dict] = None,
+) -> list[Stretch]:
+    """The stretches of a seed-``seed`` membership run: epoch 0 a fresh
+    ADKG, every later epoch a handoff, each on its committee's own
+    transport; ``chaos`` / ``crash`` map epochs to overlays.  An overlay
+    keyed by an epoch the schedule does not have is a ``ValueError``."""
+    chaos, crash = dict(chaos or {}), dict(crash or {})
+    unknown = (set(chaos) | set(crash)) - set(range(len(schedule)))
+    if unknown:
+        raise ValueError(
+            f"fault overlays name epochs {sorted(unknown, key=repr)} a "
+            f"{len(schedule)}-epoch timeline does not have"
+        )
+    return [
+        Stretch(
+            epoch_setup(universe, seed, spec),
+            range(spec.epoch, spec.epoch + 1),
+            # Distinct per epoch so per-party RNG streams never repeat
+            # across the fresh transports of consecutive epochs.
+            seed=seed * 1009 + spec.epoch,
+            members=spec.members,
+            handoff=spec.epoch > 0,
+            chaos=chaos.get(spec.epoch),
+            crash=crash.get(spec.epoch),
+        )
+        for spec in schedule
+    ]
 
 
 # -- the driver ----------------------------------------------------------------------
@@ -266,23 +328,21 @@ def handoff_overlays(epochs: int, chaos: Any = None, crash: Any = None) -> dict:
 
 @dataclass
 class MembershipReport:
-    """Everything one membership run produced: epochs, key, fault overlays."""
+    """Everything one timeline run produced: epochs, beacon, key, overlays."""
 
-    universe_n: int
-    transport: str
-    seed: int
-    schedule: MembershipSchedule
     results: list[EpochResult] = field(default_factory=list)
     #: Per-epoch committee setups (runtime objects; needed to verify the
-    #: churn beacon and to chain further handoffs).
+    #: beacon and to chain further handoffs).
     setups: dict[int, TrustedSetup] = field(default_factory=dict)
-    key: Any = None
-    key_encoded: bytes = b""
-    key_invariant: bool = False
+    #: The beacon rounds of every epoch, one chain from genesis.
+    outputs: list[BeaconOutput] = field(default_factory=list)
+    handoffs: int = 0
     crash_epochs: tuple[int, ...] = ()
     chaos_epochs: tuple[int, ...] = ()
     replay: dict = field(default_factory=dict)
-    #: Every epoch's transport metrics (the live objects), in epoch order.
+    #: Every stretch's transport metrics (the live objects), in timeline
+    #: order.  All stretches share one pairing group, so only the first
+    #: counts ``pairing``: its counter reads the whole run.
     metrics: list[Metrics] = field(default_factory=list)
     wall_clock_s: float = 0.0
 
@@ -291,276 +351,171 @@ class MembershipReport:
         return bool(self.results) and all(r.agreed for r in self.results)
 
     @property
-    def handoffs(self) -> int:
-        return max(0, len(self.results) - 1)
-
-    @property
     def contexts(self) -> dict[int, tuple[PublicDirectory, Any]]:
         """Per-epoch ``(directory, transcript)`` for beacon verification."""
         return {
-            result.epoch: (
-                self.setups[result.epoch].directory,
-                result.transcript,
-            )
+            result.epoch: (self.setups[result.epoch].directory, result.transcript)
             for result in self.results
         }
 
+    def _key_bytes(self, result: EpochResult) -> bytes:
+        group = self.setups[result.epoch].directory.pair_group
+        return group.encode_element(result.public_key)
+
+    @property
+    def key_encoded(self) -> bytes:
+        """The first epoch's group key, encoded."""
+        return self._key_bytes(self.results[0])
+
+    @property
+    def key_invariant(self) -> bool:
+        """Every epoch's group key encodes to the bytes of the first's."""
+        return len({self._key_bytes(result) for result in self.results}) == 1
+
 
 class MembershipDriver:
-    """Run a membership schedule: ADKG once, then reshare handoffs.
+    """Run a committee timeline: every stretch through the one epoch loop.
 
-    ``chaos`` and ``crash`` are per-epoch overlays: ``chaos`` maps epoch
-    → a chaos spec (anything :func:`repro.net.chaos.coerce_chaos`
-    accepts) attached to that epoch's transport; ``crash`` maps epoch →
-    ``{"indices": (i, ...), "after": deliveries, "delay": t}``, the
-    :class:`~repro.storage.recovery.CrashPlan` that epoch runs under,
-    WAL-ing the handoff state of the crashed parties.
+    Each stretch gets a transport of its own and one
+    :class:`~repro.service.epochs.EpochDriver` run (fresh epochs pipelined
+    up to ``pipeline_depth``) under its crash plan and chaos spec, then
+    its epochs' ``rounds_per_epoch`` beacon rounds.  A handoff's dealings
+    draw from ``("reshare-deal", seed, epoch, dealer)``-seeded RNGs.
     """
 
     def __init__(
         self,
-        universe: TrustedSetup,
-        schedule: MembershipSchedule,
+        stretches: Sequence[Stretch],
         *,
         transport: str = "sim",
         seed: int = 0,
         timeout: float = 120.0,
-        chaos: Optional[dict] = None,
-        crash: Optional[dict] = None,
-        cadence: int = 16,
+        pipeline_depth: int = 1,
+        rounds_per_epoch: int = 2,
         storage_dir: Optional[str] = None,
     ) -> None:
-        self.universe = universe
-        self.schedule = schedule
+        self.stretches = tuple(stretches)
         self.transport = transport
         self.seed = seed
         self.timeout = timeout
-        self.chaos = dict(chaos or {})
-        self.crash = dict(crash or {})
-        self.cadence = cadence
+        self.pipeline_depth = pipeline_depth
         self.storage_dir = storage_dir
-
-    # -- deterministic derivations ---------------------------------------------------
-
-    def epoch_seed(self, epoch: int) -> int:
-        # Distinct per epoch so per-party RNG streams never repeat
-        # across the fresh transports of consecutive epochs.
-        return self.seed * 1009 + epoch
-
-    def handoff_spec(
-        self, epoch: int, old: TrustedSetup, old_transcript: Any
-    ) -> reshare.HandoffSpec:
-        return reshare.HandoffSpec(
-            epoch=epoch,
-            old_session=old.directory.session,
-            old_n=old.directory.n,
-            old_f=old.directory.f,
-            old_sign_pks=old.directory.sign_pks,
-            old_commitments=old_transcript.commitments,
-        )
-
-    def dealings(
-        self, spec: reshare.HandoffSpec, old: TrustedSetup, new: TrustedSetup
-    ) -> tuple[reshare.ReshareDealing, ...]:
-        """Every old member's dealing, derived from per-dealer seeded RNG.
-
-        "Published before leaving": the driver collects these from the
-        old committee up front, so the handoff session never depends on
-        a departed party being reachable.
-        """
-        return tuple(
-            reshare.deal_reshare(
-                new.directory,
-                spec,
-                old.secret(dealer),
-                random.Random(
-                    ("reshare-deal", self.seed, spec.epoch, dealer).__repr__()
-                ),
-            )
-            for dealer in range(old.directory.n)
-        )
-
-    @staticmethod
-    def initial_holdings(
-        dealings: Sequence[reshare.ReshareDealing], new_n: int
-    ) -> dict[int, tuple]:
-        """Round-robin assignment of published dealings to new parties.
-
-        Every dealing lands at exactly one initial holder, who fans it
-        out on start; with ``n_old ≥ 3 f_old + 1`` dealings spread over
-        the committee, ``f_old + 1`` of them survive any tolerated fault
-        pattern (a tampered relay fails the dealer's signature).
-        """
-        holdings: dict[int, list] = {j: [] for j in range(new_n)}
-        for index, dealing in enumerate(dealings):
-            holdings[index % new_n].append(dealing)
-        return {j: tuple(ds) for j, ds in holdings.items()}
-
-    # -- epoch execution -------------------------------------------------------------
+        self.rounds_per_epoch = rounds_per_epoch
 
     def run(self) -> MembershipReport:
         started = time.perf_counter()
+        beacon = RandomnessBeacon(rounds_per_epoch=self.rounds_per_epoch)
         report = MembershipReport(
-            universe_n=self.universe.directory.n,
-            transport=self.transport,
-            seed=self.seed,
-            schedule=self.schedule,
-            crash_epochs=tuple(sorted(self.crash)),
-            chaos_epochs=tuple(sorted(self.chaos)),
+            outputs=beacon.outputs,
+            handoffs=sum(stretch.handoff for stretch in self.stretches),
+            crash_epochs=tuple(
+                s.epochs[0] for s in self.stretches if s.crash is not None
+            ),
+            chaos_epochs=tuple(
+                e for s in self.stretches if s.chaos is not None for e in s.epochs
+            ),
         )
-        group = self.universe.directory.pair_group
-        prev_setup: Optional[TrustedSetup] = None
-        prev_transcript: Any = None
-        for spec in self.schedule:
-            setup = epoch_setup(self.universe, self.seed, spec)
-            if spec.epoch == 0:
-                root_factory: Any = adkg_root
-            else:
-                hspec = self.handoff_spec(spec.epoch, prev_setup, prev_transcript)
-                holdings = self.initial_holdings(
-                    self.dealings(hspec, prev_setup, setup), spec.n
+        for stretch in self.stretches:
+            root_factory = adkg_root
+            if stretch.handoff:
+                last = report.results[-1]
+                root_factory = self._handoff_root(
+                    stretch, report.setups[last.epoch], last.transcript
                 )
-
-                def root_factory(
-                    party: Party, _spec=hspec, _holdings=holdings
-                ) -> Protocol:
-                    return ReshareAgreement(
-                        spec=_spec, initial=_holdings[party.index]
-                    )
-
-            result = self._run_epoch(spec, setup, root_factory, report)
-            report.results.append(result)
-            report.setups[spec.epoch] = setup
-            prev_setup, prev_transcript = setup, result.transcript
-        report.key = report.results[0].public_key
-        report.key_encoded = group.encode_element(report.key)
-        report.key_invariant = all(
-            group.encode_element(result.public_key) == report.key_encoded
-            for result in report.results
-        )
+            for result in self._run_stretch(stretch, root_factory, report):
+                report.results.append(result)
+                report.setups[result.epoch] = stretch.setup
+                beacon.emit_epoch(result.epoch, stretch.setup, result.transcript)
         report.wall_clock_s = time.perf_counter() - started
         return report
 
-    def _run_epoch(
-        self,
-        spec: EpochSpec,
-        setup: TrustedSetup,
-        root_factory: Any,
-        report: MembershipReport,
-    ) -> EpochResult:
-        runtime = make_run_transport(
-            self.transport,
-            setup,
-            seed=self.epoch_seed(spec.epoch),
-            chaos=self.chaos.get(spec.epoch),
+    def _handoff_root(
+        self, stretch: Stretch, old: TrustedSetup, old_transcript: Any
+    ) -> RootFactory:
+        """The handoff epoch's root: every old member's dealing, derived up
+        front ("published before leaving", so the session never depends on
+        a departed party being reachable) and held round-robin by the new
+        committee — each lands at one holder, who fans it out on start, and
+        with ``n_old ≥ 3 f_old + 1`` dealings spread out, ``f_old + 1`` of
+        them survive any tolerated fault pattern (a tampered relay fails
+        the dealer's signature)."""
+        [epoch] = stretch.epochs
+        old_directory, new = old.directory, stretch.setup.directory
+        spec = reshare.HandoffSpec(
+            epoch=epoch,
+            old_session=old_directory.session,
+            old_n=old_directory.n,
+            old_f=old_directory.f,
+            old_sign_pks=old_directory.sign_pks,
+            old_commitments=old_transcript.commitments,
         )
-        crash = self.crash.get(spec.epoch)
+        dealings = [
+            reshare.deal_reshare(
+                new,
+                spec,
+                old.secret(dealer),
+                random.Random(("reshare-deal", self.seed, epoch, dealer).__repr__()),
+            )
+            for dealer in range(old_directory.n)
+        ]
+        return lambda party: ReshareAgreement(
+            spec=spec, initial=tuple(dealings[party.index :: new.n])
+        )
+
+    def _run_stretch(
+        self, stretch: Stretch, root_factory: RootFactory, report: MembershipReport
+    ) -> list[EpochResult]:
+        runtime = make_run_transport(
+            self.transport, stretch.setup, seed=stretch.seed, chaos=stretch.chaos
+        )
+        if report.metrics:  # the first stretch's counter reads the whole run
+            del runtime.metrics.counter_providers["pairing"]
         plan: Any = nullcontext()
-        if crash is not None:
+        if stretch.crash is not None:
             plan = CrashPlan(
                 runtime,
                 root_factory,
-                cadence=self.cadence,
                 storage_dir=self.storage_dir,
                 timeout=self.timeout,
-                **crash,
+                **stretch.crash,
             )
         with plan as interlude:
-            [result] = EpochDriver(
+            results = EpochDriver(
                 runtime,
-                epochs=1,
+                epochs=len(stretch.epochs),
+                pipeline_depth=self.pipeline_depth,
                 root_factory=root_factory,
+                session_base=stretch.session_base,
                 timeout=self.timeout,
                 interludes={0: interlude},
             ).run()
+            # Drain the stragglers in flight when the last session completed
+            # (the simulator; realtime close() cancelled them): delivery counts
+            # become a function of the traffic, not of where the wait halted.
+            runtime.block_on(runtime.drain())
         if interlude:
-            report.replay[spec.epoch] = interlude.replay
+            report.replay[stretch.epochs[0]] = interlude.replay
         report.metrics.append(runtime.metrics)
-        # The fresh transport calls this epoch 0 and knows only local
-        # indices; relabel with the schedule's epoch and committee.
-        return replace(
-            result, epoch=spec.epoch, committee=spec.members, threshold=spec.f
-        )
-
-
-# -- the churn beacon ----------------------------------------------------------------
-
-
-class ChurnBeacon:
-    """A genesis-rooted beacon chain spanning committee changes.
-
-    Unlike :class:`~repro.service.beacon.RandomnessBeacon` (one setup for
-    every epoch), each epoch here evaluates under its *own* directory —
-    the per-epoch session label feeds the VRF message point, and the
-    transcript is either the fresh ADKG's or a reshared one (both expose
-    ``public_key``/``share_commitment``, and
-    :func:`~repro.crypto.threshold_vrf.EvalSh` dispatches on the kind).
-    The ``prev`` links cross handoffs, so the chain proves continuity of
-    the one invariant group key through every committee.
-    """
-
-    def __init__(self, *, rounds_per_epoch: int = 2) -> None:
-        if rounds_per_epoch < 1:
-            raise ValueError("rounds_per_epoch must be >= 1")
-        self.rounds_per_epoch = rounds_per_epoch
-        self.outputs: list[BeaconOutput] = []
-        self._prev = GENESIS
-
-    def emit_epoch(
-        self,
-        epoch: int,
-        setup: TrustedSetup,
-        transcript: Any,
-        *,
-        signers: Optional[Sequence[int]] = None,
-    ) -> list[BeaconOutput]:
-        directory = setup.directory
-        if not transcript_valid(directory, transcript):
-            raise ValueError(f"epoch {epoch} transcript does not verify")
-        emitted = emit_rounds(
-            setup, transcript, signers, epoch, self.rounds_per_epoch, self._prev
-        )
-        self.outputs.extend(emitted)
-        self._prev = emitted[-1].value
-        return emitted
-
-    @classmethod
-    def verify_chain(
-        cls,
-        outputs: Sequence[BeaconOutput],
-        contexts: dict[int, tuple[PublicDirectory, Any]],
-    ) -> bool:
-        """Genesis-rooted verification across every committee change.
-
-        ``contexts`` maps epoch → ``(directory, transcript)``; the walk, in
-        :func:`~repro.service.beacon.in_chain_order`, additionally pins key
-        invariance — every epoch's transcript must carry the same group key
-        bytes as epoch 0's.
-        """
-        if not in_chain_order(outputs, contexts):
-            return False
-        anchor_directory, anchor_transcript = contexts[min(contexts)]
-        group = anchor_directory.pair_group
-        anchor_key = group.encode_element(anchor_transcript.public_key)
-        prev = GENESIS
-        for output in outputs:
-            if output.prev != prev:
-                return False
-            context = contexts.get(output.epoch)
-            if context is None:
-                return False
-            directory, transcript = context
-            if not transcript_valid(directory, transcript):
-                return False
-            if group.encode_element(transcript.public_key) != anchor_key:
-                return False
-            if not verify_output(directory, output, transcript):
-                return False
-            prev = output.value
-        return True
+        # The transport numbers epochs from 0 and knows only local indices;
+        # relabel with the timeline's epochs and the caller's committee.
+        return [
+            replace(result, epoch=epoch, committee=stretch.members or result.committee)
+            for epoch, result in zip(stretch.epochs, results)
+        ]
 
 
 # -- one-call entry ------------------------------------------------------------------
+
+
+class ChurnBeacon(RandomnessBeacon):
+    """The churn beacon's old name: :class:`RandomnessBeacon` under it.
+
+    The body re-exposes both methods so that code wrapping functions per
+    owning class (``perf/trace.py``) still finds them here.
+    """
+
+    emit_epoch = RandomnessBeacon.emit_epoch
+    verify_chain = staticmethod(RandomnessBeacon.verify_chain)
 
 
 @dataclass
@@ -599,7 +554,9 @@ def run_churn(
     """Run a full churn scenario: schedule → handoffs → verified beacon.
 
     ``churn`` is a :func:`parse_churn` string; ``None`` keeps the
-    committee and refreshes the key every epoch.
+    committee and reshares its key every epoch.  ``chaos`` / ``crash``
+    map epochs to the chaos spec / ``CrashPlan`` arguments that epoch
+    runs under.
     """
     universe = TrustedSetup.generate(universe_n, seed=seed)
     schedule = MembershipSchedule.build(
@@ -609,30 +566,24 @@ def run_churn(
         base_members=base_members,
         base_f=base_f,
     )
-    driver = MembershipDriver(
-        universe,
-        schedule,
+    membership = MembershipDriver(
+        churn_timeline(universe, seed, schedule, chaos, crash),
         transport=transport,
         seed=seed,
         timeout=timeout,
-        chaos=chaos,
-        crash=crash,
+        rounds_per_epoch=rounds_per_epoch,
         storage_dir=storage_dir,
-    )
-    membership = driver.run()
-    beacon = ChurnBeacon(rounds_per_epoch=rounds_per_epoch)
-    for result in membership.results:
-        beacon.emit_epoch(
-            result.epoch, membership.setups[result.epoch], result.transcript
-        )
+    ).run()
     all_verified = (
         membership.agreed
         and membership.key_invariant
-        and ChurnBeacon.verify_chain(beacon.outputs, membership.contexts)
+        and RandomnessBeacon.verify_chain(
+            membership.outputs, membership.contexts, handoffs=True
+        )
     )
     return ChurnReport(
         membership=membership,
-        outputs=list(beacon.outputs),
+        outputs=list(membership.outputs),
         rounds_per_epoch=rounds_per_epoch,
         all_verified=all_verified,
     )

@@ -41,28 +41,27 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.crypto.hashing import hash_bytes, hash_to_int
-from repro.crypto.keys import TrustedSetup
+from repro.crypto.keys import PublicDirectory, TrustedSetup
 from repro.net.chaos import ChaosSpec
 from repro.net.metrics import Metrics
-from repro.net.transport import TRANSPORT_KINDS, make_run_transport
+from repro.net.transport import TRANSPORT_KINDS
 from repro.service.beacon import BeaconOutput, RandomnessBeacon
-from repro.service.epochs import EpochDriver, EpochResult, adkg_root
+from repro.service.epochs import EpochResult
 from repro.service.membership import (
-    ChurnBeacon,
     EpochSpec,
     MembershipDriver,
     MembershipSchedule,
+    Stretch,
+    churn_timeline,
     epoch_setup,
     handoff_overlays,
     parse_churn,
 )
-from repro.storage.recovery import CrashPlan
 
 __all__ = [
     "SESSION_STRIDE",
@@ -305,32 +304,27 @@ class ShardedBeacon:
         return combined
 
     def _chain_verifies(self, group: ShardGroup, result: GroupResult) -> bool:
-        if not self.churn:
-            return RandomnessBeacon(group.setup).verify_chain(
-                result.outputs, {r.epoch: r.transcript for r in result.epoch_results}
-            )
-        # Directories rebuilt from what the rows claim: a committee the
-        # epoch did not run with yields one its transcript fails under.
+        # Churned directories are rebuilt from what the rows claim: a
+        # committee the epoch did not run with yields one its transcript
+        # fails under.
         local = {member: index for index, member in enumerate(group.members)}
+
+        def directory(row: EpochResult) -> PublicDirectory:
+            if not self.churn:
+                return group.setup.directory
+            committee = tuple(local[member] for member in row.committee)
+            spec = EpochSpec(row.epoch, committee, row.threshold)
+            return epoch_setup(group.setup, group.seed, spec).directory
+
         try:
             contexts = {
-                row.epoch: (
-                    epoch_setup(
-                        group.setup,
-                        group.seed,
-                        EpochSpec(
-                            row.epoch,
-                            tuple(local[member] for member in row.committee),
-                            row.threshold,
-                        ),
-                    ).directory,
-                    row.transcript,
-                )
-                for row in result.epoch_results
+                row.epoch: (directory(row), row.transcript) for row in result.epoch_results
             }
         except (KeyError, ValueError):
             return False
-        return ChurnBeacon.verify_chain(result.outputs, contexts)
+        return RandomnessBeacon.verify_chain(
+            result.outputs, contexts, handoffs=self.churn
+        )
 
     def verify(
         self,
@@ -399,13 +393,31 @@ def _run_group(
     group = make_shard_group(gid, len(members), f, seed, members=members, params=params)
     started = time.perf_counter()
     if schedule is None:
-        epoch_results, outputs, metrics = _run_fresh_keys(
-            group, epochs, rounds_per_epoch, transport, timeout, chaos, crash
-        )
+        # A fresh key every epoch on one transport: chaos over the whole
+        # run, the crash in its first epoch.
+        stretches = [
+            Stretch(
+                group.setup,
+                range(epochs),
+                group.seed,
+                session_base=group.session_base,
+                chaos=chaos,
+                crash=crash,
+            )
+        ]
     else:
-        epoch_results, outputs, metrics = _run_handoffs(
-            group, schedule, rounds_per_epoch, transport, timeout, chaos, crash
-        )
+        # One key handed from committee to committee of the group's
+        # parties, the overlays on every handoff epoch.
+        overlays = handoff_overlays(len(schedule), chaos, crash)
+        stretches = churn_timeline(group.setup, group.seed, schedule, **overlays)
+    membership = MembershipDriver(
+        stretches,
+        transport=transport,
+        seed=group.seed,
+        timeout=timeout,
+        rounds_per_epoch=rounds_per_epoch,
+    ).run()
+    metrics = Metrics.merged(membership.metrics)
     return GroupResult(
         gid=gid,
         members=group.members,
@@ -413,9 +425,9 @@ def _run_group(
         # epoch's committee as universe members.
         epoch_results=[
             replace(row, committee=tuple(members[local] for local in row.committee))
-            for row in epoch_results
+            for row in membership.results
         ],
-        outputs=list(outputs),
+        outputs=membership.outputs,
         metrics=Metrics(
             **{name: getattr(metrics, name) for name in _PROTOCOL_PLANE},
             counter_providers={
@@ -424,75 +436,6 @@ def _run_group(
         ),
         wall_clock_s=time.perf_counter() - started,
     )
-
-
-def _run_fresh_keys(
-    group: ShardGroup,
-    epochs: int,
-    rounds_per_epoch: int,
-    transport: str,
-    timeout: float,
-    chaos: Optional[ChaosSpec],
-    crash: Optional[dict],
-) -> tuple:
-    """A fresh key every epoch, all on one transport (``chaos`` on it for
-    the whole run, ``crash`` in the first epoch): epochs, beacon, metrics."""
-    runtime = make_run_transport(transport, group.setup, seed=group.seed, chaos=chaos)
-    plan: Any = nullcontext()
-    if crash is not None:
-        plan = CrashPlan(runtime, adkg_root, timeout=timeout, **crash)
-    with plan as interlude:
-        epoch_results = EpochDriver(
-            runtime,
-            epochs=epochs,
-            timeout=timeout,
-            session_base=group.session_base,
-            interludes={0: interlude},
-        ).run()
-        # Drain the stragglers in flight when the last session completed
-        # (the simulator; realtime close() cancelled them): delivery counts
-        # become a function of the traffic, not of where the wait halted.
-        runtime.block_on(runtime.drain())
-    beacon = RandomnessBeacon(group.setup, rounds_per_epoch=rounds_per_epoch)
-    for result in epoch_results:
-        beacon.emit_epoch(result.epoch, result.transcript)
-    return epoch_results, beacon.outputs, runtime.metrics
-
-
-def _run_handoffs(
-    group: ShardGroup,
-    schedule: MembershipSchedule,
-    rounds_per_epoch: int,
-    transport: str,
-    timeout: float,
-    chaos: Optional[ChaosSpec],
-    crash: Optional[dict],
-) -> tuple:
-    """One key handed from committee to committee of the group's parties;
-    the overlays apply to the handoff epochs, as ``repro run --reshare
-    --chaos`` always had it."""
-    # One pairing group serves every committee's directory: its calls are
-    # read once over the whole run, not summed per epoch transport.
-    pair_group = group.setup.directory.pair_group
-    pair_base = pair_group.pair_calls
-    membership = MembershipDriver(
-        group.setup,
-        schedule,
-        transport=transport,
-        seed=group.seed,
-        timeout=timeout,
-        **handoff_overlays(len(schedule), chaos, crash),
-    ).run()
-    beacon = ChurnBeacon(rounds_per_epoch=rounds_per_epoch)
-    for result in membership.results:
-        beacon.emit_epoch(
-            result.epoch, membership.setups[result.epoch], result.transcript
-        )
-    metrics = Metrics.merged(membership.metrics)
-    metrics.attach_counters(
-        "pairing", lambda: {"pair_calls": pair_group.pair_calls - pair_base}
-    )
-    return membership.results, beacon.outputs, metrics
 
 
 # -- the pool ------------------------------------------------------------------------
@@ -651,6 +594,8 @@ def run_sharded(
     if not timeout > 0:
         raise ValueError(f"timeout must be > 0, got {timeout}")
     chaos_spec = None if chaos is None else ChaosSpec.parse(chaos)
+    if churn is not None:
+        handoff_overlays(epochs, chaos_spec, crash)  # none to drop unseen
     events = parse_churn(churn) if churn else ()
     coordinator = GroupCoordinator(
         universe, groups, group_f=group_f, seed=seed, params=params

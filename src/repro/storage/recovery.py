@@ -292,7 +292,7 @@ def run_crash_recovery(
     reattach to all-honest completion, in the transport's time unit).
     """
     from repro.service.epochs import EpochDriver, adkg_root
-    from repro.service.membership import transcript_valid
+    from repro.service.beacon import transcript_valid
 
     root_factory = root_factory or adkg_root
     setup = setup or TrustedSetup.generate(n, seed=seed)

@@ -9,13 +9,18 @@ from repro.crypto.keys import TrustedSetup
 from repro.net.delays import FixedDelay
 from repro.net.runtime import Simulation
 from repro.service import EpochDriver, RandomnessBeacon, run_beacon
-from repro.service.beacon import GENESIS
+from repro.service.beacon import GENESIS, verify_output
 
 
 def _driver(n=4, seed=1, epochs=2, depth=1, **kwargs):
     setup = TrustedSetup.generate(n, seed=seed)
     sim = Simulation(setup, seed=seed, delay_model=FixedDelay(1.0))
     return setup, EpochDriver(sim, epochs=epochs, pipeline_depth=depth, **kwargs)
+
+
+def _contexts(setup, transcripts):
+    """A static committee's ``verify_chain`` contexts: one directory."""
+    return {epoch: (setup.directory, t) for epoch, t in transcripts.items()}
 
 
 # -- the epoch driver ------------------------------------------------------------------
@@ -78,10 +83,11 @@ def test_a_crash_interlude_rides_the_pipelined_loop():
     # the party is back, and the recovered party output every epoch.
     assert results[0].completed_at > plan.reattach_at > results[1].started_at
     assert all(2 in r.outputs for r in results)
-    beacon = RandomnessBeacon(setup)
+    beacon = RandomnessBeacon()
     for result in results:
-        beacon.emit_epoch(result.epoch, result.transcript)
-    assert beacon.verify_chain(beacon.outputs, {r.epoch: r.transcript for r in results})
+        beacon.emit_epoch(result.epoch, setup, result.transcript)
+    transcripts = {r.epoch: r.transcript for r in results}
+    assert beacon.verify_chain(beacon.outputs, _contexts(setup, transcripts))
 
 
 # -- the beacon ------------------------------------------------------------------------
@@ -90,37 +96,38 @@ def test_a_crash_interlude_rides_the_pipelined_loop():
 def test_beacon_outputs_verify_against_each_epochs_key():
     setup, driver = _driver(epochs=2, depth=2)
     results = driver.run()
-    beacon = RandomnessBeacon(setup, rounds_per_epoch=3)
+    beacon = RandomnessBeacon(rounds_per_epoch=3)
     for result in results:
-        beacon.emit_epoch(result.epoch, result.transcript)
+        beacon.emit_epoch(result.epoch, setup, result.transcript)
     assert len(beacon.outputs) == 2 * 3
     transcripts = {r.epoch: r.transcript for r in results}
     for output in beacon.outputs:
-        assert beacon.verify(output, transcripts[output.epoch])
+        assert verify_output(setup.directory, output, transcripts[output.epoch])
         # The wrong epoch's key must NOT verify this value.
         other = transcripts[1 - output.epoch]
-        assert not beacon.verify(output, other)
-    assert beacon.verify_chain(beacon.outputs, transcripts)
+        assert not verify_output(setup.directory, output, other)
+    assert beacon.verify_chain(beacon.outputs, _contexts(setup, transcripts))
 
 
 def test_beacon_chain_is_genesis_rooted_and_tamper_evident():
     setup, driver = _driver(epochs=2, depth=1)
     results = driver.run()
-    beacon = RandomnessBeacon(setup, rounds_per_epoch=2)
+    beacon = RandomnessBeacon(rounds_per_epoch=2)
     for result in results:
-        beacon.emit_epoch(result.epoch, result.transcript)
+        beacon.emit_epoch(result.epoch, setup, result.transcript)
     transcripts = {r.epoch: r.transcript for r in results}
+    contexts = _contexts(setup, transcripts)
     outputs = beacon.outputs
     assert outputs[0].prev == GENESIS
     for previous, current in zip(outputs, outputs[1:]):
         assert current.prev == previous.value  # linked across the epoch handoff
     # Tampering with a value breaks both the value check and the chain.
     forged = dataclasses.replace(outputs[1], value=outputs[1].value ^ 1)
-    assert not beacon.verify(forged, transcripts[forged.epoch])
+    assert not verify_output(setup.directory, forged, transcripts[forged.epoch])
     tampered = [outputs[0], forged] + outputs[2:]
-    assert not beacon.verify_chain(tampered, transcripts)
+    assert not beacon.verify_chain(tampered, contexts)
     # Reordering breaks linkage even though each value verifies alone.
-    assert not beacon.verify_chain(outputs[::-1], transcripts)
+    assert not beacon.verify_chain(outputs[::-1], contexts)
     # Same public key, shares out of order: every value still checks out
     # against the key, so the transcript itself has to be verified.
     agreed = transcripts[0]
@@ -129,17 +136,22 @@ def test_beacon_chain_is_genesis_rooted_and_tamper_evident():
     )
     assert reversed_shares.public_key == agreed.public_key
     assert not tvrf.DKGVerify(setup.directory, reversed_shares)
-    assert all(beacon.verify(o, reversed_shares) for o in outputs if o.epoch == 0)
-    assert not beacon.verify_chain(outputs, {**transcripts, 0: reversed_shares})
+    assert all(
+        verify_output(setup.directory, o, reversed_shares)
+        for o in outputs
+        if o.epoch == 0
+    )
+    forged_contexts = _contexts(setup, {**transcripts, 0: reversed_shares})
+    assert not beacon.verify_chain(outputs, forged_contexts)
 
 
 def test_chains_out_of_position_fail_both_verifiers():
     """Valid values with valid ``prev`` links still fail when their
     positions do not walk the epochs in order: a repeated round 0 of
-    epoch 0, epoch 1 before epoch 0, and the empty chain."""
+    epoch 0, epoch 1 before epoch 0, and the empty chain — on fresh keys
+    and across handoffs alike."""
     from repro.service import run_churn
     from repro.service.beacon import emit_rounds
-    from repro.service.membership import ChurnBeacon
 
     def bad_chains(setup_of, transcript_of):
         first = emit_rounds(setup_of(0), transcript_of(0), None, 0, 1, GENESIS)
@@ -150,19 +162,20 @@ def test_chains_out_of_position_fail_both_verifiers():
 
     setup, driver = _driver(epochs=2)
     transcripts = {r.epoch: r.transcript for r in driver.run()}
-    beacon = RandomnessBeacon(setup, rounds_per_epoch=1)
+    beacon = RandomnessBeacon(rounds_per_epoch=1)
     for epoch in (0, 1):
-        beacon.emit_epoch(epoch, transcripts[epoch])
-    assert beacon.verify_chain(beacon.outputs, transcripts)
+        beacon.emit_epoch(epoch, setup, transcripts[epoch])
+    contexts = _contexts(setup, transcripts)
+    assert beacon.verify_chain(beacon.outputs, contexts)
     for case, chain in bad_chains(lambda e: setup, transcripts.get).items():
-        assert not beacon.verify_chain(chain, transcripts), case
+        assert not beacon.verify_chain(chain, contexts), case
 
     churn = run_churn(4, epochs=2, seed=1)
     membership, contexts = churn.membership, churn.membership.contexts
-    assert ChurnBeacon.verify_chain(churn.outputs, contexts)
+    assert RandomnessBeacon.verify_chain(churn.outputs, contexts, handoffs=True)
     chains = bad_chains(membership.setups.get, lambda e: contexts[e][1])
     for case, chain in chains.items():
-        assert not ChurnBeacon.verify_chain(chain, contexts), case
+        assert not RandomnessBeacon.verify_chain(chain, contexts, handoffs=True), case
 
 
 def test_beacon_value_is_unique_across_signer_subsets():
@@ -170,22 +183,22 @@ def test_beacon_value_is_unique_across_signer_subsets():
     setup, driver = _driver(n=4, epochs=1)
     results = driver.run()
     f = setup.directory.f
-    one = RandomnessBeacon(setup, rounds_per_epoch=1, signers=range(f + 1))
-    two = RandomnessBeacon(setup, rounds_per_epoch=1, signers=range(1, f + 2))
-    [a] = one.emit_epoch(0, results[0].transcript)
-    [b] = two.emit_epoch(0, results[0].transcript)
+    one = RandomnessBeacon(rounds_per_epoch=1, signers=range(f + 1))
+    two = RandomnessBeacon(rounds_per_epoch=1, signers=range(1, f + 2))
+    [a] = one.emit_epoch(0, setup, results[0].transcript)
+    [b] = two.emit_epoch(0, setup, results[0].transcript)
     assert a.value == b.value
 
 
 def test_beacon_rejects_invalid_transcript():
     setup, driver = _driver(epochs=1)
     results = driver.run()
-    beacon = RandomnessBeacon(setup)
+    beacon = RandomnessBeacon()
     bad = dataclasses.replace(
         results[0].transcript, tags=results[0].transcript.tags[:1]
     )
     with pytest.raises(ValueError):
-        beacon.emit_epoch(0, bad)
+        beacon.emit_epoch(0, setup, bad)
 
 
 # -- the one-call service --------------------------------------------------------------

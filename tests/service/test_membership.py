@@ -5,8 +5,8 @@ import dataclasses
 import pytest
 
 from repro.service import GroupCoordinator, run_churn, run_sharded
+from repro.service.beacon import RandomnessBeacon
 from repro.service.membership import (
-    ChurnBeacon,
     ChurnEvent,
     MembershipSchedule,
     parse_churn,
@@ -90,8 +90,10 @@ def test_handoff_finishes_within_twice_the_fresh_adkg_rounds(churn_matrix_report
 
 def test_churn_matrix_chain_verifies(churn_matrix_report):
     assert churn_matrix_report.all_verified
-    assert ChurnBeacon.verify_chain(
-        churn_matrix_report.outputs, churn_matrix_report.membership.contexts
+    assert RandomnessBeacon.verify_chain(
+        churn_matrix_report.outputs,
+        churn_matrix_report.membership.contexts,
+        handoffs=True,
     )
 
 
@@ -109,13 +111,13 @@ def test_tampered_chain_rejected(churn_matrix_report):
     outputs = list(churn_matrix_report.outputs)
     contexts = churn_matrix_report.membership.contexts
     tampered = outputs[:1] + [dataclasses.replace(outputs[1], value=outputs[1].value ^ 1)]
-    assert not ChurnBeacon.verify_chain(tampered, contexts)
+    assert not RandomnessBeacon.verify_chain(tampered, contexts, handoffs=True)
     # A chain that skips the genesis-rooted prev link fails too.
-    assert not ChurnBeacon.verify_chain(outputs[1:], contexts)
+    assert not RandomnessBeacon.verify_chain(outputs[1:], contexts, handoffs=True)
     # Swapping one epoch's transcript for another's breaks the walk.
     swapped = dict(contexts)
     swapped[1] = contexts[0]
-    assert not ChurnBeacon.verify_chain(outputs, swapped)
+    assert not RandomnessBeacon.verify_chain(outputs, swapped, handoffs=True)
 
 
 @pytest.mark.parametrize("transport", ["asyncio", "tcp"])
@@ -318,3 +320,77 @@ def test_sharded_churn_run_is_pinned(sharded_churn_report):
         for m in (group.metrics for group in sharded_churn_report.group_results)
     ] == PINNED_SHARDED_TOTALS
     assert [o.value for o in sharded_churn_report.combined] == PINNED_SHARDED_COMBINED
+
+
+# -- overlays, schedules and counters the timeline must honour ----------------------
+
+_FAULTS = ["--crash", "0@12", "--chaos", "drop:0.05"]
+_CRASH = {"indices": (1,), "after": 12, "delay": 4.0}
+
+
+def _cli(*argv):
+    from repro.cli import main
+
+    return main(["run", "--seed", "1", "--reshare", "1", *argv, *_FAULTS])
+
+
+@pytest.mark.parametrize(
+    "attempt",
+    [
+        lambda: _cli("-n", "4"),
+        lambda: _cli("-n", "8", "--groups", "2"),
+        lambda: run_sharded(
+            universe=8, groups=2, epochs=1, churn="", chaos="drop:0.05", crash=_CRASH
+        ),
+        lambda: run_churn(4, epochs=2, crash={5: _CRASH}, chaos={-1: "drop:0.05"}),
+    ],
+    ids=["cli", "cli-groups", "run_sharded", "run_churn"],
+)
+def test_an_overlay_the_timeline_cannot_carry_is_refused(attempt, monkeypatch, capsys):
+    """A fault overlay keyed by an epoch the timeline does not have, or
+    meant for handoff epochs in a run that has none, is refused before
+    any transport starts — never dropped from a run that then passes."""
+    from repro.service import membership as membership_mod
+
+    built = []
+    real = membership_mod.make_run_transport
+    monkeypatch.setattr(
+        membership_mod,
+        "make_run_transport",
+        lambda *args, **kwargs: built.append(args) or real(*args, **kwargs),
+    )
+    monkeypatch.setattr(shards, "_usable_cores", lambda: 1)
+    try:
+        status = attempt()
+    except ValueError:
+        status = "ValueError"
+    else:
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert built == []
+
+
+def test_schedule_needs_a_committee_and_a_threshold_at_every_epoch():
+    """n >= 1, f >= 0 and int (not bool) event values, at construction."""
+    with pytest.raises(ValueError):
+        MembershipSchedule.build(7, 2, (), base_members=[])
+    with pytest.raises(ValueError):
+        MembershipSchedule.build(7, 2, (), base_f=-1)
+    with pytest.raises(ValueError):
+        MembershipSchedule.build(7, 2, (ChurnEvent("threshold", -1, 1),))
+    with pytest.raises(ValueError):
+        ChurnEvent("join", True, 1)
+    with pytest.raises(ValueError):
+        ChurnEvent("threshold", 1, True)
+
+
+def test_a_churn_run_counts_each_pairing_once():
+    """Every epoch transport slices one pairing group: the run's metrics
+    report the pairings that group made, not one reading per transport."""
+    from repro.net.metrics import Metrics
+
+    report = run_churn(7, epochs=3, churn="join:6@1;leave:0@2", base_f=1, seed=3)
+    membership = report.membership
+    group = membership.setups[0].directory.pair_group
+    merged = Metrics.merged(membership.metrics).counters("pairing")
+    assert merged == {"pair_calls": group.pair_calls} and group.pair_calls > 0

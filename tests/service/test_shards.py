@@ -254,7 +254,7 @@ def test_a_crash_overlay_reaches_every_group(monkeypatch):
             await super().__call__(session)
             fired.append((session, self.reattach_at - self.crash_at, set(self.replay)))
 
-    monkeypatch.setattr(shards_mod, "CrashPlan", Recorded)
+    # Every group's stretches run through the one membership loop.
     monkeypatch.setattr(membership_mod, "CrashPlan", Recorded)
     monkeypatch.setattr(shards_mod, "_usable_cores", lambda: 1)
     crash = {"indices": (1,), "after": 12, "delay": 7.0}
