@@ -56,49 +56,15 @@ class BeaconOutput:
         return ("beacon", self.epoch, self.round, self.prev)
 
 
-def emit_rounds(
-    setup: TrustedSetup,
-    transcript: Any,
-    signers: Optional[Sequence[int]],
-    epoch: int,
-    rounds: int,
-    prev: int,
-) -> list[BeaconOutput]:
-    """One epoch's chained rounds under ``setup``.
-
-    Per round: ``EvalSh`` at each signer, ``EvalShVerify``, ``Eval``,
-    ``EvalVerify``, ``vrf_output`` — and the value becomes the next
-    round's ``prev``, the handoff link into the next round/epoch.  Any
-    f+1 distinct signers produce the same unique value (Definition 2);
-    ``None`` means the lowest-indexed f+1 parties.  A fresh or a reshared
-    transcript alike: both expose ``public_key`` / ``share_commitment``.
-    """
-    directory = setup.directory
-    signers = tuple(range(directory.f + 1) if signers is None else signers)
-    emitted: list[BeaconOutput] = []
-    for round_index in range(rounds):
-        message = ("beacon", epoch, round_index, prev)
-        shares = []
-        for signer in signers:
-            share = tvrf.EvalSh(directory, setup.secret(signer), transcript, message)
-            if tvrf.EvalShVerify(directory, transcript, signer, message, share):
-                shares.append(share)
-        evaluation, proof = tvrf.Eval(directory, transcript, message, shares)
-        if not tvrf.EvalVerify(directory, transcript, message, evaluation, proof):
-            raise RuntimeError(f"beacon evaluation failed to verify: {message}")
-        value = tvrf.vrf_output(directory, evaluation)
-        emitted.append(BeaconOutput(epoch, round_index, prev, value, evaluation))
-        prev = value
-    return emitted
-
-
 def verify_output(
     directory: PublicDirectory, output: BeaconOutput, transcript: Any
 ) -> bool:
     """Publicly verify one beacon value against its epoch's group key."""
-    return tvrf.EvalVerify(
+    if not tvrf.EvalVerify(
         directory, transcript, output.message(), output.evaluation
-    ) and tvrf.vrf_output(directory, output.evaluation) == output.value
+    ):
+        return False
+    return tvrf.vrf_output(directory, output.evaluation) == output.value
 
 
 def transcript_valid(directory: PublicDirectory, transcript: Any) -> bool:
@@ -126,21 +92,50 @@ class RandomnessBeacon:
         if rounds_per_epoch < 1:
             raise ValueError("rounds_per_epoch must be >= 1")
         self.rounds_per_epoch = rounds_per_epoch
-        self.signers = signers
+        self.signers = None if signers is None else tuple(signers)
         self.outputs: list[BeaconOutput] = []
         self._prev = GENESIS
 
     def emit_epoch(
         self, epoch: int, setup: TrustedSetup, transcript: Any
     ) -> list[BeaconOutput]:
-        """Emit this epoch's beacon rounds from its agreed transcript."""
-        if not transcript_valid(setup.directory, transcript):
+        """Emit this epoch's chained rounds from its agreed transcript.
+
+        Per round: ``EvalSh`` at each signer, ``EvalShVerify``, ``Eval``,
+        ``EvalVerify``, ``vrf_output`` — and the value becomes the next
+        round's ``prev``, the handoff link into the next round/epoch.  Any
+        f+1 distinct signers produce the same unique value (Definition 2);
+        ``None`` means the lowest-indexed f+1 parties.  A fresh or a reshared
+        transcript alike: both expose ``public_key`` / ``share_commitment``.
+        """
+        directory = setup.directory
+        if not transcript_valid(directory, transcript):
             raise ValueError(f"epoch {epoch} transcript does not verify")
-        emitted = emit_rounds(
-            setup, transcript, self.signers, epoch, self.rounds_per_epoch, self._prev
-        )
+        signers = range(directory.f + 1) if self.signers is None else self.signers
+        emitted: list[BeaconOutput] = []
+        for round_index in range(self.rounds_per_epoch):
+            message = ("beacon", epoch, round_index, self._prev)
+            shares = []
+            for signer in signers:
+                secret = setup.secret(signer)
+                share = tvrf.EvalSh(directory, secret, transcript, message)
+                if tvrf.EvalShVerify(directory, transcript, signer, message, share):
+                    shares.append(share)
+            evaluation, proof = tvrf.Eval(directory, transcript, message, shares)
+            if not tvrf.EvalVerify(directory, transcript, message, evaluation, proof):
+                raise RuntimeError(f"beacon evaluation failed to verify: {message}")
+            value = tvrf.vrf_output(directory, evaluation)
+            emitted.append(
+                BeaconOutput(
+                    epoch=epoch,
+                    round=round_index,
+                    prev=self._prev,
+                    value=value,
+                    evaluation=evaluation,
+                )
+            )
+            self._prev = value
         self.outputs.extend(emitted)
-        self._prev = emitted[-1].value
         return emitted
 
     @staticmethod

@@ -11,17 +11,18 @@ A :class:`ShardGroup` is one such group: its own
 :class:`~repro.crypto.keys.TrustedSetup` (independent key material), the
 universe party ids assigned to it, and the seed its parties derive every
 RNG stream from.  Groups never exchange a message, so k groups are k
-transports, and a group runs what one committee runs — fresh-key epochs
-on one transport, or (``churn``) a membership schedule of reshare
-handoffs, either under the ``chaos`` and ``crash`` overlays:
+transports, and a group runs what one committee runs — its timeline of
+fresh-key epochs, or (``churn``) of reshare handoffs, through the one
+:class:`~repro.service.membership.MembershipDriver` loop, under the
+``chaos`` and ``crash`` overlays:
 
 * **seeds** — :func:`group_seed` is a pure function of the universe seed
   and the gid, so :func:`make_shard_group` rebuilds the exact group
   (setup, party RNG labels) from ``(gid, n, f, universe_seed)`` alone —
   no key material goes to a worker;
 * **sessions** — group ``g`` owns the session-id block
-  ``[g·SESSION_STRIDE, (g+1)·SESSION_STRIDE)``; epoch ``e`` runs as
-  session ``g·SESSION_STRIDE + e``, which feeds every party's
+  ``[g·SESSION_STRIDE, (g+1)·SESSION_STRIDE)``; fresh-key epoch ``e``
+  runs as session ``g·SESSION_STRIDE + e``, which feeds every party's
   ``{rng_label}-session-{sid}`` stream and so every PVSS dealing.
 
 Where the groups run is worked out, not chosen: :func:`run_sharded`
@@ -318,7 +319,8 @@ class ShardedBeacon:
 
         try:
             contexts = {
-                row.epoch: (directory(row), row.transcript) for row in result.epoch_results
+                row.epoch: (directory(row), row.transcript)
+                for row in result.epoch_results
             }
         except (KeyError, ValueError):
             return False
@@ -595,7 +597,7 @@ def run_sharded(
         raise ValueError(f"timeout must be > 0, got {timeout}")
     chaos_spec = None if chaos is None else ChaosSpec.parse(chaos)
     if churn is not None:
-        handoff_overlays(epochs, chaos_spec, crash)  # none to drop unseen
+        handoff_overlays(epochs, chaos_spec, crash)  # refuses what it would drop
     events = parse_churn(churn) if churn else ()
     coordinator = GroupCoordinator(
         universe, groups, group_f=group_f, seed=seed, params=params

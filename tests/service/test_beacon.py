@@ -151,14 +151,19 @@ def test_chains_out_of_position_fail_both_verifiers():
     epoch 0, epoch 1 before epoch 0, and the empty chain — on fresh keys
     and across handoffs alike."""
     from repro.service import run_churn
-    from repro.service.beacon import emit_rounds
 
     def bad_chains(setup_of, transcript_of):
-        first = emit_rounds(setup_of(0), transcript_of(0), None, 0, 1, GENESIS)
-        repeat = emit_rounds(setup_of(0), transcript_of(0), None, 0, 1, first[0].value)
-        late = emit_rounds(setup_of(1), transcript_of(1), None, 1, 2, GENESIS)
-        early = emit_rounds(setup_of(0), transcript_of(0), None, 0, 2, late[-1].value)
-        return {"repeated round": first + repeat, "epoch 1 first": late + early, "empty": []}
+        def chain(rounds, *epochs):
+            beacon = RandomnessBeacon(rounds_per_epoch=rounds)
+            for epoch in epochs:
+                beacon.emit_epoch(epoch, setup_of(epoch), transcript_of(epoch))
+            return beacon.outputs
+
+        return {
+            "repeated round": chain(1, 0, 0),
+            "epoch 1 first": chain(2, 1, 0),
+            "empty": [],
+        }
 
     setup, driver = _driver(epochs=2)
     transcripts = {r.epoch: r.transcript for r in driver.run()}
