@@ -6,7 +6,7 @@ the paper, citing RandHound/drand-style systems [32]).  Earlier versions
 of this example hand-rolled a single ADKG run and looped VRF shares by
 hand; it now drives the real service layer:
 
-1. the :class:`~repro.service.membership.MembershipDriver` runs the
+1. the :class:`~repro.service.timeline.MembershipDriver` runs the
    committee's timeline — here one stretch of ADKG *epochs* as
    concurrent sessions over one network, through the one
    :class:`~repro.service.epochs.EpochDriver` loop: epoch ``e+1``'s PVSS

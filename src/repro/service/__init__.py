@@ -6,7 +6,7 @@ service here runs a committee *timeline* — epochs that are each a fresh
 ADKG or a reshare handoff of the previous key — as stretches, the
 consecutive epochs one committee runs on one transport:
 
-* :class:`~repro.service.membership.MembershipDriver` — the one loop:
+* :class:`~repro.service.timeline.MembershipDriver` — the one loop:
   each stretch through the :class:`~repro.service.epochs.EpochDriver`
   (fresh epochs pipelined, each completed epoch's state collected) under
   its crash plan and chaos spec, then its beacon rounds;
@@ -18,24 +18,18 @@ consecutive epochs one committee runs on one transport:
   k independent groups, each running its own timeline, inline or in a
   fork pool, their beacon streams hash-combined into one service.
 
-:func:`~repro.service.beacon.run_beacon` (``repro beacon``),
+:func:`~repro.service.timeline.run_beacon` (``repro beacon``),
 :func:`~repro.service.membership.run_churn` (``repro run --reshare``)
 and :func:`~repro.service.shards.run_sharded` (``repro run --groups``)
 only build their stretches and run them.
 """
 
-from repro.service.beacon import (
-    BeaconOutput,
-    BeaconReport,
-    RandomnessBeacon,
-    run_beacon,
-)
+from repro.service.beacon import BeaconOutput, RandomnessBeacon
 from repro.service.epochs import EpochDriver, EpochResult
 from repro.service.membership import (
     ChurnBeacon,
     ChurnEvent,
     ChurnReport,
-    MembershipDriver,
     MembershipSchedule,
     committee_setup,
     parse_churn,
@@ -49,6 +43,7 @@ from repro.service.shards import (
     ShardReport,
     run_sharded,
 )
+from repro.service.timeline import BeaconReport, MembershipDriver, run_beacon
 
 __all__ = [
     "BeaconOutput",

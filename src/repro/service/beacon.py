@@ -5,10 +5,11 @@ the paper, citing RandHound/drand-style systems).  This module turns
 that remark into a service:
 
 * each *epoch* holds one group key: a fresh ADKG session on a static
-  committee (pipelined by :func:`run_beacon`), or a reshare handoff of
-  the previous epoch's key to a new committee
-  (:mod:`repro.service.membership`) — either way one
-  :class:`~repro.service.membership.MembershipDriver` loop runs it;
+  committee (pipelined by :func:`~repro.service.timeline.run_beacon`),
+  or a reshare handoff of the previous epoch's key to a new committee
+  (:mod:`repro.service.membership`) — either way the one
+  :class:`~repro.service.timeline.MembershipDriver` loop runs it and
+  emits its rounds through :class:`RandomnessBeacon`;
 * within an epoch, ``rounds_per_epoch`` beacon rounds are emitted under
   that epoch's directory: any ``f+1`` parties publish threshold-VRF
   shares of the round message and anyone combines them into the unique,
@@ -28,14 +29,13 @@ function of the transcript and the chain prefix — no party, and no
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.crypto import reshare, threshold_vrf as tvrf
 from repro.crypto.keys import PublicDirectory, TrustedSetup
-from repro.service.epochs import EpochResult
 
-__all__ = ["BeaconOutput", "BeaconReport", "RandomnessBeacon", "run_beacon"]
+__all__ = ["BeaconOutput", "RandomnessBeacon"]
 
 #: The chain starts from a fixed, public genesis value.
 GENESIS = 0
@@ -179,81 +179,3 @@ class RandomnessBeacon:
                 return False
             prev = output.value
         return True
-
-
-@dataclass
-class BeaconReport:
-    """Everything one ``run_beacon`` invocation measured."""
-
-    n: int
-    f: int
-    epochs: int
-    pipeline_depth: int
-    rounds_per_epoch: int
-    transport: str
-    seed: int
-    epoch_results: list[EpochResult] = field(default_factory=list)
-    outputs: list[BeaconOutput] = field(default_factory=list)
-    all_verified: bool = False
-    #: Transport-native end-to-end time: last epoch's completion
-    #: (simulated time on sim — the latency pipelining actually shrinks —
-    #: wall-clock seconds on realtime transports).
-    end_to_end: float = 0.0
-    wall_clock_s: float = 0.0
-    words_total: int = 0
-    bytes_total: int = 0
-
-    @property
-    def epochs_per_sec(self) -> float:
-        return self.epochs / self.wall_clock_s if self.wall_clock_s > 0 else 0.0
-
-    @property
-    def mean_epoch_latency(self) -> float:
-        if not self.epoch_results:
-            return float("nan")
-        return sum(r.latency for r in self.epoch_results) / len(self.epoch_results)
-
-
-def run_beacon(
-    n: int = 7,
-    *,
-    epochs: int = 3,
-    pipeline_depth: int = 1,
-    rounds_per_epoch: int = 2,
-    transport: str = "sim",
-    seed: int = 0,
-    timeout: float = 120.0,
-) -> BeaconReport:
-    """Run the full service: pipelined ADKG epochs + verified beacon stream.
-
-    A one-stretch timeline: every epoch a fresh key on the one committee,
-    on one transport seeded with ``seed``, epoch ``e`` as session ``e``.
-    """
-    from repro.service.membership import MembershipDriver, Stretch
-
-    setup = TrustedSetup.generate(n, seed=seed)
-    membership = MembershipDriver(
-        [Stretch(setup, range(epochs), seed=seed)],
-        transport=transport,
-        pipeline_depth=pipeline_depth,
-        rounds_per_epoch=rounds_per_epoch,
-        timeout=timeout,
-    ).run()
-    [metrics] = membership.metrics
-    return BeaconReport(
-        n=setup.directory.n,
-        f=setup.directory.f,
-        epochs=epochs,
-        pipeline_depth=pipeline_depth,
-        rounds_per_epoch=rounds_per_epoch,
-        transport=transport,
-        seed=seed,
-        epoch_results=membership.results,
-        outputs=membership.outputs,
-        all_verified=membership.agreed
-        and RandomnessBeacon.verify_chain(membership.outputs, membership.contexts),
-        end_to_end=max(r.completed_at for r in membership.results),
-        wall_clock_s=membership.wall_clock_s,
-        words_total=metrics.words_total,
-        bytes_total=metrics.bytes_total,
-    )

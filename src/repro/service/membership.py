@@ -3,17 +3,11 @@
 The production story the ROADMAP asks for: one group key that *outlives*
 any particular committee.  A :class:`MembershipSchedule` describes how a
 universe of keyed parties rotates through per-epoch committees (joins,
-leaves, threshold changes).  A committee's life is a *timeline* of
-epochs, each either a fresh ADKG or a
-:class:`~repro.core.reshare.ReshareAgreement` handoff, cut into
-stretches (:class:`Stretch`): the consecutive epochs one committee runs
-on one transport.  The :class:`MembershipDriver` runs every stretch through the
-one :class:`~repro.service.epochs.EpochDriver` loop and emits the
-:class:`~repro.service.beacon.RandomnessBeacon` rounds: the static
-beacon (:func:`~repro.service.beacon.run_beacon`) is one fresh stretch,
-a churn run (:func:`run_churn`) a fresh epoch 0 and then one handoff
-stretch per epoch on the *new* committee's own transport, and every
-shard group one of the two.
+leaves, threshold changes); :func:`churn_timeline` turns it into a
+committee timeline (:mod:`repro.service.timeline`) — a fresh epoch 0,
+then one handoff per epoch on the *new* committee's own transport — and
+:func:`run_churn` runs it through the one
+:class:`~repro.service.timeline.MembershipDriver` loop.
 
 In a handoff the old committee's dealings
 (:func:`repro.crypto.reshare.deal_reshare`) are published before it and
@@ -29,31 +23,20 @@ data alone.
 
 from __future__ import annotations
 
-import random
 import re
-import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from repro.core.reshare import ReshareAgreement
-from repro.crypto import reshare
 from repro.crypto.keys import PartySecret, PublicDirectory, TrustedSetup
-from repro.net.metrics import Metrics
-from repro.net.transport import RootFactory, make_run_transport
 from repro.service.beacon import BeaconOutput, RandomnessBeacon
-from repro.service.epochs import EpochDriver, EpochResult, adkg_root
-from repro.storage.recovery import CrashPlan
+from repro.service.timeline import MembershipDriver, MembershipReport, Stretch
 
 __all__ = [
     "ChurnBeacon",
     "ChurnEvent",
     "ChurnReport",
     "EpochSpec",
-    "MembershipDriver",
-    "MembershipReport",
     "MembershipSchedule",
-    "Stretch",
     "churn_timeline",
     "committee_setup",
     "epoch_setup",
@@ -262,33 +245,6 @@ def handoff_overlays(epochs: int, chaos: Any = None, crash: Any = None) -> dict:
     return {name: dict.fromkeys(range(1, epochs), o) for name, o in given.items()}
 
 
-# -- the timeline --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Stretch:
-    """Consecutive timeline epochs one committee runs on one transport.
-
-    A fresh stretch runs one ADKG per epoch, its ``i``-th as session
-    ``session_base + i``; a ``handoff`` stretch runs one epoch that
-    reshares the key the previous stretch ended with.  ``seed`` seeds the
-    transport, ``members`` names the committee as the caller numbers
-    parties (empty: the setup's own indices).  ``chaos`` covers the
-    stretch's transport, ``crash`` (a
-    :class:`~repro.storage.recovery.CrashPlan`'s ``indices`` / ``after``
-    / ``delay``) its first epoch.
-    """
-
-    setup: TrustedSetup
-    epochs: range
-    seed: int
-    members: tuple[int, ...] = ()
-    handoff: bool = False
-    session_base: int = 0
-    chaos: Any = None
-    crash: Optional[dict] = None
-
-
 def churn_timeline(
     universe: TrustedSetup,
     seed: int,
@@ -315,193 +271,11 @@ def churn_timeline(
             # across the fresh transports of consecutive epochs.
             seed=seed * 1009 + spec.epoch,
             members=spec.members,
-            handoff=spec.epoch > 0,
             chaos=chaos.get(spec.epoch),
             crash=crash.get(spec.epoch),
         )
         for spec in schedule
     ]
-
-
-# -- the driver ----------------------------------------------------------------------
-
-
-@dataclass
-class MembershipReport:
-    """Everything one timeline run produced: epochs, beacon, key, overlays."""
-
-    results: list[EpochResult] = field(default_factory=list)
-    #: Per-epoch committee setups (runtime objects; needed to verify the
-    #: beacon and to chain further handoffs).
-    setups: dict[int, TrustedSetup] = field(default_factory=dict)
-    #: The beacon rounds of every epoch, one chain from genesis.
-    outputs: list[BeaconOutput] = field(default_factory=list)
-    handoffs: int = 0
-    crash_epochs: tuple[int, ...] = ()
-    chaos_epochs: tuple[int, ...] = ()
-    replay: dict = field(default_factory=dict)
-    #: Every stretch's transport metrics (the live objects), in timeline
-    #: order.  All stretches share one pairing group, so only the first
-    #: counts ``pairing``: its counter reads the whole run.
-    metrics: list[Metrics] = field(default_factory=list)
-    wall_clock_s: float = 0.0
-
-    @property
-    def agreed(self) -> bool:
-        return bool(self.results) and all(r.agreed for r in self.results)
-
-    @property
-    def contexts(self) -> dict[int, tuple[PublicDirectory, Any]]:
-        """Per-epoch ``(directory, transcript)`` for beacon verification."""
-        return {
-            result.epoch: (self.setups[result.epoch].directory, result.transcript)
-            for result in self.results
-        }
-
-    def _key_bytes(self, result: EpochResult) -> bytes:
-        group = self.setups[result.epoch].directory.pair_group
-        return group.encode_element(result.public_key)
-
-    @property
-    def key_encoded(self) -> bytes:
-        """The first epoch's group key, encoded."""
-        return self._key_bytes(self.results[0])
-
-    @property
-    def key_invariant(self) -> bool:
-        """Every epoch's group key encodes to the bytes of the first's."""
-        return len({self._key_bytes(result) for result in self.results}) == 1
-
-
-class MembershipDriver:
-    """Run a committee timeline: every stretch through the one epoch loop.
-
-    Each stretch gets a transport of its own and one
-    :class:`~repro.service.epochs.EpochDriver` run (fresh epochs pipelined
-    up to ``pipeline_depth``) under its crash plan and chaos spec, then
-    its epochs' ``rounds_per_epoch`` beacon rounds.  A handoff's dealings
-    draw from ``("reshare-deal", seed, epoch, dealer)``-seeded RNGs.
-    """
-
-    def __init__(
-        self,
-        stretches: Sequence[Stretch],
-        *,
-        transport: str = "sim",
-        seed: int = 0,
-        timeout: float = 120.0,
-        pipeline_depth: int = 1,
-        rounds_per_epoch: int = 2,
-        storage_dir: Optional[str] = None,
-    ) -> None:
-        self.stretches = tuple(stretches)
-        self.transport = transport
-        self.seed = seed
-        self.timeout = timeout
-        self.pipeline_depth = pipeline_depth
-        self.storage_dir = storage_dir
-        self.rounds_per_epoch = rounds_per_epoch
-
-    def run(self) -> MembershipReport:
-        started = time.perf_counter()
-        beacon = RandomnessBeacon(rounds_per_epoch=self.rounds_per_epoch)
-        report = MembershipReport(
-            outputs=beacon.outputs,
-            handoffs=sum(stretch.handoff for stretch in self.stretches),
-            crash_epochs=tuple(
-                s.epochs[0] for s in self.stretches if s.crash is not None
-            ),
-            chaos_epochs=tuple(
-                e for s in self.stretches if s.chaos is not None for e in s.epochs
-            ),
-        )
-        for stretch in self.stretches:
-            root_factory = adkg_root
-            if stretch.handoff:
-                last = report.results[-1]
-                root_factory = self._handoff_root(
-                    stretch, report.setups[last.epoch], last.transcript
-                )
-            for result in self._run_stretch(stretch, root_factory, report):
-                report.results.append(result)
-                report.setups[result.epoch] = stretch.setup
-                beacon.emit_epoch(result.epoch, stretch.setup, result.transcript)
-        report.wall_clock_s = time.perf_counter() - started
-        return report
-
-    def _handoff_root(
-        self, stretch: Stretch, old: TrustedSetup, old_transcript: Any
-    ) -> RootFactory:
-        """The handoff epoch's root: every old member's dealing, derived up
-        front ("published before leaving", so the session never depends on
-        a departed party being reachable) and held round-robin by the new
-        committee — each lands at one holder, who fans it out on start, and
-        with ``n_old ≥ 3 f_old + 1`` dealings spread out, ``f_old + 1`` of
-        them survive any tolerated fault pattern (a tampered relay fails
-        the dealer's signature)."""
-        [epoch] = stretch.epochs
-        old_directory, new = old.directory, stretch.setup.directory
-        spec = reshare.HandoffSpec(
-            epoch=epoch,
-            old_session=old_directory.session,
-            old_n=old_directory.n,
-            old_f=old_directory.f,
-            old_sign_pks=old_directory.sign_pks,
-            old_commitments=old_transcript.commitments,
-        )
-        dealings = [
-            reshare.deal_reshare(
-                new,
-                spec,
-                old.secret(dealer),
-                random.Random(("reshare-deal", self.seed, epoch, dealer).__repr__()),
-            )
-            for dealer in range(old_directory.n)
-        ]
-        return lambda party: ReshareAgreement(
-            spec=spec, initial=tuple(dealings[party.index :: new.n])
-        )
-
-    def _run_stretch(
-        self, stretch: Stretch, root_factory: RootFactory, report: MembershipReport
-    ) -> list[EpochResult]:
-        runtime = make_run_transport(
-            self.transport, stretch.setup, seed=stretch.seed, chaos=stretch.chaos
-        )
-        if report.metrics:  # the first stretch's counter reads the whole run
-            del runtime.metrics.counter_providers["pairing"]
-        plan: Any = nullcontext()
-        if stretch.crash is not None:
-            plan = CrashPlan(
-                runtime,
-                root_factory,
-                storage_dir=self.storage_dir,
-                timeout=self.timeout,
-                **stretch.crash,
-            )
-        with plan as interlude:
-            results = EpochDriver(
-                runtime,
-                epochs=len(stretch.epochs),
-                pipeline_depth=self.pipeline_depth,
-                root_factory=root_factory,
-                session_base=stretch.session_base,
-                timeout=self.timeout,
-                interludes={0: interlude},
-            ).run()
-            # Drain the stragglers in flight when the last session completed
-            # (the simulator; realtime close() cancelled them): delivery counts
-            # become a function of the traffic, not of where the wait halted.
-            runtime.block_on(runtime.drain())
-        if interlude:
-            report.replay[stretch.epochs[0]] = interlude.replay
-        report.metrics.append(runtime.metrics)
-        # The transport numbers epochs from 0 and knows only local indices;
-        # relabel with the timeline's epochs and the caller's committee.
-        return [
-            replace(result, epoch=epoch, committee=stretch.members or result.committee)
-            for epoch, result in zip(stretch.epochs, results)
-        ]
 
 
 # -- one-call entry ------------------------------------------------------------------

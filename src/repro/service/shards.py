@@ -13,7 +13,7 @@ universe party ids assigned to it, and the seed its parties derive every
 RNG stream from.  Groups never exchange a message, so k groups are k
 transports, and a group runs what one committee runs — its timeline of
 fresh-key epochs, or (``churn``) of reshare handoffs, through the one
-:class:`~repro.service.membership.MembershipDriver` loop, under the
+:class:`~repro.service.timeline.MembershipDriver` loop, under the
 ``chaos`` and ``crash`` overlays:
 
 * **seeds** — :func:`group_seed` is a pure function of the universe seed
@@ -55,14 +55,13 @@ from repro.service.beacon import BeaconOutput, RandomnessBeacon
 from repro.service.epochs import EpochResult
 from repro.service.membership import (
     EpochSpec,
-    MembershipDriver,
     MembershipSchedule,
-    Stretch,
     churn_timeline,
     epoch_setup,
     handoff_overlays,
     parse_churn,
 )
+from repro.service.timeline import MembershipDriver, Stretch
 
 __all__ = [
     "SESSION_STRIDE",

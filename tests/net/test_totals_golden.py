@@ -67,7 +67,7 @@ from repro import run_adkg
 from repro.crypto.verify_cache import content_digest, content_encoding
 from repro.net.metrics import Metrics
 from repro.net.transport import Transport
-from repro.service.beacon import run_beacon
+from repro.service import run_beacon
 from tests.net.helpers import print_golden_changes
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("totals_golden.json")

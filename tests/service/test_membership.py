@@ -350,15 +350,16 @@ def test_an_overlay_the_timeline_cannot_carry_is_refused(attempt, monkeypatch, c
     """A fault overlay keyed by an epoch the timeline does not have, or
     meant for handoff epochs in a run that has none, is refused before
     any transport starts — never dropped from a run that then passes."""
-    from repro.service import membership as membership_mod
+    from repro.net.transport import Transport
 
     built = []
-    real = membership_mod.make_run_transport
-    monkeypatch.setattr(
-        membership_mod,
-        "make_run_transport",
-        lambda *args, **kwargs: built.append(args) or real(*args, **kwargs),
-    )
+    real = Transport.__init__
+
+    def recorded(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Transport, "__init__", recorded)
     monkeypatch.setattr(shards, "_usable_cores", lambda: 1)
     try:
         status = attempt()
@@ -394,3 +395,15 @@ def test_a_churn_run_counts_each_pairing_once():
     group = membership.setups[0].directory.pair_group
     merged = Metrics.merged(membership.metrics).counters("pairing")
     assert merged == {"pair_calls": group.pair_calls} and group.pair_calls > 0
+
+
+def test_every_stretch_after_the_first_is_one_handoff_epoch():
+    """Which stretch is a handoff follows from its place in the timeline,
+    and a handoff runs one epoch: a longer one is refused up front."""
+    from repro.crypto.keys import TrustedSetup
+    from repro.service.timeline import MembershipDriver, Stretch
+
+    setup = TrustedSetup.generate(4, seed=0)
+    fresh, handoff = Stretch(setup, range(2), 0), Stretch(setup, range(2, 4), 1)
+    with pytest.raises(ValueError):
+        MembershipDriver([fresh, handoff])

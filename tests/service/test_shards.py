@@ -244,7 +244,7 @@ def test_a_crash_overlay_reaches_every_group(monkeypatch):
     """The crash is in the run, not just in the arguments: one plan per
     group in the first fresh-key epoch, one per group per handoff under
     churn, each having crashed and rehydrated its party."""
-    from repro.service import membership as membership_mod
+    from repro.service import timeline
     from repro.storage import CrashPlan
 
     fired = []
@@ -254,8 +254,8 @@ def test_a_crash_overlay_reaches_every_group(monkeypatch):
             await super().__call__(session)
             fired.append((session, self.reattach_at - self.crash_at, set(self.replay)))
 
-    # Every group's stretches run through the one membership loop.
-    monkeypatch.setattr(membership_mod, "CrashPlan", Recorded)
+    # Every group's stretches run through the one timeline loop.
+    monkeypatch.setattr(timeline, "CrashPlan", Recorded)
     monkeypatch.setattr(shards_mod, "_usable_cores", lambda: 1)
     crash = {"indices": (1,), "after": 12, "delay": 7.0}
     config = dict(universe=8, groups=2, seed=0, crash=crash)
