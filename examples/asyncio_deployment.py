@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
-"""Run the identical protocol objects over every transport.
+"""Run the identical protocol objects over both transports.
 
 The protocol implementations are sans-io: the deterministic simulator
-used by the benchmark, the realtime asyncio runtime and the TCP socket
-runtime all host the *same* ADKG class through one root factory.  Here
-seven parties agree on one DKG transcript three times:
+used by the benchmark and the TCP socket runtime, which runs on a live
+asyncio event loop, host the *same* ADKG class through one root factory.
+Here seven parties agree on one DKG transcript twice:
 
-* ``sim``     — discrete-event simulation (deterministic, no wall clock);
-* ``asyncio`` — realtime tasks with randomized delays;
-* ``tcp``     — every message crosses a loopback socket as codec bytes.
+* ``sim`` — discrete-event simulation (deterministic, no wall clock);
+* ``tcp`` — every message crosses a loopback socket as codec bytes.
 
-``transport.run_sync(root_factory)`` is the one blocking entry on all
-three: one body on ``Transport`` (open, start, await session 0, close)
-that the simulator answers without an event loop.
+``transport.run_sync(root_factory)`` is the one blocking entry on both:
+one body on ``Transport`` (open, start, await session 0, close) that the
+simulator answers without an event loop and TCP under ``asyncio.run``.
 
 Run:  python examples/asyncio_deployment.py
 """
@@ -22,7 +21,7 @@ import time
 from repro.core.adkg import ADKG
 from repro.crypto import threshold_vrf as tvrf
 from repro.crypto.keys import TrustedSetup
-from repro.net.transport import make_transport
+from repro.net.transport import TRANSPORT_KINDS, make_transport
 
 N, SEED = 7, 5
 
@@ -43,7 +42,7 @@ def run_on(kind: str) -> None:
     assert all(t == transcripts[0] for t in transcripts), "agreement violated!"
     assert tvrf.DKGVerify(setup.directory, transcripts[0])
     print(
-        f"[{kind:7s}] {N} parties agreed in {elapsed:5.2f}s wall clock | "
+        f"[{kind}] {N} parties agreed in {elapsed:5.2f}s wall clock | "
         f"contributors {sorted(transcripts[0].contributors)} | "
         f"{transport.metrics.words_total:,} words / "
         f"{transport.metrics.bytes_total:,} protocol bytes / "
@@ -52,9 +51,9 @@ def run_on(kind: str) -> None:
 
 
 def main() -> None:
-    for kind in ("sim", "asyncio", "tcp"):
+    for kind in TRANSPORT_KINDS:
         run_on(kind)
-    print("same ADKG root factory, three transports, one transcript shape")
+    print("same ADKG root factory, two transports, one transcript shape")
 
 
 if __name__ == "__main__":

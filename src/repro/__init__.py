@@ -104,11 +104,10 @@ def run_adkg(
     """Run one A-DKG over the selected transport and return result + metrics.
 
     ``transport`` selects the runtime: ``"sim"`` (deterministic
-    discrete-event simulator, the default), ``"asyncio"`` (realtime tasks
-    with random sleeps) or ``"tcp"`` (real loopback stream sockets with
-    the byte codec; always byte-metered).  ``delay_model``, ``scheduler``
-    and ``to_quiescence`` apply to the simulator only; combining them
-    with a realtime transport raises ``ValueError``.
+    discrete-event simulator, the default) or ``"tcp"`` (real loopback
+    stream sockets with the byte codec; always byte-metered).
+    ``delay_model``, ``scheduler`` and ``to_quiescence`` apply to the
+    simulator only; combining them with TCP raises ``ValueError``.
 
     With the default ``delay_model=FixedDelay(1.0)`` the simulator's
     reported ``rounds`` equals the length of the longest causal message
@@ -127,7 +126,7 @@ def run_adkg(
     ``seed``, so a chaos run is exactly as reproducible as a clean one;
     injected fault counts appear under ``metrics_summary["counters"]
     ["chaos"]``.  Works on every transport (times are rounds on the
-    simulator, seconds on realtime transports).
+    simulator, seconds on TCP).
     """
     if workers:
         # Tombstone: ``perf/workloads.py`` (frozen) passes ``workers=0``; the
@@ -135,7 +134,7 @@ def run_adkg(
         raise ValueError("the process-pool verifier was removed; workers must be 0")
     setup = setup or TrustedSetup.generate(n, f, params=params, seed=seed)
     # ``None`` for measure_bytes / chaos means the transport's default:
-    # bytes off for sim/asyncio and always on for TCP (which refuses
+    # bytes off for sim and always on for TCP (which refuses
     # measure_bytes=False), no chaos plane.
     runtime = make_run_transport(
         transport,

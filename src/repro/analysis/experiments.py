@@ -17,8 +17,8 @@ user's grid.
 Every column is a deterministic function of the code, so CI regenerates
 the file and diffs it.  Wall clock is not one: it has one owner,
 ``python3 -m perf.run`` (``BENCHMARK.json``, ``perf/README.md``).  A row
-from a realtime transport (asyncio, TCP) carries only what does not
-depend on socket timing.
+from the TCP transport carries only what does not depend on socket
+timing.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ from repro.crypto import threshold_vrf as tvrf
 from repro.crypto.keys import TrustedSetup
 from repro.net.adversary import (
     CrashBehavior,
-    CrashRecoverBehavior,
     DropBehavior,
-    FaultSchedule,
     MutateBehavior,
     RandomLagScheduler,
     Scheduler,
@@ -550,11 +548,11 @@ def _crash_then_new_session(n: int, seed: int) -> dict:
     complement: there the crashed *party* rejoins the same session.
     """
     setup = TrustedSetup.generate(n, seed=seed)
-    crash = FaultSchedule(crash_after_sends=5)
+    crash = CrashBehavior(after_sends=5)
     sim = Simulation(
         setup,
         seed=seed,
-        behaviors={n - 1: CrashBehavior(schedule=crash)},
+        behaviors={n - 1: crash},
         scheduler=SessionLagScheduler(session=0, factor=10_000.0),
         delay_model=FixedDelay(1.0),
     )
@@ -708,7 +706,7 @@ def e10_vc_ablation(ns: Sequence[int], m: int) -> Section:
 def e11_transports(ns: Sequence[int], seed: int) -> Section:
     rows = []
     for n in ns:
-        for transport in ("sim", "asyncio", "tcp"):
+        for transport in ("sim", "tcp"):
             result = run_adkg(n=n, seed=seed, transport=transport, measure_bytes=True)
             row = {
                 "transport": transport,
@@ -718,7 +716,7 @@ def e11_transports(ns: Sequence[int], seed: int) -> Section:
                 "messages": result.messages_total,
             }
             if transport == "sim":
-                # Realtime depth stamps follow the socket schedule and a
+                # TCP's depth stamps follow the socket schedule and a
                 # depth is a varint, so only the simulator's bytes repeat.
                 row["bytes"] = result.bytes_total
                 row["bytes_per_word"] = result.bytes_total / result.words_total
@@ -726,12 +724,12 @@ def e11_transports(ns: Sequence[int], seed: int) -> Section:
     per_word = [r["bytes_per_word"] for r in rows if r["transport"] == "sim"]
     return Section(
         "E11",
-        "Extension: one protocol, three transports",
+        "Extension: one protocol, two transports",
         "The same sans-io protocol objects run unchanged over the deterministic\n"
-        "simulator, realtime asyncio, and real TCP loopback sockets with the\n"
-        "byte codec (DESIGN.md section 3); every byte on the TCP wire is a codec\n"
-        "frame, no pickle anywhere.  Bytes are shown where they repeat run to\n"
-        "run (the simulator).",
+        "simulator and real TCP loopback sockets with the byte codec (DESIGN.md\n"
+        "section 3); every byte on the TCP wire is a codec frame, no pickle\n"
+        "anywhere.  Bytes are shown where they repeat run to run (the\n"
+        "simulator).",
         ("transport", "n", "agreed", "words", "messages", "bytes", "bytes_per_word"),
         rows,
         (),
@@ -921,7 +919,7 @@ def e16_chaos(n: int, seed: int, realtime: Sequence[str]) -> Section:
     alone = f"0|{side(range(1, n))}"
     halves = f"{side(range(n // 2))}|{side(range(n // 2, n))}"
     crashers = lambda: {  # noqa: E731 — fresh stateful behaviors per run
-        n - 1: CrashRecoverBehavior(after_sends=10, recover_after_drops=5)
+        n - 1: CrashBehavior(after_sends=10, recover_after_drops=5)
     }
     cases = {
         "clean": (None, None),
@@ -1207,7 +1205,7 @@ def run_experiments() -> list[Section]:
         e14_crash_recovery(n=4, seed=1, cadences=(8, 64), delays=(3.0, 12.0)),
         e16_chaos(n=4, seed=1, realtime=("tcp",)),
         e17_shards(ks=(1, 2, 4, 8), group_n=10),
-        e18_churn(seed=2, rotation_epochs=8, realtime=("asyncio", "tcp")),
+        e18_churn(seed=2, rotation_epochs=8, realtime=("tcp",)),
     ]
 
 

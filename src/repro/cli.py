@@ -2,7 +2,7 @@
 
 Commands
 --------
-``run``         run one A-DKG (``--transport sim|asyncio|tcp``) and print
+``run``         run one A-DKG (``--transport sim|tcp``) and print
                 the outcome + word/byte costs
 ``beacon``      pipelined ADKG epochs feeding a verifiable randomness
                 beacon (the session-multiplexed service layer)
@@ -76,7 +76,8 @@ def _parse_at(spec: str, flag: str, whole: bool = False) -> tuple[int, float]:
 
 
 def _parse_crash(args: argparse.Namespace) -> Optional[dict]:
-    """``--crash`` / ``--recover`` as one plan: ``indices, after, delay``.
+    """``--crash`` / ``--recover`` / ``--cadence`` as the keywords of one
+    ``CrashPlan``: ``indices, after, delay, cadence``.
 
     All named parties crash together at the earliest threshold and
     recover together after the longest requested delay (default 5).
@@ -96,6 +97,7 @@ def _parse_crash(args: argparse.Namespace) -> Optional[dict]:
         "indices": indices,
         "after": int(min(t for _i, t in crashes)),
         "delay": max(recovers.values(), default=5.0),
+        "cadence": 16 if args.cadence is None else args.cadence,
     }
 
 
@@ -112,7 +114,7 @@ def _cmd_run_with_recovery(args: argparse.Namespace, chaos, crash: dict) -> int:
         crash_indices=crash["indices"],
         crash_after=crash["after"],
         recovery_delay=crash["delay"],
-        cadence=args.cadence,
+        cadence=crash["cadence"],
         storage_dir=args.storage_dir,
         timeout=args.timeout,
         chaos=chaos,
@@ -285,8 +287,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.full and args.transport != "sim":
         print("error: --full applies to the sim transport only", file=sys.stderr)
         return 2
-    if args.recover and not args.crash:
-        print("error: --recover requires --crash", file=sys.stderr)
+    for flag, given in (
+        ("--recover", args.recover),
+        ("--cadence", args.cadence is not None),
+        ("--storage-dir", args.storage_dir is not None),
+    ):
+        if given and not args.crash:
+            print(f"error: {flag} requires --crash", file=sys.stderr)
+            return 2
+    if args.cadence is not None and args.cadence < 1:
+        print("error: --cadence must be >= 1", file=sys.stderr)
+        return 2
+    if args.storage_dir is not None and args.groups is not None:
+        print(
+            "error: --storage-dir is not for --groups (each group stores in "
+            "a temporary directory of its own)",
+            file=sys.stderr,
+        )
         return 2
     if args.churn and args.reshare is None:
         print("error: --churn requires --reshare EPOCHS", file=sys.stderr)
@@ -519,6 +536,8 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.net.transport import TRANSPORT_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="A-DKG reproduction (Abraham et al., PODC 2021)",
@@ -530,9 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument(
         "--transport",
-        choices=("sim", "asyncio", "tcp"),
+        choices=TRANSPORT_KINDS,
         default="sim",
-        help="runtime: deterministic simulator, realtime asyncio, or TCP sockets",
+        help="runtime: deterministic simulator or TCP sockets",
     )
     run_p.add_argument(
         "--full",
@@ -543,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=120.0,
-        help="wall-clock limit for realtime transports (seconds)",
+        help="wall-clock limit on tcp (seconds)",
     )
     run_p.add_argument(
         "--profile",
@@ -556,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="link-fault plane spec, e.g. 'partition:0|1,2,3@2-20;drop:0.05' "
         "(clauses: partition, partition-oneway, drop, dup, reorder, corrupt, "
-        "delay; times are rounds on sim, seconds on realtime transports); "
+        "delay; times are rounds on sim, seconds on tcp); "
         "composes with --crash, --reshare (the handoff epochs) and --groups "
         "(every group)",
     )
@@ -574,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="I@T",
         help="reattach the crashed parties after T rounds (sim) / seconds "
-        "(realtime) measured from the crash; all crashed parties recover "
+        "(tcp) measured from the crash; all crashed parties recover "
         "together at the largest requested T (default 5)",
     )
     run_p.add_argument(
@@ -597,15 +616,16 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--cadence",
         type=int,
-        default=16,
+        default=None,
         help="snapshot every this many deliveries at crash-recovering parties "
-        "(one committee's --crash; handoffs and groups use the default)",
+        "(default 16; needs --crash)",
     )
     run_p.add_argument(
         "--storage-dir",
         default=None,
-        help="directory for snapshots + WALs (default: a temp dir; groups "
-        "always use temp dirs of their own)",
+        help="directory for snapshots + WALs (default: a temp dir; needs "
+        "--crash, and is refused beside --groups, whose groups use temp dirs "
+        "of their own)",
     )
     _add_shard_arguments(run_p)
     run_p.set_defaults(func=_cmd_run)
@@ -631,15 +651,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     beacon_p.add_argument(
         "--transport",
-        choices=("sim", "asyncio", "tcp"),
+        choices=TRANSPORT_KINDS,
         default="sim",
-        help="runtime: deterministic simulator, realtime asyncio, or TCP sockets",
+        help="runtime: deterministic simulator or TCP sockets",
     )
     beacon_p.add_argument(
         "--timeout",
         type=float,
         default=120.0,
-        help="per-epoch wall-clock limit for realtime transports (seconds)",
+        help="per-epoch wall-clock limit on tcp (seconds)",
     )
     beacon_p.add_argument(
         "--churn",

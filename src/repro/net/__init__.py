@@ -2,11 +2,11 @@
 
 Protocols are *sans-io* state machines (:class:`repro.net.protocol.Protocol`)
 composed into per-party stacks (:class:`repro.net.party.Party`) and executed
-by a pluggable :class:`repro.net.transport.Transport`: the deterministic
-discrete-event simulator (:class:`repro.net.runtime.Simulation`), the
-realtime asyncio runner (:mod:`repro.net.asyncio_runtime`) or the real
-socket transport (:mod:`repro.net.tcp_runtime`), which ships every message
-as :mod:`repro.net.codec` bytes.  The transport meters words, messages,
+by a :class:`repro.net.transport.Transport`: the deterministic
+discrete-event simulator (:class:`repro.net.runtime.Simulation`), where
+the adversary's scheduler controls delivery, or the real socket transport
+(:mod:`repro.net.tcp_runtime`), which ships every message as
+:mod:`repro.net.codec` bytes.  The transport meters words, messages,
 bytes and causal rounds (:mod:`repro.net.metrics`), and the adversary
 controls both message scheduling and Byzantine party behaviour
 (:mod:`repro.net.adversary`).  A seeded link-fault plane
@@ -30,7 +30,6 @@ from repro.net.delays import (
 )
 from repro.net.transport import (
     Transport,
-    RealtimeTransport,
     make_transport,
     TRANSPORT_KINDS,
 )
@@ -42,7 +41,6 @@ from repro.net.chaos import (
     Partition,
 )
 from repro.net.runtime import Simulation
-from repro.net.asyncio_runtime import AsyncioRuntime
 from repro.net.tcp_runtime import TCPRuntime
 from repro.net.adversary import (
     Behavior,
@@ -69,7 +67,6 @@ __all__ = [
     "ExponentialDelay",
     "HeavyTailDelay",
     "Transport",
-    "RealtimeTransport",
     "make_transport",
     "TRANSPORT_KINDS",
     "ChaosPlane",
@@ -78,7 +75,6 @@ __all__ = [
     "LinkFault",
     "Partition",
     "Simulation",
-    "AsyncioRuntime",
     "TCPRuntime",
     "Behavior",
     "CrashBehavior",

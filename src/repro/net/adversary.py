@@ -46,44 +46,45 @@ class SilentBehavior(Behavior):
     """Sends nothing, ever — the strongest omission fault.
 
     Honest parties see such a party only through its silence, so it runs
-    no protocol stack: ``Transport.build_party`` returns it halted, and a
-    reattach without a replacement leaves it so.  Deliveries addressed to
-    it are still scheduled, passed through ``allow_delivery`` and counted.
+    no protocol stack: ``Transport.build_party`` returns it halted.
+    Deliveries addressed to it are still scheduled, passed through
+    ``allow_delivery`` and counted.
     """
 
     def transform_outgoing(self, envelope: Envelope, rng: random.Random) -> list[Envelope]:
         return []
 
 
-class FaultSchedule:
-    """Shared crash/recovery bookkeeping for one party's fault window.
+class CrashBehavior(Behavior):
+    """Honest until ``after_sends`` messages have left, then down.
 
-    The single source of truth for "is this process down right now":
-    :class:`CrashBehavior` and :class:`CrashRecoverBehavior` consume it
-    instead of keeping their own ``crashed`` flags, and a driver that
-    hands one to a :class:`CrashBehavior` reads the same state (E8's
-    crash-then-new-session).  The schedule counts two event streams —
-    outgoing sends (:meth:`note_send`) and deliveries attempted while
-    down (:meth:`note_delivery`) — and flips through at most three
-    phases: up → down (after ``crash_after_sends`` sends) → up again
-    (after ``recover_after_drops`` swallowed deliveries, if configured;
-    ``None`` means the classic terminal crash).
+    ``recover_after_drops=None`` is the classic terminal crash.  With a
+    count, the crash is a *window*: the party comes back after that many
+    deliveries were lost to the outage — the omission-fault view of a
+    crash, where the process freezes with its memory intact and the
+    messages of the window are simply gone.  It composes with any
+    scheduler and needs no storage; contrast with the durable recovery
+    path (``repro.storage.recovery``), where the process loses its memory
+    and is rehydrated from snapshot + WAL via the transport's
+    detach/reattach.  E14 runs both, and the gap between them is exactly
+    what the write-ahead storage buys.
+
+    ``crashed`` is set by the crashing send and stays set; ``recovered``
+    by the first delivery after the window; ``down`` is the one between.
     """
 
     def __init__(
-        self,
-        crash_after_sends: int,
-        recover_after_drops: Optional[int] = None,
+        self, after_sends: int, recover_after_drops: Optional[int] = None
     ) -> None:
-        if crash_after_sends < 0:
-            raise ValueError("crash_after_sends must be non-negative")
+        if after_sends < 0:
+            raise ValueError("after_sends must be non-negative")
         if recover_after_drops is not None and recover_after_drops < 0:
             # 0 is legal: the recovery lands on the same step as the
             # crash, so the outage swallows no deliveries at all — the
             # first delivery attempted while "down" finds the process
             # already back up.
             raise ValueError("recover_after_drops must be >= 0 (or None)")
-        self.crash_after_sends = crash_after_sends
+        self.after_sends = after_sends
         self.recover_after_drops = recover_after_drops
         self.sent = 0
         self.dropped = 0
@@ -94,24 +95,22 @@ class FaultSchedule:
     def down(self) -> bool:
         return self.crashed and not self.recovered
 
-    def note_send(self) -> bool:
-        """Record one outgoing send; True iff it may leave the process."""
+    def transform_outgoing(self, envelope: Envelope, rng: random.Random) -> list[Envelope]:
+        """Pass the send unless the process is down; the send after the
+        first ``after_sends`` is the crashing one, and is lost."""
         if self.down:
-            return False
+            return []
         if not self.crashed:
             self.sent += 1
-            if self.sent > self.crash_after_sends:
+            if self.sent > self.after_sends:
                 self.crashed = True
-                return False
-        return True
+                return []
+        return [envelope]
 
-    def note_delivery(self) -> bool:
-        """Record one delivery attempt; True iff the process receives it.
-
-        Exactly ``recover_after_drops`` deliveries are lost to the
+    def allow_delivery(self, envelope: Envelope, rng: random.Random) -> bool:
+        """Exactly ``recover_after_drops`` deliveries are lost to the
         outage; the next one finds the process back up, goes through,
-        and is *not* counted in ``dropped``.
-        """
+        and is *not* counted in ``dropped``."""
         if not self.down:
             return True
         if (
@@ -122,68 +121,6 @@ class FaultSchedule:
             return True
         self.dropped += 1
         return False
-
-
-class CrashBehavior(Behavior):
-    """Honest until ``after_sends`` messages have left, then dead.
-
-    Either pass ``after_sends`` or hand in an externally owned
-    :class:`FaultSchedule` (a driver that also inspects the crash state
-    shares the same bookkeeping instead of duplicating it).
-    """
-
-    def __init__(
-        self,
-        after_sends: Optional[int] = None,
-        schedule: Optional[FaultSchedule] = None,
-    ) -> None:
-        if (after_sends is None) == (schedule is None):
-            raise ValueError("pass exactly one of after_sends / schedule")
-        self.schedule = schedule or FaultSchedule(crash_after_sends=after_sends)
-
-    @property
-    def crashed(self) -> bool:
-        return self.schedule.crashed
-
-    def transform_outgoing(self, envelope: Envelope, rng: random.Random) -> list[Envelope]:
-        return [envelope] if self.schedule.note_send() else []
-
-    def allow_delivery(self, envelope: Envelope, rng: random.Random) -> bool:
-        return self.schedule.note_delivery()
-
-
-class CrashRecoverBehavior(Behavior):
-    """A crash *window*: down after ``after_sends`` sends, back up after
-    ``recover_after_drops`` deliveries were lost to the outage.
-
-    This is the omission-fault view of a crash — the process freezes with
-    its memory intact and the messages of the outage window are simply
-    gone.  It composes with any scheduler and needs no storage; contrast
-    with the durable recovery path (``repro.storage.recovery``), where
-    the process loses its memory and is rehydrated from snapshot + WAL
-    via the transport's detach/reattach.  E14 runs both, and the gap
-    between them is exactly what the write-ahead storage buys.
-    """
-
-    def __init__(self, after_sends: int, recover_after_drops: int) -> None:
-        self.schedule = FaultSchedule(
-            crash_after_sends=after_sends,
-            recover_after_drops=recover_after_drops,
-        )
-
-    @property
-    def crashed(self) -> bool:
-        return self.schedule.down
-
-    @property
-    def recovered(self) -> bool:
-        return self.schedule.recovered
-
-    def transform_outgoing(self, envelope: Envelope, rng: random.Random) -> list[Envelope]:
-        return [envelope] if self.schedule.note_send() else []
-
-    def allow_delivery(self, envelope: Envelope, rng: random.Random) -> bool:
-        return self.schedule.note_delivery()
 
 
 class DropBehavior(Behavior):

@@ -11,11 +11,11 @@ eventual-delivery obligation by construction*, so any chaos schedule is
 still a legal asynchronous adversary and the protocol must reach
 agreement under it.
 
-One seam, three runtimes: the plane hooks the shared
+One seam, two runtimes: the plane hooks the shared
 :meth:`~repro.net.transport.Transport._deliver_buffered` pipeline, so the
-same declarative :class:`ChaosSpec` drives the deterministic simulator,
-the asyncio runtime and the TCP runtime (time is simulated rounds on the
-simulator and seconds since transport open on the realtime runtimes).
+same declarative :class:`ChaosSpec` drives the deterministic simulator
+and the TCP runtime (time is simulated rounds on the simulator and
+seconds since transport open on TCP).
 
 Fault taxonomy — every verdict keeps delivery eventual:
 
@@ -245,8 +245,7 @@ class ChaosSpec:
 
         Windows (``@start-end``) are optional and default to the whole
         run (partitions require one — a cut must heal).  Times are
-        simulated rounds on the simulator, seconds on the realtime
-        runtimes.
+        simulated rounds on the simulator, seconds on TCP.
         """
         partitions: list[Partition] = []
         faults: list[LinkFault] = []

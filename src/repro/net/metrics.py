@@ -85,10 +85,8 @@ class Metrics:
     messages_total: int = 0
     bytes_total: int = 0
     words_by_layer: Counter = field(default_factory=Counter)
-    messages_by_layer: Counter = field(default_factory=Counter)
     words_by_type: Counter = field(default_factory=Counter)
     messages_by_type: Counter = field(default_factory=Counter)
-    bytes_by_type: Counter = field(default_factory=Counter)
     max_depth: int = 0
     deliveries: int = 0
     #: Coalesced wire frames the batched message plane actually produced
@@ -124,12 +122,9 @@ class Metrics:
         self.words_by_type[type_name] += words
         self.messages_by_type[type_name] += count
         if nbytes is not None:
-            nbytes *= count
-            self.bytes_total += nbytes
-            self.bytes_by_type[type_name] += nbytes
+            self.bytes_total += nbytes * count
         for layer in _path_layers(envelope.path):
             self.words_by_layer[layer] += words
-            self.messages_by_layer[layer] += count
 
     def record_delivery(self, envelope: Envelope) -> None:
         self.deliveries += 1
@@ -204,10 +199,8 @@ class Metrics:
             result.messages_total += part.messages_total
             result.bytes_total += part.bytes_total
             result.words_by_layer.update(part.words_by_layer)
-            result.messages_by_layer.update(part.messages_by_layer)
             result.words_by_type.update(part.words_by_type)
             result.messages_by_type.update(part.messages_by_type)
-            result.bytes_by_type.update(part.bytes_by_type)
             result.max_depth = max(result.max_depth, part.max_depth)
             result.deliveries += part.deliveries
             result.frames_total += part.frames_total

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Iterator, Optional, TYPE_CHECKING
 
 from repro.net.conditions import ConditionRegistry
 from repro.net.envelope import Envelope, Path
@@ -546,15 +546,13 @@ class Party:
         self,
         blob: bytes,
         root_factory: Optional[Callable[["Party"], Protocol]] = None,
-        root_factories: Optional[Mapping[int, Callable[["Party"], Protocol]]] = None,
     ) -> None:
         """Rebuild the session table from a :meth:`freeze` blob.
 
         Must be called on a pristine party constructed with the same
         ``(index, n, f, rng_label, directory, secret)`` as the frozen
         one.  ``root_factory`` rebuilds each rooted session's root
-        instance (``root_factories`` overrides it per session id);
-        children are rebuilt recursively through each parent's
+        instance; children are rebuilt recursively through each parent's
         :meth:`~repro.net.protocol.Protocol.build_child`, ``on_start`` is
         never re-run, and every instance's pending ``upon`` conditions
         are re-derived via :meth:`~repro.net.protocol.Protocol.rearm`.
@@ -619,17 +617,12 @@ class Party:
             order: list[Protocol] = []
             for path, snap in instances:
                 if path == ():
-                    factory = None
-                    if root_factories is not None:
-                        factory = root_factories.get(sid)
-                    if factory is None:
-                        factory = root_factory
-                    if factory is None:
+                    if root_factory is None:
                         raise ValueError(
                             f"session {sid} has a root but no root factory "
                             "was provided"
                         )
-                    instance = self._bind(state, (), None, None, factory(self))
+                    instance = self._bind(state, (), None, None, root_factory(self))
                 else:
                     parent = state.instances.get(path[:-1])
                     if parent is None:

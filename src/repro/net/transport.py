@@ -1,7 +1,5 @@
-"""The pluggable Transport abstraction shared by every runtime.
+"""The Transport abstraction shared by the simulator and the TCP runtime.
 
-Historically the deterministic simulator and the asyncio runtime each
-carried their own copy of the delivery pipeline; this module extracts it.
 A :class:`Transport` owns the parties and the metrics and implements the
 one pipeline every runtime shares:
 
@@ -34,21 +32,19 @@ one pipeline every runtime shares:
   separately as frame counts, occupancy and actual wire bytes
   (``Metrics.record_frame``).
 
-Subclasses provide only *when and how* a transmitted batch comes back
-to :meth:`_deliver_buffered`, through their one send hook
+Two subclasses provide only *when and how* a transmitted batch comes
+back to :meth:`_deliver_buffered`, through their one send hook
 :meth:`Transport._transmit_coalesced`:
 
 * :class:`~repro.net.runtime.Simulation` — a priority queue of simulated
   delivery times (discrete-event, deterministic);
-* :class:`~repro.net.asyncio_runtime.AsyncioRuntime` — an asyncio task
-  per (sender, recipient) link and flush, with a real randomized sleep;
 * :class:`~repro.net.tcp_runtime.TCPRuntime` — codec-encoded frames over
-  real TCP stream connections.
+  real TCP stream connections, on a live asyncio event loop.
 
-Every runtime also answers one **driving surface** (DESIGN §7) — ``open``
-/ ``close``, ``start``, ``now``, ``completion_time`` and the
-awaitables ``wait_any`` / ``wait_session``, ``wait_until``, ``sleep``,
-``drain`` — so a scenario is one coroutine that runs on all three.  The
+Both also answer one **driving surface** (DESIGN §7) — ``open`` /
+``close``, ``start``, ``now``, ``completion_time`` and the awaitables
+``wait_any`` / ``wait_session``, ``wait_until``, ``sleep``, ``drain`` —
+so a scenario is one coroutine that runs on either.  The
 simulator's awaitables step its event queue inline and never suspend,
 which lets :meth:`Transport.block_on` drive it with no event loop.
 
@@ -58,7 +54,6 @@ which lets :meth:`Transport.block_on` drive it with no event loop.
 
 from __future__ import annotations
 
-import asyncio
 import bisect
 import dataclasses
 import operator
@@ -79,7 +74,7 @@ from repro.net.protocol import Protocol
 
 RootFactory = Callable[[Party], Protocol]
 
-TRANSPORT_KINDS = ("sim", "asyncio", "tcp")
+TRANSPORT_KINDS = ("sim", "tcp")
 
 #: Bytes of transport framing per message (length-prefix the TCP runtime
 #: writes before each codec frame); counted for every transport so byte
@@ -309,9 +304,9 @@ class Transport:
 
     # -- the driving surface ------------------------------------------------------------
     #
-    # What a scenario coroutine may ask of any runtime.  ``wait_any``,
+    # What a scenario coroutine may ask of either runtime.  ``wait_any``,
     # ``wait_until`` and ``sleep`` are each runtime's own: the simulator
-    # steps its queue inline, a realtime runtime suspends on its loop.
+    # steps its queue inline, TCP suspends on its event loop.
 
     async def open(self) -> None:
         """Bring up transport resources; idempotent."""
@@ -339,7 +334,7 @@ class Transport:
 
     async def drain(self) -> None:
         """Deliver what is still in flight: the simulator runs to
-        quiescence; realtime :meth:`close` cancels stragglers instead."""
+        quiescence; TCP's :meth:`close` cancels stragglers instead."""
 
     def block_on(self, coroutine: Any) -> Any:
         """Drive a coroutine written against the surface to its result.
@@ -367,9 +362,9 @@ class Transport:
         partial open (one of n*(n-1) connections refused) or a
         loudly-failing start (honest unencodable payload) must still
         cancel every spawned task and close sockets.  ``timeout`` bounds
-        the wait for agreement on a realtime runtime (the simulator has
-        its delivery budget); a background task's exception is re-raised
-        by the wait, one recorded during post-success teardown is not.
+        the wait for agreement on TCP (the simulator has its delivery
+        budget); a background task's exception is re-raised by the wait,
+        one recorded during post-success teardown is not.
         """
         try:
             await self.open()
@@ -387,9 +382,9 @@ class Transport:
     def round_measure(self) -> float:
         """The transport's asynchronous-round measure for a finished run.
 
-        Realtime transports report the maximum causal depth; the
-        simulator overrides this with simulated time (which equals the
-        causal-chain length under ``FixedDelay``).
+        TCP reports the maximum causal depth; the simulator overrides this
+        with simulated time (which equals the causal-chain length under
+        ``FixedDelay``).
         """
         return float(self.metrics.max_depth)
 
@@ -632,10 +627,10 @@ class Transport:
         """Take a party's process down mid-run.
 
         Its in-memory protocol state is considered lost (the object is
-        halted and will be replaced on reattach); traffic addressed to it
-        is parked — modelling peers' transport-level send queues across a
+        halted and is replaced on reattach); traffic addressed to it is
+        parked — modelling peers' transport-level send queues across a
         reconnect — and re-injected by :meth:`reattach_party`.  Works
-        identically on every runtime because parking happens in the
+        identically on both runtimes because parking happens in the
         shared delivery pipeline.
         """
         if not 0 <= index < self.n:
@@ -645,33 +640,24 @@ class Transport:
         self._detached[index] = []
         self.parties[index].halt()
 
-    def detached_parties(self) -> frozenset[int]:
-        return frozenset(self._detached)
-
-    def reattach_party(self, index: int, party: Optional[Party] = None) -> int:
-        """Bring a detached party back and drain its parked traffic.
+    def reattach_party(self, index: int, party: Party) -> int:
+        """Bring a detached party back as ``party`` and drain its parked
+        traffic.
 
         ``party`` is the rehydrated replacement (built via
-        :meth:`build_party` and ``thaw``-ed from durable storage); omit it
-        to reattach the original in-memory object (an omission-style
-        fault with no state loss), which a silent party leaves halted.
-        Parked envelopes are re-injected through the normal delivery
-        pipeline — and therefore through the coalescing buffer — in arrival
-        order.  Returns the number of parked envelopes actually delivered.
+        :meth:`build_party` and ``thaw``-ed from durable storage).  Parked
+        envelopes are re-injected through the normal delivery pipeline —
+        and therefore through the coalescing buffer — in arrival order.
+        Returns the number of parked envelopes actually delivered.
         """
         if index not in self._detached:
             raise RuntimeError(f"party {index} is not detached")
-        parked = self._detached.pop(index)
-        if party is not None:
-            if party.index != index:
-                raise ValueError(
-                    f"replacement party has index {party.index}, expected {index}"
-                )
-            self.parties[index] = party
-        else:
-            self.parties[index].halted = isinstance(
-                self.behaviors.get(index), SilentBehavior
+        if party.index != index:
+            raise ValueError(
+                f"replacement party has index {party.index}, expected {index}"
             )
+        parked = self._detached.pop(index)
+        self.parties[index] = party
         delivered = 0
         for envelope in parked:
             if self._deliver_buffered(envelope):
@@ -687,8 +673,8 @@ class Transport:
     def _chaos_requeue(self, envelope: Envelope, delay: float) -> None:
         """Re-inject a chaos-held envelope after ``delay`` time units.
 
-        The simulator pushes onto its delivery heap; realtime transports
-        spawn a sleeping task.  Both re-enter the shared pipeline, where
+        The simulator pushes onto its delivery heap; TCP spawns a
+        sleeping task.  Both re-enter the shared pipeline, where
         the released marking lets the envelope through.
         """
         raise NotImplementedError(
@@ -780,8 +766,8 @@ class Transport:
         self, envelopes: list[Envelope], sizes: list[Optional[int]]
     ) -> Optional[int]:
         """This group's frame bytes, or ``None`` if any send in it was
-        unmetered — sized from the metered ``sizes``, not built (in-process
-        transports never encode their frames)."""
+        unmetered — sized from the metered ``sizes``, not built (the
+        simulator never encodes its frames)."""
         if None in sizes:
             return None
         try:
@@ -793,199 +779,6 @@ class Transport:
             return None
 
 
-class RealtimeTransport(Transport):
-    """Shared machinery for runtimes hosted on a live asyncio event loop.
-
-    Subclasses implement :meth:`Transport._transmit_coalesced`; delivery
-    calls :meth:`Transport._deliver_buffered` per envelope, then one
-    :meth:`_flush_coalesced`, from the event loop.  Two usage shapes,
-    both spelled with the driving surface:
-
-    * one-shot — :meth:`Transport.run_root` returns session 0's honest
-      results or raises :class:`asyncio.TimeoutError`;
-    * long-lived — :meth:`open` once, inject sessions with
-      :meth:`Transport.start` while traffic is flowing, await
-      :meth:`wait_any` / :meth:`Transport.wait_session`, :meth:`close`
-      at the end: what the epoch-pipelining service layer drives.
-    """
-
-    def __init__(
-        self,
-        setup: TrustedSetup,
-        behaviors: Optional[dict[int, Behavior]] = None,
-        seed: int = 0,
-        *,
-        rng_namespace: str = "realtime",
-        measure_bytes: bool = False,
-        chaos: Any = None,
-    ) -> None:
-        super().__init__(
-            setup,
-            behaviors,
-            seed,
-            rng_namespace=rng_namespace,
-            measure_bytes=measure_bytes,
-            chaos=chaos,
-        )
-        #: Pending ``call_soon`` handle for the deferred coalescing-buffer
-        #: drain (see :meth:`_flush_coalesced`), or ``None``.
-        self._flush_handle: Optional[asyncio.Handle] = None
-        self._tasks: set[asyncio.Task] = set()
-        #: Set whenever a session completes or a background task fails:
-        #: what every :meth:`wait_any` sleeps on between its checks.
-        self._progress = asyncio.Event()
-        self._failure: Optional[BaseException] = None
-        self._opened = False
-        #: Event-loop time of :meth:`open` (or of the first clock reading
-        #: before it); :meth:`now` counts seconds since then.
-        self._clock_origin: Optional[float] = None
-
-    # -- the driving surface -----------------------------------------------------------
-
-    async def open(self) -> None:
-        if not self._opened:
-            self._progress = asyncio.Event()  # bound to this run's loop
-            await self._open()
-            self._opened = True
-            self.now()  # the first reading starts the clock
-
-    async def close(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        Transport._flush_coalesced(self)  # drain anything still parked
-        for task in list(self._tasks):
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        await self._close()
-        self._opened = False
-
-    def now(self) -> float:
-        try:
-            now = asyncio.get_running_loop().time()
-        except RuntimeError:  # outside the loop: treat as the run's start
-            return 0.0
-        if self._clock_origin is None:
-            self._clock_origin = now
-        return now - self._clock_origin
-
-    async def wait_any(self, sessions: Any, timeout: float = 60.0) -> list[int]:
-        """Await the first completions among ``sessions``; returns the
-        completed ones (at least one).
-
-        Raises :class:`asyncio.TimeoutError` if none completes in time,
-        or the underlying failure if a background task died first.
-        """
-        sessions = tuple(sessions)
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while True:
-            done = [s for s in sessions if self.all_honest_output(s)]
-            if done:
-                return done
-            if self._failure is not None:
-                raise self._failure
-            self._progress.clear()
-            try:
-                await asyncio.wait_for(
-                    self._progress.wait(), timeout=deadline - loop.time()
-                )
-            except asyncio.TimeoutError:
-                raise asyncio.TimeoutError(
-                    f"sessions {sorted(sessions)} incomplete after {timeout}s"
-                ) from None
-
-    async def wait_until(
-        self, predicate: Callable[[Transport], bool], timeout: float = 60.0
-    ) -> None:
-        """Poll ``predicate(self)`` until it holds (2 ms cadence)."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while not predicate(self):
-            if self._failure is not None:
-                raise self._failure
-            if loop.time() > deadline:
-                raise asyncio.TimeoutError(
-                    f"awaited condition not reached within {timeout}s"
-                )
-            await asyncio.sleep(0.002)
-
-    async def sleep(self, delay: float) -> None:
-        await asyncio.sleep(delay)
-
-    def block_on(self, coroutine: Any) -> Any:
-        """``asyncio.run``: realtime awaitables need a loop to suspend on."""
-        return asyncio.run(coroutine)
-
-    def _spawn(self, coro) -> asyncio.Task:
-        """Track a background task for cancellation and error propagation."""
-        task = asyncio.ensure_future(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._on_task_done)
-        return task
-
-    def _on_task_done(self, task: asyncio.Task) -> None:
-        self._tasks.discard(task)
-        if task.cancelled():
-            return
-        exc = task.exception()
-        if exc is not None and self._failure is None:
-            self._failure = exc
-            self._progress.set()  # wake every waiter so it can re-raise
-
-    def _flush_coalesced(self) -> None:
-        """Drain the coalescing buffer at the end of the loop iteration.
-
-        On a live event loop, activations of different parties interleave
-        — the base class's flush-per-activation therefore produced
-        near-empty frames (mean occupancy ~1.1 on TCP at n=6 versus ~224
-        on the simulator).  Deferring the drain one ``call_soon`` hop
-        gives every activation scheduled in the same loop iteration a
-        chance to park its sends first, and one drain then coalesces the
-        lot: flush on writer-drain, not per-activation.  Callers outside a
-        running loop (e.g. ``start()`` in a synchronous test) fall back
-        to the immediate drain.
-        """
-        if not self._outgoing:
-            return
-        if self._flush_handle is not None:
-            return  # drain already scheduled for this iteration
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            super()._flush_coalesced()
-            return
-        self._flush_handle = loop.call_soon(self._drain_coalesced)
-
-    def _drain_coalesced(self) -> None:
-        self._flush_handle = None
-        super()._flush_coalesced()
-
-    def _note_results(self, party: Party) -> list[int]:
-        done = super()._note_results(party)
-        if done:
-            self._progress.set()
-        return done
-
-    # -- chaos hooks -------------------------------------------------------------------
-
-    def _chaos_requeue(self, envelope: Envelope, delay: float) -> None:
-        self._spawn(self._chaos_redeliver(envelope, delay))
-
-    async def _chaos_redeliver(self, envelope: Envelope, delay: float) -> None:
-        await asyncio.sleep(delay)
-        self._deliver_buffered(envelope)
-        self._flush_coalesced()
-
-    # -- subclass hooks ----------------------------------------------------------------
-
-    async def _open(self) -> None:
-        """Bring up transport resources (sockets, ...) before parties start."""
-
-    async def _close(self) -> None:
-        """Tear down transport resources after the run finished."""
-
-
 def make_transport(
     kind: str,
     setup: TrustedSetup,
@@ -994,20 +787,16 @@ def make_transport(
     seed: int = 0,
     **kwargs: Any,
 ) -> Transport:
-    """Build a transport by name: ``"sim"``, ``"asyncio"`` or ``"tcp"``.
+    """Build a transport by name: ``"sim"`` or ``"tcp"``.
 
     Extra keyword arguments are forwarded to the selected runtime
-    (e.g. ``delay_model=``/``scheduler=`` for ``sim``, ``max_delay=`` for
-    ``asyncio``, ``host=`` for ``tcp``).
+    (e.g. ``delay_model=``/``scheduler=`` for ``sim``, ``host=`` for
+    ``tcp``).
     """
     if kind == "sim":
         from repro.net.runtime import Simulation
 
         return Simulation(setup, behaviors=behaviors, seed=seed, **kwargs)
-    if kind == "asyncio":
-        from repro.net.asyncio_runtime import AsyncioRuntime
-
-        return AsyncioRuntime(setup, behaviors=behaviors, seed=seed, **kwargs)
     if kind == "tcp":
         from repro.net.tcp_runtime import TCPRuntime
 
@@ -1031,9 +820,9 @@ def make_run_transport(
 
     On ``sim`` the delay model defaults to ``FixedDelay(1.0)`` (simulated
     time is then the asynchronous round measure) and ``max_steps``
-    becomes the awaitables' delivery budget.  A realtime runtime refuses
-    the four simulator-only arguments rather than silently returning
-    numbers measured under other semantics than the caller asked for.
+    becomes the awaitables' delivery budget.  TCP refuses the four
+    simulator-only arguments rather than silently returning numbers
+    measured under other semantics than the caller asked for.
     Any other keyword left ``None`` means the runtime's own default.
     """
     kwargs = {name: value for name, value in kwargs.items() if value is not None}

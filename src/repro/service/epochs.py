@@ -10,8 +10,8 @@ baseline).
 
 The driver has one loop on the transport's driving surface (DESIGN §7):
 open the network once, inject sessions while traffic is flowing, await
-each epoch in order — the simulator steps its event queue inline,
-asyncio/TCP suspend.  A completed epoch's protocol state (instance tree,
+each epoch in order — the simulator steps its event queue inline, TCP
+suspends.  A completed epoch's protocol state (instance tree,
 pending buffers, condition registry at every party) is garbage-collected
 before the next epoch is admitted, so a service running thousands of
 epochs holds state only for the window.

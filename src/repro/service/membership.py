@@ -234,7 +234,7 @@ def epoch_setup(universe: TrustedSetup, seed: int, spec: EpochSpec) -> TrustedSe
 
 
 def handoff_overlays(epochs: int, chaos: Any = None, crash: Any = None) -> dict:
-    """One chaos spec and one crash plan (``{"indices", "after", "delay"}``)
+    """One chaos spec and one crash plan (the keywords of a ``CrashPlan``)
     as the ``chaos=`` / ``crash=`` keywords that put them on every handoff
     epoch (epoch 0 is the plain ADKG the overlays cover without a schedule);
     a one-epoch run has none to carry them, so ``ValueError``."""

@@ -347,8 +347,8 @@ class ShardedBeacon:
 # -- one group's run (inline, or a pool worker's task) -------------------------------
 
 #: The Metrics fields a group's config determines, and so the inline-vs-pool
-#: differential gate.  Frame and wire accounting are absent: on a realtime
-#: transport coalescing follows delivery timing, not the config.
+#: differential gate.  Frame and wire accounting are absent: on TCP
+#: coalescing follows delivery timing, not the config.
 _PROTOCOL_PLANE = (
     "words_total",
     "messages_total",
@@ -356,10 +356,8 @@ _PROTOCOL_PLANE = (
     "deliveries",
     "max_depth",
     "words_by_layer",
-    "messages_by_layer",
     "words_by_type",
     "messages_by_type",
-    "bytes_by_type",
 )
 #: Work counters that are per group (each group has its own directory,
 #: hence its own verify cache and pairing group).  The process-global
@@ -579,9 +577,9 @@ def run_sharded(
     ``churn`` is a :func:`~repro.service.membership.parse_churn` schedule
     every group follows on its local indices (``""``: a proactive refresh;
     ``None``: a fresh key per epoch instead), ``chaos`` a
-    :meth:`~repro.net.chaos.ChaosSpec.parse` string, ``crash`` a
-    :class:`~repro.storage.recovery.CrashPlan`'s ``indices`` / ``after`` /
-    ``delay``.  The overlays cover the whole run (the crash: its first
+    :meth:`~repro.net.chaos.ChaosSpec.parse` string, ``crash`` keywords of
+    a :class:`~repro.storage.recovery.CrashPlan` (``indices``, ``after``,
+    ``delay``, ...).  The overlays cover the whole run (the crash: its first
     epoch) without churn, every handoff epoch with it (DESIGN §12).
     Malformed arguments raise ``ValueError`` before any group starts, the
     crash's ranges when its plan is built.

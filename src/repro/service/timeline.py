@@ -37,9 +37,9 @@ class Stretch:
     A fresh stretch runs its ``i``-th epoch as session ``session_base + i``.
     ``seed`` seeds the transport, ``members`` names the committee as the
     caller numbers parties (empty: the setup's own indices).  ``chaos``
-    covers the stretch's transport, ``crash`` (a
-    :class:`~repro.storage.recovery.CrashPlan`'s ``indices`` / ``after``
-    / ``delay``) its first epoch.
+    covers the stretch's transport, ``crash`` (keywords of a
+    :class:`~repro.storage.recovery.CrashPlan`: ``indices``, ``after``,
+    ``delay``, ...) its first epoch.
     """
 
     setup: TrustedSetup

@@ -20,7 +20,7 @@ The pieces, bottom-up:
   awaits (DESIGN §7): crash (detach + state loss) at an adversarially
   chosen per-party delivery count, recover after a delay, reattach — on
   the driving surface, so the delay reads in simulated rounds on the
-  simulator and in seconds on asyncio/TCP.
+  simulator and in seconds on TCP.
 * :func:`run_crash_recovery` — the plan on one epoch of one committee,
   with the report the CLI and the benchmark read.
 """
@@ -47,7 +47,7 @@ class DurabilityRecorder:
     """Keep one party's snapshot + WAL current on a live transport.
 
     The recorder observes the shared delivery pipeline, so it works
-    unchanged on the simulator, the asyncio runtime and TCP.  A
+    unchanged on the simulator and on TCP.  A
     delivery's WAL record is appended before any of its reactions is
     transmitted: the transport sends nothing while a delivery is on the
     stack.  The snapshot is taken at the delivery boundary (reaction

@@ -1,14 +1,10 @@
 """End-to-end integration: the public API, transports, delay regimes."""
 
-import asyncio
-
 import pytest
 
 from repro import run_adkg
-from repro.core.adkg import ADKG
 from repro.crypto import threshold_enc as tenc, threshold_vrf as tvrf
 from repro.crypto.keys import TrustedSetup
-from repro.net.asyncio_runtime import AsyncioRuntime
 from repro.net.delays import ExponentialDelay, HeavyTailDelay, UniformDelay
 
 
@@ -52,16 +48,6 @@ def test_different_seeds_different_keys():
 def test_adkg_under_every_delay_regime(delay_model):
     result = run_adkg(n=4, seed=6, delay_model=delay_model)
     assert result.agreed
-
-
-def test_adkg_over_asyncio_runtime():
-    setup = TrustedSetup.generate(4, seed=7)
-    runtime = AsyncioRuntime(setup, max_delay=0.002, seed=7)
-    results = asyncio.run(runtime.run_root(lambda party: ADKG(), timeout=90))
-    transcripts = list(results.values())
-    assert len(transcripts) == 4
-    assert all(t == transcripts[0] for t in transcripts)
-    assert tvrf.DKGVerify(setup.directory, transcripts[0])
 
 
 def test_agreed_key_supports_vrf_and_encryption_together():

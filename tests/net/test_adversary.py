@@ -20,7 +20,6 @@ from repro.net.adversary import (
     SilentBehavior,
     TargetedLagScheduler,
 )
-from repro.net.asyncio_runtime import AsyncioRuntime
 from repro.net.delays import ExponentialDelay, FixedDelay, HeavyTailDelay, UniformDelay
 from repro.net.envelope import Envelope
 from repro.net.protocol import Protocol
@@ -50,46 +49,33 @@ def test_crash_behavior_counts_sends():
     behavior = CrashBehavior(after_sends=2)
     assert behavior.transform_outgoing(_env(), RNG)
     assert behavior.transform_outgoing(_env(), RNG)
+    assert not behavior.crashed
     assert behavior.transform_outgoing(_env(), RNG) == []
-    assert behavior.crashed
+    # A terminal crash: down from the crashing send on, never back.
+    assert behavior.crashed and behavior.down and not behavior.recovered
     assert not behavior.allow_delivery(_env(recipient=0), RNG)
+    assert behavior.down
     with pytest.raises(ValueError):
         CrashBehavior(after_sends=-1)
 
 
-def test_crash_behavior_accepts_shared_schedule():
-    from repro.net.adversary import FaultSchedule
-
-    schedule = FaultSchedule(crash_after_sends=1)
-    behavior = CrashBehavior(schedule=schedule)
-    assert behavior.transform_outgoing(_env(), RNG)
-    assert behavior.transform_outgoing(_env(), RNG) == []
-    # One bookkeeping object: the driver reads the same state.
-    assert schedule.crashed and behavior.crashed
-    with pytest.raises(ValueError):
-        CrashBehavior(after_sends=1, schedule=schedule)
-    with pytest.raises(ValueError):
-        CrashBehavior()
-
-
 def test_fault_schedule_phases():
-    from repro.net.adversary import FaultSchedule
-
-    schedule = FaultSchedule(crash_after_sends=2, recover_after_drops=3)
-    assert schedule.note_send() and schedule.note_send()
-    assert not schedule.note_send()  # the crashing send is lost
-    assert schedule.down
+    behavior = CrashBehavior(after_sends=2, recover_after_drops=3)
+    assert behavior.transform_outgoing(_env(), RNG)
+    assert behavior.transform_outgoing(_env(), RNG)
+    assert behavior.transform_outgoing(_env(), RNG) == []  # the crashing send is lost
+    assert behavior.down
     # Exactly three deliveries are lost to the outage window...
-    assert not schedule.note_delivery()
-    assert not schedule.note_delivery()
-    assert not schedule.note_delivery()
+    assert not behavior.allow_delivery(_env(recipient=0), RNG)
+    assert not behavior.allow_delivery(_env(recipient=0), RNG)
+    assert not behavior.allow_delivery(_env(recipient=0), RNG)
     # ...and the fourth finds the process back up and goes through.
-    assert schedule.note_delivery()
-    assert schedule.recovered and not schedule.down
-    assert schedule.note_send()  # sends flow again after recovery
-    assert schedule.dropped == 3  # only genuinely lost deliveries count
+    assert behavior.allow_delivery(_env(recipient=0), RNG)
+    assert behavior.recovered and not behavior.down
+    assert behavior.transform_outgoing(_env(), RNG)  # sends flow again after recovery
+    assert behavior.dropped == 3  # only genuinely lost deliveries count
     with pytest.raises(ValueError):
-        FaultSchedule(crash_after_sends=1, recover_after_drops=-1)
+        CrashBehavior(after_sends=1, recover_after_drops=-1)
 
 
 def test_fault_schedule_zero_drop_window():
@@ -100,35 +86,25 @@ def test_fault_schedule_zero_drop_window():
     instead let the first delivery attempted while "down" pass straight
     through, uncounted.
     """
-    from repro.net.adversary import CrashRecoverBehavior, FaultSchedule
-
-    schedule = FaultSchedule(crash_after_sends=1, recover_after_drops=0)
-    assert schedule.note_send()
-    assert not schedule.note_send()  # the crashing send is lost
-    assert schedule.down
-    # The very first delivery finds the process already back up.
-    assert schedule.note_delivery()
-    assert schedule.recovered
-    assert schedule.dropped == 0  # the window swallowed nothing
-
-    behavior = CrashRecoverBehavior(after_sends=1, recover_after_drops=0)
+    behavior = CrashBehavior(after_sends=1, recover_after_drops=0)
     assert behavior.transform_outgoing(_env(), RNG)
-    assert behavior.transform_outgoing(_env(), RNG) == []
+    assert behavior.transform_outgoing(_env(), RNG) == []  # the crashing send is lost
+    assert behavior.down
+    # The very first delivery finds the process already back up.
     assert behavior.allow_delivery(_env(recipient=0), RNG)
     assert behavior.recovered
+    assert behavior.dropped == 0  # the window swallowed nothing
 
 
 def test_crash_recover_behavior_window():
-    from repro.net.adversary import CrashRecoverBehavior
-
-    behavior = CrashRecoverBehavior(after_sends=1, recover_after_drops=2)
+    behavior = CrashBehavior(after_sends=1, recover_after_drops=2)
     assert behavior.transform_outgoing(_env(), RNG)
     assert behavior.transform_outgoing(_env(), RNG) == []
-    assert behavior.crashed and not behavior.recovered
+    assert behavior.down and not behavior.recovered
     assert not behavior.allow_delivery(_env(recipient=0), RNG)
     assert not behavior.allow_delivery(_env(recipient=0), RNG)
     assert behavior.allow_delivery(_env(recipient=0), RNG)
-    assert behavior.recovered and not behavior.crashed
+    assert behavior.recovered and not behavior.down
     assert behavior.transform_outgoing(_env(), RNG)
 
 
@@ -245,8 +221,6 @@ def _sim_draw(value):
         (lambda: UniformDelay(high=INF), ValueError),
         (lambda: ExponentialDelay(mean=INF), ValueError),
         (lambda: HeavyTailDelay(median=INF), ValueError),
-        (lambda: AsyncioRuntime(_SETUP, max_delay=INF), ValueError),
-        (lambda: AsyncioRuntime(_SETUP, max_delay=-1.0), ValueError),
         (lambda: _sim_draw(INF), RuntimeError),
         (lambda: _sim_draw(NAN), RuntimeError),
     ],
@@ -260,8 +234,6 @@ def _sim_draw(value):
         "uniform-high-inf",
         "exponential-mean-inf",
         "heavytail-median-inf",
-        "asyncio-max-delay-inf",
-        "asyncio-max-delay-negative",
         "sim-draw-inf",
         "sim-draw-nan",
     ],
@@ -305,7 +277,7 @@ class _Listener(Protocol):
             self.output(True)
 
 
-@pytest.mark.parametrize("kind", ("sim", "asyncio"))
+@pytest.mark.parametrize("kind", ("sim", "tcp"))
 def test_a_behaviour_cannot_send_as_another_party(kind):
     setup = TrustedSetup.generate(4, seed=1)
     runtime = make_transport(kind, setup, behaviors={3: _Impersonator(victim=2)}, seed=1)

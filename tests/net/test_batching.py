@@ -314,6 +314,21 @@ def test_batched_tcp_wire_carries_multi_envelope_frames():
     assert runtime.metrics.frames_total > 0
 
 
+def test_tcp_frames_at_a_cap_of_one_cost_five_or_six_bytes_each(monkeypatch):
+    """At a cap of one every TCP frame is a batch of one on the socket,
+    5 or 6 B dearer than its protocol bytes; closing the run frames
+    every metered send."""
+    monkeypatch.setattr(Transport, "batch_cap_envelopes", 1)
+    runtime = TCPRuntime(TrustedSetup.generate(4, seed=5), seed=5)
+    runtime.run_sync(lambda party: EchoAll(), timeout=30)
+    metrics = runtime.metrics
+    frames = metrics.frames_total
+    assert frames == metrics.messages_total == 4 * 3
+    assert metrics.batch_occupancy_max == 1
+    extra = metrics.wire_bytes_total - metrics.bytes_total
+    assert 5 * frames <= extra <= 6 * frames
+
+
 # -- flush policy ----------------------------------------------------------------------
 
 

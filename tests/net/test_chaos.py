@@ -265,20 +265,22 @@ def test_agreement_under_oneway_partition_and_delay():
 
 def test_chaos_composes_with_crash_recover_overlay():
     """A crash window (E14's omission view) on top of a lossy link."""
-    from repro.net.adversary import CrashRecoverBehavior
+    from repro.net.adversary import CrashBehavior
 
     result = run_adkg(
         n=4,
         seed=1,
-        behaviors={3: CrashRecoverBehavior(after_sends=10, recover_after_drops=5)},
+        behaviors={3: CrashBehavior(after_sends=10, recover_after_drops=5)},
         chaos="drop:0.05;reorder:0.05",
     )
     assert result.agreed
 
 
-def test_chaos_on_asyncio_transport():
+def test_chaos_on_tcp_transport():
+    """Held and duplicated envelopes re-enter the pipeline through TCP's
+    sleeping re-delivery tasks."""
     result = run_adkg(
-        n=4, seed=1, transport="asyncio", chaos="drop:0.05;dup:0.05", timeout=30
+        n=4, seed=1, transport="tcp", chaos="drop:0.05;dup:0.05", timeout=30
     )
     assert result.agreed
     counts = result.metrics_summary["counters"]["chaos"]

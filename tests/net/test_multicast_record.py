@@ -119,10 +119,8 @@ def _run(actions, *, as_record, behavior, cap, depth):
         "messages": metrics.messages_total,
         "bytes": metrics.bytes_total,
         "words_by_layer": dict(metrics.words_by_layer),
-        "messages_by_layer": dict(metrics.messages_by_layer),
         "words_by_type": dict(metrics.words_by_type),
         "messages_by_type": dict(metrics.messages_by_type),
-        "bytes_by_type": dict(metrics.bytes_by_type),
         "deliveries": metrics.deliveries,
         "encode": metrics.counters("encode"),
         "dropped_sends": sim.dropped_sends,

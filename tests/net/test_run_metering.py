@@ -160,10 +160,8 @@ def _flush(records, *, behavior=None, measure_bytes, cap, fixed, depth=0):
         "messages": metrics.messages_total,
         "bytes": metrics.bytes_total,
         "words_by_layer": dict(metrics.words_by_layer),
-        "messages_by_layer": dict(metrics.messages_by_layer),
         "words_by_type": dict(metrics.words_by_type),
         "messages_by_type": dict(metrics.messages_by_type),
-        "bytes_by_type": dict(metrics.bytes_by_type),
         "frames": metrics.frames_total,
         "wire_bytes": metrics.wire_bytes_total,
         "occupancy_max": metrics.batch_occupancy_max,
@@ -218,13 +216,12 @@ def test_a_behaviour_meters_exactly_what_it_lets_through(spec, behavior, measure
     ]
     assert (
         flushed["words"], flushed["messages"], flushed["bytes"],
-        flushed["words_by_layer"], flushed["messages_by_layer"],
-        flushed["words_by_type"], flushed["messages_by_type"], flushed["bytes_by_type"],
+        flushed["words_by_layer"], flushed["words_by_type"],
+        flushed["messages_by_type"],
     ) == (
         expected.words_total, expected.messages_total, expected.bytes_total,
-        dict(expected.words_by_layer), dict(expected.messages_by_layer),
-        dict(expected.words_by_type), dict(expected.messages_by_type),
-        dict(expected.bytes_by_type),
+        dict(expected.words_by_layer), dict(expected.words_by_type),
+        dict(expected.messages_by_type),
     )  # fmt: skip
     assert flushed["frames"] == -(-len(logged.passed) // cap)
 

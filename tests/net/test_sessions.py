@@ -9,7 +9,6 @@ from repro import run_adkg
 from repro.core.adkg import ADKG
 from repro.crypto.keys import TrustedSetup
 from repro.net import codec
-from repro.net.asyncio_runtime import AsyncioRuntime
 from repro.net.delays import FixedDelay
 from repro.net.envelope import Envelope
 from repro.net.party import Party
@@ -76,12 +75,12 @@ def test_interleaved_adkg_sessions_on_tcp_match_sim(n=4, seed=7):
     assert runtime.rejected_frames == 0
 
 
-def test_sessions_injected_into_live_asyncio_network():
-    """A fresh session can start while the network is already running."""
+def test_sessions_injected_into_live_tcp_network():
+    """A fresh session can start while the sockets are already up."""
 
     async def scenario():
         setup = TrustedSetup.generate(4, seed=2)
-        runtime = AsyncioRuntime(setup, seed=2)
+        runtime = TCPRuntime(setup, seed=2)
         await runtime.open()
         try:
             runtime.start(lambda party: EchoAll(), session=0)

@@ -1,6 +1,7 @@
 """The shared Transport base and the TCP socket runtime."""
 
 import asyncio
+import re
 
 import pytest
 
@@ -10,11 +11,15 @@ from repro.crypto import threshold_vrf as tvrf
 from repro.crypto.keys import TrustedSetup
 from repro.net import codec
 from repro.net.adversary import SilentBehavior
-from repro.net.asyncio_runtime import AsyncioRuntime
 from repro.net.envelope import Envelope
 from repro.net.runtime import Simulation
 from repro.net.tcp_runtime import TCPRuntime
-from repro.net.transport import Transport, make_run_transport, make_transport
+from repro.net.transport import (
+    TRANSPORT_KINDS,
+    Transport,
+    make_run_transport,
+    make_transport,
+)
 
 from tests.net.helpers import EchoAll, Ping, PingPong
 
@@ -28,7 +33,7 @@ def _run(coro):
 
 def test_runtimes_share_one_pipeline():
     """Flush/behavior/metrics logic exists once, on the Transport base."""
-    for runtime in (Simulation, AsyncioRuntime, TCPRuntime):
+    for runtime in (Simulation, TCPRuntime):
         assert issubclass(runtime, Transport)
         assert "_flush_party" not in runtime.__dict__
         assert "_deliver_buffered" not in runtime.__dict__
@@ -79,7 +84,6 @@ def test_no_send_leaves_inside_the_delivery_that_caused_it(
 def test_make_transport_factory():
     setup = TrustedSetup.generate(4, seed=1)
     assert isinstance(make_transport("sim", setup), Simulation)
-    assert isinstance(make_transport("asyncio", setup), AsyncioRuntime)
     assert isinstance(make_transport("tcp", setup), TCPRuntime)
     with pytest.raises(ValueError):
         make_transport("carrier-pigeon", setup)
@@ -88,10 +92,34 @@ def test_make_transport_factory():
         make_transport("tcp", setup, measure_bytes=False)
 
 
+def test_the_asyncio_kind_is_refused_naming_the_remaining_kinds(capsys):
+    """Two runtimes remain: every entry point that takes a transport name
+    refuses ``"asyncio"`` and names them."""
+    from repro.cli import main
+    from repro.service import run_sharded
+
+    assert TRANSPORT_KINDS == ("sim", "tcp")
+    setup = TrustedSetup.generate(4, seed=1)
+    for refuse in (
+        lambda: make_transport("asyncio", setup),
+        lambda: run_adkg(n=4, seed=1, transport="asyncio"),
+        lambda: run_sharded(universe=8, groups=2, transport="asyncio"),
+    ):
+        with pytest.raises(ValueError, match=r"\('sim', 'tcp'\)"):
+            refuse()
+    for command in ("run", "beacon"):
+        with pytest.raises(SystemExit) as usage:
+            main([command, "-n", "4", "--transport", "asyncio"])
+        assert usage.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert re.search(r"choose from '?sim'?, '?tcp'?\)", err)
+
+
 def test_word_and_byte_metrics_agree_across_transports():
     """The same protocol costs the same words *and* codec bytes everywhere."""
     totals = {}
-    for kind in ("sim", "asyncio", "tcp"):
+    for kind in ("sim", "tcp"):
         setup = TrustedSetup.generate(4, seed=6)
         kwargs = {"measure_bytes": True} if kind != "tcp" else {}
         transport = make_transport(kind, setup, seed=6, **kwargs)
@@ -105,7 +133,7 @@ def test_word_and_byte_metrics_agree_across_transports():
             transport.metrics.words_total,
             transport.metrics.bytes_total,
         )
-    assert totals["sim"] == totals["asyncio"] == totals["tcp"]
+    assert totals["sim"] == totals["tcp"]
     messages, words, nbytes = totals["sim"]
     assert messages == 4 * 3
     assert words == 4 * 3 * 2
@@ -114,7 +142,7 @@ def test_word_and_byte_metrics_agree_across_transports():
 
 def test_too_many_corruptions_rejected_everywhere():
     setup = TrustedSetup.generate(4, seed=1)
-    for kind in ("sim", "asyncio", "tcp"):
+    for kind in TRANSPORT_KINDS:
         with pytest.raises(ValueError):
             make_transport(
                 kind,
@@ -135,7 +163,7 @@ def test_too_many_corruptions_rejected_everywhere():
 def test_a_behavior_map_names_real_parties(behaviors, error):
     """Each map fits the f = 1 budget but corrupts no party of n = 4."""
     setup = TrustedSetup.generate(4, seed=1)
-    for kind in ("sim", "asyncio", "tcp"):
+    for kind in TRANSPORT_KINDS:
         with pytest.raises(error):
             make_transport(kind, setup, behaviors=behaviors)
 
@@ -207,10 +235,7 @@ def test_malformed_frames_are_dropped_not_delivered():
             await asyncio.sleep(0.2)
             writer.close()
         finally:
-            for task in runtime._tasks:
-                task.cancel()
-            await asyncio.gather(*runtime._tasks, return_exceptions=True)
-            await runtime._close()
+            await runtime.close()
 
     _run(scenario())
     assert runtime.rejected_frames == 5
@@ -258,11 +283,9 @@ def test_background_task_errors_propagate_not_timeout():
         def on_message(self, sender, payload):
             raise RuntimeError("handler bug")
 
-    for kind in ("asyncio", "tcp"):
-        setup = TrustedSetup.generate(4, seed=4)
-        runtime = make_transport(kind, setup, seed=4)
-        with pytest.raises(RuntimeError, match="handler bug"):
-            _run(runtime.run_root(lambda party: Exploder(), timeout=5))
+    runtime = make_transport("tcp", TrustedSetup.generate(4, seed=4), seed=4)
+    with pytest.raises(RuntimeError, match="handler bug"):
+        _run(runtime.run_root(lambda party: Exploder(), timeout=5))
 
 
 def test_forged_unencodable_payload_is_dropped_not_fatal():
@@ -390,7 +413,7 @@ def test_honest_unencodable_payload_fails_loudly_without_leaking_tasks():
 
 
 def test_run_sync_is_uniform_across_transports():
-    for kind in ("sim", "asyncio", "tcp"):
+    for kind in TRANSPORT_KINDS:
         setup = TrustedSetup.generate(4, seed=2)
         transport = make_transport(kind, setup, seed=2)
         results = transport.run_sync(lambda party: EchoAll(), timeout=30)
@@ -413,7 +436,7 @@ def test_run_adkg_transport_parameter():
 # -- the delivery-observer seam --------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["sim", "asyncio"])
+@pytest.mark.parametrize("kind", TRANSPORT_KINDS)
 def test_delivery_observers_see_each_network_delivery_once(kind):
     """Every observer is called once per delivered network envelope, in
     nondecreasing ``now()``; observers coexist, and removing one detaches
@@ -468,11 +491,11 @@ async def _two_sessions(transport):
 
 def test_one_coroutine_drives_every_runtime():
     seen = {}
-    for kind in ("sim", "asyncio", "tcp"):
+    for kind in TRANSPORT_KINDS:
         transport = make_transport(kind, TrustedSetup.generate(4, seed=8), seed=8)
         outputs = transport.block_on(_two_sessions(transport))
         seen[kind] = (outputs, transport.metrics.words_total)
-    assert seen["sim"] == seen["asyncio"] == seen["tcp"]
+    assert seen["sim"] == seen["tcp"]
     assert seen["sim"][0] == [{i: frozenset(range(4)) for i in range(4)}] * 2
     # The simulator's awaitables never suspend: a bare send(None) runs the
     # whole scenario to its return, no event loop anywhere.
@@ -489,6 +512,6 @@ def test_a_stalled_session_fails_by_name_not_silently():
     sim.start(lambda party: Protocol(), session=3)
     with pytest.raises(RuntimeError, match=r"quiesced with sessions \[3\]"):
         sim.block_on(sim.wait_session(3))
-    runtime = make_transport("asyncio", TrustedSetup.generate(4, seed=8), seed=8)
+    runtime = make_transport("tcp", TrustedSetup.generate(4, seed=8), seed=8)
     with pytest.raises(asyncio.TimeoutError, match=r"\[0\] incomplete after 0.2s"):
         runtime.run_sync(lambda party: Protocol(), timeout=0.2)

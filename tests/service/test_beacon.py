@@ -224,11 +224,9 @@ def test_run_beacon_end_to_end_on_sim():
 
 
 def test_run_beacon_over_realtime_transports():
-    for kind in ("asyncio", "tcp"):
-        report = run_beacon(
-            n=4, epochs=2, pipeline_depth=2, transport=kind, seed=2, timeout=60
-        )
-        assert report.all_verified, kind
-        assert len(report.epoch_results) == 2
-        if kind == "tcp":
-            assert report.bytes_total > 0
+    report = run_beacon(
+        n=4, epochs=2, pipeline_depth=2, transport="tcp", seed=2, timeout=60
+    )
+    assert report.all_verified
+    assert len(report.epoch_results) == 2
+    assert report.bytes_total > 0

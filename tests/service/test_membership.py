@@ -120,7 +120,7 @@ def test_tampered_chain_rejected(churn_matrix_report):
     assert not RandomnessBeacon.verify_chain(outputs, swapped, handoffs=True)
 
 
-@pytest.mark.parametrize("transport", ["asyncio", "tcp"])
+@pytest.mark.parametrize("transport", ["tcp"])
 def test_churn_survives_on_realtime_transports(transport):
     report = run_churn(
         7,

@@ -436,7 +436,7 @@ _UPFRONT = st.one_of(
     st.tuples(st.just("rounds_per_epoch"), st.integers(-3, 0)),
     st.tuples(
         st.just("transport"),
-        st.text(max_size=6).filter(lambda kind: kind not in ("sim", "asyncio", "tcp")),
+        st.text(max_size=6).filter(lambda kind: kind not in ("sim", "tcp")),
     ),
     st.tuples(st.just("timeout"), st.sampled_from([0.0, -1.0, -math.inf, math.nan])),
     st.tuples(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.adkg import ADKG
 from repro.crypto.keys import TrustedSetup
-from repro.net.adversary import CrashRecoverBehavior, RandomLagScheduler
+from repro.net.adversary import CrashBehavior, RandomLagScheduler
 from repro.net.delays import FixedDelay
 from repro.net.runtime import Simulation
 from repro.net.transport import Transport
@@ -158,22 +158,6 @@ def test_sim_tcp_crash_recovery_same_public_key(cap, monkeypatch):
     assert reports["tcp"]["reattach_at"] >= reports["tcp"]["crash_at"] + 0.05
 
 
-def test_asyncio_crash_recovery_reaches_agreement():
-    """Detach/reattach rides the shared pipeline on the asyncio runtime too."""
-    report = run_crash_recovery(
-        transport="asyncio",
-        n=4,
-        seed=1,
-        crash_indices=[2],
-        crash_after=20,
-        recovery_delay=0.05,
-        cadence=8,
-        timeout=60.0,
-    )
-    assert report["agreement"] and report["valid"]
-    assert report["honest_outputs"] == 4
-
-
 def test_crash_f_parties_under_byzantine_scheduling():
     """f simultaneous crash–recoveries + adversarial lag still agree."""
     report = run_crash_recovery(
@@ -212,14 +196,14 @@ def test_recorder_checkpoints_and_compacts(tmp_path):
 
 def test_crash_recover_behavior_omission_window():
     """The behavior-level crash window (no state loss) also converges."""
-    behavior = CrashRecoverBehavior(after_sends=10, recover_after_drops=15)
+    behavior = CrashBehavior(after_sends=10, recover_after_drops=15)
     setup = TrustedSetup.generate(4, seed=4)
     sim = Simulation(
         setup, seed=4, delay_model=FixedDelay(1.0), behaviors={3: behavior}
     )
     sim.start(lambda p: ADKG())
     sim.block_on(sim.wait_session(0))
-    assert behavior.schedule.crashed and behavior.recovered
+    assert behavior.crashed and behavior.recovered
     outputs = list(sim.honest_results().values())
     assert outputs and all(o == outputs[0] for o in outputs)
 
@@ -329,20 +313,18 @@ def test_recovery_refuses_byzantine_crash_indices():
         )
 
 
-def test_detach_reattach_without_state_loss():
-    """Transport-level detach alone is an omission fault: parked traffic
-    drains on reattach and the run completes."""
+def test_a_one_party_partition_pauses_without_state_loss():
+    """Cut off with its memory intact, a party is an omission fault: the
+    traffic held across the cut drains at the heal and the run completes
+    with the same party object."""
     setup = TrustedSetup.generate(4, seed=6)
-    sim = Simulation(setup, seed=6, delay_model=FixedDelay(1.0))
+    sim = Simulation(
+        setup, seed=6, delay_model=FixedDelay(1.0), chaos="partition:2|0,1,3@2-8"
+    )
+    party = sim.parties[2]
     sim.start(lambda p: ADKG())
-    for _ in range(40):
-        sim.step()
-    sim.detach_party(2)
-    assert sim.detached_parties() == frozenset({2})
-    deadline = sim.time + 6.0
-    sim.run(stop=lambda s: s.time >= deadline)
-    delivered = sim.reattach_party(2)  # same object, memory intact
-    assert delivered > 0
     sim.block_on(sim.wait_session(0))
+    assert sim.metrics.counters("chaos")["partitioned"] > 0
+    assert sim.parties[2] is party and not party.halted
     outputs = list(sim.honest_results().values())
     assert len(outputs) == 4 and all(o == outputs[0] for o in outputs)

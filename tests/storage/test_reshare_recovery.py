@@ -8,7 +8,7 @@ from repro.service import run_churn
 from repro.storage import run_crash_recovery
 
 
-@pytest.mark.parametrize("transport", ["sim", "asyncio", "tcp"])
+@pytest.mark.parametrize("transport", ["sim", "tcp"])
 def test_wal_replay_mid_handoff(transport, tmp_path):
     """Freeze a party during the reshare epoch; it replays to the same key."""
     report = run_churn(

@@ -183,6 +183,58 @@ def test_run_crash_flag_validation(capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--cadence", "5"], "--cadence requires --crash"),
+        (["--storage-dir", "{tmp}"], "--storage-dir requires --crash"),
+        (
+            ["--groups", "2", "-n", "8", "--crash", "0@12", "--storage-dir", "{tmp}"],
+            "--storage-dir is not for --groups",
+        ),
+        (["--crash", "0@30", "--cadence", "0"], "--cadence must be >= 1"),
+    ],
+    ids=("cadence-alone", "storage-dir-alone", "storage-dir-groups", "cadence-0"),
+)
+def test_a_storage_flag_that_would_be_ignored_is_refused(flags, message, capsys, tmp_path):
+    """--cadence and --storage-dir act only through a crash plan: without
+    one, or where the plan cannot use them, they are usage errors (one
+    ``error:`` line, exit 2) and nothing is run or written."""
+    storage = tmp_path / "store"
+    argv = ["run", "-n", "4", "--seed", "1"]
+    argv += [flag.format(tmp=storage) for flag in flags]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and not out
+    assert not storage.exists()
+
+
+@pytest.mark.parametrize(
+    "overlay",
+    [[], ["--reshare", "2"], ["--groups", "2", "-n", "8"]],
+    ids=("one-committee", "handoff", "groups"),
+)
+def test_cadence_reaches_every_crash_plan(overlay, capsys, monkeypatch):
+    """--cadence rides in the crash plan, so the one-committee, handoff
+    and group plans each checkpoint at it."""
+    from repro.service import shards
+    from repro.storage import recovery
+
+    cadences = []
+
+    class Recorder(recovery.DurabilityRecorder):
+        def __init__(self, *args, cadence, **kwargs):
+            cadences.append(cadence)
+            super().__init__(*args, cadence=cadence, **kwargs)
+
+    monkeypatch.setattr(recovery, "DurabilityRecorder", Recorder)
+    monkeypatch.setattr(shards, "_usable_cores", lambda: 1)  # inline: no pool
+    argv = ["run", "-n", "4", "--seed", "1", "--crash", "0@12", "--cadence", "1000"]
+    assert main(argv + overlay) == 0, capsys.readouterr()
+    assert cadences and set(cadences) == {1000}
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--crash", "0@nan"],
