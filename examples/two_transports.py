@@ -13,7 +13,7 @@ Here seven parties agree on one DKG transcript twice:
 one body on ``Transport`` (open, start, await session 0, close) that the
 simulator answers without an event loop and TCP under ``asyncio.run``.
 
-Run:  python examples/asyncio_deployment.py
+Run:  python examples/two_transports.py
 """
 
 import time

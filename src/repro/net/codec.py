@@ -38,6 +38,8 @@ registered dataclass is encoded as its fields in declaration order, so
 ``decode(encode(x)) == x`` for every registered type whose fields are
 themselves encodable.  Sets and dicts are serialized in sorted-encoding
 order, making ``encode`` deterministic: equal values produce equal bytes.
+Two distinct members or keys with one encoding (two NaNs) are refused by
+``encode``, as ``decode`` would refuse the bytes.
 
 ``decode`` is strict: unknown tags, unknown type ids, truncated buffers,
 trailing bytes, invalid UTF-8, field-count mismatches, overlong
@@ -115,7 +117,7 @@ from hashlib import sha256
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional
 
-from repro.crypto.pairing import KIND_G, KIND_GT
+from repro.crypto.pairing import KIND_G, KIND_GT, GroupElement
 from repro.crypto.verify_cache import TUPLE_FIELDS, IdentityMemo
 
 __all__ = [
@@ -248,6 +250,7 @@ _BATCH_HEADER_OPEN = bytes((_TAG_TUPLE, 5))
 #   64-99   protocol payloads
 #   >= 9000 reserved for tests / external extensions
 _ENVELOPE_ID = 1
+_ELEMENT_ID = 20
 
 #: Registered struct -> (wire id, field names, pre-built struct header
 #: ``0x10 . id . field-count``, ``value -> field values`` getter).  The
@@ -398,9 +401,14 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 
 #: ``tag + one-byte varint`` for every int whose zigzag form fits one byte.
 _SMALL_INT = tuple(bytes((_TAG_INT, zigzagged)) for zigzagged in range(0x80))
-#: ``tag + length + UTF-8`` of each element kind: ~95 % of the strs an
-#: op encodes, one ``GroupElement`` field each.
-_KIND_STRS = {kind: bytes((_TAG_STR, len(kind))) + kind.encode() for kind in (KIND_G, KIND_GT)}
+#: ``struct header + kind str + int tag`` of a ``GroupElement`` of each
+#: kind: all of such an element but its log's varint.
+_ELEMENT_HEADS = {
+    kind: bytes((_TAG_STRUCT, _ELEMENT_ID, 2, _TAG_STR, len(kind)))
+    + kind.encode()
+    + bytes((_TAG_INT,))
+    for kind in (KIND_G, KIND_GT)
+}
 
 
 def _encode_items(out: bytearray, items: Any, table: Optional[dict] = None) -> None:
@@ -434,8 +442,6 @@ def _encode_items(out: bytearray, items: Any, table: Optional[dict] = None) -> N
                 out.append(zigzagged & 0x7F | 0x80)
                 zigzagged >>= 7
             out.append(zigzagged)
-        elif kind is str and value in _KIND_STRS:
-            out += _KIND_STRS[value]
         elif kind is bytes or kind is str:
             if kind is bytes:
                 out.append(_TAG_BYTES)
@@ -454,6 +460,22 @@ def _encode_items(out: bytearray, items: Any, table: Optional[dict] = None) -> N
             else:
                 _write_uvarint(out, len(value))
             _encode_items(out, value, table)
+        elif (
+            kind is GroupElement
+            and type(log := value.log) is int
+            and log >= 0
+            and type(value.kind) is str
+            and (head := _ELEMENT_HEADS.get(value.kind)) is not None
+        ):
+            # One prebuilt head, then the log's zigzag form (2 * log).
+            zigzagged = log << 1
+            if zigzagged.bit_length() > _MAX_INT_BITS:
+                raise CodecError(f"integer exceeds the codec bound ({_MAX_INT_BITS} bits)")
+            out += head
+            while zigzagged >= 0x80:
+                out.append(zigzagged & 0x7F | 0x80)
+                zigzagged >>= 7
+            out.append(zigzagged)
         elif (plain := _plain_structs.get(kind)) is not None:
             out += plain[0]
             _encode_items(out, plain[1](value), table)
@@ -513,18 +535,60 @@ def _encode_list(out: bytearray, value: list, table: Optional[dict]) -> None:
     _encode_items(out, value, table)
 
 
+def _encoding_order(keys: Any) -> Optional[list]:
+    """The non-empty ``keys`` (a set, or a dict's keys) sorted by their
+    encodings, where that order is known without encoding them: ints in
+    [0, 64) (one zigzag byte, ``2 * key``) by value, and ``bytes`` or ASCII
+    ``str`` shorter than 128 (a one-byte length) by ``(length, key)``.
+    ``None`` for any other mix."""
+    kind = type(next(iter(keys)))
+    if kind is int:
+        if all(type(key) is int and 0 <= key < 64 for key in keys):
+            return sorted(keys)
+    elif kind is str or kind is bytes:
+        if all(
+            type(key) is kind and len(key) < 0x80 and (kind is bytes or key.isascii())
+            for key in keys
+        ):
+            return sorted(sorted(keys), key=len)  # stable: by (len, key)
+    return None
+
+
+def _distinct(encodings: Any, count: int) -> None:
+    """Refuse at the sender what the decoder would refuse: two distinct
+    members or keys (two NaNs) with one encoding."""
+    if len(encodings) != count:
+        raise CodecError("two set members or dict keys encode alike")
+
+
 def _encode_set(out: bytearray, value: Any, table: Optional[dict]) -> None:
     out.append(_TAG_FROZENSET if type(value) is frozenset else _TAG_SET)
     _write_uvarint(out, len(value))
-    out += b"".join(sorted(_encoded(item, table) for item in value))
+    if not value:
+        return
+    members = _encoding_order(value)
+    if members is not None:
+        _encode_items(out, members, table)
+        return
+    encodings = {_encoded(member, table) for member in value}
+    _distinct(encodings, len(value))
+    out += b"".join(sorted(encodings))
 
 
 def _encode_dict(out: bytearray, value: dict, table: Optional[dict]) -> None:
     out.append(_TAG_DICT)
     _write_uvarint(out, len(value))
-    pairs = ((_encoded(k, table), _encoded(v, table)) for k, v in value.items())
-    for pair in sorted(pairs):
-        out += b"".join(pair)
+    if not value:
+        return
+    keys = _encoding_order(value)
+    if keys is not None:
+        _encode_items(out, [part for key in keys for part in (key, value[key])], table)
+        return
+    by_encoding = {_encoded(key, table): mapped for key, mapped in value.items()}
+    _distinct(by_encoding, len(value))
+    for encoding in sorted(by_encoding):
+        out += encoding
+        _encode_items(out, (by_encoding[encoding],), table)
 
 
 def _encode_float(out: bytearray, value: float, table: Optional[dict]) -> None:
@@ -728,6 +792,11 @@ def _decode_seq(
                 pos += 1
             else:
                 type_id, pos = _read_uvarint(data, pos)
+            if type_id == _ELEMENT_ID and depth < 64:
+                element, pos = _read_element(data, size, start, pos)
+                if element is not None:
+                    append(element)
+                    continue
             cls, fields, checks = _decode_plans.get(type_id) or _compile_decode_plan(type_id)
             if pos < size and data[pos] < 0x80:
                 arity = data[pos]
@@ -801,6 +870,24 @@ def _decode_seq(
             value, pos = _decode_rare(data, size, pos, tag, depth, refs)
             append(value)
     return values, pos
+
+
+def _read_element(data: bytes, size: int, start: int, pos: int) -> tuple[Any, int]:
+    """The ``GroupElement`` whose struct starts at ``start`` if it opens with
+    one of :data:`_ELEMENT_HEADS`, and the position after it; else
+    ``(None, pos)``.  Its log is read as :func:`_decode_seq` reads an int."""
+    for kind, head in _ELEMENT_HEADS.items():
+        if data.startswith(head, start):
+            pos = start + len(head)
+            if pos < size and data[pos] < 0x80:
+                raw = data[pos]
+                pos += 1
+            else:
+                raw, pos = _read_uvarint(data, pos)
+                if raw.bit_length() > _MAX_INT_BITS:
+                    raise CodecError(f"integer exceeds the codec bound ({_MAX_INT_BITS} bits)")
+            return GroupElement(kind, -((raw + 1) >> 1) if raw & 1 else raw >> 1), pos
+    return None, pos
 
 
 def _decode_rare(
@@ -1266,7 +1353,6 @@ def _ensure_registered() -> None:
 def _register_builtins() -> None:
     from repro.net.envelope import Envelope
     from repro.net.payload import Payload
-    from repro.crypto.pairing import GroupElement
     from repro.crypto import nizk, schnorr
     from repro.crypto.kzg import KZGOpening
     from repro.crypto.merkle import MerkleProof
@@ -1313,7 +1399,7 @@ def _register_builtins() -> None:
     )
     register(Envelope, _ENVELOPE_ID)
     # Crypto value types.
-    register(GroupElement, 20)
+    register(GroupElement, _ELEMENT_ID)
     register(schnorr.Signature, 21)
     register(nizk.DlogProof, 22)
     register(MerkleProof, 24)

@@ -61,7 +61,9 @@ class SnapshotStore:
         The write order is the crash-safety invariant: only after the
         new snapshot is fully on disk (atomic rename) does the WAL
         shrink — and a crash between the two leaves records replay will
-        skip by sequence.
+        skip by sequence.  With ``fsync`` on, the order holds across a
+        power loss too: the temp file, then the directory holding the
+        rename, then the truncated WAL are synced, in that order.
         """
         log = self.wal(index)
         path = self._snapshot_path(index)
@@ -73,6 +75,14 @@ class SnapshotStore:
             if self.fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp, path)
+        if self.fsync:
+            # The rename lives in the directory: make it durable before
+            # the truncation below can be.
+            directory = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
         log.reset()
 
     def has_snapshot(self, index: int) -> bool:

@@ -90,7 +90,8 @@ class WriteAheadLog:
         return self.path.stat().st_size if self.path.exists() else 0
 
     def reset(self) -> None:
-        """Truncate the log (compaction after a snapshot absorbed it).
+        """Truncate the log (compaction after a snapshot absorbed it),
+        synced with ``fsync`` on.
 
         The sequence counter is *not* reset: post-compaction records
         must sort after the snapshot's absorbed sequence.
@@ -99,7 +100,10 @@ class WriteAheadLog:
         # Through the open handle: it is in append mode, so the next
         # write lands at the new end whatever its position says, and a
         # checkpoint costs no close, reopen or second path lookup.
-        self._file().truncate(0)
+        handle = self._file()
+        handle.truncate(0)
+        if self.fsync:
+            os.fsync(handle.fileno())
         self.appended = 0
 
     def close(self) -> None:

@@ -356,11 +356,57 @@ def test_deep_nesting_rejected():
         codec.decode(data)
 
 
+def test_an_element_read_from_its_head_keeps_every_check():
+    """A G or GT element is read from one prebuilt head; its log is still a
+    canonical varint under the 4096-bit bound, and the element still counts
+    against the nesting bound, exactly like a struct of another kind."""
+    for kind in ("G", "GT", "X"):
+        wire = codec.encode(GroupElement(kind, 5))
+        head = wire[:-1]
+        nested = codec.decode(b"\x06\x01" * 63 + wire)
+        for _ in range(63):
+            (nested,) = nested
+        assert nested == GroupElement(kind, 5)
+        with pytest.raises(codec.CodecError, match="too deep"):
+            codec.decode(b"\x06\x01" * 64 + wire)
+        with pytest.raises(codec.CodecError, match="non-canonical"):
+            codec.decode(head + b"\x8a\x00")
+        with pytest.raises(codec.CodecError, match="truncated"):
+            codec.decode(head + b"\x8a")
+        over = (1 << 4096) | 1
+        varint = bytearray()
+        while over >= 0x80:
+            varint.append(over & 0x7F | 0x80)
+            over >>= 7
+        varint.append(over)
+        with pytest.raises(codec.CodecError, match="exceeds the codec bound"):
+            codec.decode(head + bytes(varint))
+        assert codec.decode(head + b"\x8a\x01") == GroupElement(kind, 69)
+
+
 def test_duplicate_set_members_rejected():
     one = codec.encode(1)
     data = bytes([0x08, 2]) + one + one
     with pytest.raises(codec.CodecError):
         codec.decode(data)
+
+
+def test_members_that_encode_alike_are_refused_at_the_sender():
+    """Two distinct NaNs are two members but one encoding: the decoder would
+    reject the bytes, so the encoder refuses them, at any depth."""
+    nan_a, nan_b = float("nan"), float("nan")
+    for value in (
+        {nan_a, nan_b},
+        frozenset({nan_a, nan_b}),
+        {nan_a: 1, nan_b: 2},
+        (1, [{nan_a: None, nan_b: None}]),
+    ):
+        with pytest.raises(codec.CodecError, match="encode alike"):
+            codec.encode(value)
+    with pytest.raises(codec.CodecError, match="encode alike"):
+        codec.encode_shared({nan_a, nan_b})
+    one_nan = codec.encode({nan_a, 1.5})
+    assert codec.encode(codec.decode(one_nan)) == one_nan
 
 
 def test_out_of_order_set_members_and_dict_keys_rejected():

@@ -1,5 +1,6 @@
 """WriteAheadLog and SnapshotStore behavior on real files."""
 
+import os
 import random
 
 import pytest
@@ -121,6 +122,39 @@ def test_store_snapshot_compacts_wal(tmp_path):
     store.save_snapshot(0, b"checkpoint")
     # The snapshot absorbed the log: compaction truncates it.
     assert store.wal(0).size_bytes() == 0
+    store.close()
+
+
+def test_fsync_makes_a_checkpoint_durable_in_its_order(tmp_path, monkeypatch):
+    """With ``fsync`` on, a checkpoint syncs the snapshot, then the
+    directory holding its rename, then the truncated WAL: a power loss
+    can never keep the truncation and lose the rename."""
+    store = SnapshotStore(tmp_path, fsync=True)
+    wal = store.wal(0)
+    wal.append(_envelope(0))
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        stat = os.fstat(fd)
+        synced.append((stat.st_dev, stat.st_ino))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    store.save_snapshot(0, b"checkpoint", wal_seq=1)
+
+    def identity(path):
+        stat = os.stat(path)
+        return stat.st_dev, stat.st_ino
+
+    directory = store.party_dir(0)
+    # The temp file is the renamed snapshot: one inode.
+    assert synced == [
+        identity(directory / "snapshot.bin"),
+        identity(directory),
+        identity(directory / "wal.bin"),
+    ]
+    assert wal.size_bytes() == 0
     store.close()
 
 

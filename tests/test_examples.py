@@ -40,6 +40,6 @@ def test_example_inventory():
         "randomness_beacon",
         "threshold_vault",
         "byzantine_drill",
-        "asyncio_deployment",
+        "two_transports",
         "consensus_certificates",
     } <= names
