@@ -792,11 +792,6 @@ def _decode_seq(
                 pos += 1
             else:
                 type_id, pos = _read_uvarint(data, pos)
-            if type_id == _ELEMENT_ID and depth < 64:
-                element, pos = _read_element(data, size, start, pos)
-                if element is not None:
-                    append(element)
-                    continue
             cls, fields, checks = _decode_plans.get(type_id) or _compile_decode_plan(type_id)
             if pos < size and data[pos] < 0x80:
                 arity = data[pos]
@@ -870,24 +865,6 @@ def _decode_seq(
             value, pos = _decode_rare(data, size, pos, tag, depth, refs)
             append(value)
     return values, pos
-
-
-def _read_element(data: bytes, size: int, start: int, pos: int) -> tuple[Any, int]:
-    """The ``GroupElement`` whose struct starts at ``start`` if it opens with
-    one of :data:`_ELEMENT_HEADS`, and the position after it; else
-    ``(None, pos)``.  Its log is read as :func:`_decode_seq` reads an int."""
-    for kind, head in _ELEMENT_HEADS.items():
-        if data.startswith(head, start):
-            pos = start + len(head)
-            if pos < size and data[pos] < 0x80:
-                raw = data[pos]
-                pos += 1
-            else:
-                raw, pos = _read_uvarint(data, pos)
-                if raw.bit_length() > _MAX_INT_BITS:
-                    raise CodecError(f"integer exceeds the codec bound ({_MAX_INT_BITS} bits)")
-            return GroupElement(kind, -((raw + 1) >> 1) if raw & 1 else raw >> 1), pos
-    return None, pos
 
 
 def _decode_rare(

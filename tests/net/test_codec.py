@@ -356,10 +356,11 @@ def test_deep_nesting_rejected():
         codec.decode(data)
 
 
-def test_an_element_read_from_its_head_keeps_every_check():
-    """A G or GT element is read from one prebuilt head; its log is still a
-    canonical varint under the 4096-bit bound, and the element still counts
-    against the nesting bound, exactly like a struct of another kind."""
+def test_an_element_keeps_every_decode_check():
+    """A G or GT element, written from one prebuilt head, is read by the
+    struct path: its log is a canonical varint under the 4096-bit bound,
+    and the element counts against the nesting bound, exactly like an
+    element of another kind."""
     for kind in ("G", "GT", "X"):
         wire = codec.encode(GroupElement(kind, 5))
         head = wire[:-1]
