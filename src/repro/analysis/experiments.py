@@ -1,12 +1,12 @@
 """The experiment index E1-E18: one function per experiment, one harness.
 
-E15 is retired and its number stays unused.
+E15 and E17 are retired and their numbers stay unused.
 
 Each ``eN_*`` function takes its grid as plain arguments, runs seeded
 simulations and returns a :class:`Section`: the paper's claim, the
 deterministic rows that bear on it, and named boolean *checks* (fitted
 exponent bounds, ratios, agreement, key invariance) stated beside the
-rows that show them.  :func:`run_experiments` calls all seventeen at
+rows that show them.  :func:`run_experiments` calls all sixteen at
 EXPERIMENTS.md size; ``tests/analysis/test_experiments.py`` calls the
 same functions at CI size inside the tier-1 suite and asserts every
 check; ``python -m repro.analysis.experiments`` renders
@@ -55,8 +55,7 @@ from repro.net.chaos import ChaosSpec
 from repro.net.delays import FixedDelay
 from repro.net.protocol import Protocol
 from repro.net.runtime import Simulation
-from repro.service import run_beacon, run_churn, run_sharded
-from repro.service.shards import shutdown_shard_executor
+from repro.service import run_beacon, run_churn
 from repro.storage.recovery import run_crash_recovery
 
 #: Theorems 7-10 say Õ(n³): a fitted exponent around 3, the log factor
@@ -1005,89 +1004,6 @@ def e16_chaos(n: int, seed: int, realtime: Sequence[str]) -> Section:
     )
 
 
-#: The trials ROADMAP item 1(c) asked for.  Wall clock, so read by hand
-#: and quoted — never a regenerated column.
-_SHARD_TRIAL = """\
-The pool earns its keep on wall clock, which is not a column here and was
-read by hand: `run_sharded(universe=40, groups=4)` on the 2-core reference
-host, ten alternating pairs (seeds 100–109, order swapped each pair, one
-warm-up run per process), inline pinned to one core by `taskset -c 0`.
-Four reads since each group returns its `GroupResult` through the pool's
-own pickling, medians inline against pooled: 0.768 against 0.479 s
-(1.60×), 0.935 against 0.506 s (1.85×), 0.819 against 0.509 s (1.61×),
-0.770 against 0.445 s (1.73×) — **the pool won 10/10 every time**, no
-fallback, merged word totals equal.  The same procedure on the commit
-before read 1.48× (9/10); earlier reads were 1.86× and 1.82×.  The
-host's two cores are shared, so the ratio moves by read, not by commit.
-
-A third mode — every group a session family on one shared transport,
-the default until PR 23 — lost the same trial and was deleted.  Same host,
-alternating order, every run verified, merged words equal; `run_sharded`
-wall clock q1 / median / q3 in seconds:
-
-| transport, universe, k, epochs | shared transport | sequential | process | sequential < shared |
-|---|---|---|---|---|
-| sim, 40, 4, 1 | 0.880 / 0.918 / 1.148 | 0.826 / 0.842 / 0.999 | 0.448 / 0.498 / 0.598 | 7/10 |
-| sim, 20, 2, 2 | 0.878 / 0.897 / 0.922 | 0.811 / 0.825 / 0.930 | 0.419 / 0.436 / 0.446 | 5/6 |
-| sim, 56, 8, 1 | 0.849 / 0.941 / 1.053 | 0.747 / 0.837 / 0.893 | 0.451 / 0.516 / 0.565 | 5/6 |
-| asyncio, 40, 4, 1 | 1.389 / 1.485 / 1.575 | 1.198 / 1.245 / 1.428 | 0.621 / 0.677 / 0.784 | 6/6 |
-| tcp, 40, 4, 1 | 2.673 / 2.774 / 2.940 | 2.398 / 2.530 / 2.618 | 1.338 / 1.360 / 1.425 | 5/6 |
-| tcp, 16, 2, 2 | 1.317 / 1.508 / 1.557 | 1.357 / 1.373 / 1.552 | 0.698 / 0.796 / 0.849 | 3/6 |
-
-The shared transport was never faster than one group after another and
-1.7–2.0× slower than the pool, so which path runs is now worked out from
-the host (`min(groups, usable cores)` workers; one worker runs inline)."""
-
-
-def e17_shards(ks: Sequence[int], group_n: int) -> Section:
-    rows = []
-    #: ``k -> ((words, messages) of group 0, of group 1, ...)``
-    per_group: dict[int, tuple] = {}
-    ok = True
-    for k in ks:
-        report = run_sharded(
-            universe=k * group_n, groups=k, epochs=1, rounds_per_epoch=2, seed=1
-        )
-        ok = ok and report.agreed and report.all_verified and not report.executor_fallback
-        per_group[k] = groups = tuple(
-            (g.metrics.words_total, g.metrics.messages_total)
-            for g in report.group_results
-        )
-        rows.append(
-            {
-                "k": k,
-                "group_n": group_n,
-                "words": report.merged.words_total,
-                "messages": report.merged.messages_total,
-                "group0_words": groups[0][0],
-                "beacon_rounds": len(report.combined),
-            }
-        )
-    shutdown_shard_executor()
-    return Section(
-        "E17",
-        "Extension: sharded multi-group scale-out",
-        f"k independent DKG groups of n = {group_n} (DESIGN.md section 12), each on\n"
-        "a transport of its own, run one after the other or in a worker pool.  Total\n"
-        "words grow as k·O(n³) — the k² word advantage over one O((kn)³) group is\n"
-        "the point of sharding.  Per-group beacon streams are hash-combined\n"
-        "into one output per round and verified per group plus recomputation.\n\n"
-        + _SHARD_TRIAL,
-        ("k", "group_n", "words", "messages", "group0_words", "beacon_rounds"),
-        rows,
-        (),
-        {
-            "every group agrees, every stream verifies, the pool never falls back": ok,
-            "group 0's totals never move as k grows (a pure function of seed and gid)": (
-                len({groups[0] for groups in per_group.values()}) == 1
-            ),
-            "merged totals are exactly the per-group sum": all(
-                r["words"] == sum(words for words, _ in per_group[r["k"]]) for r in rows
-            ),
-        },
-    )
-
-
 def e18_churn(seed: int, rotation_epochs: int, realtime: Sequence[str]) -> Section:
     handoff = dict(universe_n=8, epochs=4, churn="join:7@1;leave:0@3", base_f=1)
     # One member swapped per epoch; a departed party rejoins three epochs on.
@@ -1186,7 +1102,7 @@ def e18_churn(seed: int, rotation_epochs: int, realtime: Sequence[str]) -> Secti
 
 
 def run_experiments() -> list[Section]:
-    """All seventeen at EXPERIMENTS.md size (``test_run_experiments`` runs
+    """All sixteen at EXPERIMENTS.md size (``test_run_experiments`` runs
     the same functions at CI size)."""
     return [
         e1_broadcast(n_fixed=7, ms=(16, 64, 256, 1024), ns=(4, 7, 13, 25), m_small=4, m_big=512),
@@ -1204,7 +1120,6 @@ def run_experiments() -> list[Section]:
         e13_pipelining(n=7, epochs=4, depths=(1, 2, 3)),
         e14_crash_recovery(n=4, seed=1, cadences=(8, 64), delays=(3.0, 12.0)),
         e16_chaos(n=4, seed=1, realtime=("tcp",)),
-        e17_shards(ks=(1, 2, 4, 8), group_n=10),
         e18_churn(seed=2, rotation_epochs=8, realtime=("tcp",)),
     ]
 
@@ -1213,7 +1128,7 @@ HEADER = """\
 # EXPERIMENTS — paper vs measured
 
 Regenerated by `python -m repro.analysis.experiments`
-(`run_experiments()`); the tier-1 suite runs the same seventeen functions at
+(`run_experiments()`); the tier-1 suite runs the same sixteen functions at
 CI size (`tests/analysis/test_experiments.py`) and CI diffs this file
 against a fresh run.  All runs are seeded and every column is a
 deterministic function of the code; wall clock lives in `python3 -m

@@ -197,93 +197,9 @@ def _cmd_churn(
     return 0 if report.all_verified else 1
 
 
-def _cmd_sharded(
-    args: argparse.Namespace,
-    *,
-    epochs: int,
-    rounds: int,
-    churn: Optional[str] = None,
-    chaos: Optional[str] = None,
-    crash: Optional[dict] = None,
-) -> int:
-    """Shared ``--groups`` path of ``repro run`` and ``repro beacon``."""
-    from repro.service import run_sharded
-
-    report, elapsed = _guarded(
-        args,
-        run_sharded,
-        universe=_universe(args),
-        groups=args.groups,
-        epochs=epochs,
-        rounds_per_epoch=rounds,
-        transport=args.transport,
-        seed=args.seed,
-        timeout=args.timeout,
-        churn=churn,
-        chaos=chaos,
-        crash=crash,
-    )
-    if report is None:
-        return 1
-    print(
-        f"universe={report.universe} groups={report.groups} "
-        f"sizes={list(report.group_sizes)} workers={report.workers} "
-        f"transport={report.transport} seed={report.seed} epochs={report.epochs}"
-    )
-    for result in report.group_results:
-        keys = [r.public_key for r in result.epoch_results]
-        last = str(keys[-1])[:40] if keys and keys[-1] is not None else "?"
-        print(
-            f"group {result.gid}: n={len(result.members)} agreed={result.agreed} "
-            f"words={result.metrics.words_total:,} "
-            f"messages={result.metrics.messages_total:,}  pk={last}"
-        )
-        if churn is not None:
-            committees = [list(r.committee) for r in result.epoch_results]
-            print(f"  one key, handed across committees {committees}")
-    for output in report.combined:
-        print(f"  beacon {output.epoch}.{output.round}: {output.value:032x}")
-    if report.executor_fallback:
-        print("shard executor:  broken pool, completed inline")
-    print(f"combined outputs verified:  {report.all_verified}")
-    print(f"words sent (all groups):    {report.merged.words_total:,}")
-    print(f"messages sent (all groups): {report.merged.messages_total:,}")
-    if report.merged.bytes_total:
-        # Metered on tcp only; an unmetered 0 would read as a measurement.
-        print(f"protocol bytes (all groups): {report.merged.bytes_total:,}")
-    print(f"wall clock:                 {elapsed:.2f}s")
-    return 0 if report.all_verified else 1
-
-
-def _universe(args: argparse.Namespace) -> int:
-    """``--group-size`` parties in each of ``--groups``, else ``-n`` split."""
-    if args.group_size is not None:
-        return args.groups * args.group_size
-    return args.n
-
-
-def _check_shard_flags(args: argparse.Namespace) -> int:
-    """Usage validation for ``--groups`` / ``--group-size``; 0 when fine."""
-    if args.groups is None:
-        if args.group_size is not None:
-            print("error: --group-size needs --groups", file=sys.stderr)
-            return 2
-        return 0
-    if args.groups < 1:
-        print("error: --groups must be >= 1", file=sys.stderr)
-        return 2
-    if args.group_size is not None and args.group_size < 2:
-        print("error: --group-size must be >= 2", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro import run_adkg
 
-    status = _check_shard_flags(args)
-    if status:
-        return status
     if args.full and args.transport != "sim":
         print("error: --full applies to the sim transport only", file=sys.stderr)
         return 2
@@ -298,25 +214,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.cadence is not None and args.cadence < 1:
         print("error: --cadence must be >= 1", file=sys.stderr)
         return 2
-    if args.storage_dir is not None and args.groups is not None:
-        print(
-            "error: --storage-dir is not for --groups (each group stores in "
-            "a temporary directory of its own)",
-            file=sys.stderr,
-        )
-        return 2
     if args.churn and args.reshare is None:
         print("error: --churn requires --reshare EPOCHS", file=sys.stderr)
         return 2
     if args.reshare is not None and args.reshare < 1:
         print("error: --reshare expects >= 1 epochs", file=sys.stderr)
         return 2
-    # --chaos, --crash, --reshare and --groups compose freely; --full, a
-    # diagnostic of one plain ADKG, is all that is refused beside them.
-    composed = args.reshare is not None or args.groups is not None
-    if args.full and (composed or args.crash):
+    # --chaos, --crash and --reshare compose freely; --full, a diagnostic
+    # of one plain ADKG, is all that is refused beside them.
+    if args.full and (args.reshare is not None or args.crash):
         print(
-            "error: --full is incompatible with --crash/--reshare/--groups "
+            "error: --full is incompatible with --crash/--reshare "
             "(it describes one committee's single ADKG)",
             file=sys.stderr,
         )
@@ -343,16 +251,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if args.groups is not None:
-        # Plain values cross the process boundary: chaos travels as its string.
-        return _cmd_sharded(
-            args,
-            epochs=args.reshare or 1,
-            rounds=1,
-            churn=None if args.reshare is None else args.churn or "",
-            chaos=args.chaos,
-            crash=crash,
-        )
     if args.reshare is not None:
         return _cmd_churn(args, epochs=args.reshare, rounds=1, overlays=overlays)
     if crash is not None:
@@ -419,23 +317,14 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    status = _check_shard_flags(args)
-    if status:
-        return status
-    if args.pipeline_depth is not None and (
-        args.groups is not None or args.churn is not None
-    ):
-        # Sharded and churned epochs run one at a time on each transport.
+    if args.pipeline_depth is not None and args.churn is not None:
+        # Churned epochs run one at a time on each transport.
         print(
             "error: --pipeline-depth applies to the plain beacon only, "
-            "not beside --groups or --churn",
+            "not beside --churn",
             file=sys.stderr,
         )
         return 2
-    if args.groups is not None:
-        return _cmd_sharded(
-            args, epochs=args.epochs, rounds=args.rounds, churn=args.churn
-        )
     if args.churn is not None:
         return _cmd_churn(args, epochs=args.epochs, rounds=args.rounds, overlays={})
     report, _elapsed = _guarded(
@@ -515,26 +404,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
-    """The sharded scale-out flags shared by ``run`` and ``beacon``."""
-    parser.add_argument(
-        "--groups",
-        type=int,
-        default=None,
-        metavar="K",
-        help="shard the party universe into K independent DKG groups and "
-        "aggregate their beacons into one service (DESIGN section 12)",
-    )
-    parser.add_argument(
-        "--group-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parties per group (universe = K*N); default: split -n across "
-        "the K groups",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro.net.transport import TRANSPORT_KINDS
 
@@ -576,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="link-fault plane spec, e.g. 'partition:0|1,2,3@2-20;drop:0.05' "
         "(clauses: partition, partition-oneway, drop, dup, reorder, corrupt, "
         "delay; times are rounds on sim, seconds on tcp); "
-        "composes with --crash, --reshare (the handoff epochs) and --groups "
-        "(every group)",
+        "composes with --crash and --reshare (the handoff epochs)",
     )
     run_p.add_argument(
         "--crash",
@@ -586,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash party I (losing its memory) after it processed T network "
         "deliveries; repeatable — all named parties crash together at the "
         "earliest T, each recovering from its snapshot + WAL; with --reshare "
-        "in every handoff epoch, with --groups local party I of every group",
+        "in every handoff epoch",
     )
     run_p.add_argument(
         "--recover",
@@ -604,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run EPOCHS membership epochs: a fresh ADKG, then proactive "
         "resharing handoffs that keep the group key byte-identical "
         "(DESIGN section 13); --chaos and --crash apply to the handoff "
-        "epochs, --groups runs the schedule in every group",
+        "epochs",
     )
     run_p.add_argument(
         "--churn",
@@ -624,10 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--storage-dir",
         default=None,
         help="directory for snapshots + WALs (default: a temp dir; needs "
-        "--crash, and is refused beside --groups, whose groups use temp dirs "
-        "of their own)",
+        "--crash)",
     )
-    _add_shard_arguments(run_p)
     run_p.set_defaults(func=_cmd_run)
 
     beacon_p = sub.add_parser(
@@ -644,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="epochs in flight at once (default 2; 1 = strictly sequential); "
-        "the plain beacon only, not with --groups or --churn",
+        "the plain beacon only, not with --churn",
     )
     beacon_p.add_argument(
         "--rounds", type=int, default=2, help="beacon rounds emitted per epoch"
@@ -665,10 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--churn",
         metavar="SPEC",
         help="drive --epochs as membership epochs under this churn schedule "
-        "(e.g. 'join:6@1;leave:0@2'); keys hand off by proactive resharing, "
-        "and with --groups each shard runs the schedule on its local indices",
+        "(e.g. 'join:6@1;leave:0@2'); keys hand off by proactive resharing",
     )
-    _add_shard_arguments(beacon_p)
     beacon_p.set_defaults(func=_cmd_beacon)
 
     sweep_p = sub.add_parser("sweep", help="words/rounds across n")

@@ -104,6 +104,10 @@ class ProposalElection(Protocol):
         # start_eval: k -> (prop_k, vrf_dkg_k); evals: k -> VRF output int.
         self.start_eval: dict[int, tuple] = {}
         self.evals: dict[int, int] = {}
+        #: The gather indices still without an evaluation: derived state,
+        #: built when the output condition is armed (so rebuilt by
+        #: :meth:`rearm`) and shrunk where :attr:`evals` grows.
+        self._unevaluated: set[int] = set()
         self._pending_shares: dict[int, dict[int, Any]] = {}
         self._verified_shares: dict[int, dict[int, Any]] = {}
         #: dealer -> the index set its broadcast delivered (the set is
@@ -288,14 +292,15 @@ class ProposalElection(Protocol):
                 self.directory, vrf_dkg_k, self._eval_message(k), list(verified.values())
             )
             self.evals[k] = tvrf.vrf_output(self.directory, evaluation)
+            self._unevaluated.discard(k)
 
     # -- output -----------------------------------------------------------------------------
 
     def _arm_output_condition(self) -> None:
+        self._unevaluated = set(self.gather_output).difference(self.evals)
+
         def all_evaluated() -> bool:
-            return bool(self.gather_output) and all(
-                k in self.evals for k in self.gather_output
-            )
+            return bool(self.gather_output) and not self._unevaluated
 
         def emit() -> None:
             if self.has_output:

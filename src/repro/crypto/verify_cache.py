@@ -177,8 +177,7 @@ class VerifyCache:
     served from / added to the store) and ``<domain>.uncacheable``
     (values the codec could not encode — always recomputed).
 
-    Single-threaded: every runtime delivers on one thread, and a shard
-    worker process rebuilds its group, so it has a cache of its own.
+    Single-threaded: every runtime delivers on one thread.
     """
 
     __slots__ = ("_results", "stats", "_domains")

@@ -12,15 +12,10 @@ consecutive epochs one committee runs on one transport:
   its crash plan and chaos spec, then its beacon rounds;
 * :class:`~repro.service.beacon.RandomnessBeacon` — the one beacon: each
   epoch's key drives threshold-VRF rounds chained from genesis, verified
-  with ``handoffs=True`` where one key is handed across committees;
-* :class:`~repro.service.shards.GroupCoordinator` /
-  :class:`~repro.service.shards.ShardedBeacon` — scale-out (DESIGN §12):
-  k independent groups, each running its own timeline, inline or in a
-  fork pool, their beacon streams hash-combined into one service.
+  with ``handoffs=True`` where one key is handed across committees.
 
-:func:`~repro.service.timeline.run_beacon` (``repro beacon``),
+:func:`~repro.service.timeline.run_beacon` (``repro beacon``) and
 :func:`~repro.service.membership.run_churn` (``repro run --reshare``)
-and :func:`~repro.service.shards.run_sharded` (``repro run --groups``)
 only build their stretches and run them.
 """
 
@@ -35,14 +30,6 @@ from repro.service.membership import (
     parse_churn,
     run_churn,
 )
-from repro.service.shards import (
-    CombinedOutput,
-    GroupCoordinator,
-    GroupResult,
-    ShardedBeacon,
-    ShardReport,
-    run_sharded,
-)
 from repro.service.timeline import BeaconReport, MembershipDriver, run_beacon
 
 __all__ = [
@@ -51,19 +38,13 @@ __all__ = [
     "ChurnBeacon",
     "ChurnEvent",
     "ChurnReport",
-    "CombinedOutput",
     "EpochDriver",
     "EpochResult",
-    "GroupCoordinator",
-    "GroupResult",
     "MembershipDriver",
     "MembershipSchedule",
     "RandomnessBeacon",
-    "ShardReport",
-    "ShardedBeacon",
     "committee_setup",
     "parse_churn",
     "run_beacon",
     "run_churn",
-    "run_sharded",
 ]

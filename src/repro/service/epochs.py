@@ -84,7 +84,7 @@ class EpochResult:
 class EpochDriver:
     """Run ``epochs`` sessions, ``pipeline_depth`` at a time.
 
-    Epoch ``e`` runs in session ``session_base + e``; results record the
+    Epoch ``e`` runs in session ``e``; results record the
     transport's full party range as the committee and its ``f`` as the
     threshold (a caller that knows better restamps them).  ``interludes``
     maps an epoch to the :data:`Interlude` (or ``None``) awaited right
@@ -98,7 +98,6 @@ class EpochDriver:
         epochs: int,
         pipeline_depth: int = 1,
         root_factory: Optional[Callable[[Party], Protocol]] = None,
-        session_base: int = 0,
         timeout: float = 120.0,
         interludes: Optional[Mapping[int, Optional[Interlude]]] = None,
     ) -> None:
@@ -112,7 +111,6 @@ class EpochDriver:
         self.epochs = epochs
         self.pipeline_depth = pipeline_depth
         self.root_factory = root_factory or adkg_root
-        self.session_base = session_base
         self.timeout = timeout
         self.interludes = dict(interludes or {})
         #: Completed epochs, in epoch order.
@@ -134,9 +132,7 @@ class EpochDriver:
             for epoch in range(min(depth, epochs)):
                 await self._start_epoch(epoch)
             for epoch in range(epochs):
-                outputs = await transport.wait_session(
-                    self.session_base + epoch, timeout=self.timeout
-                )
+                outputs = await transport.wait_session(epoch, timeout=self.timeout)
                 self._finish_epoch(epoch, outputs)
                 if epoch + depth < epochs:
                     await self._start_epoch(epoch + depth)
@@ -147,32 +143,30 @@ class EpochDriver:
     # -- bookkeeping -------------------------------------------------------------------
 
     async def _start_epoch(self, epoch: int) -> None:
-        sid = self.session_base + epoch
-        self._started_at[sid] = self.transport.now()
-        self.transport.start(self.root_factory, session=sid)
+        self._started_at[epoch] = self.transport.now()
+        self.transport.start(self.root_factory, session=epoch)
         interlude = self.interludes.get(epoch)
         if interlude is not None:
-            await interlude(sid)
+            await interlude(epoch)
 
     def _finish_epoch(self, epoch: int, outputs: dict[int, Any]) -> None:
-        sid = self.session_base + epoch
         values = list(outputs.values())
         if not values or any(v != values[0] for v in values):
             # Agreement is Theorem 5; a split here is an engine bug, not
             # a condition to paper over.
-            raise RuntimeError(f"honest parties disagree in session {sid}")
+            raise RuntimeError(f"honest parties disagree in session {epoch}")
         self.results.append(
             EpochResult(
                 epoch=epoch,
-                session=sid,
+                session=epoch,
                 transcript=values[0],
                 outputs=outputs,
-                started_at=self._started_at.pop(sid),
+                started_at=self._started_at.pop(epoch),
                 # The transport's stamp, not now(): a pipelined epoch
                 # awaited out of order completed before we observed it.
-                completed_at=self.transport.completion_time(sid),
+                completed_at=self.transport.completion_time(epoch),
                 committee=tuple(range(self.transport.n)),
                 threshold=self.transport.f,
             )
         )
-        self.transport.collect_session(sid)
+        self.transport.collect_session(epoch)

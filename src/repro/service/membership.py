@@ -198,9 +198,9 @@ def committee_setup(
     """Slice the universe PKI down to one epoch's committee.
 
     Parties keep their long-lived universe keys; only the *local* index
-    changes (directory positions are committee-relative, exactly as a
-    shard group's are).  The per-epoch ``session`` label domain-separates
-    every signature, SCRAPE seed and VRF input of the epoch.
+    changes (directory positions are committee-relative).  The per-epoch
+    ``session`` label domain-separates every signature, SCRAPE seed and
+    VRF input of the epoch.
     """
     base = universe.directory
     members = tuple(members)

@@ -4,8 +4,8 @@ A timeline is cut into stretches (:class:`Stretch`), the consecutive
 epochs one committee runs on one transport: the first runs fresh ADKG
 epochs, every later one a single reshare handoff of the previous key.
 :class:`MembershipDriver` runs them all; :func:`run_beacon` (one fresh
-stretch), :func:`~repro.service.membership.run_churn` and every shard
-group only build their stretches.
+stretch) and :func:`~repro.service.membership.run_churn` only build
+their stretches.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ __all__ = [
 class Stretch:
     """Consecutive timeline epochs one committee runs on one transport.
 
-    A fresh stretch runs its ``i``-th epoch as session ``session_base + i``.
-    ``seed`` seeds the transport, ``members`` names the committee as the
-    caller numbers parties (empty: the setup's own indices).  ``chaos``
+    A fresh stretch runs its ``i``-th epoch as session ``i``.  ``seed``
+    seeds the transport, ``members`` names the committee as the caller
+    numbers parties (empty: the setup's own indices).  ``chaos``
     covers the stretch's transport, ``crash`` (keywords of a
     :class:`~repro.storage.recovery.CrashPlan`: ``indices``, ``after``,
     ``delay``, ...) its first epoch.
@@ -46,7 +46,6 @@ class Stretch:
     epochs: range
     seed: int
     members: tuple[int, ...] = ()
-    session_base: int = 0
     chaos: Any = None
     crash: Optional[dict] = None
 
@@ -214,7 +213,6 @@ class MembershipDriver:
                 epochs=len(stretch.epochs),
                 pipeline_depth=self.pipeline_depth,
                 root_factory=root_factory,
-                session_base=stretch.session_base,
                 timeout=self.timeout,
                 interludes={0: interlude},
             ).run()

@@ -32,7 +32,6 @@ def quick_sections():
         exp.e13_pipelining(n=4, epochs=3, depths=(1, 2)),
         exp.e14_crash_recovery(n=4, seed=1, cadences=(8, 64), delays=(3.0,)),
         exp.e16_chaos(n=4, seed=1, realtime=()),
-        exp.e17_shards(ks=(1, 2), group_n=4),
         exp.e18_churn(seed=2, rotation_epochs=3, realtime=()),
     ]
     return {section.id: section for section in sections}
@@ -41,11 +40,11 @@ def quick_sections():
 def test_run_experiments():
     sections = quick_sections()
     assert exp.failed_checks(sections.values()) == []
-    # The same seventeen sections, in order, that ``run_experiments`` last
+    # The same sixteen sections, in order, that ``run_experiments`` last
     # rendered (CI regenerates the file and diffs it).
     rendered = re.findall(r"^## (E\d+) — (.+)$", EXPERIMENTS_MD.read_text(), re.M)
     assert [(s.id, s.title) for s in sections.values()] == rendered
-    assert list(sections) == [f"E{i}" for i in range(1, 19) if i != 15]
+    assert list(sections) == [f"E{i}" for i in range(1, 19) if i not in (15, 17)]
     for section in sections.values():
         assert section.checks
         assert set(section.columns) <= set().union(*section.rows)

@@ -139,3 +139,33 @@ def test_start_eval_tuples_agree_across_parties():
             se_j = sim.parties[j].instance(()).start_eval
             for k in set(se_i) & set(se_j):
                 assert se_i[k] == se_j[k]
+
+
+def test_output_waits_for_the_gather_indices_a_thaw_still_awaits():
+    """The output predicate reads the set of gather indices still without
+    an evaluation.  That set is not snapshot state: a thawed instance
+    rebuilds it from ``gather_output`` and ``evals``, and still outputs
+    the value the uninterrupted party did."""
+    from repro.crypto.keys import TrustedSetup
+    from repro.net.runtime import Simulation
+
+    factory = _factory()
+    reference = _outputs(run_protocol(4, factory))
+
+    def awaiting(sim):
+        root = sim.parties[0].instance(())
+        return root.gather_output is not None and len(root.evals) < len(root.gather_output)
+
+    sim = Simulation(TrustedSetup.generate(4, seed=1), seed=1)
+    sim.start(factory)
+    sim.run(stop=awaiting)
+    assert awaiting(sim)
+    clone = sim.build_party(0)
+    clone.thaw(sim.parties[0].freeze(), root_factory=factory)
+    root = clone.instance(())
+    assert root._unevaluated == set(root.gather_output) - set(root.evals) != set()
+    assert not root.has_output
+    sim.parties[0] = clone
+    sim.run()
+    assert not root._unevaluated
+    assert _outputs(sim) == reference

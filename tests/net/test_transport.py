@@ -96,14 +96,14 @@ def test_the_asyncio_kind_is_refused_naming_the_remaining_kinds(capsys):
     """Two runtimes remain: every entry point that takes a transport name
     refuses ``"asyncio"`` and names them."""
     from repro.cli import main
-    from repro.service import run_sharded
+    from repro.service import run_beacon
 
     assert TRANSPORT_KINDS == ("sim", "tcp")
     setup = TrustedSetup.generate(4, seed=1)
     for refuse in (
         lambda: make_transport("asyncio", setup),
         lambda: run_adkg(n=4, seed=1, transport="asyncio"),
-        lambda: run_sharded(universe=8, groups=2, transport="asyncio"),
+        lambda: run_beacon(n=4, epochs=1, transport="asyncio"),
     ):
         with pytest.raises(ValueError, match=r"\('sim', 'tcp'\)"):
             refuse()

@@ -4,15 +4,13 @@ import dataclasses
 
 import pytest
 
-from repro.service import GroupCoordinator, run_churn, run_sharded
+from repro.service import run_churn
 from repro.service.beacon import RandomnessBeacon
 from repro.service.membership import (
     ChurnEvent,
     MembershipSchedule,
     parse_churn,
 )
-from repro.service import shards
-from repro.service.shards import ShardedBeacon
 
 # The acceptance schedule: >=2 joins, >=2 leaves, one threshold change,
 # across >=4 epochs — the group key must stay byte-identical throughout.
@@ -160,66 +158,6 @@ def test_crash_and_partition_handoffs_keep_the_key(crash_partition_report):
     assert report.all_verified
 
 
-# -- sharded churn -------------------------------------------------------------------
-
-
-_SHARDED_CHURN = dict(universe=10, groups=2, group_f=1, seed=1)
-
-
-@pytest.fixture(scope="module")
-def sharded_churn_report():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shards, "_usable_cores", lambda: 1)  # inline
-        return run_sharded(epochs=3, churn="join:4@1;leave:0@2", **_SHARDED_CHURN)
-
-
-def _sharded_churn_verifier():
-    return ShardedBeacon(GroupCoordinator(**_SHARDED_CHURN).groups, churn=True)
-
-
-def test_sharded_churn_verifies(sharded_churn_report):
-    report = sharded_churn_report
-    assert report.all_verified
-    for group in report.group_results:
-        # One key per group across both handoffs.
-        assert len({str(result.public_key) for result in group.epoch_results}) == 1
-    verifier = _sharded_churn_verifier()
-    assert verifier.verify(report.group_results, report.combined)
-    # The handed-off chains are not fresh-key chains: the verifier has to
-    # be told which service it is looking at.
-    fresh = ShardedBeacon(verifier.groups)
-    assert not fresh.verify(report.group_results, report.combined)
-
-
-def test_sharded_churn_translates_committees(sharded_churn_report):
-    for group in sharded_churn_report.group_results:
-        committees = [result.committee for result in group.epoch_results]
-        for committee in committees:
-            assert set(committee) <= set(group.members)
-        # The churn schedule actually changed this group's committee.
-        assert len(set(committees)) > 1
-
-
-def test_sharded_churn_tamper_rejected(sharded_churn_report):
-    report = sharded_churn_report
-    verifier = _sharded_churn_verifier()
-    bad_combined = list(report.combined)
-    bad_combined[0] = dataclasses.replace(
-        bad_combined[0], value=bad_combined[0].value ^ 1
-    )
-    assert not verifier.verify(report.group_results, bad_combined)
-    # An epoch row that claims a committee the handoff did not run with
-    # rebuilds a directory its transcript fails under.
-    victim = report.group_results[1]
-    rows = list(victim.epoch_results)
-    rows[1] = dataclasses.replace(rows[1], committee=rows[0].committee)
-    forged = dataclasses.replace(victim, epoch_results=rows)
-    assert not verifier.verify([report.group_results[0], forged], report.combined)
-    rows[1] = dataclasses.replace(rows[1], committee=(99,) + rows[1].committee[1:])
-    stranger = dataclasses.replace(victim, epoch_results=rows)
-    assert not verifier.verify([report.group_results[0], stranger], report.combined)
-
-
 # -- pinned churn runs ---------------------------------------------------------------
 
 #: What the churn paths produced before they were folded into the one epoch
@@ -268,17 +206,6 @@ PINNED_CRASH_PARTITION = {
         85649603858532966243289210865178004776,
     ],
 }
-#: The sharded churn fixture: per group (words, messages, bytes), then the
-#: combined beacon values.
-PINNED_SHARDED_TOTALS = [(21949, 2247, 0), (21949, 2247, 0)]
-PINNED_SHARDED_COMBINED = [
-    24534108237495594769823220193299405291,
-    123849733756028325614786077359687869219,
-    271207419309230439834037047843351518709,
-    68717639633054598161820615819393234057,
-    325467937809103962330571871979556620320,
-    50276170841968258185118090005495032991,
-]
 
 
 def _pinned_facts(report):
@@ -314,14 +241,6 @@ def test_crash_partition_churn_run_is_pinned(crash_partition_report):
     assert _pinned_facts(crash_partition_report) == PINNED_CRASH_PARTITION
 
 
-def test_sharded_churn_run_is_pinned(sharded_churn_report):
-    assert [
-        (m.words_total, m.messages_total, m.bytes_total)
-        for m in (group.metrics for group in sharded_churn_report.group_results)
-    ] == PINNED_SHARDED_TOTALS
-    assert [o.value for o in sharded_churn_report.combined] == PINNED_SHARDED_COMBINED
-
-
 # -- overlays, schedules and counters the timeline must honour ----------------------
 
 _FAULTS = ["--crash", "0@12", "--chaos", "drop:0.05"]
@@ -338,13 +257,9 @@ def _cli(*argv):
     "attempt",
     [
         lambda: _cli("-n", "4"),
-        lambda: _cli("-n", "8", "--groups", "2"),
-        lambda: run_sharded(
-            universe=8, groups=2, epochs=1, churn="", chaos="drop:0.05", crash=_CRASH
-        ),
         lambda: run_churn(4, epochs=2, crash={5: _CRASH}, chaos={-1: "drop:0.05"}),
     ],
-    ids=["cli", "cli-groups", "run_sharded", "run_churn"],
+    ids=["cli", "run_churn"],
 )
 def test_an_overlay_the_timeline_cannot_carry_is_refused(attempt, monkeypatch, capsys):
     """A fault overlay keyed by an epoch the timeline does not have, or
@@ -360,7 +275,6 @@ def test_an_overlay_the_timeline_cannot_carry_is_refused(attempt, monkeypatch, c
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(Transport, "__init__", recorded)
-    monkeypatch.setattr(shards, "_usable_cores", lambda: 1)
     try:
         status = attempt()
     except ValueError:

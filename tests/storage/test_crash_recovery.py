@@ -245,8 +245,8 @@ def test_recovery_rejects_out_of_range_indices():
 )
 def test_crash_plan_refuses_out_of_range_after_and_delay(plan):
     """``CrashPlan`` checks its own ranges, so every driver that builds
-    one (a single committee, a churn handoff, a shard group) refuses a
-    crash that would not crash and come back."""
+    one (a single committee, a churn handoff) refuses a crash that would
+    not crash and come back."""
     from repro.service import run_churn
 
     with pytest.raises(ValueError, match="crash after|recovery delay"):

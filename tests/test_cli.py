@@ -122,12 +122,29 @@ def test_beacon_rejects_bad_depth(capsys):
 
 
 def test_beacon_refuses_pipeline_depth_beside_groups_or_churn(capsys):
-    """Sharded and churned epochs run one at a time: an explicit
-    ``--pipeline-depth`` there would be ignored, so it is refused."""
-    for extra in (["--groups", "2", "--group-size", "4"], ["--churn", "join:4@1"]):
-        assert main(["beacon", "--pipeline-depth", "3", *extra]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--pipeline-depth" in err
+    """Churned epochs run one at a time: an explicit ``--pipeline-depth``
+    there would be ignored, so it is refused."""
+    assert main(["beacon", "--pipeline-depth", "3", "--churn", "join:4@1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--pipeline-depth" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--groups", "2", "-n", "8"],
+        ["beacon", "--groups", "2", "--group-size", "4"],
+    ],
+    ids=("run", "beacon"),
+)
+def test_the_group_flags_are_gone(argv, capsys):
+    """One committee per run: ``--groups`` and ``--group-size`` are not
+    options, so argparse refuses them as usage errors naming the flag."""
+    with pytest.raises(SystemExit) as usage:
+        main(argv)
+    assert usage.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --groups 2" in err
 
 
 def test_parser_requires_command():
@@ -187,17 +204,13 @@ def test_run_crash_flag_validation(capsys):
     [
         (["--cadence", "5"], "--cadence requires --crash"),
         (["--storage-dir", "{tmp}"], "--storage-dir requires --crash"),
-        (
-            ["--groups", "2", "-n", "8", "--crash", "0@12", "--storage-dir", "{tmp}"],
-            "--storage-dir is not for --groups",
-        ),
         (["--crash", "0@30", "--cadence", "0"], "--cadence must be >= 1"),
     ],
-    ids=("cadence-alone", "storage-dir-alone", "storage-dir-groups", "cadence-0"),
+    ids=("cadence-alone", "storage-dir-alone", "cadence-0"),
 )
 def test_a_storage_flag_that_would_be_ignored_is_refused(flags, message, capsys, tmp_path):
     """--cadence and --storage-dir act only through a crash plan: without
-    one, or where the plan cannot use them, they are usage errors (one
+    one they are usage errors (one
     ``error:`` line, exit 2) and nothing is run or written."""
     storage = tmp_path / "store"
     argv = ["run", "-n", "4", "--seed", "1"]
@@ -211,13 +224,12 @@ def test_a_storage_flag_that_would_be_ignored_is_refused(flags, message, capsys,
 
 @pytest.mark.parametrize(
     "overlay",
-    [[], ["--reshare", "2"], ["--groups", "2", "-n", "8"]],
-    ids=("one-committee", "handoff", "groups"),
+    [[], ["--reshare", "2"]],
+    ids=("one-committee", "handoff"),
 )
 def test_cadence_reaches_every_crash_plan(overlay, capsys, monkeypatch):
-    """--cadence rides in the crash plan, so the one-committee, handoff
-    and group plans each checkpoint at it."""
-    from repro.service import shards
+    """--cadence rides in the crash plan, so the one-committee and handoff
+    plans each checkpoint at it."""
     from repro.storage import recovery
 
     cadences = []
@@ -228,7 +240,6 @@ def test_cadence_reaches_every_crash_plan(overlay, capsys, monkeypatch):
             super().__init__(*args, cadence=cadence, **kwargs)
 
     monkeypatch.setattr(recovery, "DurabilityRecorder", Recorder)
-    monkeypatch.setattr(shards, "_usable_cores", lambda: 1)  # inline: no pool
     argv = ["run", "-n", "4", "--seed", "1", "--crash", "0@12", "--cadence", "1000"]
     assert main(argv + overlay) == 0, capsys.readouterr()
     assert cadences and set(cadences) == {1000}
@@ -287,7 +298,6 @@ _OVERLAYS = {
     "chaos": ["--chaos", "drop:0.05"],
     "crash": ["--crash", "0@12"],
     "reshare": ["--reshare", "2"],
-    "groups": ["--groups", "2"],
 }
 
 
@@ -304,26 +314,19 @@ def _overlay_run(capsys, chosen, *extra):
     "chosen",
     [
         tuple(name for bit, name in enumerate(_OVERLAYS) if mask >> bit & 1)
-        for mask in range(16)
+        for mask in range(8)
     ],
     ids=lambda chosen: "+".join(chosen) or "plain",
 )
-def test_every_overlay_subset_runs_and_verifies(chosen, capsys, monkeypatch):
-    """--chaos, --crash, --reshare and --groups compose: all 16 subsets
-    agree and verify; --profile (tried on each overlay alone, so through
-    each of the four command bodies) wraps whichever run it is."""
-    from repro.service import shards
-
-    monkeypatch.setattr(shards, "_usable_cores", lambda: 1)  # inline: no pool
+def test_every_overlay_subset_runs_and_verifies(chosen, capsys):
+    """--chaos, --crash and --reshare compose: all 8 subsets agree and
+    verify; --profile (tried on each overlay alone, so through each of
+    the three command bodies) wraps whichever run it is."""
     profiled = len(chosen) == 1
     code, out = _overlay_run(capsys, chosen, *(["--profile"] if profiled else []))
     assert code == 0, out
     assert ("cumulative" in out) == profiled
-    if "groups" in chosen:
-        assert "group 1: n=4 agreed=True" in out
-        assert "combined outputs verified:  True" in out
-        assert ("handed across committees" in out) == ("reshare" in chosen)
-    elif "reshare" in chosen:
+    if "reshare" in chosen:
         assert "key invariant:      True" in out
         assert "chain verified:     True" in out
         overlays = "".join(f" +{name}" for name in ("chaos", "crash") if name in chosen)
@@ -342,8 +345,8 @@ def test_every_overlay_at_once_over_tcp(capsys):
     )
     assert code == 0, out
     assert "transport=tcp" in out
-    assert out.count("handed across committees") == 2
-    assert "combined outputs verified:  True" in out
+    assert "key invariant:      True" in out
+    assert "chain verified:     True" in out
 
 
 def test_run_reshare_with_churn(capsys):
@@ -374,9 +377,8 @@ def test_run_reshare_flag_validation(capsys):
     assert main(["run", "-n", "7", "--reshare", "0"]) == 2
     assert ">= 1" in capsys.readouterr().err
     # The plain-run diagnostic is the one refusal left among the overlays.
-    for flags in (["--reshare", "2"], ["--groups", "2"]):
-        assert main(["run", "-n", "8", *flags, "--full"]) == 2
-        assert "incompatible" in capsys.readouterr().err
+    assert main(["run", "-n", "8", "--reshare", "2", "--full"]) == 2
+    assert "incompatible" in capsys.readouterr().err
     # A bad churn spec is a clean error, not a traceback.
     assert main(["run", "-n", "7", "--reshare", "2", "--churn", "grow:1@1"]) == 1
     assert "bad churn clause" in capsys.readouterr().err
@@ -403,45 +405,3 @@ def test_beacon_churn(capsys):
     assert "handoffs=2" in out
     assert "beacon 2.0:" in out
     assert "chain verified:     True" in out
-
-
-def test_beacon_churn_sharded(capsys):
-    code = main(
-        [
-            "beacon",
-            "-n",
-            "8",
-            "--groups",
-            "2",
-            "--epochs",
-            "2",
-            "--seed",
-            "1",
-            "--churn",
-            "join:2@1",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "group 0: n=4 agreed=True" in out
-    assert out.count("one key, handed across committees") == 2
-    assert "combined outputs verified:  True" in out
-
-
-def test_group_size_without_groups_is_a_usage_error(capsys):
-    for command in ("run", "beacon"):
-        assert main([command, "-n", "4", "--group-size", "3"]) == 2
-        assert "--group-size needs --groups" in capsys.readouterr().err
-
-
-def test_sharded_run_prints_workers_and_only_metered_bytes(capsys, monkeypatch):
-    from repro.service import shards
-
-    monkeypatch.setattr(shards, "_usable_cores", lambda: 1)  # inline: no pool
-    assert main(["run", "--groups", "2", "-n", "8", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "sizes=[4, 4] workers=1 transport=sim" in out
-    assert "combined outputs verified:  True" in out
-    assert "protocol bytes" not in out  # unmetered on sim: no printed 0
-    assert main(["run", "--groups", "2", "-n", "8", "--transport", "tcp"]) == 0
-    assert "protocol bytes (all groups): " in capsys.readouterr().out
