@@ -30,6 +30,8 @@ READY and output hang on the root's readies, never on more fragments.
 And an instance that has output, echoed and sent READY retires
 (``Protocol._retired``), so the party drops its later deliveries
 unhandled: with all three done it can neither send nor output again.
+What neither path reads again is released: a root's fragments once it
+decodes or goes bad, and the readies once the instance retires.
 """
 
 from __future__ import annotations
@@ -185,7 +187,8 @@ class CTBroadcast(Protocol):
                 k=payload.k,
             )
         )
-        self._retired = self._output_done  # it output before this VAL arrived
+        if self._output_done:  # it output before this VAL arrived
+            self._retire()
 
     def _on_echo(self, sender: int, payload: CTEcho) -> None:
         if payload.k != self.f + 1 or not self._vc.is_commitment(payload.root):
@@ -252,7 +255,14 @@ class CTBroadcast(Protocol):
             self.output(self._decoded[root])
             # Output implies READY sent; without the echo the VAL still
             # has work to do when it arrives.
-            self._retired = self._echoed
+            if self._echoed:
+                self._retire()
+
+    def _retire(self) -> None:
+        """Output, echo and READY are done: ``Party.deliver`` drops every
+        later delivery, so no handler reads the readies again."""
+        self._retired = True
+        self._readies = {}
 
     def rearm(self) -> None:
         """No conditions; re-derive retirement from the restored state."""
@@ -276,6 +286,9 @@ class CTBroadcast(Protocol):
             (root, self.f + 1, self.n, self.vc_kind),
             lambda: self._decode_codeword(root),
         )
+        # Decoded or bad, the root's fragments have no reader left:
+        # ``_on_echo`` drops its echoes and ``_progress`` skips the decode.
+        del self._fragments[root]
         if value is None or not self._try_validate(value):
             self._bad_roots.add(root)
             return

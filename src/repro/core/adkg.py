@@ -80,6 +80,7 @@ class ADKG(Protocol):
             self.received = kept
             return
         self.proposal = proposal
+        self.received = []  # aggregated; ``on_message`` never reads it again
         self.nwh = self._make_nwh()
         self.spawn("nwh", self.nwh)
 

@@ -151,6 +151,7 @@ class ProposalElection(Protocol):
             self.dkg_contributions = kept
             return
         self.vrf_dkg = vrf_dkg
+        self.dkg_contributions = []  # aggregated; never read again
         self._start_gather()
 
     # -- round 2: gather over (proposal, vrf_dkg) ----------------------------------------

@@ -81,7 +81,6 @@ class TrustedSetup:
         f: int | None = None,
         params: GroupParams | str = "TESTING",
         seed: int = 0,
-        session: str = "adkg-repro",
     ) -> "TrustedSetup":
         """Generate key material for ``n`` parties tolerating ``f`` faults.
 
@@ -91,6 +90,7 @@ class TrustedSetup:
             params = get_params(params)
         if f is None:
             f = (n - 1) // 3
+        session = "adkg-repro"
         rng = random.Random(("trusted-setup", params.name, n, f, seed, session).__repr__())
         sign_group = SchnorrGroup(params)
         pair_group = BilinearGroup(params.q, name=f"{params.name}-pair")

@@ -6,7 +6,9 @@ by a :class:`repro.net.transport.Transport`: the deterministic
 discrete-event simulator (:class:`repro.net.runtime.Simulation`), where
 the adversary's scheduler controls delivery, or the real socket transport
 (:mod:`repro.net.tcp_runtime`), which ships every message as
-:mod:`repro.net.codec` bytes.  The transport meters words, messages,
+:mod:`repro.net.codec` bytes.  This package does not import the socket
+transport: ``make_transport("tcp")`` does, so a simulated run never
+loads asyncio, ssl or socket.  The transport meters words, messages,
 bytes and causal rounds (:mod:`repro.net.metrics`), and the adversary
 controls both message scheduling and Byzantine party behaviour
 (:mod:`repro.net.adversary`).  A seeded link-fault plane
@@ -41,7 +43,6 @@ from repro.net.chaos import (
     Partition,
 )
 from repro.net.runtime import Simulation
-from repro.net.tcp_runtime import TCPRuntime
 from repro.net.adversary import (
     Behavior,
     CrashBehavior,
@@ -75,7 +76,6 @@ __all__ = [
     "LinkFault",
     "Partition",
     "Simulation",
-    "TCPRuntime",
     "Behavior",
     "CrashBehavior",
     "SilentBehavior",

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from repro.net.envelope import Envelope
 
@@ -172,50 +172,6 @@ class Metrics:
 
     def words_for_layer(self, layer: str) -> int:
         return self.words_by_layer.get(layer, 0)
-
-    def merge(self, other: "Metrics") -> "Metrics":
-        """This metrics plus ``other``, as a new :class:`Metrics`.
-
-        The fix for counter collisions under concurrent session families:
-        each family meters into its *own* namespaced ``Metrics`` and the
-        service merges them for totals, instead of every family bumping
-        one shared instance and losing attribution.  Merging is
-        associative and commutative — additive fields sum, ``max_depth``/
-        ``batch_occupancy_max`` take the max, and counter providers are
-        materialized into snapshots summed by name — so any merge order
-        (and any grouping, e.g. a tree reduction over worker results)
-        yields the same totals.  Neither operand is mutated; the result's
-        counter views are static snapshots taken at merge time.
-        """
-        return Metrics.merged((self, other))
-
-    @classmethod
-    def merged(cls, parts: "Iterable[Metrics]") -> "Metrics":
-        """Order-independent sum of many ``Metrics`` (see :meth:`merge`)."""
-        result = cls()
-        counters: dict[str, Counter] = {}
-        for part in parts:
-            result.words_total += part.words_total
-            result.messages_total += part.messages_total
-            result.bytes_total += part.bytes_total
-            result.words_by_layer.update(part.words_by_layer)
-            result.words_by_type.update(part.words_by_type)
-            result.messages_by_type.update(part.messages_by_type)
-            result.max_depth = max(result.max_depth, part.max_depth)
-            result.deliveries += part.deliveries
-            result.frames_total += part.frames_total
-            result.batch_occupancy_max = max(
-                result.batch_occupancy_max, part.batch_occupancy_max
-            )
-            result.wire_bytes_total += part.wire_bytes_total
-            for name, provider in part.counter_providers.items():
-                counters.setdefault(name, Counter()).update(provider())
-        for name, totals in counters.items():
-            # Bind the summed snapshot, not the live providers: a merged
-            # Metrics is a value, and re-merging it later must not
-            # double-read (or re-order) the originals' live views.
-            result.attach_counters(name, lambda snap=dict(totals): dict(snap))
-        return result
 
     def attach_counters(self, name: str, provider: Callable[[], dict]) -> None:
         """Register a live work-counter view (e.g. ``"verify"``, ``"encode"``)."""

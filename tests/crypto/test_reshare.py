@@ -18,7 +18,7 @@ MESSAGE = ("round", 5)
 
 @pytest.fixture(scope="module")
 def universe():
-    return TrustedSetup.generate(UNIVERSE, seed=17, session="reshare-universe")
+    return TrustedSetup.generate(UNIVERSE, seed=17)
 
 
 @pytest.fixture(scope="module")

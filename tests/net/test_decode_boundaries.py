@@ -124,12 +124,14 @@ def test_wal_records_fail_closed(captured):
 
 
 def test_snapshot_frames_fail_closed():
-    """A mid-run ADKG party: a table of contributions, references from
-    RBC, Gather and PE state, the session's 625-int RNG record."""
+    """A mid-run ADKG party: a table of transcripts and a contribution,
+    references from RBC, Gather and PE state, the session's 625-int RNG
+    record.  Its ADKG has aggregated (and dropped its pool); its PE still
+    pools the contributions dealt to it."""
     setup = TrustedSetup.generate(4, seed=3)
     sim = Simulation(setup, seed=3, delay_model=FixedDelay(1.0))
     sim.start(lambda party: ADKG())
-    for _ in range(5):
+    for _ in range(20):
         sim.step()
     blob = sim.parties[2].freeze()
     assert blob[:2] == codec.SHARED_OPEN + b"\x04"  # four distinct aggregates so far
@@ -145,7 +147,7 @@ def test_snapshot_frames_fail_closed():
         return state
 
     state = restore(record)
-    assert len(list(aggregates_in(state))) == 8  # each entry is named twice
+    assert len(list(aggregates_in(state))) == 9  # one transcript six times, the rest once
     # Two thirds of this small blob are the RNG stream's 625 ints.
     stream = codec.encode(sim.parties[2].session_rng(0).getstate()[1])
     ints = range(record.index(stream) + 16, record.index(stream) + len(stream) - 16)

@@ -60,69 +60,3 @@ def test_envelope_describe():
     env = _env(path=("nwh", ("pe", 1)))
     text = env.describe()
     assert "0->1" in text and "Ping" in text
-
-
-# -- merge: the counter-collision fix for concurrent session families ------------------
-
-
-def _family(sends, depth, counter):
-    """One session family's namespaced metrics with a live work counter."""
-    metrics = Metrics()
-    for i in range(sends):
-        metrics.record_send(_env(path=("a" if i % 2 else "b",)))
-    metrics.record_delivery(_env(depth=depth))
-    metrics.record_frame(sends, nbytes=10 * sends)
-    metrics.attach_counters("verify", lambda: dict(counter))
-    return metrics
-
-
-def test_merge_sums_families_without_collisions():
-    a = _family(3, depth=5, counter={"calls": 7, "hits": 2})
-    b = _family(2, depth=9, counter={"calls": 4, "misses": 1})
-    merged = a.merge(b)
-    assert merged.messages_total == 5
-    assert merged.words_total == a.words_total + b.words_total
-    assert merged.deliveries == 2
-    assert merged.max_depth == 9  # max, not sum
-    assert merged.frames_total == 2
-    assert merged.wire_bytes_total == 50
-    assert dict(merged.words_by_layer) == {
-        layer: a.words_by_layer[layer] + b.words_by_layer[layer]
-        for layer in ("a", "b")
-    }
-    # Same-named counters sum by key instead of clobbering each other —
-    # the collision the per-family namespacing exists to prevent.
-    assert merged.counters("verify") == {"calls": 11, "hits": 2, "misses": 1}
-
-
-def test_merge_is_associative_and_order_independent():
-    parts = [
-        _family(1, depth=2, counter={"calls": 1}),
-        _family(4, depth=7, counter={"calls": 3, "hits": 3}),
-        _family(2, depth=1, counter={"misses": 5}),
-    ]
-    a, b, c = parts
-
-    def flatten(metrics):
-        return (metrics.summary(), metrics.counters("verify"))
-
-    reference = flatten(Metrics.merged(parts))
-    assert flatten(Metrics.merged([c, a, b])) == reference  # any order
-    assert flatten(a.merge(b).merge(c)) == reference  # left fold
-    assert flatten(a.merge(b.merge(c))) == reference  # right fold
-    assert flatten(Metrics.merged([a.merge(b), c])) == reference  # grouping
-
-
-def test_merge_mutates_neither_operand_and_snapshots_counters():
-    live = {"calls": 1}
-    a = _family(2, depth=3, counter=live)
-    b = _family(1, depth=1, counter={"calls": 10})
-    before = (a.summary(), b.summary())
-    merged = a.merge(b)
-    assert (a.summary(), b.summary()) == before
-    assert merged.counters("verify") == {"calls": 11}
-    # The merged value is a snapshot: later growth of a live provider
-    # must not retroactively change it (a merged Metrics is a value).
-    live["calls"] = 100
-    assert merged.counters("verify") == {"calls": 11}
-    assert a.counters("verify") == {"calls": 100}  # the source stays live
