@@ -84,24 +84,25 @@ def _collect_result(transport: Transport, kind: str) -> ADKGResult:
 
 
 def run_adkg(
-    n: int = 7,
-    f: Optional[int] = None,
+    n: Optional[int] = None,
     seed: int = 0,
-    params: str = "TESTING",
     delay_model: Optional[DelayModel] = None,
     scheduler=None,
     behaviors=None,
-    broadcast_kind: str = "ct",
     to_quiescence: bool = False,
     setup: Optional[TrustedSetup] = None,
     transport: str = "sim",
     measure_bytes: Optional[bool] = None,
     timeout: float = 120.0,
-    max_steps: Optional[int] = None,
     workers: Optional[int] = None,
     chaos: Any = None,
 ) -> ADKGResult:
     """Run one A-DKG over the selected transport and return result + metrics.
+
+    The committee is ``setup`` (its size, threshold and keys), or a fresh
+    ``TrustedSetup.generate(n, seed=seed)`` when none is given; ``n``
+    defaults to the setup's size, else 7, and an ``n`` that contradicts
+    the setup's is a ``ValueError``.
 
     ``transport`` selects the runtime: ``"sim"`` (deterministic
     discrete-event simulator, the default) or ``"tcp"`` (real loopback
@@ -120,9 +121,8 @@ def run_adkg(
     (DESIGN §10), and only ``None`` or ``0`` is accepted.
 
     ``chaos`` attaches the link-fault plane (DESIGN §11): a
-    :class:`~repro.net.chaos.ChaosSpec`, a prebuilt
-    :class:`~repro.net.chaos.ChaosPlane`, or a spec string such as
-    ``"partition:0|1,2,3@2-20;drop:0.05"``.  Spec forms are seeded from
+    :class:`~repro.net.chaos.ChaosSpec` or a spec string such as
+    ``"partition:0|1,2,3@2-20;drop:0.05"``.  The plane is seeded from
     ``seed``, so a chaos run is exactly as reproducible as a clean one;
     injected fault counts appear under ``metrics_summary["counters"]
     ["chaos"]``.  Works on every transport (times are rounds on the
@@ -132,7 +132,12 @@ def run_adkg(
         # Tombstone: ``perf/workloads.py`` (frozen) passes ``workers=0``; the
         # keyword goes when the next benchmark PR drops that (ROADMAP).
         raise ValueError("the process-pool verifier was removed; workers must be 0")
-    setup = setup or TrustedSetup.generate(n, f, params=params, seed=seed)
+    if setup is None:
+        setup = TrustedSetup.generate(7 if n is None else n, seed=seed)
+    elif n is not None and n != setup.directory.n:
+        raise ValueError(
+            f"n={n} contradicts the setup's committee of n={setup.directory.n}"
+        )
     # ``None`` for measure_bytes / chaos means the transport's default:
     # bytes off for sim and always on for TCP (which refuses
     # measure_bytes=False), no chaos plane.
@@ -143,14 +148,11 @@ def run_adkg(
         seed=seed,
         delay_model=delay_model,
         scheduler=scheduler,
-        max_steps=max_steps,
         to_quiescence=to_quiescence,
         measure_bytes=measure_bytes,
         chaos=chaos,
     )
-    runtime.run_sync(
-        lambda party: ADKG(broadcast_kind=broadcast_kind), timeout=timeout
-    )
+    runtime.run_sync(lambda party: ADKG(), timeout=timeout)
     if to_quiescence:
         # Keep delivering after agreement so words_total counts every
         # message ever sent (the simulator's close() holds nothing back).

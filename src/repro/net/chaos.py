@@ -429,25 +429,19 @@ class ChaosPlane:
             counts["corrupt_identity"] += 1
 
 
-def coerce_chaos(
-    chaos: "ChaosPlane | ChaosSpec | str | None", seed: int
-) -> Optional[ChaosPlane]:
+def coerce_chaos(chaos: "ChaosSpec | str | None", seed: int) -> Optional[ChaosPlane]:
     """Normalize a transport's ``chaos=`` argument into a plane.
 
-    Accepts an already-built :class:`ChaosPlane` (used as-is, its own
-    seed intact), a :class:`ChaosSpec`, or the CLI mini-language string;
-    spec/string forms get a plane seeded from the run seed, which is what
-    makes same-seed chaos runs reproducible end-to-end.
+    Accepts a :class:`ChaosSpec` or the CLI mini-language string; either
+    gets a plane seeded from the run seed, which is what makes same-seed
+    chaos runs reproducible end-to-end.
     """
     if chaos is None:
         return None
-    if isinstance(chaos, ChaosPlane):
-        return chaos
     if isinstance(chaos, str):
         chaos = ChaosSpec.parse(chaos)
     if isinstance(chaos, ChaosSpec):
         return ChaosPlane(chaos, seed=seed)
     raise TypeError(
-        f"chaos must be a ChaosPlane, ChaosSpec or spec string, "
-        f"not {type(chaos).__name__}"
+        f"chaos must be a ChaosSpec or spec string, not {type(chaos).__name__}"
     )

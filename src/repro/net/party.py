@@ -68,9 +68,10 @@ if TYPE_CHECKING:
 #: Leading tag + version of a :meth:`Party.freeze` blob.  The version is
 #: part of the encoded value, checked strictly on thaw: a future format
 #: bump can never be misread as the current one.  Version 1 was a plain
-#: codec value; 2 is a shared-aggregate encoding of the same tuple.
+#: codec value; 2 a shared-aggregate encoding of the same tuple; 3 drops
+#: the per-session result depth, which nothing read.
 SNAPSHOT_TAG = "repro-party-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class SessionState:
@@ -84,7 +85,6 @@ class SessionState:
         "conditions",
         "rng",
         "result",
-        "result_depth",
         "collected",
         "backlog_counted",
         "rng_record",
@@ -98,7 +98,6 @@ class SessionState:
         self.conditions = ConditionRegistry()
         self.rng = rng
         self.result: Any = _UNSET
-        self.result_depth: Optional[int] = None
         self.collected = False
         #: True while this root-less state counts against the party's
         #: ``session_backlog_cap`` (set only for states allocated by
@@ -184,43 +183,34 @@ class SessionTable:
 class Party:
     """A single party: a session table of protocol instances plus plumbing."""
 
+    #: Root-less sessions the party will lazily allocate for incoming
+    #: traffic; honest peers only race ahead by the service's window.
+    session_backlog_cap = 64
+
     def __init__(
         self,
         index: int,
         n: int,
         f: int,
-        rng: random.Random,
         directory: Optional["PublicDirectory"] = None,
         secret: Optional["PartySecret"] = None,
         *,
         rng_label: Optional[str] = None,
-        pending_cap: Optional[int] = None,
-        session_backlog_cap: int = 64,
     ) -> None:
         self.index = index
         self.n = n
         self.f = f
-        self.rng = rng
         self._directory = directory
         self._secret = secret
-        # Per-session RNG streams derive from this label so that session
+        # Every session's RNG stream derives from this label, so session
         # ``s`` deals identically whether it runs alone, after another
         # session, or interleaved with one (the session-equivalence tests
-        # rely on it).  Session 0 keeps the constructor-provided ``rng``
-        # for backward compatibility with single-session seeds.
+        # rely on it).
         self._rng_label = rng_label if rng_label is not None else f"party-{index}"
         #: Buffered payloads allowed per not-yet-spawned (session, path);
         #: generous for honest traffic (a few messages per sender per
         #: path) yet bounds what a spraying adversary can pin in memory.
-        self.pending_cap = (
-            pending_cap if pending_cap is not None else max(64, 32 * n)
-        )
-        #: Total buffered payloads allowed per session (across all paths)
-        #: — also bounds the number of per-path buckets a session holds.
-        self.pending_budget = 8 * self.pending_cap
-        #: Root-less sessions the party will lazily allocate for incoming
-        #: traffic; honest peers only race ahead by the service's window.
-        self.session_backlog_cap = session_backlog_cap
+        self.pending_cap = max(64, 32 * n)
         #: Buffer accounting: ``pending.dropped`` (per-path cap hit),
         #: ``pending.stale`` (traffic for a collected session), and
         #: ``retired`` (deliveries to a retired instance).  Exposed
@@ -237,6 +227,12 @@ class Party:
         #: pre-crash results are picked up) and after every root output;
         #: the delivery seam clears it when it notes progress.
         self.result_unnoted = True
+
+    @property
+    def pending_budget(self) -> int:
+        """Total buffered payloads allowed per session (across all paths)
+        — also bounds the number of per-path buckets a session holds."""
+        return 8 * self.pending_cap
 
     # -- crypto access ---------------------------------------------------------------
 
@@ -257,11 +253,12 @@ class Party:
     def _derive_rng(self, sid: int) -> random.Random:
         """Seed a session's stream (called once, at session creation)."""
         if sid == 0:
-            return self.rng
+            return random.Random(self._rng_label)
         return random.Random(f"{self._rng_label}-session-{sid}")
 
     def session_rng(self, sid: int) -> random.Random:
-        """The session's deterministic RNG stream (session 0 = base rng).
+        """The session's deterministic RNG stream (session 0 is seeded
+        from the label itself).
 
         One *persistent* ``Random`` per session: repeated draws advance
         the stream.  (Re-deriving per access would hand every caller the
@@ -272,11 +269,6 @@ class Party:
 
     def conditions_for(self, sid: int) -> ConditionRegistry:
         return self.sessions.ensure(sid).conditions
-
-    @property
-    def conditions(self) -> ConditionRegistry:
-        """Session 0's condition registry (single-session compatibility)."""
-        return self.conditions_for(0)
 
     def session_result(self, sid: int) -> Any:
         state = self.sessions.peek(sid)
@@ -292,11 +284,6 @@ class Party:
     def result(self) -> Any:
         state = self.sessions.peek(0)
         return state.result if state is not None else _UNSET
-
-    @property
-    def result_depth(self) -> Optional[int]:
-        state = self.sessions.peek(0)
-        return state.result_depth if state is not None else None
 
     @property
     def has_result(self) -> bool:
@@ -425,7 +412,6 @@ class Party:
         else:
             state = self.sessions.ensure(protocol._session)
             state.result = value
-            state.result_depth = self.current_depth
             self.result_unnoted = True
 
     # -- sending -----------------------------------------------------------------------
@@ -524,7 +510,6 @@ class Party:
                     state.backlog_counted,
                     state.has_result,
                     state.result if state.has_result else None,
-                    state.result_depth,
                     state.rng_record[1],
                     state.pending,
                     instances,
@@ -595,7 +580,6 @@ class Party:
                 backlog_counted,
                 has_result,
                 result,
-                result_depth,
                 rng_state,
                 pending,
                 instances,
@@ -605,7 +589,6 @@ class Party:
             if has_result:
                 state.result = result
                 self.result_unnoted = True
-            state.result_depth = result_depth
             state.pending = dict(pending)
             state.pending_count = sum(len(bucket) for bucket in pending.values())
             if backlog_counted:

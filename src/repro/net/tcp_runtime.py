@@ -132,18 +132,26 @@ class TCPRuntime(Transport):
 
     frames_on_wire = True
 
+    #: Loopback interface every party's server binds.
+    host = "127.0.0.1"
+    #: Frames each ordered pair's bounded send queue holds before shedding.
+    send_queue_cap = 1024
+    #: Idle gap after which the pump writes a heartbeat frame — the
+    #: bound on how long a dead idle connection can stay undetected.
+    heartbeat_interval = 1.0
+    #: Capped exponential backoff between reconnect attempts:
+    #: ``min(cap, base * 2^attempt)``, jittered by a deterministic
+    #: per-link factor in [0.5, 1.5).
+    reconnect_base = 0.05
+    reconnect_cap = 2.0
+
     def __init__(
         self,
         setup: TrustedSetup,
         behaviors: Optional[dict[int, Behavior]] = None,
         seed: int = 0,
-        host: str = "127.0.0.1",
         measure_bytes: bool = True,
-        send_queue_cap: int = 1024,
         chaos: Any = None,
-        heartbeat_interval: float = 1.0,
-        reconnect_base: float = 0.05,
-        reconnect_cap: float = 2.0,
     ) -> None:
         # ``measure_bytes`` exists for call-site uniformity with the other
         # transports, but TCP always meters (the byte counts are the bytes
@@ -153,14 +161,6 @@ class TCPRuntime(Transport):
             raise ValueError(
                 "the TCP runtime always meters bytes; measure_bytes=False "
                 "is not supported"
-            )
-        if send_queue_cap < 1:
-            raise ValueError("send_queue_cap must be >= 1")
-        if heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if reconnect_base <= 0 or reconnect_cap < reconnect_base:
-            raise ValueError(
-                "reconnect backoff needs 0 < reconnect_base <= reconnect_cap"
             )
         super().__init__(
             setup,
@@ -182,20 +182,10 @@ class TCPRuntime(Transport):
         #: Event-loop time of :meth:`open` (or of the first clock reading
         #: before it); :meth:`now` counts seconds since then.
         self._clock_origin: Optional[float] = None
-        self.host = host
         self.ports: dict[int, int] = {}
         self.rejected_frames = 0
-        self.send_queue_cap = send_queue_cap
         #: Frames shed because a pair's bounded send queue was full.
         self.backpressure_drops = 0
-        #: Idle gap after which the pump writes a heartbeat frame — the
-        #: bound on how long a dead idle connection can stay undetected.
-        self.heartbeat_interval = heartbeat_interval
-        #: Capped exponential backoff between reconnect attempts:
-        #: ``min(cap, base * 2^attempt)``, jittered by a deterministic
-        #: per-link factor in [0.5, 1.5).
-        self.reconnect_base = reconnect_base
-        self.reconnect_cap = reconnect_cap
         #: Connection losses detected (once per connection generation).
         self.conn_lost = 0
         #: Successful reconnects after a loss.

@@ -173,10 +173,9 @@ class Transport:
         self.seed = seed
         self._adv_rng = random.Random(f"{rng_namespace}-adv-{seed}")
         #: Link-level fault injection (DESIGN §11).  ``chaos`` accepts a
-        #: :class:`~repro.net.chaos.ChaosPlane`, a
-        #: :class:`~repro.net.chaos.ChaosSpec` or a spec string; spec
-        #: forms are seeded from the run seed, so same-seed chaos runs
-        #: are exactly reproducible.  ``None`` (and an idle spec) leaves
+        #: :class:`~repro.net.chaos.ChaosSpec` or a spec string; the plane
+        #: is seeded from the run seed, so same-seed chaos runs are
+        #: exactly reproducible.  ``None`` (and an idle spec) leaves
         #: the delivery pipeline byte-identical to a plane-free run.
         self.chaos = coerce_chaos(chaos, seed)
         if self.chaos is not None:
@@ -218,7 +217,6 @@ class Transport:
             index=index,
             n=self.n,
             f=self.f,
-            rng=random.Random(f"party-{self.seed}-{index}"),
             directory=self.setup.directory,
             secret=self.setup.secret(index),
             rng_label=f"party-{self.seed}-{index}",
@@ -790,8 +788,7 @@ def make_transport(
     """Build a transport by name: ``"sim"`` or ``"tcp"``.
 
     Extra keyword arguments are forwarded to the selected runtime
-    (e.g. ``delay_model=``/``scheduler=`` for ``sim``, ``host=`` for
-    ``tcp``).
+    (e.g. ``delay_model=``/``scheduler=`` for ``sim``).
     """
     if kind == "sim":
         from repro.net.runtime import Simulation
@@ -812,36 +809,30 @@ def make_run_transport(
     *,
     delay_model: Any = None,
     scheduler: Any = None,
-    max_steps: Optional[int] = None,
     to_quiescence: bool = False,
     **kwargs: Any,
 ) -> Transport:
     """:func:`make_transport` with what every ``run_*`` entry point shares.
 
     On ``sim`` the delay model defaults to ``FixedDelay(1.0)`` (simulated
-    time is then the asynchronous round measure) and ``max_steps``
-    becomes the awaitables' delivery budget.  TCP refuses the four
+    time is then the asynchronous round measure).  TCP refuses the three
     simulator-only arguments rather than silently returning numbers
     measured under other semantics than the caller asked for.
     Any other keyword left ``None`` means the runtime's own default.
     """
     kwargs = {name: value for name, value in kwargs.items() if value is not None}
     if kind == "sim":
-        runtime = make_transport(
+        return make_transport(
             kind,
             setup,
             delay_model=delay_model or FixedDelay(1.0),
             scheduler=scheduler,
             **kwargs,
         )
-        if max_steps is not None:
-            runtime.max_steps = max_steps
-        return runtime
     sim_only = {
         "to_quiescence": to_quiescence or None,
         "delay_model": delay_model,
         "scheduler": scheduler,
-        "max_steps": max_steps,
     }
     given = [name for name, value in sim_only.items() if value is not None]
     if given:

@@ -34,7 +34,6 @@ from tempfile import TemporaryDirectory
 from typing import Any, Optional, Sequence
 
 from repro.crypto.keys import TrustedSetup
-from repro.net.delays import DelayModel
 from repro.net.party import Party
 from repro.net.transport import RootFactory, Transport, make_run_transport
 from repro.storage.frames import StorageError
@@ -269,20 +268,16 @@ def run_crash_recovery(
     crash_after: int = 40,
     recovery_delay: float = 5.0,
     cadence: int = 16,
-    root_factory: Optional[RootFactory] = None,
-    behaviors: Optional[dict] = None,
     scheduler: Any = None,
-    delay_model: Optional[DelayModel] = None,
-    setup: Optional[TrustedSetup] = None,
     storage_dir: Optional[Path | str] = None,
     fsync: bool = False,
     timeout: float = 120.0,
-    max_steps: Optional[int] = None,
     chaos: Any = None,
 ) -> dict[str, Any]:
     """One full crash–recovery scenario on the chosen transport.
 
-    One epoch of one committee under a :class:`CrashPlan`: the parties in
+    One ADKG epoch of a fresh ``n``-party committee (its setup seeded
+    from ``seed``) under a :class:`CrashPlan`: the parties in
     ``crash_indices`` crash together once the first of them has processed
     ``crash_after`` deliveries, recover from disk ``recovery_delay``
     later, and the run is driven to all-honest agreement.
@@ -294,24 +289,16 @@ def run_crash_recovery(
     from repro.service.epochs import EpochDriver, adkg_root
     from repro.service.beacon import transcript_valid
 
-    root_factory = root_factory or adkg_root
-    setup = setup or TrustedSetup.generate(n, seed=seed)
+    setup = TrustedSetup.generate(n, seed=seed)
     # Chaos overlays compose with crash-recovery on every runtime: the
     # fault plane sits at the shared delivery seam, the recorder behind
     # it, so WAL contents reflect what was actually delivered.
     runtime = make_run_transport(
-        transport,
-        setup,
-        behaviors=behaviors,
-        seed=seed,
-        delay_model=delay_model,
-        scheduler=scheduler,
-        max_steps=max_steps,
-        chaos=chaos,
+        transport, setup, seed=seed, scheduler=scheduler, chaos=chaos
     )
     with CrashPlan(
         runtime,
-        root_factory,
+        adkg_root,
         indices=crash_indices,
         after=crash_after,
         delay=recovery_delay,
@@ -323,7 +310,7 @@ def run_crash_recovery(
         [result] = EpochDriver(
             runtime,
             epochs=1,
-            root_factory=root_factory,
+            root_factory=adkg_root,
             timeout=timeout,
             interludes={0: plan},
         ).run()

@@ -30,7 +30,11 @@ def test_kzg_openings_save_words_at_scale():
 
 
 def test_full_adkg_runs_over_kzg_broadcasts():
-    from repro import run_adkg
+    from repro.core.adkg import ADKG
+    from repro.crypto.keys import TrustedSetup
+    from repro.net.transport import make_run_transport
 
-    result = run_adkg(n=4, seed=3, broadcast_kind="ct-kzg")
-    assert result.agreed
+    runtime = make_run_transport("sim", TrustedSetup.generate(4, seed=3), seed=3)
+    results = runtime.run_sync(lambda party: ADKG(broadcast_kind="ct-kzg"))
+    values = list(results.values())
+    assert len(values) == 4 and all(value == values[0] for value in values)

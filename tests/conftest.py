@@ -1,4 +1,4 @@
-"""Suite-wide fixture: the freeze oracle.
+"""Suite-wide fixture: the freeze oracle; and a leak fails its test.
 
 ``Party.freeze`` reuses the encoded record of every leaf instance the
 party delivered nothing to since the previous freeze, and of every RNG
@@ -9,9 +9,15 @@ so every freeze any test makes — directly, through a
 transports — is taken a second time with every kept record dropped, and
 the two blobs must be equal byte for byte.  The count of freezes checked
 is printed with the run's summary.
+
+Every test under this directory also runs with ``ResourceWarning`` and
+pytest's unraisable-exception warning as errors, so a socket, transport,
+file or event loop a test leaks fails that test, under plain ``pytest``
+as under ``python -X dev``.
 """
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +51,20 @@ def _freeze_checked_against_cold(party: Party) -> bytes:
     )
     _checked += 1
     return blob
+
+
+_HERE = Path(__file__).parent
+_LEAKS_FAIL = (
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+)
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.path.is_relative_to(_HERE):
+            for mark in _LEAKS_FAIL:
+                item.add_marker(mark)
 
 
 @pytest.fixture(autouse=True)

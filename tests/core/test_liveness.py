@@ -1,7 +1,5 @@
 """Liveness edge cases: laggards, withheld shares, buffered views."""
 
-import random
-
 from repro.core.adkg import ADKG
 from repro.core.nwh import NWH, CommitMsg, Suggest
 from repro.core.certificates import KeyTuple
@@ -94,7 +92,6 @@ def _lone_nwh_party():
         0,
         n=4,
         f=1,
-        rng=random.Random(0),
         directory=setup.directory,
         secret=setup.secret(0),
     )

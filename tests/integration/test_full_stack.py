@@ -82,7 +82,16 @@ def test_bigger_committee_smoke():
     assert len(result.transcript.contributors) >= 7
 
 
+def test_run_adkg_takes_its_committee_from_the_setup():
+    setup = TrustedSetup.generate(4, seed=1)
+    result = run_adkg(seed=1, setup=setup)
+    assert (result.n, result.f) == (4, 1)
+    assert run_adkg(n=4, seed=1, setup=setup).transcript == result.transcript
+    with pytest.raises(ValueError, match="n=7.*n=4"):
+        run_adkg(n=7, seed=1, setup=setup)
+
+
 def test_run_adkg_respects_explicit_f():
-    result = run_adkg(n=7, f=1, seed=10)
+    result = run_adkg(seed=10, setup=TrustedSetup.generate(7, f=1, seed=10))
     assert result.f == 1
     assert result.agreed

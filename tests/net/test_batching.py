@@ -275,17 +275,20 @@ def test_batched_tcp_matches_sim_transcript_and_words(monkeypatch):
     which shifts the varint-encoded depth field).
     """
     n, seed = 4, 7
-    sim_batched = run_adkg(n=n, f=0, seed=seed, measure_bytes=True)
+
+    def committee():  # one each: a setup's directory carries the verify cache
+        return TrustedSetup.generate(n, f=0, seed=seed)
+
+    sim_batched = run_adkg(seed=seed, setup=committee(), measure_bytes=True)
     with monkeypatch.context() as patch:
         patch.setattr(Transport, "batch_cap_envelopes", 1)
-        sim_unbatched = run_adkg(n=n, f=0, seed=seed, measure_bytes=True)
+        sim_unbatched = run_adkg(seed=seed, setup=committee(), measure_bytes=True)
     assert sim_batched.transcript == sim_unbatched.transcript
     assert sim_batched.words_total == sim_unbatched.words_total
     assert sim_batched.bytes_total == sim_unbatched.bytes_total
     _assert_one_frame_per_message(sim_unbatched)
 
-    setup = TrustedSetup.generate(n, f=0, seed=seed)
-    runtime = TCPRuntime(setup, seed=seed)
+    runtime = TCPRuntime(committee(), seed=seed)
     from repro.core.adkg import ADKG
 
     results = asyncio.run(runtime.run_root(lambda party: ADKG(), timeout=60))
@@ -356,16 +359,11 @@ def test_quiescence_flushes_coalesced_sends():
 # -- TCP backpressure (bounded send queues) --------------------------------------------
 
 
-def test_tcp_send_queue_cap_validated():
-    setup = TrustedSetup.generate(4, seed=1)
-    with pytest.raises(ValueError):
-        TCPRuntime(setup, seed=1, send_queue_cap=0)
-
-
 def test_tcp_backpressure_sheds_and_counts():
     """With a tiny queue cap the overflow is shed and counted, not grown."""
     setup = TrustedSetup.generate(4, seed=6)
-    runtime = TCPRuntime(setup, seed=6, send_queue_cap=1)
+    runtime = TCPRuntime(setup, seed=6)
+    runtime.send_queue_cap = 1
     runtime.batch_cap_envelopes = 1  # every envelope its own frame
 
     class Burst(EchoAll):

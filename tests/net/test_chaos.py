@@ -134,8 +134,6 @@ def test_parse_rejects_malformed_clauses(bad):
 
 def test_coerce_chaos_forms():
     assert coerce_chaos(None, seed=1) is None
-    plane = ChaosPlane(ChaosSpec.parse("drop:0.5"), seed=9)
-    assert coerce_chaos(plane, seed=1) is plane  # prebuilt: seed intact
     from_str = coerce_chaos("drop:0.5", seed=1)
     assert isinstance(from_str, ChaosPlane) and from_str.active
     idle = coerce_chaos(ChaosSpec(), seed=1)

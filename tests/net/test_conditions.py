@@ -1,7 +1,5 @@
 """Condition registry and Completion semantics."""
 
-import random
-
 import pytest
 
 from repro.net.conditions import Completion, ConditionRegistry
@@ -135,7 +133,7 @@ class _Reacting(Protocol):
 
 
 def _party_with(protocol, index=0):
-    party = Party(index, 4, 1, random.Random(index))
+    party = Party(index, 4, 1)
     party.run_root(protocol)
     return party
 
@@ -147,7 +145,7 @@ def _to(party, counter, path=()):
 def test_a_condition_the_delivering_handler_registers_fires_in_that_delivery():
     protocol = _Reacting()
     party = _party_with(protocol)
-    assert party.conditions.pending_count() == 0
+    assert party.conditions_for(0).pending_count() == 0
     party.deliver(_to(party, 1))
     assert protocol.fired == [1]
 
@@ -161,7 +159,7 @@ def test_a_fired_once_condition_is_not_tested_again():
     # the registry empty.
     party.deliver(_to(party, 2, path=("elsewhere",)))
     assert (protocol.tested, protocol.fired) == (1, [1])
-    assert party.conditions.pending_count() == 0
+    assert party.conditions_for(0).pending_count() == 0
 
 
 def test_sweep_conditions_and_the_thaw_sweep_still_sweep():
@@ -178,5 +176,5 @@ def test_sweep_conditions_and_the_thaw_sweep_still_sweep():
     assert protocol.fired == ["flag"]
 
     thawed = _Reacting()
-    Party(0, 4, 1, random.Random(0)).thaw(party.freeze(), root_factory=lambda _: thawed)
+    Party(0, 4, 1).thaw(party.freeze(), root_factory=lambda _: thawed)
     assert thawed.fired == ["flag", "rearmed"]

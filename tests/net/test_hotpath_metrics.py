@@ -23,8 +23,11 @@ def _misses(counters: dict) -> dict:
 
 
 def test_verify_counters_identical_sim_vs_tcp():
-    sim = run_adkg(n=4, f=0, seed=7, transport="sim")
-    tcp = run_adkg(n=4, f=0, seed=7, transport="tcp")
+    # One setup each: a setup's directory carries the verify cache.
+    sim = run_adkg(seed=7, setup=TrustedSetup.generate(4, f=0, seed=7))
+    tcp = run_adkg(
+        seed=7, setup=TrustedSetup.generate(4, f=0, seed=7), transport="tcp"
+    )
     assert sim.agreed and tcp.agreed
     sim_verify, tcp_verify = _verify_counters(sim), _verify_counters(tcp)
     # Distinct-values-verified is schedule-independent at f=0; the total

@@ -14,7 +14,6 @@ dataclass.
 import ast
 import dataclasses
 import pathlib
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,7 +161,7 @@ def test_a_multicast_is_one_record_in_recipient_order():
 
 
 def test_a_halted_party_queues_no_multicast():
-    party = Party(0, N, 1, random.Random(0))
+    party = Party(0, N, 1)
     root = party.run_root(_Quiet())
     party.halt()
     root.multicast(Ping(1))
@@ -171,7 +170,7 @@ def test_a_halted_party_queues_no_multicast():
 
 
 def test_a_multicast_of_a_non_payload_raises():
-    party = Party(0, N, 1, random.Random(0))
+    party = Party(0, N, 1)
     root = party.run_root(_Quiet())
     with pytest.raises(TypeError, match="must be a Payload"):
         root.multicast("not a payload")
@@ -186,7 +185,7 @@ class _MulticastOnRearm(Protocol):
 
 
 def test_thaw_names_the_path_of_a_multicast_it_produced():
-    party = Party(0, N, 1, random.Random(0))
+    party = Party(0, N, 1)
     party.run_root(_Quiet()).spawn("child", _MulticastOnRearm())
     blob = party.freeze()
 
@@ -195,14 +194,14 @@ def test_thaw_names_the_path_of_a_multicast_it_produced():
         root.build_child = lambda name: _MulticastOnRearm()
         return root
 
-    clone = Party(0, N, 1, random.Random(0))
+    clone = Party(0, N, 1)
     with pytest.raises(RuntimeError, match=r"network sends .*\('child',\)"):
         clone.thaw(blob, root_factory=factory)
 
 
 def test_reshare_fans_each_dealing_out_as_one_record():
     dealings = ("dealing-a", "dealing-b")
-    party = Party(0, N, 1, random.Random(0))
+    party = Party(0, N, 1)
     party.run_root(ReshareAgreement(spec=None, initial=dealings))
     records = party.collect_outbox()
     assert [(r[2], r[3].dealing) for r in records] == [

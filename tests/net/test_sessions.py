@@ -48,7 +48,7 @@ def test_interleaved_adkg_sessions_match_sequential(n=4, seed=7):
     # Different epochs rotate to genuinely different keys...
     assert transcripts[1][0] != transcripts[1][1]
     # ...and session 0 is exactly what a classic single run produces.
-    single = run_adkg(n=n, f=0, seed=seed)
+    single = run_adkg(seed=seed, setup=TrustedSetup.generate(n, f=0, seed=seed))
     assert transcripts[1][0] == single.transcript
     # Session 0 lagged: epoch 1 completes first, yet the results come
     # back in epoch order with the same transcripts.
@@ -134,7 +134,7 @@ def test_completed_session_gc_frees_state_and_drops_stale():
 
 
 def test_run_root_refused_on_collected_session():
-    party = Party(0, n=2, f=0, rng=random.Random(0))
+    party = Party(0, n=2, f=0)
     party.run_root(EchoAll(), session=5)
     assert party.collect_session(5)
     assert not party.collect_session(5)  # idempotent, reports no-op
@@ -146,7 +146,8 @@ def test_run_root_refused_on_collected_session():
 
 
 def test_pending_buffer_is_capped_and_drops_are_counted():
-    party = Party(0, n=2, f=0, rng=random.Random(0), pending_cap=3)
+    party = Party(0, n=2, f=0)
+    party.pending_cap = 3
     for i in range(5):
         party.deliver(
             Envelope(
@@ -170,7 +171,8 @@ def test_pending_buffer_is_capped_and_drops_are_counted():
 
 
 def test_pending_buffers_are_per_session():
-    party = Party(0, n=2, f=0, rng=random.Random(0), pending_cap=2)
+    party = Party(0, n=2, f=0)
+    party.pending_cap = 2
     for session in (0, 1):
         party.deliver(
             Envelope(
@@ -191,7 +193,8 @@ def test_pending_buffers_are_per_session():
 
 def test_unstarted_session_backlog_is_capped():
     """Spraying fictitious session ids cannot allocate unbounded state."""
-    party = Party(0, n=2, f=0, rng=random.Random(0), session_backlog_cap=3)
+    party = Party(0, n=2, f=0)
+    party.session_backlog_cap = 3
     for sid in range(1, 6):
         party.deliver(
             Envelope(
@@ -220,8 +223,10 @@ def test_unstarted_session_backlog_is_capped():
 
 def test_per_session_budget_bounds_distinct_path_spraying():
     """One message per fictitious path must not grow buckets unboundedly."""
-    party = Party(0, n=2, f=0, rng=random.Random(0), pending_cap=2)
-    budget = party.pending_budget  # 8 * pending_cap
+    party = Party(0, n=2, f=0)
+    party.pending_cap = 2
+    budget = party.pending_budget
+    assert budget == 8 * party.pending_cap
     for i in range(budget + 5):
         party.deliver(
             Envelope(
@@ -237,9 +242,9 @@ def test_per_session_budget_bounds_distinct_path_spraying():
 
 
 def test_session_rng_streams_are_stable_and_distinct():
-    party = Party(0, n=4, f=1, rng=random.Random("base"), rng_label="party-1-0")
-    base_draw = random.Random("base").random()
-    assert party.session_rng(0).random() == base_draw  # session 0 = base rng
+    party = Party(0, n=4, f=1, rng_label="party-1-0")
+    base_draw = random.Random("party-1-0").random()
+    assert party.session_rng(0).random() == base_draw  # session 0 = the label's
     first = party.session_rng(3).random()
     # The derived stream starts from the session seed (so it is
     # interleaving-independent)...

@@ -46,7 +46,7 @@ def test_early_messages_are_buffered():
     from repro.net.party import Party
     import random
 
-    party = Party(0, n=2, f=0, rng=random.Random(0))
+    party = Party(0, n=2, f=0)
     env = Envelope(path=("later",), sender=1, recipient=0, payload=Ping(7), depth=1)
     party.deliver(env)  # no instance at ("later",) yet
 

@@ -250,7 +250,7 @@ def test_adkg_over_tcp_matches_simulator_transcript():
     must be byte-identical to the simulator's for the same seed.
     """
     n, seed = 4, 7
-    sim_result = run_adkg(n=n, f=0, seed=seed)
+    sim_result = run_adkg(seed=seed, setup=TrustedSetup.generate(n, f=0, seed=seed))
     setup = TrustedSetup.generate(n, f=0, seed=seed)
     runtime = TCPRuntime(setup, seed=seed)
     results = _run(runtime.run_root(lambda party: ADKG(), timeout=60))

@@ -302,15 +302,12 @@ def test_nwh_fault_journals_are_bounded():
 
 def test_recovery_refuses_byzantine_crash_indices():
     from repro.net.adversary import SilentBehavior
+    from repro.storage import CrashPlan
 
+    setup = TrustedSetup.generate(4, seed=1)
+    sim = Simulation(setup, seed=1, behaviors={3: SilentBehavior()})
     with pytest.raises(ValueError, match="honest"):
-        run_crash_recovery(
-            transport="sim",
-            n=4,
-            seed=1,
-            crash_indices=[3],
-            behaviors={3: SilentBehavior()},
-        )
+        CrashPlan(sim, lambda party: ADKG(), indices=[3])
 
 
 def test_a_one_party_partition_pauses_without_state_loss():

@@ -178,9 +178,9 @@ def test_snapshot_rejects_future_version():
     from repro.net import codec
     from repro.net import party as party_mod
 
-    assert party_mod.SNAPSHOT_VERSION == 2
+    assert party_mod.SNAPSHOT_VERSION == 3
     sim, factory, value = _claiming(party_mod.SNAPSHOT_VERSION + 1)
-    with pytest.raises(ValueError, match="version 3"):
+    with pytest.raises(ValueError, match="version 4"):
         sim.build_party(0).thaw(codec.encode_shared(value), root_factory=factory)
 
 

@@ -1,7 +1,6 @@
 """WriteAheadLog and SnapshotStore behavior on real files."""
 
 import os
-import random
 
 import pytest
 
@@ -47,7 +46,7 @@ def test_long_wal_replays_one_delivery_per_record_with_no_resends(tmp_path):
     records = 10_000
 
     def party() -> Party:
-        return Party(index=0, n=4, f=1, rng=random.Random("sink"), rng_label="sink")
+        return Party(index=0, n=4, f=1, rng_label="sink")
 
     store = SnapshotStore(tmp_path)
     original = party()
