@@ -2,7 +2,8 @@
 """Pair a parent checkout against a change on benchmark workloads.
 
     python scripts/perf_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        [--workload W2 ...] [--pairs 10] [--seed0 S] [--seconds 10] [--layers]
+        [--workload W2 ...] [--pairs 10] [--seed0 S] [--seconds 10] [--layers] \\
+        [--append TRAJECTORY.jsonl]
 
 The procedure of the choosing-metrics guide (section 8), as one command: for
 each workload in turn and seeds ``S, S+1, ...``, run ``python -m perf.run
@@ -23,6 +24,12 @@ rate or ratio by more than 5 %, a count by anything at all.  Where the
 saving sits then comes from the same command as the claim.  One run per
 side: it locates a difference, it does not establish one.
 
+``--append FILE`` adds one JSON line per workload to FILE: the date, both
+checkouts' git shas (and whether the change tree had uncommitted edits),
+the seeds, and per end-to-end metric each side's quartiles and the pairs
+the change won.  The repository keeps its record in ``TRAJECTORY.jsonl``;
+rows are only ever appended.
+
 Every run made is printed, one line per pair.  Exits nonzero if any run
 reported incorrect outputs or failed ops.
 """
@@ -34,6 +41,7 @@ import json
 import statistics
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
@@ -111,6 +119,43 @@ def moved_layers(declared: list[dict], parent: dict, change: dict) -> list[tuple
     return rows
 
 
+def git_state(checkout: Path) -> tuple[Optional[str], Optional[bool]]:
+    """``(HEAD sha, tree has uncommitted edits)``; ``None``s outside git."""
+
+    def git(*command: str) -> Optional[str]:
+        done = subprocess.run(
+            ["git", *command], cwd=checkout, capture_output=True, text=True
+        )
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain")
+    return sha, None if status is None else bool(status)
+
+
+def trajectory_row(
+    workload: str, seeds: range, parent: tuple, change: tuple, readings: dict
+) -> dict:
+    """One ``--append`` line: ``parent`` / ``change`` are :func:`git_state`
+    pairs, ``readings`` maps each end-to-end metric to its :func:`compare`."""
+    return {
+        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "workload": workload,
+        "parent_sha": parent[0],
+        "change_sha": change[0],
+        "change_dirty": change[1],
+        "seeds": list(seeds),
+        "metrics": {
+            name: {
+                "parent": list(row["parent"]),
+                "change": list(row["change"]),
+                "wins": row["wins"],
+            }
+            for name, row in readings.items()
+        },
+    }
+
+
 def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter
@@ -128,6 +173,10 @@ def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
         "--layers", action="store_true",
         help="also one traced run per side: the per-layer metrics that moved",
     )  # fmt: skip
+    parser.add_argument(
+        "--append", type=Path, metavar="FILE",
+        help="append one JSON row per workload to FILE (e.g. TRAJECTORY.jsonl)",
+    )  # fmt: skip
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -137,8 +186,11 @@ def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
     return args
 
 
-def pair_workload(args: argparse.Namespace, workload: str, contract: dict) -> int:
-    """Pair ``workload`` and print its table; returns the failed runs."""
+def pair_workload(
+    args: argparse.Namespace, workload: str, contract: dict
+) -> tuple[int, dict]:
+    """Pair ``workload`` and print its table; returns the failed runs and
+    each end-to-end metric's :func:`compare` reading."""
     declared = contract["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     values: dict[str, dict[str, list[float]]] = {
@@ -173,9 +225,10 @@ def pair_workload(args: argparse.Namespace, workload: str, contract: dict) -> in
         f"{'metric':<14} {'unit':<6} {'parent q1 / median / q3':<32} "
         f"{'change q1 / median / q3':<32} {'change':>8} {'wins':>7}  > parent IQR  verdict"
     )
+    readings = {}
     for metric in declared:
         name = metric["name"]
-        row = compare(
+        row = readings[name] = compare(
             values["parent"][name], values["change"][name],
             metric["better"], metric["bound"],
         )  # fmt: skip
@@ -209,17 +262,25 @@ def pair_workload(args: argparse.Namespace, workload: str, contract: dict) -> in
         for name, unit, before, after in rows:
             relative = f"{(after - before) / abs(before):+.1%}" if before else "new"
             print(f"  {name:<32} {unit:<6} {before:>14.6g} -> {after:<14.6g} {relative}")
-    return failures
+    return failures, readings
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = parse_args(argv)
     contract = json.loads((args.parent / "BENCHMARK.json").read_text())
+    # Read before any row is appended: the file may sit in the change tree.
+    shas = git_state(args.parent), git_state(args.change)
+    seeds = range(args.seed0, args.seed0 + args.pairs)
     failures = 0
     for number, workload in enumerate(args.workloads):
         if number:
             print()
-        failures += pair_workload(args, workload, contract)
+        failed, readings = pair_workload(args, workload, contract)
+        failures += failed
+        if args.append is not None:
+            row = trajectory_row(workload, seeds, *shas, readings)
+            with args.append.open("a", encoding="utf-8") as trajectory:
+                trajectory.write(json.dumps(row, sort_keys=True) + "\n")
     if failures:
         print(f"FAILED: {failures} runs reported incorrect outputs or failed ops")
     return 1 if failures else 0

@@ -24,6 +24,7 @@ timing.
 from __future__ import annotations
 
 import dataclasses
+import random
 import statistics
 import sys
 from dataclasses import dataclass
@@ -47,11 +48,9 @@ from repro.net.adversary import (
     MutateBehavior,
     RandomLagScheduler,
     Scheduler,
-    SessionLagScheduler,
     SilentBehavior,
-    TargetedLagScheduler,
 )
-from repro.net.chaos import ChaosSpec
+from repro.net.chaos import ChaosSpec, DelayWindow
 from repro.net.delays import FixedDelay
 from repro.net.protocol import Protocol
 from repro.net.runtime import Simulation
@@ -128,6 +127,7 @@ def _simulate(
     behaviors=None,
     scheduler: Optional[Scheduler] = None,
     to_quiescence: bool = True,
+    chaos: Optional[ChaosSpec] = None,
 ) -> Simulation:
     sim = Simulation(
         TrustedSetup.generate(n, seed=seed),
@@ -135,10 +135,18 @@ def _simulate(
         behaviors=behaviors,
         scheduler=scheduler,
         delay_model=FixedDelay(1.0),
+        chaos=chaos,
     )
     sim.start(factory)
     sim.run(stop=None if to_quiescence else Simulation.all_honest_output)
     return sim
+
+
+def _lag_links(n: int, targets: set, factor: float, horizon: float) -> ChaosSpec:
+    """×``factor`` on links touching ``targets`` for sends before ``horizon``:
+    under unit delays, a hold of ``factor - 1`` on arrival before ``horizon + 1``."""
+    pairs = {(s, r) for s in range(n) for r in range(n) if s in targets or r in targets}
+    return ChaosSpec(delays=(DelayWindow(factor - 1, end=horizon + 1, pairs=pairs),))
 
 
 def _totals(sim: Simulation, **labels) -> dict:
@@ -344,10 +352,10 @@ def e3_proposal_election(ns: Sequence[int]) -> Section:
 def e4_pe_binding(
     benign_runs: int, silent_runs: int, lag_runs: int, n7_runs: int
 ) -> Section:
-    def lag(seed: int) -> Scheduler:
+    def lag(seed: int) -> dict:
         if seed % 2 == 0:
-            return RandomLagScheduler(factor=25.0, rate=0.4)
-        return TargetedLagScheduler(targets={seed % 4}, factor=15.0, horizon=60.0)
+            return {"scheduler": RandomLagScheduler(factor=25.0, rate=0.4)}
+        return {"chaos": _lag_links(4, {seed % 4}, 15.0, horizon=60.0)}
 
     settings = (
         ("benign", 4, benign_runs, (), False),
@@ -364,7 +372,7 @@ def e4_pe_binding(
                 lambda p: ProposalElection(proposal=("prop", p.index)),
                 seed=seed,
                 behaviors={i: SilentBehavior() for i in silent},
-                scheduler=lag(seed) if lagged else None,
+                **(lag(seed) if lagged else {}),
             )
             outputs = [
                 sim.parties[i].result[0] for i in sim.honest if sim.parties[i].has_result
@@ -405,14 +413,42 @@ def e4_pe_binding(
     )
 
 
-def e5_nwh(view_runs: int, ns: Sequence[int], seeds: Sequence[int]) -> Section:
-    def row(n: int, run_seeds: Sequence[int]) -> dict:
-        views, words, rounds = [], [], []
+def _path_lags(n: int, seed: int) -> ChaosSpec:
+    """1–6 drawn lags, each on one Gather broadcast of PE view 1 or 2 to
+    one recipient: the adversary sees paths and endpoints, never a VRF."""
+    rng = random.Random(f"e5-path-lags-{seed}")
+    windows = []
+    for _ in range(rng.randint(1, 6)):
+        view = rng.choice((1, 2))
+        stage = rng.choice(("vrb", "rb2", "rb3"))
+        dealer, recipient = rng.randrange(n), rng.randrange(n)
+        windows.append(
+            DelayWindow(
+                extra=rng.choice((4.0, 19.0, 99.0)),
+                path=(("pe", view), "gather", (stage, dealer)),
+                pairs={(sender, recipient) for sender in range(n)},
+            )
+        )
+    return ChaosSpec(delays=tuple(windows))
+
+
+def e5_nwh(
+    view_runs: int, ns: Sequence[int], seeds: Sequence[int], lag_runs: int
+) -> Section:
+    def row(n: int, run_seeds: Sequence[int], lagged: bool = False) -> dict:
+        views, words, rounds, agreed = [], [], [], []
         for seed in run_seeds:
-            sim = _simulate(n, lambda p: NWH(my_value=(1, p.index)), seed=seed)
+            sim = _simulate(
+                n,
+                lambda p: NWH(my_value=(1, p.index)),
+                seed=seed,
+                chaos=_path_lags(n, seed) if lagged else None,
+            )
             views.append(max(sim.parties[i].instance(()).views_entered for i in sim.honest))
             words.append(sim.metrics.words_total)
             rounds.append(sim.completion_time())
+            outputs = list(sim.honest_results().values())
+            agreed.append(len(outputs) == len(sim.honest) and len(set(outputs)) == 1)
         return {
             "n": n,
             "runs": len(views),
@@ -420,10 +456,14 @@ def e5_nwh(view_runs: int, ns: Sequence[int], seeds: Sequence[int]) -> Section:
             "max_views": max(views),
             "words_per_view": statistics.mean(w / v for w, v in zip(words, views)),
             "mean_rounds": statistics.mean(rounds),
+            "left_view_1": sum(v > 1 for v in views),
+            "agreed": all(agreed),
         }
 
     many = row(ns[0], range(view_runs))
     scale = [row(n, seeds) for n in ns]
+    lagged = row(ns[0], range(lag_runs), lagged=True)
+    rows = [many, *scale, lagged]
     fit = _fit(scale, "n", "words_per_view")
     return Section(
         "E5",
@@ -431,17 +471,22 @@ def e5_nwh(view_runs: int, ns: Sequence[int], seeds: Sequence[int]) -> Section:
         "**Paper**: number of views is geometric with success ≥ α (expected ≤ 3),\n"
         "each view costs `O(s·n³ + m·n² + p(m))` words and O(1) rounds.",
         ("n", "runs", "mean_views", "max_views", "words_per_view", "mean_rounds"),
-        [many, *scale],
+        rows,
         (
             f"Words-per-view exponent: **{fit.exponent:.2f}** (paper: ≈ 3); benign "
             "elections almost always bind in view 1.",
+            f"The last row draws 1–6 path lags per run, each holding one Gather "
+            f"broadcast of PE view 1 or 2 to one recipient for +4, +19 or +99 "
+            f"rounds (`DelayWindow(path=...)`): {lagged['left_view_1']} of "
+            f"{lag_runs} runs left view 1, up to view {lagged['max_views']}.",
         ),
         {
             "mean views ≤ 3 at every n, never more than 8": all(
-                r["mean_views"] <= 3.0 and r["max_views"] <= 8 for r in [many, *scale]
+                r["mean_views"] <= 3.0 and r["max_views"] <= 8 for r in rows
             ),
             "words-per-view exponent in 2.5–3.9": _within(fit.exponent, CUBIC),
             "rounds flat in n (max/min ≤ 1.5)": _spread([r["mean_rounds"] for r in scale]) <= 1.5,
+            "every run agrees, path-lagged ones included": all(r["agreed"] for r in rows),
         },
     )
 
@@ -541,7 +586,7 @@ def _crash_then_new_session(n: int, seed: int) -> dict:
 
     Session 0 is crippled twice over: party ``n-1`` crashes after a
     handful of sends, and the scheduler lags every session-0 message by a
-    huge (finite) factor.  A fresh session is injected; the row reports
+    huge (finite) delay.  A fresh session is injected; the row reports
     on it, and on the stalled one still completing afterwards (eventual
     delivery keeps termination intact, merely late).  E14 is the
     complement: there the crashed *party* rejoins the same session.
@@ -552,8 +597,8 @@ def _crash_then_new_session(n: int, seed: int) -> dict:
         setup,
         seed=seed,
         behaviors={n - 1: crash},
-        scheduler=SessionLagScheduler(session=0, factor=10_000.0),
         delay_model=FixedDelay(1.0),
+        chaos=ChaosSpec(delays=(DelayWindow(9_999.0, session=0),)),
     )
     sim.start(lambda p: ADKG(), session=0)
     sim.start(lambda p: ADKG(), session=1)
@@ -580,22 +625,17 @@ def e8_fault_matrix(cases: Sequence[tuple[int, int]]) -> Section:
     for n, seed in cases:
         last = n - 1
         faults = {
-            "none": (None, None),
-            "silent": ({last: SilentBehavior()}, None),
-            "crash": ({last: CrashBehavior(after_sends=30)}, None),
-            "drop-half": ({last: DropBehavior(rate=0.5)}, None),
-            "bad-shares": ({last: MutateBehavior(_bad_share_mutator)}, None),
-            "lag-target": (None, TargetedLagScheduler(targets={0}, factor=12.0)),
-            "lag-random": (None, RandomLagScheduler(factor=20.0, rate=0.3)),
+            "none": {},
+            "silent": {"behaviors": {last: SilentBehavior()}},
+            "crash": {"behaviors": {last: CrashBehavior(after_sends=30)}},
+            "drop-half": {"behaviors": {last: DropBehavior(rate=0.5)}},
+            "bad-shares": {"behaviors": {last: MutateBehavior(_bad_share_mutator)}},
+            "lag-target": {"chaos": _lag_links(n, {0}, 12.0, horizon=50.0)},
+            "lag-random": {"scheduler": RandomLagScheduler(factor=20.0, rate=0.3)},
         }
-        for fault, (behaviors, scheduler) in faults.items():
+        for fault, adversary in faults.items():
             sim = _simulate(
-                n,
-                lambda p: ADKG(),
-                seed=seed,
-                behaviors=behaviors,
-                scheduler=scheduler,
-                to_quiescence=False,
+                n, lambda p: ADKG(), seed=seed, to_quiescence=False, **adversary
             )
             outputs = list(sim.honest_results().values())
             agreed, valid = _agreed_and_valid(sim.setup, outputs)
@@ -1109,7 +1149,7 @@ def run_experiments() -> list[Section]:
         e2_gather(ns=(4, 7, 10, 13), n_fixed=7, ms=(1, 64, 512)),
         e3_proposal_election(ns=(4, 7, 10, 13)),
         e4_pe_binding(benign_runs=40, silent_runs=25, lag_runs=25, n7_runs=15),
-        e5_nwh(view_runs=20, ns=(4, 7, 10, 13), seeds=(1, 2)),
+        e5_nwh(view_runs=20, ns=(4, 7, 10, 13), seeds=(1, 2), lag_runs=200),
         e6_adkg(ns=(4, 7, 10, 13), seeds=(1, 2, 3)),
         e7_baseline(ns=(4, 7, 10, 13, 16), seed=1),
         e8_fault_matrix(cases=((4, 1), (7, 2))),

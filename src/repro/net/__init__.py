@@ -50,7 +50,6 @@ from repro.net.adversary import (
     DropBehavior,
     MutateBehavior,
     EquivocateBehavior,
-    TargetedLagScheduler,
     RandomLagScheduler,
 )
 
@@ -82,6 +81,5 @@ __all__ = [
     "DropBehavior",
     "MutateBehavior",
     "EquivocateBehavior",
-    "TargetedLagScheduler",
     "RandomLagScheduler",
 ]

@@ -9,8 +9,11 @@ Two orthogonal powers, matching the threat model of Section 2.1:
   instead (e.g. a dealer sharing an invalid PVSS transcript).
 * **Scheduling** — the adversary orders message delivery, subject to the
   asynchronous model's one obligation: every message is delivered after a
-  finite delay.  Schedulers here multiply benign delays by bounded
-  factors, so eventual delivery is preserved by construction.
+  finite delay.  A :class:`Scheduler` is the simulator's per-envelope
+  delay hook; :class:`RandomLagScheduler` stretches random messages by a
+  bounded factor.  A lag aimed at a link, a protocol path or a session
+  is a :class:`~repro.net.chaos.DelayWindow`: the chaos plane is the one
+  delay adversary that runs on both transports.
 """
 
 from __future__ import annotations
@@ -206,71 +209,6 @@ class Scheduler:
         base_delay: float,
         time: float,
     ) -> float:
-        return base_delay
-
-
-class TargetedLagScheduler(Scheduler):
-    """Slows traffic touching a target set by ``factor`` until ``horizon``.
-
-    Models an adversary that isolates specific honest parties during the
-    critical phase of an election, then must let messages through
-    (eventual delivery).
-    """
-
-    def __init__(
-        self,
-        targets: Iterable[int],
-        factor: float = 10.0,
-        horizon: float = 50.0,
-    ) -> None:
-        if not 1 <= factor < math.inf:
-            raise ValueError(f"factor must be finite and >= 1, got {factor!r}")
-        if math.isnan(horizon):
-            raise ValueError("horizon must not be NaN")
-        self.targets = frozenset(targets)
-        self.factor = factor
-        self.horizon = horizon
-
-    def schedule(
-        self,
-        rng: random.Random,
-        envelope: Envelope,
-        base_delay: float,
-        time: float,
-    ) -> float:
-        if time >= self.horizon:
-            return base_delay
-        if envelope.sender in self.targets or envelope.recipient in self.targets:
-            return base_delay * self.factor
-        return base_delay
-
-
-class SessionLagScheduler(Scheduler):
-    """Slows every message of one protocol session by ``factor``.
-
-    Models an adversary that stalls an entire root instance — e.g. the
-    current DKG epoch — while leaving other sessions on the same network
-    untouched.  Delays stay finite, so the stalled session still
-    terminates eventually (almost-sure termination is delayed, never
-    broken); the interesting question is whether *fresh* sessions
-    injected into the live network complete while the old one crawls.
-    """
-
-    def __init__(self, session: int, factor: float = 1000.0) -> None:
-        if not 1 <= factor < math.inf:
-            raise ValueError(f"factor must be finite and >= 1, got {factor!r}")
-        self.session = session
-        self.factor = factor
-
-    def schedule(
-        self,
-        rng: random.Random,
-        envelope: Envelope,
-        base_delay: float,
-        time: float,
-    ) -> float:
-        if envelope.session == self.session:
-            return base_delay * self.factor
         return base_delay
 
 

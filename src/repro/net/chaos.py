@@ -2,14 +2,14 @@
 
 The paper's model (Section 2) gives the adversary full control over
 message *delay and ordering*, subject to one obligation: every message
-between honest parties is eventually delivered.  The schedulers in
-:mod:`repro.net.adversary` express that power abstractly (multiply a
-delay); this module expresses it the way real networks misbehave —
-partitions that heal, lossy links whose transmissions are retried,
-duplicated and reordered packets, flipped bytes — while *preserving the
-eventual-delivery obligation by construction*, so any chaos schedule is
-still a legal asynchronous adversary and the protocol must reach
-agreement under it.
+between honest parties is eventually delivered.  This module is that
+adversary's one delay power on both transports: targeted lags (a
+:class:`DelayWindow` on a link, a protocol path or a session) and the
+way real networks misbehave — partitions that heal, lossy links whose
+transmissions are retried, duplicated and reordered packets, flipped
+bytes — all *preserving the eventual-delivery obligation by
+construction*, so any chaos schedule is still a legal asynchronous
+adversary and the protocol must reach agreement under it.
 
 One seam, two runtimes: the plane hooks the shared
 :meth:`~repro.net.transport.Transport._deliver_buffered` pipeline, so the
@@ -40,7 +40,9 @@ Fault taxonomy — every verdict keeps delivery eventual:
   must never impersonate an honest sender, that power belongs to the
   ``f``-bounded Byzantine budget.  Either way the clean envelope is
   retransmitted after the retry delay.
-* :class:`DelayWindow` — additive extra latency over a time window.
+* :class:`DelayWindow` — additive extra latency over a time window, on
+  envelopes filtered by link, instance-path prefix and session.  Under
+  ``FixedDelay(1)`` a lag of ×k is a hold of ``k - 1``.
 
 Determinism: all probabilistic verdicts and jitters are drawn from one
 ``random.Random(f"chaos-{seed}")`` stream, consumed in delivery order —
@@ -177,8 +179,9 @@ class LinkFault:
         if not 0 <= self.rate <= 1:
             raise ValueError("rate must be in [0, 1]")
         _check_window(self.start, self.end, "link-fault")
-        if self.jitter <= 0:
-            raise ValueError("jitter must be positive")
+        # Finite, like DelayWindow.extra: a held envelope must land.
+        if not 0 < self.jitter < math.inf:
+            raise ValueError("jitter must be positive and finite")
         if self.pairs is not None:
             object.__setattr__(self, "pairs", frozenset(self.pairs))
 
@@ -190,12 +193,19 @@ class LinkFault:
 
 @dataclasses.dataclass(frozen=True)
 class DelayWindow:
-    """Additive extra latency on affected links during ``[start, end)``."""
+    """Additive extra latency on matching envelopes during ``[start, end)``.
+
+    A filter left at ``None`` matches all: ``pairs`` ordered links,
+    ``path`` an instance-path prefix (``("nwh", ("pe", 1), "gather")`` is
+    one view's Gather), ``session`` one root session.  Never a payload.
+    """
 
     extra: float
     start: float = 0.0
     end: float = math.inf
     pairs: Optional[frozenset[tuple[int, int]]] = None
+    path: Optional[tuple] = None
+    session: Optional[int] = None
 
     def __post_init__(self) -> None:
         # Finite: every verdict eventually delivers (DESIGN §11).
@@ -204,11 +214,16 @@ class DelayWindow:
         _check_window(self.start, self.end, "delay")
         if self.pairs is not None:
             object.__setattr__(self, "pairs", frozenset(self.pairs))
+        if self.path is not None:
+            object.__setattr__(self, "path", tuple(self.path))
 
-    def applies(self, sender: int, recipient: int, now: float) -> bool:
-        if not self.start <= now < self.end:
-            return False
-        return self.pairs is None or (sender, recipient) in self.pairs
+    def applies(self, envelope: Envelope, now: float) -> bool:
+        return (
+            self.start <= now < self.end
+            and (self.pairs is None or (envelope.sender, envelope.recipient) in self.pairs)
+            and (self.path is None or envelope.path[: len(self.path)] == self.path)
+            and (self.session is None or envelope.session == self.session)
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -386,7 +401,7 @@ class ChaosPlane:
             return (HOLD, jitter)
         extra = 0.0
         for window in self.spec.delays:
-            if window.applies(sender, recipient, now):
+            if window.applies(envelope, now):
                 extra += window.extra
         if extra > 0.0:
             counts["delayed"] += 1

@@ -18,6 +18,7 @@ def run_protocol(
     setup: Optional[TrustedSetup] = None,
     max_steps: int = 5_000_000,
     to_quiescence: bool = True,
+    chaos=None,
 ):
     """Run a root-protocol simulation and return it."""
     setup = setup or TrustedSetup.generate(n, seed=seed)
@@ -27,6 +28,7 @@ def run_protocol(
         behaviors=behaviors,
         scheduler=scheduler,
         delay_model=delay_model,
+        chaos=chaos,
     )
     sim.start(factory)
     stop = None if to_quiescence else Simulation.all_honest_output

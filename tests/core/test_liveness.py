@@ -1,10 +1,11 @@
 """Liveness edge cases: laggards, withheld shares, buffered views."""
 
+from repro.analysis.experiments import _lag_links
 from repro.core.adkg import ADKG
 from repro.core.nwh import NWH, CommitMsg, Suggest
 from repro.core.certificates import KeyTuple
 from repro.core.proposal_election import PEEvalShare, ProposalElection
-from repro.net.adversary import MutateBehavior, TargetedLagScheduler
+from repro.net.adversary import MutateBehavior
 from repro.net.envelope import Envelope
 from repro.net.party import Party
 
@@ -16,7 +17,7 @@ def test_extreme_laggard_terminates_via_commit_forwarding():
     sim = run_protocol(
         4,
         lambda p: ADKG(),
-        scheduler=TargetedLagScheduler(targets={3}, factor=60.0, horizon=10_000.0),
+        chaos=_lag_links(4, {3}, 60.0, horizon=10_000.0),
         seed=31,
         to_quiescence=True,
         max_steps=10_000_000,

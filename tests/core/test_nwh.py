@@ -1,7 +1,8 @@
 """No Waitin' HotStuff: Theorem 4 (agreement, validity, quality, termination)."""
 
+from repro.analysis.experiments import _lag_links
 from repro.core.nwh import NWH
-from repro.net.adversary import RandomLagScheduler, SilentBehavior, TargetedLagScheduler
+from repro.net.adversary import RandomLagScheduler, SilentBehavior
 
 from tests.core.helpers import run_protocol
 
@@ -78,11 +79,11 @@ def test_external_validity():
 
 
 def test_adversarial_scheduling_agreement_holds():
-    for scheduler in (
-        RandomLagScheduler(factor=25, rate=0.3),
-        TargetedLagScheduler(targets={0}, factor=15, horizon=80.0),
+    for adversary in (
+        {"scheduler": RandomLagScheduler(factor=25, rate=0.3)},
+        {"chaos": _lag_links(4, {0}, 15.0, horizon=80.0)},
     ):
-        sim = run_protocol(4, _factory(), scheduler=scheduler, seed=13)
+        sim = run_protocol(4, _factory(), seed=13, **adversary)
         outputs = _outputs(sim)
         assert len(outputs) == 4
         assert len(set(outputs.values())) == 1

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro import run_adkg
+from repro.analysis.experiments import _lag_links
 from repro.crypto.keys import TrustedSetup
 
 from repro.net.adversary import (
@@ -16,10 +17,9 @@ from repro.net.adversary import (
     MutateBehavior,
     RandomLagScheduler,
     Scheduler,
-    SessionLagScheduler,
     SilentBehavior,
-    TargetedLagScheduler,
 )
+from repro.net.chaos import HOLD, ChaosPlane, ChaosSpec, DelayWindow, LinkFault
 from repro.net.delays import ExponentialDelay, FixedDelay, HeavyTailDelay, UniformDelay
 from repro.net.envelope import Envelope
 from repro.net.protocol import Protocol
@@ -159,16 +159,58 @@ def test_equivocate_behavior_targets_only():
     assert dropped == []
 
 
-def test_targeted_lag_scheduler():
-    scheduler = TargetedLagScheduler(targets={1}, factor=10.0, horizon=50.0)
-    touched = scheduler.schedule(RNG, _env(sender=1, recipient=2), 1.0, 0.0)
-    untouched = scheduler.schedule(RNG, _env(sender=2, recipient=3), 1.0, 0.0)
-    after_horizon = scheduler.schedule(RNG, _env(sender=1, recipient=2), 1.0, 60.0)
-    assert touched == 10.0
-    assert untouched == 1.0
-    assert after_horizon == 1.0
-    with pytest.raises(ValueError):
-        TargetedLagScheduler(targets={1}, factor=0.5)
+class _Multiply(Scheduler):
+    """Multiplies the delay of links touching ``targets`` sent before
+    ``horizon``: the lag a delay window expresses on both transports."""
+
+    def __init__(self, targets, factor, horizon):
+        self.targets, self.factor, self.horizon = targets, factor, horizon
+
+    def schedule(self, rng, envelope, base_delay, time):
+        touched = envelope.sender in self.targets or envelope.recipient in self.targets
+        return base_delay * self.factor if touched and time < self.horizon else base_delay
+
+
+@pytest.mark.parametrize(
+    "targets, factor, horizon",
+    [({0}, 12.0, 50.0), ({3}, 15.0, 60.0)],
+    ids=["e8-lag-target", "e4-lag-target"],
+)
+def test_a_lag_of_k_is_a_hold_of_k_minus_one_under_unit_delays(targets, factor, horizon):
+    """Under ``FixedDelay(1)`` a message sent at ``t`` arrives at ``t + 1``,
+    so a ×k lag until a send horizon ``h`` is a hold of ``k - 1`` on
+    arrival until ``h + 1``: the two runs are the same run.  E4's and E8's
+    lag rows are these windows."""
+    runs = [
+        run_adkg(n=4, seed=seed, delay_model=FixedDelay(1.0), **adversary)
+        for seed in (1, 2)
+        for adversary in (
+            {"scheduler": _Multiply(targets, factor, horizon)},
+            {"chaos": _lag_links(4, targets, factor, horizon)},
+        )
+    ]
+    for multiplied, held in zip(runs[::2], runs[1::2]):
+        assert held.agreed and held.transcript == multiplied.transcript
+        assert (held.words_total, held.messages_total, held.rounds) == (
+            multiplied.words_total,
+            multiplied.messages_total,
+            multiplied.rounds,
+        )
+    assert runs[0].rounds > run_adkg(n=4, seed=1).rounds
+
+
+def test_delay_window_filters_on_path_session_and_link():
+    window = DelayWindow(extra=3.0, path=("nwh", ("pe", 1)), session=2, pairs={(0, 1)})
+    env = Envelope(
+        path=("nwh", ("pe", 1), "gather"), sender=0, recipient=1,
+        payload=Ping(0), depth=1, session=2,
+    )  # fmt: skip
+    assert window.applies(env, 0.0)
+    assert not window.applies(dataclasses.replace(env, path=("nwh", ("pe", 2))), 0.0)
+    assert not window.applies(dataclasses.replace(env, path=("nwh",)), 0.0)
+    assert not window.applies(dataclasses.replace(env, session=0), 0.0)
+    assert not window.applies(dataclasses.replace(env, recipient=2), 0.0)
+    assert DelayWindow(extra=1.0).applies(env, 0.0)
 
 
 def test_random_lag_scheduler_bounds():
@@ -212,9 +254,11 @@ def _sim_draw(value):
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: TargetedLagScheduler({0}, factor=INF), ValueError),
-        (lambda: TargetedLagScheduler({0}, horizon=NAN), ValueError),
-        (lambda: SessionLagScheduler(0, factor=INF), ValueError),
+        (lambda: DelayWindow(extra=INF, pairs={(0, 1)}), ValueError),
+        (lambda: DelayWindow(extra=1.0, end=NAN), ValueError),
+        (lambda: DelayWindow(extra=INF, session=0), ValueError),
+        (lambda: LinkFault(kind="reorder", rate=1.0, jitter=INF), ValueError),
+        (lambda: LinkFault(kind="reorder", rate=1.0, jitter=NAN), ValueError),
         (lambda: RandomLagScheduler(factor=NAN), ValueError),
         (lambda: FixedDelay(INF), ValueError),
         (lambda: FixedDelay(NAN), ValueError),
@@ -225,9 +269,11 @@ def _sim_draw(value):
         (lambda: _sim_draw(NAN), RuntimeError),
     ],
     ids=[
-        "targeted-factor-inf",
-        "targeted-horizon-nan",
-        "session-factor-inf",
+        "window-extra-inf",
+        "window-end-nan",
+        "window-session-extra-inf",
+        "chaos-jitter-inf",
+        "chaos-jitter-nan",
         "random-factor-nan",
         "fixed-inf",
         "fixed-nan",
@@ -244,8 +290,8 @@ def test_an_asynchronous_delay_is_finite(build, error):
 
 
 def test_a_lag_horizon_may_be_infinite():
-    scheduler = TargetedLagScheduler({1}, factor=3.0, horizon=INF)
-    assert scheduler.schedule(RNG, _env(sender=1), 1.0, 1e9) == 3.0
+    plane = ChaosPlane(ChaosSpec(delays=(DelayWindow(extra=2.0, end=INF, pairs={(1, 2)}),)))
+    assert plane.decide(_env(sender=1, recipient=2), 1e9) == (HOLD, 2.0)
 
 
 # -- a corrupted party speaks only as itself ------------------------------------------

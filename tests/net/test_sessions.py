@@ -9,6 +9,7 @@ from repro import run_adkg
 from repro.core.adkg import ADKG
 from repro.crypto.keys import TrustedSetup
 from repro.net import codec
+from repro.net.chaos import ChaosSpec, DelayWindow
 from repro.net.delays import FixedDelay
 from repro.net.envelope import Envelope
 from repro.net.party import Party
@@ -52,9 +53,7 @@ def test_interleaved_adkg_sessions_match_sequential(n=4, seed=7):
     assert transcripts[1][0] == single.transcript
     # Session 0 lagged: epoch 1 completes first, yet the results come
     # back in epoch order with the same transcripts.
-    from repro.net.adversary import SessionLagScheduler
-
-    lagged = _sim(n=n, f=0, seed=seed, scheduler=SessionLagScheduler(0, 50.0))
+    lagged = _sim(n=n, f=0, seed=seed, chaos=ChaosSpec(delays=(DelayWindow(49.0, session=0),)))
     first, second = EpochDriver(lagged, epochs=2, pipeline_depth=2).run()
     assert (first.epoch, second.epoch) == (0, 1)
     assert second.completed_at < first.completed_at

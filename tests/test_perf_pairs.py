@@ -2,6 +2,7 @@
 smoke-tested in CI, where a pair of real ``perf.run`` invocations fits)."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -85,3 +86,49 @@ def test_workload_is_required_once_each(argv, message, capsys):
         perf_pairs.parse_args(argv)
     assert exit.value.code == 2
     assert message in capsys.readouterr().err
+
+
+TRAJECTORY = SCRIPT.parent.parent / "TRAJECTORY.jsonl"
+ROW_KEYS = {"date", "workload", "parent_sha", "change_sha", "change_dirty", "seeds", "metrics"}
+
+
+def _check_row(row, end_to_end):
+    assert set(row) == ROW_KEYS
+    assert isinstance(row["workload"], str) and row["seeds"]
+    assert all(isinstance(seed, int) for seed in row["seeds"])
+    assert set(row["metrics"]) == end_to_end
+    for reading in row["metrics"].values():
+        assert set(reading) == {"parent", "change", "wins"}
+        for side in ("parent", "change"):
+            q1, median, q3 = reading[side]
+            assert q1 <= median <= q3
+        assert 0 <= reading["wins"] <= len(row["seeds"])
+
+
+def _end_to_end():
+    contract = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    return {metric["name"] for metric in contract["end_to_end"]}
+
+
+def test_append_writes_one_row_per_workload(tmp_path):
+    readings = {
+        name: perf_pairs.compare([1.0, 2.0, 3.0], [1.0, 1.5, 2.0], "lower", 0.15)
+        for name in _end_to_end()
+    }
+    row = perf_pairs.trajectory_row(
+        "adkg_sim_n16", range(7, 10), ("a" * 40, False), ("b" * 40, True), readings
+    )
+    _check_row(json.loads(json.dumps(row)), _end_to_end())
+    assert (row["seeds"], row["change_dirty"]) == ([7, 8, 9], True)
+    assert row["metrics"]["op_wall_s"] == {
+        "parent": [1.5, 2.0, 2.5], "change": [1.25, 1.5, 1.75], "wins": 2,
+    }  # fmt: skip
+    assert perf_pairs.parse_args(["p", "c", "--workload", "w", "--append", "t"]).append.name == "t"
+    assert perf_pairs.git_state(tmp_path) == (None, None)
+
+
+def test_every_committed_trajectory_row_keeps_the_schema():
+    rows = [json.loads(line) for line in TRAJECTORY.read_text().splitlines()]
+    assert rows
+    for row in rows:
+        _check_row(row, _end_to_end())
