@@ -30,6 +30,11 @@ the seeds, and per end-to-end metric each side's quartiles and the pairs
 the change won.  The repository keeps its record in ``TRAJECTORY.jsonl``;
 rows are only ever appended.
 
+Each side's runs compile into their own ``PYTHONPYCACHEPREFIX``, a
+directory made empty by each invocation outside both checkouts, so both
+sides start from source: a stale in-tree ``__pycache__`` in one checkout
+would otherwise make its setup look faster than a fresh clone's.
+
 Every run made is printed, one line per pair.  Exits nonzero if any run
 reported incorrect outputs or failed ops.
 """
@@ -38,24 +43,34 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
 
 def measure(
-    checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0
+    checkout: Path,
+    pycache: Path,
+    workload: str,
+    seed: int,
+    seconds: float,
+    trace: int = 0,
 ) -> dict:
-    """One ``perf.run`` in ``checkout`` (untraced unless ``trace``); its
-    result line as a dict."""
+    """One ``perf.run`` in ``checkout`` (untraced unless ``trace``), its
+    bytecode under ``pycache``; its result line as a dict."""
     command = [
         sys.executable, "-m", "perf.run", "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
     ]  # fmt: skip
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    done = subprocess.run(
+        command, cwd=checkout, env=env, capture_output=True, text=True
+    )
     lines = done.stdout.splitlines()
     if not lines:
         raise SystemExit(f"{checkout}: perf.run printed nothing:\n{done.stderr}")
@@ -187,10 +202,11 @@ def parse_args(argv: Optional[list[str]] = None) -> argparse.Namespace:
 
 
 def pair_workload(
-    args: argparse.Namespace, workload: str, contract: dict
+    args: argparse.Namespace, workload: str, contract: dict, caches: dict[str, Path]
 ) -> tuple[int, dict]:
-    """Pair ``workload`` and print its table; returns the failed runs and
-    each end-to-end metric's :func:`compare` reading."""
+    """Pair ``workload`` and print its table, each side's bytecode under
+    its ``caches`` entry; returns the failed runs and each end-to-end
+    metric's :func:`compare` reading."""
     declared = contract["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     values: dict[str, dict[str, list[float]]] = {
@@ -205,7 +221,7 @@ def pair_workload(
     for pair, seed in enumerate(seeds):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         results = {
-            side: measure(sides[side], workload, seed, args.seconds)
+            side: measure(sides[side], caches[side], workload, seed, args.seconds)
             for side in order
         }
         cells = []
@@ -245,7 +261,9 @@ def pair_workload(
         print("(fewer than ten pairs: the verdicts are indicative, not a claim)")
     if args.layers:
         traced = {
-            side: measure(checkout, workload, seeds[0], args.seconds, trace=1)
+            side: measure(
+                checkout, caches[side], workload, seeds[0], args.seconds, trace=1
+            )
             for side, checkout in sides.items()
         }
         failures += sum(
@@ -272,15 +290,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     shas = git_state(args.parent), git_state(args.change)
     seeds = range(args.seed0, args.seed0 + args.pairs)
     failures = 0
-    for number, workload in enumerate(args.workloads):
-        if number:
-            print()
-        failed, readings = pair_workload(args, workload, contract)
-        failures += failed
-        if args.append is not None:
-            row = trajectory_row(workload, seeds, *shas, readings)
-            with args.append.open("a", encoding="utf-8") as trajectory:
-                trajectory.write(json.dumps(row, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-") as scratch:
+        caches = {side: Path(scratch, side) for side in ("parent", "change")}
+        for cache in caches.values():
+            cache.mkdir()
+        for number, workload in enumerate(args.workloads):
+            if number:
+                print()
+            failed, readings = pair_workload(args, workload, contract, caches)
+            failures += failed
+            if args.append is not None:
+                row = trajectory_row(workload, seeds, *shas, readings)
+                with args.append.open("a", encoding="utf-8") as trajectory:
+                    trajectory.write(json.dumps(row, sort_keys=True) + "\n")
     if failures:
         print(f"FAILED: {failures} runs reported incorrect outputs or failed ops")
     return 1 if failures else 0

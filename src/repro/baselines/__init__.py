@@ -14,9 +14,10 @@ shape the comparison relies on (DESIGN.md section 2):
 * agreement on which sharings to fold into the key runs through ``n``
   binary asynchronous Byzantine agreements (:mod:`repro.baselines.aba`,
   the classic BKR/ACS structure the paper's "second natural approach"
-  describes), each driven by a weak common coin
-  (:mod:`repro.baselines.common_coin`) built from threshold-VRF shares
-  over the corresponding dealer's transcript.
+  describes), each with a weak common coin
+  (:mod:`repro.baselines.common_coin`) from threshold-VRF shares over
+  the dealer's transcript.  The coin sets how many rounds an ABA takes,
+  never what it decides.
 """
 
 from repro.baselines.aba import BinaryAgreement

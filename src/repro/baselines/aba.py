@@ -1,24 +1,27 @@
 """Binary asynchronous Byzantine agreement (baseline building block).
 
-The classic Bracha/Mostéfaoui-Moumen-Raynal round structure the paper's
-"second natural approach" (Section 1.2) refers to:
+Crain's two-phase round (2020) on Mostéfaoui-Moumen-Raynal's
+BV-broadcast, the paper's "second natural approach" (Section 1.2).
+Round r:
 
-round r:
-  1. *BV-broadcast* of the current estimate — relay a bit after ``f+1``
-     supporting BVALs, accept it into ``bin_values`` after ``2f+1``;
-  2. broadcast one ``AUX`` value from ``bin_values`` and exchange common
-     coin shares;
-  3. once ``n-f`` AUX values (all inside ``bin_values``) and the coin are
-     in: a unanimous AUX value matching the coin decides; otherwise the
-     estimate becomes the unanimous value or the coin.
+1. BV-broadcast ``est ∈ {0, 1}`` (relay a value after ``f+1`` BVALs,
+   accept it into ``bin_values`` after ``2f+1``) and send one AUX from
+   ``bin_values``.  With ``n-f`` AUX inside ``bin_values``: ``est2 = v``
+   if their values are ``{v}``, else ``⊥``.
+2. The same for ``est2 ∈ {0, 1, ⊥}``.  With ``n-f`` AUX inside
+   ``bin_values`` (their values ``vals2``), send the round's coin share.
+   If ``vals2 == {v}``, ``v ≠ ⊥``, decide ``v``; else a ``v ≠ ⊥`` in
+   ``vals2`` becomes ``est``; else the coin does.
 
-A ``DECIDED`` amplification gadget (f+1 DECIDEDs adopt, echo, halt) makes
-termination explicit; deciders keep participating for one extra round so
-laggards cross the line.
-
-Safety never depends on the coin; expected round count does.  The coin
-(:class:`repro.baselines.common_coin.CoinHelper`) is *weak*: parties
-without the associated transcript fall back to a public bit.
+Agreement never reads the coin.  Two phase-1 quorums share an honest AUX
+sender, so phase 2 carries at most one ``v`` beside ``⊥``; a decider's
+``n-f`` AUX ``v`` meet every other honest quorum, so every honest
+estimate leaves the round as ``v`` and BV-broadcast admits nothing else
+again.  The *weak* coin (:class:`repro.baselines.common_coin.CoinHelper`:
+a party without the transcript flips a public bit) only sets how many
+rounds the undecided take.  A ``DECIDED`` gadget (f+1 DECIDEDs adopt,
+echo) makes the decision explicit; deciders take part in one more round
+so laggards cross the line.
 """
 
 from __future__ import annotations
@@ -30,16 +33,21 @@ from repro.baselines.common_coin import CoinHelper
 from repro.net.payload import Payload, words_of
 from repro.net.protocol import Protocol
 
+#: Phase 2's third value, ⊥: the party's phase-1 quorum was not unanimous.
+BOT = 2
+
 
 @dataclass(frozen=True)
 class BVal(Payload):
     round_no: int
+    phase: int
     bit: int
 
 
 @dataclass(frozen=True)
 class Aux(Payload):
     round_no: int
+    phase: int
     bit: int
 
 
@@ -68,7 +76,10 @@ class BinaryAgreement(Protocol):
     MAX_ROUNDS = 64
 
     #: Declared mutable state (the coin helper is reconstructed by the
-    #: parent — its transcript travels in the parent's snapshot).
+    #: parent — its transcript travels in the parent's snapshot).  BV and
+    #: AUX state is keyed by ``(round, phase)``; ``_open_step`` is the step
+    #: of the current round awaiting its condition: 1 and 2 the phases, 3
+    #: the coin, 0 none.
     STATE_FIELDS = (
         "_input",
         "round_no",
@@ -79,13 +90,10 @@ class BinaryAgreement(Protocol):
         "_bval_sent",
         "_bin_values",
         "_aux_recv",
-        "_aux_sent",
         "_coin_shares",
-        "_coin_sent",
         "_coin_value",
-        "_round_closed",
+        "_open_step",
         "_decided_recv",
-        "_decided_sent",
     )
 
     def __init__(self, coin: CoinHelper, input_bit: Optional[int] = None) -> None:
@@ -96,17 +104,14 @@ class BinaryAgreement(Protocol):
         self.estimate: Optional[int] = None
         self.decided: Optional[int] = None
         self._decided_round: Optional[int] = None
-        self._bval_recv: dict[tuple[int, int], set[int]] = {}
-        self._bval_sent: set[tuple[int, int]] = set()
-        self._bin_values: dict[int, set[int]] = {}
-        self._aux_recv: dict[int, dict[int, int]] = {}
-        self._aux_sent: set[int] = set()
+        self._bval_recv: dict[tuple[int, int, int], set[int]] = {}
+        self._bval_sent: set[tuple[int, int, int]] = set()
+        self._bin_values: dict[tuple[int, int], set[int]] = {}
+        self._aux_recv: dict[tuple[int, int], dict[int, int]] = {}
         self._coin_shares: dict[int, dict[int, Any]] = {}
-        self._coin_sent: set[int] = set()
         self._coin_value: dict[int, int] = {}
-        self._round_closed: set[int] = set()
+        self._open_step = 0
         self._decided_recv: dict[int, set[int]] = {0: set(), 1: set()}
-        self._decided_sent = False
 
     # -- input ------------------------------------------------------------------------
 
@@ -126,81 +131,68 @@ class BinaryAgreement(Protocol):
         if self._halted(round_no):
             return
         self.round_no = round_no
-        self._send_bval(round_no, self.estimate)
-        self._arm_round_close(round_no)
+        self._bv_broadcast(round_no, 1, self.estimate)
+        self._arm(round_no, 1)
 
-    def _arm_round_close(self, round_no: int) -> None:
+    def _arm(self, round_no: int, step: int) -> None:
+        self._open_step = step
         self.upon(
-            lambda r=round_no: self._round_ready(r),
-            lambda r=round_no: self._close_round(r),
-            label=f"aba-close-{round_no}",
+            lambda: self._ready(round_no, step),
+            lambda: self._close(round_no, step),
+            label=f"aba-{round_no}-{step}",
         )
 
     def rearm(self) -> None:
-        # Rounds entered but not closed at snapshot time still need their
-        # close condition; closed rounds re-entered the next round whose
-        # own condition is (transitively) re-armed here.
-        for round_no in range(1, self.round_no + 1):
-            if round_no not in self._round_closed and not self._halted(round_no):
-                self._arm_round_close(round_no)
+        if self._open_step:
+            self._arm(self.round_no, self._open_step)
 
     def _halted(self, round_no: int) -> bool:
-        if round_no > self.MAX_ROUNDS:
-            return True
-        return (
-            self._decided_round is not None and round_no > self._decided_round + 1
-        )
+        done = self._decided_round is not None and round_no > self._decided_round + 1
+        return done or round_no > self.MAX_ROUNDS
 
-    def _send_bval(self, round_no: int, bit: int) -> None:
-        key = (round_no, bit)
+    def _bv_broadcast(self, round_no: int, phase: int, value: int) -> None:
+        key = (round_no, phase, value)
         if key in self._bval_sent:
             return
         self._bval_sent.add(key)
-        self.multicast(BVal(round_no=round_no, bit=bit))
+        self.multicast(BVal(round_no=round_no, phase=phase, bit=value))
 
     # -- message handlers -------------------------------------------------------------------
 
     def on_message(self, sender: int, payload: Payload) -> None:
-        if isinstance(payload, BVal):
-            self._on_bval(sender, payload.round_no, payload.bit)
-        elif isinstance(payload, Aux):
-            self._on_aux(sender, payload.round_no, payload.bit)
+        if isinstance(payload, (BVal, Aux)):
+            round_no, phase, value = payload.round_no, payload.phase, payload.bit
+            if not self._well_formed(round_no, phase, value):
+                return
+            if isinstance(payload, BVal):
+                self._on_bval(sender, round_no, phase, value)
+            else:
+                self._aux_recv.setdefault((round_no, phase), {}).setdefault(sender, value)
         elif isinstance(payload, CoinShareMsg):
             self._on_coin_share(sender, payload.round_no, payload.share)
         elif isinstance(payload, Decided):
             self._on_decided(sender, payload.bit)
 
-    def _on_bval(self, sender: int, round_no: int, bit: int) -> None:
-        if bit not in (0, 1) or not isinstance(round_no, int) or round_no < 1:
-            return
-        if round_no > self.MAX_ROUNDS:
-            return
-        box = self._bval_recv.setdefault((round_no, bit), set())
+    def _well_formed(self, round_no: Any, phase: Any, value: Any) -> bool:
+        values = (0, 1) if phase == 1 else (0, 1, BOT) if phase == 2 else ()
+        return (
+            isinstance(round_no, int)
+            and 1 <= round_no <= self.MAX_ROUNDS
+            and value in values
+        )
+
+    def _on_bval(self, sender: int, round_no: int, phase: int, value: int) -> None:
+        box = self._bval_recv.setdefault((round_no, phase, value), set())
         if sender in box:
             return
         box.add(sender)
         if len(box) >= self.f + 1:
-            self._send_bval(round_no, bit)
-        if len(box) >= 2 * self.f + 1:
-            accepted = self._bin_values.setdefault(round_no, set())
-            if bit not in accepted:
-                accepted.add(bit)
-                self._on_bin_value(round_no, bit)
-
-    def _on_bin_value(self, round_no: int, bit: int) -> None:
-        if round_no not in self._aux_sent:
-            self._aux_sent.add(round_no)
-            self.multicast(Aux(round_no=round_no, bit=bit))
-        if round_no not in self._coin_sent:
-            self._coin_sent.add(round_no)
-            self.multicast(
-                CoinShareMsg(round_no=round_no, share=self.coin.make_share(round_no))
-            )
-
-    def _on_aux(self, sender: int, round_no: int, bit: int) -> None:
-        if bit not in (0, 1) or not isinstance(round_no, int) or round_no < 1:
-            return
-        self._aux_recv.setdefault(round_no, {}).setdefault(sender, bit)
+            self._bv_broadcast(round_no, phase, value)
+        if len(box) == 2 * self.f + 1:
+            accepted = self._bin_values.setdefault((round_no, phase), set())
+            accepted.add(value)
+            if len(accepted) == 1:  # AUX carries the first accepted value
+                self.multicast(Aux(round_no=round_no, phase=phase, bit=value))
 
     def _on_coin_share(self, sender: int, round_no: int, share: Any) -> None:
         if not isinstance(round_no, int) or round_no < 1:
@@ -225,43 +217,48 @@ class BinaryAgreement(Protocol):
         elif len(box) >= self.quorum:
             self._coin_value[round_no] = self.coin.fallback_bit(round_no)
 
-    # -- round closing --------------------------------------------------------------------------
+    # -- closing a step ---------------------------------------------------------------------------
 
-    def _round_ready(self, round_no: int) -> bool:
-        if round_no in self._round_closed:
-            return False
-        if round_no not in self._coin_value:
-            self._maybe_fix_coin(round_no)
-            if round_no not in self._coin_value:
-                return False
-        accepted = self._bin_values.get(round_no, set())
-        if not accepted:
-            return False
-        supported = [
-            bit
-            for bit in self._aux_recv.get(round_no, {}).values()
-            if bit in accepted
+    def _aux_values(self, round_no: int, phase: int) -> Optional[set[int]]:
+        """The values of the AUX messages inside ``bin_values``, once
+        ``n-f`` senders are among them; ``None`` before."""
+        accepted = self._bin_values.get((round_no, phase), ())
+        values = [
+            value
+            for value in self._aux_recv.get((round_no, phase), {}).values()
+            if value in accepted
         ]
-        return len(supported) >= self.quorum
+        return set(values) if len(values) >= self.quorum else None
 
-    def _close_round(self, round_no: int) -> None:
-        if round_no in self._round_closed:
+    def _ready(self, round_no: int, step: int) -> bool:
+        if step == 3:
+            self._maybe_fix_coin(round_no)
+            return round_no in self._coin_value
+        return self._aux_values(round_no, step) is not None
+
+    def _close(self, round_no: int, step: int) -> None:
+        if step == 3:
+            self._next_round(round_no, self._coin_value[round_no])
             return
-        self._round_closed.add(round_no)
-        accepted = self._bin_values[round_no]
-        values = {
-            bit
-            for bit in self._aux_recv[round_no].values()
-            if bit in accepted
-        }
-        coin = self._coin_value[round_no]
+        values = self._aux_values(round_no, step)
+        if step == 1:
+            self._bv_broadcast(round_no, 2, values.pop() if len(values) == 1 else BOT)
+            self._arm(round_no, 2)
+            return
+        self.multicast(
+            CoinShareMsg(round_no=round_no, share=self.coin.make_share(round_no))
+        )
+        bits = sorted(values - {BOT})  # at most one: see the module docstring
+        if not bits:
+            self._arm(round_no, 3)
+            return
         if len(values) == 1:
-            (bit,) = values
-            self.estimate = bit
-            if bit == coin:
-                self._decide(bit, round_no)
-        else:
-            self.estimate = coin
+            self._decide(bits[0], round_no)
+        self._next_round(round_no, bits[0])
+
+    def _next_round(self, round_no: int, estimate: int) -> None:
+        self._open_step = 0
+        self.estimate = estimate
         self._enter_round(round_no + 1)
 
     # -- decision ----------------------------------------------------------------------------------
@@ -271,9 +268,7 @@ class BinaryAgreement(Protocol):
             return
         self.decided = bit
         self._decided_round = round_no
-        if not self._decided_sent:
-            self._decided_sent = True
-            self.multicast(Decided(bit=bit))
+        self.multicast(Decided(bit=bit))
         self.output(bit)
 
     def _on_decided(self, sender: int, bit: int) -> None:

@@ -1,15 +1,14 @@
 """A weak common coin from threshold-VRF shares (baseline building block).
 
-Each ABA instance needs per-round shared randomness.  The baseline derives
-it from the threshold VRF over a PVSS transcript associated with the ABA
-instance (the dealer's own broadcast sharing): parties exchange evaluation
-shares of ``φ(transcript, ⟨round⟩)`` and combine ``f+1`` of them.
+Each ABA round draws one bit from the threshold VRF over a PVSS
+transcript associated with the ABA instance (the dealer's own broadcast
+sharing): parties exchange evaluation shares of ``φ(transcript, ⟨round⟩)``
+and combine ``f+1`` of them.
 
-The coin is *weak* in exactly the sense the literature means: a party that
-never received the transcript cannot verify or combine shares and falls
-back to a public hash coin, so with some probability parties disagree on
-the flip.  ABA safety never depends on coin agreement — only its expected
-round count does (Ben-Or / MMR structure).
+The coin is *weak*: a party that never received the transcript cannot
+verify or combine shares and falls back to a public hash bit, so parties
+may disagree on a flip.  The ABA (:mod:`repro.baselines.aba`) decides
+without reading the coin, so a split flip costs rounds, never agreement.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ ingredients the paper identifies as the pre-aggregation state of the art:
    paper's first barrier argues.
 2. **Binary agreement per dealer** (the "second natural approach"): an
    ACS/BKR lattice of ``n`` binary ABAs decides which dealers' sharings
-   make it into the key.  Each ABA burns coin exchanges and its expected
-   round count; the *maximum* over n instances grows with n, versus NWH's
-   constant.
+   make it into the key, and the run waits for the slowest of them.  An
+   ABA never reads its weak coin to decide; a split flip only costs it
+   rounds, each a coin exchange.
 
 The final key folds the sharings of every dealer whose ABA decided 1
 (agreement on the set follows from RBC + ABA agreement), so the baseline

@@ -401,6 +401,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     section = e7_baseline(list(range(args.min_n, args.max_n + 1, 3)), seed=args.seed)
     print(render_table(section.rows, columns=section.columns))
+    for finding in section.findings:
+        print(f"\n{finding}")
     return 0
 
 

@@ -115,6 +115,19 @@ def test_baseline_comparison_rows():
     assert row["word_ratio"] == pytest.approx(row["baseline_words"] / row["ours_words"])
 
 
+def test_the_crossover_is_read_off_the_rows():
+    def rows(*ratios):
+        return [{"n": n, "word_ratio": r} for n, r in zip((4, 7, 10, 13), ratios)]
+
+    assert exp._crossover(rows(0.5, 0.7, 0.9, 0.99)) == "no crossover up to n = 13"
+    assert exp._crossover(rows(0.5, 0.9, 1.02, 1.1)) == "the baseline costs more from n = 10"
+    # A ratio that dips back under 1 restarts the count.
+    assert exp._crossover(rows(0.5, 1.1, 0.9, 1.2)) == "the baseline costs more from n = 13"
+    # CI's grid stops short of any crossover, and the finding says so.
+    findings = quick_sections()["E7"].findings
+    assert "In absolute words, no crossover up to n = 10." in findings
+
+
 def test_fault_matrix_covers_all_cases():
     sections = quick_sections()
     rows = sections["E8"].rows

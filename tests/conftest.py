@@ -1,4 +1,5 @@
-"""Suite-wide fixture: the freeze oracle; and a leak fails its test.
+"""Suite-wide fixture: the freeze oracle; a leak fails its test; the
+``ci`` Hypothesis profile.
 
 ``Party.freeze`` reuses the encoded record of every leaf instance the
 party delivered nothing to since the previous freeze, and of every RNG
@@ -20,12 +21,17 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from repro.net import codec
 from repro.net.party import Party
 
 _freeze = Party.freeze
 _checked = 0
+
+# ``--hypothesis-profile=ci``: CI's long run of the drawn properties that
+# leave their example count to the profile (tests/baselines).
+settings.register_profile("ci", max_examples=2_000)
 
 
 def drop_freeze_records(party: Party) -> None:

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from repro.broadcast.bracha import BrachaEcho, BrachaReady, BrachaVal
 from repro.broadcast.ct_rbc import CTEcho, CTReady, CTVal
-from repro.baselines.aba import Aux, BVal, CoinShareMsg, Decided
+from repro.baselines.aba import BOT, Aux, BVal, CoinShareMsg, Decided
 from repro.core.adkg import ADKGShare
 from repro.core import certificates as certs
 from repro.core.certificates import KeyTuple, SignedVote
@@ -243,8 +243,8 @@ def _sample_values(setup, transcript):
         reshare.ReshareBundle: reshare_bundle,
         reshare.ReshareTranscript: reshare.finalize(directory, reshare_bundle),
         ReshareDealingMsg: ReshareDealingMsg(dealing=reshare_dealings[0]),
-        BVal: BVal(round_no=1, bit=0),
-        Aux: Aux(round_no=1, bit=1),
+        BVal: BVal(round_no=1, phase=1, bit=0),
+        Aux: Aux(round_no=1, phase=2, bit=BOT),
         CoinShareMsg: CoinShareMsg(round_no=1, share=eval_share),
         Decided: Decided(bit=1),
     }

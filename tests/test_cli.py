@@ -39,6 +39,7 @@ def test_compare_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "word_ratio" in out
+    assert "no crossover up to n = 7" in out
 
 
 def test_run_tcp_transport(capsys):

@@ -132,3 +132,47 @@ def test_every_committed_trajectory_row_keeps_the_schema():
     assert rows
     for row in rows:
         _check_row(row, _end_to_end())
+
+
+def test_each_side_compiles_into_its_own_empty_cache_outside_both_trees(
+    tmp_path, monkeypatch
+):
+    """A stale in-tree ``__pycache__`` on one side only would show up as a
+    setup gain: each side's runs get their own ``PYTHONPYCACHEPREFIX``."""
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for tree in trees.values():
+        (tree / "__pycache__").mkdir(parents=True)
+    contract = (SCRIPT.parent.parent / "BENCHMARK.json").read_text()
+    (trees["parent"] / "BENCHMARK.json").write_text(contract)
+    declared = json.loads(contract)
+    result = {
+        "metrics": {
+            metric["name"]: {"value": 1.0}
+            for metric in declared["end_to_end"] + declared["per_layer"]
+        },
+        "correct": True,
+        "failed": 0,
+        "attempted": 1,
+    }
+    prefixes = {}
+
+    def run(command, cwd, **kwargs):
+        if command[0] == "git":
+            return perf_pairs.subprocess.CompletedProcess(command, 128, "", "")
+        prefix = pathlib.Path(kwargs["env"]["PYTHONPYCACHEPREFIX"])
+        if cwd not in prefixes:  # the side's first run finds it empty
+            assert prefix.is_dir() and not any(prefix.iterdir())
+        prefixes.setdefault(cwd, set()).add(prefix)
+        return perf_pairs.subprocess.CompletedProcess(
+            command, 0, json.dumps(result), ""
+        )
+
+    monkeypatch.setattr(perf_pairs.subprocess, "run", run)
+    argv = [str(trees["parent"]), str(trees["change"]), "--workload", "w"]
+    assert perf_pairs.main([*argv, "--pairs", "2", "--layers"]) == 0
+    assert set(prefixes) == set(trees.values())
+    (parent_cache,) = prefixes[trees["parent"]]
+    (change_cache,) = prefixes[trees["change"]]
+    assert parent_cache != change_cache
+    for cache in (parent_cache, change_cache):
+        assert not any(cache.is_relative_to(tree) for tree in trees.values())
