@@ -45,18 +45,10 @@ def _factory_with_transcript(setup, transcript, inputs, holders=None):
     return make
 
 
-def _run(n, inputs, seed=1, behaviors=None, scheduler=None, holders=None, **options):
+def _run(n, inputs, seed=1, holders=None, **options):
     setup, transcript = _committee(n, seed)
     factory = _factory_with_transcript(setup, transcript, inputs, holders)
-    return run_protocol(
-        n,
-        factory,
-        seed=seed,
-        setup=setup,
-        behaviors=behaviors,
-        scheduler=scheduler,
-        **options,
-    )
+    return run_protocol(n, factory, seed=seed, setup=setup, **options)
 
 
 def _outputs(sim):
