@@ -37,6 +37,7 @@ def run_on(kind: str) -> None:
     started = time.perf_counter()
     results = transport.run_sync(root_factory, timeout=120)
     elapsed = time.perf_counter() - started
+    wire = transport.metrics.wire_bytes_total  # frames only TCP builds
 
     transcripts = list(results.values())
     assert all(t == transcripts[0] for t in transcripts), "agreement violated!"
@@ -45,8 +46,8 @@ def run_on(kind: str) -> None:
         f"[{kind}] {N} parties agreed in {elapsed:5.2f}s wall clock | "
         f"contributors {sorted(transcripts[0].contributors)} | "
         f"{transport.metrics.words_total:,} words / "
-        f"{transport.metrics.bytes_total:,} protocol bytes / "
-        f"{transport.metrics.wire_bytes_total:,} wire bytes"
+        f"{transport.metrics.bytes_total:,} protocol bytes"
+        + (f" / {wire:,} wire bytes" if wire else "")
     )
 
 

@@ -277,10 +277,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.bytes_total:
         print(f"protocol bytes: {result.bytes_total:,}")
     if summary["frames_total"]:
+        # TCP's frames cross a socket; the simulator's are its heap entries.
+        label, unit = (
+            ("wire frames:", "frame")
+            if result.transport == "tcp"
+            else ("heap entries:", "entry")
+        )
         print(
-            f"wire frames:   {summary['frames_total']:,} "
+            f"{label:<15}{summary['frames_total']:,} "
             f"(saved {summary['frames_saved']:,}, "
-            f"{summary['batch_occupancy_mean']:.1f} envelopes/frame, "
+            f"{summary['batch_occupancy_mean']:.1f} envelopes/{unit}, "
             f"max {summary['batch_occupancy_max']})"
         )
     if summary["wire_bytes_total"]:

@@ -1044,6 +1044,9 @@ def decode_envelope(data: bytes) -> Any:
     return _validate_envelope(decode(data))
 
 
+# No runtime calls ``encoded_size`` or ``encoded_batch_size``: both stay
+# defined while the benchmark's ``net.codec.size`` span binds them
+# (``perf/trace.py``), and go with ROADMAP item 4(b).
 def encoded_size(value: Any) -> int:
     """Bytes ``value`` occupies on the wire (without transport framing)."""
     return len(encode(value))
@@ -1121,13 +1124,10 @@ def encode_batch(envelopes: Any) -> bytes:
 def encoded_batch_size(envelopes: list, body_sizes: list[int]) -> int:
     """``len(encode_batch(envelopes))`` without building the frame.
 
-    ``body_sizes[i]`` is ``len(encode_envelope(envelopes[i]))``, the size
-    the transport already metered the send with.  A bare envelope is
-    ``3 + path + ints + payload`` bytes and its batch header ``2 + path +
-    ints``, so ``header = body - payload - 1``: the one composition of
-    sizes outside :func:`encode_batch`, kept because building the frames
-    costs several times more, nearly all of it in re-encoding headers
-    (DESIGN §8).
+    ``body_sizes[i]`` is ``len(encode_envelope(envelopes[i]))``.  A bare
+    envelope is ``3 + path + ints + payload`` bytes and its batch header
+    ``2 + path + ints``, so ``header = body - payload - 1``.  No runtime
+    calls it (see :func:`encoded_size`).
     """
     _ensure_registered()
     if not envelopes:

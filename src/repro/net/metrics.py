@@ -21,10 +21,10 @@ The batched message plane adds *frame* accounting on top: every send is
 still metered individually (``bytes_total`` is the protocol byte metric,
 ``FRAME_HEADER_BYTES + len(encode_envelope(e))`` summed over sends,
 whatever frames carried them), while :meth:`Metrics.record_frame` counts
-the coalesced frames actually produced, their occupancy, and the bytes
-they occupy on the wire (``wire_bytes_total``); ``frames_saved`` /
-``wire_bytes_saved`` are the amortization the plane delivers.  See
-DESIGN.md section 8.
+the frames actually produced (TCP's socket frames, the simulator's heap
+entries), their occupancy, and on TCP alone the bytes they occupy on the
+wire (``wire_bytes_total``); ``frames_saved`` / ``wire_bytes_saved`` are
+the amortization the plane delivers.  See DESIGN.md section 8.
 """
 
 from __future__ import annotations
@@ -89,13 +89,13 @@ class Metrics:
     messages_by_type: Counter = field(default_factory=Counter)
     max_depth: int = 0
     deliveries: int = 0
-    #: Coalesced wire frames the batched message plane actually produced
-    #: (one per message at a coalescing cap of one).
+    #: Frames the batched message plane actually produced: TCP frames or
+    #: simulator heap entries (one per message at a coalescing cap of one).
     frames_total: int = 0
     #: Largest number of envelopes observed in one frame.
     batch_occupancy_max: int = 0
-    #: Actual bytes the coalesced frames occupy on the wire (transport
-    #: framing included), where measurable.  ``bytes_total`` stays the
+    #: Actual bytes TCP's frames occupy on the wire (transport framing
+    #: included); 0 on the simulator.  ``bytes_total`` stays the
     #: *protocol* byte metric — per-envelope sizes, whatever the frames —
     #: so the difference is exactly what coalescing saved.
     wire_bytes_total: int = 0
@@ -132,11 +132,11 @@ class Metrics:
             self.max_depth = envelope.depth
 
     def record_frame(self, envelopes: int, nbytes: int | None = None) -> None:
-        """Record one coalesced wire frame of ``envelopes`` envelopes.
+        """Record one frame of ``envelopes`` envelopes.
 
         ``nbytes`` is the frame's actual on-wire size (transport framing
-        included) where the transport can measure or compose it; ``None``
-        when wire bytes are not being metered.
+        included) where a socket carries it; ``None`` for a simulator
+        heap entry.
         """
         self.frames_total += 1
         if envelopes > self.batch_occupancy_max:

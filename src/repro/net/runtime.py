@@ -28,6 +28,9 @@ same delivery time are either in the same entry (same slice of a
 flush) or in entries pushed in creation order (different slices).  At
 ``batch_cap_envelopes = 1`` every send is its own entry — the
 per-envelope reference schedule the equivalence tests compare against.
+A heap entry is the simulator's frame (``Metrics.record_frame``): it is
+counted, never priced, since it spans links no one socket carries; wire
+bytes are the TCP runtime's alone.
 
 Determinism: all randomness flows from one master seed; ties in the queue
 break by insertion sequence.  The asynchronous model's eventual-delivery
@@ -244,8 +247,10 @@ class Simulation(Transport):
         """Schedule one batch, sharing heap entries per delivery instant.
 
         Delays were drawn per-envelope at buffer time
-        (:meth:`_buffered_delays`); only the heap representation is
-        coalesced here.
+        (:meth:`_buffered_delays`, ``None`` for the fixed delay); only
+        the heap representation is coalesced here.  The metered sizes
+        are not used: no socket carries a heap entry, so its bytes are
+        not counted as wire bytes.
         """
         time = self.time
         fixed = (
@@ -253,30 +258,22 @@ class Simulation(Transport):
             if type(self.delay_model) is FixedDelay
             else None
         )
-        buckets: dict[float, tuple[list[Envelope], list]] = {}
+        buckets: dict[float, list[Envelope]] = {}
         if fixed is not None and delays.count(None) == len(delays):
             # Every delay is the fixed constant: one delivery instant,
             # one bucket, no per-envelope probe.
-            buckets[time + fixed] = (envelopes, sizes)
+            buckets[time + fixed] = envelopes
         else:
-            for envelope, nbytes, delay in zip(envelopes, sizes, delays):
-                if delay is None:
-                    delay = fixed
-                    if delay is None:
-                        # The model/scheduler changed between buffer and
-                        # flush (tests swapping mid-run): draw now.
-                        delay = self._draw_delay(envelope)
-                when = time + delay
+            for envelope, delay in zip(envelopes, delays):
+                when = time + (fixed if delay is None else delay)
                 bucket = buckets.get(when)
                 if bucket is None:
-                    buckets[when] = bucket = ([], [])
-                bucket[0].append(envelope)
-                bucket[1].append(nbytes)
+                    buckets[when] = bucket = []
+                bucket.append(envelope)
         record_frame = self.metrics.record_frame
-        for when, (entry, entry_sizes) in buckets.items():
+        for when, entry in buckets.items():
             heapq.heappush(self._queue, (when, next(self._seq), entry))
-            # What this bucket would cost as one coalesced wire frame.
-            record_frame(len(entry), self._frame_nbytes(entry, entry_sizes))
+            record_frame(len(entry))
 
     # -- chaos hooks -------------------------------------------------------------------
 

@@ -28,7 +28,12 @@ Byte metering is always on: ``metrics.bytes_total`` is the *protocol*
 byte metric — the sum of per-envelope sizes (length prefix + bare
 envelope encoding), whatever the frames — while
 ``metrics.wire_bytes_total`` counts the bytes of the frames queued for
-the sockets, so their difference is what coalescing saved.
+the sockets, so their difference is what coalescing saved.  This is the
+one runtime that builds frames (:meth:`TCPRuntime._batch_frame`), so the
+one that counts wire bytes.  A send is metered when it is buffered, as
+offered load; one with no connection to travel on (the runtime is not
+open) is dropped where its frame would be built and counted in
+``dropped_sends``, as a frame shed by backpressure is.
 
 Backpressure: each ordered pair's send queue is a *bounded*
 ``asyncio.Queue`` (``send_queue_cap`` frames).  ``drain()`` applies
@@ -144,6 +149,8 @@ class TCPRuntime(Transport):
     #: per-link factor in [0.5, 1.5).
     reconnect_base = 0.05
     reconnect_cap = 2.0
+    #: A frame is split so its body stays under this many bytes.
+    batch_cap_bytes = 1 << 20
 
     def __init__(
         self,
@@ -480,10 +487,6 @@ class TCPRuntime(Transport):
 
     # -- sending -----------------------------------------------------------------------
 
-    def _transmittable(self, envelopes: list[Envelope]) -> list[Envelope]:
-        links = self._links
-        return [e for e in envelopes if (e.sender, e.recipient) in links]
-
     def _transmit_coalesced(
         self, envelopes: list[Envelope], sizes: list, delays: list
     ) -> None:
@@ -504,7 +507,7 @@ class TCPRuntime(Transport):
         for pair, items in groups.items():
             link = self._links.get(pair)
             if link is None:
-                # Connection torn down between metering and flush.
+                # Not open (or already closed): metered, never framed.
                 self.dropped_sends += len(items)
                 continue
             current: list[Envelope] = []
@@ -519,6 +522,16 @@ class TCPRuntime(Transport):
                 current_bytes += body
             if current:
                 self._put_frame(link, current)
+
+    def _batch_frame(self, envelopes: list[Envelope]) -> bytes:
+        """One wire frame: length prefix + batch frame body."""
+        body = codec.encode_batch(envelopes)
+        if len(body) > MAX_FRAME_BYTES:
+            raise codec.CodecError(
+                f"batch frame of {len(body)} bytes exceeds the "
+                f"{MAX_FRAME_BYTES}-byte wire bound"
+            )
+        return len(body).to_bytes(FRAME_HEADER_BYTES, "big") + body
 
     def _put_frame(self, link: _Link, envelopes: list[Envelope]) -> None:
         frame = self._batch_frame(envelopes)

@@ -10,7 +10,8 @@ one pipeline every runtime shares:
   bytes when ``measure_bytes`` is on) and appended to the coalescing
   buffer, except that a sender with a Byzantine
   :class:`~repro.net.adversary.Behavior` is transformed and metered per
-  envelope, and may speak only as itself;
+  envelope, and may speak only as itself, to its peers (anything else is
+  dropped unmetered);
 * **delivery** (:meth:`Transport._deliver_buffered`) — the recipient's
   behavior may swallow the message, otherwise the delivery is recorded
   and routed into the party's protocol stack; the outbox is drained into
@@ -28,18 +29,21 @@ one pipeline every runtime shares:
   per-envelope reference the equivalence tests compare against.
   *Protocol* word/byte accounting does not depend on the frames: every
   send is metered at buffer time with ``FRAME_HEADER_BYTES +
-  len(encode_envelope(e))``; what coalescing changes is tracked
-  separately as frame counts, occupancy and actual wire bytes
-  (``Metrics.record_frame``).
+  len(encode_envelope(e))``.  A send is metered as offered load; one a
+  runtime cannot carry is counted in ``dropped_sends`` where its frame
+  would be built.
 
 Two subclasses provide only *when and how* a transmitted batch comes
 back to :meth:`_deliver_buffered`, through their one send hook
-:meth:`Transport._transmit_coalesced`:
+:meth:`Transport._transmit_coalesced`, and count what they put in
+flight with ``Metrics.record_frame``:
 
 * :class:`~repro.net.runtime.Simulation` — a priority queue of simulated
-  delivery times (discrete-event, deterministic);
+  delivery times (discrete-event, deterministic); its frames are heap
+  entries, counted and never priced;
 * :class:`~repro.net.tcp_runtime.TCPRuntime` — codec-encoded frames over
-  real TCP stream connections, on a live asyncio event loop.
+  real TCP stream connections, on a live asyncio event loop; the one
+  runtime that builds frames, and so the one that counts wire bytes.
 
 Both also answer one **driving surface** (DESIGN §7) — ``open`` /
 ``close``, ``start``, ``now``, ``completion_time`` and the awaitables
@@ -107,10 +111,8 @@ class Transport:
     frames_on_wire = False
 
     #: Coalescing-buffer flush policy: the buffer is transmitted in
-    #: slices of at most this many envelopes; a wire frame is
-    #: additionally split so its body stays under ``batch_cap_bytes``.
+    #: slices of at most this many envelopes.
     batch_cap_envelopes = 256
-    batch_cap_bytes = 1 << 20
 
     def __init__(
         self,
@@ -409,12 +411,12 @@ class Transport:
         Nothing is transmitted here — the buffer is handed to the
         subclass at the next :meth:`_flush_coalesced`.  One record is one
         step: a multicast becomes its n − 1 network envelopes in one
-        comprehension, passes :meth:`_transmittable`, draws its delays
-        (:meth:`_buffered_delays`) and is metered with one
-        ``record_send(head, nbytes, count=k)`` per recipient varint width
-        (:meth:`_meter_record`); its self copy is then delivered inline
-        (local computation: free, never transformed) and whatever that
-        queued joins the records still to flush.  A sender with a
+        comprehension, draws its delays (:meth:`_buffered_delays`) and
+        is metered with one ``record_send(head, nbytes, count=k)`` per
+        recipient varint width (:meth:`_meter_record`); its self copy is
+        then delivered inline (local computation: free, never
+        transformed) and whatever that queued joins the records still to
+        flush.  A sender with a
         :class:`Behavior` passes each network envelope through its
         transform and is metered per transformed envelope
         (:meth:`_buffer_transformed`).
@@ -458,22 +460,19 @@ class Transport:
         :class:`~repro.net.codec.CodecError` propagates, every earlier
         record already metered and buffered.
         """
-        sendable = self._transmittable(envelopes)
-        if len(sendable) < len(envelopes):
-            self.dropped_sends += len(envelopes) - len(sendable)
-        delays = self._buffered_delays(sendable)
-        start, total = 0, len(sendable)
+        delays = self._buffered_delays(envelopes)
+        start, total = 0, len(envelopes)
         while start < total:
-            head = sendable[start]
+            head = envelopes[start]
             limit = _wider_recipients(head.recipient)
             end = (
                 total
-                if sendable[-1].recipient < limit
-                else bisect.bisect_left(sendable, limit, start, key=_RECIPIENT)
+                if envelopes[-1].recipient < limit
+                else bisect.bisect_left(envelopes, limit, start, key=_RECIPIENT)
             )
             nbytes = self._envelope_nbytes(head)
             self._meter_run(head, nbytes, end - start)
-            self._outgoing += sendable[start:end]
+            self._outgoing += envelopes[start:end]
             self._outgoing_sizes += [nbytes] * (end - start)
             self._outgoing_delays += (
                 [None] * (end - start) if delays is None else delays[start:end]
@@ -495,13 +494,14 @@ class Transport:
 
     def _buffer_transformed(self, envelope: Envelope, sender: int) -> None:
         """Meter and buffer one envelope ``sender``'s :class:`Behavior`
-        emitted.  A corrupted party speaks only as itself: an envelope
-        naming another sender is dropped unmetered and counted
-        (``adversary.forged_sender``)."""
+        emitted.  A corrupted party speaks only as itself, to its peers:
+        an envelope naming another sender is dropped unmetered and
+        counted (``adversary.forged_sender``), one addressed to anyone
+        but a peer is dropped unmetered and counted in ``dropped_sends``."""
         if envelope.sender != sender:
             self.forged_senders += 1
             return
-        if not self._transmittable([envelope]):
+        if envelope.recipient not in self._peers[sender]:
             self.dropped_sends += 1
             return
         try:
@@ -735,13 +735,6 @@ class Transport:
 
     # -- subclass hooks ----------------------------------------------------------------
 
-    def _transmittable(self, envelopes: list[Envelope]) -> list[Envelope]:
-        """Routability filter, applied *before* metering: an envelope the
-        transport could not possibly carry — e.g. one to a party with no
-        TCP connection — is a dropped send, never metered.  Returns the
-        carriable envelopes in order."""
-        return envelopes
-
     def _transmit_coalesced(
         self, envelopes: list[Envelope], sizes: list[Optional[int]], delays: list
     ) -> None:
@@ -749,32 +742,6 @@ class Transport:
         (with each one's nbytes and buffered delay) and record its frames
         — the one send hook a runtime implements."""
         raise NotImplementedError
-
-    def _batch_frame(self, envelopes: list[Envelope]) -> bytes:
-        """One wire frame: length prefix + batch frame body."""
-        body = codec.encode_batch(envelopes)
-        if len(body) > MAX_FRAME_BYTES:
-            raise codec.CodecError(
-                f"batch frame of {len(body)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte wire bound"
-            )
-        return len(body).to_bytes(FRAME_HEADER_BYTES, "big") + body
-
-    def _frame_nbytes(
-        self, envelopes: list[Envelope], sizes: list[Optional[int]]
-    ) -> Optional[int]:
-        """This group's frame bytes, or ``None`` if any send in it was
-        unmetered — sized from the metered ``sizes``, not built (the
-        simulator never encodes its frames)."""
-        if None in sizes:
-            return None
-        try:
-            return FRAME_HEADER_BYTES + codec.encoded_batch_size(
-                envelopes, [size - FRAME_HEADER_BYTES for size in sizes]
-            )
-        except codec.CodecError:
-            # A forged list-holding payload changed after it was metered.
-            return None
 
 
 def make_transport(

@@ -1,14 +1,15 @@
 """Binary ABA baseline: agreement, validity, termination."""
 
+import dataclasses
 import functools
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.baselines.aba import BinaryAgreement
+from repro.baselines.aba import BOT, Aux, BVal, BinaryAgreement
 from repro.baselines.common_coin import CoinHelper
 from repro.crypto import threshold_vrf as tvrf
-from repro.net.adversary import RandomLagScheduler, SilentBehavior
+from repro.net.adversary import Behavior, RandomLagScheduler, SilentBehavior
 from repro.net.chaos import ChaosSpec, DelayWindow
 
 from tests.core.helpers import run_protocol
@@ -113,6 +114,32 @@ def _link_window(draw):
     )
 
 
+#: Party 3 corrupted or not: per phase, the bit its BVal and Aux carry to
+#: that phase's targets (every other recipient hears the truth).
+_LIES = st.none() | st.tuples(
+    st.integers(0, 1),
+    st.frozensets(st.integers(0, 2)),
+    st.sampled_from((0, 1, BOT)),
+    st.frozensets(st.integers(0, 2)),
+)
+
+
+class _Equivocate(Behavior):
+    """Runs the protocol, but tells each phase's targets another bit."""
+
+    def __init__(self, phase1, targets1, phase2, targets2):
+        self.lies = {1: (phase1, targets1), 2: (phase2, targets2)}
+
+    def transform_outgoing(self, envelope, rng):
+        payload = envelope.payload
+        if isinstance(payload, (BVal, Aux)):
+            bit, targets = self.lies[payload.phase]
+            if envelope.recipient in targets:
+                lie = dataclasses.replace(payload, bit=bit)
+                return [dataclasses.replace(envelope, payload=lie)]
+        return [envelope]
+
+
 # Examples come from the profile: 100 by default, 2 000 under CI's
 # ``--hypothesis-profile=ci`` (tests/conftest.py).
 @settings(derandomize=True, deadline=None)
@@ -121,10 +148,11 @@ def _link_window(draw):
     inputs=st.lists(st.integers(0, 1), min_size=4, max_size=4),
     holders=st.sets(st.integers(0, 3)),
     windows=st.lists(_link_window(), max_size=4),
+    lies=_LIES,
 )
 # Parties without the transcript flip the fallback coin: a decision that
 # read the coin split these two, the first on the default delays alone.
-@example(seed=60, inputs=[0, 1, 0, 1], holders={0, 1}, windows=[])
+@example(seed=60, inputs=[0, 1, 0, 1], holders={0, 1}, windows=[], lies=None)
 @example(
     seed=23,
     inputs=[1, 0, 0, 1],
@@ -134,24 +162,44 @@ def _link_window(draw):
         DelayWindow(19, 0, 6, pairs={(3, 0)}),
         DelayWindow(19, 18, 29, pairs={(1, 0)}),
     ],
+    lies=None,
+)
+# An equivocating party 3 splits phase 2's quorums: an honest party sees
+# AUX {v, ⊥} while another sees {v} or {⊥}.  Taking the coin on {v, ⊥}
+# (the first) or deciding v on it (the second) splits the decision.
+@example(
+    seed=87,
+    inputs=[1, 0, 1, 1],
+    holders={1},
+    windows=[],
+    lies=(0, frozenset({2}), 1, frozenset({0})),
+)
+@example(
+    seed=95,
+    inputs=[1, 0, 1, 1],
+    holders={1, 2, 3},
+    windows=[],
+    lies=(0, frozenset({0, 1}), BOT, frozenset({1, 2})),
 )
 def test_agreement_validity_and_termination_whatever_the_coin(
-    seed, inputs, holders, windows
+    seed, inputs, holders, windows, lies
 ):
     sim = _run(
         4,
         inputs,
         seed=seed,
         holders=holders,
+        behaviors=None if lies is None else {3: _Equivocate(*lies)},
         chaos=ChaosSpec(delays=windows),
         max_steps=MAX_STEPS,
         to_quiescence=False,
     )
     outputs = _outputs(sim)
-    assert len(outputs) == 4
+    assert sorted(outputs) == sorted(sim.honest)
     assert len(set(outputs.values())) == 1
-    if len(set(inputs)) == 1:
-        assert set(outputs.values()) == {inputs[0]}
+    honest_inputs = {inputs[i] for i in sim.honest}
+    if len(honest_inputs) == 1:
+        assert set(outputs.values()) == honest_inputs
 
 
 def test_late_input_via_provide_input():

@@ -342,3 +342,36 @@ def test_a_behaviour_cannot_send_as_another_party(kind):
     # Party 3's one multicast left as three network envelopes, each copied.
     assert runtime.metrics.counters("adversary") == {"forged_sender": 3}
     assert runtime.metrics.messages_by_type["Ping"] == 3 * 3 + 3
+
+
+class _Readdresser(Behavior):
+    """Sends each envelope to ``target`` instead (``"self"``: its sender)."""
+
+    def __init__(self, target):
+        self.target = target
+        self.readdressed = 0
+
+    def transform_outgoing(self, envelope, rng):
+        self.readdressed += 1
+        recipient = envelope.sender if self.target == "self" else self.target
+        return [dataclasses.replace(envelope, recipient=recipient)]
+
+
+@pytest.mark.parametrize("target", (99, -1, "self"))
+@pytest.mark.parametrize("kind", ("sim", "tcp"))
+def test_a_behaviour_speaks_only_to_its_peers(kind, target):
+    """An envelope a behaviour addresses outside its peers is dropped
+    unmetered and counted, on both runtimes alike; the honest parties
+    agree without the corrupted one."""
+    from repro.core.adkg import ADKG
+
+    behavior = _Readdresser(target)
+    runtime = make_transport(
+        kind, TrustedSetup.generate(4, seed=3), behaviors={3: behavior}, seed=3
+    )
+    results = runtime.run_sync(lambda party: ADKG(), timeout=30.0)
+    assert sorted(results) == [0, 1, 2]
+    assert len(set(results.values())) == 1
+    assert behavior.readdressed > 0
+    assert runtime.dropped_sends == behavior.readdressed
+    assert runtime.metrics.counters("adversary") == {}

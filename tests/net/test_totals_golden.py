@@ -37,6 +37,10 @@ run's to the digit.  Since sends leave only at the flush, never inside the
 delivery that caused them, the 3 sends of the activation that completed
 that run are still buffered when it stops: its ``frames`` (564 → 561) and
 ``wire_bytes`` (117 426 → 115 983) count the frames actually transmitted.
+Both byte-metered runs' ``wire_bytes`` (225 397 and 115 983) read 0 since
+the commit where the simulator stopped pricing its heap entries: a heap
+entry spans links no one socket carries, so only TCP counts wire bytes,
+and every other entry is unchanged.
 
 Totals alone let an arithmetic slip through as long as it still verifies,
 so ``"values"`` pins what two runs computed: the agreed transcript (its

@@ -39,6 +39,9 @@ def test_runtimes_share_one_pipeline():
         assert "_deliver_buffered" not in runtime.__dict__
         assert runtime._flush_party is Transport._flush_party
         assert runtime._deliver_buffered is Transport._deliver_buffered
+    # Frames are built where a socket carries them: TCP holds the framing.
+    assert not {"_batch_frame", "batch_cap_bytes"} & set(vars(Transport))
+    assert {"_batch_frame", "batch_cap_bytes"} <= set(vars(TCPRuntime))
 
 
 @pytest.mark.parametrize(
@@ -313,6 +316,17 @@ def test_forged_unencodable_payload_is_dropped_not_fatal():
     assert runtime.dropped_sends == 3
 
 
+def test_an_unopened_tcp_runtime_meters_its_sends_and_drops_each():
+    """A send is metered as offered load; with no connection to carry it
+    (the runtime was never opened) it is dropped where its frame would be
+    built, and counted."""
+    runtime = TCPRuntime(TrustedSetup.generate(4, seed=2), seed=2)
+    runtime.start(lambda party: EchoAll())
+    assert runtime.metrics.messages_total == 4 * 3
+    assert runtime.dropped_sends == 4 * 3
+    assert runtime.metrics.frames_total == 0
+
+
 def test_byte_metering_is_observational_on_in_process_transports():
     """measure_bytes must never change which messages arrive on sim.
 
@@ -358,10 +372,10 @@ def test_byte_metering_is_observational_on_in_process_transports():
 
 def test_oversized_frame_refused_at_sender(monkeypatch):
     """The frame bound is enforced at build time, not just at the receiver."""
-    import repro.net.transport as transport_mod
+    import repro.net.tcp_runtime as tcp_runtime_mod
     from tests.net.helpers import Blob
 
-    monkeypatch.setattr(transport_mod, "MAX_FRAME_BYTES", 64)
+    monkeypatch.setattr(tcp_runtime_mod, "MAX_FRAME_BYTES", 64)
     setup = TrustedSetup.generate(4, seed=1)
     runtime = TCPRuntime(setup, seed=1)
     small = Envelope(path=(), sender=0, recipient=1, payload=Ping(1), depth=1)

@@ -51,13 +51,20 @@ def test_run_tcp_transport(capsys):
 
 
 def test_run_reports_batching_stats(capsys):
+    """The simulator's frames are heap entries, never priced; TCP's cross
+    a socket and carry the wire bytes."""
     code = main(["run", "-n", "4", "--seed", "1"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "wire frames:" in out
-    assert "envelopes/frame" in out
-    assert "saved" in out
+    assert "heap entries:" in out and "envelopes/entry" in out
+    assert "saved" in out and "protocol bytes:" in out
+    assert "wire" not in out
+    code = main(["run", "-n", "4", "--seed", "1", "--transport", "tcp"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "wire frames:" in out and "envelopes/frame" in out
     assert "protocol bytes:" in out and "wire bytes:" in out
+    assert "heap entries:" not in out
 
 
 def test_run_no_batching_flag_is_refused(capsys):
