@@ -7,6 +7,7 @@ import pytest
 
 from repro import run_adkg
 from repro.analysis.experiments import _lag_links
+from repro.core.adkg import ADKG
 from repro.crypto.keys import TrustedSetup
 
 from repro.net.adversary import (
@@ -363,8 +364,6 @@ def test_a_behaviour_speaks_only_to_its_peers(kind, target):
     """An envelope a behaviour addresses outside its peers is dropped
     unmetered and counted, on both runtimes alike; the honest parties
     agree without the corrupted one."""
-    from repro.core.adkg import ADKG
-
     behavior = _Readdresser(target)
     runtime = make_transport(
         kind, TrustedSetup.generate(4, seed=3), behaviors={3: behavior}, seed=3
