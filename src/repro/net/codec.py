@@ -136,8 +136,6 @@ __all__ = [
     "encoded_size",
     "encoded_envelope_size",
     "encoded_batch_size",
-    "encode_heartbeat",
-    "is_heartbeat",
     "encode_stats",
 ]
 
@@ -147,15 +145,6 @@ __all__ = [
 BATCH_MAGIC = 0xB5
 #: Batch frame format version (second body byte).
 BATCH_VERSION = 0x01
-
-#: First body byte of a connection-liveness heartbeat frame (the TCP
-#: runtime's idle keepalive).  Like :data:`BATCH_MAGIC` it sits outside
-#: the codec tag space *and* differs from the batch magic, so the two
-#: wire frame formats — heartbeat, batch — are distinguishable from their
-#: first byte.
-HEARTBEAT_MAGIC = 0xE7
-#: Heartbeat frame format version (second body byte).
-HEARTBEAT_VERSION = 0x01
 
 #: Encode-once accounting: ``payload.calls`` counts every payload struct
 #: encoding request, ``payload.hits`` the ones served from the identity
@@ -1279,26 +1268,6 @@ def _plain_path_end(data: bytes, size: int, pos: int) -> int:
         else:
             return 0
     return pos if pos <= size else 0
-
-
-def encode_heartbeat() -> bytes:
-    """The two-byte body of a connection-liveness heartbeat frame.
-
-    Heartbeats are *transport chatter*, not protocol traffic: they carry
-    no envelope, are never metered as protocol words/bytes/frames, and a
-    receiver identifies them with :func:`is_heartbeat` before attempting
-    :func:`decode_batch` (whose strict parser would reject them).
-    """
-    return bytes((HEARTBEAT_MAGIC, HEARTBEAT_VERSION))
-
-
-def is_heartbeat(body: bytes) -> bool:
-    """True iff a frame body is a well-formed heartbeat."""
-    return (
-        len(body) == 2
-        and body[0] == HEARTBEAT_MAGIC
-        and body[1] == HEARTBEAT_VERSION
-    )
 
 
 # -- built-in registrations ------------------------------------------------------------

@@ -241,16 +241,13 @@ class Simulation(Transport):
             )
         return delay
 
-    def _transmit_coalesced(
-        self, envelopes: list[Envelope], sizes: list, delays: list
-    ) -> None:
+    def _transmit_coalesced(self, envelopes: list[Envelope], delays: list) -> None:
         """Schedule one batch, sharing heap entries per delivery instant.
 
         Delays were drawn per-envelope at buffer time
         (:meth:`_buffered_delays`, ``None`` for the fixed delay); only
-        the heap representation is coalesced here.  The metered sizes
-        are not used: no socket carries a heap entry, so its bytes are
-        not counted as wire bytes.
+        the heap representation is coalesced here.  No socket carries a
+        heap entry, so its bytes are not counted as wire bytes.
         """
         time = self.time
         fixed = (

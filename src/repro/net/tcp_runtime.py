@@ -13,7 +13,8 @@ Framing: a 4-byte big-endian length followed by one frame body, always
 a batch frame (:func:`repro.net.codec.encode_batch`).  It coalesces
 every envelope one flush slice queued for the same connection (a slice
 holds at most ``batch_cap_envelopes``, so a cap of one sends batches of
-one), with intra-frame payload deduplication.  Malformed frames (codec errors,
+one), with intra-frame payload deduplication, and is halved while its
+body exceeds ``batch_cap_bytes``.  Malformed frames (codec errors,
 oversized lengths) are dropped and counted in ``rejected_frames``, as is
 every decoded envelope addressed to a different party or carrying an
 out-of-range sender — the Byzantine-input posture of the codec applies
@@ -44,21 +45,19 @@ the drops model a long-lived deployment shedding load instead of
 growing without bound).
 
 Self-healing (DESIGN §11): each ordered pair is supervised by a
-:class:`_Link`.  Connection loss is detected three ways — the link's
-read side hits EOF (a dedicated watcher task), a frame write/drain
-fails, or an idle-timeout heartbeat frame
-(:func:`repro.net.codec.encode_heartbeat`) fails to go out — and is
-counted once per connection generation in ``tcp.conn_lost``.  The pump
-then reconnects with capped exponential backoff and deterministic
-per-link jitter (``tcp.reconnects``), retaining the in-flight frame
-across the outage and re-writing it on the new connection
-(``tcp.resent_frames``) — the same parked-traffic model the transport's
-``detach_party``/``reattach_party`` applies at the party level, here at
-the socket level: the bounded send queue simply survives the reconnect
-and drains onto the new socket.  Heartbeats are transport chatter, not
-protocol traffic: they are never metered as protocol words/bytes or
-wire frames, only counted (``tcp.heartbeats`` sent, ``heartbeats_seen``
-received).  A frame whose write raced a connection loss may be
+:class:`_Link`: a bounded queue, a socket and an EOF watcher.
+Connection loss is detected two ways — the link's read side hits EOF (a
+dedicated watcher task), or a frame write/drain fails — and is counted
+once per connection generation in ``tcp.conn_lost``.  The pump
+reconnects when its next frame is due, with capped exponential backoff
+and deterministic per-link jitter (``tcp.reconnects``), retaining the
+in-flight frame across the outage and re-writing it on the new
+connection (``tcp.resent_frames``) — the same parked-traffic model the
+transport's ``detach_party``/``reattach_party`` applies at the party
+level, here at the socket level: the bounded send queue simply survives
+the reconnect and drains onto the new socket.  No timer watches an idle
+link: in an asynchronous network a silent peer cannot be told from a
+slow one.  A frame whose write raced a connection loss may be
 delivered twice (at-least-once delivery); that is exactly the chaos
 plane's ``duplicate`` link fault, which the protocols tolerate.
 """
@@ -141,15 +140,13 @@ class TCPRuntime(Transport):
     host = "127.0.0.1"
     #: Frames each ordered pair's bounded send queue holds before shedding.
     send_queue_cap = 1024
-    #: Idle gap after which the pump writes a heartbeat frame — the
-    #: bound on how long a dead idle connection can stay undetected.
-    heartbeat_interval = 1.0
     #: Capped exponential backoff between reconnect attempts:
     #: ``min(cap, base * 2^attempt)``, jittered by a deterministic
     #: per-link factor in [0.5, 1.5).
     reconnect_base = 0.05
     reconnect_cap = 2.0
-    #: A frame is split so its body stays under this many bytes.
+    #: A frame of several envelopes is halved while its body exceeds
+    #: this many bytes.
     batch_cap_bytes = 1 << 20
 
     def __init__(
@@ -197,9 +194,6 @@ class TCPRuntime(Transport):
         self.conn_lost = 0
         #: Successful reconnects after a loss.
         self.reconnects = 0
-        #: Heartbeat frames written (idle links) / read back by servers.
-        self.heartbeats_sent = 0
-        self.heartbeats_seen = 0
         #: Data frames written again on a fresh connection after their
         #: first write failed mid-frame.  Resends are *wire* traffic
         #: only: the envelopes were metered as protocol sends exactly
@@ -208,10 +202,6 @@ class TCPRuntime(Transport):
         self._closing = False
         self._servers: list[asyncio.AbstractServer] = []
         self._links: dict[tuple[int, int], _Link] = {}
-        body = codec.encode_heartbeat()
-        self._heartbeat_frame = (
-            len(body).to_bytes(FRAME_HEADER_BYTES, "big") + body
-        )
         self.metrics.attach_counters("tcp", self._tcp_counters)
 
     def _tcp_counters(self) -> dict:
@@ -221,8 +211,6 @@ class TCPRuntime(Transport):
             ("rejected_frames", self.rejected_frames),
             ("conn_lost", self.conn_lost),
             ("reconnects", self.reconnects),
-            ("heartbeats", self.heartbeats_sent),
-            ("heartbeats_seen", self.heartbeats_seen),
             ("resent_frames", self.resent_frames),
         ):
             if value:
@@ -239,12 +227,8 @@ class TCPRuntime(Transport):
             self.now()  # the first reading starts the clock
 
     async def close(self) -> None:
-        # Raise the closing flag *before* the background tasks are
-        # cancelled: a pump whose queued-frame future is already resolved
-        # when the cancel lands can have the CancelledError swallowed
-        # inside ``wait_for`` (the future-done race) — the cooperative
-        # check at the top of the pump loop is what guarantees it still
-        # exits.
+        # Raised before the tasks are cancelled: a loss or a reconnect
+        # racing the shutdown is not counted and not re-dialled.
         self._closing = True
         if self._flush_handle is not None:
             self._flush_handle.cancel()
@@ -487,54 +471,38 @@ class TCPRuntime(Transport):
 
     # -- sending -----------------------------------------------------------------------
 
-    def _transmit_coalesced(
-        self, envelopes: list[Envelope], sizes: list, delays: list
-    ) -> None:
+    def _transmit_coalesced(self, envelopes: list[Envelope], delays: list) -> None:
         """Group the batch per connection and frame each group.
 
         Order per connection is the creation order (FIFO queue, in-frame
-        order preserved by the codec); groups are split so no frame
-        exceeds ``batch_cap_bytes`` of payload body.
+        order preserved by the codec).
         """
-        groups: dict[tuple[int, int], list] = {}
-        for envelope, nbytes in zip(envelopes, sizes):
+        groups: dict[tuple[int, int], list[Envelope]] = {}
+        for envelope in envelopes:
             pair = (envelope.sender, envelope.recipient)
             group = groups.get(pair)
             if group is None:
                 groups[pair] = group = []
-            group.append((envelope, nbytes))
-        byte_cap = min(self.batch_cap_bytes, MAX_FRAME_BYTES // 2)
-        for pair, items in groups.items():
+            group.append(envelope)
+        for pair, group in groups.items():
             link = self._links.get(pair)
             if link is None:
                 # Not open (or already closed): metered, never framed.
-                self.dropped_sends += len(items)
-                continue
-            current: list[Envelope] = []
-            current_bytes = 0
-            for envelope, nbytes in items:
-                body = nbytes - FRAME_HEADER_BYTES
-                if current and current_bytes + body > byte_cap:
-                    self._put_frame(link, current)
-                    current = []
-                    current_bytes = 0
-                current.append(envelope)
-                current_bytes += body
-            if current:
-                self._put_frame(link, current)
+                self.dropped_sends += len(group)
+            else:
+                self._put_frames(link, group)
 
-    def _batch_frame(self, envelopes: list[Envelope]) -> bytes:
-        """One wire frame: length prefix + batch frame body."""
+    def _put_frames(self, link: _Link, envelopes: list[Envelope]) -> None:
+        """Queue ``envelopes`` as one frame, halved while the body of
+        several exceeds ``batch_cap_bytes``: a group is encoded once
+        unless it must be split."""
         body = codec.encode_batch(envelopes)
-        if len(body) > MAX_FRAME_BYTES:
-            raise codec.CodecError(
-                f"batch frame of {len(body)} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte wire bound"
-            )
-        return len(body).to_bytes(FRAME_HEADER_BYTES, "big") + body
-
-    def _put_frame(self, link: _Link, envelopes: list[Envelope]) -> None:
-        frame = self._batch_frame(envelopes)
+        if len(body) > self.batch_cap_bytes and len(envelopes) > 1:
+            half = len(envelopes) // 2
+            self._put_frames(link, envelopes[:half])
+            self._put_frames(link, envelopes[half:])
+            return
+        frame = self._batch_frame(body)
         try:
             link.queue.put_nowait(frame)
         except asyncio.QueueFull:
@@ -546,17 +514,14 @@ class TCPRuntime(Transport):
             return
         self.metrics.record_frame(len(envelopes), len(frame))
 
-    async def _next_frame(self, link: _Link) -> Optional[bytes]:
-        """The link's next queued frame, or ``None`` after an idle gap."""
-        queue = link.queue
-        if not queue.empty():
-            return queue.get_nowait()
-        try:
-            return await asyncio.wait_for(
-                queue.get(), timeout=self.heartbeat_interval
+    def _batch_frame(self, body: bytes) -> bytes:
+        """One wire frame: length prefix + a batch frame body."""
+        if len(body) > MAX_FRAME_BYTES:
+            raise codec.CodecError(
+                f"batch frame of {len(body)} bytes exceeds the "
+                f"{MAX_FRAME_BYTES}-byte wire bound"
             )
-        except asyncio.TimeoutError:
-            return None
+        return len(body).to_bytes(FRAME_HEADER_BYTES, "big") + body
 
     async def _pump(self, link: _Link) -> None:
         """Drain one ordered pair's frames onto its (current) socket.
@@ -566,49 +531,28 @@ class TCPRuntime(Transport):
         shed load once the bounded queue fills on top of that.  The pump
         outlives the socket: a failed write marks the connection lost,
         keeps the frame in ``link.pending``, reconnects with backoff and
-        re-sends.  Idle gaps produce heartbeat frames, which both prove
-        liveness to the peer and bound how long a dead connection can
-        hide (a heartbeat write failure triggers the same healing path).
+        re-sends.  A link lost while idle reconnects when its next frame
+        is due.
         """
         while True:
-            if self._closing:
-                return
-            frame = link.pending
-            heartbeat = False
-            if frame is None:
-                frame = await self._next_frame(link)
-                if frame is None:
-                    if link.writer is None:
-                        # Idle *and* down: heal now rather than waiting
-                        # for traffic.
-                        await self._reconnect(link)
-                        if link.writer is None:
-                            return  # runtime closing
-                        continue
-                    heartbeat = True
-                    frame = self._heartbeat_frame
-                else:
-                    link.pending = frame
+            if link.pending is None:
+                link.pending = await link.queue.get()
             if link.writer is None:
                 await self._reconnect(link)
                 if link.writer is None:
                     return  # runtime closing
             try:
-                link.writer.write(frame)
+                link.writer.write(link.pending)
                 await link.writer.drain()
             except (ConnectionError, RuntimeError, OSError):
                 # RuntimeError covers asyncio's "write after close".
                 self._mark_lost(link, link.generation)
-                if not heartbeat:
-                    link.resend = True  # pending retained; resent above
+                link.resend = True  # pending retained; resent above
                 continue
-            if heartbeat:
-                self.heartbeats_sent += 1
-            else:
-                if link.resend:
-                    link.resend = False
-                    self.resent_frames += 1
-                link.pending = None
+            if link.resend:
+                link.resend = False
+                self.resent_frames += 1
+            link.pending = None
 
     # -- receiving ---------------------------------------------------------------------
 
@@ -634,10 +578,6 @@ class TCPRuntime(Transport):
                     frame = await reader.readexactly(length)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return
-                if codec.is_heartbeat(frame):
-                    # Transport chatter: never metered, never delivered.
-                    self.heartbeats_seen += 1
-                    continue
                 try:
                     envelopes = codec.decode_batch(frame)
                 except codec.CodecError:

@@ -147,15 +147,14 @@ class Transport:
         self.honest = frozenset(range(self.n)) - self.corrupt
         self.measure_bytes = measure_bytes
         #: The coalescing buffer awaiting :meth:`_flush_coalesced`, as
-        #: three parallel creation-ordered lists: the network envelopes,
-        #: each one's metered nbytes, and each one's buffered delay.
-        #: Parallel lists, not a tuple per envelope: a multicast extends
-        #: each list once.  The delay is drawn at *append* time via
+        #: two parallel creation-ordered lists: the network envelopes and
+        #: each one's buffered delay.  Parallel lists, not a tuple per
+        #: envelope: a multicast extends each list once.  The delay is
+        #: drawn at *append* time via
         #: :meth:`_buffered_delays` so RNG consumption interleaves with
         #: Byzantine behavior transforms in creation order, whatever the
         #: cap (``None`` where the transport draws none).
         self._outgoing: list[Envelope] = []
-        self._outgoing_sizes: list[Optional[int]] = []
         self._outgoing_delays: list[Any] = []
         #: Per-delivery observers (the WAL recorder); each is called with
         #: every network envelope that was actually delivered.
@@ -473,7 +472,6 @@ class Transport:
             nbytes = self._envelope_nbytes(head)
             self._meter_run(head, nbytes, end - start)
             self._outgoing += envelopes[start:end]
-            self._outgoing_sizes += [nbytes] * (end - start)
             self._outgoing_delays += (
                 [None] * (end - start) if delays is None else delays[start:end]
             )
@@ -520,7 +518,6 @@ class Transport:
         self._meter_run(envelope, nbytes, 1)
         delays = self._buffered_delays([envelope])
         self._outgoing.append(envelope)
-        self._outgoing_sizes.append(nbytes)
         self._outgoing_delays.append(None if delays is None else delays[0])
 
     def _envelope_nbytes(self, envelope: Envelope) -> Optional[int]:
@@ -724,23 +721,19 @@ class Transport:
         envelopes = self._outgoing
         if not envelopes:
             return
-        sizes, delays = self._outgoing_sizes, self._outgoing_delays
-        self._outgoing, self._outgoing_sizes, self._outgoing_delays = [], [], []
+        delays = self._outgoing_delays
+        self._outgoing, self._outgoing_delays = [], []
         cap = self.batch_cap_envelopes
         for offset in range(0, len(envelopes), cap):
             end = offset + cap
-            self._transmit_coalesced(
-                envelopes[offset:end], sizes[offset:end], delays[offset:end]
-            )
+            self._transmit_coalesced(envelopes[offset:end], delays[offset:end])
 
     # -- subclass hooks ----------------------------------------------------------------
 
-    def _transmit_coalesced(
-        self, envelopes: list[Envelope], sizes: list[Optional[int]], delays: list
-    ) -> None:
+    def _transmit_coalesced(self, envelopes: list[Envelope], delays: list) -> None:
         """Put one creation-ordered batch of metered envelopes in flight
-        (with each one's nbytes and buffered delay) and record its frames
-        — the one send hook a runtime implements."""
+        (with each one's buffered delay) and record its frames — the one
+        send hook a runtime implements."""
         raise NotImplementedError
 
 

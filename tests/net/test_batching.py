@@ -332,6 +332,46 @@ def test_tcp_frames_at_a_cap_of_one_cost_five_or_six_bytes_each(monkeypatch):
     assert metrics.wire_bytes_total - metrics.bytes_total == 5 * sends + 6 * sends
 
 
+def test_tcp_halves_a_frame_whose_body_exceeds_the_byte_cap():
+    """A frame of several envelopes is halved while its body exceeds
+    ``batch_cap_bytes``; a lone envelope travels whatever its size.  The
+    frames move, the protocol totals do not."""
+    big = Blob(data=tuple(range(300)))
+
+    class PingBlobPing(EchoAll):
+        def on_start(self):
+            super().on_start()
+            self.multicast(big)
+            self.multicast(Ping(99))
+
+    def run(cap):
+        runtime = TCPRuntime(TrustedSetup.generate(4, seed=5), seed=5)
+        if cap is not None:
+            runtime.batch_cap_bytes = cap
+        bodies, batch_frame = [], runtime._batch_frame
+
+        def recording(body):
+            bodies.append(body)
+            return batch_frame(body)
+
+        runtime._batch_frame = recording
+        results = runtime.run_sync(lambda party: PingBlobPing(), timeout=30)
+        assert all(value == frozenset(range(4)) for value in results.values())
+        assert len(bodies) == runtime.metrics.frames_total
+        return runtime.metrics, bodies
+
+    cap = 300
+    default, _ = run(None)
+    capped, bodies = run(cap)
+    oversized = [body for body in bodies if len(body) > cap]
+    assert oversized  # the blob alone is over the cap...
+    assert all(len(codec.decode_batch(body)) == 1 for body in oversized)
+    assert capped.frames_total > default.frames_total  # ...so groups split
+    assert (capped.words_total, capped.messages_total, capped.bytes_total) == (
+        default.words_total, default.messages_total, default.bytes_total,
+    )  # fmt: skip
+
+
 # -- flush policy ----------------------------------------------------------------------
 
 

@@ -136,20 +136,19 @@ def _flush(records, *, behavior=None, measure_bytes, cap, fixed, depth=0):
     handed_off = 0
     transmit_coalesced = sim._transmit_coalesced
 
-    def checking_transmit(envelopes, sizes, delays):
+    def checking_transmit(envelopes, delays):
         # A send is metered before its envelope leaves the coalescing buffer.
         nonlocal handed_off
         handed_off += len(envelopes)
         assert sim.metrics.messages_total >= handed_off
-        transmit_coalesced(envelopes, sizes, delays)
+        transmit_coalesced(envelopes, delays)
 
     sim._transmit_coalesced = checking_transmit
     party = _Outbox(records, depth)
     sim._flush_party(party)
-    buffer = zip(sim._outgoing, sim._outgoing_sizes, sim._outgoing_delays)
     buffered = [
-        (e.path, e.sender, e.recipient, e.payload, e.depth, e.session, nbytes, delay)
-        for e, nbytes, delay in buffer
+        (e.path, e.sender, e.recipient, e.payload, e.depth, e.session, delay)
+        for e, delay in zip(sim._outgoing, sim._outgoing_delays)
     ]
     sim._flush_coalesced()
     metrics = sim.metrics
@@ -183,7 +182,8 @@ def _flush(records, *, behavior=None, measure_bytes, cap, fixed, depth=0):
 )
 def test_batched_metering_equals_the_unbatched_plane(spec, measure_bytes, cap, fixed, depth):
     """The record flush equals the per-envelope path of a pass-through
-    behaviour: same envelopes, sizes, delays, self copies and totals."""
+    behaviour: same envelopes, delays, self copies and totals (bytes
+    included)."""
     plane = dict(measure_bytes=measure_bytes, cap=cap, fixed=fixed, depth=depth)
     records = _flush(_records(spec), **plane)
     per_envelope = _flush(_records(spec), behavior=Behavior(), **plane)

@@ -1,13 +1,13 @@
-"""Self-healing TCP: supervision, reconnect with backoff, heartbeats.
+"""Self-healing TCP: supervision and reconnect with backoff.
 
-The gates the chaos PR promises: a run whose connections are hard-killed
-mid-ADKG still reaches agreement (with ``tcp.conn_lost``/
-``tcp.reconnects`` proving the healing path actually ran), a partition
-of f parties that heals still reaches agreement, heartbeats flow on idle
-links without ever being rejected or metered as protocol traffic, and a
-killed-and-healed connection never double-counts ``rejected_frames`` or
-inflates the protocol's word/byte totals (resent frames are wire
-traffic, not protocol traffic).
+A link is a bounded queue, a socket and an EOF watcher.  A run whose
+connections are hard-killed mid-ADKG still reaches agreement (with
+``tcp.conn_lost``/``tcp.reconnects`` proving the healing path actually
+ran): these kill tests are the kill-and-heal gate.  A partition of f
+parties that heals still reaches agreement, and a killed-and-healed
+connection never double-counts ``rejected_frames`` or inflates the
+protocol's word/byte totals (resent frames are wire traffic, not
+protocol traffic).
 """
 
 import asyncio
@@ -28,40 +28,26 @@ def _agreeing(results, n):
     return len(values) == n and all(v == values[0] for v in values)
 
 
-def test_heartbeat_frame_shape():
-    frame = codec.encode_heartbeat()
-    assert codec.is_heartbeat(frame)
-    assert not codec.is_heartbeat(b"")
-    assert not codec.is_heartbeat(frame + b"\x00")
-    # Heartbeats live outside the codec's tag space: a real batch body
-    # never starts with the heartbeat magic.
-    assert frame[0] != codec.BATCH_MAGIC
+def test_a_former_heartbeat_body_is_a_malformed_frame():
+    """``0xE7 0x01`` was the heartbeat's body; no idle timer writes it now,
+    so it is one more frame ``decode_batch`` refuses and the receiver counts."""
+    with pytest.raises(codec.CodecError):
+        codec.decode_batch(b"\xe7\x01")
 
-
-# -- heartbeats ------------------------------------------------------------------------
-
-
-def test_idle_links_heartbeat_without_rejections():
     async def scenario():
-        setup = TrustedSetup.generate(3, seed=2)
-        runtime = TCPRuntime(setup, seed=2)
-        runtime.heartbeat_interval = 0.05
+        runtime = TCPRuntime(TrustedSetup.generate(3, seed=2), seed=2)
         await runtime.open()
         try:
-            await asyncio.sleep(0.35)
+            # The runtime's own link 1 -> 0 carries the body, as a frame.
+            runtime._links[1, 0].queue.put_nowait(b"\x00\x00\x00\x02\xe7\x01")
+            await runtime.wait_until(lambda rt: rt.rejected_frames, timeout=5)
         finally:
             await runtime.close()
         return runtime
 
     runtime = asyncio.run(scenario())
-    assert runtime.heartbeats_sent > 0
-    assert runtime.heartbeats_seen > 0
-    assert runtime.rejected_frames == 0
-    # Liveness traffic is never protocol traffic.
-    assert runtime.metrics.words_total == 0
-    assert runtime.metrics.messages_total == 0
-    counters = runtime.metrics.counters("tcp")
-    assert counters["heartbeats"] == runtime.heartbeats_sent
+    assert runtime.rejected_frames == 1
+    assert runtime.metrics.deliveries == 0
 
 
 # -- the self-healing gate (hard kill mid-ADKG) ----------------------------------------

@@ -51,10 +51,9 @@ def test_the_tunables_are_constants_not_arguments():
     assert (
         TCPRuntime.host,
         TCPRuntime.send_queue_cap,
-        TCPRuntime.heartbeat_interval,
         TCPRuntime.reconnect_base,
         TCPRuntime.reconnect_cap,
-    ) == ("127.0.0.1", 1024, 1.0, 0.05, 2.0)
+    ) == ("127.0.0.1", 1024, 0.05, 2.0)
     assert Party.session_backlog_cap == 64
     assert Party(0, n=7, f=2).pending_cap == max(64, 32 * 7)
 
