@@ -1040,14 +1040,16 @@ def e16_chaos(n: int, seed: int, realtime: Sequence[str]) -> Section:
     checks["every case reaches agreement"] = all(r["agreement"] for r in rows)
     return Section(
         "E16",
-        "Extension: chaos matrix (link faults + self-healing TCP)",
+        "Extension: chaos matrix (link faults on sim and TCP)",
         "The chaos plane (DESIGN.md section 11) injects partitions that heal,\n"
         "lossy/duplicating/reordering links, byte corruption and extra delay\n"
         "into the shared delivery pipeline from one seeded stream; every\n"
         "schedule preserves eventual delivery by construction, so each row is\n"
         "a legal asynchronous adversary and must reach agreement.  The TCP row\n"
-        "partitions f parties over real sockets and heals mid-run, exercising\n"
-        "connection supervision + reconnect-with-backoff.",
+        "partitions f parties over real sockets and heals mid-run: the cut\n"
+        "holds envelopes in the shared pipeline and closes no socket.  Killed\n"
+        "connections and their reconnects are gated by\n"
+        "tests/net/test_tcp_healing.py.",
         ("case", "transport", "agreement", "words", "bytes", "faults_injected", "rounds"),
         rows,
         (),

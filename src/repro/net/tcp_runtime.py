@@ -9,21 +9,26 @@ recipient's protocol stack — so a full run proves the protocols execute
 unchanged over an actual socket boundary, with nothing shared in memory
 between sender and recipient but bytes.
 
-Framing: a 4-byte big-endian length followed by one frame body, always
-a batch frame (:func:`repro.net.codec.encode_batch`).  It coalesces
+Framing: a 4-byte big-endian length followed by one frame body.  A
+connection's first frame is a *hello* (below); every later one is a
+batch frame (:func:`repro.net.codec.encode_batch`).  It coalesces
 every envelope one flush slice queued for the same connection (a slice
 holds at most ``batch_cap_envelopes``, so a cap of one sends batches of
 one), with intra-frame payload deduplication, and is halved while its
 body exceeds ``batch_cap_bytes``.  Malformed frames (codec errors,
 oversized lengths) are dropped and counted in ``rejected_frames``, as is
-every decoded envelope addressed to a different party or carrying an
-out-of-range sender — the Byzantine-input posture of the codec applies
-at the transport edge too.  A corrupted party speaks only as itself:
-the shared flush drops, and counts as ``adversary.forged_sender``, any
+every decoded envelope addressed to a different party — the
+Byzantine-input posture of the codec applies at the transport edge too.
+
+Authenticated channels: a party speaks only as itself, on both sides of
+the socket.  The shared flush drops (``adversary.forged_sender``) any
 envelope a :class:`~repro.net.adversary.Behavior` emits under another
-party's index, so no behaviour can impersonate.  A raw TCP peer still
-can: the receiver takes an in-range sender index at face value, since
-no connection is bound to one peer yet (by a signed hello, say).
+index.  A receiver binds each connection to the peer its hello names:
+:data:`HELLO_MAGIC`, then the codec encoding of ``(sender, generation,
+signature)``, signed by the sender over the session, the ordered pair
+and a generation newer than the pair's last.  A bad first frame closes
+the connection, an envelope from any other sender is dropped, and both
+count in ``rejected_frames``.  Hellos are never metered.
 
 Byte metering is always on: ``metrics.bytes_total`` is the *protocol*
 byte metric — the sum of per-envelope sizes (length prefix + bare
@@ -69,6 +74,7 @@ import itertools
 import random
 from typing import Any, Callable, Optional
 
+from repro.crypto import schnorr
 from repro.crypto.keys import TrustedSetup
 from repro.net import codec
 from repro.net.adversary import Behavior
@@ -82,6 +88,12 @@ from repro.net.transport import (
 )
 
 __all__ = ["TCPRuntime", "RootFactory"]
+
+#: First body byte of a hello frame.  Outside the codec tag space and
+#: unlike :data:`repro.net.codec.BATCH_MAGIC`, so no batch passes for one.
+HELLO_MAGIC = 0xA7
+#: Hash domain of the hello's signature.
+HELLO_DOMAIN = "tcp-hello"
 
 
 class _Link:
@@ -202,6 +214,8 @@ class TCPRuntime(Transport):
         self._closing = False
         self._servers: list[asyncio.AbstractServer] = []
         self._links: dict[tuple[int, int], _Link] = {}
+        #: Per ordered pair, the last generation a hello bound on it.
+        self._hello_generations: dict[tuple[int, int], int] = {}
         self.metrics.attach_counters("tcp", self._tcp_counters)
 
     def _tcp_counters(self) -> dict:
@@ -396,8 +410,7 @@ class TCPRuntime(Transport):
             reader, writer = await asyncio.open_connection(
                 self.host, self.ports[recipient]
             )
-            link.writer = writer
-            self._spawn(self._watch_eof(link, reader, link.generation))
+            self._attach(link, reader, writer)
             self._spawn(self._pump(link))
 
     def kill_connection(self, sender: int, recipient: int) -> None:
@@ -463,11 +476,28 @@ class TCPRuntime(Transport):
             except OSError:
                 link.attempts += 1
                 continue
-            link.writer = writer
             link.generation += 1
             link.attempts = 0
             self.reconnects += 1
-            self._spawn(self._watch_eof(link, reader, link.generation))
+            self._attach(link, reader, writer)
+
+    def _attach(
+        self, link: _Link, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Make a fresh connection the link's socket: its first frame is
+        the hello binding it to the sender, and an EOF watcher follows it."""
+        sender, recipient = link.pair
+        directory = self.setup.directory
+        signature = schnorr.sign(
+            directory.sign_group, self.setup.secret(sender).sign, HELLO_DOMAIN,
+            directory.session, sender, recipient, link.generation,
+        )  # fmt: skip
+        body = bytes((HELLO_MAGIC,)) + codec.encode(
+            (sender, link.generation, signature)
+        )
+        writer.write(len(body).to_bytes(FRAME_HEADER_BYTES, "big") + body)
+        link.writer = writer
+        self._spawn(self._watch_eof(link, reader, link.generation))
 
     # -- sending -----------------------------------------------------------------------
 
@@ -561,9 +591,37 @@ class TCPRuntime(Transport):
     ) -> None:
         self._spawn(self._read_frames(party, reader, writer))
 
+    def _hello_peer(self, party: int, body: bytes) -> Optional[int]:
+        """The peer a hello frame body binds a connection into ``party``
+        to, or ``None``: another party, a generation newer than the pair's
+        last, and that party's signature over both."""
+        if body[:1] != bytes((HELLO_MAGIC,)):
+            return None
+        directory = self.setup.directory
+        try:
+            sender, generation, signature = codec.decode(body[1:])
+            valid = (
+                type(sender) is int
+                and type(generation) is int
+                and 0 <= sender < self.n
+                and sender != party
+                and generation > self._hello_generations.get((sender, party), -1)
+                and schnorr.verify(
+                    directory.sign_group, directory.sign_pks[sender], signature,
+                    HELLO_DOMAIN, directory.session, sender, party, generation,
+                )
+            )  # fmt: skip
+        except (codec.CodecError, TypeError, ValueError):
+            return None
+        if not valid:
+            return None
+        self._hello_generations[sender, party] = generation
+        return sender
+
     async def _read_frames(
         self, party: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        peer = None  # bound by the connection's hello
         try:
             while True:
                 try:
@@ -578,6 +636,12 @@ class TCPRuntime(Transport):
                     frame = await reader.readexactly(length)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return
+                if peer is None:
+                    peer = self._hello_peer(party, frame)
+                    if peer is None:
+                        self.rejected_frames += 1
+                        return  # not a peer: drop the connection
+                    continue
                 try:
                     envelopes = codec.decode_batch(frame)
                 except codec.CodecError:
@@ -586,7 +650,7 @@ class TCPRuntime(Transport):
                 for envelope in envelopes:
                     if (
                         envelope.recipient != party
-                        or not 0 <= envelope.sender < self.n
+                        or envelope.sender != peer
                         or envelope.depth < 0
                     ):
                         self.rejected_frames += 1

@@ -7,13 +7,13 @@ import pytest
 
 from repro import run_adkg
 from repro.core.adkg import ADKG
-from repro.crypto import threshold_vrf as tvrf
+from repro.crypto import schnorr, threshold_vrf as tvrf
 from repro.crypto.keys import TrustedSetup
 from repro.net import codec
 from repro.net.adversary import SilentBehavior
 from repro.net.envelope import Envelope
 from repro.net.runtime import Simulation
-from repro.net.tcp_runtime import TCPRuntime
+from repro.net.tcp_runtime import HELLO_DOMAIN, HELLO_MAGIC, TCPRuntime
 from repro.net.transport import (
     TRANSPORT_KINDS,
     Transport,
@@ -26,6 +26,28 @@ from tests.net.helpers import EchoAll, Ping, PingPong
 
 def _run(coro):
     return asyncio.run(coro)
+
+
+def _frame(body):
+    return len(body).to_bytes(4, "big") + body
+
+
+def _hello(setup, signer, sender, recipient, generation):
+    """A hello frame claiming ``sender``, signed with ``signer``'s key."""
+    directory = setup.directory
+    signature = schnorr.sign(
+        directory.sign_group, setup.secret(signer).sign, HELLO_DOMAIN,
+        directory.session, sender, recipient, generation,
+    )  # fmt: skip
+    return _frame(bytes((HELLO_MAGIC,)) + codec.encode((sender, generation, signature)))
+
+
+async def _open_bound(runtime):
+    """Open the runtime and wait until every link's own hello is bound, so
+    a raw connection's hello cannot overtake the link it names."""
+    await runtime._open()
+    pairs = runtime.n * (runtime.n - 1)
+    await runtime.wait_until(lambda rt: len(rt._hello_generations) == pairs, timeout=5)
 
 
 # -- one shared pipeline ---------------------------------------------------------------
@@ -203,11 +225,12 @@ def test_malformed_frames_are_dropped_not_delivered():
     runtime = TCPRuntime(setup, seed=9)
 
     async def scenario():
-        await runtime._open()
+        await _open_bound(runtime)
         try:
             _reader, writer = await asyncio.open_connection(
                 runtime.host, runtime.ports[0]
             )
+            writer.write(_hello(setup, 1, 1, 0, generation=1))  # party 1 speaks
             # Codec garbage...
             writer.write((3).to_bytes(4, "big") + b"\xfe\xfe\xfe")
             # ...a well-formed envelope addressed to the wrong party...
@@ -216,7 +239,7 @@ def test_malformed_frames_are_dropped_not_delivered():
             )
             frame = codec.encode_envelope(env)
             writer.write(len(frame).to_bytes(4, "big") + frame)
-            # ...one with an out-of-range (impersonation-proof) sender...
+            # ...one with an out-of-range sender, not the bound peer...
             bad_sender = Envelope(
                 path=(), sender=999, recipient=0, payload=Ping(1), depth=1
             )
@@ -242,6 +265,48 @@ def test_malformed_frames_are_dropped_not_delivered():
 
     _run(scenario())
     assert runtime.rejected_frames == 5
+    assert runtime.metrics.deliveries == 0
+
+
+@pytest.mark.parametrize(
+    "case", ["no hello", "hello signed by another party", "sender not the bound peer"]
+)
+def test_a_connection_speaks_only_as_the_peer_its_hello_binds(case):
+    """A raw peer cannot claim party 2: a frame before any hello, a hello
+    for 2 under party 3's key, and an envelope from 2 on a connection bound
+    to 3 are each counted and deliver nothing."""
+    setup = TrustedSetup.generate(4, seed=9)
+    runtime = TCPRuntime(setup, seed=9)
+    delivered = []
+    runtime.add_delivery_observer(delivered.append)
+    forged = _frame(
+        codec.encode_batch(
+            [Envelope(path=(), sender=2, recipient=0, payload=Ping(1), depth=1)]
+        )
+    )
+    opening = {
+        "no hello": b"",
+        "hello signed by another party": _hello(setup, 3, 2, 0, generation=1),
+        "sender not the bound peer": _hello(setup, 3, 3, 0, generation=1),
+    }[case]
+
+    async def scenario():
+        await _open_bound(runtime)
+        try:
+            _reader, writer = await asyncio.open_connection(
+                runtime.host, runtime.ports[0]
+            )
+            writer.write(opening + forged)
+            await writer.drain()
+            await runtime.wait_until(lambda rt: rt.rejected_frames, timeout=5)
+            await asyncio.sleep(0.05)  # room for a wrongful delivery
+            writer.close()
+        finally:
+            await runtime.close()
+
+    _run(scenario())
+    assert runtime.rejected_frames == 1
+    assert delivered == []
     assert runtime.metrics.deliveries == 0
 
 
