@@ -150,10 +150,10 @@ class Transport:
         #: two parallel creation-ordered lists: the network envelopes and
         #: each one's buffered delay.  Parallel lists, not a tuple per
         #: envelope: a multicast extends each list once.  The delay is
-        #: drawn at *append* time via
-        #: :meth:`_buffered_delays` so RNG consumption interleaves with
-        #: Byzantine behavior transforms in creation order, whatever the
-        #: cap (``None`` where the transport draws none).
+        #: drawn at *append* time via :meth:`_buffered_delays` so RNG
+        #: consumption interleaves with Byzantine behavior transforms in
+        #: creation order, whatever the cap (``None`` where the transport
+        #: draws none).
         self._outgoing: list[Envelope] = []
         self._outgoing_delays: list[Any] = []
         #: Per-delivery observers (the WAL recorder); each is called with

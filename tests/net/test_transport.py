@@ -269,12 +269,19 @@ def test_malformed_frames_are_dropped_not_delivered():
 
 
 @pytest.mark.parametrize(
-    "case", ["no hello", "hello signed by another party", "sender not the bound peer"]
+    "case",
+    [
+        "no hello",
+        "hello signed by another party",
+        "replayed hello",
+        "sender not the bound peer",
+    ],
 )
 def test_a_connection_speaks_only_as_the_peer_its_hello_binds(case):
     """A raw peer cannot claim party 2: a frame before any hello, a hello
-    for 2 under party 3's key, and an envelope from 2 on a connection bound
-    to 3 are each counted and deliver nothing."""
+    for 2 under party 3's key, party 2's own hello replayed at the
+    generation its link already bound, and an envelope from 2 on a
+    connection bound to 3 are each counted and deliver nothing."""
     setup = TrustedSetup.generate(4, seed=9)
     runtime = TCPRuntime(setup, seed=9)
     delivered = []
@@ -287,6 +294,7 @@ def test_a_connection_speaks_only_as_the_peer_its_hello_binds(case):
     opening = {
         "no hello": b"",
         "hello signed by another party": _hello(setup, 3, 2, 0, generation=1),
+        "replayed hello": _hello(setup, 2, 2, 0, generation=0),
         "sender not the bound peer": _hello(setup, 3, 3, 0, generation=1),
     }[case]
 
