@@ -236,6 +236,7 @@ class TCPRuntime(Transport):
     async def open(self) -> None:
         if not self._opened:
             self._progress = asyncio.Event()  # bound to this run's loop
+            self._closing = False
             await self._open()
             self._opened = True
             self.now()  # the first reading starts the clock
@@ -261,6 +262,7 @@ class TCPRuntime(Transport):
             return_exceptions=True,
         )
         self._links.clear()
+        self._hello_generations.clear()
         self._servers.clear()
         self._opened = False
 

@@ -96,6 +96,28 @@ def test_adkg_survives_partition_of_f_parties_then_heal():
     assert counts["partitioned"] > 0
 
 
+def test_a_closed_runtime_reopens_and_heals():
+    """close() then open() builds fresh links: they say hello at
+    generation 0 again, carry a new session, and a loss on them heals."""
+    runtime = TCPRuntime(TrustedSetup.generate(4, seed=1), seed=1)
+    runtime.reconnect_base, runtime.reconnect_cap = 0.02, 0.2
+    runtime.run_sync(lambda party: EchoAll(), timeout=30)
+
+    async def reopened():
+        await runtime.open()
+        try:
+            runtime.kill_connection(0, 1)
+            runtime.start(lambda party: EchoAll(), session=1)
+            await runtime.wait_session(1, timeout=30)
+        finally:
+            await runtime.close()
+
+    asyncio.run(reopened())
+    assert runtime.conn_lost >= 1
+    assert runtime.reconnects >= 1
+    assert runtime.rejected_frames == 0
+
+
 def test_kill_connection_validates_pair():
     async def scenario():
         setup = TrustedSetup.generate(3, seed=4)
