@@ -415,16 +415,12 @@ class ChaosPlane:
         designed; ``corrupt_forged`` counts flips the codec could not
         distinguish from a valid frame — those are discarded too, because
         a *link* fault delivering a forged frame would grant the network
-        Byzantine powers beyond the ``f``-corruption budget.  Envelopes
-        the codec cannot carry at all (in-process forgeries) skip
-        corruption: there is no wire image to flip.
+        Byzantine powers beyond the ``f``-corruption budget.  Every
+        envelope in flight has a wire image: an honest one is encodable,
+        and a corrupted party's changed send was decoded from one.
         """
         counts = self.counts
-        try:
-            body = codec.encode_envelope(envelope)
-        except codec.CodecError:
-            counts["corrupt_skipped"] += 1
-            return
+        body = codec.encode_envelope(envelope)
         counts["corrupted"] += 1
         mutated = bytearray(body)
         index = self.rng.randrange(len(mutated))

@@ -47,26 +47,21 @@ def counter_delta(live: Mapping[str, int], baseline: Mapping[str, int]) -> dict:
 
 #: Instance paths repeat for every message of an instance, but layer
 #: attribution re-derived the layer names from the path parts on every
-#: send.  Value-keyed memo (paths are small hashable tuples; the layer
-#: list is a pure function of the path), bounded like the codec's path
-#: memo.
+#: send.  Value-keyed memo (a metered path is honest or codec-validated,
+#: so hashable; the layer list is a pure function of the path), bounded
+#: like the codec's path memo.
 _path_layers_memo: dict[tuple, tuple[str, ...]] = {}
 _PATH_LAYERS_LIMIT = 8192
 
 
 def _path_layers(path: tuple) -> tuple[str, ...]:
-    try:
-        cached = _path_layers_memo.get(path)
-    except TypeError:
-        cached = None  # unhashable (forged) path: derive without caching
-    else:
-        if cached is None:
-            cached = _derive_layers(path)
-            if len(_path_layers_memo) >= _PATH_LAYERS_LIMIT:
-                _path_layers_memo.clear()
-            _path_layers_memo[path] = cached
-        return cached
-    return _derive_layers(path)
+    cached = _path_layers_memo.get(path)
+    if cached is None:
+        cached = _derive_layers(path)
+        if len(_path_layers_memo) >= _PATH_LAYERS_LIMIT:
+            _path_layers_memo.clear()
+        _path_layers_memo[path] = cached
+    return cached
 
 
 def _derive_layers(path: tuple) -> tuple[str, ...]:
@@ -104,7 +99,11 @@ class Metrics:
     )
 
     def record_send(
-        self, envelope: Envelope, nbytes: int | None = None, count: int = 1
+        self,
+        envelope: Envelope,
+        nbytes: int | None = None,
+        count: int = 1,
+        words: int | None = None,
     ) -> None:
         """Record ``count`` network sends that meter like ``envelope``.
 
@@ -114,8 +113,12 @@ class Metrics:
         ``count > 1`` is a fan-out metered once: exactly ``count`` calls
         for envelopes of the same word size, payload type, path and
         ``nbytes`` (the transport's run metering guarantees those).
+        ``words`` overrides ``envelope.word_size()`` for a corrupted send
+        the transport sized itself (an honest one that cannot size raises).
         """
-        words = envelope.word_size() * count
+        if words is None:
+            words = envelope.word_size()
+        words *= count
         self.words_total += words
         self.messages_total += count
         type_name = envelope.payload.type_name()

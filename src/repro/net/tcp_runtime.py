@@ -23,7 +23,8 @@ Byzantine-input posture of the codec applies at the transport edge too.
 Authenticated channels: a party speaks only as itself, on both sides of
 the socket.  The shared flush drops (``adversary.forged_sender``) any
 envelope a :class:`~repro.net.adversary.Behavior` emits under another
-index.  A receiver binds each connection to the peer its hello names:
+index, and sends what a behaviour changed through the codec first, as
+on the simulator (``adversary.codec_refused``).  A receiver binds each connection to the peer its hello names:
 :data:`HELLO_MAGIC`, then the codec encoding of ``(sender, generation,
 signature)``, signed by the sender over the session, the ordered pair
 and a generation newer than the pair's last.  A bad first frame closes
@@ -146,8 +147,6 @@ class TCPRuntime(Transport):
       at the end: what the epoch-pipelining service layer drives.
     """
 
-    frames_on_wire = True
-
     #: Loopback interface every party's server binds.
     host = "127.0.0.1"
     #: Frames each ordered pair's bounded send queue holds before shedding.
@@ -169,10 +168,7 @@ class TCPRuntime(Transport):
         measure_bytes: bool = True,
         chaos: Any = None,
     ) -> None:
-        # ``measure_bytes`` exists for call-site uniformity with the other
-        # transports, but TCP always meters (the byte counts are the bytes
-        # actually written to the sockets, at no extra encoding cost) —
-        # refuse a request to turn it off rather than silently ignore it.
+        # TCP always meters bytes: refuse a request not to, never ignore it.
         if not measure_bytes:
             raise ValueError(
                 "the TCP runtime always meters bytes; measure_bytes=False "

@@ -11,7 +11,8 @@ one pipeline every runtime shares:
   buffer, except that a sender with a Byzantine
   :class:`~repro.net.adversary.Behavior` is transformed and metered per
   envelope, and may speak only as itself, to its peers (anything else is
-  dropped unmetered);
+  dropped unmetered); what it changed travels as codec bytes on both
+  runtimes;
 * **delivery** (:meth:`Transport._deliver_buffered`) — the recipient's
   behavior may swallow the message, otherwise the delivery is recorded
   and routed into the party's protocol stack; the outbox is drained into
@@ -105,11 +106,6 @@ def _wider_recipients(recipient: int) -> int:
 class Transport:
     """Base class: parties, adversary, metrics and the delivery pipeline."""
 
-    #: Subclasses that put codec frames on a real wire set this True; the
-    #: pipeline then always meters bytes, and drops a forged envelope the
-    #: codec cannot carry before it is buffered.
-    frames_on_wire = False
-
     #: Coalescing-buffer flush policy: the buffer is transmitted in
     #: slices of at most this many envelopes.
     batch_cap_envelopes = 256
@@ -162,15 +158,11 @@ class Transport:
         self.metrics = Metrics()
         self._bind_work_counters(directory)
         self.dropped_sends = 0
-        #: Envelopes a :class:`Behavior` emitted under another party's
-        #: index, dropped unmetered (``Metrics.counters("adversary")``).
-        self.forged_senders = 0
-        self.metrics.attach_counters(
-            "adversary",
-            lambda: (
-                {"forged_sender": self.forged_senders} if self.forged_senders else {}
-            ),
-        )
+        #: A corrupted party's sends dropped unmetered, by reason:
+        #: ``forged_sender`` (another party's index) and ``codec_refused``
+        #: (a changed envelope the codec refused).
+        self.adversary_drops = _Counter()
+        self.metrics.attach_counters("adversary", lambda: dict(self.adversary_drops))
         self.seed = seed
         self._adv_rng = random.Random(f"{rng_namespace}-adv-{seed}")
         #: Link-level fault injection (DESIGN §11).  ``chaos`` accepts a
@@ -440,7 +432,7 @@ class Transport:
                 else:
                     for envelope in envelopes:
                         for env in behavior.transform_outgoing(envelope, self._adv_rng):
-                            self._buffer_transformed(env, me)
+                            self._buffer_transformed(env, envelope)
                 if recipient is not None:
                     continue
             # The self copy: local computation, free, never transformed.
@@ -490,32 +482,44 @@ class Transport:
             stats["payload.calls"] += count - 1
             stats["payload.hits"] += count - 1
 
-    def _buffer_transformed(self, envelope: Envelope, sender: int) -> None:
-        """Meter and buffer one envelope ``sender``'s :class:`Behavior`
-        emitted.  A corrupted party speaks only as itself, to its peers:
-        an envelope naming another sender is dropped unmetered and
-        counted (``adversary.forged_sender``), one addressed to anyone
-        but a peer is dropped unmetered and counted in ``dropped_sends``."""
+    def _buffer_transformed(self, envelope: Envelope, given: Envelope) -> None:
+        """Meter and buffer what a :class:`Behavior` emitted for ``given``.
+
+        A corrupted party speaks only as itself, to its peers (else a drop,
+        counted in ``adversary.forged_sender`` or ``dropped_sends``), in
+        bytes: any envelope but ``given`` travels as its codec round trip,
+        uncounted in ``codec.encode_stats``, or is dropped as
+        ``adversary.codec_refused``.  A decoded payload that cannot size
+        itself is metered by DESIGN §1's bytes rule, and still delivered.
+        """
+        sender = given.sender
         if envelope.sender != sender:
-            self.forged_senders += 1
+            self.adversary_drops["forged_sender"] += 1
             return
         if envelope.recipient not in self._peers[sender]:
             self.dropped_sends += 1
             return
-        try:
-            nbytes = self._envelope_nbytes(envelope)
-        except codec.CodecError:
-            if self.frames_on_wire:
-                # A Byzantine transform forged garbage the codec cannot
-                # carry — the wire drops it before transmission; honest
-                # parties live on.
-                self.dropped_sends += 1
+        if envelope is given:
+            self._meter_run(envelope, self._envelope_nbytes(envelope), 1)
+        else:
+            counted = codec.encode_stats.copy()
+            try:
+                body = codec.encode_envelope(envelope)
+                if len(body) > MAX_FRAME_BYTES:
+                    raise codec.CodecError("over the frame bound")
+                envelope = codec.decode_envelope(body)
+                try:
+                    words = envelope.word_size()
+                except Exception:
+                    words = -(-len(codec.encode(envelope.payload)) // 32) + 1
+            except codec.CodecError:
+                self.adversary_drops["codec_refused"] += 1
                 return
-            # In-process transport: carryability is a property of the
-            # wire, never of the metering flag — the forged payload
-            # travels, its bytes unmetered.
-            nbytes = None
-        self._meter_run(envelope, nbytes, 1)
+            finally:
+                codec.encode_stats.clear()
+                codec.encode_stats.update(counted)
+            nbytes = FRAME_HEADER_BYTES + len(body) if self.measure_bytes else None
+            self.metrics.record_send(envelope, nbytes, words=words)
         delays = self._buffered_delays([envelope])
         self._outgoing.append(envelope)
         self._outgoing_delays.append(None if delays is None else delays[0])
@@ -527,11 +531,10 @@ class Transport:
         envelope costs as a value, independent of the frame that carries
         it; the payload's bytes come from the codec's encode-once memo.
         ``None`` when bytes are not metered on this transport.  Raises
-        :class:`~repro.net.codec.CodecError` for
-        unencodable payloads (the caller maps that to a loud failure for
-        an honest sender, a dropped or unmetered send for a forged one).
+        :class:`~repro.net.codec.CodecError` for an unencodable payload:
+        only honest envelopes are sized here, so that is a loud failure.
         """
-        if not (self.frames_on_wire or self.measure_bytes):
+        if not self.measure_bytes:
             return None
         size = codec.encoded_envelope_size(envelope)
         if size > MAX_FRAME_BYTES:

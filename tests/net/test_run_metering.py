@@ -106,12 +106,11 @@ def _payload(key):
 
 
 def _path(key):
-    """A fresh tuple per call (the empty path is a singleton)."""
-    if key == 3:
-        # A forged path: a tuple, but unhashable, so neither the codec's
-        # path table nor the layer memo can intern it.
-        return ("forged", [1, 2])
-    return tuple(iter((("layer",), ("layer", ("rbc", 2)), ())[key]))
+    """A fresh tuple per call (the empty path is a singleton).  Every path
+    is hashable: an honest stack builds no other, and a corrupted party's
+    path reaches the metering only after the codec validated it."""
+    paths = (("layer",), ("layer", ("rbc", 2)), (), ("layer", 3, ("idx", (1, 2))))
+    return tuple(iter(paths[key]))
 
 
 def _records(spec):

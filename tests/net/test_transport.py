@@ -365,7 +365,9 @@ def test_background_task_errors_propagate_not_timeout():
 
 
 def test_forged_unencodable_payload_is_dropped_not_fatal():
-    """A Byzantine transform producing codec garbage must not kill the run."""
+    """A Byzantine transform producing codec garbage must not kill the run,
+    and both runtimes refuse and count it alike: a corrupted send is bytes,
+    and these are bytes the codec cannot make."""
     from dataclasses import dataclass
 
     from repro.net.adversary import MutateBehavior
@@ -375,18 +377,25 @@ def test_forged_unencodable_payload_is_dropped_not_fatal():
     class Unregistered(Payload):
         junk: int
 
-    setup = TrustedSetup.generate(4, seed=5)
-    runtime = TCPRuntime(
-        setup,
-        behaviors={3: MutateBehavior(lambda p, recipient, rng: Unregistered(1))},
-        seed=5,
-    )
-    # The forged messages vanish on the wire, so the corrupted party is
-    # effectively silent: EchoAll (which waits for all n) starves and the
-    # run times out — it must NOT die with a CodecError.
-    with pytest.raises(asyncio.TimeoutError):
-        _run(runtime.run_root(lambda party: EchoAll(), timeout=0.5))
-    assert runtime.dropped_sends == 3
+    for kind in TRANSPORT_KINDS:
+        setup = TrustedSetup.generate(4, seed=5)
+        runtime = make_transport(
+            kind,
+            setup,
+            behaviors={3: MutateBehavior(lambda p, recipient, rng: Unregistered(1))},
+            seed=5,
+        )
+        # The forged messages never leave, so the corrupted party is
+        # effectively silent: EchoAll (which waits for all n) starves — the
+        # simulator quiesces, TCP times out — and nothing dies with a
+        # CodecError.
+        stalled = RuntimeError if kind == "sim" else asyncio.TimeoutError
+        with pytest.raises(stalled):
+            runtime.run_sync(lambda party: EchoAll(), timeout=0.5)
+        assert runtime.metrics.counters("adversary") == {"codec_refused": 3}, kind
+        assert runtime.metrics.messages_total == 3 * 3, kind
+        assert runtime.dropped_sends == 0, kind
+        assert all(3 not in runtime.parties[i].instance(()).seen for i in range(3))
 
 
 def test_an_unopened_tcp_runtime_meters_its_sends_and_drops_each():
@@ -403,43 +412,44 @@ def test_an_unopened_tcp_runtime_meters_its_sends_and_drops_each():
 def test_byte_metering_is_observational_on_in_process_transports():
     """measure_bytes must never change which messages arrive on sim.
 
-    The in-process simulator passes objects by reference, so even a
-    Byzantine-forged unregistered payload is carryable there (only a real
-    wire drops it); turning byte metering on may not alter execution — it
-    just meters that payload's bytes as unknown.
+    A corrupted party's changed payload crosses the codec whether or not
+    bytes are metered: the recipients get the decoded copy either way,
+    never the object the adversary built, and turning byte metering on
+    only adds its bytes.
     """
-    from dataclasses import dataclass
-
     from repro.net.adversary import MutateBehavior
-    from repro.net.payload import Payload
 
-    @dataclass(frozen=True)
-    class Unregistered2(Payload):
-        junk: int
-
+    forged = Ping(99)
     outcomes = []
     for measure in (False, True):
         setup = TrustedSetup.generate(4, seed=5)
         sim = Simulation(
             setup,
-            behaviors={3: MutateBehavior(lambda p, r, rng: Unregistered2(1))},
+            behaviors={3: MutateBehavior(lambda p, r, rng: forged)},
             seed=5,
             measure_bytes=measure,
         )
+        received = []
+        sim.add_delivery_observer(
+            lambda e: received.append(e.payload) if e.sender == 3 else None
+        )
         sim.start(lambda party: EchoAll())
         sim.run()
+        assert len(received) == 3
+        assert all(p == forged and p is not forged for p in received)
         outcomes.append(
             (
                 sim.metrics.messages_total,
                 sim.metrics.words_total,
                 sim.dropped_sends,
+                sim.metrics.counters("adversary"),
                 [sim.parties[i].instance(()).seen for i in range(4)],
             )
         )
     assert outcomes[0] == outcomes[1]
-    messages, _words, dropped, seen = outcomes[0]
+    messages, _words, dropped, refused, seen = outcomes[0]
     assert messages == 4 * 3
-    assert dropped == 0
+    assert (dropped, refused) == (0, {})
     assert all(s == {0, 1, 2, 3} for s in seen)
 
 
