@@ -30,7 +30,8 @@ _freeze = Party.freeze
 _checked = 0
 
 # ``--hypothesis-profile=ci``: CI's long run of the drawn properties that
-# leave their example count to the profile (tests/baselines).
+# leave their example count to the profile (tests/baselines and
+# tests/core/test_corrupted_fields.py).
 settings.register_profile("ci", max_examples=2_000)
 
 

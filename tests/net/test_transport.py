@@ -233,30 +233,19 @@ def test_malformed_frames_are_dropped_not_delivered():
             writer.write(_hello(setup, 1, 1, 0, generation=1))  # party 1 speaks
             # Codec garbage...
             writer.write((3).to_bytes(4, "big") + b"\xfe\xfe\xfe")
-            # ...a well-formed envelope addressed to the wrong party...
-            env = Envelope(
-                path=(), sender=1, recipient=2, payload=Ping(1), depth=1
-            )
-            frame = codec.encode_envelope(env)
-            writer.write(len(frame).to_bytes(4, "big") + frame)
-            # ...one with an out-of-range sender, not the bound peer...
-            bad_sender = Envelope(
-                path=(), sender=999, recipient=0, payload=Ping(1), depth=1
-            )
-            frame2 = codec.encode_envelope(bad_sender)
-            writer.write(len(frame2).to_bytes(4, "big") + frame2)
-            # ...one whose path would crash the instance-table lookup...
-            bad_path = Envelope(
-                path=(["x"],), sender=1, recipient=0, payload=Ping(1), depth=1
-            )
-            frame3 = codec.encode_envelope(bad_path)
-            writer.write(len(frame3).to_bytes(4, "big") + frame3)
-            # ...and one whose payload field type would crash handlers.
-            bad_field = Envelope(
-                path=(), sender=1, recipient=0, payload=Ping({"a": 1}), depth=1
-            )
-            frame4 = codec.encode_envelope(bad_field)
-            writer.write(len(frame4).to_bytes(4, "big") + frame4)
+            # ...then four bare envelope bodies: none opens with the batch
+            # magic, so each is refused as a frame before any check of its
+            # envelope (a wrong recipient, an out-of-range sender, an
+            # unhashable path, a dict where Ping holds an int) could run.
+            # test_a_batch_envelope_the_receiver_cannot_take_is_refused
+            # reaches the per-envelope checks.
+            for bare in (
+                Envelope(path=(), sender=1, recipient=2, payload=Ping(1), depth=1),
+                Envelope(path=(), sender=999, recipient=0, payload=Ping(1), depth=1),
+                Envelope(path=(["x"],), sender=1, recipient=0, payload=Ping(1), depth=1),
+                Envelope(path=(), sender=1, recipient=0, payload=Ping({"a": 1}), depth=1),
+            ):
+                writer.write(_frame(codec.encode_envelope(bare)))
             await writer.drain()
             await asyncio.sleep(0.2)
             writer.close()
@@ -266,6 +255,40 @@ def test_malformed_frames_are_dropped_not_delivered():
     _run(scenario())
     assert runtime.rejected_frames == 5
     assert runtime.metrics.deliveries == 0
+
+
+def test_a_batch_envelope_the_receiver_cannot_take_is_refused():
+    """Well-formed batch frames after a valid hello reach the receiver's
+    per-envelope checks: an envelope addressed to another party and one
+    with a negative depth are each counted and never delivered, while the
+    valid envelope beside them in the same frame is."""
+    setup = TrustedSetup.generate(4, seed=9)
+    runtime = TCPRuntime(setup, seed=9)
+    delivered = []
+    runtime.add_delivery_observer(delivered.append)
+    misaddressed = Envelope(path=(), sender=1, recipient=2, payload=Ping(1), depth=1)
+    negative = Envelope(path=(), sender=1, recipient=0, payload=Ping(2), depth=-1)
+    valid = Envelope(path=(), sender=1, recipient=0, payload=Ping(3), depth=1)
+
+    async def scenario():
+        await _open_bound(runtime)
+        try:
+            _reader, writer = await asyncio.open_connection(
+                runtime.host, runtime.ports[0]
+            )
+            writer.write(_hello(setup, 1, 1, 0, generation=1))
+            writer.write(_frame(codec.encode_batch([misaddressed])))
+            writer.write(_frame(codec.encode_batch([negative, valid])))
+            await writer.drain()
+            await runtime.wait_until(lambda rt: rt.rejected_frames >= 2, timeout=5)
+            await runtime.wait_until(lambda rt: delivered, timeout=5)
+            writer.close()
+        finally:
+            await runtime.close()
+
+    _run(scenario())
+    assert runtime.rejected_frames == 2
+    assert delivered == [valid]
 
 
 @pytest.mark.parametrize(
