@@ -31,9 +31,16 @@ the change won.  The repository keeps its record in ``TRAJECTORY.jsonl``;
 rows are only ever appended.
 
 Each side's runs compile into their own ``PYTHONPYCACHEPREFIX``, a
-directory made empty by each invocation outside both checkouts, so both
-sides start from source: a stale in-tree ``__pycache__`` in one checkout
-would otherwise make its setup look faster than a fresh clone's.
+directory made empty by each invocation outside both checkouts: a stale
+in-tree ``__pycache__`` in one checkout would otherwise make its setup look
+faster than a fresh clone's.  Before a workload's pairs, each side makes one
+untimed warm-up run of it with ``PYTHONDONTWRITEBYTECODE`` removed from that
+run's environment, so the prefix holds the bytecode of everything the
+workload imports, the standard library's included.  The timed runs then read
+warm bytecode and both sides start equal: ``setup_s`` times the program,
+not the compiler.  Each appended row names this as its ``procedure``; rows
+without one were written cold (an empty prefix every run, or in-tree
+bytecode before that).
 
 Every run made is printed, one line per pair.  Exits nonzero if any run
 reported incorrect outputs or failed ops.
@@ -53,6 +60,13 @@ from pathlib import Path
 from typing import Optional
 
 
+#: What an appended row's runs were: see the module docstring.
+PROCEDURE = "alternating pairs, each side's own prefix warmed by one untimed run"
+
+#: Length of the warm-up run: one op per child is all it needs.
+WARM_UP_SECONDS = 0.1
+
+
 def measure(
     checkout: Path,
     pycache: Path,
@@ -60,14 +74,18 @@ def measure(
     seed: int,
     seconds: float,
     trace: int = 0,
+    warm_up: bool = False,
 ) -> dict:
     """One ``perf.run`` in ``checkout`` (untraced unless ``trace``), its
-    bytecode under ``pycache``; its result line as a dict."""
+    bytecode under ``pycache``; its result line as a dict.  A ``warm_up``
+    run writes bytecode there whatever ``PYTHONDONTWRITEBYTECODE`` says."""
     command = [
         sys.executable, "-m", "perf.run", "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
     ]  # fmt: skip
     env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    if warm_up:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
     done = subprocess.run(
         command, cwd=checkout, env=env, capture_output=True, text=True
     )
@@ -155,6 +173,7 @@ def trajectory_row(
     pairs, ``readings`` maps each end-to-end metric to its :func:`compare`."""
     return {
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "procedure": PROCEDURE,
         "workload": workload,
         "parent_sha": parent[0],
         "change_sha": change[0],
@@ -218,6 +237,8 @@ def pair_workload(
         f"{workload}: {args.pairs} pairs, seeds {seeds[0]}..{seeds[-1]}, "
         f"{args.seconds:g} s runs, parent={args.parent} change={args.change}"
     )
+    for side, checkout in sides.items():
+        measure(checkout, caches[side], workload, seeds[0], WARM_UP_SECONDS, warm_up=True)
     for pair, seed in enumerate(seeds):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         results = {

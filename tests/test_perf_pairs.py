@@ -93,7 +93,8 @@ ROW_KEYS = {"date", "workload", "parent_sha", "change_sha", "change_dirty", "see
 
 
 def _check_row(row, end_to_end):
-    assert set(row) == ROW_KEYS
+    # Rows written before the warm-up procedure carry no ``procedure``.
+    assert set(row) - {"procedure"} == ROW_KEYS
     assert isinstance(row["workload"], str) and row["seeds"]
     assert all(isinstance(seed, int) for seed in row["seeds"])
     assert set(row["metrics"]) == end_to_end
@@ -120,6 +121,7 @@ def test_append_writes_one_row_per_workload(tmp_path):
     )
     _check_row(json.loads(json.dumps(row)), _end_to_end())
     assert (row["seeds"], row["change_dirty"]) == ([7, 8, 9], True)
+    assert row["procedure"] == perf_pairs.PROCEDURE
     assert row["metrics"]["op_wall_s"] == {
         "parent": [1.5, 2.0, 2.5], "change": [1.25, 1.5, 1.75], "wins": 2,
     }  # fmt: skip
@@ -138,7 +140,12 @@ def test_each_side_compiles_into_its_own_empty_cache_outside_both_trees(
     tmp_path, monkeypatch
 ):
     """A stale in-tree ``__pycache__`` on one side only would show up as a
-    setup gain: each side's runs get their own ``PYTHONPYCACHEPREFIX``."""
+    setup gain: each side's runs get their own ``PYTHONPYCACHEPREFIX``,
+    empty when the side's first run starts.  That first run of each
+    workload is an untimed warm-up that writes bytecode (no
+    ``PYTHONDONTWRITEBYTECODE``), so every timed run of both sides reads a
+    warm prefix and ``setup_s`` does not time the compiler."""
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     for tree in trees.values():
         (tree / "__pycache__").mkdir(parents=True)
@@ -155,24 +162,40 @@ def test_each_side_compiles_into_its_own_empty_cache_outside_both_trees(
         "attempted": 1,
     }
     prefixes = {}
+    runs = []  # (tree, workload, writes bytecode, --seconds, --trace)
 
     def run(command, cwd, **kwargs):
         if command[0] == "git":
             return perf_pairs.subprocess.CompletedProcess(command, 128, "", "")
-        prefix = pathlib.Path(kwargs["env"]["PYTHONPYCACHEPREFIX"])
+        env = kwargs["env"]
+        prefix = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
         if cwd not in prefixes:  # the side's first run finds it empty
             assert prefix.is_dir() and not any(prefix.iterdir())
         prefixes.setdefault(cwd, set()).add(prefix)
+        flag = dict(zip(command[3::2], command[4::2]))
+        runs.append(
+            (cwd, flag["--workload"], "PYTHONDONTWRITEBYTECODE" not in env,
+             float(flag["--seconds"]), flag["--trace"])
+        )  # fmt: skip
         return perf_pairs.subprocess.CompletedProcess(
             command, 0, json.dumps(result), ""
         )
 
     monkeypatch.setattr(perf_pairs.subprocess, "run", run)
     argv = [str(trees["parent"]), str(trees["change"]), "--workload", "w"]
-    assert perf_pairs.main([*argv, "--pairs", "2", "--layers"]) == 0
+    assert perf_pairs.main([*argv, "--workload", "v", "--pairs", "2", "--layers"]) == 0
     assert set(prefixes) == set(trees.values())
     (parent_cache,) = prefixes[trees["parent"]]
     (change_cache,) = prefixes[trees["change"]]
     assert parent_cache != change_cache
     for cache in (parent_cache, change_cache):
         assert not any(cache.is_relative_to(tree) for tree in trees.values())
+    warm = perf_pairs.WARM_UP_SECONDS
+    for workload in ("w", "v"):
+        mine = [run[:1] + run[2:] for run in runs if run[1] == workload]
+        # Each side warms up once, untimed, before any of its timed runs;
+        # only the warm-ups write bytecode.
+        assert mine[:2] == [(trees["parent"], True, warm, "0"), (trees["change"], True, warm, "0")]
+        assert [(writes, trace) for _, writes, _, trace in mine[2:]] == [
+            (False, "0")
+        ] * 4 + [(False, "1")] * 2
