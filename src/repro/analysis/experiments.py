@@ -409,9 +409,6 @@ def e4_pe_binding(
             return {"scheduler": RandomLagScheduler(factor=25.0, rate=0.4)}
         return {"chaos": _lag_links(4, {seed % 4}, 15.0, horizon=60.0)}
 
-    def searched(n: int) -> Callable[[int], dict]:
-        return lambda seed: {"chaos": lag_schedule(n, SEARCHED_LAG[n])}
-
     settings = [
         ("benign", 4, range(benign_runs), (), None),
         ("f silent", 4, range(silent_runs), (3,), None),
@@ -419,9 +416,12 @@ def e4_pe_binding(
         ("2 silent", 7, range(n7_runs), (5, 6), None),
     ]
     settings += [
-        ("searched lag", n, range(SEARCHED_LAG_SEED0, SEARCHED_LAG_SEED0 + runs), (), searched(n))
+        (
+            "searched lag", n, range(SEARCHED_LAG_SEED0, SEARCHED_LAG_SEED0 + runs), (),
+            lambda seed, spec=lag_schedule(n, SEARCHED_LAG[n]): {"chaos": spec},
+        )
         for n, runs in searched_runs.items()
-    ]
+    ]  # fmt: skip
     rows, findings = [], []
     for setting, n, seeds, silent, options in settings:
         terminated = bound = 0
