@@ -512,7 +512,9 @@ class Transport:
                     words = envelope.word_size()
                 except Exception:
                     words = -(-len(codec.encode(envelope.payload)) // 32) + 1
-            except codec.CodecError:
+            except (ValueError, RecursionError):
+                # A CodecError, or a value the encoder cannot write at all:
+                # a lone surrogate (UnicodeEncodeError), nesting past the stack.
                 self.adversary_drops["codec_refused"] += 1
                 return
             finally:

@@ -19,12 +19,16 @@ Two adversaries:
   corrupted party saw in the same run, sent to a drawn set of
   recipients.  Tier-1 runs 100 draws; CI's ``ci`` profile step runs
   2 000.
+* **What the encoder cannot write**: a lone surrogate and a tuple nested
+  past the stack fail in the encoder without a ``CodecError``; the
+  boundary refuses them all the same.
 """
 
 import copy
 import dataclasses
 import functools
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import run_adkg
@@ -190,3 +194,27 @@ def test_a_drawn_field_of_a_corrupted_party_never_breaks_agreement(
         behaviors={corrupt: FieldSwap(kind, name, replacement, recipients)},
     )
     _assert_agreed_and_verified(setup, result)
+
+
+def _nested(depth):
+    value = ()
+    for _ in range(depth):
+        value = (value,)
+    return value
+
+
+@pytest.mark.parametrize(
+    "value", ["\ud800", _nested(5_000)], ids=["lone surrogate", "deep nesting"]
+)
+def test_a_value_the_encoder_cannot_write_is_refused_at_the_boundary(value):
+    """No codec error is raised for these: the encoder fails with a
+    ``UnicodeEncodeError`` or a ``RecursionError``.  The boundary refuses
+    them as it refuses a ``CodecError``, and the run agrees."""
+    setup = TrustedSetup.generate(4, seed=1)
+    swap = MutateBehavior(
+        lambda payload, recipient, rng: _replaced(payload, "root", value),
+        selector=lambda envelope: type(envelope.payload) is _payload_types()[69],  # CTReady
+    )
+    result = run_adkg(setup=setup, seed=1, behaviors={3: swap})
+    _assert_agreed_and_verified(setup, result)
+    assert result.metrics_summary["counters"]["adversary"]["codec_refused"] > 0
