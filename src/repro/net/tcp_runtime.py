@@ -24,10 +24,11 @@ Authenticated channels: a party speaks only as itself, on both sides of
 the socket.  The shared flush drops (``adversary.forged_sender``) any
 envelope a :class:`~repro.net.adversary.Behavior` emits under another
 index, and sends what a behaviour changed through the codec first, as
-on the simulator (``adversary.codec_refused``).  A receiver binds each connection to the peer its hello names:
-:data:`HELLO_MAGIC`, then the codec encoding of ``(sender, generation,
-signature)``, signed by the sender over the session, the ordered pair
-and a generation newer than the pair's last.  A bad first frame closes
+on the simulator (``adversary.codec_refused``).  A receiver binds each
+connection to the peer its hello names: :data:`HELLO_MAGIC`, then the
+codec encoding of ``(sender, generation, signature)``, signed by the
+sender over the session, the ordered pair and a generation newer than
+the pair's last.  A bad first frame closes
 the connection, an envelope from any other sender is dropped, and both
 count in ``rejected_frames``.  Hellos are never metered.
 
