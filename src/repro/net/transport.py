@@ -489,8 +489,10 @@ class Transport:
         counted in ``adversary.forged_sender`` or ``dropped_sends``), in
         bytes: any envelope but ``given`` travels as its codec round trip,
         uncounted in ``codec.encode_stats``, or is dropped as
-        ``adversary.codec_refused``.  A decoded payload that cannot size
-        itself is metered by DESIGN §1's bytes rule, and still delivered.
+        ``adversary.codec_refused`` (as is a negative depth, which a TCP
+        receiver refuses).  The decoded copy is metered by DESIGN §1's
+        bytes rule, never by its own ``word_size``: the adversary chose
+        every field that sizes it.
         """
         sender = given.sender
         if envelope.sender != sender:
@@ -508,10 +510,9 @@ class Transport:
                 if len(body) > MAX_FRAME_BYTES:
                     raise codec.CodecError("over the frame bound")
                 envelope = codec.decode_envelope(body)
-                try:
-                    words = envelope.word_size()
-                except Exception:
-                    words = -(-len(codec.encode(envelope.payload)) // 32) + 1
+                if envelope.depth < 0:
+                    raise codec.CodecError("negative depth")
+                words = -(-len(codec.encode(envelope.payload)) // 32) + 1
             except (ValueError, RecursionError):
                 # A CodecError, or a value the encoder cannot write at all:
                 # a lone surrogate (UnicodeEncodeError), nesting past the stack.

@@ -390,35 +390,48 @@ def test_background_task_errors_propagate_not_timeout():
 def test_forged_unencodable_payload_is_dropped_not_fatal():
     """A Byzantine transform producing codec garbage must not kill the run,
     and both runtimes refuse and count it alike: a corrupted send is bytes,
-    and these are bytes the codec cannot make."""
+    and these are bytes the codec cannot make, or (a negative depth) bytes
+    a TCP receiver refuses."""
     from dataclasses import dataclass
 
-    from repro.net.adversary import MutateBehavior
+    from repro.net.adversary import Behavior, MutateBehavior
     from repro.net.payload import Payload
 
     @dataclass(frozen=True)
     class Unregistered(Payload):
         junk: int
 
-    for kind in TRANSPORT_KINDS:
-        setup = TrustedSetup.generate(4, seed=5)
-        runtime = make_transport(
-            kind,
-            setup,
-            behaviors={3: MutateBehavior(lambda p, recipient, rng: Unregistered(1))},
-            seed=5,
-        )
-        # The forged messages never leave, so the corrupted party is
-        # effectively silent: EchoAll (which waits for all n) starves — the
-        # simulator quiesces, TCP times out — and nothing dies with a
-        # CodecError.
-        stalled = RuntimeError if kind == "sim" else asyncio.TimeoutError
-        with pytest.raises(stalled):
-            runtime.run_sync(lambda party: EchoAll(), timeout=0.5)
-        assert runtime.metrics.counters("adversary") == {"codec_refused": 3}, kind
-        assert runtime.metrics.messages_total == 3 * 3, kind
-        assert runtime.dropped_sends == 0, kind
-        assert all(3 not in runtime.parties[i].instance(()).seen for i in range(3))
+    class NegativeDepth(Behavior):
+        def transform_outgoing(self, envelope, rng):
+            e = envelope
+            return [Envelope(e.path, e.sender, e.recipient, e.payload, -1, e.session)]
+
+    forgeries = {
+        "unregistered payload": lambda: MutateBehavior(
+            lambda p, recipient, rng: Unregistered(1)
+        ),
+        "negative depth": NegativeDepth,
+    }
+    for forgery, behavior in forgeries.items():
+        for kind in TRANSPORT_KINDS:
+            setup = TrustedSetup.generate(4, seed=5)
+            runtime = make_transport(
+                kind, setup, behaviors={3: behavior()}, seed=5
+            )
+            # The forged messages never leave, so the corrupted party is
+            # effectively silent: EchoAll (which waits for all n) starves —
+            # the simulator quiesces, TCP times out — and nothing dies with
+            # a CodecError.
+            stalled = RuntimeError if kind == "sim" else asyncio.TimeoutError
+            with pytest.raises(stalled):
+                runtime.run_sync(lambda party: EchoAll(), timeout=0.5)
+            where = (forgery, kind)
+            assert runtime.metrics.counters("adversary") == {"codec_refused": 3}, where
+            assert runtime.metrics.messages_total == 3 * 3, where
+            assert runtime.dropped_sends == 0, where
+            if kind == "tcp":
+                assert runtime.rejected_frames == 0, where
+            assert all(3 not in runtime.parties[i].instance(()).seen for i in range(3))
 
 
 def test_an_unopened_tcp_runtime_meters_its_sends_and_drops_each():
