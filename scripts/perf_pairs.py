@@ -34,9 +34,9 @@ Each side's runs compile into their own ``PYTHONPYCACHEPREFIX``, a
 directory made empty by each invocation outside both checkouts: a stale
 in-tree ``__pycache__`` in one checkout would otherwise make its setup look
 faster than a fresh clone's.  Before a workload's pairs, each side makes one
-untimed warm-up run of it with ``PYTHONDONTWRITEBYTECODE`` removed from that
-run's environment, so the prefix holds the bytecode of everything the
-workload imports, the standard library's included.  The timed runs then read
+untimed warm-up run of it (every run has ``PYTHONDONTWRITEBYTECODE``
+removed from its environment), so the prefix holds the bytecode of
+everything the workload imports, the standard library's included.  The timed runs then read
 warm bytecode and both sides start equal: ``setup_s`` times the program,
 not the compiler.  Each appended row names this as its ``procedure``; rows
 without one were written cold (an empty prefix every run, or in-tree
@@ -74,18 +74,16 @@ def measure(
     seed: int,
     seconds: float,
     trace: int = 0,
-    warm_up: bool = False,
 ) -> dict:
     """One ``perf.run`` in ``checkout`` (untraced unless ``trace``), its
-    bytecode under ``pycache``; its result line as a dict.  A ``warm_up``
-    run writes bytecode there whatever ``PYTHONDONTWRITEBYTECODE`` says."""
+    bytecode under ``pycache`` whatever ``PYTHONDONTWRITEBYTECODE`` says;
+    its result line as a dict."""
     command = [
         sys.executable, "-m", "perf.run", "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
     ]  # fmt: skip
     env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
-    if warm_up:
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     done = subprocess.run(
         command, cwd=checkout, env=env, capture_output=True, text=True
     )
@@ -238,7 +236,7 @@ def pair_workload(
         f"{args.seconds:g} s runs, parent={args.parent} change={args.change}"
     )
     for side, checkout in sides.items():
-        measure(checkout, caches[side], workload, seeds[0], WARM_UP_SECONDS, warm_up=True)
+        measure(checkout, caches[side], workload, seeds[0], WARM_UP_SECONDS)
     for pair, seed in enumerate(seeds):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         results = {

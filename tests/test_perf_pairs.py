@@ -142,9 +142,10 @@ def test_each_side_compiles_into_its_own_empty_cache_outside_both_trees(
     """A stale in-tree ``__pycache__`` on one side only would show up as a
     setup gain: each side's runs get their own ``PYTHONPYCACHEPREFIX``,
     empty when the side's first run starts.  That first run of each
-    workload is an untimed warm-up that writes bytecode (no
-    ``PYTHONDONTWRITEBYTECODE``), so every timed run of both sides reads a
-    warm prefix and ``setup_s`` does not time the compiler."""
+    workload is an untimed warm-up, and no run inherits
+    ``PYTHONDONTWRITEBYTECODE``, so the warm-up writes the prefix, every
+    timed run of both sides reads it warm and ``setup_s`` does not time
+    the compiler."""
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     for tree in trees.values():
@@ -162,7 +163,7 @@ def test_each_side_compiles_into_its_own_empty_cache_outside_both_trees(
         "attempted": 1,
     }
     prefixes = {}
-    runs = []  # (tree, workload, writes bytecode, --seconds, --trace)
+    runs = []  # (tree, workload, --seconds, --trace)
 
     def run(command, cwd, **kwargs):
         if command[0] == "git":
@@ -173,10 +174,8 @@ def test_each_side_compiles_into_its_own_empty_cache_outside_both_trees(
             assert prefix.is_dir() and not any(prefix.iterdir())
         prefixes.setdefault(cwd, set()).add(prefix)
         flag = dict(zip(command[3::2], command[4::2]))
-        runs.append(
-            (cwd, flag["--workload"], "PYTHONDONTWRITEBYTECODE" not in env,
-             float(flag["--seconds"]), flag["--trace"])
-        )  # fmt: skip
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        runs.append((cwd, flag["--workload"], float(flag["--seconds"]), flag["--trace"]))
         return perf_pairs.subprocess.CompletedProcess(
             command, 0, json.dumps(result), ""
         )
@@ -193,9 +192,6 @@ def test_each_side_compiles_into_its_own_empty_cache_outside_both_trees(
     warm = perf_pairs.WARM_UP_SECONDS
     for workload in ("w", "v"):
         mine = [run[:1] + run[2:] for run in runs if run[1] == workload]
-        # Each side warms up once, untimed, before any of its timed runs;
-        # only the warm-ups write bytecode.
-        assert mine[:2] == [(trees["parent"], True, warm, "0"), (trees["change"], True, warm, "0")]
-        assert [(writes, trace) for _, writes, _, trace in mine[2:]] == [
-            (False, "0")
-        ] * 4 + [(False, "1")] * 2
+        # Each side warms up once, untimed, before any of its timed runs.
+        assert mine[:2] == [(trees["parent"], warm, "0"), (trees["change"], warm, "0")]
+        assert [trace for *_, trace in mine[2:]] == ["0"] * 4 + ["1"] * 2
