@@ -27,6 +27,7 @@ import dataclasses
 import random
 import statistics
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
@@ -43,6 +44,7 @@ from repro.core.nwh import NWH
 from repro.core.proposal_election import ProposalElection
 from repro.crypto import threshold_vrf as tvrf
 from repro.crypto.keys import TrustedSetup
+from repro.net import codec
 from repro.net.adversary import (
     CrashBehavior,
     DropBehavior,
@@ -53,6 +55,7 @@ from repro.net.adversary import (
 )
 from repro.net.chaos import ChaosSpec, DelayWindow
 from repro.net.delays import FixedDelay
+from repro.net.metrics import counter_delta
 from repro.net.protocol import Protocol
 from repro.net.runtime import Simulation
 from repro.service import run_beacon, run_churn
@@ -861,9 +864,14 @@ def e11_transports(ns: Sequence[int], seed: int) -> Section:
 def e12_hotpath(ns: Sequence[int], seed: int) -> Section:
     rows = []
     for n in ns:
-        result = run_adkg(n=n, seed=seed, measure_bytes=True)
+        # Encodes and pairings are process-wide: bracketed around the run.
+        setup = TrustedSetup.generate(n, seed=seed)
+        group = setup.directory.pair_group
+        pair_calls, encodes = group.pair_calls, Counter(codec.encode_stats)
+        result = run_adkg(seed=seed, setup=setup, measure_bytes=True)
+        encode = counter_delta(codec.encode_stats, encodes)
         counters = result.metrics_summary["counters"]
-        verify, encode = counters["verify"], counters["encode"]
+        verify = counters["verify"]
         rows.append(
             {
                 "n": n,
@@ -875,7 +883,7 @@ def e12_hotpath(ns: Sequence[int], seed: int) -> Section:
                 "verified": sum(v for k, v in verify.items() if k.endswith(".misses")),
                 "payload_sends": encode["payload.calls"],
                 "payloads_encoded": encode["payload.misses"],
-                "pairings": counters["pairing"]["pair_calls"],
+                "pairings": group.pair_calls - pair_calls,
             }
         )
     return Section(

@@ -39,8 +39,9 @@ class PublicDirectory:
     sign_pks: tuple[int, ...]
     enc_pks: tuple[GroupElement, ...]
     session: str
-    #: Per-run verification memo (see :mod:`repro.crypto.verify_cache`);
-    #: scoped to the directory so verdicts never cross runs or key sets.
+    #: Verification memo (see :mod:`repro.crypto.verify_cache`).  Every
+    #: transport replaces it in its parties' copy of the directory, so
+    #: verdicts never cross runs or key sets.
     verify_cache: VerifyCache = dc_field(
         default_factory=VerifyCache,
         compare=False,

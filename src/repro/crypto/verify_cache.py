@@ -16,13 +16,16 @@ to a different key, and misses the cache — there is no way to inherit a
 encode never enter the content-addressed store (the check simply runs),
 so it can only deduplicate work, never change a verdict.
 
-Scoping: each :class:`~repro.crypto.keys.PublicDirectory` owns one cache
-(created in its ``__post_init__`` default), so results never leak between
-runs or between differently-keyed systems, and per-run counters are
-meaningful.  Within one simulated run all in-process parties share the
-directory and therefore the cache; the ``*.misses`` counter is exactly
-"distinct values verified", which is the structural quantity
-``perf.run`` reports as ``crypto.verify_cache.misses``.
+Scoping: each run has a cache of its own.  A transport hands its
+parties a copy of the setup's :class:`~repro.crypto.keys.PublicDirectory`
+that carries a fresh cache counting into the run's
+:attr:`~repro.net.metrics.Metrics.counts`, so verdicts never cross runs
+or differently-keyed systems, and the ``verify`` counters are the run's
+work alone.  Within one run all in-process parties share the cache (and
+a recovered party's replay finds it warm); the ``*.misses`` counter is
+exactly "distinct values verified", which is the structural quantity
+``perf.run`` reports as ``crypto.verify_cache.misses``.  A directory
+built outside a run carries a cache with a table of its own.
 
 Identity memoization (:class:`IdentityMemo`) is a second, cheaper layer:
 it maps a *specific object* to a derived value — a verdict under a
@@ -172,19 +175,21 @@ def _part_key(part: Any) -> Optional[Any]:
 class VerifyCache:
     """Per-directory store of verification verdicts, with counters.
 
-    ``stats`` counts, per domain: ``<domain>.calls`` (every memoize
-    request), ``<domain>.hits`` / ``<domain>.misses`` (cacheable requests
-    served from / added to the store) and ``<domain>.uncacheable``
-    (values the codec could not encode — always recomputed).
+    ``stats`` (the run's counter table, or a table of the cache's own)
+    counts, per domain: ``verify.<domain>.calls`` (every memoize
+    request), ``verify.<domain>.hits`` / ``verify.<domain>.misses``
+    (cacheable requests served from / added to the store) and
+    ``verify.<domain>.uncacheable`` (values the codec could not encode —
+    always recomputed).
 
     Single-threaded: every runtime delivers on one thread.
     """
 
     __slots__ = ("_results", "stats", "_domains")
 
-    def __init__(self) -> None:
+    def __init__(self, stats: Optional[Counter] = None) -> None:
         self._results: dict[tuple, Any] = {}
-        self.stats: Counter = Counter()
+        self.stats: Counter = Counter() if stats is None else stats
         #: domain -> (identity memo, calls / hits / misses / uncacheable keys).
         self._domains: dict[str, tuple[IdentityMemo, str, str, str, str]] = {}
 
@@ -252,10 +257,6 @@ class VerifyCache:
         record = self._domains.get(domain)
         if record is None:
             stats = ("calls", "hits", "misses", "uncacheable")
-            record = (IdentityMemo(), *(f"{domain}.{stat}" for stat in stats))
+            record = (IdentityMemo(), *(f"verify.{domain}.{stat}" for stat in stats))
             self._domains[domain] = record
         return record
-
-    def snapshot(self) -> dict[str, int]:
-        """A plain-dict copy of the counters (for :class:`~repro.net.metrics.Metrics`)."""
-        return dict(self.stats)

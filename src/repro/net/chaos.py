@@ -51,8 +51,9 @@ byte-identical (word totals, message totals, group key).  With no spec
 the plane is *idle* and the transport skips it entirely, so chaos-off
 runs are byte-identical to runs without a plane attached.
 
-Every injected fault is counted; the transport surfaces the counts as
-``Metrics.counters("chaos")``.
+Every injected fault is counted as ``chaos.<fault>`` in the run's
+``Metrics.counts`` table, which the transport hands the plane, and read
+back as ``Metrics.counters("chaos")``.
 """
 
 from __future__ import annotations
@@ -336,10 +337,13 @@ class ChaosPlane:
     so a fault is decided exactly once per transmission.
     """
 
-    def __init__(self, spec: ChaosSpec, seed: int = 0) -> None:
+    def __init__(
+        self, spec: ChaosSpec, seed: int = 0, counts: Optional[Counter] = None
+    ) -> None:
         self.spec = spec
         self.rng = random.Random(f"chaos-{seed}")
-        self.counts: Counter = Counter()
+        #: The run's counter table (or one of the plane's own).
+        self.counts: Counter = Counter() if counts is None else counts
         #: ``id()`` of envelopes already re-injected by the plane; a
         #: strong reference lives in the transport's requeue structure
         #: until re-entry, so the ids cannot be recycled underneath us.
@@ -348,10 +352,6 @@ class ChaosPlane:
         #: entirely, so an attached-but-idle plane costs one attribute
         #: check per delivery.
         self.active = not spec.idle
-
-    def counters(self) -> dict:
-        """Live fault counts (the ``Metrics.counters("chaos")`` provider)."""
-        return dict(self.counts)
 
     def release(self, envelope: Envelope) -> None:
         """Exempt a re-injected envelope from chaos on its next delivery."""
@@ -375,7 +375,7 @@ class ChaosPlane:
         counts = self.counts
         for partition in self.spec.partitions:
             if partition.severs(sender, recipient, now):
-                counts["partitioned"] += 1
+                counts["chaos.partitioned"] += 1
                 return (HOLD, max(partition.heal - now, _MIN_DELAY))
         rng = self.rng
         for fault in self.spec.faults:
@@ -387,13 +387,13 @@ class ChaosPlane:
             if fault.kind == "drop":
                 # Lost transmission, retransmitted by the reliable
                 # channel: delay, never true loss.
-                counts["dropped"] += 1
+                counts["chaos.dropped"] += 1
                 return (HOLD, jitter)
             if fault.kind == "duplicate":
-                counts["duplicated"] += 1
+                counts["chaos.duplicated"] += 1
                 return (DUPLICATE, jitter)
             if fault.kind == "reorder":
-                counts["reordered"] += 1
+                counts["chaos.reordered"] += 1
                 return (HOLD, jitter)
             # corrupt: flip one byte of the wire frame and let the codec
             # judge it; the clean envelope is then retransmitted.
@@ -404,7 +404,7 @@ class ChaosPlane:
             if window.applies(envelope, now):
                 extra += window.extra
         if extra > 0.0:
-            counts["delayed"] += 1
+            counts["chaos.delayed"] += 1
             return (HOLD, extra)
         return (DELIVER, 0.0)
 
@@ -421,38 +421,40 @@ class ChaosPlane:
         """
         counts = self.counts
         body = codec.encode_envelope(envelope)
-        counts["corrupted"] += 1
+        counts["chaos.corrupted"] += 1
         mutated = bytearray(body)
         index = self.rng.randrange(len(mutated))
         mutated[index] ^= 1 << self.rng.randrange(8)
         try:
             decoded = codec.decode_envelope(bytes(mutated))
         except codec.CodecError:
-            counts["corrupt_rejected"] += 1
+            counts["chaos.corrupt_rejected"] += 1
             return
         # The codec accepted the flip (e.g. a mutated int field still in
         # range).  Fail closed anyway — and loudly distinguish a decode
         # that round-trips to a *different* envelope from a flip in
         # redundant encoding space.
         if decoded != envelope:
-            counts["corrupt_forged"] += 1
+            counts["chaos.corrupt_forged"] += 1
         else:
-            counts["corrupt_identity"] += 1
+            counts["chaos.corrupt_identity"] += 1
 
 
-def coerce_chaos(chaos: "ChaosSpec | str | None", seed: int) -> Optional[ChaosPlane]:
+def coerce_chaos(
+    chaos: "ChaosSpec | str | None", seed: int, counts: Optional[Counter] = None
+) -> Optional[ChaosPlane]:
     """Normalize a transport's ``chaos=`` argument into a plane.
 
     Accepts a :class:`ChaosSpec` or the CLI mini-language string; either
     gets a plane seeded from the run seed, which is what makes same-seed
-    chaos runs reproducible end-to-end.
+    chaos runs reproducible end-to-end, and counting into ``counts``.
     """
     if chaos is None:
         return None
     if isinstance(chaos, str):
         chaos = ChaosSpec.parse(chaos)
     if isinstance(chaos, ChaosSpec):
-        return ChaosPlane(chaos, seed=seed)
+        return ChaosPlane(chaos, seed=seed, counts=counts)
     raise TypeError(
         f"chaos must be a ChaosSpec or spec string, not {type(chaos).__name__}"
     )

@@ -7,15 +7,17 @@ decomposition).  Layer attribution is *inclusive*: a reliable-broadcast
 message inside Gather inside PE counts towards ``rb``, ``gather`` and
 ``pe``.
 
-Beyond the paper's word metric, a :class:`Metrics` can carry *counter
-providers*: named live views over computational-work counters (crypto
-verification calls/hits/misses from
-:mod:`repro.crypto.verify_cache`, payload encode calls from
-:mod:`repro.net.codec`, pairing operations).  The transport binds them as
-deltas against its construction-time baseline, so ``counters("verify")``
-is "work done by this run" — the structural quantity
-``tests/net/totals_golden.json`` pins and experiment E12 tabulates,
-independent of wall-clock noise.
+Beyond the paper's word metric, a :class:`Metrics` keeps the run's
+*work counts* in one table, :attr:`Metrics.counts`, keyed
+``namespace.name``; :data:`NAMESPACES` is the registry (DESIGN.md
+section 4 tables every key, its writer and what it counts).  Every count
+is this run's own: the transport writes ``adversary.*``, its chaos plane
+``chaos.*``, the TCP runtime ``tcp.*`` and the verify cache on the run's
+directory ``verify.*``, each straight into the table.  ``pending`` is the
+one view, summed over the run's own parties, whose drop counts ride in
+their snapshots.  Process-wide work (``codec.encode_stats``, a
+``BilinearGroup``'s ``pair_calls``) is not here: a reader brackets it
+around the run with :func:`counter_delta`.
 
 The batched message plane adds *frame* accounting on top: every send is
 still metered individually (``bytes_total`` is the protocol byte metric,
@@ -34,6 +36,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.net.envelope import Envelope
+
+
+#: The counter registry: every namespace of :meth:`Metrics.counters`.
+NAMESPACES = ("adversary", "chaos", "pending", "tcp", "verify")
 
 
 def counter_delta(live: Mapping[str, int], baseline: Mapping[str, int]) -> dict:
@@ -94,9 +100,10 @@ class Metrics:
     #: *protocol* byte metric — per-envelope sizes, whatever the frames —
     #: so the difference is exactly what coalescing saved.
     wire_bytes_total: int = 0
-    counter_providers: dict[str, Callable[[], dict]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: The run's work counts, keyed ``namespace.name`` (:data:`NAMESPACES`).
+    counts: Counter = field(default_factory=Counter)
+    #: The ``pending`` namespace: a view over the run's parties.
+    pending_view: Callable[[], dict] = field(default=dict, repr=False, compare=False)
 
     def record_send(
         self,
@@ -176,14 +183,17 @@ class Metrics:
     def words_for_layer(self, layer: str) -> int:
         return self.words_by_layer.get(layer, 0)
 
-    def attach_counters(self, name: str, provider: Callable[[], dict]) -> None:
-        """Register a live work-counter view (e.g. ``"verify"``, ``"encode"``)."""
-        self.counter_providers[name] = provider
-
     def counters(self, name: str) -> dict:
-        """The named counter view right now; ``{}`` if none was attached."""
-        provider = self.counter_providers.get(name)
-        return dict(provider()) if provider is not None else {}
+        """The non-zero counts of namespace ``name``, keyed without it."""
+        if name == "pending":
+            return dict(self.pending_view())
+        prefix = name + "."
+        cut = len(prefix)
+        return {
+            key[cut:]: value
+            for key, value in self.counts.items()
+            if value and key.startswith(prefix)
+        }
 
     def summary(self) -> dict:
         return {
@@ -200,8 +210,5 @@ class Metrics:
             "deliveries": self.deliveries,
             "words_by_layer": dict(self.words_by_layer),
             "words_by_type": dict(self.words_by_type),
-            "counters": {
-                name: dict(provider())
-                for name, provider in self.counter_providers.items()
-            },
+            "counters": {name: self.counters(name) for name in NAMESPACES},
         }

@@ -16,8 +16,8 @@ every envelope one flush slice queued for the same connection (a slice
 holds at most ``batch_cap_envelopes``, so a cap of one sends batches of
 one), with intra-frame payload deduplication, and is halved while its
 body exceeds ``batch_cap_bytes``.  Malformed frames (codec errors,
-oversized lengths) are dropped and counted in ``rejected_frames``, as is
-every decoded envelope addressed to a different party — the
+oversized lengths) are dropped and counted as ``tcp.rejected_frames``, as
+is every decoded envelope addressed to a different party — the
 Byzantine-input posture of the codec applies at the transport edge too.
 
 Authenticated channels: a party speaks only as itself, on both sides of
@@ -30,7 +30,7 @@ codec encoding of ``(sender, generation, signature)``, signed by the
 sender over the session, the ordered pair and a generation newer than
 the pair's last.  A bad first frame closes
 the connection, an envelope from any other sender is dropped, and both
-count in ``rejected_frames``.  Hellos are never metered.
+count as ``tcp.rejected_frames``.  Hellos are never metered.
 
 Byte metering is always on: ``metrics.bytes_total`` is the *protocol*
 byte metric — the sum of per-envelope sizes (length prefix + bare
@@ -40,8 +40,10 @@ the sockets, so their difference is what coalescing saved.  This is the
 one runtime that builds frames (:meth:`TCPRuntime._batch_frame`), so the
 one that counts wire bytes.  A send is metered when it is buffered, as
 offered load; one with no connection to travel on (the runtime is not
-open) is dropped where its frame would be built and counted in
-``dropped_sends``, as a frame shed by backpressure is.
+open) is dropped where its frame would be built and counted as
+``tcp.dropped_sends``, as the sends of a frame shed by backpressure are.
+Every ``tcp.*`` count is written straight into the run's
+``Metrics.counts`` table.
 
 Backpressure: each ordered pair's send queue is a *bounded*
 ``asyncio.Queue`` (``send_queue_cap`` frames).  ``drain()`` applies
@@ -59,7 +61,8 @@ once per connection generation in ``tcp.conn_lost``.  The pump
 reconnects when its next frame is due, with capped exponential backoff
 and deterministic per-link jitter (``tcp.reconnects``), retaining the
 in-flight frame across the outage and re-writing it on the new
-connection (``tcp.resent_frames``) — the same parked-traffic model the
+connection (``tcp.resent_frames``: wire traffic only, its envelopes were
+metered once, at send time) — the same parked-traffic model the
 transport's ``detach_party``/``reattach_party`` applies at the party
 level, here at the socket level: the bounded send queue simply survives
 the reconnect and drains onto the new socket.  No timer watches an idle
@@ -196,37 +199,11 @@ class TCPRuntime(Transport):
         #: before it); :meth:`now` counts seconds since then.
         self._clock_origin: Optional[float] = None
         self.ports: dict[int, int] = {}
-        self.rejected_frames = 0
-        #: Frames shed because a pair's bounded send queue was full.
-        self.backpressure_drops = 0
-        #: Connection losses detected (once per connection generation).
-        self.conn_lost = 0
-        #: Successful reconnects after a loss.
-        self.reconnects = 0
-        #: Data frames written again on a fresh connection after their
-        #: first write failed mid-frame.  Resends are *wire* traffic
-        #: only: the envelopes were metered as protocol sends exactly
-        #: once, at send time.
-        self.resent_frames = 0
         self._closing = False
         self._servers: list[asyncio.AbstractServer] = []
         self._links: dict[tuple[int, int], _Link] = {}
         #: Per ordered pair, the last generation a hello bound on it.
         self._hello_generations: dict[tuple[int, int], int] = {}
-        self.metrics.attach_counters("tcp", self._tcp_counters)
-
-    def _tcp_counters(self) -> dict:
-        counters = {}
-        for key, value in (
-            ("backpressure", self.backpressure_drops),
-            ("rejected_frames", self.rejected_frames),
-            ("conn_lost", self.conn_lost),
-            ("reconnects", self.reconnects),
-            ("resent_frames", self.resent_frames),
-        ):
-            if value:
-                counters[key] = value
-        return counters
 
     # -- the driving surface -----------------------------------------------------------
 
@@ -439,7 +416,7 @@ class TCPRuntime(Transport):
             or link.writer is None
         ):
             return
-        self.conn_lost += 1
+        self.metrics.counts["tcp.conn_lost"] += 1
         writer, link.writer = link.writer, None
         writer.close()
 
@@ -477,7 +454,7 @@ class TCPRuntime(Transport):
                 continue
             link.generation += 1
             link.attempts = 0
-            self.reconnects += 1
+            self.metrics.counts["tcp.reconnects"] += 1
             self._attach(link, reader, writer)
 
     def _attach(
@@ -517,7 +494,7 @@ class TCPRuntime(Transport):
             link = self._links.get(pair)
             if link is None:
                 # Not open (or already closed): metered, never framed.
-                self.dropped_sends += len(group)
+                self.metrics.counts["tcp.dropped_sends"] += len(group)
             else:
                 self._put_frames(link, group)
 
@@ -536,10 +513,10 @@ class TCPRuntime(Transport):
             link.queue.put_nowait(frame)
         except asyncio.QueueFull:
             # The envelopes were already metered as sends (offered load);
-            # the shed frame is visible in tcp.backpressure and in
-            # dropped_sends.
-            self.backpressure_drops += 1
-            self.dropped_sends += len(envelopes)
+            # the shed frame is visible in tcp.backpressure and its
+            # sends in tcp.dropped_sends.
+            self.metrics.counts["tcp.backpressure"] += 1
+            self.metrics.counts["tcp.dropped_sends"] += len(envelopes)
             return
         self.metrics.record_frame(len(envelopes), len(frame))
 
@@ -580,7 +557,7 @@ class TCPRuntime(Transport):
                 continue
             if link.resend:
                 link.resend = False
-                self.resent_frames += 1
+                self.metrics.counts["tcp.resent_frames"] += 1
             link.pending = None
 
     # -- receiving ---------------------------------------------------------------------
@@ -629,7 +606,7 @@ class TCPRuntime(Transport):
                     return
                 length = int.from_bytes(header, "big")
                 if length > MAX_FRAME_BYTES:
-                    self.rejected_frames += 1
+                    self.metrics.counts["tcp.rejected_frames"] += 1
                     return  # poison-length frame: drop the connection
                 try:
                     frame = await reader.readexactly(length)
@@ -638,13 +615,13 @@ class TCPRuntime(Transport):
                 if peer is None:
                     peer = self._hello_peer(party, frame)
                     if peer is None:
-                        self.rejected_frames += 1
+                        self.metrics.counts["tcp.rejected_frames"] += 1
                         return  # not a peer: drop the connection
                     continue
                 try:
                     envelopes = codec.decode_batch(frame)
                 except codec.CodecError:
-                    self.rejected_frames += 1
+                    self.metrics.counts["tcp.rejected_frames"] += 1
                     continue
                 for envelope in envelopes:
                     if (
@@ -652,7 +629,7 @@ class TCPRuntime(Transport):
                         or envelope.sender != peer
                         or envelope.depth < 0
                     ):
-                        self.rejected_frames += 1
+                        self.metrics.counts["tcp.rejected_frames"] += 1
                         continue
                     self._deliver_buffered(envelope)
                 # One flush for the whole frame: the activations it

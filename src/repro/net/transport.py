@@ -11,8 +11,8 @@ one pipeline every runtime shares:
   buffer, except that a sender with a Byzantine
   :class:`~repro.net.adversary.Behavior` is transformed and metered per
   envelope, and may speak only as itself, to its peers (anything else is
-  dropped unmetered); what it changed travels as codec bytes on both
-  runtimes;
+  dropped unmetered, counted under ``adversary``); what it changed
+  travels as codec bytes on both runtimes;
 * **delivery** (:meth:`Transport._deliver_buffered`) — the recipient's
   behavior may swallow the message, otherwise the delivery is recorded
   and routed into the party's protocol stack; the outbox is drained into
@@ -31,8 +31,13 @@ one pipeline every runtime shares:
   *Protocol* word/byte accounting does not depend on the frames: every
   send is metered at buffer time with ``FRAME_HEADER_BYTES +
   len(encode_envelope(e))``.  A send is metered as offered load; one a
-  runtime cannot carry is counted in ``dropped_sends`` where its frame
-  would be built.
+  runtime cannot carry is counted in the run's ``Metrics.counts`` where
+  its frame would be built.
+
+A run counts only its own work: the transport's :class:`Metrics` holds
+the one counter table, and the transport, its chaos plane and the verify
+cache on its parties' directory (:attr:`Transport.directory`) count
+into it.
 
 Two subclasses provide only *when and how* a transmitted batch comes
 back to :meth:`_deliver_buffered`, through their one send hook
@@ -67,6 +72,7 @@ from collections import Counter as _Counter
 from typing import Any, Callable, Optional
 
 from repro.crypto.keys import TrustedSetup
+from repro.crypto.verify_cache import VerifyCache
 from repro.net import codec
 from repro.net.adversary import Behavior, SilentBehavior
 from repro.net.chaos import DELIVER as _CHAOS_DELIVER, HOLD as _CHAOS_HOLD
@@ -122,6 +128,13 @@ class Transport:
     ) -> None:
         directory = setup.directory
         self.setup = setup
+        self.metrics = Metrics()
+        self.metrics.pending_view = self._pending_counters
+        #: The parties' directory: the setup's, with a verify cache of this
+        #: run's own that counts into ``metrics.counts``.
+        self.directory = dataclasses.replace(
+            directory, verify_cache=VerifyCache(self.metrics.counts)
+        )
         self.n = directory.n
         self.f = directory.f
         self.behaviors = dict(behaviors or {})
@@ -155,14 +168,6 @@ class Transport:
         #: Per-delivery observers (the WAL recorder); each is called with
         #: every network envelope that was actually delivered.
         self._delivery_observers: list[Callable[[Envelope], None]] = []
-        self.metrics = Metrics()
-        self._bind_work_counters(directory)
-        self.dropped_sends = 0
-        #: A corrupted party's sends dropped unmetered, by reason:
-        #: ``forged_sender`` (another party's index) and ``codec_refused``
-        #: (a changed envelope the codec refused).
-        self.adversary_drops = _Counter()
-        self.metrics.attach_counters("adversary", lambda: dict(self.adversary_drops))
         self.seed = seed
         self._adv_rng = random.Random(f"{rng_namespace}-adv-{seed}")
         #: Link-level fault injection (DESIGN §11).  ``chaos`` accepts a
@@ -170,9 +175,7 @@ class Transport:
         #: is seeded from the run seed, so same-seed chaos runs are
         #: exactly reproducible.  ``None`` (and an idle spec) leaves
         #: the delivery pipeline byte-identical to a plane-free run.
-        self.chaos = coerce_chaos(chaos, seed)
-        if self.chaos is not None:
-            self.metrics.attach_counters("chaos", self.chaos.counters)
+        self.chaos = coerce_chaos(chaos, seed, self.metrics.counts)
         #: A session is started exactly when it is in one of these two.
         #: Per incomplete session: honest parties whose result has not
         #: been noted yet (a service running thousands of epochs pays
@@ -210,41 +213,13 @@ class Transport:
             index=index,
             n=self.n,
             f=self.f,
-            directory=self.setup.directory,
+            directory=self.directory,
             secret=self.setup.secret(index),
             rng_label=f"party-{self.seed}-{index}",
         )
         if isinstance(self.behaviors.get(index), SilentBehavior):
             party.halt()
         return party
-
-    def _bind_work_counters(self, directory: Any) -> None:
-        """Expose hot-path work counters as deltas over this run.
-
-        ``verify`` reads the directory's per-run verification cache
-        (misses = distinct values actually verified), ``encode`` the
-        codec's payload encode-once memo, ``pairing`` the simulated
-        group's pairing-operation count.  All are metered as growth since
-        transport construction, so two transports over fresh setups are
-        directly comparable.
-        """
-        from repro.net.metrics import counter_delta
-
-        verify_cache = directory.verify_cache
-        verify_base = _Counter(verify_cache.snapshot())
-        encode_base = _Counter(codec.encode_stats)
-        pair_group = directory.pair_group
-        pair_base = pair_group.pair_calls
-        self.metrics.attach_counters(
-            "verify", lambda: counter_delta(verify_cache.snapshot(), verify_base)
-        )
-        self.metrics.attach_counters(
-            "encode", lambda: counter_delta(codec.encode_stats, encode_base)
-        )
-        self.metrics.attach_counters(
-            "pairing", lambda: {"pair_calls": pair_group.pair_calls - pair_base}
-        )
-        self.metrics.attach_counters("pending", self._pending_counters)
 
     def _pending_counters(self) -> dict:
         """Session-buffer accounting aggregated over all parties.
@@ -486,20 +461,20 @@ class Transport:
         """Meter and buffer what a :class:`Behavior` emitted for ``given``.
 
         A corrupted party speaks only as itself, to its peers (else a drop,
-        counted in ``adversary.forged_sender`` or ``dropped_sends``), in
-        bytes: any envelope but ``given`` travels as its codec round trip,
-        uncounted in ``codec.encode_stats``, or is dropped as
-        ``adversary.codec_refused`` (as is a negative depth, which a TCP
-        receiver refuses).  The decoded copy is metered by DESIGN §1's
+        counted as ``adversary.forged_sender`` or
+        ``adversary.readdressed``), in bytes: any envelope but ``given``
+        travels as its codec round trip, uncounted in
+        ``codec.encode_stats``, or is dropped as ``adversary.codec_refused``
+        (as is a negative depth, which a TCP receiver refuses).  The decoded copy is metered by DESIGN §1's
         bytes rule, never by its own ``word_size``: the adversary chose
         every field that sizes it.
         """
         sender = given.sender
         if envelope.sender != sender:
-            self.adversary_drops["forged_sender"] += 1
+            self.metrics.counts["adversary.forged_sender"] += 1
             return
         if envelope.recipient not in self._peers[sender]:
-            self.dropped_sends += 1
+            self.metrics.counts["adversary.readdressed"] += 1
             return
         if envelope is given:
             self._meter_run(envelope, self._envelope_nbytes(envelope), 1)
@@ -516,7 +491,7 @@ class Transport:
             except (ValueError, RecursionError):
                 # A CodecError, or a value the encoder cannot write at all:
                 # a lone surrogate (UnicodeEncodeError), nesting past the stack.
-                self.adversary_drops["codec_refused"] += 1
+                self.metrics.counts["adversary.codec_refused"] += 1
                 return
             finally:
                 codec.encode_stats.clear()

@@ -195,8 +195,6 @@ class MembershipDriver:
         runtime = make_run_transport(
             self.transport, stretch.setup, seed=stretch.seed, chaos=stretch.chaos
         )
-        if report.metrics:  # the first stretch's counter reads the whole run
-            del runtime.metrics.counter_providers["pairing"]
         plan: Any = nullcontext()
         if stretch.crash is not None:
             plan = CrashPlan(

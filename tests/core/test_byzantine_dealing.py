@@ -60,7 +60,7 @@ class Harness:
         self.root.on_message(sender, self.wrap(contribution))
 
     def stats(self) -> dict:
-        return dict(self.directory.verify_cache.stats)
+        return self.sim.metrics.counters("verify")
 
     def corrupt_cipher(self, dealer: int, j: int = 3, delta=None):
         """``dealer``'s contribution with cipher share ``j`` moved by ``delta``."""

@@ -46,9 +46,9 @@ def test_memoize_counts_hits_and_misses():
     assert cache.memoize("demo", (b"key",), compute) is True
     assert cache.memoize("demo", (b"key",), compute) is True
     assert len(calls) == 1
-    assert cache.stats["demo.calls"] == 2
-    assert cache.stats["demo.misses"] == 1
-    assert cache.stats["demo.hits"] == 1
+    assert cache.stats["verify.demo.calls"] == 2
+    assert cache.stats["verify.demo.misses"] == 1
+    assert cache.stats["verify.demo.hits"] == 1
 
 
 def test_memoize_uncacheable_values_always_recompute():
@@ -66,16 +66,16 @@ def test_memoize_uncacheable_values_always_recompute():
     assert cache.memoize("demo", (value,), compute) is False
     assert cache.memoize("demo", (value,), compute) is False
     assert len(calls) == 2
-    assert cache.stats["demo.uncacheable"] == 2
-    assert cache.stats["demo.hits"] == 0
+    assert cache.stats["verify.demo.uncacheable"] == 2
+    assert cache.stats["verify.demo.hits"] == 0
 
 
 def test_domains_are_separated():
     cache = VerifyCache()
     assert cache.memoize("a", (1,), lambda: True) is True
     assert cache.memoize("b", (1,), lambda: False) is False
-    assert cache.stats["a.misses"] == 1
-    assert cache.stats["b.misses"] == 1
+    assert cache.stats["verify.a.misses"] == 1
+    assert cache.stats["verify.b.misses"] == 1
 
 
 def test_identity_memo_never_aliases_a_different_object(setup):
@@ -121,8 +121,8 @@ def test_mutated_transcript_never_inherits_cached_verdict(setup):
     assert tvrf.DKGVerify(directory, transcript)  # populates the cache
     assert tvrf.DKGVerify(directory, transcript)  # served from it
     stats = directory.verify_cache.stats
-    assert stats["pvss-transcript.hits"] >= 1
-    baseline_misses = stats["pvss-transcript.misses"]
+    assert stats["verify.pvss-transcript.hits"] >= 1
+    baseline_misses = stats["verify.pvss-transcript.misses"]
 
     encoded = codec.encode(transcript)
     mutants = 0
@@ -139,7 +139,7 @@ def test_mutated_transcript_never_inherits_cached_verdict(setup):
             break
     assert mutants > 0, "mutation sweep produced no decodable transcript"
     # Every mutant was a fresh cache miss — no stale hit crossed over.
-    assert stats["pvss-transcript.misses"] == baseline_misses + mutants
+    assert stats["verify.pvss-transcript.misses"] == baseline_misses + mutants
 
 
 def test_mutated_contribution_rejected_under_memoization(setup):
@@ -170,7 +170,7 @@ def test_field_mutated_copy_of_an_encoded_verified_transcript_starts_from_nothin
     encoded = codec.encode(transcript)  # bytes memoized ...
     assert pvss.verify_transcript(directory, transcript, floor)  # ... and verdict
     stats = directory.verify_cache.stats
-    misses = stats["pvss-transcript.misses"]
+    misses = stats["verify.pvss-transcript.misses"]
 
     moved = dataclasses.replace(
         transcript,
@@ -179,14 +179,14 @@ def test_field_mutated_copy_of_an_encoded_verified_transcript_starts_from_nothin
     assert codec.encode(moved) != encoded
     assert content_digest(moved) != content_digest(transcript)
     assert not pvss.verify_transcript(directory, moved, floor)
-    assert stats["pvss-transcript.misses"] == misses + 1
+    assert stats["verify.pvss-transcript.misses"] == misses + 1
 
     # A field-equal fresh copy is the other direction: different object,
     # same bytes, so it finds the original's verdict by content.
     equal = dataclasses.replace(transcript)
     assert equal is not transcript and codec.encode(equal) == encoded
     assert pvss.verify_transcript(directory, equal, floor)
-    assert stats["pvss-transcript.misses"] == misses + 1
+    assert stats["verify.pvss-transcript.misses"] == misses + 1
     assert codec.encode(transcript) == encoded
 
 

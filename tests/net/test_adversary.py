@@ -372,5 +372,54 @@ def test_a_behaviour_speaks_only_to_its_peers(kind, target):
     assert sorted(results) == [0, 1, 2]
     assert len(set(results.values())) == 1
     assert behavior.readdressed > 0
-    assert runtime.dropped_sends == behavior.readdressed
-    assert runtime.metrics.counters("adversary") == {}
+    assert runtime.metrics.counters("adversary") == {
+        "readdressed": behavior.readdressed
+    }
+
+
+class _Forger(Behavior):
+    """Readdresses one send in three and signs the next as party 0."""
+
+    def __init__(self):
+        self.tally = {"readdressed": 0, "forged_sender": 0}
+        self._sends = 0
+
+    def transform_outgoing(self, envelope, rng):
+        self._sends += 1
+        if self._sends % 3 == 1:
+            self.tally["readdressed"] += 1
+            return [dataclasses.replace(envelope, recipient=99)]
+        if self._sends % 3 == 2:
+            self.tally["forged_sender"] += 1
+            return [dataclasses.replace(envelope, sender=0)]
+        return [envelope]
+
+
+@pytest.mark.parametrize("kind", ("sim", "tcp"))
+def test_every_drop_and_link_event_is_in_the_run_summary(kind):
+    """The run's one counter table holds what its forger lost and, on TCP,
+    what a killed connection cost: ``summary()["counters"]`` shows each."""
+    forger = _Forger()
+    runtime = make_transport(
+        kind, TrustedSetup.generate(4, seed=3), behaviors={3: forger}, seed=3
+    )
+    if kind == "tcp":
+        runtime.reconnect_base, runtime.reconnect_cap = 0.02, 0.2
+        deliveries = 0
+
+        def killer(envelope):
+            nonlocal deliveries
+            deliveries += 1
+            if deliveries == 40:
+                runtime.kill_connection(0, 1)
+
+        runtime.add_delivery_observer(killer)
+    results = runtime.run_sync(lambda party: ADKG(), timeout=30.0)
+    assert sorted(results) == [0, 1, 2] and len(set(results.values())) == 1
+    counters = runtime.metrics.summary()["counters"]
+    assert set(counters) == {"adversary", "chaos", "pending", "tcp", "verify"}
+    assert counters["adversary"] == forger.tally
+    assert min(forger.tally.values()) > 0
+    if kind == "tcp":
+        assert counters["tcp"]["conn_lost"] >= 1
+        assert counters["tcp"]["reconnects"] >= 1

@@ -26,6 +26,7 @@ from repro.net.chaos import (
     coerce_chaos,
 )
 from repro.net.envelope import Envelope
+from repro.net.metrics import Metrics
 from repro.net.runtime import Simulation
 
 from tests.net.helpers import EchoAll, Ping
@@ -152,7 +153,7 @@ def test_partition_holds_until_heal():
     action, delay = plane.decide(_env(0, 1), now=4.0)
     assert action is HOLD
     assert delay == pytest.approx(6.0)
-    assert plane.counters() == {"partitioned": 1}
+    assert plane.counts == {"chaos.partitioned": 1}
     # After heal the same link delivers.
     assert plane.decide(_env(0, 1), now=10.0)[0] is DELIVER
 
@@ -181,18 +182,21 @@ def test_duplicate_verdict_and_delay_window():
     plane2 = ChaosPlane(ChaosSpec(delays=(DelayWindow(extra=2.0, end=5.0),)))
     assert plane2.decide(_env(), 1.0) == (HOLD, 2.0)
     assert plane2.decide(_env(), 6.0)[0] is DELIVER
-    assert plane2.counters() == {"delayed": 1}
+    assert plane2.counts == {"chaos.delayed": 1}
 
 
 def test_corruption_counter_arithmetic():
+    metrics = Metrics()
     plane = ChaosPlane(
-        ChaosSpec(faults=(LinkFault(kind="corrupt", rate=1.0),)), seed=3
+        ChaosSpec(faults=(LinkFault(kind="corrupt", rate=1.0),)),
+        seed=3,
+        counts=metrics.counts,
     )
     for counter in range(200):
         env = _env(counter=counter)
         action, _delay = plane.decide(env, 0.0)
         assert action is HOLD  # the flip is discarded either way
-    counts = plane.counters()
+    counts = metrics.counters("chaos")
     assert counts["corrupted"] == 200
     # Every corrupted frame got exactly one codec verdict.
     assert counts["corrupted"] == (

@@ -8,10 +8,14 @@ counters — is identical whether envelopes moved by reference through the
 simulator or as codec frames over real TCP sockets.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import run_adkg
 from repro.crypto.keys import TrustedSetup
+from repro.net import codec
+from repro.net.metrics import counter_delta
 
 
 def _verify_counters(result) -> dict:
@@ -22,12 +26,18 @@ def _misses(counters: dict) -> dict:
     return {k: v for k, v in counters.items() if k.endswith(".misses")}
 
 
+def _encodes(run) -> tuple:
+    """``run()``'s result and the codec's process-wide encode counts it grew."""
+    before = Counter(codec.encode_stats)
+    result = run()
+    return result, counter_delta(codec.encode_stats, before)
+
+
 def test_verify_counters_identical_sim_vs_tcp():
-    # One setup each: a setup's directory carries the verify cache.
-    sim = run_adkg(seed=7, setup=TrustedSetup.generate(4, f=0, seed=7))
-    tcp = run_adkg(
-        seed=7, setup=TrustedSetup.generate(4, f=0, seed=7), transport="tcp"
-    )
+    # One setup for both: each run's transport brings a verify cache of its own.
+    setup = TrustedSetup.generate(4, f=0, seed=7)
+    sim = run_adkg(seed=7, setup=setup)
+    tcp = run_adkg(seed=7, setup=setup, transport="tcp")
     assert sim.agreed and tcp.agreed
     sim_verify, tcp_verify = _verify_counters(sim), _verify_counters(tcp)
     # Distinct-values-verified is schedule-independent at f=0; the total
@@ -51,8 +61,9 @@ def test_transcript_verification_is_amortized_per_distinct_value():
 
 
 def test_encode_once_fan_out_counters():
-    result = run_adkg(n=7, seed=3, transport="sim", measure_bytes=True)
-    encode = result.metrics_summary["counters"]["encode"]
+    _result, encode = _encodes(
+        lambda: run_adkg(n=7, seed=3, transport="sim", measure_bytes=True)
+    )
     # A multicast encodes its payload once and reuses the buffer for the
     # other recipients: hits dominate misses.
     assert encode["payload.hits"] > encode["payload.misses"]
@@ -74,8 +85,9 @@ def test_an_aggregate_is_walked_at_most_once_per_object(monkeypatch):
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counting)
-    result = run_adkg(n=7, seed=3, transport="sim", measure_bytes=True)
-    encode = result.metrics_summary["counters"]["encode"]
+    _result, encode = _encodes(
+        lambda: run_adkg(n=7, seed=3, transport="sim", measure_bytes=True)
+    )
     assert 0 < encode["aggregate.misses"] <= len(created)
     assert encode["aggregate.calls"] > encode["aggregate.misses"]
     assert encode["aggregate.calls"] == (
@@ -84,17 +96,20 @@ def test_an_aggregate_is_walked_at_most_once_per_object(monkeypatch):
 
 
 def test_pairing_ops_scale_with_distinct_values_not_echoes():
-    result = run_adkg(n=7, seed=3, transport="sim")
+    setup = TrustedSetup.generate(7, seed=3)
+    group = setup.directory.pair_group
+    before = group.pair_calls
+    result = run_adkg(seed=3, setup=setup, transport="sim")
+    pair_calls = group.pair_calls - before
     verify = _verify_counters(result)
-    pairing = result.metrics_summary["counters"]["pairing"]
     # Each distinct transcript/contribution verification costs 2 pairing
     # ops (the RLC batch), each eval-share check 1; repeated arrivals of
     # the same value cost none.  So pairing work is a small multiple of
     # total distinct verifications, far below total verify *requests*.
     distinct = sum(v for k, v in verify.items() if k.endswith(".misses"))
     requests = sum(v for k, v in verify.items() if k.endswith(".calls"))
-    assert pairing["pair_calls"] <= 4 * distinct
-    assert pairing["pair_calls"] < requests
+    assert pair_calls <= 4 * distinct
+    assert pair_calls < requests
 
 
 # -- one crypto plane: verification runs in-process, nothing selects otherwise --------
@@ -110,9 +125,25 @@ def test_run_adkg_workers_keyword_accepts_only_zero():
 
 
 def test_verify_cache_emits_only_the_four_inline_counters():
-    setup = TrustedSetup.generate(4, seed=1)
-    assert run_adkg(n=4, seed=1, setup=setup).agreed
-    snapshot = setup.directory.verify_cache.snapshot()
-    assert snapshot
-    suffixes = {key.rsplit(".", 1)[1] for key in snapshot}
+    result = run_adkg(n=4, seed=1)
+    assert result.agreed
+    verify = _verify_counters(result)
+    assert verify
+    suffixes = {key.rsplit(".", 1)[1] for key in verify}
     assert suffixes <= {"calls", "hits", "misses", "uncacheable"}
+
+
+@pytest.mark.parametrize("transport", ("sim", "tcp"))
+def test_two_runs_on_one_setup_count_the_same_verify_work(transport):
+    """Each run brings a verify cache of its own: a second run on the same
+    setup verifies every distinct value again, and counts it."""
+    setup = TrustedSetup.generate(4, f=0, seed=2)
+    first, second = (
+        run_adkg(seed=2, setup=setup, transport=transport) for _ in range(2)
+    )
+    assert first.agreed and second.agreed
+    counted = [_verify_counters(result) for result in (first, second)]
+    if transport == "tcp":  # a delivery racing the teardown may bump a hit
+        counted = [_misses(counters) for counters in counted]
+    assert counted[0] == counted[1]
+    assert _misses(counted[1])

@@ -14,6 +14,7 @@ dataclass.
 import ast
 import dataclasses
 import pathlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.reshare import ReshareAgreement
 from repro.crypto.keys import TrustedSetup
 from repro.net.adversary import CrashBehavior, DropBehavior
+from repro.net import codec
 from repro.net.envelope import Envelope
+from repro.net.metrics import counter_delta
 from repro.net.party import Party
 from repro.net.protocol import Protocol
 from repro.net.runtime import Simulation
@@ -76,6 +79,7 @@ def _run(actions, *, as_record, behavior, cap, depth):
     a multicast is queued as a record or, with ``as_record`` False, as the
     loop of sends it replaced.  Fresh payload objects per run: the codec
     memoizes by identity."""
+    encodes = Counter(codec.encode_stats)
     sim = Simulation(
         SETUP, behaviors=BEHAVIORS[behavior](), seed=7, measure_bytes=True
     )
@@ -121,8 +125,8 @@ def _run(actions, *, as_record, behavior, cap, depth):
         "words_by_type": dict(metrics.words_by_type),
         "messages_by_type": dict(metrics.messages_by_type),
         "deliveries": metrics.deliveries,
-        "encode": metrics.counters("encode"),
-        "dropped_sends": sim.dropped_sends,
+        "encode": counter_delta(codec.encode_stats, encodes),
+        "counts": dict(metrics.counts),
         "in_flight": sum(len(entry) for _, _, entry in sim._queue),
     }
 

@@ -11,6 +11,7 @@ to the digit for any records an outbox can hold.  A dropping or crashing
 behaviour must meter exactly the envelopes it lets through.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -21,7 +22,7 @@ from repro.net import codec
 from repro.net.adversary import Behavior, CrashBehavior, DropBehavior
 from repro.net.delays import FixedDelay
 from repro.net.envelope import Envelope
-from repro.net.metrics import Metrics
+from repro.net.metrics import Metrics, counter_delta
 from repro.net.payload import Payload
 from repro.net.runtime import Simulation
 from repro.net.transport import FRAME_HEADER_BYTES
@@ -123,6 +124,7 @@ def _records(spec):
 
 
 def _flush(records, *, behavior=None, measure_bytes, cap, fixed, depth=0):
+    encodes = Counter(codec.encode_stats)
     sim = Simulation(
         SETUP,
         delay_model=FixedDelay(1.0) if fixed else None,
@@ -165,8 +167,8 @@ def _flush(records, *, behavior=None, measure_bytes, cap, fixed, depth=0):
         "occupancy_max": metrics.batch_occupancy_max,
         "deliveries": metrics.deliveries,
         "max_depth": metrics.max_depth,
-        "encode": metrics.counters("encode"),
-        "dropped_sends": sim.dropped_sends,
+        "encode": counter_delta(codec.encode_stats, encodes),
+        "counts": dict(metrics.counts),
         "in_flight": sum(len(entry) for _, _, entry in sim._queue),
     }
 
@@ -229,6 +231,7 @@ def test_a_multicast_is_one_run_and_one_metering_call():
     """The property above cannot tell one call from k: count them."""
     sim = Simulation(SETUP, seed=7, measure_bytes=True)
     sim._peers[SENDER] = tuple(range(1, 40))
+    encodes = Counter(codec.encode_stats)
     calls = []
     record_send = sim.metrics.record_send
     sim.metrics.record_send = lambda envelope, nbytes=None, count=1: (
@@ -238,7 +241,7 @@ def test_a_multicast_is_one_run_and_one_metering_call():
     sim._flush_party(_Outbox([(0, ("layer",), None, Blob(data=(1,)))]))
     assert calls == [39]
     assert sim.metrics.messages_total == 39
-    assert sim.metrics.counters("encode") == {
+    assert counter_delta(codec.encode_stats, encodes) == {
         "payload.calls": 39, "payload.hits": 38, "payload.misses": 1,
     }  # fmt: skip
 
@@ -273,11 +276,12 @@ def test_unencodable_payload_after_a_half_built_run_fails_loudly():
         (0, ("layer",), 1, Blob(data=(2,))),
     ]
     sim = Simulation(SETUP, seed=7, measure_bytes=True)
+    encodes = Counter(codec.encode_stats)
     with pytest.raises(codec.CodecError):
         sim._flush_party(_Outbox(records))
     assert sim.metrics.messages_total == 3
     assert sim.metrics.words_total == 3 * (shared.word_size() + 1)
-    assert sim.metrics.counters("encode")["payload.calls"] == 3
+    assert counter_delta(codec.encode_stats, encodes)["payload.calls"] == 3
     assert [(e.recipient, e.payload) for e in sim._outgoing] == [
         (1, shared), (2, shared), (3, shared),
     ]  # fmt: skip

@@ -71,7 +71,7 @@ def test_interleaved_adkg_sessions_on_tcp_match_sim(n=4, seed=7):
     assert [r.transcript for r in tcp_results] == [
         r.transcript for r in sim_results
     ]
-    assert runtime.rejected_frames == 0
+    assert runtime.metrics.counts["tcp.rejected_frames"] == 0
 
 
 def test_sessions_injected_into_live_tcp_network():

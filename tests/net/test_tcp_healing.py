@@ -5,7 +5,7 @@ connections are hard-killed mid-ADKG still reaches agreement (with
 ``tcp.conn_lost``/``tcp.reconnects`` proving the healing path actually
 ran): these kill tests are the kill-and-heal gate.  A partition of f
 parties that heals still reaches agreement, and a killed-and-healed
-connection never double-counts ``rejected_frames`` or inflates the
+connection never double-counts ``tcp.rejected_frames`` or inflates the
 protocol's word/byte totals (resent frames are wire traffic, not
 protocol traffic).
 """
@@ -40,13 +40,15 @@ def test_a_former_heartbeat_body_is_a_malformed_frame():
         try:
             # The runtime's own link 1 -> 0 carries the body, as a frame.
             runtime._links[1, 0].queue.put_nowait(b"\x00\x00\x00\x02\xe7\x01")
-            await runtime.wait_until(lambda rt: rt.rejected_frames, timeout=5)
+            await runtime.wait_until(
+                lambda rt: rt.metrics.counts["tcp.rejected_frames"], timeout=5
+            )
         finally:
             await runtime.close()
         return runtime
 
     runtime = asyncio.run(scenario())
-    assert runtime.rejected_frames == 1
+    assert runtime.metrics.counts["tcp.rejected_frames"] == 1
     assert runtime.metrics.deliveries == 0
 
 
@@ -77,12 +79,9 @@ def test_adkg_survives_hard_killed_connections():
 
     runtime, results = asyncio.run(scenario())
     assert _agreeing(results, 4)
-    assert runtime.conn_lost >= 1
-    assert runtime.reconnects >= 1
-    assert runtime.rejected_frames == 0
-    counters = runtime.metrics.counters("tcp")
-    assert counters["conn_lost"] == runtime.conn_lost
-    assert counters["reconnects"] == runtime.reconnects
+    assert runtime.metrics.counts["tcp.conn_lost"] >= 1
+    assert runtime.metrics.counts["tcp.reconnects"] >= 1
+    assert runtime.metrics.counts["tcp.rejected_frames"] == 0
 
 
 def test_adkg_survives_partition_of_f_parties_then_heal():
@@ -113,9 +112,9 @@ def test_a_closed_runtime_reopens_and_heals():
             await runtime.close()
 
     asyncio.run(reopened())
-    assert runtime.conn_lost >= 1
-    assert runtime.reconnects >= 1
-    assert runtime.rejected_frames == 0
+    assert runtime.metrics.counts["tcp.conn_lost"] >= 1
+    assert runtime.metrics.counts["tcp.reconnects"] >= 1
+    assert runtime.metrics.counts["tcp.rejected_frames"] == 0
 
 
 def test_kill_connection_validates_pair():
@@ -162,7 +161,7 @@ def test_healed_connections_do_not_inflate_protocol_totals():
     clean_rt, clean = asyncio.run(scenario(kill=False))
     healed_rt, healed = asyncio.run(scenario(kill=True))
     assert _agreeing(clean, 4) and _agreeing(healed, 4)
-    assert healed_rt.conn_lost >= 1
+    assert healed_rt.metrics.counts["tcp.conn_lost"] >= 1
     # Protocol accounting is identical: same words, messages and
     # per-envelope bytes — connection churn is invisible to the
     # protocol-level meters.
@@ -172,8 +171,8 @@ def test_healed_connections_do_not_inflate_protocol_totals():
     )
     assert healed_rt.metrics.bytes_total == clean_rt.metrics.bytes_total
     # ...and the healing path never produced garbage frames.
-    assert healed_rt.rejected_frames == 0
-    assert clean_rt.rejected_frames == 0
+    assert healed_rt.metrics.counts["tcp.rejected_frames"] == 0
+    assert clean_rt.metrics.counts["tcp.rejected_frames"] == 0
 
 
 def test_tcp_chaos_duplicates_are_tolerated():

@@ -61,6 +61,7 @@ checkout's ``src`` first on the path)::
 
 import json
 import pathlib
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -69,7 +70,8 @@ from perf.workloads import WORKLOADS, created_instances
 
 from repro import run_adkg
 from repro.crypto.verify_cache import content_digest, content_encoding
-from repro.net.metrics import Metrics
+from repro.net import codec
+from repro.net.metrics import Metrics, counter_delta
 from repro.net.transport import Transport
 from repro.service import run_beacon
 from tests.net.helpers import print_golden_changes
@@ -91,8 +93,10 @@ CASES = {
 
 
 def _totals(case) -> dict:
+    encodes = Counter(codec.encode_stats)  # process-wide: bracketed
     with created_instances(Metrics) as created:
         result = case()
+    encode = counter_delta(codec.encode_stats, encodes)
     (metrics,) = created
     counters = result.metrics_summary["counters"]
     return {
@@ -111,8 +115,7 @@ def _totals(case) -> dict:
             if key.endswith(".misses")
         },
         "encode": {
-            key: counters["encode"].get(key, 0)
-            for key in ("payload.calls", "payload.misses")
+            key: encode.get(key, 0) for key in ("payload.calls", "payload.misses")
         },
     }
 

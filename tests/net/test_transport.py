@@ -202,7 +202,7 @@ def test_ping_pong_over_tcp():
     results = _run(runtime.run_root(lambda party: PingPong(rounds=3), timeout=30))
     assert results[0] == 3
     assert results[1] == 3
-    assert runtime.rejected_frames == 0
+    assert runtime.metrics.counts["tcp.rejected_frames"] == 0
 
 
 def test_echo_all_over_tcp():
@@ -253,7 +253,7 @@ def test_malformed_frames_are_dropped_not_delivered():
             await runtime.close()
 
     _run(scenario())
-    assert runtime.rejected_frames == 5
+    assert runtime.metrics.counts["tcp.rejected_frames"] == 5
     assert runtime.metrics.deliveries == 0
 
 
@@ -280,14 +280,16 @@ def test_a_batch_envelope_the_receiver_cannot_take_is_refused():
             writer.write(_frame(codec.encode_batch([misaddressed])))
             writer.write(_frame(codec.encode_batch([negative, valid])))
             await writer.drain()
-            await runtime.wait_until(lambda rt: rt.rejected_frames >= 2, timeout=5)
+            await runtime.wait_until(
+                lambda rt: rt.metrics.counts["tcp.rejected_frames"] >= 2, timeout=5
+            )
             await runtime.wait_until(lambda rt: delivered, timeout=5)
             writer.close()
         finally:
             await runtime.close()
 
     _run(scenario())
-    assert runtime.rejected_frames == 2
+    assert runtime.metrics.counts["tcp.rejected_frames"] == 2
     assert delivered == [valid]
 
 
@@ -329,14 +331,16 @@ def test_a_connection_speaks_only_as_the_peer_its_hello_binds(case):
             )
             writer.write(opening + forged)
             await writer.drain()
-            await runtime.wait_until(lambda rt: rt.rejected_frames, timeout=5)
+            await runtime.wait_until(
+                lambda rt: rt.metrics.counts["tcp.rejected_frames"], timeout=5
+            )
             await asyncio.sleep(0.05)  # room for a wrongful delivery
             writer.close()
         finally:
             await runtime.close()
 
     _run(scenario())
-    assert runtime.rejected_frames == 1
+    assert runtime.metrics.counts["tcp.rejected_frames"] == 1
     assert delivered == []
     assert runtime.metrics.deliveries == 0
 
@@ -356,7 +360,7 @@ def test_adkg_over_tcp_matches_simulator_transcript():
     transcripts = list(results.values())
     assert all(t == transcripts[0] for t in transcripts)
     assert transcripts[0] == sim_result.transcript
-    assert runtime.rejected_frames == 0
+    assert runtime.metrics.counts["tcp.rejected_frames"] == 0
     assert runtime.metrics.bytes_total > 0
 
 
@@ -428,9 +432,7 @@ def test_forged_unencodable_payload_is_dropped_not_fatal():
             where = (forgery, kind)
             assert runtime.metrics.counters("adversary") == {"codec_refused": 3}, where
             assert runtime.metrics.messages_total == 3 * 3, where
-            assert runtime.dropped_sends == 0, where
-            if kind == "tcp":
-                assert runtime.rejected_frames == 0, where
+            assert runtime.metrics.counters("tcp") == {}, where
             assert all(3 not in runtime.parties[i].instance(()).seen for i in range(3))
 
 
@@ -441,7 +443,7 @@ def test_an_unopened_tcp_runtime_meters_its_sends_and_drops_each():
     runtime = TCPRuntime(TrustedSetup.generate(4, seed=2), seed=2)
     runtime.start(lambda party: EchoAll())
     assert runtime.metrics.messages_total == 4 * 3
-    assert runtime.dropped_sends == 4 * 3
+    assert runtime.metrics.counters("tcp") == {"dropped_sends": 4 * 3}
     assert runtime.metrics.frames_total == 0
 
 
@@ -477,15 +479,14 @@ def test_byte_metering_is_observational_on_in_process_transports():
             (
                 sim.metrics.messages_total,
                 sim.metrics.words_total,
-                sim.dropped_sends,
                 sim.metrics.counters("adversary"),
                 [sim.parties[i].instance(()).seen for i in range(4)],
             )
         )
     assert outcomes[0] == outcomes[1]
-    messages, _words, dropped, refused, seen = outcomes[0]
+    messages, _words, refused, seen = outcomes[0]
     assert messages == 4 * 3
-    assert (dropped, refused) == (0, {})
+    assert refused == {}
     assert all(s == {0, 1, 2, 3} for s in seen)
 
 
