@@ -38,6 +38,24 @@ def test_sim_crash_recovery_reaches_agreement():
     assert report["parked_delivered"][0] > 0
 
 
+def test_a_party_replayed_from_its_whole_log_outputs_what_it_output():
+    """No checkpoint is due before the crash, so the WAL replay re-makes
+    every output the crashed process made — Gather's and PE's, whose
+    values hang on delivery order, among them — and the invariant oracle
+    holds each to the first one made at that party and instance."""
+    report = run_crash_recovery(
+        transport="sim",
+        n=7,
+        seed=2,
+        crash_indices=[0],
+        crash_after=300,
+        recovery_delay=3.0,
+        cadence=10_000,
+    )
+    assert report["agreement"] and report["valid"]
+    assert report["replay"][0]["wal_records"] >= 300
+
+
 def test_report_times_the_thaw_and_the_replay_apart():
     """What a recovery waits for is mostly the thaw; the replay rate is
     records over the replay interval alone."""
