@@ -196,6 +196,71 @@ class EquivocateBehavior(Behavior):
         return [dataclasses.replace(envelope, payload=forged)]
 
 
+class FirstRankWithholder(Behavior):
+    """One adversary behind the corrupted parties of a Proposal Election
+    (Theorem 3's α): map every corrupted index to this one object.
+
+    Its parties run the honest stack.  **What it observes, and when**:
+    every envelope one of its parties sends, as the transport hands it to
+    :meth:`transform_outgoing`, and every envelope delivered to one of
+    them, at :meth:`allow_delivery` — nothing between honest parties, no
+    honest state.  From the ``PEEvalShare`` messages among these it keeps,
+    per gather index ``k``, the shares of distinct parties.  An index's
+    VRF output is revealed by any ``f + 1`` of them (the threshold), so
+    once it holds ``f + 1`` shares of ``k`` it combines them with
+    ``reveal(shares) -> int``; from then on it knows how the revealed
+    indices rank.
+
+    **What it does**: while the index that ranks first among those
+    revealed is an honest party's (one not in ``corrupted``), its parties
+    withhold every later eval share for that index and every later
+    broadcast message (Gather and index broadcasts: every send that is
+    not an eval share).  Every other send passes.  ``withheld`` counts the
+    sends it dropped; ``revealed`` maps each revealed index to its output.
+    """
+
+    def __init__(
+        self,
+        corrupted: Iterable[int],
+        threshold: int,
+        reveal: Callable[[list], int],
+    ) -> None:
+        from repro.core.proposal_election import PEEvalShare  # deferred: core is above net
+
+        self._share_type = PEEvalShare
+        self.corrupted = frozenset(corrupted)
+        self.threshold = threshold
+        self.reveal = reveal
+        self.revealed: dict[int, int] = {}
+        self.withheld = 0
+        self._shares: dict[int, dict[int, object]] = {}
+        self._target: Optional[int] = None
+
+    def _observe(self, envelope: Envelope) -> None:
+        payload = envelope.payload
+        if type(payload) is not self._share_type or payload.k in self.revealed:
+            return
+        shares = self._shares.setdefault(payload.k, {})
+        shares.setdefault(envelope.sender, payload.share)
+        if len(shares) >= self.threshold:
+            self.revealed[payload.k] = self.reveal(list(shares.values()))
+            first = max(self.revealed, key=lambda k: (self.revealed[k], k))
+            self._target = None if first in self.corrupted else first
+
+    def transform_outgoing(self, envelope: Envelope, rng: random.Random) -> list[Envelope]:
+        self._observe(envelope)
+        if self._target is not None:
+            payload = envelope.payload
+            if type(payload) is not self._share_type or payload.k == self._target:
+                self.withheld += 1
+                return []
+        return [envelope]
+
+    def allow_delivery(self, envelope: Envelope, rng: random.Random) -> bool:
+        self._observe(envelope)
+        return True
+
+
 # -- adversarial scheduling ------------------------------------------------------------
 
 

@@ -65,8 +65,8 @@ self-describing::
 The payload table deduplicates *within* the frame: a multicast payload
 carried by several envelopes of one frame is serialized once and
 referenced by index.  ``0xB5`` sits outside the codec tag space, so a
-bare envelope encoding (:func:`encode_envelope`, what a WAL record and
-the byte metric use — it starts with the struct tag ``0x10``) is never
+bare envelope encoding (:func:`encode_envelope`, what a WAL record
+holds and the byte metric sizes — it starts with the struct tag ``0x10``) is never
 mistaken for a frame: :func:`decode_batch` refuses it.  A batch of one
 costs 4 bytes plus the payload's length varint more than the bare
 envelope (+5 B under 128 B of payload, +6 B under 16 KiB).  Decoding is
@@ -1033,17 +1033,103 @@ def decode_envelope(data: bytes) -> Any:
     return _validate_envelope(decode(data))
 
 
-# No runtime calls ``encoded_size`` or ``encoded_batch_size``: both stay
-# defined while the benchmark's ``net.codec.size`` span binds them
-# (``perf/trace.py``), and go with ROADMAP item 4(b).
+# -- sizes without bytes ---------------------------------------------------------------
+
+
+def _size_items(items: Any) -> int:
+    """Bytes :func:`_encode_items` would append for ``items`` (plain mode),
+    counted instead of written: the size walk.
+
+    Ints and group elements are sized from ``bit_length``, bytes and strs
+    from their lengths, tuples and registered structs by walking their
+    parts; a payload or an aggregate whose bytes the memo already holds
+    is its length.  Every other type (``None``, bools, lists, sets,
+    dicts, floats) is sized by encoding it, so each rare type has one
+    implementation.  Raises :class:`CodecError` wherever the encoder
+    does; a str UTF-8 cannot spell raises ``UnicodeEncodeError`` here, as
+    in the encoder, and :func:`_walk` turns it into a ``CodecError``.
+    Counts nothing in :data:`encode_stats` and puts nothing in the
+    payload memo.
+    """
+    size = 0
+    for value in items:
+        kind = type(value)
+        if kind is int:
+            zigzagged = value << 1 if value >= 0 else ((-value) << 1) - 1
+            if zigzagged < 0x80:
+                size += 2
+                continue
+            bits = zigzagged.bit_length()
+            if bits > _MAX_INT_BITS:
+                raise CodecError(f"integer exceeds the codec bound ({_MAX_INT_BITS} bits)")
+            size += 1 + (bits + 6) // 7
+        elif kind is bytes:
+            length = len(value)
+            size += 1 + _uvarint_size(length) + length
+        elif kind is str:
+            length = len(value) if value.isascii() else len(value.encode("utf-8"))
+            size += 1 + _uvarint_size(length) + length
+        elif kind is tuple:
+            size += 1 + _uvarint_size(len(value)) + _size_items(value)
+        elif (
+            kind is GroupElement
+            and type(log := value.log) is int
+            and log >= 0
+            and type(value.kind) is str
+            and (head := _ELEMENT_HEADS.get(value.kind)) is not None
+        ):
+            zigzagged = log << 1
+            if zigzagged.bit_length() > _MAX_INT_BITS:
+                raise CodecError(f"integer exceeds the codec bound ({_MAX_INT_BITS} bits)")
+            size += len(head) + _uvarint_size(zigzagged)
+        elif (plain := _plain_structs.get(kind)) is not None:
+            size += len(plain[0]) + _size_items(plain[1](value))
+        else:
+            entry = _by_type.get(kind)
+            if entry is None:
+                size += len(_encoded(value))
+            elif kind is _envelope_type:
+                path, *routing = entry[3](value)
+                cached = _path_struct_bytes(path) if type(path) is tuple else None
+                size += len(entry[2]) + (
+                    _size_items((path,)) if cached is None else len(cached)
+                )
+                size += _size_items(routing)
+            elif (cached := _payload_memo.get(value)) is not None:
+                size += len(cached)  # a payload or an aggregate already encoded
+            else:
+                size += len(entry[2]) + _size_items(entry[3](value))
+    return size
+
+
+def _walk(value: Any) -> int:
+    """:func:`_size_items` of one value; an unencodable str is a
+    :class:`CodecError`, so a sizing-only caller catches one type."""
+    _ensure_registered()
+    try:
+        return _size_items((value,))
+    except UnicodeEncodeError as exc:
+        raise CodecError("str is not encodable as UTF-8") from exc
+
+
 def encoded_size(value: Any) -> int:
-    """Bytes ``value`` occupies on the wire (without transport framing)."""
-    return len(encode(value))
+    """Bytes ``value`` occupies on the wire (without transport framing):
+    ``len(encode(value))``, walked, not built."""
+    return _walk(value)
 
 
 def encoded_envelope_size(envelope: Any) -> int:
-    """Bytes of ``envelope``'s bare encoding: the protocol byte metric."""
-    return len(encode_envelope(envelope))
+    """Bytes of ``envelope``'s bare encoding: the protocol byte metric.
+
+    ``len(encode_envelope(envelope))``, walked, not built (see
+    :func:`_size_items`): the struct header, the interned path bytes and
+    the varint widths of the four routing ints, plus the payload — its
+    memoized bytes' length where the bytes exist, else its walk.
+    """
+    _ensure_registered()
+    if type(envelope) is not _envelope_type:
+        raise CodecError(f"expected Envelope, got {type(envelope).__name__}")
+    return _walk(envelope)
 
 
 # -- batch frames ----------------------------------------------------------------------
@@ -1110,13 +1196,15 @@ def encode_batch(envelopes: Any) -> bytes:
     return bytes(out)
 
 
+# No runtime calls ``encoded_size`` or ``encoded_batch_size``: both stay
+# defined while the benchmark's ``net.codec.size`` span binds them
+# (``perf/trace.py``), and go with ROADMAP item 4(b).
 def encoded_batch_size(envelopes: list, body_sizes: list[int]) -> int:
     """``len(encode_batch(envelopes))`` without building the frame.
 
     ``body_sizes[i]`` is ``len(encode_envelope(envelopes[i]))``.  A bare
     envelope is ``3 + path + ints + payload`` bytes and its batch header
-    ``2 + path + ints``, so ``header = body - payload - 1``.  No runtime
-    calls it (see :func:`encoded_size`).
+    ``2 + path + ints``, so ``header = body - payload - 1``.
     """
     _ensure_registered()
     if not envelopes:

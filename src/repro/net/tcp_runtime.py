@@ -163,6 +163,7 @@ class TCPRuntime(Transport):
     #: A frame of several envelopes is halved while its body exceeds
     #: this many bytes.
     batch_cap_bytes = 1 << 20
+    builds_frames = True
 
     def __init__(
         self,

@@ -30,7 +30,7 @@ one pipeline every runtime shares:
   per-envelope reference the equivalence tests compare against.
   *Protocol* word/byte accounting does not depend on the frames: every
   send is metered at buffer time with ``FRAME_HEADER_BYTES +
-  len(encode_envelope(e))``.  A send is metered as offered load; one a
+  codec.encoded_envelope_size(e)``, a size walk that builds no bytes.  A send is metered as offered load; one a
   runtime cannot carry is counted in the run's ``Metrics.counts`` where
   its frame would be built.
 
@@ -115,6 +115,11 @@ class Transport:
     #: Coalescing-buffer flush policy: the buffer is transmitted in
     #: slices of at most this many envelopes.
     batch_cap_envelopes = 256
+    #: Whether this runtime frames every send, and so sizes a send from
+    #: its payload's encoded bytes (one encode-once request per send)
+    #: instead of walking a payload it will encode anyway.  The simulator
+    #: builds no frames and encodes nothing to meter.
+    builds_frames = False
 
     def __init__(
         self,
@@ -449,7 +454,7 @@ class Transport:
         a same-width recipient: words, messages, bytes, by-type and
         by-layer all times ``count``, in one call."""
         self.metrics.record_send(head, nbytes, count)
-        if count > 1 and nbytes is not None:
+        if count > 1 and self.builds_frames:
             # Sizing the head was one payload-encode request; each sibling
             # is such a request served from the memo, so the encode-once
             # counters match sizing every send on its own to the digit.
@@ -507,13 +512,19 @@ class Transport:
 
         ``FRAME_HEADER_BYTES + len(encode_envelope(envelope))`` — what the
         envelope costs as a value, independent of the frame that carries
-        it; the payload's bytes come from the codec's encode-once memo.
-        ``None`` when bytes are not metered on this transport.  Raises
-        :class:`~repro.net.codec.CodecError` for an unencodable payload:
-        only honest envelopes are sized here, so that is a loud failure.
+        it — sized by :func:`~repro.net.codec.encoded_envelope_size`'s
+        walk, which builds no bytes.  A runtime that
+        :attr:`builds_frames` first encodes the payload (the bytes its
+        frame reuses), so the walk takes the payload's length from the
+        memo.  ``None`` when bytes are not metered on this transport.
+        Raises :class:`~repro.net.codec.CodecError` for an unencodable
+        payload: only honest envelopes are sized here, so that is a loud
+        failure.
         """
         if not self.measure_bytes:
             return None
+        if self.builds_frames:
+            codec.encode(envelope.payload)
         size = codec.encoded_envelope_size(envelope)
         if size > MAX_FRAME_BYTES:
             raise codec.CodecError(

@@ -65,8 +65,9 @@ class MembershipReport:
     chaos_epochs: tuple[int, ...] = ()
     replay: dict = field(default_factory=dict)
     #: Every stretch's transport metrics (the live objects), in timeline
-    #: order.  All stretches share one pairing group, so only the first
-    #: counts ``pairing``: its counter reads the whole run.
+    #: order.  Each counts only its own stretch's work, so the run's counts
+    #: are their sum; pairings are process-wide and in none of them (read
+    #: the setups' ``pair_group.pair_calls`` around the run).
     metrics: list[Metrics] = field(default_factory=list)
     #: Wall-clock seconds inside the epoch loops alone: not the setups,
     #: the handoff dealings, the drains or the beacon rounds.

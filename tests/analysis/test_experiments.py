@@ -21,7 +21,8 @@ def quick_sections():
         exp.e2_gather(ns=(4, 7, 10), n_fixed=4, ms=(1, 64)),
         exp.e3_proposal_election(ns=(4, 7, 10)),
         exp.e4_pe_binding(
-            benign_runs=4, silent_runs=3, lag_runs=3, n7_runs=2, searched_runs={4: 20, 7: 20}
+            benign_runs=4, silent_runs=3, lag_runs=3, n7_runs=2, searched_runs={4: 20, 7: 20},
+            withholding_runs={4: 20, 7: 20},
         ),
         exp.e5_nwh(view_runs=4, ns=(4, 7, 10), seeds=(1,), lag_runs=20),
         exp.e6_adkg(ns=(4, 7, 10), seeds=(1,)),

@@ -3,9 +3,14 @@
 import pytest
 
 from repro.broadcast import erasure
+from repro.broadcast.ct_rbc import CTBroadcast, CTEcho, CTReady, CTVal
+from repro.crypto.keys import TrustedSetup
 from repro.crypto.merkle import MerkleTree
 from repro.net import codec
-from repro.net.adversary import SilentBehavior
+from repro.net.adversary import Behavior, SilentBehavior
+from repro.net.delays import FixedDelay
+from repro.net.protocol import Protocol
+from repro.net.runtime import Simulation
 
 from tests.broadcast.helpers import (
     NonCodewordCTDealer,
@@ -114,3 +119,80 @@ def test_unknown_broadcast_kind_rejected():
 
     with pytest.raises(ValueError):
         make_broadcast("nope", dealer=0)
+
+
+# -- Byzantine READYs behind a second root ---------------------------------------------
+
+N7, F2 = 7, 2
+DEALER, ACCOMPLICE = 5, 6
+#: The equivocating dealer's two values and the honest parties each root's
+#: VAL reaches: A three, B two, so only A ever has n - f fragments.
+TWO_ROOTS = ((("left",), (0, 1, 2)), (("right",), (3, 4)))
+
+
+class _ReadiesBothRoots(CTBroadcast):
+    """A corrupted party of the pair: the dealer sends each root's VAL to its
+    share of the honest parties; both echo their own fragment of *each*
+    root and send READY for each root, to ``targets``."""
+
+    def __init__(self, targets):
+        super().__init__(DEALER)
+        self.targets = targets
+
+    def on_start(self):
+        k = self.f + 1
+        for value, reached in TWO_ROOTS:
+            fragments = erasure.rs_encode(codec.encode(value), k, self.n)
+            tree = MerkleTree(fragments)
+            if self.me == DEALER:
+                for j in reached:
+                    self.send(j, CTVal(tree.root, fragments[j], tree.prove(j), 8, k))
+            me = self.me
+            for j in self.targets:
+                self.send(j, CTEcho(tree.root, fragments[me], tree.prove(me), 8, k))
+                self.send(j, CTReady(tree.root))
+
+    def on_message(self, sender, payload):
+        pass  # says only what on_start said
+
+
+class _PairHarness(Protocol):
+    def __init__(self, targets):
+        super().__init__()
+        self.targets = targets
+
+    def on_start(self):
+        if self.me in (DEALER, ACCOMPLICE):
+            self.spawn("rbc", _ReadiesBothRoots(self.targets))
+        else:
+            self.spawn("rbc", CTBroadcast(DEALER))
+
+    def on_sub_output(self, name, value):
+        self.output(value)
+
+
+@pytest.mark.parametrize(
+    "targets, outputs",
+    [((0, 1, 2, 3, 4), {("left",)}), ((0,), set())],
+    ids=["to-every-honest-party", "to-one-honest-party"],
+)
+def test_byzantine_readies_for_two_roots_split_neither_agreement_nor_totality(
+    targets, outputs
+):
+    """n = 7, f = 2: the dealer equivocates two roots and both corrupted
+    parties READY each of them.  Honest outputs agree (the invariant
+    oracle's check 1), and an honest output at one party means one at
+    every party: with the pair's echoes and READYs at party 0 alone, party 0
+    holds f + 1 READYs for a root it decoded and must still not output."""
+    setup = TrustedSetup.generate(N7, f=F2, seed=3)
+    sim = Simulation(
+        setup,
+        seed=3,
+        behaviors={DEALER: Behavior(), ACCOMPLICE: Behavior()},
+        delay_model=FixedDelay(1.0),
+    )
+    sim.start(lambda party: _PairHarness(targets))
+    sim.run()
+    results = sim.honest_results()
+    assert set(results.values()) == outputs
+    assert len(results) in (0, len(sim.honest))  # totality

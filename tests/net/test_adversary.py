@@ -6,8 +6,9 @@ import random
 import pytest
 
 from repro import run_adkg
-from repro.analysis.experiments import _lag_links
+from repro.analysis.experiments import _lag_links, withholding_outcome
 from repro.core.adkg import ADKG
+from repro.core.proposal_election import PEEvalShare
 from repro.crypto.keys import TrustedSetup
 
 from repro.net.adversary import (
@@ -15,6 +16,7 @@ from repro.net.adversary import (
     CrashBehavior,
     DropBehavior,
     EquivocateBehavior,
+    FirstRankWithholder,
     MutateBehavior,
     RandomLagScheduler,
     Scheduler,
@@ -116,6 +118,47 @@ def test_drop_behavior_rate_extremes():
     assert drop_all.transform_outgoing(_env(), RNG) == []
     with pytest.raises(ValueError):
         DropBehavior(rate=1.5)
+
+
+def _share(sender, recipient, k, value):
+    return Envelope(("pe",), sender, recipient, PEEvalShare(k=k, share=value), 5)
+
+
+def test_first_rank_withholder_acts_only_on_what_f_plus_one_shares_reveal():
+    """n = 4, f = 1, party 3 corrupted: an index is ranked once 2 shares
+    are in hand (here a share is its VRF output, combined by ``max``).
+    While an honest index ranks first, party 3 withholds its share for it
+    and every broadcast message; a corrupted index first stops that."""
+    adversary = FirstRankWithholder({3}, threshold=2, reveal=max)
+    outgoing = adversary.transform_outgoing
+    assert adversary.allow_delivery(_share(0, 3, k=1, value=50), RNG)
+    assert outgoing(_env(sender=3, recipient=0), RNG)  # nothing ranked yet
+    assert not adversary.revealed
+    # Its own share of index 1 is the second: 1 ranks first, and is honest.
+    assert outgoing(_share(3, 0, k=1, value=40), RNG) == []
+    assert adversary.revealed == {1: 50}
+    assert outgoing(_share(3, 1, k=1, value=40), RNG) == []
+    assert outgoing(_env(sender=3, recipient=0), RNG) == []
+    assert outgoing(_share(3, 0, k=2, value=10), RNG)  # another index passes
+    # Index 3 (corrupted) is revealed above index 1: nothing is withheld.
+    assert adversary.allow_delivery(_share(1, 3, k=3, value=90), RNG)
+    assert outgoing(_share(3, 0, k=3, value=80), RNG)
+    assert adversary.revealed == {1: 50, 3: 90}  # index 2 has one share
+    assert outgoing(_share(3, 2, k=1, value=40), RNG)
+    assert outgoing(_env(sender=3, recipient=0), RNG)
+    assert adversary.withheld == 3
+
+
+@pytest.mark.parametrize("n", (4, 7))
+def test_the_withholding_rung_terminates_and_fires_under_the_searched_lag(n):
+    """E4's corrupted rung runs PE to completion on both committee sizes;
+    at n = 7 its parties do withhold (seed 1000: the first E4 replays)."""
+    ended, _binds, withheld = withholding_outcome(n, 1000, withhold=True)
+    assert ended
+    control = withholding_outcome(n, 1000, withhold=False)
+    assert control[2] == 0 and control[0]
+    if n == 7:
+        assert withheld > 0
 
 
 def test_mutate_behavior_replace_drop_pass():

@@ -1,6 +1,7 @@
 """The registry byte codec: round-trips, determinism, malformed rejection,
 golden wire vectors and the decode-boundary mutation corpus."""
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -1040,3 +1041,97 @@ def test_size_accounting_matches_the_encoder(envelopes):
     else:
         with pytest.raises(codec.CodecError):
             codec.decode_batch(wire)
+
+
+# -- the size walk ---------------------------------------------------------------------
+
+
+@given(_values)
+def test_the_size_walk_is_the_encoded_length(value):
+    """``encoded_size`` walks a value without building it: the same length
+    cold (nothing memoized) and warm (every payload's bytes memoized)."""
+    codec._payload_memo.clear()
+    cold = codec.encoded_size(value)
+    wire = codec.encode(value)
+    assert cold == len(wire) == codec.encoded_size(value)
+
+
+@given(_envelope_lists(), st.booleans())
+def test_the_envelope_size_walk_is_the_envelope_encoding_length(envelopes, memoized):
+    """The protocol byte metric, walked: for every envelope the encoder
+    accepts, its payload's bytes memoized or not."""
+    for envelope in envelopes:
+        codec._payload_memo.clear()
+        if memoized:
+            codec.encode(envelope.payload)
+            assert codec._payload_memo.get(envelope.payload) is not None
+        stats = Counter(codec.encode_stats)
+        size = codec.encoded_envelope_size(envelope)
+        assert codec.encode_stats == stats  # the walk requests no encoding
+        assert (codec._payload_memo.get(envelope.payload) is not None) == memoized
+        assert size == len(codec.encode_envelope(envelope))
+    with pytest.raises(codec.CodecError, match="expected Envelope"):
+        codec.encoded_envelope_size(envelopes[0].payload)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Unregistered(Payload):
+    junk: int
+
+
+#: Values the encoder refuses: an int past the bound (alone and as a group
+#: element's log), a str UTF-8 cannot spell, unregistered types, and two set
+#: members that encode alike.
+_unencodable = st.sampled_from(
+    (
+        1 << 4096,
+        -(1 << 4100),
+        GroupElement("G", 1 << 4095),
+        "lone \ud800 surrogate",
+        object(),
+        _Unregistered(1),
+        frozenset((float("nan"), float("nan"))),
+    )
+)
+_refused = st.recursive(
+    _unencodable,
+    lambda children: st.tuples(_values, children).map(tuple)
+    | st.tuples(children, _values).map(list)
+    | st.builds(CTReady, root=children)
+    | st.builds(Decided, bit=children)
+    | st.builds(
+        pvss.PVSSTranscript,
+        commitments=st.tuples(children),
+        cipher_shares=st.just(()),
+        tags=st.just(()),
+    )
+    | st.builds(lambda payload: Envelope(("p",), 0, 1, payload, 1, 0), st.builds(CTReady, root=children)),
+    max_leaves=4,
+)
+
+
+@given(_refused)
+def test_the_size_walk_refuses_what_the_encoder_refuses(value):
+    """An honest unencodable send fails loudly on a sizing-only transport
+    too: wherever ``encode`` raises, the walk raises ``CodecError``."""
+    with pytest.raises(ValueError):
+        codec.encode(value)  # a CodecError, or UnicodeEncodeError for a str
+    with pytest.raises(codec.CodecError):
+        codec.encoded_size(value)
+    if type(value) is Envelope:
+        with pytest.raises(codec.CodecError):
+            codec.encoded_envelope_size(value)
+
+
+def test_every_golden_value_sizes_to_its_golden_length(setup, transcript):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    for name, (value, encoder, _decoder) in _golden_cases(setup, transcript).items():
+        length = len(bytes.fromhex(golden[name]))
+        if encoder is codec.encode_batch:
+            sizes = [codec.encoded_envelope_size(envelope) for envelope in value]
+            assert sizes == [len(codec.encode_envelope(envelope)) for envelope in value]
+            assert codec.encoded_batch_size(value, sizes) == length, name
+        else:
+            assert codec.encoded_size(value) == length, name
+        if type(value) is Envelope:
+            assert codec.encoded_envelope_size(value) == length, name

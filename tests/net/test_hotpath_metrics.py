@@ -8,6 +8,7 @@ counters — is identical whether envelopes moved by reference through the
 simulator or as codec frames over real TCP sockets.
 """
 
+import json
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from repro import run_adkg
 from repro.crypto.keys import TrustedSetup
 from repro.net import codec
 from repro.net.metrics import counter_delta
+from tests.net.test_totals_golden import GOLDEN_PATH
 
 
 def _verify_counters(result) -> dict:
@@ -61,15 +63,28 @@ def test_transcript_verification_is_amortized_per_distinct_value():
 
 
 def test_encode_once_fan_out_counters():
-    _result, encode = _encodes(
-        lambda: run_adkg(n=7, seed=3, transport="sim", measure_bytes=True)
-    )
-    # A multicast encodes its payload once and reuses the buffer for the
-    # other recipients: hits dominate misses.
-    assert encode["payload.hits"] > encode["payload.misses"]
+    """TCP frames every send, so it meters a send from its payload's bytes:
+    a multicast encodes its payload once and reuses the buffer for the
+    other recipients, so hits dominate misses."""
+    result, encode = _encodes(lambda: run_adkg(n=7, seed=3, transport="tcp"))
+    assert result.agreed
+    assert encode["payload.hits"] > encode["payload.misses"] > 0
     assert encode["payload.calls"] == (
         encode["payload.hits"] + encode["payload.misses"]
     )
+    # One request per metered send, hits included.
+    assert encode["payload.calls"] >= result.messages_total
+
+
+def test_the_simulator_meters_bytes_without_encoding_a_payload():
+    """The simulator builds no frames: it sizes every send by walking it
+    (``codec.encoded_envelope_size``), so a byte-metered run makes no
+    payload encode request, and meters the golden's bytes to the digit."""
+    golden = json.loads(GOLDEN_PATH.read_text())["benign-n7-bytes"]
+    result, encode = _encodes(lambda: run_adkg(n=7, seed=3, measure_bytes=True))
+    assert result.agreed
+    assert not {key: value for key, value in encode.items() if key.startswith("payload.")}
+    assert (result.bytes_total, result.messages_total) == (golden["bytes"], golden["messages"])
 
 
 def test_an_aggregate_is_walked_at_most_once_per_object(monkeypatch):

@@ -6,7 +6,8 @@ expands a multicast into n − 1 network envelopes in recipient order plus
 the self copy it delivers inline.  The reference is the loop it replaced,
 n ``send`` calls with one payload object: the envelopes, their order and
 depths, and everything the transport meters from them must agree to the
-digit.  ``Envelope``'s own ``__init__``
+digit, on the simulator and on TCP, whose sizing counts one encode-once
+request per send.  ``Envelope``'s own ``__init__``
 stores through the slot descriptors; it must still build a frozen
 dataclass.
 """
@@ -28,6 +29,7 @@ from repro.net.metrics import counter_delta
 from repro.net.party import Party
 from repro.net.protocol import Protocol
 from repro.net.runtime import Simulation
+from repro.net.tcp_runtime import TCPRuntime
 
 from tests.net.helpers import Blob, Ping
 
@@ -74,15 +76,15 @@ ACTIONS = st.lists(
 )
 
 
-def _run(actions, *, as_record, behavior, cap, depth):
-    """Queue ``actions`` at one party and flush them through the transport;
-    a multicast is queued as a record or, with ``as_record`` False, as the
-    loop of sends it replaced.  Fresh payload objects per run: the codec
-    memoizes by identity."""
+def _run(actions, *, as_record, behavior, cap, depth, tcp=False):
+    """Queue ``actions`` at one party and flush them through the transport
+    (an unopened TCP runtime with ``tcp``: it drops every send at the
+    flush); a multicast is queued as a record or, with ``as_record``
+    False, as the loop of sends it replaced.  Fresh payload objects per
+    run: the codec memoizes by identity."""
     encodes = Counter(codec.encode_stats)
-    sim = Simulation(
-        SETUP, behaviors=BEHAVIORS[behavior](), seed=7, measure_bytes=True
-    )
+    runtime = TCPRuntime if tcp else Simulation
+    sim = runtime(SETUP, behaviors=BEHAVIORS[behavior](), seed=7, measure_bytes=True)
     sim.batch_cap_envelopes = cap
     party = sim.parties[SENDER]
     senders = _senders(party)
@@ -127,7 +129,7 @@ def _run(actions, *, as_record, behavior, cap, depth):
         "deliveries": metrics.deliveries,
         "encode": counter_delta(codec.encode_stats, encodes),
         "counts": dict(metrics.counts),
-        "in_flight": sum(len(entry) for _, _, entry in sim._queue),
+        "in_flight": None if tcp else sum(len(entry) for _, _, entry in sim._queue),
     }
 
 
@@ -137,11 +139,15 @@ def _run(actions, *, as_record, behavior, cap, depth):
     behavior=st.sampled_from(sorted(BEHAVIORS)),
     cap=st.sampled_from((1, 2, 256)),
     depth=st.sampled_from((0, 7, 1000)),
+    tcp=st.booleans(),
 )
-def test_a_multicast_record_equals_n_sends(actions, behavior, cap, depth):
-    record = _run(actions, as_record=True, behavior=behavior, cap=cap, depth=depth)
-    loop = _run(actions, as_record=False, behavior=behavior, cap=cap, depth=depth)
+def test_a_multicast_record_equals_n_sends(actions, behavior, cap, depth, tcp):
+    plane = dict(behavior=behavior, cap=cap, depth=depth, tcp=tcp)
+    record = _run(actions, as_record=True, **plane)
+    loop = _run(actions, as_record=False, **plane)
     assert record == loop
+    sends = record["encode"].get("payload.calls", 0)
+    assert sends == (record["messages"] if tcp else 0)
 
 
 def test_a_multicast_is_one_record_in_recipient_order():

@@ -7,8 +7,10 @@ step, metering all envelopes of one recipient varint width with one
 path every sender with a ``Behavior`` takes: a pass-through behaviour makes
 it meter each envelope on its own.  Words, messages, bytes, the by-type and
 by-layer tables, the frames and the codec's encode-once counters must agree
-to the digit for any records an outbox can hold.  A dropping or crashing
-behaviour must meter exactly the envelopes it lets through.
+to the digit for any records an outbox can hold.  The encode-once counters
+are TCP's: the simulator sizes a send by walking it and encodes nothing to
+meter.  A dropping or crashing behaviour must meter exactly the envelopes
+it lets through.
 """
 
 from collections import Counter
@@ -25,6 +27,7 @@ from repro.net.envelope import Envelope
 from repro.net.metrics import Metrics, counter_delta
 from repro.net.payload import Payload
 from repro.net.runtime import Simulation
+from repro.net.tcp_runtime import TCPRuntime
 from repro.net.transport import FRAME_HEADER_BYTES
 
 from tests.net.helpers import Blob, Ping
@@ -123,15 +126,22 @@ def _records(spec):
     ]  # fmt: skip
 
 
-def _flush(records, *, behavior=None, measure_bytes, cap, fixed, depth=0):
+def _flush(records, *, behavior=None, measure_bytes, cap, fixed, depth=0, tcp=False):
+    """Flush ``records`` through a simulator, or through an unopened TCP
+    runtime (``tcp``: it meters bytes always, draws no delays, and drops
+    every send at the flush)."""
     encodes = Counter(codec.encode_stats)
-    sim = Simulation(
-        SETUP,
-        delay_model=FixedDelay(1.0) if fixed else None,
-        behaviors={SENDER: behavior} if behavior is not None else None,
-        seed=7,
-        measure_bytes=measure_bytes,
-    )
+    behaviors = {SENDER: behavior} if behavior is not None else None
+    if tcp:
+        sim = TCPRuntime(SETUP, behaviors=behaviors, seed=7)
+    else:
+        sim = Simulation(
+            SETUP,
+            delay_model=FixedDelay(1.0) if fixed else None,
+            behaviors=behaviors,
+            seed=7,
+            measure_bytes=measure_bytes,
+        )
     sim.batch_cap_envelopes = cap
     sim._peers[SENDER] = PEERS  # what the fake party's multicast reaches
     handed_off = 0
@@ -169,7 +179,7 @@ def _flush(records, *, behavior=None, measure_bytes, cap, fixed, depth=0):
         "max_depth": metrics.max_depth,
         "encode": counter_delta(codec.encode_stats, encodes),
         "counts": dict(metrics.counts),
-        "in_flight": sum(len(entry) for _, _, entry in sim._queue),
+        "in_flight": None if tcp else sum(len(entry) for _, _, entry in sim._queue),
     }
 
 
@@ -189,6 +199,19 @@ def test_batched_metering_equals_the_unbatched_plane(spec, measure_bytes, cap, f
     records = _flush(_records(spec), **plane)
     per_envelope = _flush(_records(spec), behavior=Behavior(), **plane)
     assert records == per_envelope
+    assert not records["encode"]  # the simulator sizes by walking
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=RECORDS, cap=st.sampled_from((1, TCPRuntime.batch_cap_envelopes)))
+def test_tcp_record_metering_counts_encodes_like_the_unbatched_plane(spec, cap):
+    """TCP sizes a send from its payload's bytes: one encode-once request
+    per send, the record flush and the per-envelope path alike."""
+    plane = dict(measure_bytes=True, cap=cap, fixed=False, tcp=True)
+    records = _flush(_records(spec), **plane)
+    per_envelope = _flush(_records(spec), behavior=Behavior(), **plane)
+    assert records == per_envelope
+    assert records["encode"].get("payload.calls", 0) == records["messages"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,22 +251,29 @@ def test_a_behaviour_meters_exactly_what_it_lets_through(spec, behavior, measure
 
 
 def test_a_multicast_is_one_run_and_one_metering_call():
-    """The property above cannot tell one call from k: count them."""
-    sim = Simulation(SETUP, seed=7, measure_bytes=True)
-    sim._peers[SENDER] = tuple(range(1, 40))
-    encodes = Counter(codec.encode_stats)
-    calls = []
-    record_send = sim.metrics.record_send
-    sim.metrics.record_send = lambda envelope, nbytes=None, count=1: (
-        calls.append(count),
-        record_send(envelope, nbytes, count),
+    """The property above cannot tell one call from k: count them.  The
+    simulator sizes the run by walking it; TCP encodes its payload once
+    and counts each sibling as a request served from the memo."""
+    expected_encodes = (
+        (Simulation(SETUP, seed=7, measure_bytes=True), {}),
+        (
+            TCPRuntime(SETUP, seed=7),
+            {"payload.calls": 39, "payload.hits": 38, "payload.misses": 1},
+        ),
     )
-    sim._flush_party(_Outbox([(0, ("layer",), None, Blob(data=(1,)))]))
-    assert calls == [39]
-    assert sim.metrics.messages_total == 39
-    assert counter_delta(codec.encode_stats, encodes) == {
-        "payload.calls": 39, "payload.hits": 38, "payload.misses": 1,
-    }  # fmt: skip
+    for sim, expected in expected_encodes:
+        sim._peers[SENDER] = tuple(range(1, 40))
+        encodes = Counter(codec.encode_stats)
+        calls = []
+        record_send = sim.metrics.record_send
+        sim.metrics.record_send = lambda envelope, nbytes=None, count=1: (
+            calls.append(count),
+            record_send(envelope, nbytes, count),
+        )
+        sim._flush_party(_Outbox([(0, ("layer",), None, Blob(data=(1,)))]))
+        assert calls == [39]
+        assert sim.metrics.messages_total == 39
+        assert counter_delta(codec.encode_stats, encodes) == expected
 
 
 @given(
@@ -275,13 +305,17 @@ def test_unencodable_payload_after_a_half_built_run_fails_loudly():
         (0, ("layer",), 3, _Unregistered(1)),
         (0, ("layer",), 1, Blob(data=(2,))),
     ]
-    sim = Simulation(SETUP, seed=7, measure_bytes=True)
-    encodes = Counter(codec.encode_stats)
-    with pytest.raises(codec.CodecError):
-        sim._flush_party(_Outbox(records))
-    assert sim.metrics.messages_total == 3
-    assert sim.metrics.words_total == 3 * (shared.word_size() + 1)
-    assert counter_delta(codec.encode_stats, encodes)["payload.calls"] == 3
-    assert [(e.recipient, e.payload) for e in sim._outgoing] == [
-        (1, shared), (2, shared), (3, shared),
-    ]  # fmt: skip
+    for sim, payload_calls in (
+        (Simulation(SETUP, seed=7, measure_bytes=True), 0),
+        (TCPRuntime(SETUP, seed=7), 3),  # TCP sizes from encoded bytes
+    ):
+        encodes = Counter(codec.encode_stats)
+        with pytest.raises(codec.CodecError):
+            sim._flush_party(_Outbox(records))
+        assert sim.metrics.messages_total == 3
+        assert sim.metrics.words_total == 3 * (shared.word_size() + 1)
+        encoded = counter_delta(codec.encode_stats, encodes)
+        assert encoded.get("payload.calls", 0) == payload_calls
+        assert [(e.recipient, e.payload) for e in sim._outgoing] == [
+            (1, shared), (2, shared), (3, shared),
+        ]  # fmt: skip

@@ -41,6 +41,12 @@ Both byte-metered runs' ``wire_bytes`` (225 397 and 115 983) read 0 since
 the commit where the simulator stopped pricing its heap entries: a heap
 entry spans links no one socket carries, so only TCP counts wire bytes,
 and every other entry is unchanged.
+Both byte-metered runs' ``encode`` counts (3 108 / 728 and 564 / 236
+payload calls / misses) read 0 since the commit where the simulator
+sized a send by walking it (``codec.encoded_envelope_size``) instead of
+encoding it: it builds no payload bytes to meter, and every ``bytes``
+total is unchanged.  Encode-once fan-out is TCP's, pinned in
+``tests/net/test_hotpath_metrics.py``.
 
 Totals alone let an arithmetic slip through as long as it still verifies,
 so ``"values"`` pins what two runs computed: the agreed transcript (its
