@@ -1048,8 +1048,9 @@ def _size_items(items: Any) -> int:
     implementation.  Raises :class:`CodecError` wherever the encoder
     does; a str UTF-8 cannot spell raises ``UnicodeEncodeError`` here, as
     in the encoder, and :func:`_walk` turns it into a ``CodecError``.
-    Counts nothing in :data:`encode_stats` and puts nothing in the
-    payload memo.
+    Outside such a rare-type container a payload or an aggregate is
+    never encoded: it counts nothing in :data:`encode_stats` and enters
+    no memo.
     """
     size = 0
     for value in items:
@@ -1105,7 +1106,6 @@ def _size_items(items: Any) -> int:
 def _walk(value: Any) -> int:
     """:func:`_size_items` of one value; an unencodable str is a
     :class:`CodecError`, so a sizing-only caller catches one type."""
-    _ensure_registered()
     try:
         return _size_items((value,))
     except UnicodeEncodeError as exc:
@@ -1115,6 +1115,7 @@ def _walk(value: Any) -> int:
 def encoded_size(value: Any) -> int:
     """Bytes ``value`` occupies on the wire (without transport framing):
     ``len(encode(value))``, walked, not built."""
+    _ensure_registered()
     return _walk(value)
 
 

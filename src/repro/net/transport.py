@@ -30,9 +30,10 @@ one pipeline every runtime shares:
   per-envelope reference the equivalence tests compare against.
   *Protocol* word/byte accounting does not depend on the frames: every
   send is metered at buffer time with ``FRAME_HEADER_BYTES +
-  codec.encoded_envelope_size(e)``, a size walk that builds no bytes.  A send is metered as offered load; one a
-  runtime cannot carry is counted in the run's ``Metrics.counts`` where
-  its frame would be built.
+  codec.encoded_envelope_size(e)``, a size walk that builds no bytes.
+  A send is metered as offered load; one a runtime cannot carry is
+  counted in the run's ``Metrics.counts`` where its frame would be
+  built.
 
 A run counts only its own work: the transport's :class:`Metrics` holds
 the one counter table, and the transport, its chaos plane and the verify

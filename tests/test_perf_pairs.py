@@ -130,10 +130,17 @@ def test_append_writes_one_row_per_workload(tmp_path):
 
 
 def test_every_committed_trajectory_row_keeps_the_schema():
+    """A benchmark workload's row carries every end-to-end metric; a
+    ``scripts/scale.py`` row (a ``scale_*`` op) carries that script's."""
+    spec = importlib.util.spec_from_file_location("scale", SCRIPT.parent / "scale.py")
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)
+    scale_metrics = {name for name, _ in scale.METRICS}
     rows = [json.loads(line) for line in TRAJECTORY.read_text().splitlines()]
     assert rows
     for row in rows:
-        _check_row(row, _end_to_end())
+        scaled = row["workload"] in scale.SCALES
+        _check_row(row, scale_metrics if scaled else _end_to_end())
 
 
 def test_each_side_compiles_into_its_own_empty_cache_outside_both_trees(
