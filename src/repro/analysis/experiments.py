@@ -1,12 +1,12 @@
 """The experiment index E1-E18: one function per experiment, one harness.
 
-E15 and E17 are retired and their numbers stay unused.
+E10, E15 and E17 are retired and their numbers stay unused.
 
 Each ``eN_*`` function takes its grid as plain arguments, runs seeded
 simulations and returns a :class:`Section`: the paper's claim, the
 deterministic rows that bear on it, and named boolean *checks* (fitted
 exponent bounds, ratios, agreement, key invariance) stated beside the
-rows that show them.  :func:`run_experiments` calls all sixteen at
+rows that show them.  :func:`run_experiments` calls all fifteen at
 EXPERIMENTS.md size; ``tests/analysis/test_experiments.py`` calls the
 same functions at CI size inside the tier-1 suite and asserts every
 check; ``python -m repro.analysis.experiments`` renders
@@ -666,7 +666,7 @@ def e6_adkg(ns: Sequence[int], seeds: Sequence[int]) -> Section:
     )
 
 
-# -- E7-E10: comparison, faults, ablations ---------------------------------------------
+# -- E7-E9: comparison, faults, ablations ----------------------------------------------
 
 
 def _crossover(rows: Sequence[dict]) -> str:
@@ -867,32 +867,6 @@ def e9_rbc_ablation(ns: Sequence[int], seeds: Sequence[int]) -> Section:
         ct + bracha,
         findings,
         checks,
-    )
-
-
-def e10_vc_ablation(ns: Sequence[int], m: int) -> Section:
-    merkle = [_broadcast_row("ct", n, m) for n in ns]
-    kzg = [_broadcast_row("ct-kzg", n, m) for n in ns]
-    savings = [(a["words"] - b["words"]) / a["words"] for a, b in zip(merkle, kzg)]
-    return Section(
-        "E10",
-        "Extension: constant-size openings (Section 7.1 remark)",
-        "**Paper**: Merkle openings cost `O(log n)` words; SNARK-style\n"
-        'commitments would cut that to `O(1)` "at the cost of a trusted setup\n'
-        'and concretely high proving time".  Implemented here as a KZG vector\n'
-        'commitment over the simulated pairing (`vc_kind="kzg"`).',
-        ("kind", "n", "m", "words", "messages", "rounds"),
-        merkle + kzg,
-        (
-            "Word savings from constant openings: "
-            + ", ".join(f"n={n}: {100 * s:.0f}%" for n, s in zip(ns, savings))
-            + ".",
-        ),
-        {
-            "constant openings save words at every n": all(s > 0 for s in savings),
-            "the saving grows with n (log n vs 1 in the n² term)": _increasing(savings),
-            "rounds unchanged (three hops)": {r["rounds"] for r in merkle + kzg} == {3.0},
-        },
     )
 
 
@@ -1299,7 +1273,7 @@ def e18_churn(seed: int, rotation_epochs: int, realtime: Sequence[str]) -> Secti
 
 
 def run_experiments() -> list[Section]:
-    """All sixteen at EXPERIMENTS.md size (``test_run_experiments`` runs
+    """All fifteen at EXPERIMENTS.md size (``test_run_experiments`` runs
     the same functions at CI size)."""
     return [
         e1_broadcast(n_fixed=7, ms=(16, 64, 256, 1024), ns=(4, 7, 13, 25), m_small=4, m_big=512),
@@ -1314,7 +1288,6 @@ def run_experiments() -> list[Section]:
         e7_baseline(ns=(4, 7, 10, 13, 16, 19), seed=1),
         e8_fault_matrix(cases=((4, 1), (7, 2))),
         e9_rbc_ablation(ns=(4, 7, 10, 13), seeds=(1,)),
-        e10_vc_ablation(ns=(4, 7, 13, 25), m=8),
         e11_transports(ns=(4, 7, 10), seed=1),
         e12_hotpath(ns=(4, 10, 16, 25), seed=1),
         e13_pipelining(n=7, epochs=4, depths=(1, 2, 3)),
@@ -1328,7 +1301,7 @@ HEADER = """\
 # EXPERIMENTS — paper vs measured
 
 Regenerated by `python -m repro.analysis.experiments`
-(`run_experiments()`); the tier-1 suite runs the same sixteen functions at
+(`run_experiments()`); the tier-1 suite runs the same fifteen functions at
 CI size (`tests/analysis/test_experiments.py`) and CI diffs this file
 against a fresh run.  All runs are seeded and every column is a
 deterministic function of the code; wall clock lives in `python3 -m

@@ -2,8 +2,7 @@
 
 The dealer Reed-Solomon-encodes its serialized value into ``n`` fragments
 (reconstruction threshold ``k = f+1``), commits to the fragment vector
-with a vector commitment (Merkle tree by default; Section 7.1's
-constant-size-opening alternative is available as ``vc_kind="kzg"``), and sends each party its fragment plus opening proof.
+with a Merkle tree (Section 7.1) and sends each party its fragment and path.
 Parties echo *their own* fragment to everyone; a party that collects
 ``n-f`` proof-valid fragments for a root decodes, **re-encodes and
 re-commits** to check the root (this is what forces agreement: a root
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.broadcast import erasure
-from repro.crypto.vector_commitment import make_scheme
+from repro.crypto.merkle import MerkleProof, MerkleTree, verify_opening
 from repro.net import codec
 from repro.net.payload import Payload, words_of
 from repro.net.protocol import Protocol
@@ -48,8 +47,17 @@ from repro.net.protocol import Protocol
 Validator = Callable[[Any], bool]
 
 
+#: ``_bad_roots`` until a root goes bad: one empty set every instance
+#: shares, until the first bad root rebinds the field to a set of its own.
+_NO_ROOTS: frozenset = frozenset()
+
+
 def _fragment_words(claim_words: int, k: int) -> int:
     return max(1, -(-claim_words // k))
+
+
+def _is_root(value: Any) -> bool:
+    return isinstance(value, bytes) and len(value) == 32
 
 
 @dataclass(frozen=True)
@@ -92,8 +100,6 @@ class CTBroadcast(Protocol):
     """One erasure-coded reliable broadcast instance with a designated dealer."""
 
     #: Declared mutable state: per-root fragment/ready/decode bookkeeping.
-    #: The lazily built vector-commitment backend (``_vc``) is derived
-    #: configuration, not state — a restored instance rebuilds it on use.
     STATE_FIELDS = (
         "_echoed",
         "_ready_sent",
@@ -108,56 +114,42 @@ class CTBroadcast(Protocol):
         dealer: int,
         value: Any = None,
         validate: Optional[Validator] = None,
-        vc_kind: str = "merkle",
     ) -> None:
         super().__init__()
         self.dealer = dealer
         self.value = value
         self.validate = validate or (lambda _value: True)
-        self.vc_kind = vc_kind
-        self._vc = None
         self._cache = None
         self._echoed = False
         self._ready_sent = False
         self._fragments: dict[bytes, dict[int, bytes]] = {}
         self._readies: dict[bytes, set[int]] = {}
         self._decoded: dict[bytes, Any] = {}
-        self._bad_roots: set[bytes] = set()
-
-    def _bind_backend(self) -> None:
-        """Bind the vector-commitment backend (Merkle by default; E10 swaps
-        KZG in) and the directory's verify cache as plain attributes, once
-        per instance: in the dealer's ``on_start``, else on the first
-        message after install or restore.  The echo and ready handlers run
-        n times per broadcast at every party and read both on each call."""
-        directory = self.directory
-        self._vc = make_scheme(self.vc_kind, directory)
-        self._cache = directory.verify_cache
+        self._bad_roots: set[bytes] | frozenset = _NO_ROOTS
 
     def on_start(self) -> None:
         if self.me == self.dealer:
             if self.value is None:
                 raise ValueError("dealer must provide a value")
-            self._bind_backend()
             data = codec.encode(self.value)
             fragments = erasure.rs_encode(data, self.f + 1, self.n)
-            commitment, proofs = self._vc.commit(fragments)
+            tree = MerkleTree(fragments)
             claim = max(1, words_of(self.value))
             for j in range(self.n):
                 self.send(
                     j,
                     CTVal(
-                        root=commitment,
+                        root=tree.root,
                         fragment=fragments[j],
-                        proof=proofs[j],
+                        proof=tree.prove(j),
                         claim_words=claim,
                         k=self.f + 1,
                     ),
                 )
 
     def on_message(self, sender: int, payload: Payload) -> None:
-        if self._vc is None:
-            self._bind_backend()
+        if self._cache is None:
+            self._cache = self.directory.verify_cache
         # Echoes and readies are 2n of the 2n + 1 messages an instance gets.
         if isinstance(payload, CTEcho):
             self._on_echo(sender, payload)
@@ -171,11 +163,9 @@ class CTBroadcast(Protocol):
     def _on_val(self, sender: int, payload: CTVal) -> None:
         if sender != self.dealer or self._echoed:
             return
-        vc = self._vc
-        if payload.k != self.f + 1 or not vc.is_commitment(payload.root):
+        if payload.k != self.f + 1 or not _is_root(payload.root):
             return
-        ok = vc.verify(payload.root, payload.fragment, self.me, payload.proof, self.n)
-        if not ok:
+        if not self._opens(payload.root, payload.fragment, self.me, payload.proof):
             return
         self._echoed = True
         self.multicast(
@@ -191,7 +181,7 @@ class CTBroadcast(Protocol):
             self._retire()
 
     def _on_echo(self, sender: int, payload: CTEcho) -> None:
-        if payload.k != self.f + 1 or not self._vc.is_commitment(payload.root):
+        if payload.k != self.f + 1 or not _is_root(payload.root):
             return
         if payload.root in self._decoded or payload.root in self._bad_roots:
             return  # nothing left for a fragment of this root to do
@@ -218,16 +208,19 @@ class CTBroadcast(Protocol):
         return self._cache.identity_memoize(
             "ctrbc-frag",
             payload,
-            (sender, self.n, self.vc_kind),
-            (payload.root, payload.fragment, sender, payload.proof,
-             self.n, self.vc_kind),
-            lambda: self._vc.verify(
-                payload.root, payload.fragment, sender, payload.proof, self.n
-            ),
+            (sender, self.n),
+            (payload.root, payload.fragment, sender, payload.proof, self.n),
+            lambda: self._opens(payload.root, payload.fragment, sender, payload.proof),
         )
 
+    def _opens(self, root: bytes, fragment: bytes, index: int, proof: Any) -> bool:
+        """Only a Merkle path for ``index`` itself is checked against ``root``."""
+        if not isinstance(proof, MerkleProof) or proof.index != index:
+            return False
+        return verify_opening(root, fragment, proof, self.n)
+
     def _on_ready(self, sender: int, payload: CTReady) -> None:
-        if not self._vc.is_commitment(payload.root):
+        if not _is_root(payload.root):
             return
         self._readies.setdefault(payload.root, set()).add(sender)
         self._progress(payload.root)
@@ -276,20 +269,25 @@ class CTBroadcast(Protocol):
         # leaves form a codeword and every other subset decodes the same
         # data; if not, no subset can pass the recommit check.  The whole
         # decode→recommit→deserialize pipeline is therefore memoized per
-        # (root, k, n, scheme) in the directory cache: one RS decode and
+        # (root, k, n) in the directory cache: one RS decode and
         # one commitment rebuild per distinct root per run, instead of
         # one per party.  ``None`` (root commits no codeword / garbage
         # bytes) is cached too.  External validity stays per instance —
         # two broadcasts may validate the same value differently.
         value = self._cache.memoize(
             "ctrbc-decode",
-            (root, self.f + 1, self.n, self.vc_kind),
+            (root, self.f + 1, self.n),
             lambda: self._decode_codeword(root),
         )
         # Decoded or bad, the root's fragments have no reader left:
         # ``_on_echo`` drops its echoes and ``_progress`` skips the decode.
+        # A dict never shrinks, so an emptied one is replaced.
         del self._fragments[root]
+        if not self._fragments:
+            self._fragments = {}
         if value is None or not self._try_validate(value):
+            if not self._bad_roots:
+                self._bad_roots = set()
             self._bad_roots.add(root)
             return
         self._decoded[root] = value
@@ -307,11 +305,10 @@ class CTBroadcast(Protocol):
         except ValueError:
             return None
         # Re-encode and re-commit: the root must commit exactly this
-        # codeword (kept as its own memoized domain so the E10 ablation
-        # counters stay comparable).
+        # codeword (its own memoized domain, counted apart from decodes).
         if not self._cache.memoize(
             "ctrbc-root",
-            (data, root, self.f + 1, self.n, self.vc_kind),
+            (data, root, self.f + 1, self.n),
             lambda: self._recommit_matches(data, root),
         ):
             return None
@@ -323,7 +320,7 @@ class CTBroadcast(Protocol):
 
     def _recommit_matches(self, data: bytes, root: Any) -> bool:
         check_fragments = erasure.rs_encode(data, self.f + 1, self.n)
-        return self._vc.commitment_only(check_fragments) == root
+        return MerkleTree(check_fragments).root == root
 
     def _try_validate(self, value: Any) -> bool:
         try:

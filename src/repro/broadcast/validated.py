@@ -12,7 +12,7 @@ from repro.broadcast.bracha import BrachaBroadcast
 from repro.broadcast.ct_rbc import CTBroadcast
 from repro.net.protocol import Protocol
 
-BROADCAST_KINDS = ("ct", "ct-kzg", "bracha")
+BROADCAST_KINDS = ("ct", "bracha")
 
 
 def make_broadcast(
@@ -24,17 +24,11 @@ def make_broadcast(
     """Build a reliable-broadcast instance of the given ``kind``.
 
     ``kind`` is ``"ct"`` (the paper's erasure-coded protocol with Merkle
-    openings, default everywhere), ``"ct-kzg"`` (Section 7.1's
-    constant-size-opening variant, trusted setup), or ``"bracha"`` (the
-    ablation baseline).  A non-``None`` ``validate`` yields the Validated
-    Reliable Broadcast variant.
+    openings, default everywhere) or ``"bracha"`` (the ablation baseline);
+    a non-``None`` ``validate`` yields the Validated Reliable Broadcast variant.
     """
     if kind == "ct":
         return CTBroadcast(dealer=dealer, value=value, validate=validate)
-    if kind == "ct-kzg":
-        return CTBroadcast(
-            dealer=dealer, value=value, validate=validate, vc_kind="kzg"
-        )
     if kind == "bracha":
         return BrachaBroadcast(dealer=dealer, value=value, validate=validate)
     raise ValueError(f"unknown broadcast kind {kind!r}; choose from {BROADCAST_KINDS}")

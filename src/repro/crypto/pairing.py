@@ -155,8 +155,7 @@ class BilinearGroup:
         """``Π bases[i]^exponents[i]`` in one pass, one element allocated.
 
         The kernel every fold in the exponent goes through — SCRAPE and
-        random-linear-combination checks, Lagrange combination, KZG
-        commitments.  On a real curve it is a multi-scalar multiplication
+        random-linear-combination checks and Lagrange combination.  On a real curve it is a multi-scalar multiplication
         (Pippenger); here it is one modular sum, equal to the fold
         ``prod(exp(b, e) ...)`` with the same checks on every base.
         """

@@ -85,8 +85,8 @@ def _inverse_denominators(q: int, points: tuple[int, ...]) -> tuple[int, ...]:
     """``1 / Π_{j≠i} (x_i - x_j) mod q`` for a fixed evaluation domain.
 
     The O(k²) inner product every Lagrange-style computation needs
-    (coefficients, SCRAPE dual codewords, coefficient interpolation),
-    inverted, over the handful of domains ADKG actually uses — ``1..f+1``
+    (coefficients, SCRAPE dual codewords), inverted, over the handful of
+    domains ADKG actually uses — ``1..f+1``
     subsets for share combination, ``0..n`` for the SCRAPE test — so it
     is cached process-wide, keyed by the domain itself, and no consumer
     pays a modular inversion per call.
@@ -128,70 +128,6 @@ def lagrange_coefficients(
     if len(set(points)) != len(points):
         raise ValueError("interpolation points must be distinct")
     return _lagrange_cached(field.q, points, field.element(at))
-
-
-@lru_cache(maxsize=1024)
-def _master_polynomial(q: int, points: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of ``Π_j (x - x_j) mod q`` for a fixed domain."""
-    coeffs = [1]
-    for x in points:
-        shifted = [0] + coeffs  # coeffs * x^1
-        for i, c in enumerate(coeffs):
-            shifted[i] = (shifted[i] - c * x) % q
-        coeffs = shifted
-    return tuple(coeffs)
-
-
-def _divide_by_root(q: int, coeffs: Sequence[int], root: int) -> list[int]:
-    """Divide a polynomial with ``p(root) = 0`` by ``(x - root)``."""
-    degree = len(coeffs) - 1
-    quotient = [0] * degree
-    carry = 0
-    for k in range(degree, 0, -1):
-        carry = (coeffs[k] + carry * root) % q
-        quotient[k - 1] = carry
-    return quotient
-
-
-def interpolate_polynomial(
-    field: PrimeField, points: Sequence[tuple[int, int]]
-) -> Polynomial:
-    """Full coefficient-form interpolation (used by KZG and the RS decoder tests).
-
-    Degree 0/1 inputs short-circuit; the general case expands the
-    Lagrange basis from the domain's cached master polynomial and
-    inverted denominators (:func:`_inverse_denominators`), so repeated
-    interpolation over a fixed domain — KZG commits/opens always use
-    ``0..d`` — only pays O(k²) once per domain.
-    """
-    xs = [field.element(x) for x, _ in points]
-    ys = [field.element(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation points must be distinct")
-    q = field.q
-    if len(points) == 1:
-        return Polynomial(field, (ys[0],))
-    if len(points) == 2:
-        slope = (ys[1] - ys[0]) * pow(xs[1] - xs[0], -1, q) % q
-        constant = (ys[0] - slope * xs[0]) % q
-        coeffs = [constant, slope]
-    else:
-        domain = tuple(xs)
-        master = _master_polynomial(q, domain)
-        inverses = _inverse_denominators(q, domain)
-        count = len(points)
-        coeffs = [0] * count
-        for x_i, y_i, inv_i in zip(xs, ys, inverses):
-            if y_i == 0:
-                continue
-            basis = _divide_by_root(q, master, x_i)
-            scale = y_i * inv_i % q
-            for t in range(count):
-                if basis[t]:
-                    coeffs[t] = (coeffs[t] + scale * basis[t]) % q
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return Polynomial(field, tuple(coeffs))
 
 
 def scrape_coefficients(

@@ -234,8 +234,8 @@ _BATCH_HEADER_OPEN = bytes((_TAG_TUPLE, 5))
 
 # Registered struct ids, stable across versions (wire compatibility):
 #   1-19    substrate (Envelope)
-#   20-63   crypto value types; 23 (DLEQ proof), 36-37 (scalar PVSS) and
-#           38 (Shamir share) are retired, never to be reused
+#   20-63   crypto value types; 23 (DLEQ proof), 25 (constant-size opening),
+#           36-37 (scalar PVSS) and 38 (Shamir share) are retired, never reused
 #   64-99   protocol payloads
 #   >= 9000 reserved for tests / external extensions
 _ENVELOPE_ID = 1
@@ -1389,7 +1389,6 @@ def _register_builtins() -> None:
     from repro.net.envelope import Envelope
     from repro.net.payload import Payload
     from repro.crypto import nizk, schnorr
-    from repro.crypto.kzg import KZGOpening
     from repro.crypto.merkle import MerkleProof
     from repro.crypto.pvss import ContributorTag, PVSSContribution, PVSSTranscript
     from repro.crypto.reshare import (
@@ -1438,7 +1437,6 @@ def _register_builtins() -> None:
     register(schnorr.Signature, 21)
     register(nizk.DlogProof, 22)
     register(MerkleProof, 24)
-    register(KZGOpening, 25)
     register(ContributorTag, 26)
     register(PVSSContribution, 27)
     register(PVSSTranscript, 28)

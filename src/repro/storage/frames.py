@@ -1,9 +1,9 @@
 """Versioned byte frames for durable protocol state.
 
 The durability subsystem puts two new record kinds on disk, framed the
-same way the batched message plane frames the wire (one magic byte, one
-version byte, a length, a body), and reusing :mod:`repro.net.codec` for
-every value inside:
+way the batched message plane frames the wire (one magic byte, one
+version byte, a length, a body) and closed by a big-endian CRC-32 of
+the body, reusing :mod:`repro.net.codec` for every value inside:
 
 ====  =============================================================
 0xDA  WAL record — a uvarint *sequence number* followed by one
@@ -26,13 +26,18 @@ magic (``0xB5``), so the three frame families — batch, WAL, snapshot —
 are distinguishable from their first byte;
 :func:`decode_frame` is the dispatcher.  Decoding is as strict as the
 codec's: bad magic, unsupported version, truncated or overlong
-(non-canonical) length/sequence varints, truncated bodies, bodies that
-do not decode to the promised shape, and trailing bytes all raise
-:class:`StorageError` (a :class:`~repro.net.codec.CodecError`).
+(non-canonical) length/sequence varints, truncated bodies, a checksum
+that does not match, bodies that do not decode to the promised shape,
+and trailing bytes all raise :class:`StorageError` (a
+:class:`~repro.net.codec.CodecError`).  The checksum is what catches a
+flipped bit inside fragment bytes or a digest, which still decodes:
+without it such a record would replay as a different delivery.  A
+version-1 record (no checksum) is refused unread.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Any, Iterator
 
 from repro.net import codec
@@ -56,8 +61,11 @@ __all__ = [
 WAL_MAGIC = 0xDA
 #: First byte of a snapshot record.
 SNAPSHOT_MAGIC = 0xD5
-#: Format version of both record kinds (second byte).
-FRAME_VERSION = 0x01
+#: Format version of both record kinds (second byte); version 2 added
+#: the checksum.
+FRAME_VERSION = 0x02
+#: Bytes of the CRC-32 after each record's body.
+_CHECKSUM_BYTES = 4
 
 
 class StorageError(CodecError):
@@ -65,18 +73,21 @@ class StorageError(CodecError):
 
 
 def _frame(magic: int, sequence: int, payload: bytes) -> bytes:
-    """``magic``-framed ``uvarint sequence + payload``, built in one buffer:
-    the payload (a whole snapshot blob) is copied once, by the join."""
+    """``magic``-framed ``uvarint sequence + payload`` and its CRC-32, built
+    in one buffer: the payload (a whole snapshot blob) is copied once, by
+    the join."""
     number = bytearray()
     _write_uvarint(number, sequence)
     head = bytearray((magic, FRAME_VERSION))
     _write_uvarint(head, len(number) + len(payload))
     head += number
-    return b"".join((head, payload))
+    checksum = zlib.crc32(payload, zlib.crc32(number))
+    return b"".join((head, payload, checksum.to_bytes(_CHECKSUM_BYTES, "big")))
 
 
 def _open_frame(magic: int, data: bytes, pos: int, kind: str) -> tuple[bytes, int]:
-    """Strictly read one ``magic``-framed body starting at ``pos``."""
+    """Strictly read one ``magic``-framed body starting at ``pos`` and
+    check it against its CRC-32."""
     if pos + 2 > len(data):
         raise StorageError(f"truncated {kind} record header")
     if data[pos] != magic:
@@ -91,9 +102,13 @@ def _open_frame(magic: int, data: bytes, pos: int, kind: str) -> tuple[bytes, in
         length, pos = _read_uvarint(data, pos + 2)
     except CodecError as exc:
         raise StorageError(f"bad {kind} record length: {exc}") from exc
-    if pos + length > len(data):
+    end = pos + length
+    if end + _CHECKSUM_BYTES > len(data):
         raise StorageError(f"truncated {kind} record body")
-    return data[pos : pos + length], pos + length
+    body = data[pos:end]
+    if zlib.crc32(body) != int.from_bytes(data[end : end + _CHECKSUM_BYTES], "big"):
+        raise StorageError(f"{kind} record checksum mismatch")
+    return body, end + _CHECKSUM_BYTES
 
 
 def encode_wal_record(envelope: Envelope, seq: int) -> bytes:

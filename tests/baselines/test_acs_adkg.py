@@ -3,6 +3,7 @@
 from repro.baselines.kms_adkg import ACSBasedADKG
 from repro.crypto import threshold_vrf as tvrf
 from repro.net.adversary import SilentBehavior
+from repro.net.chaos import ChaosSpec, DelayWindow
 
 from tests.core.helpers import run_protocol
 
@@ -28,6 +29,18 @@ def test_chosen_set_is_large_enough():
     sim = run_protocol(4, _factory(), to_quiescence=False, seed=2)
     transcript = next(iter(_outputs(sim).values()))
     assert len(transcript.contributors) >= 3  # n - f dealers made it in
+
+
+def test_a_zero_vote_waits_for_n_minus_f_decided_ones():
+    """BKR's gate: a party votes 0 for the dealers it has not heard from
+    only once n - f ABAs decided 1.  Here dealers 1-3's sharings reach no
+    one until long after dealer 0's ABA decided, so a gate that opened on
+    fewer ones would decide 0 for them and fold fewer than n - f sharings."""
+    held = tuple(DelayWindow(extra=50.0, path=(("rbc", j),)) for j in (1, 2, 3))
+    sim = run_protocol(4, _factory(), chaos=ChaosSpec(delays=held), to_quiescence=False)
+    outputs = _outputs(sim)
+    assert len(outputs) == 4
+    assert all(len(t.contributors) >= 3 for t in outputs.values())
 
 
 def test_tolerates_silent_party():

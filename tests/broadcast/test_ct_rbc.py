@@ -50,6 +50,26 @@ def test_non_codeword_commitment_never_delivers():
     assert sim.honest_results() == {}
 
 
+class _ShiftedPathDealer(CTBroadcast):
+    """Sends party j the fragment of leaf j + 1 with that leaf's valid path."""
+
+    def on_start(self):
+        k = self.f + 1
+        fragments = erasure.rs_encode(codec.encode(self.value), k, self.n)
+        tree = MerkleTree(fragments)
+        for j in range(self.n):
+            leaf = (j + 1) % self.n
+            self.send(j, CTVal(tree.root, fragments[leaf], tree.prove(leaf), 8, k))
+
+
+def test_a_path_for_another_index_is_refused():
+    """A path opens a fragment only at the index it names, and that must
+    be the recipient's own: no party echoes a neighbour's leaf."""
+    sim = run_broadcast(4, "ct", ("msg",), dealer_cls=_ShiftedPathDealer)
+    assert sim.honest_results() == {}
+    assert "CTEcho" not in sim.metrics.messages_by_type
+
+
 @pytest.mark.parametrize(
     "data",
     [b"\x00\x01garbage", codec.encode(("msg", 1))[:-2]],

@@ -28,7 +28,11 @@ is the library's own class (a planted dealer from
    party reproduces what its crashed predecessor output;
 4. the transcript an ``ADKG`` or ``ACSBasedADKG`` instance agrees on
    has at least f + 1 contributors and passes ``DKGVerify`` against a
-   verify cache no run has warmed.
+   verify cache no run has warmed;
+5. broadcast totality: whenever ``Simulation.run`` returns with nothing
+   in flight, every honest party holding a ``CTBroadcast`` or
+   ``BrachaBroadcast`` instance that some honest party output has output
+   it too, unless the party is halted or has collected the session.
 
 A violation fails the test that made the run.  What the oracle knows of
 a run lives only as long as the run's parties, and its cold check
@@ -60,6 +64,7 @@ from repro.crypto.verify_cache import VerifyCache
 from repro.net import codec
 from repro.net.party import Party
 from repro.net.protocol import Protocol
+from repro.net.runtime import Simulation
 from repro.net.transport import Transport
 
 _freeze = Party.freeze
@@ -122,6 +127,7 @@ _AGREEING = (*_BROADCASTS, ADKG, ReshareAgreement, ACSBasedADKG, NWH, BinaryAgre
 
 _build_party = Transport.build_party
 _output = Protocol.output
+_run = Simulation.run
 #: Transport -> its run, and party -> the run that built it; weak, so a
 #: run's record goes with its parties.
 _runs: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -141,6 +147,8 @@ class _Run:
         self.agreed: dict = {}
         #: DKG (session, path)s whose agreed transcript was verified cold.
         self.verified: set = set()
+        #: Broadcast (session, path)s some honest party output.
+        self.broadcasts: set = set()
         _oracle["runs"] += 1
 
 
@@ -183,6 +191,7 @@ def _check_output(run: _Run, transport: Transport, protocol: Protocol, value) ->
     if agreed != value:
         _violations.append(f"{where}: honest party {index} disagrees")
     if isinstance(protocol, _BROADCASTS):
+        run.broadcasts.add(instance)
         dealer = protocol.dealer
         source = transport.parties[dealer].instance(protocol.path, protocol.session)
         # A rebuilt (thawed) dealer instance holds no input: None.
@@ -217,11 +226,37 @@ def _verify_cold(protocol: Protocol, transcript, where: str) -> None:
     _oracle["transcripts"] += 1
 
 
+def _run_watched(sim: Simulation, *args, **kwargs) -> None:
+    _run(sim, *args, **kwargs)
+    run = _runs.get(sim)
+    if run is not None and not (sim._ready or sim._outgoing or sim._queue):
+        _check_totality(run, sim)
+
+
+def _check_totality(run: _Run, sim: Simulation) -> None:
+    """Check 5, at quiescence: nothing in flight can still deliver."""
+    for session, path in sorted(run.broadcasts, key=repr):
+        for index, party in enumerate(sim.parties):
+            # A collected session holds no instances.
+            instance = party.instance(path, session)
+            if index in sim.corrupt or party.halted or instance is None:
+                continue
+            if not _library(instance):
+                continue
+            _oracle["totality"] += 1
+            if not instance._output_done:
+                _violations.append(
+                    f"{type(instance).__name__} at session {session}, path {path}: "
+                    f"honest party {index} never output what another honest party did"
+                )
+
+
 @pytest.fixture(autouse=True)
 def invariant_oracle(monkeypatch):
     _violations.clear()
     monkeypatch.setattr(Transport, "build_party", _build_party_watched)
     monkeypatch.setattr(Protocol, "output", _output_watched)
+    monkeypatch.setattr(Simulation, "run", _run_watched)
     yield
     violations = list(_violations)
     _violations.clear()
@@ -237,5 +272,6 @@ def pytest_terminal_summary(terminalreporter):
     )
     terminalreporter.write_line(
         f"invariant oracle: {_oracle['outputs']} outputs of {_oracle['runs']} runs "
-        f"checked, {_oracle['transcripts']} agreed transcripts verified cold"
+        f"checked, {_oracle['transcripts']} agreed transcripts verified cold, "
+        f"{_oracle['totality']} broadcast holdings total at quiescence"
     )

@@ -9,7 +9,6 @@ from repro.crypto.field import PrimeField
 from repro.crypto.params import get_params
 from repro.crypto.polynomial import (
     Polynomial,
-    interpolate_polynomial,
     lagrange_coefficients,
     random_polynomial,
     scrape_coefficients,
@@ -48,10 +47,11 @@ def test_add_polynomials():
 def test_random_polynomial_interpolates_back(degree, seed):
     rng = random.Random(seed)
     poly = random_polynomial(FIELD, degree, rng)
-    points = [(x, poly.evaluate(x)) for x in range(1, degree + 2)]
-    recovered = interpolate_polynomial(FIELD, points)
-    for x in (0, 5, 1000):
-        assert recovered.evaluate(x) == poly.evaluate(x)
+    xs = range(1, degree + 2)
+    for at in (0, 5, 1000):
+        lambdas = lagrange_coefficients(FIELD, xs, at)
+        recovered = FIELD.sum(FIELD.mul(lam, poly.evaluate(x)) for lam, x in zip(lambdas, xs))
+        assert recovered == poly.evaluate(at)
 
 
 def test_random_polynomial_fixes_secret():
@@ -108,37 +108,12 @@ def test_scrape_requires_enough_points():
         scrape_coefficients(FIELD, [0, 1], 1, random.Random(0))
 
 
-def test_interpolate_polynomial_degree_zero_and_one_early_exits():
-    # One point: the constant polynomial.
-    constant = interpolate_polynomial(FIELD, [(5, 42)])
-    assert constant.coeffs == (42,)
-    # Two points: the line through them, trimmed if it degenerates.
-    line = interpolate_polynomial(FIELD, [(1, 10), (3, 20)])
-    assert line.degree <= 1
-    assert line.evaluate(1) == 10 and line.evaluate(3) == 20
-    flat = interpolate_polynomial(FIELD, [(1, 9), (2, 9)])
-    assert flat.coeffs == (9,)
-
-
-@pytest.mark.parametrize("count", [3, 5, 8])
-def test_interpolate_polynomial_matches_lagrange_at_a_point(count):
-    rng = random.Random(count)
-    points = [(x, FIELD.rand(rng)) for x in range(count)]
-    poly = interpolate_polynomial(FIELD, points)
-    assert poly.degree <= count - 1
-    for x, y in points:
-        assert poly.evaluate(x) == y
-    probe = 1234
-    lambdas = lagrange_coefficients(FIELD, [x for x, _ in points], probe)
-    assert poly.evaluate(probe) == FIELD.sum(
-        FIELD.mul(lam, y) for lam, (_, y) in zip(lambdas, points)
-    )
-
-
 def test_interpolation_domain_cache_is_value_safe():
-    # Same domain, different values: the cached master polynomial and
-    # denominators must not leak one interpolation into the next.
-    first = interpolate_polynomial(FIELD, [(0, 1), (1, 2), (2, 3)])
-    second = interpolate_polynomial(FIELD, [(0, 7), (1, 100), (2, 4)])
-    assert first.evaluate(1) == 2
-    assert second.evaluate(1) == 100
+    # Same domain, different values: the coefficients cached per domain
+    # must not leak one interpolation into the next.
+    def combine(ys, at):
+        lambdas = lagrange_coefficients(FIELD, (0, 1, 2), at)
+        return FIELD.sum(FIELD.mul(lam, y) for lam, y in zip(lambdas, ys))
+
+    assert combine((1, 2, 3), 1) == 2 and combine((1, 2, 3), 5) == 6
+    assert combine((7, 100, 4), 1) == 100

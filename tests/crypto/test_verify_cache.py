@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.core import certificates as certs
-from repro.crypto import kzg, pvss, threshold_sig as tsig, threshold_vrf as tvrf
+from repro.crypto import pvss, threshold_sig as tsig, threshold_vrf as tvrf
 from repro.crypto.keys import TrustedSetup
 from repro.crypto.verify_cache import IdentityMemo, VerifyCache, content_digest
 from repro.net import codec
@@ -270,11 +270,6 @@ def _byzantine_matrix(setup):
         for i in range(directory.quorum)
     )
 
-    kset = kzg.KZGSetup.from_seed(directory.pair_group, 4, "byzantine-matrix")
-    values = [5, 9, 2, 7]
-    commitment = kset.commit(values)
-    opening = kset.open_at(values, 1)
-
     d = directory
     return [
         ("contribution", True, pvss.verify_contribution, d, contribution),
@@ -311,11 +306,6 @@ def _byzantine_matrix(setup):
             certs.certificate_valid, d, quorum_votes[:-1], echo, "v", 1),
         ("certificate: replayed under another view", False,
             certs.certificate_valid, d, quorum_votes, echo, "v", 2),
-        ("kzg opening", True, kset.verify, commitment, 1, values[1], opening),
-        ("kzg opening: replayed at another index", False,
-            kset.verify, commitment, 2, values[1], opening),
-        ("kzg opening: replayed at another value", False,
-            kset.verify, commitment, 1, values[1] + 1, opening),
     ]
 
 
@@ -324,7 +314,7 @@ def test_public_verifiers_on_the_byzantine_case_matrix(setup):
     mutated input's ``False`` never displaces its valid neighbour's ``True``
     (the rows share one directory, hence one cache)."""
     rows = _byzantine_matrix(setup)
-    assert len(rows) == 24
+    assert len(rows) == 21
     for _round in range(2):
         for label, verdict, check, *args in rows:
             assert check(*args) is verdict, label

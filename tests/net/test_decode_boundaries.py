@@ -3,8 +3,8 @@
 A corpus of real wire and disk bytes — batch frames of envelopes captured
 from an n=4 ADKG through ``Transport.add_delivery_observer``, WAL records
 of the same envelopes, a snapshot frame of a mid-run ADKG ``Party.freeze``
-(a shared-aggregate encoding: ``decode_shared`` / ``encode_shared``) —
-is truncated at every length and flipped at every byte.  Each mutant
+and that blob alone (a shared-aggregate encoding: ``decode_shared`` /
+``encode_shared``) — is truncated at every length and flipped at every byte.  Each mutant
 either raises :class:`CodecError` (the storage layer's ``StorageError`` is
 one) or decodes to something that passes the codec's own validation, that
 re-encodes to the mutant byte for byte, and whose aggregates hold exactly
@@ -15,6 +15,7 @@ path is never interned, and that the table stays bounded.
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.crypto.keys import TrustedSetup
 from repro.net import FixedDelay, codec, make_transport
 from repro.net.envelope import Envelope
 from repro.net.runtime import Simulation
+from repro.storage import frames
 from repro.storage.frames import (
     StorageError,
     decode_frame,
@@ -33,7 +35,6 @@ from repro.storage.frames import (
     iter_wal_records,
 )
 from tests.net.helpers import (
-    EchoAll,
     aggregates_in,
     assert_retained_bytes_are_a_cold_walk,
 )
@@ -110,16 +111,23 @@ def test_batch_frames_fail_closed(captured):
 
 
 def test_wal_records_fail_closed(captured):
+    def read(data):
+        return list(iter_wal_records(data))
+
     for seq, kept in enumerate(captured.values(), 120):  # two-byte sequences too
         record = encode_wal_record(kept[0], seq)
-        assert list(iter_wal_records(record + record)) == [(seq, kept[0])] * 2
+        assert read(record + record) == [(seq, kept[0])] * 2
+        # The record's checksum refuses every mutant of the record ...
         for mutant in _mutants(record, f"wal-{seq}"):
-            records = _accepted(lambda data: list(iter_wal_records(data)), mutant)
-            for decoded_seq, envelope in records or ():
-                assert decoded_seq >= 0
+            assert not _accepted(read, mutant)  # the empty prefix is an empty log
+        # ... and behind it, a mutated envelope fails closed or is the one
+        # spelling of what it holds.
+        for mutant in _mutants(codec.encode_envelope(kept[0]), f"wal-body-{seq}"):
+            framed = frames._frame(frames.WAL_MAGIC, seq, mutant)
+            for decoded_seq, envelope in _accepted(read, framed) or ():
+                assert decoded_seq == seq
                 codec._validate_envelope(envelope)
-                # An accepted record is the one spelling of what it holds.
-                assert encode_wal_record(envelope, decoded_seq) == mutant
+                assert encode_wal_record(envelope, decoded_seq) == framed
                 assert_retained_bytes_are_a_cold_walk(envelope)
 
 
@@ -138,23 +146,32 @@ def test_snapshot_frames_fail_closed():
     record = encode_snapshot_record(blob, 300)
     assert decode_frame(record) == ("snapshot", (blob, 300))
 
-    def restore(data):
-        kind, (inner, wal_seq) = decode_frame(data)
-        assert kind == "snapshot" and wal_seq >= 0
+    def thaw_read(inner):
         state = codec.decode_shared(inner)  # what Party.thaw does first
         assert codec.encode_shared(state) == inner  # accepted bytes: the one spelling
         assert_retained_bytes_are_a_cold_walk(state)
         return state
 
+    def restore(data):
+        kind, (inner, wal_seq) = decode_frame(data)
+        assert kind == "snapshot" and wal_seq >= 0
+        return thaw_read(inner)
+
     state = restore(record)
     assert len(list(aggregates_in(state))) == 9  # one transcript six times, the rest once
     # Two thirds of this small blob are the RNG stream's 625 ints.
     stream = codec.encode(sim.parties[2].session_rng(0).getstate()[1])
-    ints = range(record.index(stream) + 16, record.index(stream) + len(stream) - 16)
-    survivors = 0
-    for mutant in _mutants(record, "snapshot", thin=ints):
+    ints = range(blob.index(stream) + 16, blob.index(stream) + len(stream) - 16)
+    shift = record.index(blob)
+    # The record's checksum refuses every mutant the snapshot reader gets ...
+    for mutant in _mutants(record, "snapshot", thin=range(ints.start + shift, ints.stop + shift)):
         if mutant[:1] == record[:1]:  # still addressed to the snapshot reader
-            survivors += _accepted(restore, mutant) is not None
+            assert _accepted(restore, mutant) is None
+    # ... and behind it the blob's own reader fails closed or reads the one spelling.
+    survivors = sum(
+        _accepted(thaw_read, mutant) is not None
+        for mutant in _mutants(blob, "snapshot-blob", thin=ints)
+    )
     assert survivors  # flips inside opaque bytes and ints do decode
     assert restore(record) == state
     # The plain readers refuse the blob at its first byte.
@@ -170,6 +187,15 @@ def _stretch(data: bytes, position: int) -> bytes:
     """Respell the one-byte varint at ``position`` in two bytes."""
     assert data[position] < 0x80
     return data[:position] + bytes((data[position] | 0x80, 0)) + data[position + 1 :]
+
+
+def _resealed(data: bytes, body_at: int) -> bytes:
+    """A storage record whose body (from ``body_at``) was respelled, framed
+    again: its length and checksum match, so only the respelling is wrong."""
+    body = data[body_at:-4]
+    head = bytearray(data[:2])
+    codec._write_uvarint(head, len(body))
+    return bytes(head) + body + zlib.crc32(body).to_bytes(4, "big")
 
 
 def test_overlong_varints_rejected_at_every_boundary(captured):
@@ -192,8 +218,11 @@ def test_overlong_varints_rejected_at_every_boundary(captured):
         sequence_at = 3 if record[2] < 0x80 else 4
         for position in (length_at, sequence_at):
             if record[position] < 0x80:
+                mutant = _stretch(record, position)
+                if position == sequence_at:  # inside the checksummed body
+                    mutant = _resealed(mutant, sequence_at)
                 with pytest.raises(StorageError, match="non-canonical"):
-                    reader(_stretch(record, position))
+                    reader(mutant)
 
 
 # -- path interning --------------------------------------------------------------------

@@ -8,7 +8,15 @@ from repro.net.adversary import CrashBehavior, RandomLagScheduler
 from repro.net.delays import FixedDelay
 from repro.net.runtime import Simulation
 from repro.net.transport import Transport
-from repro.storage import DurabilityRecorder, SnapshotStore, run_crash_recovery
+from repro.broadcast.ct_rbc import CTEcho
+from repro.storage import (
+    DurabilityRecorder,
+    SnapshotStore,
+    StorageError,
+    recover_party,
+    run_crash_recovery,
+)
+from repro.storage.frames import iter_wal_records
 
 
 _PLAN_KEYS = {
@@ -209,6 +217,28 @@ def test_recorder_checkpoints_and_compacts(tmp_path):
     before = recorder.deliveries
     sim.run(stop=lambda s: s.steps >= sim.steps + 50)
     assert recorder.deliveries == before  # detached observers see nothing
+    store.close()
+
+
+def test_a_flipped_log_byte_fails_recovery_instead_of_replaying(tmp_path):
+    """One bit flipped inside an echoed fragment still decodes; its record's
+    checksum is what refuses it, so the party is never rebuilt from a
+    delivery nobody sent."""
+    setup = TrustedSetup.generate(4, seed=1)
+    sim = Simulation(setup, seed=1, delay_model=FixedDelay(1.0))
+    store = SnapshotStore(tmp_path)
+    recorder = DurabilityRecorder(sim, 0, store, cadence=10_000)
+    sim.start(lambda p: ADKG())
+    sim.run(stop=lambda s: recorder.deliveries >= 30)
+    recorder.detach()
+    wal = store.wal(0)
+    wal.close()
+    data = bytearray(wal.path.read_bytes())
+    echo = next(e for _, e in iter_wal_records(data) if isinstance(e.payload, CTEcho))
+    data[data.index(echo.payload.fragment) + 1] ^= 0x01
+    wal.path.write_bytes(bytes(data))
+    with pytest.raises(StorageError, match="checksum"):
+        recover_party(sim, 0, store, lambda p: ADKG())
     store.close()
 
 

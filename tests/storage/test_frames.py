@@ -1,6 +1,7 @@
 """Versioned storage frames: round-trips, strictness, mixed-frame streams."""
 
 import random
+import zlib
 
 import pytest
 
@@ -86,6 +87,7 @@ def test_wal_record_corrupt_body_rejected():
     frame = bytearray((WAL_MAGIC, FRAME_VERSION))
     codec._write_uvarint(frame, len(body))
     frame.extend(body)
+    frame.extend(zlib.crc32(body).to_bytes(4, "big"))  # the codec must refuse it
     with pytest.raises(codec.CodecError):
         decode_wal_record(bytes(frame))
 
@@ -110,9 +112,37 @@ def test_snapshot_record_truncated_rejected():
 
 def test_snapshot_record_bad_version_rejected():
     data = bytearray(encode_snapshot_record(b"blob"))
-    data[1] = 0x02
+    data[1] = 0x01  # the version before checksums
     with pytest.raises(StorageError, match="version"):
         decode_snapshot_record(bytes(data))
+
+
+# -- checksums ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "data, read",
+    [
+        (
+            b"".join(encode_wal_record(_envelope(i), i + 1) for i in range(3)),
+            lambda data: list(iter_wal_records(data)),
+        ),
+        (
+            encode_snapshot_record(codec.encode(("snapshot", b"\x07" * 40)), 9),
+            decode_snapshot_record,
+        ),
+    ],
+    ids=["wal-stream", "snapshot"],
+)
+def test_every_bit_flip_of_a_record_is_refused(data, read):
+    """A flipped bit never reads back as another record, even where the
+    codec would decode it (an int field, fragment bytes, a digest, a
+    snapshot blob the frame treats as opaque)."""
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(StorageError):
+            read(bytes(flipped))
 
 
 # -- mixed-frame streams (codec version negotiation) -------------------------------------

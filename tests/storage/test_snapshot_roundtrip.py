@@ -46,7 +46,6 @@ class BroadcastRoot(Protocol):
 CASES = {
     "bracha": lambda p: BroadcastRoot("bracha", 0, (1, 2, 3)),
     "ct": lambda p: BroadcastRoot("ct", 0, (1,) * 8),
-    "ct-kzg": lambda p: BroadcastRoot("ct-kzg", 0, (7,) * 6),
     "gather": lambda p: Gather(my_value=(1, p.index)),
     "proposal-election": lambda p: ProposalElection(proposal=("prop", p.index)),
     "nwh": lambda p: NWH(my_value=("val", p.index)),

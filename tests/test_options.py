@@ -12,6 +12,7 @@ import inspect
 import pytest
 
 import repro
+from repro.broadcast.ct_rbc import CTBroadcast
 from repro.crypto.keys import TrustedSetup
 from repro.net.chaos import ChaosPlane, ChaosSpec
 from repro.net.party import Party
@@ -38,6 +39,7 @@ REMOVED = {
         },
     ),
     "Party": (Party.__init__, {"rng", "pending_cap", "session_backlog_cap"}),
+    "CTBroadcast": (CTBroadcast.__init__, {"vc_kind"}),
 }
 
 
